@@ -55,7 +55,7 @@
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use sgx_sim::storage::{FaultFs, FaultKind, FaultOp, FaultSpec, StorageFs};
-use shieldstore::{ttl, Config, DurabilityPolicy, Error, ShieldStore};
+use shieldstore::{ttl, Config, DurabilityPolicy, Error, Op, ShieldStore};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -197,8 +197,9 @@ fn run_child() {
             } else {
                 (DOOMED_DEADLINE_NS, b"D\n".as_slice())
             };
+            let (key, value) = (key_bytes(step), value_bytes(seed, step));
             store
-                .set_with_expiry(0, &key_bytes(step), &value_bytes(seed, step), deadline)
+                .execute(0, Op::Set { key: &key, value: &value, expires_at: deadline })
                 .expect("acknowledged set");
             progress.write_all(marker).expect("progress write");
         } else {

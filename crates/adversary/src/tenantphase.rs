@@ -22,7 +22,7 @@
 use crate::model::Violation;
 use shield_workload::rng::SplitMix64;
 use shieldstore::testing::StaleEntry;
-use shieldstore::{entry, ttl, Config, Error, ShieldStore, TenantQuota};
+use shieldstore::{entry, ttl, Config, Error, Op, Reply, ShieldStore, TenantQuota};
 
 /// Accounting for one seed's tenant phase.
 #[derive(Debug, Default, Clone)]
@@ -56,6 +56,11 @@ fn value_bytes(tenant: u32, id: u64, seed: u64) -> Vec<u8> {
     format!("t{tenant}-v{id}-{:08x}", seed & 0xffff_ffff).into_bytes()
 }
 
+/// Reads key `id` in `tenant`'s namespace; `Ok(None)` is a clean miss.
+fn read(store: &ShieldStore, tenant: u32, id: u64) -> Result<Option<Vec<u8>>, Error> {
+    store.execute(tenant, Op::Get(&key_bytes(id))).map(Reply::value)
+}
+
 fn violation(context: &str, detail: String) -> Violation {
     Violation { context: context.into(), detail }
 }
@@ -87,10 +92,10 @@ pub fn run_tenant_phase(seed: u64) -> Result<TenantReport, Violation> {
     // Populate attacker and victim namespaces over the SAME key names.
     for id in 0..NUM_KEYS {
         store
-            .set_t(ATTACKER, &key_bytes(id), &value_bytes(ATTACKER, id, seed))
+            .execute(ATTACKER, Op::set(&key_bytes(id), &value_bytes(ATTACKER, id, seed)))
             .map_err(|e| violation("tenant warm-up", format!("attacker set: {e}")))?;
         store
-            .set_t(VICTIM, &key_bytes(id), &value_bytes(VICTIM, id, seed))
+            .execute(VICTIM, Op::set(&key_bytes(id), &value_bytes(VICTIM, id, seed)))
             .map_err(|e| violation("tenant warm-up", format!("victim set: {e}")))?;
         report.ops += 2;
     }
@@ -113,8 +118,8 @@ fn cross_read_attacks(
     for id in 0..NUM_KEYS {
         report.ops += 1;
         report.cross_reads += 1;
-        let got = store
-            .get_t(ATTACKER, &key_bytes(id))
+        let got = read(store, ATTACKER, id)
+            .and_then(|value| value.ok_or(Error::KeyNotFound))
             .map_err(|e| violation("cross-read", format!("attacker get: {e}")))?;
         if got == value_bytes(VICTIM, id, seed) {
             return Err(violation(
@@ -205,7 +210,7 @@ fn forge_attacks(
     // values (for untouched entries) — never anything else.
     for id in 0..NUM_KEYS {
         report.ops += 1;
-        match store.get_t(VICTIM, &key_bytes(id)) {
+        match read(store, VICTIM, id).and_then(|value| value.ok_or(Error::KeyNotFound)) {
             Ok(v) => {
                 if v != value_bytes(VICTIM, id, seed) {
                     return Err(violation(
@@ -228,8 +233,8 @@ fn forge_attacks(
     }
     for id in 0..NUM_KEYS {
         report.ops += 1;
-        let got = store
-            .get_t(VICTIM, &key_bytes(id))
+        let got = read(store, VICTIM, id)
+            .and_then(|value| value.ok_or(Error::KeyNotFound))
             .map_err(|e| violation("forge repair", format!("victim get: {e}")))?;
         if got != value_bytes(VICTIM, id, seed) {
             return Err(violation("forge repair", format!("key {id} not restored")));
@@ -249,8 +254,8 @@ fn quota_exhaustion(
     let mut rejected = 0u64;
     for id in 0..max_keys * 3 {
         report.ops += 1;
-        match store.set_t(BOUNDED, &key_bytes(id), &value_bytes(BOUNDED, id, seed)) {
-            Ok(()) => {}
+        match store.execute(BOUNDED, Op::set(&key_bytes(id), &value_bytes(BOUNDED, id, seed))) {
+            Ok(_) => {}
             Err(Error::QuotaExceeded { tenant }) if tenant == BOUNDED => rejected += 1,
             Err(e) => return Err(violation("quota", format!("unexpected error {e:?}"))),
         }
@@ -272,7 +277,7 @@ fn quota_exhaustion(
     // The victim is unaffected by the bounded tenant's exhaustion.
     report.ops += 1;
     store
-        .set_t(VICTIM, b"quota-victim-probe", b"still-writable")
+        .execute(VICTIM, Op::set(b"quota-victim-probe", b"still-writable"))
         .map_err(|e| violation("quota", format!("victim write blocked: {e}")))?;
     Ok(())
 }
@@ -290,8 +295,15 @@ fn ttl_resurrection(
     for &id in &doomed {
         report.ops += 1;
         store
-            .set_ttl(VICTIM, &key_bytes(id), &value_bytes(VICTIM, id, seed), ttl_ns)
-            .map_err(|e| violation("ttl", format!("set_ttl: {e}")))?;
+            .execute(
+                VICTIM,
+                Op::Set {
+                    key: &key_bytes(id),
+                    value: &value_bytes(VICTIM, id, seed),
+                    expires_at: ttl::deadline_after(ttl_ns),
+                },
+            )
+            .map_err(|e| violation("ttl", format!("leased set: {e}")))?;
     }
     // Stale pre-expiry copies for the replay attack.
     let stales: Vec<StaleEntry> = store
@@ -311,9 +323,9 @@ fn ttl_resurrection(
     // Expired: every read misses (lazy expiry).
     for &id in &doomed {
         report.ops += 1;
-        match store.get_t(VICTIM, &key_bytes(id)) {
-            Err(Error::KeyNotFound) => {}
-            Ok(_) => return Err(violation("ttl", format!("expired key {id} still served"))),
+        match read(store, VICTIM, id) {
+            Ok(None) => {}
+            Ok(Some(_)) => return Err(violation("ttl", format!("expired key {id} still served"))),
             Err(e) => return Err(violation("ttl", format!("unexpected error {e:?}"))),
         }
     }
@@ -329,11 +341,11 @@ fn ttl_resurrection(
     }
     for &id in &doomed {
         report.ops += 1;
-        match store.get_t(VICTIM, &key_bytes(id)) {
-            Ok(_) => {
+        match read(store, VICTIM, id) {
+            Ok(Some(_)) => {
                 return Err(violation("ttl", format!("expiry-field rewrite resurrected key {id}")))
             }
-            Err(Error::KeyNotFound) => {}
+            Ok(None) => {}
             Err(Error::IntegrityViolation { .. }) => report.detected += 1,
             Err(e) => return Err(violation("ttl", format!("unexpected error {e:?}"))),
         }
@@ -364,9 +376,11 @@ fn ttl_resurrection(
     }
     for &id in &doomed {
         report.ops += 1;
-        match store.get_t(VICTIM, &key_bytes(id)) {
-            Ok(_) => return Err(violation("ttl", format!("stale replay resurrected key {id}"))),
-            Err(Error::KeyNotFound) => {}
+        match read(store, VICTIM, id) {
+            Ok(Some(_)) => {
+                return Err(violation("ttl", format!("stale replay resurrected key {id}")))
+            }
+            Ok(None) => {}
             Err(Error::IntegrityViolation { .. }) => report.detected += 1,
             Err(e) => return Err(violation("ttl", format!("unexpected error {e:?}"))),
         }

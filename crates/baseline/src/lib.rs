@@ -29,10 +29,12 @@ pub use eleos::EleosStore;
 pub use memcached::MemcachedLike;
 pub use naive::NaiveEnclaveStore;
 
+pub use shieldstore::{Op, Reply};
+
 /// Why a backend operation failed, at the granularity the wire protocol
-/// can express. The `try_*` methods on [`KvBackend`] return this so a
-/// serving layer can distinguish a quarantined partition (degraded but
-/// deliberate, the client should not retry) from any other failure.
+/// can express: a serving layer must distinguish a quarantined partition
+/// (degraded but deliberate, the client should not retry) from any other
+/// failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpError {
     /// The key's hash partition is quarantined after an integrity
@@ -57,65 +59,75 @@ pub enum OpError {
     Failed,
 }
 
-/// Result alias for the distinguishing [`KvBackend`] methods.
+/// Result alias for [`KvBackend`] methods that can fail.
 pub type OpResult<T> = core::result::Result<T, OpError>;
 
 /// A uniform interface over every store under evaluation.
 ///
-/// Methods take `&self`; implementations synchronize internally. `set`
-/// returns `false` when the store cannot accept the item (e.g. Eleos
-/// exhausting its memory pool), letting harnesses record capacity limits
-/// instead of panicking.
+/// Methods take `&self`; implementations synchronize internally. A store
+/// implements the three primitives — [`get`](KvBackend::get),
+/// [`set`](KvBackend::set), [`delete`](KvBackend::delete) — and gets
+/// every [`Op`] through the default [`execute`](KvBackend::execute);
+/// ShieldStore overrides `execute` alone to add what the primitives
+/// cannot express (namespaces, expiry, batching, scans, and *why* an op
+/// failed).
 pub trait KvBackend: Send + Sync {
     /// Store name for report rows.
     fn name(&self) -> &str;
     /// Reads a key.
     fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
-    /// Writes a key. Returns `false` on capacity failure.
+    /// Writes a key. Returns `false` when the store cannot accept the
+    /// item (e.g. Eleos exhausting its memory pool), letting harnesses
+    /// record capacity limits instead of panicking.
     fn set(&self, key: &[u8], value: &[u8]) -> bool;
     /// Deletes a key; `true` if it existed.
     fn delete(&self, key: &[u8]) -> bool;
-    /// Appends to a key's value (creating it when absent).
-    fn append(&self, key: &[u8], suffix: &[u8]) -> bool {
-        let mut v = self.get(key).unwrap_or_default();
-        v.extend_from_slice(suffix);
-        self.set(key, &v)
-    }
-    /// Adds `delta` to a decimal-integer value (creating it when absent).
-    /// Returns the new value, or `None` if the value is not numeric.
-    fn increment(&self, key: &[u8], delta: i64) -> Option<i64> {
-        let current = match self.get(key) {
-            Some(v) => core::str::from_utf8(&v).ok()?.trim().parse::<i64>().ok()?,
-            None => 0,
-        };
-        let next = current.checked_add(delta)?;
-        self.set(key, next.to_string().as_bytes()).then_some(next)
-    }
-    /// Batched read. Returns one entry per key, in input order (`None`
-    /// for a miss), or `None` as a whole when the backend failed the
-    /// batch (e.g. an integrity violation) — a wire server maps that to
-    /// an error status instead of fabricating misses. The default runs
-    /// per-key `get`s; batching backends override it to amortize
-    /// per-operation costs.
-    fn multi_get(&self, keys: &[Vec<u8>]) -> Option<Vec<Option<Vec<u8>>>> {
-        Some(keys.iter().map(|k| self.get(k)).collect())
-    }
-    /// Batched write. Returns `false` if any item was rejected. The
-    /// default runs per-key `set`s; batching backends override it.
-    fn multi_set(&self, items: &[(Vec<u8>, Vec<u8>)]) -> bool {
-        items.iter().all(|(k, v)| self.set(k, v))
+    /// Executes `op` under `tenant`'s namespace — what the wire server
+    /// and the benchmark harness drive.
+    ///
+    /// The default serves every op from the three primitives: append and
+    /// increment as read-modify-write, batches key by key. The paper's
+    /// comparison systems know nothing of namespaces, so every tenant is
+    /// served from the one flat table; and what the primitives cannot do
+    /// fails closed rather than half-succeed — a nonzero deadline (the
+    /// value would be silently immortal) and ordered scans (no index).
+    fn execute(&self, _tenant: u32, op: Op<'_>) -> OpResult<Reply> {
+        let stored = |ok: bool| ok.then_some(Reply::Stored).ok_or(OpError::Failed);
+        match op {
+            Op::Get(key) => Ok(Reply::Value(self.get(key))),
+            Op::Exists(key) => Ok(Reply::Exists(self.get(key).is_some())),
+            Op::Set { key, value, expires_at: 0 } => stored(self.set(key, value)),
+            Op::Delete(key) => Ok(Reply::Deleted(self.delete(key))),
+            Op::Append { key, suffix } => {
+                let mut value = self.get(key).unwrap_or_default();
+                value.extend_from_slice(suffix);
+                stored(self.set(key, &value)).map(|_| Reply::Appended(value))
+            }
+            Op::Increment { key, delta } => {
+                let current = match self.get(key) {
+                    Some(v) => core::str::from_utf8(&v)
+                        .ok()
+                        .and_then(|text| text.trim().parse::<i64>().ok())
+                        .ok_or(OpError::Failed)?,
+                    None => 0,
+                };
+                let next = current.checked_add(delta).ok_or(OpError::Failed)?;
+                stored(self.set(key, next.to_string().as_bytes())).map(|_| Reply::Counter(next))
+            }
+            Op::MultiGet(keys) => Ok(Reply::Values(keys.iter().map(|key| self.get(key)).collect())),
+            Op::MultiSet { items, expires_at: 0 } => {
+                stored(items.iter().all(|(key, value)| self.set(key, value)))
+            }
+            Op::Set { .. } | Op::MultiSet { .. } | Op::ScanRange { .. } | Op::ScanPrefix { .. } => {
+                Err(OpError::Failed)
+            }
+        }
     }
     /// Number of live entries.
     fn len(&self) -> usize;
     /// True when empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Ordered prefix scan, where supported. `None` means the store has
-    /// no ordered index (the paper's hash-only design); stores built with
-    /// `Config::ordered_index` return the matching entries in key order.
-    fn scan_prefix(&self, _prefix: &[u8], _limit: usize) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        None
     }
     /// The index of the hash partition serving `key`, where the store
     /// is partitioned. A networked front-end uses this to run each
@@ -143,23 +155,18 @@ pub trait KvBackend: Send + Sync {
     fn stats_snapshot(&self) -> Option<shieldstore::StatsSnapshot> {
         None
     }
-    /// Durability barrier: commit everything buffered in the store's
-    /// write-ahead log. Returns `false` when the commit failed; stores
-    /// without a WAL trivially succeed (there is nothing to flush).
-    fn flush(&self) -> bool {
-        true
+    /// Admission weight for `tenant` (default 1: unweighted fair share).
+    fn tenant_weight(&self, _tenant: u32) -> u32 {
+        1
     }
-    /// [`KvBackend::flush`] returning the durable `(generation, seq)`
-    /// watermark where the store keeps a sealed log. `Ok(None)` means the
-    /// store has no log (nothing to make durable, trivially succeeded).
-    /// Every write at or below the returned watermark survives a crash
-    /// and is what a replication subscriber may acknowledge.
+    /// Durability barrier: commit everything buffered in the store's
+    /// write-ahead log and return the durable `(generation, seq)`
+    /// watermark. Every write at or below it survives a crash and is
+    /// what a replication subscriber may acknowledge. `Ok(None)` (the
+    /// default) means the store has no log: there is nothing to make
+    /// durable, so the barrier trivially succeeds.
     fn flush_durable(&self) -> OpResult<Option<(u64, u64)>> {
-        if self.flush() {
-            Ok(None)
-        } else {
-            Err(OpError::Failed)
-        }
+        Ok(None)
     }
 
     // --- replication (primary side) ------------------------------------
@@ -195,119 +202,6 @@ pub trait KvBackend: Send + Sync {
     fn promote(&self) -> OpResult<(u64, u64)> {
         Err(OpError::Failed)
     }
-
-    // --- failure-distinguishing variants -------------------------------
-    //
-    // The plain methods collapse every failure into `None`/`false`, which
-    // is fine for benchmarks but loses the distinction a wire server
-    // needs to answer `Quarantined` instead of a generic error. The
-    // `try_*` defaults delegate to the plain methods (never quarantined);
-    // stores with partition quarantine override them.
-
-    /// [`KvBackend::get`], distinguishing a quarantined partition from
-    /// a miss or failure. `Ok(None)` is a clean miss.
-    fn try_get(&self, key: &[u8]) -> OpResult<Option<Vec<u8>>> {
-        Ok(self.get(key))
-    }
-    /// [`KvBackend::set`], distinguishing quarantine from failure.
-    fn try_set(&self, key: &[u8], value: &[u8]) -> OpResult<()> {
-        if self.set(key, value) {
-            Ok(())
-        } else {
-            Err(OpError::Failed)
-        }
-    }
-    /// [`KvBackend::delete`]; `Ok(false)` is a clean miss.
-    fn try_delete(&self, key: &[u8]) -> OpResult<bool> {
-        Ok(self.delete(key))
-    }
-    /// [`KvBackend::append`], distinguishing quarantine from failure.
-    fn try_append(&self, key: &[u8], suffix: &[u8]) -> OpResult<()> {
-        if self.append(key, suffix) {
-            Ok(())
-        } else {
-            Err(OpError::Failed)
-        }
-    }
-    /// [`KvBackend::increment`]; `Ok(n)` is the new value.
-    fn try_increment(&self, key: &[u8], delta: i64) -> OpResult<i64> {
-        self.increment(key, delta).ok_or(OpError::Failed)
-    }
-    /// [`KvBackend::multi_get`], distinguishing quarantine from failure.
-    fn try_multi_get(&self, keys: &[Vec<u8>]) -> OpResult<Vec<Option<Vec<u8>>>> {
-        self.multi_get(keys).ok_or(OpError::Failed)
-    }
-    /// [`KvBackend::multi_set`], distinguishing quarantine from failure.
-    fn try_multi_set(&self, items: &[(Vec<u8>, Vec<u8>)]) -> OpResult<()> {
-        if self.multi_set(items) {
-            Ok(())
-        } else {
-            Err(OpError::Failed)
-        }
-    }
-    /// [`KvBackend::scan_prefix`], distinguishing quarantine from an
-    /// absent index (`Err(OpError::Failed)` covers both for stores that
-    /// do not override this).
-    fn try_scan_prefix(&self, prefix: &[u8], limit: usize) -> OpResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_prefix(prefix, limit).ok_or(OpError::Failed)
-    }
-
-    // --- tenant-scoped variants ----------------------------------------
-    //
-    // The wire server executes every request under the tenant its
-    // connection authenticated as. Baseline stores have a single flat
-    // namespace: their defaults serve every tenant from it (the paper's
-    // comparison systems know nothing of namespaces), which keeps the
-    // benchmark harness uniform. Only ShieldStore overrides these with
-    // real cryptographic namespace isolation, quotas, and TTL.
-
-    /// Admission weight for `tenant` (default 1: unweighted fair share).
-    fn tenant_weight(&self, _tenant: u32) -> u32 {
-        1
-    }
-    /// Tenant-scoped [`KvBackend::try_get`].
-    fn try_get_t(&self, _tenant: u32, key: &[u8]) -> OpResult<Option<Vec<u8>>> {
-        self.try_get(key)
-    }
-    /// Tenant-scoped [`KvBackend::try_set`] with a relative TTL
-    /// (`ttl_ns == 0` means no expiry). Stores without expiry support
-    /// fail a nonzero TTL closed instead of silently storing an
-    /// immortal value.
-    fn try_set_t(&self, _tenant: u32, key: &[u8], value: &[u8], ttl_ns: u64) -> OpResult<()> {
-        if ttl_ns != 0 {
-            return Err(OpError::Failed);
-        }
-        self.try_set(key, value)
-    }
-    /// Tenant-scoped [`KvBackend::try_delete`].
-    fn try_delete_t(&self, _tenant: u32, key: &[u8]) -> OpResult<bool> {
-        self.try_delete(key)
-    }
-    /// Tenant-scoped [`KvBackend::try_append`].
-    fn try_append_t(&self, _tenant: u32, key: &[u8], suffix: &[u8]) -> OpResult<()> {
-        self.try_append(key, suffix)
-    }
-    /// Tenant-scoped [`KvBackend::try_increment`].
-    fn try_increment_t(&self, _tenant: u32, key: &[u8], delta: i64) -> OpResult<i64> {
-        self.try_increment(key, delta)
-    }
-    /// Tenant-scoped [`KvBackend::try_multi_get`].
-    fn try_multi_get_t(&self, _tenant: u32, keys: &[Vec<u8>]) -> OpResult<Vec<Option<Vec<u8>>>> {
-        self.try_multi_get(keys)
-    }
-    /// Tenant-scoped [`KvBackend::try_multi_set`].
-    fn try_multi_set_t(&self, _tenant: u32, items: &[(Vec<u8>, Vec<u8>)]) -> OpResult<()> {
-        self.try_multi_set(items)
-    }
-    /// Tenant-scoped [`KvBackend::try_scan_prefix`].
-    fn try_scan_prefix_t(
-        &self,
-        _tenant: u32,
-        prefix: &[u8],
-        limit: usize,
-    ) -> OpResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.try_scan_prefix(prefix, limit)
-    }
 }
 
 impl KvBackend for shieldstore::ShieldStore {
@@ -315,8 +209,12 @@ impl KvBackend for shieldstore::ShieldStore {
         "ShieldStore"
     }
 
+    // The primitives collapse every failure into `None`/`false` — all a
+    // preload loop needs. Callers that must tell a miss from a refusal
+    // use `execute`.
+
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        ShieldStoreExt::get(self, key)
+        shieldstore::ShieldStore::get(self, key).ok()
     }
 
     fn set(&self, key: &[u8], value: &[u8]) -> bool {
@@ -327,30 +225,8 @@ impl KvBackend for shieldstore::ShieldStore {
         shieldstore::ShieldStore::delete(self, key).is_ok()
     }
 
-    fn append(&self, key: &[u8], suffix: &[u8]) -> bool {
-        shieldstore::ShieldStore::append(self, key, suffix).is_ok()
-    }
-
-    fn increment(&self, key: &[u8], delta: i64) -> Option<i64> {
-        shieldstore::ShieldStore::increment(self, key, delta).ok()
-    }
-
-    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        shieldstore::ShieldStore::scan_prefix(self, prefix, limit).ok()
-    }
-
-    fn multi_get(&self, keys: &[Vec<u8>]) -> Option<Vec<Option<Vec<u8>>>> {
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        // Unlike single `get`, a batch failure (integrity violation) is
-        // reported to the caller instead of panicking: the wire server
-        // turns it into an error response.
-        shieldstore::ShieldStore::multi_get(self, &refs).ok()
-    }
-
-    fn multi_set(&self, items: &[(Vec<u8>, Vec<u8>)]) -> bool {
-        let refs: Vec<(&[u8], &[u8])> =
-            items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-        shieldstore::ShieldStore::multi_set(self, &refs).is_ok()
+    fn execute(&self, tenant: u32, op: Op<'_>) -> OpResult<Reply> {
+        shieldstore::ShieldStore::execute(self, tenant, op).map_err(op_error)
     }
 
     fn len(&self) -> usize {
@@ -369,8 +245,8 @@ impl KvBackend for shieldstore::ShieldStore {
         Some(self.snapshot())
     }
 
-    fn flush(&self) -> bool {
-        self.flush_wal().is_ok()
+    fn tenant_weight(&self, tenant: u32) -> u32 {
+        self.tenants().weight(tenant)
     }
 
     fn flush_durable(&self) -> OpResult<Option<(u64, u64)>> {
@@ -399,105 +275,6 @@ impl KvBackend for shieldstore::ShieldStore {
         )
         .map_err(op_error)
     }
-
-    fn try_get(&self, key: &[u8]) -> OpResult<Option<Vec<u8>>> {
-        match shieldstore::ShieldStore::get(self, key) {
-            Ok(v) => Ok(Some(v)),
-            Err(shieldstore::Error::KeyNotFound) => Ok(None),
-            Err(e) => Err(op_error(e)),
-        }
-    }
-
-    fn try_set(&self, key: &[u8], value: &[u8]) -> OpResult<()> {
-        shieldstore::ShieldStore::set(self, key, value).map_err(op_error)
-    }
-
-    fn try_delete(&self, key: &[u8]) -> OpResult<bool> {
-        match shieldstore::ShieldStore::delete(self, key) {
-            Ok(()) => Ok(true),
-            Err(shieldstore::Error::KeyNotFound) => Ok(false),
-            Err(e) => Err(op_error(e)),
-        }
-    }
-
-    fn try_append(&self, key: &[u8], suffix: &[u8]) -> OpResult<()> {
-        shieldstore::ShieldStore::append(self, key, suffix).map(|_| ()).map_err(op_error)
-    }
-
-    fn try_increment(&self, key: &[u8], delta: i64) -> OpResult<i64> {
-        shieldstore::ShieldStore::increment(self, key, delta).map_err(op_error)
-    }
-
-    fn try_multi_get(&self, keys: &[Vec<u8>]) -> OpResult<Vec<Option<Vec<u8>>>> {
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        shieldstore::ShieldStore::multi_get(self, &refs).map_err(op_error)
-    }
-
-    fn try_multi_set(&self, items: &[(Vec<u8>, Vec<u8>)]) -> OpResult<()> {
-        let refs: Vec<(&[u8], &[u8])> =
-            items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-        shieldstore::ShieldStore::multi_set(self, &refs).map_err(op_error)
-    }
-
-    fn try_scan_prefix(&self, prefix: &[u8], limit: usize) -> OpResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        shieldstore::ShieldStore::scan_prefix(self, prefix, limit).map_err(op_error)
-    }
-
-    fn tenant_weight(&self, tenant: u32) -> u32 {
-        self.tenants().weight(tenant)
-    }
-
-    fn try_get_t(&self, tenant: u32, key: &[u8]) -> OpResult<Option<Vec<u8>>> {
-        match shieldstore::ShieldStore::get_t(self, tenant, key) {
-            Ok(v) => Ok(Some(v)),
-            Err(shieldstore::Error::KeyNotFound) => Ok(None),
-            Err(e) => Err(op_error(e)),
-        }
-    }
-
-    fn try_set_t(&self, tenant: u32, key: &[u8], value: &[u8], ttl_ns: u64) -> OpResult<()> {
-        if ttl_ns == 0 {
-            shieldstore::ShieldStore::set_t(self, tenant, key, value).map_err(op_error)
-        } else {
-            shieldstore::ShieldStore::set_ttl(self, tenant, key, value, ttl_ns).map_err(op_error)
-        }
-    }
-
-    fn try_delete_t(&self, tenant: u32, key: &[u8]) -> OpResult<bool> {
-        match shieldstore::ShieldStore::delete_t(self, tenant, key) {
-            Ok(()) => Ok(true),
-            Err(shieldstore::Error::KeyNotFound) => Ok(false),
-            Err(e) => Err(op_error(e)),
-        }
-    }
-
-    fn try_append_t(&self, tenant: u32, key: &[u8], suffix: &[u8]) -> OpResult<()> {
-        shieldstore::ShieldStore::append_t(self, tenant, key, suffix).map(|_| ()).map_err(op_error)
-    }
-
-    fn try_increment_t(&self, tenant: u32, key: &[u8], delta: i64) -> OpResult<i64> {
-        shieldstore::ShieldStore::increment_t(self, tenant, key, delta).map_err(op_error)
-    }
-
-    fn try_multi_get_t(&self, tenant: u32, keys: &[Vec<u8>]) -> OpResult<Vec<Option<Vec<u8>>>> {
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        shieldstore::ShieldStore::multi_get_t(self, tenant, &refs).map_err(op_error)
-    }
-
-    fn try_multi_set_t(&self, tenant: u32, items: &[(Vec<u8>, Vec<u8>)]) -> OpResult<()> {
-        let refs: Vec<(&[u8], &[u8])> =
-            items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-        shieldstore::ShieldStore::multi_set_t(self, tenant, &refs, 0).map_err(op_error)
-    }
-
-    fn try_scan_prefix_t(
-        &self,
-        tenant: u32,
-        prefix: &[u8],
-        limit: usize,
-    ) -> OpResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        shieldstore::ShieldStore::scan_prefix_t(self, tenant, prefix, limit).map_err(op_error)
-    }
 }
 
 /// Maps a ShieldStore error to the wire-expressible failure class.
@@ -507,45 +284,5 @@ fn op_error(e: shieldstore::Error) -> OpError {
         shieldstore::Error::QuotaExceeded { .. } => OpError::QuotaExceeded,
         shieldstore::Error::StorageFailed => OpError::StorageFailed,
         _ => OpError::Failed,
-    }
-}
-
-/// Private helper so the trait impl can adapt ShieldStore's `Result` API.
-trait ShieldStoreExt {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
-}
-
-impl ShieldStoreExt for shieldstore::ShieldStore {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        match shieldstore::ShieldStore::get(self, key) {
-            Ok(v) => Some(v),
-            Err(shieldstore::Error::KeyNotFound) => None,
-            Err(e) => panic!("integrity failure in benchmark: {e}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sgx_sim::enclave::EnclaveBuilder;
-
-    #[test]
-    fn shieldstore_satisfies_backend() {
-        let enclave = EnclaveBuilder::new("backend-test").epc_bytes(4 << 20).build();
-        let store = shieldstore::ShieldStore::new(
-            enclave,
-            shieldstore::Config::shield_opt().buckets(64).mac_hashes(16),
-        )
-        .unwrap();
-        let backend: &dyn KvBackend = &store;
-        assert!(backend.set(b"k", b"v"));
-        assert_eq!(backend.get(b"k").unwrap(), b"v");
-        assert!(backend.append(b"k", b"2"));
-        assert_eq!(backend.get(b"k").unwrap(), b"v2");
-        assert!(backend.delete(b"k"));
-        assert!(!backend.delete(b"k"));
-        assert!(backend.is_empty());
-        assert_eq!(backend.name(), "ShieldStore");
     }
 }

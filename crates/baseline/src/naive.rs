@@ -313,14 +313,4 @@ mod tests {
         assert_eq!(s.enclave().stats().snapshot().epc_faults, 0);
         assert_eq!(vclock::now(), 0);
     }
-
-    #[test]
-    fn append_via_trait_default() {
-        let s = NaiveEnclaveStore::insecure(16);
-        vclock::reset();
-        s.append(b"log", b"a");
-        s.append(b"log", b"b");
-        assert_eq!(s.get(b"log").unwrap(), b"ab");
-        vclock::reset();
-    }
 }

@@ -23,9 +23,9 @@
 //! workers.
 
 use sgx_sim::vclock;
-use shield_baseline::KvBackend;
+use shield_baseline::{KvBackend, Op as KvOp, Reply};
 use shield_workload::{make_key, make_value, Generator, Op, Spec};
-use shieldstore::ShieldStore;
+use shieldstore::{ShieldStore, DEFAULT_TENANT};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,25 +78,30 @@ fn combine(ops: u64, refused: u64, workers: &[(Duration, u64)]) -> RunResult {
     RunResult { ops, effective, max_busy, max_penalty_ns: max_penalty, refused }
 }
 
-/// Executes one workload op against a [`KvBackend`]. Returns `false` when
-/// the store refused it (capacity).
-fn apply_op(store: &dyn KvBackend, op: Op, round: u64, val_len: usize) -> bool {
+/// Executes one workload op through `exec` — a backend's or a shard's
+/// `execute`. Returns `false` when the store refused it — capacity, a
+/// quarantined partition, a poisoned log: whatever `execute` reported,
+/// the run counts it and goes on.
+fn apply_op(
+    mut exec: impl FnMut(KvOp<'_>) -> Option<Reply>,
+    op: Op,
+    round: u64,
+    val_len: usize,
+) -> bool {
     let id = op.key_id();
     let key = make_key(id, 16);
     match op {
-        Op::Get(_) => {
-            let _ = store.get(&key);
-            true
-        }
-        Op::Set(_) => store.set(&key, &make_value(id, round, val_len)),
-        Op::Append(_) => store.append(&key, b"-app"),
+        Op::Get(_) => exec(KvOp::Get(&key)).is_some(),
+        Op::Set(_) => exec(KvOp::set(&key, &make_value(id, round, val_len))).is_some(),
+        Op::Append(_) => exec(KvOp::Append { key: &key, suffix: b"-app" }).is_some(),
         Op::ReadModifyWrite(_) => {
-            let mut v = store.get(&key).unwrap_or_else(|| make_value(id, 0, val_len));
+            let Some(read) = exec(KvOp::Get(&key)) else { return false };
+            let mut v = read.value().unwrap_or_else(|| make_value(id, 0, val_len));
             let n = v.len();
             if n > 0 {
                 v[n - 1] = v[n - 1].wrapping_add(1);
             }
-            store.set(&key, &v)
+            exec(KvOp::set(&key, &v)).is_some()
         }
     }
 }
@@ -135,7 +140,8 @@ pub fn run_backend(
         vclock::reset();
         let start = Instant::now();
         for _ in 0..ops_per_thread {
-            if apply_op(&**store, generator.next_op(), generator.round(), val_len) {
+            let exec = |op: KvOp<'_>| store.execute(0, op).ok();
+            if apply_op(exec, generator.next_op(), generator.round(), val_len) {
                 ops += 1;
             } else {
                 refused += 1;
@@ -189,27 +195,9 @@ pub fn run_shieldstore_partitioned(
             store.with_shard(shard_idx, |shard| {
                 let mut round = 0u64;
                 for op in queue {
-                    let id = op.key_id();
-                    let key = make_key(id, 16);
-                    match op {
-                        Op::Get(_) => {
-                            let _ = shard.get(&key);
-                        }
-                        Op::Set(_) => {
-                            round += 1;
-                            shard.set(&key, &make_value(id, round, val_len)).expect("set");
-                        }
-                        Op::Append(_) => {
-                            shard.append(&key, b"-app").expect("append");
-                        }
-                        Op::ReadModifyWrite(_) => {
-                            let mut v =
-                                shard.get(&key).unwrap_or_else(|_| make_value(id, 0, val_len));
-                            let n = v.len();
-                            v[n - 1] = v[n - 1].wrapping_add(1);
-                            shard.set(&key, &v).expect("rmw set");
-                        }
-                    }
+                    round += u64::from(matches!(op, Op::Set(_)));
+                    let exec = |op: KvOp<'_>| shard.execute(DEFAULT_TENANT, None, op).ok();
+                    assert!(apply_op(exec, op, round, val_len), "shard refused {op:?}");
                     ops += 1;
                 }
             });

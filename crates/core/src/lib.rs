@@ -49,6 +49,7 @@
 //! | [`alloc`] | 5.1, Fig. 6 | custom untrusted heap allocator |
 //! | [`mac_bucket`] | 5.2, Fig. 7 | per-bucket MAC side arrays |
 //! | [`shard`] | 5.3, Fig. 8 | partition-per-thread operations |
+//! | [`op`] | 3.2 | the one `Op`/`Reply` every layer executes |
 //! | [`cache`] | Fig. 17 | spare-EPC plaintext cache |
 //! | [`persist`] | 4.4, Alg. 1 | snapshots, sealing, rollback defense |
 //! | [`wal`] | beyond 4.4 | sealed write-ahead log, group commit |
@@ -67,6 +68,7 @@ pub mod error;
 pub mod hist;
 pub mod integrity;
 pub mod mac_bucket;
+pub mod op;
 pub mod ordered;
 pub mod persist;
 pub mod repl;
@@ -84,6 +86,7 @@ pub mod wal;
 pub use config::{AllocMode, Config, DurabilityPolicy};
 pub use error::{Error, Result};
 pub use hist::{LatencyHist, OpHists};
+pub use op::{Op, Reply};
 pub use persist::SnapshotJob;
 pub use repl::{ReplBatch, ReplHello, Replica, Watermark};
 pub use scrub::ScrubTick;

@@ -30,6 +30,7 @@ use crate::error::{Error, Result};
 use crate::hist::{OpHists, OpTimer};
 use crate::integrity::{self, MacStore};
 use crate::mac_bucket;
+use crate::op::{Op, Reply};
 use crate::ordered::OrderedIndex;
 use crate::stats::{OpStats, StatsSnapshot};
 use crate::table::TableCtx;
@@ -996,32 +997,15 @@ impl Shard {
     /// Internal verified write across temp/main state.
     fn apply_write(&mut self, op: &OpCtx<'_>, key: &[u8], value: &[u8]) -> Result<()> {
         self.check_item(key, value)?;
-        if let Some(temp) = self.temp.as_mut() {
-            self.stats.temp_table_ops += 1;
-            temp.tombstones.remove(&nskey(op.tenant, key));
-            set_in(
-                &self.cfg,
-                &self.keys,
-                op,
-                &mut temp.ctx,
-                &mut self.stats,
-                &mut self.scratch,
-                key,
-                value,
-            )?;
-        } else {
-            let main = self.main.as_mut().expect("main table present");
-            set_in(
-                &self.cfg,
-                &self.keys,
-                op,
-                main,
-                &mut self.stats,
-                &mut self.scratch,
-                key,
-                value,
-            )?;
-        }
+        let table = match self.temp.as_mut() {
+            Some(temp) => {
+                self.stats.temp_table_ops += 1;
+                temp.tombstones.remove(&nskey(op.tenant, key));
+                &mut temp.ctx
+            }
+            None => self.main.as_mut().expect("main table present"),
+        };
+        set_in(&self.cfg, &self.keys, op, table, &mut self.stats, &mut self.scratch, key, value)?;
         if let Some(cache) = self.cache.as_mut() {
             let ns = nskey(op.tenant, key);
             if op.expires_at == 0 {
@@ -1050,45 +1034,40 @@ impl Shard {
         crate::integrity::BucketSets::new(self.cfg.buckets, self.cfg.mac_hashes)
     }
 
-    /// Fails closed with [`Error::Quarantined`] when `key`'s partition
-    /// is quarantined. A rejection never touches untrusted memory.
-    fn quarantine_guard(&mut self, key: &[u8]) -> Result<()> {
+    /// Fails closed with [`Error::Quarantined`] when `op` would touch a
+    /// quarantined partition. A rejection never touches untrusted
+    /// memory. Any quarantined key rejects a whole batch before any of it
+    /// is dispatched; scans have no single key, so they are rejected
+    /// whenever any part of this shard is quarantined (the verified read
+    /// path would walk arbitrary buckets).
+    fn quarantine_guard(&mut self, op: &Op<'_>) -> Result<()> {
         if !self.cfg.quarantine || (!self.quarantine.whole && self.quarantine.sets.is_empty()) {
             return Ok(());
         }
-        let bucket = self.bucket_index(key);
-        if self.quarantine.whole || self.quarantine.sets.contains(&self.sets_map().set_of(bucket)) {
-            self.stats.quarantine_rejections += 1;
-            return Err(Error::Quarantined { bucket });
+        let sets = self.sets_map();
+        let quarantined = |key: &[u8]| {
+            let bucket = self.bucket_index(key);
+            (self.quarantine.whole || self.quarantine.sets.contains(&sets.set_of(bucket)))
+                .then_some(bucket)
+        };
+        let rejected = match (op.routing_key(), *op) {
+            (Some(key), _) => quarantined(key),
+            (None, Op::MultiGet(keys)) => keys.iter().find_map(|key| quarantined(key)),
+            (None, Op::MultiSet { items, .. }) => {
+                items.iter().find_map(|(key, _)| quarantined(key))
+            }
+            // Scans — and any keyless op added later: fail closed.
+            (None, _) => Some(
+                self.quarantine.sets.iter().next().map_or(0, |&set| sets.buckets_of(set).start),
+            ),
+        };
+        match rejected {
+            Some(bucket) => {
+                self.stats.quarantine_rejections += 1;
+                Err(Error::Quarantined { bucket })
+            }
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// Batch form of [`Shard::quarantine_guard`]: any quarantined key
-    /// rejects the whole batch before any of it is dispatched.
-    fn quarantine_guard_batch<'k>(&mut self, keys: impl Iterator<Item = &'k [u8]>) -> Result<()> {
-        for key in keys {
-            self.quarantine_guard(key)?;
-        }
-        Ok(())
-    }
-
-    /// Scans have no single key: they are rejected whenever any part of
-    /// this shard is quarantined, since the verified read path would
-    /// walk arbitrary buckets.
-    fn quarantine_guard_scan(&mut self) -> Result<()> {
-        if !self.cfg.quarantine || (!self.quarantine.whole && self.quarantine.sets.is_empty()) {
-            return Ok(());
-        }
-        self.stats.quarantine_rejections += 1;
-        let bucket = self
-            .quarantine
-            .sets
-            .iter()
-            .next()
-            .map(|&set| self.sets_map().buckets_of(set).start)
-            .unwrap_or(0);
-        Err(Error::Quarantined { bucket })
     }
 
     /// Observes an operation result: an [`Error::IntegrityViolation`]
@@ -1126,180 +1105,206 @@ impl Shard {
         )
     }
 
-    // -- tenant-scoped operations --------------------------------------
+    // -- the op path ---------------------------------------------------
 
-    /// Retrieves the value for `key` in the default namespace.
-    pub fn get(&mut self, key: &[u8]) -> Result<Vec<u8>> {
-        self.get_t(DEFAULT_TENANT, key, None)
-    }
-
-    /// Retrieves the value for `key` in `tenant`'s namespace. `state`
-    /// (when given) receives per-tenant op accounting.
-    pub fn get_t(
+    /// Executes one operation in `tenant`'s namespace — the shard's only
+    /// routed entry point. `state` (when given) enforces the tenant's
+    /// quota and receives its share of the accounting; `None` runs
+    /// unmetered (recovery replay, internal merges).
+    ///
+    /// Every op passes the same four stations, in this order: the
+    /// counters of its class bump (`Shard::count`), the quarantine
+    /// guard may refuse it, the body runs and its result is observed for
+    /// integrity violations, and its class histogram (if any) takes one
+    /// sample. So a refused or failed op is still counted and sampled
+    /// exactly once, at shard and tenant level alike — the identities
+    /// [`StatsSnapshot::check_consistent`] checks hold under attack.
+    pub fn execute(
         &mut self,
         tenant: TenantId,
-        key: &[u8],
         state: Option<&TenantState>,
-    ) -> Result<Vec<u8>> {
+        op: Op<'_>,
+    ) -> Result<Reply> {
         let timer = OpTimer::start();
-        let result = match self.quarantine_guard(key) {
+        self.count(&op, state);
+        let result = match self.quarantine_guard(&op) {
             Ok(()) => {
-                let r = self.get_untimed(tenant, key, state);
+                let tkeys = self.keys.tenant_keys(tenant);
+                let ctx = OpCtx {
+                    tenant,
+                    tkeys: &tkeys,
+                    now: ttl::now_ns(),
+                    expires_at: op.expires_at(),
+                    state,
+                };
+                let r = self.run(&ctx, op);
                 self.observe(r)
             }
-            Err(e) => {
-                // A rejected op still counts as a served `get` so the
-                // histogram/op-counter identities hold.
-                self.stats.gets += 1;
-                Err(e)
-            }
+            Err(e) => Err(e),
         };
-        self.hists.get.record(timer.elapsed_ns());
+        let elapsed = timer.elapsed_ns();
+        match op {
+            Op::Get(_) | Op::Exists(_) => self.hists.get.record(elapsed),
+            Op::Set { .. } => self.hists.set.record(elapsed),
+            Op::Delete(_) => self.hists.delete.record(elapsed),
+            Op::MultiGet(_) | Op::MultiSet { .. } => self.hists.batch.record(elapsed),
+            Op::Append { .. }
+            | Op::Increment { .. }
+            | Op::ScanRange { .. }
+            | Op::ScanPrefix { .. } => {}
+        }
         result
     }
 
-    fn get_untimed(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<Vec<u8>> {
-        self.stats.gets += 1;
-        if let Some(st) = state {
-            st.usage.gets.fetch_add(1, AtomicOrdering::SeqCst);
+    /// Bumps the counters of `op`'s class, before anything can refuse
+    /// it. Reads (`Get`, `Exists`, each `MultiGet` key) count as `gets`,
+    /// writes (`Set`, each `MultiSet` item) as `sets`, for the shard and
+    /// the tenant together; a batch also counts itself and its length.
+    fn count(&mut self, op: &Op<'_>, state: Option<&TenantState>) {
+        let (gets, sets) = match *op {
+            Op::Get(_) | Op::Exists(_) => (1, 0),
+            Op::Set { .. } => (0, 1),
+            Op::MultiGet(keys) => (keys.len() as u64, 0),
+            Op::MultiSet { items, .. } => (0, items.len() as u64),
+            Op::Delete(_) => {
+                self.stats.deletes += 1;
+                return;
+            }
+            Op::Append { .. } => {
+                self.stats.appends += 1;
+                return;
+            }
+            Op::Increment { .. } => {
+                self.stats.increments += 1;
+                return;
+            }
+            Op::ScanRange { .. } | Op::ScanPrefix { .. } => return,
+        };
+        if matches!(op, Op::MultiGet(_) | Op::MultiSet { .. }) {
+            self.stats.batches += 1;
+            self.stats.batch_ops += gets + sets;
         }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-        match self.lookup_traced(&op, key)? {
+        self.stats.gets += gets;
+        self.stats.sets += sets;
+        if let Some(st) = state {
+            if gets > 0 {
+                st.usage.gets.fetch_add(gets, AtomicOrdering::SeqCst);
+            }
+            if sets > 0 {
+                st.usage.sets.fetch_add(sets, AtomicOrdering::SeqCst);
+            }
+        }
+    }
+
+    /// Classifies a search as hit or miss, for the shard and the tenant.
+    fn tally_hits(&mut self, state: Option<&TenantState>, hits: u64, misses: u64) {
+        self.stats.hits += hits;
+        self.stats.misses += misses;
+        if let Some(st) = state {
+            if hits > 0 {
+                st.usage.hits.fetch_add(hits, AtomicOrdering::SeqCst);
+            }
+            if misses > 0 {
+                st.usage.misses.fetch_add(misses, AtomicOrdering::SeqCst);
+            }
+        }
+    }
+
+    /// The op bodies: what each variant does once counted and admitted.
+    fn run(&mut self, ctx: &OpCtx<'_>, op: Op<'_>) -> Result<Reply> {
+        match op {
+            Op::Get(key) => self.read(ctx, key).map(Reply::Value),
+            Op::Exists(key) => self.read(ctx, key).map(|v| Reply::Exists(v.is_some())),
+            Op::Set { key, value, .. } => self.apply_write(ctx, key, value).map(|()| Reply::Stored),
+            Op::Delete(key) => {
+                let removed = self.remove(ctx, key, false)?;
+                self.tally_hits(ctx.state, removed as u64, !removed as u64);
+                Ok(Reply::Deleted(removed))
+            }
+            Op::Append { key, suffix } => {
+                let mut value = self.lookup(ctx, key)?.unwrap_or_default();
+                value.extend_from_slice(suffix);
+                self.apply_write(ctx, key, &value)?;
+                Ok(Reply::Appended(value))
+            }
+            Op::Increment { key, delta } => {
+                let current = match self.lookup(ctx, key)? {
+                    Some(v) => {
+                        let text = core::str::from_utf8(&v).map_err(|_| Error::ValueNotNumeric)?;
+                        text.trim().parse::<i64>().map_err(|_| Error::ValueNotNumeric)?
+                    }
+                    None => 0,
+                };
+                let next = current.checked_add(delta).ok_or(Error::NumericOverflow)?;
+                self.apply_write(ctx, key, next.to_string().as_bytes())?;
+                Ok(Reply::Counter(next))
+            }
+            Op::MultiGet(keys) => self.read_batch(ctx, keys).map(Reply::Values),
+            Op::MultiSet { items, .. } => self.write_batch(ctx, items).map(|()| Reply::Stored),
+            // The index stores namespaced keys, so a scan window is
+            // confined to the tenant by construction — it cannot leak
+            // even the *existence* of another tenant's keys.
+            Op::ScanRange { start, end, limit } => {
+                let nskeys = self.index.as_ref().ok_or(Error::IndexDisabled)?.range(
+                    &nskey(ctx.tenant, start),
+                    &nskey(ctx.tenant, end),
+                    limit,
+                );
+                self.collect_keys(ctx, nskeys).map(Reply::Entries)
+            }
+            Op::ScanPrefix { prefix, limit } => {
+                let nskeys = self
+                    .index
+                    .as_ref()
+                    .ok_or(Error::IndexDisabled)?
+                    .prefix(&nskey(ctx.tenant, prefix), limit);
+                self.collect_keys(ctx, nskeys).map(Reply::Entries)
+            }
+        }
+    }
+
+    /// Verified read of one key: resolves hit or miss and warms the
+    /// cache.
+    fn read(&mut self, ctx: &OpCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        match self.lookup_traced(ctx, key)? {
             Some((v, expires_at, from_cache)) => {
-                self.stats.hits += 1;
-                if let Some(st) = state {
-                    st.usage.hits.fetch_add(1, AtomicOrdering::SeqCst);
-                }
+                self.tally_hits(ctx.state, 1, 0);
                 // Populate the cache on an untrusted-path hit (a cache hit
                 // is already resident) — but never with a TTL'd value.
                 if !from_cache && expires_at == 0 {
                     if let Some(cache) = self.cache.as_mut() {
-                        cache.put(&nskey(tenant, key), &v);
+                        cache.put(&nskey(ctx.tenant, key), &v);
                     }
                 }
-                Ok(v)
+                Ok(Some(v))
             }
             None => {
-                self.stats.misses += 1;
-                if let Some(st) = state {
-                    st.usage.misses.fetch_add(1, AtomicOrdering::SeqCst);
-                }
-                Err(Error::KeyNotFound)
+                self.tally_hits(ctx.state, 0, 1);
+                Ok(None)
             }
         }
     }
 
-    /// Stores `value` under `key` (insert or update) in the default
-    /// namespace, with no expiry.
-    pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.set_t(DEFAULT_TENANT, key, value, 0, None)
-    }
-
-    /// Stores `value` under `key` in `tenant`'s namespace. `expires_at`
-    /// is an absolute [`ttl`] deadline in ns (`0` = no expiry) and
-    /// *replaces* any previous deadline. `state` (when given) enforces
-    /// the tenant's quota and receives usage accounting.
-    pub fn set_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        value: &[u8],
-        expires_at: u64,
-        state: Option<&TenantState>,
-    ) -> Result<()> {
-        let timer = OpTimer::start();
-        self.stats.sets += 1;
-        if let Some(st) = state {
-            st.usage.sets.fetch_add(1, AtomicOrdering::SeqCst);
-        }
-        let result = match self.quarantine_guard(key) {
-            Ok(()) => {
-                let tkeys = self.keys.tenant_keys(tenant);
-                let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at, state };
-                let r = self.apply_write(&op, key, value);
-                self.observe(r)
-            }
-            Err(e) => Err(e),
-        };
-        self.hists.set.record(timer.elapsed_ns());
-        result
-    }
-
-    /// Batched lookup in the default namespace.
-    pub fn multi_get(&mut self, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.multi_get_t(DEFAULT_TENANT, batch, None)
-    }
-
-    /// Batched lookup in `tenant`'s namespace: re-derives each touched
-    /// bucket-set hash once per batch instead of once per key (the
-    /// flattened-Merkle check of paper §4.3/§5.2 is the dominant per-op
-    /// cost this amortizes).
+    /// Batched lookup: re-derives each touched bucket-set hash once per
+    /// batch instead of once per key (the flattened-Merkle check of
+    /// paper §4.3/§5.2 is the dominant per-op cost this amortizes).
     ///
-    /// Results come back in input order; a clean miss is `None` rather
-    /// than an error, so one absent key does not fail the batch. Any
-    /// integrity violation aborts the whole batch fail-closed.
-    pub fn multi_get_t(
-        &mut self,
-        tenant: TenantId,
-        batch: &[&[u8]],
-        state: Option<&TenantState>,
-    ) -> Result<Vec<Option<Vec<u8>>>> {
-        let timer = OpTimer::start();
-        let result = match self.quarantine_guard_batch(batch.iter().copied()) {
-            Ok(()) => {
-                let r = self.multi_get_untimed(tenant, batch, state);
-                self.observe(r)
-            }
-            Err(e) => Err(e),
-        };
-        self.hists.batch.record(timer.elapsed_ns());
-        result
-    }
-
-    fn multi_get_untimed(
-        &mut self,
-        tenant: TenantId,
-        batch: &[&[u8]],
-        state: Option<&TenantState>,
-    ) -> Result<Vec<Option<Vec<u8>>>> {
-        self.stats.batches += 1;
-        self.stats.batch_ops += batch.len() as u64;
-        self.stats.gets += batch.len() as u64;
-        if let Some(st) = state {
-            st.usage.gets.fetch_add(batch.len() as u64, AtomicOrdering::SeqCst);
-        }
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; batch.len()];
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-
+    /// Results come back in input order; a clean miss is `None`, so one
+    /// absent key does not fail the batch. Any integrity violation
+    /// aborts the whole batch fail-closed.
+    fn read_batch(&mut self, op: &OpCtx<'_>, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
         if self.temp.is_some() {
             // Snapshot in progress: lookups span the temp and frozen
             // tables, whose bucket sets do not line up — per-op path.
-            for (i, key) in batch.iter().enumerate() {
-                if let Some((v, exp, from_cache)) = self.lookup_traced(&op, key)? {
-                    if !from_cache && exp == 0 {
-                        if let Some(cache) = self.cache.as_mut() {
-                            cache.put(&nskey(tenant, key), &v);
-                        }
-                    }
-                    results[i] = Some(v);
-                }
-            }
-            self.tally_batch_hits(state, &results);
-            return Ok(results);
+            return batch.iter().map(|key| self.read(op, key)).collect();
         }
 
+        let mut results: Vec<Option<Vec<u8>>> = vec![None; batch.len()];
         // Cache pass first: resident values need no untrusted access.
         let mut pending = Vec::with_capacity(batch.len());
         for (i, key) in batch.iter().enumerate() {
             if let Some(cache) = self.cache.as_mut() {
-                if let Some(v) = cache.get(&nskey(tenant, key)) {
+                if let Some(v) = cache.get(&nskey(op.tenant, key)) {
                     self.stats.cache_hits += 1;
                     results[i] = Some(v);
                     continue;
@@ -1331,79 +1336,41 @@ impl Shard {
                 verified = Some(set);
             }
             if let Some((v, exp)) =
-                get_in_bucket(cfg, keys, &op, main, stats, scratch, bucket, batch[i])?
+                get_in_bucket(cfg, keys, op, main, stats, scratch, bucket, batch[i])?
             {
                 if exp == 0 {
                     if let Some(cache) = cache.as_mut() {
-                        cache.put(&nskey(tenant, batch[i]), &v);
+                        cache.put(&nskey(op.tenant, batch[i]), &v);
                     }
                 }
                 results[i] = Some(v);
             }
         }
-        self.tally_batch_hits(state, &results);
+        let hits = results.iter().filter(|r| r.is_some()).count() as u64;
+        self.tally_hits(op.state, hits, results.len() as u64 - hits);
         Ok(results)
     }
 
-    /// Batched write in the default namespace (no expiry).
-    pub fn multi_set(&mut self, items: &[(&[u8], &[u8])]) -> Result<()> {
-        self.multi_set_t(DEFAULT_TENANT, items, 0, None)
-    }
-
-    /// Batched write in `tenant`'s namespace: verifies each touched
-    /// bucket-set hash once before the set's first write and re-stores
-    /// it once after the set's last write, instead of doing both per
-    /// key. All items share `expires_at` (`0` = no expiry).
+    /// Batched write: verifies each touched bucket-set hash once before
+    /// the set's first write and re-stores it once after the set's last
+    /// write, instead of doing both per key.
     ///
     /// Items are validated up front, so a malformed item rejects the
     /// batch before any mutation. Writes to the same key replay in
     /// submission order (last write wins). An integrity violation
     /// mid-batch aborts fail-closed; a quota rejection aborts with
-    /// earlier items of the batch already applied (each was logged).
-    pub fn multi_set_t(
-        &mut self,
-        tenant: TenantId,
-        items: &[(&[u8], &[u8])],
-        expires_at: u64,
-        state: Option<&TenantState>,
-    ) -> Result<()> {
-        let timer = OpTimer::start();
-        let result = match self.quarantine_guard_batch(items.iter().map(|(k, _)| *k)) {
-            Ok(()) => {
-                let r = self.multi_set_untimed(tenant, items, expires_at, state);
-                self.observe(r)
-            }
-            Err(e) => Err(e),
-        };
-        self.hists.batch.record(timer.elapsed_ns());
-        result
-    }
-
-    fn multi_set_untimed(
-        &mut self,
-        tenant: TenantId,
-        items: &[(&[u8], &[u8])],
-        expires_at: u64,
-        state: Option<&TenantState>,
-    ) -> Result<()> {
+    /// earlier items of the batch already applied.
+    fn write_batch(&mut self, op: &OpCtx<'_>, items: &[(&[u8], &[u8])]) -> Result<()> {
         for (key, value) in items {
             self.check_item(key, value)?;
         }
-        self.stats.batches += 1;
-        self.stats.batch_ops += items.len() as u64;
-        self.stats.sets += items.len() as u64;
-        if let Some(st) = state {
-            st.usage.sets.fetch_add(items.len() as u64, AtomicOrdering::SeqCst);
-        }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at, state };
 
         if self.temp.is_some() {
             // Snapshot in progress: writes land in the small temp table,
             // where batching the set-hash work is not worth the
             // bookkeeping — the temp table is merged away shortly.
             for (key, value) in items {
-                self.apply_write(&op, key, value)?;
+                self.apply_write(op, key, value)?;
             }
             return Ok(());
         }
@@ -1437,7 +1404,7 @@ impl Shard {
                 current = Some(set);
             }
             let (key, value) = items[i];
-            set_in_bucket(cfg, keys, &op, main, stats, scratch, bucket, key, value).map_err(
+            set_in_bucket(cfg, keys, op, main, stats, scratch, bucket, key, value).map_err(
                 |e| {
                     // The set hash for the current group must be re-stored
                     // even on a quota rejection mid-batch: earlier items in
@@ -1449,15 +1416,15 @@ impl Shard {
                 },
             )?;
             if let Some(cache) = cache.as_mut() {
-                let ns = nskey(tenant, key);
-                if expires_at == 0 {
+                let ns = nskey(op.tenant, key);
+                if op.expires_at == 0 {
                     cache.put(&ns, value);
                 } else {
                     cache.remove(&ns);
                 }
             }
             if let Some(index) = index.as_mut() {
-                index.insert(&nskey(tenant, key));
+                index.insert(&nskey(op.tenant, key));
             }
         }
         if let Some(prev) = current {
@@ -1466,243 +1433,59 @@ impl Shard {
         Ok(())
     }
 
-    /// Classifies batched results into the hit/miss counters.
-    fn tally_batch_hits(&mut self, state: Option<&TenantState>, results: &[Option<Vec<u8>>]) {
-        let hits = results.iter().filter(|r| r.is_some()).count() as u64;
-        let misses = results.len() as u64 - hits;
-        self.stats.hits += hits;
-        self.stats.misses += misses;
-        if let Some(st) = state {
-            st.usage.hits.fetch_add(hits, AtomicOrdering::SeqCst);
-            st.usage.misses.fetch_add(misses, AtomicOrdering::SeqCst);
-        }
-    }
-
-    /// Removes `key` from the default namespace.
-    pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        self.delete_t(DEFAULT_TENANT, key, None)
-    }
-
-    /// Removes `key` from `tenant`'s namespace. Errors with
-    /// [`Error::KeyNotFound`] when absent — or already past its
-    /// deadline, in which case physical removal is left to the sweep
-    /// (which WAL-logs it; an unlogged removal here would diverge from
-    /// recovery replay).
-    pub fn delete_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<()> {
-        let timer = OpTimer::start();
-        let result = match self.quarantine_guard(key) {
-            Ok(()) => {
-                let r = self.delete_untimed(tenant, key, state);
-                self.observe(r)
-            }
-            Err(e) => {
-                self.stats.deletes += 1;
-                Err(e)
-            }
-        };
-        self.hists.delete.record(timer.elapsed_ns());
-        result
-    }
-
-    fn delete_untimed(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<()> {
-        self.stats.deletes += 1;
-        let ns = nskey(tenant, key);
+    /// Removes `key`; `false` when absent. With `reap_expired` off (a
+    /// client delete) an entry already past its deadline also answers
+    /// `false` and stays: physical removal is left to the sweep, which
+    /// WAL-logs it — an unlogged removal here would diverge from
+    /// recovery replay.
+    fn remove(&mut self, op: &OpCtx<'_>, key: &[u8], reap_expired: bool) -> Result<bool> {
+        let ns = nskey(op.tenant, key);
         if let Some(cache) = self.cache.as_mut() {
             cache.remove(&ns);
         }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-        if let Some(temp) = self.temp.as_mut() {
+        let removed = if let Some(temp) = self.temp.as_mut() {
             self.stats.temp_table_ops += 1;
             // Remove any temp-table copy.
-            let (cfg, keys) = (&self.cfg, &self.keys);
             let removed_temp = delete_in(
-                cfg,
-                keys,
-                &op,
+                &self.cfg,
+                &self.keys,
+                op,
                 &mut temp.ctx,
                 &mut self.stats,
                 &mut self.scratch,
                 key,
-                false,
+                reap_expired,
             )?;
             // Check the frozen main for presence (verified search).
             let frozen = Arc::clone(self.frozen.as_ref().expect("frozen accompanies temp"));
             let in_frozen = get_in(
                 &self.cfg,
                 &self.keys,
-                &op,
+                op,
                 &frozen,
                 &mut self.stats,
                 &mut self.scratch,
                 key,
             )?
             .is_some();
-            if !removed_temp && !in_frozen {
-                self.stats.misses += 1;
-                if let Some(st) = state {
-                    st.usage.misses.fetch_add(1, AtomicOrdering::SeqCst);
-                }
-                return Err(Error::KeyNotFound);
-            }
             if in_frozen {
                 let temp = self.temp.as_mut().expect("checked above");
                 temp.tombstones.insert(ns.clone());
             }
-            if let Some(index) = self.index.as_mut() {
-                index.remove(&ns);
-            }
-            self.stats.hits += 1;
-            if let Some(st) = state {
-                st.usage.hits.fetch_add(1, AtomicOrdering::SeqCst);
-            }
-            return Ok(());
-        }
-        let main = self.main.as_mut().expect("main table present");
-        if delete_in(
-            &self.cfg,
-            &self.keys,
-            &op,
-            main,
-            &mut self.stats,
-            &mut self.scratch,
-            key,
-            false,
-        )? {
-            if let Some(index) = self.index.as_mut() {
-                index.remove(&ns);
-            }
-            self.stats.hits += 1;
-            if let Some(st) = state {
-                st.usage.hits.fetch_add(1, AtomicOrdering::SeqCst);
-            }
-            Ok(())
+            removed_temp || in_frozen
         } else {
-            self.stats.misses += 1;
-            if let Some(st) = state {
-                st.usage.misses.fetch_add(1, AtomicOrdering::SeqCst);
-            }
-            Err(Error::KeyNotFound)
-        }
-    }
-
-    /// Appends `suffix` to the value of `key` (default namespace),
-    /// creating it when absent — one of the server-side operations
-    /// motivating server-side encryption (paper §3.2, Fig. 12).
-    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        self.append_value_t(DEFAULT_TENANT, key, suffix, None).map(|v| v.len())
-    }
-
-    /// Tenant-scoped append. Any existing expiry deadline is cleared by
-    /// the rewrite (the produced value is WAL-logged as a plain set, so
-    /// replay must be deadline-free to stay idempotent).
-    pub fn append_value_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        suffix: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<Vec<u8>> {
-        self.stats.appends += 1;
-        self.quarantine_guard(key)?;
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-        let result = (|| {
-            let mut value = self.lookup(&op, key)?.unwrap_or_default();
-            value.extend_from_slice(suffix);
-            self.apply_write(&op, key, &value)?;
-            Ok(value)
-        })();
-        self.observe(result)
-    }
-
-    /// Adds `delta` to the decimal-integer value of `key` in the default
-    /// namespace (creating it as `delta` when absent) and returns the
-    /// new value.
-    pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
-        self.increment_t(DEFAULT_TENANT, key, delta, None)
-    }
-
-    /// Tenant-scoped increment; clears any expiry deadline like
-    /// [`Shard::append_value_t`].
-    pub fn increment_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        delta: i64,
-        state: Option<&TenantState>,
-    ) -> Result<i64> {
-        self.stats.increments += 1;
-        self.quarantine_guard(key)?;
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-        let result = (|| {
-            let current = match self.lookup(&op, key)? {
-                Some(v) => {
-                    let text = core::str::from_utf8(&v).map_err(|_| Error::ValueNotNumeric)?;
-                    text.trim().parse::<i64>().map_err(|_| Error::ValueNotNumeric)?
-                }
-                None => 0,
-            };
-            let next = current.checked_add(delta).ok_or(Error::NumericOverflow)?;
-            self.apply_write(&op, key, next.to_string().as_bytes())?;
-            Ok(next)
-        })();
-        self.observe(result)
-    }
-
-    /// True when `key` exists in the default namespace (verified lookup).
-    pub fn exists(&mut self, key: &[u8]) -> Result<bool> {
-        self.exists_t(DEFAULT_TENANT, key, None)
-    }
-
-    /// True when `key` exists in `tenant`'s namespace (verified lookup;
-    /// an expired entry reads as absent).
-    pub fn exists_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<bool> {
-        self.quarantine_guard(key)?;
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-        let result = self.lookup(&op, key).map(|v| v.is_some());
-        self.observe(result)
-    }
-
-    /// Recovery replay of a logged delete: removes `key` regardless of
-    /// expiry state (the logged delete may itself be a sweep reap), with
-    /// no stats or quota accounting — usage is recounted after replay.
-    pub(crate) fn purge_t(&mut self, tenant: TenantId, key: &[u8]) -> Result<bool> {
-        self.quarantine_guard(key)?;
-        let ns = nskey(tenant, key);
-        if let Some(cache) = self.cache.as_mut() {
-            cache.remove(&ns);
-        }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state: None };
-        let main = self.main.as_mut().expect("main table present");
-        let removed = delete_in(
-            &self.cfg,
-            &self.keys,
-            &op,
-            main,
-            &mut self.stats,
-            &mut self.scratch,
-            key,
-            true,
-        )?;
+            let main = self.main.as_mut().expect("main table present");
+            delete_in(
+                &self.cfg,
+                &self.keys,
+                op,
+                main,
+                &mut self.stats,
+                &mut self.scratch,
+                key,
+                reap_expired,
+            )?
+        };
         if removed {
             if let Some(index) = self.index.as_mut() {
                 index.remove(&ns);
@@ -1711,78 +1494,81 @@ impl Shard {
         Ok(removed)
     }
 
-    /// Ordered range scan over `[start, end)` in the default namespace
-    /// (requires [`Config::ordered_index`]): returns up to `limit`
-    /// key-value pairs in key order, each retrieved through the fully
-    /// verified read path.
-    pub fn scan_range(
-        &mut self,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_range_t(DEFAULT_TENANT, start, end, limit)
-    }
-
-    /// Ordered prefix scan in the default namespace (requires
-    /// [`Config::ordered_index`]).
-    pub fn scan_prefix(&mut self, prefix: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_prefix_t(DEFAULT_TENANT, prefix, limit)
-    }
-
-    /// Tenant-scoped ordered range scan. The index stores namespaced
-    /// keys, so the scan window is confined to `tenant` by construction
-    /// — it cannot leak even the *existence* of another tenant's keys.
-    pub fn scan_range_t(
-        &mut self,
-        tenant: TenantId,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.quarantine_guard_scan()?;
-        let nskeys = self.index.as_ref().ok_or(Error::IndexDisabled)?.range(
-            &nskey(tenant, start),
-            &nskey(tenant, end),
-            limit,
-        );
-        self.collect_keys(tenant, nskeys)
-    }
-
-    /// Tenant-scoped ordered prefix scan.
-    pub fn scan_prefix_t(
-        &mut self,
-        tenant: TenantId,
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.quarantine_guard_scan()?;
-        let nskeys =
-            self.index.as_ref().ok_or(Error::IndexDisabled)?.prefix(&nskey(tenant, prefix), limit);
-        self.collect_keys(tenant, nskeys)
-    }
-
-    fn collect_keys(
-        &mut self,
-        tenant: TenantId,
-        nskeys: Vec<Vec<u8>>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    /// Recovery replay of a logged delete: removes `key` regardless of
+    /// expiry state (the logged delete may itself be a sweep reap), with
+    /// no stats or quota accounting — usage is recounted after replay.
+    pub(crate) fn purge(&mut self, tenant: TenantId, key: &[u8]) -> Result<bool> {
+        self.quarantine_guard(&Op::Delete(key))?;
         let tkeys = self.keys.tenant_keys(tenant);
         let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state: None };
-        let result = (|| {
-            let mut out = Vec::with_capacity(nskeys.len());
-            for ns in &nskeys {
-                let (_, key) = split_nskey(ns);
-                // The index can briefly lead the table during a snapshot
-                // merge, and expired entries linger until swept; skip
-                // keys that verified-miss rather than failing.
-                if let Some((value, _, _)) = self.lookup_traced(&op, key)? {
-                    out.push((key.to_vec(), value));
-                }
+        self.remove(&op, key, true)
+    }
+
+    /// Fetches each indexed key through the fully verified read path.
+    fn collect_keys(
+        &mut self,
+        op: &OpCtx<'_>,
+        nskeys: Vec<Vec<u8>>,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut out = Vec::with_capacity(nskeys.len());
+        for ns in &nskeys {
+            let (_, key) = split_nskey(ns);
+            // The index can briefly lead the table during a snapshot
+            // merge, and expired entries linger until swept; skip
+            // keys that verified-miss rather than failing.
+            if let Some((value, _, _)) = self.lookup_traced(op, key)? {
+                out.push((key.to_vec(), value));
             }
-            Ok(out)
-        })();
-        self.observe(result)
+        }
+        Ok(out)
+    }
+
+    // -- default-namespace sugar ---------------------------------------
+    //
+    // For the partition-pinned workers and tests that drive a shard
+    // directly: `execute` under `DEFAULT_TENANT`, unmetered, with a miss
+    // turned back into `Error::KeyNotFound` where the signature has no
+    // room for one.
+
+    /// Retrieves the value for `key`.
+    pub fn get(&mut self, key: &[u8]) -> Result<Vec<u8>> {
+        self.execute(DEFAULT_TENANT, None, Op::Get(key))?.value().ok_or(Error::KeyNotFound)
+    }
+
+    /// Stores `value` under `key` (insert or update), with no expiry.
+    pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.execute(DEFAULT_TENANT, None, Op::set(key, value)).map(|_| ())
+    }
+
+    /// Removes `key`.
+    pub fn delete(&mut self, key: &[u8]) -> Result<()> {
+        match self.execute(DEFAULT_TENANT, None, Op::Delete(key))?.deleted() {
+            true => Ok(()),
+            false => Err(Error::KeyNotFound),
+        }
+    }
+
+    /// Appends `suffix` to the value of `key`, creating it when absent —
+    /// one of the server-side operations motivating server-side
+    /// encryption (paper §3.2, Fig. 12). Returns the new length.
+    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<usize> {
+        Ok(self.execute(DEFAULT_TENANT, None, Op::Append { key, suffix })?.appended().len())
+    }
+
+    /// Adds `delta` to the decimal-integer value of `key` (creating it
+    /// as `delta` when absent) and returns the new value.
+    pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
+        Ok(self.execute(DEFAULT_TENANT, None, Op::Increment { key, delta })?.counter())
+    }
+
+    /// Batched lookup; results in input order, `None` for a miss.
+    pub fn multi_get(&mut self, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
+        Ok(self.execute(DEFAULT_TENANT, None, Op::MultiGet(batch))?.values())
+    }
+
+    /// Batched write (no expiry).
+    pub fn multi_set(&mut self, items: &[(&[u8], &[u8])]) -> Result<()> {
+        self.execute(DEFAULT_TENANT, None, Op::MultiSet { items, expires_at: 0 }).map(|_| ())
     }
 
     /// Physically removes entries whose deadline is at or before `now`,
@@ -1836,28 +1622,10 @@ impl Shard {
             let tkeys = self.keys.tenant_keys(tenant);
             let op =
                 OpCtx { tenant, tkeys: &tkeys, now, expires_at: 0, state: Some(state.as_ref()) };
-            let main = self.main.as_mut().expect("main table present");
-            let r = delete_in(
-                &self.cfg,
-                &self.keys,
-                &op,
-                main,
-                &mut self.stats,
-                &mut self.scratch,
-                &key,
-                true,
-            );
-            let r = self.observe(r);
-            if let Ok(true) = r {
+            let r = self.remove(&op, &key, true);
+            if let Ok(true) = self.observe(r) {
                 self.stats.expired_swept += 1;
                 state.usage.expired_swept.fetch_add(1, AtomicOrdering::SeqCst);
-                let ns = nskey(tenant, &key);
-                if let Some(index) = self.index.as_mut() {
-                    index.remove(&ns);
-                }
-                if let Some(cache) = self.cache.as_mut() {
-                    cache.remove(&ns);
-                }
                 reaped.push((tenant, key));
             }
             if self.quarantine.whole {
@@ -2608,14 +2376,20 @@ mod tests {
         assert!(matches!(s.delete(qk.as_bytes()), Err(Error::Quarantined { .. })));
         assert!(matches!(s.append(qk.as_bytes(), b"x"), Err(Error::Quarantined { .. })));
         assert!(matches!(s.increment(qk.as_bytes(), 1), Err(Error::Quarantined { .. })));
-        assert!(matches!(s.exists(qk.as_bytes()), Err(Error::Quarantined { .. })));
+        assert!(matches!(
+            s.execute(0, None, Op::Exists(qk.as_bytes())),
+            Err(Error::Quarantined { .. })
+        ));
         assert!(matches!(s.multi_get(&[qk.as_bytes()]), Err(Error::Quarantined { .. })));
         assert!(matches!(
             s.multi_set(&[(qk.as_bytes(), b"x".as_slice())]),
             Err(Error::Quarantined { .. })
         ));
         // Scans span partitions, so any quarantined set fails them.
-        assert!(matches!(s.scan_prefix(b"k", 100), Err(Error::Quarantined { .. })));
+        assert!(matches!(
+            s.execute(0, None, Op::ScanPrefix { prefix: b"k", limit: 100 }),
+            Err(Error::Quarantined { .. })
+        ));
         assert!(s.stats().quarantine_rejections > 0);
         vclock::reset();
     }
@@ -2740,17 +2514,21 @@ mod tests {
     fn tenants_are_isolated_namespaces() {
         let mut s = shard_with(small_cfg());
         vclock::reset();
-        s.set_t(1, b"k", b"one", 0, None).unwrap();
-        s.set_t(2, b"k", b"two", 0, None).unwrap();
+        s.execute(1, None, Op::set(b"k", b"one")).unwrap();
+        s.execute(2, None, Op::set(b"k", b"two")).unwrap();
         s.set(b"k", b"zero").unwrap(); // tenant 0 sugar
-        assert_eq!(s.get_t(1, b"k", None).unwrap(), b"one");
-        assert_eq!(s.get_t(2, b"k", None).unwrap(), b"two");
+        assert_eq!(s.execute(1, None, Op::Get(b"k")).unwrap().value().unwrap(), b"one");
+        assert_eq!(s.execute(2, None, Op::Get(b"k")).unwrap().value().unwrap(), b"two");
         assert_eq!(s.get(b"k").unwrap(), b"zero");
         assert_eq!(s.len(), 3, "same key in three namespaces = three entries");
-        assert_eq!(s.get_t(3, b"k", None), Err(Error::KeyNotFound));
-        s.delete_t(1, b"k", None).unwrap();
-        assert_eq!(s.get_t(1, b"k", None), Err(Error::KeyNotFound));
-        assert_eq!(s.get_t(2, b"k", None).unwrap(), b"two", "delete stays in its namespace");
+        assert_eq!(s.execute(3, None, Op::Get(b"k")), Ok(Reply::Value(None)));
+        assert_eq!(s.execute(1, None, Op::Delete(b"k")), Ok(Reply::Deleted(true)));
+        assert_eq!(s.execute(1, None, Op::Get(b"k")), Ok(Reply::Value(None)));
+        assert_eq!(
+            s.execute(2, None, Op::Get(b"k")).unwrap().value().unwrap(),
+            b"two",
+            "delete stays in its namespace"
+        );
         vclock::reset();
     }
 
@@ -2759,13 +2537,13 @@ mod tests {
         let mut s = shard_with(small_cfg());
         vclock::reset();
         s.enable_cache(64 << 10);
-        s.set_t(1, b"k", b"secret", 0, None).unwrap();
-        assert_eq!(s.get_t(1, b"k", None).unwrap(), b"secret");
-        assert_eq!(s.get_t(1, b"k", None).unwrap(), b"secret"); // cache hit
+        s.execute(1, None, Op::set(b"k", b"secret")).unwrap();
+        assert_eq!(s.execute(1, None, Op::Get(b"k")).unwrap().value().unwrap(), b"secret");
+        assert_eq!(s.execute(1, None, Op::Get(b"k")).unwrap().value().unwrap(), b"secret"); // cache hit
         assert!(s.stats().cache_hits >= 1);
         // Tenant 2's view of the same byte key must not touch tenant 1's
         // cached plaintext.
-        assert_eq!(s.get_t(2, b"k", None), Err(Error::KeyNotFound));
+        assert_eq!(s.execute(2, None, Op::Get(b"k")), Ok(Reply::Value(None)));
         vclock::reset();
     }
 
@@ -2774,16 +2552,16 @@ mod tests {
         let mut s = shard_with(small_cfg());
         vclock::reset();
         let live = ttl::now_ns() + 3_600_000_000_000; // +1h
-        s.set_t(0, b"eternal", b"e", 0, None).unwrap();
-        s.set_t(0, b"live", b"l", live, None).unwrap();
-        s.set_t(0, b"dead", b"d", 1, None).unwrap(); // long expired
+        s.execute(0, None, Op::set(b"eternal", b"e")).unwrap();
+        s.execute(0, None, Op::Set { key: b"live", value: b"l", expires_at: live }).unwrap();
+        s.execute(0, None, Op::Set { key: b"dead", value: b"d", expires_at: 1 }).unwrap(); // long expired
         assert_eq!(s.len(), 3);
 
         // Lazy expiry: reads hide the dead entry without mutating.
         assert_eq!(s.get(b"dead"), Err(Error::KeyNotFound));
         assert_eq!(s.stats().expired_lazy, 1);
         assert_eq!(s.len(), 3, "lazy expiry does not remove");
-        assert!(!s.exists(b"dead").unwrap());
+        assert_eq!(s.execute(0, None, Op::Exists(b"dead")), Ok(Reply::Exists(false)));
 
         // Delete of an expired entry is KeyNotFound *without* removal:
         // physical reap is the sweep's job (it gets WAL-logged there).
@@ -2807,7 +2585,7 @@ mod tests {
         let reg = TenantRegistry::new();
 
         // SET replaces the deadline wholesale (Redis semantics).
-        s.set_t(0, b"k", b"v1", 1, None).unwrap();
+        s.execute(0, None, Op::Set { key: b"k", value: b"v1", expires_at: 1 }).unwrap();
         assert_eq!(s.get(b"k"), Err(Error::KeyNotFound));
         s.set(b"k", b"v2").unwrap();
         assert_eq!(s.get(b"k").unwrap(), b"v2", "overwrite revives: deadline replaced");
@@ -2815,7 +2593,7 @@ mod tests {
         // Append/increment clear any deadline: their WAL form is a plain
         // set of the produced value, which must replay deadline-free.
         let horizon = ttl::now_ns() + 3_600_000_000_000;
-        s.set_t(0, b"n", b"5", horizon, None).unwrap();
+        s.execute(0, None, Op::Set { key: b"n", value: b"5", expires_at: horizon }).unwrap();
         assert_eq!(s.increment(b"n", 2).unwrap(), 7);
         let far = ttl::now_ns() + 7_200_000_000_000; // past the old deadline
         assert!(s.sweep_expired(far, &reg).is_empty(), "increment cleared the deadline");
@@ -2833,10 +2611,10 @@ mod tests {
             usage: Arc::new(TenantUsage::default()),
         };
 
-        s.set_t(7, b"a", b"aaa", 0, Some(&state)).unwrap();
-        s.set_t(7, b"b", b"bbb", 0, Some(&state)).unwrap();
+        s.execute(7, Some(&state), Op::set(b"a", b"aaa")).unwrap();
+        s.execute(7, Some(&state), Op::set(b"b", b"bbb")).unwrap();
         assert_eq!(
-            s.set_t(7, b"c", b"ccc", 0, Some(&state)),
+            s.execute(7, Some(&state), Op::set(b"c", b"ccc")),
             Err(Error::QuotaExceeded { tenant: 7 }),
             "third insert exceeds max_keys"
         );
@@ -2844,16 +2622,20 @@ mod tests {
         assert_eq!(s.len(), 2, "rejected insert left no residue");
 
         // Same-size update is free; growth must fit the byte budget.
-        s.set_t(7, b"a", b"AAA", 0, Some(&state)).unwrap();
+        s.execute(7, Some(&state), Op::set(b"a", b"AAA")).unwrap();
         assert_eq!(
-            s.set_t(7, b"a", vec![0u8; 64].as_slice(), 0, Some(&state)),
+            s.execute(7, Some(&state), Op::set(b"a", vec![0u8; 64].as_slice())),
             Err(Error::QuotaExceeded { tenant: 7 })
         );
-        assert_eq!(s.get_t(7, b"a", Some(&state)).unwrap(), b"AAA", "failed grow left old value");
+        assert_eq!(
+            s.execute(7, Some(&state), Op::Get(b"a")).unwrap().value().unwrap(),
+            b"AAA",
+            "failed grow left old value"
+        );
 
         // Deleting frees budget for a new insert.
-        s.delete_t(7, b"b", Some(&state)).unwrap();
-        s.set_t(7, b"c", b"ccc", 0, Some(&state)).unwrap();
+        assert_eq!(s.execute(7, Some(&state), Op::Delete(b"b")), Ok(Reply::Deleted(true)));
+        s.execute(7, Some(&state), Op::set(b"c", b"ccc")).unwrap();
         assert_eq!(state.usage.used_keys.load(AtomicOrdering::SeqCst), 2);
         assert_eq!(state.usage.used_bytes.load(AtomicOrdering::SeqCst), 2 * entry_cost);
         vclock::reset();
@@ -2868,15 +2650,15 @@ mod tests {
         cfg = cfg.buckets(1);
         let mut s = shard_with(cfg);
         vclock::reset();
-        s.set_t(1, b"k", b"owned", 0, None).unwrap();
+        s.execute(1, None, Op::set(b"k", b"owned")).unwrap();
 
         let main = s.main.as_mut().unwrap();
         let mut handle = None;
         main.for_each_entry(|_, h| handle = Some(h));
         main.heap.bytes_at_mut(handle.unwrap(), entry::OFF_TENANT, 4)[0] ^= 0x03;
 
-        assert!(matches!(s.get_t(2, b"k", None), Err(Error::IntegrityViolation { .. })));
-        assert!(matches!(s.get_t(1, b"k", None), Err(Error::IntegrityViolation { .. })));
+        assert!(matches!(s.execute(2, None, Op::Get(b"k")), Err(Error::IntegrityViolation { .. })));
+        assert!(matches!(s.execute(1, None, Op::Get(b"k")), Err(Error::IntegrityViolation { .. })));
         vclock::reset();
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::config::Config;
 use crate::error::{Error, Result};
+use crate::op::{Op, Reply};
 use crate::repl::Watermark;
 use crate::shard::{Shard, ShardConfig, StoreKeys};
 use crate::stats::{OpStats, StatsSnapshot, TenantStat, MAX_TENANT_STATS};
@@ -227,35 +228,24 @@ impl ShieldStore {
         Ok(store)
     }
 
-    /// Logs an operation to the attached WAL, if any. Callers hold the
-    /// owning shard's lock, so the log observes the shard's apply order.
-    /// A commit failure surfaces as the operation's error even though
-    /// the in-memory write already landed: durability fails closed. The
-    /// record is built lazily so stores without a WAL pay no per-op
-    /// allocation for it.
-    fn log_wal(&self, op: impl FnOnce() -> WalOp) -> Result<()> {
-        match self.wal.get() {
-            Some(wal) => wal.log([op()]),
-            None => Ok(()),
-        }
-    }
-
     /// Applies one verified WAL record op to the in-memory tables — the
     /// shared apply path for crash recovery and replica replay. Bypasses
     /// quota admission and the WAL (every op was admitted when it first
     /// ran on the primary; callers recount usage when done).
     pub(crate) fn apply_replicated(&self, op: WalOp) -> Result<()> {
         match op {
-            WalOp::Set { tenant, key, value, expires_at } => self
-                .with_shard(self.shard_of(&key), |s| {
-                    s.set_t(tenant, &key, &value, expires_at, None)
-                }),
+            WalOp::Set { tenant, key, value, expires_at } => {
+                self.with_shard(self.shard_of(&key), |s| {
+                    s.execute(tenant, None, Op::Set { key: &key, value: &value, expires_at })
+                        .map(|_| ())
+                })
+            }
             // A delete can replay against a store that never held the
             // key (or already lost it): that is the idempotent outcome,
             // not an error. Replay purges even expired entries — the
             // logged delete may itself be a sweep reap.
             WalOp::Delete { tenant, key } => {
-                self.with_shard(self.shard_of(&key), |s| s.purge_t(tenant, &key).map(|_| ()))
+                self.with_shard(self.shard_of(&key), |s| s.purge(tenant, &key).map(|_| ()))
             }
         }
     }
@@ -332,123 +322,194 @@ impl ShieldStore {
         &self.registry
     }
 
-    /// Retrieves the value stored under `key` (tenant 0).
-    pub fn get(&self, key: &[u8]) -> Result<Vec<u8>> {
-        self.get_t(DEFAULT_TENANT, key)
-    }
-
-    /// Retrieves the value stored under `key` in `tenant`'s namespace.
-    pub fn get_t(&self, tenant: TenantId, key: &[u8]) -> Result<Vec<u8>> {
+    /// Executes one operation in `tenant`'s namespace — the store's only
+    /// routed entry point, and the only place that resolves the tenant's
+    /// quota state, picks the serving shard by [`ShieldStore::shard_of`],
+    /// splits a batch by shard, merges a scan across shards, and logs the
+    /// outcome (`ShieldStore::log_wal`). Everything below it is
+    /// [`Shard::execute`]; everything above it (the convenience methods
+    /// here, `KvBackend`, the wire server) is a caller.
+    pub fn execute(&self, tenant: TenantId, op: Op<'_>) -> Result<Reply> {
         let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| s.get_t(tenant, key, Some(&state)))
-    }
-
-    /// Stores `value` under `key` (tenant 0, no expiry).
-    pub fn set(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.set_with_expiry(DEFAULT_TENANT, key, value, 0)
-    }
-
-    /// Stores `value` under `key` in `tenant`'s namespace, no expiry.
-    pub fn set_t(&self, tenant: TenantId, key: &[u8], value: &[u8]) -> Result<()> {
-        self.set_with_expiry(tenant, key, value, 0)
-    }
-
-    /// Stores `value` under `key` with a TTL of `ttl_ns` from now
-    /// (`0` = an already-due deadline; use [`ShieldStore::set_t`] for no
-    /// expiry).
-    pub fn set_ttl(&self, tenant: TenantId, key: &[u8], value: &[u8], ttl_ns: u64) -> Result<()> {
-        self.set_with_expiry(tenant, key, value, ttl::deadline_after(ttl_ns))
-    }
-
-    /// Stores `value` under `key` with an absolute expiry deadline
-    /// (`expires_at` in ns since the epoch; `0` = no expiry). The write
-    /// *replaces* any previous deadline and is admitted against
-    /// `tenant`'s quota.
-    pub fn set_with_expiry(
-        &self,
-        tenant: TenantId,
-        key: &[u8],
-        value: &[u8],
-        expires_at: u64,
-    ) -> Result<()> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| {
-            s.set_t(tenant, key, value, expires_at, Some(&state))?;
-            self.log_wal(|| WalOp::Set {
-                tenant,
-                key: key.to_vec(),
-                value: value.to_vec(),
-                expires_at,
+        // One shard's share of the op: run it, then log it, under that
+        // shard's lock.
+        let on_shard = |idx: usize, op: Op<'_>| {
+            self.with_shard(idx, |s| {
+                let reply = s.execute(tenant, Some(&state), op)?;
+                self.log_wal(tenant, &op, &reply)?;
+                Ok(reply)
             })
-        })
+        };
+        match op {
+            // Batches group by owning shard and take each shard's lock
+            // once per batch (not once per key); within a shard every
+            // touched bucket-set hash is verified (and re-stored) once.
+            // Grouping preserves input order per shard, so duplicate keys
+            // keep last-write-wins semantics. A failure in any shard
+            // fails the whole call.
+            Op::MultiGet(keys) => {
+                let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+                for (idx, group) in self.group_by_shard(keys.iter().copied()) {
+                    let batch: Vec<&[u8]> = group.iter().map(|&i| keys[i]).collect();
+                    let values = on_shard(idx, Op::MultiGet(&batch))?.values();
+                    for (slot, value) in group.into_iter().zip(values) {
+                        results[slot] = value;
+                    }
+                }
+                Ok(Reply::Values(results))
+            }
+            Op::MultiSet { items, expires_at } => {
+                for (idx, group) in self.group_by_shard(items.iter().map(|(key, _)| *key)) {
+                    let batch: Vec<(&[u8], &[u8])> = group.iter().map(|&i| items[i]).collect();
+                    on_shard(idx, Op::MultiSet { items: &batch, expires_at })?;
+                }
+                Ok(Reply::Stored)
+            }
+            Op::ScanRange { limit, .. } | Op::ScanPrefix { limit, .. } => {
+                let mut all = Vec::new();
+                // Exclusive upper bound, narrowed once `limit` items are
+                // in hand: a key at or past the current limit-th smallest
+                // can never make the final cut, so later shards skip
+                // fetching (and verifying, decrypting) everything beyond
+                // it instead of materializing their full result.
+                let mut bound: Option<Vec<u8>> = None;
+                for idx in 0..self.shards.len() {
+                    let narrowed = bound.as_deref().map_or(op, |b| narrow_scan(op, b));
+                    all.extend(on_shard(idx, narrowed)?.entries());
+                    if limit > 0 && all.len() >= limit {
+                        all.sort_by(|a, b| a.0.cmp(&b.0));
+                        all.truncate(limit);
+                        bound = Some(all[limit - 1].0.clone());
+                    }
+                }
+                all.sort_by(|a, b| a.0.cmp(&b.0));
+                all.truncate(limit);
+                Ok(Reply::Entries(all))
+            }
+            Op::Get(key)
+            | Op::Exists(key)
+            | Op::Delete(key)
+            | Op::Set { key, .. }
+            | Op::Append { key, .. }
+            | Op::Increment { key, .. } => on_shard(self.shard_of(key), op),
+        }
     }
 
-    /// Removes `key` (tenant 0).
+    /// Input positions grouped by owning shard, skipping shards the
+    /// batch does not touch.
+    fn group_by_shard<'k>(
+        &self,
+        keys: impl Iterator<Item = &'k [u8]>,
+    ) -> impl Iterator<Item = (usize, Vec<usize>)> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, key) in keys.enumerate() {
+            groups[self.shard_of(key)].push(i);
+        }
+        groups.into_iter().enumerate().filter(|(_, group)| !group.is_empty())
+    }
+
+    /// Logs what `op` changed to the attached WAL, if any: the one place
+    /// a client op becomes log records. Called with the serving shard's
+    /// lock held, so the log observes the shard's apply order. Appends
+    /// and increments are logged as the value they produced, so replay is
+    /// idempotent; reads and clean misses changed nothing and log
+    /// nothing. A commit failure surfaces as the operation's error even
+    /// though the in-memory write already landed: durability fails
+    /// closed. Records are built only when a WAL is attached, so stores
+    /// without one pay no per-op allocation for them.
+    fn log_wal(&self, tenant: TenantId, op: &Op<'_>, reply: &Reply) -> Result<()> {
+        let Some(wal) = self.wal.get() else { return Ok(()) };
+        let set = |key: &[u8], value: Vec<u8>, expires_at| WalOp::Set {
+            tenant,
+            key: key.to_vec(),
+            value,
+            expires_at,
+        };
+        match (*op, reply) {
+            (Op::Set { key, value, expires_at }, _) => {
+                wal.log([set(key, value.to_vec(), expires_at)])
+            }
+            (Op::MultiSet { items, expires_at }, _) => {
+                wal.log(items.iter().map(|&(key, value)| set(key, value.to_vec(), expires_at)))
+            }
+            (Op::Append { key, .. }, Reply::Appended(value)) => {
+                wal.log([set(key, value.clone(), 0)])
+            }
+            (Op::Increment { key, .. }, Reply::Counter(next)) => {
+                wal.log([set(key, next.to_string().into_bytes(), 0)])
+            }
+            (Op::Delete(key), Reply::Deleted(true)) => {
+                wal.log([WalOp::Delete { tenant, key: key.to_vec() }])
+            }
+            _ => Ok(()),
+        }
+    }
+
+    // -- default-namespace sugar: one method per op ----------------------
+    //
+    // Each is `execute` under `DEFAULT_TENANT`, with a miss turned back
+    // into `Error::KeyNotFound` where the signature has no room for one.
+
+    /// Retrieves the value stored under `key`.
+    pub fn get(&self, key: &[u8]) -> Result<Vec<u8>> {
+        self.execute(DEFAULT_TENANT, Op::Get(key))?.value().ok_or(Error::KeyNotFound)
+    }
+
+    /// Stores `value` under `key`, with no expiry.
+    pub fn set(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.execute(DEFAULT_TENANT, Op::set(key, value)).map(|_| ())
+    }
+
+    /// Removes `key`.
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.delete_t(DEFAULT_TENANT, key)
+        match self.execute(DEFAULT_TENANT, Op::Delete(key))?.deleted() {
+            true => Ok(()),
+            false => Err(Error::KeyNotFound),
+        }
     }
 
-    /// Removes `key` from `tenant`'s namespace.
-    pub fn delete_t(&self, tenant: TenantId, key: &[u8]) -> Result<()> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| {
-            s.delete_t(tenant, key, Some(&state))?;
-            self.log_wal(|| WalOp::Delete { tenant, key: key.to_vec() })
-        })
-    }
-
-    /// Appends `suffix` to `key`'s value (tenant 0), returning the new
-    /// length. Logged to the WAL as the resulting full value, so replay
-    /// is idempotent.
+    /// Appends `suffix` to `key`'s value, returning the new length.
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        self.append_t(DEFAULT_TENANT, key, suffix)
+        Ok(self.execute(DEFAULT_TENANT, Op::Append { key, suffix })?.appended().len())
     }
 
-    /// Tenant-scoped [`ShieldStore::append`]. Clears any expiry deadline
-    /// (the logged produced value must replay deadline-free).
-    pub fn append_t(&self, tenant: TenantId, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| {
-            let value = s.append_value_t(tenant, key, suffix, Some(&state))?;
-            let len = value.len();
-            self.log_wal(|| WalOp::Set { tenant, key: key.to_vec(), value, expires_at: 0 })?;
-            Ok(len)
-        })
-    }
-
-    /// Adds `delta` to `key`'s decimal value (tenant 0), returning the
-    /// new value. Logged to the WAL as the resulting value, so replay is
-    /// idempotent.
+    /// Adds `delta` to `key`'s decimal value, returning the new value.
     pub fn increment(&self, key: &[u8], delta: i64) -> Result<i64> {
-        self.increment_t(DEFAULT_TENANT, key, delta)
+        Ok(self.execute(DEFAULT_TENANT, Op::Increment { key, delta })?.counter())
     }
 
-    /// Tenant-scoped [`ShieldStore::increment`]; clears any expiry
-    /// deadline like [`ShieldStore::append_t`].
-    pub fn increment_t(&self, tenant: TenantId, key: &[u8], delta: i64) -> Result<i64> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| {
-            let next = s.increment_t(tenant, key, delta, Some(&state))?;
-            self.log_wal(|| WalOp::Set {
-                tenant,
-                key: key.to_vec(),
-                value: next.to_string().into_bytes(),
-                expires_at: 0,
-            })?;
-            Ok(next)
-        })
-    }
-
-    /// True when `key` exists (tenant 0).
+    /// True when `key` exists (an expired entry reads as absent).
     pub fn exists(&self, key: &[u8]) -> Result<bool> {
-        self.exists_t(DEFAULT_TENANT, key)
+        Ok(self.execute(DEFAULT_TENANT, Op::Exists(key))?.exists())
     }
 
-    /// True when `key` exists in `tenant`'s namespace (an expired entry
-    /// reads as absent).
-    pub fn exists_t(&self, tenant: TenantId, key: &[u8]) -> Result<bool> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| s.exists_t(tenant, key, Some(&state)))
+    /// Batched lookup across shards. Results come back in input order; a
+    /// clean miss is `None`.
+    pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
+        Ok(self.execute(DEFAULT_TENANT, Op::MultiGet(keys))?.values())
+    }
+
+    /// Batched write across shards (no expiry).
+    pub fn multi_set(&self, items: &[(&[u8], &[u8])]) -> Result<()> {
+        self.execute(DEFAULT_TENANT, Op::MultiSet { items, expires_at: 0 }).map(|_| ())
+    }
+
+    /// Ordered range scan over `[start, end)`, merged across shards:
+    /// up to `limit` key-value pairs in key order. Requires
+    /// [`Config::ordered_index`] (the paper's future-work extension; see
+    /// [`crate::ordered`] for the EPC trade-off).
+    pub fn scan_range(
+        &self,
+        start: &[u8],
+        end: &[u8],
+        limit: usize,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        Ok(self.execute(DEFAULT_TENANT, Op::ScanRange { start, end, limit })?.entries())
+    }
+
+    /// Ordered prefix scan, merged across shards.
+    pub fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        Ok(self.execute(DEFAULT_TENANT, Op::ScanPrefix { prefix, limit })?.entries())
     }
 
     /// Physically removes expired entries across all shards, logging
@@ -486,162 +547,6 @@ impl ShieldStore {
             }
         }
         self.registry.set_usage(&usage);
-    }
-
-    /// Batched lookup across shards: groups `keys` by owning shard, takes
-    /// each shard's lock once per batch (not once per key), and runs the
-    /// shard-level batched path, which verifies each touched bucket-set
-    /// hash once per batch. Results come back in input order; a clean
-    /// miss is `None`. An integrity violation in any shard fails the
-    /// whole call.
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.multi_get_t(DEFAULT_TENANT, keys)
-    }
-
-    /// Tenant-scoped [`ShieldStore::multi_get`].
-    pub fn multi_get_t(&self, tenant: TenantId, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        let state = self.registry.state(tenant);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            groups[self.shard_of(key)].push(i);
-        }
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        for (shard_idx, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let batch: Vec<&[u8]> = group.iter().map(|&i| keys[i]).collect();
-            let shard_results =
-                self.with_shard(shard_idx, |s| s.multi_get_t(tenant, &batch, Some(&state)))?;
-            for (&slot, value) in group.iter().zip(shard_results) {
-                results[slot] = value;
-            }
-        }
-        Ok(results)
-    }
-
-    /// Batched write across shards: groups `items` by owning shard and
-    /// takes each shard's lock once per batch. Within a shard, set-hash
-    /// recomputations are amortized to one per touched bucket set.
-    /// Grouping preserves input order per shard, so duplicate keys keep
-    /// last-write-wins semantics.
-    pub fn multi_set(&self, items: &[(&[u8], &[u8])]) -> Result<()> {
-        self.multi_set_t(DEFAULT_TENANT, items, 0)
-    }
-
-    /// Tenant-scoped [`ShieldStore::multi_set`]; all items share
-    /// `expires_at` (`0` = no expiry).
-    pub fn multi_set_t(
-        &self,
-        tenant: TenantId,
-        items: &[(&[u8], &[u8])],
-        expires_at: u64,
-    ) -> Result<()> {
-        let state = self.registry.state(tenant);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (key, _)) in items.iter().enumerate() {
-            groups[self.shard_of(key)].push(i);
-        }
-        for (shard_idx, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let batch: Vec<(&[u8], &[u8])> = group.iter().map(|&i| items[i]).collect();
-            self.with_shard(shard_idx, |s| -> Result<()> {
-                s.multi_set_t(tenant, &batch, expires_at, Some(&state))?;
-                match self.wal.get() {
-                    Some(wal) => wal.log(batch.iter().map(|&(k, v)| WalOp::Set {
-                        tenant,
-                        key: k.to_vec(),
-                        value: v.to_vec(),
-                        expires_at,
-                    })),
-                    None => Ok(()),
-                }
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Ordered range scan over `[start, end)`, merged across shards:
-    /// up to `limit` key-value pairs in key order. Requires
-    /// [`Config::ordered_index`] (the paper's future-work extension; see
-    /// [`crate::ordered`] for the EPC trade-off).
-    pub fn scan_range(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_range_t(DEFAULT_TENANT, start, end, limit)
-    }
-
-    /// Tenant-scoped [`ShieldStore::scan_range`] — the scan window is
-    /// confined to `tenant`'s namespace by construction.
-    pub fn scan_range_t(
-        &self,
-        tenant: TenantId,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut all = Vec::new();
-        // Exclusive upper bound, narrowed once `limit` items are in hand:
-        // a key at or past the current limit-th smallest can never make
-        // the final cut, so later shards skip fetching (and verifying,
-        // decrypting) everything beyond it instead of materializing their
-        // full result.
-        let mut bound: Option<Vec<u8>> = None;
-        for shard in self.shards() {
-            let hi = bound.as_deref().unwrap_or(end);
-            all.extend(shard.lock().scan_range_t(tenant, start, hi, limit)?);
-            if limit > 0 && all.len() >= limit {
-                all.sort_by(|a, b| a.0.cmp(&b.0));
-                all.truncate(limit);
-                bound = Some(all[limit - 1].0.clone());
-            }
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all.truncate(limit);
-        Ok(all)
-    }
-
-    /// Ordered prefix scan, merged across shards with the same
-    /// shrinking-bound short-circuit as [`ShieldStore::scan_range`].
-    pub fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_prefix_t(DEFAULT_TENANT, prefix, limit)
-    }
-
-    /// Tenant-scoped [`ShieldStore::scan_prefix`].
-    pub fn scan_prefix_t(
-        &self,
-        tenant: TenantId,
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut all = Vec::new();
-        let mut bound: Option<Vec<u8>> = None;
-        for shard in self.shards() {
-            let mut shard = shard.lock();
-            let chunk = match bound.as_deref() {
-                // Every prefixed key below `b` lies in `[prefix, b)`, and
-                // conversely everything in that range shares the prefix:
-                // `b` itself starts with it, so a key with a mismatching
-                // byte would sort at or past `b`. A range scan with the
-                // narrowed end is therefore an exact substitute.
-                Some(b) => shard.scan_range_t(tenant, prefix, b, limit)?,
-                None => shard.scan_prefix_t(tenant, prefix, limit)?,
-            };
-            all.extend(chunk);
-            if limit > 0 && all.len() >= limit {
-                all.sort_by(|a, b| a.0.cmp(&b.0));
-                all.truncate(limit);
-                bound = Some(all[limit - 1].0.clone());
-            }
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all.truncate(limit);
-        Ok(all)
     }
 
     /// Approximate enclave bytes held by the ordered index across shards.
@@ -756,6 +661,20 @@ impl ShieldStore {
 
     pub(crate) fn shards(&self) -> &[Mutex<Shard>] {
         &self.shards
+    }
+}
+
+/// `scan` with its window cut off at `bound`. Every prefixed key below
+/// `bound` lies in `[prefix, bound)`, and conversely everything in that
+/// range shares the prefix: `bound` itself starts with it, so a key with
+/// a mismatching byte would sort at or past `bound`. A range scan with
+/// the narrowed end is therefore an exact substitute for a prefix scan.
+fn narrow_scan<'a>(scan: Op<'a>, bound: &'a [u8]) -> Op<'a> {
+    match scan {
+        Op::ScanRange { start, limit, .. } | Op::ScanPrefix { prefix: start, limit } => {
+            Op::ScanRange { start, end: bound, limit }
+        }
+        other => other,
     }
 }
 

@@ -1,0 +1,193 @@
+//! The accounting rule of `Shard::execute`, checked over every `Op`
+//! variant, admitted and guard-rejected alike.
+//!
+//! The rule: an op counts once in its op class — at shard level and, for
+//! the classes a tenant tracks, at tenant level — *before* anything can
+//! refuse it, and records one latency sample where its class has a
+//! histogram. A quarantine rejection therefore moves exactly the same
+//! class counters as a served op (plus `quarantine_rejections`), which is
+//! what keeps `StatsSnapshot::check_consistent` true under attack.
+
+use sgx_sim::enclave::EnclaveBuilder;
+use shieldstore::{Config, Error, Op, ShieldStore};
+use std::sync::atomic::Ordering::SeqCst;
+
+const TENANT: u32 = 7;
+
+/// Every counter the rule talks about: shard op classes, class
+/// histograms, the tenant's mirror of `gets`/`sets`, and rejections.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    gets: u64,
+    sets: u64,
+    deletes: u64,
+    appends: u64,
+    increments: u64,
+    batches: u64,
+    batch_ops: u64,
+    hist_get: u64,
+    hist_set: u64,
+    hist_delete: u64,
+    hist_batch: u64,
+    tenant_gets: u64,
+    tenant_sets: u64,
+    rejections: u64,
+}
+
+impl Counts {
+    fn read(store: &ShieldStore) -> Counts {
+        let usage = &store.tenants().state(TENANT).usage;
+        store.with_shard(0, |shard| {
+            let (s, h) = (shard.stats(), shard.hists());
+            Counts {
+                gets: s.gets,
+                sets: s.sets,
+                deletes: s.deletes,
+                appends: s.appends,
+                increments: s.increments,
+                batches: s.batches,
+                batch_ops: s.batch_ops,
+                hist_get: h.get.count(),
+                hist_set: h.set.count(),
+                hist_delete: h.delete.count(),
+                hist_batch: h.batch.count(),
+                tenant_gets: usage.gets.load(SeqCst),
+                tenant_sets: usage.sets.load(SeqCst),
+                rejections: s.quarantine_rejections,
+            }
+        })
+    }
+
+    fn minus(self, earlier: Counts) -> Counts {
+        Counts {
+            gets: self.gets - earlier.gets,
+            sets: self.sets - earlier.sets,
+            deletes: self.deletes - earlier.deletes,
+            appends: self.appends - earlier.appends,
+            increments: self.increments - earlier.increments,
+            batches: self.batches - earlier.batches,
+            batch_ops: self.batch_ops - earlier.batch_ops,
+            hist_get: self.hist_get - earlier.hist_get,
+            hist_set: self.hist_set - earlier.hist_set,
+            hist_delete: self.hist_delete - earlier.hist_delete,
+            hist_batch: self.hist_batch - earlier.hist_batch,
+            tenant_gets: self.tenant_gets - earlier.tenant_gets,
+            tenant_sets: self.tenant_sets - earlier.tenant_sets,
+            rejections: self.rejections - earlier.rejections,
+        }
+    }
+}
+
+/// The rule itself, as a table: what one `op` must add, served or not.
+fn class_counts(op: &Op<'_>) -> Counts {
+    let zero = Counts::default();
+    match *op {
+        Op::Get(_) | Op::Exists(_) => Counts { gets: 1, hist_get: 1, tenant_gets: 1, ..zero },
+        Op::Set { .. } => Counts { sets: 1, hist_set: 1, tenant_sets: 1, ..zero },
+        Op::Delete(_) => Counts { deletes: 1, hist_delete: 1, ..zero },
+        Op::Append { .. } => Counts { appends: 1, ..zero },
+        Op::Increment { .. } => Counts { increments: 1, ..zero },
+        Op::MultiGet(keys) => {
+            let n = keys.len() as u64;
+            Counts { batches: 1, batch_ops: n, gets: n, hist_batch: 1, tenant_gets: n, ..zero }
+        }
+        Op::MultiSet { items, .. } => {
+            let n = items.len() as u64;
+            Counts { batches: 1, batch_ops: n, sets: n, hist_batch: 1, tenant_sets: n, ..zero }
+        }
+        Op::ScanRange { .. } | Op::ScanPrefix { .. } => zero,
+    }
+}
+
+/// One of each `Op` variant aimed at `key` (batches carry `key` plus a
+/// second entry, so a single quarantined key rejects them).
+fn every_op<'a>(
+    key: &'a [u8],
+    keys: &'a [&'a [u8]],
+    items: &'a [(&'a [u8], &'a [u8])],
+) -> Vec<Op<'a>> {
+    vec![
+        Op::Get(key),
+        Op::Exists(key),
+        Op::set(key, b"value"),
+        Op::Set { key, value: b"leased", expires_at: u64::MAX },
+        Op::Delete(key),
+        Op::Append { key, suffix: b"+" },
+        Op::Increment { key: b"counter", delta: 1 },
+        Op::Increment { key, delta: 1 },
+        Op::MultiGet(keys),
+        Op::MultiSet { items, expires_at: 0 },
+        Op::ScanRange { start: b"a", end: b"z", limit: 8 },
+        Op::ScanPrefix { prefix: b"q", limit: 8 },
+    ]
+}
+
+#[test]
+fn every_op_counts_once_in_its_class_served_or_rejected() {
+    let enclave = EnclaveBuilder::new("op-accounting").epc_bytes(8 << 20).build();
+    let store = ShieldStore::new(
+        enclave,
+        Config { ordered_index: true, ..Config::shield_opt() }
+            .buckets(256)
+            .mac_hashes(64)
+            .with_shards(1)
+            .with_quarantine(),
+    )
+    .unwrap();
+    let state = store.tenants().state(TENANT);
+    let run = |op: Op<'_>| store.with_shard(0, |shard| shard.execute(TENANT, Some(&state), op));
+
+    let names: Vec<Vec<u8>> = (0..64).map(|i| format!("q{i:02}").into_bytes()).collect();
+    for name in &names {
+        run(Op::set(name, b"value")).unwrap();
+    }
+
+    // Served: every variant on a healthy store moves exactly its class.
+    let key = names[0].as_slice();
+    let keys = [key, names[1].as_slice()];
+    let items = [(key, b"v".as_slice()), (names[1].as_slice(), b"w".as_slice())];
+    for op in every_op(key, &keys, &items) {
+        let before = Counts::read(&store);
+        let _ = run(op); // a non-numeric increment fails; it still counts
+        let moved = Counts::read(&store).minus(before);
+        assert_eq!(moved, class_counts(&op), "served {op:?}");
+    }
+
+    // Poison one bucket set and let a read sweep find it.
+    assert!(store.tamper_any_entry_byte(7));
+    for name in &names {
+        let _ = run(Op::Get(name));
+    }
+    let report = store.quarantine_report();
+    assert_eq!(report.quarantined_sets(), 1, "one set is quarantined: {report:?}");
+    let poisoned = report.shards[0].quarantined_sets[0];
+    let victim = names
+        .iter()
+        .find(|name| store.key_partition(name).1 == poisoned)
+        .expect("some key maps to the quarantined set")
+        .as_slice();
+    let healthy = names
+        .iter()
+        .find(|name| store.key_partition(name).1 != poisoned)
+        .expect("some key maps elsewhere")
+        .as_slice();
+
+    // Rejected: the same class counters move, plus one rejection. Scans
+    // are refused while any set of the shard is quarantined.
+    let keys = [healthy, victim];
+    let items = [(healthy, b"v".as_slice()), (victim, b"w".as_slice())];
+    for op in every_op(victim, &keys, &items) {
+        if op.routing_key() == Some(b"counter".as_slice()) {
+            continue; // aimed at a fixed key, not at the victim
+        }
+        let before = Counts::read(&store);
+        let result = run(op);
+        assert!(matches!(result, Err(Error::Quarantined { .. })), "{op:?} answered {result:?}");
+        let moved = Counts::read(&store).minus(before);
+        assert_eq!(moved, Counts { rejections: 1, ..class_counts(&op) }, "rejected {op:?}");
+    }
+
+    // The other partitions keep serving, and the books still balance.
+    assert_eq!(run(Op::Get(healthy)).unwrap().value().as_deref(), Some(b"v".as_slice()));
+    store.snapshot().check_consistent().expect("identities hold under attack");
+}

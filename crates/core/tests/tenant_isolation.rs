@@ -24,7 +24,7 @@ use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
 use shieldstore::entry;
 use shieldstore::testing::{EntryField, TamperOp};
-use shieldstore::{Config, Error, ShieldStore};
+use shieldstore::{Config, Error, Op, Reply, ShieldStore};
 use std::collections::HashMap;
 
 fn store() -> ShieldStore {
@@ -81,29 +81,29 @@ proptest! {
         for step in &steps {
             match step {
                 Step::Set { tenant, key, val } => {
-                    s.set_t(*tenant, &key_name(*key), val).unwrap();
+                    s.execute(*tenant, Op::set(&key_name(*key), val)).unwrap();
                     shadows.entry(*tenant).or_default().insert(*key, val.clone());
                 }
                 Step::Get { tenant, key } => {
                     let want = shadows.get(tenant).and_then(|m| m.get(key));
-                    match s.get_t(*tenant, &key_name(*key)) {
-                        Ok(v) => prop_assert_eq!(Some(&v), want),
-                        Err(Error::KeyNotFound) => prop_assert!(want.is_none()),
+                    match s.execute(*tenant, Op::Get(&key_name(*key))).map(Reply::value) {
+                        Ok(Some(v)) => prop_assert_eq!(Some(&v), want),
+                        Ok(None) => prop_assert!(want.is_none()),
                         Err(e) => return Err(TestCaseError::fail(format!("get: {e}"))),
                     }
                 }
                 Step::Delete { tenant, key } => {
                     let existed =
                         shadows.get_mut(tenant).and_then(|m| m.remove(key)).is_some();
-                    match s.delete_t(*tenant, &key_name(*key)) {
-                        Ok(()) => prop_assert!(existed),
-                        Err(Error::KeyNotFound) => prop_assert!(!existed),
+                    match s.execute(*tenant, Op::Delete(&key_name(*key))).map(Reply::deleted) {
+                        Ok(true) => prop_assert!(existed),
+                        Ok(false) => prop_assert!(!existed),
                         Err(e) => return Err(TestCaseError::fail(format!("delete: {e}"))),
                     }
                 }
                 Step::Append { tenant, key, suffix } => {
                     let shadow = shadows.entry(*tenant).or_default();
-                    match s.append_t(*tenant, &key_name(*key), suffix) {
+                    match s.execute(*tenant, Op::Append { key: &key_name(*key), suffix }) {
                         Ok(_) => {
                             let v = shadow.entry(*key).or_default();
                             v.extend_from_slice(suffix);
@@ -121,9 +121,9 @@ proptest! {
         for tenant in 1..=3u32 {
             let shadow = shadows.get(&tenant).cloned().unwrap_or_default();
             for key in 0..6u8 {
-                match s.get_t(tenant, &key_name(key)) {
-                    Ok(v) => prop_assert_eq!(Some(&v), shadow.get(&key)),
-                    Err(Error::KeyNotFound) => prop_assert!(!shadow.contains_key(&key)),
+                match s.execute(tenant, Op::Get(&key_name(key))).map(Reply::value) {
+                    Ok(Some(v)) => prop_assert_eq!(Some(&v), shadow.get(&key)),
+                    Ok(None) => prop_assert!(!shadow.contains_key(&key)),
                     Err(e) => return Err(TestCaseError::fail(format!("final get: {e}"))),
                 }
             }
@@ -139,8 +139,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let s = store();
-        s.set_t(1, &key, b"tenant-a-value").unwrap();
-        s.set_t(2, &key, &val_b).unwrap();
+        s.execute(1, Op::set(&key, b"tenant-a-value")).unwrap();
+        s.execute(2, Op::set(&key, &val_b)).unwrap();
 
         // The attacker: tenant A's full derived key pair and raw
         // read/write access to every entry's bytes in untrusted memory.
@@ -187,8 +187,8 @@ proptest! {
         // B's reads reject the forgery outright (fail closed) — and
         // mix in an unrelated seed-derived read to vary timing.
         let _ = seed;
-        match s.get_t(2, &key) {
-            Ok(v) => prop_assert_eq!(v, val_b.clone(),
+        match s.execute(2, Op::Get(&key)).map(Reply::value) {
+            Ok(v) => prop_assert_eq!(v, Some(val_b.clone()),
                 "forged entry must never be served as tenant-B data"),
             Err(Error::IntegrityViolation { .. }) => {}
             Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
@@ -196,11 +196,14 @@ proptest! {
         // A integrity failure above must have been the outcome, since
         // the forged MAC cannot verify under B's derived key.
         prop_assert!(
-            s.get_t(2, &key).is_err(),
+            s.execute(2, Op::Get(&key)).is_err(),
             "tenant-B read of a forged entry must fail closed"
         );
         // Tenant A's namespace is untouched by the whole exercise.
-        prop_assert_eq!(s.get_t(1, &key).unwrap(), b"tenant-a-value".to_vec());
+        prop_assert_eq!(
+            s.execute(1, Op::Get(&key)).unwrap().value(),
+            Some(b"tenant-a-value".to_vec())
+        );
     }
 
     /// Re-stitching a ciphertext into another namespace by flipping the
@@ -214,16 +217,16 @@ proptest! {
     ) {
         prop_assume!(val_a != val_b);
         let s = store();
-        s.set_t(1, b"the-key", &val_a).unwrap();
-        s.set_t(2, b"the-key", &val_b).unwrap();
+        s.execute(1, Op::set(b"the-key", &val_a)).unwrap();
+        s.execute(2, Op::set(b"the-key", &val_b)).unwrap();
         prop_assert!(s.tamper(TamperOp::Field(EntryField::Tenant), seed));
 
         for (tenant, own) in [(1u32, &val_a), (2u32, &val_b)] {
-            match s.get_t(tenant, b"the-key") {
+            match s.execute(tenant, Op::Get(b"the-key")).map(Reply::value) {
                 // Untampered entry: the value must be the tenant's own.
-                Ok(v) => prop_assert_eq!(&v, own),
+                Ok(Some(v)) => prop_assert_eq!(&v, own),
                 // Tampered entry: detected, never misattributed.
-                Err(Error::IntegrityViolation { .. }) | Err(Error::KeyNotFound) => {}
+                Err(Error::IntegrityViolation { .. }) | Ok(None) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
             }
         }

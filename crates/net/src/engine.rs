@@ -44,7 +44,7 @@
 use crate::machine::{CloseReason, ConnMachine};
 use crate::poller::{Interest, Poller, WakeHandle, Waker};
 use crate::protocol::{OpCode, Request, Response};
-use crate::server::{execute_with, CrossingMode, NetState, ServerConfig};
+use crate::server::{execute_with, with_op, CrossingMode, NetState, ServerConfig};
 use crate::session::{self, SessionCrypto};
 use crate::Result;
 use parking_lot::Mutex;
@@ -604,19 +604,12 @@ impl EventLoop {
     /// The event loop that owns `request`'s shard, or `None` for
     /// multi-shard / shardless requests (executed on the decoding loop).
     fn route_for(&self, request: &Request) -> Option<usize> {
-        match request.op {
-            OpCode::Get
-            | OpCode::Set
-            | OpCode::SetTtl
-            | OpCode::Delete
-            | OpCode::Append
-            | OpCode::Increment => self
-                .shared
-                .store
-                .shard_hint(&request.key)
-                .map(|shard| self.shared.route[shard & (self.shared.route.len() - 1)] as usize),
-            _ => None,
-        }
+        let shared = &self.shared;
+        let shard =
+            with_op(request, |op| op.routing_key().and_then(|k| shared.store.shard_hint(k)));
+        // A malformed request routes nowhere: the decoding loop answers
+        // its `Error`.
+        shard.ok().flatten().map(|shard| shared.route[shard & (shared.route.len() - 1)] as usize)
     }
 
     /// Charges the crossing, checks the execution deadline, runs the

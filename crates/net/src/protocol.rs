@@ -480,6 +480,12 @@ pub fn encode_multi_get(keys: &[Vec<u8>]) -> Vec<u8> {
 
 /// Decodes a payload produced by [`encode_multi_get`].
 pub fn decode_multi_get(bytes: &[u8]) -> Result<Vec<Vec<u8>>> {
+    Ok(multi_get_keys(bytes)?.into_iter().map(<[u8]>::to_vec).collect())
+}
+
+/// [`decode_multi_get`] without copying: the keys borrow from `bytes`,
+/// which is how the server hands a batch to the store.
+pub fn multi_get_keys(bytes: &[u8]) -> Result<Vec<&[u8]>> {
     let (count, mut rest) = read_batch_count(bytes, 4)?;
     let mut keys = Vec::with_capacity(count);
     for _ in 0..count {
@@ -490,7 +496,7 @@ pub fn decode_multi_get(bytes: &[u8]) -> Result<Vec<Vec<u8>>> {
         if rest.len() < 4 + klen {
             return Err(NetError::Protocol("truncated multi-get key".into()));
         }
-        keys.push(rest[4..4 + klen].to_vec());
+        keys.push(&rest[4..4 + klen]);
         rest = &rest[4 + klen..];
     }
     if !rest.is_empty() {
@@ -581,6 +587,11 @@ pub fn encode_multi_set(items: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
 
 /// Decodes a payload produced by [`encode_multi_set`].
 pub fn decode_multi_set(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    Ok(multi_set_items(bytes)?.into_iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect())
+}
+
+/// [`decode_multi_set`] without copying: the items borrow from `bytes`.
+pub fn multi_set_items(bytes: &[u8]) -> Result<Vec<(&[u8], &[u8])>> {
     let (count, mut rest) = read_batch_count(bytes, 8)?;
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
@@ -596,7 +607,7 @@ pub fn decode_multi_set(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         if rest.len() < need {
             return Err(NetError::Protocol("truncated multi-set item body".into()));
         }
-        items.push((rest[8..8 + klen].to_vec(), rest[8 + klen..need].to_vec()));
+        items.push((&rest[8..8 + klen], &rest[8 + klen..need]));
         rest = &rest[need..];
     }
     if !rest.is_empty() {

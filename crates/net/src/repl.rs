@@ -32,7 +32,7 @@ use crate::server::{Server, ServerConfig};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, OpError, OpResult};
+use shield_baseline::{KvBackend, Op, OpError, OpResult, Reply};
 use shieldstore::{Replica, ShieldStore, Watermark};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -150,11 +150,18 @@ impl KvBackend for ReplicaBackend {
     }
 
     fn set(&self, key: &[u8], value: &[u8]) -> bool {
-        self.writable().is_ok() && KvBackend::set(&*self.store, key, value)
+        self.execute(0, Op::set(key, value)).is_ok()
     }
 
     fn delete(&self, key: &[u8]) -> bool {
-        self.writable().is_ok() && KvBackend::delete(&*self.store, key)
+        self.execute(0, Op::Delete(key)) == Ok(Reply::Deleted(true))
+    }
+
+    fn execute(&self, tenant: u32, op: Op<'_>) -> OpResult<Reply> {
+        if op.is_write() {
+            self.writable()?;
+        }
+        KvBackend::execute(&*self.store, tenant, op)
     }
 
     fn len(&self) -> usize {
@@ -186,10 +193,6 @@ impl KvBackend for ReplicaBackend {
             };
         }
         Some(snap)
-    }
-
-    fn flush(&self) -> bool {
-        KvBackend::flush(&*self.store)
     }
 
     fn flush_durable(&self) -> OpResult<Option<(u64, u64)>> {
@@ -246,48 +249,6 @@ impl KvBackend for ReplicaBackend {
         }
     }
 
-    fn try_get_t(&self, tenant: u32, key: &[u8]) -> OpResult<Option<Vec<u8>>> {
-        self.store.try_get_t(tenant, key)
-    }
-
-    fn try_set_t(&self, tenant: u32, key: &[u8], value: &[u8], ttl_ns: u64) -> OpResult<()> {
-        self.writable()?;
-        self.store.try_set_t(tenant, key, value, ttl_ns)
-    }
-
-    fn try_delete_t(&self, tenant: u32, key: &[u8]) -> OpResult<bool> {
-        self.writable()?;
-        self.store.try_delete_t(tenant, key)
-    }
-
-    fn try_append_t(&self, tenant: u32, key: &[u8], suffix: &[u8]) -> OpResult<()> {
-        self.writable()?;
-        self.store.try_append_t(tenant, key, suffix)
-    }
-
-    fn try_increment_t(&self, tenant: u32, key: &[u8], delta: i64) -> OpResult<i64> {
-        self.writable()?;
-        self.store.try_increment_t(tenant, key, delta)
-    }
-
-    fn try_multi_get_t(&self, tenant: u32, keys: &[Vec<u8>]) -> OpResult<Vec<Option<Vec<u8>>>> {
-        self.store.try_multi_get_t(tenant, keys)
-    }
-
-    fn try_multi_set_t(&self, tenant: u32, items: &[(Vec<u8>, Vec<u8>)]) -> OpResult<()> {
-        self.writable()?;
-        self.store.try_multi_set_t(tenant, items)
-    }
-
-    fn try_scan_prefix_t(
-        &self,
-        tenant: u32,
-        prefix: &[u8],
-        limit: usize,
-    ) -> OpResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.store.try_scan_prefix_t(tenant, prefix, limit)
-    }
-
     fn tenant_weight(&self, tenant: u32) -> u32 {
         self.store.tenant_weight(tenant)
     }
@@ -326,7 +287,7 @@ impl ReplicaHandle {
 /// streaming the primary's sealed log.
 pub struct ReplicaNode {
     server: Server,
-    shared: Arc<ReplShared>,
+    backend: Arc<ReplicaBackend>,
     subscriber: u64,
     puller: Option<std::thread::JoinHandle<()>>,
 }
@@ -381,7 +342,7 @@ impl ReplicaNode {
             primary_wal_dir: config.primary_wal_dir.clone(),
             wal_dir: config.wal_dir.clone(),
         });
-        let server = Server::start(backend, Some(enclave), server_config)?;
+        let server = Server::start(Arc::clone(&backend) as _, Some(enclave), server_config)?;
         let puller = {
             let shared = Arc::clone(&shared);
             let verifier = verifier.clone();
@@ -392,12 +353,19 @@ impl ReplicaNode {
                 })
                 .expect("spawn repl puller")
         };
-        Ok(ReplicaNode { server, shared, subscriber, puller: Some(puller) })
+        Ok(ReplicaNode { server, backend, subscriber, puller: Some(puller) })
     }
 
     /// The replica server's client-facing address.
     pub fn addr(&self) -> SocketAddr {
         self.server.addr()
+    }
+
+    /// The backend the replica server executes against, for in-process
+    /// callers: reads serve, writes answer [`OpError::ReadOnly`] until
+    /// [`promote`](KvBackend::promote).
+    pub fn backend(&self) -> Arc<dyn KvBackend> {
+        Arc::clone(&self.backend) as _
     }
 
     /// The subscriber id the primary knows this replica by.
@@ -407,7 +375,7 @@ impl ReplicaNode {
 
     /// An observer handle (cheap to clone, survives shutdown).
     pub fn handle(&self) -> ReplicaHandle {
-        ReplicaHandle { shared: Arc::clone(&self.shared) }
+        ReplicaHandle { shared: Arc::clone(&self.backend.shared) }
     }
 
     /// Stops the puller and shuts the server down gracefully.
@@ -416,7 +384,7 @@ impl ReplicaNode {
     }
 
     fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.backend.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.puller.take() {
             let _ = h.join();
         }

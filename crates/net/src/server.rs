@@ -36,10 +36,10 @@
 //! quarantined-partition answers.
 
 use crate::admission::FairAdmission;
-use crate::protocol::{OpCode, Request, Response};
-use crate::{engine, Result};
+use crate::protocol::{self, OpCode, Request, Response};
+use crate::{engine, NetError, Result};
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, OpError};
+use shield_baseline::{KvBackend, Op, OpError, Reply};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -304,7 +304,7 @@ pub fn execute(store: &dyn KvBackend, request: &Request) -> Response {
     execute_with(store, request, 0, None)
 }
 
-/// Maps a `try_*` failure to its wire status.
+/// Maps a backend failure to its wire status.
 fn fail_status(e: OpError) -> Response {
     match e {
         OpError::Quarantined => Response::quarantined(),
@@ -312,6 +312,72 @@ fn fail_status(e: OpError) -> Response {
         OpError::ReadOnly => Response::read_only(),
         OpError::StorageFailed => Response::storage_failed(),
         OpError::Failed => Response::error(),
+    }
+}
+
+/// The one `Request → Op` decode: validates `request`'s payload for its
+/// opcode and hands the borrowed [`Op`] to `run` (a continuation, so a
+/// batch's key table can live on this frame while the op borrows it).
+/// `Err` means the request is malformed or is not a key-value operation;
+/// either way the store never sees it.
+pub(crate) fn with_op<R>(request: &Request, run: impl FnOnce(Op<'_>) -> R) -> Result<R> {
+    let (key, value) = (request.key.as_slice(), request.value.as_slice());
+    let op = match request.op {
+        OpCode::Get => Op::Get(key),
+        OpCode::Set => Op::set(key, value),
+        // The wire carries a relative, nonzero TTL (the decoder rejects
+        // zero: that is a plain `Set`); the store wants an absolute
+        // deadline, where zero means "no expiry".
+        OpCode::SetTtl => {
+            let (ttl_ns, value) = protocol::decode_set_ttl(value)?;
+            Op::Set { key, value, expires_at: shieldstore::ttl::deadline_after(ttl_ns) }
+        }
+        OpCode::Delete => Op::Delete(key),
+        OpCode::Append => Op::Append { key, suffix: value },
+        OpCode::Increment => {
+            let delta = value
+                .try_into()
+                .map_err(|_| NetError::Protocol("increment delta must be 8 bytes".into()))?;
+            Op::Increment { key, delta: i64::from_le_bytes(delta) }
+        }
+        // A whole batch is one op: one crossing charge and one shard-lock
+        // acquisition per touched shard, however many keys ride in the
+        // frame.
+        OpCode::MultiGet => return Ok(run(Op::MultiGet(&protocol::multi_get_keys(value)?))),
+        OpCode::MultiSet => {
+            let items = protocol::multi_set_items(value)?;
+            return Ok(run(Op::MultiSet { items: &items, expires_at: 0 }));
+        }
+        // The limit rides in a versioned payload; the legacy bare 4-byte
+        // form is rejected by the decoder.
+        OpCode::ScanPrefix => {
+            Op::ScanPrefix { prefix: key, limit: protocol::decode_scan_limit(value)? as usize }
+        }
+        OpCode::Ping
+        | OpCode::Stats
+        | OpCode::Flush
+        | OpCode::ReplSubscribe
+        | OpCode::ReplSegment
+        | OpCode::ReplAck
+        | OpCode::Promote => {
+            return Err(NetError::Protocol(format!("{:?} is not a key-value op", request.op)))
+        }
+    };
+    Ok(run(op))
+}
+
+/// The one `Reply → Response` encode. A miss answers `NotFound`; a reply
+/// whose content the client already knows answers an empty `Ok`.
+fn respond(reply: Reply) -> Response {
+    match reply {
+        Reply::Value(Some(value)) => Response::ok(value),
+        Reply::Value(None) | Reply::Deleted(false) | Reply::Exists(false) => Response::not_found(),
+        Reply::Stored | Reply::Deleted(true) | Reply::Exists(true) | Reply::Appended(_) => {
+            Response::ok_empty()
+        }
+        Reply::Counter(next) => Response::ok(next.to_le_bytes().to_vec()),
+        Reply::Values(results) => Response::ok(protocol::encode_multi_get_response(&results)),
+        Reply::Entries(entries) => Response::ok(protocol::encode_scan(&entries)),
     }
 }
 
@@ -324,157 +390,63 @@ pub(crate) fn execute_with(
     tenant: u32,
     net: Option<&NetState>,
 ) -> Response {
+    let bare = request.key.is_empty() && request.value.is_empty();
     match request.op {
-        OpCode::Get => match store.try_get_t(tenant, &request.key) {
-            Ok(Some(v)) => Response::ok(v),
-            Ok(None) => Response::not_found(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::Set => match store.try_set_t(tenant, &request.key, &request.value, 0) {
-            Ok(()) => Response::ok_empty(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::SetTtl => {
-            let Ok((ttl_ns, value)) = crate::protocol::decode_set_ttl(&request.value) else {
-                return Response::error();
-            };
-            match store.try_set_t(tenant, &request.key, value, ttl_ns) {
-                Ok(()) => Response::ok_empty(),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::Delete => match store.try_delete_t(tenant, &request.key) {
-            Ok(true) => Response::ok_empty(),
-            Ok(false) => Response::not_found(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::Append => match store.try_append_t(tenant, &request.key, &request.value) {
-            Ok(()) => Response::ok_empty(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::Increment => {
-            let delta = if request.value.len() == 8 {
-                i64::from_le_bytes(request.value[..].try_into().expect("8 bytes"))
-            } else {
-                return Response::error();
-            };
-            match store.try_increment_t(tenant, &request.key, delta) {
-                Ok(next) => Response::ok(next.to_le_bytes().to_vec()),
-                Err(e) => fail_status(e),
-            }
-        }
         OpCode::Ping => Response::ok_empty(),
-        OpCode::MultiGet => {
-            let Ok(keys) = crate::protocol::decode_multi_get(&request.value) else {
-                return Response::error();
-            };
-            // The whole batch runs as one work item: one crossing charge
-            // and one shard-lock acquisition per touched shard, however
-            // many keys ride in the frame.
-            match store.try_multi_get_t(tenant, &keys) {
-                Ok(results) => Response::ok(crate::protocol::encode_multi_get_response(&results)),
-                // Batch-level failure (integrity violation, quarantined
-                // partition): fail the whole frame closed rather than
-                // fabricate misses.
-                Err(e) => fail_status(e),
-            }
+        OpCode::Stats | OpCode::Flush | OpCode::ReplSubscribe | OpCode::Promote if !bare => {
+            Response::error()
         }
-        OpCode::MultiSet => {
-            let Ok(items) = crate::protocol::decode_multi_set(&request.value) else {
-                return Response::error();
-            };
-            match store.try_multi_set_t(tenant, &items) {
-                Ok(()) => Response::ok_empty(),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::ScanPrefix => {
-            // The limit rides in a versioned payload; the legacy bare
-            // 4-byte form is rejected by the decoder.
-            let Ok(limit) = crate::protocol::decode_scan_limit(&request.value) else {
-                return Response::error();
-            };
-            match store.try_scan_prefix_t(tenant, &request.key, limit as usize) {
-                Ok(entries) => Response::ok(crate::protocol::encode_scan(&entries)),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::Stats => {
-            if !request.key.is_empty() || !request.value.is_empty() {
-                return Response::error();
-            }
-            match store.stats_snapshot() {
-                Some(mut snap) => {
-                    if let Some(state) = net {
-                        let net = &state.gauges;
-                        snap.shed_requests = net.shed_requests.load(Ordering::Relaxed);
-                        snap.refused_connections = net.refused_connections.load(Ordering::Relaxed);
-                        snap.cross_loop_handoffs = net.cross_loop_handoffs.load(Ordering::Relaxed);
-                        snap.event_loops = net.event_loops.load(Ordering::Relaxed);
-                        snap.pending_frames = net.pending_frames.load(Ordering::Relaxed);
-                        // Per-tenant sheds live in the admission gate
-                        // (the store cannot see them).
-                        for row in snap.tenants.iter_mut().take(snap.tenant_count as usize) {
-                            row.shed = state.admission.shed_for(row.tenant);
-                        }
+        OpCode::Stats => match store.stats_snapshot() {
+            Some(mut snap) => {
+                if let Some(state) = net {
+                    let net = &state.gauges;
+                    snap.shed_requests = net.shed_requests.load(Ordering::Relaxed);
+                    snap.refused_connections = net.refused_connections.load(Ordering::Relaxed);
+                    snap.cross_loop_handoffs = net.cross_loop_handoffs.load(Ordering::Relaxed);
+                    snap.event_loops = net.event_loops.load(Ordering::Relaxed);
+                    snap.pending_frames = net.pending_frames.load(Ordering::Relaxed);
+                    // Per-tenant sheds live in the admission gate
+                    // (the store cannot see them).
+                    for row in snap.tenants.iter_mut().take(snap.tenant_count as usize) {
+                        row.shed = state.admission.shed_for(row.tenant);
                     }
-                    Response::ok(crate::protocol::encode_stats(&snap))
                 }
-                // Uninstrumented backend: no snapshot to report.
-                None => Response::error(),
+                Response::ok(protocol::encode_stats(&snap))
             }
-        }
-        OpCode::Flush => {
-            if !request.key.is_empty() || !request.value.is_empty() {
-                return Response::error();
+            // Uninstrumented backend: no snapshot to report.
+            None => Response::error(),
+        },
+        // A failed commit means the durability guarantee cannot be
+        // given: fail closed. Success carries the durable watermark
+        // (empty when the store has no WAL).
+        OpCode::Flush => store.flush_durable().map_or_else(fail_status, |durable| match durable {
+            Some((gen, seq)) => Response::ok(protocol::encode_watermark(gen, seq)),
+            None => Response::ok_empty(),
+        }),
+        OpCode::ReplSubscribe => store.repl_subscribe().map_or_else(fail_status, Response::ok),
+        OpCode::ReplSegment => match protocol::decode_repl_poll(&request.value) {
+            Ok((gen, after_seq, max_bytes)) => {
+                store.repl_batch(gen, after_seq, max_bytes).map_or_else(fail_status, Response::ok)
             }
-            // A failed commit means the durability guarantee cannot be
-            // given: fail closed. Success carries the durable watermark
-            // (empty when the store has no WAL).
-            match store.flush_durable() {
-                Ok(Some((gen, seq))) => Response::ok(crate::protocol::encode_watermark(gen, seq)),
-                Ok(None) => Response::ok_empty(),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::ReplSubscribe => {
-            if !request.key.is_empty() || !request.value.is_empty() {
-                return Response::error();
-            }
-            match store.repl_subscribe() {
-                Ok(hello) => Response::ok(hello),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::ReplSegment => {
-            let Ok((gen, after_seq, max_bytes)) = crate::protocol::decode_repl_poll(&request.value)
-            else {
-                return Response::error();
-            };
-            match store.repl_batch(gen, after_seq, max_bytes) {
-                Ok(batch) => Response::ok(batch),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::ReplAck => {
-            let Ok((subscriber, gen, seq)) = crate::protocol::decode_repl_ack(&request.value)
-            else {
-                return Response::error();
-            };
-            match store.repl_ack(subscriber, gen, seq) {
-                Ok(()) => Response::ok_empty(),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::Promote => {
-            if !request.key.is_empty() || !request.value.is_empty() {
-                return Response::error();
-            }
-            match store.promote() {
-                Ok((gen, seq)) => Response::ok(crate::protocol::encode_watermark(gen, seq)),
-                Err(e) => fail_status(e),
-            }
-        }
+            Err(_) => Response::error(),
+        },
+        OpCode::ReplAck => match protocol::decode_repl_ack(&request.value) {
+            Ok((subscriber, gen, seq)) => store
+                .repl_ack(subscriber, gen, seq)
+                .map_or_else(fail_status, |()| Response::ok_empty()),
+            Err(_) => Response::error(),
+        },
+        OpCode::Promote => store.promote().map_or_else(fail_status, |(gen, seq)| {
+            Response::ok(protocol::encode_watermark(gen, seq))
+        }),
+        // Everything else is a key-value op: decode, execute, encode.
+        // A batch-level failure (integrity violation, quarantined
+        // partition) fails the whole frame closed rather than fabricate
+        // misses.
+        _ => match with_op(request, |op| store.execute(tenant, op)) {
+            Ok(result) => result.map_or_else(fail_status, respond),
+            Err(_) => Response::error(),
+        },
     }
 }
 

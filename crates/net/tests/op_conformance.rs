@@ -1,0 +1,747 @@
+//! One op-conformance table, one model.
+//!
+//! A single script — every [`Op`] variant × {default tenant, two named
+//! tenants sharing key names} × {no TTL, TTL crossing expiry on the
+//! frozen [`ttl`] clock} — is driven through every entry point an
+//! operation can take:
+//!
+//! * `Shard::execute`
+//! * `ShieldStore::execute`
+//! * `KvBackend::execute` on `ShieldStore`, on a `ReplicaBackend`
+//!   (read-only, then promoted) and on `NaiveEnclaveStore` (the default
+//!   impl)
+//! * `server::execute` on the encoded `Request`, and the same frames
+//!   over live tenant-bound sessions
+//!
+//! and every `Reply`/`Response` is checked against one oracle, a
+//! `BTreeMap<(tenant, key), (value, deadline)>`. Where the entry point
+//! logs (everything above the shard), recovering the run's WAL must
+//! reproduce the oracle too.
+//!
+//! Folded into this table (every behaviour they checked is a row here):
+//! `shield_baseline::tests::shieldstore_satisfies_backend` and
+//! `shield_baseline::naive::tests::append_via_trait_default`.
+
+use sgx_sim::attest::AttestationVerifier;
+use sgx_sim::counter::PersistentCounter;
+use sgx_sim::enclave::{Enclave, EnclaveBuilder};
+use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, OpError, Reply};
+use shield_net::protocol::{self, OpCode, Request, Response, Status};
+use shield_net::repl::{ReplicaConfig, ReplicaNode};
+use shield_net::{CrossingMode, KvClient, Server, ServerConfig};
+use shieldstore::{ttl, Config, DurabilityPolicy, Error, ShieldStore, Watermark};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// The TTL clock is process-wide: tests that freeze it take turns.
+static CLOCK: Mutex<()> = Mutex::new(());
+
+const T0: u64 = 1_700_000_000_000_000_000;
+const LEASE_NS: u64 = 1_000_000;
+const TENANTS: [u32; 3] = [0, 7, 9];
+
+/// Why an entry point refused an op, at the granularity all of them
+/// can express.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    ReadOnly,
+    Failed,
+}
+
+type Outcome = Result<Reply, Refusal>;
+
+// ---------------------------------------------------------------------
+// The oracle
+// ---------------------------------------------------------------------
+
+/// What the store under test can do; the oracle refuses the rest.
+#[derive(Clone, Copy)]
+struct Caps {
+    /// Tenants are separate namespaces (else one flat table).
+    namespaces: bool,
+    /// Nonzero deadlines are honoured (else they fail closed).
+    expiry: bool,
+    /// Ordered scans are served (else they fail closed).
+    scans: bool,
+}
+
+const SHIELD: Caps = Caps { namespaces: true, expiry: true, scans: true };
+const FLAT: Caps = Caps { namespaces: false, expiry: false, scans: false };
+
+#[derive(Clone)]
+struct Oracle {
+    caps: Caps,
+    map: BTreeMap<(u32, Vec<u8>), (Vec<u8>, u64)>,
+}
+
+impl Oracle {
+    fn new(caps: Caps) -> Self {
+        Oracle { caps, map: BTreeMap::new() }
+    }
+
+    fn slot(&self, tenant: u32, key: &[u8]) -> (u32, Vec<u8>) {
+        (if self.caps.namespaces { tenant } else { 0 }, key.to_vec())
+    }
+
+    /// The value a read of `key` sees now: absent and expired look alike.
+    fn live(&self, tenant: u32, key: &[u8]) -> Option<Vec<u8>> {
+        let (value, deadline) = self.map.get(&self.slot(tenant, key))?;
+        (*deadline == 0 || ttl::now_ns() < *deadline).then(|| value.clone())
+    }
+
+    fn scan(&self, tenant: u32, limit: usize, wanted: impl Fn(&[u8]) -> bool) -> Outcome {
+        if !self.caps.scans {
+            return Err(Refusal::Failed);
+        }
+        let owner = self.slot(tenant, b"").0;
+        let entries = self
+            .map
+            .keys()
+            .filter(|(t, key)| *t == owner && wanted(key))
+            .filter_map(|(_, key)| Some((key.clone(), self.live(tenant, key)?)))
+            .take(limit)
+            .collect();
+        Ok(Reply::Entries(entries))
+    }
+
+    /// Applies `op` to the model and says what a correct store answers.
+    fn apply(&mut self, tenant: u32, op: Op<'_>) -> Outcome {
+        if op.expires_at() != 0 && !self.caps.expiry {
+            return Err(Refusal::Failed);
+        }
+        match op {
+            Op::Get(key) => Ok(Reply::Value(self.live(tenant, key))),
+            Op::Exists(key) => Ok(Reply::Exists(self.live(tenant, key).is_some())),
+            Op::Set { key, value, expires_at } => {
+                self.map.insert(self.slot(tenant, key), (value.to_vec(), expires_at));
+                Ok(Reply::Stored)
+            }
+            // An expired entry answers "not there" and is left for the
+            // sweep; it is invisible either way.
+            Op::Delete(key) => {
+                let present = self.live(tenant, key).is_some();
+                if present {
+                    self.map.remove(&self.slot(tenant, key));
+                }
+                Ok(Reply::Deleted(present))
+            }
+            Op::Append { key, suffix } => {
+                let mut value = self.live(tenant, key).unwrap_or_default();
+                value.extend_from_slice(suffix);
+                self.map.insert(self.slot(tenant, key), (value.clone(), 0));
+                Ok(Reply::Appended(value))
+            }
+            Op::Increment { key, delta } => {
+                let current = match self.live(tenant, key) {
+                    Some(v) => std::str::from_utf8(&v)
+                        .ok()
+                        .and_then(|text| text.trim().parse::<i64>().ok())
+                        .ok_or(Refusal::Failed)?,
+                    None => 0,
+                };
+                let next = current.checked_add(delta).ok_or(Refusal::Failed)?;
+                self.map.insert(self.slot(tenant, key), (next.to_string().into_bytes(), 0));
+                Ok(Reply::Counter(next))
+            }
+            Op::MultiGet(keys) => {
+                Ok(Reply::Values(keys.iter().map(|key| self.live(tenant, key)).collect()))
+            }
+            Op::MultiSet { items, expires_at } => {
+                for (key, value) in items {
+                    self.map.insert(self.slot(tenant, key), (value.to_vec(), expires_at));
+                }
+                Ok(Reply::Stored)
+            }
+            Op::ScanRange { start, end, limit } => {
+                self.scan(tenant, limit, |key| start <= key && key < end)
+            }
+            Op::ScanPrefix { prefix, limit } => {
+                self.scan(tenant, limit, |key| key.starts_with(prefix))
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The script
+// ---------------------------------------------------------------------
+
+/// Runs `step(tenant, op)` for the whole table. Values carry the tenant
+/// id, so a namespace leak shows up as a wrong value, not just a hit.
+fn script(mut step: impl FnMut(u32, Op<'_>)) {
+    ttl::freeze(T0);
+    let lease = T0 + LEASE_NS;
+    for tenant in TENANTS {
+        let tag = |text: &str| format!("{text}@{tenant}").into_bytes();
+        let (v1, leased, batch_a, batch_b, batch_c) =
+            (tag("v1"), tag("leased"), tag("a"), tag("b"), tag("c"));
+        step(tenant, Op::Get(b"k1"));
+        step(tenant, Op::Exists(b"k1"));
+        step(tenant, Op::set(b"k1", &v1));
+        step(tenant, Op::Get(b"k1"));
+        step(tenant, Op::Exists(b"k1"));
+        step(tenant, Op::Set { key: b"lease", value: &leased, expires_at: lease });
+        step(tenant, Op::Get(b"lease"));
+        step(tenant, Op::Append { key: b"k1", suffix: b"+a" });
+        step(tenant, Op::Append { key: b"log", suffix: b"a" });
+        step(tenant, Op::Append { key: b"log", suffix: b"b" });
+        step(tenant, Op::Get(b"log"));
+        step(tenant, Op::Increment { key: b"n", delta: 41 });
+        step(tenant, Op::Increment { key: b"n", delta: 1 });
+        step(tenant, Op::Increment { key: b"n", delta: -50 });
+        step(tenant, Op::Increment { key: b"k1", delta: 1 }); // not numeric
+        step(tenant, Op::Set { key: b"nl", value: b"10", expires_at: lease });
+        step(tenant, Op::Increment { key: b"nl", delta: 5 }); // clears the lease
+        let items: [(&[u8], &[u8]); 3] = [(b"m1", &batch_a), (b"m2", &batch_b), (b"m1", &batch_c)];
+        step(tenant, Op::MultiSet { items: &items, expires_at: 0 });
+        let leased_items: [(&[u8], &[u8]); 2] = [(b"ml1", &batch_a), (b"ml2", &batch_b)];
+        step(tenant, Op::MultiSet { items: &leased_items, expires_at: lease });
+        let keys: [&[u8]; 6] = [b"m1", b"m2", b"absent", b"k1", b"ml1", b"m1"];
+        step(tenant, Op::MultiGet(&keys));
+        step(tenant, Op::MultiGet(&[]));
+        step(tenant, Op::ScanPrefix { prefix: b"m", limit: 10 });
+        step(tenant, Op::ScanPrefix { prefix: b"m", limit: 1 });
+        step(tenant, Op::ScanPrefix { prefix: b"zz", limit: 10 });
+        step(tenant, Op::ScanRange { start: b"m1", end: b"ml2", limit: 10 });
+        step(tenant, Op::ScanRange { start: b"a", end: b"zz", limit: 3 });
+        step(tenant, Op::Delete(b"m2"));
+        step(tenant, Op::Delete(b"m2"));
+        step(tenant, Op::Delete(b"absent"));
+        step(tenant, Op::Exists(b"m2"));
+    }
+    // Cross the deadline (it is inclusive): every lease is now dead.
+    ttl::advance(LEASE_NS);
+    for tenant in TENANTS {
+        let again = format!("again@{tenant}").into_bytes();
+        step(tenant, Op::Get(b"lease"));
+        step(tenant, Op::Exists(b"lease"));
+        step(tenant, Op::Get(b"nl")); // the increment made it immortal
+        let keys: [&[u8]; 3] = [b"ml1", b"m1", b"ml2"];
+        step(tenant, Op::MultiGet(&keys));
+        step(tenant, Op::ScanPrefix { prefix: b"m", limit: 10 });
+        step(tenant, Op::ScanRange { start: b"a", end: b"zz", limit: 10 });
+        step(tenant, Op::Delete(b"lease")); // expired reads as absent
+        step(tenant, Op::Append { key: b"ml1", suffix: b"fresh" }); // starts over
+        step(tenant, Op::Increment { key: b"ml2", delta: 3 }); // starts from 0
+        step(tenant, Op::set(b"lease", &again)); // a set revives
+        step(tenant, Op::Get(b"lease"));
+        step(tenant, Op::Set { key: b"k1", value: b"due", expires_at: T0 }); // already due
+        step(tenant, Op::Get(b"k1"));
+    }
+}
+
+/// Drives the script through `exec`, checking every answer against a
+/// fresh oracle, and returns the oracle's final state.
+fn run_script(layer: &str, caps: Caps, mut exec: impl FnMut(u32, Op<'_>) -> Outcome) -> Oracle {
+    let mut oracle = Oracle::new(caps);
+    let mut steps = 0;
+    script(|tenant, op| {
+        steps += 1;
+        let want = oracle.apply(tenant, op);
+        let got = exec(tenant, op);
+        assert_eq!(got, want, "{layer}: step {steps}, tenant {tenant}, {op:?}");
+    });
+    assert!(steps > 100, "the table ran");
+    oracle
+}
+
+/// Reads every slot the oracle knows (and one it does not) back through
+/// `exec`: the store and the model agree on what is visible now.
+fn assert_state(layer: &str, oracle: &Oracle, mut exec: impl FnMut(u32, Op<'_>) -> Outcome) {
+    for tenant in TENANTS {
+        for (_, key) in oracle.map.keys() {
+            let want = oracle.live(tenant, key);
+            assert_eq!(exec(tenant, Op::Get(key)), Ok(Reply::Value(want)), "{layer}: {key:?}");
+        }
+        assert_eq!(exec(tenant, Op::Get(b"never-written")), Ok(Reply::Value(None)), "{layer}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------
+
+fn core_refusal(e: Error) -> Refusal {
+    match e {
+        Error::ValueNotNumeric | Error::NumericOverflow | Error::IndexDisabled => Refusal::Failed,
+        other => panic!("unexpected store error {other:?}"),
+    }
+}
+
+fn backend_refusal(e: OpError) -> Refusal {
+    match e {
+        OpError::ReadOnly => Refusal::ReadOnly,
+        OpError::Failed => Refusal::Failed,
+        other => panic!("unexpected backend error {other:?}"),
+    }
+}
+
+fn store_config(shards: usize) -> Config {
+    Config { ordered_index: true, ..Config::shield_opt() }
+        .buckets(128)
+        .mac_hashes(32)
+        .with_shards(shards)
+        .with_durability(DurabilityPolicy::Strict)
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ss-op-conf-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A store with a WAL in a fresh directory, plus what recovery needs.
+struct Durable {
+    store: Arc<ShieldStore>,
+    enclave: Arc<Enclave>,
+    config: Config,
+    dir: PathBuf,
+}
+
+impl Durable {
+    fn new(tag: &str, shards: usize) -> Durable {
+        // One name + seed everywhere: identical sealing keys, which
+        // recovery and replica promotion both need.
+        let enclave = EnclaveBuilder::new("op-conformance").seed(11).epc_bytes(16 << 20).build();
+        let (config, dir) = (store_config(shards), scratch(tag));
+        let store = Arc::new(ShieldStore::new(Arc::clone(&enclave), config.clone()).unwrap());
+        store.attach_wal(dir.join("wal")).unwrap();
+        Durable { store, enclave, config, dir }
+    }
+
+    /// Crashes the store, recovers it from its log alone, and checks the
+    /// recovered state against the oracle.
+    fn assert_replay(self, layer: &str, oracle: &Oracle) {
+        let Durable { store, enclave, config, dir } = self;
+        store.wal_handle().unwrap().simulate_crash();
+        drop(store);
+        let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
+        let recovered =
+            ShieldStore::recover(enclave, config, None, &counter, dir.join("wal")).unwrap();
+        assert_state(&format!("{layer} (WAL replay)"), oracle, |tenant, op| {
+            recovered.execute(tenant, op).map_err(core_refusal)
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Encodes `op` as the frame a client sends, `None` where the wire has
+/// no opcode for it (`Exists`, `ScanRange`, a leased `MultiSet`).
+fn encode(op: Op<'_>) -> Option<Request> {
+    let request = |op, key: &[u8], value: Vec<u8>| Some(Request { op, key: key.to_vec(), value });
+    match op {
+        Op::Get(key) => request(OpCode::Get, key, Vec::new()),
+        Op::Set { key, value, expires_at: 0 } => request(OpCode::Set, key, value.to_vec()),
+        // The wire carries a relative TTL; on the frozen clock the
+        // server lands on exactly the deadline it was cut from. An
+        // already-due deadline has no relative form (zero is rejected).
+        Op::Set { key, value, expires_at } => match expires_at.checked_sub(ttl::now_ns()) {
+            Some(ttl_ns) if ttl_ns > 0 => {
+                request(OpCode::SetTtl, key, protocol::encode_set_ttl(ttl_ns, value))
+            }
+            _ => None,
+        },
+        Op::Delete(key) => request(OpCode::Delete, key, Vec::new()),
+        Op::Append { key, suffix } => request(OpCode::Append, key, suffix.to_vec()),
+        Op::Increment { key, delta } => {
+            request(OpCode::Increment, key, delta.to_le_bytes().to_vec())
+        }
+        Op::MultiGet(keys) => {
+            let keys: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
+            request(OpCode::MultiGet, b"", protocol::encode_multi_get(&keys))
+        }
+        Op::MultiSet { items, expires_at: 0 } => {
+            let items: Vec<_> = items.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            request(OpCode::MultiSet, b"", protocol::encode_multi_set(&items))
+        }
+        Op::ScanPrefix { prefix, limit } => {
+            request(OpCode::ScanPrefix, prefix, protocol::encode_scan_limit(limit as u32))
+        }
+        Op::Exists(_) | Op::ScanRange { .. } | Op::MultiSet { .. } => None,
+    }
+}
+
+/// Reads a response back as the `Reply` it encodes. An append's reply
+/// carries no value on the wire, so the expected one is echoed.
+fn decode(op: Op<'_>, response: Response, want: &Outcome) -> Outcome {
+    match (response.status, op) {
+        (Status::Error, _) => Err(Refusal::Failed),
+        (Status::ReadOnly, _) => Err(Refusal::ReadOnly),
+        (Status::Ok, Op::Get(_)) => Ok(Reply::Value(Some(response.value))),
+        (Status::NotFound, Op::Get(_)) => Ok(Reply::Value(None)),
+        (Status::Ok, Op::Set { .. } | Op::MultiSet { .. }) => Ok(Reply::Stored),
+        (Status::Ok, Op::Delete(_)) => Ok(Reply::Deleted(true)),
+        (Status::NotFound, Op::Delete(_)) => Ok(Reply::Deleted(false)),
+        (Status::Ok, Op::Append { .. }) => {
+            assert!(response.value.is_empty());
+            want.clone()
+        }
+        (Status::Ok, Op::Increment { .. }) => {
+            Ok(Reply::Counter(i64::from_le_bytes(response.value[..].try_into().unwrap())))
+        }
+        (Status::Ok, Op::MultiGet(_)) => {
+            Ok(Reply::Values(protocol::decode_multi_get_response(&response.value).unwrap()))
+        }
+        (Status::Ok, Op::ScanPrefix { .. }) => {
+            Ok(Reply::Entries(protocol::decode_scan(&response.value).unwrap()))
+        }
+        (status, op) => panic!("{op:?} answered {status:?}"),
+    }
+}
+
+/// Drives the script through a frame-level `call`. Where the wire has no
+/// opcode for an op — or `call` cannot serve the tenant and answers
+/// `None` — the op goes straight to `direct`, so the state stays on
+/// script.
+fn run_wire(
+    layer: &str,
+    mut call: impl FnMut(u32, &Request) -> Option<Response>,
+    direct: impl Fn(u32, Op<'_>) -> Outcome,
+) -> Oracle {
+    let mut oracle = Oracle::new(SHIELD);
+    let mut framed = 0;
+    script(|tenant, op| {
+        let want = oracle.apply(tenant, op);
+        // The frame survives its own codec before it is served.
+        let frame = |op| encode(op).map(|request| Request::decode(&request.encode()).unwrap());
+        let got = match frame(op).and_then(|request| call(tenant, &request)) {
+            Some(response) => {
+                framed += 1;
+                decode(op, response, &want)
+            }
+            None => direct(tenant, op),
+        };
+        assert_eq!(got, want, "{layer}: tenant {tenant}, {op:?}");
+        if let (Op::Append { key, .. }, Ok(Reply::Appended(value))) = (op, &want) {
+            if let Some(response) = call(tenant, &frame(Op::Get(key)).unwrap()) {
+                let read = decode(Op::Get(key), response, &want);
+                assert_eq!(read, Ok(Reply::Value(Some(value.clone()))), "{layer}: append landed");
+            }
+        }
+    });
+    assert!(framed > 25, "the table rode the wire");
+    oracle
+}
+
+fn server_config() -> ServerConfig {
+    ServerConfig {
+        event_loops: 2,
+        crossing: CrossingMode::HotCalls,
+        secure: true,
+        ..Default::default()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tests: one per entry point
+// ---------------------------------------------------------------------
+
+#[test]
+fn shard_execute_conforms() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let enclave = EnclaveBuilder::new("op-conformance").seed(11).epc_bytes(16 << 20).build();
+    let store = ShieldStore::new(enclave, store_config(1)).unwrap();
+    let exec = |tenant: u32, op: Op<'_>| {
+        let state = store.tenants().state(tenant);
+        store.with_shard(0, |shard| shard.execute(tenant, Some(&state), op)).map_err(core_refusal)
+    };
+    let oracle = run_script("Shard::execute", SHIELD, exec);
+    assert_state("Shard::execute", &oracle, exec);
+    ttl::thaw();
+}
+
+#[test]
+fn store_execute_conforms_and_replays() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let durable = Durable::new("store", 4);
+    let store = Arc::clone(&durable.store);
+    let exec = |tenant: u32, op: Op<'_>| store.execute(tenant, op).map_err(core_refusal);
+    let oracle = run_script("ShieldStore::execute", SHIELD, exec);
+    assert_state("ShieldStore::execute", &oracle, exec);
+    drop(store);
+    durable.assert_replay("ShieldStore::execute", &oracle);
+    ttl::thaw();
+}
+
+#[test]
+fn backend_execute_conforms_and_replays() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let durable = Durable::new("backend", 4);
+    let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
+    assert_eq!(backend.name(), "ShieldStore");
+    assert!(backend.is_empty());
+    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op).map_err(backend_refusal);
+    let oracle = run_script("KvBackend::execute(ShieldStore)", SHIELD, exec);
+    assert_state("KvBackend::execute(ShieldStore)", &oracle, exec);
+    // The three primitives are the default tenant's view of the same table.
+    assert_eq!(backend.get(b"log"), oracle.live(0, b"log"));
+    assert!(backend.delete(b"log") && !backend.delete(b"log") && !backend.is_empty());
+    assert!(backend.set(b"log", b"ab"));
+    drop(backend);
+    durable.assert_replay("KvBackend::execute(ShieldStore)", &oracle);
+    ttl::thaw();
+}
+
+#[test]
+fn default_backend_execute_conforms() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The default impl: three primitives, one flat table, and everything
+    // they cannot express — deadlines, ordered scans — fails closed.
+    let naive = NaiveEnclaveStore::insecure(64);
+    let backend: &dyn KvBackend = &naive;
+    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op).map_err(backend_refusal);
+    let oracle = run_script("KvBackend::execute(default)", FLAT, exec);
+    assert_state("KvBackend::execute(default)", &oracle, exec);
+    assert!(oracle.map.values().all(|(_, deadline)| *deadline == 0), "no lease was accepted");
+    ttl::thaw();
+}
+
+#[test]
+fn server_execute_conforms_and_replays() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+
+    // `server::execute` serves the default namespace: the table's other
+    // tenants ride live tenant-bound sessions below.
+    let durable = Durable::new("server-fn", 4);
+    let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
+    let oracle = run_wire(
+        "server::execute",
+        |tenant, request| (tenant == 0).then(|| shield_net::server::execute(&*backend, request)),
+        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+    );
+    drop(backend);
+    durable.assert_replay("server::execute", &oracle);
+    ttl::thaw();
+}
+
+#[test]
+fn live_tenant_sessions_conform_and_replay() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let durable = Durable::new("server-live", 4);
+    let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
+    let server =
+        Server::start(Arc::clone(&backend), Some(Arc::clone(&durable.enclave)), server_config())
+            .unwrap();
+    let verifier = AttestationVerifier::for_enclave(&durable.enclave)
+        .expect_measurement(*durable.enclave.measurement());
+    let mut sessions: BTreeMap<u32, KvClient> = TENANTS
+        .iter()
+        .map(|&tenant| {
+            let client = KvClient::connect_secure_tenant(
+                server.addr(),
+                &verifier,
+                40 + tenant as u64,
+                tenant,
+            );
+            (tenant, client.unwrap())
+        })
+        .collect();
+    let oracle = run_wire(
+        "live session",
+        |tenant, request| Some(sessions.get_mut(&tenant).unwrap().call(request).unwrap()),
+        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+    );
+
+    // The wire's two TTL conventions stay as they were: a relative TTL
+    // of zero is not "already due" but malformed (a plain `Set` is the
+    // no-expiry form), and is refused before the store sees it.
+    let session = sessions.get_mut(&0).unwrap();
+    let zero_ttl = Request {
+        op: OpCode::SetTtl,
+        key: b"zero-ttl".to_vec(),
+        value: protocol::encode_set_ttl(0, b"v"),
+    };
+    assert_eq!(session.call(&zero_ttl).unwrap().status, Status::Error);
+    assert_eq!(session.get(b"zero-ttl").unwrap(), None);
+    // ...and a plain `Set` never expires.
+    session.set(b"zero-ttl", b"forever").unwrap();
+    ttl::advance(1 << 60);
+    assert_eq!(session.get(b"zero-ttl").unwrap().as_deref(), Some(b"forever".as_slice()));
+
+    drop(sessions);
+    server.shutdown();
+    drop(backend);
+    let mut oracle = oracle;
+    oracle.map.insert((0, b"zero-ttl".to_vec()), (b"forever".to_vec(), 0));
+    durable.assert_replay("live session", &oracle);
+    ttl::thaw();
+}
+
+fn wait_caught_up(handle: &shield_net::ReplicaHandle, target: Watermark) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.watermark() < target {
+        assert!(Instant::now() < deadline, "replica stuck at {}", handle.watermark());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn replica_backend_is_read_only_then_conforms() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    ttl::freeze(T0);
+
+    let primary = Durable::new("replica-p", 2);
+    let primary_server = Server::start(
+        Arc::clone(&primary.store) as Arc<dyn KvBackend>,
+        Some(Arc::clone(&primary.enclave)),
+        server_config(),
+    )
+    .unwrap();
+    let verifier = AttestationVerifier::for_enclave(&primary.enclave)
+        .expect_measurement(*primary.enclave.measurement());
+    let replica_enclave =
+        EnclaveBuilder::new("op-conformance").seed(11).epc_bytes(16 << 20).build();
+    let replica_store =
+        Arc::new(ShieldStore::new(Arc::clone(&replica_enclave), store_config(2)).unwrap());
+    let replica_wal = scratch("replica-r");
+    let node = ReplicaNode::start(
+        primary_server.addr(),
+        &verifier,
+        replica_store,
+        replica_enclave,
+        server_config(),
+        ReplicaConfig {
+            primary_wal_dir: primary.dir.join("wal"),
+            wal_dir: replica_wal.clone(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let backend = node.backend();
+    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op).map_err(backend_refusal);
+
+    // Seed the primary in every namespace and let the replica stream it.
+    let mut seeded = Oracle::new(SHIELD);
+    for tenant in TENANTS {
+        let value = format!("seed@{tenant}").into_bytes();
+        for op in [Op::set(b"seeded", &value), Op::set(b"n", b"7")] {
+            seeded.apply(tenant, op).unwrap();
+            primary.store.execute(tenant, op).unwrap();
+        }
+    }
+    wait_caught_up(&node.handle(), primary.store.flush_wal().unwrap().unwrap());
+
+    // Read-only: every write variant is refused and changes nothing;
+    // every read variant serves the replicated state.
+    let keys: [&[u8]; 2] = [b"seeded", b"absent"];
+    let items: [(&[u8], &[u8]); 1] = [(b"seeded", b"clobbered")];
+    let probes = [
+        Op::Get(b"seeded"),
+        Op::Exists(b"seeded"),
+        Op::set(b"seeded", b"clobbered"),
+        Op::Set { key: b"seeded", value: b"clobbered", expires_at: T0 + LEASE_NS },
+        Op::Delete(b"seeded"),
+        Op::Append { key: b"seeded", suffix: b"!" },
+        Op::Increment { key: b"n", delta: 1 },
+        Op::MultiGet(&keys),
+        Op::MultiSet { items: &items, expires_at: 0 },
+        Op::ScanRange { start: b"a", end: b"z", limit: 10 },
+        Op::ScanPrefix { prefix: b"s", limit: 10 },
+    ];
+    for tenant in TENANTS {
+        for op in probes {
+            let want = if op.is_write() {
+                Err(Refusal::ReadOnly)
+            } else {
+                seeded.clone().apply(tenant, op)
+            };
+            assert_eq!(exec(tenant, op), want, "read-only replica: tenant {tenant}, {op:?}");
+        }
+    }
+    assert!(!backend.set(b"seeded", b"clobbered") && !backend.delete(b"seeded"));
+    assert_state("read-only replica", &seeded, exec);
+
+    // Promoted: the full table, like any primary. The seeds are in the
+    // way of the script's first reads, so clear them first.
+    primary_server.shutdown();
+    backend.promote().expect("promotion");
+    for tenant in TENANTS {
+        for key in [b"seeded".as_slice(), b"n"] {
+            assert_eq!(exec(tenant, Op::Delete(key)), Ok(Reply::Deleted(true)));
+        }
+    }
+    let oracle = run_script("KvBackend::execute(promoted replica)", SHIELD, exec);
+    assert_state("KvBackend::execute(promoted replica)", &oracle, exec);
+
+    drop(backend);
+    node.shutdown();
+    let _ = std::fs::remove_dir_all(&primary.dir);
+    let _ = std::fs::remove_dir_all(&replica_wal);
+    ttl::thaw();
+}
+
+/// Satellite of the table: a read of a tampered, quarantined partition
+/// through `&dyn KvBackend` — the store itself, and a replica before
+/// promotion — is an answer, never an unwind. (The primitive `get`
+/// used to panic on any error but a miss.)
+#[test]
+fn quarantined_read_through_dyn_backend_fails_instead_of_unwinding() {
+    let names: Vec<Vec<u8>> = (0..64).map(|i| format!("q{i:02}").into_bytes()).collect();
+
+    // Tampers one entry of `store`, then reads every key through
+    // `backend` both ways. Returns how many reads were refused.
+    let sweep = |store: &ShieldStore, backend: &dyn KvBackend| {
+        assert!(store.tamper_any_entry_byte(7));
+        let mut refused = 0;
+        for _pass in 0..2 {
+            for name in &names {
+                let plain = backend.get(name);
+                match backend.execute(0, Op::Get(name)) {
+                    Ok(reply) => assert_eq!(reply.value(), plain),
+                    Err(e) => {
+                        assert!(matches!(e, OpError::Failed | OpError::Quarantined), "{e:?}");
+                        assert_eq!(plain, None, "a refused read serves nothing");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(!store.quarantine_report().is_clean());
+        refused
+    };
+
+    let enclave = EnclaveBuilder::new("op-conformance").seed(11).epc_bytes(16 << 20).build();
+    let (config, dir) = (store_config(2).with_quarantine(), scratch("quarantine"));
+    let primary_store = Arc::new(ShieldStore::new(Arc::clone(&enclave), config.clone()).unwrap());
+    primary_store.attach_wal(dir.join("primary")).unwrap();
+    for name in &names {
+        primary_store.set(name, b"value").unwrap();
+    }
+
+    // A replica of the healthy primary, tampered on its own.
+    let primary_server = Server::start(
+        Arc::clone(&primary_store) as Arc<dyn KvBackend>,
+        Some(Arc::clone(&enclave)),
+        server_config(),
+    )
+    .unwrap();
+    let verifier =
+        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
+    let replica_enclave =
+        EnclaveBuilder::new("op-conformance").seed(11).epc_bytes(16 << 20).build();
+    let replica_store = Arc::new(ShieldStore::new(Arc::clone(&replica_enclave), config).unwrap());
+    let node = ReplicaNode::start(
+        primary_server.addr(),
+        &verifier,
+        Arc::clone(&replica_store),
+        replica_enclave,
+        server_config(),
+        ReplicaConfig {
+            primary_wal_dir: dir.join("primary"),
+            wal_dir: dir.join("replica"),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    wait_caught_up(&node.handle(), primary_store.flush_wal().unwrap().unwrap());
+    assert!(sweep(&replica_store, &*node.backend()) > 0, "the replica refused the tampered set");
+
+    assert!(sweep(&primary_store, &*primary_store) > 0, "the store refused the tampered set");
+
+    node.shutdown();
+    primary_server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
