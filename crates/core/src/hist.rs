@@ -197,61 +197,52 @@ impl LatencyHist {
     }
 }
 
-/// Per-operation-class latency histograms, one set per shard.
-///
-/// `get`/`set`/`delete` time the single-key entry points; `batch` times
-/// whole `multi_get`/`multi_set` calls (one sample per batch, not per
-/// carried key). `append`/`increment`/`exists` are compound reads over
-/// the same verified lookup path and are deliberately not sampled.
-/// `wal_group` is not a latency at all: it records the *size* (operation
-/// count) of each write-ahead-log group commit, so the distribution shows
-/// how well the durability policy amortizes sealing and fsync.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpHists {
-    /// `get` latency.
-    pub get: LatencyHist,
-    /// `set` latency.
-    pub set: LatencyHist,
-    /// `delete` latency.
-    pub delete: LatencyHist,
-    /// Whole-batch `multi_get`/`multi_set` latency.
-    pub batch: LatencyHist,
-    /// Operations per WAL group commit (a size distribution, one sample
-    /// per committed log record).
-    pub wal_group: LatencyHist,
+sgx_sim::stat_table! {
+    /// Per-operation-class latency histograms, one set per shard.
+    ///
+    /// `get`/`set`/`delete` time the single-key entry points; `batch` times
+    /// whole `multi_get`/`multi_set` calls (one sample per batch, not per
+    /// carried key). `append`/`increment`/`exists` are compound reads over
+    /// the same verified lookup path and are deliberately not sampled.
+    /// `wal_group` is not a latency at all: it records the *size* (operation
+    /// count) of each write-ahead-log group commit, so the distribution shows
+    /// how well the durability policy amortizes sealing and fsync.
+    pub struct OpHists: LatencyHist {
+        /// `get` latency.
+        get: Counter, "latency";
+        /// `set` latency.
+        set: Counter, "latency";
+        /// `delete` latency.
+        delete: Counter, "latency";
+        /// Whole-batch `multi_get`/`multi_set` latency.
+        batch: Counter, "latency";
+        /// Operations per WAL group commit (a size distribution, one sample
+        /// per committed log record).
+        wal_group: Counter, "latency";
+    }
 }
 
 impl OpHists {
     /// Merges another set into this one.
     pub fn merge(&mut self, other: &OpHists) {
-        self.get.merge(&other.get);
-        self.set.merge(&other.set);
-        self.delete.merge(&other.delete);
-        self.batch.merge(&other.batch);
-        self.wal_group.merge(&other.wal_group);
+        for f in Self::FIELDS {
+            (f.get_mut)(self).merge((f.get)(other));
+        }
     }
 
-    /// `(name, histogram)` pairs in a fixed order, for reports and
+    /// `(name, histogram)` pairs in table order, for reports and
     /// serialization.
-    pub fn iter(&self) -> [(&'static str, &LatencyHist); 5] {
-        [
-            ("get", &self.get),
-            ("set", &self.set),
-            ("delete", &self.delete),
-            ("batch", &self.batch),
-            ("wal_group", &self.wal_group),
-        ]
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &LatencyHist)> {
+        Self::FIELDS.iter().map(move |f| (f.name, (f.get)(self)))
     }
 
     /// The per-interval difference against an earlier snapshot.
     pub fn diff(&self, earlier: &OpHists) -> OpHists {
-        OpHists {
-            get: self.get.diff(&earlier.get),
-            set: self.set.diff(&earlier.set),
-            delete: self.delete.diff(&earlier.delete),
-            batch: self.batch.diff(&earlier.batch),
-            wal_group: self.wal_group.diff(&earlier.wal_group),
+        let mut d = *self;
+        for f in Self::FIELDS {
+            *(f.get_mut)(&mut d) = (f.get)(self).diff((f.get)(earlier));
         }
+        d
     }
 }
 

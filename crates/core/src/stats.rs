@@ -4,116 +4,91 @@
 //! matching entry with and without the key hint; these counters make that
 //! experiment (and several others) directly measurable.
 //!
-//! [`OpStats`] is generated by a macro that also emits a static field
-//! table ([`OpStats::FIELDS`]), so `merge`, snapshot diffing, wire
-//! serialization, and the text report all iterate one list — a newly
-//! added counter can never be silently dropped from aggregation.
-//! [`StatsSnapshot`] bundles the counters with latency histograms,
-//! allocator and cache gauges, and the [`sgx_sim`] transition/EPC-fault
-//! counters into the single unit the `Stats` wire opcode ships.
+//! Every telemetry struct here is declared with
+//! [`sgx_sim::stat_table!`]: one row per stat (name, [`Kind`], report
+//! section) yields both the public field and a row of the struct's
+//! `FIELDS` table. `merge`, `diff`, the wire words, the layout
+//! fingerprint and both reports walk those tables, so adding a stat is
+//! one row plus its producer. [`StatsSnapshot`] bundles the operation
+//! counters with latency histograms, store-wide gauges, per-tenant rows
+//! and the [`sgx_sim`] transition/EPC-fault counters into the single
+//! unit the `Stats` wire opcode ships.
 
-use crate::hist::OpHists;
+use crate::hist::{LatencyHist, OpHists, NUM_BUCKETS};
+use sgx_sim::stats::StatsSnapshot as SimSnapshot;
+pub use sgx_sim::stats::{Field, Kind};
+use shield_crypto::siphash::SipHash24;
+use std::fmt::Write as _;
 
-/// One row of [`OpStats::FIELDS`]: a counter's name plus accessors, so
-/// generic code (merge, diff, reports, codecs) can walk every counter
-/// without naming the fields.
-pub struct OpStatsField {
-    /// The field's identifier, e.g. `"key_decryptions"`.
-    pub name: &'static str,
-    /// Reads the field.
-    pub get: fn(&OpStats) -> u64,
-    /// Mutable access to the field.
-    pub get_mut: fn(&mut OpStats) -> &mut u64,
-}
-
-macro_rules! op_stats {
-    ($( $(#[doc = $doc:expr])+ $field:ident, )+) => {
-        /// Per-shard operation counters. Plain fields — each shard is owned
-        /// by one thread at a time, so no atomics are needed; the store
-        /// aggregates across shards on demand.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct OpStats {
-            $( $(#[doc = $doc])+ pub $field: u64, )+
-        }
-
-        impl OpStats {
-            /// Every counter, in declaration order. The single source of
-            /// truth for aggregation, diffing, serialization, and reports.
-            pub const FIELDS: &'static [OpStatsField] = &[
-                $( OpStatsField {
-                    name: stringify!($field),
-                    get: |s| s.$field,
-                    get_mut: |s| &mut s.$field,
-                }, )+
-            ];
-        }
-    };
-}
-
-op_stats! {
-    /// `get` operations served.
-    gets,
-    /// `set` operations served.
-    sets,
-    /// `delete` operations served.
-    deletes,
-    /// `append` operations served.
-    appends,
-    /// `increment` operations served.
-    increments,
-    /// Operations that found their key.
-    hits,
-    /// Operations that did not find their key.
-    misses,
-    /// Key decryptions performed during searches (Fig. 9's metric).
-    key_decryptions,
-    /// Chain entries skipped thanks to a key-hint mismatch.
-    hint_skips,
-    /// Full decrypting scans performed by the two-step fallback.
-    full_scans,
-    /// Bucket-set MAC hash verifications performed.
-    integrity_verifications,
-    /// Entry MACs gathered for bucket-set verification.
-    macs_gathered,
-    /// New entries inserted.
-    inserts,
-    /// Entries updated in place (new data fit the old allocation).
-    inplace_updates,
-    /// Entries reallocated on update (new data outgrew the allocation).
-    realloc_updates,
-    /// In-enclave cache hits.
-    cache_hits,
-    /// In-enclave cache misses (cache enabled but key not present).
-    cache_misses,
-    /// Operations served from the temporary table during a snapshot.
-    temp_table_ops,
-    /// Batched calls (`multi_get`/`multi_set`) served.
-    batches,
-    /// Operations carried inside batched calls (`batch_ops / batches` is
-    /// the average batch size).
-    batch_ops,
-    /// Bucket-set verifications skipped because an earlier op in the same
-    /// batch already verified the set.
-    batch_verifications_saved,
-    /// Bucket-set hash recomputations skipped because a later write in
-    /// the same batch touched the same set (the hash is stored once per
-    /// batch per set, after the last write).
-    batch_hash_updates_saved,
-    /// Hit-path side-array MAC checks that missed positionally and fell
-    /// back to a membership scan (only ever non-zero after a structural
-    /// attack on a bucket chain).
-    side_mac_fallbacks,
-    /// Operations rejected because their hash partition was quarantined
-    /// after an integrity violation ([`crate::Config::quarantine`]).
-    quarantine_rejections,
-    /// Reads that found an entry past its deadline and hid it (lazy
-    /// expiry; the entry stays resident until swept).
-    expired_lazy,
-    /// Expired entries physically reaped by the sweep.
-    expired_swept,
-    /// Writes rejected because they would exceed the tenant's quota
-    /// ([`crate::TenantQuota`]).
-    quota_rejections,
+sgx_sim::stat_table! {
+    /// Per-shard operation counters. Plain fields — each shard is owned
+    /// by one thread at a time, so no atomics are needed; the store
+    /// aggregates across shards on demand.
+    pub struct OpStats: u64 {
+        /// `get` operations served.
+        gets: Counter, "ops";
+        /// `set` operations served.
+        sets: Counter, "ops";
+        /// `delete` operations served.
+        deletes: Counter, "ops";
+        /// `append` operations served.
+        appends: Counter, "ops";
+        /// `increment` operations served.
+        increments: Counter, "ops";
+        /// Operations that found their key.
+        hits: Counter, "ops";
+        /// Operations that did not find their key.
+        misses: Counter, "ops";
+        /// Key decryptions performed during searches (Fig. 9's metric).
+        key_decryptions: Counter, "ops";
+        /// Chain entries skipped thanks to a key-hint mismatch.
+        hint_skips: Counter, "ops";
+        /// Full decrypting scans performed by the two-step fallback.
+        full_scans: Counter, "ops";
+        /// Bucket-set MAC hash verifications performed.
+        integrity_verifications: Counter, "ops";
+        /// Entry MACs gathered for bucket-set verification.
+        macs_gathered: Counter, "ops";
+        /// New entries inserted.
+        inserts: Counter, "ops";
+        /// Entries updated in place (new data fit the old allocation).
+        inplace_updates: Counter, "ops";
+        /// Entries reallocated on update (new data outgrew the allocation).
+        realloc_updates: Counter, "ops";
+        /// In-enclave cache hits.
+        cache_hits: Counter, "ops";
+        /// In-enclave cache misses (cache enabled but key not present).
+        cache_misses: Counter, "ops";
+        /// Operations served from the temporary table during a snapshot.
+        temp_table_ops: Counter, "ops";
+        /// Batched calls (`multi_get`/`multi_set`) served.
+        batches: Counter, "ops";
+        /// Operations carried inside batched calls (`batch_ops / batches` is
+        /// the average batch size).
+        batch_ops: Counter, "ops";
+        /// Bucket-set verifications skipped because an earlier op in the same
+        /// batch already verified the set.
+        batch_verifications_saved: Counter, "ops";
+        /// Bucket-set hash recomputations skipped because a later write in
+        /// the same batch touched the same set (the hash is stored once per
+        /// batch per set, after the last write).
+        batch_hash_updates_saved: Counter, "ops";
+        /// Hit-path side-array MAC checks that missed positionally and fell
+        /// back to a membership scan (only ever non-zero after a structural
+        /// attack on a bucket chain).
+        side_mac_fallbacks: Counter, "ops";
+        /// Operations rejected because their hash partition was quarantined
+        /// after an integrity violation ([`crate::Config::quarantine`]).
+        quarantine_rejections: Counter, "ops";
+        /// Reads that found an entry past its deadline and hid it (lazy
+        /// expiry; the entry stays resident until swept).
+        expired_lazy: Counter, "ops";
+        /// Expired entries physically reaped by the sweep.
+        expired_swept: Counter, "ops";
+        /// Writes rejected because they would exceed the tenant's quota
+        /// ([`crate::TenantQuota`]).
+        quota_rejections: Counter, "ops";
+    }
 }
 
 impl OpStats {
@@ -127,11 +102,7 @@ impl OpStats {
     /// The counter deltas since `earlier` (saturating per field), for
     /// interval reporting between two snapshots of the same store.
     pub fn diff(&self, earlier: &OpStats) -> OpStats {
-        let mut d = OpStats::default();
-        for f in Self::FIELDS {
-            *(f.get_mut)(&mut d) = (f.get)(self).saturating_sub((f.get)(earlier));
-        }
-        d
+        Field::diff(Self::FIELDS, self, earlier)
     }
 
     /// Total operations.
@@ -150,147 +121,192 @@ impl OpStats {
     }
 }
 
-/// Per-tenant counters shipped inside a [`StatsSnapshot`]: quota
-/// occupancy, op mix, and expiry/shedding activity for one tenant.
-/// Fixed-width so the snapshot stays `Copy`; stores serving more than
-/// [`MAX_TENANT_STATS`] tenants report the busiest ones (by total ops)
-/// and `tenant_count` carries the true total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStat {
-    /// The tenant this row describes.
-    pub tenant: u32,
-    /// Admission weight ([`crate::TenantQuota::weight`]).
-    pub weight: u32,
-    /// Bytes of table residency charged against the quota.
-    pub used_bytes: u64,
-    /// Keys charged against the quota.
-    pub used_keys: u64,
-    /// `get`-class operations served for this tenant.
-    pub gets: u64,
-    /// `set`-class operations served for this tenant.
-    pub sets: u64,
-    /// Operations that found their key.
-    pub hits: u64,
-    /// Operations that did not find their key.
-    pub misses: u64,
-    /// Writes rejected over quota.
-    pub quota_rejections: u64,
-    /// Reads that hid an entry past its deadline (lazy expiry).
-    pub expired_lazy: u64,
-    /// Expired entries physically reaped by the sweep.
-    pub expired_swept: u64,
-    /// Requests shed with `Busy` for this tenant by the serving layer's
-    /// fair admission (store-side always 0; overlaid by the server).
-    pub shed: u64,
+sgx_sim::stat_table! {
+    /// Per-tenant counters shipped inside a [`StatsSnapshot`]: quota
+    /// occupancy, op mix, and expiry/shedding activity for one tenant.
+    /// Fixed-width so the snapshot stays `Copy`; stores serving more than
+    /// [`MAX_TENANT_STATS`] tenants report the busiest ones (by total ops)
+    /// and `tenant_count` carries the true total. Rows are a gauge panel
+    /// (occupancy plus since-start counters keyed by tenant id): an
+    /// interval keeps the later reading rather than subtracting across
+    /// possibly-reordered rows.
+    pub struct TenantStat: u64 {
+        /// The tenant this row describes.
+        tenant: Gauge, "tenants";
+        /// Admission weight ([`crate::TenantQuota::weight`]).
+        weight: Gauge, "tenants";
+        /// Bytes of table residency charged against the quota.
+        used_bytes: Gauge, "tenants";
+        /// Keys charged against the quota.
+        used_keys: Gauge, "tenants";
+        /// `get`-class operations served for this tenant.
+        gets: Gauge, "tenants";
+        /// `set`-class operations served for this tenant.
+        sets: Gauge, "tenants";
+        /// Operations that found their key.
+        hits: Gauge, "tenants";
+        /// Operations that did not find their key.
+        misses: Gauge, "tenants";
+        /// Writes rejected over quota.
+        quota_rejections: Gauge, "tenants";
+        /// Reads that hid an entry past its deadline (lazy expiry).
+        expired_lazy: Gauge, "tenants";
+        /// Expired entries physically reaped by the sweep.
+        expired_swept: Gauge, "tenants";
+        /// Requests shed with `Busy` for this tenant by the serving layer's
+        /// fair admission (store-side always 0; overlaid by the server).
+        shed: Gauge, "tenants";
+    }
 }
 
 /// Per-tenant rows a [`StatsSnapshot`] can carry (fixed for `Copy`).
 pub const MAX_TENANT_STATS: usize = 8;
 
-/// A self-contained snapshot of everything the store can measure:
-/// operation counters, per-op-class latency histograms, allocator and
-/// cache gauges, and the SGX-model transition/paging counters. This is
-/// what the `Stats` wire opcode serializes and what the bench harness
-/// diffs around a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StatsSnapshot {
-    /// Aggregated operation counters (sum over shards).
-    pub ops: OpStats,
-    /// Aggregated latency histograms (merged over shards).
-    pub hists: OpHists,
-    /// Live entries across all shards (main + frozen + temp tables).
-    pub entries: u64,
-    /// Number of shards aggregated into this snapshot.
-    pub shards: u64,
-    /// Bytes live in the custom untrusted heaps.
-    pub heap_live_bytes: u64,
-    /// Chunks backing the untrusted heaps.
-    pub heap_chunks: u64,
-    /// Bytes used by the in-enclave plaintext caches.
-    pub cache_used_bytes: u64,
-    /// Entries resident in the in-enclave plaintext caches.
-    pub cache_entries: u64,
-    /// Total bytes appended to the write-ahead log (monotone; 0 when no
-    /// WAL is attached).
-    pub wal_bytes: u64,
-    /// Log records (= group commits) written to the write-ahead log.
-    pub wal_records: u64,
-    /// fsyncs issued by the write-ahead log.
-    pub wal_fsyncs: u64,
-    /// Replication role (gauge): 0 = standalone, 1 = primary with at
-    /// least one subscriber, 2 = replica (overlaid by the replica's
-    /// serving layer; the store itself reports 0 or 1).
-    pub repl_role: u64,
-    /// Replication subscribers currently registered (gauge).
-    pub repl_subscribers: u64,
-    /// Replication batches shipped to subscribers (monotone).
-    pub repl_segments_shipped: u64,
-    /// Sealed log bytes shipped to subscribers (monotone).
-    pub repl_bytes_shipped: u64,
-    /// Generation of the least-advanced subscriber's acked watermark
-    /// (gauge; 0 when standalone).
-    pub repl_acked_generation: u64,
-    /// Sequence of the least-advanced subscriber's acked watermark
-    /// (gauge; on a replica, its own applied watermark).
-    pub repl_acked_seq: u64,
-    /// Records the least-advanced subscriber trails the durable
-    /// watermark by, when both sit in the same generation (gauge).
-    pub repl_lag_records: u64,
-    /// Bucket sets currently quarantined after integrity violations
-    /// (gauge; counts sets in partially quarantined shards only).
-    pub quarantined_sets: u64,
-    /// Shards currently quarantined wholesale after repeated violations
-    /// (gauge).
-    pub quarantined_shards: u64,
-    /// Requests shed with `Busy` by the serving layer (admission
-    /// control / deadline misses). The store itself always reports 0;
-    /// the network server overlays its own count before shipping the
-    /// snapshot.
-    pub shed_requests: u64,
-    /// Connections refused at the listener because the connection cap
-    /// was reached. Store-side always 0; overlaid by the server.
-    pub refused_connections: u64,
-    /// Requests handed across event loops because the decoding loop did
-    /// not own the key's hash partition (monotone). Store-side always
-    /// 0; overlaid by the server.
-    pub cross_loop_handoffs: u64,
-    /// Event loops the network engine is running (gauge). Store-side
-    /// always 0; overlaid by the server.
-    pub event_loops: u64,
-    /// Requests admitted but not yet answered (gauge — the engine's
-    /// in-flight count). Store-side always 0; overlaid by the server.
-    pub pending_frames: u64,
-    /// Bytes run through the AES-CTR/CMAC data path (monotone,
-    /// process-wide — all stores in the process share the counter).
-    pub crypto_bytes: u64,
-    /// Crypto operations (keystream applications, tag computations,
-    /// fused opens) performed (monotone, process-wide).
-    pub crypto_ops: u64,
-    /// Active crypto backend: 0 = table-based software AES, 1 = AES-NI.
-    pub crypto_backend: u64,
-    /// Full scrub passes (pin + every pinned segment + snapshot)
-    /// completed by the background scrubber (monotone).
-    pub scrub_passes: u64,
-    /// Durable-state bytes re-verified by the scrubber (monotone).
-    pub scrub_bytes: u64,
-    /// Corruption findings — rotted pin, damaged WAL segment, or bad
-    /// snapshot — discovered by the scrubber (monotone).
-    pub scrub_corrupt: u64,
-    /// Successful repairs: pin rewrites and verified segment swap-ins
-    /// (monotone).
-    pub scrub_repaired: u64,
-    /// Durable storage has failed and the WAL writer is poisoned
-    /// (gauge: 0 or 1). Commits fail closed with
-    /// [`crate::Error::StorageFailed`]; reads and replication keep
-    /// serving.
-    pub storage_failed: u64,
-    /// Tenants known to the store (may exceed the rows shipped below).
-    pub tenant_count: u64,
-    /// Per-tenant rows (the first `tenant_count.min(MAX_TENANT_STATS)`
-    /// entries are meaningful; busiest tenants first when truncated).
-    pub tenants: [TenantStat; MAX_TENANT_STATS],
-    /// SGX-model counters: enclave transitions, EPC faults/evictions, …
-    pub sim: sgx_sim::stats::StatsSnapshot,
+sgx_sim::stat_table! {
+    /// A self-contained snapshot of everything the store can measure:
+    /// operation counters, per-op-class latency histograms, allocator and
+    /// cache gauges, and the SGX-model transition/paging counters. This is
+    /// what the `Stats` wire opcode serializes and what the bench harness
+    /// diffs around a run.
+    pub struct StatsSnapshot: u64 {
+        /// Live entries across all shards (main + frozen + temp tables).
+        entries: Gauge, "store";
+        /// Number of shards aggregated into this snapshot.
+        shards: Gauge, "store";
+        /// Tenants known to the store (may exceed the rows in `tenants`).
+        tenant_count: Gauge, "store";
+        /// Bytes live in the custom untrusted heaps.
+        heap_live_bytes: Gauge, "memory";
+        /// Chunks backing the untrusted heaps.
+        heap_chunks: Gauge, "memory";
+        /// Bytes used by the in-enclave plaintext caches.
+        cache_used_bytes: Gauge, "memory";
+        /// Entries resident in the in-enclave plaintext caches.
+        cache_entries: Gauge, "memory";
+        /// Total bytes appended to the write-ahead log (0 when no WAL is
+        /// attached).
+        wal_bytes: Counter, "wal";
+        /// Log records (= group commits) written to the write-ahead log.
+        wal_records: Counter, "wal";
+        /// fsyncs issued by the write-ahead log.
+        wal_fsyncs: Counter, "wal";
+        /// Durable storage has failed and the WAL writer is poisoned (0 or
+        /// 1). Commits fail closed with [`crate::Error::StorageFailed`];
+        /// reads and replication keep serving.
+        storage_failed: Gauge, "storage";
+        /// Full scrub passes (pin + every pinned segment + snapshot)
+        /// completed by the background scrubber.
+        scrub_passes: Counter, "storage";
+        /// Durable-state bytes re-verified by the scrubber.
+        scrub_bytes: Counter, "storage";
+        /// Corruption findings — rotted pin, damaged WAL segment, or bad
+        /// snapshot — discovered by the scrubber.
+        scrub_corrupt: Counter, "storage";
+        /// Successful repairs: pin rewrites and verified segment swap-ins.
+        scrub_repaired: Counter, "storage";
+        /// Bucket sets currently quarantined after integrity violations
+        /// (counts sets in partially quarantined shards only).
+        quarantined_sets: Gauge, "availability";
+        /// Shards currently quarantined wholesale after repeated violations.
+        quarantined_shards: Gauge, "availability";
+        /// Requests shed with `Busy` by the serving layer (admission
+        /// control / deadline misses). The store itself always reports 0;
+        /// the network server overlays its own count before shipping the
+        /// snapshot.
+        shed_requests: Counter, "availability";
+        /// Connections refused at the listener because the connection cap
+        /// was reached. Store-side always 0; overlaid by the server.
+        refused_connections: Counter, "availability";
+        /// Requests handed across event loops because the decoding loop did
+        /// not own the key's hash partition. Store-side always 0; overlaid
+        /// by the server.
+        cross_loop_handoffs: Counter, "availability";
+        /// Event loops the network engine is running. Store-side always 0;
+        /// overlaid by the server.
+        event_loops: Gauge, "availability";
+        /// Requests admitted but not yet answered (the engine's in-flight
+        /// count). Store-side always 0; overlaid by the server.
+        pending_frames: Gauge, "availability";
+        /// Replication role: 0 = standalone, 1 = primary with at least one
+        /// subscriber, 2 = replica (overlaid by the replica's serving
+        /// layer; the store itself reports 0 or 1).
+        repl_role: Gauge, "repl";
+        /// Replication subscribers currently registered.
+        repl_subscribers: Gauge, "repl";
+        /// Replication batches shipped to subscribers.
+        repl_segments_shipped: Counter, "repl";
+        /// Sealed log bytes shipped to subscribers.
+        repl_bytes_shipped: Counter, "repl";
+        /// Generation of the least-advanced subscriber's acked watermark
+        /// (0 when standalone).
+        repl_acked_generation: Gauge, "repl";
+        /// Sequence of the least-advanced subscriber's acked watermark (on
+        /// a replica, its own applied watermark).
+        repl_acked_seq: Gauge, "repl";
+        /// Records the least-advanced subscriber trails the durable
+        /// watermark by, when both sit in the same generation.
+        repl_lag_records: Gauge, "repl";
+        /// Bytes run through the AES-CTR/CMAC data path (process-wide —
+        /// all stores in the process share the counter).
+        crypto_bytes: Counter, "crypto";
+        /// Crypto operations (keystream applications, tag computations,
+        /// fused opens) performed (process-wide).
+        crypto_ops: Counter, "crypto";
+        /// Active crypto backend: 0 = table-based software AES, 1 = AES-NI.
+        crypto_backend: Gauge, "crypto";
+    } + {
+        /// Aggregated operation counters (sum over shards).
+        pub ops: OpStats,
+        /// Aggregated latency histograms (merged over shards).
+        pub hists: OpHists,
+        /// Per-tenant rows (the first `tenant_count.min(MAX_TENANT_STATS)`
+        /// entries are meaningful; busiest tenants first when truncated).
+        pub tenants: [TenantStat; MAX_TENANT_STATS],
+        /// SGX-model counters: enclave transitions, EPC faults/evictions, …
+        pub sim: SimSnapshot,
+    }
+}
+
+/// One scalar stat as reports see it.
+struct Row {
+    section: &'static str,
+    name: &'static str,
+    kind: Kind,
+    value: u64,
+}
+
+fn table_rows<'a, T>(fields: &'static [Field<T>], of: &'a T) -> impl Iterator<Item = Row> + 'a {
+    fields.iter().map(move |f| Row {
+        section: f.section,
+        name: f.name,
+        kind: f.kind,
+        value: *(f.get)(of),
+    })
+}
+
+/// Appends what fixes a table's layout: its row names, kinds and order.
+fn describe<T, V>(layout: &mut Vec<u8>, fields: &[Field<T, V>]) {
+    for f in fields {
+        layout.extend_from_slice(f.name.as_bytes());
+        layout.extend([0, f.kind as u8]);
+    }
+    layout.push(0xff);
+}
+
+/// Formats nanoseconds with a unit that keeps three significant digits.
+fn fmt_ns(ns: u64) -> String {
+    match ns {
+        1_000_000_000.. => format!("{:.2}s", ns as f64 / 1e9),
+        1_000_000.. => format!("{:.2}ms", ns as f64 / 1e6),
+        1_000.. => format!("{:.2}us", ns as f64 / 1e3),
+        _ => format!("{ns}ns"),
+    }
+}
+
+/// `{"k":v,...}` from keys and already-rendered JSON values.
+fn json_obj<'a>(pairs: impl Iterator<Item = (&'a str, String)>) -> String {
+    let body: Vec<String> = pairs.map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{{}}}", body.join(","))
 }
 
 impl StatsSnapshot {
@@ -305,109 +321,190 @@ impl StatsSnapshot {
         }
     }
 
+    /// Every scalar stat outside the tenant rows, in table order.
+    fn scalars(&self) -> impl Iterator<Item = Row> + '_ {
+        table_rows(OpStats::FIELDS, &self.ops)
+            .chain(table_rows(Self::FIELDS, self))
+            .chain(table_rows(SimSnapshot::FIELDS, &self.sim))
+    }
+
+    /// The meaningful prefix of `tenants`.
+    pub fn tenant_rows(&self) -> &[TenantStat] {
+        &self.tenants[..(self.tenant_count as usize).min(MAX_TENANT_STATS)]
+    }
+
     /// Every monotone counter in the snapshot as `(name, value)` pairs —
-    /// the operation counters, the histogram counts and sums, and the
-    /// SGX-model counters. Gauges (entries, heap/cache occupancy) are
-    /// excluded: they legitimately go down. Used by the concurrency test
-    /// to assert that successive snapshots never regress.
+    /// the [`Kind::Counter`] rows of every table plus the histogram
+    /// sample counts. Gauges are excluded: they legitimately go down.
+    /// Used by the concurrency tests to assert that successive snapshots
+    /// never regress.
     pub fn monotone_counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out: Vec<(&'static str, u64)> =
-            OpStats::FIELDS.iter().map(|f| (f.name, (f.get)(&self.ops))).collect();
-        for (name, h) in self.hists.iter() {
-            out.push((name, h.count()));
-        }
-        out.extend([
-            ("wal_bytes", self.wal_bytes),
-            ("wal_records", self.wal_records),
-            ("wal_fsyncs", self.wal_fsyncs),
-            ("repl_segments_shipped", self.repl_segments_shipped),
-            ("repl_bytes_shipped", self.repl_bytes_shipped),
-            ("shed_requests", self.shed_requests),
-            ("refused_connections", self.refused_connections),
-            ("cross_loop_handoffs", self.cross_loop_handoffs),
-            ("crypto_bytes", self.crypto_bytes),
-            ("crypto_ops", self.crypto_ops),
-            ("scrub_passes", self.scrub_passes),
-            ("scrub_bytes", self.scrub_bytes),
-            ("scrub_corrupt", self.scrub_corrupt),
-            ("scrub_repaired", self.scrub_repaired),
-        ]);
-        let s = &self.sim;
-        out.extend([
-            ("sim.ecalls", s.ecalls),
-            ("sim.ocalls", s.ocalls),
-            ("sim.hotcalls", s.hotcalls),
-            ("sim.epc_faults", s.epc_faults),
-            ("sim.epc_evictions", s.epc_evictions),
-            ("sim.epc_writebacks", s.epc_writebacks),
-            ("sim.epc_hits", s.epc_hits),
-            ("sim.attack_steps", s.attack_steps),
-        ]);
-        out
+        self.scalars()
+            .filter(|row| row.kind == Kind::Counter)
+            .map(|row| (row.name, row.value))
+            .chain(self.hists.iter().map(|(name, h)| (name, h.count())))
+            .collect()
     }
 
     /// The per-interval difference against an earlier snapshot of the
-    /// same store: counters and histograms subtract; gauges (entries,
-    /// heap, cache, shard count) keep the later value.
+    /// same store: counters and histograms subtract; gauges and the
+    /// tenant rows keep the later value.
     pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             ops: self.ops.diff(&earlier.ops),
             hists: self.hists.diff(&earlier.hists),
-            entries: self.entries,
-            shards: self.shards,
-            heap_live_bytes: self.heap_live_bytes,
-            heap_chunks: self.heap_chunks,
-            cache_used_bytes: self.cache_used_bytes,
-            cache_entries: self.cache_entries,
-            wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
-            wal_records: self.wal_records.saturating_sub(earlier.wal_records),
-            wal_fsyncs: self.wal_fsyncs.saturating_sub(earlier.wal_fsyncs),
-            repl_role: self.repl_role,
-            repl_subscribers: self.repl_subscribers,
-            repl_segments_shipped: self
-                .repl_segments_shipped
-                .saturating_sub(earlier.repl_segments_shipped),
-            repl_bytes_shipped: self.repl_bytes_shipped.saturating_sub(earlier.repl_bytes_shipped),
-            repl_acked_generation: self.repl_acked_generation,
-            repl_acked_seq: self.repl_acked_seq,
-            repl_lag_records: self.repl_lag_records,
-            quarantined_sets: self.quarantined_sets,
-            quarantined_shards: self.quarantined_shards,
-            shed_requests: self.shed_requests.saturating_sub(earlier.shed_requests),
-            refused_connections: self
-                .refused_connections
-                .saturating_sub(earlier.refused_connections),
-            cross_loop_handoffs: self
-                .cross_loop_handoffs
-                .saturating_sub(earlier.cross_loop_handoffs),
-            event_loops: self.event_loops,
-            pending_frames: self.pending_frames,
-            crypto_bytes: self.crypto_bytes.saturating_sub(earlier.crypto_bytes),
-            crypto_ops: self.crypto_ops.saturating_sub(earlier.crypto_ops),
-            crypto_backend: self.crypto_backend,
-            scrub_passes: self.scrub_passes.saturating_sub(earlier.scrub_passes),
-            scrub_bytes: self.scrub_bytes.saturating_sub(earlier.scrub_bytes),
-            scrub_corrupt: self.scrub_corrupt.saturating_sub(earlier.scrub_corrupt),
-            scrub_repaired: self.scrub_repaired.saturating_sub(earlier.scrub_repaired),
-            storage_failed: self.storage_failed,
-            // The tenant block is a gauge panel (occupancy plus
-            // since-start counters keyed by tenant id); keep the later
-            // reading rather than trying to subtract rows across
-            // possibly-reordered arrays.
-            tenant_count: self.tenant_count,
-            tenants: self.tenants,
-            sim: sgx_sim::stats::StatsSnapshot {
-                ecalls: self.sim.ecalls.saturating_sub(earlier.sim.ecalls),
-                ocalls: self.sim.ocalls.saturating_sub(earlier.sim.ocalls),
-                hotcalls: self.sim.hotcalls.saturating_sub(earlier.sim.hotcalls),
-                epc_faults: self.sim.epc_faults.saturating_sub(earlier.sim.epc_faults),
-                epc_evictions: self.sim.epc_evictions.saturating_sub(earlier.sim.epc_evictions),
-                epc_writebacks: self.sim.epc_writebacks.saturating_sub(earlier.sim.epc_writebacks),
-                epc_hits: self.sim.epc_hits.saturating_sub(earlier.sim.epc_hits),
-                untrusted_bytes_allocated: self.sim.untrusted_bytes_allocated,
-                attack_steps: self.sim.attack_steps.saturating_sub(earlier.sim.attack_steps),
-            },
+            sim: Field::diff(SimSnapshot::FIELDS, &self.sim, &earlier.sim),
+            ..Field::diff(Self::FIELDS, self, earlier)
         }
+    }
+
+    /// A hash of everything that fixes the meaning of [`Self::to_words`]:
+    /// every table's row names, kinds and order, the bucket count and the
+    /// tenant row slots. Two builds agree on it exactly when they agree on
+    /// the layout, so nobody maintains a version number by hand.
+    pub fn layout_fingerprint() -> u64 {
+        let mut layout = Vec::new();
+        describe(&mut layout, OpStats::FIELDS);
+        describe(&mut layout, Self::FIELDS);
+        describe(&mut layout, TenantStat::FIELDS);
+        layout.extend((MAX_TENANT_STATS as u64).to_le_bytes());
+        describe(&mut layout, SimSnapshot::FIELDS);
+        describe(&mut layout, OpHists::FIELDS);
+        layout.extend((NUM_BUCKETS as u64).to_le_bytes());
+        SipHash24::from_parts(0, 0).hash(&layout)
+    }
+
+    /// Visits every `u64` stat in wire order: the op counters, the
+    /// snapshot's own rows, every tenant row slot (meaningful or not),
+    /// the SGX-model counters.
+    pub fn for_each_scalar(&mut self, mut visit: impl FnMut(&'static str, Kind, &mut u64)) {
+        fn table<T>(
+            fields: &[Field<T>],
+            of: &mut T,
+            visit: &mut impl FnMut(&'static str, Kind, &mut u64),
+        ) {
+            for f in fields {
+                visit(f.name, f.kind, (f.get_mut)(of));
+            }
+        }
+        table(OpStats::FIELDS, &mut self.ops, &mut visit);
+        table(Self::FIELDS, self, &mut visit);
+        for tenant in self.tenants.iter_mut() {
+            table(TenantStat::FIELDS, tenant, &mut visit);
+        }
+        table(SimSnapshot::FIELDS, &mut self.sim, &mut visit);
+    }
+
+    /// The snapshot as a flat `u64` sequence: the layout fingerprint,
+    /// every scalar in [`Self::for_each_scalar`] order (unused tenant
+    /// slots are all-zero, so the length is constant), then each
+    /// histogram as `NUM_BUCKETS` buckets + sum + max. Every exported
+    /// value is a count, an id or a duration — never key or value bytes.
+    pub fn to_words(&self) -> Vec<u64> {
+        let mut out = vec![Self::layout_fingerprint()];
+        // The one table walk hands out `&mut`; visit a copy.
+        let mut copy = *self;
+        copy.for_each_scalar(|_, _, v| out.push(*v));
+        for (_, h) in self.hists.iter() {
+            out.extend(h.buckets());
+            out.extend([h.sum_ns(), h.max_ns()]);
+        }
+        out
+    }
+
+    /// Rebuilds a snapshot from [`Self::to_words`] output, failing closed
+    /// (with the reason) on a foreign layout fingerprint, too few or too
+    /// many words, or an internally inconsistent histogram.
+    pub fn from_words(words: impl IntoIterator<Item = u64>) -> Result<Self, &'static str> {
+        let mut words = words.into_iter();
+        let mut next = || words.next().ok_or("truncated");
+        if next()? != Self::layout_fingerprint() {
+            return Err("layout fingerprint mismatch (peer built from different stat tables)");
+        }
+        let mut snap = Self::default();
+        let mut filled = Ok(());
+        snap.for_each_scalar(|_, _, v| match next() {
+            Ok(word) => *v = word,
+            Err(short) => filled = Err(short),
+        });
+        filled?;
+        for f in OpHists::FIELDS {
+            let mut buckets = [0u64; NUM_BUCKETS];
+            for bucket in buckets.iter_mut() {
+                *bucket = next()?;
+            }
+            *(f.get_mut)(&mut snap.hists) =
+                LatencyHist::from_raw(buckets, next()?, next()?).ok_or("inconsistent histogram")?;
+        }
+        match next() {
+            Err(_) => Ok(snap),
+            Ok(_) => Err("trailing words"),
+        }
+    }
+
+    /// The text dashboard: one block per section (tables keep a section's
+    /// rows together), one line per stat. Counters still at zero are left
+    /// out; gauges always print.
+    pub fn render_text(&self) -> String {
+        let mut out = String::from("== ShieldStore stats ==\n");
+        let mut section = "";
+        for row in self.scalars().filter(|row| row.value != 0 || row.kind == Kind::Gauge) {
+            if row.section != section {
+                section = row.section;
+                let _ = writeln!(out, "\n-- {section} --");
+            }
+            let _ = writeln!(out, "{:<28} {}", row.name, row.value);
+        }
+        let _ = writeln!(out, "\n-- latency (effective ns: wall + modeled SGX penalties) --");
+        let _ = writeln!(
+            out,
+            "{:<10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            "", "count", "p50", "p95", "p99", "max"
+        );
+        for (name, h) in self.hists.iter() {
+            let [p50, p95, p99, max] = [h.p50(), h.p95(), h.p99(), h.max_ns()].map(fmt_ns);
+            let _ = writeln!(
+                out,
+                "{name:<10} {:>10} {p50:>10} {p95:>10} {p99:>10} {max:>10}",
+                h.count()
+            );
+        }
+        let _ = writeln!(out, "\n-- tenants (busiest first) --");
+        for tenant in self.tenant_rows() {
+            let cells: Vec<String> = table_rows(TenantStat::FIELDS, tenant)
+                .map(|row| format!("{}={}", row.name, row.value))
+                .collect();
+            let _ = writeln!(out, "{}", cells.join(" "));
+        }
+        out
+    }
+
+    /// One JSON object: every scalar under its own name, `latency` with
+    /// one summary object per histogram, and `tenants` with one object
+    /// per meaningful tenant row.
+    pub fn render_json(&self) -> String {
+        let number = |row: Row| (row.name, row.value.to_string());
+        let latency = json_obj(self.hists.iter().map(|(name, h)| {
+            let summary = [
+                ("count", h.count()),
+                ("sum_ns", h.sum_ns()),
+                ("p50_ns", h.p50()),
+                ("p95_ns", h.p95()),
+                ("p99_ns", h.p99()),
+                ("max_ns", h.max_ns()),
+            ];
+            (name, json_obj(summary.into_iter().map(|(k, v)| (k, v.to_string()))))
+        }));
+        let tenants: Vec<String> = self
+            .tenant_rows()
+            .iter()
+            .map(|tenant| json_obj(table_rows(TenantStat::FIELDS, tenant).map(number)))
+            .collect();
+        json_obj(
+            self.scalars()
+                .map(number)
+                .chain([("latency", latency), ("tenants", format!("[{}]", tenants.join(",")))]),
+        )
     }
 
     /// Cross-checks the snapshot's internal invariants, returning the
@@ -522,23 +619,39 @@ mod tests {
         merged.merge(&b);
         for (i, f) in OpStats::FIELDS.iter().enumerate() {
             let want = (i as u64 + 1) * 1_000 + (i as u64 + 1);
-            assert_eq!((f.get)(&merged), want, "field {} not summed by merge", f.name);
+            assert_eq!(*(f.get)(&merged), want, "field {} not summed by merge", f.name);
         }
     }
 
     #[test]
-    fn field_table_matches_struct_width() {
-        // One u64 per macro row — if this fails, a field was added to the
-        // struct outside the macro invocation (impossible) or the macro
-        // broke.
+    fn field_tables_match_struct_widths() {
+        // One u64 per macro row — if this fails the macro broke.
+        assert_eq!(OpStats::FIELDS.len() * 8, std::mem::size_of::<OpStats>());
+        assert_eq!(TenantStat::FIELDS.len() * 8, std::mem::size_of::<TenantStat>());
         assert_eq!(
-            OpStats::FIELDS.len() * std::mem::size_of::<u64>(),
-            std::mem::size_of::<OpStats>()
+            OpHists::FIELDS.len() * std::mem::size_of::<LatencyHist>(),
+            std::mem::size_of::<OpHists>()
         );
-        let mut names: Vec<_> = OpStats::FIELDS.iter().map(|f| f.name).collect();
+        let nested = std::mem::size_of::<OpStats>()
+            + std::mem::size_of::<OpHists>()
+            + std::mem::size_of::<[TenantStat; MAX_TENANT_STATS]>()
+            + std::mem::size_of::<SimSnapshot>();
+        assert_eq!(StatsSnapshot::FIELDS.len() * 8 + nested, std::mem::size_of::<StatsSnapshot>());
+        // Reports and `monotone_counters` key stats by bare name, and the
+        // dashboard prints one header per run of a section.
+        let snap = StatsSnapshot::default();
+        let mut sections: Vec<_> = snap.scalars().map(|row| row.section).collect();
+        sections.dedup();
+        let runs = sections.len();
+        sections.sort_unstable();
+        sections.dedup();
+        assert_eq!(sections.len(), runs, "a section's rows are not contiguous");
+        let mut names: Vec<_> = snap.scalars().map(|row| row.name).collect();
+        names.extend(snap.hists.iter().map(|(name, _)| name));
+        let total = names.len();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), OpStats::FIELDS.len(), "duplicate field names");
+        assert_eq!(names.len(), total, "duplicate stat names");
     }
 
     #[test]
@@ -590,17 +703,10 @@ mod tests {
         assert_eq!(d.hists.get.count(), 1);
         assert_eq!(d.entries, 7);
         let names: Vec<_> = after.monotone_counters().iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"gets"));
-        assert!(names.contains(&"sim.epc_faults"));
-        assert!(names.contains(&"wal_records"));
-        assert!(names.contains(&"crypto_bytes"));
-        assert!(names.contains(&"cross_loop_handoffs"));
-        assert!(names.contains(&"repl_segments_shipped"));
-        assert!(names.contains(&"scrub_bytes"));
-        // op counters + 5 histograms + 3 WAL gauges + 2 replication
-        // counters + 3 serving-layer counters + 2 crypto counters +
-        // 4 scrub counters + 8 sim counters.
-        assert_eq!(names.len(), OpStats::FIELDS.len() + 5 + 3 + 2 + 3 + 2 + 4 + 8);
+        for counter in ["gets", "get", "epc_faults", "wal_records", "scrub_bytes"] {
+            assert!(names.contains(&counter), "{counter}");
+        }
+        assert!(!names.contains(&"entries"), "gauges are not monotone");
     }
 
     #[test]

@@ -683,8 +683,8 @@ fn tenant_stat_row(tenant: TenantId, state: &TenantState) -> TenantStat {
     use std::sync::atomic::Ordering::SeqCst;
     let u = &state.usage;
     TenantStat {
-        tenant,
-        weight: state.quota.weight.max(1),
+        tenant: tenant.into(),
+        weight: state.quota.weight.max(1).into(),
         used_bytes: u.used_bytes.load(SeqCst),
         used_keys: u.used_keys.load(SeqCst),
         gets: u.gets.load(SeqCst),

@@ -345,4 +345,10 @@ impl ShieldStore {
     pub fn leak_tenant_keys(&self, tenant: TenantId) -> ([u8; 16], [u8; 16]) {
         TenantKeys::derive_raw(&self.keys().raw[4], tenant)
     }
+
+    /// Leaks the store's raw key material, so export-path tests can
+    /// assert none of it ever appears in what crosses the boundary.
+    pub fn leak_store_keys(&self) -> [[u8; 16]; 5] {
+        self.keys().raw
+    }
 }

@@ -23,8 +23,7 @@
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::EnclaveBuilder;
 use shield_net::client::KvClient;
-use shieldstore::hist::LatencyHist;
-use shieldstore::{OpStats, StatsSnapshot};
+use shieldstore::StatsSnapshot;
 
 fn main() {
     let mut addr: Option<String> = None;
@@ -71,297 +70,48 @@ fn main() {
     });
 
     if json {
-        println!("{}", to_json(&snap));
+        println!("{}", snap.render_json());
     } else {
-        print_dashboard(&snap);
+        print!("{}", snap.render_text());
+        print_derived(&snap);
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn print_dashboard(snap: &StatsSnapshot) {
-    println!("== ShieldStore stats ==");
-    println!("entries: {}   shards: {}", snap.entries, snap.shards);
-    println!();
-
-    println!("-- latency (effective ns: wall + modeled SGX penalties) --");
-    println!("{:<8} {:>10} {:>10} {:>10} {:>10} {:>10}", "op", "count", "p50", "p95", "p99", "max");
-    for (name, h) in snap.hists.iter() {
-        println!(
-            "{:<8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            name,
-            h.count(),
-            fmt_ns(h.p50()),
-            fmt_ns(h.p95()),
-            fmt_ns(h.p99()),
-            fmt_ns(h.max_ns()),
-        );
-    }
-    println!();
-
-    println!("-- operation counters --");
-    for f in OpStats::FIELDS {
-        let v = (f.get)(&snap.ops);
-        if v != 0 {
-            println!("{:<28} {v}", f.name);
-        }
-    }
+/// What the tables cannot say: ratios, names for coded gauges, and what
+/// to do about an unhealthy reading.
+fn print_derived(snap: &StatsSnapshot) {
+    println!("\n-- derived --");
     println!("{:<28} {}", "total_ops", snap.ops.total_ops());
     println!("{:<28} {:.3}", "decryptions_per_op", snap.ops.decryptions_per_op());
     if let Some(ratio) = snap.cache_hit_ratio() {
         println!("{:<28} {:.1}%", "cache_hit_ratio", ratio * 100.0);
     }
-    println!();
-
-    println!("-- memory --");
-    println!("{:<28} {}", "heap_live_bytes", snap.heap_live_bytes);
-    println!("{:<28} {}", "heap_chunks", snap.heap_chunks);
-    println!("{:<28} {}", "cache_used_bytes", snap.cache_used_bytes);
-    println!("{:<28} {}", "cache_entries", snap.cache_entries);
-    println!();
-
-    println!("-- write-ahead log --");
-    println!("{:<28} {}", "wal_bytes", snap.wal_bytes);
-    println!("{:<28} {}", "wal_records", snap.wal_records);
-    println!("{:<28} {}", "wal_fsyncs", snap.wal_fsyncs);
     let g = &snap.hists.wal_group;
     if g.count() > 0 {
         println!("{:<28} p50={} p95={} max={}", "group_commit_ops", g.p50(), g.p95(), g.max_ns());
     }
-    println!();
-
-    println!("-- storage health --");
-    println!("{:<28} {}", "storage_failed", snap.storage_failed);
-    println!("{:<28} {}", "scrub_passes", snap.scrub_passes);
-    println!("{:<28} {}", "scrub_bytes", snap.scrub_bytes);
-    println!("{:<28} {}", "scrub_corrupt", snap.scrub_corrupt);
-    println!("{:<28} {}", "scrub_repaired", snap.scrub_repaired);
-    if snap.storage_failed != 0 {
-        println!("  !! log writer poisoned: writes fail closed; fail over or repair");
-    }
-    println!();
-
-    println!("-- availability --");
-    println!("{:<28} {}", "quarantined_sets", snap.quarantined_sets);
-    println!("{:<28} {}", "quarantined_shards", snap.quarantined_shards);
-    println!("{:<28} {}", "shed_requests", snap.shed_requests);
-    println!("{:<28} {}", "refused_connections", snap.refused_connections);
-    println!("{:<28} {}", "event_loops", snap.event_loops);
-    println!("{:<28} {}", "pending_frames", snap.pending_frames);
-    println!("{:<28} {}", "cross_loop_handoffs", snap.cross_loop_handoffs);
-    if snap.quarantined_sets > 0 || snap.quarantined_shards > 0 {
-        println!("  !! integrity violations froze part of the store; restore from a snapshot");
-    }
-    println!();
-
-    if snap.repl_role != 0 {
-        println!("-- replication --");
-        let role = match snap.repl_role {
-            1 => "primary (streaming to subscribers)",
-            2 => "replica (read-only)",
-            _ => "unknown",
-        };
-        println!("{:<28} {}", "role", role);
-        println!("{:<28} {}", "repl_subscribers", snap.repl_subscribers);
-        println!("{:<28} {}", "repl_segments_shipped", snap.repl_segments_shipped);
-        println!("{:<28} {}", "repl_bytes_shipped", snap.repl_bytes_shipped);
-        println!(
-            "{:<28} ({}, {})",
-            "repl_acked_watermark", snap.repl_acked_generation, snap.repl_acked_seq
-        );
-        println!("{:<28} {}", "repl_lag_records", snap.repl_lag_records);
-        println!();
-    }
-
-    if snap.tenant_count > 0 {
-        println!("-- tenants ({} known) --", snap.tenant_count);
-        println!(
-            "{:<8} {:>6} {:>12} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "tenant",
-            "weight",
-            "used_bytes",
-            "keys",
-            "gets",
-            "sets",
-            "hits",
-            "misses",
-            "quota",
-            "expired",
-            "shed"
-        );
-        let rows = snap.tenant_count.min(shieldstore::MAX_TENANT_STATS as u64) as usize;
-        for t in &snap.tenants[..rows] {
-            println!(
-                "{:<8} {:>6} {:>12} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                t.tenant,
-                t.weight,
-                t.used_bytes,
-                t.used_keys,
-                t.gets,
-                t.sets,
-                t.hits,
-                t.misses,
-                t.quota_rejections,
-                t.expired_lazy + t.expired_swept,
-                t.shed,
-            );
-        }
-        if snap.tenant_count > rows as u64 {
-            println!("  ... {} more tenants (busiest shown)", snap.tenant_count - rows as u64);
-        }
-        println!();
-    }
-
-    println!("-- crypto --");
+    println!("{:<28} {:.2}%", "epc_fault_rate", snap.sim.fault_rate() * 100.0);
+    let role = match snap.repl_role {
+        0 => "standalone",
+        1 => "primary (streaming to subscribers)",
+        2 => "replica (read-only)",
+        _ => "unknown",
+    };
+    println!("{:<28} {role}", "role");
     let backend = match snap.crypto_backend {
         0 => "soft (table-based AES)",
         1 => "aesni (hardware AES)",
         _ => "unknown",
     };
-    println!("{:<28} {}", "backend", backend);
-    println!("{:<28} {}", "crypto_bytes", snap.crypto_bytes);
-    println!("{:<28} {}", "crypto_ops", snap.crypto_ops);
-    println!();
-
-    println!("-- sgx model --");
-    let s = &snap.sim;
-    println!("{:<28} {}", "ecalls", s.ecalls);
-    println!("{:<28} {}", "ocalls", s.ocalls);
-    println!("{:<28} {}", "hotcalls", s.hotcalls);
-    println!("{:<28} {}", "epc_faults", s.epc_faults);
-    println!("{:<28} {}", "epc_evictions", s.epc_evictions);
-    println!("{:<28} {}", "epc_writebacks", s.epc_writebacks);
-    println!("{:<28} {}", "epc_hits", s.epc_hits);
-    println!("{:<28} {}", "untrusted_bytes_allocated", s.untrusted_bytes_allocated);
-    println!("{:<28} {:.2}%", "epc_fault_rate", s.fault_rate() * 100.0);
-}
-
-fn hist_json(h: &LatencyHist) -> String {
-    format!(
-        "{{\"count\":{},\"sum_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-        h.count(),
-        h.sum_ns(),
-        h.p50(),
-        h.p95(),
-        h.p99(),
-        h.max_ns()
-    )
-}
-
-fn to_json(snap: &StatsSnapshot) -> String {
-    let mut out = String::from("{");
-    out.push_str("\"ops\":{");
-    for (i, f) in OpStats::FIELDS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", f.name, (f.get)(&snap.ops)));
+    println!("{:<28} {backend}", "backend");
+    let hidden = snap.tenant_count.saturating_sub(snap.tenant_rows().len() as u64);
+    if hidden > 0 {
+        println!("  ... {hidden} more tenants (busiest shown)");
     }
-    out.push_str("},\"latency\":{");
-    for (i, (name, h)) in snap.hists.iter().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{}", hist_json(h)));
+    if snap.storage_failed != 0 {
+        println!("  !! log writer poisoned: writes fail closed; fail over or repair");
     }
-    out.push_str("},");
-    out.push_str(&format!(
-        "\"entries\":{},\"shards\":{},\"heap_live_bytes\":{},\"heap_chunks\":{},\
-         \"cache_used_bytes\":{},\"cache_entries\":{},\
-         \"wal_bytes\":{},\"wal_records\":{},\"wal_fsyncs\":{},\
-         \"quarantined_sets\":{},\"quarantined_shards\":{},\
-         \"shed_requests\":{},\"refused_connections\":{},\
-         \"cross_loop_handoffs\":{},\"event_loops\":{},\"pending_frames\":{},\
-         \"crypto_bytes\":{},\"crypto_ops\":{},\"crypto_backend\":{},",
-        snap.entries,
-        snap.shards,
-        snap.heap_live_bytes,
-        snap.heap_chunks,
-        snap.cache_used_bytes,
-        snap.cache_entries,
-        snap.wal_bytes,
-        snap.wal_records,
-        snap.wal_fsyncs,
-        snap.quarantined_sets,
-        snap.quarantined_shards,
-        snap.shed_requests,
-        snap.refused_connections,
-        snap.cross_loop_handoffs,
-        snap.event_loops,
-        snap.pending_frames,
-        snap.crypto_bytes,
-        snap.crypto_ops,
-        snap.crypto_backend
-    ));
-    out.push_str(&format!(
-        "\"storage\":{{\"storage_failed\":{},\"scrub_passes\":{},\"scrub_bytes\":{},\
-         \"scrub_corrupt\":{},\"scrub_repaired\":{}}},",
-        snap.storage_failed,
-        snap.scrub_passes,
-        snap.scrub_bytes,
-        snap.scrub_corrupt,
-        snap.scrub_repaired
-    ));
-    out.push_str(&format!(
-        "\"repl\":{{\"role\":{},\"subscribers\":{},\"segments_shipped\":{},\
-         \"bytes_shipped\":{},\"acked_generation\":{},\"acked_seq\":{},\
-         \"lag_records\":{}}},",
-        snap.repl_role,
-        snap.repl_subscribers,
-        snap.repl_segments_shipped,
-        snap.repl_bytes_shipped,
-        snap.repl_acked_generation,
-        snap.repl_acked_seq,
-        snap.repl_lag_records
-    ));
-    out.push_str(&format!("\"tenant_count\":{},\"tenants\":[", snap.tenant_count));
-    let rows = snap.tenant_count.min(shieldstore::MAX_TENANT_STATS as u64) as usize;
-    for (i, t) in snap.tenants[..rows].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"tenant\":{},\"weight\":{},\"used_bytes\":{},\"used_keys\":{},             \"gets\":{},\"sets\":{},\"hits\":{},\"misses\":{},             \"quota_rejections\":{},\"expired_lazy\":{},\"expired_swept\":{},\"shed\":{}}}",
-            t.tenant,
-            t.weight,
-            t.used_bytes,
-            t.used_keys,
-            t.gets,
-            t.sets,
-            t.hits,
-            t.misses,
-            t.quota_rejections,
-            t.expired_lazy,
-            t.expired_swept,
-            t.shed
-        ));
+    if snap.quarantined_sets > 0 || snap.quarantined_shards > 0 {
+        println!("  !! integrity violations froze part of the store; restore from a snapshot");
     }
-    out.push_str("],");
-    let s = &snap.sim;
-    out.push_str(&format!(
-        "\"sgx\":{{\"ecalls\":{},\"ocalls\":{},\"hotcalls\":{},\"epc_faults\":{},\
-         \"epc_evictions\":{},\"epc_writebacks\":{},\"epc_hits\":{},\
-         \"untrusted_bytes_allocated\":{},\"attack_steps\":{}}}",
-        s.ecalls,
-        s.ocalls,
-        s.hotcalls,
-        s.epc_faults,
-        s.epc_evictions,
-        s.epc_writebacks,
-        s.epc_hits,
-        s.untrusted_bytes_allocated,
-        s.attack_steps
-    ));
-    out.push('}');
-    out
 }

@@ -734,7 +734,15 @@ impl EventLoop {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            self.shared.state.active.fetch_sub(1, Ordering::SeqCst);
+            let was = self.shared.state.active.fetch_sub(1, Ordering::SeqCst);
+            // The last close of a drain is what every already-empty loop
+            // is waiting for; nothing else would wake them before the
+            // deadline.
+            if was == 1 && self.shared.state.draining.load(Ordering::SeqCst) {
+                for peer in self.shared.loops.iter() {
+                    peer.wake.wake();
+                }
+            }
         }
         self.timed.remove(&token);
     }

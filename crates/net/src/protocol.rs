@@ -616,275 +616,26 @@ pub fn multi_set_items(bytes: &[u8]) -> Result<Vec<(&[u8], &[u8])>> {
     Ok(items)
 }
 
-/// Version tag of the [`encode_stats`] layout. Bumped whenever the field
-/// order or width changes, so a stale client fails closed instead of
-/// misreading counters. v6 added the per-tenant block; v7 added the
-/// replication gauges; v8 added the scrub and storage-failure gauges.
-pub const STATS_WIRE_VERSION: u8 = 8;
-
-/// u64 fields serialized per [`shieldstore::TenantStat`] row.
-const TENANT_STAT_FIELDS: usize = 12;
-
-/// The sim-counter serialization order of [`encode_stats`], fixed here so
-/// encode and decode cannot drift apart.
-const SIM_FIELDS: usize = 9;
-
-fn sim_to_array(s: &sgx_sim::stats::StatsSnapshot) -> [u64; SIM_FIELDS] {
-    [
-        s.ecalls,
-        s.ocalls,
-        s.hotcalls,
-        s.epc_faults,
-        s.epc_evictions,
-        s.epc_writebacks,
-        s.epc_hits,
-        s.untrusted_bytes_allocated,
-        s.attack_steps,
-    ]
-}
-
-fn sim_from_array(a: [u64; SIM_FIELDS]) -> sgx_sim::stats::StatsSnapshot {
-    sgx_sim::stats::StatsSnapshot {
-        ecalls: a[0],
-        ocalls: a[1],
-        hotcalls: a[2],
-        epc_faults: a[3],
-        epc_evictions: a[4],
-        epc_writebacks: a[5],
-        epc_hits: a[6],
-        untrusted_bytes_allocated: a[7],
-        attack_steps: a[8],
-    }
-}
-
-/// Encodes a `Stats` response value:
-///
-/// ```text
-/// [ version u8 ] [ op_field_count u8 ] ( op counter u64 )*
-/// 5 x histogram (get, set, delete, batch, wal_group):
-///   ( bucket u64 )x64  [ sum u64 ] [ max u64 ]
-/// [ entries | shards | heap_live | heap_chunks | cache_used | cache_entries ]
-/// [ wal_bytes | wal_records | wal_fsyncs ]
-/// [ repl_role | repl_subscribers | repl_segments_shipped | repl_bytes_shipped ]
-/// [ repl_acked_generation | repl_acked_seq | repl_lag_records ]
-/// [ quarantined_sets | quarantined_shards | shed_requests | refused_connections ]
-/// [ cross_loop_handoffs | event_loops | pending_frames ]
-/// [ crypto_bytes | crypto_ops | crypto_backend ]
-/// [ scrub_passes | scrub_bytes | scrub_corrupt | scrub_repaired | storage_failed ]
-/// [ tenant_count u64 ] MAX_TENANT_STATS x tenant row (12 u64 each)
-/// [ sim_field_count u8 ] ( sim counter u64 )*
-/// ```
-///
-/// All integers are u64 LE. Counter order is [`OpStats::FIELDS`] order,
-/// so a counter added to the macro table is serialized automatically.
+/// Encodes a `Stats` response value: [`shieldstore::StatsSnapshot::to_words`]
+/// as u64 LE. The first word is the layout fingerprint derived from the
+/// stat tables, so a peer built from different tables fails closed
+/// instead of misreading counters, and a stat added to a table is
+/// serialized automatically.
 pub fn encode_stats(snap: &shieldstore::StatsSnapshot) -> Vec<u8> {
-    use shieldstore::hist::NUM_BUCKETS;
-    use shieldstore::OpStats;
-    let mut out = Vec::with_capacity(
-        2 + 8 * OpStats::FIELDS.len()
-            + 5 * 8 * (NUM_BUCKETS + 2)
-            + (31 + 1 + shieldstore::MAX_TENANT_STATS * TENANT_STAT_FIELDS) * 8
-            + 1
-            + 8 * SIM_FIELDS,
-    );
-    out.push(STATS_WIRE_VERSION);
-    out.push(OpStats::FIELDS.len() as u8);
-    for f in OpStats::FIELDS {
-        out.extend_from_slice(&(f.get)(&snap.ops).to_le_bytes());
-    }
-    for (_, h) in snap.hists.iter() {
-        for b in h.buckets() {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out.extend_from_slice(&h.sum_ns().to_le_bytes());
-        out.extend_from_slice(&h.max_ns().to_le_bytes());
-    }
-    for gauge in [
-        snap.entries,
-        snap.shards,
-        snap.heap_live_bytes,
-        snap.heap_chunks,
-        snap.cache_used_bytes,
-        snap.cache_entries,
-        snap.wal_bytes,
-        snap.wal_records,
-        snap.wal_fsyncs,
-        snap.repl_role,
-        snap.repl_subscribers,
-        snap.repl_segments_shipped,
-        snap.repl_bytes_shipped,
-        snap.repl_acked_generation,
-        snap.repl_acked_seq,
-        snap.repl_lag_records,
-        snap.quarantined_sets,
-        snap.quarantined_shards,
-        snap.shed_requests,
-        snap.refused_connections,
-        snap.cross_loop_handoffs,
-        snap.event_loops,
-        snap.pending_frames,
-        snap.crypto_bytes,
-        snap.crypto_ops,
-        snap.crypto_backend,
-        snap.scrub_passes,
-        snap.scrub_bytes,
-        snap.scrub_corrupt,
-        snap.scrub_repaired,
-        snap.storage_failed,
-    ] {
-        out.extend_from_slice(&gauge.to_le_bytes());
-    }
-    // Per-tenant block: the live row count, then every row slot
-    // fixed-width (unused slots are all-zero), so the payload length is
-    // constant and decode cannot be steered by a hostile count.
-    out.extend_from_slice(&snap.tenant_count.to_le_bytes());
-    for row in &snap.tenants {
-        for v in [
-            row.tenant as u64,
-            row.weight as u64,
-            row.used_bytes,
-            row.used_keys,
-            row.gets,
-            row.sets,
-            row.hits,
-            row.misses,
-            row.quota_rejections,
-            row.expired_lazy,
-            row.expired_swept,
-            row.shed,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out.push(SIM_FIELDS as u8);
-    for v in sim_to_array(&snap.sim) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    snap.to_words().into_iter().flat_map(u64::to_le_bytes).collect()
 }
 
-/// Cursor over the fixed-width u64 stream of a stats payload.
-struct StatsReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl StatsReader<'_> {
-    fn u64(&mut self) -> Result<u64> {
-        if self.bytes.len() < 8 {
-            return Err(NetError::Protocol("truncated stats payload".into()));
-        }
-        let v = u64::from_le_bytes(self.bytes[..8].try_into().expect("8 bytes"));
-        self.bytes = &self.bytes[8..];
-        Ok(v)
-    }
-
-    fn hist(&mut self) -> Result<shieldstore::LatencyHist> {
-        let mut buckets = [0u64; shieldstore::hist::NUM_BUCKETS];
-        for b in buckets.iter_mut() {
-            *b = self.u64()?;
-        }
-        let sum = self.u64()?;
-        let max = self.u64()?;
-        shieldstore::LatencyHist::from_raw(buckets, sum, max)
-            .ok_or_else(|| NetError::Protocol("inconsistent stats histogram".into()))
-    }
-}
-
-/// Decodes a payload produced by [`encode_stats`], failing closed on
-/// version or field-count mismatch, truncation, trailing bytes, or
-/// internally inconsistent histograms.
+/// Decodes a payload produced by [`encode_stats`], failing closed on a
+/// layout mismatch, truncation, trailing bytes, or internally
+/// inconsistent histograms.
 pub fn decode_stats(bytes: &[u8]) -> Result<shieldstore::StatsSnapshot> {
-    use shieldstore::OpStats;
-    if bytes.len() < 2 {
-        return Err(NetError::Protocol("short stats payload".into()));
+    let words = bytes.chunks_exact(8);
+    if !words.remainder().is_empty() {
+        return Err(NetError::Protocol("stats payload is not whole u64 words".into()));
     }
-    if bytes[0] != STATS_WIRE_VERSION {
-        return Err(NetError::Protocol(format!("unknown stats version {}", bytes[0])));
-    }
-    if bytes[1] as usize != OpStats::FIELDS.len() {
-        return Err(NetError::Protocol(format!(
-            "stats field count {} does not match this build's {}",
-            bytes[1],
-            OpStats::FIELDS.len()
-        )));
-    }
-    let mut snap = shieldstore::StatsSnapshot::default();
-    let mut r = StatsReader { bytes: &bytes[2..] };
-    for f in OpStats::FIELDS {
-        *(f.get_mut)(&mut snap.ops) = r.u64()?;
-    }
-    snap.hists.get = r.hist()?;
-    snap.hists.set = r.hist()?;
-    snap.hists.delete = r.hist()?;
-    snap.hists.batch = r.hist()?;
-    snap.hists.wal_group = r.hist()?;
-    snap.entries = r.u64()?;
-    snap.shards = r.u64()?;
-    snap.heap_live_bytes = r.u64()?;
-    snap.heap_chunks = r.u64()?;
-    snap.cache_used_bytes = r.u64()?;
-    snap.cache_entries = r.u64()?;
-    snap.wal_bytes = r.u64()?;
-    snap.wal_records = r.u64()?;
-    snap.wal_fsyncs = r.u64()?;
-    snap.repl_role = r.u64()?;
-    snap.repl_subscribers = r.u64()?;
-    snap.repl_segments_shipped = r.u64()?;
-    snap.repl_bytes_shipped = r.u64()?;
-    snap.repl_acked_generation = r.u64()?;
-    snap.repl_acked_seq = r.u64()?;
-    snap.repl_lag_records = r.u64()?;
-    snap.quarantined_sets = r.u64()?;
-    snap.quarantined_shards = r.u64()?;
-    snap.shed_requests = r.u64()?;
-    snap.refused_connections = r.u64()?;
-    snap.cross_loop_handoffs = r.u64()?;
-    snap.event_loops = r.u64()?;
-    snap.pending_frames = r.u64()?;
-    snap.crypto_bytes = r.u64()?;
-    snap.crypto_ops = r.u64()?;
-    snap.crypto_backend = r.u64()?;
-    snap.scrub_passes = r.u64()?;
-    snap.scrub_bytes = r.u64()?;
-    snap.scrub_corrupt = r.u64()?;
-    snap.scrub_repaired = r.u64()?;
-    snap.storage_failed = r.u64()?;
-    snap.tenant_count = r.u64()?;
-    if snap.tenant_count as usize > shieldstore::MAX_TENANT_STATS {
-        return Err(NetError::Protocol("stats tenant count exceeds row slots".into()));
-    }
-    for row in snap.tenants.iter_mut() {
-        let tenant = r.u64()?;
-        let weight = r.u64()?;
-        if tenant > u32::MAX as u64 || weight > u32::MAX as u64 {
-            return Err(NetError::Protocol("stats tenant row field overflow".into()));
-        }
-        row.tenant = tenant as u32;
-        row.weight = weight as u32;
-        row.used_bytes = r.u64()?;
-        row.used_keys = r.u64()?;
-        row.gets = r.u64()?;
-        row.sets = r.u64()?;
-        row.hits = r.u64()?;
-        row.misses = r.u64()?;
-        row.quota_rejections = r.u64()?;
-        row.expired_lazy = r.u64()?;
-        row.expired_swept = r.u64()?;
-        row.shed = r.u64()?;
-    }
-    if r.bytes.first() != Some(&(SIM_FIELDS as u8)) {
-        return Err(NetError::Protocol("stats sim field count mismatch".into()));
-    }
-    r.bytes = &r.bytes[1..];
-    let mut sim = [0u64; SIM_FIELDS];
-    for v in sim.iter_mut() {
-        *v = r.u64()?;
-    }
-    snap.sim = sim_from_array(sim);
-    if !r.bytes.is_empty() {
-        return Err(NetError::Protocol("trailing bytes after stats payload".into()));
-    }
-    Ok(snap)
+    let words = words.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    shieldstore::StatsSnapshot::from_words(words)
+        .map_err(|why| NetError::Protocol(format!("stats payload: {why}")))
 }
 
 /// Writes a length-prefixed frame.
@@ -1043,49 +794,20 @@ mod tests {
         assert!(decode_multi_get_response(&bytes).is_err());
     }
 
+    /// Every scalar row of every table set to a distinct value, plus a
+    /// few recorded samples.
     fn sample_snapshot() -> shieldstore::StatsSnapshot {
         let mut snap = shieldstore::StatsSnapshot::default();
-        for (i, f) in shieldstore::OpStats::FIELDS.iter().enumerate() {
-            *(f.get_mut)(&mut snap.ops) = (i as u64 + 1) * 17;
-        }
+        let mut next = 0u64;
+        snap.for_each_scalar(|_, _, v| {
+            next += 17;
+            *v = next;
+        });
         snap.hists.get.record(150);
         snap.hists.get.record(9_000);
         snap.hists.set.record(3);
         snap.hists.batch.record(1 << 40);
-        snap.entries = 42;
-        snap.shards = 4;
-        snap.heap_live_bytes = 1 << 20;
-        snap.heap_chunks = 3;
-        snap.cache_used_bytes = 512;
-        snap.cache_entries = 9;
         snap.hists.wal_group.record(16);
-        snap.wal_bytes = 2048;
-        snap.wal_records = 1;
-        snap.wal_fsyncs = 1;
-        snap.repl_role = 1;
-        snap.repl_subscribers = 2;
-        snap.repl_segments_shipped = 11;
-        snap.repl_bytes_shipped = 1 << 16;
-        snap.repl_acked_generation = 3;
-        snap.repl_acked_seq = 900;
-        snap.repl_lag_records = 5;
-        snap.quarantined_sets = 2;
-        snap.quarantined_shards = 1;
-        snap.shed_requests = 13;
-        snap.refused_connections = 4;
-        snap.cross_loop_handoffs = 321;
-        snap.event_loops = 4;
-        snap.pending_frames = 7;
-        snap.crypto_bytes = 1 << 30;
-        snap.crypto_ops = 4242;
-        snap.crypto_backend = 1;
-        snap.scrub_passes = 6;
-        snap.scrub_bytes = 1 << 22;
-        snap.scrub_corrupt = 2;
-        snap.scrub_repaired = 1;
-        snap.storage_failed = 1;
-        snap.sim.ecalls = 77;
-        snap.sim.epc_faults = 5;
         snap
     }
 
@@ -1101,32 +823,29 @@ mod tests {
     #[test]
     fn malformed_stats_rejected() {
         let good = encode_stats(&sample_snapshot());
-        // Empty and short payloads.
         assert!(decode_stats(&[]).is_err());
-        assert!(decode_stats(&good[..1]).is_err());
-        // Wrong version or field count.
-        let mut bad = good.clone();
-        bad[0] = STATS_WIRE_VERSION + 1;
-        assert!(decode_stats(&bad).is_err());
-        let mut bad = good.clone();
-        bad[1] += 1;
-        assert!(decode_stats(&bad).is_err());
+        // A peer built from different tables: any fingerprint byte off.
+        for i in 0..8 {
+            let mut bad = good.clone();
+            bad[i] ^= 1;
+            assert!(decode_stats(&bad).is_err(), "fingerprint byte {i}");
+        }
         // Truncation anywhere must fail, never panic.
-        for cut in [2, 50, good.len() / 2, good.len() - 1] {
+        for cut in 0..good.len() {
             assert!(decode_stats(&good[..cut]).is_err(), "cut at {cut}");
         }
-        // Trailing bytes.
+        // Trailing bytes, whole word or not.
+        for extra in [1, 8] {
+            let mut bad = good.clone();
+            bad.resize(bad.len() + extra, 0);
+            assert!(decode_stats(&bad).is_err(), "{extra} trailing bytes");
+        }
+        // A histogram whose max lies outside its top bucket fails closed
+        // (histograms close the payload; `max` is each one's last word).
         let mut bad = good.clone();
-        bad.push(0);
+        let max_off = bad.len() - 8;
+        bad[max_off..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_stats(&bad).is_err());
-        // A histogram whose max lies outside its top bucket fails closed.
-        let mut snap = sample_snapshot();
-        snap.hists.get.record(1_000_000);
-        let mut bytes = encode_stats(&snap);
-        let tail = 8 * (31 + 1 + shieldstore::MAX_TENANT_STATS * TENANT_STAT_FIELDS) + 1 + 8 * 9;
-        let max_off = bytes.len() - tail - 8;
-        bytes[max_off..max_off + 8].copy_from_slice(&1u64.to_le_bytes());
-        assert!(decode_stats(&bytes).is_err());
     }
 
     #[test]

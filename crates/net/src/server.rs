@@ -408,7 +408,8 @@ pub(crate) fn execute_with(
                     // Per-tenant sheds live in the admission gate
                     // (the store cannot see them).
                     for row in snap.tenants.iter_mut().take(snap.tenant_count as usize) {
-                        row.shed = state.admission.shed_for(row.tenant);
+                        // Rows carry ids widened from `TenantId`.
+                        row.shed = state.admission.shed_for(row.tenant as u32);
                     }
                 }
                 Response::ok(protocol::encode_stats(&snap))

@@ -249,6 +249,31 @@ fn drain_completes_within_deadline_despite_cross_loop_work_and_stall() {
     drop((client, stalled));
 }
 
+/// A loop whose own connections are gone must not sit out the drain
+/// deadline waiting for its peers: the loop that closes the last
+/// connection wakes everyone. With idle clients only, shutdown is
+/// immediate even under the default 5 s deadline.
+#[test]
+fn multi_loop_shutdown_with_idle_clients_does_not_wait_for_the_deadline() {
+    let cfg = ServerConfig { event_loops: 2, secure: false, ..Default::default() };
+    assert_eq!(cfg.drain_deadline, Duration::from_secs(5));
+    let (_enclave, _store, server) = multi_loop_server("engine-idle-drain", cfg, false);
+    // Enough idle connections that both loops hold some; a ping each
+    // proves a loop has adopted it.
+    let mut idle: Vec<KvClient> =
+        (0..6).map(|_| KvClient::connect_insecure(server.addr()).unwrap()).collect();
+    for client in idle.iter_mut() {
+        client.ping().unwrap();
+    }
+    assert_eq!(server.active_connections(), idle.len());
+
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "idle drain took {elapsed:?}");
+    drop(idle);
+}
+
 /// Quarantine fails closed over the wire on a multi-loop engine: the
 /// poisoned partition answers `Quarantined` from whichever loop owns
 /// it, healthy shards keep serving, and the stats frame carries the

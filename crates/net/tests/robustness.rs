@@ -46,47 +46,50 @@ proptest! {
     }
 
     /// Arbitrary bytes never panic the stats decoder, even when they
-    /// start with the genuine version and field-count prefix (so the
-    /// fixed-width body parser itself gets exercised, not just the
-    /// header check).
+    /// start with the genuine layout fingerprint (so the fixed-width
+    /// body parser itself gets exercised, not just the header check).
     #[test]
     fn stats_decode_never_panics(bytes in pvec(any::<u8>(), 0..4096)) {
         let _ = protocol::decode_stats(&bytes);
-        let mut prefixed = vec![
-            protocol::STATS_WIRE_VERSION,
-            shieldstore::OpStats::FIELDS.len() as u8,
-        ];
+        let mut prefixed = shieldstore::StatsSnapshot::layout_fingerprint().to_le_bytes().to_vec();
         prefixed.extend_from_slice(&bytes);
         let _ = protocol::decode_stats(&prefixed);
     }
 
     /// A stats snapshot with arbitrary counters and recorded samples
-    /// roundtrips exactly; truncating the encoding anywhere is rejected.
+    /// roundtrips exactly; a flipped fingerprint byte, a truncation at
+    /// any offset and trailing bytes are each rejected.
     #[test]
     fn stats_roundtrip_and_truncation(
         counters in pvec(any::<u64>(), 0..64),
         samples in pvec(any::<u64>(), 0..32),
         cut_at in any::<prop::sample::Index>(),
+        flip in 0usize..64,
+        trailing in 1usize..17,
     ) {
         let mut snap = shieldstore::StatsSnapshot::default();
-        // Cycle the drawn values over the whole field table, so every
-        // counter gets exercised regardless of how many were drawn.
-        for (i, f) in shieldstore::OpStats::FIELDS.iter().enumerate() {
-            *(f.get_mut)(&mut snap.ops) = counters.get(i % counters.len().max(1)).copied()
-                .unwrap_or(0);
-        }
+        // Cycle the drawn values over every row of every table (op
+        // counters, gauges, tenant rows, sim counters), so each gets
+        // exercised regardless of how many were drawn.
+        let mut i = 0;
+        snap.for_each_scalar(|_, _, v| {
+            *v = counters.get(i % counters.len().max(1)).copied().unwrap_or(0);
+            i += 1;
+        });
         for (i, s) in samples.iter().enumerate() {
-            match i % 4 {
-                0 => snap.hists.get.record(*s),
-                1 => snap.hists.set.record(*s),
-                2 => snap.hists.delete.record(*s),
-                _ => snap.hists.batch.record(*s),
-            }
+            let hists = shieldstore::OpHists::FIELDS;
+            (hists[i % hists.len()].get_mut)(&mut snap.hists).record(*s);
         }
         let encoded = protocol::encode_stats(&snap);
         prop_assert_eq!(protocol::decode_stats(&encoded).unwrap(), snap);
         let cut = cut_at.index(encoded.len()); // strictly shorter
         prop_assert!(protocol::decode_stats(&encoded[..cut]).is_err());
+        let mut stale = encoded.clone();
+        stale[flip / 8] ^= 1 << (flip % 8);
+        prop_assert!(protocol::decode_stats(&stale).is_err());
+        let mut long = encoded;
+        long.resize(long.len() + trailing, 0);
+        prop_assert!(protocol::decode_stats(&long).is_err());
     }
 
     /// Batch payloads roundtrip for arbitrary key/value shapes,
