@@ -221,6 +221,10 @@ sgx_sim::stat_table! {
         /// not own the key's hash partition. Store-side always 0; overlaid
         /// by the server.
         cross_loop_handoffs: Counter, "availability";
+        /// Eventfd wakes the engine spent delivering those handoffs and
+        /// their responses (a burst shares one, so handoffs per wake is the
+        /// batch size). Store-side always 0; overlaid by the server.
+        cross_loop_wakes: Counter, "availability";
         /// Event loops the network engine is running. Store-side always 0;
         /// overlaid by the server.
         event_loops: Gauge, "availability";

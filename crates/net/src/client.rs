@@ -10,6 +10,7 @@ use crate::session::{self, SessionCrypto};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
 use shield_workload::rng::SplitMix64;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -29,7 +30,10 @@ fn status_err(status: Status, what: &str) -> NetError {
 
 /// A connected client (one simulated user).
 pub struct KvClient {
-    stream: TcpStream,
+    /// Replies are read through the buffer, so a burst of pipelined
+    /// replies costs one `read`; requests are written straight to the
+    /// socket underneath it.
+    stream: BufReader<TcpStream>,
     crypto: Option<SessionCrypto>,
     /// Set when a response fails to authenticate or decode. From that
     /// point the request/response pairing on this connection can no
@@ -69,21 +73,21 @@ impl KvClient {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let crypto = session::client_handshake_tenant(&mut stream, verifier, seed, tenant)?;
-        Ok(KvClient { stream, crypto: Some(crypto), poisoned: false })
+        Ok(KvClient { stream: BufReader::new(stream), crypto: Some(crypto), poisoned: false })
     }
 
     /// Connects without attestation or traffic crypto (insecure runs).
     pub fn connect_insecure(addr: SocketAddr) -> Result<KvClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(KvClient { stream, crypto: None, poisoned: false })
+        Ok(KvClient { stream: BufReader::new(stream), crypto: None, poisoned: false })
     }
 
     /// Bounds how long [`recv`](Self::recv) blocks waiting for a frame.
     /// `None` restores blocking reads. Adversarial harnesses use this to
     /// survive an attacker who silently drops frames.
     pub fn set_read_timeout(&mut self, timeout: Option<std::time::Duration>) -> Result<()> {
-        self.stream.set_read_timeout(timeout)?;
+        self.stream.get_ref().set_read_timeout(timeout)?;
         Ok(())
     }
 
@@ -97,15 +101,26 @@ impl KvClient {
     /// with [`recv`](Self::recv); the server handles each connection's
     /// frames sequentially, so replies arrive in send order.
     pub fn send(&mut self, request: &Request) -> Result<()> {
+        self.send_all(std::slice::from_ref(request))
+    }
+
+    /// Seals and frames `requests` in order and hands them to the socket
+    /// in one write.
+    fn send_all(&mut self, requests: &[Request]) -> Result<()> {
         if self.poisoned {
             return Err(NetError::Security("session poisoned by an earlier bad frame".into()));
         }
-        let body = request.encode();
-        let out = match &mut self.crypto {
-            Some(c) => c.seal(&body),
-            None => body,
-        };
-        protocol::write_frame(&mut self.stream, &out)
+        let mut wire = Vec::new();
+        for request in requests {
+            let body = request.encode();
+            let sealed = match &mut self.crypto {
+                Some(c) => c.seal(&body),
+                None => body,
+            };
+            protocol::push_frame(&mut wire, &sealed)?;
+        }
+        self.stream.get_mut().write_all(&wire)?;
+        Ok(())
     }
 
     /// Reads the next response frame (for a request previously written
@@ -136,16 +151,13 @@ impl KvClient {
         Response::decode(&plain)
     }
 
-    /// Pipelines several requests: writes every frame before reading any
-    /// reply, overlapping client request encoding with server work
-    /// instead of paying one full round-trip per request. Responses are
-    /// returned in request order (the server processes one connection's
-    /// frames sequentially, which also keeps the session-crypto
-    /// sequence numbers aligned).
+    /// Pipelines several requests: writes every frame (in one write)
+    /// before reading any reply, instead of paying one full round-trip
+    /// per request. Responses are returned in request order (the server
+    /// releases one connection's replies in request order, which also
+    /// keeps the session-crypto sequence numbers aligned).
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>> {
-        for request in requests {
-            self.send(request)?;
-        }
+        self.send_all(requests)?;
         requests.iter().map(|_| self.recv()).collect()
     }
 

@@ -34,6 +34,26 @@
 //! (per-conn slots), and with one event loop the engine is strictly
 //! globally FIFO, which the adversary harness relies on.
 //!
+//! What crosses loops crosses per burst, not per request. A decoding
+//! loop collects the handoffs of one `read()` chunk in a per-destination
+//! outbox and hands each over whole — one inbox lock, one eventfd write —
+//! before it reads again; the owner takes its whole inbox per wake, runs
+//! every request, returns the responses as one batch per origin, and the
+//! origin attaches them all before it seals and writes once per
+//! connection. There is no batch size and no timer: the batch is what
+//! arrived together. A push writes the eventfd only when it finds the
+//! inbox empty (decided under the inbox lock): the owner drains the
+//! eventfd *before* it takes the queue, so whoever made the queue
+//! non-empty has a wake the owner has not consumed yet. Three orders
+//! survive the batching: requests on one key execute in arrival order
+//! (one owner loop per shard, outboxes and inboxes are FIFO, and a
+//! request the decoding loop runs inline without a routing key flushes
+//! the outboxes first); replies leave a connection in request order
+//! (`ConnMachine` slots); and each request is charged its one crossing on
+//! the loop that executes it. No outbox is ever non-empty while its loop
+//! blocks in `epoll_wait` — a parked `Execute` would hold its admission
+//! slot with no wake behind it.
+//!
 //! ## Deadlines
 //!
 //! All timeouts are poll-driven: each loop's `epoll_wait` timeout is
@@ -44,14 +64,14 @@
 use crate::machine::{CloseReason, ConnMachine};
 use crate::poller::{Interest, Poller, WakeHandle, Waker};
 use crate::protocol::{OpCode, Request, Response};
-use crate::server::{execute_with, with_op, CrossingMode, NetState, ServerConfig};
+use crate::server::{execute_with, with_op, CrossingMode, NetGauges, NetState, ServerConfig};
 use crate::session::{self, SessionCrypto};
 use crate::Result;
 use parking_lot::Mutex;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::vclock;
 use shield_baseline::KvBackend;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -90,13 +110,30 @@ enum Msg {
 /// The shareable face of one event loop: its handoff inbox and waker.
 pub(crate) struct LoopShared {
     pub(crate) wake: WakeHandle,
-    inbox: CacheAligned<Mutex<VecDeque<Msg>>>,
+    inbox: CacheAligned<Mutex<Vec<Msg>>>,
 }
 
 impl LoopShared {
-    fn push(&self, msg: Msg) {
-        self.inbox.0.lock().push_back(msg);
-        self.wake.wake();
+    /// Moves `batch` (left empty, capacity kept) to the back of the
+    /// inbox under one lock, and writes the eventfd only when that made
+    /// the inbox non-empty. The owner drains the eventfd and *then*
+    /// takes the whole queue, so a queue found non-empty here still has
+    /// its first pusher's wake ahead of it; a wake written after the
+    /// owner already took the messages is a spurious empty pass.
+    fn push_batch(&self, batch: &mut Vec<Msg>, gauges: &NetGauges) {
+        if batch.is_empty() {
+            return;
+        }
+        let was_empty = {
+            let mut inbox = self.inbox.0.lock();
+            let was_empty = inbox.is_empty();
+            inbox.append(batch);
+            was_empty
+        };
+        if was_empty {
+            gauges.cross_loop_wakes.fetch_add(1, Ordering::Relaxed);
+            self.wake.wake();
+        }
     }
 }
 
@@ -194,7 +231,7 @@ pub(crate) fn spawn(
         )?;
         shares.push(LoopShared {
             wake: waker.handle()?,
-            inbox: CacheAligned(Mutex::new(VecDeque::new())),
+            inbox: CacheAligned(Mutex::new(Vec::new())),
         });
         pollers.push((poller, waker));
     }
@@ -234,6 +271,9 @@ pub(crate) fn spawn(
                     timed: HashMap::new(),
                     drain_until: None,
                     scratch: vec![0u8; 64 << 10],
+                    outbox: (0..n).map(|_| Vec::new()).collect(),
+                    inbox_buf: Vec::new(),
+                    touched: Vec::new(),
                 }
                 .run()
             })
@@ -256,6 +296,17 @@ struct EventLoop {
     timed: HashMap<u64, Instant>,
     drain_until: Option<Instant>,
     scratch: Vec<u8>,
+    /// Messages bound for each other loop's inbox, in the order this
+    /// loop produced them. Filled while a `read()` chunk or an inbox
+    /// drain is processed and handed over whole by
+    /// [`flush_outboxes`](Self::flush_outboxes); empty whenever the
+    /// loop blocks.
+    outbox: Vec<Vec<Msg>>,
+    /// The vector `process_inbox` swaps with the shared inbox (the two
+    /// trade places each wake, so neither reallocates in steady state).
+    inbox_buf: Vec<Msg>,
+    /// Connections that received a `Complete` in the current drain.
+    touched: Vec<u64>,
 }
 
 impl EventLoop {
@@ -290,6 +341,13 @@ impl EventLoop {
 
             let timeout = self.next_timeout(now);
             events.clear();
+            // A message left in an outbox has no wake behind it: its
+            // request would hold its admission slot until some later
+            // burst happened to flush it.
+            debug_assert!(
+                self.outbox.iter().all(Vec::is_empty),
+                "blocking with an unflushed outbox"
+            );
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
@@ -426,16 +484,27 @@ impl EventLoop {
         }
     }
 
+    /// Hands every outbox to its loop: one lock and at most one wake
+    /// per destination, however many messages ride along.
+    fn flush_outboxes(&mut self) {
+        let shared = &self.shared;
+        for (peer, batch) in shared.loops.iter().zip(self.outbox.iter_mut()) {
+            peer.push_batch(batch, &shared.state.gauges);
+        }
+    }
+
+    /// Takes everything the other loops have handed over since the last
+    /// wake: runs the `Execute`s and sends their responses back as one
+    /// batch per origin, attaches the `Complete`s and then seals and
+    /// writes once per connection they touched.
     fn process_inbox(&mut self) {
-        let msgs: Vec<Msg> = {
-            let mut q = self.shared.loops[self.idx].inbox.0.lock();
-            q.drain(..).collect()
-        };
-        for msg in msgs {
+        let mut msgs = std::mem::take(&mut self.inbox_buf);
+        std::mem::swap(&mut *self.shared.loops[self.idx].inbox.0.lock(), &mut msgs);
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::Execute { origin, conn, req, tenant, request, enqueued } => {
                     let resp = self.execute_request(&request, tenant, enqueued);
-                    self.shared.loops[origin].push(Msg::Complete { conn, req, tenant, resp });
+                    self.outbox[origin].push(Msg::Complete { conn, req, tenant, resp });
                 }
                 Msg::Complete { conn, req, tenant, resp } => {
                     // Response attached (or discarded, if the
@@ -446,11 +515,20 @@ impl EventLoop {
                     self.shared.state.admission.release(tenant);
                     if let Some(c) = self.conns.get_mut(&conn) {
                         c.machine.complete(req, resp);
-                        self.after_progress(conn);
+                        self.touched.push(conn);
                     }
                 }
             }
         }
+        self.inbox_buf = msgs;
+        self.flush_outboxes();
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        for token in touched.drain(..) {
+            self.after_progress(token);
+        }
+        self.touched = touched;
     }
 
     fn conn_event(&mut self, token: u64, readable: bool, writable: bool, closed: bool) {
@@ -503,11 +581,15 @@ impl EventLoop {
                         return;
                     }
                 };
-            for frame in frames {
-                if !self.process_frame(token, frame, now) {
-                    self.close_token(token);
-                    return;
-                }
+            let accepted = frames.into_iter().all(|frame| self.process_frame(token, frame, now));
+            // What arrived together crosses together — including the
+            // requests admitted ahead of a frame that kills the
+            // connection: they hold admission slots only their
+            // `Complete` releases.
+            self.flush_outboxes();
+            if !accepted {
+                self.close_token(token);
+                return;
             }
         }
         self.after_progress(token);
@@ -576,9 +658,10 @@ impl EventLoop {
         match self.route_for(&request) {
             Some(owner) if owner != self.idx => {
                 // Shard-affinity handoff: the owning loop executes and
-                // sends the response back through our inbox.
+                // sends the response back through our inbox. It leaves
+                // with the rest of this chunk's handoffs.
                 gauges.cross_loop_handoffs.fetch_add(1, Ordering::Relaxed);
-                shared.loops[owner].push(Msg::Execute {
+                self.outbox[owner].push(Msg::Execute {
                     origin: self.idx,
                     conn: token,
                     req,
@@ -587,9 +670,14 @@ impl EventLoop {
                     enqueued: now,
                 });
             }
-            _ => {
+            owner => {
                 // This loop owns the shard (or the request is
-                // multi-shard by nature): execute inline.
+                // multi-shard by nature): execute inline. A request
+                // with no routing key may touch keys whose earlier
+                // requests still sit in an outbox; let those go first.
+                if owner.is_none() {
+                    self.flush_outboxes();
+                }
                 let resp = self.execute_request(&request, tenant, now);
                 gauges.pending_frames.fetch_sub(1, Ordering::Relaxed);
                 shared.state.admission.release(tenant);

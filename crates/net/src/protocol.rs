@@ -638,13 +638,23 @@ pub fn decode_stats(bytes: &[u8]) -> Result<shieldstore::StatsSnapshot> {
         .map_err(|why| NetError::Protocol(format!("stats payload: {why}")))
 }
 
-/// Writes a length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
+/// Appends a length-prefixed frame around `body` to `out`.
+pub fn push_frame(out: &mut Vec<u8>, body: &[u8]) -> Result<()> {
     if body.len() > MAX_FRAME {
         return Err(NetError::Protocol("frame too large".into()));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    out.reserve(4 + body.len());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(body);
+    Ok(())
+}
+
+/// Writes a length-prefixed frame in one `write_all`: on a `TCP_NODELAY`
+/// socket a separate header write is a syscall and a segment of its own.
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
+    let mut frame = Vec::new();
+    push_frame(&mut frame, body)?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -745,6 +755,37 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// Header and body leave in one write (one syscall, one segment),
+    /// and a reader that buffers sees the same frames, a clean end as
+    /// `None` and a torn body as an error.
+    #[test]
+    fn frame_is_one_write_and_reads_back_through_a_buffer() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Writes(Vec::new());
+        write_frame(&mut sink, b"hello").unwrap();
+        write_frame(&mut sink, b"world!").unwrap();
+        assert_eq!(sink.0.len(), 2, "one write per frame");
+
+        let wire = sink.0.concat();
+        let mut whole = std::io::BufReader::new(&wire[..]);
+        assert_eq!(read_frame(&mut whole).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut whole).unwrap().unwrap(), b"world!");
+        assert!(read_frame(&mut whole).unwrap().is_none());
+
+        let mut torn = std::io::BufReader::new(&wire[..wire.len() - 1]);
+        assert_eq!(read_frame(&mut torn).unwrap().unwrap(), b"hello");
+        assert!(read_frame(&mut torn).is_err());
     }
 
     #[test]

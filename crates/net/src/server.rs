@@ -123,6 +123,10 @@ pub struct NetGauges {
     /// Requests routed to a different event loop than the one that
     /// decoded them (shard-affinity misses; monotone).
     pub cross_loop_handoffs: AtomicU64,
+    /// Eventfd writes made to deliver those handoffs and their
+    /// responses: one per batch that found the destination inbox empty
+    /// (monotone).
+    pub cross_loop_wakes: AtomicU64,
     /// Number of event loops serving (gauge, constant per server).
     pub event_loops: AtomicU64,
     /// Decoded requests admitted but not yet answered, across all
@@ -264,6 +268,12 @@ impl Server {
         self.state.gauges.cross_loop_handoffs.load(Ordering::Relaxed)
     }
 
+    /// Eventfd wakes spent on those handoffs and their responses so far
+    /// (a burst that crosses together shares one).
+    pub fn cross_loop_wakes(&self) -> u64 {
+        self.state.gauges.cross_loop_wakes.load(Ordering::Relaxed)
+    }
+
     /// Live connections right now (gauge).
     pub fn active_connections(&self) -> usize {
         self.state.active.load(Ordering::Relaxed)
@@ -403,6 +413,7 @@ pub(crate) fn execute_with(
                     snap.shed_requests = net.shed_requests.load(Ordering::Relaxed);
                     snap.refused_connections = net.refused_connections.load(Ordering::Relaxed);
                     snap.cross_loop_handoffs = net.cross_loop_handoffs.load(Ordering::Relaxed);
+                    snap.cross_loop_wakes = net.cross_loop_wakes.load(Ordering::Relaxed);
                     snap.event_loops = net.event_loops.load(Ordering::Relaxed);
                     snap.pending_frames = net.pending_frames.load(Ordering::Relaxed);
                     // Per-tenant sheds live in the admission gate

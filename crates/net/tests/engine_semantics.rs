@@ -213,6 +213,143 @@ fn pipelined_cross_shard_burst_preserves_order_and_hands_off() {
     server.shutdown();
 }
 
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn request(op: OpCode, key: &str, value: &str) -> Request {
+    Request { op, key: key.as_bytes().to_vec(), value: value.as_bytes().to_vec() }
+}
+
+/// A burst that arrives together crosses together: 64 requests written
+/// in one go hand about half of themselves to the other loop, and the
+/// whole exchange — requests over, responses back — costs a handful of
+/// eventfd wakes. A per-message push spends two wakes per handoff.
+#[test]
+fn one_burst_crosses_loops_in_a_handful_of_wakes() {
+    let (enclave, store, server) = multi_loop_server(
+        "engine-burst",
+        ServerConfig { event_loops: 2, ..Default::default() },
+        false,
+    );
+    let mut client = secure_client(&enclave, &server, 31);
+    let keys = spanning_keys(&store, 16);
+    assert_eq!(keys.len(), 64);
+
+    let sets: Vec<Request> = keys.iter().map(|k| request(OpCode::Set, k, k)).collect();
+    for resp in client.pipeline(&sets).unwrap() {
+        assert_eq!(resp.status, Status::Ok);
+    }
+    let gets: Vec<Request> = keys.iter().map(|k| request(OpCode::Get, k, "")).collect();
+    for (key, resp) in keys.iter().zip(client.pipeline(&gets).unwrap()) {
+        assert_eq!(resp.status, Status::Ok, "{key}");
+        assert_eq!(resp.value, key.as_bytes(), "response out of order");
+    }
+
+    let (handoffs, wakes) = (server.cross_loop_handoffs(), server.cross_loop_wakes());
+    assert!(handoffs >= 16, "keys span all shards, yet only {handoffs} requests crossed");
+    assert!(wakes >= 2, "a handoff and its response each need a wake, saw {wakes}");
+    assert!(wakes <= handoffs / 4, "{wakes} wakes for {handoffs} handoffs: not batched");
+    assert_eq!(client.stats().unwrap().cross_loop_wakes, wakes);
+    drop(client);
+    server.shutdown();
+}
+
+/// Same-key requests keep their arrival order through the outbox, the
+/// owner's inbox and back. Two keys on shards owned by different loops:
+/// whichever loop accepted the connection, one key's five requests all
+/// cross.
+#[test]
+fn same_key_pipeline_executes_in_arrival_order_on_the_other_loop() {
+    let (enclave, store, server) = multi_loop_server(
+        "engine-key-fifo",
+        ServerConfig { event_loops: 2, ..Default::default() },
+        false,
+    );
+    let mut client = secure_client(&enclave, &server, 32);
+    let keys = spanning_keys(&store, 1);
+    let on_shard = |shard| keys.iter().find(|k| store.shard_of(k.as_bytes()) == shard).unwrap();
+    for key in [on_shard(0), on_shard(1)] {
+        let replies = client
+            .pipeline(&[
+                request(OpCode::Set, key, "a"),
+                request(OpCode::Set, key, "b"),
+                request(OpCode::Get, key, ""),
+                request(OpCode::Delete, key, ""),
+                request(OpCode::Get, key, ""),
+            ])
+            .unwrap();
+        let statuses: Vec<Status> = replies.iter().map(|r| r.status).collect();
+        assert_eq!(
+            statuses,
+            [Status::Ok, Status::Ok, Status::Ok, Status::Ok, Status::NotFound],
+            "{key}"
+        );
+        assert_eq!(replies[2].value, b"b", "{key}: the get ran ahead of the second set");
+    }
+    assert_eq!(
+        server.cross_loop_handoffs(),
+        5,
+        "exactly one of the two keys lives on the other loop"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+/// A connection that pipelines cross-loop requests and dies mid-burst,
+/// from either end and without a reply read, leaks nothing: every admitted request still crosses, comes
+/// back and releases its slot, so the in-flight gauge returns to rest
+/// and a later client is never shed.
+#[test]
+fn hangup_mid_burst_releases_every_admission_slot() {
+    let (_enclave, store, server) = multi_loop_server(
+        "engine-hangup",
+        ServerConfig { event_loops: 2, max_in_flight: 4, secure: false, ..Default::default() },
+        false,
+    );
+    let keys = spanning_keys(&store, 8);
+
+    for _ in 0..8 {
+        let mut wire = Vec::new();
+        for key in &keys {
+            let body = request(OpCode::Set, key, "abandoned").encode();
+            shield_net::protocol::push_frame(&mut wire, &body).unwrap();
+        }
+        // An undecodable last frame makes the server hang up too, in the
+        // middle of the chunk it is handing off.
+        shield_net::protocol::push_frame(&mut wire, &[0xff]).unwrap();
+        let mut rude = std::net::TcpStream::connect(server.addr()).unwrap();
+        std::io::Write::write_all(&mut rude, &wire).unwrap();
+        drop(rude);
+    }
+    // With four slots most of each burst is shed; every frame ends up
+    // one or the other.
+    let frames = 8 * keys.len() as u64;
+    wait_until("every abandoned frame is executed or shed", || {
+        server.requests_served() + server.shed_requests() == frames
+    });
+    assert!(server.cross_loop_handoffs() >= 1, "nothing crossed loops, so nothing was tested");
+
+    // The stats request that reads the gauge is itself the one pending
+    // frame.
+    let mut client = KvClient::connect_insecure(server.addr()).unwrap();
+    wait_until("abandoned requests release their in-flight slots", || {
+        client.stats().unwrap().pending_frames == 1
+    });
+
+    let shed = server.shed_requests();
+    for key in keys.iter().cycle().take(100) {
+        client.set(key.as_bytes(), b"served").unwrap();
+    }
+    assert_eq!(server.shed_requests(), shed, "a leaked slot shed a well-behaved client");
+    drop(client);
+    server.shutdown();
+}
+
 /// Shutdown with live cross-loop traffic *and* a stalled connection:
 /// in-flight pipelined work completes, the stalled peer is hard-closed,
 /// and the whole drain lands within the deadline (plus scheduling
