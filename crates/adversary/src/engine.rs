@@ -41,10 +41,14 @@ pub enum Attack {
     HeapChunkFlip,
     /// Replay a previously captured byte-exact entry (rollback).
     StaleReplay,
+    /// Plant a wild handle (all ones, past the heap, past its chunk, a
+    /// chunk's last byte) in a pointer the lookup hints before it reads:
+    /// an entry's `next`, a `mac_heads` slot, a MAC node's `next`.
+    WildPointer,
 }
 
 /// Every attack the store phase draws from.
-pub const CATALOG: [Attack; 12] = [
+pub const CATALOG: [Attack; 13] = [
     Attack::CiphertextFlip,
     Attack::MacFlip,
     Attack::IvFlip,
@@ -57,6 +61,7 @@ pub const CATALOG: [Attack; 12] = [
     Attack::MacSideArrayFlip,
     Attack::HeapChunkFlip,
     Attack::StaleReplay,
+    Attack::WildPointer,
 ];
 
 impl Attack {
@@ -73,6 +78,7 @@ impl Attack {
             Attack::Splice => TamperOp::Splice,
             Attack::MacSideArrayFlip => TamperOp::MacSideArray,
             Attack::HeapChunkFlip => TamperOp::HeapChunk,
+            Attack::WildPointer => TamperOp::WildPointer,
             Attack::StaleReplay => return None,
         })
     }

@@ -14,9 +14,16 @@
 //! `0` serves as the null chain terminator. Each shard owns its heap
 //! exclusively (`&mut self` for writes), matching the paper's
 //! synchronization-free partitioning.
+//!
+//! Every chunk's usable bytes start on a cache-line boundary, and the
+//! bump pointer keeps each allocation aligned to its size class (up to
+//! one line), so a 61-byte entry header never straddles two lines and
+//! [`UntrustedHeap::prefetch`] can name the lines a lookup is about to
+//! miss on.
 
 use crate::config::AllocMode;
 use sgx_sim::enclave::Enclave;
+use shield_crypto::hint::{self, LINE};
 use std::sync::Arc;
 
 /// An opaque handle to an untrusted-memory allocation. `NULL_HANDLE` (0)
@@ -45,11 +52,49 @@ fn size_class(len: usize) -> usize {
     len.max(MIN_CLASS).next_power_of_two()
 }
 
+/// One backing chunk. The host's allocator hands out memory at whatever
+/// alignment it likes (glibc: 16 bytes past a page for large blocks), so
+/// the block is over-allocated by less than a line and the usable window
+/// skewed forward to the next line boundary.
+struct Chunk {
+    block: Box<[u8]>,
+    skew: usize,
+}
+
+impl Chunk {
+    /// Wraps a zeroed block of the usable length.
+    fn new(mut block: Vec<u8>) -> Self {
+        block.reserve_exact(LINE - 1);
+        block.resize(block.len() + LINE - 1, 0);
+        // Measured on the final allocation: shrinking to fit may move it.
+        let block = block.into_boxed_slice();
+        let skew = (LINE - block.as_ptr() as usize % LINE) % LINE;
+        Self { block, skew }
+    }
+
+    /// The usable window: everything but the alignment slack.
+    #[inline]
+    fn window(&self) -> core::ops::Range<usize> {
+        self.skew..self.skew + self.block.len() - (LINE - 1)
+    }
+
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        &self.block[self.window()]
+    }
+
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        let window = self.window();
+        &mut self.block[window]
+    }
+}
+
 /// An in-enclave allocator for untrusted memory.
 pub struct UntrustedHeap {
     enclave: Arc<Enclave>,
     mode: AllocMode,
-    chunks: Vec<Box<[u8]>>,
+    chunks: Vec<Chunk>,
     /// Free lists indexed by size-class log2.
     free_lists: Vec<Vec<Handle>>,
     bump_chunk: Option<usize>,
@@ -100,12 +145,12 @@ impl UntrustedHeap {
 
         if class >= granularity {
             // Jumbo allocation: a dedicated chunk straight from an OCALL.
-            if matches!(self.mode, AllocMode::Pooled { .. }) {
-                let chunk = self.enclave.ocall_alloc_untrusted_chunk(class);
-                self.chunks.push(chunk.into_boxed_slice());
+            let chunk = if matches!(self.mode, AllocMode::Pooled { .. }) {
+                self.enclave.ocall_alloc_untrusted_chunk(class)
             } else {
-                self.chunks.push(vec![0u8; class].into_boxed_slice());
-            }
+                vec![0u8; class]
+            };
+            self.chunks.push(Chunk::new(chunk));
             return pack(self.chunks.len() - 1, 0);
         }
 
@@ -116,13 +161,18 @@ impl UntrustedHeap {
         if let Some(h) = self.free_lists[class_log].pop() {
             // Zero recycled memory: entries assume fresh buffers.
             let (chunk, offset) = unpack(h);
-            self.chunks[chunk][offset..offset + class].fill(0);
+            self.chunks[chunk].bytes_mut()[offset..offset + class].fill(0);
             return h;
         }
 
+        // Classes are powers of two, so an allocation aligned to its own
+        // class (or to a line, for the larger ones) starts on a line
+        // boundary or fits inside one line.
+        let align = class.min(LINE);
+        self.bump_offset = self.bump_offset.next_multiple_of(align);
         let need_new = match self.bump_chunk {
             None => true,
-            Some(c) => self.bump_offset + class > self.chunks[c].len(),
+            Some(c) => self.bump_offset + class > self.chunks[c].bytes().len(),
         };
         if need_new {
             let chunk = if matches!(self.mode, AllocMode::Pooled { .. }) {
@@ -130,7 +180,7 @@ impl UntrustedHeap {
             } else {
                 vec![0u8; granularity]
             };
-            self.chunks.push(chunk.into_boxed_slice());
+            self.chunks.push(Chunk::new(chunk));
             self.bump_chunk = Some(self.chunks.len() - 1);
             self.bump_offset = 0;
         }
@@ -164,14 +214,14 @@ impl UntrustedHeap {
     #[inline]
     pub fn bytes(&self, handle: Handle, len: usize) -> &[u8] {
         let (chunk, offset) = unpack(handle);
-        &self.chunks[chunk][offset..offset + len]
+        &self.chunks[chunk].bytes()[offset..offset + len]
     }
 
     /// Returns the bytes of an allocation at `offset_in_alloc`.
     #[inline]
     pub fn bytes_at(&self, handle: Handle, offset_in_alloc: usize, len: usize) -> &[u8] {
         let (chunk, offset) = unpack(handle);
-        &self.chunks[chunk][offset + offset_in_alloc..offset + offset_in_alloc + len]
+        &self.chunks[chunk].bytes()[offset + offset_in_alloc..offset + offset_in_alloc + len]
     }
 
     /// Checked variant of [`UntrustedHeap::bytes_at`]: `None` when the
@@ -191,17 +241,42 @@ impl UntrustedHeap {
             return None;
         }
         let (chunk, offset) = unpack(handle);
-        let data = self.chunks.get(chunk)?;
+        let data = self.chunks.get(chunk)?.bytes();
         let start = offset.checked_add(offset_in_alloc)?;
         let end = start.checked_add(len)?;
         data.get(start..end)
+    }
+
+    /// Hints that up to `lines` cache lines starting `offset_in_alloc`
+    /// bytes into the allocation at `handle` are about to be read.
+    ///
+    /// `handle` is usually a pointer just read from untrusted memory, so
+    /// it is checked exactly like [`UntrustedHeap::try_bytes_at`] checks
+    /// one — a null, wild or out-of-chunk handle is silently ignored, and
+    /// a window running off the end of the chunk is cut short there. A
+    /// hint is never a read: nothing is returned and no check downstream
+    /// may rely on it having happened.
+    #[inline]
+    pub fn prefetch(&self, handle: Handle, offset_in_alloc: usize, lines: usize) {
+        if handle >> 32 == 0 {
+            return;
+        }
+        let (chunk, offset) = unpack(handle);
+        let window = self
+            .chunks
+            .get(chunk)
+            .zip(offset.checked_add(offset_in_alloc))
+            .and_then(|(chunk, start)| chunk.bytes().get(start..));
+        if let Some(window) = window {
+            hint::prefetch_read(&window[..window.len().min(lines.saturating_mul(LINE))]);
+        }
     }
 
     /// Mutable access to an allocation's bytes.
     #[inline]
     pub fn bytes_mut(&mut self, handle: Handle, len: usize) -> &mut [u8] {
         let (chunk, offset) = unpack(handle);
-        &mut self.chunks[chunk][offset..offset + len]
+        &mut self.chunks[chunk].bytes_mut()[offset..offset + len]
     }
 
     /// Mutable access at an offset within an allocation.
@@ -213,7 +288,8 @@ impl UntrustedHeap {
         len: usize,
     ) -> &mut [u8] {
         let (chunk, offset) = unpack(handle);
-        &mut self.chunks[chunk][offset + offset_in_alloc..offset + offset_in_alloc + len]
+        &mut self.chunks[chunk].bytes_mut()
+            [offset + offset_in_alloc..offset + offset_in_alloc + len]
     }
 
     /// Reads a little-endian u64 at an offset within an allocation.
@@ -260,7 +336,20 @@ impl UntrustedHeap {
     /// Length in bytes of chunk `index` (testing only).
     #[cfg(any(test, feature = "testing"))]
     pub fn chunk_len(&self, index: usize) -> usize {
-        self.chunks[index].len()
+        self.chunks[index].bytes().len()
+    }
+
+    /// The pointers an attacker might plant where the store expects a
+    /// handle, none of which addresses a whole entry or MAC node: all
+    /// ones, a chunk index past the heap, an offset past its chunk, and
+    /// the last byte of the last chunk — in bounds itself, but anything
+    /// read or hinted *from* it runs off the end (testing only; the heap
+    /// must hold at least one chunk).
+    #[cfg(any(test, feature = "testing"))]
+    pub fn wild_handles(&self) -> [Handle; 4] {
+        let last = self.chunks.len() - 1;
+        let len = self.chunk_len(last);
+        [u64::MAX, pack(self.chunks.len() + 7, 0), pack(last, len + LINE), pack(last, len - 1)]
     }
 
     /// XORs `mask` into one byte of raw chunk memory, simulating an
@@ -268,7 +357,7 @@ impl UntrustedHeap {
     /// (testing only). Returns `false` when the location is out of range.
     #[cfg(any(test, feature = "testing"))]
     pub fn corrupt_raw(&mut self, chunk: usize, offset: usize, mask: u8) -> bool {
-        match self.chunks.get_mut(chunk).and_then(|c| c.get_mut(offset)) {
+        match self.chunks.get_mut(chunk).and_then(|c| c.bytes_mut().get_mut(offset)) {
             Some(byte) => {
                 *byte ^= mask;
                 true
@@ -379,6 +468,72 @@ mod tests {
         assert!(UntrustedHeap::fits_in_class(100, 128)); // both class 128
         assert!(UntrustedHeap::fits_in_class(100, 20));
         assert!(!UntrustedHeap::fits_in_class(100, 129)); // 128 -> 256
+    }
+
+    #[test]
+    fn chunks_and_line_sized_classes_are_line_aligned() {
+        for mode in [AllocMode::Pooled { granularity: 4096 }, AllocMode::OcallPerAlloc] {
+            let mut h = heap(mode);
+            vclock::reset();
+            // Mixed classes, small ones first, across several chunks and
+            // through the free list; a jumbo allocation at the end.
+            let mut sizes: Vec<usize> = vec![1, 16, 17, 40, 61, 64, 65, 100, 128, 492, 600, 1000];
+            sizes.extend((0..40).map(|i| 61 + i * 7));
+            sizes.push(1 << 17);
+            let mut live = Vec::new();
+            for (i, &len) in sizes.iter().enumerate() {
+                let a = h.alloc(len);
+                live.push((a, len));
+                if i % 5 == 4 {
+                    let (freed, len) = live.swap_remove(i % live.len());
+                    h.free(freed, len);
+                }
+            }
+            for &(a, len) in &live {
+                if size_class(len) >= LINE {
+                    assert_eq!(h.bytes(a, len).as_ptr() as usize % LINE, 0, "{len} B at {a:#x}");
+                }
+            }
+            vclock::reset();
+        }
+    }
+
+    #[test]
+    fn alignment_leaves_handles_and_accounting_alone() {
+        // Line-or-larger classes only (all the store allocates): the n-th
+        // allocation still sits at the sum of the classes before it.
+        let mut h = heap(AllocMode::Pooled { granularity: 1 << 16 });
+        vclock::reset();
+        let mut offset = 0;
+        for len in [61usize, 100, 492, 64, 700, 128] {
+            assert_eq!(h.alloc(len), pack(0, offset));
+            offset += size_class(len);
+        }
+        assert_eq!(h.live_bytes(), offset);
+        assert_eq!(h.chunk_len(0), 1 << 16);
+        vclock::reset();
+    }
+
+    #[test]
+    fn prefetch_ignores_what_try_bytes_at_rejects() {
+        let mut h = heap(AllocMode::Pooled { granularity: 4096 });
+        vclock::reset();
+        let a = h.alloc(100);
+        h.bytes_mut(a, 100).fill(0x5a);
+        let last = h.alloc(64); // hints from here reach the chunk's end
+        for handle in h.wild_handles().into_iter().chain([NULL_HANDLE, 1, a, last]) {
+            for offset in [0, 1, LINE, 4095, 4096, usize::MAX] {
+                for lines in [0, 1, 2, 64, 65, usize::MAX] {
+                    h.prefetch(handle, offset, lines);
+                }
+            }
+        }
+        // The last byte of a chunk is addressable, the line after it is not.
+        let [.., edge] = h.wild_handles();
+        assert!(h.try_bytes_at(edge, 0, 1).is_some());
+        assert!(h.try_bytes_at(edge, 0, 2).is_none());
+        assert_eq!(h.bytes(a, 100), &[0x5a; 100], "a hint writes nothing");
+        vclock::reset();
     }
 
     #[test]

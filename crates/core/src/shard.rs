@@ -39,6 +39,7 @@ use crate::tenant::{nskey, split_nskey, TenantId, TenantKeys, TenantRegistry, Te
 use crate::ttl;
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
+use shield_crypto::hint::LINE;
 use shield_crypto::siphash::SipHash24;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -229,6 +230,13 @@ pub struct Shard {
     index: Option<OrderedIndex>,
     quarantine: QuarantineState,
     scratch: Scratch,
+    /// The derived keys of the tenant served last, parked here between
+    /// ops: a repeat tenant takes them back without touching the shared
+    /// keyring's mutex or the `Arc`'s shared count.
+    last_keys: Option<(TenantId, Arc<TenantKeys>)>,
+    /// Likewise the registry state of the tenant metered last, with the
+    /// registry epoch it was resolved under.
+    last_state: Option<(TenantId, u64, Arc<TenantState>)>,
     pub(crate) stats: OpStats,
     pub(crate) hists: OpHists,
 }
@@ -249,6 +257,33 @@ impl std::fmt::Debug for Shard {
 
 fn bucket_of(keys: &StoreKeys, ctx: &TableCtx, key: &[u8]) -> usize {
     (keys.index_hash(key) % ctx.buckets() as u64) as usize
+}
+
+/// Hints the loads a verified access to `bucket` opens with, before the
+/// first of them is issued: for every bucket of `bucket`'s set, what the
+/// set-hash gather reads first, and the head of `bucket`'s own chain for
+/// the search. With MAC bucketing the gather reads MAC nodes, and a node
+/// is hinted as far as the table's mean bucket occupancy fills one;
+/// without it the MACs sit in the chained entries' headers. Left alone,
+/// these are one cache miss queued behind the other — each on a line of
+/// its own — and they dominate a lookup.
+///
+/// The handles come straight from untrusted memory and are only hinted,
+/// never trusted: see [`UntrustedHeap::prefetch`].
+fn hint_access(cfg: &ShardConfig, ctx: &TableCtx, bucket: usize) {
+    let set_buckets = ctx.sets.buckets_of(ctx.sets.set_of(bucket));
+    if cfg.mac_bucket {
+        let filled = ctx.count.div_ceil(ctx.buckets()).min(cfg.mac_cap);
+        let lines = mac_bucket::node_len(filled).div_ceil(LINE);
+        for &node in &ctx.mac_heads[set_buckets] {
+            ctx.heap.prefetch(node, 0, lines);
+        }
+        ctx.hint_header(ctx.heads[bucket]);
+    } else {
+        for &head in &ctx.heads[set_buckets] {
+            ctx.hint_header(head);
+        }
+    }
 }
 
 /// Searches `bucket` for `key` *within `op`'s tenant namespace*, counting
@@ -287,11 +322,22 @@ fn search(
         let Some(header) = ctx.try_header(h) else {
             return Some(SearchOutcome::Tampered);
         };
+        // The walk's next miss is known now; start it before deciding
+        // anything about this entry.
+        ctx.hint_header(header.next);
         if header.tenant != op.tenant {
             // Foreign namespace: skip without decrypting anything.
         } else if cfg.key_hint && header.hint != hint_byte {
             stats.hint_skips += 1;
         } else if header.key_len as usize == key.len() {
+            // A candidate: its ciphertext is read next (key compare) and,
+            // on a match, in full. An honest entry of this key length is
+            // no longer than the largest item; a forged size field gets
+            // no more than that hinted.
+            ctx.hint_body(
+                h,
+                header.entry_len().min(entry::HEADER_LEN + key.len() + cfg.max_item_len),
+            );
             stats.key_decryptions += 1;
             let Some(ct) = ctx.try_ciphertext(h, &header) else {
                 // Corrupted length fields in untrusted memory.
@@ -408,10 +454,13 @@ fn verify_set(
     set: usize,
 ) -> Result<()> {
     stats.integrity_verifications += 1;
+    // The stored hash is enclave memory and needs none of the untrusted
+    // lines the caller has just hinted: fetching it first lets them land
+    // meanwhile.
+    let stored = ctx.macs.get(set);
     let Some(recomputed) = derive_set_hash(cfg, keys, ctx, stats, set) else {
         return Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start });
     };
-    let stored = ctx.macs.get(set);
     if integrity::verify_set_hash(&stored, &recomputed) {
         Ok(())
     } else {
@@ -566,6 +615,7 @@ fn get_in(
 ) -> Result<Option<(Vec<u8>, u64)>> {
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
+    hint_access(cfg, ctx, bucket);
     verify_set(cfg, keys, ctx, stats, set)?;
     get_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key)
 }
@@ -647,6 +697,7 @@ fn set_in(
 ) -> Result<bool> {
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
+    hint_access(cfg, ctx, bucket);
     verify_set(cfg, keys, ctx, stats, set)?;
     let inserted = set_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key, value)?;
     update_set_hash(cfg, keys, ctx, stats, set)?;
@@ -832,6 +883,7 @@ fn delete_in(
 ) -> Result<bool> {
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
+    hint_access(cfg, ctx, bucket);
     verify_set(cfg, keys, ctx, stats, set)?;
     let hint = keys.hint_byte(key);
     let found = match search(cfg, keys, op, ctx, stats, scratch, bucket, hint, key) {
@@ -923,6 +975,8 @@ impl Shard {
             index,
             quarantine: QuarantineState::default(),
             scratch: Scratch::default(),
+            last_keys: None,
+            last_state: None,
             stats: OpStats::default(),
             hists: OpHists::default(),
         })
@@ -1129,7 +1183,10 @@ impl Shard {
         self.count(&op, state);
         let result = match self.quarantine_guard(&op) {
             Ok(()) => {
-                let tkeys = self.keys.tenant_keys(tenant);
+                let tkeys = match self.last_keys.take() {
+                    Some((last, tkeys)) if last == tenant => tkeys,
+                    _ => self.keys.tenant_keys(tenant),
+                };
                 let ctx = OpCtx {
                     tenant,
                     tkeys: &tkeys,
@@ -1138,6 +1195,7 @@ impl Shard {
                     state,
                 };
                 let r = self.run(&ctx, op);
+                self.last_keys = Some((tenant, tkeys));
                 self.observe(r)
             }
             Err(e) => Err(e),
@@ -1153,6 +1211,29 @@ impl Shard {
             | Op::ScanRange { .. }
             | Op::ScanPrefix { .. } => {}
         }
+        result
+    }
+
+    /// [`Shard::execute`] metered against `tenant`'s state in `registry`.
+    /// The shard is exclusively held, so the state resolved for the last
+    /// op is reused — no registry lock — while the tenant repeats and no
+    /// quota has been reconfigured since.
+    pub(crate) fn execute_metered(
+        &mut self,
+        registry: &TenantRegistry,
+        tenant: TenantId,
+        op: Op<'_>,
+    ) -> Result<Reply> {
+        // Epoch first: a `configure` racing with the lookup then leaves a
+        // stale epoch beside a fresh state (re-resolved next time), never
+        // the reverse.
+        let epoch = registry.epoch();
+        let state = match self.last_state.take() {
+            Some((last, resolved_at, state)) if last == tenant && resolved_at == epoch => state,
+            _ => registry.state(tenant),
+        };
+        let result = self.execute(tenant, Some(&state), op);
+        self.last_state = Some((tenant, epoch, state));
         result
     }
 
@@ -1317,11 +1398,15 @@ impl Shard {
         let Shard { cfg, keys, main, cache, stats, scratch, .. } = self;
         let main = main.as_ref().expect("main table present");
 
-        // Group by bucket set so each set hash is derived exactly once.
+        // Group by bucket set so each set hash is derived exactly once —
+        // and hint every key's set and chain while placing it, so the
+        // whole batch's first misses are in flight before the first key
+        // is verified.
         let mut order: Vec<(usize, usize, usize)> = pending
             .into_iter()
             .map(|i| {
                 let bucket = bucket_of(keys, main, batch[i]);
+                hint_access(cfg, main, bucket);
                 (main.sets.set_of(bucket), bucket, i)
             })
             .collect();
@@ -1380,12 +1465,14 @@ impl Shard {
 
         // Sort by (set, bucket, input position): grouped per set for the
         // hash amortization, while duplicate keys (same bucket) keep
-        // their submission order.
+        // their submission order. Placing a key also hints its set and
+        // chain, as in `read_batch`.
         let mut order: Vec<(usize, usize, usize)> = items
             .iter()
             .enumerate()
             .map(|(i, (key, _))| {
                 let bucket = bucket_of(keys, main, key);
+                hint_access(cfg, main, bucket);
                 (main.sets.set_of(bucket), bucket, i)
             })
             .collect();
@@ -2102,6 +2189,87 @@ mod tests {
             "two-step search must find the entry and expose the tamper: {r:?}"
         );
         vclock::reset();
+    }
+
+    /// Hints are not reads. Every pointer the lookup hints — an entry's
+    /// `next`, a bucket's `mac_heads` slot, a MAC node's `next` — is
+    /// planted with each wild value in turn; every op either serves what
+    /// it can prove or fails closed, exactly as before there were hints.
+    #[test]
+    fn wild_pointers_are_hinted_harmlessly_and_fail_closed() {
+        #[derive(Debug, Clone, Copy)]
+        enum Site {
+            EntryNext,
+            MacHead,
+            MacNodeNext,
+        }
+        let violation = |r: Result<Vec<u8>>| matches!(r, Err(Error::IntegrityViolation { .. }));
+        for mac_bucket in [true, false] {
+            for site in [Site::EntryNext, Site::MacHead, Site::MacNodeNext] {
+                for wild in 0..4 {
+                    let cfg =
+                        Config { mac_bucket, ..Config::shield_opt() }.buckets(1).mac_hashes(1);
+                    let mut s = shard_with(cfg);
+                    vclock::reset();
+                    for key in [b"a", b"b", b"c"] {
+                        s.set(key, &[key[0]; 600]).unwrap(); // chain: c -> b -> a
+                    }
+                    let main = s.main.as_mut().unwrap();
+                    let wild = main.heap.wild_handles()[wild];
+                    match site {
+                        Site::EntryNext => {
+                            main.heap.write_u64_at(main.heads[0], entry::OFF_NEXT, wild)
+                        }
+                        Site::MacHead => main.mac_heads[0] = wild,
+                        Site::MacNodeNext if mac_bucket => {
+                            main.heap.write_u64_at(main.mac_heads[0], 0, wild)
+                        }
+                        // No MAC nodes to corrupt without MAC bucketing.
+                        Site::MacNodeNext => continue,
+                    }
+                    let case = format!("{site:?} = {wild:#x}, mac_bucket {mac_bucket}");
+
+                    // The chain head is found before its `next` is ever
+                    // followed, so only a broken set hash can refuse it:
+                    // the MAC side chain when there is one, else the
+                    // entry chain itself. `mac_heads` is dead weight
+                    // without MAC bucketing.
+                    let head = s.get(b"c");
+                    match (site, mac_bucket) {
+                        (Site::EntryNext, true) | (Site::MacHead, false) => {
+                            assert_eq!(head.as_deref(), Ok([b'c'; 600].as_slice()), "{case}")
+                        }
+                        _ => assert!(violation(head), "{case}"),
+                    }
+                    if matches!((site, mac_bucket), (Site::MacHead, false)) {
+                        assert_eq!(s.get(b"a").as_deref(), Ok([b'a'; 600].as_slice()), "{case}");
+                        continue;
+                    }
+                    // Everything that has to walk past the planted
+                    // pointer fails closed, reads and writes, single and
+                    // batched — and nothing has panicked on the way.
+                    assert!(violation(s.get(b"b")), "{case}");
+                    assert!(violation(s.get(b"absent")), "{case}");
+                    assert!(violation(s.set(b"d", b"new").map(|()| vec![])), "{case}");
+                    assert!(violation(s.delete(b"a").map(|()| vec![])), "{case}");
+                    assert!(
+                        matches!(
+                            s.multi_get(&[b"c".as_slice(), b"a".as_slice()]),
+                            Err(Error::IntegrityViolation { .. })
+                        ),
+                        "{case}"
+                    );
+                    assert!(
+                        matches!(
+                            s.multi_set(&[(b"e".as_slice(), b"v".as_slice())]),
+                            Err(Error::IntegrityViolation { .. })
+                        ),
+                        "{case}"
+                    );
+                    vclock::reset();
+                }
+            }
+        }
     }
 
     #[test]

@@ -323,19 +323,19 @@ impl ShieldStore {
     }
 
     /// Executes one operation in `tenant`'s namespace — the store's only
-    /// routed entry point, and the only place that resolves the tenant's
-    /// quota state, picks the serving shard by [`ShieldStore::shard_of`],
+    /// routed entry point, and the only place that names the registry the
+    /// tenant's quota state comes from, picks the serving shard by
+    /// [`ShieldStore::shard_of`],
     /// splits a batch by shard, merges a scan across shards, and logs the
     /// outcome (`ShieldStore::log_wal`). Everything below it is
     /// [`Shard::execute`]; everything above it (the convenience methods
     /// here, `KvBackend`, the wire server) is a caller.
     pub fn execute(&self, tenant: TenantId, op: Op<'_>) -> Result<Reply> {
-        let state = self.registry.state(tenant);
         // One shard's share of the op: run it, then log it, under that
         // shard's lock.
         let on_shard = |idx: usize, op: Op<'_>| {
             self.with_shard(idx, |s| {
-                let reply = s.execute(tenant, Some(&state), op)?;
+                let reply = s.execute_metered(&self.registry, tenant, op)?;
                 self.log_wal(tenant, &op, &reply)?;
                 Ok(reply)
             })

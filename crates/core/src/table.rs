@@ -10,6 +10,7 @@
 use crate::alloc::{Handle, UntrustedHeap, NULL_HANDLE};
 use crate::entry::{self, EntryHeader};
 use crate::integrity::{BucketSets, MacStore};
+use shield_crypto::hint::LINE;
 
 /// One hash table: structure + storage + integrity metadata.
 pub struct TableCtx {
@@ -86,6 +87,20 @@ impl TableCtx {
     /// chunk. Operation code treats that as an integrity violation.
     pub fn try_ciphertext(&self, handle: Handle, header: &EntryHeader) -> Option<&[u8]> {
         self.heap.try_bytes_at(handle, entry::HEADER_LEN, header.ct_len())
+    }
+
+    /// Hints the header of the entry at `handle` — one line, since
+    /// entries start line-aligned.
+    #[inline]
+    pub fn hint_header(&self, handle: Handle) {
+        self.heap.prefetch(handle, 0, 1);
+    }
+
+    /// Hints what lies past the header's line in an entry of `entry_len`
+    /// bytes at `handle`: the ciphertext the caller is about to decrypt.
+    #[inline]
+    pub fn hint_body(&self, handle: Handle, entry_len: usize) {
+        self.heap.prefetch(handle, LINE, entry_len.div_ceil(LINE).saturating_sub(1));
     }
 
     /// Visits every `(bucket, handle)` pair in the table.

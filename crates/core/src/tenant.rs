@@ -199,6 +199,10 @@ impl TenantUsage {
 #[derive(Debug, Default)]
 pub struct TenantRegistry {
     tenants: Mutex<HashMap<TenantId, Arc<TenantState>>>,
+    /// Bumped (under the lock) whenever a tenant's `Arc<TenantState>` is
+    /// replaced, so a shard holding on to the state it resolved last can
+    /// tell — without the lock — that it is still the current one.
+    epoch: AtomicU64,
 }
 
 impl TenantRegistry {
@@ -226,6 +230,14 @@ impl TenantRegistry {
                 );
             }
         }
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// How many times a tenant's state has been replaced. A state
+    /// resolved through [`TenantRegistry::state`] *after* reading an
+    /// epoch stays current for as long as the epoch reads the same.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// The state for `tenant`, materializing a default entry on first use.

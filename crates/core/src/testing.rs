@@ -62,6 +62,12 @@ pub enum TamperOp {
     /// Bit-flip a byte of raw allocator chunk memory — may hit entries,
     /// MAC nodes, chain pointers, or dead space.
     HeapChunk,
+    /// Overwrite one of the pointers the lookup path hints ahead of its
+    /// reads — an entry's `next`, a bucket's `mac_heads` slot or a MAC
+    /// node's `next` — with a wild handle
+    /// ([`crate::alloc::UntrustedHeap::wild_handles`]): a hint must
+    /// shrug it off and the read behind it must still fail closed.
+    WildPointer,
 }
 
 /// A stale byte-level copy of one entry, for replay/rollback attacks.
@@ -136,6 +142,7 @@ impl Shard {
             TamperOp::Unlink => unlink_entry(main, seed),
             TamperOp::Splice => splice_entry(main, seed),
             TamperOp::MacSideArray => tamper_mac_node(main, seed),
+            TamperOp::WildPointer => plant_wild_pointer(main, seed),
             TamperOp::HeapChunk => {
                 let chunks = main.heap.chunk_count();
                 if chunks == 0 {
@@ -308,6 +315,39 @@ fn tamper_mac_node(ctx: &mut TableCtx, seed: u64) -> bool {
         return false;
     }
     ctx.heap.bytes_at_mut(node, offset, 1)[0] ^= 1 << (seed % 8);
+    true
+}
+
+fn plant_wild_pointer(ctx: &mut TableCtx, seed: u64) -> bool {
+    if ctx.heap.chunk_count() == 0 {
+        return false;
+    }
+    let wild = ctx.heap.wild_handles()[(mix(seed ^ 0x71d) % 4) as usize];
+    let pick = mix(seed) as usize;
+    match mix(seed ^ 0x9e1) % 3 {
+        0 => {
+            let entries = checked_entries(ctx);
+            let Some(&(_, h)) = entries.get(pick % entries.len().max(1)) else { return false };
+            if ctx.heap.try_bytes_at(h, entry::OFF_NEXT, 8).is_none() {
+                return false;
+            }
+            ctx.heap.write_u64_at(h, entry::OFF_NEXT, wild);
+        }
+        1 => {
+            let occupied: Vec<usize> =
+                (0..ctx.buckets()).filter(|&b| ctx.mac_heads[b] != 0).collect();
+            let Some(&bucket) = occupied.get(pick % occupied.len().max(1)) else { return false };
+            ctx.mac_heads[bucket] = wild;
+        }
+        _ => {
+            let nodes = checked_mac_nodes(ctx);
+            let Some(&node) = nodes.get(pick % nodes.len().max(1)) else { return false };
+            if ctx.heap.try_bytes_at(node, 0, 8).is_none() {
+                return false;
+            }
+            ctx.heap.write_u64_at(node, 0, wild);
+        }
+    }
     true
 }
 

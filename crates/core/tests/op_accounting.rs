@@ -8,11 +8,21 @@
 //! class counters as a served op (plus `quarantine_rejections`), which is
 //! what keeps `StatsSnapshot::check_consistent` true under attack.
 
+//!
+//! And the work behind an op, pinned: a fixed stream must cost exactly
+//! the decryptions, verifications, gathers and crypto calls recorded
+//! when the lookup path was last changed on purpose.
+
 use sgx_sim::enclave::EnclaveBuilder;
 use shieldstore::{Config, Error, Op, ShieldStore};
 use std::sync::atomic::Ordering::SeqCst;
+use std::sync::Mutex;
 
 const TENANT: u32 = 7;
+
+/// The crypto counters are process-wide; the tests of this file take
+/// turns so the pinned stream counts only its own calls.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Every counter the rule talks about: shard op classes, class
 /// histograms, the tenant's mirror of `gets`/`sets`, and rejections.
@@ -124,6 +134,7 @@ fn every_op<'a>(
 
 #[test]
 fn every_op_counts_once_in_its_class_served_or_rejected() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let enclave = EnclaveBuilder::new("op-accounting").epc_bytes(8 << 20).build();
     let store = ShieldStore::new(
         enclave,
@@ -190,4 +201,96 @@ fn every_op_counts_once_in_its_class_served_or_rejected() {
     // The other partitions keep serving, and the books still balance.
     assert_eq!(run(Op::Get(healthy)).unwrap().value().as_deref(), Some(b"v".as_slice()));
     store.snapshot().check_consistent().expect("identities hold under attack");
+}
+
+/// The work counters of the verified lookup path: what a get, set,
+/// delete or batch *does*, as opposed to how long it waits.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    key_decryptions: u64,
+    hint_skips: u64,
+    full_scans: u64,
+    integrity_verifications: u64,
+    macs_gathered: u64,
+    side_mac_fallbacks: u64,
+    crypto_bytes: u64,
+    crypto_ops: u64,
+}
+
+/// Same work, less waiting. A seeded get/set/delete/multi_get/multi_set
+/// stream over chains several entries long must perform exactly the work
+/// recorded before the lookup's memory loads were overlapped — so a later
+/// "optimisation" that skips a decryption, a set verification or a MAC
+/// gather cannot hide behind a throughput gain. A change that alters
+/// these on purpose re-records them and says why.
+#[test]
+fn a_fixed_stream_costs_exactly_the_recorded_work() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let enclave = EnclaveBuilder::new("op-accounting-work").seed(16).epc_bytes(8 << 20).build();
+    let store =
+        ShieldStore::new(enclave, Config::shield_opt().buckets(64).mac_hashes(16).with_shards(1))
+            .unwrap();
+    let key = |id: u64| format!("work-key-{id:04}").into_bytes();
+    let value = |id: u64, round: u64| vec![(id ^ round) as u8; 24 + (id % 200) as usize];
+    let mut state = 0x1234_5678_9abc_def0u64;
+    let mut next = |below: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) % below
+    };
+
+    const KEYS: u64 = 320;
+    for id in 0..KEYS {
+        store.set(&key(id), &value(id, 0)).unwrap();
+    }
+    let (ops0, bytes0, calls0) =
+        (store.stats(), shield_crypto::stats::crypto_bytes(), shield_crypto::stats::crypto_ops());
+    for round in 1..=1500u64 {
+        // Ids past KEYS were never stored: verified misses.
+        let id = next(KEYS + 40);
+        match next(10) {
+            0..=4 => drop(store.execute(TENANT, Op::Get(&key(id))).unwrap()),
+            5..=6 => store.set(&key(id), &value(id, round)).unwrap(),
+            7 => drop(store.execute(0, Op::Delete(&key(id))).unwrap()),
+            8 => {
+                let keys: Vec<Vec<u8>> = (0..16).map(|_| key(next(KEYS + 40))).collect();
+                let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                store.multi_get(&refs).unwrap();
+            }
+            _ => {
+                let items: Vec<(Vec<u8>, Vec<u8>)> = (0..8)
+                    .map(|_| {
+                        let id = next(KEYS);
+                        (key(id), value(id, round))
+                    })
+                    .collect();
+                let refs: Vec<(&[u8], &[u8])> =
+                    items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
+                store.multi_set(&refs).unwrap();
+            }
+        }
+    }
+    let ops = store.stats();
+    let work = Work {
+        key_decryptions: ops.key_decryptions - ops0.key_decryptions,
+        hint_skips: ops.hint_skips - ops0.hint_skips,
+        full_scans: ops.full_scans - ops0.full_scans,
+        integrity_verifications: ops.integrity_verifications - ops0.integrity_verifications,
+        macs_gathered: ops.macs_gathered - ops0.macs_gathered,
+        side_mac_fallbacks: ops.side_mac_fallbacks - ops0.side_mac_fallbacks,
+        crypto_bytes: shield_crypto::stats::crypto_bytes() - bytes0,
+        crypto_ops: shield_crypto::stats::crypto_ops() - calls0,
+    };
+    // Recorded at the parent of the change that overlapped the lookup's
+    // untrusted-memory loads (PR 16).
+    let recorded = Work {
+        key_decryptions: 6292,
+        hint_skips: 12061,
+        full_scans: 1175,
+        integrity_verifications: 3836,
+        macs_gathered: 107028,
+        side_mac_fallbacks: 0,
+        crypto_bytes: 3908966,
+        crypto_ops: 25765,
+    };
+    assert_eq!(work, recorded);
 }

@@ -15,6 +15,9 @@
 //! * [`ctr`] — AES-128 counter mode ([`ctr::AesCtr`]), the entry cipher.
 //! * [`cmac`] — AES-CMAC (RFC 4493), the entry/bucket MAC.
 //! * [`fused`] — fused MAC-verify + CTR-decrypt for the get hit path.
+//! * [`hint`] — cache-line prefetch hints over a slice (x86-64
+//!   `PREFETCHT0`, a no-op elsewhere), for lookups that know their next
+//!   untrusted-memory address before they need its bytes.
 //! * [`sha256`] — SHA-256 (FIPS 180-4), used for enclave measurements.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104) and an HKDF-style KDF.
 //! * [`siphash`] — SipHash-2-4, the keyed hash for bucket indices and the
@@ -46,9 +49,10 @@
 //! assert_eq!(mac.len(), 16);
 //! ```
 
-// `unsafe` is denied crate-wide and allowed back in exactly one place:
-// the [`aesni`] module, whose intrinsic calls each carry a documented
-// safety contract (and `unsafe_op_in_unsafe_fn` keeps every one explicit).
+// `unsafe` is denied crate-wide and allowed back in exactly two places:
+// the [`aesni`] module and the one prefetch intrinsic in [`hint`]. Each
+// intrinsic call carries a documented safety contract (and
+// `unsafe_op_in_unsafe_fn` keeps every one explicit).
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -64,6 +68,8 @@ pub mod constant_time;
 pub mod ctr;
 pub mod drbg;
 pub mod fused;
+#[allow(unsafe_code)]
+pub mod hint;
 pub mod hmac;
 pub mod sha256;
 pub mod siphash;

@@ -18,7 +18,6 @@ use crate::cost::CostModel;
 use crate::stats::SimStats;
 use crate::vclock;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One resident-set slot.
@@ -29,10 +28,67 @@ struct Slot {
     dirty: bool,
 }
 
+/// Page number -> resident slot, as a table indexed by the page number
+/// itself. [`crate::memory::EnclaveMemory`] numbers pages
+/// `chunk << 20 | page-in-chunk`, so the table has one lazily grown leaf
+/// per chunk and a lookup is two indexings — `touch` runs on every
+/// metered access, where hashing the page number cost more wall time than
+/// the access being modeled.
+#[derive(Debug, Default)]
+struct ResidentTable {
+    /// `leaves[page >> 20][page & 0xf_ffff]` is the slot index plus one;
+    /// zero (or a leaf too short to hold the entry) means not resident.
+    leaves: Vec<Vec<u32>>,
+    len: usize,
+}
+
+/// Page numbers a leaf covers: one chunk's worth (`chunk << 32 >> 12`).
+const LEAF_BITS: u32 = 20;
+
+impl ResidentTable {
+    fn split(page: u64) -> (usize, usize) {
+        ((page >> LEAF_BITS) as usize, (page & ((1 << LEAF_BITS) - 1)) as usize)
+    }
+
+    fn get(&self, page: u64) -> Option<usize> {
+        let (leaf, idx) = Self::split(page);
+        match *self.leaves.get(leaf)?.get(idx)? {
+            0 => None,
+            slot => Some(slot as usize - 1),
+        }
+    }
+
+    fn insert(&mut self, page: u64, slot: usize) {
+        let (leaf, idx) = Self::split(page);
+        // A leaf index is a chunk index — a count of live allocations,
+        // never an arbitrary 44-bit number the table would have to span.
+        assert!(leaf < 1 << 24, "page {page:#x} is outside the simulated address space");
+        if self.leaves.len() <= leaf {
+            self.leaves.resize_with(leaf + 1, Vec::new);
+        }
+        let leaf = &mut self.leaves[leaf];
+        if leaf.len() <= idx {
+            leaf.resize(idx + 1, 0);
+        }
+        debug_assert_eq!(leaf[idx], 0, "page inserted twice");
+        leaf[idx] = u32::try_from(slot + 1).expect("EPC budgets are far below 2^32 pages");
+        self.len += 1;
+    }
+
+    fn remove(&mut self, page: u64) {
+        let (leaf, idx) = Self::split(page);
+        self.leaves[leaf][idx] = 0;
+        self.len -= 1;
+    }
+
+    fn clear(&mut self) {
+        *self = Self::default();
+    }
+}
+
 #[derive(Debug)]
 struct EpcState {
-    /// page number -> slot index.
-    resident: HashMap<u64, usize>,
+    resident: ResidentTable,
     slots: Vec<Slot>,
     clock_hand: usize,
     /// Virtual-time end of the last fault service; faults queue behind it.
@@ -58,7 +114,7 @@ impl Epc {
             budget_pages,
             cost,
             state: Mutex::new(EpcState {
-                resident: HashMap::new(),
+                resident: ResidentTable::default(),
                 slots: Vec::new(),
                 clock_hand: 0,
                 fault_channel_busy_until: 0,
@@ -81,7 +137,7 @@ impl Epc {
             return;
         }
         let mut st = self.state.lock();
-        if let Some(&slot) = st.resident.get(&page) {
+        if let Some(slot) = st.resident.get(page) {
             st.slots[slot].referenced = true;
             st.slots[slot].dirty |= write;
             SimStats::bump(&self.stats.epc_hits);
@@ -102,7 +158,7 @@ impl Epc {
                     continue;
                 }
                 let victim = st.slots[hand];
-                st.resident.remove(&victim.page);
+                st.resident.remove(victim.page);
                 SimStats::bump(&self.stats.epc_evictions);
                 if victim.dirty {
                     SimStats::bump(&self.stats.epc_writebacks);
@@ -153,12 +209,12 @@ impl Epc {
 
     /// Number of currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.state.lock().resident.len()
+        self.state.lock().resident.len
     }
 
     /// Returns true if `page` is resident (test/diagnostic helper).
     pub fn is_resident(&self, page: u64) -> bool {
-        self.state.lock().resident.contains_key(&page)
+        self.state.lock().resident.get(page).is_some()
     }
 
     /// Resets the fault-serialization channel's virtual timestamp.

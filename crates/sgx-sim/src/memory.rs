@@ -23,7 +23,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 4 << 20;
 /// Minimum allocation granule.
 const MIN_CLASS: usize = 16;
 
-type Chunk = Arc<Mutex<Box<[u8]>>>;
+type Chunk = Mutex<Box<[u8]>>;
 
 #[derive(Debug, Default)]
 struct AllocState {
@@ -105,7 +105,7 @@ impl EnclaveMemory {
             let chunk = vec![0u8; class].into_boxed_slice();
             let mut chunks = self.chunks.write();
             let idx = chunks.len();
-            chunks.push(Arc::new(Mutex::new(chunk)));
+            chunks.push(Mutex::new(chunk));
             drop(chunks);
             let mut st = self.alloc.lock();
             st.reserved_bytes += class;
@@ -129,7 +129,7 @@ impl EnclaveMemory {
             let chunk = vec![0u8; self.chunk_size].into_boxed_slice();
             let mut chunks = self.chunks.write();
             let idx = chunks.len();
-            chunks.push(Arc::new(Mutex::new(chunk)));
+            chunks.push(Mutex::new(chunk));
             drop(chunks);
             st.bump_chunk = Some(idx);
             st.bump_offset = 0;
@@ -158,18 +158,28 @@ impl EnclaveMemory {
         st.free_lists[class_log].push(addr);
     }
 
-    fn chunk(&self, idx: usize) -> Option<Chunk> {
-        self.chunks.read().get(idx).cloned()
-    }
-
-    fn check(&self, addr: u64, len: usize) -> Result<(Chunk, usize), SimError> {
+    /// Runs `f` on the `len` bytes at `addr`, metering the access first.
+    ///
+    /// One pass: the chunk table's read lock and the chunk's own lock are
+    /// each taken once, the range is checked under them, and only a valid
+    /// access is charged — a bad address costs nothing, as before.
+    fn access<R>(
+        &self,
+        addr: u64,
+        len: usize,
+        write: bool,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, SimError> {
         let (chunk_idx, offset) = unpack(addr);
-        let chunk = self.chunk(chunk_idx).ok_or(SimError::BadAddress { addr, len })?;
-        let chunk_len = chunk.lock().len();
-        if offset + len > chunk_len {
-            return Err(SimError::BadAddress { addr, len });
-        }
-        Ok((chunk, offset))
+        let chunks = self.chunks.read();
+        let mut data = chunks.get(chunk_idx).ok_or(SimError::BadAddress { addr, len })?.lock();
+        let range = offset
+            .checked_add(len)
+            .and_then(|end| data.get_mut(offset..end))
+            .ok_or(SimError::BadAddress { addr, len })?;
+        self.epc.touch_range(addr, len, write);
+        self.epc.charge_mee(addr, len);
+        Ok(f(range))
     }
 
     /// Reads `buf.len()` bytes from `addr`, metering the access.
@@ -184,12 +194,7 @@ impl EnclaveMemory {
 
     /// Fallible read.
     pub fn try_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), SimError> {
-        let (chunk, offset) = self.check(addr, buf.len())?;
-        self.epc.touch_range(addr, buf.len(), false);
-        self.epc.charge_mee(addr, buf.len());
-        let data = chunk.lock();
-        buf.copy_from_slice(&data[offset..offset + buf.len()]);
-        Ok(())
+        self.access(addr, buf.len(), false, |src| buf.copy_from_slice(src))
     }
 
     /// Writes `data` at `addr`, metering the access.
@@ -204,12 +209,7 @@ impl EnclaveMemory {
 
     /// Fallible write.
     pub fn try_write(&self, addr: u64, data: &[u8]) -> Result<(), SimError> {
-        let (chunk, offset) = self.check(addr, data.len())?;
-        self.epc.touch_range(addr, data.len(), true);
-        self.epc.charge_mee(addr, data.len());
-        let mut dst = chunk.lock();
-        dst[offset..offset + data.len()].copy_from_slice(data);
-        Ok(())
+        self.access(addr, data.len(), true, |dst| dst.copy_from_slice(data))
     }
 
     /// Reads `len` bytes into a fresh vector.
