@@ -188,16 +188,7 @@ fn forge_attacks(
     for stale in victims.iter().take(picks) {
         let header = entry::parse_header(&stale.bytes);
         let ct = &stale.bytes[entry::HEADER_LEN..];
-        let tag = entry::compute_mac(
-            &mac,
-            ct,
-            header.key_len,
-            header.val_len,
-            header.hint,
-            header.tenant,
-            header.expires_at,
-            &header.iv,
-        );
+        let tag = entry::compute_mac(&mac, &header, ct);
         let mut forged = stale.bytes.clone();
         forged[entry::OFF_MAC..entry::OFF_MAC + 16].copy_from_slice(&tag);
         if store.replay_entry(0, &StaleEntry { handle: stale.handle, bytes: forged }) {

@@ -18,7 +18,7 @@ use shieldstore_bench::{report, Args};
 use std::time::Instant;
 
 /// Bytes processed per timed iteration (mirrors a large-ish entry batch;
-/// a multiple of the fused span and the AES block size).
+/// a multiple of the wide CTR stride and the AES block size).
 const BUF_LEN: usize = 16 << 10;
 
 /// Minimum measured wall time per configuration.

@@ -34,6 +34,7 @@
 use crate::alloc::{Handle, UntrustedHeap};
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
+use shield_crypto::fused::{Beside, Opened};
 use shield_crypto::Tag128;
 
 /// Byte offset of the `next` handle.
@@ -119,34 +120,35 @@ pub fn read_header(heap: &UntrustedHeap, handle: Handle) -> EntryHeader {
     parse_header(heap.bytes(handle, HEADER_LEN))
 }
 
-/// Computes an entry's MAC: CMAC over
-/// `(ciphertext ‖ key_len ‖ val_len ‖ hint ‖ tenant ‖ expires_at ‖ iv)`,
-/// Fig. 5 extended with the tenancy fields. The `cmac` must be the
-/// owning tenant's derived MAC key.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_mac(
-    cmac: &Cmac,
-    ciphertext: &[u8],
-    key_len: u32,
-    val_len: u32,
-    hint: u8,
-    tenant: u32,
-    expires_at: u64,
-    iv: &[u8; 16],
-) -> Tag128 {
-    cmac.compute_parts(&[
-        ciphertext,
-        &key_len.to_le_bytes(),
-        &val_len.to_le_bytes(),
-        &[hint],
-        &tenant.to_le_bytes(),
-        &expires_at.to_le_bytes(),
-        iv,
-    ])
+/// Length of [`mac_trailer`]: the six authenticated header fields.
+pub const TRAILER_LEN: usize = OFF_MAC - OFF_HINT;
+
+/// The authenticated header fields in MAC order —
+/// `key_len ‖ val_len ‖ hint ‖ tenant ‖ expires_at ‖ iv`, Fig. 5 extended
+/// with the tenancy fields. An entry's MAC is the CMAC of its ciphertext
+/// followed by this trailer; sealing, opening and verifying all take the
+/// field list from here.
+pub fn mac_trailer(header: &EntryHeader) -> [u8; TRAILER_LEN] {
+    let mut trailer = [0u8; TRAILER_LEN];
+    trailer[..4].copy_from_slice(&header.key_len.to_le_bytes());
+    trailer[4..8].copy_from_slice(&header.val_len.to_le_bytes());
+    trailer[8] = header.hint;
+    trailer[9..13].copy_from_slice(&header.tenant.to_le_bytes());
+    trailer[13..21].copy_from_slice(&header.expires_at.to_le_bytes());
+    trailer[21..].copy_from_slice(&header.iv);
+    trailer
+}
+
+/// Computes the MAC `header` and `ciphertext` should carry: CMAC over
+/// `ciphertext ‖ mac_trailer(header)` (the stored `header.mac` plays no
+/// part). The `cmac` must be the owning tenant's derived MAC key.
+pub fn compute_mac(cmac: &Cmac, header: &EntryHeader, ciphertext: &[u8]) -> Tag128 {
+    cmac.compute_parts(&[ciphertext, &mac_trailer(header)])
 }
 
 /// Encrypts `key ‖ value` and writes a complete entry into `buf`
-/// (`buf.len()` must equal `HEADER_LEN + key.len() + value.len()`).
+/// (`buf.len()` must equal `HEADER_LEN + key.len() + value.len()`), the
+/// MAC following the keystream through the ciphertext in one pass.
 ///
 /// `enc`/`cmac` must be the owning tenant's derived keys. Returns the
 /// entry's MAC.
@@ -163,9 +165,30 @@ pub fn encode_into(
     enc: &AesCtr,
     cmac: &Cmac,
 ) -> Tag128 {
-    let key_len = key.len() as u32;
-    let val_len = value.len() as u32;
+    encode_into_beside(None, buf, next, hint, tenant, expires_at, iv, key, value, enc, cmac).0
+}
+
+/// [`encode_into`] with a second CMAC — the bucket set's, as it stood
+/// before this write — verified in the same pass; also returns whether it
+/// matched (`true` without one).
+#[allow(clippy::too_many_arguments)]
+pub fn encode_into_beside(
+    beside: Option<Beside<'_>>,
+    buf: &mut [u8],
+    next: Handle,
+    hint: u8,
+    tenant: u32,
+    expires_at: u64,
+    iv: &[u8; 16],
+    key: &[u8],
+    value: &[u8],
+    enc: &AesCtr,
+    cmac: &Cmac,
+) -> (Tag128, bool) {
+    let (key_len, val_len) = (key.len() as u32, value.len() as u32);
     debug_assert_eq!(buf.len(), HEADER_LEN + key.len() + value.len());
+    let header =
+        EntryHeader { next, hint, key_len, val_len, tenant, expires_at, iv: *iv, mac: [0; 16] };
 
     buf[OFF_NEXT..OFF_NEXT + 8].copy_from_slice(&next.to_le_bytes());
     buf[OFF_HINT] = hint;
@@ -178,11 +201,11 @@ pub fn encode_into(
     let ct = &mut buf[HEADER_LEN..];
     ct[..key.len()].copy_from_slice(key);
     ct[key.len()..].copy_from_slice(value);
-    enc.apply_keystream(iv, ct);
-
-    let mac = compute_mac(cmac, &buf[HEADER_LEN..], key_len, val_len, hint, tenant, expires_at, iv);
+    let trailer = mac_trailer(&header);
+    let (mac, beside_ok) =
+        shield_crypto::fused::seal_beside(beside, enc, cmac, iv, &[], ct, &[&trailer]);
     buf[OFF_MAC..OFF_MAC + 16].copy_from_slice(&mac);
-    mac
+    (mac, beside_ok)
 }
 
 /// Decrypts only the key prefix of an entry's ciphertext.
@@ -219,13 +242,13 @@ pub fn key_matches(
     scratch == key
 }
 
-/// Fused verify + decrypt of one entry: a single pass over the ciphertext
-/// absorbs it into the MAC and XORs the keystream, then the tag is
-/// checked (constant time) *before* any plaintext is released.
+/// Fused verify + decrypt of one entry: the MAC chain and the keystream
+/// advance through the ciphertext together, then the tag is checked
+/// (constant time) *before* any plaintext is released.
 ///
 /// On success `out` holds `key ‖ value`; on tamper `out` is wiped and
 /// emptied and `false` is returned — the exact fail-closed behavior of
-/// [`verify_mac`] followed by [`decrypt_entry`], at one memory pass.
+/// [`verify_mac`] followed by [`decrypt_entry`], in the time of one.
 pub fn open_entry(
     enc: &AesCtr,
     cmac: &Cmac,
@@ -233,20 +256,27 @@ pub fn open_entry(
     ciphertext: &[u8],
     out: &mut Vec<u8>,
 ) -> bool {
-    shield_crypto::fused::open_verify(
+    open_entry_beside(None, enc, cmac, header, ciphertext, out) == Opened::Verified
+}
+
+/// [`open_entry`] with a second CMAC — the bucket set's — verified in the
+/// same pass and reported first.
+pub fn open_entry_beside(
+    beside: Option<Beside<'_>>,
+    enc: &AesCtr,
+    cmac: &Cmac,
+    header: &EntryHeader,
+    ciphertext: &[u8],
+    out: &mut Vec<u8>,
+) -> Opened {
+    shield_crypto::fused::open_verify_beside(
+        beside,
         enc,
         cmac,
         &header.iv,
         &[],
         ciphertext,
-        &[
-            &header.key_len.to_le_bytes(),
-            &header.val_len.to_le_bytes(),
-            &[header.hint],
-            &header.tenant.to_le_bytes(),
-            &header.expires_at.to_le_bytes(),
-            &header.iv,
-        ],
+        &[&mac_trailer(header)],
         &header.mac,
         out,
     )
@@ -262,17 +292,7 @@ pub fn decrypt_entry(enc: &AesCtr, header: &EntryHeader, ciphertext: &[u8]) -> (
 
 /// Verifies an entry's stored MAC against its contents.
 pub fn verify_mac(cmac: &Cmac, header: &EntryHeader, ciphertext: &[u8]) -> bool {
-    let expected = compute_mac(
-        cmac,
-        ciphertext,
-        header.key_len,
-        header.val_len,
-        header.hint,
-        header.tenant,
-        header.expires_at,
-        &header.iv,
-    );
-    shield_crypto::constant_time::ct_eq(&expected, &header.mac)
+    shield_crypto::constant_time::ct_eq(&compute_mac(cmac, header, ciphertext), &header.mac)
 }
 
 #[cfg(test)]
@@ -344,6 +364,40 @@ mod tests {
         t[OFF_NEXT] ^= 1;
         let header = parse_header(&t);
         assert!(verify_mac(&cmac, &header, &t[HEADER_LEN..]));
+    }
+
+    /// The tag of one fixed entry, recorded before the six authenticated
+    /// fields moved into [`mac_trailer`]: the MAC input is bit-identical.
+    #[test]
+    fn golden_tag() {
+        let (enc, cmac) = ciphers();
+        let (key, value) = (b"golden-key", [0xa5u8; 45]);
+        let mut buf = vec![0u8; HEADER_LEN + key.len() + value.len()];
+        let iv: [u8; 16] = core::array::from_fn(|i| 0xf0 + i as u8);
+        let mac = encode_into(
+            &mut buf,
+            0x1122_3344,
+            0x5a,
+            0x0708_090a,
+            0x0102_0304_0506_0708,
+            &iv,
+            key,
+            &value,
+            &enc,
+            &cmac,
+        );
+        assert_eq!(
+            mac,
+            [
+                0x6f, 0xb6, 0x46, 0xb3, 0xbd, 0x3d, 0x45, 0xfd, 0xfe, 0x6e, 0x27, 0x5b, 0x7c, 0xff,
+                0xbb, 0xde
+            ]
+        );
+        let header = parse_header(&buf);
+        assert!(verify_mac(&cmac, &header, &buf[HEADER_LEN..]));
+        let mut plain = Vec::new();
+        assert!(open_entry(&enc, &cmac, &header, &buf[HEADER_LEN..], &mut plain));
+        assert_eq!(plain, [key.as_slice(), &value].concat());
     }
 
     #[test]

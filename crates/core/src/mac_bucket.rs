@@ -96,38 +96,6 @@ pub fn try_gather(
     Some(total)
 }
 
-/// Streaming [`try_gather`]: walks the chain with the same corruption
-/// bounds but hands each node's contiguous MAC slab to `absorb` instead
-/// of copying into a buffer. Set-hash verification feeds the slabs
-/// straight into a streaming CMAC, so the per-verify gather `Vec` from
-/// the two-pass design disappears entirely.
-pub fn try_absorb(
-    heap: &UntrustedHeap,
-    head: Handle,
-    max_macs: usize,
-    absorb: &mut dyn FnMut(&[u8]),
-) -> Option<usize> {
-    let mut node = head;
-    let mut total = 0usize;
-    let mut nodes = 0usize;
-    while node != NULL_HANDLE {
-        nodes += 1;
-        if nodes > max_macs.saturating_add(1) {
-            return None;
-        }
-        let count =
-            u32::from_le_bytes(heap.try_bytes_at(node, OFF_COUNT, 4)?.try_into().expect("4 bytes"))
-                as usize;
-        if total.saturating_add(count) > max_macs {
-            return None;
-        }
-        absorb(heap.try_bytes_at(node, OFF_MACS, count * 16)?);
-        total += count;
-        node = heap.try_read_u64_at(node, OFF_NEXT)?;
-    }
-    Some(total)
-}
-
 /// Total number of MACs in the chain.
 pub fn len(heap: &UntrustedHeap, head: Handle) -> usize {
     let mut node = head;

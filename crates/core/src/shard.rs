@@ -39,6 +39,7 @@ use crate::tenant::{nskey, split_nskey, TenantId, TenantKeys, TenantRegistry, Te
 use crate::ttl;
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
+use shield_crypto::fused::{Beside, Opened};
 use shield_crypto::hint::LINE;
 use shield_crypto::siphash::SipHash24;
 use std::collections::{HashMap, HashSet};
@@ -216,6 +217,9 @@ pub(crate) struct Scratch {
     key: Vec<u8>,
     /// MAC side-array gathers for the absence/membership checks.
     side: Vec<u8>,
+    /// A bucket set's MACs, gathered for the set hash: between
+    /// [`begin_verify`] and the verdict, the set CMAC's whole input.
+    set: Vec<u8>,
 }
 
 /// One hash partition of the store.
@@ -397,32 +401,25 @@ fn search(
     None
 }
 
-/// Derives the bucket-set MAC hash for `set` in one streaming pass: the
-/// entry MACs of every bucket are absorbed straight into a CMAC context
-/// (via MAC buckets — contiguous reads — or entry-chain pointer chasing)
-/// with no intermediate concatenation buffer, so the hash of a large set
-/// costs one pipelined CMAC and zero allocations. The CMAC is keyed by
-/// the *master* MAC key — entry MACs are per-tenant, but the set hash
-/// binds them all under a key no tenant (or tenant-key thief) holds.
-/// `None` means the untrusted structure itself is corrupt (unreadable
-/// pointer, cycle, inflated count field) — callers surface it as an
-/// integrity violation.
-fn derive_set_hash(
+/// Gathers the entry MACs of every bucket of `set`, in traversal order,
+/// into `macs` — the bucket-set hash is the CMAC of exactly these bytes.
+/// With MAC bucketing they are a few contiguous reads of the side
+/// arrays; without it they are copied out of the chained entries'
+/// headers. `None` means the untrusted structure itself is corrupt
+/// (unreadable pointer, cycle, inflated count field) — callers surface it
+/// as an integrity violation.
+fn gather_set(
     cfg: &ShardConfig,
-    keys: &StoreKeys,
     ctx: &TableCtx,
     stats: &mut OpStats,
     set: usize,
-) -> Option<[u8; 16]> {
+    macs: &mut Vec<u8>,
+) -> Option<()> {
     let max_macs = ctx.count.saturating_add(1);
-    let mut mac_ctx = keys.mac.ctx();
-    let mut absorbed = 0u64;
+    macs.clear();
     for bucket in ctx.sets.buckets_of(set) {
         if cfg.mac_bucket {
-            let n = mac_bucket::try_absorb(&ctx.heap, ctx.mac_heads[bucket], max_macs, &mut |m| {
-                mac_ctx.update(m)
-            })?;
-            absorbed += n as u64;
+            mac_bucket::try_gather(&ctx.heap, ctx.mac_heads[bucket], macs, max_macs)?;
         } else {
             let mut steps = 0usize;
             let mut h = ctx.heads[bucket];
@@ -432,18 +429,89 @@ fn derive_set_hash(
                     return None;
                 }
                 let header = ctx.try_header(h)?;
-                mac_ctx.update(&header.mac);
-                absorbed += 1;
+                macs.extend_from_slice(&header.mac);
                 h = header.next;
             }
         }
     }
-    stats.macs_gathered += absorbed;
-    Some(if absorbed == 0 { EMPTY_SET_HASH } else { mac_ctx.finalize() })
+    stats.macs_gathered += (macs.len() / 16) as u64;
+    Some(())
+}
+
+/// The bucket-set hash of gathered `macs`: their CMAC under the *master*
+/// MAC key — entry MACs are per-tenant, but the set hash binds them all
+/// under a key no tenant (or tenant-key thief) holds.
+fn set_hash(keys: &StoreKeys, macs: &[u8]) -> [u8; 16] {
+    if macs.is_empty() {
+        EMPTY_SET_HASH
+    } else {
+        integrity::set_hash(&keys.mac, macs)
+    }
 }
 
 /// The stored hash for an empty bucket set.
 const EMPTY_SET_HASH: [u8; 16] = [0u8; 16];
+
+/// What every verdict on `set`'s hash reports.
+fn set_violation(ctx: &TableCtx, set: usize) -> Error {
+    Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start }
+}
+
+/// A bucket set whose MACs are gathered (in [`Scratch::set`]) and whose
+/// stored hash is fetched, but whose CMAC has yet to run.
+#[derive(Clone, Copy)]
+struct PendingSet {
+    set: usize,
+    stored: [u8; 16],
+}
+
+/// The first half of verifying `set` against untrusted state: fetches the
+/// stored hash and gathers the set's MACs into `macs`. The second half —
+/// one CMAC and a compare — is [`finish_verify`], or rides beside the
+/// opening of an entry ([`get_in_bucket`]).
+fn begin_verify(
+    cfg: &ShardConfig,
+    ctx: &TableCtx,
+    stats: &mut OpStats,
+    set: usize,
+    macs: &mut Vec<u8>,
+) -> Result<PendingSet> {
+    stats.integrity_verifications += 1;
+    // The stored hash is enclave memory and needs none of the untrusted
+    // lines the caller has just hinted: fetching it first lets them land
+    // meanwhile.
+    let stored = ctx.macs.get(set);
+    gather_set(cfg, ctx, stats, set, macs).ok_or_else(|| set_violation(ctx, set))?;
+    Ok(PendingSet { set, stored })
+}
+
+/// Settles `pending` on its own: recomputes the set hash from the
+/// gathered `macs` and compares.
+fn finish_verify(keys: &StoreKeys, ctx: &TableCtx, pending: PendingSet, macs: &[u8]) -> Result<()> {
+    if integrity::verify_set_hash(&pending.stored, &set_hash(keys, macs)) {
+        Ok(())
+    } else {
+        Err(set_violation(ctx, pending.set))
+    }
+}
+
+/// `pending` as the message to verify beside the opening or sealing of an
+/// entry of its set: the gathered `macs` and the hash they must have. A
+/// gather without MACs has no CMAC to run — its hash is a constant — and
+/// is settled here. (An entry found in such a set is tampering that the
+/// side-array checks report.)
+fn beside_entry<'a>(
+    keys: &'a StoreKeys,
+    ctx: &TableCtx,
+    pending: &'a Option<PendingSet>,
+    macs: &'a [u8],
+) -> Result<Option<Beside<'a>>> {
+    match pending {
+        Some(pending) if macs.is_empty() => finish_verify(keys, ctx, *pending, macs).map(|()| None),
+        Some(pending) => Ok(Some(Beside { mac: &keys.mac, msg: macs, tag: &pending.stored })),
+        None => Ok(None),
+    }
+}
 
 /// Verifies the bucket-set MAC hash for `set` against untrusted state.
 fn verify_set(
@@ -452,20 +520,10 @@ fn verify_set(
     ctx: &TableCtx,
     stats: &mut OpStats,
     set: usize,
+    macs: &mut Vec<u8>,
 ) -> Result<()> {
-    stats.integrity_verifications += 1;
-    // The stored hash is enclave memory and needs none of the untrusted
-    // lines the caller has just hinted: fetching it first lets them land
-    // meanwhile.
-    let stored = ctx.macs.get(set);
-    let Some(recomputed) = derive_set_hash(cfg, keys, ctx, stats, set) else {
-        return Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start });
-    };
-    if integrity::verify_set_hash(&stored, &recomputed) {
-        Ok(())
-    } else {
-        Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start })
-    }
+    let pending = begin_verify(cfg, ctx, stats, set, macs)?;
+    finish_verify(keys, ctx, pending, macs)
 }
 
 /// Miss-path consistency check for MAC bucketing. The gather reads the
@@ -591,11 +649,10 @@ fn update_set_hash(
     ctx: &mut TableCtx,
     stats: &mut OpStats,
     set: usize,
+    macs: &mut Vec<u8>,
 ) -> Result<()> {
-    let Some(tag) = derive_set_hash(cfg, keys, ctx, stats, set) else {
-        return Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start });
-    };
-    ctx.macs.set(set, &tag);
+    gather_set(cfg, ctx, stats, set, macs).ok_or_else(|| set_violation(ctx, set))?;
+    ctx.macs.set(set, &set_hash(keys, macs));
     Ok(())
 }
 
@@ -616,13 +673,17 @@ fn get_in(
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
     hint_access(cfg, ctx, bucket);
-    verify_set(cfg, keys, ctx, stats, set)?;
-    get_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key)
+    let pending = begin_verify(cfg, ctx, stats, set, &mut scratch.set)?;
+    get_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key, Some(pending))
 }
 
-/// Lookup within an already-verified bucket set. The caller must have
-/// run [`verify_set`] for `bucket`'s set first — per-op wrappers do it
-/// per call, the batched path once per touched set per batch.
+/// Lookup within `bucket`, whose set is either already verified
+/// (`pending` is `None` — the batched path, after the set's first key) or
+/// gathered by [`begin_verify`] and still to be settled. A hit settles it
+/// in the pass that opens the entry: the set's CMAC, the entry's CMAC and
+/// the keystream are three chains on one AES unit, so they cost what the
+/// longest does. Anything else settles it alone. Either way the set's
+/// verdict is reported before any other.
 #[allow(clippy::too_many_arguments)]
 fn get_in_bucket(
     cfg: &ShardConfig,
@@ -633,54 +694,79 @@ fn get_in_bucket(
     scratch: &mut Scratch,
     bucket: usize,
     key: &[u8],
+    pending: Option<PendingSet>,
 ) -> Result<Option<(Vec<u8>, u64)>> {
     let hint = keys.hint_byte(key);
-    match search(cfg, keys, op, ctx, stats, scratch, bucket, hint, key) {
+    let outcome = search(cfg, keys, op, ctx, stats, scratch, bucket, hint, key);
+    let hit = match outcome {
         Some(SearchOutcome::Found(found)) => {
-            let Some(ct) = ctx.try_ciphertext(found.handle, &found.header) else {
-                return Err(Error::IntegrityViolation { bucket });
-            };
-            // Fused verify+decrypt under the tenant's derived keys: MAC
-            // absorption and keystream XOR share one pass over the
-            // ciphertext. The plaintext is staged in the enclave-resident
-            // scratch buffer and only released after the tag and the
-            // side-array liveness check both pass.
-            let mut plain = std::mem::take(&mut scratch.entry);
-            if !entry::open_entry(&op.tkeys.enc, &op.tkeys.mac, &found.header, ct, &mut plain) {
-                scratch.entry = plain;
-                return Err(Error::IntegrityViolation { bucket });
-            }
-            if let Err(e) = verify_side_mac_read(cfg, ctx, stats, scratch, bucket, &found) {
-                plain.iter_mut().for_each(|b| *b = 0);
-                plain.clear();
-                scratch.entry = plain;
-                return Err(e);
-            }
-            // Lazy expiry: the fused open just authenticated the header,
-            // `expires_at` included, so the deadline can be honoured. The
-            // value is wiped and the entry reads as a miss; physical
-            // removal is the sweep's job (this path must not mutate —
-            // it also serves frozen snapshot tables).
-            if found.header.expired_at(op.now) {
-                plain.iter_mut().for_each(|b| *b = 0);
-                plain.clear();
-                scratch.entry = plain;
-                stats.expired_lazy += 1;
-                if let Some(st) = op.state {
-                    st.usage.expired_lazy.fetch_add(1, AtomicOrdering::SeqCst);
-                }
-                return Ok(None);
-            }
-            let value = plain.split_off(found.header.key_len as usize);
-            scratch.entry = plain;
-            Ok(Some((value, found.header.expires_at)))
+            ctx.try_ciphertext(found.handle, &found.header).map(|ct| (found, ct))
         }
-        Some(SearchOutcome::Tampered) => Err(Error::IntegrityViolation { bucket }),
-        None => {
-            verify_absence_consistency(cfg, ctx, scratch, bucket)?;
-            Ok(None)
+        _ => None,
+    };
+    let Some((found, ct)) = hit else {
+        if let Some(pending) = pending {
+            finish_verify(keys, ctx, pending, &scratch.set)?;
+        }
+        return match outcome {
+            // Tampered, or found behind corrupted length fields.
+            Some(_) => Err(Error::IntegrityViolation { bucket }),
+            None => {
+                verify_absence_consistency(cfg, ctx, scratch, bucket)?;
+                Ok(None)
+            }
+        };
+    };
+    let beside = beside_entry(keys, ctx, &pending, &scratch.set)?;
+    // Fused verify+decrypt under the tenant's derived keys. The plaintext
+    // is staged in the enclave-resident scratch buffer and only released
+    // after the set hash, the tag and the side-array liveness check have
+    // all passed.
+    let mut plain = std::mem::take(&mut scratch.entry);
+    let opened = entry::open_entry_beside(
+        beside,
+        &op.tkeys.enc,
+        &op.tkeys.mac,
+        &found.header,
+        ct,
+        &mut plain,
+    );
+    let wipe = |mut plain: Vec<u8>, scratch: &mut Scratch| {
+        plain.iter_mut().for_each(|b| *b = 0);
+        plain.clear();
+        scratch.entry = plain;
+    };
+    match (opened, pending) {
+        (Opened::Verified, _) => {}
+        (Opened::BesideMismatch, Some(pending)) => {
+            scratch.entry = plain;
+            return Err(set_violation(ctx, pending.set));
+        }
+        (Opened::BesideMismatch | Opened::TagMismatch, _) => {
+            scratch.entry = plain;
+            return Err(Error::IntegrityViolation { bucket });
         }
     }
+    if let Err(e) = verify_side_mac_read(cfg, ctx, stats, scratch, bucket, &found) {
+        wipe(plain, scratch);
+        return Err(e);
+    }
+    // Lazy expiry: the fused open just authenticated the header,
+    // `expires_at` included, so the deadline can be honoured. The value
+    // is wiped and the entry reads as a miss; physical removal is the
+    // sweep's job (this path must not mutate — it also serves frozen
+    // snapshot tables).
+    if found.header.expired_at(op.now) {
+        wipe(plain, scratch);
+        stats.expired_lazy += 1;
+        if let Some(st) = op.state {
+            st.usage.expired_lazy.fetch_add(1, AtomicOrdering::SeqCst);
+        }
+        return Ok(None);
+    }
+    let value = plain.split_off(found.header.key_len as usize);
+    scratch.entry = plain;
+    Ok(Some((value, found.header.expires_at)))
 }
 
 /// Inserts or updates `key` in `ctx`. Returns `true` for an insert.
@@ -698,9 +784,10 @@ fn set_in(
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
     hint_access(cfg, ctx, bucket);
-    verify_set(cfg, keys, ctx, stats, set)?;
-    let inserted = set_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key, value)?;
-    update_set_hash(cfg, keys, ctx, stats, set)?;
+    let pending = begin_verify(cfg, ctx, stats, set, &mut scratch.set)?;
+    let inserted =
+        set_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key, value, Some(pending))?;
+    update_set_hash(cfg, keys, ctx, stats, set, &mut scratch.set)?;
     Ok(inserted)
 }
 
@@ -713,11 +800,18 @@ fn quota_reject(op: &OpCtx<'_>, stats: &mut OpStats) -> Error {
     Error::QuotaExceeded { tenant: op.tenant }
 }
 
-/// Insert/update within an already-verified bucket set, *without*
-/// re-storing the set hash. The caller must have run [`verify_set`]
-/// before the first access to this set and must call
-/// [`update_set_hash`] after the last write to it — per-op wrappers do
-/// both per call, the batched path once per touched set per batch.
+/// Insert/update within `bucket`, *without* re-storing the set hash. The
+/// bucket's set is either already verified (`pending` is `None` — the
+/// batched path, after the set's first item) or gathered by
+/// [`begin_verify`] and settled here: beside the sealing of the new
+/// version on an update, alone otherwise, and always before any other
+/// verdict and any mutation. The caller must call [`update_set_hash`]
+/// after the last write to the set — per-op wrappers do so per call, the
+/// batched path once per touched set per batch.
+///
+/// An update is sealed into the enclave scratch and copied out only once
+/// every check has passed, so a refused write leaves untrusted memory as
+/// it was.
 ///
 /// Quota enforcement happens here, after the integrity checks and
 /// before any mutation: an insert charges `(entry bytes, 1 key)`, an
@@ -734,125 +828,113 @@ fn set_in_bucket(
     bucket: usize,
     key: &[u8],
     value: &[u8],
+    pending: Option<PendingSet>,
 ) -> Result<bool> {
     let hint = keys.hint_byte(key);
     let new_len = entry::HEADER_LEN + key.len() + value.len();
 
     let outcome = search(cfg, keys, op, ctx, stats, scratch, bucket, hint, key);
-    if matches!(outcome, Some(SearchOutcome::Tampered)) {
-        return Err(Error::IntegrityViolation { bucket });
-    }
-    let inserted = match outcome {
-        Some(SearchOutcome::Tampered) => unreachable!("handled above"),
-        Some(SearchOutcome::Found(found)) => {
-            // A stale replayed entry must not be accepted as the base of
-            // an update (its IV+1 would reuse an already-spent counter).
-            verify_side_mac_write(cfg, ctx, bucket, &found)?;
-            let old_len = found.header.entry_len();
-            if let Some(st) = op.state {
-                if new_len > old_len {
-                    if !st.usage.try_charge_bytes(&st.quota, (new_len - old_len) as u64) {
-                        return Err(quota_reject(op, stats));
-                    }
-                } else {
-                    st.usage.discharge((old_len - new_len) as u64, 0);
-                }
-            }
-            // Update: bump the combined IV/counter for the re-encryption.
-            // The search only matches same-tenant entries, so the bumped
-            // counter stays within one derived keystream.
-            let mut iv = found.header.iv;
-            shield_crypto::ctr::increment_be(&mut iv);
-
-            if UntrustedHeap::fits_in_class(old_len, new_len) {
-                let buf = ctx.heap.bytes_mut(found.handle, new_len);
-                let mac = entry::encode_into(
-                    buf,
-                    found.header.next,
-                    hint,
-                    op.tenant,
-                    op.expires_at,
-                    &iv,
-                    key,
-                    value,
-                    &op.tkeys.enc,
-                    &op.tkeys.mac,
-                );
-                if cfg.mac_bucket {
-                    mac_bucket::set_at(&mut ctx.heap, ctx.mac_heads[bucket], found.pos, &mac);
-                }
-                stats.inplace_updates += 1;
-            } else {
-                let fresh = ctx.heap.alloc(new_len);
-                let buf = &mut scratch.entry;
-                buf.clear();
-                buf.resize(new_len, 0);
-                let mac = entry::encode_into(
-                    buf,
-                    found.header.next,
-                    hint,
-                    op.tenant,
-                    op.expires_at,
-                    &iv,
-                    key,
-                    value,
-                    &op.tkeys.enc,
-                    &op.tkeys.mac,
-                );
-                ctx.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
-                // Relink in place of the old entry.
-                if found.prev == NULL_HANDLE {
-                    ctx.heads[bucket] = fresh;
-                } else {
-                    ctx.heap.write_u64_at(found.prev, entry::OFF_NEXT, fresh);
-                }
-                ctx.heap.free(found.handle, old_len);
-                if cfg.mac_bucket {
-                    mac_bucket::set_at(&mut ctx.heap, ctx.mac_heads[bucket], found.pos, &mac);
-                }
-                stats.realloc_updates += 1;
-            }
-            false
+    let Some(SearchOutcome::Found(found)) = outcome else {
+        if let Some(pending) = pending {
+            finish_verify(keys, ctx, pending, &scratch.set)?;
         }
-        None => {
-            verify_absence_consistency(cfg, ctx, scratch, bucket)?;
-            if let Some(st) = op.state {
-                if !st.usage.try_charge(&st.quota, new_len as u64, 1) {
-                    return Err(quota_reject(op, stats));
-                }
-            }
-            // Insert at the chain head with a fresh random IV/counter.
-            let iv = ctx.heap.enclave().read_rand_block();
-            let fresh = ctx.heap.alloc(new_len);
-            let buf = &mut scratch.entry;
-            buf.clear();
-            buf.resize(new_len, 0);
-            let mac = entry::encode_into(
-                buf,
-                ctx.heads[bucket],
-                hint,
-                op.tenant,
-                op.expires_at,
-                &iv,
-                key,
-                value,
-                &op.tkeys.enc,
-                &op.tkeys.mac,
-            );
-            ctx.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
-            ctx.heads[bucket] = fresh;
-            if cfg.mac_bucket {
-                let mut head = ctx.mac_heads[bucket];
-                mac_bucket::insert_front(&mut ctx.heap, &mut head, &mac, cfg.mac_cap);
-                ctx.mac_heads[bucket] = head;
-            }
-            ctx.count += 1;
-            stats.inserts += 1;
-            true
+        if outcome.is_some() {
+            return Err(Error::IntegrityViolation { bucket });
         }
+        verify_absence_consistency(cfg, ctx, scratch, bucket)?;
+        if let Some(st) = op.state {
+            if !st.usage.try_charge(&st.quota, new_len as u64, 1) {
+                return Err(quota_reject(op, stats));
+            }
+        }
+        // Insert at the chain head with a fresh random IV/counter.
+        let iv = ctx.heap.enclave().read_rand_block();
+        let fresh = ctx.heap.alloc(new_len);
+        let buf = &mut scratch.entry;
+        buf.clear();
+        buf.resize(new_len, 0);
+        let mac = entry::encode_into(
+            buf,
+            ctx.heads[bucket],
+            hint,
+            op.tenant,
+            op.expires_at,
+            &iv,
+            key,
+            value,
+            &op.tkeys.enc,
+            &op.tkeys.mac,
+        );
+        ctx.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
+        ctx.heads[bucket] = fresh;
+        if cfg.mac_bucket {
+            let mut head = ctx.mac_heads[bucket];
+            mac_bucket::insert_front(&mut ctx.heap, &mut head, &mac, cfg.mac_cap);
+            ctx.mac_heads[bucket] = head;
+        }
+        ctx.count += 1;
+        stats.inserts += 1;
+        return Ok(true);
     };
 
-    Ok(inserted)
+    // Update: bump the combined IV/counter for the re-encryption. The
+    // search only matches same-tenant entries, so the bumped counter
+    // stays within one derived keystream. (Should the entry turn out to
+    // be a stale replay, whose IV+1 is an already-spent counter, the
+    // side-array check below refuses it and what was sealed never leaves
+    // the scratch.)
+    let mut iv = found.header.iv;
+    shield_crypto::ctr::increment_be(&mut iv);
+    let beside = beside_entry(keys, ctx, &pending, &scratch.set)?;
+    let sealed = &mut scratch.entry;
+    sealed.clear();
+    sealed.resize(new_len, 0);
+    let (mac, set_ok) = entry::encode_into_beside(
+        beside,
+        sealed,
+        found.header.next,
+        hint,
+        op.tenant,
+        op.expires_at,
+        &iv,
+        key,
+        value,
+        &op.tkeys.enc,
+        &op.tkeys.mac,
+    );
+    if let (false, Some(pending)) = (set_ok, pending) {
+        return Err(set_violation(ctx, pending.set));
+    }
+    verify_side_mac_write(cfg, ctx, bucket, &found)?;
+    let old_len = found.header.entry_len();
+    if let Some(st) = op.state {
+        if new_len > old_len {
+            if !st.usage.try_charge_bytes(&st.quota, (new_len - old_len) as u64) {
+                return Err(quota_reject(op, stats));
+            }
+        } else {
+            st.usage.discharge((old_len - new_len) as u64, 0);
+        }
+    }
+    if UntrustedHeap::fits_in_class(old_len, new_len) {
+        ctx.heap.bytes_mut(found.handle, new_len).copy_from_slice(sealed);
+        stats.inplace_updates += 1;
+    } else {
+        let fresh = ctx.heap.alloc(new_len);
+        ctx.heap.bytes_mut(fresh, new_len).copy_from_slice(sealed);
+        // Relink in place of the old entry.
+        if found.prev == NULL_HANDLE {
+            ctx.heads[bucket] = fresh;
+        } else {
+            ctx.heap.write_u64_at(found.prev, entry::OFF_NEXT, fresh);
+        }
+        ctx.heap.free(found.handle, old_len);
+        stats.realloc_updates += 1;
+    }
+    if cfg.mac_bucket {
+        mac_bucket::set_at(&mut ctx.heap, ctx.mac_heads[bucket], found.pos, &mac);
+    }
+    Ok(false)
 }
 
 /// Removes `key` from `ctx` within `op`'s namespace. Returns `true` if
@@ -884,7 +966,7 @@ fn delete_in(
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
     hint_access(cfg, ctx, bucket);
-    verify_set(cfg, keys, ctx, stats, set)?;
+    verify_set(cfg, keys, ctx, stats, set, &mut scratch.set)?;
     let hint = keys.hint_byte(key);
     let found = match search(cfg, keys, op, ctx, stats, scratch, bucket, hint, key) {
         Some(SearchOutcome::Found(found)) => found,
@@ -929,7 +1011,7 @@ fn delete_in(
     if let Some(st) = op.state {
         st.usage.discharge(found.header.entry_len() as u64, 1);
     }
-    update_set_hash(cfg, keys, ctx, stats, set)?;
+    update_set_hash(cfg, keys, ctx, stats, set, &mut scratch.set)?;
     Ok(true)
 }
 
@@ -1414,14 +1496,17 @@ impl Shard {
 
         let mut verified: Option<usize> = None;
         for (set, bucket, i) in order {
-            if verified == Some(set) {
+            // A set is verified with its first key, beside that key's
+            // entry when it hits.
+            let pending = if verified == Some(set) {
                 stats.batch_verifications_saved += 1;
+                None
             } else {
-                verify_set(cfg, keys, main, stats, set)?;
                 verified = Some(set);
-            }
+                Some(begin_verify(cfg, main, stats, set, &mut scratch.set)?)
+            };
             if let Some((v, exp)) =
-                get_in_bucket(cfg, keys, op, main, stats, scratch, bucket, batch[i])?
+                get_in_bucket(cfg, keys, op, main, stats, scratch, bucket, batch[i], pending)?
             {
                 if exp == 0 {
                     if let Some(cache) = cache.as_mut() {
@@ -1480,28 +1565,28 @@ impl Shard {
 
         let mut current: Option<usize> = None;
         for (set, bucket, i) in order {
-            if current == Some(set) {
+            let pending = if current == Some(set) {
                 stats.batch_verifications_saved += 1;
                 stats.batch_hash_updates_saved += 1;
+                None
             } else {
                 if let Some(prev) = current {
-                    update_set_hash(cfg, keys, main, stats, prev)?;
+                    update_set_hash(cfg, keys, main, stats, prev, &mut scratch.set)?;
                 }
-                verify_set(cfg, keys, main, stats, set)?;
                 current = Some(set);
-            }
+                Some(begin_verify(cfg, main, stats, set, &mut scratch.set)?)
+            };
             let (key, value) = items[i];
-            set_in_bucket(cfg, keys, op, main, stats, scratch, bucket, key, value).map_err(
-                |e| {
+            set_in_bucket(cfg, keys, op, main, stats, scratch, bucket, key, value, pending)
+                .map_err(|e| {
                     // The set hash for the current group must be re-stored
                     // even on a quota rejection mid-batch: earlier items in
                     // this set already mutated their buckets.
                     if matches!(e, Error::QuotaExceeded { .. }) {
-                        let _ = update_set_hash(cfg, keys, main, stats, set);
+                        let _ = update_set_hash(cfg, keys, main, stats, set, &mut scratch.set);
                     }
                     e
-                },
-            )?;
+                })?;
             if let Some(cache) = cache.as_mut() {
                 let ns = nskey(op.tenant, key);
                 if op.expires_at == 0 {
@@ -1515,7 +1600,7 @@ impl Shard {
             }
         }
         if let Some(prev) = current {
-            update_set_hash(cfg, keys, main, stats, prev)?;
+            update_set_hash(cfg, keys, main, stats, prev, &mut scratch.set)?;
         }
         Ok(())
     }
@@ -1863,7 +1948,7 @@ impl Shard {
     pub fn verify_all_sets(&mut self) -> Result<()> {
         let main = self.main.as_ref().expect("main table present");
         for set in 0..main.sets.num_sets() {
-            verify_set(&self.cfg, &self.keys, main, &mut self.stats, set)?;
+            verify_set(&self.cfg, &self.keys, main, &mut self.stats, set, &mut self.scratch.set)?;
         }
         // With MAC bucketing, also cross-check every chain length so an
         // unlinked entry in the restored table cannot hide.
@@ -2828,5 +2913,227 @@ mod tests {
         assert!(matches!(s.execute(2, None, Op::Get(b"k")), Err(Error::IntegrityViolation { .. })));
         assert!(matches!(s.execute(1, None, Op::Get(b"k")), Err(Error::IntegrityViolation { .. })));
         vclock::reset();
+    }
+
+    /// Where the tamper matrix flips one bit.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Flip {
+        /// The victim's MAC in its bucket's side array (MAC bucketing).
+        MacNode,
+        /// A MAC the set hash gathers from another bucket of the victim's
+        /// set: in the side array with MAC bucketing, else the head
+        /// entry's stored tag.
+        NeighbourMac,
+        /// `NeighbourMac` and `CiphertextValue`: set hash and entry MAC
+        /// both fail, the set's verdict must come first.
+        NeighbourMacAndValue,
+        /// `NeighbourMac` and `CiphertextKey`: set hash and search both
+        /// fail.
+        NeighbourMacAndKey,
+        CiphertextKey,
+        CiphertextValue,
+        Hint,
+        KeyLen,
+        ValLen,
+        Tenant,
+        ExpiresAt,
+        Iv,
+        StoredTag,
+        /// The victim's own `next` (it is the chain tail).
+        Next,
+        /// The `next` of the entry before the victim.
+        NextOfPredecessor,
+    }
+
+    /// What an op on the victim key reported.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        Served,
+        Miss,
+        /// `IntegrityViolation` at the first bucket of the victim's set:
+        /// the set-hash verdict.
+        AtSetStart,
+        /// `IntegrityViolation` at the victim's own bucket: the search's,
+        /// the entry MAC's or a side-array check's verdict.
+        AtBucket,
+    }
+
+    const FLIPS: [Flip; 15] = [
+        Flip::MacNode,
+        Flip::NeighbourMac,
+        Flip::NeighbourMacAndValue,
+        Flip::NeighbourMacAndKey,
+        Flip::CiphertextKey,
+        Flip::CiphertextValue,
+        Flip::Hint,
+        Flip::KeyLen,
+        Flip::ValLen,
+        Flip::Tenant,
+        Flip::ExpiresAt,
+        Flip::Iv,
+        Flip::StoredTag,
+        Flip::Next,
+        Flip::NextOfPredecessor,
+    ];
+
+    /// What get, set and delete of the victim reported at the commit before
+    /// the lockstep kernel (a `multi_get` reported what the get did). A set or delete never opens the old value, so
+    /// a flipped value byte or length goes unseen by them (the set
+    /// overwrites it); a delete authenticates only a deadline it is about
+    /// to honour. Without MAC bucketing the set hash is derived from the
+    /// chain itself, so a stored tag or a `next` is the set's to catch.
+    fn recorded_verdicts(mac_bucket: bool, flip: Flip) -> [Seen; 3] {
+        use Seen::{AtBucket, AtSetStart, Served};
+        match flip {
+            Flip::MacNode
+            | Flip::NeighbourMac
+            | Flip::NeighbourMacAndValue
+            | Flip::NeighbourMacAndKey => [AtSetStart; 3],
+            Flip::StoredTag | Flip::Next | Flip::NextOfPredecessor if !mac_bucket => {
+                [AtSetStart; 3]
+            }
+            Flip::CiphertextValue | Flip::ValLen => [AtBucket, Served, Served],
+            Flip::ExpiresAt => [AtBucket, Served, AtBucket],
+            Flip::Next => [Served; 3],
+            _ => [AtBucket; 3],
+        }
+    }
+
+    /// One bit flipped in each authenticated or structural field, then a
+    /// get, a set, a delete and a batched get of the victim key, each on a
+    /// fresh shard.
+    /// The verdicts were recorded before the lockstep kernel reordered the
+    /// work inside an op; the same `Error`, variant and bucket, must come
+    /// back after. No failed op leaves plaintext staged in the scratch.
+    #[test]
+    fn tamper_matrix_reports_the_recorded_verdicts() {
+        for mac_bucket in [true, false] {
+            for flip in FLIPS {
+                let mut row = Vec::new();
+                for op in ["get", "set", "delete", "multi_get"] {
+                    let cfg =
+                        Config { mac_bucket, ..Config::shield_opt() }.buckets(16).mac_hashes(4);
+                    let mut s = shard_with(cfg);
+                    vclock::reset();
+                    let keys: Vec<String> = (0..48).map(|i| format!("key-{i}")).collect();
+                    for key in &keys {
+                        s.set(key.as_bytes(), format!("value-of-{key}").as_bytes()).unwrap();
+                    }
+                    // The victim: the first key inserted into a bucket
+                    // that is not its set's first and took a second key
+                    // later — so it is the chain's tail, behind a
+                    // predecessor, and the two verdict buckets differ.
+                    let sets = s.sets_map();
+                    let (victim, bucket) = keys
+                        .iter()
+                        .map(|k| (k, s.bucket_index(k.as_bytes())))
+                        .find(|&(k, b)| {
+                            sets.buckets_of(sets.set_of(b)).start != b
+                                && keys.iter().filter(|o| s.bucket_index(o.as_bytes()) == b).count()
+                                    >= 2
+                                && keys.iter().find(|o| s.bucket_index(o.as_bytes()) == b)
+                                    == Some(k)
+                        })
+                        .expect("a bucket with a chain");
+                    let set_buckets = sets.buckets_of(sets.set_of(bucket));
+                    let main = s.main.as_mut().unwrap();
+                    let mut chain = vec![main.heads[bucket]];
+                    loop {
+                        let next = main.heap.read_u64_at(*chain.last().unwrap(), entry::OFF_NEXT);
+                        if next == NULL_HANDLE {
+                            break;
+                        }
+                        chain.push(next);
+                    }
+                    let (tail, pos) = (*chain.last().unwrap(), chain.len() - 1);
+                    let header = main.header(tail);
+                    assert_eq!(header.key_len as usize, victim.len());
+                    let mut flip_at = |handle: Handle, offset: usize| {
+                        main.heap.bytes_at_mut(handle, offset, 1)[0] ^= 1;
+                    };
+                    if matches!(
+                        flip,
+                        Flip::NeighbourMac | Flip::NeighbourMacAndValue | Flip::NeighbourMacAndKey
+                    ) {
+                        let other = set_buckets
+                            .clone()
+                            .find(|&b| b != bucket && main.heads[b] != NULL_HANDLE)
+                            .expect("a second occupied bucket in the set");
+                        if mac_bucket {
+                            flip_at(main.mac_heads[other], 12)
+                        } else {
+                            flip_at(main.heads[other], entry::OFF_MAC)
+                        }
+                    }
+                    match flip {
+                        Flip::MacNode if !mac_bucket => continue,
+                        Flip::MacNode => flip_at(main.mac_heads[bucket], 12 + 16 * pos),
+                        Flip::NeighbourMac => {}
+                        Flip::CiphertextKey | Flip::NeighbourMacAndKey => {
+                            flip_at(tail, entry::HEADER_LEN)
+                        }
+                        Flip::CiphertextValue | Flip::NeighbourMacAndValue => {
+                            flip_at(tail, header.entry_len() - 1)
+                        }
+                        Flip::Hint => flip_at(tail, entry::OFF_HINT),
+                        Flip::KeyLen => flip_at(tail, entry::OFF_KEY_LEN),
+                        Flip::ValLen => flip_at(tail, entry::OFF_VAL_LEN),
+                        Flip::Tenant => flip_at(tail, entry::OFF_TENANT),
+                        Flip::ExpiresAt => flip_at(tail, entry::OFF_EXPIRY),
+                        Flip::Iv => flip_at(tail, entry::OFF_IV + 15),
+                        Flip::StoredTag => flip_at(tail, entry::OFF_MAC),
+                        Flip::Next => flip_at(tail, entry::OFF_NEXT),
+                        Flip::NextOfPredecessor => flip_at(chain[pos - 1], entry::OFF_NEXT),
+                    }
+                    let key = victim.as_bytes();
+                    let result = match op {
+                        "get" => s.get(key).map(|v| {
+                            assert_eq!(v, format!("value-of-{victim}").as_bytes());
+                        }),
+                        "set" => s.set(key, b"a new value of another length"),
+                        "delete" => s.delete(key),
+                        // Behind a healthy key of the same set, so the
+                        // victim is not the batch's first hit in it.
+                        _ => {
+                            let healthy = keys
+                                .iter()
+                                .find(|k| {
+                                    let b = s.bucket_index(k.as_bytes());
+                                    b != bucket && set_buckets.contains(&b)
+                                })
+                                .expect("a key elsewhere in the set");
+                            s.multi_get(&[healthy.as_bytes(), key]).map(|values| {
+                                let expect = |k: &str| Some(format!("value-of-{k}").into_bytes());
+                                assert_eq!(values, [expect(healthy), expect(victim)]);
+                            })
+                        }
+                    };
+                    let seen = match result {
+                        Ok(()) => Seen::Served,
+                        Err(Error::KeyNotFound) => Seen::Miss,
+                        Err(Error::IntegrityViolation { bucket: b }) if b == bucket => {
+                            Seen::AtBucket
+                        }
+                        Err(Error::IntegrityViolation { bucket: b }) if b == set_buckets.start => {
+                            Seen::AtSetStart
+                        }
+                        Err(other) => panic!("{flip:?} {op}: unexpected {other:?}"),
+                    };
+                    if seen != Seen::Served {
+                        let value = format!("value-of-{victim}");
+                        assert!(
+                            !s.scratch.entry.windows(value.len()).any(|w| w == value.as_bytes()),
+                            "{flip:?} {op}: the victim's plaintext is still staged"
+                        );
+                    }
+                    row.push(seen);
+                    vclock::reset();
+                }
+                if !row.is_empty() {
+                    let [get, set, delete] = recorded_verdicts(mac_bucket, flip);
+                    assert_eq!(row, [get, set, delete, get], "{flip:?}, {mac_bucket}");
+                }
+            }
+        }
     }
 }

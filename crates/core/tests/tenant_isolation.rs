@@ -171,10 +171,7 @@ proptest! {
             // Forgery: re-MAC the B-tagged entry under A's key (the
             // strongest thing the attacker can compute) and plant it.
             let mut forged = stale.bytes.clone();
-            let tag = entry::compute_mac(
-                &mac, ct, header.key_len, header.val_len, header.hint,
-                header.tenant, header.expires_at, &header.iv,
-            );
+            let tag = entry::compute_mac(&mac, &header, ct);
             forged[entry::OFF_MAC..entry::OFF_MAC + 16].copy_from_slice(&tag);
             let planted = s.replay_entry(
                 0,

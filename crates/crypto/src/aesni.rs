@@ -16,10 +16,11 @@
 //! loads/stores (`_mm_loadu_si128` / `_mm_storeu_si128`), each justified
 //! by slice bounds established immediately beforehand.
 
+use crate::backend::{CtrLane, MacLane, MacPart};
 use core::arch::x86_64::{
     __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_aesimc_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128, _mm_shuffle_epi32,
-    _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    _mm_aesimc_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128, _mm_set_epi64x,
+    _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
 };
 
 /// An expanded AES-128 key schedule held as `__m128i` round keys, with the
@@ -160,69 +161,67 @@ impl AesNi {
         _mm_aesenclast_si128(x, self.enc[10])
     }
 
-    /// Encrypts eight independent blocks, interleaving the round
-    /// instructions so all eight pipelines stay full.
+    /// Fills `lanes` with the keystream blocks `E(counter)`,
+    /// `E(counter + 1)`, … . Round-major order: `AESENC` has multi-cycle
+    /// latency but single-cycle throughput, so issuing the same round
+    /// across all lanes before advancing hides the latency entirely.
     ///
     /// # Safety
     ///
     /// Callers must ensure the CPU supports the `aes` target feature
     /// (guaranteed by `self` existing — see [`AesNi::new`]).
     #[target_feature(enable = "aes")]
-    unsafe fn encrypt8(&self, blocks: &mut [[u8; 16]; 8]) {
-        let mut x = [self.enc[0]; 8];
-        for (lane, block) in x.iter_mut().zip(blocks.iter()) {
-            // SAFETY: each `block` is a valid 16-byte array; unaligned
-            // load reads exactly those 16 bytes.
-            *lane = _mm_xor_si128(*lane, unsafe { _mm_loadu_si128(block.as_ptr().cast()) });
+    #[inline]
+    unsafe fn keystream(&self, counter: u128, lanes: &mut [__m128i]) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = _mm_xor_si128(counter_block(counter.wrapping_add(i as u128)), self.enc[0]);
         }
-        // Round-major order: AESENC has multi-cycle latency but
-        // single-cycle throughput, so issuing the same round across all
-        // eight lanes before advancing hides the latency entirely.
         for rk in &self.enc[1..10] {
-            for lane in x.iter_mut() {
+            for lane in lanes.iter_mut() {
                 *lane = _mm_aesenc_si128(*lane, *rk);
             }
         }
-        for (lane, block) in x.iter_mut().zip(blocks.iter_mut()) {
+        for lane in lanes.iter_mut() {
             *lane = _mm_aesenclast_si128(*lane, self.enc[10]);
-            // SAFETY: each `block` is a valid 16-byte array; unaligned
-            // store writes exactly those 16 bytes.
-            unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), *lane) };
         }
     }
 
-    /// Encrypts the eight `counters` and XORs the keystream into the
-    /// 128-byte `data` without the keystream ever touching memory.
+    /// CTR keystream application: the counter stays a `u128`, eight
+    /// keystream blocks at a time are made and XORed in without touching
+    /// memory, and what is left over (under eight blocks, the last one
+    /// possibly partial) takes one interleaved pass of its own.
     ///
     /// # Safety
     ///
     /// Callers must ensure the CPU supports the `aes` target feature
-    /// (guaranteed by `self` existing — see [`AesNi::new`]), and that
-    /// `data.len() == 128`.
+    /// (guaranteed by `self` existing — see [`AesNi::new`]).
     #[target_feature(enable = "aes")]
-    unsafe fn ctr_xor8_impl(&self, counters: &[[u8; 16]; 8], data: &mut [u8]) {
-        debug_assert_eq!(data.len(), 128);
-        let mut x = [self.enc[0]; 8];
-        for (lane, ctr) in x.iter_mut().zip(counters.iter()) {
-            // SAFETY: each `ctr` is a valid 16-byte array; unaligned load
-            // reads exactly those 16 bytes.
-            *lane = _mm_xor_si128(*lane, unsafe { _mm_loadu_si128(ctr.as_ptr().cast()) });
-        }
-        for rk in &self.enc[1..10] {
-            for lane in x.iter_mut() {
-                *lane = _mm_aesenc_si128(*lane, *rk);
+    unsafe fn ctr_xor_impl(&self, mut counter: u128, data: &mut [u8]) {
+        let mut ks = [self.enc[0]; 8];
+        let mut wide = data.chunks_exact_mut(128);
+        for chunk in &mut wide {
+            // SAFETY: same `aes` feature obligation as this function,
+            // which the caller has already discharged.
+            unsafe { self.keystream(counter, &mut ks) };
+            counter = counter.wrapping_add(8);
+            for (block, k) in chunk.chunks_exact_mut(16).zip(&ks) {
+                xor_block(block, *k);
             }
         }
-        for (i, lane) in x.iter_mut().enumerate() {
-            *lane = _mm_aesenclast_si128(*lane, self.enc[10]);
-            // SAFETY: the caller guarantees `data` is 128 bytes, so the
-            // 16-byte window at offset 16*i (i < 8) is in bounds for both
-            // the unaligned load and store.
-            unsafe {
-                let p = data.as_mut_ptr().add(16 * i);
-                let d = _mm_loadu_si128(p.cast());
-                _mm_storeu_si128(p.cast(), _mm_xor_si128(d, *lane));
-            }
+        let tail = wide.into_remainder();
+        let lanes = &mut ks[..tail.len().div_ceil(16)];
+        // SAFETY: as above.
+        unsafe { self.keystream(counter, lanes) };
+        let mut blocks = tail.chunks_exact_mut(16);
+        for (block, k) in (&mut blocks).zip(lanes.iter()) {
+            xor_block(block, *k);
+        }
+        let partial = blocks.into_remainder();
+        if let (false, Some(k)) = (partial.is_empty(), lanes.last()) {
+            let mut last = [0u8; 16];
+            last[..partial.len()].copy_from_slice(partial);
+            xor_block(&mut last, *k);
+            partial.copy_from_slice(&last[..partial.len()]);
         }
     }
 
@@ -253,6 +252,141 @@ impl AesNi {
     }
 }
 
+/// The counter block of `counter`: its sixteen bytes, big-endian.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn counter_block(counter: u128) -> __m128i {
+    // The register's low half is the block's first eight bytes, which
+    // are the counter's high half, most significant byte first.
+    let (high, low) = ((counter >> 64) as u64, counter as u64);
+    _mm_set_epi64x(low.swap_bytes() as i64, high.swap_bytes() as i64)
+}
+
+/// XORs `k` into the 16-byte `block`.
+#[inline]
+fn xor_block(block: &mut [u8], k: __m128i) {
+    assert_eq!(block.len(), 16);
+    // SAFETY: `block` is 16 bytes, just asserted; the unaligned load and
+    // store touch exactly those.
+    unsafe {
+        let p = block.as_mut_ptr().cast();
+        _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), k));
+    }
+}
+
+/// Where a MAC lane's next blocks are, as [`Chain::next`] reports it.
+enum Ready<'a> {
+    /// `blocks` whole blocks at the front of the slice.
+    Slice(&'a [u8], usize),
+    /// `blocks` blocks of the CTR lane's data, from block `from` on.
+    Written {
+        from: usize,
+        blocks: usize,
+    },
+    /// The lane follows the CTR lane and has caught up with it.
+    Stalled,
+    Done,
+}
+
+/// A MAC lane in flight: its chaining state in a register and a cursor
+/// over its parts.
+struct Chain<'a> {
+    aes: &'a AesNi,
+    x: __m128i,
+    parts: [MacPart<'a>; 3],
+    part: usize,
+    /// Blocks of the current part already absorbed.
+    taken: usize,
+}
+
+impl<'a> Chain<'a> {
+    fn next(&mut self, written: usize, total: usize) -> Ready<'a> {
+        while let Some(part) = self.parts.get(self.part) {
+            match *part {
+                MacPart::Blocks(blocks) if self.taken < blocks.len() / 16 => {
+                    return Ready::Slice(&blocks[16 * self.taken..], blocks.len() / 16 - self.taken)
+                }
+                MacPart::CtrOutput if self.taken < written => {
+                    return Ready::Written { from: self.taken, blocks: total - self.taken }
+                }
+                MacPart::CtrOutput if self.taken < total => return Ready::Stalled,
+                _ => {
+                    self.part += 1;
+                    self.taken = 0;
+                }
+            }
+        }
+        Ready::Done
+    }
+}
+
+/// `n` iterations of the lanes the const flags switch on, one block of
+/// each per iteration, round-major: the chains' next `AESENC` each wait
+/// on their own last, so the unit takes the three in turn and is busy
+/// where one chain alone leaves it idle two cycles in three.
+///
+/// # Safety
+///
+/// The CPU must support the `aes` target feature. For each lane switched
+/// on its pointer must be valid for `16 * n` bytes — reads for `a` and
+/// `b`, reads and writes for `c` — except that `a` or `b` may point into
+/// `c`'s range at least one block behind `c`: block `i` of such a lane
+/// is read in iteration `i`, after `c` wrote it in an earlier one, and
+/// all three pointers then derive from one `*mut`. A lane switched off
+/// is never dereferenced.
+#[target_feature(enable = "aes")]
+unsafe fn step<const A: bool, const B: bool, const C: bool>(
+    n: usize,
+    (ka, xa, pa): (&AesNi, &mut __m128i, *const u8),
+    (kb, xb, pb): (&AesNi, &mut __m128i, *const u8),
+    (kc, counter, pc): (&AesNi, &mut u128, *mut u8),
+) {
+    let (mut a, mut b, mut k) = (*xa, *xb, kc.enc[0]);
+    for i in 0..n {
+        if A {
+            // SAFETY: block `i < n` of lane `a` is readable (contract).
+            let m = unsafe { _mm_loadu_si128(pa.add(16 * i).cast()) };
+            a = _mm_xor_si128(_mm_xor_si128(a, m), ka.enc[0]);
+        }
+        if B {
+            // SAFETY: block `i < n` of lane `b` is readable (contract).
+            let m = unsafe { _mm_loadu_si128(pb.add(16 * i).cast()) };
+            b = _mm_xor_si128(_mm_xor_si128(b, m), kb.enc[0]);
+        }
+        if C {
+            k = _mm_xor_si128(counter_block(*counter), kc.enc[0]);
+            *counter = counter.wrapping_add(1);
+        }
+        for r in 1..10 {
+            if A {
+                a = _mm_aesenc_si128(a, ka.enc[r]);
+            }
+            if B {
+                b = _mm_aesenc_si128(b, kb.enc[r]);
+            }
+            if C {
+                k = _mm_aesenc_si128(k, kc.enc[r]);
+            }
+        }
+        if A {
+            a = _mm_aesenclast_si128(a, ka.enc[10]);
+        }
+        if B {
+            b = _mm_aesenclast_si128(b, kb.enc[10]);
+        }
+        if C {
+            // SAFETY: block `i < n` of lane `c` is readable and writable
+            // (contract).
+            unsafe {
+                let p = pc.add(16 * i).cast();
+                let ks = _mm_aesenclast_si128(k, kc.enc[10]);
+                _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), ks));
+            }
+        }
+    }
+    (*xa, *xb) = (a, b);
+}
+
 impl crate::backend::Aes128Backend for AesNi {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
         AesNi::encrypt_block(self, block);
@@ -262,17 +396,10 @@ impl crate::backend::Aes128Backend for AesNi {
         AesNi::decrypt_block(self, block);
     }
 
-    fn encrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
+    fn ctr_xor(&self, counter: u128, data: &mut [u8]) {
         // SAFETY: `self` exists, so `AesNi::new` proved CPU support for
-        // the `aes` feature `encrypt8` is compiled with.
-        unsafe { self.encrypt8(blocks) }
-    }
-
-    fn ctr_xor8(&self, counters: &[[u8; 16]; 8], data: &mut [u8]) {
-        assert_eq!(data.len(), 128, "ctr_xor8 requires a 128-byte span");
-        // SAFETY: `self` exists, so `AesNi::new` proved CPU support for
-        // the `aes` feature; the length contract was just asserted.
-        unsafe { self.ctr_xor8_impl(counters, data) }
+        // the `aes` feature `ctr_xor_impl` is compiled with.
+        unsafe { self.ctr_xor_impl(counter, data) }
     }
 
     fn cmac_absorb(&self, state: &mut [u8; 16], blocks: &[u8]) {
@@ -281,13 +408,132 @@ impl crate::backend::Aes128Backend for AesNi {
         // the `aes` feature; the length contract was just asserted.
         unsafe { self.cmac_absorb_impl(state, blocks) }
     }
+
+    /// The lanes are cut into runs over which the same ones are active
+    /// and each stays within one part; `step` does a run. A lane that
+    /// follows the CTR lane's output sits out the iteration that writes
+    /// the first block and stays one block behind from then on.
+    fn lockstep(
+        a: Option<MacLane<'_, Self>>,
+        b: Option<MacLane<'_, Self>>,
+        c: Option<CtrLane<'_, Self>>,
+    ) {
+        // Any lane's key schedule is the proof of CPU support, and stands
+        // in as the key of a lane that is absent and so never runs.
+        let Some(witness) =
+            a.as_ref().map(|l| l.aes).or(b.as_ref().map(|l| l.aes)).or(c.as_ref().map(|l| l.aes))
+        else {
+            return;
+        };
+        fn load<'a>(lane: &Option<MacLane<'a, AesNi>>, witness: &'a AesNi) -> Chain<'a> {
+            let Some(lane) = lane else {
+                let parts = [MacPart::Blocks(&[]); 3];
+                return Chain { aes: witness, x: witness.enc[0], parts, part: 0, taken: 0 };
+            };
+            for part in lane.parts {
+                if let MacPart::Blocks(blocks) = part {
+                    assert_eq!(blocks.len() % 16, 0, "a MAC lane takes whole blocks");
+                }
+            }
+            // SAFETY: `state` is a valid 16-byte array; the unaligned load
+            // reads exactly those 16 bytes.
+            let x = unsafe { _mm_loadu_si128(lane.state.as_ptr().cast()) };
+            Chain { aes: lane.aes, x, parts: lane.parts, part: 0, taken: 0 }
+        }
+        let (mut chain_a, mut chain_b) = (load(&a, witness), load(&b, witness));
+        let (key_c, mut counter, data) = match c {
+            Some(c) => (c.aes, c.counter, c.data),
+            None => (witness, 0, Default::default()),
+        };
+        assert_eq!(data.len() % 16, 0, "the CTR lane takes whole blocks");
+        // From here on `data` is reached through `base` alone, so a lane
+        // reading what the stream wrote and the stream itself share one
+        // provenance.
+        let (base, total) = (data.as_mut_ptr(), data.len() / 16);
+        let mut written = 0;
+        loop {
+            let (ready_a, ready_b) = (chain_a.next(written, total), chain_b.next(written, total));
+            let mut n = usize::MAX;
+            let mut stalled = false;
+            let mut source = |ready: &Ready<'_>| match *ready {
+                Ready::Slice(blocks, count) => {
+                    n = n.min(count);
+                    Some(blocks.as_ptr())
+                }
+                Ready::Written { from, blocks } => {
+                    n = n.min(blocks);
+                    // SAFETY: `from < written <= total`, so the offset is
+                    // inside `data`.
+                    Some(unsafe { base.add(16 * from) }.cast_const())
+                }
+                Ready::Stalled => {
+                    stalled = true;
+                    None
+                }
+                Ready::Done => None,
+            };
+            let (src_a, src_b) = (source(&ready_a), source(&ready_b));
+            if written < total {
+                n = n.min(total - written);
+            }
+            if stalled {
+                // Only the CTR lane can end a stall, and a stalled lane
+                // has blocks left, so the stream has too: `n >= 1`.
+                n = 1;
+            }
+            if n == usize::MAX {
+                break;
+            }
+            let lane_a = (chain_a.aes, &mut chain_a.x, src_a.unwrap_or(core::ptr::null()));
+            let lane_b = (chain_b.aes, &mut chain_b.x, src_b.unwrap_or(core::ptr::null()));
+            // SAFETY: `written <= total`, so the offset is inside `data`
+            // (or one past its end, when the lane is switched off).
+            let lane_c = (key_c, &mut counter, unsafe { base.add(16 * written) });
+            // SAFETY: `witness` exists, so `AesNi::new` proved the `aes`
+            // feature. `n` is at most what every active lane has left:
+            // a `Slice` lane `n` whole blocks of its slice, the CTR lane
+            // `total - written` blocks from `written`, and a `Written`
+            // lane reads blocks `from..from + n` with `from < written`,
+            // each written by an earlier iteration or call of `step`
+            // (while the stream runs, `n <= total - written`, so these
+            // stay below `total`). Lanes switched off carry null or
+            // one-past-the-end pointers that `step` never touches.
+            unsafe {
+                match (src_a.is_some(), src_b.is_some(), written < total) {
+                    (true, true, true) => step::<true, true, true>(n, lane_a, lane_b, lane_c),
+                    (true, true, false) => step::<true, true, false>(n, lane_a, lane_b, lane_c),
+                    (true, false, true) => step::<true, false, true>(n, lane_a, lane_b, lane_c),
+                    (false, true, true) => step::<false, true, true>(n, lane_a, lane_b, lane_c),
+                    (true, false, false) => step::<true, false, false>(n, lane_a, lane_b, lane_c),
+                    (false, true, false) => step::<false, true, false>(n, lane_a, lane_b, lane_c),
+                    (false, false, true) => step::<false, false, true>(n, lane_a, lane_b, lane_c),
+                    (false, false, false) => unreachable!("a run has an active lane"),
+                }
+            }
+            if src_a.is_some() {
+                chain_a.taken += n;
+            }
+            if src_b.is_some() {
+                chain_b.taken += n;
+            }
+            if written < total {
+                written += n;
+            }
+        }
+        for (lane, chain) in [(a, chain_a), (b, chain_b)] {
+            if let Some(lane) = lane {
+                // SAFETY: `state` is a valid 16-byte array; the unaligned
+                // store writes exactly those 16 bytes.
+                unsafe { _mm_storeu_si128(lane.state.as_mut_ptr().cast(), chain.x) };
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aes::Aes128;
-    use crate::backend::Aes128Backend;
 
     fn ni() -> Option<AesNi> {
         AesNi::new(&[
@@ -342,21 +588,5 @@ mod tests {
             hw.decrypt_block(&mut a);
             assert_eq!(a, plain, "hw decrypt must invert");
         }
-    }
-
-    #[test]
-    fn wide_matches_single() {
-        let Some(aes) = ni() else { return };
-        let mut wide: [[u8; 16]; 8] = core::array::from_fn(|i| [(i * 17) as u8; 16]);
-        let singles: Vec<[u8; 16]> = wide
-            .iter()
-            .map(|b| {
-                let mut c = *b;
-                aes.encrypt_block(&mut c);
-                c
-            })
-            .collect();
-        Aes128Backend::encrypt_blocks8(&aes, &mut wide);
-        assert_eq!(wide.to_vec(), singles);
     }
 }

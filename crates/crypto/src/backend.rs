@@ -28,13 +28,45 @@ use crate::aes::Aes128;
 use crate::aesni::AesNi;
 use std::sync::OnceLock;
 
+/// One stretch of a CBC-MAC lane's input (see [`MacLane`]).
+#[derive(Clone, Copy)]
+pub enum MacPart<'a> {
+    /// Whole 16-byte blocks, absorbed in order.
+    Blocks(&'a [u8]),
+    /// Every block the [`CtrLane`] of the same call writes, in order:
+    /// the MAC of a stream being encrypted follows its own ciphertext.
+    CtrOutput,
+}
+
+/// A CBC-MAC chain for [`Aes128Backend::lockstep`]: for every block `m`
+/// of every part in turn, `state = E(state ^ m)`.
+pub struct MacLane<'a, K> {
+    /// The chain's key schedule.
+    pub aes: &'a K,
+    /// The chaining state, read on entry and left holding the result.
+    pub state: &'a mut [u8; 16],
+    /// The input, part by part; an unused part is `Blocks(&[])`.
+    pub parts: [MacPart<'a>; 3],
+}
+
+/// A CTR stream for [`Aes128Backend::lockstep`]: block `i` of `data` is
+/// XORed with `E(counter + i)`.
+pub struct CtrLane<'a, K> {
+    /// The stream's key schedule.
+    pub aes: &'a K,
+    /// The first block's counter (128-bit big-endian, wrapping).
+    pub counter: u128,
+    /// Whole 16-byte blocks, transformed in place.
+    pub data: &'a mut [u8],
+}
+
 /// The operations every AES-128 backend must provide.
 ///
-/// Widened entry points (`encrypt_blocks8`, `ctr_xor8`, `cmac_absorb`)
-/// exist so hardware backends can keep eight independent blocks in flight
-/// and keep chaining state in registers; the portable backend implements
-/// them as straightforward loops over [`Aes128Backend::encrypt_block`],
-/// which pins down the required semantics.
+/// The widened entry points (`ctr_xor`, `cmac_absorb`, `lockstep`) exist
+/// so hardware backends can keep independent blocks in flight and
+/// chaining state in registers; the portable backend implements them as
+/// straightforward loops over [`Aes128Backend::encrypt_block`], which
+/// pins down the required semantics.
 pub trait Aes128Backend {
     /// Encrypts one 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; 16]);
@@ -42,24 +74,20 @@ pub trait Aes128Backend {
     /// Decrypts one 16-byte block in place.
     fn decrypt_block(&self, block: &mut [u8; 16]);
 
-    /// Encrypts eight independent 16-byte blocks in place.
-    fn encrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-        for block in blocks.iter_mut() {
-            self.encrypt_block(block);
-        }
-    }
-
-    /// Encrypts the eight `counters` and XORs the resulting 128 keystream
-    /// bytes into `data` (which must be exactly 128 bytes). Hardware
-    /// backends keep the keystream in registers so it never hits memory.
-    fn ctr_xor8(&self, counters: &[[u8; 16]; 8], data: &mut [u8]) {
-        debug_assert_eq!(data.len(), 128);
-        let mut ks = *counters;
-        self.encrypt_blocks8(&mut ks);
-        for (chunk, k) in data.chunks_exact_mut(16).zip(ks.iter()) {
-            for (b, kb) in chunk.iter_mut().zip(k.iter()) {
-                *b ^= kb;
+    /// XORs the keystream `E(counter) ‖ E(counter + 1) ‖ …` into `data`;
+    /// the counter is a 128-bit big-endian integer that wraps, and a
+    /// final partial block takes the leading bytes of its keystream
+    /// block. Hardware backends keep the counter and eight keystream
+    /// blocks at a time in registers.
+    fn ctr_xor(&self, counter: u128, data: &mut [u8]) {
+        let mut counter = counter;
+        for chunk in data.chunks_mut(16) {
+            let mut ks = counter.to_be_bytes();
+            self.encrypt_block(&mut ks);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
             }
+            counter = counter.wrapping_add(1);
         }
     }
 
@@ -74,6 +102,47 @@ pub trait Aes128Backend {
                 *s ^= m;
             }
             self.encrypt_block(state);
+        }
+    }
+
+    /// Runs up to two CBC-MAC chains and one CTR stream, each under its
+    /// own key schedule. A CBC-MAC chain is bound by the latency of the
+    /// cipher, not its throughput, so a hardware backend advances the
+    /// three a block of each at a time and finishes in about the time of
+    /// the longest. The result is that of [`sequential_lockstep`], which
+    /// is also the portable implementation.
+    fn lockstep(
+        a: Option<MacLane<'_, Self>>,
+        b: Option<MacLane<'_, Self>>,
+        c: Option<CtrLane<'_, Self>>,
+    ) where
+        Self: Sized,
+    {
+        sequential_lockstep(a, b, c)
+    }
+}
+
+/// What [`Aes128Backend::lockstep`] computes, as three plain loops: the
+/// CTR stream first, so that a lane absorbing [`MacPart::CtrOutput`] sees
+/// what the stream wrote, then each chain over its parts in order.
+pub fn sequential_lockstep<K: Aes128Backend>(
+    a: Option<MacLane<'_, K>>,
+    b: Option<MacLane<'_, K>>,
+    mut c: Option<CtrLane<'_, K>>,
+) {
+    if let Some(c) = c.as_mut() {
+        assert_eq!(c.data.len() % 16, 0, "the CTR lane takes whole blocks");
+        c.aes.ctr_xor(c.counter, c.data);
+    }
+    let written: &[u8] = c.as_ref().map_or(&[], |c| &*c.data);
+    for lane in [a, b].into_iter().flatten() {
+        for part in lane.parts {
+            let blocks = match part {
+                MacPart::Blocks(blocks) => blocks,
+                MacPart::CtrOutput => written,
+            };
+            assert_eq!(blocks.len() % 16, 0, "a MAC lane takes whole blocks");
+            lane.aes.cmac_absorb(lane.state, blocks);
         }
     }
 }
@@ -210,6 +279,15 @@ impl AesBackend {
         }
     }
 
+    /// The AES-NI key schedule, when this instance is on that backend.
+    #[cfg(target_arch = "x86_64")]
+    fn ni(&self) -> Option<&AesNi> {
+        match self {
+            AesBackend::Soft(_) => None,
+            AesBackend::Ni(a) => Some(a),
+        }
+    }
+
     /// Encrypts `input` into a fresh block, leaving the input untouched.
     pub fn encrypt_to(&self, input: &[u8; 16]) -> [u8; 16] {
         let mut out = *input;
@@ -235,19 +313,11 @@ impl Aes128Backend for AesBackend {
         }
     }
 
-    fn encrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
+    fn ctr_xor(&self, counter: u128, data: &mut [u8]) {
         match self {
-            AesBackend::Soft(a) => Aes128Backend::encrypt_blocks8(a, blocks),
+            AesBackend::Soft(a) => Aes128Backend::ctr_xor(a, counter, data),
             #[cfg(target_arch = "x86_64")]
-            AesBackend::Ni(a) => Aes128Backend::encrypt_blocks8(a, blocks),
-        }
-    }
-
-    fn ctr_xor8(&self, counters: &[[u8; 16]; 8], data: &mut [u8]) {
-        match self {
-            AesBackend::Soft(a) => Aes128Backend::ctr_xor8(a, counters, data),
-            #[cfg(target_arch = "x86_64")]
-            AesBackend::Ni(a) => Aes128Backend::ctr_xor8(a, counters, data),
+            AesBackend::Ni(a) => Aes128Backend::ctr_xor(a, counter, data),
         }
     }
 
@@ -258,20 +328,38 @@ impl Aes128Backend for AesBackend {
             AesBackend::Ni(a) => Aes128Backend::cmac_absorb(a, state, blocks),
         }
     }
+
+    /// The hardware kernel when every lane present is on AES-NI (the
+    /// process-wide selection makes that all or none), else the
+    /// sequential definition over whatever mix was constructed.
+    fn lockstep(
+        a: Option<MacLane<'_, Self>>,
+        b: Option<MacLane<'_, Self>>,
+        c: Option<CtrLane<'_, Self>>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let keys =
+                [a.as_ref().map(|l| l.aes), b.as_ref().map(|l| l.aes), c.as_ref().map(|l| l.aes)];
+            if keys.into_iter().flatten().all(|aes| aes.ni().is_some()) {
+                fn mac<'a>(lane: MacLane<'a, AesBackend>) -> MacLane<'a, AesNi> {
+                    let aes = lane.aes.ni().expect("checked above");
+                    MacLane { aes, state: lane.state, parts: lane.parts }
+                }
+                fn ctr<'a>(lane: CtrLane<'a, AesBackend>) -> CtrLane<'a, AesNi> {
+                    let aes = lane.aes.ni().expect("checked above");
+                    CtrLane { aes, counter: lane.counter, data: lane.data }
+                }
+                return AesNi::lockstep(a.map(mac), b.map(mac), c.map(ctr));
+            }
+        }
+        sequential_lockstep(a, b, c)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_trait_widening_matches_single_block() {
-        let aes = Aes128::new(&[7u8; 16]);
-        let mut wide: [[u8; 16]; 8] = core::array::from_fn(|i| [i as u8; 16]);
-        let single: Vec<[u8; 16]> = wide.iter().map(|b| aes.encrypt_to(b)).collect();
-        Aes128Backend::encrypt_blocks8(&aes, &mut wide);
-        assert_eq!(wide.to_vec(), single);
-    }
 
     #[test]
     fn selected_kind_is_stable() {

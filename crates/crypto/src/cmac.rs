@@ -61,6 +61,47 @@ impl Cmac {
         self.aes.kind()
     }
 
+    /// The key schedule, for [`crate::fused`] to run the chain as one
+    /// lane of a lockstep call.
+    pub(crate) fn aes(&self) -> &AesBackend {
+        &self.aes
+    }
+
+    /// Gives a message's tail the RFC 4493 last-block treatment in place,
+    /// so that the tag is the plain CBC-MAC state after the blocks before
+    /// the tail and then the treated tail (whose length in bytes is
+    /// returned) are absorbed.
+    ///
+    /// `tail[..len]` is the end of the message, from a block boundary on,
+    /// and empty only if the message is. A tail that ends on a block
+    /// boundary has K1 XORed into its last block; any other is padded
+    /// with `10*` first and takes K2. `tail` must have room for the pad.
+    pub(crate) fn finish_tail(&self, tail: &mut [u8], len: usize) -> usize {
+        let end = len.div_ceil(16).max(1) * 16;
+        let subkey = if len == end {
+            &self.k1
+        } else {
+            tail[len] = 0x80;
+            tail[len + 1..end].fill(0);
+            &self.k2
+        };
+        for (b, k) in tail[end - 16..end].iter_mut().zip(subkey) {
+            *b ^= k;
+        }
+        end
+    }
+
+    /// Splits a whole message for [`Cmac::finish_tail`]: the blocks
+    /// before its last (possibly partial, possibly only) block, and that
+    /// block treated.
+    pub(crate) fn split_last<'m>(&self, msg: &'m [u8]) -> (&'m [u8], [u8; 16]) {
+        let (interior, tail) = msg.split_at(msg.len().saturating_sub(1) / 16 * 16);
+        let mut last = [0u8; 16];
+        last[..tail.len()].copy_from_slice(tail);
+        self.finish_tail(&mut last, tail.len());
+        (interior, last)
+    }
+
     /// Starts a streaming MAC computation.
     ///
     /// Feed data with [`CmacCtx::update`] and close with
@@ -158,22 +199,8 @@ impl CmacCtx<'_> {
         crate::stats::note(self.total as usize);
         let mut x = self.x;
         let mut last = self.buf;
-        if self.total > 0 && self.buffered == 16 {
-            // Complete final block: XOR K1.
-            for i in 0..16 {
-                x[i] ^= last[i] ^ self.cmac.k1[i];
-            }
-        } else {
-            // Partial or empty final block: pad with 10* and XOR K2.
-            last[self.buffered] = 0x80;
-            for b in last.iter_mut().skip(self.buffered + 1) {
-                *b = 0;
-            }
-            for i in 0..16 {
-                x[i] ^= last[i] ^ self.cmac.k2[i];
-            }
-        }
-        self.cmac.aes.encrypt_block(&mut x);
+        self.cmac.finish_tail(&mut last, self.buffered);
+        self.cmac.aes.cmac_absorb(&mut x, &last);
         x
     }
 }

@@ -7,13 +7,10 @@
 //!
 //! The keystream is generated eight blocks at a time through the
 //! runtime-dispatched [`AesBackend`], so on AES-NI hardware all eight
-//! `AESENC` pipelines stay full and the keystream never round-trips
-//! through memory.
+//! `AESENC` pipelines stay full and neither the counter nor the
+//! keystream round-trips through memory.
 
 use crate::backend::{Aes128Backend, AesBackend, BackendKind};
-
-/// Bytes processed per wide iteration (eight 16-byte keystream lanes).
-const WIDE: usize = 128;
 
 /// AES-128 in counter mode.
 ///
@@ -61,37 +58,13 @@ impl AesCtr {
     /// ```
     pub fn apply_keystream(&self, iv_ctr: &[u8; 16], data: &mut [u8]) {
         crate::stats::note(data.len());
-        let mut counter = *iv_ctr;
-        self.xor_span(&mut counter, data);
+        self.aes.ctr_xor(u128::from_be_bytes(*iv_ctr), data);
     }
 
-    /// Keystream core: XORs the keystream starting at `*counter` into
-    /// `data`, advancing the counter one block per 16 bytes consumed.
-    ///
-    /// Spans fed back-to-back must be multiples of 16 bytes (except the
-    /// last) so the counter stays block-aligned; [`crate::fused`] relies
-    /// on this to interleave decryption with MAC absorption.
-    pub(crate) fn xor_span(&self, counter: &mut [u8; 16], data: &mut [u8]) {
-        // Wide path: eight counter blocks at a time. The backend encrypts
-        // all eight lanes and XORs the 128 keystream bytes in, keeping
-        // every AES pipeline busy on hardware backends.
-        let mut chunks = data.chunks_exact_mut(WIDE);
-        for chunk in &mut chunks {
-            let mut ctrs = [[0u8; 16]; 8];
-            for lane in ctrs.iter_mut() {
-                *lane = *counter;
-                increment_be(counter);
-            }
-            self.aes.ctr_xor8(&ctrs, chunk);
-        }
-        // Tail: at most seven full blocks plus a partial block.
-        for chunk in chunks.into_remainder().chunks_mut(16) {
-            let block = self.aes.encrypt_to(counter);
-            for (b, k) in chunk.iter_mut().zip(block.iter()) {
-                *b ^= k;
-            }
-            increment_be(counter);
-        }
+    /// The key schedule, for [`crate::fused`] to run the stream as one
+    /// lane of a lockstep call.
+    pub(crate) fn aes(&self) -> &AesBackend {
+        &self.aes
     }
 
     /// Encrypts `src` into `dst` (which must be the same length) without
@@ -209,10 +182,11 @@ mod tests {
         }
     }
 
-    /// Resuming a stream through `xor_span` at 16-byte-aligned splits
-    /// must match one continuous application.
+    /// Resuming a stream at a 16-byte-aligned split, from the counter
+    /// advanced by the blocks already consumed, must match one
+    /// continuous application.
     #[test]
-    fn span_resume_matches_whole() {
+    fn resumed_stream_matches_whole() {
         for kind in backends() {
             let ctr = AesCtr::with_backend(kind, &[0x11u8; 16]);
             let iv = [0xabu8; 16];
@@ -223,8 +197,11 @@ mod tests {
                 let mut parts = src.clone();
                 let mut counter = iv;
                 let (a, b) = parts.split_at_mut(split);
-                ctr.xor_span(&mut counter, a);
-                ctr.xor_span(&mut counter, b);
+                ctr.apply_keystream(&counter, a);
+                for _ in 0..split / 16 {
+                    increment_be(&mut counter);
+                }
+                ctr.apply_keystream(&counter, b);
                 assert_eq!(parts, whole, "split {split} on {}", kind.name());
             }
         }

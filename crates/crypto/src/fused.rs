@@ -1,28 +1,138 @@
-//! Fused MAC-verify + CTR-decrypt ("fused open").
+//! Fused CTR + CMAC: open (verify and decrypt) and seal (encrypt and MAC)
+//! as one lockstep pass, with room for a second CMAC beside it.
 //!
-//! ShieldStore opens an entry by CMAC-verifying the ciphertext and then
-//! CTR-decrypting it — two independent passes over the same bytes. This
-//! module fuses them: the ciphertext is walked once in spans, each span
-//! absorbed into the streaming MAC and XORed with keystream while it is
-//! still hot in cache, halving memory traffic on the get hit path.
+//! ShieldStore opens an entry by CMAC-verifying the ciphertext and
+//! CTR-decrypting it, and a verified access also CMACs the bucket set's
+//! MACs (paper §4.2–4.3): two CBC-MAC chains and a CTR stream, each under
+//! its own key. A chain's next block cannot start before its last one
+//! left the cipher, so run one after another they leave the AES unit
+//! mostly idle. This module lays the three out as the lanes of one
+//! [`Aes128Backend::lockstep`] call: the stream's ciphertext is the body
+//! of its MAC lane (read from the input on an open, from the stream's own
+//! output on a seal), the unaligned end of the message is staged with the
+//! trailer in a small buffer, and the chains finish in about the time of
+//! the longer one.
 //!
 //! # Verification ordering
 //!
-//! The plaintext is staged into a caller-owned buffer *during* the pass,
-//! but it is **released only after** the computed tag matches the stored
-//! one (constant-time compare). On mismatch the staging buffer is wiped
-//! and cleared before returning, so no caller observes unauthenticated
-//! plaintext — the fused path fails exactly as closed as verify-then-
-//! decrypt.
+//! An open stages the plaintext in a caller-owned buffer *during* the
+//! pass, but **releases it only after** every computed tag matches its
+//! stored one (constant-time compares, the beside tag's first). On a
+//! mismatch the staging buffer is wiped and cleared before returning, so
+//! no caller observes unauthenticated plaintext — the fused path fails
+//! exactly as closed as verify-then-decrypt.
 
+use crate::backend::{Aes128Backend, AesBackend, CtrLane, MacLane, MacPart};
 use crate::cmac::Cmac;
 use crate::constant_time::ct_eq;
 use crate::ctr::AesCtr;
 use crate::Tag128;
 
-/// Span size for interleaving: a multiple of both the 16-byte block and
-/// the 128-byte wide-CTR stride, small enough to stay in L1.
-const SPAN: usize = 512;
+/// The most trailer bytes a fused open or seal stages.
+pub const MAX_TRAILER: usize = 64;
+
+/// A second message whose CMAC is computed beside an open or a seal and
+/// compared with `tag` — for the store, the bucket set's MACs under the
+/// master key beside the entry under the tenant's.
+pub struct Beside<'a> {
+    /// The key of the second MAC.
+    pub mac: &'a Cmac,
+    /// The whole second message.
+    pub msg: &'a [u8],
+    /// The tag `msg` must have.
+    pub tag: &'a Tag128,
+}
+
+/// How [`open_verify_beside`] ended. Only `Verified` leaves plaintext.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opened {
+    /// Both tags matched; the plaintext is in `out`.
+    Verified,
+    /// The message beside the open does not have its tag (whatever the
+    /// opened stream's own tag did).
+    BesideMismatch,
+    /// The stream's tag does not match.
+    TagMismatch,
+}
+
+/// The lockstep body of every open and seal. Runs the CTR stream keyed by
+/// `iv` over `stream` and returns the CMAC of `prefix ‖ ciphertext ‖
+/// trailer`, where the ciphertext is `ciphertext` when given (an open:
+/// `stream` holds a copy of it) and otherwise what the stream leaves in
+/// `stream` (a seal); with it, whether the `beside` message has its tag.
+#[allow(clippy::too_many_arguments)]
+fn lockstep(
+    beside: Option<Beside<'_>>,
+    enc: &AesCtr,
+    mac: &Cmac,
+    iv: &[u8; 16],
+    prefix: &[[u8; 16]],
+    ciphertext: Option<&[u8]>,
+    trailer: &[&[u8]],
+    stream: &mut [u8],
+) -> (Tag128, bool) {
+    let trailer_len: usize = trailer.iter().map(|part| part.len()).sum();
+    assert!(trailer_len <= MAX_TRAILER, "trailer longer than a fused pass stages");
+    let len = stream.len();
+    crate::stats::note(16 * prefix.len() + len + trailer_len);
+
+    // The MAC lane's body is the ciphertext's whole blocks — all but the
+    // last when the message ends with it, since the final block of a CMAC
+    // is treated. What is past the body is under a block and joins the
+    // trailer in `tail`; its keystream does not wait for the lanes.
+    let mut body = len / 16 * 16;
+    if body == len && trailer_len == 0 && body > 0 {
+        body -= 16;
+    }
+    let counter = u128::from_be_bytes(*iv);
+    let (stream, rest) = stream.split_at_mut(body);
+    enc.aes().ctr_xor(counter.wrapping_add(body as u128 / 16), rest);
+    let (body_part, rest) = match ciphertext {
+        Some(ciphertext) => (MacPart::Blocks(&ciphertext[..body]), &ciphertext[body..]),
+        None => (MacPart::CtrOutput, &*rest),
+    };
+
+    let mut tail = [0u8; 16 + MAX_TRAILER + 16];
+    let mut staged = rest.len();
+    tail[..staged].copy_from_slice(rest);
+    for part in trailer {
+        tail[staged..staged + part.len()].copy_from_slice(part);
+        staged += part.len();
+    }
+    let mut head = prefix;
+    if let (0, Some((last, before))) = (staged, prefix.split_last()) {
+        // Nothing follows the prefix: its last block is the final one.
+        tail[..16].copy_from_slice(last);
+        (head, staged) = (before, 16);
+    }
+    let tail_len = mac.finish_tail(&mut tail, staged);
+
+    let mut tag = [0u8; 16];
+    let stream_mac = MacLane {
+        aes: mac.aes(),
+        state: &mut tag,
+        parts: [
+            MacPart::Blocks(head.as_flattened()),
+            body_part,
+            MacPart::Blocks(&tail[..tail_len]),
+        ],
+    };
+    let stream = CtrLane { aes: enc.aes(), counter, data: stream };
+    let Some(beside) = beside else {
+        AesBackend::lockstep(None, Some(stream_mac), Some(stream));
+        return (tag, true);
+    };
+    crate::stats::note(beside.msg.len());
+    let (interior, last) = beside.mac.split_last(beside.msg);
+    let mut beside_tag = [0u8; 16];
+    let beside_mac = MacLane {
+        aes: beside.mac.aes(),
+        state: &mut beside_tag,
+        parts: [MacPart::Blocks(interior), MacPart::Blocks(&last), MacPart::Blocks(&[])],
+    };
+    AesBackend::lockstep(Some(beside_mac), Some(stream_mac), Some(stream));
+    (tag, ct_eq(&beside_tag, beside.tag))
+}
 
 /// Verifies `tag` over `prefix ‖ ciphertext ‖ trailer` and, if it
 /// matches, leaves the decryption of `ciphertext` (under `iv`) in `out`.
@@ -34,45 +144,91 @@ const SPAN: usize = 512;
 /// `prefix`/`trailer` are the authenticated-but-unencrypted parts around
 /// the ciphertext in MAC order — e.g. an entry MAC covers
 /// `(ciphertext, key_len, val_len, hint, iv)`, so `prefix` is empty and
-/// those four fields form the trailer.
+/// those four fields form the trailer; a session frame's MAC starts with
+/// its nonce, one prefix block. The prefix is whole blocks so that the
+/// ciphertext's blocks are the MAC's.
+///
+/// # Panics
+///
+/// Panics if the trailer parts total more than [`MAX_TRAILER`] bytes.
 #[allow(clippy::too_many_arguments)]
 pub fn open_verify(
     enc: &AesCtr,
     mac: &Cmac,
     iv: &[u8; 16],
-    prefix: &[&[u8]],
+    prefix: &[[u8; 16]],
     ciphertext: &[u8],
     trailer: &[&[u8]],
     tag: &Tag128,
     out: &mut Vec<u8>,
 ) -> bool {
+    open_verify_beside(None, enc, mac, iv, prefix, ciphertext, trailer, tag, out)
+        == Opened::Verified
+}
+
+/// [`open_verify`] with the CMAC of a second message computed and checked
+/// in the same pass. The second message's verdict comes first: when it
+/// does not have its tag the answer is [`Opened::BesideMismatch`] whether
+/// or not the stream's own tag matched.
+#[allow(clippy::too_many_arguments)]
+pub fn open_verify_beside(
+    beside: Option<Beside<'_>>,
+    enc: &AesCtr,
+    mac: &Cmac,
+    iv: &[u8; 16],
+    prefix: &[[u8; 16]],
+    ciphertext: &[u8],
+    trailer: &[&[u8]],
+    tag: &Tag128,
+    out: &mut Vec<u8>,
+) -> Opened {
     crate::stats::note(ciphertext.len());
-    let mut ctx = mac.ctx();
-    for part in prefix {
-        ctx.update(part);
-    }
     out.clear();
     out.extend_from_slice(ciphertext);
-    let mut counter = *iv;
-    // One pass: absorb each span into the MAC and decrypt it in place
-    // while the cache line is hot. All spans except possibly the last
-    // are SPAN bytes (a multiple of 16), keeping the counter aligned.
-    for (ct_span, pt_span) in ciphertext.chunks(SPAN).zip(out.chunks_mut(SPAN)) {
-        ctx.update(ct_span);
-        enc.xor_span(&mut counter, pt_span);
-    }
-    for part in trailer {
-        ctx.update(part);
-    }
-    let computed = ctx.finalize();
-    if ct_eq(&computed, tag) {
-        true
-    } else {
-        // Never release unauthenticated plaintext.
-        out.iter_mut().for_each(|b| *b = 0);
-        out.clear();
-        false
-    }
+    let (computed, beside_ok) =
+        lockstep(beside, enc, mac, iv, prefix, Some(ciphertext), trailer, out);
+    let opened = match (beside_ok, ct_eq(&computed, tag)) {
+        (true, true) => return Opened::Verified,
+        (false, _) => Opened::BesideMismatch,
+        (true, false) => Opened::TagMismatch,
+    };
+    // Never release unauthenticated plaintext.
+    out.iter_mut().for_each(|b| *b = 0);
+    out.clear();
+    opened
+}
+
+/// Encrypts `data` in place under `iv` and returns the CMAC of `prefix ‖
+/// ciphertext ‖ trailer`: the inverse of [`open_verify`], the MAC lane
+/// absorbing each ciphertext block one step after the stream wrote it.
+///
+/// # Panics
+///
+/// Panics if the trailer parts total more than [`MAX_TRAILER`] bytes.
+pub fn seal(
+    enc: &AesCtr,
+    mac: &Cmac,
+    iv: &[u8; 16],
+    prefix: &[[u8; 16]],
+    data: &mut [u8],
+    trailer: &[&[u8]],
+) -> Tag128 {
+    seal_beside(None, enc, mac, iv, prefix, data, trailer).0
+}
+
+/// [`seal`] with the CMAC of a second message computed in the same pass;
+/// also returns whether that message has its tag (`true` without one).
+pub fn seal_beside(
+    beside: Option<Beside<'_>>,
+    enc: &AesCtr,
+    mac: &Cmac,
+    iv: &[u8; 16],
+    prefix: &[[u8; 16]],
+    data: &mut [u8],
+    trailer: &[&[u8]],
+) -> (Tag128, bool) {
+    crate::stats::note(data.len());
+    lockstep(beside, enc, mac, iv, prefix, None, trailer, data)
 }
 
 #[cfg(test)]
@@ -88,7 +244,13 @@ mod tests {
         kinds
     }
 
-    fn seal(enc: &AesCtr, mac: &Cmac, iv: &[u8; 16], plain: &[u8]) -> (Vec<u8>, Tag128) {
+    /// The two sequential passes the fused seal replaces.
+    fn seal_in_two_passes(
+        enc: &AesCtr,
+        mac: &Cmac,
+        iv: &[u8; 16],
+        plain: &[u8],
+    ) -> (Vec<u8>, Tag128) {
         let mut ct = plain.to_vec();
         enc.apply_keystream(iv, &mut ct);
         let tag = mac.compute_parts(&[&ct, b"trail", iv]);
@@ -103,7 +265,7 @@ mod tests {
             let iv = [9u8; 16];
             for len in (0..=130).chain([511, 512, 513, 1200]) {
                 let plain: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
-                let (ct, tag) = seal(&enc, &mac, &iv, &plain);
+                let (ct, tag) = seal_in_two_passes(&enc, &mac, &iv, &plain);
                 let mut out = Vec::new();
                 assert!(
                     open_verify(&enc, &mac, &iv, &[], &ct, &[b"trail", &iv], &tag, &mut out),
@@ -111,6 +273,44 @@ mod tests {
                     kind.name()
                 );
                 assert_eq!(out, plain, "len {len} on {}", kind.name());
+                let mut sealed = plain.clone();
+                let fused_tag = seal(&enc, &mac, &iv, &[], &mut sealed, &[b"trail", &iv]);
+                assert_eq!((sealed, fused_tag), (ct, tag), "len {len} on {}", kind.name());
+            }
+        }
+    }
+
+    /// Every shape of message end: with and without a prefix and a
+    /// trailer, the ciphertext empty, ragged and block-aligned — the tag
+    /// is the plain CMAC of the concatenation, opening and sealing.
+    #[test]
+    fn message_ends_match_plain_cmac() {
+        for kind in backends() {
+            let enc = AesCtr::with_backend(kind, &[5u8; 16]);
+            let mac = Cmac::with_backend(kind, &[6u8; 16]);
+            let iv = [0xfeu8; 16];
+            let prefixes: [&[[u8; 16]]; 3] = [&[], &[[0x11; 16]], &[[0x11; 16], [0x22; 16]]];
+            let trailers: [&[&[u8]]; 4] =
+                [&[], &[&[0x33; 16]], &[&[0x44; 5], &[0x55; 32]], &[&[0x66; MAX_TRAILER]]];
+            for prefix in prefixes {
+                for trailer in trailers {
+                    for len in [0usize, 1, 15, 16, 17, 32, 47, 48] {
+                        let plain: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+                        let mut ct = plain.clone();
+                        let tag = seal(&enc, &mac, &iv, prefix, &mut ct, trailer);
+                        let mut whole = prefix.concat();
+                        whole.extend_from_slice(&ct);
+                        whole.extend(trailer.iter().flat_map(|part| part.iter()));
+                        let case = format!("{} + {len} + {}", prefix.len(), trailer.len());
+                        assert_eq!(tag, mac.compute(&whole), "{case} on {}", kind.name());
+                        let mut reference = plain.clone();
+                        enc.apply_keystream(&iv, &mut reference);
+                        assert_eq!(ct, reference, "{case} on {}", kind.name());
+                        let mut out = Vec::new();
+                        assert!(open_verify(&enc, &mac, &iv, prefix, &ct, trailer, &tag, &mut out));
+                        assert_eq!(out, plain, "{case} on {}", kind.name());
+                    }
+                }
             }
         }
     }
@@ -121,7 +321,7 @@ mod tests {
         let mac = Cmac::new(&[2u8; 16]);
         let iv = [7u8; 16];
         let plain = vec![0x5au8; 777];
-        let (ct, tag) = seal(&enc, &mac, &iv, &plain);
+        let (ct, tag) = seal_in_two_passes(&enc, &mac, &iv, &plain);
         let mut out = Vec::new();
 
         // Flip one ciphertext bit.
@@ -156,10 +356,45 @@ mod tests {
         // MAC order: iv first, then ciphertext (the session-frame layout).
         let tag = mac.compute_parts(&[&iv, &ct]);
         let mut out = Vec::new();
-        assert!(open_verify(&enc, &mac, &iv, &[&iv], &ct, &[], &tag, &mut out));
+        assert!(open_verify(&enc, &mac, &iv, &[iv], &ct, &[], &tag, &mut out));
         assert_eq!(out, plain);
         let wrong_iv = [2u8; 16];
-        assert!(!open_verify(&enc, &mac, &iv, &[&wrong_iv], &ct, &[], &tag, &mut out));
+        assert!(!open_verify(&enc, &mac, &iv, &[wrong_iv], &ct, &[], &tag, &mut out));
         assert!(out.is_empty());
+    }
+
+    /// The beside message is verified in the same pass, reports first,
+    /// and either mismatch wipes the plaintext.
+    #[test]
+    fn beside_verdict_comes_first_and_wipes() {
+        for kind in backends() {
+            let enc = AesCtr::with_backend(kind, &[1u8; 16]);
+            let mac = Cmac::with_backend(kind, &[2u8; 16]);
+            let side = Cmac::with_backend(kind, &[3u8; 16]);
+            let iv = [7u8; 16];
+            for (macs, len) in [(1usize, 300usize), (14, 32), (27, 528), (40, 0)] {
+                let msg: Vec<u8> = (0..16 * macs).map(|i| (i * 5) as u8).collect();
+                let side_tag = side.compute(&msg);
+                let plain = vec![0xc3u8; len];
+                let (ct, tag) = seal_in_two_passes(&enc, &mac, &iv, &plain);
+                let mut out = Vec::new();
+                let open = |msg_tag: &Tag128, tag: &Tag128, out: &mut Vec<u8>| {
+                    let beside = Beside { mac: &side, msg: &msg, tag: msg_tag };
+                    let trailer: [&[u8]; 2] = [b"trail", &iv];
+                    open_verify_beside(Some(beside), &enc, &mac, &iv, &[], &ct, &trailer, tag, out)
+                };
+                assert_eq!(open(&side_tag, &tag, &mut out), Opened::Verified);
+                assert_eq!(out, plain);
+                let (mut bad_side, mut bad_tag) = (side_tag, tag);
+                bad_side[0] ^= 1;
+                bad_tag[0] ^= 1;
+                assert_eq!(open(&bad_side, &tag, &mut out), Opened::BesideMismatch);
+                assert!(out.is_empty());
+                assert_eq!(open(&bad_side, &bad_tag, &mut out), Opened::BesideMismatch);
+                assert!(out.is_empty());
+                assert_eq!(open(&side_tag, &bad_tag, &mut out), Opened::TagMismatch);
+                assert!(out.is_empty());
+            }
+        }
     }
 }

@@ -11,10 +11,13 @@
 //! * [`aesni`] — AES-128 via x86-64 AES-NI instructions (hardware path).
 //! * [`backend`] — runtime dispatch between the two implementations,
 //!   detected once per process and overridable with the
-//!   `SHIELDSTORE_CRYPTO_BACKEND` environment variable.
+//!   `SHIELDSTORE_CRYPTO_BACKEND` environment variable; also the
+//!   definition of the lockstep operation (two CBC-MAC chains and a CTR
+//!   stream advanced together) that [`aesni`] has a kernel for.
 //! * [`ctr`] — AES-128 counter mode ([`ctr::AesCtr`]), the entry cipher.
 //! * [`cmac`] — AES-CMAC (RFC 4493), the entry/bucket MAC.
-//! * [`fused`] — fused MAC-verify + CTR-decrypt for the get hit path.
+//! * [`fused`] — fused open (MAC-verify + CTR-decrypt) and seal
+//!   (CTR-encrypt + MAC) as one lockstep pass, with a second MAC beside.
 //! * [`hint`] — cache-line prefetch hints over a slice (x86-64
 //!   `PREFETCHT0`, a no-op elsewhere), for lookups that know their next
 //!   untrusted-memory address before they need its bytes.

@@ -13,7 +13,10 @@
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use shield_crypto::aes::Aes128;
-use shield_crypto::backend::{aesni_available, Aes128Backend, AesBackend, BackendKind};
+use shield_crypto::backend::{
+    aesni_available, sequential_lockstep, Aes128Backend, AesBackend, BackendKind, CtrLane, MacLane,
+    MacPart,
+};
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
 use shield_crypto::fused;
@@ -117,19 +120,12 @@ fn wide_entry_points_byte_identical() {
         let soft = AesBackend::with_kind(BackendKind::Soft, &key);
         let ni = AesBackend::with_kind(BackendKind::AesNi, &key);
 
-        let blocks: [[u8; 16]; 8] = core::array::from_fn(|_| gen.block());
-        let mut a = blocks;
-        let mut b = blocks;
-        soft.encrypt_blocks8(&mut a);
-        ni.encrypt_blocks8(&mut b);
-        assert_eq!(a, b, "encrypt_blocks8");
-
-        let counters: [[u8; 16]; 8] = core::array::from_fn(|_| gen.block());
-        let mut da = gen.bytes(128);
+        let counter = u128::from_be_bytes(gen.block()) | (u128::MAX << 3);
+        let mut da = gen.bytes(16 * 19 + 5);
         let mut db = da.clone();
-        soft.ctr_xor8(&counters, &mut da);
-        ni.ctr_xor8(&counters, &mut db);
-        assert_eq!(da, db, "ctr_xor8");
+        soft.ctr_xor(counter, &mut da);
+        ni.ctr_xor(counter, &mut db);
+        assert_eq!(da, db, "ctr_xor");
 
         let mut sa = gen.block();
         let mut sb = sa;
@@ -137,6 +133,152 @@ fn wide_entry_points_byte_identical() {
         soft.cmac_absorb(&mut sa, &stream);
         ni.cmac_absorb(&mut sb, &stream);
         assert_eq!(sa, sb, "cmac_absorb");
+    }
+}
+
+/// A lockstep implementation: the kernel's dispatcher or the definition.
+type Lockstep = fn(
+    Option<MacLane<'_, AesBackend>>,
+    Option<MacLane<'_, AesBackend>>,
+    Option<CtrLane<'_, AesBackend>>,
+);
+
+/// One lockstep call's inputs: block counts of the two MAC lanes' own
+/// parts, whether lane `b` follows the stream (a seal) or reads a slice
+/// (an open), and the stream's block count.
+struct Lanes {
+    keys: [[u8; 16]; 3],
+    states: [[u8; 16]; 2],
+    counter: u128,
+    a: [Vec<u8>; 3],
+    b: [Vec<u8>; 2],
+    b_follows: bool,
+    data: Vec<u8>,
+}
+
+impl Lanes {
+    fn random(gen: &mut Gen, (na, nb, nc): (usize, usize, usize), b_follows: bool) -> Lanes {
+        // Split each MAC lane's blocks raggedly over its parts.
+        let a0 = na / 3;
+        let b0 = nb.min(2);
+        Lanes {
+            keys: [gen.block(), gen.block(), gen.block()],
+            states: [gen.block(), gen.block()],
+            // Start a few blocks short of a carry out of the low half.
+            counter: u128::from_be_bytes(gen.block()) | (u128::from(u64::MAX) << 3),
+            a: [gen.bytes(16 * a0), gen.bytes(0), gen.bytes(16 * (na - a0))],
+            b: [gen.bytes(16 * b0), gen.bytes(16 * (nb - b0))],
+            b_follows,
+            data: gen.bytes(16 * nc),
+        }
+    }
+
+    /// Runs the lanes through `run` on `kind`; returns both final states
+    /// and the stream's output.
+    fn run(&self, kind: BackendKind, run: Lockstep) -> ([[u8; 16]; 2], Vec<u8>) {
+        let aes = self.keys.map(|key| AesBackend::with_kind(kind, &key));
+        let [mut state_a, mut state_b] = self.states;
+        let mut data = self.data.clone();
+        let middle = if self.b_follows {
+            MacPart::CtrOutput
+        } else {
+            // An open: the MAC reads the stream's input from elsewhere.
+            MacPart::Blocks(&self.data)
+        };
+        let a = MacLane {
+            aes: &aes[0],
+            state: &mut state_a,
+            parts: self.a.each_ref().map(|part| MacPart::Blocks(part)),
+        };
+        let b = MacLane {
+            aes: &aes[1],
+            state: &mut state_b,
+            parts: [MacPart::Blocks(&self.b[0]), middle, MacPart::Blocks(&self.b[1])],
+        };
+        let c = CtrLane { aes: &aes[2], counter: self.counter, data: &mut data };
+        // A lane with nothing to do is also tried absent.
+        let a = (!self.a.iter().all(Vec::is_empty)).then_some(a);
+        let c = (!self.data.is_empty()).then_some(c);
+        run(a, Some(b), c);
+        ([state_a, state_b], data)
+    }
+}
+
+/// The lockstep kernel against its sequential definition for every
+/// `(a, b, c)` block count up to 40 — opening (lane `b` reads the input)
+/// and sealing (lane `b` follows the stream's output), lanes present and
+/// absent. On AES-NI the definition runs over the hardware primitives
+/// (each equal to the table one, above) and every seventh case also over
+/// the table cipher, which is what the soft backend's lockstep is.
+#[test]
+fn lockstep_matches_sequential_definition_for_all_lane_lengths() {
+    let kind = if aesni_available() { BackendKind::AesNi } else { BackendKind::Soft };
+    let mut gen = Gen(0x10c4_57e9);
+    for (na, nb, nc) in
+        (0..=40).flat_map(|a| (0..=40).flat_map(move |b| (0..=40).map(move |c| (a, b, c))))
+    {
+        for b_follows in [false, true] {
+            let lanes = Lanes::random(&mut gen, (na, nb, nc), b_follows);
+            let case = format!("({na}, {nb}, {nc}) follows {b_follows}");
+            let expect = lanes.run(kind, sequential_lockstep);
+            assert_eq!(lanes.run(kind, AesBackend::lockstep), expect, "{case} on {}", kind.name());
+            if (na + nb + nc) % 7 == 0 {
+                assert_eq!(lanes.run(BackendKind::Soft, AesBackend::lockstep), expect, "{case}");
+            }
+        }
+    }
+}
+
+/// The fused open and seal against the separate primitives, for every
+/// `(beside, stream)` block count up to 40 with ragged ciphertext
+/// lengths, on both backends.
+#[test]
+fn fused_passes_match_separate_primitives_for_all_lengths() {
+    let mut kinds = vec![BackendKind::Soft];
+    if aesni_available() {
+        kinds.push(BackendKind::AesNi);
+    }
+    let mut gen = Gen(0xf05e_d0be);
+    for kind in kinds {
+        for macs in 0..=40usize {
+            for blocks in 0..=40usize {
+                let ragged = [0, 1, 7, 15][(macs + blocks) % 4];
+                let (enc_key, mac_key, side_key) = (gen.block(), gen.block(), gen.block());
+                let iv = gen.block();
+                let enc = AesCtr::with_backend(kind, &enc_key);
+                let mac = Cmac::with_backend(kind, &mac_key);
+                let side = Cmac::with_backend(kind, &side_key);
+                let plain = gen.bytes(16 * blocks + ragged);
+                let trailer = gen.bytes(37);
+                let msg = gen.bytes(16 * macs);
+                let side_tag = side.compute(&msg);
+                let case = format!("{macs} beside {} B on {}", plain.len(), kind.name());
+
+                let mut ct = plain.clone();
+                enc.apply_keystream(&iv, &mut ct);
+                let tag = mac.compute_parts(&[&ct, &trailer]);
+
+                let beside = || Some(fused::Beside { mac: &side, msg: &msg, tag: &side_tag });
+                let mut sealed = plain.clone();
+                let sealed_tag =
+                    fused::seal_beside(beside(), &enc, &mac, &iv, &[], &mut sealed, &[&trailer]);
+                assert_eq!((&sealed, sealed_tag), (&ct, (tag, true)), "seal {case}");
+
+                let mut out = Vec::new();
+                let opened = fused::open_verify_beside(
+                    beside(),
+                    &enc,
+                    &mac,
+                    &iv,
+                    &[],
+                    &ct,
+                    &[&trailer],
+                    &tag,
+                    &mut out,
+                );
+                assert_eq!((opened, &out), (fused::Opened::Verified, &plain), "open {case}");
+            }
+        }
     }
 }
 
@@ -202,6 +344,24 @@ proptest! {
         ctx.update(&data[..cut]);
         ctx.update(&data[cut..]);
         prop_assert_eq!(ctx.finalize(), soft.compute(&data));
+    }
+
+    /// Random keys, states, counters and lane lengths: the kernel equals
+    /// its sequential definition on both backends.
+    #[test]
+    fn prop_lockstep_equivalent(
+        seed in any::<u64>(),
+        na in 0usize..48,
+        nb in 0usize..48,
+        nc in 0usize..48,
+        b_follows in any::<bool>(),
+    ) {
+        let lanes = Lanes::random(&mut Gen(seed), (na, nb, nc), b_follows);
+        let expect = lanes.run(BackendKind::Soft, sequential_lockstep);
+        prop_assert_eq!(&lanes.run(BackendKind::Soft, AesBackend::lockstep), &expect);
+        if aesni_available() {
+            prop_assert_eq!(&lanes.run(BackendKind::AesNi, AesBackend::lockstep), &expect);
+        }
     }
 
     /// Cross-backend seal/open: data sealed by either backend opens

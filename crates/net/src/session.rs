@@ -16,6 +16,7 @@ use sgx_sim::attest::{self, AttestationVerifier, Quote, REPORT_DATA_LEN};
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
+use shield_crypto::fused;
 use shield_crypto::hmac;
 use shield_crypto::x25519;
 use std::io::{Read, Write};
@@ -69,31 +70,32 @@ impl SessionCrypto {
         }
     }
 
-    /// Seals a plaintext body for sending: `ciphertext ‖ tag(16)`.
+    /// Seals a plaintext body for sending: `ciphertext ‖ tag(16)`, the tag
+    /// over `nonce ‖ ciphertext`. One allocation, sized for both, and one
+    /// pass: the MAC follows the keystream through the buffer.
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let iv = nonce(self.send_dir, self.send_seq);
         self.send_seq += 1;
-        let mut out = plaintext.to_vec();
-        self.enc.apply_keystream(&iv, &mut out);
-        let tag = self.mac.compute_parts(&[&iv, &out]);
+        let mut out = Vec::with_capacity(plaintext.len() + 16);
+        out.extend_from_slice(plaintext);
+        let tag = fused::seal(&self.enc, &self.mac, &iv, &[iv], &mut out, &[]);
         out.extend_from_slice(&tag);
         out
     }
 
-    /// Opens a sealed body, verifying tag and sequence.
+    /// Opens a sealed body, verifying tag and sequence: the plaintext is
+    /// staged in the buffer that is returned, in the pass that
+    /// authenticates it, and wiped there if it does not.
     pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>> {
-        if sealed.len() < 16 {
+        let Some((ct, tag)) = sealed.split_last_chunk::<16>() else {
             return Err(NetError::Security("sealed frame too short".into()));
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - 16);
+        };
         let iv = nonce(self.recv_dir, self.recv_seq);
-        let expect = self.mac.compute_parts(&[&iv, ct]);
-        if !shield_crypto::constant_time::ct_eq(&expect, tag) {
+        let mut plain = Vec::new();
+        if !fused::open_verify(&self.enc, &self.mac, &iv, &[iv], ct, &[], tag, &mut plain) {
             return Err(NetError::Security("frame authentication failed".into()));
         }
         self.recv_seq += 1;
-        let mut plain = ct.to_vec();
-        self.enc.apply_keystream(&iv, &mut plain);
         Ok(plain)
     }
 }
@@ -292,6 +294,36 @@ mod tests {
         let mut sealed = a.seal(b"payload");
         sealed[0] ^= 1;
         assert!(matches!(b.open(&sealed), Err(NetError::Security(_))));
+    }
+
+    /// Two sealed frames under fixed keys, recorded before seal and open
+    /// moved onto the fused bodies: the wire bytes are the same.
+    #[test]
+    fn golden_frames() {
+        let mut a = SessionCrypto::new(&[7u8; 32], true);
+        let mut b = SessionCrypto::new(&[7u8; 32], false);
+        let ragged = a.seal(b"twenty-one byte body!");
+        let whole: Vec<u8> = (0..32).collect();
+        let aligned = a.seal(&whole);
+        assert_eq!(
+            ragged,
+            [
+                0xa4, 0x58, 0xac, 0xf5, 0xff, 0x3f, 0x2f, 0x30, 0x99, 0x31, 0xf1, 0x7b, 0xaa, 0x60,
+                0x18, 0x92, 0x1c, 0xf6, 0x99, 0xd3, 0x0b, 0x3f, 0xb1, 0x5a, 0xc7, 0x86, 0x7e, 0x71,
+                0x24, 0x35, 0xbe, 0x22, 0xfd, 0x01, 0x6e, 0x4a, 0x83
+            ]
+        );
+        assert_eq!(
+            aligned,
+            [
+                0x5a, 0x09, 0x07, 0x53, 0x59, 0x32, 0x1c, 0x59, 0x9d, 0xb3, 0xdf, 0x0d, 0x0a, 0xbb,
+                0x6b, 0xd5, 0x69, 0xad, 0xc5, 0x27, 0xf8, 0xe1, 0x40, 0x8e, 0x4f, 0x77, 0x97, 0xa2,
+                0xbf, 0xfa, 0x61, 0x84, 0xfb, 0x5a, 0x53, 0xb4, 0xc6, 0x82, 0x17, 0xa9, 0x13, 0x67,
+                0xb0, 0xcf, 0x4d, 0x19, 0x05, 0xa3
+            ]
+        );
+        assert_eq!(b.open(&ragged).unwrap(), b"twenty-one byte body!");
+        assert_eq!(b.open(&aligned).unwrap(), whole);
     }
 
     #[test]

@@ -411,6 +411,30 @@ fn multi_loop_shutdown_with_idle_clients_does_not_wait_for_the_deadline() {
     drop(idle);
 }
 
+/// The smallest case of the above, the one the ROADMAP carried as a known
+/// defect ("a loop that begins draining while another still owns a
+/// connection goes back to sleep" for the whole 5 s deadline): two loops,
+/// one idle connection, so one loop starts its drain empty-handed while
+/// its peer still owns a socket. Whichever loop accepted it — repeated so
+/// that both get their turn — the owner's close wakes the other.
+#[test]
+fn two_loop_shutdown_with_one_idle_connection_returns_at_once() {
+    for round in 0..8 {
+        let cfg = ServerConfig { event_loops: 2, secure: false, ..Default::default() };
+        assert_eq!(cfg.drain_deadline, Duration::from_secs(5));
+        let (_enclave, _store, server) = multi_loop_server("engine-one-idle", cfg, false);
+        let mut idle = KvClient::connect_insecure(server.addr()).unwrap();
+        idle.ping().unwrap();
+        assert_eq!(server.active_connections(), 1);
+
+        let started = Instant::now();
+        server.shutdown();
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(500), "round {round}: drain took {elapsed:?}");
+        drop(idle);
+    }
+}
+
 /// Quarantine fails closed over the wire on a multi-loop engine: the
 /// poisoned partition answers `Quarantined` from whichever loop owns
 /// it, healthy shards keep serving, and the stats frame carries the
