@@ -31,7 +31,7 @@
 //! (keyed under the master key the attacker never sees) no longer
 //! matches.
 
-use crate::alloc::{Handle, UntrustedHeap};
+use crate::alloc::Handle;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
 use shield_crypto::fused::{Beside, Opened};
@@ -113,11 +113,6 @@ pub fn parse_header(bytes: &[u8]) -> EntryHeader {
         iv: bytes[OFF_IV..OFF_IV + 16].try_into().expect("16 bytes"),
         mac: bytes[OFF_MAC..OFF_MAC + 16].try_into().expect("16 bytes"),
     }
-}
-
-/// Reads the header of the entry at `handle`.
-pub fn read_header(heap: &UntrustedHeap, handle: Handle) -> EntryHeader {
-    parse_header(heap.bytes(handle, HEADER_LEN))
 }
 
 /// Length of [`mac_trailer`]: the six authenticated header fields.

@@ -16,55 +16,58 @@
 use crate::alloc::{Handle, UntrustedHeap, NULL_HANDLE};
 use shield_crypto::Tag128;
 
-const OFF_NEXT: usize = 0;
-const OFF_COUNT: usize = 8;
-const OFF_MACS: usize = 12;
+// Node layout. Named apart from the entry layout's `entry::OFF_*`: CI greps
+// that nothing outside `TableCtx::chain` reads an entry's `OFF_NEXT`.
+const NODE_NEXT: usize = 0;
+const NODE_COUNT: usize = 8;
+const NODE_MACS: usize = 12;
 
 /// Size in bytes of a MAC-bucket node with the given capacity.
 pub fn node_len(capacity: usize) -> usize {
-    OFF_MACS + capacity * 16
+    NODE_MACS + capacity * 16
 }
 
 fn read_count(heap: &UntrustedHeap, node: Handle) -> usize {
-    u32::from_le_bytes(heap.bytes_at(node, OFF_COUNT, 4).try_into().expect("4 bytes")) as usize
+    u32::from_le_bytes(heap.bytes_at(node, NODE_COUNT, 4).try_into().expect("4 bytes")) as usize
 }
 
 fn write_count(heap: &mut UntrustedHeap, node: Handle, count: usize) {
-    heap.bytes_at_mut(node, OFF_COUNT, 4).copy_from_slice(&(count as u32).to_le_bytes());
+    heap.bytes_at_mut(node, NODE_COUNT, 4).copy_from_slice(&(count as u32).to_le_bytes());
 }
 
 fn read_next(heap: &UntrustedHeap, node: Handle) -> Handle {
-    heap.read_u64_at(node, OFF_NEXT)
+    heap.read_u64_at(node, NODE_NEXT)
 }
 
 fn write_next(heap: &mut UntrustedHeap, node: Handle, next: Handle) {
-    heap.write_u64_at(node, OFF_NEXT, next);
+    heap.write_u64_at(node, NODE_NEXT, next);
 }
 
 fn read_mac(heap: &UntrustedHeap, node: Handle, slot: usize) -> Tag128 {
-    heap.bytes_at(node, OFF_MACS + slot * 16, 16).try_into().expect("16 bytes")
+    heap.bytes_at(node, NODE_MACS + slot * 16, 16).try_into().expect("16 bytes")
 }
 
 fn write_mac(heap: &mut UntrustedHeap, node: Handle, slot: usize, mac: &Tag128) {
-    heap.bytes_at_mut(node, OFF_MACS + slot * 16, 16).copy_from_slice(mac);
+    heap.bytes_at_mut(node, NODE_MACS + slot * 16, 16).copy_from_slice(mac);
 }
 
-/// Appends every MAC in the chain starting at `head` to `out`, in order.
-/// Returns the number of MACs gathered.
-pub fn gather(heap: &UntrustedHeap, head: Handle, out: &mut Vec<u8>) -> usize {
-    let mut node = head;
-    let mut total = 0;
-    while node != NULL_HANDLE {
-        let count = read_count(heap, node);
-        out.extend_from_slice(heap.bytes_at(node, OFF_MACS, count * 16));
-        total += count;
-        node = read_next(heap, node);
-    }
-    total
+/// Allocates a node holding just `mac`.
+fn new_node(heap: &mut UntrustedHeap, mac: &Tag128, capacity: usize) -> Handle {
+    let node = heap.alloc(node_len(capacity));
+    write_count(heap, node, 1);
+    write_mac(heap, node, 0, mac);
+    node
 }
 
-/// Checked [`gather`]: the node chain lives in untrusted memory, so its
-/// `next` pointers and `count` fields are attacker-writable. Returns
+/// The count field of `node`, `None` when it cannot be read.
+fn try_read_count(heap: &UntrustedHeap, node: Handle) -> Option<usize> {
+    let bytes = heap.try_bytes_at(node, NODE_COUNT, 4)?;
+    Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize)
+}
+
+/// Appends every MAC in the chain starting at `head` to `out`, in order,
+/// and returns how many. The node chain lives in untrusted memory, so its
+/// `next` pointers and `count` fields are attacker-writable: returns
 /// `None` — which callers surface as an integrity violation — when a node
 /// pointer does not address readable memory, a count field points past
 /// its chunk, or the walk exceeds `max_macs` MACs (cycle / inflated
@@ -83,48 +86,13 @@ pub fn try_gather(
         if nodes > max_macs.saturating_add(1) {
             return None;
         }
-        let count =
-            u32::from_le_bytes(heap.try_bytes_at(node, OFF_COUNT, 4)?.try_into().expect("4 bytes"))
-                as usize;
+        let count = try_read_count(heap, node)?;
         if total.saturating_add(count) > max_macs {
             return None;
         }
-        out.extend_from_slice(heap.try_bytes_at(node, OFF_MACS, count * 16)?);
+        out.extend_from_slice(heap.try_bytes_at(node, NODE_MACS, count * 16)?);
         total += count;
-        node = heap.try_read_u64_at(node, OFF_NEXT)?;
-    }
-    Some(total)
-}
-
-/// Total number of MACs in the chain.
-pub fn len(heap: &UntrustedHeap, head: Handle) -> usize {
-    let mut node = head;
-    let mut total = 0;
-    while node != NULL_HANDLE {
-        total += read_count(heap, node);
-        node = read_next(heap, node);
-    }
-    total
-}
-
-/// Checked [`len`], bounded like [`try_gather`].
-pub fn try_len(heap: &UntrustedHeap, head: Handle, max_macs: usize) -> Option<usize> {
-    let mut node = head;
-    let mut total = 0usize;
-    let mut nodes = 0usize;
-    while node != NULL_HANDLE {
-        nodes += 1;
-        if nodes > max_macs.saturating_add(1) {
-            return None;
-        }
-        let count =
-            u32::from_le_bytes(heap.try_bytes_at(node, OFF_COUNT, 4)?.try_into().expect("4 bytes"))
-                as usize;
-        total = total.saturating_add(count);
-        if total > max_macs {
-            return None;
-        }
-        node = heap.try_read_u64_at(node, OFF_NEXT)?;
+        node = heap.try_read_u64_at(node, NODE_NEXT)?;
     }
     Some(total)
 }
@@ -134,10 +102,7 @@ pub fn try_len(heap: &UntrustedHeap, head: Handle, max_macs: usize) -> Option<us
 /// allocated.
 pub fn insert_front(heap: &mut UntrustedHeap, head: &mut Handle, mac: &Tag128, capacity: usize) {
     if *head == NULL_HANDLE {
-        let node = heap.alloc(node_len(capacity));
-        write_count(heap, node, 1);
-        write_mac(heap, node, 0, mac);
-        *head = node;
+        *head = new_node(heap, mac, capacity);
         return;
     }
     let mut carry = *mac;
@@ -150,16 +115,14 @@ pub fn insert_front(heap: &mut UntrustedHeap, head: &mut Handle, mac: &Tag128, c
         let overflow =
             if count == capacity { Some(read_mac(heap, node, capacity - 1)) } else { None };
         // memmove within the node.
-        heap.bytes_at_mut(node, OFF_MACS, (keep + 1) * 16).copy_within(0..keep * 16, 16);
+        heap.bytes_at_mut(node, NODE_MACS, (keep + 1) * 16).copy_within(0..keep * 16, 16);
         write_mac(heap, node, 0, &carry);
         match overflow {
             Some(evicted) => {
                 carry = evicted;
                 let next = read_next(heap, node);
                 if next == NULL_HANDLE {
-                    let fresh = heap.alloc(node_len(capacity));
-                    write_count(heap, fresh, 1);
-                    write_mac(heap, fresh, 0, &carry);
+                    let fresh = new_node(heap, &carry, capacity);
                     write_next(heap, node, fresh);
                     return;
                 }
@@ -177,10 +140,7 @@ pub fn insert_front(heap: &mut UntrustedHeap, head: &mut Handle, mac: &Tag128, c
 /// replays entries in original chain order).
 pub fn insert_back(heap: &mut UntrustedHeap, head: &mut Handle, mac: &Tag128, capacity: usize) {
     if *head == NULL_HANDLE {
-        let node = heap.alloc(node_len(capacity));
-        write_count(heap, node, 1);
-        write_mac(heap, node, 0, mac);
-        *head = node;
+        *head = new_node(heap, mac, capacity);
         return;
     }
     let mut node = *head;
@@ -196,9 +156,7 @@ pub fn insert_back(heap: &mut UntrustedHeap, head: &mut Handle, mac: &Tag128, ca
         write_mac(heap, node, count, mac);
         write_count(heap, node, count + 1);
     } else {
-        let fresh = heap.alloc(node_len(capacity));
-        write_count(heap, fresh, 1);
-        write_mac(heap, fresh, 0, mac);
+        let fresh = new_node(heap, mac, capacity);
         write_next(heap, node, fresh);
     }
 }
@@ -222,22 +180,9 @@ pub fn set_at(heap: &mut UntrustedHeap, head: Handle, mut idx: usize, mac: &Tag1
     }
 }
 
-/// Reads the MAC at logical position `idx`.
-pub fn get_at(heap: &UntrustedHeap, head: Handle, mut idx: usize) -> Tag128 {
-    let mut node = head;
-    loop {
-        assert_ne!(node, NULL_HANDLE, "MAC chain shorter than index");
-        let count = read_count(heap, node);
-        if idx < count {
-            return read_mac(heap, node, idx);
-        }
-        idx -= count;
-        node = read_next(heap, node);
-    }
-}
-
-/// Checked [`get_at`], bounded like [`try_gather`]: `None` when the chain
-/// is shorter than `idx`, structurally corrupt, or longer than `max_macs`.
+/// Reads the MAC at logical position `idx`, bounded like [`try_gather`]:
+/// `None` when the chain is shorter than `idx`, structurally corrupt, or
+/// longer than `max_macs`.
 pub fn try_get_at(
     heap: &UntrustedHeap,
     head: Handle,
@@ -251,16 +196,14 @@ pub fn try_get_at(
         if nodes > max_macs.saturating_add(1) {
             return None;
         }
-        let count =
-            u32::from_le_bytes(heap.try_bytes_at(node, OFF_COUNT, 4)?.try_into().expect("4 bytes"))
-                as usize;
+        let count = try_read_count(heap, node)?;
         if idx < count {
             return heap
-                .try_bytes_at(node, OFF_MACS + idx * 16, 16)
+                .try_bytes_at(node, NODE_MACS + idx * 16, 16)
                 .map(|b| b.try_into().expect("16 bytes"));
         }
         idx -= count;
-        node = heap.try_read_u64_at(node, OFF_NEXT)?;
+        node = heap.try_read_u64_at(node, NODE_NEXT)?;
     }
     None
 }
@@ -285,7 +228,7 @@ pub fn remove_at(heap: &mut UntrustedHeap, head: &mut Handle, mut idx: usize, ca
 
     // Shift left within the node to close the hole.
     let count = read_count(heap, node);
-    heap.bytes_at_mut(node, OFF_MACS, count * 16).copy_within((idx + 1) * 16.., idx * 16);
+    heap.bytes_at_mut(node, NODE_MACS, count * 16).copy_within((idx + 1) * 16.., idx * 16);
 
     // Pull the head MAC of each subsequent node into the freed tail slot.
     let mut cur = node;
@@ -317,7 +260,7 @@ pub fn remove_at(heap: &mut UntrustedHeap, head: &mut Handle, mut idx: usize, ca
         let pulled = read_mac(heap, next, 0);
         write_mac(heap, cur, cur_count - 1, &pulled);
         // Shift the next node left by one.
-        heap.bytes_at_mut(next, OFF_MACS, next_count * 16).copy_within(16.., 0);
+        heap.bytes_at_mut(next, NODE_MACS, next_count * 16).copy_within(16.., 0);
         cur = next;
         cur_count = next_count;
     }
@@ -342,7 +285,7 @@ mod tests {
 
     fn collect(heap: &UntrustedHeap, head: Handle) -> Vec<u8> {
         let mut out = Vec::new();
-        gather(heap, head, &mut out);
+        try_gather(heap, head, &mut out, usize::MAX).expect("an honest chain");
         out.chunks(16).map(|c| c[0]).collect()
     }
 
@@ -354,7 +297,7 @@ mod tests {
             insert_front(&mut h, &mut head, &mac(i), 30);
         }
         assert_eq!(collect(&h, head), vec![5, 4, 3, 2, 1]);
-        assert_eq!(len(&h, head), 5);
+        assert_eq!(collect(&h, head).len(), 5);
     }
 
     #[test]
@@ -366,7 +309,7 @@ mod tests {
             insert_front(&mut h, &mut head, &mac(i), 3);
         }
         assert_eq!(collect(&h, head), vec![8, 7, 6, 5, 4, 3, 2, 1]);
-        assert_eq!(len(&h, head), 8);
+        assert_eq!(collect(&h, head).len(), 8);
     }
 
     #[test]
@@ -377,7 +320,7 @@ mod tests {
             insert_front(&mut h, &mut head, &mac(i), 3);
         }
         // Order is 7..1; position 4 holds mac(3).
-        assert_eq!(get_at(&h, head, 4), mac(3));
+        assert_eq!(try_get_at(&h, head, 4, 7), Some(mac(3)));
         set_at(&mut h, head, 4, &mac(0xaa));
         assert_eq!(collect(&h, head), vec![7, 6, 5, 4, 0xaa, 2, 1]);
     }
@@ -422,7 +365,7 @@ mod tests {
         insert_front(&mut h, &mut head, &mac(9), 30);
         remove_at(&mut h, &mut head, 0, 30);
         assert_eq!(head, NULL_HANDLE);
-        assert_eq!(len(&h, head), 0);
+        assert_eq!(collect(&h, head).len(), 0);
     }
 
     #[test]
@@ -433,7 +376,7 @@ mod tests {
             insert_back(&mut h, &mut head, &mac(i), 3);
         }
         assert_eq!(collect(&h, head), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(len(&h, head), 8);
+        assert_eq!(collect(&h, head).len(), 8);
     }
 
     #[test]
@@ -476,7 +419,7 @@ mod tests {
                 reference.remove(idx);
             }
             let mut out = Vec::new();
-            gather(&h, head, &mut out);
+            assert_eq!(try_gather(&h, head, &mut out, reference.len()), Some(reference.len()));
             let got: Vec<Tag128> = out.chunks(16).map(|c| c.try_into().unwrap()).collect();
             assert_eq!(got, reference, "divergence at step {step}");
         }

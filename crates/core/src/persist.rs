@@ -20,9 +20,9 @@
 //! the counter (paper's defense via SGX monotonic counters).
 
 use crate::config::Config;
-use crate::entry;
+use crate::entry::{self, EntryHeader};
 use crate::error::{Error, Result};
-use crate::shard::StoreKeys;
+use crate::shard::{ShardConfig, StoreKeys};
 use crate::store::ShieldStore;
 use crate::table::TableCtx;
 use sgx_sim::counter::PersistentCounter;
@@ -135,33 +135,24 @@ impl Metadata {
 }
 
 /// Serializes one frozen table's entries: `(bucket, entry bytes)` pairs
-/// with the chain pointer zeroed (it is rebuilt on restore).
-fn write_table(w: &mut impl Write, ctx: &TableCtx) -> std::io::Result<()> {
-    write_u64(w, ctx.count as u64)?;
-    let mut failed = None;
-    ctx.for_each_entry(|bucket, handle| {
-        if failed.is_some() {
-            return;
-        }
-        let header = ctx.header(handle);
-        let bytes = ctx.entry_bytes(handle);
-        let r = (|| {
-            write_u32(w, bucket as u32)?;
-            write_u32(w, bytes.len() as u32)?;
-            // Zero the chain pointer in the output.
-            w.write_all(&[0u8; 8])?;
-            w.write_all(&bytes[8..])?;
-            let _ = header;
-            Ok::<(), std::io::Error>(())
-        })();
-        if let Err(e) = r {
-            failed = Some(e);
-        }
-    });
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(()),
+/// with the chain pointer zeroed (it is rebuilt on restore). A chain that
+/// cannot be walked, or an entry whose length field leaves its chunk,
+/// fails the snapshot: a file that silently lacks entries must not be
+/// published.
+pub(crate) fn write_table(w: &mut impl Write, table: &TableCtx) -> Result<()> {
+    write_u64(w, table.count as u64)?;
+    for (bucket, link) in table.entries() {
+        let bytes = link
+            .ok()
+            .and_then(|link| table.heap.try_bytes_at(link.handle, 0, link.header.entry_len()))
+            .ok_or(Error::IntegrityViolation { bucket })?;
+        write_u32(w, bucket as u32)?;
+        write_u32(w, bytes.len() as u32)?;
+        // Zero the chain pointer in the output.
+        w.write_all(&[0u8; 8])?;
+        w.write_all(&bytes[8..])?;
     }
+    Ok(())
 }
 
 /// Best-effort fsync of `path`'s parent directory so the rename that
@@ -171,6 +162,39 @@ fn sync_parent_dir(fs: &dyn StorageFs, path: &Path) {
         let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
         let _ = fs.sync_dir(dir);
     }
+}
+
+/// Writes `tables` (one per shard) and their `sealed` metadata to a
+/// temporary file, makes it durable, and only then renames it to `path`:
+/// whatever fails on the way — a table that cannot be walked included —
+/// nothing is published. The WAL deletes the only other durable copy of
+/// these operations once the snapshot is declared written, so it must
+/// actually be on disk, not in the page cache.
+fn publish_snapshot(
+    fs: &dyn StorageFs,
+    path: &Path,
+    count: u64,
+    sealed: &[u8],
+    tables: &[&TableCtx],
+) -> Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let file = fs.open(&tmp, OpenMode::Create)?;
+        let mut w = BufWriter::new(file);
+        w.write_all(MAGIC)?;
+        write_u64(&mut w, count)?;
+        write_u32(&mut w, tables.len() as u32)?;
+        write_u32(&mut w, sealed.len() as u32)?;
+        w.write_all(sealed)?;
+        for table in tables {
+            write_table(&mut w, table)?;
+        }
+        w.flush()?;
+        w.get_mut().sync_all()?;
+    }
+    fs.rename(&tmp, path)?;
+    sync_parent_dir(fs, path);
+    Ok(())
 }
 
 /// Reads the calling thread's consumed CPU time from procfs (Linux).
@@ -237,15 +261,22 @@ impl<'a> SnapshotJob<'a> {
     /// old generation pinned, so every acknowledged write stays
     /// recoverable from the previous snapshot plus the retained logs.
     pub fn finish(mut self) -> Result<std::time::Duration> {
-        if let Some(writer) = self.writer.take() {
-            writer.join().map_err(|_| Error::Persistence("snapshot writer panicked".into()))??;
-        }
-        for i in 0..self.store.num_shards() {
-            self.store.with_shard(i, |shard| shard.unfreeze())?;
-        }
+        let written = match self.writer.take() {
+            Some(writer) => writer
+                .join()
+                .unwrap_or_else(|_| Err(Error::Persistence("snapshot writer panicked".into()))),
+            None => Ok(()),
+        };
+        // Whatever the writer reports, it has let go of the frozen tables:
+        // every shard merges back and keeps serving. A failed snapshot must
+        // not leave them frozen.
+        let merged = (0..self.store.num_shards())
+            .map(|i| self.store.with_shard(i, |shard| shard.unfreeze()))
+            .fold(Ok(()), Result::and);
         // Temp-table merges bypass quota metering; re-derive per-tenant
         // usage from the merged tables.
         self.store.recount_usage();
+        written.and(merged)?;
         if let Some(wal) = self.store.wal_ref() {
             wal.rotate_commit(self.generation)?;
         }
@@ -255,6 +286,18 @@ impl<'a> SnapshotJob<'a> {
 }
 
 impl ShieldStore {
+    /// Seals what a snapshot of `tables` (one per shard) keeps inside the
+    /// enclave: the counter value, the raw keys and each MAC hash array.
+    fn seal_metadata<'t>(
+        &self,
+        counter: u64,
+        tables: impl Iterator<Item = &'t TableCtx>,
+    ) -> Vec<u8> {
+        let mac_arrays = tables.map(|t| t.macs.export()).collect();
+        let metadata = Metadata { counter, raw_keys: self.keys().raw, mac_arrays };
+        seal::seal(self.enclave(), &metadata.serialize())
+    }
+
     /// Writes a snapshot, blocking all request processing until it is on
     /// disk — the *naive* persistency of Fig. 19.
     pub fn snapshot_blocking(
@@ -263,7 +306,13 @@ impl ShieldStore {
         counter: &PersistentCounter,
     ) -> Result<()> {
         // Hold every shard lock for the duration: requests stall.
-        let mut guards: Vec<_> = self.shards().iter().map(|s| s.lock()).collect();
+        let guards: Vec<_> = self.shards().iter().map(|s| s.lock()).collect();
+        let tables = guards
+            .iter()
+            .map(|g| {
+                g.main_table().ok_or(Error::Persistence("snapshot already in progress".into()))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let count = counter.increment().map_err(Error::from)?;
         // Begin rotation before the snapshot is written: the old
         // generation's log and pin segment are retained until the rename
@@ -273,37 +322,8 @@ impl ShieldStore {
             wal.rotate_begin(count)?;
         }
 
-        let metadata = Metadata {
-            counter: count,
-            raw_keys: self.keys().raw,
-            mac_arrays: guards
-                .iter()
-                .map(|g| g.main_table().expect("not snapshotting").macs.export())
-                .collect(),
-        };
-        let sealed = seal::seal(self.enclave(), &metadata.serialize());
-
-        let fs = self.storage_ref();
-        let tmp = path.as_ref().with_extension("tmp");
-        {
-            let file = fs.open(&tmp, OpenMode::Create)?;
-            let mut w = BufWriter::new(file);
-            w.write_all(MAGIC)?;
-            write_u64(&mut w, count)?;
-            write_u32(&mut w, guards.len() as u32)?;
-            write_u32(&mut w, sealed.len() as u32)?;
-            w.write_all(&sealed)?;
-            for guard in guards.iter_mut() {
-                write_table(&mut w, guard.main_table().expect("not snapshotting"))?;
-            }
-            w.flush()?;
-            // rotate_commit below deletes the only other durable copy of
-            // these operations, so the snapshot must actually be on disk,
-            // not in the page cache.
-            w.get_mut().sync_all()?;
-        }
-        fs.rename(&tmp, path.as_ref())?;
-        sync_parent_dir(fs.as_ref(), path.as_ref());
+        let sealed = self.seal_metadata(count, tables.iter().copied());
+        publish_snapshot(self.storage_ref().as_ref(), path.as_ref(), count, &sealed, &tables)?;
         // The snapshot is durable and captures everything ever logged
         // (shard locks are still held, so no write can race): retire the
         // superseded log generations.
@@ -343,12 +363,7 @@ impl ShieldStore {
         for i in 0..self.num_shards() {
             frozen.push(self.with_shard(i, |shard| shard.freeze()));
         }
-        let metadata = Metadata {
-            counter: count,
-            raw_keys: self.keys().raw,
-            mac_arrays: frozen.iter().map(|f| f.macs.export()).collect(),
-        };
-        let sealed = seal::seal(self.enclave(), &metadata.serialize());
+        let sealed = self.seal_metadata(count, frozen.iter().map(|t| &**t));
         let path = path.as_ref().to_path_buf();
         let dest = path.clone();
         let writer_cpu_ns = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -357,25 +372,8 @@ impl ShieldStore {
         let fs = Arc::clone(self.storage_ref());
         let writer = std::thread::spawn(move || -> Result<()> {
             let cpu_start = thread_cpu_ns();
-            let tmp = path.with_extension("tmp");
-            {
-                let file = fs.open(&tmp, OpenMode::Create)?;
-                let mut w = BufWriter::new(file);
-                w.write_all(MAGIC)?;
-                write_u64(&mut w, count)?;
-                write_u32(&mut w, frozen.len() as u32)?;
-                write_u32(&mut w, sealed.len() as u32)?;
-                w.write_all(&sealed)?;
-                for ctx in &frozen {
-                    write_table(&mut w, ctx)?;
-                }
-                w.flush()?;
-                // The old log generation is deleted once this snapshot is
-                // declared durable: make it actually so.
-                w.get_mut().sync_all()?;
-            }
-            fs.rename(&tmp, &path)?;
-            sync_parent_dir(fs.as_ref(), &path);
+            let tables: Vec<&TableCtx> = frozen.iter().map(|t| &**t).collect();
+            publish_snapshot(fs.as_ref(), &path, count, &sealed, &tables)?;
             // Drop the frozen Arcs so unfreeze() can reclaim the tables.
             drop(frozen);
             cpu_slot.store(
@@ -425,30 +423,16 @@ impl ShieldStore {
     ) -> Result<ShieldStore> {
         let data = storage.read(path)?;
         let mut r: &[u8] = &data;
-
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(Error::from)?;
-        if &magic != MAGIC {
-            return Err(Error::Persistence("bad snapshot magic".into()));
-        }
-        let file_counter = read_u64(&mut r)?;
-        let num_shards = read_u32(&mut r)? as usize;
+        let (num_shards, metadata) = read_preamble(&mut r, &enclave)?;
         if num_shards != config.shards {
             return Err(Error::Persistence(format!(
                 "snapshot has {num_shards} shards, config expects {}",
                 config.shards
             )));
         }
-        let sealed_len = read_u32(&mut r)? as usize;
-        let sealed = read_vec(&mut r, sealed_len, MAX_SEALED_LEN)?;
-        let metadata = Metadata::deserialize(&seal::unseal(&enclave, &sealed)?)?;
-
-        // Rollback protection: the sealed counter must match the file
-        // header and — unless a WAL pin is rooting freshness instead —
-        // be current with respect to the monotonic counter.
-        if metadata.counter != file_counter {
-            return Err(Error::Persistence("snapshot counter mismatch".into()));
-        }
+        // Rollback protection: unless a WAL pin is rooting freshness
+        // instead, the sealed counter must be current with respect to the
+        // monotonic counter.
         if let Some(counter) = counter {
             counter.check_fresh(metadata.counter)?;
         }
@@ -459,22 +443,17 @@ impl ShieldStore {
         for (shard_idx, mac_array) in metadata.mac_arrays.iter().enumerate() {
             store.with_shard(shard_idx, |shard| -> Result<()> {
                 let count = read_u64(&mut r)? as usize;
-                let (mac_bucket, mac_cap) = (shard.config().mac_bucket, shard.config().mac_cap);
-                {
-                    let ctx = shard.main_table_mut().expect("fresh store");
-                    for _ in 0..count {
-                        let bucket = read_u32(&mut r)? as usize;
-                        let len = read_u32(&mut r)? as usize;
-                        if bucket >= ctx.buckets() || len < entry::HEADER_LEN {
-                            return Err(Error::Persistence("corrupt snapshot entry".into()));
-                        }
-                        let bytes = read_vec(&mut r, len, MAX_ENTRY_LEN)?;
-                        restore_entry(
-                            ctx, &keys, bucket, &bytes, mac_bucket, mac_cap, shard_idx, num_shards,
-                        )?;
+                let cfg = shard.config().clone();
+                let ctx =
+                    shard.main_table_mut().ok_or(Error::Persistence("store not fresh".into()))?;
+                for _ in 0..count {
+                    let (bucket, bytes) = read_entry(&mut r)?;
+                    if bucket >= ctx.buckets() {
+                        return Err(Error::Persistence("corrupt snapshot entry".into()));
                     }
-                    ctx.macs.import(mac_array)?;
+                    restore_entry(ctx, &keys, &cfg, bucket, &bytes, shard_idx, num_shards)?;
                 }
+                ctx.macs.import(mac_array)?;
                 // Verify every bucket set against the sealed hashes.
                 shard.verify_all_sets()?;
                 shard.rebuild_index()?;
@@ -501,48 +480,15 @@ pub(crate) fn verify_snapshot(
 ) -> Result<u64> {
     let data = fs.read(path)?;
     let mut r: &[u8] = &data;
-
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(Error::from)?;
-    if &magic != MAGIC {
-        return Err(Error::Persistence("bad snapshot magic".into()));
-    }
-    let file_counter = read_u64(&mut r)?;
-    let num_shards = read_u32(&mut r)? as usize;
-    let sealed_len = read_u32(&mut r)? as usize;
-    let sealed = read_vec(&mut r, sealed_len, MAX_SEALED_LEN)?;
-    let metadata = Metadata::deserialize(&seal::unseal(enclave, &sealed)?)?;
-    if metadata.counter != file_counter {
-        return Err(Error::Persistence("snapshot counter mismatch".into()));
-    }
+    let (num_shards, metadata) = read_preamble(&mut r, enclave)?;
     if metadata.mac_arrays.len() != num_shards {
         return Err(Error::Persistence("snapshot shard count mismatch".into()));
     }
     let keys = StoreKeys::from_raw(metadata.raw_keys);
     for _ in 0..num_shards {
-        let count = read_u64(&mut r)? as usize;
-        for _ in 0..count {
-            let _bucket = read_u32(&mut r)? as usize;
-            let len = read_u32(&mut r)? as usize;
-            if len < entry::HEADER_LEN {
-                return Err(Error::Persistence("corrupt snapshot entry".into()));
-            }
-            let bytes = read_vec(&mut r, len, MAX_ENTRY_LEN)?;
-            let header = entry::parse_header(&bytes);
-            if header.entry_len() != bytes.len() {
-                return Err(Error::Persistence("entry length mismatch".into()));
-            }
-            let tkeys = keys.tenant_keys(header.tenant);
-            let mut plain = Vec::new();
-            if !entry::open_entry(
-                &tkeys.enc,
-                &tkeys.mac,
-                &header,
-                &bytes[entry::HEADER_LEN..],
-                &mut plain,
-            ) {
-                return Err(Error::IntegrityViolation { bucket: 0 });
-            }
+        for _ in 0..read_u64(&mut r)? {
+            let (_, bytes) = read_entry(&mut r)?;
+            open_entry(&keys, 0, &bytes)?;
         }
     }
     if !r.is_empty() {
@@ -551,40 +497,74 @@ pub(crate) fn verify_snapshot(
     Ok(data.len() as u64)
 }
 
-/// Re-links one serialized entry into a table during restore, verifying
-/// its MAC before trusting it.
-#[allow(clippy::too_many_arguments)]
-fn restore_entry(
-    ctx: &mut TableCtx,
-    keys: &StoreKeys,
-    bucket: usize,
-    bytes: &[u8],
-    mac_bucket: bool,
-    mac_cap: usize,
-    shard_idx: usize,
-    num_shards: usize,
-) -> Result<()> {
+/// Reads a snapshot's preamble: magic, counter claim, shard count and the
+/// sealed metadata, which must unseal under this enclave identity and
+/// carry the counter the file header claims.
+fn read_preamble(r: &mut &[u8], enclave: &Arc<Enclave>) -> Result<(usize, Metadata)> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic).map_err(Error::from)?;
+    if &magic != MAGIC {
+        return Err(Error::Persistence("bad snapshot magic".into()));
+    }
+    let file_counter = read_u64(r)?;
+    let num_shards = read_u32(r)? as usize;
+    let sealed_len = read_u32(r)? as usize;
+    let sealed = read_vec(r, sealed_len, MAX_SEALED_LEN)?;
+    let metadata = Metadata::deserialize(&seal::unseal(enclave, &sealed)?)?;
+    if metadata.counter != file_counter {
+        return Err(Error::Persistence("snapshot counter mismatch".into()));
+    }
+    Ok((num_shards, metadata))
+}
+
+/// Reads one serialized entry: the bucket it claims and its bytes.
+fn read_entry(r: &mut &[u8]) -> Result<(usize, Vec<u8>)> {
+    let bucket = read_u32(r)? as usize;
+    let len = read_u32(r)? as usize;
+    if len < entry::HEADER_LEN {
+        return Err(Error::Persistence("corrupt snapshot entry".into()));
+    }
+    Ok((bucket, read_vec(r, len, MAX_ENTRY_LEN)?))
+}
+
+/// Authenticates one serialized entry and returns its header and
+/// plaintext. Each entry is sealed under its owner tenant's derived keys;
+/// the header's tenant claim routes verification, and a forged claim lands
+/// on a key under which the stored tag cannot verify. The fused open
+/// verifies the MAC and decrypts in one ciphertext pass.
+fn open_entry(keys: &StoreKeys, bucket: usize, bytes: &[u8]) -> Result<(EntryHeader, Vec<u8>)> {
     let header = entry::parse_header(bytes);
     if header.entry_len() != bytes.len() {
         return Err(Error::Persistence("entry length mismatch".into()));
     }
-    // The per-entry shard/bucket placement in the file is untrusted and —
-    // unlike ciphertext, lengths, hint and IV — not covered by the entry
-    // MAC (Fig. 5). Trusting the file's claim lets an attacker relocate an
-    // entry within its bucket set: when the set's MAC concatenation order
-    // happens to be preserved (tail of one chain moved to an empty later
-    // bucket), every set hash still verifies and the key becomes a silent
-    // miss. Derive the true placement from the decrypted key instead; the
-    // fused open verifies the MAC and decrypts in one ciphertext pass.
-    // Each entry is sealed under its owner tenant's derived keys; the
-    // header's tenant claim routes verification, and a forged claim lands
-    // on a key under which the stored tag cannot verify.
     let tkeys = keys.tenant_keys(header.tenant);
     let mut plain = Vec::new();
     if !entry::open_entry(&tkeys.enc, &tkeys.mac, &header, &bytes[entry::HEADER_LEN..], &mut plain)
     {
         return Err(Error::IntegrityViolation { bucket });
     }
+    Ok((header, plain))
+}
+
+/// Re-links one serialized entry into a table during restore, verifying
+/// its MAC before trusting it.
+fn restore_entry(
+    ctx: &mut TableCtx,
+    keys: &StoreKeys,
+    cfg: &ShardConfig,
+    bucket: usize,
+    bytes: &[u8],
+    shard_idx: usize,
+    num_shards: usize,
+) -> Result<()> {
+    // The per-entry shard/bucket placement in the file is untrusted and —
+    // unlike ciphertext, lengths, hint and IV — not covered by the entry
+    // MAC (Fig. 5). Trusting the file's claim lets an attacker relocate an
+    // entry within its bucket set: when the set's MAC concatenation order
+    // happens to be preserved (tail of one chain moved to an empty later
+    // bucket), every set hash still verifies and the key becomes a silent
+    // miss. Derive the true placement from the decrypted key instead.
+    let (header, plain) = open_entry(keys, bucket, bytes)?;
     let key = &plain[..header.key_len as usize];
     let hash = keys.index_hash(key);
     let true_shard = (((hash >> 32) * num_shards as u64) >> 32) as usize;
@@ -594,36 +574,20 @@ fn restore_entry(
     }
     let handle = ctx.heap.alloc(bytes.len());
     ctx.heap.bytes_mut(handle, bytes.len()).copy_from_slice(bytes);
-    // Snapshots are written head-to-tail per bucket; inserting each entry
-    // at the tail preserves the original chain order... but head insertion
-    // is O(1). Chain order only matters for hash recomputation, and we
-    // verify against the *sealed* hashes, so we must reproduce the exact
-    // original order: snapshot order is head-first, so head-insertion
-    // would reverse it. Insert at tail by remembering the previous tail.
-    // Simpler and O(1): entries arrive head-first, so we append at tail
-    // via the bucket's last handle, which we track in the header's next
-    // pointer chain.
+    // Set hashes are verified against the *sealed* arrays, so the chain
+    // must come back in its original order: the file lists a bucket's
+    // entries head first, so each is appended at the tail.
     ctx.heap.write_u64_at(handle, entry::OFF_NEXT, crate::alloc::NULL_HANDLE);
-    if ctx.heads[bucket] == crate::alloc::NULL_HANDLE {
-        ctx.heads[bucket] = handle;
-    } else {
-        // Walk to the tail. Restore is a one-time cost; chains are short.
-        let mut tail = ctx.heads[bucket];
-        loop {
-            let next = ctx.heap.read_u64_at(tail, entry::OFF_NEXT);
-            if next == crate::alloc::NULL_HANDLE {
-                break;
-            }
-            tail = next;
-        }
-        ctx.heap.write_u64_at(tail, entry::OFF_NEXT, handle);
+    // Walk to the tail. Restore is a one-time cost; chains are short.
+    match ctx.chain(bucket).last() {
+        None => ctx.heads[bucket] = handle,
+        Some(Ok(tail)) => ctx.heap.write_u64_at(tail.handle, entry::OFF_NEXT, handle),
+        Some(Err(_)) => return Err(Error::IntegrityViolation { bucket }),
     }
-    if mac_bucket {
-        // Append the MAC at the tail of the MAC chain to mirror the entry
-        // chain order: gather, push, rebuild via insert_front in reverse
-        // would be O(n^2); instead use set/insert helpers.
+    if cfg.mac_bucket {
+        // The MAC chain mirrors the entry chain's order.
         let mut head = ctx.mac_heads[bucket];
-        crate::mac_bucket::insert_back(&mut ctx.heap, &mut head, &header.mac, mac_cap);
+        crate::mac_bucket::insert_back(&mut ctx.heap, &mut head, &header.mac, cfg.mac_cap);
         ctx.mac_heads[bucket] = head;
     }
     ctx.count += 1;
@@ -773,6 +737,52 @@ mod tests {
         for i in 0..10u32 {
             assert_eq!(r.get(format!("m{i}").as_bytes()).unwrap(), b"mid");
             assert_eq!(r.get(format!("t{i}").as_bytes()).unwrap(), b"tail");
+        }
+        vclock::reset();
+    }
+
+    #[test]
+    fn snapshot_of_a_forged_chain_fails_and_publishes_nothing() {
+        vclock::reset();
+        let dir = tmpdir("forged-chain");
+        let _ = std::fs::remove_file(dir.join("ctr"));
+        let counter = PersistentCounter::open(dir.join("ctr")).unwrap();
+        let store = new_store(13);
+        let keys: Vec<Vec<u8>> = (0..100u32).map(|i| format!("k{i}").into_bytes()).collect();
+        for key in &keys {
+            store.set(key, b"value").unwrap();
+        }
+        // One `next` in shard 0 is overwritten with a pointer into nowhere.
+        store.with_shard(0, |shard| {
+            let main = shard.main_table_mut().unwrap();
+            let head = *main.heads.iter().find(|&&h| h != crate::alloc::NULL_HANDLE).unwrap();
+            let wild = main.heap.wild_handles()[0];
+            main.heap.write_u64_at(head, entry::OFF_NEXT, wild);
+        });
+        let elsewhere = || keys.iter().filter(|key| store.shard_of(key) == 1);
+        assert!(elsewhere().count() > 10);
+
+        // The blocking snapshot fails with nothing at the target path.
+        let snap = dir.join("blocking.db");
+        let r = store.snapshot_blocking(&snap, &counter);
+        assert!(matches!(r, Err(Error::IntegrityViolation { .. })), "got {r:?}");
+        assert!(!snap.exists());
+
+        // So does the background one — and every shard unfreezes, with what
+        // it absorbed meanwhile merged in, and keeps serving.
+        let snap = dir.join("background.db");
+        let job = store.snapshot_background(&snap, &counter).unwrap();
+        let during = elsewhere().next().unwrap();
+        store.set(during, b"written during the snapshot").unwrap();
+        let r = job.finish();
+        assert!(matches!(r, Err(Error::IntegrityViolation { .. })), "got {r:?}");
+        assert!(!snap.exists());
+        for i in 0..store.num_shards() {
+            assert!(!store.with_shard(i, |shard| shard.is_snapshotting()));
+        }
+        for key in elsewhere() {
+            let want: &[u8] = if key == during { b"written during the snapshot" } else { b"value" };
+            assert_eq!(store.get(key).unwrap(), want);
         }
         vclock::reset();
     }

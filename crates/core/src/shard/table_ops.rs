@@ -1,0 +1,465 @@
+//! Operations on one hash table — search, get, set, delete — as methods
+//! of the shard's [`Access`] context, so the main table and the
+//! snapshot-time temporary and frozen tables share them and a call names
+//! only the table, the key and what differs.
+
+use super::verify::{beside_entry, set_violation, PendingSet};
+use super::{Access, OpCtx, Scratch};
+use crate::alloc::{UntrustedHeap, NULL_HANDLE};
+use crate::entry;
+use crate::error::{Error, Result};
+use crate::mac_bucket;
+use crate::stats::OpStats;
+use crate::table::{Broken, Link, TableCtx};
+use shield_crypto::fused::Opened;
+use shield_crypto::hint::LINE;
+use std::sync::atomic::Ordering as AtomicOrdering;
+
+/// Charges a quota rejection to the op's tenant and fails the write.
+fn quota_reject(op: &OpCtx<'_>, stats: &mut OpStats) -> Error {
+    stats.quota_rejections += 1;
+    if let Some(st) = op.state {
+        st.usage.quota_rejections.fetch_add(1, AtomicOrdering::SeqCst);
+    }
+    Error::QuotaExceeded { tenant: op.tenant }
+}
+
+/// Counts an entry hidden by lazy expiry, for the shard and the tenant.
+fn count_expired_lazy(op: &OpCtx<'_>, stats: &mut OpStats) {
+    stats.expired_lazy += 1;
+    if let Some(st) = op.state {
+        st.usage.expired_lazy.fetch_add(1, AtomicOrdering::SeqCst);
+    }
+}
+
+impl Access {
+    /// The bucket of `table` that `key` hashes to.
+    pub(super) fn bucket_of(&self, table: &TableCtx, key: &[u8]) -> usize {
+        (self.keys.index_hash(key) % table.buckets() as u64) as usize
+    }
+
+    /// Hints the loads a verified access to `bucket` opens with, before the
+    /// first of them is issued: for every bucket of `bucket`'s set, what the
+    /// set-hash gather reads first, and the head of `bucket`'s own chain for
+    /// the search. With MAC bucketing the gather reads MAC nodes, and a node
+    /// is hinted as far as the table's mean bucket occupancy fills one;
+    /// without it the MACs sit in the chained entries' headers. Left alone,
+    /// these are one cache miss queued behind the other — each on a line of
+    /// its own — and they dominate a lookup.
+    ///
+    /// The handles come straight from untrusted memory and are only hinted,
+    /// never trusted: see [`UntrustedHeap::prefetch`].
+    pub(super) fn hint_access(&self, table: &TableCtx, bucket: usize) {
+        let set_buckets = table.sets.buckets_of(table.sets.set_of(bucket));
+        if self.cfg.mac_bucket {
+            let filled = table.count.div_ceil(table.buckets()).min(self.cfg.mac_cap);
+            let lines = mac_bucket::node_len(filled).div_ceil(LINE);
+            for &node in &table.mac_heads[set_buckets] {
+                table.heap.prefetch(node, 0, lines);
+            }
+            table.hint_header(table.heads[bucket]);
+        } else {
+            for &head in &table.heads[set_buckets] {
+                table.hint_header(head);
+            }
+        }
+    }
+
+    /// Searches `bucket` for `key` *within `op`'s tenant namespace*,
+    /// counting decryptions as the paper's Fig. 9 does, and returns the
+    /// entry with its ciphertext. First pass honours the key hint and
+    /// silently steps over foreign tenants' entries; if nothing matched and
+    /// the two-step fallback is enabled, a full scan follows (§5.4) in
+    /// which **every** entry — whoever owns it — is verified under its
+    /// owner's derived MAC key, so content tampering (including a rewritten
+    /// tenant field) cannot masquerade as a clean miss. `Err` is tampering:
+    /// a chain the walker cannot follow, length fields that leave the
+    /// chunk, or a MAC the full scan refutes.
+    fn search<'t>(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &'t TableCtx,
+        bucket: usize,
+        hint_byte: u8,
+        key: &[u8],
+    ) -> std::result::Result<Option<(Link, &'t [u8])>, Broken> {
+        // First step: hint-guided, same-tenant entries only.
+        for link in table.chain(bucket) {
+            let link = link?;
+            let Link { handle, header, .. } = link;
+            // The walk's next miss is known now; start it before deciding
+            // anything about this entry.
+            table.hint_header(header.next);
+            if header.tenant != op.tenant {
+                // Foreign namespace: skip without decrypting anything.
+            } else if self.cfg.key_hint && header.hint != hint_byte {
+                self.stats.hint_skips += 1;
+            } else if header.key_len as usize == key.len() {
+                // A candidate: its ciphertext is read next (key compare) and,
+                // on a match, in full. An honest entry of this key length is
+                // no longer than the largest item; a forged size field gets
+                // no more than that hinted.
+                table.hint_body(
+                    handle,
+                    header.entry_len().min(entry::HEADER_LEN + key.len() + self.cfg.max_item_len),
+                );
+                self.stats.key_decryptions += 1;
+                let ct = table.try_ciphertext(handle, &header).ok_or(Broken)?;
+                if entry::key_matches(&op.tkeys.enc, &header, ct, key, &mut self.scratch.key) {
+                    return Ok(Some((link, ct)));
+                }
+            }
+        }
+
+        // Second step: full scan, defending against hint (and tenant-field)
+        // corruption. Every entry's MAC is verified under its *owner's*
+        // derived key: a corrupted ciphertext or a re-stitched tenant id
+        // would make a key silently unfindable otherwise.
+        if self.cfg.key_hint && self.cfg.two_step {
+            self.stats.full_scans += 1;
+            for link in table.chain(bucket) {
+                let link = link?;
+                let Link { handle, header, .. } = link;
+                let ct = table.try_ciphertext(handle, &header).ok_or(Broken)?;
+                let verified = if header.tenant == op.tenant {
+                    entry::verify_mac(&op.tkeys.mac, &header, ct)
+                } else {
+                    // Foreign entry: its owner's derived key decides. A forged
+                    // tenant id routes here and fails closed (the stored tag
+                    // cannot verify under the re-routed key).
+                    let owner = self.keys.tenant_keys(header.tenant);
+                    entry::verify_mac(&owner.mac, &header, ct)
+                };
+                if !verified {
+                    return Err(Broken);
+                }
+                if header.tenant == op.tenant && header.key_len as usize == key.len() {
+                    self.stats.key_decryptions += 1;
+                    if entry::key_matches(&op.tkeys.enc, &header, ct, key, &mut self.scratch.key) {
+                        return Ok(Some((link, ct)));
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// [`Access::search`], with a search that comes back without an entry
+    /// settled on the spot: the set's verdict first (`pending`, if it is
+    /// still owed), then the search's own, then — for a clean miss — the
+    /// side array's agreement that the key is absent. A found entry leaves
+    /// `pending` for the caller to settle beside opening or sealing it.
+    fn locate<'t>(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &'t TableCtx,
+        bucket: usize,
+        hint_byte: u8,
+        key: &[u8],
+        pending: Option<PendingSet>,
+    ) -> Result<Option<(Link, &'t [u8])>> {
+        let outcome = self.search(op, table, bucket, hint_byte, key);
+        if let Ok(Some(found)) = outcome {
+            return Ok(Some(found));
+        }
+        if let Some(pending) = pending {
+            self.finish_verify(table, pending)?;
+        }
+        if outcome.is_err() {
+            return Err(Error::IntegrityViolation { bucket });
+        }
+        self.verify_absence_consistency(table, bucket)?;
+        Ok(None)
+    }
+
+    /// Looks `key` up in `table` under `op`'s namespace, fully verifying
+    /// integrity. Returns the plaintext value and its (authenticated)
+    /// expiry deadline, or `None` for a clean miss — including the lazy-
+    /// expiry case, where an entry past its deadline is hidden without
+    /// mutation (safe against frozen snapshot tables; the sweep removes it).
+    pub(super) fn get_in(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &TableCtx,
+        key: &[u8],
+    ) -> Result<Option<(Vec<u8>, u64)>> {
+        let bucket = self.bucket_of(table, key);
+        self.hint_access(table, bucket);
+        let pending = self.begin_verify(table, table.sets.set_of(bucket))?;
+        self.get_in_bucket(op, table, bucket, key, Some(pending))
+    }
+
+    /// Lookup within `bucket`, whose set is either already verified
+    /// (`pending` is `None` — the batched path, after the set's first key)
+    /// or gathered by [`Access::begin_verify`] and still to be settled. A
+    /// hit settles it in the pass that opens the entry: the set's CMAC, the
+    /// entry's CMAC and the keystream are three chains on one AES unit, so
+    /// they cost what the longest does. Anything else settles it alone.
+    /// Either way the set's verdict is reported before any other.
+    pub(super) fn get_in_bucket(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &TableCtx,
+        bucket: usize,
+        key: &[u8],
+        pending: Option<PendingSet>,
+    ) -> Result<Option<(Vec<u8>, u64)>> {
+        let hint = self.keys.hint_byte(key);
+        let Some((found, ct)) = self.locate(op, table, bucket, hint, key, pending)? else {
+            return Ok(None);
+        };
+        let beside = beside_entry(&self.keys, table, &pending, &self.scratch.set)?;
+        // Fused verify+decrypt under the tenant's derived keys. The plaintext
+        // is staged in the enclave-resident scratch buffer and only released
+        // after the set hash, the tag and the side-array liveness check have
+        // all passed.
+        let mut plain = std::mem::take(&mut self.scratch.entry);
+        let opened = entry::open_entry_beside(
+            beside,
+            &op.tkeys.enc,
+            &op.tkeys.mac,
+            &found.header,
+            ct,
+            &mut plain,
+        );
+        let wipe = |mut plain: Vec<u8>, scratch: &mut Scratch| {
+            plain.iter_mut().for_each(|b| *b = 0);
+            plain.clear();
+            scratch.entry = plain;
+        };
+        match (opened, pending) {
+            (Opened::Verified, _) => {}
+            (Opened::BesideMismatch, Some(pending)) => {
+                self.scratch.entry = plain;
+                return Err(set_violation(table, pending.set));
+            }
+            (Opened::BesideMismatch | Opened::TagMismatch, _) => {
+                self.scratch.entry = plain;
+                return Err(Error::IntegrityViolation { bucket });
+            }
+        }
+        if let Err(e) = self.verify_side_mac_read(table, bucket, &found) {
+            wipe(plain, &mut self.scratch);
+            return Err(e);
+        }
+        // Lazy expiry: the fused open just authenticated the header,
+        // `expires_at` included, so the deadline can be honoured. The value
+        // is wiped and the entry reads as a miss; physical removal is the
+        // sweep's job (this path must not mutate — it also serves frozen
+        // snapshot tables).
+        if found.header.expired_at(op.now) {
+            wipe(plain, &mut self.scratch);
+            count_expired_lazy(op, &mut self.stats);
+            return Ok(None);
+        }
+        let value = plain.split_off(found.header.key_len as usize);
+        self.scratch.entry = plain;
+        Ok(Some((value, found.header.expires_at)))
+    }
+
+    /// Inserts or updates `key` in `table`. Returns `true` for an insert.
+    pub(super) fn set_in(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &mut TableCtx,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<bool> {
+        let bucket = self.bucket_of(table, key);
+        let set = table.sets.set_of(bucket);
+        self.hint_access(table, bucket);
+        let pending = self.begin_verify(table, set)?;
+        let inserted = self.set_in_bucket(op, table, bucket, key, value, Some(pending))?;
+        self.update_set_hash(table, set)?;
+        Ok(inserted)
+    }
+
+    /// Insert/update within `bucket`, *without* re-storing the set hash.
+    /// The bucket's set is either already verified (`pending` is `None` —
+    /// the batched path, after the set's first item) or gathered by
+    /// [`Access::begin_verify`] and settled here: beside the sealing of the
+    /// new version on an update, alone otherwise, and always before any
+    /// other verdict and any mutation. The caller must call
+    /// [`Access::update_set_hash`] after the last write to the set — per-op
+    /// wrappers do so per call, the batched path once per touched set per
+    /// batch.
+    ///
+    /// An update is sealed into the enclave scratch and copied out only once
+    /// every check has passed, so a refused write leaves untrusted memory as
+    /// it was.
+    ///
+    /// Quota enforcement happens here, after the integrity checks and
+    /// before any mutation: an insert charges `(entry bytes, 1 key)`, an
+    /// update charges only byte *growth* (shrink refunds immediately), and
+    /// a rejection leaves both table and accounting untouched.
+    pub(super) fn set_in_bucket(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &mut TableCtx,
+        bucket: usize,
+        key: &[u8],
+        value: &[u8],
+        pending: Option<PendingSet>,
+    ) -> Result<bool> {
+        let hint = self.keys.hint_byte(key);
+        let new_len = entry::HEADER_LEN + key.len() + value.len();
+
+        let found = self.locate(op, table, bucket, hint, key, pending)?.map(|(found, _)| found);
+        let Some(found) = found else {
+            if let Some(st) = op.state {
+                if !st.usage.try_charge(&st.quota, new_len as u64, 1) {
+                    return Err(quota_reject(op, &mut self.stats));
+                }
+            }
+            // Insert at the chain head with a fresh random IV/counter.
+            let iv = table.heap.enclave().read_rand_block();
+            let fresh = table.heap.alloc(new_len);
+            let buf = &mut self.scratch.entry;
+            buf.clear();
+            buf.resize(new_len, 0);
+            let mac = entry::encode_into(
+                buf,
+                table.heads[bucket],
+                hint,
+                op.tenant,
+                op.expires_at,
+                &iv,
+                key,
+                value,
+                &op.tkeys.enc,
+                &op.tkeys.mac,
+            );
+            table.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
+            table.heads[bucket] = fresh;
+            if self.cfg.mac_bucket {
+                let mut head = table.mac_heads[bucket];
+                mac_bucket::insert_front(&mut table.heap, &mut head, &mac, self.cfg.mac_cap);
+                table.mac_heads[bucket] = head;
+            }
+            table.count += 1;
+            self.stats.inserts += 1;
+            return Ok(true);
+        };
+
+        // Update: bump the combined IV/counter for the re-encryption. The
+        // search only matches same-tenant entries, so the bumped counter
+        // stays within one derived keystream. (Should the entry turn out to
+        // be a stale replay, whose IV+1 is an already-spent counter, the
+        // side-array check below refuses it and what was sealed never leaves
+        // the scratch.)
+        let mut iv = found.header.iv;
+        shield_crypto::ctr::increment_be(&mut iv);
+        let beside = beside_entry(&self.keys, table, &pending, &self.scratch.set)?;
+        let sealed = &mut self.scratch.entry;
+        sealed.clear();
+        sealed.resize(new_len, 0);
+        let (mac, set_ok) = entry::encode_into_beside(
+            beside,
+            sealed,
+            found.header.next,
+            hint,
+            op.tenant,
+            op.expires_at,
+            &iv,
+            key,
+            value,
+            &op.tkeys.enc,
+            &op.tkeys.mac,
+        );
+        if let (false, Some(pending)) = (set_ok, pending) {
+            return Err(set_violation(table, pending.set));
+        }
+        self.verify_side_mac_write(table, bucket, &found)?;
+        let old_len = found.header.entry_len();
+        if let Some(st) = op.state {
+            if new_len > old_len {
+                if !st.usage.try_charge_bytes(&st.quota, (new_len - old_len) as u64) {
+                    return Err(quota_reject(op, &mut self.stats));
+                }
+            } else {
+                st.usage.discharge((old_len - new_len) as u64, 0);
+            }
+        }
+        let sealed = &self.scratch.entry;
+        if UntrustedHeap::fits_in_class(old_len, new_len) {
+            table.heap.bytes_mut(found.handle, new_len).copy_from_slice(sealed);
+            self.stats.inplace_updates += 1;
+        } else {
+            let fresh = table.heap.alloc(new_len);
+            table.heap.bytes_mut(fresh, new_len).copy_from_slice(sealed);
+            // Relink in place of the old entry.
+            if found.prev == NULL_HANDLE {
+                table.heads[bucket] = fresh;
+            } else {
+                table.heap.write_u64_at(found.prev, entry::OFF_NEXT, fresh);
+            }
+            table.heap.free(found.handle, old_len);
+            self.stats.realloc_updates += 1;
+        }
+        if self.cfg.mac_bucket {
+            mac_bucket::set_at(&mut table.heap, table.mac_heads[bucket], found.pos, &mac);
+        }
+        Ok(false)
+    }
+
+    /// Removes `key` from `table` within `op`'s namespace. Returns `true`
+    /// if a physical removal happened.
+    ///
+    /// With `reap_expired = false` (normal deletes), an entry past its
+    /// deadline answers "not present" *without* being removed: the caller's
+    /// delete is not WAL-logged as having removed anything, so physical
+    /// removal must wait for the sweep (which is logged) — otherwise
+    /// recovery replay and the live table would diverge. Honouring the
+    /// deadline requires authenticating it first: the hint-guided search
+    /// does not verify MACs, and the set hash covers only the stored tag
+    /// bytes, so a flipped `expires_at` would otherwise let tampering
+    /// masquerade as a clean miss.
+    ///
+    /// With `reap_expired = true` (the sweep, snapshot tombstone replay),
+    /// expired entries are removed like any other.
+    pub(super) fn delete_in(
+        &mut self,
+        op: &OpCtx<'_>,
+        table: &mut TableCtx,
+        key: &[u8],
+        reap_expired: bool,
+    ) -> Result<bool> {
+        let bucket = self.bucket_of(table, key);
+        let set = table.sets.set_of(bucket);
+        self.hint_access(table, bucket);
+        self.verify_set(table, set)?;
+        let hint = self.keys.hint_byte(key);
+        let Some((found, ct)) = self.locate(op, table, bucket, hint, key, None)? else {
+            return Ok(false);
+        };
+        self.verify_side_mac_write(table, bucket, &found)?;
+
+        if !reap_expired && found.header.expired_at(op.now) {
+            // Fail-closed deadline trust: verify the entry MAC before
+            // honouring the plaintext expiry field.
+            if !entry::verify_mac(&op.tkeys.mac, &found.header, ct) {
+                return Err(Error::IntegrityViolation { bucket });
+            }
+            count_expired_lazy(op, &mut self.stats);
+            return Ok(false);
+        }
+
+        if found.prev == NULL_HANDLE {
+            table.heads[bucket] = found.header.next;
+        } else {
+            table.heap.write_u64_at(found.prev, entry::OFF_NEXT, found.header.next);
+        }
+        table.heap.free(found.handle, found.header.entry_len());
+        if self.cfg.mac_bucket {
+            let mut head = table.mac_heads[bucket];
+            mac_bucket::remove_at(&mut table.heap, &mut head, found.pos, self.cfg.mac_cap);
+            table.mac_heads[bucket] = head;
+        }
+        table.count -= 1;
+        if let Some(st) = op.state {
+            st.usage.discharge(found.header.entry_len() as u64, 1);
+        }
+        self.update_set_hash(table, set)?;
+        Ok(true)
+    }
+}

@@ -30,6 +30,65 @@ pub struct TableCtx {
     pub count: usize,
 }
 
+/// One entry met on a chain walk.
+#[derive(Debug, Clone, Copy)]
+pub struct Link {
+    /// Position in the chain, 0 at the head: also the slot of the entry's
+    /// MAC in the bucket's side array.
+    pub pos: usize,
+    /// The entry before this one, `NULL_HANDLE` at the head — what a
+    /// relink or unlink rewrites.
+    pub prev: Handle,
+    /// The entry itself.
+    pub handle: Handle,
+    /// Its header as read — unauthenticated until the caller verifies it.
+    pub header: EntryHeader,
+}
+
+/// The last item of a walk over a chain no honest table holds: a pointer
+/// that does not address a readable header, or more entries in one bucket
+/// than the whole table counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Broken;
+
+/// The one way an entry's `next` is followed. Chains live in untrusted
+/// memory, so a `next` may point anywhere or back into the chain: the walk
+/// reads each header through the checked accessor and yields at most
+/// `count + 1` entries — no honest chain is longer than the table — then
+/// one [`Broken`], then nothing. It allocates nothing and hints nothing;
+/// a caller that wants the next header in flight hints
+/// `link.header.next` itself.
+#[derive(Debug, Clone)]
+pub struct Chain<'a> {
+    table: &'a TableCtx,
+    at: Handle,
+    prev: Handle,
+    pos: usize,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = Result<Link, Broken>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.at == NULL_HANDLE {
+            return None;
+        }
+        let header = match self.table.try_header(self.at) {
+            Some(header) if self.pos <= self.table.count => header,
+            _ => {
+                self.at = NULL_HANDLE;
+                return Some(Err(Broken));
+            }
+        };
+        let link = Link { pos: self.pos, prev: self.prev, handle: self.at, header };
+        self.prev = self.at;
+        self.pos += 1;
+        self.at = header.next;
+        Some(Ok(link))
+    }
+}
+
 impl std::fmt::Debug for TableCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableCtx")
@@ -58,28 +117,12 @@ impl TableCtx {
         self.heads.len()
     }
 
-    /// Reads the header of the entry at `handle`.
-    pub fn header(&self, handle: Handle) -> EntryHeader {
-        entry::read_header(&self.heap, handle)
-    }
-
     /// Checked header read: `None` when `handle` — an untrusted chain
     /// pointer an attacker may have overwritten — does not address
     /// `HEADER_LEN` readable bytes. Operation code treats that as an
     /// integrity violation rather than a panic.
     pub fn try_header(&self, handle: Handle) -> Option<EntryHeader> {
         self.heap.try_bytes_at(handle, 0, entry::HEADER_LEN).map(entry::parse_header)
-    }
-
-    /// Returns the full bytes of the entry at `handle`.
-    pub fn entry_bytes(&self, handle: Handle) -> &[u8] {
-        let header = self.header(handle);
-        self.heap.bytes(handle, header.entry_len())
-    }
-
-    /// Returns the ciphertext slice of the entry at `handle`.
-    pub fn ciphertext(&self, handle: Handle, header: &EntryHeader) -> &[u8] {
-        self.heap.bytes_at(handle, entry::HEADER_LEN, header.ct_len())
     }
 
     /// Checked ciphertext access: `None` when the header's (untrusted,
@@ -103,24 +146,18 @@ impl TableCtx {
         self.heap.prefetch(handle, LINE, entry_len.div_ceil(LINE).saturating_sub(1));
     }
 
-    /// Visits every `(bucket, handle)` pair in the table.
-    pub fn for_each_entry(&self, mut f: impl FnMut(usize, Handle)) {
-        for (bucket, &head) in self.heads.iter().enumerate() {
-            let mut h = head;
-            while h != NULL_HANDLE {
-                let next = self.heap.read_u64_at(h, entry::OFF_NEXT);
-                f(bucket, h);
-                h = next;
-            }
-        }
+    /// Walks `bucket`'s chain from its head. See [`Chain`].
+    #[inline]
+    pub fn chain(&self, bucket: usize) -> Chain<'_> {
+        Chain { table: self, at: self.heads[bucket], prev: NULL_HANDLE, pos: 0 }
     }
 
-    /// Average chain length over non-empty buckets (diagnostics).
-    pub fn average_chain_length(&self) -> f64 {
-        if self.heads.is_empty() {
-            return 0.0;
-        }
-        self.count as f64 / self.heads.len() as f64
+    /// Walks every bucket's chain in turn, each item tagged with its
+    /// bucket. A bucket whose chain is [`Broken`] ends with that item and
+    /// the walk moves on to the next bucket.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, Result<Link, Broken>)> + '_ {
+        (0..self.buckets())
+            .flat_map(move |bucket| self.chain(bucket).map(move |link| (bucket, link)))
     }
 }
 
@@ -142,35 +179,94 @@ mod tests {
         assert_eq!(t.buckets(), 8);
         assert_eq!(t.count, 0);
         assert!(t.heads.iter().all(|&h| h == NULL_HANDLE));
-        let mut visited = 0;
-        t.for_each_entry(|_, _| visited += 1);
-        assert_eq!(visited, 0);
+        assert_eq!(t.entries().count(), 0);
+    }
+
+    /// Links `n` raw entries into `bucket`, head last; returns them head first.
+    fn build_chain(t: &mut TableCtx, bucket: usize, n: u8) -> Vec<Handle> {
+        let enc = shield_crypto::ctr::AesCtr::new(&[0u8; 16]);
+        let cmac = shield_crypto::cmac::Cmac::new(&[0u8; 16]);
+        let len = entry::HEADER_LEN + 1 + 1;
+        let mut handles = Vec::new();
+        for i in 0..n {
+            let h = t.heap.alloc(len);
+            let mut buf = vec![0u8; len];
+            entry::encode_into(
+                &mut buf,
+                t.heads[bucket],
+                0,
+                0,
+                0,
+                &[i; 16],
+                &[i],
+                &[i],
+                &enc,
+                &cmac,
+            );
+            t.heap.bytes_mut(h, len).copy_from_slice(&buf);
+            t.heads[bucket] = h;
+            t.count += 1;
+            handles.insert(0, h);
+        }
+        handles
     }
 
     #[test]
-    fn for_each_walks_chains() {
+    fn walk_yields_every_entry_once_with_position_and_predecessor() {
         let mut t = ctx(2);
-        // Hand-build a chain of three raw entries in bucket 1.
-        let enc = shield_crypto::ctr::AesCtr::new(&[0u8; 16]);
-        let cmac = shield_crypto::cmac::Cmac::new(&[0u8; 16]);
-        let mut prev = NULL_HANDLE;
-        for i in 0..3u8 {
-            let len = entry::HEADER_LEN + 1 + 1;
-            let h = t.heap.alloc(len);
-            let mut buf = vec![0u8; len];
-            entry::encode_into(&mut buf, prev, 0, 0, 0, &[i; 16], &[i], &[i], &enc, &cmac);
-            t.heap.bytes_mut(h, len).copy_from_slice(&buf);
-            prev = h;
-        }
-        t.heads[1] = prev;
-        t.count = 3;
+        let handles = build_chain(&mut t, 1, 3);
+        let links: Vec<Link> = t.chain(1).map(|link| link.unwrap()).collect();
+        assert_eq!(links.iter().map(|l| l.handle).collect::<Vec<_>>(), handles);
+        assert_eq!(links.iter().map(|l| l.pos).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(
+            links.iter().map(|l| l.prev).collect::<Vec<_>>(),
+            [NULL_HANDLE, handles[0], handles[1]]
+        );
+        assert_eq!(t.chain(0).count(), 0);
+        assert!(t.entries().all(|(bucket, link)| bucket == 1 && link.is_ok()));
+        assert_eq!(t.entries().count(), 3);
+        // An inflated count only raises the bound.
+        t.count = 1000;
+        assert_eq!(t.chain(1).filter(|link| link.is_ok()).count(), 3);
+    }
 
-        let mut seen = Vec::new();
-        t.for_each_entry(|bucket, h| {
-            assert_eq!(bucket, 1);
-            seen.push(h);
-        });
-        assert_eq!(seen.len(), 3);
-        assert!((t.average_chain_length() - 1.5).abs() < 1e-12);
+    #[test]
+    fn forged_chains_end_in_one_broken_item_within_the_bound() {
+        // A wild pointer, at the head and mid-chain.
+        for at in 0..3 {
+            let mut t = ctx(1);
+            let handles = build_chain(&mut t, 0, 3);
+            for wild in t.heap.wild_handles() {
+                t.heap.write_u64_at(handles[at], entry::OFF_NEXT, wild);
+                let walk: Vec<_> = t.chain(0).collect();
+                assert_eq!(walk.len(), at + 2, "entries up to the forged one, then Broken");
+                assert!(walk[..=at].iter().all(|link| link.is_ok()));
+                assert_eq!(walk[at + 1].map(|l| l.handle), Err(Broken));
+            }
+        }
+        // A cycle: the tail points back at itself or any earlier entry.
+        for target in 0..3 {
+            let mut t = ctx(1);
+            let handles = build_chain(&mut t, 0, 3);
+            t.heap.write_u64_at(handles[2], entry::OFF_NEXT, handles[target]);
+            let walk: Vec<_> = t.chain(0).collect();
+            assert_eq!(walk.len(), t.count + 2, "count + 1 entries, then Broken, then nothing");
+            assert!(walk[..=t.count].iter().all(|link| link.is_ok()));
+            assert!(walk[t.count + 1].is_err());
+        }
+        // A count deflated below the chain's length.
+        let mut t = ctx(1);
+        build_chain(&mut t, 0, 3);
+        t.count = 1;
+        let walk: Vec<_> = t.chain(0).collect();
+        assert_eq!(walk.len(), 3);
+        assert!(walk[2].is_err());
+        // A forged head breaks its own bucket only.
+        let mut t = ctx(2);
+        build_chain(&mut t, 0, 2);
+        build_chain(&mut t, 1, 2);
+        t.heads[0] = u64::MAX;
+        let walk: Vec<_> = t.entries().map(|(bucket, link)| (bucket, link.is_ok())).collect();
+        assert_eq!(walk, [(0, false), (1, true), (1, true)]);
     }
 }

@@ -17,7 +17,7 @@ use crate::entry;
 use crate::mac_bucket;
 use crate::shard::Shard;
 use crate::store::ShieldStore;
-use crate::table::TableCtx;
+use crate::table::{Link, TableCtx};
 use crate::tenant::{TenantId, TenantKeys};
 
 /// One field of the Fig. 5 entry layout to corrupt.
@@ -87,25 +87,11 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Bounded, panic-free enumeration of `(bucket, handle)` pairs. Unlike
-/// `TableCtx::for_each_entry`, this tolerates chains already corrupted by
-/// earlier attack steps (it stops at unreadable pointers and cycles).
-fn checked_entries(ctx: &TableCtx) -> Vec<(usize, Handle)> {
-    let max = ctx.count.saturating_add(1);
-    let mut out = Vec::with_capacity(ctx.count);
-    for (bucket, &head) in ctx.heads.iter().enumerate() {
-        let mut h = head;
-        let mut steps = 0usize;
-        while h != 0 && steps < max {
-            out.push((bucket, h));
-            steps += 1;
-            match ctx.heap.try_read_u64_at(h, entry::OFF_NEXT) {
-                Some(next) => h = next,
-                None => break,
-            }
-        }
-    }
-    out
+/// The entries a chain walk reaches, each with its bucket: chains already
+/// corrupted by earlier attack steps contribute what comes before the
+/// break.
+fn reachable_entries(ctx: &TableCtx) -> Vec<(usize, Link)> {
+    ctx.entries().filter_map(|(bucket, link)| Some((bucket, link.ok()?))).collect()
 }
 
 /// Bounded enumeration of MAC side-array node handles.
@@ -166,15 +152,13 @@ impl Shard {
         let Some(main) = self.main_table() else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for (_, h) in checked_entries(main) {
-            let Some(header) = main.try_header(h) else { continue };
-            let len = header.entry_len();
-            if let Some(bytes) = main.heap.try_bytes_at(h, 0, len) {
-                out.push(StaleEntry { handle: h, bytes: bytes.to_vec() });
-            }
-        }
-        out
+        main.entries()
+            .filter_map(|(_, link)| {
+                let Link { handle, header, .. } = link.ok()?;
+                let bytes = main.heap.try_bytes_at(handle, 0, header.entry_len())?.to_vec();
+                Some(StaleEntry { handle, bytes })
+            })
+            .collect()
     }
 
     /// Replays a stale entry copy over its original allocation — the
@@ -201,14 +185,11 @@ impl Shard {
 }
 
 fn tamper_field(ctx: &mut TableCtx, field: EntryField, seed: u64) -> bool {
-    let entries = checked_entries(ctx);
+    let entries = reachable_entries(ctx);
     if entries.is_empty() {
         return false;
     }
-    let (_, h) = entries[(mix(seed) as usize) % entries.len()];
-    let Some(header) = ctx.try_header(h) else {
-        return false;
-    };
+    let (_, Link { handle: h, header, .. }) = entries[(mix(seed) as usize) % entries.len()];
     let (start, len) = match field {
         EntryField::Hint => (entry::OFF_HINT, 1),
         EntryField::KeySize => (entry::OFF_KEY_LEN, 4),
@@ -241,40 +222,19 @@ fn tamper_field(ctx: &mut TableCtx, field: EntryField, seed: u64) -> bool {
     true
 }
 
-/// Finds the in-chain predecessor of `target` in `bucket`, bounded.
-/// Returns `None` when `target` is not reachable; `Some(0)` means it is
-/// the chain head.
-fn find_prev(ctx: &TableCtx, bucket: usize, target: Handle) -> Option<Handle> {
-    let max = ctx.count.saturating_add(1);
-    let mut prev = 0u64;
-    let mut h = ctx.heads[bucket];
-    let mut steps = 0usize;
-    while h != 0 && steps < max {
-        if h == target {
-            return Some(prev);
-        }
-        prev = h;
-        steps += 1;
-        h = ctx.heap.try_read_u64_at(h, entry::OFF_NEXT)?;
-    }
-    None
-}
-
 /// Detaches a seed-chosen entry from its chain; returns `(bucket, handle)`.
 fn detach_entry(ctx: &mut TableCtx, seed: u64) -> Option<(usize, Handle)> {
-    let entries = checked_entries(ctx);
+    let entries = reachable_entries(ctx);
     if entries.is_empty() {
         return None;
     }
-    let (bucket, h) = entries[(mix(seed) as usize) % entries.len()];
-    let prev = find_prev(ctx, bucket, h)?;
-    let next = ctx.heap.try_read_u64_at(h, entry::OFF_NEXT)?;
-    if prev == 0 {
-        ctx.heads[bucket] = next;
+    let (bucket, link) = entries[(mix(seed) as usize) % entries.len()];
+    if link.prev == 0 {
+        ctx.heads[bucket] = link.header.next;
     } else {
-        ctx.heap.write_u64_at(prev, entry::OFF_NEXT, next);
+        ctx.heap.write_u64_at(link.prev, entry::OFF_NEXT, link.header.next);
     }
-    Some((bucket, h))
+    Some((bucket, link.handle))
 }
 
 fn unlink_entry(ctx: &mut TableCtx, seed: u64) -> bool {
@@ -326,12 +286,9 @@ fn plant_wild_pointer(ctx: &mut TableCtx, seed: u64) -> bool {
     let pick = mix(seed) as usize;
     match mix(seed ^ 0x9e1) % 3 {
         0 => {
-            let entries = checked_entries(ctx);
-            let Some(&(_, h)) = entries.get(pick % entries.len().max(1)) else { return false };
-            if ctx.heap.try_bytes_at(h, entry::OFF_NEXT, 8).is_none() {
-                return false;
-            }
-            ctx.heap.write_u64_at(h, entry::OFF_NEXT, wild);
+            let entries = reachable_entries(ctx);
+            let Some((_, link)) = entries.get(pick % entries.len().max(1)) else { return false };
+            ctx.heap.write_u64_at(link.handle, entry::OFF_NEXT, wild);
         }
         1 => {
             let occupied: Vec<usize> =

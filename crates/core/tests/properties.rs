@@ -9,8 +9,9 @@ use shield_crypto::ctr::AesCtr;
 use shieldstore::alloc::{UntrustedHeap, NULL_HANDLE};
 use shieldstore::config::AllocMode;
 use shieldstore::entry;
-use shieldstore::integrity::BucketSets;
+use shieldstore::integrity::{BucketSets, MacStore};
 use shieldstore::mac_bucket;
+use shieldstore::table::{Link, TableCtx};
 
 fn heap() -> UntrustedHeap {
     UntrustedHeap::new(
@@ -94,14 +95,83 @@ proptest! {
                 _ => continue,
             }
             let mut out = Vec::new();
-            mac_bucket::gather(&h, head, &mut out);
+            let max_macs = reference.len();
+            prop_assert_eq!(mac_bucket::try_gather(&h, head, &mut out, max_macs), Some(max_macs));
             let got: Vec<[u8; 16]> = out.chunks(16).map(|c| c.try_into().unwrap()).collect();
             prop_assert_eq!(&got, &reference);
-            prop_assert_eq!(mac_bucket::len(&h, head), reference.len());
             for (i, want) in reference.iter().enumerate() {
-                prop_assert_eq!(&mac_bucket::get_at(&h, head, i), want);
+                prop_assert_eq!(mac_bucket::try_get_at(&h, head, i, max_macs), Some(*want));
             }
+            prop_assert_eq!(mac_bucket::try_get_at(&h, head, max_macs, max_macs), None);
         }
+    }
+
+    /// The chain walker on random chains. Honest — an inflated `count`
+    /// included, it only raises the bound — it yields every entry once
+    /// with its position and predecessor. With a wild pointer at any
+    /// position, a cycle of any length back to any earlier entry, or a
+    /// `count` deflated below what the chain holds, it ends in exactly one
+    /// `Broken`, after at most `count + 1` entries.
+    #[test]
+    fn chain_walk_is_bounded_and_checked(
+        n in 1usize..12,
+        forge in 0u8..4,
+        at in any::<prop::sample::Index>(),
+        to in any::<prop::sample::Index>(),
+        wild in 0usize..4,
+        slack in 0usize..5,
+    ) {
+        let mut t = TableCtx::new(heap(), 1, MacStore::plain(1));
+        let (enc, cmac) = (AesCtr::new(&[1u8; 16]), Cmac::new(&[2u8; 16]));
+        let len = entry::HEADER_LEN + 2;
+        let mut chain = Vec::new();
+        for i in 0..n as u8 {
+            let h = t.heap.alloc(len);
+            let mut buf = vec![0u8; len];
+            entry::encode_into(&mut buf, t.heads[0], 0, 0, 0, &[i; 16], &[i], &[i], &enc, &cmac);
+            t.heap.bytes_mut(h, len).copy_from_slice(&buf);
+            t.heads[0] = h;
+            chain.insert(0, h);
+        }
+        t.count = n;
+        // How many entries an unbounded honest reader would get through
+        // before the forged pointer, if there is one.
+        let readable = match forge {
+            0 => {
+                t.count = n + slack;
+                n
+            }
+            1 => {
+                let at = at.index(n);
+                t.heap.write_u64_at(chain[at], entry::OFF_NEXT, t.heap.wild_handles()[wild]);
+                at + 1
+            }
+            2 => {
+                let at = at.index(n);
+                t.heap.write_u64_at(chain[at], entry::OFF_NEXT, chain[to.index(at + 1)]);
+                usize::MAX
+            }
+            _ if n >= 2 => {
+                t.count = at.index(n - 1);
+                n
+            }
+            _ => n,
+        };
+        let walk: Vec<_> = t.chain(0).collect();
+        let entries: Vec<Link> = walk.iter().filter_map(|link| link.ok()).collect();
+        let broken = walk.len() - entries.len();
+        prop_assert_eq!(entries.len(), readable.min(t.count + 1));
+        prop_assert_eq!(broken, (forge == 1 || readable > t.count + 1) as usize);
+        prop_assert!(walk[..entries.len()].iter().all(|link| link.is_ok()), "Broken comes last");
+        for (pos, link) in entries.iter().enumerate() {
+            prop_assert_eq!(link.pos, pos);
+            prop_assert_eq!(link.prev, entries.get(pos.wrapping_sub(1)).map_or(NULL_HANDLE, |p| p.handle));
+        }
+        if forge != 2 {
+            let handles: Vec<_> = entries.iter().map(|link| link.handle).collect();
+            prop_assert_eq!(&handles[..], &chain[..entries.len()]);
+        }
+        prop_assert_eq!(t.entries().count(), walk.len());
     }
 
     /// Entry encode/parse/decrypt/verify roundtrips for arbitrary keys,

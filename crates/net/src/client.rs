@@ -161,24 +161,29 @@ impl KvClient {
         requests.iter().map(|_| self.recv()).collect()
     }
 
+    /// Sends one request and returns its reply — the one place a reply's
+    /// status is judged. `Ok` passes, `NotFound` passes for the two ops
+    /// that can answer it (a read and a delete of an absent key), and
+    /// every other status becomes its [`status_err`]; `what` names the op
+    /// in that error.
+    fn ask(&mut self, op: OpCode, key: &[u8], value: Vec<u8>, what: &str) -> Result<Response> {
+        let r = self.call(&Request { op, key: key.to_vec(), value })?;
+        match r.status {
+            Status::Ok => Ok(r),
+            Status::NotFound if matches!(op, OpCode::Get | OpCode::Delete) => Ok(r),
+            s => Err(status_err(s, what)),
+        }
+    }
+
     /// Reads a key; `Ok(None)` when absent.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let r = self.call(&Request { op: OpCode::Get, key: key.to_vec(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok => Ok(Some(r.value)),
-            Status::NotFound => Ok(None),
-            s => Err(status_err(s, "get")),
-        }
+        let r = self.ask(OpCode::Get, key, Vec::new(), "get")?;
+        Ok((r.status == Status::Ok).then_some(r.value))
     }
 
     /// Writes a key.
     pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        let r =
-            self.call(&Request { op: OpCode::Set, key: key.to_vec(), value: value.to_vec() })?;
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_err(s, "set")),
-        }
+        self.ask(OpCode::Set, key, value.to_vec(), "set").map(drop)
     }
 
     /// Writes a key with a time-to-live: the entry expires `ttl_ns`
@@ -186,110 +191,58 @@ impl KvClient {
     /// background sweeper reclaims it). `ttl_ns` must be non-zero; use
     /// [`set`](Self::set) for non-expiring writes.
     pub fn set_ttl(&mut self, key: &[u8], value: &[u8], ttl_ns: u64) -> Result<()> {
-        let r = self.call(&Request {
-            op: OpCode::SetTtl,
-            key: key.to_vec(),
-            value: protocol::encode_set_ttl(ttl_ns, value),
-        })?;
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_err(s, "set-ttl")),
-        }
+        self.ask(OpCode::SetTtl, key, protocol::encode_set_ttl(ttl_ns, value), "set-ttl").map(drop)
     }
 
     /// Deletes a key; `Ok(false)` when it did not exist.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        let r = self.call(&Request { op: OpCode::Delete, key: key.to_vec(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok => Ok(true),
-            Status::NotFound => Ok(false),
-            s => Err(status_err(s, "delete")),
-        }
+        Ok(self.ask(OpCode::Delete, key, Vec::new(), "delete")?.status == Status::Ok)
     }
 
     /// Appends to a key's value.
     pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<()> {
-        let r =
-            self.call(&Request { op: OpCode::Append, key: key.to_vec(), value: suffix.to_vec() })?;
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_err(s, "append")),
-        }
+        self.ask(OpCode::Append, key, suffix.to_vec(), "append").map(drop)
     }
 
     /// Adds `delta` to a decimal value, returning the new value.
     pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
-        let r = self.call(&Request {
-            op: OpCode::Increment,
-            key: key.to_vec(),
-            value: delta.to_le_bytes().to_vec(),
-        })?;
-        match r.status {
-            Status::Ok if r.value.len() == 8 => {
-                Ok(i64::from_le_bytes(r.value[..].try_into().expect("8 bytes")))
-            }
-            s => Err(status_err(s, "increment")),
-        }
+        let r = self.ask(OpCode::Increment, key, delta.to_le_bytes().to_vec(), "increment")?;
+        let counter = r.value[..].try_into().map_err(|_| status_err(r.status, "increment"))?;
+        Ok(i64::from_le_bytes(counter))
     }
 
     /// Ordered prefix scan (requires a server store with the ordered
     /// index enabled): up to `limit` key-value pairs in key order.
     pub fn scan_prefix(&mut self, prefix: &[u8], limit: u32) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let r = self.call(&Request {
-            op: OpCode::ScanPrefix,
-            key: prefix.to_vec(),
-            value: protocol::encode_scan_limit(limit),
-        })?;
-        match r.status {
-            Status::Ok => protocol::decode_scan(&r.value),
-            s => Err(status_err(s, "scan (index enabled?)")),
-        }
+        let limit = protocol::encode_scan_limit(limit);
+        let r = self.ask(OpCode::ScanPrefix, prefix, limit, "scan (index enabled?)")?;
+        protocol::decode_scan(&r.value)
     }
 
     /// Batched read: one wire round-trip (and one enclave dispatch) for
     /// the whole batch. Returns one entry per key in input order,
     /// `None` for misses.
     pub fn multi_get(&mut self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        let r = self.call(&Request {
-            op: OpCode::MultiGet,
-            key: Vec::new(),
-            value: protocol::encode_multi_get(keys),
-        })?;
-        match r.status {
-            Status::Ok => {
-                let results = protocol::decode_multi_get_response(&r.value)?;
-                if results.len() != keys.len() {
-                    return Err(NetError::Protocol("multi-get result count mismatch".into()));
-                }
-                Ok(results)
-            }
-            s => Err(status_err(s, "multi-get")),
+        let r = self.ask(OpCode::MultiGet, &[], protocol::encode_multi_get(keys), "multi-get")?;
+        let results = protocol::decode_multi_get_response(&r.value)?;
+        if results.len() != keys.len() {
+            return Err(NetError::Protocol("multi-get result count mismatch".into()));
         }
+        Ok(results)
     }
 
     /// Batched write: one wire round-trip for the whole batch. Fails as
     /// a unit if the server rejected any item.
     pub fn multi_set(&mut self, items: &[(Vec<u8>, Vec<u8>)]) -> Result<()> {
-        let r = self.call(&Request {
-            op: OpCode::MultiSet,
-            key: Vec::new(),
-            value: protocol::encode_multi_set(items),
-        })?;
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_err(s, "multi-set")),
-        }
+        self.ask(OpCode::MultiSet, &[], protocol::encode_multi_set(items), "multi-set").map(drop)
     }
 
     /// Fetches the server's observability snapshot: aggregated counters,
     /// per-op latency histograms, occupancy gauges, and SGX transition
     /// counters. Errors when the server's store is not instrumented.
     pub fn stats(&mut self) -> Result<shieldstore::StatsSnapshot> {
-        let r = self.call(&Request { op: OpCode::Stats, key: Vec::new(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok => protocol::decode_stats(&r.value),
-            s => Err(status_err(s, "stats (uninstrumented store?)")),
-        }
+        let r = self.ask(OpCode::Stats, &[], Vec::new(), "stats (uninstrumented store?)")?;
+        protocol::decode_stats(&r.value)
     }
 
     /// Durability barrier: asks the server to commit every operation
@@ -298,25 +251,21 @@ impl KvClient {
     /// survives a crash — or `Ok(None)` on a server without a WAL
     /// (there is nothing to flush).
     pub fn flush(&mut self) -> Result<Option<(u64, u64)>> {
-        let r = self.call(&Request { op: OpCode::Flush, key: Vec::new(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok if r.value.is_empty() => Ok(None),
-            Status::Ok => protocol::decode_watermark(&r.value).map(Some),
-            s => Err(status_err(s, "flush of the write-ahead log")),
+        let r = self.ask(OpCode::Flush, &[], Vec::new(), "flush of the write-ahead log")?;
+        if r.value.is_empty() {
+            return Ok(None);
         }
+        protocol::decode_watermark(&r.value).map(Some)
     }
 
     /// Registers this connection's owner as a replication subscriber on
     /// a primary, returning the decoded hello (log keys + start
     /// position). Secure sessions only — the hello carries key material.
     pub fn repl_subscribe(&mut self) -> Result<shieldstore::ReplHello> {
-        let r =
-            self.call(&Request { op: OpCode::ReplSubscribe, key: Vec::new(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok => shieldstore::ReplHello::decode(&r.value)
-                .ok_or_else(|| NetError::Protocol("malformed replication hello".into())),
-            s => Err(status_err(s, "replication subscribe (no WAL, or truncated log?)")),
-        }
+        let what = "replication subscribe (no WAL, or truncated log?)";
+        let r = self.ask(OpCode::ReplSubscribe, &[], Vec::new(), what)?;
+        shieldstore::ReplHello::decode(&r.value)
+            .ok_or_else(|| NetError::Protocol("malformed replication hello".into()))
     }
 
     /// Polls the primary for the next sealed log batch after
@@ -327,50 +276,30 @@ impl KvClient {
         after_seq: u64,
         max_bytes: u32,
     ) -> Result<shieldstore::ReplBatch> {
-        let r = self.call(&Request {
-            op: OpCode::ReplSegment,
-            key: Vec::new(),
-            value: protocol::encode_repl_poll(generation, after_seq, max_bytes),
-        })?;
-        match r.status {
-            Status::Ok => shieldstore::ReplBatch::decode(&r.value)
-                .ok_or_else(|| NetError::Protocol("malformed replication batch".into())),
-            s => Err(status_err(s, "replication segment poll")),
-        }
+        let poll = protocol::encode_repl_poll(generation, after_seq, max_bytes);
+        let r = self.ask(OpCode::ReplSegment, &[], poll, "replication segment poll")?;
+        shieldstore::ReplBatch::decode(&r.value)
+            .ok_or_else(|| NetError::Protocol("malformed replication batch".into()))
     }
 
     /// Reports `subscriber`'s verified-and-applied watermark to the
     /// primary.
     pub fn repl_ack(&mut self, subscriber: u64, generation: u64, seq: u64) -> Result<()> {
-        let r = self.call(&Request {
-            op: OpCode::ReplAck,
-            key: Vec::new(),
-            value: protocol::encode_repl_ack(subscriber, generation, seq),
-        })?;
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_err(s, "replication ack (ran ahead of durable?)")),
-        }
+        let ack = protocol::encode_repl_ack(subscriber, generation, seq);
+        self.ask(OpCode::ReplAck, &[], ack, "replication ack (ran ahead of durable?)").map(drop)
     }
 
     /// Asks a replica server to promote itself to primary, returning
     /// the promoted `(generation, seq)` watermark. Non-replica servers
     /// answer an error.
     pub fn promote(&mut self) -> Result<(u64, u64)> {
-        let r = self.call(&Request { op: OpCode::Promote, key: Vec::new(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok => protocol::decode_watermark(&r.value),
-            s => Err(status_err(s, "promotion (not a replica, or fenced?)")),
-        }
+        let what = "promotion (not a replica, or fenced?)";
+        protocol::decode_watermark(&self.ask(OpCode::Promote, &[], Vec::new(), what)?.value)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
-        let r = self.call(&Request { op: OpCode::Ping, key: Vec::new(), value: Vec::new() })?;
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_err(s, "ping")),
-        }
+        self.ask(OpCode::Ping, &[], Vec::new(), "ping").map(drop)
     }
 }
 
