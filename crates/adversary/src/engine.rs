@@ -45,10 +45,19 @@ pub enum Attack {
     /// chunk's last byte) in a pointer the lookup hints before it reads:
     /// an entry's `next`, a `mac_heads` slot, a MAC node's `next`.
     WildPointer,
+    /// Overwrite an entry handle a MAC node lists (wild, another entry's,
+    /// the node's own). The list is only ever hinted: the one acceptable
+    /// state is *unchanged*.
+    NodeHandlePlant,
+    /// Overwrite a MAC node's `cap` with one no honest node of its count
+    /// holds (0, below its count, past the largest node, between classes,
+    /// a larger class). The one acceptable state is *fails closed*, for
+    /// every op on the node's bucket set.
+    NodeCapPlant,
 }
 
 /// Every attack the store phase draws from.
-pub const CATALOG: [Attack; 13] = [
+pub const CATALOG: [Attack; 15] = [
     Attack::CiphertextFlip,
     Attack::MacFlip,
     Attack::IvFlip,
@@ -62,6 +71,8 @@ pub const CATALOG: [Attack; 13] = [
     Attack::HeapChunkFlip,
     Attack::StaleReplay,
     Attack::WildPointer,
+    Attack::NodeHandlePlant,
+    Attack::NodeCapPlant,
 ];
 
 impl Attack {
@@ -79,6 +90,8 @@ impl Attack {
             Attack::MacSideArrayFlip => TamperOp::MacSideArray,
             Attack::HeapChunkFlip => TamperOp::HeapChunk,
             Attack::WildPointer => TamperOp::WildPointer,
+            Attack::NodeHandlePlant => TamperOp::NodeHandle,
+            Attack::NodeCapPlant => TamperOp::NodeCap,
             Attack::StaleReplay => return None,
         })
     }
@@ -172,6 +185,67 @@ fn hint_fallback_scenario(seed: u64) -> Result<u64, Violation> {
     }
     check_stats(&store, "hint scenario stats")?;
     Ok(full_scans)
+}
+
+/// A deterministic scenario for the two fields of a MAC node that no MAC
+/// covers and no pointer check reaches, each with exactly one acceptable
+/// state. Listed entry handles are planted first, many of them: every key
+/// must still read back its value and take a write — *unchanged*, not one
+/// detection. Then one node's `cap` is forged: from then on an op either
+/// still answers correctly (another bucket set) or *fails closed*, and at
+/// least one does — never a silent miss or a wrong value.
+fn node_directory_scenario(seed: u64) -> Result<(), Violation> {
+    let violation =
+        |detail: String| Violation { context: "node directory scenario".into(), detail };
+    let store = new_store("adversary-directory", seed);
+    for id in 0..NUM_KEYS {
+        store.set(&key_bytes(id), &value_bytes(id, 0)).expect("clean store set");
+    }
+    let planted = (0..32).filter(|i| store.tamper(TamperOp::NodeHandle, seed ^ (i << 20))).count();
+    if planted == 0 {
+        return Err(violation("no MAC node listed a handle to overwrite".into()));
+    }
+    for id in 0..NUM_KEYS {
+        let key = key_bytes(id);
+        let read = store.get(&key);
+        if read.as_deref() != Ok(value_bytes(id, 0).as_slice()) {
+            return Err(violation(format!("with forged listed handles, get(key {id}) = {read:?}")));
+        }
+        if id % 3 == 0 {
+            let wrote = store.set(&key, &value_bytes(id, 1)).and_then(|()| store.get(&key));
+            if wrote.as_deref() != Ok(value_bytes(id, 1).as_slice()) {
+                return Err(violation(format!(
+                    "with forged listed handles, set(key {id}) = {wrote:?}"
+                )));
+            }
+        } else if id % 3 == 1 && store.delete(&key).is_err() {
+            return Err(violation(format!("with forged listed handles, delete(key {id}) failed")));
+        }
+    }
+
+    if !store.tamper(TamperOp::NodeCap, seed) {
+        return Err(violation("no MAC node to forge a cap in".into()));
+    }
+    let mut refused = 0u64;
+    for id in 0..NUM_KEYS {
+        let expected = match id % 3 {
+            0 => Some(value_bytes(id, 1)),
+            1 => None,
+            _ => Some(value_bytes(id, 0)),
+        };
+        match store.get(&key_bytes(id)) {
+            Ok(v) if Some(&v) == expected.as_ref() => {}
+            Err(Error::KeyNotFound) if expected.is_none() => {}
+            Err(Error::IntegrityViolation { .. }) => refused += 1,
+            other => {
+                return Err(violation(format!("with a forged cap, get(key {id}) = {other:?}")));
+            }
+        }
+    }
+    if refused == 0 {
+        return Err(violation("a forged node cap was never refused".into()));
+    }
+    check_stats(&store, "node directory scenario stats")
 }
 
 /// State for the chaotic interleaved phase.
@@ -374,6 +448,7 @@ fn unexpected(context: &str, e: &Error) -> Violation {
 pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> {
     sgx_sim::vclock::reset();
     let hint_full_scans = hint_fallback_scenario(seed)?;
+    node_directory_scenario(seed)?;
 
     let store = new_store("adversary-store", seed);
     let spec = Spec::by_name("RD50_Z").expect("workload spec");

@@ -191,12 +191,23 @@ impl UntrustedHeap {
     }
 
     /// Frees an allocation of `len` bytes (the length passed to `alloc`).
+    ///
+    /// Both usually come out of a chain in untrusted memory — where an
+    /// entry or a MAC node was found, and the size its fields give it — so
+    /// together they may name a block no `alloc` handed out. One that its
+    /// chunk does not hold whole, or that starts where no block of its
+    /// class can, is not recycled: `alloc` zeroes what it recycles, and
+    /// would do so past the end of the chunk. It is left unused instead.
     pub fn free(&mut self, handle: Handle, len: usize) {
         debug_assert_ne!(handle, NULL_HANDLE);
         let class = size_class(len);
         self.live_bytes = self.live_bytes.saturating_sub(class);
         if matches!(self.mode, AllocMode::OcallPerAlloc) {
             self.enclave.ocall();
+        }
+        let whole = self.try_tail(handle, 0).is_some_and(|tail| tail.len() >= class);
+        if !whole || !unpack(handle).1.is_multiple_of(class.min(LINE)) {
+            return;
         }
         let class_log = class.trailing_zeros() as usize;
         if self.free_lists.len() <= class_log {
@@ -224,6 +235,21 @@ impl UntrustedHeap {
         &self.chunks[chunk].bytes()[offset + offset_in_alloc..offset + offset_in_alloc + len]
     }
 
+    /// Every byte of `handle`'s chunk from `offset_in_alloc` bytes into the
+    /// allocation on: what a checked read may address. `None` when `handle`
+    /// — usually a pointer just read from untrusted memory, so any u64 —
+    /// does not address the heap.
+    #[inline]
+    pub fn try_tail(&self, handle: Handle, offset_in_alloc: usize) -> Option<&[u8]> {
+        // A zero chunk field would underflow `unpack`. Reject before
+        // unpacking.
+        if handle >> 32 == 0 {
+            return None;
+        }
+        let (chunk, offset) = unpack(handle);
+        self.chunks.get(chunk)?.bytes().get(offset.checked_add(offset_in_alloc)?..)
+    }
+
     /// Checked variant of [`UntrustedHeap::bytes_at`]: `None` when the
     /// range leaves the backing chunk. Untrusted memory holds
     /// attacker-controlled length fields; store code validating a parsed
@@ -235,16 +261,7 @@ impl UntrustedHeap {
         offset_in_alloc: usize,
         len: usize,
     ) -> Option<&[u8]> {
-        // A corrupted chain pointer can be any u64; a zero chunk field
-        // would underflow `unpack`. Reject before unpacking.
-        if handle >> 32 == 0 {
-            return None;
-        }
-        let (chunk, offset) = unpack(handle);
-        let data = self.chunks.get(chunk)?.bytes();
-        let start = offset.checked_add(offset_in_alloc)?;
-        let end = start.checked_add(len)?;
-        data.get(start..end)
+        self.try_tail(handle, offset_in_alloc)?.get(..len)
     }
 
     /// Hints that up to `lines` cache lines starting `offset_in_alloc`
@@ -258,18 +275,30 @@ impl UntrustedHeap {
     /// may rely on it having happened.
     #[inline]
     pub fn prefetch(&self, handle: Handle, offset_in_alloc: usize, lines: usize) {
-        if handle >> 32 == 0 {
-            return;
-        }
-        let (chunk, offset) = unpack(handle);
-        let window = self
-            .chunks
-            .get(chunk)
-            .zip(offset.checked_add(offset_in_alloc))
-            .and_then(|(chunk, start)| chunk.bytes().get(start..));
-        if let Some(window) = window {
+        if let Some(window) = self.try_tail(handle, offset_in_alloc) {
             hint::prefetch_read(&window[..window.len().min(lines.saturating_mul(LINE))]);
         }
+    }
+
+    /// Checked variant of [`UntrustedHeap::bytes_at_mut`]: `None` where
+    /// [`UntrustedHeap::try_bytes_at`] would be — for writes into a
+    /// structure whose handle and size were themselves read from untrusted
+    /// memory (a MAC node).
+    #[inline]
+    pub fn try_bytes_at_mut(
+        &mut self,
+        handle: Handle,
+        offset_in_alloc: usize,
+        len: usize,
+    ) -> Option<&mut [u8]> {
+        if handle >> 32 == 0 {
+            return None;
+        }
+        let (chunk, offset) = unpack(handle);
+        let data = self.chunks.get_mut(chunk)?.bytes_mut();
+        let start = offset.checked_add(offset_in_alloc)?;
+        let end = start.checked_add(len)?;
+        data.get_mut(start..end)
     }
 
     /// Mutable access to an allocation's bytes.
@@ -307,6 +336,12 @@ impl UntrustedHeap {
     /// Bytes handed out and not yet freed (rounded to size classes).
     pub fn live_bytes(&self) -> usize {
         self.live_bytes
+    }
+
+    /// The bytes an allocation of `len` occupies: its size class.
+    #[inline]
+    pub fn class_len(len: usize) -> usize {
+        size_class(len)
     }
 
     /// Whether the new-data capacity `len` fits in the size class of an
@@ -410,6 +445,32 @@ mod tests {
         let b = h.alloc(64);
         assert_eq!(a, b);
         assert_eq!(h.bytes(b, 64), &[0u8; 64], "recycled memory must be zeroed");
+        vclock::reset();
+    }
+
+    #[test]
+    fn a_block_no_alloc_handed_out_is_not_recycled() {
+        let mut h = heap(AllocMode::Pooled { granularity: 4096 });
+        vclock::reset();
+        let a = h.alloc(64);
+        h.bytes_mut(a, 64).fill(0xff);
+        // Forged sizes and places: a KiB block 960 bytes before the end of
+        // its chunk, a line-sized block that starts mid-line, a 128-byte
+        // block in the chunk's last 64.
+        let near_end = pack(0, 4096 - 960);
+        for (forged, len) in [(near_end, 1024), (pack(0, 24), 64), (pack(0, 4096 - 64), 100)] {
+            h.free(forged, len);
+        }
+        // Nor one outside the heap altogether.
+        for wild in h.wild_handles() {
+            h.free(wild, 64);
+        }
+        for len in [64, 100, 1024] {
+            let fresh = h.alloc(len);
+            assert!(![near_end, pack(0, 24), pack(0, 4096 - 64)].contains(&fresh));
+            assert_eq!(h.bytes(fresh, len), vec![0u8; len]);
+        }
+        assert_eq!(h.bytes(a, 64), &[0xff; 64], "nothing live was zeroed");
         vclock::reset();
     }
 

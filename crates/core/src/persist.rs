@@ -586,9 +586,9 @@ fn restore_entry(
     }
     if cfg.mac_bucket {
         // The MAC chain mirrors the entry chain's order.
-        let mut head = ctx.mac_heads[bucket];
-        crate::mac_bucket::insert_back(&mut ctx.heap, &mut head, &header.mac, cfg.mac_cap);
-        ctx.mac_heads[bucket] = head;
+        ctx.directory(bucket, cfg.mac_cap)
+            .insert_back(&header.mac, handle)
+            .map_err(|_| Error::IntegrityViolation { bucket })?;
     }
     ctx.count += 1;
     Ok(())

@@ -222,6 +222,7 @@ impl Shard {
 
         let mut verified: Option<usize> = None;
         for (set, bucket, i) in order {
+            access.hint_chain(main, bucket);
             // A set is verified with its first key, beside that key's
             // entry when it hits.
             let pending = if verified == Some(set) {
@@ -266,6 +267,7 @@ impl Shard {
 
         let mut current: Option<usize> = None;
         for (set, bucket, i) in order {
+            access.hint_chain(main, bucket);
             let pending = if current == Some(set) {
                 access.stats.batch_verifications_saved += 1;
                 access.stats.batch_hash_updates_saved += 1;

@@ -41,7 +41,6 @@ use crate::op::{Op, Reply};
 use crate::ordered::OrderedIndex;
 use crate::stats::{OpStats, StatsSnapshot};
 use crate::table::TableCtx;
-use crate::tenant::DEFAULT_TENANT;
 use crate::tenant::{TenantId, TenantKeys, TenantRegistry, TenantState};
 use crate::ttl;
 use sgx_sim::enclave::Enclave;
@@ -505,54 +504,6 @@ impl Shard {
         }
     }
 
-    // -- default-namespace sugar ---------------------------------------
-    //
-    // For the partition-pinned workers and tests that drive a shard
-    // directly: `execute` under `DEFAULT_TENANT`, unmetered, with a miss
-    // turned back into `Error::KeyNotFound` where the signature has no
-    // room for one.
-
-    /// Retrieves the value for `key`.
-    pub fn get(&mut self, key: &[u8]) -> Result<Vec<u8>> {
-        self.execute(DEFAULT_TENANT, None, Op::Get(key))?.value().ok_or(Error::KeyNotFound)
-    }
-
-    /// Stores `value` under `key` (insert or update), with no expiry.
-    pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.execute(DEFAULT_TENANT, None, Op::set(key, value)).map(|_| ())
-    }
-
-    /// Removes `key`.
-    pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        match self.execute(DEFAULT_TENANT, None, Op::Delete(key))?.deleted() {
-            true => Ok(()),
-            false => Err(Error::KeyNotFound),
-        }
-    }
-
-    /// Appends `suffix` to the value of `key`, creating it when absent —
-    /// one of the server-side operations motivating server-side
-    /// encryption (paper §3.2, Fig. 12). Returns the new length.
-    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        Ok(self.execute(DEFAULT_TENANT, None, Op::Append { key, suffix })?.appended().len())
-    }
-
-    /// Adds `delta` to the decimal-integer value of `key` (creating it
-    /// as `delta` when absent) and returns the new value.
-    pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
-        Ok(self.execute(DEFAULT_TENANT, None, Op::Increment { key, delta })?.counter())
-    }
-
-    /// Batched lookup; results in input order, `None` for a miss.
-    pub fn multi_get(&mut self, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        Ok(self.execute(DEFAULT_TENANT, None, Op::MultiGet(batch))?.values())
-    }
-
-    /// Batched write (no expiry).
-    pub fn multi_set(&mut self, items: &[(&[u8], &[u8])]) -> Result<()> {
-        self.execute(DEFAULT_TENANT, None, Op::MultiSet { items, expires_at: 0 }).map(|_| ())
-    }
-
     /// The number of live entries (over every table). Entries past
     /// their deadline but not yet swept still count.
     pub fn len(&self) -> usize {
@@ -589,6 +540,7 @@ impl Shard {
         snap.entries += self.len() as u64;
         for table in self.tables.reads() {
             snap.heap_live_bytes += table.heap.live_bytes() as u64;
+            snap.mac_node_bytes += table.mac_node_bytes as u64;
             snap.heap_chunks += table.heap.chunk_count() as u64;
         }
         if let Some(cache) = self.cache.as_ref() {
@@ -610,6 +562,12 @@ impl Shard {
     /// Read access to the main table (diagnostics / persistence).
     pub(crate) fn main_table(&self) -> Option<&TableCtx> {
         self.tables.live()
+    }
+
+    /// Every table that holds entries (the testing API's invariants).
+    #[cfg(any(test, feature = "testing"))]
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &TableCtx> {
+        self.tables.reads()
     }
 
     /// Mutable access to the main table (persistence restore).

@@ -12,7 +12,6 @@ use crate::mac_bucket;
 use crate::stats::OpStats;
 use crate::table::{Broken, Link, TableCtx};
 use shield_crypto::fused::Opened;
-use shield_crypto::hint::LINE;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
 /// Charges a quota rejection to the op's tenant and fails the write.
@@ -42,20 +41,21 @@ impl Access {
     /// first of them is issued: for every bucket of `bucket`'s set, what the
     /// set-hash gather reads first, and the head of `bucket`'s own chain for
     /// the search. With MAC bucketing the gather reads MAC nodes, and a node
-    /// is hinted as far as the table's mean bucket occupancy fills one;
-    /// without it the MACs sit in the chained entries' headers. Left alone,
-    /// these are one cache miss queued behind the other — each on a line of
-    /// its own — and they dominate a lookup.
+    /// is hinted as far as the table's mean bucket occupancy fills one —
+    /// `bucket`'s own to its end, where the entry handles
+    /// [`Access::hint_chain`] reads next are; without it the MACs sit in the
+    /// chained entries' headers. Left alone, these are one cache miss queued
+    /// behind the other — each on a line of its own — and they dominate a
+    /// lookup.
     ///
     /// The handles come straight from untrusted memory and are only hinted,
     /// never trusted: see [`UntrustedHeap::prefetch`].
     pub(super) fn hint_access(&self, table: &TableCtx, bucket: usize) {
         let set_buckets = table.sets.buckets_of(table.sets.set_of(bucket));
         if self.cfg.mac_bucket {
-            let filled = table.count.div_ceil(table.buckets()).min(self.cfg.mac_cap);
-            let lines = mac_bucket::node_len(filled).div_ceil(LINE);
-            for &node in &table.mac_heads[set_buckets] {
-                table.heap.prefetch(node, 0, lines);
+            let filled = table.count.div_ceil(table.buckets());
+            for (node, of) in table.mac_heads[set_buckets.clone()].iter().zip(set_buckets) {
+                mac_bucket::hint_node(&table.heap, *node, filled, self.cfg.mac_cap, of == bucket);
             }
             table.hint_header(table.heads[bucket]);
         } else {
@@ -63,6 +63,36 @@ impl Access {
                 table.hint_header(head);
             }
         }
+    }
+
+    /// Hints the header of every entry of `bucket`'s chain at once, from the
+    /// handles its MAC nodes list, so the search's walk — which still
+    /// follows each `next`, and believes nothing else — meets lines that are
+    /// already on their way instead of one miss per hop. It is the first
+    /// thing to read a node, so it is called once the nodes
+    /// [`Access::hint_access`] hinted have had time to arrive: an op calls
+    /// it from [`Access::open`], a batch — whose nodes were all hinted when
+    /// it was placed — as each key's turn comes. Without MAC bucketing
+    /// there is no list, and the walk waits on itself as before.
+    pub(super) fn hint_chain(&self, table: &TableCtx, bucket: usize) {
+        if self.cfg.mac_bucket {
+            let lim = table.mac_limits(self.cfg.mac_cap);
+            mac_bucket::hint_entries(&table.heap, table.mac_heads[bucket], lim);
+        }
+    }
+
+    /// What a single op on `bucket` opens with: the hints, and the first
+    /// half of verifying the bucket's set ([`Access::begin_verify`]) with
+    /// the chain hinted in the middle of it — after the stored hash's
+    /// enclave read, in which `bucket`'s node arrives, and before the
+    /// gather, which then finds that node cached and runs while the chain's
+    /// headers are on their way.
+    fn open(&mut self, table: &TableCtx, bucket: usize) -> Result<PendingSet> {
+        let set = table.sets.set_of(bucket);
+        self.hint_access(table, bucket);
+        let stored = self.stored_hash(table, set);
+        self.hint_chain(table, bucket);
+        self.gather_pending(table, set, stored)
     }
 
     /// Searches `bucket` for `key` *within `op`'s tenant namespace*,
@@ -184,8 +214,7 @@ impl Access {
         key: &[u8],
     ) -> Result<Option<(Vec<u8>, u64)>> {
         let bucket = self.bucket_of(table, key);
-        self.hint_access(table, bucket);
-        let pending = self.begin_verify(table, table.sets.set_of(bucket))?;
+        let pending = self.open(table, bucket)?;
         self.get_in_bucket(op, table, bucket, key, Some(pending))
     }
 
@@ -267,8 +296,7 @@ impl Access {
     ) -> Result<bool> {
         let bucket = self.bucket_of(table, key);
         let set = table.sets.set_of(bucket);
-        self.hint_access(table, bucket);
-        let pending = self.begin_verify(table, set)?;
+        let pending = self.open(table, bucket)?;
         let inserted = self.set_in_bucket(op, table, bucket, key, value, Some(pending))?;
         self.update_set_hash(table, set)?;
         Ok(inserted)
@@ -330,12 +358,19 @@ impl Access {
                 &op.tkeys.mac,
             );
             table.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
-            table.heads[bucket] = fresh;
+            // Listed before it is linked: a directory that cannot take it
+            // refuses while the chain is still as it was.
             if self.cfg.mac_bucket {
-                let mut head = table.mac_heads[bucket];
-                mac_bucket::insert_front(&mut table.heap, &mut head, &mac, self.cfg.mac_cap);
-                table.mac_heads[bucket] = head;
+                let mut dir = table.directory(bucket, self.cfg.mac_cap);
+                if dir.insert_front(&mac, fresh).is_err() {
+                    table.heap.free(fresh, new_len);
+                    if let Some(st) = op.state {
+                        st.usage.discharge(new_len as u64, 1);
+                    }
+                    return Err(Error::IntegrityViolation { bucket });
+                }
             }
+            table.heads[bucket] = fresh;
             table.count += 1;
             self.stats.inserts += 1;
             return Ok(true);
@@ -371,33 +406,47 @@ impl Access {
         }
         self.verify_side_mac_write(table, bucket, &found)?;
         let old_len = found.header.entry_len();
+        let growth = new_len.saturating_sub(old_len) as u64;
         if let Some(st) = op.state {
-            if new_len > old_len {
-                if !st.usage.try_charge_bytes(&st.quota, (new_len - old_len) as u64) {
-                    return Err(quota_reject(op, &mut self.stats));
-                }
-            } else {
-                st.usage.discharge((old_len - new_len) as u64, 0);
+            if growth > 0 && !st.usage.try_charge_bytes(&st.quota, growth) {
+                return Err(quota_reject(op, &mut self.stats));
             }
         }
+        // The side array first — the slot is the one `verify_side_mac_write`
+        // has just read, so this cannot fail unless memory moved under the
+        // op — and with it the handle the slot lists, which a reallocation
+        // changes.
         let sealed = &self.scratch.entry;
-        if UntrustedHeap::fits_in_class(old_len, new_len) {
-            table.heap.bytes_mut(found.handle, new_len).copy_from_slice(sealed);
+        let inplace = UntrustedHeap::fits_in_class(old_len, new_len);
+        let at = if inplace { found.handle } else { table.heap.alloc(new_len) };
+        if self.cfg.mac_bucket {
+            let mut dir = table.directory(bucket, self.cfg.mac_cap);
+            if dir.set_at(found.pos, &mac, at).is_err() {
+                if !inplace {
+                    table.heap.free(at, new_len);
+                }
+                if let Some(st) = op.state {
+                    st.usage.discharge(growth, 0);
+                }
+                return Err(Error::IntegrityViolation { bucket });
+            }
+        }
+        // Nothing can refuse the write any more: a shrink is refunded.
+        if let Some(st) = op.state {
+            st.usage.discharge(old_len.saturating_sub(new_len) as u64, 0);
+        }
+        table.heap.bytes_mut(at, new_len).copy_from_slice(sealed);
+        if inplace {
             self.stats.inplace_updates += 1;
         } else {
-            let fresh = table.heap.alloc(new_len);
-            table.heap.bytes_mut(fresh, new_len).copy_from_slice(sealed);
             // Relink in place of the old entry.
             if found.prev == NULL_HANDLE {
-                table.heads[bucket] = fresh;
+                table.heads[bucket] = at;
             } else {
-                table.heap.write_u64_at(found.prev, entry::OFF_NEXT, fresh);
+                table.heap.write_u64_at(found.prev, entry::OFF_NEXT, at);
             }
             table.heap.free(found.handle, old_len);
             self.stats.realloc_updates += 1;
-        }
-        if self.cfg.mac_bucket {
-            mac_bucket::set_at(&mut table.heap, table.mac_heads[bucket], found.pos, &mac);
         }
         Ok(false)
     }
@@ -426,8 +475,8 @@ impl Access {
     ) -> Result<bool> {
         let bucket = self.bucket_of(table, key);
         let set = table.sets.set_of(bucket);
-        self.hint_access(table, bucket);
-        self.verify_set(table, set)?;
+        let pending = self.open(table, bucket)?;
+        self.finish_verify(table, pending)?;
         let hint = self.keys.hint_byte(key);
         let Some((found, ct)) = self.locate(op, table, bucket, hint, key, None)? else {
             return Ok(false);
@@ -444,17 +493,19 @@ impl Access {
             return Ok(false);
         }
 
+        // The side array first: it checks its nodes before it writes.
+        if self.cfg.mac_bucket {
+            table
+                .directory(bucket, self.cfg.mac_cap)
+                .remove_at(found.pos)
+                .map_err(|_| Error::IntegrityViolation { bucket })?;
+        }
         if found.prev == NULL_HANDLE {
             table.heads[bucket] = found.header.next;
         } else {
             table.heap.write_u64_at(found.prev, entry::OFF_NEXT, found.header.next);
         }
         table.heap.free(found.handle, found.header.entry_len());
-        if self.cfg.mac_bucket {
-            let mut head = table.mac_heads[bucket];
-            mac_bucket::remove_at(&mut table.heap, &mut head, found.pos, self.cfg.mac_cap);
-            table.mac_heads[bucket] = head;
-        }
         table.count -= 1;
         if let Some(st) = op.state {
             st.usage.discharge(found.header.entry_len() as u64, 1);

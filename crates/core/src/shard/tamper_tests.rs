@@ -1,12 +1,14 @@
 //! What a shard reports when untrusted memory is forged under it: hint
 //! corruption, wild and cyclic pointers, and the one-bit tamper matrix.
 
-use super::tests::{last_entry, shard_with};
+use super::tests::{last_entry, run, shard_with};
 use super::*;
 use crate::alloc::{Handle, NULL_HANDLE};
-use crate::config::Config;
+use crate::config::{AllocMode, Config};
 use crate::entry;
+use crate::mac_bucket;
 use crate::table::Link;
+use crate::testing::{node_handle_at, NODE_CAP, NODE_MACS};
 use crate::ttl;
 use sgx_sim::vclock;
 
@@ -15,7 +17,7 @@ fn hint_corruption_defeated_by_two_step_search() {
     let cfg = Config::shield_opt().buckets(1).mac_hashes(1);
     let mut s = shard_with(cfg);
     vclock::reset();
-    s.set(b"target", b"payload").unwrap();
+    run(&mut s, Op::set(b"target", b"payload")).unwrap();
     // Attacker flips the key hint in untrusted memory. The MAC covers
     // the hint, so verification would fail on the *found* entry — but
     // first the search must still find it via the two-step fallback.
@@ -24,7 +26,7 @@ fn hint_corruption_defeated_by_two_step_search() {
     main.heap.bytes_at_mut(handle, entry::OFF_HINT, 1)[0] ^= 0xff;
     // The hint is MAC-covered, so the get reports tampering rather
     // than silently missing the key (availability attack detected).
-    let r = s.get(b"target");
+    let r = run(&mut s, Op::Get(b"target"));
     assert!(
         matches!(r, Err(Error::IntegrityViolation { .. })),
         "two-step search must find the entry and expose the tamper: {r:?}"
@@ -41,36 +43,63 @@ enum Site {
     MacHead,
     /// The first MAC node's `next`.
     MacNodeNext,
+    /// The entry handle the first MAC node lists for the chain head: only
+    /// ever hinted, so whatever it holds, nothing may come of it.
+    NodeHandle,
+    /// The first MAC node's `cap` field.
+    NodeCap,
 }
 
-/// What is written there: a wild handle, or the handle of the very object
-/// the pointer sits in.
+/// What is written there: a wild handle, the handle of the very object
+/// the pointer sits in, the chain's last entry (where the head belongs)
+/// or, in a `cap` field, a number.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Plant {
     Wild(usize),
     SelfCycle,
+    OtherEntry,
+    Cap(u32),
 }
+
+/// The `cap`s no honest node of the fixture holds (it has 3 of 4 slots
+/// filled, 448 bytes before the end of its chunk): none, fewer than its
+/// count, more than the largest node, one between two classes, and two
+/// larger classes — one the chunk has room for, one that would run off it.
+const FORGED_CAPS: [u32; 6] = [0, 2, 31, 5, 10, 30];
 
 /// A one-bucket shard holding `a`, `b`, `c` — chain `c → b → a`, `c` long
 /// expired when `expire_head` — with `plant` written at `site`. `None`
 /// where the configuration has no such site.
 fn forged_shard(cfg: Config, site: Site, plant: Plant, expire_head: bool) -> Option<Shard> {
     let mac_bucket = cfg.mac_bucket;
+    // Chunks of 56 lines: the three entries and the node leave less than
+    // the largest node's length behind the node.
+    let cfg = Config { alloc: AllocMode::Pooled { granularity: 3584 }, ..cfg };
     let mut s = shard_with(cfg.buckets(1).mac_hashes(1));
     for key in [b"a", b"b", b"c"] {
         let expires_at = (expire_head && key == b"c") as u64;
         s.execute(0, None, Op::Set { key, value: &[key[0]; 600], expires_at }).unwrap();
     }
     let main = s.main_table_mut().unwrap();
+    let node = main.mac_heads[0];
     let (object, offset) = match site {
         Site::EntryNext => (main.heads[0], entry::OFF_NEXT),
         // No MAC nodes to corrupt without MAC bucketing.
-        Site::MacNodeNext if !mac_bucket => return None,
-        Site::MacHead | Site::MacNodeNext => (main.mac_heads[0], 0),
+        Site::MacNodeNext | Site::NodeHandle | Site::NodeCap if !mac_bucket => return None,
+        Site::MacHead | Site::MacNodeNext => (node, 0),
+        Site::NodeHandle => (node, node_handle_at(&main.heap, node, 0).unwrap()),
+        Site::NodeCap => (node, NODE_CAP),
     };
     let value = match plant {
         Plant::Wild(i) => main.heap.wild_handles()[i],
         Plant::SelfCycle => object,
+        Plant::OtherEntry => main.chain(0).last().unwrap().unwrap().handle,
+        Plant::Cap(cap) => {
+            assert!(main.heap.try_bytes_at(node, 0, 16 + 10 * 24).is_some(), "room for 10 slots");
+            assert!(main.heap.try_bytes_at(node, 0, 16 + 30 * 24).is_none(), "and not for 30");
+            main.heap.bytes_at_mut(node, NODE_CAP, 4).copy_from_slice(&cap.to_le_bytes());
+            return Some(s);
+        }
     };
     match site {
         Site::MacHead if plant == Plant::SelfCycle => return None,
@@ -103,68 +132,117 @@ fn within(deadline: std::time::Duration, f: impl FnOnce() + Send + 'static) {
 /// turn; every op either serves what it can prove or fails closed, exactly
 /// as before there were hints, and so does everything that walks the whole
 /// table: the sweep, the usage tally, the index rebuild, the full
-/// verification and a snapshot's freeze → write → unfreeze. Nothing
-/// panics, and nothing spins.
+/// verification and a snapshot's freeze → write → unfreeze. A MAC node's
+/// `cap` is such a pointer in all but name — it places the node's second
+/// array — and fails closed the same way. The entry handles a node lists
+/// are the opposite case: they are *only* hinted, so with anything at all
+/// planted there every op and every maintenance pass answers as it does
+/// on honest memory. Nothing panics, and nothing spins.
 #[test]
 fn wild_pointers_are_hinted_harmlessly_and_fail_closed() {
     within(std::time::Duration::from_secs(120), || {
-        let plants = (0..4).map(Plant::Wild).chain([Plant::SelfCycle]);
-        for (mac_bucket, plant) in
-            [true, false].into_iter().flat_map(|m| plants.clone().map(move |p| (m, p)))
+        let pointers = (0..4).map(Plant::Wild).chain([Plant::SelfCycle]);
+        let cases = [Site::EntryNext, Site::MacHead, Site::MacNodeNext, Site::NodeHandle]
+            .into_iter()
+            .flat_map(|site| pointers.clone().map(move |plant| (site, plant)))
+            .chain([(Site::NodeHandle, Plant::OtherEntry)])
+            .chain(FORGED_CAPS.map(|cap| (Site::NodeCap, Plant::Cap(cap))));
+        for (mac_bucket, (site, plant)) in
+            [true, false].into_iter().flat_map(|m| cases.clone().map(move |case| (m, case)))
         {
-            for site in [Site::EntryNext, Site::MacHead, Site::MacNodeNext] {
-                let cfg = || Config { mac_bucket, ..Config::shield_opt() };
-                let case = format!("{site:?} = {plant:?}, mac_bucket {mac_bucket}");
-                vclock::reset();
-                let Some(mut s) = forged_shard(cfg(), site, plant, false) else { continue };
-                ops_fail_closed(&mut s, site, mac_bucket, &case);
-                // `mac_heads` is dead weight without MAC bucketing.
-                if (site, mac_bucket) != (Site::MacHead, false) {
-                    maintenance_fails_closed(cfg(), site, plant, &case);
-                }
-                vclock::reset();
+            let cfg = || Config { mac_bucket, ..Config::shield_opt() };
+            let case = format!("{site:?} = {plant:?}, mac_bucket {mac_bucket}");
+            vclock::reset();
+            let Some(mut s) = forged_shard(cfg(), site, plant, false) else { continue };
+            if site == Site::NodeHandle {
+                everything_answers_as_on_honest_memory(s, cfg(), plant, &case);
+                continue;
             }
+            ops_fail_closed(&mut s, site, mac_bucket, &case);
+            // `mac_heads` is dead weight without MAC bucketing.
+            if (site, mac_bucket) != (Site::MacHead, false) {
+                maintenance_fails_closed(cfg(), site, plant, &case);
+            }
+            vclock::reset();
         }
     });
 }
 
+/// Every op and maintenance pass of the other two helpers, on a shard
+/// whose MAC node lists `plant` for the chain head: the answers of an
+/// honest shard, to the byte.
+fn everything_answers_as_on_honest_memory(mut s: Shard, cfg: Config, plant: Plant, case: &str) {
+    let value = |k: u8| Ok(Some([k; 600].to_vec()));
+    let get = |s: &mut Shard, key: &[u8]| run(s, Op::Get(key)).map(Reply::value);
+    assert_eq!(get(&mut s, b"c"), value(b'c'), "{case}");
+    assert_eq!(get(&mut s, b"a"), value(b'a'), "{case}");
+    assert_eq!(get(&mut s, b"absent"), Ok(None), "{case}");
+    assert_eq!(
+        run(&mut s, Op::MultiGet(&[b"c".as_slice(), b"a", b"nope"])).map(Reply::values),
+        Ok(vec![Some(vec![b'c'; 600]), Some(vec![b'a'; 600]), None]),
+        "{case}"
+    );
+    // An update in place, one that reallocates, an insert, a delete.
+    assert_eq!(run(&mut s, Op::set(b"b", &[7; 600])), Ok(Reply::Stored), "{case}");
+    assert_eq!(run(&mut s, Op::set(b"b", &[8; 2000])), Ok(Reply::Stored), "{case}");
+    assert_eq!(run(&mut s, Op::set(b"d", b"new")), Ok(Reply::Stored), "{case}");
+    assert_eq!(run(&mut s, Op::Delete(b"a")), Ok(Reply::Deleted(true)), "{case}");
+    let items: [(&[u8], &[u8]); 2] = [(b"e", b"v"), (b"c", b"w")];
+    assert_eq!(run(&mut s, Op::MultiSet { items: &items, expires_at: 0 }), Ok(Reply::Stored));
+    assert_eq!(get(&mut s, b"b"), Ok(Some(vec![8; 2000])), "{case}");
+    assert_eq!(get(&mut s, b"c"), Ok(Some(b"w".to_vec())), "{case}");
+    assert_eq!((s.len(), s.quarantine_state().2), (4, 0), "{case}");
+
+    let mut s = forged_shard(
+        cfg.clone().with_ordered_index().with_quarantine(),
+        Site::NodeHandle,
+        plant,
+        true,
+    )
+    .unwrap();
+    let reaped = s.sweep_expired(ttl::now_ns(), &TenantRegistry::new());
+    assert_eq!(reaped, [(0, b"c".to_vec())], "{case}");
+    assert_eq!((s.len(), s.quarantine_state().2, s.usage_by_tenant()[&0].1), (2, 0, 2), "{case}");
+    assert_eq!((s.rebuild_index(), s.verify_all_sets()), (Ok(()), Ok(())), "{case}");
+
+    let mut s = forged_shard(cfg, Site::NodeHandle, plant, false).unwrap();
+    let frozen = s.freeze();
+    run(&mut s, Op::set(b"d", b"during")).unwrap();
+    assert!(crate::persist::write_table(&mut Vec::new(), &frozen).is_ok(), "{case}");
+    drop(frozen);
+    assert_eq!(s.unfreeze(), Ok(()), "{case}");
+    assert_eq!(get(&mut s, b"d"), Ok(Some(b"during".to_vec())), "{case}");
+    // Every write above went through the directory, which lists what it
+    // chains again wherever it was written.
+    assert_eq!(s.verify_all_sets(), Ok(()), "{case}");
+}
+
 fn ops_fail_closed(s: &mut Shard, site: Site, mac_bucket: bool, case: &str) {
-    let violation = |r: Result<Vec<u8>>| matches!(r, Err(Error::IntegrityViolation { .. }));
+    let violation = |r: Result<Reply>| matches!(r, Err(Error::IntegrityViolation { .. }));
     // The chain head is found before its `next` is ever followed, so only
     // a broken set hash can refuse it: the MAC side chain when there is
     // one, else the entry chain itself.
-    let head = s.get(b"c");
+    let head = run(s, Op::Get(b"c"));
     match (site, mac_bucket) {
         (Site::EntryNext, true) | (Site::MacHead, false) => {
-            assert_eq!(head.as_deref(), Ok([b'c'; 600].as_slice()), "{case}")
+            assert_eq!(head, Ok(Reply::Value(Some(vec![b'c'; 600]))), "{case}")
         }
         _ => assert!(violation(head), "{case}"),
     }
     if (site, mac_bucket) == (Site::MacHead, false) {
-        assert_eq!(s.get(b"a").as_deref(), Ok([b'a'; 600].as_slice()), "{case}");
+        assert_eq!(run(s, Op::Get(b"a")), Ok(Reply::Value(Some(vec![b'a'; 600]))), "{case}");
         return;
     }
     // Everything that has to walk past the planted pointer fails closed,
     // reads and writes, single and batched — and nothing has panicked on
     // the way.
-    assert!(violation(s.get(b"b")), "{case}");
-    assert!(violation(s.get(b"absent")), "{case}");
-    assert!(violation(s.set(b"d", b"new").map(|()| vec![])), "{case}");
-    assert!(violation(s.delete(b"a").map(|()| vec![])), "{case}");
-    assert!(
-        matches!(
-            s.multi_get(&[b"c".as_slice(), b"a".as_slice()]),
-            Err(Error::IntegrityViolation { .. })
-        ),
-        "{case}"
-    );
-    assert!(
-        matches!(
-            s.multi_set(&[(b"e".as_slice(), b"v".as_slice())]),
-            Err(Error::IntegrityViolation { .. })
-        ),
-        "{case}"
-    );
+    assert!(violation(run(s, Op::Get(b"b"))), "{case}");
+    assert!(violation(run(s, Op::Get(b"absent"))), "{case}");
+    assert!(violation(run(s, Op::set(b"d", b"new"))), "{case}");
+    assert!(violation(run(s, Op::Delete(b"a"))), "{case}");
+    assert!(violation(run(s, Op::MultiGet(&[b"c".as_slice(), b"a".as_slice()]))), "{case}");
+    let items = [(b"e".as_slice(), b"v".as_slice())];
+    assert!(violation(run(s, Op::MultiSet { items: &items, expires_at: 0 })), "{case}");
 }
 
 fn maintenance_fails_closed(cfg: Config, site: Site, plant: Plant, case: &str) {
@@ -193,12 +271,79 @@ fn maintenance_fails_closed(cfg: Config, site: Site, plant: Plant, case: &str) {
     // and serving, as it was.
     let mut s = forged_shard(cfg, site, plant, false).unwrap();
     let frozen = s.freeze();
-    s.set(b"d", b"during").unwrap();
+    run(&mut s, Op::set(b"d", b"during")).unwrap();
     assert_eq!(violation(crate::persist::write_table(&mut Vec::new(), &frozen)), chain_forged);
     drop(frozen);
     assert!(violation(s.unfreeze()), "{case}");
     assert!(s.is_snapshotting(), "{case}");
-    assert_eq!(s.get(b"d").as_deref(), Ok(b"during".as_slice()), "{case}");
+    assert_eq!(run(&mut s, Op::Get(b"d")), Ok(Reply::Value(Some(b"during".to_vec()))), "{case}");
+}
+
+/// A one-bucket shard over 1,920-byte chunks holding `a` and `b`, each a
+/// KiB-class entry: the first chunk is `a`, the bucket's 64-byte MAC node
+/// 896 bytes before its end — so the largest node's 736 bytes are readable
+/// there and a KiB block's are not — and 832 bytes never handed out; `b`
+/// heads the chain from a second chunk.
+fn shard_with_a_node_near_the_end_of_its_chunk() -> Shard {
+    let cfg = Config { alloc: AllocMode::Pooled { granularity: 1920 }, ..Config::shield_opt() };
+    let mut s = shard_with(cfg.buckets(1).mac_hashes(1));
+    for key in [b"a", b"b"] {
+        run(&mut s, Op::set(key, &[key[0]; 600])).unwrap();
+    }
+    let main = s.main_table().unwrap();
+    let node = main.mac_heads[0];
+    assert_eq!(main.heap.bytes_at(node, NODE_CAP, 4), [2, 0, 0, 0], "the smallest class");
+    assert!(main.heap.try_bytes_at(node, 0, mac_bucket::node_len(30)).is_some());
+    assert!(main.heap.try_bytes_at(node, 0, 1024).is_none());
+    s
+}
+
+/// What `free` is given comes out of untrusted memory twice over: the size
+/// from a node's or an entry's fields, the place from whatever pointed at
+/// it. Neither may put on a free list a block the next `alloc` of its
+/// class would zero past the end of a chunk. A node's `cap` raised to a
+/// class with room for its count — the MACs have not moved, so the set
+/// hash still matches — never sizes a `free`: the op fails closed at the
+/// set. An entry moved to where its bytes fit and its class does not is
+/// served, and deleted, and the block it leaves is dropped rather than
+/// recycled. Either way the next KiB-class write goes through.
+#[test]
+fn forged_sizes_and_places_never_reach_the_free_lists() {
+    vclock::reset();
+    let violation = |r: Result<Reply>| matches!(r, Err(Error::IntegrityViolation { bucket: 0 }));
+    let mut s = shard_with_a_node_near_the_end_of_its_chunk();
+    let main = s.main_table_mut().unwrap();
+    let node = main.mac_heads[0];
+    main.heap.bytes_at_mut(node, NODE_CAP, 4).copy_from_slice(&30u32.to_le_bytes());
+    assert!(violation(run(&mut s, Op::Delete(b"b"))));
+    assert!(violation(run(&mut s, Op::Delete(b"a"))));
+    assert!(violation(run(&mut s, Op::set(b"c", &[b'c'; 600]))));
+    // Put right, the bucket is what it was: nothing was freed or moved.
+    let main = s.main_table_mut().unwrap();
+    main.heap.bytes_at_mut(node, NODE_CAP, 4).copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(run(&mut s, Op::Get(b"b")), Ok(Reply::Value(Some(vec![b'b'; 600]))));
+    assert_eq!(s.verify_all_sets(), Ok(()));
+
+    // `b`, the chain's head, moved into the first chunk's unused end: its
+    // 662 bytes fit 704 bytes before the end, its KiB class does not.
+    let main = s.main_table_mut().unwrap();
+    let (a, b) = (main.chain(0).last().unwrap().unwrap().handle, main.heads[0]);
+    let moved = a + (1920 - 704);
+    let bytes = main.heap.bytes(b, 662).to_vec();
+    main.heap.bytes_mut(moved, 662).copy_from_slice(&bytes);
+    main.heads[0] = moved;
+    assert_eq!(run(&mut s, Op::Get(b"b")), Ok(Reply::Value(Some(vec![b'b'; 600]))));
+    assert_eq!(run(&mut s, Op::Delete(b"b")), Ok(Reply::Deleted(true)));
+    for key in [b"c", b"d", b"e"] {
+        assert_eq!(run(&mut s, Op::set(key, &[key[0]; 600])), Ok(Reply::Stored));
+    }
+    let main = s.main_table().unwrap();
+    assert!(main.chain(0).all(|link| link.unwrap().handle != moved), "recycled where it never was");
+    for key in [b"a", b"c", b"d", b"e"] {
+        assert_eq!(run(&mut s, Op::Get(key)), Ok(Reply::Value(Some(vec![key[0]; 600]))));
+    }
+    assert_eq!(s.verify_all_sets(), Ok(()));
+    vclock::reset();
 }
 
 /// Where the tamper matrix flips one bit.
@@ -229,6 +374,13 @@ enum Flip {
     Next,
     /// The `next` of the entry before the victim.
     NextOfPredecessor,
+    /// The handle the victim's MAC node lists for it, overwritten with
+    /// each wild handle, another bucket's entry, and the node's own.
+    NodeHandle(usize),
+    /// The `cap` of the victim's MAC node, overwritten with 0, one less
+    /// than its count, one more than the largest node, one more than its
+    /// class holds, and the next class up.
+    NodeCap(usize),
 }
 
 /// What an op on the victim key reported.
@@ -244,7 +396,7 @@ enum Seen {
     AtBucket,
 }
 
-const FLIPS: [Flip; 15] = [
+const FLIPS: [Flip; 26] = [
     Flip::MacNode,
     Flip::NeighbourMac,
     Flip::NeighbourMacAndValue,
@@ -260,6 +412,17 @@ const FLIPS: [Flip; 15] = [
     Flip::StoredTag,
     Flip::Next,
     Flip::NextOfPredecessor,
+    Flip::NodeHandle(0),
+    Flip::NodeHandle(1),
+    Flip::NodeHandle(2),
+    Flip::NodeHandle(3),
+    Flip::NodeHandle(4),
+    Flip::NodeHandle(5),
+    Flip::NodeCap(0),
+    Flip::NodeCap(1),
+    Flip::NodeCap(2),
+    Flip::NodeCap(3),
+    Flip::NodeCap(4),
 ];
 
 /// What get, set and delete of the victim reported at the commit before
@@ -267,10 +430,16 @@ const FLIPS: [Flip; 15] = [
 /// a flipped value byte or length goes unseen by them (the set
 /// overwrites it); a delete authenticates only a deadline it is about
 /// to honour. Without MAC bucketing the set hash is derived from the
-/// chain itself, so a stored tag or a `next` is the set's to catch.
+/// chain itself, so a stored tag or a `next` is the set's to catch. The
+/// last two rows came with the fields they forge: a listed handle is only
+/// hinted, so nothing sees it; a `cap` places the node's arrays and sizes
+/// what is freed of it, so the set's gather refuses any but the one its
+/// count makes it.
 fn recorded_verdicts(mac_bucket: bool, flip: Flip) -> [Seen; 3] {
     use Seen::{AtBucket, AtSetStart, Served};
     match flip {
+        Flip::NodeHandle(_) => [Served; 3],
+        Flip::NodeCap(_) => [AtSetStart; 3],
         Flip::MacNode
         | Flip::NeighbourMac
         | Flip::NeighbourMacAndValue
@@ -300,7 +469,8 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                 vclock::reset();
                 let keys: Vec<String> = (0..48).map(|i| format!("key-{i}")).collect();
                 for key in &keys {
-                    s.set(key.as_bytes(), format!("value-of-{key}").as_bytes()).unwrap();
+                    run(&mut s, Op::set(key.as_bytes(), format!("value-of-{key}").as_bytes()))
+                        .unwrap();
                 }
                 // The victim: the first key inserted into a bucket
                 // that is not its set's first and took a second key
@@ -335,14 +505,35 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                         .find(|&b| b != bucket && main.heads[b] != NULL_HANDLE)
                         .expect("a second occupied bucket in the set");
                     if mac_bucket {
-                        flip_at(main.mac_heads[other], 12)
+                        flip_at(main.mac_heads[other], NODE_MACS)
                     } else {
                         flip_at(main.heads[other], entry::OFF_MAC)
                     }
                 }
                 match flip {
-                    Flip::MacNode if !mac_bucket => continue,
-                    Flip::MacNode => flip_at(main.mac_heads[bucket], 12 + 16 * pos),
+                    Flip::MacNode | Flip::NodeHandle(_) | Flip::NodeCap(_) if !mac_bucket => {
+                        continue
+                    }
+                    Flip::NodeHandle(plant) => {
+                        let node = main.mac_heads[bucket];
+                        let other = set_buckets.clone().find(|&b| b != bucket).unwrap();
+                        let planted = match plant {
+                            0..=3 => main.heap.wild_handles()[plant],
+                            4 => main.heads[other],
+                            _ => node,
+                        };
+                        let at = node_handle_at(&main.heap, node, pos).unwrap();
+                        main.heap.write_u64_at(node, at, planted);
+                    }
+                    Flip::NodeCap(plant) => {
+                        let node = main.mac_heads[bucket];
+                        let cap = main.heap.bytes_at_mut(node, NODE_CAP, 4);
+                        let honest = u32::from_le_bytes((&*cap).try_into().unwrap());
+                        let next_class = mac_bucket::class_cap(honest as usize + 1, 30) as u32;
+                        let planted = [0, pos as u32, 31, honest + 1, next_class][plant];
+                        cap.copy_from_slice(&planted.to_le_bytes());
+                    }
+                    Flip::MacNode => flip_at(main.mac_heads[bucket], NODE_MACS + 16 * pos),
                     Flip::NeighbourMac => {}
                     Flip::CiphertextKey | Flip::NeighbourMacAndKey => {
                         flip_at(tail, entry::HEADER_LEN)
@@ -361,31 +552,34 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                     Flip::NextOfPredecessor => flip_at(chain[pos - 1].handle, entry::OFF_NEXT),
                 }
                 let key = victim.as_bytes();
+                // The batched get asks behind a healthy key of the same
+                // set, so the victim is not the batch's first hit in it.
+                let healthy = keys
+                    .iter()
+                    .find(|k| {
+                        let b = s.bucket_index(k.as_bytes());
+                        b != bucket && set_buckets.contains(&b)
+                    })
+                    .expect("a key elsewhere in the set");
+                let value = |k: &str| Some(format!("value-of-{k}").into_bytes());
                 let result = match op {
-                    "get" => s.get(key).map(|v| {
-                        assert_eq!(v, format!("value-of-{victim}").as_bytes());
-                    }),
-                    "set" => s.set(key, b"a new value of another length"),
-                    "delete" => s.delete(key),
-                    // Behind a healthy key of the same set, so the
-                    // victim is not the batch's first hit in it.
-                    _ => {
-                        let healthy = keys
-                            .iter()
-                            .find(|k| {
-                                let b = s.bucket_index(k.as_bytes());
-                                b != bucket && set_buckets.contains(&b)
-                            })
-                            .expect("a key elsewhere in the set");
-                        s.multi_get(&[healthy.as_bytes(), key]).map(|values| {
-                            let expect = |k: &str| Some(format!("value-of-{k}").into_bytes());
-                            assert_eq!(values, [expect(healthy), expect(victim)]);
-                        })
-                    }
+                    "get" => run(&mut s, Op::Get(key)),
+                    "set" => run(&mut s, Op::set(key, b"a new value of another length")),
+                    "delete" => run(&mut s, Op::Delete(key)),
+                    _ => run(&mut s, Op::MultiGet(&[healthy.as_bytes(), key])),
                 };
                 let seen = match result {
-                    Ok(()) => Seen::Served,
-                    Err(Error::KeyNotFound) => Seen::Miss,
+                    Ok(Reply::Value(None) | Reply::Deleted(false)) => Seen::Miss,
+                    Ok(reply) => {
+                        match reply {
+                            Reply::Value(found) => assert_eq!(found, value(victim)),
+                            Reply::Values(found) => {
+                                assert_eq!(found, [value(healthy), value(victim)])
+                            }
+                            _ => {}
+                        }
+                        Seen::Served
+                    }
                     Err(Error::IntegrityViolation { bucket: b }) if b == bucket => Seen::AtBucket,
                     Err(Error::IntegrityViolation { bucket: b }) if b == set_buckets.start => {
                         Seen::AtSetStart

@@ -14,6 +14,12 @@ pub(super) fn shard_with(cfg: Config) -> Shard {
     Shard::new(enclave, keys, ShardConfig::from_config(&cfg)).unwrap()
 }
 
+/// Runs `op` under the default tenant, unmetered: how these tests drive a
+/// shard.
+pub(super) fn run(s: &mut Shard, op: Op<'_>) -> Result<Reply> {
+    s.execute(crate::tenant::DEFAULT_TENANT, None, op)
+}
+
 pub(super) fn small_cfg() -> Config {
     Config::shield_opt().buckets(64).mac_hashes(16).with_shards(1)
 }
@@ -27,11 +33,11 @@ pub(super) fn last_entry(s: &Shard) -> Handle {
 fn set_get_roundtrip() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"alpha", b"one").unwrap();
-    s.set(b"beta", b"two").unwrap();
-    assert_eq!(s.get(b"alpha").unwrap(), b"one");
-    assert_eq!(s.get(b"beta").unwrap(), b"two");
-    assert_eq!(s.get(b"gamma"), Err(Error::KeyNotFound));
+    run(&mut s, Op::set(b"alpha", b"one")).unwrap();
+    run(&mut s, Op::set(b"beta", b"two")).unwrap();
+    assert_eq!(run(&mut s, Op::Get(b"alpha")).unwrap().value().unwrap(), b"one");
+    assert_eq!(run(&mut s, Op::Get(b"beta")).unwrap().value().unwrap(), b"two");
+    assert_eq!(run(&mut s, Op::Get(b"gamma")), Ok(Reply::Value(None)));
     assert_eq!(s.len(), 2);
     vclock::reset();
 }
@@ -40,9 +46,9 @@ fn set_get_roundtrip() {
 fn update_overwrites_and_bumps_counter() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"k", b"v1").unwrap();
-    s.set(b"k", b"v2-longer-than-before").unwrap();
-    assert_eq!(s.get(b"k").unwrap(), b"v2-longer-than-before");
+    run(&mut s, Op::set(b"k", b"v1")).unwrap();
+    run(&mut s, Op::set(b"k", b"v2-longer-than-before")).unwrap();
+    assert_eq!(run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(), b"v2-longer-than-before");
     assert_eq!(s.len(), 1);
     assert_eq!(s.stats().inserts, 1);
     assert_eq!(s.stats().inplace_updates + s.stats().realloc_updates, 1);
@@ -53,12 +59,12 @@ fn update_overwrites_and_bumps_counter() {
 fn in_place_vs_realloc_updates() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"k", &[0u8; 10]).unwrap();
-    s.set(b"k", &[1u8; 11]).unwrap(); // same size class
+    run(&mut s, Op::set(b"k", &[0u8; 10])).unwrap();
+    run(&mut s, Op::set(b"k", &[1u8; 11])).unwrap(); // same size class
     assert_eq!(s.stats().inplace_updates, 1);
-    s.set(b"k", &[2u8; 500]).unwrap(); // outgrows class
+    run(&mut s, Op::set(b"k", &[2u8; 500])).unwrap(); // outgrows class
     assert_eq!(s.stats().realloc_updates, 1);
-    assert_eq!(s.get(b"k").unwrap(), vec![2u8; 500]);
+    assert_eq!(run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(), vec![2u8; 500]);
     vclock::reset();
 }
 
@@ -66,10 +72,10 @@ fn in_place_vs_realloc_updates() {
 fn delete_removes() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"k", b"v").unwrap();
-    s.delete(b"k").unwrap();
-    assert_eq!(s.get(b"k"), Err(Error::KeyNotFound));
-    assert_eq!(s.delete(b"k"), Err(Error::KeyNotFound));
+    run(&mut s, Op::set(b"k", b"v")).unwrap();
+    assert!(run(&mut s, Op::Delete(b"k")).unwrap().deleted());
+    assert_eq!(run(&mut s, Op::Get(b"k")), Ok(Reply::Value(None)));
+    assert_eq!(run(&mut s, Op::Delete(b"k")), Ok(Reply::Deleted(false)));
     assert_eq!(s.len(), 0);
     vclock::reset();
 }
@@ -81,22 +87,21 @@ fn chains_survive_many_colliding_keys() {
     let mut s = shard_with(cfg);
     vclock::reset();
     for i in 0..50u32 {
-        s.set(format!("key-{i}").as_bytes(), format!("val-{i}").as_bytes()).unwrap();
+        run(&mut s, Op::set(format!("key-{i}").as_bytes(), format!("val-{i}").as_bytes())).unwrap();
     }
     for i in 0..50u32 {
-        assert_eq!(s.get(format!("key-{i}").as_bytes()).unwrap(), format!("val-{i}").as_bytes());
+        assert_eq!(
+            run(&mut s, Op::Get(format!("key-{i}").as_bytes())).unwrap().value().unwrap(),
+            format!("val-{i}").as_bytes()
+        );
     }
     // Delete odd keys and re-check.
     for i in (1..50u32).step_by(2) {
-        s.delete(format!("key-{i}").as_bytes()).unwrap();
+        assert!(run(&mut s, Op::Delete(format!("key-{i}").as_bytes())).unwrap().deleted());
     }
     for i in 0..50u32 {
-        let r = s.get(format!("key-{i}").as_bytes());
-        if i % 2 == 0 {
-            assert!(r.is_ok());
-        } else {
-            assert_eq!(r, Err(Error::KeyNotFound));
-        }
+        let found = run(&mut s, Op::Get(format!("key-{i}").as_bytes())).unwrap().value();
+        assert_eq!(found.is_some(), i % 2 == 0);
     }
     vclock::reset();
 }
@@ -105,16 +110,22 @@ fn chains_survive_many_colliding_keys() {
 fn append_and_increment() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    assert_eq!(s.append(b"log", b"hello ").unwrap(), 6);
-    assert_eq!(s.append(b"log", b"world").unwrap(), 11);
-    assert_eq!(s.get(b"log").unwrap(), b"hello world");
+    assert_eq!(
+        run(&mut s, Op::Append { key: b"log", suffix: b"hello " }).unwrap().appended().len(),
+        6
+    );
+    assert_eq!(
+        run(&mut s, Op::Append { key: b"log", suffix: b"world" }).unwrap().appended().len(),
+        11
+    );
+    assert_eq!(run(&mut s, Op::Get(b"log")).unwrap().value().unwrap(), b"hello world");
 
-    assert_eq!(s.increment(b"ctr", 5).unwrap(), 5);
-    assert_eq!(s.increment(b"ctr", -2).unwrap(), 3);
-    assert_eq!(s.get(b"ctr").unwrap(), b"3");
+    assert_eq!(run(&mut s, Op::Increment { key: b"ctr", delta: 5 }).unwrap().counter(), 5);
+    assert_eq!(run(&mut s, Op::Increment { key: b"ctr", delta: -2 }).unwrap().counter(), 3);
+    assert_eq!(run(&mut s, Op::Get(b"ctr")).unwrap().value().unwrap(), b"3");
 
-    s.set(b"text", b"not a number").unwrap();
-    assert_eq!(s.increment(b"text", 1), Err(Error::ValueNotNumeric));
+    run(&mut s, Op::set(b"text", b"not a number")).unwrap();
+    assert_eq!(run(&mut s, Op::Increment { key: b"text", delta: 1 }), Err(Error::ValueNotNumeric));
     vclock::reset();
 }
 
@@ -122,8 +133,8 @@ fn append_and_increment() {
 fn increment_overflow_detected() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"c", i64::MAX.to_string().as_bytes()).unwrap();
-    assert_eq!(s.increment(b"c", 1), Err(Error::NumericOverflow));
+    run(&mut s, Op::set(b"c", i64::MAX.to_string().as_bytes())).unwrap();
+    assert_eq!(run(&mut s, Op::Increment { key: b"c", delta: 1 }), Err(Error::NumericOverflow));
     vclock::reset();
 }
 
@@ -141,11 +152,11 @@ fn key_hint_reduces_decryptions() {
     vclock::reset();
     for s in [&mut with_hint, &mut without] {
         for i in 0..n {
-            s.set(format!("key-{i}").as_bytes(), b"v").unwrap();
+            run(s, Op::set(format!("key-{i}").as_bytes(), b"v")).unwrap();
         }
         s.reset_stats();
         for i in 0..n {
-            s.get(format!("key-{i}").as_bytes()).unwrap();
+            run(s, Op::Get(format!("key-{i}").as_bytes())).unwrap().value().unwrap();
         }
     }
     assert!(
@@ -161,12 +172,12 @@ fn key_hint_reduces_decryptions() {
 fn integrity_violation_detected_on_value_tamper() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"victim", b"original-value").unwrap();
+    run(&mut s, Op::set(b"victim", b"original-value")).unwrap();
     // Corrupt the entry ciphertext in untrusted memory.
     let handle = last_entry(&s);
     let main = s.main_table_mut().unwrap();
     main.heap.bytes_at_mut(handle, entry::HEADER_LEN, 1)[0] ^= 0xff;
-    assert!(matches!(s.get(b"victim"), Err(Error::IntegrityViolation { .. })));
+    assert!(matches!(run(&mut s, Op::Get(b"victim")), Err(Error::IntegrityViolation { .. })));
     vclock::reset();
 }
 
@@ -179,17 +190,17 @@ fn integrity_violation_detected_on_entry_removal() {
     let cfg = Config::shield_opt().buckets(1).mac_hashes(1);
     let mut s = shard_with(cfg);
     vclock::reset();
-    s.set(b"a", b"1").unwrap();
-    s.set(b"b", b"2").unwrap(); // chain head: b -> a
-                                // Drop the chain head ("b") behind the store's back.
+    run(&mut s, Op::set(b"a", b"1")).unwrap();
+    run(&mut s, Op::set(b"b", b"2")).unwrap(); // chain head: b -> a
+                                               // Drop the chain head ("b") behind the store's back.
     let main = s.main_table_mut().unwrap();
     main.heads[0] = main.chain(0).next().unwrap().unwrap().header.next;
     // The surviving key still reads correctly.
-    assert_eq!(s.get(b"a").unwrap(), b"1");
+    assert_eq!(run(&mut s, Op::Get(b"a")).unwrap().value().unwrap(), b"1");
     // The unlinked key surfaces as tampering, not a silent miss.
-    assert!(matches!(s.get(b"b"), Err(Error::IntegrityViolation { .. })));
+    assert!(matches!(run(&mut s, Op::Get(b"b")), Err(Error::IntegrityViolation { .. })));
     // Inserting into the corrupted bucket is refused too.
-    assert!(matches!(s.set(b"c", b"3"), Err(Error::IntegrityViolation { .. })));
+    assert!(matches!(run(&mut s, Op::set(b"c", b"3")), Err(Error::IntegrityViolation { .. })));
     vclock::reset();
 }
 
@@ -200,11 +211,11 @@ fn entry_removal_without_mac_bucket_detected_by_set_hash() {
     let cfg = Config { mac_bucket: false, ..Config::shield_opt() }.buckets(1).mac_hashes(1);
     let mut s = shard_with(cfg);
     vclock::reset();
-    s.set(b"a", b"1").unwrap();
-    s.set(b"b", b"2").unwrap();
+    run(&mut s, Op::set(b"a", b"1")).unwrap();
+    run(&mut s, Op::set(b"b", b"2")).unwrap();
     let main = s.main_table_mut().unwrap();
     main.heads[0] = main.chain(0).next().unwrap().unwrap().header.next;
-    assert!(matches!(s.get(b"a"), Err(Error::IntegrityViolation { .. })));
+    assert!(matches!(run(&mut s, Op::Get(b"a")), Err(Error::IntegrityViolation { .. })));
     vclock::reset();
 }
 
@@ -212,21 +223,21 @@ fn entry_removal_without_mac_bucket_detected_by_set_hash() {
 fn snapshot_freeze_serves_reads_and_absorbs_writes() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"stable", b"before").unwrap();
-    s.set(b"mutated", b"before").unwrap();
+    run(&mut s, Op::set(b"stable", b"before")).unwrap();
+    run(&mut s, Op::set(b"mutated", b"before")).unwrap();
     let frozen = s.freeze();
     assert!(s.is_snapshotting());
 
     // Reads hit the frozen table.
-    assert_eq!(s.get(b"stable").unwrap(), b"before");
+    assert_eq!(run(&mut s, Op::Get(b"stable")).unwrap().value().unwrap(), b"before");
     // Writes land in the temp table and shadow the frozen value.
-    s.set(b"mutated", b"after").unwrap();
-    s.set(b"fresh", b"new").unwrap();
-    assert_eq!(s.get(b"mutated").unwrap(), b"after");
-    assert_eq!(s.get(b"fresh").unwrap(), b"new");
+    run(&mut s, Op::set(b"mutated", b"after")).unwrap();
+    run(&mut s, Op::set(b"fresh", b"new")).unwrap();
+    assert_eq!(run(&mut s, Op::Get(b"mutated")).unwrap().value().unwrap(), b"after");
+    assert_eq!(run(&mut s, Op::Get(b"fresh")).unwrap().value().unwrap(), b"new");
     // Deletes are tombstoned.
-    s.delete(b"stable").unwrap();
-    assert_eq!(s.get(b"stable"), Err(Error::KeyNotFound));
+    assert!(run(&mut s, Op::Delete(b"stable")).unwrap().deleted());
+    assert_eq!(run(&mut s, Op::Get(b"stable")), Ok(Reply::Value(None)));
 
     // The frozen table is unchanged throughout.
     assert_eq!(frozen.count, 2);
@@ -234,9 +245,9 @@ fn snapshot_freeze_serves_reads_and_absorbs_writes() {
     drop(frozen);
     s.unfreeze().unwrap();
     assert!(!s.is_snapshotting());
-    assert_eq!(s.get(b"mutated").unwrap(), b"after");
-    assert_eq!(s.get(b"fresh").unwrap(), b"new");
-    assert_eq!(s.get(b"stable"), Err(Error::KeyNotFound));
+    assert_eq!(run(&mut s, Op::Get(b"mutated")).unwrap().value().unwrap(), b"after");
+    assert_eq!(run(&mut s, Op::Get(b"fresh")).unwrap().value().unwrap(), b"new");
+    assert_eq!(run(&mut s, Op::Get(b"stable")), Ok(Reply::Value(None)));
     assert_eq!(s.len(), 2);
     vclock::reset();
 }
@@ -245,12 +256,12 @@ fn snapshot_freeze_serves_reads_and_absorbs_writes() {
 fn unfreeze_fails_while_writer_active() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"k", b"v").unwrap();
+    run(&mut s, Op::set(b"k", b"v")).unwrap();
     let frozen = s.freeze();
     assert!(matches!(s.unfreeze(), Err(Error::Persistence(_))));
     drop(frozen);
     s.unfreeze().unwrap();
-    assert_eq!(s.get(b"k").unwrap(), b"v");
+    assert_eq!(run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(), b"v");
     vclock::reset();
 }
 
@@ -258,14 +269,14 @@ fn unfreeze_fails_while_writer_active() {
 fn snapshot_set_then_delete_then_set_roundtrips() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"k", b"v0").unwrap();
+    run(&mut s, Op::set(b"k", b"v0")).unwrap();
     let frozen = s.freeze();
-    s.delete(b"k").unwrap();
-    s.set(b"k", b"v1").unwrap();
-    assert_eq!(s.get(b"k").unwrap(), b"v1");
+    assert!(run(&mut s, Op::Delete(b"k")).unwrap().deleted());
+    run(&mut s, Op::set(b"k", b"v1")).unwrap();
+    assert_eq!(run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(), b"v1");
     drop(frozen);
     s.unfreeze().unwrap();
-    assert_eq!(s.get(b"k").unwrap(), b"v1");
+    assert_eq!(run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(), b"v1");
     assert_eq!(s.len(), 1);
     vclock::reset();
 }
@@ -275,23 +286,23 @@ fn cache_serves_hot_reads() {
     let mut s = shard_with(small_cfg().with_cache(1 << 16));
     s.enable_cache(1 << 16);
     vclock::reset();
-    s.set(b"hot", b"value").unwrap();
+    run(&mut s, Op::set(b"hot", b"value")).unwrap();
     for _ in 0..10 {
-        assert_eq!(s.get(b"hot").unwrap(), b"value");
+        assert_eq!(run(&mut s, Op::Get(b"hot")).unwrap().value().unwrap(), b"value");
     }
     assert!(s.stats().cache_hits >= 9, "cache hits: {}", s.stats().cache_hits);
     // Updates keep the cache coherent.
-    s.set(b"hot", b"value2").unwrap();
-    assert_eq!(s.get(b"hot").unwrap(), b"value2");
-    s.delete(b"hot").unwrap();
-    assert_eq!(s.get(b"hot"), Err(Error::KeyNotFound));
+    run(&mut s, Op::set(b"hot", b"value2")).unwrap();
+    assert_eq!(run(&mut s, Op::Get(b"hot")).unwrap().value().unwrap(), b"value2");
+    assert!(run(&mut s, Op::Delete(b"hot")).unwrap().deleted());
+    assert_eq!(run(&mut s, Op::Get(b"hot")), Ok(Reply::Value(None)));
     vclock::reset();
 }
 
 #[test]
 fn empty_key_rejected() {
     let mut s = shard_with(small_cfg());
-    assert!(matches!(s.set(b"", b"v"), Err(Error::OversizeItem { .. })));
+    assert!(matches!(run(&mut s, Op::set(b"", b"v")), Err(Error::OversizeItem { .. })));
 }
 
 #[test]
@@ -303,11 +314,11 @@ fn multi_set_multi_get_roundtrip_with_misses() {
         .collect();
     let refs: Vec<(&[u8], &[u8])> =
         items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-    s.multi_set(&refs).unwrap();
+    run(&mut s, Op::MultiSet { items: &refs, expires_at: 0 }).unwrap();
 
     let mut lookups: Vec<&[u8]> = items.iter().map(|(k, _)| k.as_slice()).collect();
     lookups.push(b"absent-key");
-    let got = s.multi_get(&lookups).unwrap();
+    let got = run(&mut s, Op::MultiGet(&lookups)).unwrap().values();
     assert_eq!(got.len(), 21);
     for (i, (_, v)) in items.iter().enumerate() {
         assert_eq!(got[i].as_deref(), Some(v.as_slice()));
@@ -322,14 +333,20 @@ fn multi_set_multi_get_roundtrip_with_misses() {
 fn multi_set_duplicate_keys_last_write_wins() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.multi_set(&[
-        (b"dup".as_slice(), b"first".as_slice()),
-        (b"other", b"x"),
-        (b"dup", b"second"),
-        (b"dup", b"third"),
-    ])
+    run(
+        &mut s,
+        Op::MultiSet {
+            items: &[
+                (b"dup".as_slice(), b"first".as_slice()),
+                (b"other", b"x"),
+                (b"dup", b"second"),
+                (b"dup", b"third"),
+            ],
+            expires_at: 0,
+        },
+    )
     .unwrap();
-    assert_eq!(s.get(b"dup").unwrap(), b"third");
+    assert_eq!(run(&mut s, Op::Get(b"dup")).unwrap().value().unwrap(), b"third");
     assert_eq!(s.len(), 2);
     vclock::reset();
 }
@@ -346,14 +363,14 @@ fn batch_on_one_bucket_set_verifies_once() {
         items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
 
     s.reset_stats();
-    s.multi_set(&refs).unwrap();
+    run(&mut s, Op::MultiSet { items: &refs, expires_at: 0 }).unwrap();
     assert_eq!(s.stats().integrity_verifications, 1);
     assert_eq!(s.stats().batch_verifications_saved, 15);
     assert_eq!(s.stats().batch_hash_updates_saved, 15);
 
     let lookups: Vec<&[u8]> = items.iter().map(|(k, _)| k.as_slice()).collect();
     s.reset_stats();
-    let got = s.multi_get(&lookups).unwrap();
+    let got = run(&mut s, Op::MultiGet(&lookups)).unwrap().values();
     assert!(got.iter().all(|r| r.is_some()));
     assert_eq!(s.stats().integrity_verifications, 1);
     assert_eq!(s.stats().batch_verifications_saved, 15);
@@ -370,13 +387,13 @@ fn batched_and_per_op_paths_agree() {
         .collect();
     let refs: Vec<(&[u8], &[u8])> =
         items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-    batched.multi_set(&refs).unwrap();
+    run(&mut batched, Op::MultiSet { items: &refs, expires_at: 0 }).unwrap();
     for (k, v) in &items {
-        per_op.set(k, v).unwrap();
+        run(&mut per_op, Op::set(k, v)).unwrap();
     }
     for (k, v) in &items {
-        assert_eq!(batched.get(k).unwrap(), *v);
-        assert_eq!(per_op.get(k).unwrap(), *v);
+        assert_eq!(run(&mut batched, Op::Get(k)).unwrap().value().unwrap(), *v);
+        assert_eq!(run(&mut per_op, Op::Get(k)).unwrap().value().unwrap(), *v);
     }
     assert_eq!(batched.len(), per_op.len());
     vclock::reset();
@@ -387,13 +404,13 @@ fn multi_get_detects_tampering() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
     for i in 0..8u32 {
-        s.set(format!("k{i}").as_bytes(), b"value").unwrap();
+        run(&mut s, Op::set(format!("k{i}").as_bytes(), b"value")).unwrap();
     }
     use crate::testing::{EntryField, TamperOp};
     assert!(s.tamper(TamperOp::Field(EntryField::Any), 12345));
     let lookups: Vec<Vec<u8>> = (0..8u32).map(|i| format!("k{i}").into_bytes()).collect();
     let refs: Vec<&[u8]> = lookups.iter().map(|k| k.as_slice()).collect();
-    assert!(matches!(s.multi_get(&refs), Err(Error::IntegrityViolation { .. })));
+    assert!(matches!(run(&mut s, Op::MultiGet(&refs)), Err(Error::IntegrityViolation { .. })));
     vclock::reset();
 }
 
@@ -401,16 +418,20 @@ fn multi_get_detects_tampering() {
 fn batched_ops_during_snapshot_fall_back() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    s.set(b"old", b"frozen-value").unwrap();
+    run(&mut s, Op::set(b"old", b"frozen-value")).unwrap();
     let frozen = s.freeze();
-    s.multi_set(&[(b"new".as_slice(), b"temp-value".as_slice())]).unwrap();
-    let got = s.multi_get(&[b"old".as_slice(), b"new", b"none"]).unwrap();
+    run(
+        &mut s,
+        Op::MultiSet { items: &[(b"new".as_slice(), b"temp-value".as_slice())], expires_at: 0 },
+    )
+    .unwrap();
+    let got = run(&mut s, Op::MultiGet(&[b"old".as_slice(), b"new", b"none"])).unwrap().values();
     assert_eq!(got[0].as_deref(), Some(b"frozen-value".as_slice()));
     assert_eq!(got[1].as_deref(), Some(b"temp-value".as_slice()));
     assert_eq!(got[2], None);
     drop(frozen);
     s.unfreeze().unwrap();
-    assert_eq!(s.get(b"new").unwrap(), b"temp-value");
+    assert_eq!(run(&mut s, Op::Get(b"new")).unwrap().value().unwrap(), b"temp-value");
     vclock::reset();
 }
 
@@ -418,7 +439,13 @@ fn batched_ops_during_snapshot_fall_back() {
 fn multi_set_rejects_invalid_item_before_mutating() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
-    let r = s.multi_set(&[(b"good".as_slice(), b"v".as_slice()), (b"", b"v")]);
+    let r = run(
+        &mut s,
+        Op::MultiSet {
+            items: &[(b"good".as_slice(), b"v".as_slice()), (b"", b"v")],
+            expires_at: 0,
+        },
+    );
     assert!(matches!(r, Err(Error::OversizeItem { .. })));
     // Validation happens before any write: nothing landed.
     assert_eq!(s.len(), 0);
@@ -430,7 +457,7 @@ fn quarantine_isolates_bucket_set_after_violation() {
     let mut s = shard_with(small_cfg().with_ordered_index().with_quarantine());
     vclock::reset();
     for i in 0..32u32 {
-        s.set(format!("k{i}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+        run(&mut s, Op::set(format!("k{i}").as_bytes(), format!("v{i}").as_bytes())).unwrap();
     }
     use crate::testing::{EntryField, TamperOp};
     assert!(s.tamper(TamperOp::Field(EntryField::Any), 7));
@@ -440,8 +467,8 @@ fn quarantine_isolates_bucket_set_after_violation() {
     let mut victim_set = None;
     for i in 0..32u32 {
         let k = format!("k{i}");
-        match s.get(k.as_bytes()) {
-            Ok(v) => assert_eq!(v, format!("v{i}").into_bytes()),
+        match run(&mut s, Op::Get(k.as_bytes())) {
+            Ok(v) => assert_eq!(v.value(), Some(format!("v{i}").into_bytes())),
             Err(Error::IntegrityViolation { .. }) => {
                 assert!(victim_set.is_none(), "only the tampered entry itself fails open");
                 victim_set = Some(s.set_of_key(k.as_bytes()));
@@ -462,10 +489,10 @@ fn quarantine_isolates_bucket_set_after_violation() {
     for i in 0..32u32 {
         let k = format!("k{i}");
         let in_set = s.set_of_key(k.as_bytes()) == victim_set;
-        match s.get(k.as_bytes()) {
+        match run(&mut s, Op::Get(k.as_bytes())) {
             Ok(v) => {
                 assert!(!in_set);
-                assert_eq!(v, format!("v{i}").into_bytes());
+                assert_eq!(v.value(), Some(format!("v{i}").into_bytes()));
             }
             Err(Error::Quarantined { .. }) => assert!(in_set),
             other => panic!("unexpected outcome: {other:?}"),
@@ -476,17 +503,23 @@ fn quarantine_isolates_bucket_set_after_violation() {
         .map(|i| format!("k{i}"))
         .find(|k| s.set_of_key(k.as_bytes()) == victim_set)
         .unwrap();
-    assert!(matches!(s.set(qk.as_bytes(), b"x"), Err(Error::Quarantined { .. })));
-    assert!(matches!(s.delete(qk.as_bytes()), Err(Error::Quarantined { .. })));
-    assert!(matches!(s.append(qk.as_bytes(), b"x"), Err(Error::Quarantined { .. })));
-    assert!(matches!(s.increment(qk.as_bytes(), 1), Err(Error::Quarantined { .. })));
+    assert!(matches!(run(&mut s, Op::set(qk.as_bytes(), b"x")), Err(Error::Quarantined { .. })));
+    assert!(matches!(run(&mut s, Op::Delete(qk.as_bytes())), Err(Error::Quarantined { .. })));
+    assert!(matches!(
+        run(&mut s, Op::Append { key: qk.as_bytes(), suffix: b"x" }),
+        Err(Error::Quarantined { .. })
+    ));
+    assert!(matches!(
+        run(&mut s, Op::Increment { key: qk.as_bytes(), delta: 1 }),
+        Err(Error::Quarantined { .. })
+    ));
     assert!(matches!(
         s.execute(0, None, Op::Exists(qk.as_bytes())),
         Err(Error::Quarantined { .. })
     ));
-    assert!(matches!(s.multi_get(&[qk.as_bytes()]), Err(Error::Quarantined { .. })));
+    assert!(matches!(run(&mut s, Op::MultiGet(&[qk.as_bytes()])), Err(Error::Quarantined { .. })));
     assert!(matches!(
-        s.multi_set(&[(qk.as_bytes(), b"x".as_slice())]),
+        run(&mut s, Op::MultiSet { items: &[(qk.as_bytes(), b"x".as_slice())], expires_at: 0 }),
         Err(Error::Quarantined { .. })
     ));
     // Scans span partitions, so any quarantined set fails them.
@@ -504,13 +537,13 @@ fn quarantine_escalates_to_whole_shard_on_repeat_violation() {
     vclock::reset();
     let keys: Vec<String> = (0..32).map(|i| format!("k{i}")).collect();
     for k in &keys {
-        s.set(k.as_bytes(), b"value").unwrap();
+        run(&mut s, Op::set(k.as_bytes(), b"value")).unwrap();
     }
     use crate::testing::{EntryField, TamperOp};
     // First violation: one bucket set quarantined.
     assert!(s.tamper(TamperOp::Field(EntryField::Any), 1));
     for k in &keys {
-        let _ = s.get(k.as_bytes());
+        let _ = run(&mut s, Op::Get(k.as_bytes()));
     }
     let (whole, sets, violations) = s.quarantine_state();
     assert!(!whole);
@@ -521,7 +554,7 @@ fn quarantine_escalates_to_whole_shard_on_repeat_violation() {
     for seed in 2..200u64 {
         assert!(s.tamper(TamperOp::Field(EntryField::Any), seed));
         for k in &keys {
-            let _ = s.get(k.as_bytes());
+            let _ = run(&mut s, Op::Get(k.as_bytes()));
         }
         if s.quarantine_state().0 {
             break;
@@ -532,7 +565,7 @@ fn quarantine_escalates_to_whole_shard_on_repeat_violation() {
     assert_eq!(violations, 2);
     // Now every key fails closed, whatever its partition.
     for k in &keys {
-        assert!(matches!(s.get(k.as_bytes()), Err(Error::Quarantined { .. })));
+        assert!(matches!(run(&mut s, Op::Get(k.as_bytes())), Err(Error::Quarantined { .. })));
     }
     vclock::reset();
 }
@@ -542,7 +575,7 @@ fn quarantine_escalates_during_snapshot_freeze() {
     let mut s = shard_with(small_cfg().with_quarantine());
     vclock::reset();
     for i in 0..8u32 {
-        s.set(format!("k{i}").as_bytes(), b"value").unwrap();
+        run(&mut s, Op::set(format!("k{i}").as_bytes(), b"value")).unwrap();
     }
     use crate::testing::{EntryField, TamperOp};
     assert!(s.tamper(TamperOp::Field(EntryField::Any), 99));
@@ -551,7 +584,7 @@ fn quarantine_escalates_during_snapshot_freeze() {
     // quarantines the whole shard.
     let frozen = s.freeze();
     for i in 0..8u32 {
-        let _ = s.get(format!("k{i}").as_bytes());
+        let _ = run(&mut s, Op::Get(format!("k{i}").as_bytes()));
     }
     assert!(s.quarantine_state().0, "freeze-time violation must quarantine the shard");
     drop(frozen);
@@ -566,14 +599,14 @@ fn quarantine_requires_opt_in() {
     let mut s = shard_with(small_cfg());
     vclock::reset();
     for i in 0..8u32 {
-        s.set(format!("k{i}").as_bytes(), b"value").unwrap();
+        run(&mut s, Op::set(format!("k{i}").as_bytes(), b"value")).unwrap();
     }
     use crate::testing::{EntryField, TamperOp};
     assert!(s.tamper(TamperOp::Field(EntryField::Any), 3));
     let mut violations = 0;
     for _ in 0..2 {
         for i in 0..8u32 {
-            match s.get(format!("k{i}").as_bytes()) {
+            match run(&mut s, Op::Get(format!("k{i}").as_bytes())) {
                 Ok(_) => {}
                 Err(Error::IntegrityViolation { .. }) => violations += 1,
                 other => panic!("unexpected outcome: {other:?}"),
@@ -595,17 +628,17 @@ fn mac_bucket_and_chain_gathers_agree() {
     vclock::reset();
     for i in 0..100u32 {
         let k = format!("k{i}");
-        with.set(k.as_bytes(), k.as_bytes()).unwrap();
-        without.set(k.as_bytes(), k.as_bytes()).unwrap();
+        run(&mut with, Op::set(k.as_bytes(), k.as_bytes())).unwrap();
+        run(&mut without, Op::set(k.as_bytes(), k.as_bytes())).unwrap();
     }
     for i in (0..100u32).step_by(3) {
         let k = format!("k{i}");
-        with.delete(k.as_bytes()).unwrap();
-        without.delete(k.as_bytes()).unwrap();
+        assert!(run(&mut with, Op::Delete(k.as_bytes())).unwrap().deleted());
+        assert!(run(&mut without, Op::Delete(k.as_bytes())).unwrap().deleted());
     }
     for i in 0..100u32 {
         let k = format!("k{i}");
-        assert_eq!(with.get(k.as_bytes()).is_ok(), without.get(k.as_bytes()).is_ok());
+        assert_eq!(run(&mut with, Op::Get(k.as_bytes())), run(&mut without, Op::Get(k.as_bytes())));
     }
     vclock::reset();
 }
@@ -620,10 +653,10 @@ fn tenants_are_isolated_namespaces() {
     vclock::reset();
     s.execute(1, None, Op::set(b"k", b"one")).unwrap();
     s.execute(2, None, Op::set(b"k", b"two")).unwrap();
-    s.set(b"k", b"zero").unwrap(); // tenant 0 sugar
+    run(&mut s, Op::set(b"k", b"zero")).unwrap(); // tenant 0 sugar
     assert_eq!(s.execute(1, None, Op::Get(b"k")).unwrap().value().unwrap(), b"one");
     assert_eq!(s.execute(2, None, Op::Get(b"k")).unwrap().value().unwrap(), b"two");
-    assert_eq!(s.get(b"k").unwrap(), b"zero");
+    assert_eq!(run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(), b"zero");
     assert_eq!(s.len(), 3, "same key in three namespaces = three entries");
     assert_eq!(s.execute(3, None, Op::Get(b"k")), Ok(Reply::Value(None)));
     assert_eq!(s.execute(1, None, Op::Delete(b"k")), Ok(Reply::Deleted(true)));
@@ -662,14 +695,14 @@ fn ttl_lazy_expiry_and_sweep() {
     assert_eq!(s.len(), 3);
 
     // Lazy expiry: reads hide the dead entry without mutating.
-    assert_eq!(s.get(b"dead"), Err(Error::KeyNotFound));
+    assert_eq!(run(&mut s, Op::Get(b"dead")), Ok(Reply::Value(None)));
     assert_eq!(s.stats().expired_lazy, 1);
     assert_eq!(s.len(), 3, "lazy expiry does not remove");
     assert_eq!(s.execute(0, None, Op::Exists(b"dead")), Ok(Reply::Exists(false)));
 
     // Delete of an expired entry is KeyNotFound *without* removal:
     // physical reap is the sweep's job (it gets WAL-logged there).
-    assert_eq!(s.delete(b"dead"), Err(Error::KeyNotFound));
+    assert_eq!(run(&mut s, Op::Delete(b"dead")), Ok(Reply::Deleted(false)));
     assert_eq!(s.len(), 3);
 
     let reg = TenantRegistry::new();
@@ -677,8 +710,8 @@ fn ttl_lazy_expiry_and_sweep() {
     assert_eq!(reaped, vec![(0, b"dead".to_vec())]);
     assert_eq!(s.len(), 2);
     assert_eq!(s.stats().expired_swept, 1);
-    assert_eq!(s.get(b"eternal").unwrap(), b"e");
-    assert_eq!(s.get(b"live").unwrap(), b"l");
+    assert_eq!(run(&mut s, Op::Get(b"eternal")).unwrap().value().unwrap(), b"e");
+    assert_eq!(run(&mut s, Op::Get(b"live")).unwrap().value().unwrap(), b"l");
     vclock::reset();
 }
 
@@ -690,18 +723,22 @@ fn ttl_reset_on_set_and_cleared_by_merge_ops() {
 
     // SET replaces the deadline wholesale (Redis semantics).
     s.execute(0, None, Op::Set { key: b"k", value: b"v1", expires_at: 1 }).unwrap();
-    assert_eq!(s.get(b"k"), Err(Error::KeyNotFound));
-    s.set(b"k", b"v2").unwrap();
-    assert_eq!(s.get(b"k").unwrap(), b"v2", "overwrite revives: deadline replaced");
+    assert_eq!(run(&mut s, Op::Get(b"k")), Ok(Reply::Value(None)));
+    run(&mut s, Op::set(b"k", b"v2")).unwrap();
+    assert_eq!(
+        run(&mut s, Op::Get(b"k")).unwrap().value().unwrap(),
+        b"v2",
+        "overwrite revives: deadline replaced"
+    );
 
     // Append/increment clear any deadline: their WAL form is a plain
     // set of the produced value, which must replay deadline-free.
     let horizon = ttl::now_ns() + 3_600_000_000_000;
     s.execute(0, None, Op::Set { key: b"n", value: b"5", expires_at: horizon }).unwrap();
-    assert_eq!(s.increment(b"n", 2).unwrap(), 7);
+    assert_eq!(run(&mut s, Op::Increment { key: b"n", delta: 2 }).unwrap().counter(), 7);
     let far = ttl::now_ns() + 7_200_000_000_000; // past the old deadline
     assert!(s.sweep_expired(far, &reg).is_empty(), "increment cleared the deadline");
-    assert_eq!(s.get(b"n").unwrap(), b"7");
+    assert_eq!(run(&mut s, Op::Get(b"n")).unwrap().value().unwrap(), b"7");
     vclock::reset();
 }
 

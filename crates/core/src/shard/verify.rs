@@ -70,15 +70,16 @@ impl Access {
     /// exactly these bytes. With MAC bucketing they are a few contiguous
     /// reads of the side arrays; without it they are copied out of the
     /// chained entries' headers. `None` means the untrusted structure
-    /// itself is corrupt (unreadable pointer, cycle, inflated count field)
+    /// itself is corrupt (unreadable pointer, cycle, a count or capacity
+    /// field no honest node holds)
     /// — callers surface it as an integrity violation.
     fn gather_set(&mut self, table: &TableCtx, set: usize) -> Option<()> {
-        let max_macs = table.count.saturating_add(1);
+        let lim = table.mac_limits(self.cfg.mac_cap);
         let macs = &mut self.scratch.set;
         macs.clear();
         for bucket in table.sets.buckets_of(set) {
             if self.cfg.mac_bucket {
-                mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], macs, max_macs)?;
+                mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], macs, lim).ok()?;
             } else {
                 for link in table.chain(bucket) {
                     macs.extend_from_slice(&link.ok()?.header.mac);
@@ -89,18 +90,32 @@ impl Access {
         Some(())
     }
 
+    /// Fetches `set`'s stored hash, the first step of verifying it. It is
+    /// enclave memory and needs none of the untrusted lines a caller has
+    /// just hinted, so they land meanwhile.
+    pub(super) fn stored_hash(&mut self, table: &TableCtx, set: usize) -> [u8; 16] {
+        self.stats.integrity_verifications += 1;
+        table.macs.get(set)
+    }
+
+    /// Gathers `set`'s MACs to go with its `stored` hash.
+    pub(super) fn gather_pending(
+        &mut self,
+        table: &TableCtx,
+        set: usize,
+        stored: [u8; 16],
+    ) -> Result<PendingSet> {
+        self.gather_set(table, set).ok_or_else(|| set_violation(table, set))?;
+        Ok(PendingSet { set, stored })
+    }
+
     /// The first half of verifying `set` against untrusted state: fetches
     /// the stored hash and gathers the set's MACs. The second half — one
     /// CMAC and a compare — is [`Access::finish_verify`], or rides beside
     /// the opening of an entry ([`Access::get_in_bucket`]).
     pub(super) fn begin_verify(&mut self, table: &TableCtx, set: usize) -> Result<PendingSet> {
-        self.stats.integrity_verifications += 1;
-        // The stored hash is enclave memory and needs none of the untrusted
-        // lines the caller has just hinted: fetching it first lets them land
-        // meanwhile.
-        let stored = table.macs.get(set);
-        self.gather_set(table, set).ok_or_else(|| set_violation(table, set))?;
-        Ok(PendingSet { set, stored })
+        let stored = self.stored_hash(table, set);
+        self.gather_pending(table, set, stored)
     }
 
     /// Settles `pending` on its own, against the MACs gathered for it.
@@ -164,9 +179,9 @@ impl Access {
     fn gather_side(&mut self, table: &TableCtx, bucket: usize) -> Result<&[u8]> {
         let side = &mut self.scratch.side;
         side.clear();
-        let max_macs = table.count.saturating_add(1);
-        mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], side, max_macs)
-            .ok_or(Error::IntegrityViolation { bucket })?;
+        let lim = table.mac_limits(self.cfg.mac_cap);
+        mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], side, lim)
+            .map_err(|_| Error::IntegrityViolation { bucket })?;
         Ok(side)
     }
 
@@ -218,8 +233,8 @@ impl Access {
         if !self.cfg.mac_bucket {
             return Ok(());
         }
-        let max_macs = table.count.saturating_add(1);
-        match mac_bucket::try_get_at(&table.heap, table.mac_heads[bucket], found.pos, max_macs) {
+        let lim = table.mac_limits(self.cfg.mac_cap);
+        match mac_bucket::try_get_at(&table.heap, table.mac_heads[bucket], found.pos, lim) {
             Some(side) if side == found.header.mac => Ok(()),
             _ => Err(Error::IntegrityViolation { bucket }),
         }

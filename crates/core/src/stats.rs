@@ -177,6 +177,9 @@ sgx_sim::stat_table! {
         tenant_count: Gauge, "store";
         /// Bytes live in the custom untrusted heaps.
         heap_live_bytes: Gauge, "memory";
+        /// Of `heap_live_bytes`, what MAC-bucket nodes hold (the rest is
+        /// entries).
+        mac_node_bytes: Gauge, "memory";
         /// Chunks backing the untrusted heaps.
         heap_chunks: Gauge, "memory";
         /// Bytes used by the in-enclave plaintext caches.

@@ -802,11 +802,12 @@ mod tests {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 s.with_shard(idx, |shard| {
+                    let mut run = |op| shard.execute(DEFAULT_TENANT, None, op).unwrap();
                     for k in &keys {
-                        shard.set(k.as_bytes(), b"v").unwrap();
+                        run(Op::set(k.as_bytes(), b"v"));
                     }
                     for k in &keys {
-                        shard.get(k.as_bytes()).unwrap();
+                        assert!(run(Op::Get(k.as_bytes())).value().is_some());
                     }
                 });
             }));

@@ -10,6 +10,7 @@
 use crate::alloc::{Handle, UntrustedHeap, NULL_HANDLE};
 use crate::entry::{self, EntryHeader};
 use crate::integrity::{BucketSets, MacStore};
+use crate::mac_bucket::{Directory, Limits};
 use shield_crypto::hint::LINE;
 
 /// One hash table: structure + storage + integrity metadata.
@@ -22,6 +23,8 @@ pub struct TableCtx {
     pub heads: Vec<Handle>,
     /// Per-bucket MAC chain heads (used only when MAC bucketing is on).
     pub mac_heads: Vec<Handle>,
+    /// Bytes of `heap` held by MAC nodes, rounded to their size classes.
+    pub mac_node_bytes: usize,
     /// The in-enclave MAC hash array.
     pub macs: MacStore,
     /// Bucket -> MAC hash mapping.
@@ -106,6 +109,7 @@ impl TableCtx {
             heap,
             heads: vec![NULL_HANDLE; buckets],
             mac_heads: vec![NULL_HANDLE; buckets],
+            mac_node_bytes: 0,
             macs,
             sets,
             count: 0,
@@ -144,6 +148,23 @@ impl TableCtx {
     #[inline]
     pub fn hint_body(&self, handle: Handle, entry_len: usize) {
         self.heap.prefetch(handle, LINE, entry_len.div_ceil(LINE).saturating_sub(1));
+    }
+
+    /// The bounds on a walk over any bucket's MAC nodes, the largest of
+    /// which holds `mac_cap` slots.
+    #[inline]
+    pub fn mac_limits(&self, mac_cap: usize) -> Limits {
+        Limits { mac_cap, max_macs: self.count.saturating_add(1) }
+    }
+
+    /// `bucket`'s MAC directory, borrowed for a mutation.
+    pub fn directory(&mut self, bucket: usize, mac_cap: usize) -> Directory<'_> {
+        Directory {
+            lim: self.mac_limits(mac_cap),
+            heap: &mut self.heap,
+            head: &mut self.mac_heads[bucket],
+            node_bytes: &mut self.mac_node_bytes,
+        }
     }
 
     /// Walks `bucket`'s chain from its head. See [`Chain`].

@@ -12,9 +12,8 @@
 //! exists under `cfg(test)` or the `testing` cargo feature, and the store
 //! itself never calls it.
 
-use crate::alloc::Handle;
+use crate::alloc::{Handle, UntrustedHeap};
 use crate::entry;
-use crate::mac_bucket;
 use crate::shard::Shard;
 use crate::store::ShieldStore;
 use crate::table::{Link, TableCtx};
@@ -68,6 +67,16 @@ pub enum TamperOp {
     /// ([`crate::alloc::UntrustedHeap::wild_handles`]): a hint must
     /// shrug it off and the read behind it must still fail closed.
     WildPointer,
+    /// Overwrite an entry handle a MAC node lists — with a wild handle,
+    /// another entry's, or the node's own. Listed handles are only ever
+    /// hinted, so no op may answer differently for it.
+    NodeHandle,
+    /// Overwrite a MAC node's `cap` with one no honest node of its count
+    /// holds: 0, below its count, past the largest node, between two
+    /// classes, or a larger class — one with room for the count, whether
+    /// or not it runs off the node's chunk. Every op on the node's bucket
+    /// set must fail closed.
+    NodeCap,
 }
 
 /// A stale byte-level copy of one entry, for replay/rollback attacks.
@@ -92,6 +101,43 @@ fn mix(mut x: u64) -> u64 {
 /// break.
 fn reachable_entries(ctx: &TableCtx) -> Vec<(usize, Link)> {
     ctx.entries().filter_map(|(bucket, link)| Some((bucket, link.ok()?))).collect()
+}
+
+// A MAC node as raw memory has it (`[next u64 | count u32 | cap u32 | cap ×
+// MAC | cap × handle]`): the attacker's view, kept apart from the layout
+// constants `mac_bucket` reads it with.
+const NODE_COUNT: usize = 8;
+/// Offset of a node's `cap` field.
+pub const NODE_CAP: usize = 12;
+/// Offset of a node's first MAC slot.
+pub const NODE_MACS: usize = 16;
+
+fn node_word(heap: &UntrustedHeap, node: Handle, at: usize) -> Option<usize> {
+    let bytes = heap.try_bytes_at(node, at, 4)?;
+    Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize)
+}
+
+/// Where `node` keeps the handle of slot `slot`, going by its `cap` field.
+pub fn node_handle_at(heap: &UntrustedHeap, node: Handle, slot: usize) -> Option<usize> {
+    Some(NODE_MACS + node_word(heap, node, NODE_CAP)? * 16 + slot * 8)
+}
+
+/// The entry handles the MAC nodes chained from `head` list, in slot
+/// order, read straight from memory (a bounded walk; it stops at the
+/// first node it cannot read).
+pub fn listed_handles(heap: &UntrustedHeap, head: Handle) -> Vec<Handle> {
+    let mut out = Vec::new();
+    let mut node = head;
+    for _ in 0..1 << 16 {
+        let Some(window) = node_word(heap, node, NODE_COUNT)
+            .and_then(|count| heap.try_bytes_at(node, node_handle_at(heap, node, 0)?, count * 8))
+        else {
+            break;
+        };
+        out.extend(window.chunks_exact(8).map(|h| u64::from_le_bytes(h.try_into().unwrap())));
+        node = heap.try_read_u64_at(node, 0).unwrap_or(0);
+    }
+    out
 }
 
 /// Bounded enumeration of MAC side-array node handles.
@@ -129,6 +175,8 @@ impl Shard {
             TamperOp::Splice => splice_entry(main, seed),
             TamperOp::MacSideArray => tamper_mac_node(main, seed),
             TamperOp::WildPointer => plant_wild_pointer(main, seed),
+            TamperOp::NodeHandle => plant_node_handle(main, seed),
+            TamperOp::NodeCap => plant_node_cap(main, seed),
             TamperOp::HeapChunk => {
                 let chunks = main.heap.chunk_count();
                 if chunks == 0 {
@@ -175,6 +223,24 @@ impl Shard {
         main.heap.bytes_at_mut(stale.handle, 0, stale.bytes.len()).copy_from_slice(&stale.bytes);
         self.record_attack_step();
         true
+    }
+
+    /// Panics unless, in every bucket of every table, the handles the MAC
+    /// nodes list are the chain's entries, in chain order. Nothing depends
+    /// on it but the speed of the walk — a listed handle is only hinted —
+    /// which is why nothing else would notice the two drifting apart.
+    pub fn assert_directory_in_sync(&self) {
+        if !self.config().mac_bucket {
+            return;
+        }
+        for table in self.tables() {
+            for bucket in 0..table.buckets() {
+                let chain: Vec<Handle> =
+                    table.chain(bucket).map(|link| link.expect("an honest chain").handle).collect();
+                let listed = listed_handles(&table.heap, table.mac_heads[bucket]);
+                assert_eq!(listed, chain, "bucket {bucket} lists other entries than it chains");
+            }
+        }
     }
 
     fn record_attack_step(&self) {
@@ -263,14 +329,12 @@ fn tamper_mac_node(ctx: &mut TableCtx, seed: u64) -> bool {
         return false;
     }
     let node = nodes[(mix(seed) as usize) % nodes.len()];
-    // Aim at the MAC slots and count field; reading the node's own count
-    // keeps the offset inside the allocation without knowing capacity.
-    let count = match ctx.heap.try_bytes_at(node, 8, 4) {
-        Some(b) => u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize,
-        None => return false,
-    };
-    let span = mac_bucket::node_len(count.clamp(1, 1 << 10));
-    let offset = 8 + (mix(seed ^ 0x77aa) as usize) % (span - 8);
+    // Aim at the count and cap fields and the filled MAC slots; reading
+    // the node's own count keeps the offset inside the allocation without
+    // knowing capacity.
+    let Some(count) = node_word(&ctx.heap, node, NODE_COUNT) else { return false };
+    let span = NODE_MACS + count.clamp(1, 1 << 10) * 16;
+    let offset = NODE_COUNT + (mix(seed ^ 0x77aa) as usize) % (span - NODE_COUNT);
     if ctx.heap.try_bytes_at(node, offset, 1).is_none() {
         return false;
     }
@@ -308,6 +372,50 @@ fn plant_wild_pointer(ctx: &mut TableCtx, seed: u64) -> bool {
     true
 }
 
+/// A seed-chosen MAC node with its `count`, when there is one to read.
+fn pick_mac_node(ctx: &TableCtx, seed: u64) -> Option<(Handle, usize)> {
+    let nodes = checked_mac_nodes(ctx);
+    let node = *nodes.get((mix(seed) as usize) % nodes.len().max(1))?;
+    Some((node, node_word(&ctx.heap, node, NODE_COUNT)?))
+}
+
+fn plant_node_handle(ctx: &mut TableCtx, seed: u64) -> bool {
+    let Some((node, count)) = pick_mac_node(ctx, seed) else { return false };
+    let slot = (mix(seed ^ 0x5107) as usize) % count.max(1);
+    let Some(at) = node_handle_at(&ctx.heap, node, slot) else { return false };
+    if count == 0 || ctx.heap.try_bytes_at(node, at, 8).is_none() {
+        return false;
+    }
+    let entries = reachable_entries(ctx);
+    let planted = match mix(seed ^ 0x71d) % 6 {
+        wild @ 0..=3 => ctx.heap.wild_handles()[wild as usize],
+        4 => entries
+            .get((mix(seed ^ 0xe7) as usize) % entries.len().max(1))
+            .map_or(node, |e| e.1.handle),
+        _ => node,
+    };
+    ctx.heap.write_u64_at(node, at, planted);
+    true
+}
+
+fn plant_node_cap(ctx: &mut TableCtx, seed: u64) -> bool {
+    let Some((node, count)) = pick_mac_node(ctx, seed) else { return false };
+    let Some(cap) = node_word(&ctx.heap, node, NODE_CAP) else { return false };
+    let planted = match mix(seed ^ 0xca9) % 6 {
+        0 => 0,
+        1 => count.saturating_sub(1),
+        2 => 31,
+        // Larger classes: they hold the count, so only what the count
+        // makes of them refuses them.
+        3 if cap < 30 => 30,
+        4 if cap < 30 => crate::mac_bucket::class_cap(cap + 1, 30),
+        // One more than a class holds is never a class.
+        _ => cap + 1,
+    };
+    ctx.heap.bytes_at_mut(node, NODE_CAP, 4).copy_from_slice(&(planted as u32).to_le_bytes());
+    true
+}
+
 impl ShieldStore {
     /// Applies `op` to the shard chosen by `seed`. See [`Shard::tamper`].
     pub fn tamper(&self, op: TamperOp, seed: u64) -> bool {
@@ -324,6 +432,13 @@ impl ShieldStore {
     /// [`Shard::replay_entry`].
     pub fn replay_entry(&self, shard: usize, stale: &StaleEntry) -> bool {
         self.with_shard(shard, |s| s.replay_entry(stale))
+    }
+
+    /// [`Shard::assert_directory_in_sync`] over every shard.
+    pub fn assert_directories_in_sync(&self) {
+        for shard in 0..self.num_shards() {
+            self.with_shard(shard, |s| s.assert_directory_in_sync());
+        }
     }
 
     /// Old single-hook behaviour: flips one pseudo-random non-pointer

@@ -1,0 +1,129 @@
+//! The MAC-bucket directory from outside: that the entry handles a
+//! bucket's nodes list stay the bucket's chain through every path that
+//! writes either — nothing else would notice them drift apart, a listed
+//! handle being only ever hinted — and that small nodes keep what the
+//! untrusted heap holds per byte of user data where the size classes put
+//! it.
+
+use sgx_sim::counter::PersistentCounter;
+use sgx_sim::enclave::EnclaveBuilder;
+use sgx_sim::vclock;
+use shieldstore::{Config, ShieldStore};
+
+fn enclave() -> std::sync::Arc<sgx_sim::enclave::Enclave> {
+    EnclaveBuilder::new("mac-directory").seed(11).epc_bytes(8 << 20).build()
+}
+
+/// A seeded stream of sets of new keys, updates in place, updates that
+/// outgrow their class, deletes and batched sets over `keys` keys; the
+/// directories are checked every few ops and at the end.
+fn churn(store: &ShieldStore, seed: u64, ops: usize, keys: u64) {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let key = |id: u64| format!("key-{id:04}").into_bytes();
+    for step in 0..ops {
+        let id = next() % keys;
+        match next() % 8 {
+            // One class (an in-place update when the key is there) ...
+            0..=2 => store.set(&key(id), &[step as u8; 20]).unwrap(),
+            // ... and another (a reallocation when it is).
+            3 | 4 => store.set(&key(id), &vec![step as u8; 200 + (next() % 400) as usize]).unwrap(),
+            5 | 6 => {
+                let _ = store.delete(&key(id));
+            }
+            _ => {
+                let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..6)
+                    .map(|i| (key((id + i * 7) % keys), vec![i as u8; 20 + 90 * i as usize]))
+                    .collect();
+                let refs: Vec<(&[u8], &[u8])> =
+                    batch.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
+                store.multi_set(&refs).unwrap();
+            }
+        }
+        if step % 16 == 0 {
+            store.assert_directories_in_sync();
+        }
+    }
+    store.assert_directories_in_sync();
+}
+
+#[test]
+fn listed_handles_are_the_chain_through_every_write_path() {
+    vclock::reset();
+    let dir = std::env::temp_dir().join(format!("ss-macdir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The paper's node, and one small enough that buckets chain several.
+    for capacity in [30, 4] {
+        let config = Config { mac_bucket_capacity: capacity, ..Config::shield_opt() }
+            .buckets(24)
+            .mac_hashes(6)
+            .with_shards(2);
+        let store = ShieldStore::new(enclave(), config.clone()).unwrap();
+        churn(&store, 1 + capacity as u64, 1500, 400);
+        assert!(store.snapshot().mac_node_bytes > 0);
+
+        // Snapshot → restore: every entry re-linked and re-listed at the tail.
+        let snap = dir.join(format!("snap-{capacity}.db"));
+        let ctr_path = dir.join(format!("ctr-{capacity}"));
+        let _ = std::fs::remove_file(&ctr_path);
+        let counter = PersistentCounter::open(&ctr_path).unwrap();
+        store.snapshot_blocking(&snap, &counter).unwrap();
+        let restored = ShieldStore::restore(enclave(), config, &snap, &counter).unwrap();
+        assert_eq!(restored.len(), store.len());
+        restored.assert_directories_in_sync();
+        // A restored node was only ever appended to, so it is no larger
+        // than the live one, which grew and never shrinks.
+        assert!(restored.snapshot().mac_node_bytes <= store.snapshot().mac_node_bytes);
+        churn(&restored, 77, 300, 400);
+
+        // Freeze → writes → unfreeze: the temporary tables while frozen,
+        // the merge into the main ones after.
+        let job =
+            store.snapshot_background(dir.join(format!("bg-{capacity}.db")), &counter).unwrap();
+        churn(&store, 5, 400, 400);
+        job.finish().unwrap();
+        store.assert_directories_in_sync();
+        churn(&store, 6, 200, 400);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    vclock::reset();
+}
+
+/// Loads `keys` keys of `value_len`-byte values and returns what the
+/// benchmark calls `space_amp`: live untrusted heap over user bytes.
+fn space_amp(buckets: usize, mac_hashes: usize, keys: u64, value_len: usize) -> f64 {
+    let config = Config::shield_opt().buckets(buckets).mac_hashes(mac_hashes).with_shards(1);
+    let store = ShieldStore::new(enclave(), config).unwrap();
+    let value = vec![0x5a; value_len];
+    let ids: Vec<[u8; 16]> = (0..keys)
+        .map(|id| {
+            let mut key = *b"key-000000000000";
+            key[8..].copy_from_slice(&id.to_be_bytes());
+            key
+        })
+        .collect();
+    for batch in ids.chunks(256) {
+        let items: Vec<(&[u8], &[u8])> =
+            batch.iter().map(|k| (k.as_slice(), value.as_slice())).collect();
+        store.multi_set(&items).unwrap();
+    }
+    let snap = store.snapshot();
+    assert_eq!(snap.entries, keys);
+    assert!(snap.mac_node_bytes < snap.heap_live_bytes);
+    snap.heap_live_bytes as f64 / (keys * (16 + value_len as u64)) as f64
+}
+
+/// The two table shapes of the benchmark whose `space_amp` the MAC node
+/// decides: a node-size regression fails here, not only there.
+#[test]
+fn small_nodes_keep_the_heap_within_its_space_budget() {
+    vclock::reset();
+    let small = space_amp(1 << 16, 1 << 14, 200_000, 16);
+    assert!(small <= 5.5, "200k x 16 B values hold {small:.3} heap bytes per user byte");
+    let large = space_amp(1 << 14, 1 << 12, 100_000, 512);
+    assert!(large <= 2.05, "100k x 512 B values hold {large:.3} heap bytes per user byte");
+    vclock::reset();
+}

@@ -10,8 +10,9 @@ use shieldstore::alloc::{UntrustedHeap, NULL_HANDLE};
 use shieldstore::config::AllocMode;
 use shieldstore::entry;
 use shieldstore::integrity::{BucketSets, MacStore};
-use shieldstore::mac_bucket;
+use shieldstore::mac_bucket::{self, Directory, Limits};
 use shieldstore::table::{Link, TableCtx};
+use shieldstore::testing::listed_handles;
 
 fn heap() -> UntrustedHeap {
     UntrustedHeap::new(
@@ -60,49 +61,71 @@ proptest! {
         }
     }
 
-    /// The MAC chain mirrors a reference vector under arbitrary
-    /// insert-front / insert-back / set / remove sequences, for any
-    /// node capacity.
+    /// The MAC directory mirrors a reference vector of `(MAC, entry
+    /// handle)` slots under arbitrary insert-front / insert-back / set /
+    /// remove sequences — long enough, at the paper's capacity of 30, to
+    /// take a node through every size class and chain a second one; at 1
+    /// and 2, every insert and remove cascades — and holds exactly the heap
+    /// bytes its length implies: full nodes of the largest class and a last
+    /// one of the class its slots need, whatever the history.
     #[test]
     fn mac_chain_mirrors_vec(
-        capacity in 1usize..8,
-        ops in pvec((0u8..4, any::<u8>(), any::<prop::sample::Index>()), 1..120),
+        capacity in (0usize..5).prop_map(|i| [1, 2, 3, 4, 30][i]),
+        ops in pvec((0u8..6, any::<u8>(), any::<prop::sample::Index>()), 80..200),
     ) {
         let mut h = heap();
-        let mut head = NULL_HANDLE;
-        let mut reference: Vec<[u8; 16]> = Vec::new();
-        for &(op, fill, ref idx) in &ops {
-            let mac = [fill; 16];
+        let (mut head, mut node_bytes) = (NULL_HANDLE, 0usize);
+        let mut reference: Vec<([u8; 16], u64)> = Vec::new();
+        for (step, &(op, fill, ref idx)) in ops.iter().enumerate() {
+            let slot = ([fill; 16], (step as u64) << 8 | fill as u64);
+            let lim = Limits { mac_cap: capacity, max_macs: reference.len() + 1 };
+            let mut dir =
+                Directory { heap: &mut h, head: &mut head, node_bytes: &mut node_bytes, lim };
             match op {
-                0 => {
-                    mac_bucket::insert_front(&mut h, &mut head, &mac, capacity);
-                    reference.insert(0, mac);
+                0..=3 => {
+                    if op == 3 {
+                        dir.insert_back(&slot.0, slot.1).unwrap();
+                        reference.push(slot);
+                    } else {
+                        dir.insert_front(&slot.0, slot.1).unwrap();
+                        reference.insert(0, slot);
+                    }
                 }
-                1 => {
-                    mac_bucket::insert_back(&mut h, &mut head, &mac, capacity);
-                    reference.push(mac);
-                }
-                2 if !reference.is_empty() => {
+                4 if !reference.is_empty() => {
                     let at = idx.index(reference.len());
-                    mac_bucket::set_at(&mut h, head, at, &mac);
-                    reference[at] = mac;
+                    dir.set_at(at, &slot.0, slot.1).unwrap();
+                    reference[at] = slot;
                 }
-                3 if !reference.is_empty() => {
+                5 if !reference.is_empty() => {
                     let at = idx.index(reference.len());
-                    mac_bucket::remove_at(&mut h, &mut head, at, capacity);
+                    dir.remove_at(at).unwrap();
                     reference.remove(at);
                 }
                 _ => continue,
             }
-            let mut out = Vec::new();
             let max_macs = reference.len();
-            prop_assert_eq!(mac_bucket::try_gather(&h, head, &mut out, max_macs), Some(max_macs));
+            let lim = Limits { mac_cap: capacity, max_macs };
+            let mut out = Vec::new();
+            prop_assert_eq!(mac_bucket::try_gather(&h, head, &mut out, lim), Ok(max_macs));
             let got: Vec<[u8; 16]> = out.chunks(16).map(|c| c.try_into().unwrap()).collect();
-            prop_assert_eq!(&got, &reference);
+            prop_assert_eq!(got, reference.iter().map(|slot| slot.0).collect::<Vec<_>>());
             for (i, want) in reference.iter().enumerate() {
-                prop_assert_eq!(mac_bucket::try_get_at(&h, head, i, max_macs), Some(*want));
+                prop_assert_eq!(mac_bucket::try_get_at(&h, head, i, lim), Some(want.0));
             }
-            prop_assert_eq!(mac_bucket::try_get_at(&h, head, max_macs, max_macs), None);
+            prop_assert_eq!(mac_bucket::try_get_at(&h, head, max_macs, lim), None);
+            prop_assert_eq!(
+                listed_handles(&h, head),
+                reference.iter().map(|slot| slot.1).collect::<Vec<_>>()
+            );
+            let node = |slots| {
+                UntrustedHeap::class_len(mac_bucket::node_len(mac_bucket::class_cap(slots, capacity)))
+            };
+            let last = match max_macs % capacity {
+                0 => 0,
+                slots => node(slots),
+            };
+            let held = max_macs / capacity * node(capacity) + last;
+            prop_assert_eq!((h.live_bytes(), node_bytes), (held, held), "{} slots", max_macs);
         }
     }
 
