@@ -52,7 +52,7 @@
 //! | [`op`] | 3.2 | the one `Op`/`Reply` every layer executes |
 //! | [`cache`] | Fig. 17 | spare-EPC plaintext cache |
 //! | [`persist`] | 4.4, Alg. 1 | snapshots, sealing, rollback defense |
-//! | [`wal`] | beyond 4.4 | sealed write-ahead log, group commit |
+//! | [`wal`] | beyond 4.4 | sealed write-ahead log: codec, the one frame reader and chain cursor, pin, writer (group commit, rotation), readers (replay, ship, scrub, repair) |
 //! | [`repl`] | beyond 4.4 | sealed-log replication, fenced failover |
 //! | [`scrub`] | beyond 4.4 | background re-verification and repair |
 //! | [`store`] | — | the sharded top-level API |

@@ -16,8 +16,9 @@
 //! the primary refuses subscribers once rotation has pruned history —
 //! snapshot transfer is future work, see DESIGN.md), and the primary's
 //! durable watermark. The replica then polls [`ReplBatch`]es: raw
-//! on-disk record frames, exactly as sealed, which the replica opens
-//! with [`WalCodec::open_record`] against its own chain state. A batch
+//! on-disk record frames, exactly as sealed, which the replica splits
+//! with the log's one frame reader and opens against its own chain
+//! position ([`crate::wal`]'s `Frames` and `ChainCursor`). A batch
 //! never carries records past the primary's **durable** watermark — a
 //! buffered-but-unfsynced op (the `Interval`/`EveryN` window) is
 //! invisible to replicas, so a replica ack can never claim more than
@@ -82,7 +83,7 @@ use shield_crypto::constant_time::ct_eq;
 use crate::error::{Error, Result};
 use crate::stats::StatsSnapshot;
 use crate::store::ShieldStore;
-use crate::wal::{self, Segment, Wal, WalCodec, WalOp};
+use crate::wal::{self, ChainCursor, Frames, Segment, Wal, WalCodec, WalOp};
 
 /// A replication stream position: `(generation, seq)`, ordered
 /// lexicographically (derive order matters). `generation` is the
@@ -198,6 +199,20 @@ const BATCH_VERSION: u8 = 1;
 const BATCH_HEADER_LEN: usize = 1 + 8 + 8 + 4 + 16 + 1 + 8 + 16 + 4;
 
 impl ReplBatch {
+    /// The batch for a subscriber positioned after `(generation,
+    /// after_seq)`, before any frame or handover is put in it.
+    pub(crate) fn empty(generation: u64, after_seq: u64, durable: Watermark) -> Self {
+        ReplBatch {
+            generation,
+            start_seq: after_seq + 1,
+            count: 0,
+            frames: Vec::new(),
+            advance_to: None,
+            advance_tag: [0; 16],
+            durable,
+        }
+    }
+
     /// Serializes the batch (versioned header + raw frames).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(BATCH_HEADER_LEN + self.frames.len());
@@ -417,8 +432,8 @@ pub struct Replica {
     enc_key: [u8; 16],
     mac_key: [u8; 16],
     generation: u64,
-    seq: u64,
-    chain: [u8; 16],
+    /// Last applied record of `generation` and the MAC it ended on.
+    at: ChainCursor,
     primary_durable: Watermark,
     journal: Option<Journal>,
 }
@@ -437,15 +452,14 @@ impl Replica {
             return Err(Error::Persistence("a replica store must start empty".into()));
         }
         let codec = WalCodec::new(&hello.enc_key, &hello.mac_key);
-        let chain = codec.genesis(hello.start_generation);
+        let at = ChainCursor::genesis(&codec, hello.start_generation);
         Ok(Replica {
             store,
             codec,
             enc_key: hello.enc_key,
             mac_key: hello.mac_key,
             generation: hello.start_generation,
-            seq: 0,
-            chain,
+            at,
             primary_durable: hello.durable,
             journal: None,
         })
@@ -472,7 +486,7 @@ impl Replica {
 
     /// The replica's applied (and therefore ackable) watermark.
     pub fn watermark(&self) -> Watermark {
-        Watermark::new(self.generation, self.seq)
+        Watermark::new(self.generation, self.at.seq)
     }
 
     /// The primary's durable watermark as of the last applied batch —
@@ -498,52 +512,50 @@ impl Replica {
         if batch.generation != self.generation {
             return Err(Error::Rollback);
         }
-        if batch.count > 0 && batch.start_seq != self.seq + 1 {
-            return Err(Error::LogIntegrity { seq: self.seq + 1 });
+        if batch.count > 0 && batch.start_seq != self.at.seq + 1 {
+            return Err(Error::LogIntegrity { seq: self.at.seq + 1 });
         }
-        let data = &batch.frames;
-        let mut off = 0usize;
-        for _ in 0..batch.count {
-            let fail = Error::LogIntegrity { seq: self.seq + 1 };
-            if data.len() - off < 4 {
+        let mut applied = 0;
+        for frame in Frames::new(&batch.frames, 0) {
+            let fail = Error::LogIntegrity { seq: self.at.seq + 1 };
+            // A torn frame, or bytes past the `count` frames the batch
+            // announced.
+            let Ok(frame) = frame else { return Err(fail) };
+            if applied == batch.count {
                 return Err(fail);
             }
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-            if off + 4 + len > data.len() {
-                return Err(fail);
-            }
-            if Watermark::new(self.generation, self.seq + 1) > batch.durable {
+            if Watermark::new(self.generation, self.at.seq + 1) > batch.durable {
                 return Err(Error::Rollback);
             }
-            let (ops, mac) =
-                self.codec.open_record(self.seq + 1, &self.chain, &data[off + 4..off + 4 + len])?;
-            for op in ops {
+            // The position moves only once the record's ops are in the
+            // store.
+            let mut next = self.at;
+            for op in next.open(&self.codec, frame.body)? {
                 self.store.apply_replicated(op)?;
             }
-            self.seq += 1;
-            self.chain = mac;
+            self.at = next;
+            applied += 1;
             // Journal the frame only now that it verified: the journal
             // must never hold a byte the chain does not vouch for. A
             // failed journal write disables journaling (the cache goes
             // away; replication itself is unaffected).
             if let Some(j) = &mut self.journal {
-                if j.file.write_all(&data[off..off + 4 + len]).is_err() {
+                if j.file.write_all(frame.whole).is_err() {
                     self.journal = None;
                 }
             }
-            off += 4 + len;
         }
-        if off != data.len() {
-            return Err(Error::LogIntegrity { seq: self.seq + 1 });
+        if applied != batch.count {
+            return Err(Error::LogIntegrity { seq: self.at.seq + 1 });
         }
         if let Some(next_gen) = batch.advance_to {
-            let expect = self.codec.rotation_tag(self.generation, self.seq, &self.chain, next_gen);
+            let expect =
+                self.codec.rotation_tag(self.generation, self.at.seq, &self.at.chain, next_gen);
             if next_gen <= self.generation || !ct_eq(&expect, &batch.advance_tag) {
-                return Err(Error::LogIntegrity { seq: self.seq });
+                return Err(Error::LogIntegrity { seq: self.at.seq });
             }
             self.generation = next_gen;
-            self.seq = 0;
-            self.chain = self.codec.genesis(next_gen);
+            self.at = ChainCursor::genesis(&self.codec, next_gen);
             // Roll the journal with the stream.
             if let Some(j) = &mut self.journal {
                 match j.fs.open(&wal::log_path(&j.dir, next_gen), OpenMode::Create) {
@@ -579,40 +591,22 @@ impl Replica {
         let data = j.fs.read(&wal::log_path(&j.dir, gen)).map_err(|_| {
             Error::Persistence(format!("generation {gen} is not in the replica journal"))
         })?;
-        let mut off = 0usize;
+        let mut batch = ReplBatch::empty(gen, after_seq, self.primary_durable);
         let mut seq = 0u64;
-        let mut start = data.len();
-        let mut end = data.len();
-        while off + 4 <= data.len() {
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-            if off + 4 + len > data.len() {
-                // A frame torn by the disabling write failure: serve only
-                // the intact prefix.
-                break;
-            }
+        for frame in Frames::new(&data, 0) {
+            // A frame torn by the disabling write failure: serve only
+            // the intact prefix.
+            let Ok(frame) = frame else { break };
             seq += 1;
-            if seq == after_seq + 1 {
-                start = off;
-            }
             if seq > after_seq {
-                end = off + 4 + len;
-                if end - start >= max_bytes {
+                batch.frames.extend_from_slice(frame.whole);
+                batch.count += 1;
+                if batch.frames.len() >= max_bytes {
                     break;
                 }
             }
-            off += 4 + len;
         }
-        let count = seq.saturating_sub(after_seq).min(u32::MAX as u64) as u32;
-        let frames = if start < end { data[start..end].to_vec() } else { Vec::new() };
-        Ok(ReplBatch {
-            generation: gen,
-            start_seq: after_seq + 1,
-            count: if frames.is_empty() { 0 } else { count },
-            frames,
-            advance_to: None,
-            advance_tag: [0u8; 16],
-            durable: self.primary_durable,
-        })
+        Ok(batch)
     }
 
     /// Promotes this replica to primary: fences the old primary
@@ -630,7 +624,7 @@ impl Replica {
         // Pre-flight on the live pin: refuse — before fencing anything —
         // when this replica's stream position is not one the pin can
         // extend, or the pin is already stale/fenced.
-        let (pre, _) = wal::read_pin(&enclave, &fs, primary_wal_dir)?;
+        let (pre, _) = wal::read_pin(&enclave, &fs, primary_wal_dir, true)?;
         if pre.enc_key != self.enc_key
             || pre.mac_key != self.mac_key
             || !pre.segments.iter().any(|s| s.snap == self.generation)
@@ -643,7 +637,7 @@ impl Replica {
         // legitimately written before the fence — anything older is a
         // stale pin swapped in underneath us.
         wal::fence(&fs, primary_wal_dir)?;
-        let (pin, pcv) = wal::read_pin_unchecked(&enclave, &fs, primary_wal_dir)?;
+        let (mut pin, pcv) = wal::read_pin(&enclave, &fs, primary_wal_dir, false)?;
         if pin.pin_ctr + 2 != pcv && pin.pin_ctr + 1 != pcv {
             return Err(Error::Rollback);
         }
@@ -661,7 +655,7 @@ impl Replica {
             // not already delivered.
             let applied_up_to = match i.cmp(&my_idx) {
                 std::cmp::Ordering::Less => u64::MAX,
-                std::cmp::Ordering::Equal => self.seq,
+                std::cmp::Ordering::Equal => self.at.seq,
                 std::cmp::Ordering::Greater => 0,
             };
             let mut apply = |seq: u64, ops: Vec<WalOp>| -> Result<()> {
@@ -673,19 +667,19 @@ impl Replica {
                 }
                 Ok(())
             };
-            let (seq, chain, verified) =
+            let (end, verified) =
                 wal::verify_segment(fs.as_ref(), primary_wal_dir, &self.codec, seg, &mut apply)?;
             let path = wal::log_path(own_wal_dir, seg.snap);
             let mut f = fs.open(&path, OpenMode::Create)?;
             f.write_all(&verified)?;
             f.sync_all()?;
-            adopted.push(Segment { snap: seg.snap, last_seq: seq, last_mac: chain });
+            adopted.push(Segment { snap: seg.snap, last_seq: end.seq, last_mac: end.chain });
         }
         let wm =
             adopted.last().map(|s| Watermark::new(s.snap, s.last_seq)).ok_or(Error::Rollback)?;
         let policy = self.store.config().durability;
-        let adopted_wal =
-            Wal::adopt(enclave, fs, own_wal_dir, policy, self.enc_key, self.mac_key, adopted)?;
+        pin.segments = adopted;
+        let adopted_wal = Wal::adopt(enclave, fs, own_wal_dir, policy, pin)?;
         self.store.install_wal(adopted_wal)?;
         self.store.recount_usage();
         Ok(wm)

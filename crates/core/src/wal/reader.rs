@@ -1,0 +1,465 @@
+//! Everything that reads the log back: crash recovery's replay, the
+//! read-only verification promotion copies from, log shipping, the
+//! scrubber's budgeted walk and the check a repair must pass. Each is a
+//! `for` over [`Frames`], the verifying ones stepping a [`ChainCursor`];
+//! what differs is only what a torn frame or a failed MAC *means* to
+//! each — recovery truncates a torn tail past the pin and fails closed
+//! inside it, promotion leaves it out of its copy, shipping refuses,
+//! scrub reports, repair accepts nothing but the pinned chain. DESIGN.md
+//! § "Durability: sealed write-ahead log" tabulates the verdicts and
+//! `tests/wal_readers.rs` holds every reader to them. (`crate::repl` has
+//! the other two loops: a replica applying a batch and a journaling
+//! replica serving frames back.)
+
+use std::io::ErrorKind;
+use std::path::Path;
+
+use sgx_sim::storage::{OpenMode, StorageFs};
+use shield_crypto::constant_time::ct_eq;
+
+use super::codec::WalCodec;
+use super::frames::{ChainCursor, Frames};
+use super::pin::{replace_durably, Segment};
+use super::writer::{fail_closed, Poison};
+use super::{log_path, Wal, WalOp};
+use crate::error::{Error, Result};
+use crate::repl::{ReplBatch, Watermark};
+
+/// Reads pinned segment `seg`'s log file. A missing file is an empty
+/// log when nothing in it was pinned, and a rollback — pinned records
+/// vanished — otherwise.
+fn read_segment(fs: &dyn StorageFs, dir: &Path, seg: &Segment) -> Result<Vec<u8>> {
+    match fs.read(&log_path(dir, seg.snap)) {
+        Ok(data) => Ok(data),
+        Err(e) if e.kind() == ErrorKind::NotFound && seg.last_seq == 0 => Ok(Vec::new()),
+        Err(e) if e.kind() == ErrorKind::NotFound => Err(Error::Rollback),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Walks `data` verifying the MAC chain record-by-record from the
+/// segment's genesis tag, handing each record's ops (with its sequence
+/// number) to `apply`. Returns the position reached (≥ the pinned pair
+/// when a committed-but-unpinned final record survived a crash) and the
+/// byte length of the verified prefix; anything after it is a torn
+/// final append. Tolerated past the pinned sequence only — a log that
+/// tears, or ends, short of its pin fails closed, and so does a
+/// *complete* record with a bad MAC wherever it sits.
+pub(super) fn walk_segment(
+    codec: &WalCodec,
+    data: &[u8],
+    seg: &Segment,
+    apply: &mut dyn FnMut(u64, Vec<WalOp>) -> Result<()>,
+) -> Result<(ChainCursor, usize)> {
+    let mut at = ChainCursor::genesis(codec, seg.snap);
+    let mut valid_end = 0;
+    for frame in Frames::new(data, 0) {
+        let Ok(frame) = frame else { break };
+        let ops = at.open(codec, frame.body)?;
+        if at.seq == seg.last_seq && !ct_eq(&at.chain, &seg.last_mac) {
+            return Err(Error::LogIntegrity { seq: at.seq });
+        }
+        apply(at.seq, ops)?;
+        valid_end = frame.end();
+    }
+    if at.seq < seg.last_seq {
+        return Err(Error::Rollback); // pinned records are torn or missing
+    }
+    Ok((at, valid_end))
+}
+
+/// Replays one pinned segment's log through `apply` for crash recovery
+/// and returns the position actually reached. A torn tail past the
+/// pinned sequence is truncated off the file.
+pub(super) fn replay_segment(
+    codec: &WalCodec,
+    fs: &dyn StorageFs,
+    dir: &Path,
+    seg: &Segment,
+    apply: &mut dyn FnMut(u64, Vec<WalOp>) -> Result<()>,
+) -> Result<ChainCursor> {
+    let data = read_segment(fs, dir, seg)?;
+    let (at, valid_end) = walk_segment(codec, &data, seg, apply)?;
+    if valid_end < data.len() {
+        let mut f = fs.open(&log_path(dir, seg.snap), OpenMode::ReadWrite)?;
+        f.set_len(valid_end as u64)?;
+        f.sync_data()?;
+    }
+    Ok(at)
+}
+
+/// Verifies one pinned segment's log end-to-end without mutating the
+/// file — replica promotion must not touch the primary's files.
+/// Returns the position reached plus the verified byte prefix of the
+/// file, which the promoting replica copies into its own log
+/// directory. Fail-closed rules match recovery.
+pub(crate) fn verify_segment(
+    fs: &dyn StorageFs,
+    dir: &Path,
+    codec: &WalCodec,
+    seg: &Segment,
+    apply: &mut dyn FnMut(u64, Vec<WalOp>) -> Result<()>,
+) -> Result<(ChainCursor, Vec<u8>)> {
+    let mut data = read_segment(fs, dir, seg)?;
+    let (at, valid_end) = walk_segment(codec, &data, seg, apply)?;
+    data.truncate(valid_end);
+    Ok((at, data))
+}
+
+/// Resumable position inside one segment's scrub walk: the byte offset
+/// of the next frame and the chain position verified up to it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScrubPos {
+    offset: usize,
+    at: ChainCursor,
+}
+
+/// Outcome of one budgeted scrub step over a pinned segment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ScrubChunk {
+    /// Budget exhausted mid-segment; resume from `pos`.
+    Progress {
+        /// Bytes verified this step.
+        bytes: u64,
+        /// Where the next step resumes.
+        pos: ScrubPos,
+    },
+    /// The segment verified end-to-end through its pinned `(seq, MAC)`.
+    Clean {
+        /// Bytes verified this step.
+        bytes: u64,
+    },
+    /// Pinned records are damaged on disk — bit rot, truncation, or a
+    /// vanished file.
+    Corrupt {
+        /// Bytes verified before the damage.
+        bytes: u64,
+    },
+    /// The generation is no longer pinned — rotated away mid-pass.
+    Gone,
+}
+
+impl Wal {
+    /// Reads a chunk of the sealed stream for a subscriber positioned
+    /// after `(gen, after_seq)`: raw on-disk frames (no decrypt — the
+    /// replica verifies and opens them itself), at least one record
+    /// when any is due, up to ~`max_bytes`. Only durable records ship;
+    /// when the subscriber has drained a finished generation the batch
+    /// instead carries an authenticated handover to the next one. A
+    /// position the log cannot serve (unknown generation, or claiming
+    /// records past the durable watermark) fails closed.
+    pub(crate) fn ship_from(
+        &self,
+        gen: u64,
+        after_seq: u64,
+        max_bytes: usize,
+    ) -> Result<ReplBatch> {
+        let inner = self.inner.lock();
+        // Note: a *poisoned* writer still ships. Its durable prefix is
+        // intact and verified — freezing replication too would turn a
+        // local disk fault into cluster-wide data loss, when failing
+        // over to a caught-up replica is the whole point.
+        inner.alive()?;
+        let segments = inner.pinned();
+        let idx = segments.iter().position(|s| s.snap == gen).ok_or(Error::Rollback)?;
+        let seg = segments[idx];
+        if after_seq > seg.last_seq {
+            // The subscriber claims records this log never durably
+            // committed — a desynced or forged position.
+            return Err(Error::Rollback);
+        }
+        let durable = Watermark { generation: inner.snap, seq: inner.seq };
+        let mut batch = ReplBatch::empty(gen, after_seq, durable);
+        if after_seq == seg.last_seq {
+            if let Some(next) = segments.get(idx + 1) {
+                batch.advance_to = Some(next.snap);
+                batch.advance_tag =
+                    inner.codec.rotation_tag(gen, seg.last_seq, &seg.last_mac, next.snap);
+            }
+            return Ok(batch);
+        }
+        let data = inner.fs.read(&log_path(&inner.dir, gen))?;
+        let mut seq = 0u64;
+        for frame in Frames::new(&data, 0) {
+            if seq == seg.last_seq {
+                break;
+            }
+            let frame = frame.map_err(|_| Error::Rollback)?; // durable frame torn on disk
+            seq += 1;
+            if seq > after_seq {
+                if !batch.frames.is_empty() && batch.frames.len() + frame.whole.len() > max_bytes {
+                    break;
+                }
+                batch.frames.extend_from_slice(frame.whole);
+                batch.count += 1;
+            }
+        }
+        if batch.count == 0 {
+            // Records below the durable watermark are due but the file
+            // ended before yielding a single one: durable frames are
+            // missing from disk.
+            return Err(Error::Rollback);
+        }
+        // The shipped range never exceeds the durable watermark: frames
+        // are capped at the segment's committed `last_seq`, and the
+        // current generation's `last_seq` *is* the watermark. This is
+        // the Interval-durability caveat, enforced by construction.
+        debug_assert!(
+            Watermark { generation: gen, seq: after_seq + u64::from(batch.count) } <= durable
+        );
+        Ok(batch)
+    }
+
+    /// Verifies up to ~`budget` bytes of pinned segment `gen`'s sealed
+    /// chain, resuming from `pos` (`None` = the generation's genesis
+    /// tag). Read-only: bytes past the pinned sequence are ignored
+    /// (recovery's torn-tail rule owns those), and damage to pinned
+    /// records reports [`ScrubChunk::Corrupt`] without touching the
+    /// file — the caller quarantines and, with an attested peer,
+    /// repairs. The chain may grow between chunks; a saved position
+    /// stays a valid verified prefix because the log is append-only.
+    pub(crate) fn scrub_chunk(
+        &self,
+        gen: u64,
+        pos: Option<ScrubPos>,
+        budget: usize,
+    ) -> Result<ScrubChunk> {
+        let inner = self.inner.lock();
+        let Some(seg) = inner.segment(gen) else {
+            return Ok(ScrubChunk::Gone);
+        };
+        let mut pos =
+            pos.unwrap_or(ScrubPos { offset: 0, at: ChainCursor::genesis(&inner.codec, gen) });
+        if pos.at.seq >= seg.last_seq {
+            return Ok(ScrubChunk::Clean { bytes: 0 });
+        }
+        let data = match read_segment(inner.fs.as_ref(), &inner.dir, &seg) {
+            Ok(data) => data,
+            Err(Error::Rollback) => return Ok(ScrubChunk::Corrupt { bytes: 0 }),
+            Err(e) => return Err(e),
+        };
+        let start = pos.offset;
+        let mut bytes = 0;
+        for frame in Frames::new(&data, start) {
+            let Ok(frame) = frame else { break };
+            if pos.at.open(&inner.codec, frame.body).is_err() {
+                break;
+            }
+            pos.offset = frame.end();
+            bytes = (pos.offset - start) as u64;
+            if pos.at.seq == seg.last_seq {
+                if !ct_eq(&pos.at.chain, &seg.last_mac) {
+                    break;
+                }
+                return Ok(ScrubChunk::Clean { bytes });
+            }
+            if pos.offset - start >= budget {
+                return Ok(ScrubChunk::Progress { bytes, pos });
+            }
+        }
+        // Torn, failed its MAC, ended on the wrong MAC, or ran out of
+        // file: short of the pin, each is damage to pinned records.
+        Ok(ScrubChunk::Corrupt { bytes })
+    }
+
+    /// Replaces pinned segment `gen`'s on-disk file with `frames`
+    /// fetched from an attested peer, after verifying that the frames
+    /// walk the sealed chain from the generation's genesis tag to
+    /// *exactly* the pinned `(last_seq, last_mac)` with no torn tail
+    /// and no trailing bytes. The swap-in is atomic (tmp file + fsync +
+    /// rename + directory fsync). Repairing the current generation
+    /// reopens the append handle on the repaired file and clears
+    /// Corrupt poisoning; Storage poisoning is never cleared.
+    pub(crate) fn repair_segment(&self, gen: u64, frames: &[u8]) -> Result<()> {
+        let inner = &mut *self.inner.lock();
+        inner.alive()?;
+        let seg = inner.segment(gen).ok_or(Error::Rollback)?;
+        let (at, valid_end) = walk_segment(&inner.codec, frames, &seg, &mut |_, _| Ok(()))?;
+        if at.seq != seg.last_seq || valid_end != frames.len() || !ct_eq(&at.chain, &seg.last_mac) {
+            // The peer shipped less, more, or other than the pinned
+            // chain — swapping it in would silently move the durable
+            // watermark.
+            return Err(Error::LogIntegrity { seq: at.seq });
+        }
+        let path = log_path(&inner.dir, gen);
+        let tmp = path.with_extension("repair");
+        replace_durably(inner.fs.as_ref(), &mut inner.poison, &inner.dir, &tmp, &path, frames)?;
+        if inner.snap == gen {
+            // The append handle may still reference the damaged inode;
+            // future commits must extend the repaired file.
+            let file = fail_closed(&mut inner.poison, inner.fs.open(&path, OpenMode::Append))?;
+            inner.file = Some(file);
+        }
+        if inner.poison == Poison::Corrupt {
+            // One repaired segment clears the quarantine; if *another*
+            // segment is also damaged the next scrub pass re-detects it
+            // and re-poisons before any commit could chain onto it.
+            inner.poison = Poison::None;
+        }
+        Ok(())
+    }
+}
+
+/// Test-only windows onto the crate-private reader, for the integration
+/// suites (`tests/wal_codec.rs`): what [`Frames`] yields over arbitrary
+/// bytes, and where [`walk_segment`] stops.
+#[cfg(any(test, feature = "testing"))]
+pub mod probe {
+    use super::*;
+
+    /// Every frame [`Frames`] yields over `data` from `offset`, as
+    /// `(start, whole frame, body)`, and where the torn remainder starts
+    /// if the bytes did not end on a frame boundary.
+    #[allow(clippy::type_complexity)]
+    pub fn frames(data: &[u8], offset: usize) -> (Vec<(usize, Vec<u8>, Vec<u8>)>, Option<usize>) {
+        let (mut whole, mut torn) = (Vec::new(), None);
+        for frame in Frames::new(data, offset) {
+            match frame {
+                Ok(f) => whole.push((f.start, f.whole.to_vec(), f.body.to_vec())),
+                Err(t) => torn = Some(t.at),
+            }
+        }
+        (whole, torn)
+    }
+
+    /// [`walk_segment`] over `data` as generation `gen` with nothing
+    /// pinned: `(seq, chain MAC, verified bytes, torn tail?)`.
+    pub fn walk(codec: &WalCodec, gen: u64, data: &[u8]) -> Result<(u64, [u8; 16], usize, bool)> {
+        let seg = Segment { snap: gen, last_seq: 0, last_mac: [0; 16] };
+        let (at, valid_end) = walk_segment(codec, data, &seg, &mut |_, _| Ok(()))?;
+        Ok((at.seq, at.chain, valid_end, valid_end < data.len()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::*;
+
+    #[test]
+    fn torn_tail_truncated_cleanly() {
+        let dir = tmpdir("torn");
+        let enc = enclave(10);
+        let wal =
+            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        wal.log([set("a", "1")]).unwrap();
+        wal.log([set("b", "2")]).unwrap();
+        wal.simulate_crash();
+        drop(wal);
+        // Tear the last record mid-frame, then write a stale pin? No —
+        // tear only: the pin still claims seq 2, so losing record 2 must
+        // fail closed...
+        let path = log_path(&dir, 0);
+        let full = fs::read(&path).unwrap();
+        fs::write(&path, &full[..full.len() - 7]).unwrap();
+        assert_eq!(replay_all(&enc, &dir, 0), Err(Error::Rollback));
+
+        // But a torn record *past* the pin (never acknowledged as
+        // durable) is clean-stopped: restore the log, then append junk
+        // that looks like a partial frame.
+        fs::write(&path, &full).unwrap();
+        // Re-pin at seq 2 by recovering once (also proves recovery of the
+        // intact log), then tear a hand-appended record.
+        assert_eq!(replay_all(&enc, &dir, 0).unwrap().len(), 2);
+        let mut data = fs::read(&path).unwrap();
+        data.extend_from_slice(&[0x55; 11]); // garbage partial header/frame
+        fs::write(&path, &data).unwrap();
+        let ops = replay_all(&enc, &dir, 0).unwrap();
+        assert_eq!(ops.len(), 2);
+        // The torn bytes were truncated away.
+        assert_eq!(fs::read(&path).unwrap(), full);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bitflip_fails_closed() {
+        let dir = tmpdir("bitflip");
+        let enc = enclave(11);
+        let wal =
+            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        wal.log([set("a", "payload-payload")]).unwrap();
+        wal.simulate_crash();
+        drop(wal);
+        let path = log_path(&dir, 0);
+        let clean = fs::read(&path).unwrap();
+        for i in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[i] ^= 0x01;
+            fs::write(&path, &bad).unwrap();
+            assert!(replay_all(&enc, &dir, 0).is_err(), "byte {i} flip must fail closed");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scrub_walks_chain_within_budget() {
+        let dir = tmpdir("scrub");
+        let enc = enclave(23);
+        let wal =
+            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        for i in 0..8 {
+            wal.log([set(&format!("k{i}"), "payload-payload-payload")]).unwrap();
+        }
+        // A tiny budget takes several chunks; the sum covers the file.
+        let file_len = fs::read(log_path(&dir, 0)).unwrap().len() as u64;
+        let mut pos = None;
+        let mut total = 0;
+        let mut steps = 0;
+        loop {
+            match wal.scrub_chunk(0, pos, 64).unwrap() {
+                ScrubChunk::Progress { bytes, pos: p } => {
+                    total += bytes;
+                    pos = Some(p);
+                    steps += 1;
+                }
+                ScrubChunk::Clean { bytes } => {
+                    total += bytes;
+                    break;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(steps > 1, "budget must actually chunk the walk");
+        assert_eq!(total, file_len, "every pinned byte verified");
+        // An unpinned generation reports Gone.
+        assert!(matches!(wal.scrub_chunk(9, None, 64).unwrap(), ScrubChunk::Gone));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scrub_detects_bitrot_and_repair_restores() {
+        let dir = tmpdir("scrub-repair");
+        let enc = enclave(24);
+        let wal =
+            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        for i in 0..4 {
+            wal.log([set(&format!("k{i}"), "vvvv")]).unwrap();
+        }
+        let path = log_path(&dir, 0);
+        let clean = fs::read(&path).unwrap();
+
+        // Rot a byte in the middle of the pinned region.
+        let mut bad = clean.clone();
+        bad[clean.len() / 2] ^= 0x40;
+        fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            wal.scrub_chunk(0, None, usize::MAX).unwrap(),
+            ScrubChunk::Corrupt { .. }
+        ));
+        wal.quarantine_corrupt();
+        assert!(wal.storage_failed());
+        assert_eq!(wal.log([set("x", "y")]), Err(Error::StorageFailed));
+
+        // A repair shipping anything but the exact pinned chain fails.
+        assert!(wal.repair_segment(0, &clean[..clean.len() - 1]).is_err());
+        assert!(wal.repair_segment(0, &bad).is_err());
+        // The genuine frames verify, swap in, and clear the quarantine.
+        wal.repair_segment(0, &clean).unwrap();
+        assert!(matches!(wal.scrub_chunk(0, None, usize::MAX).unwrap(), ScrubChunk::Clean { .. }));
+        assert!(!wal.storage_failed());
+        // The writer appends onto the repaired file again.
+        wal.log([set("k4", "vvvv")]).unwrap();
+        drop(wal);
+        assert_eq!(replay_all(&enc, &dir, 0).unwrap().len(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -307,6 +307,75 @@ fn enospc_mid_group_commit_recovers_verified_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Recovery re-pins before it deletes. Restoring the newer snapshot
+/// supersedes the older log generation, but until the pruned pin is
+/// durable the pin on disk still names that generation: a storage fault
+/// (or a crash) between the two must leave its file where it is, so the
+/// older pinned snapshot stays a recovery root and a promoting replica
+/// can still verify every pinned segment.
+#[test]
+fn failed_recovery_deletes_no_log_the_durable_pin_still_names() {
+    let dir = scratch("recover-gc");
+    let wal_dir = dir.join("wal");
+    let store = ShieldStore::new(enclave(51), config()).unwrap();
+    store.attach_wal(&wal_dir).unwrap();
+    let mut acked: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for i in 0..6u32 {
+        let (k, v) = (format!("old-{i}").into_bytes(), format!("ov-{i}").into_bytes());
+        store.set(&k, &v).unwrap();
+        acked.insert(k, v);
+    }
+    // The snapshot becomes durable, more writes are acknowledged into
+    // the new generation, and the process dies before `rotate_commit`.
+    let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
+    let snap = dir.join("snap.db");
+    let job = store.snapshot_background(&snap, &counter).unwrap();
+    while !job.is_done() {
+        std::thread::yield_now();
+    }
+    for i in 0..4u32 {
+        let (k, v) = (format!("new-{i}").into_bytes(), format!("nv-{i}").into_bytes());
+        store.set(&k, &v).unwrap();
+        acked.insert(k, v);
+    }
+    store.wal_handle().unwrap().simulate_crash();
+    assert!(job.finish().is_err(), "rotate_commit must not be reached");
+    drop(store);
+    assert!(snap.exists() && wal_dir.join("wal-0.log").exists());
+
+    // Recovery from the new snapshot dies on its own re-pin.
+    let ffs = Arc::new(FaultFs::new());
+    ffs.inject(FaultSpec::first(FaultOp::Write, "wal.pin.tmp", FaultKind::Eio));
+    let failed = ShieldStore::recover_with_storage(
+        enclave(51),
+        Arc::clone(&ffs) as Arc<dyn StorageFs>,
+        config(),
+        Some(&snap),
+        &counter,
+        &wal_dir,
+    );
+    assert!(matches!(failed, Err(Error::StorageFailed)));
+    assert_eq!(ffs.injected(), 1);
+    ffs.clear_faults();
+
+    // The durable pin still lists both generations, so the older root
+    // (no snapshot: generation 0) must still replay every acked write.
+    let recovered = ShieldStore::recover_with_storage(
+        enclave(51),
+        ffs as Arc<dyn StorageFs>,
+        config(),
+        None,
+        &counter,
+        &wal_dir,
+    )
+    .expect("the older pinned generation lost nothing and must recover");
+    assert_eq!(recovered.len(), acked.len());
+    for (k, v) in &acked {
+        assert_eq!(&recovered.get(k).unwrap(), v);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // Scrub and repair
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use shieldstore::wal::probe;
 use shieldstore::{Error, WalCodec, WalOp};
 
 fn codec(enc_seed: u8, mac_seed: u8) -> WalCodec {
@@ -127,4 +128,195 @@ proptest! {
         let (frame, _) = c.seal_record(1, &c.genesis(a), &ops, &[0x3d; 16]);
         prop_assert!(c.open_record(1, &c.genesis(b), &frame[4..]).is_err());
     }
+}
+
+// ---------------------------------------------------------------------
+// The frame reader and the chain cursor
+// ---------------------------------------------------------------------
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A sealed chain built from `seed` alone: the image, each frame's end
+/// offset, and the chain MAC after each frame (index 0 = genesis).
+fn sealed_chain(c: &WalCodec, generation: u64, seed: u64) -> (Vec<u8>, Vec<usize>, Vec<[u8; 16]>) {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let (mut image, mut ends, mut macs) = (Vec::new(), Vec::new(), vec![c.genesis(generation)]);
+    for seq in 1..=(3 + seed) {
+        let ops: Vec<WalOp> = (0..next() % 4)
+            .map(|_| {
+                let key = next().to_le_bytes()[..1 + (next() % 7) as usize].to_vec();
+                if next() % 3 == 0 {
+                    WalOp::Delete { tenant: next() as u32, key }
+                } else {
+                    let value = vec![next() as u8; (next() % 90) as usize];
+                    WalOp::Set {
+                        tenant: next() as u32,
+                        key,
+                        value,
+                        expires_at: next() % 2 * next(),
+                    }
+                }
+            })
+            .collect();
+        let iv = [next() as u8; 16];
+        let (frame, mac) = c.seal_record(seq, macs.last().unwrap(), &ops, &iv);
+        image.extend_from_slice(&frame);
+        ends.push(image.len());
+        macs.push(mac);
+    }
+    (image, ends, macs)
+}
+
+/// Bytes that sometimes are frames: runs of well-formed frames (a
+/// plausible length prefix and that many bytes) between runs of noise.
+fn framed_noise() -> impl Strategy<Value = Vec<u8>> {
+    let piece = prop_oneof![
+        pvec(any::<u8>(), 40..120).prop_map(|body| {
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            frame
+        }),
+        pvec(any::<u8>(), 0..12),
+        // A length no record can have, or one that may run past the end.
+        (0u32..40).prop_map(|len| len.to_le_bytes().to_vec()),
+        (40u32..400).prop_map(|len| len.to_le_bytes().to_vec()),
+    ];
+    pvec(piece, 0..8).prop_map(|pieces| pieces.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// Over arbitrary bytes from an arbitrary offset the frame reader
+    /// never panics; every frame it yields lies inside the slice with a
+    /// length a record can have; frames are contiguous from the offset;
+    /// and frames plus the torn remainder are the input again — no byte
+    /// is skipped, none is served twice.
+    #[test]
+    fn frame_reader_partitions_any_bytes(data in framed_noise(), offset in 0usize..600) {
+        let (frames, torn) = probe::frames(&data, offset);
+        let mut at = offset;
+        for (start, whole, body) in &frames {
+            prop_assert_eq!(*start, at);
+            prop_assert!((40..=1 << 30).contains(&body.len()));
+            prop_assert_eq!(&whole[..4], &(body.len() as u32).to_le_bytes()[..]);
+            prop_assert_eq!(&whole[4..], &body[..]);
+            prop_assert_eq!(data.get(at..at + whole.len()), Some(&whole[..]));
+            at += whole.len();
+        }
+        match torn {
+            Some(torn_at) => {
+                prop_assert_eq!(torn_at, at);
+                prop_assert!(at != data.len(), "a clean end is not torn");
+            }
+            None => prop_assert_eq!(at, data.len(), "only a clean end ends without a verdict"),
+        }
+    }
+}
+
+/// A valid sealed chain cut at every byte: the reader and the cursor
+/// stop where the frames say they must — and where the hand-written walk
+/// they replaced stopped (the digests are of its `(seq, chain,
+/// valid_end, torn)` at every cut, recorded before it was removed).
+#[test]
+fn a_chain_cut_at_every_byte_walks_to_the_recorded_positions() {
+    const RECORDED: [(u64, &str); 3] = [
+        (1, "70210c4719ef7383dff605728232d3cc850cac12a821126e860132e811ca03a9"),
+        (2, "01821155a44a8a0abf3eb3f68d5bbc0f94a494476bb30470fb32aa78aa2a2886"),
+        (3, "3bb0c0e58509462b257839609db4c4617473f0f90efaaf6bfb0b81326deb1094"),
+    ];
+    for (seed, recorded) in RECORDED {
+        let c = codec(0x10 + seed as u8, 0x20 + seed as u8);
+        let generation = seed * 7;
+        let (image, ends, macs) = sealed_chain(&c, generation, seed);
+        let mut digest = shield_crypto::sha256::Sha256::new();
+        for cut in 0..=image.len() {
+            let (seq, chain, valid_end, torn) = probe::walk(&c, generation, &image[..cut])
+                .expect("nothing is pinned: a cut is a torn tail");
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(seq, whole as u64, "cut {cut}");
+            assert_eq!(chain, macs[whole], "cut {cut}");
+            assert_eq!(valid_end, if whole == 0 { 0 } else { ends[whole - 1] }, "cut {cut}");
+            assert_eq!(torn, cut != valid_end, "cut {cut}");
+            digest.update(&seq.to_le_bytes());
+            digest.update(&chain);
+            digest.update(&(valid_end as u64).to_le_bytes());
+            digest.update(&[torn as u8]);
+        }
+        assert_eq!(hex(&digest.finalize()), recorded, "seed {seed}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Formats on disk
+// ---------------------------------------------------------------------
+
+/// A seeded enclave, fixed operations, `Strict`, one rotation: the log
+/// files and the pin (unsealed — the seal draws a fresh nonce) are the
+/// bytes recorded before the log module was split, and the directory
+/// recovers. A log an older build wrote opens under this one, and a
+/// replica on either build verifies the other's stream.
+#[test]
+fn log_and_pin_bytes_are_the_recorded_ones() {
+    use sgx_sim::counter::PersistentCounter;
+    use sgx_sim::enclave::EnclaveBuilder;
+    use shieldstore::{Config, DurabilityPolicy, ShieldStore};
+
+    let dir = std::env::temp_dir().join(format!("ss-wal-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let enclave = || EnclaveBuilder::new("wal-golden").seed(77).epc_bytes(8 << 20).build();
+    let config = || {
+        Config::shield_opt()
+            .buckets(64)
+            .mac_hashes(16)
+            .with_shards(2)
+            .with_durability(DurabilityPolicy::Strict)
+    };
+    let store = ShieldStore::new(enclave(), config()).unwrap();
+    store.attach_wal(dir.join("wal")).unwrap();
+    store.set(b"alpha", b"first value").unwrap();
+    store.set(b"beta", &[0xb7; 200]).unwrap();
+    store.append(b"alpha", b", appended").unwrap();
+    store.increment(b"counter", 41).unwrap();
+    store.delete(b"beta").unwrap();
+    // A snapshot whose writer fails rotates the log and retires
+    // nothing: both generations stay on disk and in the pin.
+    let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
+    let job = store.snapshot_background(dir.join("missing").join("s.db"), &counter).unwrap();
+    assert!(job.finish().is_err());
+    store.set(b"gamma", b"after the rotation").unwrap();
+    store.increment(b"counter", 1).unwrap();
+    store.wal_handle().unwrap().simulate_crash();
+    drop(store);
+
+    let digest = |bytes: &[u8]| hex(&shield_crypto::sha256::Sha256::digest(bytes));
+    let wal = dir.join("wal");
+    let pin = sgx_sim::seal::unseal(&enclave(), &std::fs::read(wal.join("wal.pin")).unwrap())
+        .expect("the pin unseals under the same enclave identity");
+    assert_eq!(
+        digest(&std::fs::read(wal.join("wal-0.log")).unwrap()),
+        "0293989e0ef1ad4310a747b5a4db533ade5de359b12e019ff7142f3d83159747"
+    );
+    assert_eq!(
+        digest(&std::fs::read(wal.join("wal-1.log")).unwrap()),
+        "265a0ca66ecd200c76b740cbe9782341c0c28a6436328de2012046ed5934e43e"
+    );
+    assert_eq!(digest(&pin), "564d08759dfa5050e4098540ddd798939ff50c6f6ed99f3f6f0a6f483dd351b2");
+
+    let recovered = ShieldStore::recover(enclave(), config(), None, &counter, &wal).unwrap();
+    assert_eq!(recovered.get(b"alpha").unwrap(), b"first value, appended");
+    assert_eq!(recovered.get(b"counter").unwrap(), b"42");
+    assert_eq!(recovered.get(b"gamma").unwrap(), b"after the rotation");
+    assert!(recovered.get(b"beta").is_err());
+    assert_eq!(recovered.len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
 }
