@@ -54,15 +54,6 @@ impl RunResult {
             self.ops as f64 / secs / 1e3
         }
     }
-
-    /// Effective average latency per operation in nanoseconds.
-    pub fn ns_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.effective.as_nanos() as f64 / self.ops as f64
-        }
-    }
 }
 
 /// Combines per-worker `(busy, penalty)` samples into a [`RunResult`].
@@ -207,21 +198,6 @@ pub fn run_shieldstore_partitioned(
     combine(ops, 0, &workers)
 }
 
-/// Runs `body` against the store and returns its result together with
-/// the observability delta the run produced: operation counters, latency
-/// histograms, and SGX transition counts as a snapshot diff. Benchmarks
-/// use this to report tail latencies next to throughput without
-/// resetting any live counters.
-pub fn with_snapshot<T>(
-    store: &ShieldStore,
-    body: impl FnOnce(&ShieldStore) -> T,
-) -> (T, shieldstore::StatsSnapshot) {
-    let before = store.snapshot();
-    let out = body(store);
-    let after = store.snapshot();
-    (out, after.diff(&before))
-}
-
 /// Builds a ShieldStore with the given preset over a fresh enclave.
 pub fn build_shieldstore(
     config: shieldstore::Config,
@@ -292,30 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn with_snapshot_isolates_the_run() {
-        let store = build_shieldstore(Config::shield_opt().buckets(128).mac_hashes(32), 8 << 20, 5);
-        store.set(b"pre", b"x").unwrap();
-        let (hit, delta) = with_snapshot(&store, |s| {
-            s.set(b"a", b"1").unwrap();
-            s.set(b"b", b"2").unwrap();
-            s.get(b"a").is_ok()
-        });
-        assert!(hit);
-        // Only the ops inside the closure appear in the delta.
-        assert_eq!(delta.ops.sets, 2);
-        assert_eq!(delta.ops.gets, 1);
-        assert_eq!(delta.hists.set.count(), 2);
-        assert_eq!(delta.hists.get.count(), 1);
-        assert!(delta.hists.set.p50() > 0);
-        delta.check_consistent().expect("delta is self-consistent");
-    }
-
-    #[test]
     fn effective_time_includes_penalty() {
         let r = combine(1000, 0, &[(Duration::from_millis(1), 999_000_000)]);
         // 1 ms busy + 999 ms penalty = 1 s effective -> 1 Kop/s.
         assert!((r.kops() - 1.0).abs() < 1e-9);
-        assert!((r.ns_per_op() - 1_000_000.0).abs() < 1.0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Benchmark harness for the ShieldStore reproduction.
+//! The paper reproduction for ShieldStore: shared runners for the
+//! evaluation binaries.
 //!
 //! Every table and figure in the paper's evaluation (§6) has a binary in
 //! `src/bin/` that regenerates it: same workloads, same parameter sweeps,
 //! same rows/series — at a scaled-down default size so the whole suite
 //! runs in minutes (pass `--paper` for paper-scale parameters; see
-//! [`scale::Scale`]).
+//! [`scale::Scale`]). The binaries print; `results/*.txt` are their
+//! output. Performance claims go through `BENCHMARK.json` instead.
 //!
 //! Time accounting: real work (crypto, hashing, data movement) is
 //! executed and measured in wall time; SGX penalties (EPC faults,

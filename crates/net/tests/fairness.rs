@@ -15,9 +15,20 @@
 //!
 //! The regression bounds (victim shed rate, victim p99 vs its solo
 //! baseline, victim throughput) are the deterministic counterpart of
-//! the wall-clock `tenant_fairness` bench.
+//! `victim_p99_holds_through_the_attested_stack`, the `#[ignore]`d
+//! wall-clock test at the end of this file: the same 2x p99 bound,
+//! measured through a real secure server (CI's `tenant-suite` runs it).
 
-use shield_net::FairAdmission;
+use sgx_sim::attest::AttestationVerifier;
+use sgx_sim::enclave::EnclaveBuilder;
+use shield_net::{
+    FairAdmission, KvClient, NetError, OpCode, Request, Server, ServerConfig, Status,
+};
+use shield_workload::ycsb::{MultiTenantMix, YcsbGenerator, YcsbOp};
+use shieldstore::{Config, ShieldStore, TenantQuota};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CAP: usize = 8;
@@ -192,4 +203,197 @@ fn fairness_simulation_is_deterministic() {
     let (a2, v2) = simulate(16, 1, 2, 1, 1_000);
     assert_eq!(a1, a2, "aggressor outcome must be a pure function of parameters");
     assert_eq!(v1, v2, "victim outcome must be a pure function of parameters");
+}
+
+// The wall-clock gate: the 2x bound above, through a secure server.
+
+const WALL_SEED: u64 = 42;
+const WALL_KEYS: u64 = 10_000;
+const WALL_VAL_LEN: usize = 128;
+/// The aggressor drives this many times the victim's two connections.
+const AGGRESSOR_FACTOR: usize = 4;
+const VICTIM_OPS_PER_CONN: u64 = 8_000;
+/// Per-connection ops excluded from the victim's latencies in both
+/// phases: the first ops pay for page faults, allocator growth and
+/// branch warm-up, not for the scenario under test.
+const WARMUP_OPS: u64 = 2_000;
+/// The victim is paced open-loop, one op per gap per connection. An
+/// unpaced victim would itself saturate the server, and then *any* fair
+/// split of capacity doubles its latency: the gate would measure
+/// arithmetic, not isolation.
+const VICTIM_GAP: Duration = Duration::from_micros(500);
+const P99_FACTOR: f64 = 2.0;
+
+/// The same names in both namespaces: the namespace, not the key text,
+/// must keep them apart.
+fn wall_key(id: u64) -> Vec<u8> {
+    format!("user{id:08}").into_bytes()
+}
+
+fn wall_value(id: u64) -> Vec<u8> {
+    let mut v = format!("tenant-val-{id}-").into_bytes();
+    v.resize(WALL_VAL_LEN, b'x');
+    v
+}
+
+/// One paced victim connection. `Busy` is retried after 200 µs, as a
+/// real client backs off, and the retries count in the op's latency.
+/// Latency runs from the actual send: from the scheduled time it would
+/// mostly record the client thread's sleep-wakeup jitter.
+fn drive_victim(mut client: KvClient, mut generator: YcsbGenerator) -> Vec<u64> {
+    let mut samples = Vec::new();
+    let mut scheduled = Instant::now();
+    for i in 0..VICTIM_OPS_PER_CONN {
+        let op = generator.next_op();
+        let now = Instant::now();
+        if scheduled > now {
+            std::thread::sleep(scheduled - now);
+        }
+        scheduled += VICTIM_GAP;
+        let started = Instant::now();
+        loop {
+            let result = match op {
+                YcsbOp::Read(id) | YcsbOp::Scan(id, _) => client.get(&wall_key(id)).map(|_| ()),
+                YcsbOp::Update(id) | YcsbOp::Insert(id) => {
+                    client.set(&wall_key(id), &wall_value(id))
+                }
+                YcsbOp::ReadModifyWrite(id) => {
+                    let key = wall_key(id);
+                    client.get(&key).and_then(|_| client.set(&key, &wall_value(id)))
+                }
+            };
+            match result {
+                Ok(()) => break,
+                Err(NetError::Busy) => std::thread::sleep(Duration::from_micros(200)),
+                Err(e) => panic!("victim op failed: {e}"),
+            }
+        }
+        if i >= WARMUP_OPS {
+            samples.push(started.elapsed().as_nanos() as u64);
+        }
+    }
+    samples
+}
+
+/// The whole flood from ONE thread, in staggered groups of four: one
+/// request on each connection of a group, then every reply. A thread
+/// per flood connection would starve the victim's client of CPU on a
+/// small host, and one synchronised volley would hand the victim a queue
+/// spike. Returns the aggressor's completed ops.
+fn drive_flood(mut conns: Vec<(KvClient, YcsbGenerator)>, stop: &AtomicBool) -> u64 {
+    let mut ops = 0;
+    while !stop.load(Ordering::Relaxed) {
+        for group in conns.chunks_mut(4) {
+            for (client, generator) in group.iter_mut() {
+                let op = generator.next_op();
+                let id = op.key_id();
+                let (code, value) = if op.is_write() {
+                    (OpCode::Set, wall_value(id))
+                } else {
+                    (OpCode::Get, vec![])
+                };
+                client.send(&Request { op: code, key: wall_key(id), value }).expect("flood send");
+            }
+            let mut sheds = 0;
+            for (client, _) in group.iter_mut() {
+                match client.recv().expect("flood recv").status {
+                    Status::Busy => sheds += 1,
+                    _ => ops += 1,
+                }
+            }
+            // Mostly shed: the gate has clamped this tenant. A
+            // millisecond per group is still ten times hotter than
+            // `RetryClient`'s first 10 ms backoff.
+            if sheds * 2 >= group.len() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+    ops
+}
+
+/// One phase: the victim's paced connections, a thread each, and with
+/// `flood` the aggressor's connections against them until the victim is
+/// done. Returns the victim's samples and the aggressor's ops.
+fn run_phase(
+    addr: SocketAddr,
+    verifier: &AttestationVerifier,
+    mix: &MultiTenantMix,
+    flood: bool,
+) -> (Vec<u64>, u64) {
+    let victim = mix.loads[0].tenant;
+    let mut victims = Vec::new();
+    let mut flooders = Vec::new();
+    for (i, (load, generator)) in mix.generators(WALL_SEED).into_iter().enumerate() {
+        if load.tenant != victim && !flood {
+            continue;
+        }
+        let client =
+            KvClient::connect_secure_tenant(addr, verifier, WALL_SEED + i as u64, load.tenant)
+                .expect("tenant connect");
+        if load.tenant == victim {
+            victims.push(std::thread::spawn(move || drive_victim(client, generator)));
+        } else {
+            flooders.push((client, generator));
+        }
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let flood = (!flooders.is_empty()).then(|| {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || drive_flood(flooders, &stop))
+    });
+    let samples = victims.into_iter().flat_map(|h| h.join().expect("victim thread")).collect();
+    stop.store(true, Ordering::Relaxed);
+    (samples, flood.map_or(0, |h| h.join().expect("flood thread")))
+}
+
+#[test]
+#[ignore = "wall-clock; CI's tenant-suite runs it in release"]
+fn victim_p99_holds_through_the_attested_stack() {
+    let mix = MultiTenantMix::aggressor_victim(WALL_KEYS, AGGRESSOR_FACTOR);
+    let enclave = EnclaveBuilder::new("tenant-fairness").epc_bytes(64 << 20).build();
+    let config = Config::shield_opt().buckets(1024).mac_hashes(64).with_shards(4);
+    let store = Arc::new(ShieldStore::new(Arc::clone(&enclave), config).unwrap());
+    for load in &mix.loads {
+        let quota = TenantQuota { max_bytes: u64::MAX, max_keys: u64::MAX, weight: load.weight };
+        store.tenants().configure(load.tenant, quota);
+    }
+    // Two loops over four shards, so cross-loop handoffs give the gate
+    // real in-flight pressure, and a cap of four against the flood's
+    // eight connections: admission pressure is the experiment.
+    let server = Server::start(
+        store as Arc<dyn shield_baseline::KvBackend>,
+        Some(Arc::clone(&enclave)),
+        ServerConfig { event_loops: 2, secure: true, max_in_flight: 4, ..Default::default() },
+    )
+    .unwrap();
+    let verifier =
+        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
+
+    // Preload both namespaces so reads hit.
+    let mut loaders: Vec<KvClient> = (mix.loads.iter().zip([999, 998]))
+        .map(|(load, seed)| {
+            KvClient::connect_secure_tenant(server.addr(), &verifier, seed, load.tenant).unwrap()
+        })
+        .collect();
+    for id in 0..WALL_KEYS {
+        for loader in &mut loaders {
+            loader.set(&wall_key(id), &wall_value(id)).expect("preload");
+        }
+    }
+    drop(loaders);
+
+    let (solo, _) = run_phase(server.addr(), &verifier, &mix, false);
+    let (contended, aggressor_ops) = run_phase(server.addr(), &verifier, &mix, true);
+    server.shutdown();
+    // Exact p99s over raw samples, as in the simulation: the histogram's
+    // power-of-two buckets would quantise the ratio to 2x jumps.
+    let p99 = |latencies| Outcome { latencies, ..Default::default() }.p99();
+    let (solo, contended) = (p99(solo), p99(contended));
+    let ratio = contended as f64 / solo.max(1) as f64;
+    assert!(aggressor_ops > 0, "the aggressor must actually run");
+    assert!(
+        ratio <= P99_FACTOR,
+        "victim p99 {contended} ns under the flood vs {solo} ns alone: {ratio:.2}x > {P99_FACTOR}x"
+    );
 }

@@ -16,7 +16,7 @@
 //! `SHIELDSTORE_SOAK_CONNS` scales the herd (default 1000; CI uses
 //! 9000 — both ends of every socket live in this process and the
 //! environment caps fds at 20000, so the full 10k-client figure comes
-//! from the two-process `net_scale` bench instead).
+//! from the two-process scale row of `fig18_networked` instead).
 
 use shield_net::poller::raise_nofile_limit;
 use shield_net::server::{Server, ServerConfig};

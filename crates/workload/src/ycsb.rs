@@ -24,8 +24,8 @@
 //! space (the hot set) receives a fixed fraction of the accesses,
 //! uniformly within each set. [`MultiTenantMix`] describes an
 //! interference scenario — several tenants, each with its own workload,
-//! weight, and key space — feeding the `tenant_fairness` bench and the
-//! fairness regression tests.
+//! weight, and key space — feeding the fairness tests, the wall-clock
+//! victim-p99 gate among them.
 
 use crate::rng::SplitMix64;
 use crate::zipf::Zipfian;
@@ -308,8 +308,8 @@ pub struct TenantLoad {
 }
 
 /// A multi-tenant interference scenario: several tenants hammering one
-/// server, each from its own namespace. Feeds the `tenant_fairness`
-/// bench and the fairness regression test.
+/// server, each from its own namespace. Feeds the wall-clock fairness
+/// test (`crates/net/tests/fairness.rs`).
 #[derive(Debug, Clone)]
 pub struct MultiTenantMix {
     /// Participating tenants.
