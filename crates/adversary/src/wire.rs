@@ -496,7 +496,7 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     for attempt in 0..200u64 {
         let (key, want) = &healthy[(attempt % healthy.len() as u64) as usize];
         report.ops += 1;
-        match healer.get(key) {
+        match healer.execute(shieldstore::Op::Get(key)).map(shieldstore::Reply::value) {
             Ok(Some(v)) if &v == want => correct_gets += 1,
             Ok(other) => {
                 return Err(violation(

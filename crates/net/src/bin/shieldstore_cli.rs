@@ -23,6 +23,7 @@
 
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::EnclaveBuilder;
+use shield_baseline::{Op, Reply};
 use shield_net::client::KvClient;
 use std::io::{BufRead, Write};
 
@@ -48,7 +49,7 @@ fn main() {
     let addr: std::net::SocketAddr =
         addr.expect("--addr is required").parse().expect("addr must be HOST:PORT");
 
-    let mut client = if secure {
+    let (connected, banner, failed) = if secure {
         // The verifier key derivation stands in for Intel's attestation
         // service: anyone knowing the platform seed can verify quotes
         // from that platform. The expected measurement pins the genuine
@@ -56,28 +57,16 @@ fn main() {
         let reference = EnclaveBuilder::new("shieldstore-server").seed(seed).build();
         let verifier = AttestationVerifier::for_enclave(&reference)
             .expect_measurement(*reference.measurement());
-        match KvClient::connect_secure(addr, &verifier, seed ^ 0x5eed) {
-            Ok(c) => {
-                println!("connected to {addr}; attestation verified");
-                c
-            }
-            Err(e) => {
-                eprintln!("attestation/connect failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let client = KvClient::connect_secure(addr, &verifier, seed ^ 0x5eed);
+        (client, "; attestation verified", "attestation/connect")
     } else {
-        match KvClient::connect_insecure(addr) {
-            Ok(c) => {
-                println!("connected to {addr} (INSECURE)");
-                c
-            }
-            Err(e) => {
-                eprintln!("connect failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        (KvClient::connect_insecure(addr), " (INSECURE)", "connect")
     };
+    let mut client = connected.unwrap_or_else(|e| {
+        eprintln!("{failed} failed: {e}");
+        std::process::exit(1)
+    });
+    println!("connected to {addr}{banner}");
 
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
@@ -90,50 +79,10 @@ fn main() {
         }
         // Batched commands take a variable-length argument list; the
         // rest keep the "value may contain spaces" 3-way split.
-        let words: Vec<&str> = line.split_whitespace().collect();
-        match words.as_slice() {
-            ["mget", keys @ ..] if !keys.is_empty() => {
-                let keys: Vec<Vec<u8>> = keys.iter().map(|k| k.as_bytes().to_vec()).collect();
-                match client.multi_get(&keys) {
-                    Ok(results) => {
-                        for (k, v) in keys.iter().zip(&results) {
-                            match v {
-                                Some(v) => println!(
-                                    "{} = {}",
-                                    String::from_utf8_lossy(k),
-                                    String::from_utf8_lossy(v)
-                                ),
-                                None => println!("{} = (nil)", String::from_utf8_lossy(k)),
-                            }
-                        }
-                    }
-                    Err(e) => println!("ERR {e}"),
-                }
-                continue;
-            }
-            ["mget"] => {
-                println!("ERR mget needs at least one key");
-                continue;
-            }
-            ["mset", rest @ ..] => {
-                if rest.is_empty() || rest.len() % 2 != 0 {
-                    println!("ERR mset needs key/value pairs");
-                    continue;
-                }
-                let items: Vec<(Vec<u8>, Vec<u8>)> = rest
-                    .chunks(2)
-                    .map(|kv| (kv[0].as_bytes().to_vec(), kv[1].as_bytes().to_vec()))
-                    .collect();
-                match client.multi_set(&items) {
-                    Ok(()) => println!("OK ({} keys)", items.len()),
-                    Err(e) => println!("ERR {e}"),
-                }
-                continue;
-            }
-            _ => {}
-        }
+        let args: Vec<&[u8]> = line.split_whitespace().skip(1).map(str::as_bytes).collect();
+        let pairs: Vec<(&[u8], &[u8])> = args.chunks_exact(2).map(|kv| (kv[0], kv[1])).collect();
         let parts: Vec<&str> = line.trim().splitn(3, ' ').collect();
-        let result = match parts.as_slice() {
+        let op = match parts.as_slice() {
             [""] => continue,
             ["quit"] | ["exit"] => break,
             ["help"] => {
@@ -143,49 +92,76 @@ fn main() {
                 );
                 continue;
             }
-            ["ping"] => client.ping().map(|()| println!("PONG")),
-            ["get", k] => client.get(k.as_bytes()).map(|v| match v {
-                Some(v) => println!("{}", String::from_utf8_lossy(&v)),
-                None => println!("(nil)"),
-            }),
-            ["set", k, v] => client.set(k.as_bytes(), v.as_bytes()).map(|()| println!("OK")),
-            ["del", k] => client
-                .delete(k.as_bytes())
-                .map(|existed| println!("{}", if existed { "1" } else { "0" })),
-            ["append", k, v] => client.append(k.as_bytes(), v.as_bytes()).map(|()| println!("OK")),
-            ["incr", k] => client.increment(k.as_bytes(), 1).map(|n| println!("{n}")),
-            ["scan", p] => client.scan_prefix(p.as_bytes(), 20).map(|entries| {
-                for (k, v) in &entries {
-                    println!("{} = {}", String::from_utf8_lossy(k), String::from_utf8_lossy(v));
+            ["ping"] => {
+                match client.ping() {
+                    Ok(()) => println!("PONG"),
+                    Err(e) => println!("ERR {e}"),
                 }
-                println!("({} entries)", entries.len());
-            }),
-            ["scan", p, n] => match n.parse::<u32>() {
-                Ok(limit) => client.scan_prefix(p.as_bytes(), limit).map(|entries| {
-                    for (k, v) in &entries {
-                        println!("{} = {}", String::from_utf8_lossy(k), String::from_utf8_lossy(v));
-                    }
-                    println!("({} entries)", entries.len());
-                }),
-                Err(_) => {
-                    println!("ERR limit must be a number");
-                    continue;
-                }
-            },
-            ["incr", k, n] => match n.parse::<i64>() {
-                Ok(delta) => client.increment(k.as_bytes(), delta).map(|n| println!("{n}")),
+                continue;
+            }
+            ["get", k] => Op::Get(k.as_bytes()),
+            ["set", k, v] => Op::set(k.as_bytes(), v.as_bytes()),
+            ["del", k] => Op::Delete(k.as_bytes()),
+            ["append", k, v] => Op::Append { key: k.as_bytes(), suffix: v.as_bytes() },
+            ["incr", k] => Op::Increment { key: k.as_bytes(), delta: 1 },
+            ["incr", k, n] => match n.parse() {
+                Ok(delta) => Op::Increment { key: k.as_bytes(), delta },
                 Err(_) => {
                     println!("ERR delta must be an integer");
                     continue;
                 }
             },
+            ["scan", p] => Op::ScanPrefix { prefix: p.as_bytes(), limit: 20 },
+            ["scan", p, n] => match n.parse::<u32>() {
+                Ok(limit) => Op::ScanPrefix { prefix: p.as_bytes(), limit: limit as usize },
+                Err(_) => {
+                    println!("ERR limit must be a number");
+                    continue;
+                }
+            },
+            ["mget", ..] if args.is_empty() => {
+                println!("ERR mget needs at least one key");
+                continue;
+            }
+            ["mget", ..] => Op::MultiGet(&args),
+            ["mset", ..] if args.is_empty() || !args.len().is_multiple_of(2) => {
+                println!("ERR mset needs key/value pairs");
+                continue;
+            }
+            ["mset", ..] => Op::MultiSet { items: &pairs, expires_at: 0 },
             _ => {
                 println!("ERR unknown command (try `help`)");
                 continue;
             }
         };
-        if let Err(e) = result {
-            println!("ERR {e}");
+        match client.execute(op) {
+            Ok(reply) => print_reply(op, reply),
+            Err(e) => println!("ERR {e}"),
         }
+    }
+}
+
+/// Prints what `op` answered.
+fn print_reply(op: Op<'_>, reply: Reply) {
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    match (op, reply) {
+        (_, Reply::Value(Some(v))) => println!("{}", text(&v)),
+        (_, Reply::Value(None)) => println!("(nil)"),
+        (Op::MultiSet { items, .. }, Reply::Stored) => println!("OK ({} keys)", items.len()),
+        (_, Reply::Stored | Reply::Appended(_)) => println!("OK"),
+        (_, Reply::Deleted(existed)) => println!("{}", u8::from(existed)),
+        (_, Reply::Counter(n)) => println!("{n}"),
+        (Op::MultiGet(keys), Reply::Values(values)) => {
+            for (k, v) in keys.iter().zip(values) {
+                println!("{} = {}", text(k), v.as_deref().map_or("(nil)".into(), text));
+            }
+        }
+        (_, Reply::Entries(entries)) => {
+            for (k, v) in &entries {
+                println!("{} = {}", text(k), text(v));
+            }
+            println!("({} entries)", entries.len());
+        }
+        (_, reply) => println!("{reply:?}"),
     }
 }

@@ -5,28 +5,15 @@
 //! user's connection; [`run_load`] spawns many of them and reports
 //! aggregate throughput.
 
-use crate::protocol::{self, OpCode, Request, Response, Status};
+use crate::protocol::{self, OpCode, Request, Response};
 use crate::session::{self, SessionCrypto};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
+use shield_baseline::{Op, Reply};
 use shield_workload::rng::SplitMix64;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-/// Maps a non-success wire status to its client-side error. `Busy` and
-/// `Quarantined` get dedicated variants so callers (and the retry layer)
-/// can distinguish "retry later" from "do not bother".
-fn status_err(status: Status, what: &str) -> NetError {
-    match status {
-        Status::Busy => NetError::Busy,
-        Status::Quarantined => NetError::Quarantined,
-        Status::QuotaExceeded => NetError::QuotaExceeded,
-        Status::ReadOnly => NetError::ReadOnly,
-        Status::StorageFailed => NetError::StorageFailed,
-        _ => NetError::Protocol(format!("server rejected {what}")),
-    }
-}
 
 /// A connected client (one simulated user).
 pub struct KvClient {
@@ -35,11 +22,12 @@ pub struct KvClient {
     /// socket underneath it.
     stream: BufReader<TcpStream>,
     crypto: Option<SessionCrypto>,
-    /// Set when a response fails to authenticate or decode. From that
-    /// point the request/response pairing on this connection can no
-    /// longer be trusted (a dropped or injected frame could shift every
-    /// later response onto the wrong request), so the session refuses
-    /// further use; callers must reconnect.
+    /// Set when a frame fails to go out whole, or a response fails to
+    /// arrive, authenticate or decode. From that point the
+    /// request/response pairing on this connection can no longer be
+    /// trusted (a torn, dropped or injected frame could shift every later
+    /// response onto the wrong request), so the session refuses further
+    /// use; callers must reconnect.
     poisoned: bool,
 }
 
@@ -119,8 +107,10 @@ impl KvClient {
             };
             protocol::push_frame(&mut wire, &sealed)?;
         }
-        self.stream.get_mut().write_all(&wire)?;
-        Ok(())
+        // A failed write may have left a torn frame on the socket.
+        let sent = self.stream.get_mut().write_all(&wire);
+        self.poisoned = sent.is_err();
+        Ok(sent?)
     }
 
     /// Reads the next response frame (for a request previously written
@@ -132,13 +122,9 @@ impl KvClient {
         // Any failure here — timeout, disconnect, authentication, decode —
         // poisons the session: a response may still be in flight, and
         // reading it later would attribute it to the wrong request.
-        match self.recv_inner() {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
+        let response = self.recv_inner();
+        self.poisoned = response.is_err();
+        response
     }
 
     fn recv_inner(&mut self) -> Result<Response> {
@@ -161,88 +147,83 @@ impl KvClient {
         requests.iter().map(|_| self.recv()).collect()
     }
 
-    /// Sends one request and returns its reply — the one place a reply's
-    /// status is judged. `Ok` passes, `NotFound` passes for the two ops
-    /// that can answer it (a read and a delete of an absent key), and
-    /// every other status becomes its [`status_err`]; `what` names the op
-    /// in that error.
-    fn ask(&mut self, op: OpCode, key: &[u8], value: Vec<u8>, what: &str) -> Result<Response> {
-        let r = self.call(&Request { op, key: key.to_vec(), value })?;
-        match r.status {
-            Status::Ok => Ok(r),
-            Status::NotFound if matches!(op, OpCode::Get | OpCode::Delete) => Ok(r),
-            s => Err(status_err(s, what)),
-        }
+    /// Runs `op` on the server: its frame is built by
+    /// [`Request::from_op`] and its answer read by
+    /// [`Response::into_reply`]. An op the wire has no form for is
+    /// refused before anything is sent.
+    pub fn execute(&mut self, op: Op<'_>) -> Result<Reply> {
+        let request = Request::from_op(op)?;
+        self.call(&request)?.into_reply(op)
     }
 
     /// Reads a key; `Ok(None)` when absent.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let r = self.ask(OpCode::Get, key, Vec::new(), "get")?;
-        Ok((r.status == Status::Ok).then_some(r.value))
+        self.execute(Op::Get(key)).map(Reply::value)
     }
 
     /// Writes a key.
     pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.ask(OpCode::Set, key, value.to_vec(), "set").map(drop)
+        self.execute(Op::set(key, value)).map(drop)
     }
 
     /// Writes a key with a time-to-live: the entry expires `ttl_ns`
     /// nanoseconds after the server applies it (reads then miss, and the
     /// background sweeper reclaims it). `ttl_ns` must be non-zero; use
-    /// [`set`](Self::set) for non-expiring writes.
+    /// [`set`](Self::set) for non-expiring writes. A relative TTL has no
+    /// [`Op`] form (an op carries an absolute deadline), hence its own
+    /// request.
     pub fn set_ttl(&mut self, key: &[u8], value: &[u8], ttl_ns: u64) -> Result<()> {
-        self.ask(OpCode::SetTtl, key, protocol::encode_set_ttl(ttl_ns, value), "set-ttl").map(drop)
+        self.call(&Request::set_ttl(key, value, ttl_ns))?.into_ok("set-ttl").map(drop)
     }
 
     /// Deletes a key; `Ok(false)` when it did not exist.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        Ok(self.ask(OpCode::Delete, key, Vec::new(), "delete")?.status == Status::Ok)
+        self.execute(Op::Delete(key)).map(Reply::deleted)
     }
 
     /// Appends to a key's value.
     pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<()> {
-        self.ask(OpCode::Append, key, suffix.to_vec(), "append").map(drop)
+        self.execute(Op::Append { key, suffix }).map(drop)
     }
 
     /// Adds `delta` to a decimal value, returning the new value.
     pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
-        let r = self.ask(OpCode::Increment, key, delta.to_le_bytes().to_vec(), "increment")?;
-        let counter = r.value[..].try_into().map_err(|_| status_err(r.status, "increment"))?;
-        Ok(i64::from_le_bytes(counter))
+        self.execute(Op::Increment { key, delta }).map(Reply::counter)
     }
 
     /// Ordered prefix scan (requires a server store with the ordered
     /// index enabled): up to `limit` key-value pairs in key order.
     pub fn scan_prefix(&mut self, prefix: &[u8], limit: u32) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let limit = protocol::encode_scan_limit(limit);
-        let r = self.ask(OpCode::ScanPrefix, prefix, limit, "scan (index enabled?)")?;
-        protocol::decode_scan(&r.value)
+        self.execute(Op::ScanPrefix { prefix, limit: limit as usize }).map(Reply::entries)
     }
 
     /// Batched read: one wire round-trip (and one enclave dispatch) for
     /// the whole batch. Returns one entry per key in input order,
     /// `None` for misses.
     pub fn multi_get(&mut self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        let r = self.ask(OpCode::MultiGet, &[], protocol::encode_multi_get(keys), "multi-get")?;
-        let results = protocol::decode_multi_get_response(&r.value)?;
-        if results.len() != keys.len() {
-            return Err(NetError::Protocol("multi-get result count mismatch".into()));
-        }
-        Ok(results)
+        let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        self.execute(Op::MultiGet(&keys)).map(Reply::values)
     }
 
     /// Batched write: one wire round-trip for the whole batch. Fails as
     /// a unit if the server rejected any item.
     pub fn multi_set(&mut self, items: &[(Vec<u8>, Vec<u8>)]) -> Result<()> {
-        self.ask(OpCode::MultiSet, &[], protocol::encode_multi_set(items), "multi-set").map(drop)
+        let items: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        self.execute(Op::MultiSet { items: &items, expires_at: 0 }).map(drop)
+    }
+
+    /// Sends a control request and returns its `Ok` payload; any other
+    /// status is judged by `Response::into_ok`, `what` naming the call.
+    fn control(&mut self, op: OpCode, value: Vec<u8>, what: &str) -> Result<Vec<u8>> {
+        self.call(&Request { op, key: Vec::new(), value })?.into_ok(what)
     }
 
     /// Fetches the server's observability snapshot: aggregated counters,
     /// per-op latency histograms, occupancy gauges, and SGX transition
     /// counters. Errors when the server's store is not instrumented.
     pub fn stats(&mut self) -> Result<shieldstore::StatsSnapshot> {
-        let r = self.ask(OpCode::Stats, &[], Vec::new(), "stats (uninstrumented store?)")?;
-        protocol::decode_stats(&r.value)
+        let snap = self.control(OpCode::Stats, Vec::new(), "stats (uninstrumented store?)")?;
+        protocol::decode_stats(&snap)
     }
 
     /// Durability barrier: asks the server to commit every operation
@@ -251,11 +232,8 @@ impl KvClient {
     /// survives a crash — or `Ok(None)` on a server without a WAL
     /// (there is nothing to flush).
     pub fn flush(&mut self) -> Result<Option<(u64, u64)>> {
-        let r = self.ask(OpCode::Flush, &[], Vec::new(), "flush of the write-ahead log")?;
-        if r.value.is_empty() {
-            return Ok(None);
-        }
-        protocol::decode_watermark(&r.value).map(Some)
+        let durable = self.control(OpCode::Flush, Vec::new(), "flush of the write-ahead log")?;
+        (!durable.is_empty()).then(|| protocol::decode_watermark(&durable)).transpose()
     }
 
     /// Registers this connection's owner as a replication subscriber on
@@ -263,8 +241,7 @@ impl KvClient {
     /// position). Secure sessions only — the hello carries key material.
     pub fn repl_subscribe(&mut self) -> Result<shieldstore::ReplHello> {
         let what = "replication subscribe (no WAL, or truncated log?)";
-        let r = self.ask(OpCode::ReplSubscribe, &[], Vec::new(), what)?;
-        shieldstore::ReplHello::decode(&r.value)
+        shieldstore::ReplHello::decode(&self.control(OpCode::ReplSubscribe, Vec::new(), what)?)
             .ok_or_else(|| NetError::Protocol("malformed replication hello".into()))
     }
 
@@ -277,8 +254,8 @@ impl KvClient {
         max_bytes: u32,
     ) -> Result<shieldstore::ReplBatch> {
         let poll = protocol::encode_repl_poll(generation, after_seq, max_bytes);
-        let r = self.ask(OpCode::ReplSegment, &[], poll, "replication segment poll")?;
-        shieldstore::ReplBatch::decode(&r.value)
+        let batch = self.control(OpCode::ReplSegment, poll, "replication segment poll")?;
+        shieldstore::ReplBatch::decode(&batch)
             .ok_or_else(|| NetError::Protocol("malformed replication batch".into()))
     }
 
@@ -286,7 +263,7 @@ impl KvClient {
     /// primary.
     pub fn repl_ack(&mut self, subscriber: u64, generation: u64, seq: u64) -> Result<()> {
         let ack = protocol::encode_repl_ack(subscriber, generation, seq);
-        self.ask(OpCode::ReplAck, &[], ack, "replication ack (ran ahead of durable?)").map(drop)
+        self.control(OpCode::ReplAck, ack, "replication ack (ran ahead of durable?)").map(drop)
     }
 
     /// Asks a replica server to promote itself to primary, returning
@@ -294,12 +271,12 @@ impl KvClient {
     /// answer an error.
     pub fn promote(&mut self) -> Result<(u64, u64)> {
         let what = "promotion (not a replica, or fenced?)";
-        protocol::decode_watermark(&self.ask(OpCode::Promote, &[], Vec::new(), what)?.value)
+        protocol::decode_watermark(&self.control(OpCode::Promote, Vec::new(), what)?)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
-        self.ask(OpCode::Ping, &[], Vec::new(), "ping").map(drop)
+        self.control(OpCode::Ping, Vec::new(), "ping").map(drop)
     }
 }
 
@@ -365,31 +342,31 @@ impl Default for RetryPolicy {
 }
 
 /// A self-healing client: wraps [`KvClient`], transparently reconnecting
-/// a poisoned or dropped session and replaying the request where that is
+/// a poisoned or dropped session and replaying the op where that is
 /// safe.
 ///
-/// Outcome classes drive the policy:
+/// One rule decides, by the state of the session the failure left:
 ///
-/// * `Busy` — the server shed the request *without executing it*; the
-///   session stays healthy, so the request is retried in place after
-///   backoff.
-/// * `Quarantined` — a deliberate fail-closed answer; retrying cannot
-///   succeed, so it is surfaced immediately.
-/// * transport/security failures — the session is torn down and
-///   re-established. Idempotent requests (`get`, `scan`, `stats`,
-///   `ping`, `multi_get`) replay freely. `set`/`delete`/`multi_set`
-///   replay too: the server logs them as post-image records, so applying
-///   the same after-value twice converges to the same state even when
-///   the first attempt's fate is unknown (see DESIGN.md). `append` and
-///   `increment` are read-modify-write and are **not** replayed after an
-///   ambiguous failure.
+/// * **Poisoned** — any transport failure (a torn write, a timeout, a
+///   frame that fails to authenticate or decode). The session is dropped
+///   and the op's fate is unknown, so it is replayed on a fresh session
+///   if its op allows: every op does except `Append` and `Increment`,
+///   which are read-modify-write (a duplicate is observable). A `Set`,
+///   `Delete` or `MultiSet` replays safely because the server logs them
+///   as post-image records, so the same after-value twice converges (see
+///   DESIGN.md). A failed connect executed nothing and is always retried.
+/// * **Healthy, `Busy`** — the server shed the op *without executing
+///   it*; it is retried in place after backoff.
+/// * **Healthy, anything else** — the server answered: a quota,
+///   quarantine, read-only or storage refusal, an `Error`, a malformed
+///   payload. Retrying cannot change that answer, so it is surfaced at
+///   once on the session it arrived on.
 pub struct RetryClient {
     connector: Connector,
     policy: RetryPolicy,
     rng: SplitMix64,
     session: Option<KvClient>,
     connects: u64,
-    reconnects: u64,
     retries: u64,
     busy_retries: u64,
 }
@@ -398,7 +375,7 @@ impl std::fmt::Debug for RetryClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RetryClient")
             .field("connected", &self.session.is_some())
-            .field("reconnects", &self.reconnects)
+            .field("reconnects", &self.reconnects())
             .field("retries", &self.retries)
             .finish()
     }
@@ -409,22 +386,13 @@ impl RetryClient {
     /// the first operation.
     pub fn new(connector: Connector, policy: RetryPolicy) -> Self {
         let rng = SplitMix64::new(policy.seed ^ 0x9e37_79b9_7f4a_7c15);
-        Self {
-            connector,
-            policy,
-            rng,
-            session: None,
-            connects: 0,
-            reconnects: 0,
-            retries: 0,
-            busy_retries: 0,
-        }
+        Self { connector, policy, rng, session: None, connects: 0, retries: 0, busy_retries: 0 }
     }
 
     /// Times the underlying session was re-established after the first
     /// connect.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.connects.saturating_sub(1)
     }
 
     /// Total operation retries (all causes).
@@ -453,152 +421,48 @@ impl RetryClient {
         std::thread::sleep(jittered);
     }
 
-    /// Drops a session that can no longer be trusted and connects a
-    /// fresh one.
-    fn ensure_session(&mut self) -> Result<()> {
-        if let Some(c) = &self.session {
-            if c.poisoned {
-                self.session = None;
+    /// The live session, connecting one if the last was dropped.
+    fn session(&mut self) -> Result<&mut KvClient> {
+        let client = match self.session.take() {
+            Some(client) => client,
+            None => {
+                let mut client = self.connector.connect(self.connects)?;
+                client.set_read_timeout(self.policy.read_timeout)?;
+                self.connects += 1;
+                client
             }
-        }
-        if self.session.is_none() {
-            let mut client = self.connector.connect(self.connects)?;
-            client.set_read_timeout(self.policy.read_timeout)?;
-            self.connects += 1;
-            if self.connects > 1 {
-                self.reconnects += 1;
-            }
-            self.session = Some(client);
-        }
-        Ok(())
+        };
+        Ok(self.session.insert(client))
     }
 
-    /// Runs `op` under the retry policy. `replayable` marks requests
-    /// safe to re-issue after a failure whose outcome is unknown.
-    fn run_op<T>(
-        &mut self,
-        replayable: bool,
-        mut op: impl FnMut(&mut KvClient) -> Result<T>,
-    ) -> Result<T> {
+    /// [`KvClient::execute`] under the retry rule above.
+    pub fn execute(&mut self, op: Op<'_>) -> Result<Reply> {
+        let replayable = !matches!(op, Op::Append { .. } | Op::Increment { .. });
         let mut attempt = 0u32;
         loop {
-            if let Err(e) = self.ensure_session() {
-                // Connect failures never executed anything: always
-                // retryable, whatever the operation.
-                if attempt >= self.policy.max_retries {
-                    return Err(e);
-                }
-                attempt += 1;
-                self.retries += 1;
-                self.backoff(attempt);
-                continue;
-            }
-            let client = self.session.as_mut().expect("session just ensured");
-            match op(client) {
-                Ok(v) => return Ok(v),
-                // Deliberate fail-closed answer; retrying cannot help.
-                Err(NetError::Quarantined) => return Err(NetError::Quarantined),
-                // The server answered — the session stays aligned — but
-                // the node cannot take this write now (replica) or ever
-                // until repaired (poisoned log writer). Tearing down the
-                // session or burning backoff retries here would only
-                // delay the caller's failover decision, so surface the
-                // refusal immediately.
-                Err(e @ (NetError::ReadOnly | NetError::StorageFailed)) => return Err(e),
-                // Shed before execution; the session stays aligned.
-                Err(NetError::Busy) => {
-                    if attempt >= self.policy.max_retries {
-                        return Err(NetError::Busy);
+            let (error, busy) = match self.session() {
+                Err(connect) => (connect, false),
+                Ok(client) => match client.execute(op) {
+                    Ok(reply) => return Ok(reply),
+                    Err(e) if client.poisoned => {
+                        self.session = None;
+                        if !replayable {
+                            return Err(e);
+                        }
+                        (e, false)
                     }
-                    attempt += 1;
-                    self.retries += 1;
-                    self.busy_retries += 1;
-                    self.backoff(attempt);
-                }
-                // Transport or security failure: the session is gone and
-                // the first attempt's fate is ambiguous.
-                Err(e) => {
-                    self.session = None;
-                    if !replayable || attempt >= self.policy.max_retries {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.retries += 1;
-                    self.backoff(attempt);
-                }
+                    Err(NetError::Busy) => (NetError::Busy, true),
+                    Err(answered) => return Err(answered),
+                },
+            };
+            if attempt >= self.policy.max_retries {
+                return Err(error);
             }
+            attempt += 1;
+            self.retries += 1;
+            self.busy_retries += u64::from(busy);
+            self.backoff(attempt);
         }
-    }
-
-    /// [`KvClient::get`] with transparent retry and reconnect.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.run_op(true, |c| c.get(key))
-    }
-
-    /// [`KvClient::set`] with transparent retry and reconnect (replay is
-    /// safe under the server's post-image WAL semantics).
-    pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.run_op(true, |c| c.set(key, value))
-    }
-
-    /// [`KvClient::set_ttl`] with transparent retry and reconnect
-    /// (post-image replay safety: replaying re-arms the same deadline
-    /// relative to the retry, which is the freshest intent).
-    pub fn set_ttl(&mut self, key: &[u8], value: &[u8], ttl_ns: u64) -> Result<()> {
-        self.run_op(true, |c| c.set_ttl(key, value, ttl_ns))
-    }
-
-    /// [`KvClient::delete`] with transparent retry and reconnect. Note a
-    /// replayed delete may report `Ok(false)` when the first, unacked
-    /// attempt already removed the key.
-    pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        self.run_op(true, |c| c.delete(key))
-    }
-
-    /// [`KvClient::append`]; **not** replayed after an ambiguous
-    /// transport failure (a duplicated append is observable). `Busy`
-    /// shedding is still retried — the server did not execute the op.
-    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<()> {
-        self.run_op(false, |c| c.append(key, suffix))
-    }
-
-    /// [`KvClient::increment`]; **not** replayed after an ambiguous
-    /// transport failure (a duplicated increment is observable). `Busy`
-    /// shedding is still retried.
-    pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
-        self.run_op(false, |c| c.increment(key, delta))
-    }
-
-    /// [`KvClient::multi_get`] with transparent retry and reconnect.
-    pub fn multi_get(&mut self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.run_op(true, |c| c.multi_get(keys))
-    }
-
-    /// [`KvClient::multi_set`] with transparent retry and reconnect
-    /// (post-image replay safety, as for `set`).
-    pub fn multi_set(&mut self, items: &[(Vec<u8>, Vec<u8>)]) -> Result<()> {
-        self.run_op(true, |c| c.multi_set(items))
-    }
-
-    /// [`KvClient::scan_prefix`] with transparent retry and reconnect.
-    pub fn scan_prefix(&mut self, prefix: &[u8], limit: u32) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.run_op(true, |c| c.scan_prefix(prefix, limit))
-    }
-
-    /// [`KvClient::stats`] with transparent retry and reconnect.
-    pub fn stats(&mut self) -> Result<shieldstore::StatsSnapshot> {
-        self.run_op(true, |c| c.stats())
-    }
-
-    /// [`KvClient::flush`] with transparent retry and reconnect (a
-    /// durability barrier is idempotent).
-    pub fn flush(&mut self) -> Result<Option<(u64, u64)>> {
-        self.run_op(true, |c| c.flush())
-    }
-
-    /// [`KvClient::ping`] with transparent retry and reconnect.
-    pub fn ping(&mut self) -> Result<()> {
-        self.run_op(true, |c| c.ping())
     }
 }
 

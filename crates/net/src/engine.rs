@@ -63,8 +63,8 @@
 
 use crate::machine::{CloseReason, ConnMachine};
 use crate::poller::{Interest, Poller, WakeHandle, Waker};
-use crate::protocol::{OpCode, Request, Response};
-use crate::server::{execute_with, with_op, CrossingMode, NetGauges, NetState, ServerConfig};
+use crate::protocol::{OpCode, Request, Response, Status};
+use crate::server::{execute_with, CrossingMode, NetGauges, NetState, ServerConfig};
 use crate::session::{self, SessionCrypto};
 use crate::Result;
 use parking_lot::Mutex;
@@ -649,7 +649,7 @@ impl EventLoop {
         if !shared.state.admission.try_admit(tenant, weight) {
             gauges.shed_requests.fetch_add(1, Ordering::Relaxed);
             let req = conn.machine.begin_request();
-            conn.machine.complete(req, Response::busy().encode());
+            conn.machine.complete(req, Response::empty(Status::Busy).encode());
             return true;
         }
         gauges.pending_frames.fetch_add(1, Ordering::Relaxed);
@@ -693,8 +693,7 @@ impl EventLoop {
     /// multi-shard / shardless requests (executed on the decoding loop).
     fn route_for(&self, request: &Request) -> Option<usize> {
         let shared = &self.shared;
-        let shard =
-            with_op(request, |op| op.routing_key().and_then(|k| shared.store.shard_hint(k)));
+        let shard = request.with_op(|op| op.routing_key().and_then(|k| shared.store.shard_hint(k)));
         // A malformed request routes nowhere: the decoding loop answers
         // its `Error`.
         shard.ok().flatten().map(|shard| shared.route[shard & (shared.route.len() - 1)] as usize)
@@ -717,7 +716,7 @@ impl EventLoop {
             // Busy (instead of serving ancient work) keeps overload
             // latency bounded.
             shared.state.gauges.shed_requests.fetch_add(1, Ordering::Relaxed);
-            Response::busy()
+            Response::empty(Status::Busy)
         } else if !shared.config.secure
             && matches!(
                 request.op,
@@ -726,7 +725,7 @@ impl EventLoop {
         {
             // Replication frames carry log keys and fencing authority;
             // they only ever ride the attested channel.
-            Response::error()
+            Response::empty(Status::Error)
         } else {
             execute_with(&*shared.store, request, tenant, Some(&shared.state))
         };

@@ -21,7 +21,8 @@
 //! owns its key's hash partition (paper §5.3 worker/partition
 //! alignment). See [`server`] and `DESIGN.md` § "Network engine".
 //!
-//! * [`protocol`] — wire format (framing, opcodes).
+//! * [`protocol`] — wire format (framing, opcodes) and the one codec
+//!   between it and an `Op`, both directions.
 //! * [`frame`] — incremental (push) frame decoder for the event loops.
 //! * [`machine`] — per-connection lifecycle state machine.
 //! * [`poller`] — minimal epoll/eventfd readiness abstraction (the one

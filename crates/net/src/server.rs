@@ -36,10 +36,10 @@
 //! quarantined-partition answers.
 
 use crate::admission::FairAdmission;
-use crate::protocol::{self, OpCode, Request, Response};
-use crate::{engine, NetError, Result};
+use crate::protocol::{self, OpCode, Request, Response, Status};
+use crate::{engine, Result};
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, Op, OpError, Reply};
+use shield_baseline::{KvBackend, OpError};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -314,83 +314,6 @@ pub fn execute(store: &dyn KvBackend, request: &Request) -> Response {
     execute_with(store, request, 0, None)
 }
 
-/// Maps a backend failure to its wire status.
-fn fail_status(e: OpError) -> Response {
-    match e {
-        OpError::Quarantined => Response::quarantined(),
-        OpError::QuotaExceeded => Response::quota_exceeded(),
-        OpError::ReadOnly => Response::read_only(),
-        OpError::StorageFailed => Response::storage_failed(),
-        OpError::Failed => Response::error(),
-    }
-}
-
-/// The one `Request → Op` decode: validates `request`'s payload for its
-/// opcode and hands the borrowed [`Op`] to `run` (a continuation, so a
-/// batch's key table can live on this frame while the op borrows it).
-/// `Err` means the request is malformed or is not a key-value operation;
-/// either way the store never sees it.
-pub(crate) fn with_op<R>(request: &Request, run: impl FnOnce(Op<'_>) -> R) -> Result<R> {
-    let (key, value) = (request.key.as_slice(), request.value.as_slice());
-    let op = match request.op {
-        OpCode::Get => Op::Get(key),
-        OpCode::Set => Op::set(key, value),
-        // The wire carries a relative, nonzero TTL (the decoder rejects
-        // zero: that is a plain `Set`); the store wants an absolute
-        // deadline, where zero means "no expiry".
-        OpCode::SetTtl => {
-            let (ttl_ns, value) = protocol::decode_set_ttl(value)?;
-            Op::Set { key, value, expires_at: shieldstore::ttl::deadline_after(ttl_ns) }
-        }
-        OpCode::Delete => Op::Delete(key),
-        OpCode::Append => Op::Append { key, suffix: value },
-        OpCode::Increment => {
-            let delta = value
-                .try_into()
-                .map_err(|_| NetError::Protocol("increment delta must be 8 bytes".into()))?;
-            Op::Increment { key, delta: i64::from_le_bytes(delta) }
-        }
-        // A whole batch is one op: one crossing charge and one shard-lock
-        // acquisition per touched shard, however many keys ride in the
-        // frame.
-        OpCode::MultiGet => return Ok(run(Op::MultiGet(&protocol::multi_get_keys(value)?))),
-        OpCode::MultiSet => {
-            let items = protocol::multi_set_items(value)?;
-            return Ok(run(Op::MultiSet { items: &items, expires_at: 0 }));
-        }
-        // The limit rides in a versioned payload; the legacy bare 4-byte
-        // form is rejected by the decoder.
-        OpCode::ScanPrefix => {
-            Op::ScanPrefix { prefix: key, limit: protocol::decode_scan_limit(value)? as usize }
-        }
-        OpCode::Ping
-        | OpCode::Stats
-        | OpCode::Flush
-        | OpCode::ReplSubscribe
-        | OpCode::ReplSegment
-        | OpCode::ReplAck
-        | OpCode::Promote => {
-            return Err(NetError::Protocol(format!("{:?} is not a key-value op", request.op)))
-        }
-    };
-    Ok(run(op))
-}
-
-/// The one `Reply → Response` encode. A miss answers `NotFound`; a reply
-/// whose content the client already knows answers an empty `Ok`.
-fn respond(reply: Reply) -> Response {
-    match reply {
-        Reply::Value(Some(value)) => Response::ok(value),
-        Reply::Value(None) | Reply::Deleted(false) | Reply::Exists(false) => Response::not_found(),
-        Reply::Stored | Reply::Deleted(true) | Reply::Exists(true) | Reply::Appended(_) => {
-            Response::ok_empty()
-        }
-        Reply::Counter(next) => Response::ok(next.to_le_bytes().to_vec()),
-        Reply::Values(results) => Response::ok(protocol::encode_multi_get_response(&results)),
-        Reply::Entries(entries) => Response::ok(protocol::encode_scan(&entries)),
-    }
-}
-
 /// Executes one request against the store under `tenant`'s namespace,
 /// overlaying server-side overload counters onto `Stats` responses when
 /// the serving state is provided.
@@ -401,10 +324,11 @@ pub(crate) fn execute_with(
     net: Option<&NetState>,
 ) -> Response {
     let bare = request.key.is_empty() && request.value.is_empty();
+    let refused = |e: OpError| Response::empty(e.into());
     match request.op {
-        OpCode::Ping => Response::ok_empty(),
+        OpCode::Ping => Response::empty(Status::Ok),
         OpCode::Stats | OpCode::Flush | OpCode::ReplSubscribe | OpCode::Promote if !bare => {
-            Response::error()
+            Response::empty(Status::Error)
         }
         OpCode::Stats => match store.stats_snapshot() {
             Some(mut snap) => {
@@ -426,38 +350,38 @@ pub(crate) fn execute_with(
                 Response::ok(protocol::encode_stats(&snap))
             }
             // Uninstrumented backend: no snapshot to report.
-            None => Response::error(),
+            None => Response::empty(Status::Error),
         },
         // A failed commit means the durability guarantee cannot be
         // given: fail closed. Success carries the durable watermark
         // (empty when the store has no WAL).
-        OpCode::Flush => store.flush_durable().map_or_else(fail_status, |durable| match durable {
+        OpCode::Flush => store.flush_durable().map_or_else(refused, |durable| match durable {
             Some((gen, seq)) => Response::ok(protocol::encode_watermark(gen, seq)),
-            None => Response::ok_empty(),
+            None => Response::empty(Status::Ok),
         }),
-        OpCode::ReplSubscribe => store.repl_subscribe().map_or_else(fail_status, Response::ok),
+        OpCode::ReplSubscribe => store.repl_subscribe().map_or_else(refused, Response::ok),
         OpCode::ReplSegment => match protocol::decode_repl_poll(&request.value) {
             Ok((gen, after_seq, max_bytes)) => {
-                store.repl_batch(gen, after_seq, max_bytes).map_or_else(fail_status, Response::ok)
+                store.repl_batch(gen, after_seq, max_bytes).map_or_else(refused, Response::ok)
             }
-            Err(_) => Response::error(),
+            Err(_) => Response::empty(Status::Error),
         },
         OpCode::ReplAck => match protocol::decode_repl_ack(&request.value) {
             Ok((subscriber, gen, seq)) => store
                 .repl_ack(subscriber, gen, seq)
-                .map_or_else(fail_status, |()| Response::ok_empty()),
-            Err(_) => Response::error(),
+                .map_or_else(refused, |()| Response::empty(Status::Ok)),
+            Err(_) => Response::empty(Status::Error),
         },
-        OpCode::Promote => store.promote().map_or_else(fail_status, |(gen, seq)| {
-            Response::ok(protocol::encode_watermark(gen, seq))
-        }),
+        OpCode::Promote => store
+            .promote()
+            .map_or_else(refused, |(gen, seq)| Response::ok(protocol::encode_watermark(gen, seq))),
         // Everything else is a key-value op: decode, execute, encode.
         // A batch-level failure (integrity violation, quarantined
         // partition) fails the whole frame closed rather than fabricate
         // misses.
-        _ => match with_op(request, |op| store.execute(tenant, op)) {
-            Ok(result) => result.map_or_else(fail_status, respond),
-            Err(_) => Response::error(),
+        _ => match request.with_op(|op| store.execute(tenant, op)) {
+            Ok(result) => result.map_or_else(refused, Response::from_reply),
+            Err(_) => Response::empty(Status::Error),
         },
     }
 }

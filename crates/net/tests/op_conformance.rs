@@ -12,6 +12,9 @@
 //!   impl)
 //! * `server::execute` on the encoded `Request`, and the same frames
 //!   over live tenant-bound sessions
+//! * `KvClient::execute` over live tenant-bound sessions, and
+//!   `RetryClient::execute` (default tenant): the client end of the same
+//!   codec, so a client-side decode bug fails this script too
 //!
 //! and every `Reply`/`Response` is checked against one oracle, a
 //! `BTreeMap<(tenant, key), (value, deadline)>`. Where the entry point
@@ -26,9 +29,10 @@ use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, OpError, Reply};
-use shield_net::protocol::{self, OpCode, Request, Response, Status};
+use shield_net::client::{Connector, RetryClient, RetryPolicy};
+use shield_net::protocol::{Request, Response, Status};
 use shield_net::repl::{ReplicaConfig, ReplicaNode};
-use shield_net::{CrossingMode, KvClient, Server, ServerConfig};
+use shield_net::{CrossingMode, KvClient, NetError, Server, ServerConfig};
 use shieldstore::{ttl, Config, DurabilityPolicy, Error, ShieldStore, Watermark};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -328,102 +332,82 @@ impl Durable {
     }
 }
 
-/// Encodes `op` as the frame a client sends, `None` where the wire has
-/// no opcode for it (`Exists`, `ScanRange`, a leased `MultiSet`).
-fn encode(op: Op<'_>) -> Option<Request> {
-    let request = |op, key: &[u8], value: Vec<u8>| Some(Request { op, key: key.to_vec(), value });
-    match op {
-        Op::Get(key) => request(OpCode::Get, key, Vec::new()),
-        Op::Set { key, value, expires_at: 0 } => request(OpCode::Set, key, value.to_vec()),
-        // The wire carries a relative TTL; on the frozen clock the
-        // server lands on exactly the deadline it was cut from. An
-        // already-due deadline has no relative form (zero is rejected).
-        Op::Set { key, value, expires_at } => match expires_at.checked_sub(ttl::now_ns()) {
-            Some(ttl_ns) if ttl_ns > 0 => {
-                request(OpCode::SetTtl, key, protocol::encode_set_ttl(ttl_ns, value))
-            }
-            _ => None,
-        },
-        Op::Delete(key) => request(OpCode::Delete, key, Vec::new()),
-        Op::Append { key, suffix } => request(OpCode::Append, key, suffix.to_vec()),
-        Op::Increment { key, delta } => {
-            request(OpCode::Increment, key, delta.to_le_bytes().to_vec())
+/// The frame a client sends for `op`, through the shared codec; `None`
+/// where the wire has no form for it (`Exists`, `ScanRange`, a leased
+/// `MultiSet`). The frame survives its own codec before it is served.
+fn frame(op: Op<'_>) -> Option<Request> {
+    let request = match op {
+        Op::Set { key, value, expires_at } if expires_at != 0 => {
+            Request::set_ttl(key, value, lease(expires_at)?)
         }
-        Op::MultiGet(keys) => {
-            let keys: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
-            request(OpCode::MultiGet, b"", protocol::encode_multi_get(&keys))
-        }
-        Op::MultiSet { items, expires_at: 0 } => {
-            let items: Vec<_> = items.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-            request(OpCode::MultiSet, b"", protocol::encode_multi_set(&items))
-        }
-        Op::ScanPrefix { prefix, limit } => {
-            request(OpCode::ScanPrefix, prefix, protocol::encode_scan_limit(limit as u32))
-        }
-        Op::Exists(_) | Op::ScanRange { .. } | Op::MultiSet { .. } => None,
-    }
+        op => Request::from_op(op).ok()?,
+    };
+    Some(Request::decode(&request.encode()).unwrap())
 }
 
-/// Reads a response back as the `Reply` it encodes. An append's reply
-/// carries no value on the wire, so the expected one is echoed.
-fn decode(op: Op<'_>, response: Response, want: &Outcome) -> Outcome {
-    match (response.status, op) {
-        (Status::Error, _) => Err(Refusal::Failed),
-        (Status::ReadOnly, _) => Err(Refusal::ReadOnly),
-        (Status::Ok, Op::Get(_)) => Ok(Reply::Value(Some(response.value))),
-        (Status::NotFound, Op::Get(_)) => Ok(Reply::Value(None)),
-        (Status::Ok, Op::Set { .. } | Op::MultiSet { .. }) => Ok(Reply::Stored),
-        (Status::Ok, Op::Delete(_)) => Ok(Reply::Deleted(true)),
-        (Status::NotFound, Op::Delete(_)) => Ok(Reply::Deleted(false)),
-        (Status::Ok, Op::Append { .. }) => {
-            assert!(response.value.is_empty());
+/// A leased `Set`'s deadline as the relative TTL the wire carries: on the
+/// frozen clock the server lands on exactly the deadline it was cut
+/// from. An already-due deadline has no relative form (a zero TTL is
+/// rejected).
+fn lease(expires_at: u64) -> Option<u64> {
+    expires_at.checked_sub(ttl::now_ns()).filter(|&ttl_ns| ttl_ns > 0)
+}
+
+/// Reads a wire answer as an entry point's outcome. The wire carries no
+/// value for an append (the shared codec answers an empty one), so the
+/// expected value is echoed; `run_wire` reads the key back instead.
+fn outcome(op: Op<'_>, answer: shield_net::Result<Reply>, want: &Outcome) -> Outcome {
+    match answer {
+        Ok(Reply::Appended(value)) => {
+            assert!(value.is_empty(), "an append's value rode the wire");
             want.clone()
         }
-        (Status::Ok, Op::Increment { .. }) => {
-            Ok(Reply::Counter(i64::from_le_bytes(response.value[..].try_into().unwrap())))
-        }
-        (Status::Ok, Op::MultiGet(_)) => {
-            Ok(Reply::Values(protocol::decode_multi_get_response(&response.value).unwrap()))
-        }
-        (Status::Ok, Op::ScanPrefix { .. }) => {
-            Ok(Reply::Entries(protocol::decode_scan(&response.value).unwrap()))
-        }
-        (status, op) => panic!("{op:?} answered {status:?}"),
+        Ok(reply) => Ok(reply),
+        Err(NetError::ReadOnly) => Err(Refusal::ReadOnly),
+        Err(NetError::Protocol(_)) => Err(Refusal::Failed),
+        Err(e) => panic!("{op:?} failed: {e}"),
     }
 }
 
-/// Drives the script through a frame-level `call`. Where the wire has no
-/// opcode for an op — or `call` cannot serve the tenant and answers
-/// `None` — the op goes straight to `direct`, so the state stays on
-/// script.
+/// Drives the script over the wire: `wire` answers an op, or `None`
+/// where it cannot (no wire form, or a tenant it cannot serve) — then the
+/// op goes straight to `direct`, so the state stays on script.
 fn run_wire(
     layer: &str,
-    mut call: impl FnMut(u32, &Request) -> Option<Response>,
+    mut wire: impl FnMut(u32, Op<'_>) -> Option<shield_net::Result<Reply>>,
     direct: impl Fn(u32, Op<'_>) -> Outcome,
 ) -> Oracle {
     let mut oracle = Oracle::new(SHIELD);
     let mut framed = 0;
     script(|tenant, op| {
         let want = oracle.apply(tenant, op);
-        // The frame survives its own codec before it is served.
-        let frame = |op| encode(op).map(|request| Request::decode(&request.encode()).unwrap());
-        let got = match frame(op).and_then(|request| call(tenant, &request)) {
-            Some(response) => {
+        let got = match wire(tenant, op) {
+            Some(answer) => {
                 framed += 1;
-                decode(op, response, &want)
+                outcome(op, answer, &want)
             }
             None => direct(tenant, op),
         };
         assert_eq!(got, want, "{layer}: tenant {tenant}, {op:?}");
         if let (Op::Append { key, .. }, Ok(Reply::Appended(value))) = (op, &want) {
-            if let Some(response) = call(tenant, &frame(Op::Get(key)).unwrap()) {
-                let read = decode(Op::Get(key), response, &want);
-                assert_eq!(read, Ok(Reply::Value(Some(value.clone()))), "{layer}: append landed");
+            if let Some(read) = wire(tenant, Op::Get(key)) {
+                let read = read.unwrap();
+                assert_eq!(read, Reply::Value(Some(value.clone())), "{layer}: append landed");
             }
         }
     });
     assert!(framed > 25, "the table rode the wire");
     oracle
+}
+
+/// Serves `op` as a frame through `call`, answering through the shared
+/// codec.
+fn framed(
+    op: Op<'_>,
+    call: impl FnOnce(&Request) -> shield_net::Result<Response>,
+) -> Option<shield_net::Result<Reply>> {
+    let request = frame(op)?;
+    Some(call(&request).and_then(|response| response.into_reply(op)))
 }
 
 fn server_config() -> ServerConfig {
@@ -509,7 +493,10 @@ fn server_execute_conforms_and_replays() {
     let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
     let oracle = run_wire(
         "server::execute",
-        |tenant, request| (tenant == 0).then(|| shield_net::server::execute(&*backend, request)),
+        |tenant, op| {
+            let serve = |request: &Request| Ok(shield_net::server::execute(&*backend, request));
+            (tenant == 0).then(|| framed(op, serve)).flatten()
+        },
         |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
     );
     drop(backend);
@@ -541,7 +528,7 @@ fn live_tenant_sessions_conform_and_replay() {
         .collect();
     let oracle = run_wire(
         "live session",
-        |tenant, request| Some(sessions.get_mut(&tenant).unwrap().call(request).unwrap()),
+        |tenant, op| framed(op, |request| sessions.get_mut(&tenant).unwrap().call(request)),
         |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
     );
 
@@ -549,11 +536,7 @@ fn live_tenant_sessions_conform_and_replay() {
     // of zero is not "already due" but malformed (a plain `Set` is the
     // no-expiry form), and is refused before the store sees it.
     let session = sessions.get_mut(&0).unwrap();
-    let zero_ttl = Request {
-        op: OpCode::SetTtl,
-        key: b"zero-ttl".to_vec(),
-        value: protocol::encode_set_ttl(0, b"v"),
-    };
+    let zero_ttl = Request::set_ttl(b"zero-ttl", b"v", 0);
     assert_eq!(session.call(&zero_ttl).unwrap().status, Status::Error);
     assert_eq!(session.get(b"zero-ttl").unwrap(), None);
     // ...and a plain `Set` never expires.
@@ -567,6 +550,73 @@ fn live_tenant_sessions_conform_and_replay() {
     let mut oracle = oracle;
     oracle.map.insert((0, b"zero-ttl".to_vec()), (b"forever".to_vec(), 0));
     durable.assert_replay("live session", &oracle);
+    ttl::thaw();
+}
+
+/// A live server over a fresh durable store, and what a client needs to
+/// attest it.
+fn live(tag: &str) -> (Durable, Arc<dyn KvBackend>, Server, AttestationVerifier) {
+    let durable = Durable::new(tag, 4);
+    let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
+    let server =
+        Server::start(Arc::clone(&backend), Some(Arc::clone(&durable.enclave)), server_config())
+            .unwrap();
+    let verifier = AttestationVerifier::for_enclave(&durable.enclave)
+        .expect_measurement(*durable.enclave.measurement());
+    (durable, backend, server, verifier)
+}
+
+#[test]
+fn client_execute_conforms_and_replays() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (durable, backend, server, verifier) = live("client-execute");
+    let mut sessions: BTreeMap<u32, KvClient> = TENANTS
+        .iter()
+        .map(|&tenant| {
+            let seed = 60 + tenant as u64;
+            let client = KvClient::connect_secure_tenant(server.addr(), &verifier, seed, tenant);
+            (tenant, client.unwrap())
+        })
+        .collect();
+    let oracle = run_wire(
+        "KvClient::execute",
+        |tenant, op| {
+            let session = sessions.get_mut(&tenant).unwrap();
+            match op {
+                // A relative TTL has no `Op` form: `set_ttl` is its call.
+                Op::Set { key, value, expires_at } if expires_at != 0 => {
+                    let ttl_ns = lease(expires_at)?;
+                    Some(session.set_ttl(key, value, ttl_ns).map(|()| Reply::Stored))
+                }
+                op => Request::from_op(op).is_ok().then(|| session.execute(op)),
+            }
+        },
+        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+    );
+    drop(sessions);
+    server.shutdown();
+    drop(backend);
+    durable.assert_replay("KvClient::execute", &oracle);
+    ttl::thaw();
+}
+
+#[test]
+fn retry_client_execute_conforms() {
+    let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (durable, backend, server, verifier) = live("retry-execute");
+    let connector = Connector::Secure { addr: server.addr(), verifier, seed: 70 };
+    let mut client = RetryClient::new(connector, RetryPolicy::default());
+    let oracle = run_wire(
+        "RetryClient::execute",
+        |tenant, op| (tenant == 0 && Request::from_op(op).is_ok()).then(|| client.execute(op)),
+        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+    );
+    // Every refusal in the script was an answer on a healthy session.
+    assert_eq!((client.retries(), client.reconnects()), (0, 0));
+    drop(client);
+    server.shutdown();
+    drop(backend);
+    durable.assert_replay("RetryClient::execute", &oracle);
     ttl::thaw();
 }
 

@@ -38,9 +38,9 @@ proptest! {
     /// Arbitrary bytes never panic any batch or scan decoder.
     #[test]
     fn batch_decoders_never_panic(bytes in pvec(any::<u8>(), 0..256)) {
-        let _ = protocol::decode_multi_get(&bytes);
+        let _ = protocol::multi_get_keys(&bytes);
         let _ = protocol::decode_multi_get_response(&bytes);
-        let _ = protocol::decode_multi_set(&bytes);
+        let _ = protocol::multi_set_items(&bytes);
         let _ = protocol::decode_scan(&bytes);
         let _ = protocol::decode_stats(&bytes);
     }
@@ -99,10 +99,13 @@ proptest! {
         keys in pvec(pvec(any::<u8>(), 0..16), 0..8),
         vals in pvec(pvec(any::<u8>(), 0..16), 0..8),
     ) {
-        prop_assert_eq!(&protocol::decode_multi_get(&protocol::encode_multi_get(&keys)).unwrap(), &keys);
+        let encoded = protocol::encode_multi_get(&keys);
+        prop_assert_eq!(&protocol::multi_get_keys(&encoded).unwrap(), &keys);
         let items: Vec<(Vec<u8>, Vec<u8>)> =
             keys.iter().cloned().zip(vals.iter().cloned()).collect();
-        prop_assert_eq!(&protocol::decode_multi_set(&protocol::encode_multi_set(&items)).unwrap(), &items);
+        let borrowed: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        let encoded = protocol::encode_multi_set(&items);
+        prop_assert_eq!(protocol::multi_set_items(&encoded).unwrap(), borrowed);
         prop_assert_eq!(&protocol::decode_scan(&protocol::encode_scan(&items)).unwrap(), &items);
         let results: Vec<Option<Vec<u8>>> =
             vals.iter().enumerate().map(|(i, v)| (i % 2 == 0).then(|| v.clone())).collect();
@@ -286,6 +289,7 @@ fn handshake_pair(
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::server::{Server, ServerConfig};
 use shield_net::{KvClient, NetError};
+use shieldstore::{Op, Reply};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -472,12 +476,53 @@ fn retry_client_exhausts_busy_retries() {
     };
     let mut client =
         RetryClient::new(Connector::Secure { addr: server.addr(), verifier, seed: 21 }, policy);
-    match client.get(b"k") {
+    match client.execute(Op::Get(b"k")) {
         Err(NetError::Busy) => {}
         other => panic!("expected Busy after exhausted retries, got {other:?}"),
     }
     assert_eq!(client.busy_retries(), 3);
     assert_eq!(client.reconnects(), 0, "Busy must not tear down the session");
+    server.shutdown();
+}
+
+/// A refusal the server answers is not a network failure: the retry
+/// client surfaces it at once — no retry, no backoff, no reconnect — and
+/// the session it arrived on keeps serving.
+#[test]
+fn retry_client_surfaces_refusals_at_once() {
+    let (enclave, store, server) = hardened_server("retry-refusal", ServerConfig::default(), false);
+    store.tenants().configure(0, shieldstore::TenantQuota { max_keys: 1, ..Default::default() });
+    store.set(b"first", b"v").unwrap();
+    let verifier =
+        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
+    // The first backoff sleeps at least half the base.
+    let policy = RetryPolicy {
+        max_retries: 4,
+        base_backoff: Duration::from_millis(400),
+        ..Default::default()
+    };
+    let hit = Reply::Value(Some(b"v".to_vec()));
+    let cases = [
+        ("set past the default tenant's key quota", Op::set(b"second", b"v")),
+        ("scan on a store without the ordered index", Op::ScanPrefix { prefix: b"k", limit: 10 }),
+    ];
+    for (seed, (case, refused)) in cases.into_iter().enumerate() {
+        let connector = Connector::Secure {
+            addr: server.addr(),
+            verifier: verifier.clone(),
+            seed: seed as u64,
+        };
+        let mut client = RetryClient::new(connector, policy.clone());
+        assert_eq!(client.execute(Op::Get(b"first")).unwrap(), hit, "{case}");
+        let started = Instant::now();
+        let outcome = client.execute(refused);
+        let elapsed = started.elapsed();
+        assert!(outcome.is_err(), "{case}: refused");
+        assert_eq!(client.retries(), 0, "{case}: a refusal burns no retry");
+        assert!(elapsed < Duration::from_millis(200), "{case}: returned after {elapsed:?}");
+        assert_eq!(client.execute(Op::Get(b"first")).unwrap(), hit, "{case}");
+        assert_eq!(client.reconnects(), 0, "{case}: the session survives the refusal");
+    }
     server.shutdown();
 }
 
@@ -498,12 +543,12 @@ fn retry_client_reconnects_after_session_loss() {
     };
     let mut client =
         RetryClient::new(Connector::Secure { addr: server.addr(), verifier, seed: 33 }, policy);
-    client.set(b"k", b"v1").unwrap();
+    client.execute(Op::set(b"k", b"v1")).unwrap();
 
     // Tear down the session out from under the client: the next
     // operation must transparently reconnect and replay.
     client.disconnect();
-    assert_eq!(client.get(b"k").unwrap().as_deref(), Some(b"v1".as_ref()));
+    assert_eq!(client.execute(Op::Get(b"k")).unwrap(), Reply::Value(Some(b"v1".to_vec())));
     assert!(client.reconnects() >= 1);
     server.shutdown();
 }

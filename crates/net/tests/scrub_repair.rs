@@ -10,7 +10,7 @@ use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::repl::{repair_segment_from_peer, ReplicaConfig, ReplicaNode};
 use shield_net::{CrossingMode, KvClient, NetError, Server, ServerConfig};
-use shieldstore::{Config, DurabilityPolicy, ShieldStore, Watermark};
+use shieldstore::{Config, DurabilityPolicy, Op, Reply, ShieldStore, Watermark};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,13 +133,15 @@ fn segment_rot_detected_quarantined_and_repaired_from_replica() {
         },
     );
     let started = Instant::now();
-    match rc.set(b"retry-me", b"x") {
+    match rc.execute(Op::set(b"retry-me", b"x")) {
         Err(NetError::StorageFailed) => {}
         other => panic!("retry layer must surface StorageFailed, got {other:?}"),
     }
     assert_eq!(rc.retries(), 0, "StorageFailed must not burn retries");
     assert!(started.elapsed() < Duration::from_millis(40), "StorageFailed must not back off");
-    assert_eq!(rc.get(b"k001").unwrap().unwrap(), b"v1", "session must survive the refusal");
+    let read = rc.execute(Op::Get(b"k001")).unwrap();
+    assert_eq!(read, Reply::Value(Some(b"v1".to_vec())), "session must survive the refusal");
+    assert_eq!(rc.reconnects(), 0, "StorageFailed must not drop the session");
 
     // Repair: pull the generation's verified frames from the replica's
     // journal over the attested session and swap them in.

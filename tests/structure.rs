@@ -1,0 +1,392 @@
+//! Structural rules, checked on every `cargo test`.
+//!
+//! Each rule keeps one design decision from quietly growing back: one
+//! bench stack, `unsafe` in three audited files, one chain walker, one
+//! reader of sealed-log bytes, listed handles that only ever reach a
+//! hint, one stat list, and one wire codec. The rules walk the source
+//! tree with `std::fs` (no `git`, no shell), skipping build output
+//! (`target/`) and hidden directories. Each rule is a function that is
+//! also run on planted violations, so a rule that stops firing fails too.
+
+use std::path::Path;
+
+/// A file under the repository root: its `/`-separated path and its text
+/// (empty when it is not UTF-8).
+#[derive(Clone)]
+struct File {
+    path: String,
+    text: String,
+}
+
+/// The files a rule reads.
+#[derive(Clone)]
+struct Tree(Vec<File>);
+
+impl Tree {
+    fn load() -> Tree {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut files = Vec::new();
+        walk(root, root, &mut files);
+        Tree(files)
+    }
+
+    /// This tree plus one more file (a second entry when `path` exists).
+    fn with(&self, path: &str, text: &str) -> Tree {
+        let mut tree = self.clone();
+        tree.0.push(File { path: path.into(), text: text.into() });
+        tree
+    }
+
+    /// The files whose path starts with `prefix`.
+    fn under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a File> {
+        self.0.iter().filter(move |f| f.path.starts_with(prefix))
+    }
+
+    /// The files under `crates/<name>/src/`.
+    fn crate_sources(&self) -> impl Iterator<Item = &File> {
+        self.under("crates/").filter(|f| f.path.split('/').nth(2) == Some("src"))
+    }
+}
+
+fn walk(root: &Path, dir: &Path, out: &mut Vec<File>) {
+    for entry in std::fs::read_dir(dir).expect("readable source tree") {
+        let entry = entry.expect("readable directory entry");
+        let (path, name) = (entry.path(), entry.file_name().to_string_lossy().into_owned());
+        if entry.file_type().expect("file type").is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                walk(root, &path, out);
+            }
+        } else {
+            let rel = path.strip_prefix(root).expect("under the root").to_string_lossy();
+            let text = std::fs::read_to_string(&path).unwrap_or_default();
+            out.push(File { path: rel.replace('\\', "/"), text });
+        }
+    }
+}
+
+/// The lines of `file` before its first `#[cfg(test)]` line, numbered.
+fn before_tests(file: &File) -> impl Iterator<Item = (usize, &str)> {
+    file.text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).enumerate()
+}
+
+/// Every numbered line of `files` that `matches`, as `path:line: text`.
+fn hits<'a>(files: impl Iterator<Item = &'a File>, matches: impl Fn(&str) -> bool) -> Vec<String> {
+    files
+        .flat_map(|f| f.text.lines().enumerate().map(move |(i, l)| (f, i, l)))
+        .filter(|(_, _, line)| matches(line))
+        .map(|(f, i, line)| format!("{}:{}: {}", f.path, i + 1, line.trim()))
+        .collect()
+}
+
+fn is_word_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The byte offsets just past each occurrence of `word` in `line` that
+/// starts at a word boundary.
+fn word_starts<'a>(line: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
+    line.match_indices(word)
+        .filter(|(at, _)| !line[..*at].ends_with(is_word_char))
+        .map(move |(at, _)| at + word.len())
+}
+
+/// `word` occurs in `line` as a whole word (`git grep -w`).
+fn has_word(line: &str, word: &str) -> bool {
+    word_starts(line, word).any(|end| !line[end..].starts_with(is_word_char))
+}
+
+// ---------------------------------------------------------------------
+// The rules. Each returns what breaks it, empty when the tree is clean.
+// ---------------------------------------------------------------------
+
+/// Performance claims go through `BENCHMARK.json` and `benchmark/` only:
+/// no per-feature `BENCH_*.json`, no Criterion, no `cargo bench`, and
+/// the figure bins print rather than write artefacts.
+fn one_bench_stack(tree: &Tree) -> Vec<String> {
+    let mut found: Vec<String> = tree
+        .0
+        .iter()
+        .filter(|f| !f.path.contains('/'))
+        .filter(|f| f.path.starts_with("BENCH_") && f.path.ends_with(".json"))
+        .map(|f| f.path.clone())
+        .collect();
+    let manifests = || tree.0.iter().filter(|f| f.path.ends_with("Cargo.toml"));
+    let locks = tree.0.iter().filter(|f| f.path.ends_with("Cargo.lock"));
+    found.extend(hits(manifests().chain(locks), |l| l.contains("criterion")));
+    found.extend(hits(manifests(), |l| l.starts_with("[[bench]]")));
+    found.extend(hits(tree.under("crates/bench/src"), |l| l.contains("fs::write")));
+    found
+}
+
+/// `unsafe` is confined to the AES-NI intrinsics, the one prefetch
+/// intrinsic and the epoll/eventfd FFI.
+fn unsafe_in_three_files(tree: &Tree) -> Vec<String> {
+    const AUDITED: [&str; 3] =
+        ["crates/crypto/src/aesni.rs", "crates/crypto/src/hint.rs", "crates/net/src/poller.rs"];
+    let sources = tree.crate_sources().chain(tree.under("src/"));
+    hits(sources.filter(|f| !AUDITED.contains(&f.path.as_str())), |line| {
+        word_starts(line, "unsafe").any(|end| {
+            let rest = &line[end..];
+            let after = rest.trim_start();
+            after.starts_with('{')
+                || (after.len() < rest.len()
+                    && ["fn", "impl", "extern", "trait"].iter().any(|kw| has_word_at(after, kw)))
+        })
+    })
+}
+
+/// `text` starts with `word` followed by a word boundary.
+fn has_word_at(text: &str, word: &str) -> bool {
+    text.strip_prefix(word).is_some_and(|rest| !rest.starts_with(is_word_char))
+}
+
+/// An entry's `next` lives in untrusted memory and is followed in one
+/// place, `TableCtx::chain` (table.rs); no shard function outgrows the
+/// `Access` context.
+fn one_chain_walker(tree: &Tree) -> Vec<String> {
+    let mut found = hits(tree.under("crates/core/src/shard"), |l| l.contains("too_many_arguments"));
+    found.extend(hits(tree.under("crates/"), |l| has_word(l, "for_each_entry")));
+    let core = tree.under("crates/core/src").filter(|f| f.path != "crates/core/src/table.rs");
+    found.extend(hits(core, |l| {
+        l.find("read_u64_at(").is_some_and(|at| l[at..].contains("OFF_NEXT"))
+    }));
+    found
+}
+
+/// Sealed-log bytes are read one way: `wal::Frames` alone turns a length
+/// prefix into a slice and `wal::ChainCursor` alone calls `open_record`;
+/// a writer is opened and guarded in one place each; no `wal/` file
+/// passes 450 lines before its tests.
+fn one_log_reader(tree: &Tree) -> Vec<String> {
+    const READERS: [&str; 2] = ["crates/core/src/wal/codec.rs", "crates/core/src/wal/frames.rs"];
+    let not_reader = |f: &&File| !READERS.contains(&f.path.as_str());
+    let mut found = hits(tree.under("crates/").filter(not_reader), |l| {
+        let record_len = ["MAX_RECORD_LEN", "MIN_RECORD_LEN", "MAN_RECORD_LEN", "MIX_RECORD_LEN"];
+        record_len.iter().any(|name| l.contains(name)) && !l.contains("pub use codec::")
+    });
+    for f in tree.crate_sources().filter(not_reader) {
+        for (i, line) in before_tests(f).filter(|(_, l)| l.contains("open_record(")) {
+            found.push(format!(
+                "{}:{}: opens a record outside wal/frames.rs: {line}",
+                f.path,
+                i + 1
+            ));
+        }
+    }
+    for needle in ["= WalInner {", "lost to a crash"] {
+        let at = hits(tree.under("crates/"), |l| l.contains(needle));
+        if at.len() != 1 {
+            found.push(format!("`{needle}` must appear exactly once, found {at:?}"));
+        }
+    }
+    let wal = tree.under("crates/core/src/wal/").filter(|f| f.path.ends_with(".rs"));
+    for f in wal.filter(|f| !f.path["crates/core/src/wal/".len()..].contains('/')) {
+        let lines = before_tests(f).count();
+        if lines > 450 {
+            found.push(format!("{}: {lines} lines before its tests", f.path));
+        }
+    }
+    found
+}
+
+/// A MAC node's listed entry handles are untrusted and only hinted: the
+/// one function that reads them is private to mac_bucket.rs, and every
+/// call hands its items to `prefetch` on the same line.
+fn listed_handles_only_hint(tree: &Tree) -> Vec<String> {
+    const NODE: &str = "crates/core/src/mac_bucket.rs";
+    let elsewhere = tree.under("crates/").filter(|f| f.path != NODE);
+    let mut found = hits(elsewhere, |l| l.contains("listed_entries"));
+    found.extend(hits(tree.under("crates/"), |l| {
+        l.match_indices("pub").any(|(at, _)| {
+            let mut rest = &l[at + 3..];
+            if let Some(scope) = rest.strip_prefix('(') {
+                let end = scope.find(|c: char| !c.is_ascii_lowercase()).unwrap_or(scope.len());
+                match scope[end..].strip_prefix(')') {
+                    Some(after) if end > 0 => rest = after,
+                    _ => return false,
+                }
+            }
+            let spaced = |s: &str| s.len() > s.trim_start().len();
+            spaced(rest)
+                && rest.trim_start().strip_prefix("fn").is_some_and(|after| {
+                    spaced(after) && after.trim_start().starts_with("listed_entries")
+                })
+        })
+    }));
+    found.extend(hits(tree.under(NODE), |l| {
+        l.contains("listed_entries(")
+            && !l.contains("fn listed_entries")
+            && !l.contains("prefetch(")
+    }));
+    found
+}
+
+/// A stat is declared once, in its table: no hand-bumped layout
+/// constant, and a name that is only ever listed appears at most in its
+/// table row, its producer and one unit test.
+fn one_stat_list(tree: &Tree) -> Vec<String> {
+    let tables = ["STATS_WIRE_VERSION", "SIM_FIELDS", "TENANT_STAT_FIELDS"];
+    let scanned = tree.under("crates/").chain(tree.under("benchmark/"));
+    let mut found = hits(scanned, |l| tables.iter().any(|name| l.contains(name)));
+    let listed = [
+        "repl_bytes_shipped",
+        "repl_acked_generation",
+        "scrub_repaired",
+        "epc_writebacks",
+        "heap_chunks",
+    ];
+    for name in listed {
+        let at = hits(tree.crate_sources(), |l| has_word(l, name));
+        if at.len() > 3 {
+            found.push(format!("{name} is listed in {} places: {at:?}", at.len()));
+        }
+    }
+    found
+}
+
+/// An op's wire form lives in `protocol.rs`: outside tests, no other
+/// source names a key-value opcode (the benchmark, a workspace of its
+/// own, is not read).
+fn kv_opcodes_only_in_protocol(tree: &Tree) -> Vec<String> {
+    const KV: [&str; 9] = [
+        "Get",
+        "Set",
+        "SetTtl",
+        "Delete",
+        "Append",
+        "Increment",
+        "MultiGet",
+        "MultiSet",
+        "ScanPrefix",
+    ];
+    let sources = tree.crate_sources().chain(tree.under("src/")).chain(tree.under("examples/"));
+    let mut found = Vec::new();
+    for f in sources.filter(|f| f.path != "crates/net/src/protocol.rs" && f.path.ends_with(".rs")) {
+        for (i, line) in before_tests(f) {
+            let named = line.match_indices("OpCode::").any(|(at, _)| {
+                KV.iter().any(|name| has_word_at(&line[at + "OpCode::".len()..], name))
+            });
+            if named {
+                found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+            }
+        }
+    }
+    found
+}
+
+// ---------------------------------------------------------------------
+// The checks: clean today, and firing on every planted violation.
+// ---------------------------------------------------------------------
+
+fn check(rule: fn(&Tree) -> Vec<String>, message: &str, plants: &[(&str, &str)]) {
+    let tree = Tree::load();
+    let found = rule(&tree);
+    assert!(found.is_empty(), "{message}:\n  {}", found.join("\n  "));
+    for (path, text) in plants {
+        assert!(!rule(&tree.with(path, text)).is_empty(), "rule missed a planted {path}: {text:?}");
+    }
+}
+
+#[test]
+fn one_bench_stack_holds() {
+    check(
+        one_bench_stack,
+        "a second bench stack is growing back (see README, Reproducing the paper's evaluation)",
+        &[
+            ("BENCH_sweep.json", "{}"),
+            ("vendor/criterion/Cargo.toml", "[package]\nname = \"criterion\"\n"),
+            ("crates/bench/Cargo.toml", "[[bench]]\nname = \"micro\"\n"),
+            ("crates/bench/src/bin/sweep.rs", "fn main() { std::fs::write(\"out\", b\"\").ok(); }"),
+        ],
+    );
+}
+
+#[test]
+fn unsafe_stays_in_three_files() {
+    check(
+        unsafe_in_three_files,
+        "unsafe code outside crates/crypto/src/{aesni,hint}.rs and crates/net/src/poller.rs",
+        &[
+            ("crates/core/src/table.rs", "let x = unsafe { *ptr };"),
+            ("src/lib.rs", "pub unsafe fn raw() {}"),
+            ("crates/net/src/engine.rs", "unsafe impl Send for Loop {}"),
+        ],
+    );
+}
+
+#[test]
+fn one_chain_walker_holds() {
+    check(
+        one_chain_walker,
+        "a second chain walk or a too-many-arguments allow is back (see DESIGN.md, Inside a shard)",
+        &[
+            ("crates/core/src/shard/body.rs", "#[allow(clippy::too_many_arguments)]"),
+            ("crates/core/src/store.rs", "fn for_each_entry(&self) {}"),
+            ("crates/core/src/shard/maint.rs", "let next = heap.read_u64_at(handle, OFF_NEXT);"),
+        ],
+    );
+}
+
+#[test]
+fn one_log_reader_holds() {
+    let long_file = "\n".repeat(451);
+    check(
+        one_log_reader,
+        "a second reader of sealed-log bytes, or a second way to open or guard the writer, is back (see DESIGN.md, Durability)",
+        &[
+            ("crates/core/src/snapshot.rs", "if len > MAX_RECORD_LEN { return None; }"),
+            ("crates/core/src/repl.rs", "let op = codec.open_record(&bytes);"),
+            ("crates/core/src/wal/mod.rs", "let inner = WalInner {"),
+            ("crates/core/src/wal/reader.rs", "Err(\"log lost to a crash\")"),
+            ("crates/core/src/wal/big.rs", &long_file),
+        ],
+    );
+}
+
+#[test]
+fn listed_handles_only_reach_a_hint() {
+    check(
+        listed_handles_only_hint,
+        "a listed handle is used for something other than a hint (see DESIGN.md, MAC bucketing)",
+        &[
+            ("crates/core/src/table.rs", "for h in node.listed_entries(heap) {}"),
+            ("crates/core/src/mac_bucket.rs", "pub(crate) fn listed_entries(&self) {}"),
+            ("crates/core/src/mac_bucket.rs", "let first = node.listed_entries(heap).next();"),
+        ],
+    );
+}
+
+#[test]
+fn one_stat_list_holds() {
+    check(
+        one_stat_list,
+        "a stat list is written twice; declare each stat once in its table",
+        &[
+            ("crates/core/src/stats.rs", "pub const STATS_WIRE_VERSION: u8 = 9;"),
+            (
+                "crates/core/src/extra.rs",
+                "scrub_repaired\nscrub_repaired\nscrub_repaired\nscrub_repaired",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn kv_opcodes_are_named_only_in_protocol() {
+    check(
+        kv_opcodes_only_in_protocol,
+        "a key-value opcode is named outside crates/net/src/protocol.rs; build requests with Request::from_op",
+        &[
+            ("crates/net/src/client.rs", "let request = Request { op: OpCode::Get, key, value };"),
+            ("examples/raw_wire.rs", "let op = OpCode::ScanPrefix;"),
+        ],
+    );
+    // Test modules and the control opcodes stay free to name theirs.
+    let allowed = Tree::load()
+        .with(
+            "crates/net/src/engine.rs",
+            "#[cfg(test)]\nmod tests { const OP: OpCode = OpCode::Get; }",
+        )
+        .with("crates/net/src/repl.rs", "let op = OpCode::ReplSegment;");
+    assert!(kv_opcodes_only_in_protocol(&allowed).is_empty());
+}
