@@ -9,14 +9,16 @@
 //! progress file after each *acknowledged* write, so the parent knows
 //! exactly how many operations the store confirmed before dying.
 //!
-//! The parent then recovers from the on-disk snapshot-less WAL and
-//! checks the replayed state against the progress count `P`:
+//! The parent then recovers from the on-disk WAL and checks that the
+//! store is exactly the reference model after `k` of the child's writes
+//! (`shieldstore::model::Model::after`), for some `k` in the policy's
+//! window around the progress count `P`:
 //!
-//! * `Strict` — every acknowledged op was committed first: the
-//!   recovered count must be `P` or `P + 1` (the in-flight op may or
-//!   may not have reached the log before the abort).
-//! * `EveryN(4)` — only whole groups are durable: the recovered count
-//!   must be a multiple of 4 within `[P - 3, P + 1]`.
+//! * `Strict` — every acknowledged op was committed first: `k` is `P` or
+//!   `P + 1` (the in-flight op may or may not have reached the log
+//!   before the abort).
+//! * `EveryN(4)` — only whole groups are durable: `k` is a multiple of 4
+//!   within `[P - 3, P + 1]`.
 //! * `snapshot` — strict writes, but the fuse is armed right before a
 //!   mid-run snapshot (blocking or background by seed parity), so the
 //!   kill points land inside the two-phase log-rotation protocol
@@ -28,22 +30,21 @@
 //!   a near one (doomed). The child runs on a frozen clock and the
 //!   parent recovers on a later frozen clock positioned *between* the
 //!   two deadlines, so the crash always lands with expiries in flight.
-//!   Recovery must neither resurrect a doomed entry (every doomed key
-//!   reads as absent, and the sweep reaps exactly the replayed doomed
-//!   population) nor early-expire a live one (every acknowledged live
-//!   key is served byte-exact). Absolute deadlines keep the cell
-//!   immune to wall-clock skew between the two processes.
+//!   Recovery must neither resurrect a doomed entry (the model reads
+//!   every doomed key as absent, and the sweep reaps exactly the
+//!   replayed doomed population) nor early-expire a live one. Absolute
+//!   deadlines keep the cell immune to wall-clock skew between the two
+//!   processes.
 //! * `storage` — strict writes through a fault-injecting filesystem:
 //!   instead of an abort fuse, the kill-point picks the n-th durable
 //!   I/O call that *fails* (EIO, ENOSPC, short write, or a lying
 //!   fsync, by seed). The child checks the writer poisons — the first
 //!   `StorageFailed` makes every later write answer the same — then
-//!   simulates power loss and exits. Recovery must yield exactly the
-//!   acknowledged prefix: a record whose sync failed or never ran
-//!   cannot survive the cut.
+//!   simulates power loss and exits. `k` is exactly `P`: a record whose
+//!   sync failed or never ran cannot survive the cut.
 //!
-//! In every case each recovered value must be byte-exact and no
-//! phantom keys may appear.
+//! The model reads back every key the child could have written, so a
+//! lost, stale, phantom or unacknowledged-but-surviving entry all fail.
 //!
 //! ```text
 //! shieldstore_crash [--seeds N] [--start S0] [--kill-points K] [--ops M]
@@ -55,6 +56,7 @@
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use sgx_sim::storage::{FaultFs, FaultKind, FaultOp, FaultSpec, StorageFs};
+use shieldstore::model::Model;
 use shieldstore::{ttl, Config, DurabilityPolicy, Error, Op, ShieldStore};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -114,12 +116,20 @@ fn policy_from_tag(tag: &str) -> DurabilityPolicy {
     }
 }
 
-fn key_bytes(step: u64) -> Vec<u8> {
-    format!("crash-key-{step:03}").into_bytes()
-}
-
-fn value_bytes(seed: u64, step: u64) -> Vec<u8> {
-    format!("crash-val-{seed}-{step}").into_bytes()
+/// The `step`-th write every child makes: key, value and deadline. In
+/// expiry mode even steps are live and odd steps doomed; elsewhere
+/// nothing expires.
+fn write(seed: u64, step: u64, expiry: bool) -> (Vec<u8>, Vec<u8>, u64) {
+    let deadline = match (expiry, step.is_multiple_of(2)) {
+        (false, _) => 0,
+        (true, true) => LIVE_DEADLINE_NS,
+        (true, false) => DOOMED_DEADLINE_NS,
+    };
+    (
+        format!("crash-key-{step:03}").into_bytes(),
+        format!("crash-val-{seed}-{step}").into_bytes(),
+        deadline,
+    )
 }
 
 fn main() {
@@ -191,21 +201,14 @@ fn run_child() {
         }
         // The ack line goes to disk only after the set returned:
         // anything recorded was confirmed to the (hypothetical) client.
-        if expiry_mode {
-            let (deadline, marker) = if step.is_multiple_of(2) {
-                (LIVE_DEADLINE_NS, b"L\n".as_slice())
-            } else {
-                (DOOMED_DEADLINE_NS, b"D\n".as_slice())
-            };
-            let (key, value) = (key_bytes(step), value_bytes(seed, step));
-            store
-                .execute(0, Op::Set { key: &key, value: &value, expires_at: deadline })
-                .expect("acknowledged set");
-            progress.write_all(marker).expect("progress write");
-        } else {
-            store.set(&key_bytes(step), &value_bytes(seed, step)).expect("acknowledged set");
-            progress.write_all(b"+\n").expect("progress write");
-        }
+        // A doomed write is marked `D`, so the parent knows how many the
+        // sweep must reap.
+        let (key, value, expires_at) = write(seed, step, expiry_mode);
+        store
+            .execute(0, Op::Set { key: &key, value: &value, expires_at })
+            .expect("acknowledged set");
+        let marker = if expires_at == DOOMED_DEADLINE_NS { b"D\n" } else { b"+\n" };
+        progress.write_all(marker).expect("progress write");
     }
     // Fuse outlasted the run: finish cleanly so the parent can check
     // full recovery instead.
@@ -236,7 +239,8 @@ fn run_storage_child(dir: &Path, seed: u64, kill: u64, ops: u64) {
     ffs.inject(FaultSpec { op, path_substr: path.into(), nth: kill, kind });
 
     for step in 0..ops {
-        match store.set(&key_bytes(step), &value_bytes(seed, step)) {
+        let (key, value, _) = write(seed, step, false);
+        match store.set(&key, &value) {
             Ok(()) => progress.write_all(b"+\n").expect("progress write"),
             Err(Error::StorageFailed) => {
                 // Fail-closed: the poisoned writer refuses every later
@@ -246,7 +250,7 @@ fn run_storage_child(dir: &Path, seed: u64, kill: u64, ops: u64) {
                     "writer accepted a mutation after poisoning"
                 );
                 if step > 0 {
-                    store.get(&key_bytes(step - 1)).expect("acked read under poison");
+                    store.get(&write(seed, step - 1, false).0).expect("acked read under poison");
                 }
                 ffs.power_cut().expect("power cut");
                 std::process::exit(3);
@@ -355,29 +359,50 @@ fn run_parent() {
     }
 }
 
-/// Recovers one cell's WAL and checks the replayed state against the
-/// acknowledged-progress count.
+/// Recovers one cell's WAL (and its snapshot, when the child durably
+/// renamed one) and checks that the store is the model after `k` of the
+/// child's writes, for some `k` in the cell's window: all of them after a
+/// clean exit; otherwise, with `P` writes acknowledged,
+///
+/// * `strict`, `snapshot`, `expiry` — `P` or `P + 1` (the in-flight write
+///   may or may not have reached the log before the abort);
+/// * `group4` — a multiple of 4 in `P - 3 ..= P + 1`: whole groups only;
+/// * `storage` — exactly `P`: a write whose sync failed or never ran
+///   cannot survive the power cut.
+///
+/// Expiry cells recover on a frozen clock between the two deadline
+/// classes, so the model reads every doomed key as absent and every live
+/// one as written.
 fn check_cell(seed: u64, tag: &str, dir: &Path, ops: u64, clean_exit: bool) -> Result<(), String> {
     if tag == "expiry" {
-        // Recover on a frozen clock between the two deadline classes,
-        // and always thaw so later cells see real time again.
         ttl::freeze(RECOVERY_CLOCK_NS);
-        let verdict = check_expiry_cell(seed, dir, ops, clean_exit);
-        ttl::thaw();
-        return verdict;
     }
-    let acked = std::fs::read(dir.join("progress"))
-        .map(|b| b.iter().filter(|&&c| c == b'\n').count() as u64)
-        .unwrap_or(0);
-    if tag == "storage" {
-        return check_storage_cell(seed, dir, ops, clean_exit, acked);
-    }
+    let verdict = recover_cell(seed, tag, dir, ops, clean_exit);
+    ttl::thaw();
+    verdict
+}
+
+fn recover_cell(
+    seed: u64,
+    tag: &str,
+    dir: &Path,
+    ops: u64,
+    clean_exit: bool,
+) -> Result<(), String> {
+    let markers = std::fs::read(dir.join("progress")).unwrap_or_default();
+    let acked = markers.iter().filter(|&&c| c == b'\n').count() as u64;
     let policy = policy_from_tag(tag);
+    let window: Vec<u64> = match policy {
+        _ if clean_exit => (acked == ops).then_some(ops).into_iter().collect(),
+        _ if tag == "storage" => vec![acked],
+        DurabilityPolicy::EveryN(n) => {
+            let n = n as u64;
+            (acked.saturating_sub(n - 1)..=acked + 1).filter(|k| k.is_multiple_of(n)).collect()
+        }
+        _ => vec![acked, acked + 1],
+    };
     let counter = PersistentCounter::open(dir.join("snapctr"))
         .map_err(|e| format!("snapshot counter: {e}"))?;
-    // Snapshot-mode cells restore from the snapshot when the child got
-    // far enough to durably rename one; a crash before the rename must
-    // still recover everything from the WAL alone.
     let snap_path = dir.join("snap.db");
     let snapshot = snap_path.exists().then_some(snap_path);
     let store = ShieldStore::recover(
@@ -388,186 +413,56 @@ fn check_cell(seed: u64, tag: &str, dir: &Path, ops: u64, clean_exit: bool) -> R
         dir.join("wal"),
     )
     .map_err(|e| format!("recovery failed: {e:?} (acked={acked})"))?;
-    let recovered = store.len() as u64;
 
-    let in_window = if clean_exit {
-        // The fuse never fired and the child flushed: nothing may be lost.
-        acked == ops && recovered == ops
-    } else {
-        match policy {
-            // Strict commits before acking; only the in-flight op is open.
-            DurabilityPolicy::Strict => recovered == acked || recovered == acked + 1,
-            // Group commit: whole groups only, within the buffered window.
-            DurabilityPolicy::EveryN(n) => {
-                let n = n as u64;
-                recovered.is_multiple_of(n) && recovered + n > acked && recovered <= acked + 1
-            }
-            _ => unreachable!("matrix only runs strict/group4/snapshot"),
-        }
-    };
-    if !in_window {
+    let mut model = Model::default();
+    for step in 0..ops {
+        let (key, value, expires_at) = write(seed, step, tag == "expiry");
+        model.apply(0, Op::Set { key: &key, value: &value, expires_at });
+    }
+    let misses: Vec<String> = window
+        .iter()
+        .map_while(|&k| {
+            model.after(k as usize).check_store(&store).err().map(|e| format!("k={k}: {e}"))
+        })
+        .collect();
+    if misses.len() == window.len() {
         return Err(format!(
-            "recovered {recovered} ops, acknowledged {acked} (clean_exit={clean_exit}): \
-             outside the {tag} durability window"
-        ));
-    }
-    for step in 0..recovered {
-        match store.get(&key_bytes(step)) {
-            Ok(v) if v == value_bytes(seed, step) => {}
-            other => {
-                return Err(format!(
-                    "key {step} recovered as {other:?}, expected the acknowledged value"
-                ));
-            }
-        }
-    }
-    // The recovered store must accept new writes in the same generation.
-    store.set(b"post-recovery", b"ok").map_err(|e| format!("post-recovery write: {e:?}"))?;
-    store
-        .snapshot()
-        .check_consistent()
-        .map_err(|detail| format!("stats invariant after recovery: {detail}"))?;
-    Ok(())
-}
-
-/// Recovers one storage-mode cell. The child power-cut after the
-/// injected fault, so recovery must yield *exactly* the acknowledged
-/// prefix: the faulted op's bytes were never synced and cannot survive,
-/// and anything acked was committed durably first.
-fn check_storage_cell(
-    seed: u64,
-    dir: &Path,
-    ops: u64,
-    clean_exit: bool,
-    acked: u64,
-) -> Result<(), String> {
-    let counter = PersistentCounter::open(dir.join("snapctr"))
-        .map_err(|e| format!("snapshot counter: {e}"))?;
-    let store = ShieldStore::recover(
-        enclave(seed),
-        config(DurabilityPolicy::Strict),
-        None,
-        &counter,
-        dir.join("wal"),
-    )
-    .map_err(|e| format!("recovery failed: {e:?} (acked={acked})"))?;
-    let recovered = store.len() as u64;
-    let in_window = if clean_exit { acked == ops && recovered == ops } else { recovered == acked };
-    if !in_window {
-        return Err(format!(
-            "recovered {recovered} ops, acknowledged {acked} (clean_exit={clean_exit}): \
-             a power cut after a storage fault must preserve exactly the acked prefix"
-        ));
-    }
-    for step in 0..recovered {
-        match store.get(&key_bytes(step)) {
-            Ok(v) if v == value_bytes(seed, step) => {}
-            other => {
-                return Err(format!(
-                    "key {step} recovered as {other:?}, expected the acknowledged value"
-                ));
-            }
-        }
-    }
-    // The fresh writer (new process, healthy disk) accepts writes again.
-    store.set(b"post-recovery", b"ok").map_err(|e| format!("post-recovery write: {e:?}"))?;
-    store
-        .snapshot()
-        .check_consistent()
-        .map_err(|detail| format!("stats invariant after recovery: {detail}"))?;
-    Ok(())
-}
-
-/// Recovers one expiry-mode cell and checks the two TTL crash
-/// invariants: no resurrection of doomed entries, no early expiry of
-/// live ones. Caller has already frozen the clock at
-/// `RECOVERY_CLOCK_NS` (doomed past due, live still good).
-fn check_expiry_cell(seed: u64, dir: &Path, ops: u64, clean_exit: bool) -> Result<(), String> {
-    let markers = std::fs::read(dir.join("progress")).unwrap_or_default();
-    let acked = markers.iter().filter(|&&c| c == b'\n').count() as u64;
-    let acked_doomed = markers.iter().filter(|&&c| c == b'D').count() as u64;
-
-    let counter = PersistentCounter::open(dir.join("snapctr"))
-        .map_err(|e| format!("snapshot counter: {e}"))?;
-    let store = ShieldStore::recover(
-        enclave(seed),
-        config(DurabilityPolicy::Strict),
-        None,
-        &counter,
-        dir.join("wal"),
-    )
-    .map_err(|e| format!("recovery failed: {e:?} (acked={acked})"))?;
-
-    // Replay reinserts even entries that are past due (reads filter
-    // lazily), so the strict window applies to the *physical* count.
-    let recovered = store.len() as u64;
-    let in_window = if clean_exit {
-        acked == ops && recovered == ops
-    } else {
-        recovered == acked || recovered == acked + 1
-    };
-    if !in_window {
-        return Err(format!(
-            "recovered {recovered} entries, acknowledged {acked} (clean_exit={clean_exit}): \
-             outside the strict durability window"
+            "recovered {} entries, acknowledged {acked} (clean_exit={clean_exit}): outside the \
+             {tag} durability window {window:?} [{}]",
+            store.len(),
+            misses.join("; ")
         ));
     }
 
-    // No early expiry: every acknowledged live key is served byte-exact.
-    // Steps are acked in order, so step `acked` is the only possibly
-    // in-flight op; later steps must be absent.
-    for step in (0..ops).step_by(2) {
-        match store.get(&key_bytes(step)) {
-            Ok(v) if v == value_bytes(seed, step) => {
-                if step > acked {
-                    return Err(format!("unacknowledged live key {step} appeared (acked={acked})"));
-                }
+    if tag == "expiry" {
+        // The sweep reaps exactly the replayed doomed population: every
+        // acknowledged doomed write plus at most the one in flight.
+        let acked_doomed = markers.iter().filter(|&&c| c == b'D').count() as u64;
+        let recovered = store.len() as u64;
+        let swept = store.sweep_expired().map_err(|e| format!("sweep: {e}"))? as u64;
+        if swept < acked_doomed || swept > acked_doomed + 1 {
+            return Err(format!(
+                "sweep reaped {swept} entries, acknowledged doomed {acked_doomed}: \
+                 outside the strict window"
+            ));
+        }
+        if store.len() as u64 != recovered - swept {
+            return Err(format!(
+                "sweep bookkeeping: len {} after reaping {swept} of {recovered}",
+                store.len()
+            ));
+        }
+        // Live keys survive the sweep untouched.
+        for step in (0..acked.min(ops)).step_by(2) {
+            let (key, value, _) = write(seed, step, true);
+            if store.get(&key).as_ref() != Ok(&value) {
+                return Err(format!("live key {step} damaged by the sweep"));
             }
-            Ok(_) => return Err(format!("live key {step} recovered with the wrong bytes")),
-            Err(Error::KeyNotFound) => {
-                if step < acked {
-                    return Err(format!(
-                        "acknowledged live key {step} early-expired or lost (acked={acked})"
-                    ));
-                }
-            }
-            Err(e) => return Err(format!("live key {step}: {e}")),
         }
     }
 
-    // No resurrection: a doomed key must never be served, acknowledged
-    // or not — its deadline is behind the recovery clock.
-    for step in (1..ops).step_by(2) {
-        match store.get(&key_bytes(step)) {
-            Err(Error::KeyNotFound) => {}
-            Ok(_) => return Err(format!("doomed key {step} resurrected by recovery")),
-            Err(e) => return Err(format!("doomed key {step}: {e}")),
-        }
-    }
-
-    // The sweep reaps exactly the replayed doomed population: every
-    // acknowledged doomed write plus at most the one in flight.
-    let swept = store.sweep_expired().map_err(|e| format!("sweep: {e}"))? as u64;
-    if swept < acked_doomed || swept > acked_doomed + 1 {
-        return Err(format!(
-            "sweep reaped {swept} entries, acknowledged doomed {acked_doomed}: \
-             outside the strict window"
-        ));
-    }
-    if store.len() as u64 != recovered - swept {
-        return Err(format!(
-            "sweep bookkeeping: len {} after reaping {swept} of {recovered}",
-            store.len()
-        ));
-    }
-    // Live keys survive the sweep untouched.
-    for step in (0..acked.min(ops)).step_by(2) {
-        match store.get(&key_bytes(step)) {
-            Ok(v) if v == value_bytes(seed, step) => {}
-            other => return Err(format!("live key {step} damaged by the sweep: {other:?}")),
-        }
-    }
-
+    // The recovered store (a new process, a healthy disk) accepts new
+    // writes in the same generation.
     store.set(b"post-recovery", b"ok").map_err(|e| format!("post-recovery write: {e:?}"))?;
     store
         .snapshot()

@@ -1,13 +1,14 @@
 //! The store-layer attack engine: seeded random operations interleaved
 //! with attacks on untrusted memory, differentially checked against the
-//! shadow model after every step.
+//! reference model after every step.
 
-use crate::model::{ShadowModel, Violation};
+use crate::Violation;
 use sgx_sim::enclave::EnclaveBuilder;
 use shield_workload::rng::SplitMix64;
 use shield_workload::{Generator, Spec};
+use shieldstore::model::Model;
 use shieldstore::testing::{EntryField, StaleEntry, TamperOp};
-use shieldstore::{Config, Error, ShieldStore};
+use shieldstore::{Config, Op, ShieldStore};
 use std::collections::HashSet;
 
 /// One attack type from the catalog. Each maps to a concrete mutation of
@@ -143,48 +144,39 @@ fn new_store(name: &str, seed: u64) -> ShieldStore {
 /// an integrity violation. What must *never* happen is a silent
 /// `KeyNotFound` (the attacker hiding a key) or a wrong value.
 fn hint_fallback_scenario(seed: u64) -> Result<u64, Violation> {
-    let store = new_store("adversary-hint", seed);
-    for id in 0..NUM_KEYS {
-        store.set(&key_bytes(id), &value_bytes(id, 0)).expect("clean store set");
-    }
+    let violation =
+        |detail: &str| Violation { context: "hint scenario".into(), detail: detail.into() };
+    let (store, mut model) = populated("adversary-hint", seed)?;
     let before = store.stats().full_scans;
     if !store.tamper(TamperOp::Field(EntryField::Hint), seed) {
-        return Err(Violation {
-            context: "hint scenario".into(),
-            detail: "hint tamper found no entry in a populated store".into(),
-        });
+        return Err(violation("hint tamper found no entry in a populated store"));
     }
     let mut detections = 0u64;
     for id in 0..NUM_KEYS {
-        match store.get(&key_bytes(id)) {
-            Ok(v) if v == value_bytes(id, 0) => {}
-            Err(Error::IntegrityViolation { .. }) => detections += 1,
-            other => {
-                return Err(Violation {
-                    context: "hint scenario".into(),
-                    detail: format!(
-                        "after a hint flip, get(key {id}) returned {other:?}: hint corruption \
-                         must surface as a detection, never a silent miss or wrong value"
-                    ),
-                });
-            }
+        if !crate::checked(&store, &mut model, "after a hint flip", 0, Op::Get(&key_bytes(id)))? {
+            detections += 1;
         }
     }
     if detections == 0 {
-        return Err(Violation {
-            context: "hint scenario".into(),
-            detail: "the flipped (MAC-covered) hint was never detected".into(),
-        });
+        return Err(violation("the flipped (MAC-covered) hint was never detected"));
     }
     let full_scans = store.stats().full_scans - before;
     if full_scans == 0 {
-        return Err(Violation {
-            context: "hint scenario".into(),
-            detail: "no two-step full scan ran despite a corrupted hint".into(),
-        });
+        return Err(violation("no two-step full scan ran despite a corrupted hint"));
     }
     check_stats(&store, "hint scenario stats")?;
     Ok(full_scans)
+}
+
+/// A fresh store holding key `id` = value `(id, 0)` for every key, and
+/// the model of it.
+fn populated(name: &str, seed: u64) -> Result<(ShieldStore, Model), Violation> {
+    let (store, mut model) = (new_store(name, seed), Model::default());
+    for id in 0..NUM_KEYS {
+        let (key, value) = (key_bytes(id), value_bytes(id, 0));
+        crate::answered(&store, &mut model, "clean store set", 0, Op::set(&key, &value))?;
+    }
+    Ok((store, model))
 }
 
 /// A deterministic scenario for the two fields of a MAC node that no MAC
@@ -195,55 +187,38 @@ fn hint_fallback_scenario(seed: u64) -> Result<u64, Violation> {
 /// still answers correctly (another bucket set) or *fails closed*, and at
 /// least one does — never a silent miss or a wrong value.
 fn node_directory_scenario(seed: u64) -> Result<(), Violation> {
-    let violation =
-        |detail: String| Violation { context: "node directory scenario".into(), detail };
-    let store = new_store("adversary-directory", seed);
-    for id in 0..NUM_KEYS {
-        store.set(&key_bytes(id), &value_bytes(id, 0)).expect("clean store set");
-    }
+    let violation = |detail: &str| Violation {
+        context: "node directory scenario".into(),
+        detail: detail.into(),
+    };
+    let (store, mut model) = populated("adversary-directory", seed)?;
     let planted = (0..32).filter(|i| store.tamper(TamperOp::NodeHandle, seed ^ (i << 20))).count();
     if planted == 0 {
-        return Err(violation("no MAC node listed a handle to overwrite".into()));
+        return Err(violation("no MAC node listed a handle to overwrite"));
     }
+    let context = "with forged listed handles";
     for id in 0..NUM_KEYS {
-        let key = key_bytes(id);
-        let read = store.get(&key);
-        if read.as_deref() != Ok(value_bytes(id, 0).as_slice()) {
-            return Err(violation(format!("with forged listed handles, get(key {id}) = {read:?}")));
-        }
+        let (key, value) = (key_bytes(id), value_bytes(id, 1));
+        crate::answered(&store, &mut model, context, 0, Op::Get(&key))?;
         if id % 3 == 0 {
-            let wrote = store.set(&key, &value_bytes(id, 1)).and_then(|()| store.get(&key));
-            if wrote.as_deref() != Ok(value_bytes(id, 1).as_slice()) {
-                return Err(violation(format!(
-                    "with forged listed handles, set(key {id}) = {wrote:?}"
-                )));
-            }
-        } else if id % 3 == 1 && store.delete(&key).is_err() {
-            return Err(violation(format!("with forged listed handles, delete(key {id}) failed")));
+            crate::answered(&store, &mut model, context, 0, Op::set(&key, &value))?;
+            crate::answered(&store, &mut model, context, 0, Op::Get(&key))?;
+        } else if id % 3 == 1 {
+            crate::answered(&store, &mut model, context, 0, Op::Delete(&key))?;
         }
     }
 
     if !store.tamper(TamperOp::NodeCap, seed) {
-        return Err(violation("no MAC node to forge a cap in".into()));
+        return Err(violation("no MAC node to forge a cap in"));
     }
     let mut refused = 0u64;
     for id in 0..NUM_KEYS {
-        let expected = match id % 3 {
-            0 => Some(value_bytes(id, 1)),
-            1 => None,
-            _ => Some(value_bytes(id, 0)),
-        };
-        match store.get(&key_bytes(id)) {
-            Ok(v) if Some(&v) == expected.as_ref() => {}
-            Err(Error::KeyNotFound) if expected.is_none() => {}
-            Err(Error::IntegrityViolation { .. }) => refused += 1,
-            other => {
-                return Err(violation(format!("with a forged cap, get(key {id}) = {other:?}")));
-            }
+        if !crate::checked(&store, &mut model, "with a forged cap", 0, Op::Get(&key_bytes(id)))? {
+            refused += 1;
         }
     }
     if refused == 0 {
-        return Err(violation("a forged node cap was never refused".into()));
+        return Err(violation("a forged node cap was never refused"));
     }
     check_stats(&store, "node directory scenario stats")
 }
@@ -251,7 +226,7 @@ fn node_directory_scenario(seed: u64) -> Result<(), Violation> {
 /// State for the chaotic interleaved phase.
 struct Chaos {
     store: ShieldStore,
-    model: ShadowModel,
+    model: Model,
     rng: SplitMix64,
     zipf: Generator,
     report: StoreReport,
@@ -262,132 +237,38 @@ struct Chaos {
 }
 
 impl Chaos {
-    fn next_key(&mut self) -> Vec<u8> {
-        key_bytes(self.zipf.next_key())
-    }
-
-    /// Applies one store operation and checks the trichotomy.
+    /// Applies one store operation and checks the trichotomy. Reads
+    /// dominate, as in the paper's workloads; batches take 1–8 keys,
+    /// duplicates allowed.
     fn step_op(&mut self, step: u64) -> Result<(), Violation> {
         self.report.ops += 1;
-        match self.rng.next_below(10) {
-            // Reads dominate, as in the paper's workloads.
-            0..=3 => {
-                let key = self.next_key();
-                self.check_get("get", &key)
-            }
-            4..=6 => {
-                let key = self.next_key();
-                let value = value_bytes(self.rng.next_u64() % NUM_KEYS, step);
-                match self.store.set(&key, &value) {
-                    Ok(()) => {
-                        self.model.apply_set(&key, &value);
-                        Ok(())
-                    }
-                    Err(Error::IntegrityViolation { .. }) => {
-                        self.report.detected += 1;
-                        self.model.apply_failed_set(&key, &value);
-                        Ok(())
-                    }
-                    Err(e) => Err(unexpected("set", &e)),
-                }
-            }
-            7 => {
-                let key = self.next_key();
-                match self.store.delete(&key) {
-                    Ok(()) => {
-                        self.model.check_delete_hit("delete hit", &key)?;
-                        self.model.apply_delete(&key);
-                        Ok(())
-                    }
-                    Err(Error::KeyNotFound) => {
-                        // A proven miss: absence must be acceptable.
-                        self.model.check_read("delete miss", &key, &None)
-                    }
-                    Err(Error::IntegrityViolation { .. }) => {
-                        self.report.detected += 1;
-                        self.model.apply_failed_delete(&key);
-                        Ok(())
-                    }
-                    Err(e) => Err(unexpected("delete", &e)),
-                }
-            }
-            8 => {
-                // Batched read, duplicates allowed.
-                let n = 1 + self.rng.next_below(8) as usize;
-                let keys: Vec<Vec<u8>> = (0..n).map(|_| self.next_key()).collect();
-                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                match self.store.multi_get(&refs) {
-                    Ok(results) => {
-                        if results.len() != keys.len() {
-                            return Err(Violation {
-                                context: "multi_get".into(),
-                                detail: format!(
-                                    "asked for {} keys, got {} results",
-                                    keys.len(),
-                                    results.len()
-                                ),
-                            });
-                        }
-                        for (key, r) in keys.iter().zip(results) {
-                            self.model.check_read("multi_get", key, &r)?;
-                        }
-                        Ok(())
-                    }
-                    Err(Error::IntegrityViolation { .. }) => {
-                        self.report.detected += 1;
-                        Ok(())
-                    }
-                    Err(e) => Err(unexpected("multi_get", &e)),
-                }
-            }
-            _ => {
-                // Batched write, duplicates allowed.
-                let n = 1 + self.rng.next_below(8) as usize;
-                let items: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-                    .map(|i| {
-                        let key = self.next_key();
-                        let value = value_bytes(self.rng.next_u64() % NUM_KEYS, step + i as u64);
-                        (key, value)
-                    })
-                    .collect();
-                let refs: Vec<(&[u8], &[u8])> =
-                    items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-                match self.store.multi_set(&refs) {
-                    Ok(()) => {
-                        for (key, value) in &items {
-                            self.model.apply_set(key, value);
-                        }
-                        Ok(())
-                    }
-                    Err(Error::IntegrityViolation { .. }) => {
-                        // The batch stops where verification failed:
-                        // every prefix is possible, so every item's new
-                        // value joins its acceptable set.
-                        self.report.detected += 1;
-                        for (key, value) in &items {
-                            self.model.apply_failed_set(key, value);
-                        }
-                        Ok(())
-                    }
-                    Err(e) => Err(unexpected("multi_set", &e)),
-                }
-            }
+        let kind = self.rng.next_below(10);
+        let n = if kind >= 8 { 1 + self.rng.next_below(8) } else { 1 };
+        let mut items = Vec::new();
+        for i in 0..n {
+            let key = key_bytes(self.zipf.next_key());
+            let value = match kind {
+                4..=6 | 9 => value_bytes(self.rng.next_u64() % NUM_KEYS, step + i),
+                _ => Vec::new(),
+            };
+            items.push((key, value));
         }
-    }
-
-    /// Issues a get and checks the trichotomy for it.
-    fn check_get(&mut self, context: &str, key: &[u8]) -> Result<(), Violation> {
-        match self.store.get(key) {
-            Ok(v) => self.model.check_read(context, key, &Some(v)),
-            Err(Error::KeyNotFound) => self.model.check_read(context, key, &None),
-            Err(Error::IntegrityViolation { .. }) => {
-                self.report.detected += 1;
-                Ok(())
-            }
-            Err(e) => Err(unexpected(context, &e)),
+        let keys: Vec<&[u8]> = items.iter().map(|(key, _)| key.as_slice()).collect();
+        let pairs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        let (context, op) = match kind {
+            0..=3 => ("get", Op::Get(keys[0])),
+            4..=6 => ("set", Op::set(pairs[0].0, pairs[0].1)),
+            7 => ("delete", Op::Delete(keys[0])),
+            8 => ("multi_get", Op::MultiGet(&keys)),
+            // A batch that fails closed stops where verification failed:
+            // every prefix is possible, and the model widens to all.
+            _ => ("multi_set", Op::MultiSet { items: &pairs, expires_at: 0 }),
+        };
+        if !crate::checked(&self.store, &mut self.model, context, 0, op)? {
+            self.report.detected += 1;
         }
+        Ok(())
     }
-
     /// Applies one attack step.
     fn step_attack(&mut self) {
         let kind = self.rng.next_below(CATALOG.len() as u64) as usize;
@@ -437,13 +318,6 @@ pub(crate) fn check_stats(store: &ShieldStore, context: &str) -> Result<(), Viol
         .map_err(|detail| Violation { context: context.into(), detail })
 }
 
-fn unexpected(context: &str, e: &Error) -> Violation {
-    Violation {
-        context: context.into(),
-        detail: format!("unexpected error {e:?} (neither model-consistent nor a detection)"),
-    }
-}
-
 /// Runs the interleaved op/attack phase for one seed.
 pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> {
     sgx_sim::vclock::reset();
@@ -454,7 +328,7 @@ pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> 
     let spec = Spec::by_name("RD50_Z").expect("workload spec");
     let mut chaos = Chaos {
         store,
-        model: ShadowModel::new(),
+        model: Model::default(),
         rng: SplitMix64::new(seed ^ 0xadf0_77aa_11cc_5511),
         zipf: Generator::new(spec, NUM_KEYS, seed),
         report: StoreReport { hint_full_scans, ..Default::default() },
@@ -464,10 +338,8 @@ pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> 
 
     // Warm-up: populate so attacks have targets, checking as we go.
     for id in 0..NUM_KEYS / 2 {
-        let key = key_bytes(id);
-        let value = value_bytes(id, 0);
-        chaos.store.set(&key, &value).expect("clean warm-up set");
-        chaos.model.apply_set(&key, &value);
+        let (key, value) = (key_bytes(id), value_bytes(id, 0));
+        crate::answered(&chaos.store, &mut chaos.model, "warm-up", 0, Op::set(&key, &value))?;
     }
 
     for step in 0..steps {

@@ -5,8 +5,8 @@
 //! faults. A failing seed therefore reproduces the failure exactly —
 //! `cargo run -p adversary -- --seed <s>` — with no flakiness to chase.
 //!
-//! Three phases run per seed, each differentially checked against the
-//! plain-`HashMap` shadow model in [`model`]:
+//! Every phase is checked against the one reference model,
+//! [`shieldstore::model::Model`]:
 //!
 //! * [`engine`] — store-layer attacks on untrusted memory (entry field
 //!   flips, chain unlink/splice, MAC side-array corruption, allocator
@@ -21,8 +21,9 @@
 //!   degradation: correct, `Busy`, or `Quarantined` — never wrong.
 //! * [`walphase`] — write-ahead-log attacks (torn tails, bit flips,
 //!   record splices, stale pin+log replays, pre-snapshot logs after
-//!   rotation) plus kill-point crash/recover cycles checked against the
-//!   shadow model within the policy's loss window.
+//!   rotation) plus kill-point crash/recover cycles, each recovery
+//!   checked against the model's acknowledged writes within the policy's
+//!   loss window ([`shieldstore::model::Model::after`]).
 //! * [`tenantphase`] — cross-tenant attacks (cross-namespace reads with
 //!   leaked derived keys, re-MAC forgery, quota exhaustion, TTL
 //!   resurrection), proving the multi-tenant isolation boundary.
@@ -40,14 +41,84 @@
 //! result matches the model, or the operation failed with an integrity
 //! violation (detection, failing closed), and never anything else.
 
+use shieldstore::model::Model;
+use shieldstore::{Error, Op, ShieldStore, TenantId};
+
 pub mod engine;
-pub mod model;
 pub mod replphase;
 pub mod snapshot;
 pub mod storagephase;
 pub mod tenantphase;
 pub mod walphase;
 pub mod wire;
+
+/// A trichotomy violation: the store returned something the model says
+/// is impossible.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// What the harness was doing.
+    pub context: String,
+    /// Why the observation is inconsistent.
+    pub detail: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.context, self.detail)
+    }
+}
+
+/// Runs `op` as `tenant` on `store` and judges the answer against
+/// `model`: it matches, or the op failed closed with an integrity
+/// violation (`Ok(false)`), and never anything else.
+pub(crate) fn checked(
+    store: &ShieldStore,
+    model: &mut Model,
+    context: &str,
+    tenant: TenantId,
+    op: Op<'_>,
+) -> Result<bool, Violation> {
+    let violation = |detail: String| Violation { context: context.into(), detail };
+    let reply = match store.execute(tenant, op) {
+        Ok(reply) => Some(reply),
+        Err(Error::IntegrityViolation { .. }) => None,
+        Err(e) => {
+            return Err(violation(format!(
+                "unexpected error {e:?} (neither model-consistent nor a detection)"
+            )));
+        }
+    };
+    model.observe(tenant, op, reply.as_ref()).map_err(violation)?;
+    Ok(reply.is_some())
+}
+
+/// [`checked`] on a store nothing has tampered with: failing closed is a
+/// violation too.
+pub(crate) fn answered(
+    store: &ShieldStore,
+    model: &mut Model,
+    context: &str,
+    tenant: TenantId,
+    op: Op<'_>,
+) -> Result<(), Violation> {
+    match checked(store, model, context, tenant, op)? {
+        true => Ok(()),
+        false => {
+            Err(Violation { context: context.into(), detail: format!("{op:?} failed closed") })
+        }
+    }
+}
+
+/// Checks that `store` holds exactly `model` and that its counters are
+/// self-consistent.
+pub(crate) fn check_state(
+    store: &ShieldStore,
+    model: &Model,
+    context: &str,
+) -> Result<(), Violation> {
+    model.check_store(store).map_err(|detail| Violation { context: context.into(), detail })?;
+    engine::check_stats(store, context)
+}
 
 /// Combined accounting for one seed's full run.
 #[derive(Debug, Default, Clone)]
@@ -63,7 +134,7 @@ pub struct SeedReport {
 
 /// Runs every phase for one seed. `store_steps` sizes the chaotic
 /// store phase; the other phases have fixed shapes.
-pub fn run_seed(seed: u64, store_steps: u64) -> Result<SeedReport, model::Violation> {
+pub fn run_seed(seed: u64, store_steps: u64) -> Result<SeedReport, Violation> {
     let store = engine::run_store_phase(seed, store_steps)?;
     let snapshot = snapshot::run_snapshot_phase(seed)?;
     let wal = walphase::run_wal_phase(seed)?;

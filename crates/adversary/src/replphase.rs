@@ -1,7 +1,7 @@
 //! Replication attacks: the adversary owns the wire between primary and
 //! replica, the shared log directory, and the promotion trigger. Three
-//! attack families run per seed, each seed-pure and checked against an
-//! in-process shadow model:
+//! attack families run per seed, each seed-pure and checked against the
+//! reference model:
 //!
 //! * **split brain** — after a legitimate promotion fences the old
 //!   primary, the stale primary's next commit and a second racing
@@ -14,12 +14,12 @@
 //!   from the replica's held position always completes catch-up to the
 //!   byte-exact acknowledged state.
 
-use crate::model::Violation;
+use crate::Violation;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_workload::rng::SplitMix64;
-use shieldstore::{Config, DurabilityPolicy, Replica, ShieldStore, Watermark};
-use std::collections::HashMap;
+use shieldstore::model::Model;
+use shieldstore::{Config, DurabilityPolicy, Op, Replica, ShieldStore, Watermark};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -81,57 +81,24 @@ fn run_in_dir(seed: u64, dir: &Path) -> Result<ReplReport, Violation> {
     Ok(report)
 }
 
-/// Writes `n` keyed values to the primary, mirrored into `shadow`.
+/// Writes `n` keyed values to the primary, checked against `model`.
 fn load(
     store: &ShieldStore,
-    shadow: &mut HashMap<Vec<u8>, Vec<u8>>,
+    model: &mut Model,
     prefix: &str,
     n: u64,
     report: &mut ReplReport,
 ) -> Result<(), Violation> {
     for i in 0..n {
-        let key = format!("{prefix}{i}").into_bytes();
-        let value = format!("{prefix}-val-{i}").into_bytes();
-        store.set(&key, &value).map_err(|e| Violation {
-            context: "repl phase load".into(),
-            detail: format!("primary set failed: {e:?}"),
-        })?;
-        shadow.insert(key, value);
+        let (key, value) = (format!("{prefix}{i}"), format!("{prefix}-val-{i}"));
+        crate::answered(
+            store,
+            model,
+            "repl phase load",
+            0,
+            Op::set(key.as_bytes(), value.as_bytes()),
+        )?;
         report.ops += 1;
-    }
-    Ok(())
-}
-
-/// The replica's store must hold exactly the shadow model.
-fn verify_state(
-    store: &ShieldStore,
-    expected: &HashMap<Vec<u8>, Vec<u8>>,
-    context: &str,
-) -> Result<(), Violation> {
-    if store.len() != expected.len() {
-        return Err(Violation {
-            context: context.into(),
-            detail: format!(
-                "replica holds {} entries, shadow model has {}",
-                store.len(),
-                expected.len()
-            ),
-        });
-    }
-    for (key, value) in expected {
-        match store.get(key) {
-            Ok(v) if v == *value => {}
-            other => {
-                return Err(Violation {
-                    context: context.into(),
-                    detail: format!(
-                        "key {:?} replicated as {other:?}, shadow model holds {:?}",
-                        String::from_utf8_lossy(key),
-                        String::from_utf8_lossy(value),
-                    ),
-                });
-            }
-        }
     }
     Ok(())
 }
@@ -174,8 +141,8 @@ fn split_brain(
     let p_wal = dir.join("sb-p-wal");
     let primary = ShieldStore::new(enclave(seed), config()).expect("primary");
     primary.attach_wal(&p_wal).expect("attach wal");
-    let mut shadow = HashMap::new();
-    load(&primary, &mut shadow, "sb", 8 + rng.next_below(8), report)?;
+    let mut model = Model::default();
+    load(&primary, &mut model, "sb", 8 + rng.next_below(8), report)?;
     let durable =
         primary.flush_wal().expect("flush").expect("strict primary has a durable watermark");
 
@@ -202,7 +169,7 @@ fn split_brain(
     if promoted < durable {
         return Err(fail("promotion", format!("promoted to {promoted}, acked was {durable}")));
     }
-    verify_state(&winner_store, &shadow, "split brain: promoted state")?;
+    crate::check_state(&winner_store, &model, "split brain: promoted state")?;
 
     // The fenced stale primary must not commit another write.
     report.attacks += 1;
@@ -253,8 +220,8 @@ fn stale_promotion(
     let counter = PersistentCounter::open(dir.join("sp-ctr")).expect("counter");
     let primary = Arc::new(ShieldStore::new(enclave(seed), config()).expect("primary"));
     primary.attach_wal(&p_wal).expect("attach wal");
-    let mut shadow = HashMap::new();
-    load(&primary, &mut shadow, "sp", 4 + rng.next_below(4), report)?;
+    let mut model = Model::default();
+    load(&primary, &mut model, "sp", 4 + rng.next_below(4), report)?;
 
     let fail = |what: &str, detail: String| Violation {
         context: format!("stale promotion: {what}"),
@@ -270,7 +237,7 @@ fn stale_promotion(
     catch_up(&primary, &mut live, durable, "stale promotion: pre-rotation catch-up")?;
 
     primary.snapshot_blocking(dir.join("sp-1.db"), &counter).expect("first snapshot");
-    load(&primary, &mut shadow, "sp-g1-", 2, report)?;
+    load(&primary, &mut model, "sp-g1-", 2, report)?;
     let durable = primary.flush_wal().expect("flush").expect("durable watermark");
     catch_up(&primary, &mut live, durable, "stale promotion: post-rotation catch-up")?;
     primary
@@ -340,8 +307,8 @@ fn truncation_in_flight(
     let p_wal = dir.join("tr-p-wal");
     let primary = ShieldStore::new(enclave(seed), config()).expect("primary");
     primary.attach_wal(&p_wal).expect("attach wal");
-    let mut shadow = HashMap::new();
-    load(&primary, &mut shadow, "tr", 8, report)?;
+    let mut model = Model::default();
+    load(&primary, &mut model, "tr", 8, report)?;
     let durable = primary.flush_wal().expect("flush").expect("durable watermark");
 
     let fail = |what: &str, detail: String| Violation {
@@ -393,7 +360,7 @@ fn truncation_in_flight(
             .apply_batch(&batch)
             .map_err(|e| fail("genuine batch", format!("refused at {at}: {e:?}")))?;
     }
-    verify_state(&replica_store, &shadow, "truncation in flight: caught-up state")?;
+    crate::check_state(&replica_store, &model, "truncation in flight: caught-up state")?;
     Ok(())
 }
 

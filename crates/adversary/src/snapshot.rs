@@ -4,11 +4,12 @@
 //! format legitimately ignores (the zeroed chain-pointer slack), restore
 //! may succeed but every value must come back exact.
 
-use crate::model::Violation;
+use crate::Violation;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::EnclaveBuilder;
 use shield_workload::rng::SplitMix64;
-use shieldstore::{Config, Error, ShieldStore};
+use shieldstore::model::Model;
+use shieldstore::{Config, Error, Op, ShieldStore};
 use std::path::{Path, PathBuf};
 
 const KEYS: u64 = 32;
@@ -68,15 +69,16 @@ fn run_in_dir(seed: u64, dir: &Path) -> Result<SnapshotReport, Violation> {
 
     // A clean store — never snapshot a tampered table; the attacks here
     // are on the *file*, not on live memory.
-    let store = build_store(seed);
+    let (store, mut model) = (build_store(seed), Model::default());
     for id in 0..KEYS {
-        store.set(&key_bytes(id), &value_bytes(id, 0)).expect("clean set");
+        let (key, value) = (key_bytes(id), value_bytes(id, 0));
+        crate::answered(&store, &mut model, "clean set", 0, Op::set(&key, &value))?;
     }
     let snap_a = dir.join("a.db");
     store.snapshot_blocking(&snap_a, &counter).expect("snapshot a");
 
     // Sanity: the untouched file restores, with every value exact.
-    check_exact_restore(seed, &snap_a, &counter, 0, "clean restore")?;
+    check_exact_restore(seed, &snap_a, &counter, &model, "clean restore")?;
 
     // Corruption sweep: deterministic truncations and bit flips.
     let bytes = std::fs::read(&snap_a).expect("read snapshot");
@@ -102,7 +104,7 @@ fn run_in_dir(seed: u64, dir: &Path) -> Result<SnapshotReport, Violation> {
             Ok(restored) => {
                 // Permitted only when the damage hit ignored bytes: the
                 // restored contents must then be byte-exact.
-                verify_contents(&restored, 0, "restore of corrupted file succeeded")?;
+                crate::check_state(&restored, &model, "restore of corrupted file succeeded")?;
                 report.benign += 1;
             }
         }
@@ -111,11 +113,12 @@ fn run_in_dir(seed: u64, dir: &Path) -> Result<SnapshotReport, Violation> {
     // Rollback: a second snapshot supersedes the first; replaying the
     // stale-but-internally-valid file must fail with `Rollback`.
     for id in 0..KEYS {
-        store.set(&key_bytes(id), &value_bytes(id, 1)).expect("clean overwrite");
+        let (key, value) = (key_bytes(id), value_bytes(id, 1));
+        crate::answered(&store, &mut model, "clean overwrite", 0, Op::set(&key, &value))?;
     }
     let snap_b = dir.join("b.db");
     store.snapshot_blocking(&snap_b, &counter).expect("snapshot b");
-    check_exact_restore(seed, &snap_b, &counter, 1, "restore of latest snapshot")?;
+    check_exact_restore(seed, &snap_b, &counter, &model, "restore of latest snapshot")?;
     report.corruptions += 1;
     match restore(seed, &snap_a, &counter) {
         Err(Error::Rollback) => report.detected += 1,
@@ -139,34 +142,16 @@ fn check_exact_restore(
     seed: u64,
     path: &Path,
     counter: &PersistentCounter,
-    round: u64,
+    model: &Model,
     context: &str,
 ) -> Result<(), Violation> {
     match restore(seed, path, counter) {
-        Ok(restored) => verify_contents(&restored, round, context),
+        Ok(restored) => crate::check_state(&restored, model, context),
         Err(e) => Err(Violation {
             context: context.into(),
             detail: format!("a valid snapshot failed to restore: {e:?}"),
         }),
     }
-}
-
-fn verify_contents(store: &ShieldStore, round: u64, context: &str) -> Result<(), Violation> {
-    for id in 0..KEYS {
-        match store.get(&key_bytes(id)) {
-            Ok(v) if v == value_bytes(id, round) => {}
-            other => {
-                return Err(Violation {
-                    context: context.into(),
-                    detail: format!(
-                        "restored store returned {other:?} for key {id} (expected round-{round} \
-                         value): partial or wrong state after restore"
-                    ),
-                });
-            }
-        }
-    }
-    crate::engine::check_stats(store, context)
 }
 
 #[cfg(test)]

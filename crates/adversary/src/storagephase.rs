@@ -7,7 +7,7 @@
 //!    poison fail-closed (every later mutation answers
 //!    [`shieldstore::Error::StorageFailed`], reads keep serving), and
 //!    after a simulated power cut recovery must replay *exactly* the
-//!    acknowledged prefix against the shadow model.
+//!    acknowledged prefix of the model's writes.
 //! 2. **Segment rot, forged repair, genuine repair** — a sealed WAL
 //!    byte flips on disk. The scrubber must find it and quarantine
 //!    writes; a bit-flipped repair payload from a "lying peer" must be
@@ -17,13 +17,13 @@
 //!    must detect it and self-repair from in-enclave state, leaving the
 //!    store writable and recoverable.
 
-use crate::model::Violation;
+use crate::Violation;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use sgx_sim::storage::{FaultFs, FaultKind, FaultOp, FaultSpec, StorageFs};
 use shield_workload::rng::SplitMix64;
-use shieldstore::{Config, DurabilityPolicy, Error, Replica, ShieldStore};
-use std::collections::HashMap;
+use shieldstore::model::Model;
+use shieldstore::{Config, DurabilityPolicy, Error, Op, Replica, ShieldStore};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -118,23 +118,28 @@ fn fault_under_load(
     ffs.inject(FaultSpec { op, path_substr: path.into(), nth: fault_at, kind });
     report.attacks += 1;
 
-    let mut shadow: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut model = Model::default();
     let mut poisoned = false;
     for step in 0..total {
-        let key = format!("sf-{step}").into_bytes();
-        let value = format!("sv-{seed}-{step}").into_bytes();
-        match store.set(&key, &value) {
-            Ok(()) if !poisoned => {
-                shadow.insert(key, value);
-                report.ops += 1;
-            }
-            Ok(()) => {
+        let (key, value) = (format!("sf-{step}"), format!("sv-{seed}-{step}"));
+        let write = Op::set(key.as_bytes(), value.as_bytes());
+        match store.execute(0, write) {
+            Ok(_) if poisoned => {
                 return Err(fail(
                     "fault under load",
                     format!("write acked after the writer poisoned ({op:?}/{kind:?})"),
                 ));
             }
-            Err(Error::StorageFailed) => poisoned = true,
+            Ok(reply) => {
+                model.observe(0, write, Some(&reply)).map_err(|e| fail("fault under load", e))?;
+                report.ops += 1;
+            }
+            // The write landed in memory before its commit failed: the
+            // key holds either state until the power cut settles it.
+            Err(Error::StorageFailed) => {
+                poisoned = true;
+                model.observe(0, write, None).map_err(|e| fail("fault under load", e))?;
+            }
             Err(e) => {
                 return Err(fail("fault under load", format!("unexpected error {e:?}")));
             }
@@ -150,17 +155,7 @@ fn fault_under_load(
     report.poisoned += 1;
 
     // Reads keep serving the acked state under poison.
-    for (key, value) in &shadow {
-        match store.get(key) {
-            Ok(v) if v == *value => {}
-            other => {
-                return Err(fail(
-                    "fault under load",
-                    format!("poisoned store misread an acked key: {other:?}"),
-                ));
-            }
-        }
-    }
+    crate::check_state(&store, &model, "storage phase: reads under poison")?;
 
     ffs.power_cut().expect("power cut");
     drop(store);
@@ -168,7 +163,8 @@ fn fault_under_load(
     let counter = PersistentCounter::open(dir.join("fault-ctr")).expect("counter");
     let recovered = ShieldStore::recover(enclave(seed), config(), None, &counter, &wal_dir)
         .map_err(|e| fail("fault under load", format!("recovery failed: {e:?}")))?;
-    crate::walphase::verify_state(&recovered, &shadow, "storage phase: power-cut recovery")?;
+    let acked = model.after(model.writes());
+    crate::check_state(&recovered, &acked, "storage phase: power-cut recovery")?;
     Ok(())
 }
 

@@ -19,10 +19,11 @@
 //!
 //! Everything is a pure function of the seed, like the other phases.
 
-use crate::model::Violation;
+use crate::{answered, checked, Violation};
 use shield_workload::rng::SplitMix64;
+use shieldstore::model::Model;
 use shieldstore::testing::StaleEntry;
-use shieldstore::{entry, ttl, Config, Error, Op, Reply, ShieldStore, TenantQuota};
+use shieldstore::{entry, ttl, Config, Error, Op, ShieldStore, TenantQuota};
 
 /// Accounting for one seed's tenant phase.
 #[derive(Debug, Default, Clone)]
@@ -56,11 +57,6 @@ fn value_bytes(tenant: u32, id: u64, seed: u64) -> Vec<u8> {
     format!("t{tenant}-v{id}-{:08x}", seed & 0xffff_ffff).into_bytes()
 }
 
-/// Reads key `id` in `tenant`'s namespace; `Ok(None)` is a clean miss.
-fn read(store: &ShieldStore, tenant: u32, id: u64) -> Result<Option<Vec<u8>>, Error> {
-    store.execute(tenant, Op::Get(&key_bytes(id))).map(Reply::value)
-}
-
 fn violation(context: &str, detail: String) -> Violation {
     Violation { context: context.into(), detail }
 }
@@ -90,20 +86,19 @@ pub fn run_tenant_phase(seed: u64) -> Result<TenantReport, Violation> {
     let _thaw = ThawGuard;
 
     // Populate attacker and victim namespaces over the SAME key names.
+    let mut model = Model::default();
     for id in 0..NUM_KEYS {
-        store
-            .execute(ATTACKER, Op::set(&key_bytes(id), &value_bytes(ATTACKER, id, seed)))
-            .map_err(|e| violation("tenant warm-up", format!("attacker set: {e}")))?;
-        store
-            .execute(VICTIM, Op::set(&key_bytes(id), &value_bytes(VICTIM, id, seed)))
-            .map_err(|e| violation("tenant warm-up", format!("victim set: {e}")))?;
+        for tenant in [ATTACKER, VICTIM] {
+            let (key, value) = (key_bytes(id), value_bytes(tenant, id, seed));
+            answered(&store, &mut model, "tenant warm-up", tenant, Op::set(&key, &value))?;
+        }
         report.ops += 2;
     }
 
-    cross_read_attacks(&store, seed, &mut report)?;
-    forge_attacks(&store, &mut rng, seed, &mut report)?;
-    quota_exhaustion(&store, seed, &mut report)?;
-    ttl_resurrection(&store, &mut rng, seed, &mut report)?;
+    cross_read_attacks(&store, &mut model, &mut report)?;
+    forge_attacks(&store, &mut model, &mut rng, &mut report)?;
+    quota_exhaustion(&store, &mut model, seed, &mut report)?;
+    ttl_resurrection(&store, &mut model, &mut rng, seed, &mut report)?;
     Ok(report)
 }
 
@@ -111,28 +106,14 @@ pub fn run_tenant_phase(seed: u64) -> Result<TenantReport, Violation> {
 /// raw memory.
 fn cross_read_attacks(
     store: &ShieldStore,
-    seed: u64,
+    model: &mut Model,
     report: &mut TenantReport,
 ) -> Result<(), Violation> {
     // API level: the attacker's namespace resolves to its own values.
     for id in 0..NUM_KEYS {
         report.ops += 1;
         report.cross_reads += 1;
-        let got = read(store, ATTACKER, id)
-            .and_then(|value| value.ok_or(Error::KeyNotFound))
-            .map_err(|e| violation("cross-read", format!("attacker get: {e}")))?;
-        if got == value_bytes(VICTIM, id, seed) {
-            return Err(violation(
-                "cross-read",
-                format!("attacker read the victim's value for key {id}"),
-            ));
-        }
-        if got != value_bytes(ATTACKER, id, seed) {
-            return Err(violation(
-                "cross-read",
-                format!("attacker's own value wrong for key {id}"),
-            ));
-        }
+        answered(store, model, "cross-read", ATTACKER, Op::Get(&key_bytes(id)))?;
     }
 
     // Raw level: leaked attacker keys over every victim entry.
@@ -174,8 +155,8 @@ fn cross_read_attacks(
 /// leaked key.
 fn forge_attacks(
     store: &ShieldStore,
+    model: &mut Model,
     rng: &mut SplitMix64,
-    seed: u64,
     report: &mut TenantReport,
 ) -> Result<(), Violation> {
     let (_, mac_raw) = store.leak_tenant_keys(ATTACKER);
@@ -201,19 +182,8 @@ fn forge_attacks(
     // values (for untouched entries) — never anything else.
     for id in 0..NUM_KEYS {
         report.ops += 1;
-        match read(store, VICTIM, id).and_then(|value| value.ok_or(Error::KeyNotFound)) {
-            Ok(v) => {
-                if v != value_bytes(VICTIM, id, seed) {
-                    return Err(violation(
-                        "forge",
-                        format!("victim read a non-own value for key {id}"),
-                    ));
-                }
-            }
-            Err(Error::IntegrityViolation { .. }) => report.detected += 1,
-            Err(e) => {
-                return Err(violation("forge", format!("unexpected error {e:?}")));
-            }
+        if !checked(store, model, "forge", VICTIM, Op::Get(&key_bytes(id)))? {
+            report.detected += 1;
         }
     }
     // Undo the attack (restore the captured honest bytes) so later
@@ -224,12 +194,7 @@ fn forge_attacks(
     }
     for id in 0..NUM_KEYS {
         report.ops += 1;
-        let got = read(store, VICTIM, id)
-            .and_then(|value| value.ok_or(Error::KeyNotFound))
-            .map_err(|e| violation("forge repair", format!("victim get: {e}")))?;
-        if got != value_bytes(VICTIM, id, seed) {
-            return Err(violation("forge repair", format!("key {id} not restored")));
-        }
+        answered(store, model, "forge repair", VICTIM, Op::Get(&key_bytes(id)))?;
     }
     Ok(())
 }
@@ -237,6 +202,7 @@ fn forge_attacks(
 /// Attack 3: a bounded tenant floods past its quota.
 fn quota_exhaustion(
     store: &ShieldStore,
+    model: &mut Model,
     seed: u64,
     report: &mut TenantReport,
 ) -> Result<(), Violation> {
@@ -267,16 +233,15 @@ fn quota_exhaustion(
     }
     // The victim is unaffected by the bounded tenant's exhaustion.
     report.ops += 1;
-    store
-        .execute(VICTIM, Op::set(b"quota-victim-probe", b"still-writable"))
-        .map_err(|e| violation("quota", format!("victim write blocked: {e}")))?;
-    Ok(())
+    let probe = Op::set(b"quota-victim-probe", b"still-writable");
+    answered(store, model, "quota: victim write", VICTIM, probe)
 }
 
 /// Attack 4: revive expired entries by expiry-field rewrite and by
 /// stale-bytes replay.
 fn ttl_resurrection(
     store: &ShieldStore,
+    model: &mut Model,
     rng: &mut SplitMix64,
     seed: u64,
     report: &mut TenantReport,
@@ -285,16 +250,15 @@ fn ttl_resurrection(
     let doomed: Vec<u64> = (0..4).map(|i| NUM_KEYS + 100 + i).collect();
     for &id in &doomed {
         report.ops += 1;
-        store
-            .execute(
-                VICTIM,
-                Op::Set {
-                    key: &key_bytes(id),
-                    value: &value_bytes(VICTIM, id, seed),
-                    expires_at: ttl::deadline_after(ttl_ns),
-                },
-            )
-            .map_err(|e| violation("ttl", format!("leased set: {e}")))?;
+        let (key, value) = (key_bytes(id), value_bytes(VICTIM, id, seed));
+        let expires_at = ttl::deadline_after(ttl_ns);
+        answered(
+            store,
+            model,
+            "ttl: leased set",
+            VICTIM,
+            Op::Set { key: &key, value: &value, expires_at },
+        )?;
     }
     // Stale pre-expiry copies for the replay attack.
     let stales: Vec<StaleEntry> = store
@@ -314,11 +278,7 @@ fn ttl_resurrection(
     // Expired: every read misses (lazy expiry).
     for &id in &doomed {
         report.ops += 1;
-        match read(store, VICTIM, id) {
-            Ok(None) => {}
-            Ok(Some(_)) => return Err(violation("ttl", format!("expired key {id} still served"))),
-            Err(e) => return Err(violation("ttl", format!("unexpected error {e:?}"))),
-        }
+        answered(store, model, "ttl: expired read", VICTIM, Op::Get(&key_bytes(id)))?;
     }
 
     // Revival 1: rewrite the plaintext expiry field to the far future.
@@ -332,13 +292,8 @@ fn ttl_resurrection(
     }
     for &id in &doomed {
         report.ops += 1;
-        match read(store, VICTIM, id) {
-            Ok(Some(_)) => {
-                return Err(violation("ttl", format!("expiry-field rewrite resurrected key {id}")))
-            }
-            Ok(None) => {}
-            Err(Error::IntegrityViolation { .. }) => report.detected += 1,
-            Err(e) => return Err(violation("ttl", format!("unexpected error {e:?}"))),
+        if !checked(store, model, "ttl: expiry-field rewrite", VICTIM, Op::Get(&key_bytes(id)))? {
+            report.detected += 1;
         }
     }
 
@@ -367,13 +322,8 @@ fn ttl_resurrection(
     }
     for &id in &doomed {
         report.ops += 1;
-        match read(store, VICTIM, id) {
-            Ok(Some(_)) => {
-                return Err(violation("ttl", format!("stale replay resurrected key {id}")))
-            }
-            Ok(None) => {}
-            Err(Error::IntegrityViolation { .. }) => report.detected += 1,
-            Err(e) => return Err(violation("ttl", format!("unexpected error {e:?}"))),
+        if !checked(store, model, "ttl: stale replay", VICTIM, Op::Get(&key_bytes(id)))? {
+            report.detected += 1;
         }
     }
     Ok(())

@@ -4,15 +4,15 @@
 //! into pinned records, bit flips, record splices, stale pin+log replays,
 //! a hidden pin, or a pre-snapshot log offered after rotation — must make
 //! [`ShieldStore::recover`] fail closed. Kill-point crash/recover cycles
-//! are cross-checked against an in-process shadow model, with the loss
-//! window bounded exactly by the configured [`DurabilityPolicy`].
+//! are checked against the reference model, with the loss window bounded
+//! exactly by the configured [`DurabilityPolicy`].
 
-use crate::model::Violation;
+use crate::Violation;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_workload::rng::SplitMix64;
-use shieldstore::{Config, DurabilityPolicy, Error, ShieldStore};
-use std::collections::HashMap;
+use shieldstore::model::Model;
+use shieldstore::{Config, DurabilityPolicy, Error, Op, ShieldStore};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -29,8 +29,8 @@ pub struct WalReport {
     /// Host-side damage the format tolerates by design (torn un-pinned
     /// tail): recovery must succeed with byte-exact acknowledged state.
     pub benign: u64,
-    /// Crash/recover cycles whose replayed state matched the shadow
-    /// model within the policy-permitted loss window.
+    /// Crash/recover cycles whose replayed state matched the model
+    /// within the policy-permitted loss window.
     pub cycles: u64,
 }
 
@@ -68,110 +68,55 @@ fn run_in_dir(seed: u64, dir: &Path) -> Result<WalReport, Violation> {
     Ok(report)
 }
 
-// ---------------------------------------------------------------------
-// Shadow-model op generator
-// ---------------------------------------------------------------------
-
-/// One acknowledged mutation: the key and the value it left behind
-/// (`None` = deleted). Replay of a committed prefix of these must
-/// reproduce the recovered store exactly.
-type Effect = (Vec<u8>, Option<Vec<u8>>);
-
-/// Applies one random mutation to `store` and `shadow` in lockstep.
-/// Returns the effect when the store acknowledged a state change.
-fn apply_random_op(
+/// Writes `{key}{id}` = `{value}-{id}` for each id, checked against
+/// `model`.
+fn load(
     store: &ShieldStore,
-    shadow: &mut HashMap<Vec<u8>, Vec<u8>>,
-    rng: &mut SplitMix64,
-    step: u64,
-) -> Result<Option<Effect>, Violation> {
-    let fail = |what: &str, detail: String| {
-        Err(Violation { context: format!("wal phase op: {what}"), detail })
-    };
-    match rng.next_below(10) {
-        0..=4 => {
-            let key = format!("k{}", rng.next_below(KEY_SPACE)).into_bytes();
-            let value = format!("wal-val-{step}").into_bytes();
-            if let Err(e) = store.set(&key, &value) {
-                return fail("set", format!("{e:?}"));
-            }
-            shadow.insert(key.clone(), value.clone());
-            Ok(Some((key, Some(value))))
-        }
-        5..=6 => {
-            let key = format!("k{}", rng.next_below(KEY_SPACE)).into_bytes();
-            match (store.delete(&key), shadow.remove(&key).is_some()) {
-                (Ok(()), true) => Ok(Some((key, None))),
-                (Err(Error::KeyNotFound), false) => Ok(None),
-                (res, present) => {
-                    fail("delete", format!("store said {res:?}, shadow present={present}"))
-                }
-            }
-        }
-        7 => {
-            let key = format!("a{}", rng.next_below(4)).into_bytes();
-            let suffix = format!("+{step}").into_bytes();
-            if let Err(e) = store.append(&key, &suffix) {
-                return fail("append", format!("{e:?}"));
-            }
-            let entry = shadow.entry(key.clone()).or_default();
-            entry.extend_from_slice(&suffix);
-            let value = entry.clone();
-            Ok(Some((key, Some(value))))
-        }
-        _ => {
-            let key = format!("n{}", rng.next_below(4)).into_bytes();
-            let delta = rng.next_below(100) as i64 - 50;
-            let current: i64 = shadow
-                .get(&key)
-                .map(|v| String::from_utf8_lossy(v).parse().expect("shadow counter"))
-                .unwrap_or(0);
-            match store.increment(&key, delta) {
-                Ok(next) if next == current + delta => {
-                    let value = next.to_string().into_bytes();
-                    shadow.insert(key.clone(), value.clone());
-                    Ok(Some((key, Some(value))))
-                }
-                other => fail("increment", format!("expected {}, got {other:?}", current + delta)),
-            }
-        }
+    model: &mut Model,
+    key: &str,
+    value: &str,
+    ids: std::ops::Range<u64>,
+) -> Result<(), Violation> {
+    for id in ids {
+        let (key, value) = (format!("{key}{id}"), format!("{value}-{id}"));
+        crate::answered(
+            store,
+            model,
+            "wal phase load",
+            0,
+            Op::set(key.as_bytes(), value.as_bytes()),
+        )?;
     }
+    Ok(())
 }
 
-/// Recovered state must be byte-exact against the expected map.
-/// Shared with the storage phase, which checks the same invariant
-/// after a power cut instead of a process kill.
-pub(crate) fn verify_state(
+/// Applies one random mutation to `store`, checked against `model`.
+fn apply_random_op(
     store: &ShieldStore,
-    expected: &HashMap<Vec<u8>, Vec<u8>>,
-    context: &str,
+    model: &mut Model,
+    rng: &mut SplitMix64,
+    step: u64,
 ) -> Result<(), Violation> {
-    if store.len() != expected.len() {
-        return Err(Violation {
-            context: context.into(),
-            detail: format!(
-                "recovered store has {} entries, shadow model has {}",
-                store.len(),
-                expected.len()
-            ),
-        });
-    }
-    for (key, value) in expected {
-        match store.get(key) {
-            Ok(v) if v == *value => {}
-            other => {
-                return Err(Violation {
-                    context: context.into(),
-                    detail: format!(
-                        "key {:?} recovered as {other:?}, shadow model holds {:?}",
-                        String::from_utf8_lossy(key),
-                        String::from_utf8_lossy(value),
-                    ),
-                });
-            }
+    let (key, value);
+    let op = match rng.next_below(10) {
+        0..=4 => {
+            (key, value) = (format!("k{}", rng.next_below(KEY_SPACE)), format!("wal-val-{step}"));
+            Op::set(key.as_bytes(), value.as_bytes())
         }
-    }
-    crate::engine::check_stats(store, context)
+        5..=6 => {
+            key = format!("k{}", rng.next_below(KEY_SPACE));
+            Op::Delete(key.as_bytes())
+        }
+        7 => {
+            (key, value) = (format!("a{}", rng.next_below(4)), format!("+{step}"));
+            Op::Append { key: key.as_bytes(), suffix: value.as_bytes() }
+        }
+        _ => {
+            key = format!("n{}", rng.next_below(4));
+            Op::Increment { key: key.as_bytes(), delta: rng.next_below(100) as i64 - 50 }
+        }
+    };
+    crate::answered(store, model, "wal phase op", 0, op)
 }
 
 // ---------------------------------------------------------------------
@@ -179,7 +124,7 @@ pub(crate) fn verify_state(
 // ---------------------------------------------------------------------
 
 /// Strict commits every acknowledged op before returning, so each
-/// recovery must reproduce the shadow model exactly — across repeated
+/// recovery must reproduce the model exactly — across repeated
 /// crash/recover cycles that chain one log generation's pin into the
 /// next process life.
 fn crash_cycles_strict(
@@ -190,13 +135,13 @@ fn crash_cycles_strict(
 ) -> Result<(), Violation> {
     let wal_dir = dir.join("strict-wal");
     let counter = PersistentCounter::open(dir.join("strict-ctr")).expect("counter");
-    let mut shadow = HashMap::new();
+    let mut model = Model::default();
     let mut store =
         ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
     for cycle in 0..3u64 {
         for step in 0..20 {
-            apply_random_op(&store, &mut shadow, rng, cycle * 100 + step)?;
+            apply_random_op(&store, &mut model, rng, cycle * 100 + step)?;
         }
         store.wal_handle().expect("wal attached").simulate_crash();
         drop(store);
@@ -211,7 +156,7 @@ fn crash_cycles_strict(
             context: "strict crash cycle".into(),
             detail: format!("recovery after clean crash failed: {e:?}"),
         })?;
-        verify_state(&store, &shadow, "strict crash cycle")?;
+        crate::check_state(&store, &model, "strict crash cycle")?;
         report.cycles += 1;
     }
     Ok(())
@@ -222,8 +167,8 @@ fn crash_cycles_strict(
 // ---------------------------------------------------------------------
 
 /// With `EveryN(4)` a crash may only lose the buffered suffix — fewer
-/// than 4 acknowledged effects. The recovered store must equal the
-/// shadow model replayed up to the last group-commit boundary, exactly.
+/// than 4 acknowledged writes. The recovered store must equal the model
+/// after the last group-commit boundary, exactly.
 fn group_commit_loss_window(
     seed: u64,
     dir: &Path,
@@ -236,14 +181,11 @@ fn group_commit_loss_window(
     let store = ShieldStore::new(enclave(seed), config(policy)).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
 
-    let mut shadow = HashMap::new();
-    let mut effects: Vec<Effect> = Vec::new();
-    let total = 10 + rng.next_below(8);
+    let mut model = Model::default();
+    let total = 10 + rng.next_below(8) as usize;
     let mut step = 0u64;
-    while (effects.len() as u64) < total {
-        if let Some(effect) = apply_random_op(&store, &mut shadow, rng, 1000 + step)? {
-            effects.push(effect);
-        }
+    while model.writes() < total {
+        apply_random_op(&store, &mut model, rng, 1000 + step)?;
         step += 1;
     }
     store.wal_handle().expect("wal attached").simulate_crash();
@@ -252,24 +194,13 @@ fn group_commit_loss_window(
     // Only whole groups of 4 reached the log; the buffered remainder is
     // legitimately lost. Anything else — more, fewer, or reordered — is
     // a durability violation.
-    let committed = effects.len() - effects.len() % 4;
-    let mut expected = HashMap::new();
-    for (key, value) in &effects[..committed] {
-        match value {
-            Some(v) => {
-                expected.insert(key.clone(), v.clone());
-            }
-            None => {
-                expected.remove(key);
-            }
-        }
-    }
+    let committed = model.after(model.writes() / 4 * 4);
     let recovered = ShieldStore::recover(enclave(seed), config(policy), None, &counter, &wal_dir)
         .map_err(|e| Violation {
         context: "group-commit crash".into(),
         detail: format!("recovery after group-commit crash failed: {e:?}"),
     })?;
-    verify_state(&recovered, &expected, "group-commit loss window")?;
+    crate::check_state(&recovered, &committed, "group-commit loss window")?;
     report.cycles += 1;
     Ok(())
 }
@@ -308,13 +239,8 @@ fn log_tamper_attacks(
     let counter = PersistentCounter::open(dir.join("tamper-ctr")).expect("counter");
     let store = ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
-    let mut shadow = HashMap::new();
-    for id in 0..8u64 {
-        let key = format!("c{id}").into_bytes();
-        let value = format!("tamper-val-{id}").into_bytes();
-        store.set(&key, &value).expect("clean set");
-        shadow.insert(key, value);
-    }
+    let mut model = Model::default();
+    load(&store, &mut model, "c", "tamper-val", 0..8)?;
     store.wal_handle().expect("wal attached").simulate_crash();
     drop(store);
 
@@ -416,7 +342,7 @@ fn log_tamper_attacks(
     }
     match recover() {
         Ok(recovered) => {
-            verify_state(&recovered, &shadow, "torn un-pinned tail")?;
+            crate::check_state(&recovered, &model, "torn un-pinned tail")?;
             report.benign += 1;
         }
         Err(e) => {
@@ -480,13 +406,8 @@ fn stale_log_after_snapshot(
     let counter = PersistentCounter::open(dir.join("rotate-ctr")).expect("counter");
     let store = ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
-    let mut shadow = HashMap::new();
-    for id in 0..6u64 {
-        let key = format!("r{id}").into_bytes();
-        let value = format!("rot-val-{id}").into_bytes();
-        store.set(&key, &value).expect("pre-snapshot set");
-        shadow.insert(key, value);
-    }
+    let mut model = Model::default();
+    load(&store, &mut model, "r", "rot-val", 0..6)?;
 
     // Capture the generation-0 pin and log before rotation deletes them.
     let stale_pin = std::fs::read(wal_dir.join("wal.pin")).expect("read pin");
@@ -494,12 +415,7 @@ fn stale_log_after_snapshot(
 
     let snap = dir.join("rotate.db");
     store.snapshot_blocking(&snap, &counter).expect("snapshot");
-    for id in 0..2u64 {
-        let key = format!("t{id}").into_bytes();
-        let value = format!("tail-val-{id}").into_bytes();
-        store.set(&key, &value).expect("tail set");
-        shadow.insert(key, value);
-    }
+    load(&store, &mut model, "t", "tail-val", 0..2)?;
     store.wal_handle().expect("wal attached").simulate_crash();
     drop(store);
 
@@ -515,7 +431,7 @@ fn stale_log_after_snapshot(
         context: "post-snapshot recovery".into(),
         detail: format!("recovery from snapshot + rotated tail failed: {e:?}"),
     })?;
-    verify_state(&recovered, &shadow, "post-snapshot recovery")?;
+    crate::check_state(&recovered, &model, "post-snapshot recovery")?;
     recovered.wal_handle().expect("wal attached").simulate_crash();
     drop(recovered);
 
@@ -561,21 +477,11 @@ fn snapshot_crash_window(seed: u64, dir: &Path, report: &mut WalReport) -> Resul
     let counter = PersistentCounter::open(dir.join("window-ctr")).expect("counter");
     let store = ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
-    let mut shadow = HashMap::new();
-    for id in 0..6u64 {
-        let key = format!("b{id}").into_bytes();
-        let value = format!("base-val-{id}").into_bytes();
-        store.set(&key, &value).expect("base set");
-        shadow.insert(key, value);
-    }
+    let mut model = Model::default();
+    load(&store, &mut model, "b", "base-val", 0..6)?;
     let snap = dir.join("window.db");
     store.snapshot_blocking(&snap, &counter).expect("good snapshot");
-    for id in 0..4u64 {
-        let key = format!("w{id}").into_bytes();
-        let value = format!("mid-val-{id}").into_bytes();
-        store.set(&key, &value).expect("mid set");
-        shadow.insert(key, value);
-    }
+    load(&store, &mut model, "w", "mid-val", 0..4)?;
 
     // A background snapshot whose writer dies (target directory missing):
     // rotation began, the snapshot never lands.
@@ -589,12 +495,7 @@ fn snapshot_crash_window(seed: u64, dir: &Path, report: &mut WalReport) -> Resul
         });
     }
     // The store keeps acknowledging writes into the newest generation.
-    for id in 0..4u64 {
-        let key = format!("x{id}").into_bytes();
-        let value = format!("tail-val-{id}").into_bytes();
-        store.set(&key, &value).expect("tail set");
-        shadow.insert(key, value);
-    }
+    load(&store, &mut model, "x", "tail-val", 0..4)?;
     store.wal_handle().expect("wal attached").simulate_crash();
     drop(store);
 
@@ -612,7 +513,7 @@ fn snapshot_crash_window(seed: u64, dir: &Path, report: &mut WalReport) -> Resul
         context: "snapshot crash window".into(),
         detail: format!("recovery after a failed snapshot attempt failed: {e:?}"),
     })?;
-    verify_state(&recovered, &shadow, "snapshot crash window")?;
+    crate::check_state(&recovered, &model, "snapshot crash window")?;
     report.cycles += 1;
     Ok(())
 }

@@ -2,17 +2,18 @@
 //! between a real client and a real server, garbling, truncating,
 //! duplicating, and dropping frames. The client survives by failing
 //! closed — any receive failure poisons the session and forces a
-//! reconnect — and the shadow model checks that no fault ever turns
+//! reconnect — and the reference model checks that no fault ever turns
 //! into silently wrong data.
 
-use crate::model::{ShadowModel, Violation};
+use crate::Violation;
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::EnclaveBuilder;
 use shield_net::client::KvClient;
 use shield_net::proxy::{FaultPlan, FaultProxy};
 use shield_net::server::{CrossingMode, Server, ServerConfig};
 use shield_workload::rng::SplitMix64;
-use shieldstore::{Config, ShieldStore};
+use shieldstore::model::Model;
+use shieldstore::{Config, Op, ShieldStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,115 +76,56 @@ pub fn run_wire_phase(seed: u64) -> Result<WireReport, Violation> {
         .expect("proxy start");
 
     let mut report = WireReport::default();
-    let mut model = ShadowModel::new();
+    let mut model = Model::default();
     let mut rng = SplitMix64::new(seed ^ 0x3131_c0de_fa17_0000);
     let mut conn_seq = 0u64;
     let mut client = connect(&proxy, &verifier, seed, &mut conn_seq);
 
+    // Sends `op` and judges the answer. A failure fails closed: the
+    // session is poisoned, so reconnect — and the op may or may not have
+    // reached the store before the fault hit.
+    let mut exchange = |client: &mut KvClient, op: Op<'_>| -> Result<(), Violation> {
+        report.ops += 1;
+        let reply = client.execute(op).ok();
+        model
+            .observe(0, op, reply.as_ref())
+            .map_err(|detail| Violation { context: format!("wire {op:?}"), detail })?;
+        if reply.is_none() {
+            report.failed_closed += 1;
+            report.reconnects += 1;
+            *client = connect(&proxy, &verifier, seed, &mut conn_seq);
+        }
+        Ok(())
+    };
     let result = (|| {
         for step in 0..OPS {
-            report.ops += 1;
             let id = rng.next_u64() % NUM_KEYS;
-            let key = key_bytes(id);
-            let failed = match rng.next_below(3) {
-                0 => match client.get(&key) {
-                    Ok(observed) => {
-                        model.check_read("wire get", &key, &observed)?;
-                        false
-                    }
-                    Err(_) => true,
-                },
-                1 => {
-                    let value = value_bytes(id, step);
-                    match client.set(&key, &value) {
-                        Ok(()) => {
-                            model.apply_set(&key, &value);
-                            false
-                        }
-                        Err(_) => {
-                            // The request may or may not have reached the
-                            // store before the fault hit.
-                            model.apply_failed_set(&key, &value);
-                            true
-                        }
-                    }
-                }
-                _ => match client.delete(&key) {
-                    Ok(true) => {
-                        model.check_delete_hit("wire delete", &key)?;
-                        model.apply_delete(&key);
-                        false
-                    }
-                    Ok(false) => {
-                        model.check_read("wire delete miss", &key, &None)?;
-                        false
-                    }
-                    Err(_) => {
-                        model.apply_failed_delete(&key);
-                        true
-                    }
-                },
+            let (key, value) = (key_bytes(id), value_bytes(id, step));
+            let op = match rng.next_below(3) {
+                0 => Op::Get(&key),
+                1 => Op::set(&key, &value),
+                _ => Op::Delete(&key),
             };
-            if failed {
-                // Fail closed: the session is poisoned; reconnect.
-                report.failed_closed += 1;
-                report.reconnects += 1;
-                client = connect(&proxy, &verifier, seed, &mut conn_seq);
-            }
+            exchange(&mut client, op)?;
         }
 
         // Batched ops through the same faulty link.
         for round in 0..3u64 {
-            report.ops += 1;
-            let n = 2 + rng.next_below(4) as usize;
-            if rng.next_below(2) == 0 {
-                let keys: Vec<Vec<u8>> =
-                    (0..n).map(|_| key_bytes(rng.next_u64() % NUM_KEYS)).collect();
-                match client.multi_get(&keys) {
-                    Ok(results) if results.len() == keys.len() => {
-                        for (key, r) in keys.iter().zip(results) {
-                            model.check_read("wire multi_get", key, &r)?;
-                        }
-                    }
-                    Ok(results) => {
-                        return Err(Violation {
-                            context: "wire multi_get".into(),
-                            detail: format!(
-                                "asked for {} keys, got {} results",
-                                keys.len(),
-                                results.len()
-                            ),
-                        });
-                    }
-                    Err(_) => {
-                        report.failed_closed += 1;
-                        report.reconnects += 1;
-                        client = connect(&proxy, &verifier, seed, &mut conn_seq);
-                    }
-                }
-            } else {
-                let items: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-                    .map(|i| {
-                        let id = rng.next_u64() % NUM_KEYS;
-                        (key_bytes(id), value_bytes(id, 1000 + round * 10 + i as u64))
-                    })
-                    .collect();
-                match client.multi_set(&items) {
-                    Ok(()) => {
-                        for (key, value) in &items {
-                            model.apply_set(key, value);
-                        }
-                    }
-                    Err(_) => {
-                        for (key, value) in &items {
-                            model.apply_failed_set(key, value);
-                        }
-                        report.failed_closed += 1;
-                        report.reconnects += 1;
-                        client = connect(&proxy, &verifier, seed, &mut conn_seq);
-                    }
-                }
-            }
+            let n = 2 + rng.next_below(4);
+            let reads = rng.next_below(2) == 0;
+            let items: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
+                .map(|i| {
+                    let id = rng.next_u64() % NUM_KEYS;
+                    (key_bytes(id), value_bytes(id, 1000 + round * 10 + i))
+                })
+                .collect();
+            let keys: Vec<&[u8]> = items.iter().map(|(key, _)| key.as_slice()).collect();
+            let pairs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+            let op = match reads {
+                true => Op::MultiGet(&keys),
+                false => Op::MultiSet { items: &pairs, expires_at: 0 },
+            };
+            exchange(&mut client, op)?;
         }
         Ok(())
     })();

@@ -13,7 +13,7 @@ use shieldstore_bench::{harness, report, Args};
 
 fn decryptions(buckets: usize, key_hint: bool, args: &Args) -> (u64, f64) {
     let scale = args.scale;
-    let config = Config { key_hint, two_step_search: key_hint, ..Config::shield_opt() }
+    let config = Config { key_hint, ..Config::shield_opt() }
         .buckets(buckets)
         .mac_hashes(buckets.min(scale.num_mac_hashes));
     let store = harness::build_shieldstore(config, scale.epc_bytes, args.seed);

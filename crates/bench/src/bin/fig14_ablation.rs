@@ -53,7 +53,6 @@ fn main() {
         for variant in &VARIANTS {
             let config = Config {
                 key_hint: variant.key_hint,
-                two_step_search: variant.key_hint,
                 mac_bucket: variant.mac_bucket,
                 alloc: if variant.pooled_alloc {
                     AllocMode::pooled_default()

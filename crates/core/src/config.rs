@@ -60,6 +60,9 @@ pub enum DurabilityPolicy {
     Strict,
 }
 
+/// The largest key or value a store accepts, in bytes.
+pub const MAX_ITEM_LEN: usize = 64 << 20;
+
 /// ShieldStore configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
@@ -72,11 +75,10 @@ pub struct Config {
     /// Number of hash-partitioned shards (worker threads, paper §5.3).
     pub shards: usize,
     /// Store a 1-byte keyed hash of the plaintext key in each entry to
-    /// prune decryptions during search (paper §5.4, `+KeyOPT`).
+    /// prune decryptions during search (paper §5.4, `+KeyOPT`). A
+    /// hint-guided miss then falls back to a full verifying scan (the
+    /// two-step search), so a hint-corruption attack cannot hide an entry.
     pub key_hint: bool,
-    /// On a hint-guided miss, fall back to a full decrypting scan so a
-    /// hint-corruption attack cannot hide existing entries (paper §5.4).
-    pub two_step_search: bool,
     /// Keep a per-bucket side array of entry MACs so integrity
     /// verification does not pointer-chase the chain (paper §5.2,
     /// `+MACBucket`).
@@ -100,10 +102,6 @@ pub struct Config {
     /// keeps serving. Off by default so differential harnesses observe
     /// raw per-operation verification outcomes.
     pub quarantine: bool,
-    /// Maximum key or value size accepted.
-    pub max_item_len: usize,
-    /// Seed for the store's key generation (via the enclave DRBG stream).
-    pub seed: u64,
     /// Group-commit policy for the write-ahead log, once one is attached
     /// with [`crate::ShieldStore::attach_wal`]. Stores without a WAL
     /// ignore this.
@@ -120,15 +118,12 @@ impl Config {
             num_mac_hashes: 1 << 16,
             shards: 1,
             key_hint: false,
-            two_step_search: false,
             mac_bucket: false,
             mac_bucket_capacity: 30,
             alloc: AllocMode::OcallPerAlloc,
             cache_bytes: 0,
             ordered_index: false,
             quarantine: false,
-            max_item_len: 64 << 20,
-            seed: 0,
             durability: DurabilityPolicy::None,
         }
     }
@@ -137,7 +132,6 @@ impl Config {
     pub fn shield_opt() -> Self {
         Self {
             key_hint: true,
-            two_step_search: true,
             mac_bucket: true,
             alloc: AllocMode::pooled_default(),
             ..Self::shield_base()
@@ -227,7 +221,7 @@ mod tests {
         let base = Config::shield_base();
         let opt = Config::shield_opt();
         assert!(!base.key_hint && !base.mac_bucket);
-        assert!(opt.key_hint && opt.mac_bucket && opt.two_step_search);
+        assert!(opt.key_hint && opt.mac_bucket);
         assert_eq!(base.num_buckets, opt.num_buckets);
         assert_eq!(opt.alloc, AllocMode::Pooled { granularity: 16 << 20 });
     }

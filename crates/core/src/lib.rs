@@ -68,6 +68,8 @@ pub mod error;
 pub mod hist;
 pub mod integrity;
 pub mod mac_bucket;
+#[cfg(any(test, feature = "testing"))]
+pub mod model;
 pub mod op;
 pub mod ordered;
 pub mod persist;

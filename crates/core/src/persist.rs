@@ -22,7 +22,7 @@
 use crate::config::Config;
 use crate::entry::{self, EntryHeader};
 use crate::error::{Error, Result};
-use crate::shard::{ShardConfig, StoreKeys};
+use crate::shard::StoreKeys;
 use crate::store::ShieldStore;
 use crate::table::TableCtx;
 use sgx_sim::counter::PersistentCounter;
@@ -551,7 +551,7 @@ fn open_entry(keys: &StoreKeys, bucket: usize, bytes: &[u8]) -> Result<(EntryHea
 fn restore_entry(
     ctx: &mut TableCtx,
     keys: &StoreKeys,
-    cfg: &ShardConfig,
+    cfg: &Config,
     bucket: usize,
     bytes: &[u8],
     shard_idx: usize,
@@ -586,7 +586,7 @@ fn restore_entry(
     }
     if cfg.mac_bucket {
         // The MAC chain mirrors the entry chain's order.
-        ctx.directory(bucket, cfg.mac_cap)
+        ctx.directory(bucket, cfg.mac_bucket_capacity)
             .insert_back(&header.mac, handle)
             .map_err(|_| Error::IntegrityViolation { bucket })?;
     }

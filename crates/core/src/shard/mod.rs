@@ -33,7 +33,7 @@ mod verify;
 
 use crate::alloc::UntrustedHeap;
 use crate::cache::EnclaveCache;
-use crate::config::{AllocMode, Config};
+use crate::config::{Config, MAX_ITEM_LEN};
 use crate::error::{Error, Result};
 use crate::hist::{OpHists, OpTimer};
 use crate::integrity::{BucketSets, MacStore};
@@ -130,38 +130,6 @@ pub(crate) struct OpCtx<'a> {
     pub state: Option<&'a TenantState>,
 }
 
-/// Per-shard configuration derived from [`Config`].
-#[derive(Debug, Clone)]
-pub(crate) struct ShardConfig {
-    pub buckets: usize,
-    pub mac_hashes: usize,
-    pub key_hint: bool,
-    pub two_step: bool,
-    pub mac_bucket: bool,
-    pub mac_cap: usize,
-    pub alloc: AllocMode,
-    pub max_item_len: usize,
-    pub ordered_index: bool,
-    pub quarantine: bool,
-}
-
-impl ShardConfig {
-    pub fn from_config(cfg: &Config) -> Self {
-        Self {
-            buckets: cfg.buckets_per_shard(),
-            mac_hashes: cfg.mac_hashes_per_shard(),
-            key_hint: cfg.key_hint,
-            two_step: cfg.two_step_search,
-            mac_bucket: cfg.mac_bucket,
-            mac_cap: cfg.mac_bucket_capacity,
-            alloc: cfg.alloc,
-            max_item_len: cfg.max_item_len,
-            ordered_index: cfg.ordered_index,
-            quarantine: cfg.quarantine,
-        }
-    }
-}
-
 /// Which parts of a shard are quarantined after integrity violations.
 ///
 /// The first violation quarantines the bucket set (§4.3 MAC-hash
@@ -202,13 +170,18 @@ pub(crate) struct Scratch {
 }
 
 /// What a table operation works with besides the table itself, and what
-/// never varies within an op: the shard's configuration and keys, its
-/// counters, and its scratch buffers. The table-level operations
+/// never varies within an op: the store's configuration with this shard's
+/// share of its buckets and MAC hashes, the keys, the shard's counters,
+/// and its scratch buffers. The table-level operations
 /// (`table_ops`, `verify`) are methods of this one borrow, so a call names
 /// only the table, the key and what differs — and the shard can lend it
 /// beside a table, the cache and the index without splitting itself up.
 pub(crate) struct Access {
-    cfg: ShardConfig,
+    cfg: Config,
+    /// This shard's buckets ([`Config::buckets_per_shard`]).
+    buckets: usize,
+    /// This shard's MAC hashes ([`Config::mac_hashes_per_shard`]).
+    mac_hashes: usize,
     keys: Arc<StoreKeys>,
     pub(crate) stats: OpStats,
     scratch: Scratch,
@@ -235,7 +208,7 @@ pub struct Shard {
 impl std::fmt::Debug for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
-            .field("buckets", &self.access.cfg.buckets)
+            .field("buckets", &self.access.buckets)
             .field("len", &self.len())
             .field("snapshotting", &self.is_snapshotting())
             .finish()
@@ -243,18 +216,16 @@ impl std::fmt::Debug for Shard {
 }
 
 impl Shard {
-    /// Creates an empty shard.
-    pub(crate) fn new(
-        enclave: Arc<Enclave>,
-        keys: Arc<StoreKeys>,
-        cfg: ShardConfig,
-    ) -> Result<Self> {
+    /// Creates an empty shard: one of `cfg.shards`.
+    pub(crate) fn new(enclave: Arc<Enclave>, keys: Arc<StoreKeys>, cfg: Config) -> Result<Self> {
+        let (buckets, mac_hashes) = (cfg.buckets_per_shard(), cfg.mac_hashes_per_shard());
         let heap = UntrustedHeap::new(Arc::clone(&enclave), cfg.alloc);
-        let macs = MacStore::in_enclave(Arc::clone(&enclave), cfg.mac_hashes)?;
-        let main = TableCtx::new(heap, cfg.buckets, macs);
+        let macs = MacStore::in_enclave(Arc::clone(&enclave), mac_hashes)?;
+        let main = TableCtx::new(heap, buckets, macs);
         let index = cfg.ordered_index.then(OrderedIndex::new);
+        let (stats, scratch) = (OpStats::default(), Scratch::default());
         Ok(Self {
-            access: Access { cfg, keys, stats: OpStats::default(), scratch: Scratch::default() },
+            access: Access { cfg, buckets, mac_hashes, keys, stats, scratch },
             enclave,
             tables: Tables::new(main),
             cache: None,
@@ -274,7 +245,7 @@ impl Shard {
     }
 
     fn check_item(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let max = self.access.cfg.max_item_len;
+        let max = MAX_ITEM_LEN;
         if key.len() > max {
             return Err(Error::OversizeItem { len: key.len(), max });
         }
@@ -290,13 +261,13 @@ impl Shard {
     /// The bucket `key` maps to in the main-table geometry (stable
     /// across snapshots — the temp table has its own smaller geometry).
     fn bucket_index(&self, key: &[u8]) -> usize {
-        (self.access.keys.index_hash(key) % self.access.cfg.buckets as u64) as usize
+        (self.access.keys.index_hash(key) % self.access.buckets as u64) as usize
     }
 
     /// The bucket-set mapping of the main-table geometry, available even
     /// while the main table is frozen out for a snapshot.
     fn sets_map(&self) -> BucketSets {
-        BucketSets::new(self.access.cfg.buckets, self.access.cfg.mac_hashes)
+        BucketSets::new(self.access.buckets, self.access.mac_hashes)
     }
 
     /// Fails closed with [`Error::Quarantined`] when `op` would touch a
@@ -349,7 +320,7 @@ impl Shard {
                 if self.quarantine.violations > 1 || self.tables.is_frozen() {
                     self.quarantine.whole = true;
                 } else {
-                    let bucket = (*bucket).min(self.access.cfg.buckets - 1);
+                    let bucket = (*bucket).min(self.access.buckets - 1);
                     self.quarantine.sets.insert(self.sets_map().set_of(bucket));
                 }
             }
@@ -554,8 +525,8 @@ impl Shard {
         }
     }
 
-    /// The shard's configuration.
-    pub(crate) fn config(&self) -> &ShardConfig {
+    /// The store's configuration.
+    pub(crate) fn config(&self) -> &Config {
         &self.access.cfg
     }
 

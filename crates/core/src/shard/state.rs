@@ -176,9 +176,8 @@ impl Shard {
         assert!(!self.tables.is_frozen(), "snapshot already in progress");
         // The temporary table is small: writes during a snapshot window are
         // bounded, and it is merged away afterwards.
-        let cfg = &self.access.cfg;
-        let temp_buckets = (cfg.buckets / 16).max(64);
-        let heap = UntrustedHeap::new(Arc::clone(&self.enclave), cfg.alloc);
+        let temp_buckets = (self.access.buckets / 16).max(64);
+        let heap = UntrustedHeap::new(Arc::clone(&self.enclave), self.access.cfg.alloc);
         let temp = TableCtx::new(heap, temp_buckets, MacStore::plain(temp_buckets));
         let main = Arc::new(std::mem::replace(&mut self.tables.writer, temp));
         self.tables.phase = Phase::Frozen { main: Arc::clone(&main), tombstones: HashSet::new() };

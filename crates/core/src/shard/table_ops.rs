@@ -6,6 +6,7 @@
 use super::verify::{beside_entry, set_violation, PendingSet};
 use super::{Access, OpCtx, Scratch};
 use crate::alloc::{UntrustedHeap, NULL_HANDLE};
+use crate::config::MAX_ITEM_LEN;
 use crate::entry;
 use crate::error::{Error, Result};
 use crate::mac_bucket;
@@ -55,7 +56,13 @@ impl Access {
         if self.cfg.mac_bucket {
             let filled = table.count.div_ceil(table.buckets());
             for (node, of) in table.mac_heads[set_buckets.clone()].iter().zip(set_buckets) {
-                mac_bucket::hint_node(&table.heap, *node, filled, self.cfg.mac_cap, of == bucket);
+                mac_bucket::hint_node(
+                    &table.heap,
+                    *node,
+                    filled,
+                    self.cfg.mac_bucket_capacity,
+                    of == bucket,
+                );
             }
             table.hint_header(table.heads[bucket]);
         } else {
@@ -76,7 +83,7 @@ impl Access {
     /// there is no list, and the walk waits on itself as before.
     pub(super) fn hint_chain(&self, table: &TableCtx, bucket: usize) {
         if self.cfg.mac_bucket {
-            let lim = table.mac_limits(self.cfg.mac_cap);
+            let lim = table.mac_limits(self.cfg.mac_bucket_capacity);
             mac_bucket::hint_entries(&table.heap, table.mac_heads[bucket], lim);
         }
     }
@@ -99,7 +106,7 @@ impl Access {
     /// counting decryptions as the paper's Fig. 9 does, and returns the
     /// entry with its ciphertext. First pass honours the key hint and
     /// silently steps over foreign tenants' entries; if nothing matched and
-    /// the two-step fallback is enabled, a full scan follows (§5.4) in
+    /// the hint is on, the two-step fallback's full scan follows (§5.4) in
     /// which **every** entry — whoever owns it — is verified under its
     /// owner's derived MAC key, so content tampering (including a rewritten
     /// tenant field) cannot masquerade as a clean miss. `Err` is tampering:
@@ -131,7 +138,7 @@ impl Access {
                 // no more than that hinted.
                 table.hint_body(
                     handle,
-                    header.entry_len().min(entry::HEADER_LEN + key.len() + self.cfg.max_item_len),
+                    header.entry_len().min(entry::HEADER_LEN + key.len() + MAX_ITEM_LEN),
                 );
                 self.stats.key_decryptions += 1;
                 let ct = table.try_ciphertext(handle, &header).ok_or(Broken)?;
@@ -145,7 +152,7 @@ impl Access {
         // corruption. Every entry's MAC is verified under its *owner's*
         // derived key: a corrupted ciphertext or a re-stitched tenant id
         // would make a key silently unfindable otherwise.
-        if self.cfg.key_hint && self.cfg.two_step {
+        if self.cfg.key_hint {
             self.stats.full_scans += 1;
             for link in table.chain(bucket) {
                 let link = link?;
@@ -361,7 +368,7 @@ impl Access {
             // Listed before it is linked: a directory that cannot take it
             // refuses while the chain is still as it was.
             if self.cfg.mac_bucket {
-                let mut dir = table.directory(bucket, self.cfg.mac_cap);
+                let mut dir = table.directory(bucket, self.cfg.mac_bucket_capacity);
                 if dir.insert_front(&mac, fresh).is_err() {
                     table.heap.free(fresh, new_len);
                     if let Some(st) = op.state {
@@ -420,7 +427,7 @@ impl Access {
         let inplace = UntrustedHeap::fits_in_class(old_len, new_len);
         let at = if inplace { found.handle } else { table.heap.alloc(new_len) };
         if self.cfg.mac_bucket {
-            let mut dir = table.directory(bucket, self.cfg.mac_cap);
+            let mut dir = table.directory(bucket, self.cfg.mac_bucket_capacity);
             if dir.set_at(found.pos, &mac, at).is_err() {
                 if !inplace {
                     table.heap.free(at, new_len);
@@ -496,7 +503,7 @@ impl Access {
         // The side array first: it checks its nodes before it writes.
         if self.cfg.mac_bucket {
             table
-                .directory(bucket, self.cfg.mac_cap)
+                .directory(bucket, self.cfg.mac_bucket_capacity)
                 .remove_at(found.pos)
                 .map_err(|_| Error::IntegrityViolation { bucket })?;
         }

@@ -11,7 +11,7 @@ use sgx_sim::vclock;
 pub(super) fn shard_with(cfg: Config) -> Shard {
     let enclave = EnclaveBuilder::new("shard-test").epc_bytes(4 << 20).build();
     let keys = Arc::new(StoreKeys::generate(&enclave));
-    Shard::new(enclave, keys, ShardConfig::from_config(&cfg)).unwrap()
+    Shard::new(enclave, keys, cfg).unwrap()
 }
 
 /// Runs `op` under the default tenant, unmetered: how these tests drive a
@@ -144,11 +144,8 @@ fn key_hint_reduces_decryptions() {
     // whole chain; with hints it decrypts ~1/256 of it (Fig. 9).
     let n = 64u32;
     let mut with_hint = shard_with(Config::shield_opt().buckets(1).mac_hashes(1));
-    let mut without = shard_with(
-        Config { key_hint: false, two_step_search: false, ..Config::shield_opt() }
-            .buckets(1)
-            .mac_hashes(1),
-    );
+    let mut without =
+        shard_with(Config { key_hint: false, ..Config::shield_opt() }.buckets(1).mac_hashes(1));
     vclock::reset();
     for s in [&mut with_hint, &mut without] {
         for i in 0..n {

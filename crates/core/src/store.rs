@@ -11,7 +11,7 @@ use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::op::{Op, Reply};
 use crate::repl::Watermark;
-use crate::shard::{Shard, ShardConfig, StoreKeys};
+use crate::shard::{Shard, StoreKeys};
 use crate::stats::{OpStats, StatsSnapshot, TenantStat, MAX_TENANT_STATS};
 use crate::tenant::{TenantId, TenantRegistry, TenantState, DEFAULT_TENANT};
 use crate::ttl;
@@ -100,10 +100,9 @@ impl ShieldStore {
         keys: Arc<StoreKeys>,
         storage: Arc<dyn StorageFs>,
     ) -> Result<Self> {
-        let shard_cfg = ShardConfig::from_config(&config);
         let mut shards = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
-            let mut shard = Shard::new(Arc::clone(&enclave), Arc::clone(&keys), shard_cfg.clone())?;
+            let mut shard = Shard::new(Arc::clone(&enclave), Arc::clone(&keys), config.clone())?;
             if config.cache_bytes > 0 {
                 shard.enable_cache(config.cache_bytes / config.shards);
             }

@@ -68,6 +68,11 @@ pub fn thaw() {
     OFFSET.store(0, Ordering::SeqCst);
 }
 
+/// Held by the unit tests that move this process-wide clock, so they
+/// take turns.
+#[cfg(test)]
+pub(crate) static TEST_CLOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,6 +81,7 @@ mod tests {
     // so parallel-test interleavings cannot fight over it.
     #[test]
     fn freeze_advance_thaw() {
+        let _clock = TEST_CLOCK.lock().unwrap_or_else(|e| e.into_inner());
         thaw();
         let before = now_ns();
         assert!(before > 0, "wall clock is past the epoch");

@@ -4,9 +4,9 @@
 //!
 //! 1. **Namespace isolation** — for arbitrary op interleavings over N
 //!    tenants sharing one store (and deliberately sharing key *names*),
-//!    each tenant's view equals an independent shadow model. No write,
-//!    delete, append, or increment in one namespace is ever visible in
-//!    another.
+//!    the store equals the reference model (`shieldstore::model`), whose
+//!    tenants are separate namespaces. No write, delete, or append in one
+//!    namespace is ever visible in another.
 //! 2. **Cryptographic isolation** — a leaked tenant-A derived key pair
 //!    plus raw access to the untrusted entry bytes must neither decrypt
 //!    nor forge tenant-B entries: B's MACs fail under A's key, A's
@@ -23,9 +23,9 @@ use sgx_sim::enclave::EnclaveBuilder;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
 use shieldstore::entry;
+use shieldstore::model::Model;
 use shieldstore::testing::{EntryField, TamperOp};
 use shieldstore::{Config, Error, Op, Reply, ShieldStore};
-use std::collections::HashMap;
 
 fn store() -> ShieldStore {
     let enclave = EnclaveBuilder::new("tenant-isolation").epc_bytes(16 << 20).build();
@@ -70,64 +70,37 @@ fn key_name(key: u8) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    /// Every tenant's view tracks its own independent shadow model
-    /// under arbitrary interleavings over shared key names.
+    /// Every tenant's view is its own namespace of the model under
+    /// arbitrary interleavings over shared key names.
     #[test]
     fn tenant_views_match_independent_shadows(
         steps in pvec(step_strategy(3, 6), 1..120),
     ) {
         let s = store();
-        let mut shadows: HashMap<u32, HashMap<u8, Vec<u8>>> = HashMap::new();
+        let mut model = Model::default();
         for step in &steps {
-            match step {
-                Step::Set { tenant, key, val } => {
-                    s.execute(*tenant, Op::set(&key_name(*key), val)).unwrap();
-                    shadows.entry(*tenant).or_default().insert(*key, val.clone());
-                }
-                Step::Get { tenant, key } => {
-                    let want = shadows.get(tenant).and_then(|m| m.get(key));
-                    match s.execute(*tenant, Op::Get(&key_name(*key))).map(Reply::value) {
-                        Ok(Some(v)) => prop_assert_eq!(Some(&v), want),
-                        Ok(None) => prop_assert!(want.is_none()),
-                        Err(e) => return Err(TestCaseError::fail(format!("get: {e}"))),
-                    }
-                }
-                Step::Delete { tenant, key } => {
-                    let existed =
-                        shadows.get_mut(tenant).and_then(|m| m.remove(key)).is_some();
-                    match s.execute(*tenant, Op::Delete(&key_name(*key))).map(Reply::deleted) {
-                        Ok(true) => prop_assert!(existed),
-                        Ok(false) => prop_assert!(!existed),
-                        Err(e) => return Err(TestCaseError::fail(format!("delete: {e}"))),
-                    }
-                }
-                Step::Append { tenant, key, suffix } => {
-                    let shadow = shadows.entry(*tenant).or_default();
-                    match s.execute(*tenant, Op::Append { key: &key_name(*key), suffix }) {
-                        Ok(_) => {
-                            let v = shadow.entry(*key).or_default();
-                            v.extend_from_slice(suffix);
-                        }
-                        Err(Error::KeyNotFound) => {
-                            prop_assert!(!shadow.contains_key(key));
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("append: {e}"))),
-                    }
-                }
-            }
+            let (Step::Set { tenant, key, .. }
+            | Step::Get { tenant, key }
+            | Step::Delete { tenant, key }
+            | Step::Append { tenant, key, .. }) = step;
+            let key = key_name(*key);
+            let op = match step {
+                Step::Set { val, .. } => Op::set(&key, val),
+                Step::Get { .. } => Op::Get(&key),
+                Step::Delete { .. } => Op::Delete(&key),
+                Step::Append { suffix, .. } => Op::Append { key: &key, suffix },
+            };
+            let got = s.execute(*tenant, op).map_err(|e| TestCaseError::fail(format!("{op:?}: {e}")))?;
+            prop_assert_eq!(Some(got), model.apply(*tenant, op));
         }
-        // Final sweep: every tenant sees exactly its shadow, nothing of
-        // the others'.
+        // Final sweep: every tenant reads every shared name, and the
+        // store holds exactly the model.
         for tenant in 1..=3u32 {
-            let shadow = shadows.get(&tenant).cloned().unwrap_or_default();
             for key in 0..6u8 {
-                match s.execute(tenant, Op::Get(&key_name(key))).map(Reply::value) {
-                    Ok(Some(v)) => prop_assert_eq!(Some(&v), shadow.get(&key)),
-                    Ok(None) => prop_assert!(!shadow.contains_key(&key)),
-                    Err(e) => return Err(TestCaseError::fail(format!("final get: {e}"))),
-                }
+                model.apply(tenant, Op::Get(&key_name(key)));
             }
         }
+        model.check_store(&s).map_err(TestCaseError::fail)?;
     }
 
     /// A leaked tenant-A key pair plus raw entry access cannot decrypt
@@ -205,7 +178,7 @@ proptest! {
 
     /// Re-stitching a ciphertext into another namespace by flipping the
     /// plaintext tenant field is always detected: no tenant ever reads
-    /// a value its shadow does not hold.
+    /// a value that is not its own.
     #[test]
     fn tenant_field_tamper_never_crosses_namespaces(
         val_a in pvec(any::<u8>(), 1..32),

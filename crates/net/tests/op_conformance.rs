@@ -16,10 +16,11 @@
 //!   `RetryClient::execute` (default tenant): the client end of the same
 //!   codec, so a client-side decode bug fails this script too
 //!
-//! and every `Reply`/`Response` is checked against one oracle, a
-//! `BTreeMap<(tenant, key), (value, deadline)>`. Where the entry point
-//! logs (everything above the shard), recovering the run's WAL must
-//! reproduce the oracle too.
+//! and every `Reply`/`Response` is checked against the one reference
+//! model, [`shieldstore::model::Model`]: what a correct store answers,
+//! with `Caps::FLAT` for the default impl's single table. Where the entry
+//! point logs (everything above the shard), recovering the run's WAL must
+//! reproduce the model too.
 //!
 //! Folded into this table (every behaviour they checked is a row here):
 //! `shield_baseline::tests::shieldstore_satisfies_backend` and
@@ -28,11 +29,12 @@
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
-use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, OpError, Reply};
+use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, OpError, OpResult, Reply};
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{Request, Response, Status};
 use shield_net::repl::{ReplicaConfig, ReplicaNode};
 use shield_net::{CrossingMode, KvClient, NetError, Server, ServerConfig};
+use shieldstore::model::{Caps, Model};
 use shieldstore::{ttl, Config, DurabilityPolicy, Error, ShieldStore, Watermark};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -45,128 +47,6 @@ static CLOCK: Mutex<()> = Mutex::new(());
 const T0: u64 = 1_700_000_000_000_000_000;
 const LEASE_NS: u64 = 1_000_000;
 const TENANTS: [u32; 3] = [0, 7, 9];
-
-/// Why an entry point refused an op, at the granularity all of them
-/// can express.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Refusal {
-    ReadOnly,
-    Failed,
-}
-
-type Outcome = Result<Reply, Refusal>;
-
-// ---------------------------------------------------------------------
-// The oracle
-// ---------------------------------------------------------------------
-
-/// What the store under test can do; the oracle refuses the rest.
-#[derive(Clone, Copy)]
-struct Caps {
-    /// Tenants are separate namespaces (else one flat table).
-    namespaces: bool,
-    /// Nonzero deadlines are honoured (else they fail closed).
-    expiry: bool,
-    /// Ordered scans are served (else they fail closed).
-    scans: bool,
-}
-
-const SHIELD: Caps = Caps { namespaces: true, expiry: true, scans: true };
-const FLAT: Caps = Caps { namespaces: false, expiry: false, scans: false };
-
-#[derive(Clone)]
-struct Oracle {
-    caps: Caps,
-    map: BTreeMap<(u32, Vec<u8>), (Vec<u8>, u64)>,
-}
-
-impl Oracle {
-    fn new(caps: Caps) -> Self {
-        Oracle { caps, map: BTreeMap::new() }
-    }
-
-    fn slot(&self, tenant: u32, key: &[u8]) -> (u32, Vec<u8>) {
-        (if self.caps.namespaces { tenant } else { 0 }, key.to_vec())
-    }
-
-    /// The value a read of `key` sees now: absent and expired look alike.
-    fn live(&self, tenant: u32, key: &[u8]) -> Option<Vec<u8>> {
-        let (value, deadline) = self.map.get(&self.slot(tenant, key))?;
-        (*deadline == 0 || ttl::now_ns() < *deadline).then(|| value.clone())
-    }
-
-    fn scan(&self, tenant: u32, limit: usize, wanted: impl Fn(&[u8]) -> bool) -> Outcome {
-        if !self.caps.scans {
-            return Err(Refusal::Failed);
-        }
-        let owner = self.slot(tenant, b"").0;
-        let entries = self
-            .map
-            .keys()
-            .filter(|(t, key)| *t == owner && wanted(key))
-            .filter_map(|(_, key)| Some((key.clone(), self.live(tenant, key)?)))
-            .take(limit)
-            .collect();
-        Ok(Reply::Entries(entries))
-    }
-
-    /// Applies `op` to the model and says what a correct store answers.
-    fn apply(&mut self, tenant: u32, op: Op<'_>) -> Outcome {
-        if op.expires_at() != 0 && !self.caps.expiry {
-            return Err(Refusal::Failed);
-        }
-        match op {
-            Op::Get(key) => Ok(Reply::Value(self.live(tenant, key))),
-            Op::Exists(key) => Ok(Reply::Exists(self.live(tenant, key).is_some())),
-            Op::Set { key, value, expires_at } => {
-                self.map.insert(self.slot(tenant, key), (value.to_vec(), expires_at));
-                Ok(Reply::Stored)
-            }
-            // An expired entry answers "not there" and is left for the
-            // sweep; it is invisible either way.
-            Op::Delete(key) => {
-                let present = self.live(tenant, key).is_some();
-                if present {
-                    self.map.remove(&self.slot(tenant, key));
-                }
-                Ok(Reply::Deleted(present))
-            }
-            Op::Append { key, suffix } => {
-                let mut value = self.live(tenant, key).unwrap_or_default();
-                value.extend_from_slice(suffix);
-                self.map.insert(self.slot(tenant, key), (value.clone(), 0));
-                Ok(Reply::Appended(value))
-            }
-            Op::Increment { key, delta } => {
-                let current = match self.live(tenant, key) {
-                    Some(v) => std::str::from_utf8(&v)
-                        .ok()
-                        .and_then(|text| text.trim().parse::<i64>().ok())
-                        .ok_or(Refusal::Failed)?,
-                    None => 0,
-                };
-                let next = current.checked_add(delta).ok_or(Refusal::Failed)?;
-                self.map.insert(self.slot(tenant, key), (next.to_string().into_bytes(), 0));
-                Ok(Reply::Counter(next))
-            }
-            Op::MultiGet(keys) => {
-                Ok(Reply::Values(keys.iter().map(|key| self.live(tenant, key)).collect()))
-            }
-            Op::MultiSet { items, expires_at } => {
-                for (key, value) in items {
-                    self.map.insert(self.slot(tenant, key), (value.to_vec(), expires_at));
-                }
-                Ok(Reply::Stored)
-            }
-            Op::ScanRange { start, end, limit } => {
-                self.scan(tenant, limit, |key| start <= key && key < end)
-            }
-            Op::ScanPrefix { prefix, limit } => {
-                self.scan(tenant, limit, |key| key.starts_with(prefix))
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // The script
@@ -237,48 +117,44 @@ fn script(mut step: impl FnMut(u32, Op<'_>)) {
 }
 
 /// Drives the script through `exec`, checking every answer against a
-/// fresh oracle, and returns the oracle's final state.
-fn run_script(layer: &str, caps: Caps, mut exec: impl FnMut(u32, Op<'_>) -> Outcome) -> Oracle {
-    let mut oracle = Oracle::new(caps);
+/// fresh model, and returns the model's final state.
+fn run_script(
+    layer: &str,
+    caps: Caps,
+    mut exec: impl FnMut(u32, Op<'_>) -> Option<Reply>,
+) -> Model {
+    let mut model = Model::new(caps);
     let mut steps = 0;
     script(|tenant, op| {
         steps += 1;
-        let want = oracle.apply(tenant, op);
+        let want = model.apply(tenant, op);
         let got = exec(tenant, op);
         assert_eq!(got, want, "{layer}: step {steps}, tenant {tenant}, {op:?}");
     });
     assert!(steps > 100, "the table ran");
-    oracle
-}
-
-/// Reads every slot the oracle knows (and one it does not) back through
-/// `exec`: the store and the model agree on what is visible now.
-fn assert_state(layer: &str, oracle: &Oracle, mut exec: impl FnMut(u32, Op<'_>) -> Outcome) {
-    for tenant in TENANTS {
-        for (_, key) in oracle.map.keys() {
-            let want = oracle.live(tenant, key);
-            assert_eq!(exec(tenant, Op::Get(key)), Ok(Reply::Value(want)), "{layer}: {key:?}");
-        }
-        assert_eq!(exec(tenant, Op::Get(b"never-written")), Ok(Reply::Value(None)), "{layer}");
-    }
+    model
 }
 
 // ---------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------
 
-fn core_refusal(e: Error) -> Refusal {
-    match e {
-        Error::ValueNotNumeric | Error::NumericOverflow | Error::IndexDisabled => Refusal::Failed,
-        other => panic!("unexpected store error {other:?}"),
+/// A store's answer as the model states it: a refusal a correct store
+/// gives is `None`, and any other error fails the test.
+fn store_reply(result: shieldstore::Result<Reply>) -> Option<Reply> {
+    match result {
+        Ok(reply) => Some(reply),
+        Err(Error::ValueNotNumeric | Error::NumericOverflow | Error::IndexDisabled) => None,
+        Err(other) => panic!("unexpected store error {other:?}"),
     }
 }
 
-fn backend_refusal(e: OpError) -> Refusal {
-    match e {
-        OpError::ReadOnly => Refusal::ReadOnly,
-        OpError::Failed => Refusal::Failed,
-        other => panic!("unexpected backend error {other:?}"),
+/// [`store_reply`] for a `KvBackend`.
+fn backend_reply(result: OpResult<Reply>) -> Option<Reply> {
+    match result {
+        Ok(reply) => Some(reply),
+        Err(OpError::Failed) => None,
+        Err(other) => panic!("unexpected backend error {other:?}"),
     }
 }
 
@@ -317,17 +193,15 @@ impl Durable {
     }
 
     /// Crashes the store, recovers it from its log alone, and checks the
-    /// recovered state against the oracle.
-    fn assert_replay(self, layer: &str, oracle: &Oracle) {
+    /// recovered state against the model.
+    fn assert_replay(self, layer: &str, model: &Model) {
         let Durable { store, enclave, config, dir } = self;
         store.wal_handle().unwrap().simulate_crash();
         drop(store);
         let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
         let recovered =
             ShieldStore::recover(enclave, config, None, &counter, dir.join("wal")).unwrap();
-        assert_state(&format!("{layer} (WAL replay)"), oracle, |tenant, op| {
-            recovered.execute(tenant, op).map_err(core_refusal)
-        });
+        model.check_store(&recovered).unwrap_or_else(|e| panic!("{layer} (WAL replay): {e}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -356,15 +230,14 @@ fn lease(expires_at: u64) -> Option<u64> {
 /// Reads a wire answer as an entry point's outcome. The wire carries no
 /// value for an append (the shared codec answers an empty one), so the
 /// expected value is echoed; `run_wire` reads the key back instead.
-fn outcome(op: Op<'_>, answer: shield_net::Result<Reply>, want: &Outcome) -> Outcome {
+fn outcome(op: Op<'_>, answer: shield_net::Result<Reply>, want: &Option<Reply>) -> Option<Reply> {
     match answer {
         Ok(Reply::Appended(value)) => {
             assert!(value.is_empty(), "an append's value rode the wire");
             want.clone()
         }
-        Ok(reply) => Ok(reply),
-        Err(NetError::ReadOnly) => Err(Refusal::ReadOnly),
-        Err(NetError::Protocol(_)) => Err(Refusal::Failed),
+        Ok(reply) => Some(reply),
+        Err(NetError::Protocol(_)) => None,
         Err(e) => panic!("{op:?} failed: {e}"),
     }
 }
@@ -375,12 +248,12 @@ fn outcome(op: Op<'_>, answer: shield_net::Result<Reply>, want: &Outcome) -> Out
 fn run_wire(
     layer: &str,
     mut wire: impl FnMut(u32, Op<'_>) -> Option<shield_net::Result<Reply>>,
-    direct: impl Fn(u32, Op<'_>) -> Outcome,
-) -> Oracle {
-    let mut oracle = Oracle::new(SHIELD);
+    direct: impl Fn(u32, Op<'_>) -> Option<Reply>,
+) -> Model {
+    let mut model = Model::default();
     let mut framed = 0;
     script(|tenant, op| {
-        let want = oracle.apply(tenant, op);
+        let want = model.apply(tenant, op);
         let got = match wire(tenant, op) {
             Some(answer) => {
                 framed += 1;
@@ -389,7 +262,7 @@ fn run_wire(
             None => direct(tenant, op),
         };
         assert_eq!(got, want, "{layer}: tenant {tenant}, {op:?}");
-        if let (Op::Append { key, .. }, Ok(Reply::Appended(value))) = (op, &want) {
+        if let (Op::Append { key, .. }, Some(Reply::Appended(value))) = (op, &want) {
             if let Some(read) = wire(tenant, Op::Get(key)) {
                 let read = read.unwrap();
                 assert_eq!(read, Reply::Value(Some(value.clone())), "{layer}: append landed");
@@ -397,7 +270,7 @@ fn run_wire(
         }
     });
     assert!(framed > 25, "the table rode the wire");
-    oracle
+    model
 }
 
 /// Serves `op` as a frame through `call`, answering through the shared
@@ -430,10 +303,10 @@ fn shard_execute_conforms() {
     let store = ShieldStore::new(enclave, store_config(1)).unwrap();
     let exec = |tenant: u32, op: Op<'_>| {
         let state = store.tenants().state(tenant);
-        store.with_shard(0, |shard| shard.execute(tenant, Some(&state), op)).map_err(core_refusal)
+        store_reply(store.with_shard(0, |shard| shard.execute(tenant, Some(&state), op)))
     };
-    let oracle = run_script("Shard::execute", SHIELD, exec);
-    assert_state("Shard::execute", &oracle, exec);
+    let model = run_script("Shard::execute", Caps::SHIELD, exec);
+    model.check_reads(store.len(), |t, op| exec(t, op).ok_or(())).expect("Shard::execute");
     ttl::thaw();
 }
 
@@ -442,11 +315,11 @@ fn store_execute_conforms_and_replays() {
     let _clock = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
     let durable = Durable::new("store", 4);
     let store = Arc::clone(&durable.store);
-    let exec = |tenant: u32, op: Op<'_>| store.execute(tenant, op).map_err(core_refusal);
-    let oracle = run_script("ShieldStore::execute", SHIELD, exec);
-    assert_state("ShieldStore::execute", &oracle, exec);
+    let model =
+        run_script("ShieldStore::execute", Caps::SHIELD, |t, op| store_reply(store.execute(t, op)));
+    model.check_store(&store).expect("ShieldStore::execute");
     drop(store);
-    durable.assert_replay("ShieldStore::execute", &oracle);
+    durable.assert_replay("ShieldStore::execute", &model);
     ttl::thaw();
 }
 
@@ -457,15 +330,17 @@ fn backend_execute_conforms_and_replays() {
     let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
     assert_eq!(backend.name(), "ShieldStore");
     assert!(backend.is_empty());
-    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op).map_err(backend_refusal);
-    let oracle = run_script("KvBackend::execute(ShieldStore)", SHIELD, exec);
-    assert_state("KvBackend::execute(ShieldStore)", &oracle, exec);
+    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op);
+    let mut model = run_script("KvBackend::execute(ShieldStore)", Caps::SHIELD, |t, op| {
+        backend_reply(exec(t, op))
+    });
+    model.check_reads(backend.len(), exec).expect("KvBackend::execute(ShieldStore)");
     // The three primitives are the default tenant's view of the same table.
-    assert_eq!(backend.get(b"log"), oracle.live(0, b"log"));
+    assert_eq!(Some(Reply::Value(backend.get(b"log"))), model.apply(0, Op::Get(b"log")));
     assert!(backend.delete(b"log") && !backend.delete(b"log") && !backend.is_empty());
     assert!(backend.set(b"log", b"ab"));
     drop(backend);
-    durable.assert_replay("KvBackend::execute(ShieldStore)", &oracle);
+    durable.assert_replay("KvBackend::execute(ShieldStore)", &model);
     ttl::thaw();
 }
 
@@ -475,11 +350,10 @@ fn default_backend_execute_conforms() {
     // The default impl: three primitives, one flat table, and everything
     // they cannot express — deadlines, ordered scans — fails closed.
     let naive = NaiveEnclaveStore::insecure(64);
-    let backend: &dyn KvBackend = &naive;
-    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op).map_err(backend_refusal);
-    let oracle = run_script("KvBackend::execute(default)", FLAT, exec);
-    assert_state("KvBackend::execute(default)", &oracle, exec);
-    assert!(oracle.map.values().all(|(_, deadline)| *deadline == 0), "no lease was accepted");
+    let exec = |tenant: u32, op: Op<'_>| KvBackend::execute(&naive, tenant, op);
+    let model =
+        run_script("KvBackend::execute(default)", Caps::FLAT, |t, op| backend_reply(exec(t, op)));
+    model.check_reads(naive.len(), exec).expect("KvBackend::execute(default)");
     ttl::thaw();
 }
 
@@ -491,16 +365,16 @@ fn server_execute_conforms_and_replays() {
     // tenants ride live tenant-bound sessions below.
     let durable = Durable::new("server-fn", 4);
     let backend: Arc<dyn KvBackend> = Arc::clone(&durable.store) as _;
-    let oracle = run_wire(
+    let model = run_wire(
         "server::execute",
         |tenant, op| {
             let serve = |request: &Request| Ok(shield_net::server::execute(&*backend, request));
             (tenant == 0).then(|| framed(op, serve)).flatten()
         },
-        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+        |tenant, op| backend_reply(backend.execute(tenant, op)),
     );
     drop(backend);
-    durable.assert_replay("server::execute", &oracle);
+    durable.assert_replay("server::execute", &model);
     ttl::thaw();
 }
 
@@ -526,10 +400,10 @@ fn live_tenant_sessions_conform_and_replay() {
             (tenant, client.unwrap())
         })
         .collect();
-    let oracle = run_wire(
+    let mut model = run_wire(
         "live session",
         |tenant, op| framed(op, |request| sessions.get_mut(&tenant).unwrap().call(request)),
-        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+        |tenant, op| backend_reply(backend.execute(tenant, op)),
     );
 
     // The wire's two TTL conventions stay as they were: a relative TTL
@@ -547,9 +421,8 @@ fn live_tenant_sessions_conform_and_replay() {
     drop(sessions);
     server.shutdown();
     drop(backend);
-    let mut oracle = oracle;
-    oracle.map.insert((0, b"zero-ttl".to_vec()), (b"forever".to_vec(), 0));
-    durable.assert_replay("live session", &oracle);
+    model.apply(0, Op::set(b"zero-ttl", b"forever"));
+    durable.assert_replay("live session", &model);
     ttl::thaw();
 }
 
@@ -578,7 +451,7 @@ fn client_execute_conforms_and_replays() {
             (tenant, client.unwrap())
         })
         .collect();
-    let oracle = run_wire(
+    let model = run_wire(
         "KvClient::execute",
         |tenant, op| {
             let session = sessions.get_mut(&tenant).unwrap();
@@ -591,12 +464,12 @@ fn client_execute_conforms_and_replays() {
                 op => Request::from_op(op).is_ok().then(|| session.execute(op)),
             }
         },
-        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+        |tenant, op| backend_reply(backend.execute(tenant, op)),
     );
     drop(sessions);
     server.shutdown();
     drop(backend);
-    durable.assert_replay("KvClient::execute", &oracle);
+    durable.assert_replay("KvClient::execute", &model);
     ttl::thaw();
 }
 
@@ -606,17 +479,17 @@ fn retry_client_execute_conforms() {
     let (durable, backend, server, verifier) = live("retry-execute");
     let connector = Connector::Secure { addr: server.addr(), verifier, seed: 70 };
     let mut client = RetryClient::new(connector, RetryPolicy::default());
-    let oracle = run_wire(
+    let model = run_wire(
         "RetryClient::execute",
         |tenant, op| (tenant == 0 && Request::from_op(op).is_ok()).then(|| client.execute(op)),
-        |tenant, op| backend.execute(tenant, op).map_err(backend_refusal),
+        |tenant, op| backend_reply(backend.execute(tenant, op)),
     );
     // Every refusal in the script was an answer on a healthy session.
     assert_eq!((client.retries(), client.reconnects()), (0, 0));
     drop(client);
     server.shutdown();
     drop(backend);
-    durable.assert_replay("RetryClient::execute", &oracle);
+    durable.assert_replay("RetryClient::execute", &model);
     ttl::thaw();
 }
 
@@ -660,11 +533,11 @@ fn replica_backend_is_read_only_then_conforms() {
         },
     )
     .unwrap();
-    let backend = node.backend();
-    let exec = |tenant: u32, op: Op<'_>| backend.execute(tenant, op).map_err(backend_refusal);
+    let replica = node.backend();
+    let exec = |tenant: u32, op: Op<'_>| replica.execute(tenant, op);
 
     // Seed the primary in every namespace and let the replica stream it.
-    let mut seeded = Oracle::new(SHIELD);
+    let mut seeded = Model::default();
     for tenant in TENANTS {
         let value = format!("seed@{tenant}").into_bytes();
         for op in [Op::set(b"seeded", &value), Op::set(b"n", b"7")] {
@@ -693,30 +566,35 @@ fn replica_backend_is_read_only_then_conforms() {
     ];
     for tenant in TENANTS {
         for op in probes {
-            let want = if op.is_write() {
-                Err(Refusal::ReadOnly)
-            } else {
-                seeded.clone().apply(tenant, op)
-            };
-            assert_eq!(exec(tenant, op), want, "read-only replica: tenant {tenant}, {op:?}");
+            let got = exec(tenant, op);
+            match op.is_write() {
+                true => assert_eq!(got, Err(OpError::ReadOnly), "read-only replica: {op:?}"),
+                false => assert_eq!(
+                    backend_reply(got),
+                    seeded.apply(tenant, op),
+                    "read-only replica: {op:?}"
+                ),
+            }
         }
     }
-    assert!(!backend.set(b"seeded", b"clobbered") && !backend.delete(b"seeded"));
-    assert_state("read-only replica", &seeded, exec);
+    assert!(!replica.set(b"seeded", b"clobbered") && !replica.delete(b"seeded"));
+    seeded.check_reads(replica.len(), exec).expect("read-only replica");
 
     // Promoted: the full table, like any primary. The seeds are in the
     // way of the script's first reads, so clear them first.
     primary_server.shutdown();
-    backend.promote().expect("promotion");
+    replica.promote().expect("promotion");
     for tenant in TENANTS {
         for key in [b"seeded".as_slice(), b"n"] {
             assert_eq!(exec(tenant, Op::Delete(key)), Ok(Reply::Deleted(true)));
         }
     }
-    let oracle = run_script("KvBackend::execute(promoted replica)", SHIELD, exec);
-    assert_state("KvBackend::execute(promoted replica)", &oracle, exec);
+    let model = run_script("KvBackend::execute(promoted replica)", Caps::SHIELD, |t, op| {
+        backend_reply(exec(t, op))
+    });
+    model.check_reads(replica.len(), exec).expect("KvBackend::execute(promoted replica)");
 
-    drop(backend);
+    drop(replica);
     node.shutdown();
     let _ = std::fs::remove_dir_all(&primary.dir);
     let _ = std::fs::remove_dir_all(&replica_wal);

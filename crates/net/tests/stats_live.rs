@@ -1,5 +1,6 @@
 //! Live-server stats tests: server-side counters must agree exactly with
-//! a client-side shadow count over a mixed workload, and snapshots taken
+//! a client-side shadow count over a mixed workload (every reply checked
+//! against the reference model, `shieldstore::model`), and snapshots taken
 //! while other clients hammer the store must stay monotone and
 //! self-consistent.
 //!
@@ -10,7 +11,8 @@ use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_net::client::KvClient;
 use shield_net::server::{CrossingMode, Server, ServerConfig};
-use std::collections::HashMap;
+use shieldstore::model::Model;
+use shieldstore::Op;
 use std::sync::Arc;
 
 fn start_server(name: &str, workers: usize) -> (Arc<Enclave>, Server) {
@@ -71,7 +73,6 @@ struct Shadow {
     batch_calls: u64,
     single_gets: u64,
     single_sets: u64,
-    model: HashMap<Vec<u8>, Vec<u8>>,
 }
 
 #[test]
@@ -81,6 +82,12 @@ fn stats_totals_match_shadow_count() {
     let mut client = connect(&enclave, &server, 11);
     let mut rng = Rng(0x5eed);
     let mut shadow = Shadow::default();
+    let mut model = Model::default();
+    let mut exec = |client: &mut KvClient, op: Op<'_>| {
+        let reply = client.execute(op).unwrap();
+        assert_eq!(Some(&reply), model.apply(0, op).as_ref(), "model diverged on {op:?}");
+        reply
+    };
 
     let mut issued = 0u64;
     while issued < total_ops {
@@ -89,18 +96,16 @@ fn stats_totals_match_shadow_count() {
         if roll < 40 {
             // Single set.
             let value = format!("v{issued}").into_bytes();
-            client.set(&key, &value).unwrap();
+            exec(&mut client, Op::set(&key, &value));
             shadow.sets += 1;
             shadow.single_sets += 1;
-            shadow.model.insert(key, value);
             issued += 1;
         } else if roll < 80 {
-            // Single get; hit/miss tracked against the model.
-            let got = client.get(&key).unwrap();
-            assert_eq!(got.as_ref(), shadow.model.get(&key), "model diverged on get");
+            // Single get: a hit or a miss, as the model says.
+            let hit = exec(&mut client, Op::Get(&key)).value().is_some();
             shadow.gets += 1;
             shadow.single_gets += 1;
-            if got.is_some() {
+            if hit {
                 shadow.hits += 1;
             } else {
                 shadow.misses += 1;
@@ -108,8 +113,7 @@ fn stats_totals_match_shadow_count() {
             issued += 1;
         } else if roll < 90 {
             // Single delete.
-            let deleted = client.delete(&key).unwrap();
-            assert_eq!(deleted, shadow.model.remove(&key).is_some(), "model diverged on delete");
+            let deleted = exec(&mut client, Op::Delete(&key)).deleted();
             shadow.deletes += 1;
             if deleted {
                 shadow.hits += 1;
@@ -121,9 +125,8 @@ fn stats_totals_match_shadow_count() {
             // Batched get of 8 keys (some present, some absent).
             let keys: Vec<Vec<u8>> =
                 (0..8).map(|_| format!("k{}", rng.next() % 768).into_bytes()).collect();
-            let results = client.multi_get(&keys).unwrap();
-            for (key, got) in keys.iter().zip(&results) {
-                assert_eq!(got.as_ref(), shadow.model.get(key), "model diverged on multi_get");
+            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            for got in exec(&mut client, Op::MultiGet(&refs)).values() {
                 shadow.gets += 1;
                 shadow.batch_ops += 1;
                 if got.is_some() {
@@ -144,12 +147,10 @@ fn stats_totals_match_shadow_count() {
                     )
                 })
                 .collect();
-            client.multi_set(&items).unwrap();
-            for (key, value) in &items {
-                shadow.sets += 1;
-                shadow.batch_ops += 1;
-                shadow.model.insert(key.clone(), value.clone());
-            }
+            let pairs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+            exec(&mut client, Op::MultiSet { items: &pairs, expires_at: 0 });
+            shadow.sets += 8;
+            shadow.batch_ops += 8;
             shadow.batch_calls += 1;
             issued += items.len() as u64;
         }
@@ -165,7 +166,6 @@ fn stats_totals_match_shadow_count() {
     assert_eq!(snap.ops.hits, shadow.hits, "hits");
     assert_eq!(snap.ops.misses, shadow.misses, "misses");
     assert_eq!(snap.ops.batch_ops, shadow.batch_ops, "batch_ops");
-    assert_eq!(snap.entries, shadow.model.len() as u64, "live entries");
 
     // Histogram sample counts line up with the per-call breakdown. A
     // client batch fans out to one shard-level batch per shard touched.
@@ -184,6 +184,10 @@ fn stats_totals_match_shadow_count() {
             assert!(h.max_ns() > 0, "{name}: nonzero max");
         }
     }
+
+    // The server holds exactly the model, `snap.entries` of them (read
+    // back after the counters were compared, since the reads count too).
+    model.check_reads(snap.entries as usize, |_, op| client.execute(op)).unwrap();
 
     drop(client);
     server.shutdown();

@@ -8,8 +8,8 @@ use shield_baseline::KvBackend;
 use shield_net::client::KvClient;
 use shield_net::server::{CrossingMode, Server, ServerConfig};
 use shield_workload::{make_key, make_value, Generator, Op, Spec};
+use shieldstore::model::Model;
 use shieldstore::{Config, ShieldStore};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 fn store(buckets: usize, shards: usize, seed: u64) -> Arc<ShieldStore> {
@@ -23,44 +23,31 @@ fn store(buckets: usize, shards: usize, seed: u64) -> Arc<ShieldStore> {
     )
 }
 
-/// The store must agree with a plain HashMap across a long, mixed,
+/// The store must agree with the reference model across a long, mixed,
 /// workload-generated operation sequence.
 #[test]
 fn store_matches_reference_model_under_workload() {
     let store = store(512, 2, 1);
-    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut model = Model::default();
+    let mut check = |op: shieldstore::Op<'_>, step: u64| {
+        let got = store.execute(0, op).unwrap_or_else(|e| panic!("step {step}: {e}"));
+        assert_eq!(Some(got), model.apply(0, op), "step {step}");
+    };
     let mut generator = Generator::new(Spec::by_name("RD50_Z").unwrap(), 500, 7);
 
     for step in 0..5_000u64 {
         let op = generator.next_op();
-        let id = op.key_id();
-        let key = make_key(id, 16);
+        let (key, value) = (make_key(op.key_id(), 16), make_value(op.key_id(), step, 64));
         match op {
-            Op::Get(_) => {
-                let expect = model.get(&key);
-                match store.get(&key) {
-                    Ok(v) => assert_eq!(Some(&v), expect, "step {step}"),
-                    Err(shieldstore::Error::KeyNotFound) => {
-                        assert!(expect.is_none(), "step {step}")
-                    }
-                    Err(e) => panic!("unexpected error at step {step}: {e}"),
-                }
-            }
-            _ => {
-                let value = make_value(id, step, 64);
-                store.set(&key, &value).unwrap();
-                model.insert(key, value);
-            }
+            Op::Get(_) => check(shieldstore::Op::Get(&key), step),
+            _ => check(shieldstore::Op::set(&key, &value), step),
         }
         // Interleave deletes to exercise unlink paths.
         if step % 37 == 0 {
-            let victim = make_key(generator.next_key(), 16);
-            let in_model = model.remove(&victim).is_some();
-            let in_store = store.delete(&victim).is_ok();
-            assert_eq!(in_model, in_store, "delete divergence at step {step}");
+            check(shieldstore::Op::Delete(&make_key(generator.next_key(), 16)), step);
         }
     }
-    assert_eq!(store.len(), model.len());
+    model.check_store(&store).unwrap();
 }
 
 /// Snapshot mid-workload, keep mutating, restore, and verify the
@@ -75,12 +62,11 @@ fn snapshot_captures_consistent_point_in_time() {
     let counter = PersistentCounter::open(&ctr_path).unwrap();
 
     let s = store(256, 2, 11);
-    let mut frozen_state: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut frozen_state = Model::default();
     for i in 0..400u64 {
-        let key = make_key(i, 16);
-        let value = make_value(i, 0, 32);
+        let (key, value) = (make_key(i, 16), make_value(i, 0, 32));
         s.set(&key, &value).unwrap();
-        frozen_state.insert(key, value);
+        frozen_state.apply(0, shieldstore::Op::set(&key, &value));
     }
 
     let job = s.snapshot_background(&snap, &counter).unwrap();
@@ -101,11 +87,7 @@ fn snapshot_captures_consistent_point_in_time() {
         &counter,
     )
     .unwrap();
-    assert_eq!(restored.len(), frozen_state.len());
-    for (key, value) in &frozen_state {
-        assert_eq!(&restored.get(key).unwrap(), value);
-    }
-    assert_eq!(restored.get(b"new-post-freeze"), Err(shieldstore::Error::KeyNotFound));
+    frozen_state.check_store(&restored).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -136,26 +118,19 @@ fn networked_workload_round_trip() {
         AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
 
     let mut client = KvClient::connect_secure(server.addr(), &verifier, 5).unwrap();
-    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut model = Model::default();
     let mut generator = Generator::new(Spec::by_name("RD50_U").unwrap(), 100, 3);
     for step in 0..1_000u64 {
         let op = generator.next_op();
-        let key = make_key(op.key_id(), 16);
-        match op {
-            Op::Get(_) => {
-                assert_eq!(client.get(&key).unwrap().as_ref(), model.get(&key), "step {step}");
-            }
-            _ => {
-                let value = make_value(op.key_id(), step, 48);
-                client.set(&key, &value).unwrap();
-                model.insert(key, value);
-            }
-        }
+        let (key, value) = (make_key(op.key_id(), 16), make_value(op.key_id(), step, 48));
+        let op = match op {
+            Op::Get(_) => shieldstore::Op::Get(&key),
+            _ => shieldstore::Op::set(&key, &value),
+        };
+        assert_eq!(Some(client.execute(op).unwrap()), model.apply(0, op), "step {step}");
     }
     // The server-side store agrees with what the client built.
-    for (key, value) in &model {
-        assert_eq!(&ShieldStore::get(&s, key).unwrap(), value);
-    }
+    model.check_store(&s).unwrap();
     drop(client);
     server.shutdown();
 }

@@ -1,12 +1,13 @@
-//! Property-based tests over the full stack: the store against a model,
+//! Property-based tests over the full stack: the store against the
+//! reference model (`shieldstore::model`),
 //! codec roundtrips under arbitrary inputs, and crypto invariants at the
 //! integration level.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use sgx_sim::enclave::EnclaveBuilder;
-use shieldstore::{Config, Error, ShieldStore};
-use std::collections::HashMap;
+use shieldstore::model::Model;
+use shieldstore::{Config, Error, Op, ShieldStore};
 use std::sync::Arc;
 
 fn tiny_store(seed: u64, key_hint: bool, mac_bucket: bool) -> Arc<ShieldStore> {
@@ -14,7 +15,7 @@ fn tiny_store(seed: u64, key_hint: bool, mac_bucket: bool) -> Arc<ShieldStore> {
     Arc::new(
         ShieldStore::new(
             enclave,
-            Config { key_hint, two_step_search: key_hint, mac_bucket, ..Config::shield_opt() }
+            Config { key_hint, mac_bucket, ..Config::shield_opt() }
                 // Few buckets: collisions and long chains on purpose.
                 .buckets(8)
                 .mac_hashes(4)
@@ -24,7 +25,7 @@ fn tiny_store(seed: u64, key_hint: bool, mac_bucket: bool) -> Arc<ShieldStore> {
     )
 }
 
-/// An operation in the model-based test.
+/// An operation in the model-based test (owned, as proptest needs).
 #[derive(Debug, Clone)]
 enum ModelOp {
     Set(Vec<u8>, Vec<u8>),
@@ -67,40 +68,24 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// Under any operation sequence, every optimization configuration of
-    /// the store behaves exactly like a HashMap.
+    /// the store behaves exactly like the model.
     #[test]
     fn store_equals_model(ops in pvec(op_strategy(), 1..120), key_hint: bool, mac_bucket: bool) {
         let store = tiny_store(1, key_hint, mac_bucket);
-        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-        for op in ops {
-            match op {
-                ModelOp::Set(k, v) => {
-                    store.set(&k, &v).unwrap();
-                    model.insert(k, v);
-                }
-                ModelOp::Get(k) => {
-                    match store.get(&k) {
-                        Ok(v) => prop_assert_eq!(Some(&v), model.get(&k)),
-                        Err(Error::KeyNotFound) => prop_assert!(!model.contains_key(&k)),
-                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-                    }
-                }
-                ModelOp::Delete(k) => {
-                    let expected = model.remove(&k).is_some();
-                    let got = store.delete(&k).is_ok();
-                    prop_assert_eq!(expected, got);
-                }
-                ModelOp::Append(k, s) => {
-                    store.append(&k, &s).unwrap();
-                    model.entry(k).or_default().extend_from_slice(&s);
-                }
-            }
-            prop_assert_eq!(store.len(), model.len());
+        let mut model = Model::default();
+        for op in &ops {
+            let op = match op {
+                ModelOp::Set(k, v) => Op::set(k, v),
+                ModelOp::Get(k) => Op::Get(k),
+                ModelOp::Delete(k) => Op::Delete(k),
+                ModelOp::Append(k, s) => Op::Append { key: k, suffix: s },
+            };
+            let got = store.execute(0, op).map_err(|e| TestCaseError::fail(format!("{op:?}: {e}")))?;
+            prop_assert_eq!(Some(got), model.apply(0, op));
+            prop_assert!(model.entries().contains(&store.len()));
         }
         // Final sweep: everything matches.
-        for (k, v) in &model {
-            prop_assert_eq!(&store.get(k).unwrap(), v);
-        }
+        model.check_store(&store).map_err(TestCaseError::fail)?;
     }
 
     /// Snapshot + restore is lossless for any contents, and exercises
@@ -120,19 +105,16 @@ proptest! {
         let cfg = || Config::shield_opt().buckets(16).mac_hashes(8).with_shards(2);
         let enclave = EnclaveBuilder::new("prop-snap").epc_bytes(2 << 20).seed(seed).build();
         let store = ShieldStore::new(enclave, cfg()).unwrap();
-        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-        for (k, v) in entries {
-            store.set(&k, &v).unwrap();
-            model.insert(k, v);
+        let mut model = Model::default();
+        for (k, v) in &entries {
+            store.set(k, v).unwrap();
+            model.apply(0, Op::set(k, v));
         }
         store.snapshot_blocking(&snap, &ctr).unwrap();
 
         let enclave = EnclaveBuilder::new("prop-snap").epc_bytes(2 << 20).seed(seed).build();
         let restored = ShieldStore::restore(enclave, cfg(), &snap, &ctr).unwrap();
-        prop_assert_eq!(restored.len(), model.len());
-        for (k, v) in &model {
-            prop_assert_eq!(&restored.get(k).unwrap(), v);
-        }
+        model.check_store(&restored).map_err(TestCaseError::fail)?;
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,7 +3,7 @@
 //! Each rule keeps one design decision from quietly growing back: one
 //! bench stack, `unsafe` in three audited files, one chain walker, one
 //! reader of sealed-log bytes, listed handles that only ever reach a
-//! hint, one stat list, and one wire codec. The rules walk the source
+//! hint, one stat list, one wire codec, and one reference model. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -274,6 +274,26 @@ fn kv_opcodes_only_in_protocol(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// A key-value reference model is defined once, in
+/// `crates/core/src/model.rs`: no harness keeps a private map of what the
+/// store should hold. `cache_and_fuzz.rs` models the LRU cache, not the
+/// store, and this file names the patterns it looks for.
+fn one_reference_model(tree: &Tree) -> Vec<String> {
+    const SHADOWS: [&str; 4] = [
+        "HashMap<Vec<u8>, Vec<u8>>",
+        "BTreeMap<(u32, Vec<u8>)",
+        "struct ShadowModel",
+        "struct Oracle",
+    ];
+    const EXEMPT: [&str; 2] = ["crates/core/tests/cache_and_fuzz.rs", "tests/structure.rs"];
+    let crate_tests = tree.under("crates/").filter(|f| f.path.split('/').nth(2) == Some("tests"));
+    let harnesses =
+        tree.under("crates/adversary/src").chain(crate_tests).chain(tree.under("tests/"));
+    hits(harnesses.filter(|f| !EXEMPT.contains(&f.path.as_str())), |l| {
+        SHADOWS.iter().any(|shadow| l.contains(shadow))
+    })
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -389,4 +409,23 @@ fn kv_opcodes_are_named_only_in_protocol() {
         )
         .with("crates/net/src/repl.rs", "let op = OpCode::ReplSegment;");
     assert!(kv_opcodes_only_in_protocol(&allowed).is_empty());
+}
+
+#[test]
+fn one_reference_model_holds() {
+    check(
+        one_reference_model,
+        "a second key-value reference model is growing; check against shieldstore::model::Model",
+        &[
+            (
+                "crates/adversary/src/walphase.rs",
+                "let mut shadow: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();",
+            ),
+            (
+                "crates/net/tests/op_conformance.rs",
+                "struct Oracle { map: BTreeMap<(u32, Vec<u8>), (Vec<u8>, u64)> }",
+            ),
+            ("tests/end_to_end.rs", "pub struct ShadowModel {"),
+        ],
+    );
 }
