@@ -46,15 +46,6 @@ pub enum DurabilityPolicy {
         /// Operations per group commit (must be positive).
         usize,
     ),
-    /// Commit when a write arrives and the oldest buffered operation has
-    /// waited at least this long — a time bound on the durability window
-    /// instead of an operation count. The bound is enforced by the *next*
-    /// write (there is no background timer), so it only holds under
-    /// continuous write traffic: trailing operations buffered before an
-    /// idle period stay unflushed until another write arrives or
-    /// [`crate::ShieldStore::flush_wal`] is called. Flush explicitly
-    /// before going idle.
-    Interval(std::time::Duration),
     /// Commit every operation before acknowledging it. Recovery is exact:
     /// no acknowledged write is ever lost.
     Strict,

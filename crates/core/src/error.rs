@@ -128,6 +128,15 @@ impl From<std::io::Error> for Error {
     }
 }
 
+/// A snapshot file the byte cursor refused fails its restore. The log's
+/// formats map a refusal to their own verdicts instead.
+impl From<sgx_sim::bytes::Malformed> for Error {
+    #[cold]
+    fn from(m: sgx_sim::bytes::Malformed) -> Self {
+        Error::Persistence(m.to_string())
+    }
+}
+
 /// Convenience result alias.
 pub type Result<T> = core::result::Result<T, Error>;
 

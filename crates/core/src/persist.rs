@@ -25,11 +25,12 @@ use crate::error::{Error, Result};
 use crate::shard::StoreKeys;
 use crate::store::ShieldStore;
 use crate::table::TableCtx;
+use sgx_sim::bytes::{Reader, Writer};
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::seal;
 use sgx_sim::storage::{OpenMode, RealFs, StorageFs};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -39,60 +40,12 @@ use std::sync::Arc;
 // predate per-tenant sealing and cannot be re-keyed offline.
 const MAGIC: &[u8; 8] = b"SSSNAP02";
 
-// Upper bounds on length fields read from the (untrusted) snapshot file.
-// A corrupted or hostile length must fail the restore with an error, not
-// drive a multi-gigabyte allocation.
+// Upper bounds on length fields read from the (untrusted) snapshot file:
+// a claim past them is refused before anything is unsealed or opened.
 /// Sealed metadata blob: keys + per-shard MAC hash arrays.
 const MAX_SEALED_LEN: usize = 1 << 24;
-/// One shard's exported MAC hash array.
-const MAX_MAC_ARRAY_LEN: usize = 1 << 24;
 /// One serialized entry (header + key + value ciphertext).
 const MAX_ENTRY_LEN: usize = 1 << 26;
-
-fn write_u32(w: &mut impl Write, v: u32) -> std::io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> std::io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_vec(r: &mut impl Read, len: usize, limit: usize) -> Result<Vec<u8>> {
-    if len > limit {
-        return Err(Error::Persistence(format!("snapshot field of {len} bytes exceeds limit")));
-    }
-    let mut v = vec![0u8; len];
-    r.read_exact(&mut v).map_err(Error::from)?;
-    Ok(v)
-}
-
-/// Reads the monotonic-counter value a snapshot file claims in its
-/// header. The claim is untrusted until [`ShieldStore::restore`] checks
-/// it against the sealed metadata; recovery only uses it to select which
-/// write-ahead-log generation must accompany the snapshot, and a lie
-/// surfaces as a rollback error there.
-pub(crate) fn snapshot_counter(path: &Path) -> Result<u64> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(Error::from)?;
-    if &magic != MAGIC {
-        return Err(Error::Persistence("bad snapshot magic".into()));
-    }
-    read_u64(&mut r).map_err(Error::from)
-}
 
 /// Sealed per-snapshot metadata (serialized, then sealed as one blob).
 struct Metadata {
@@ -104,33 +57,21 @@ struct Metadata {
 
 impl Metadata {
     fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.counter.to_le_bytes());
-        for k in &self.raw_keys {
-            out.extend_from_slice(k);
-        }
-        out.extend_from_slice(&(self.mac_arrays.len() as u32).to_le_bytes());
-        for arr in &self.mac_arrays {
-            out.extend_from_slice(&(arr.len() as u32).to_le_bytes());
-            out.extend_from_slice(arr);
-        }
-        out
+        let w = &mut Writer::default();
+        w.u64(self.counter).bytes(self.raw_keys.as_flattened()).length(self.mac_arrays.len());
+        self.mac_arrays.iter().fold(w, |w, macs| w.slice(macs)).done()
     }
 
     fn deserialize(bytes: &[u8]) -> Result<Self> {
-        let mut r = bytes;
-        let counter = read_u64(&mut r)?;
-        let mut raw_keys = [[0u8; 16]; 5];
-        for k in raw_keys.iter_mut() {
-            r.read_exact(k).map_err(Error::from)?;
-        }
-        let n = read_u32(&mut r)? as usize;
-        let mut mac_arrays = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = read_u32(&mut r)? as usize;
-            mac_arrays.push(read_vec(&mut r, len, MAX_MAC_ARRAY_LEN)?);
-        }
-        Ok(Self { counter, raw_keys, mac_arrays })
+        Reader::whole(bytes, "snapshot metadata", |r| {
+            let counter = r.u64()?;
+            let mut raw_keys = [[0u8; 16]; 5];
+            for key in &mut raw_keys {
+                *key = r.array()?;
+            }
+            let mac_arrays = r.batch(4, |r| r.slice().map(<[u8]>::to_vec))?;
+            Ok(Self { counter, raw_keys, mac_arrays })
+        })
     }
 }
 
@@ -140,16 +81,15 @@ impl Metadata {
 /// fails the snapshot: a file that silently lacks entries must not be
 /// published.
 pub(crate) fn write_table(w: &mut impl Write, table: &TableCtx) -> Result<()> {
-    write_u64(w, table.count as u64)?;
+    let mut prefix = Writer::default();
+    prefix.u64(table.count as u64).drain_into(w)?;
     for (bucket, link) in table.entries() {
         let bytes = link
             .ok()
             .and_then(|link| table.heap.try_bytes_at(link.handle, 0, link.header.entry_len()))
             .ok_or(Error::IntegrityViolation { bucket })?;
-        write_u32(w, bucket as u32)?;
-        write_u32(w, bytes.len() as u32)?;
-        // Zero the chain pointer in the output.
-        w.write_all(&[0u8; 8])?;
+        // The entry's first eight bytes, its chain pointer, go out as zero.
+        prefix.u32(bucket as u32).length(bytes.len()).u64(0).drain_into(w)?;
         w.write_all(&bytes[8..])?;
     }
     Ok(())
@@ -179,13 +119,9 @@ fn publish_snapshot(
 ) -> Result<()> {
     let tmp = path.with_extension("tmp");
     {
-        let file = fs.open(&tmp, OpenMode::Create)?;
-        let mut w = BufWriter::new(file);
-        w.write_all(MAGIC)?;
-        write_u64(&mut w, count)?;
-        write_u32(&mut w, tables.len() as u32)?;
-        write_u32(&mut w, sealed.len() as u32)?;
-        w.write_all(sealed)?;
+        let mut w = BufWriter::new(fs.open(&tmp, OpenMode::Create)?);
+        let preamble = &mut Writer::default();
+        preamble.bytes(MAGIC).u64(count).length(tables.len()).slice(sealed).drain_into(&mut w)?;
         for table in tables {
             write_table(&mut w, table)?;
         }
@@ -404,29 +340,31 @@ impl ShieldStore {
         path: impl AsRef<Path>,
         counter: &PersistentCounter,
     ) -> Result<ShieldStore> {
-        Self::restore_inner(enclave, config, path.as_ref(), Some(counter), RealFs::shared())
+        let data = RealFs.read(path.as_ref())?;
+        let restored = Self::restore_inner(enclave, config, &data, Some(counter), RealFs::shared());
+        restored.map(|(store, _)| store)
     }
 
-    /// [`ShieldStore::restore`] with the monotonic-counter freshness
-    /// check optional. [`ShieldStore::recover`] passes `None` when a
-    /// sealed WAL pin exists: the snapshot generation may then
-    /// legitimately lag the counter (a crash mid-snapshot leaves the
+    /// [`ShieldStore::restore`] from the bytes of a snapshot file, with
+    /// the monotonic-counter freshness check optional; returns the store
+    /// and the snapshot's generation. [`ShieldStore::recover`] passes
+    /// `None` when a sealed WAL pin exists: the snapshot generation may
+    /// then legitimately lag the counter (a crash mid-snapshot leaves the
     /// counter ahead of the last durable snapshot), and freshness is
     /// instead enforced by [`crate::wal::Wal::recover`], which rejects
     /// any generation the pin does not vouch for.
     pub(crate) fn restore_inner(
         enclave: Arc<Enclave>,
         config: Config,
-        path: &Path,
+        data: &[u8],
         counter: Option<&PersistentCounter>,
         storage: Arc<dyn StorageFs>,
-    ) -> Result<ShieldStore> {
-        let data = storage.read(path)?;
-        let mut r: &[u8] = &data;
-        let (num_shards, metadata) = read_preamble(&mut r, &enclave)?;
-        if num_shards != config.shards {
+    ) -> Result<(ShieldStore, u64)> {
+        let file = SnapshotFile::open(data, &enclave)?;
+        let (shards, generation) = (file.metadata.mac_arrays.len(), file.metadata.counter);
+        if shards != config.shards {
             return Err(Error::Persistence(format!(
-                "snapshot has {num_shards} shards, config expects {}",
+                "snapshot has {shards} shards, config expects {}",
                 config.shards
             )));
         }
@@ -434,44 +372,40 @@ impl ShieldStore {
         // instead, the sealed counter must be current with respect to the
         // monotonic counter.
         if let Some(counter) = counter {
-            counter.check_fresh(metadata.counter)?;
+            counter.check_fresh(generation)?;
         }
 
-        let keys = Arc::new(StoreKeys::from_raw(metadata.raw_keys));
+        let keys = Arc::new(StoreKeys::from_raw(file.metadata.raw_keys));
         let store = ShieldStore::with_keys(enclave, config, Arc::clone(&keys), storage)?;
-
-        for (shard_idx, mac_array) in metadata.mac_arrays.iter().enumerate() {
-            store.with_shard(shard_idx, |shard| -> Result<()> {
-                let count = read_u64(&mut r)? as usize;
-                let cfg = shard.config().clone();
-                let ctx =
-                    shard.main_table_mut().ok_or(Error::Persistence("store not fresh".into()))?;
-                for _ in 0..count {
-                    let (bucket, bytes) = read_entry(&mut r)?;
-                    if bucket >= ctx.buckets() {
-                        return Err(Error::Persistence("corrupt snapshot entry".into()));
-                    }
-                    restore_entry(ctx, &keys, &cfg, bucket, &bytes, shard_idx, num_shards)?;
-                }
-                ctx.macs.import(mac_array)?;
-                // Verify every bucket set against the sealed hashes.
-                shard.verify_all_sets()?;
-                shard.rebuild_index()?;
-                Ok(())
-            })?;
-        }
+        let fresh = || Error::Persistence("store not fresh".into());
+        file.walk(
+            |idx, bucket, bytes| {
+                store.with_shard(idx, |shard| {
+                    let ctx = shard.main_table_mut().ok_or_else(fresh)?;
+                    restore_entry(ctx, &keys, store.config(), bucket, bytes, idx, shards)
+                })
+            },
+            |idx, mac_array| {
+                store.with_shard(idx, |shard| {
+                    shard.main_table_mut().ok_or_else(fresh)?.macs.import(mac_array)?;
+                    // Verify every bucket set against the sealed hashes.
+                    shard.verify_all_sets()?;
+                    shard.rebuild_index()
+                })
+            },
+        )?;
         // Quota accounting restarts from the physical truth of the
         // restored tables.
         store.recount_usage();
-        Ok(store)
+        Ok((store, generation))
     }
 }
 
 /// Re-verifies a snapshot file end-to-end without materializing a store:
-/// magic, sealed metadata (enclave identity + counter binding), and every
-/// entry's structure and MAC under its owner tenant's derived keys. Used
-/// by the background scrubber to catch bitrot while the snapshot is cold,
-/// long before a recovery would trip over it. Returns the number of bytes
+/// everything [`ShieldStore::restore`] reads, through the same walker, and
+/// every entry's MAC under its owner tenant's derived keys. Used by the
+/// background scrubber to catch bitrot while the snapshot is cold, long
+/// before a recovery would trip over it. Returns the number of bytes
 /// verified.
 pub(crate) fn verify_snapshot(
     fs: &dyn StorageFs,
@@ -479,52 +413,68 @@ pub(crate) fn verify_snapshot(
     path: &Path,
 ) -> Result<u64> {
     let data = fs.read(path)?;
-    let mut r: &[u8] = &data;
-    let (num_shards, metadata) = read_preamble(&mut r, enclave)?;
-    if metadata.mac_arrays.len() != num_shards {
-        return Err(Error::Persistence("snapshot shard count mismatch".into()));
-    }
-    let keys = StoreKeys::from_raw(metadata.raw_keys);
-    for _ in 0..num_shards {
-        for _ in 0..read_u64(&mut r)? {
-            let (_, bytes) = read_entry(&mut r)?;
-            open_entry(&keys, 0, &bytes)?;
-        }
-    }
-    if !r.is_empty() {
-        return Err(Error::Persistence("trailing bytes after snapshot tables".into()));
-    }
+    let file = SnapshotFile::open(&data, enclave)?;
+    let keys = StoreKeys::from_raw(file.metadata.raw_keys);
+    file.walk(|_, _, bytes| open_entry(&keys, 0, bytes).map(drop), |_, _| Ok(()))?;
     Ok(data.len() as u64)
 }
 
-/// Reads a snapshot's preamble: magic, counter claim, shard count and the
-/// sealed metadata, which must unseal under this enclave identity and
-/// carry the counter the file header claims.
-fn read_preamble(r: &mut &[u8], enclave: &Arc<Enclave>) -> Result<(usize, Metadata)> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(Error::from)?;
-    if &magic != MAGIC {
-        return Err(Error::Persistence("bad snapshot magic".into()));
-    }
-    let file_counter = read_u64(r)?;
-    let num_shards = read_u32(r)? as usize;
-    let sealed_len = read_u32(r)? as usize;
-    let sealed = read_vec(r, sealed_len, MAX_SEALED_LEN)?;
-    let metadata = Metadata::deserialize(&seal::unseal(enclave, &sealed)?)?;
-    if metadata.counter != file_counter {
-        return Err(Error::Persistence("snapshot counter mismatch".into()));
-    }
-    Ok((num_shards, metadata))
+/// A snapshot file whose preamble checked out, positioned at its tables.
+/// The one reader of snapshot bytes: restore and the scrubber both walk a
+/// file through it, so they refuse exactly the same files.
+///
+/// ```text
+/// [ "SSSNAP02" | counter u64 | shards u32 | sealed_len u32 | sealed metadata ]
+/// per shard: [ count u64 ] then count × [ bucket u32 | len u32 | entry (len) ]
+/// ```
+struct SnapshotFile<'a> {
+    metadata: Metadata,
+    tables: Reader<'a>,
 }
 
-/// Reads one serialized entry: the bucket it claims and its bytes.
-fn read_entry(r: &mut &[u8]) -> Result<(usize, Vec<u8>)> {
-    let bucket = read_u32(r)? as usize;
-    let len = read_u32(r)? as usize;
-    if len < entry::HEADER_LEN {
-        return Err(Error::Persistence("corrupt snapshot entry".into()));
+impl<'a> SnapshotFile<'a> {
+    /// Checks the preamble of `data`: the magic, then the sealed
+    /// metadata, which must unseal under `enclave`, carry the counter the
+    /// header claims and hold one MAC hash array per shard it counts.
+    fn open(data: &'a [u8], enclave: &Enclave) -> Result<Self> {
+        let mut r = Reader::new(data, "snapshot");
+        r.tag(MAGIC)?;
+        let (claimed, shards, sealed) = (r.u64()?, r.length()?, r.slice()?);
+        if sealed.len() > MAX_SEALED_LEN {
+            return Err(Error::Persistence("snapshot metadata exceeds its limit".into()));
+        }
+        let metadata = Metadata::deserialize(&seal::unseal(enclave, sealed)?)?;
+        if metadata.counter != claimed {
+            return Err(Error::Persistence("snapshot counter mismatch".into()));
+        }
+        if metadata.mac_arrays.len() != shards {
+            return Err(Error::Persistence("snapshot shard count mismatch".into()));
+        }
+        Ok(SnapshotFile { metadata, tables: r })
     }
-    Ok((bucket, read_vec(r, len, MAX_ENTRY_LEN)?))
+
+    /// Walks the tables in file order: `entry(shard, bucket, bytes)` for
+    /// each entry as the file claims it, then `shard_end(shard, macs)`
+    /// with the shard's sealed MAC hash array; then refuses whatever
+    /// follows the last table.
+    fn walk(
+        self,
+        mut entry: impl FnMut(usize, usize, &[u8]) -> Result<()>,
+        mut shard_end: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let SnapshotFile { metadata, mut tables } = self;
+        for (idx, mac_array) in metadata.mac_arrays.iter().enumerate() {
+            for _ in 0..tables.u64()? {
+                let (bucket, len) = (tables.length()?, tables.length()?);
+                if !(entry::HEADER_LEN..=MAX_ENTRY_LEN).contains(&len) {
+                    return Err(Error::Persistence("corrupt snapshot entry".into()));
+                }
+                entry(idx, bucket, tables.bytes(len)?)?;
+            }
+            shard_end(idx, mac_array)?;
+        }
+        Ok(tables.finish()?)
+    }
 }
 
 /// Authenticates one serialized entry and returns its header and
@@ -557,6 +507,9 @@ fn restore_entry(
     shard_idx: usize,
     num_shards: usize,
 ) -> Result<()> {
+    if bucket >= ctx.buckets() {
+        return Err(Error::Persistence("corrupt snapshot entry".into()));
+    }
     // The per-entry shard/bucket placement in the file is untrusted and —
     // unlike ciphertext, lengths, hint and IV — not covered by the entry
     // MAC (Fig. 5). Trusting the file's claim lets an attacker relocate an
@@ -871,6 +824,188 @@ mod tests {
             &counter,
         );
         assert!(matches!(r, Err(Error::Sim(sgx_sim::SimError::SealVerify))), "got {r:?}");
+        vclock::reset();
+    }
+
+    /// Metadata plaintexts as `Metadata::serialize` lays them out, except
+    /// that the array count may be one too many or a byte left over.
+    fn metadata_bytes() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let arrays = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..4);
+        (any::<u64>(), any::<[u8; 16]>(), arrays, 0u8..3).prop_map(
+            |(counter, key, arrays, skew)| {
+                let w = &mut Writer::default();
+                w.u64(counter)
+                    .bytes(&[key; 5].concat())
+                    .length(arrays.len() + (skew == 1) as usize);
+                for macs in &arrays {
+                    w.slice(macs);
+                }
+                if skew == 2 {
+                    w.u8(0);
+                }
+                w.done()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// Whatever `Metadata::deserialize` accepts, `serialize` rebuilds
+        /// byte for byte.
+        #[test]
+        fn accepted_metadata_reencodes_exactly(bytes in metadata_bytes()) {
+            if let Ok(metadata) = Metadata::deserialize(&bytes) {
+                proptest::prop_assert_eq!(metadata.serialize(), bytes);
+            }
+        }
+    }
+
+    /// Restore and the scrubber walk a snapshot file one way, so they
+    /// refuse the same files: bytes after the last table fail both.
+    #[test]
+    fn trailing_bytes_fail_restore_and_scrub_alike() {
+        vclock::reset();
+        let dir = tmpdir("trailing");
+        let snap = dir.join("snap.db");
+        let _ = std::fs::remove_file(dir.join("ctr"));
+        let counter = PersistentCounter::open(dir.join("ctr")).unwrap();
+        let store = new_store(15);
+        for i in 0..20u32 {
+            store.set(format!("k{i}").as_bytes(), b"value").unwrap();
+        }
+        store.snapshot_blocking(&snap, &counter).unwrap();
+        assert!(verify_snapshot(&RealFs, store.enclave(), &snap).is_ok());
+
+        let mut bytes = std::fs::read(&snap).unwrap();
+        bytes.push(0);
+        std::fs::write(&snap, &bytes).unwrap();
+        let scrubbed = verify_snapshot(&RealFs, store.enclave(), &snap);
+        assert!(matches!(scrubbed, Err(Error::Persistence(_))), "got {scrubbed:?}");
+        let enclave = EnclaveBuilder::new("persist-test").seed(15).epc_bytes(8 << 20).build();
+        let config = Config::shield_opt().buckets(128).mac_hashes(32).with_shards(2);
+        let restored = ShieldStore::restore(enclave, config, &snap, &counter);
+        assert!(matches!(restored, Err(Error::Persistence(_))), "got {restored:?}");
+        vclock::reset();
+    }
+
+    /// Serves every path out of a real directory: `/a/b` is `root/a/b`.
+    #[derive(Debug)]
+    struct Rerooted(PathBuf);
+
+    impl Rerooted {
+        fn real(&self, path: &Path) -> PathBuf {
+            self.0.join(path.strip_prefix("/").unwrap_or(path))
+        }
+    }
+
+    impl StorageFs for Rerooted {
+        fn open(
+            &self,
+            path: &Path,
+            mode: OpenMode,
+        ) -> std::io::Result<Box<dyn sgx_sim::storage::StorageFile>> {
+            RealFs.open(&self.real(path), mode)
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            RealFs.read(&self.real(path))
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealFs.rename(&self.real(from), &self.real(to))
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.remove_file(&self.real(path))
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            RealFs.sync_dir(&self.real(dir))
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            RealFs.create_dir_all(&self.real(dir))
+        }
+        fn exists(&self, path: &Path) -> bool {
+            RealFs.exists(&self.real(path))
+        }
+        fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+            let real = RealFs.list_dir(&self.real(dir))?;
+            Ok(real.iter().filter_map(|p| p.file_name()).map(|name| dir.join(name)).collect())
+        }
+    }
+
+    /// Recovery reads the snapshot through the storage it is handed, and
+    /// only through it: paths that name nothing on the real filesystem
+    /// recover a snapshot plus its log.
+    #[test]
+    fn recovery_reads_the_snapshot_through_its_storage() {
+        use crate::config::DurabilityPolicy;
+        vclock::reset();
+        let dir = tmpdir("rerooted");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let counter = PersistentCounter::open(dir.join("ctr")).unwrap();
+        let cfg = || {
+            Config::shield_opt()
+                .buckets(128)
+                .mac_hashes(32)
+                .with_shards(2)
+                .with_durability(DurabilityPolicy::Strict)
+        };
+        let enclave = || EnclaveBuilder::new("persist-test").seed(14).epc_bytes(8 << 20).build();
+        let store = ShieldStore::new(enclave(), cfg()).unwrap();
+        store.attach_wal(dir.join("wal")).unwrap();
+        for i in 0..20u32 {
+            store.set(format!("k{i}").as_bytes(), b"base").unwrap();
+        }
+        store.snapshot_blocking(dir.join("snap.db"), &counter).unwrap();
+        for i in 0..10u32 {
+            store.set(format!("t{i}").as_bytes(), b"tail").unwrap();
+        }
+        store.wal_handle().unwrap().simulate_crash();
+        drop(store);
+
+        let fs: Arc<dyn StorageFs> = Arc::new(Rerooted(dir.clone()));
+        let snap = Path::new("/snap.db");
+        let r =
+            ShieldStore::recover_with_storage(enclave(), fs, cfg(), Some(snap), &counter, "/wal")
+                .expect("recovery through the storage seam");
+        assert_eq!(r.len(), 30);
+        assert_eq!(r.get(b"k3").unwrap(), b"base");
+        assert_eq!(r.get(b"t3").unwrap(), b"tail");
+        vclock::reset();
+    }
+
+    /// A counter file that does not parse is refused rather than read as
+    /// zero: zero would pass every stale snapshot's freshness check and
+    /// let the next increment rewind the counter.
+    #[test]
+    fn rotted_counter_file_refuses_to_open() {
+        vclock::reset();
+        let dir = tmpdir("rotted-counter");
+        let ctr_path = dir.join("ctr");
+        let _ = std::fs::remove_file(&ctr_path);
+        let counter = PersistentCounter::open(&ctr_path).unwrap();
+        let store = new_store(16);
+        store.set(b"k", b"v1").unwrap();
+        let (snap, stale) = (dir.join("snap.db"), dir.join("stale.db"));
+        store.snapshot_blocking(&snap, &counter).unwrap();
+        std::fs::copy(&snap, &stale).unwrap();
+        store.set(b"k", b"v2").unwrap();
+        store.snapshot_blocking(&snap, &counter).unwrap();
+
+        std::fs::write(&ctr_path, b"garbage").unwrap();
+        match PersistentCounter::open(&ctr_path) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            Ok(rotted) => {
+                let enclave =
+                    EnclaveBuilder::new("persist-test").seed(16).epc_bytes(8 << 20).build();
+                let config = Config::shield_opt().buckets(128).mac_hashes(32).with_shards(2);
+                let replayed = ShieldStore::restore(enclave, config, &stale, &rotted);
+                panic!(
+                    "read as {}; the stale copy restores: {:?}",
+                    rotted.read(),
+                    replayed.is_ok()
+                );
+            }
+        }
+        assert!(counter.increment().is_err(), "a rotted counter is not rewound to 1");
         vclock::reset();
     }
 }

@@ -20,7 +20,7 @@
 //! with the log's one frame reader and opens against its own chain
 //! position ([`crate::wal`]'s `Frames` and `ChainCursor`). A batch
 //! never carries records past the primary's **durable** watermark — a
-//! buffered-but-unfsynced op (the `Interval`/`EveryN` window) is
+//! buffered-but-unfsynced op (the `EveryN`/`None` window) is
 //! invisible to replicas, so a replica ack can never claim more than
 //! the primary could survive losing.
 //!
@@ -77,6 +77,7 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use sgx_sim::bytes::{Parsed, Reader, Writer};
 use sgx_sim::storage::{OpenMode, StorageFile, StorageFs};
 use shield_crypto::constant_time::ct_eq;
 
@@ -135,37 +136,28 @@ pub struct ReplHello {
 }
 
 const HELLO_VERSION: u8 = 1;
-const HELLO_LEN: usize = 1 + 8 + 16 + 16 + 8 + 16;
 
+/// `[version u8 | subscriber u64 | enc_key (16) | mac_key (16) |
+/// start_generation u64 | durable generation u64 | durable seq u64]`
 impl ReplHello {
     /// Serializes the hello (versioned, fixed length).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HELLO_LEN);
-        out.push(HELLO_VERSION);
-        out.extend_from_slice(&self.subscriber.to_le_bytes());
-        out.extend_from_slice(&self.enc_key);
-        out.extend_from_slice(&self.mac_key);
-        out.extend_from_slice(&self.start_generation.to_le_bytes());
-        out.extend_from_slice(&self.durable.generation.to_le_bytes());
-        out.extend_from_slice(&self.durable.seq.to_le_bytes());
-        out
+        let w = &mut Writer::with_capacity(57);
+        w.u8(HELLO_VERSION).u64(self.subscriber).bytes(&self.enc_key).bytes(&self.mac_key);
+        w.u64(self.start_generation).u64(self.durable.generation).u64(self.durable.seq).done()
     }
 
     /// Decodes a hello; fails closed on any length or version
     /// mismatch.
     pub fn decode(bytes: &[u8]) -> Option<ReplHello> {
-        if bytes.len() != HELLO_LEN || bytes[0] != HELLO_VERSION {
-            return None;
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        let arr_at = |i: usize| -> [u8; 16] { bytes[i..i + 16].try_into().unwrap() };
-        Some(ReplHello {
-            subscriber: u64_at(1),
-            enc_key: arr_at(9),
-            mac_key: arr_at(25),
-            start_generation: u64_at(41),
-            durable: Watermark::new(u64_at(49), u64_at(57)),
-        })
+        let hello = Reader::whole(bytes, "replication hello", |r| -> Parsed<_> {
+            r.tag(&[HELLO_VERSION])?;
+            let (subscriber, enc_key, mac_key) = (r.u64()?, r.array()?, r.array()?);
+            let start_generation = r.u64()?;
+            let durable = Watermark::new(r.u64()?, r.u64()?);
+            Ok(ReplHello { subscriber, enc_key, mac_key, start_generation, durable })
+        });
+        hello.ok()
     }
 }
 
@@ -196,8 +188,11 @@ pub struct ReplBatch {
 }
 
 const BATCH_VERSION: u8 = 1;
-const BATCH_HEADER_LEN: usize = 1 + 8 + 8 + 4 + 16 + 1 + 8 + 16 + 4;
 
+/// `[version u8 | generation u64 | start_seq u64 | count u32 | durable
+/// generation u64 | durable seq u64 | handover flag u8 | advance_to u64 |
+/// advance_tag (16) | frames_len u32 | frames]`. Without a handover the
+/// flag and `advance_to` are zero.
 impl ReplBatch {
     /// The batch for a subscriber positioned after `(generation,
     /// after_seq)`, before any frame or handover is put in it.
@@ -215,51 +210,29 @@ impl ReplBatch {
 
     /// Serializes the batch (versioned header + raw frames).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BATCH_HEADER_LEN + self.frames.len());
-        out.push(BATCH_VERSION);
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.start_seq.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.durable.generation.to_le_bytes());
-        out.extend_from_slice(&self.durable.seq.to_le_bytes());
-        out.push(self.advance_to.is_some() as u8);
-        out.extend_from_slice(&self.advance_to.unwrap_or(0).to_le_bytes());
-        out.extend_from_slice(&self.advance_tag);
-        out.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.frames);
-        out
+        let w = &mut Writer::with_capacity(66 + self.frames.len());
+        w.u8(BATCH_VERSION).u64(self.generation).u64(self.start_seq).u32(self.count);
+        w.u64(self.durable.generation).u64(self.durable.seq);
+        w.u8(self.advance_to.is_some() as u8).u64(self.advance_to.unwrap_or(0));
+        w.bytes(&self.advance_tag).slice(&self.frames).done()
     }
 
     /// Decodes a batch; fails closed on any structural mismatch
-    /// (version, flag byte, or frame-length accounting).
+    /// (version, handover flag, or frame-length accounting).
     pub fn decode(bytes: &[u8]) -> Option<ReplBatch> {
-        if bytes.len() < BATCH_HEADER_LEN || bytes[0] != BATCH_VERSION {
-            return None;
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        let generation = u64_at(1);
-        let start_seq = u64_at(9);
-        let count = u32::from_le_bytes(bytes[17..21].try_into().unwrap());
-        let durable = Watermark::new(u64_at(21), u64_at(29));
-        let advance_flag = bytes[37];
-        if advance_flag > 1 {
-            return None;
-        }
-        let advance_raw = u64_at(38);
-        let advance_tag: [u8; 16] = bytes[46..62].try_into().unwrap();
-        let nbytes = u32::from_le_bytes(bytes[62..66].try_into().unwrap()) as usize;
-        if bytes.len() != BATCH_HEADER_LEN + nbytes {
-            return None;
-        }
-        Some(ReplBatch {
-            generation,
-            start_seq,
-            count,
-            frames: bytes[BATCH_HEADER_LEN..].to_vec(),
-            advance_to: (advance_flag == 1).then_some(advance_raw),
-            advance_tag,
-            durable,
-        })
+        let batch = Reader::whole(bytes, "replication batch", |r| -> Parsed<_> {
+            r.tag(&[BATCH_VERSION])?;
+            let (generation, start_seq, count) = (r.u64()?, r.u64()?, r.u32()?);
+            let durable = Watermark::new(r.u64()?, r.u64()?);
+            let advance_to = match (r.u8()?, r.u64()?) {
+                (0, 0) => None,
+                (1, next) => Some(next),
+                _ => return Err(r.fail("bad handover in")),
+            };
+            let (advance_tag, frames) = (r.array()?, r.slice()?.to_vec());
+            Ok(ReplBatch { generation, start_seq, count, frames, advance_to, advance_tag, durable })
+        });
+        batch.ok()
     }
 }
 
@@ -366,7 +339,7 @@ impl ShieldStore {
 
     /// Records a subscriber's applied watermark and refreshes the
     /// log's retention floor. An ack past the durable watermark is the
-    /// Interval-durability violation replicas are built never to
+    /// group-commit durability violation replicas are built never to
     /// commit ([`Replica::apply_batch`] refuses the records first) —
     /// it fails closed here too.
     pub fn repl_ack(&self, subscriber: u64, ack: Watermark) -> Result<()> {
@@ -506,7 +479,7 @@ impl Replica {
     /// clean re-poll from that position recovers. Records are refused
     /// (before MAC verification is even attempted) if they would take
     /// the replica past the batch's claimed durable watermark — the
-    /// Interval-durability guarantee that an ack never exceeds what
+    /// group-commit durability guarantee that an ack never exceeds what
     /// the primary could survive losing.
     pub fn apply_batch(&mut self, batch: &ReplBatch) -> Result<Watermark> {
         if batch.generation != self.generation {

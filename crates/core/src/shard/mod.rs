@@ -526,6 +526,7 @@ impl Shard {
     }
 
     /// The store's configuration.
+    #[cfg(any(test, feature = "testing"))]
     pub(crate) fn config(&self) -> &Config {
         &self.access.cfg
     }

@@ -193,12 +193,12 @@ impl ShieldStore {
         let pin_is_freshness_root = Wal::state_exists(&storage, wal_dir.as_ref());
         let (store, expected_snap) = match snapshot {
             Some(path) => {
-                let generation = crate::persist::snapshot_counter(path)?;
+                let data = storage.read(path)?;
                 let freshness = if pin_is_freshness_root { None } else { Some(counter) };
-                let store = Self::restore_inner(
+                let (store, generation) = Self::restore_inner(
                     enclave.clone(),
                     config,
-                    path,
+                    &data,
                     freshness,
                     Arc::clone(&storage),
                 )?;

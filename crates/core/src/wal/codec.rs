@@ -5,6 +5,7 @@
 //! reader of the length prefix and the one caller of
 //! [`WalCodec::open_record`].
 
+use sgx_sim::bytes::{Parsed, Reader, Writer};
 use shield_crypto::cmac::Cmac;
 use shield_crypto::constant_time::ct_eq;
 use shield_crypto::ctr::AesCtr;
@@ -87,13 +88,8 @@ impl WalCodec {
         let len = (MIN_RECORD_LEN + ct.len()) as u32;
         let mac =
             self.mac.compute_parts(&[prev_mac, &seq.to_le_bytes(), &len.to_le_bytes(), iv, &ct]);
-        let mut frame = Vec::with_capacity(4 + len as usize);
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(iv);
-        frame.extend_from_slice(&ct);
-        frame.extend_from_slice(&mac);
-        (frame, mac)
+        let frame = &mut Writer::with_capacity(4 + len as usize);
+        (frame.u32(len).u64(seq).bytes(iv).bytes(&ct).bytes(&mac).done(), mac)
     }
 
     /// Verifies and decrypts one record body (the bytes *after* the `len`
@@ -108,26 +104,24 @@ impl WalCodec {
         body: &[u8],
     ) -> Result<(Vec<WalOp>, [u8; 16])> {
         let fail = Error::LogIntegrity { seq: expect_seq };
-        if body.len() < MIN_RECORD_LEN || body.len() > MAX_RECORD_LEN {
+        // [seq u64 | iv (16) | ciphertext | mac (16)]
+        let record = Reader::whole(body, "log record", |r| -> Parsed<_> {
+            let (seq, iv) = (r.u64()?, r.array::<16>()?);
+            let ct = r.bytes(r.remaining().saturating_sub(16))?;
+            Ok((seq, iv, ct, r.array::<16>()?))
+        });
+        let Ok((seq, iv, ct, mac)) = record else { return Err(fail) };
+        if seq != expect_seq || body.len() > MAX_RECORD_LEN {
             return Err(fail);
         }
-        let len = body.len() as u32;
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        if seq != expect_seq {
-            return Err(fail);
-        }
-        let mut iv = [0u8; 16];
-        iv.copy_from_slice(&body[8..24]);
-        let ct = &body[24..body.len() - 16];
-        let mac: [u8; 16] = body[body.len() - 16..].try_into().unwrap();
-        let expect =
-            self.mac.compute_parts(&[prev_mac, &seq.to_le_bytes(), &len.to_le_bytes(), &iv, ct]);
+        let len = (body.len() as u32).to_le_bytes();
+        let expect = self.mac.compute_parts(&[prev_mac, &seq.to_le_bytes(), &len, &iv, ct]);
         if !ct_eq(&expect, &mac) {
             return Err(fail);
         }
         let mut plain = ct.to_vec();
         self.enc.apply_keystream(&iv, &mut plain);
-        let ops = decode_ops(&plain).ok_or(fail)?;
+        let ops = decode_ops(&plain).map_err(|_| fail)?;
         Ok((ops, mac))
     }
 }
@@ -136,71 +130,38 @@ impl WalCodec {
 /// 1 = delete), tenant (u32), key length (u32), key bytes, and for sets
 /// a value length (u32) plus value bytes and the expiry deadline (u64).
 fn encode_ops(ops: &[WalOp]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + ops.len() * 24);
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    let w = &mut Writer::with_capacity(4 + ops.len() * 24);
+    w.length(ops.len());
     for op in ops {
         match op {
             WalOp::Set { tenant, key, value, expires_at } => {
-                out.push(0);
-                out.extend_from_slice(&tenant.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
-                out.extend_from_slice(&expires_at.to_le_bytes());
+                w.u8(0).u32(*tenant).slice(key).slice(value).u64(*expires_at)
             }
-            WalOp::Delete { tenant, key } => {
-                out.push(1);
-                out.extend_from_slice(&tenant.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-            }
-        }
+            WalOp::Delete { tenant, key } => w.u8(1).u32(*tenant).slice(key),
+        };
     }
-    out
+    w.done()
 }
 
-fn decode_ops(bytes: &[u8]) -> Option<Vec<WalOp>> {
-    fn take<'a>(bytes: &'a [u8], off: &mut usize, n: usize) -> Option<&'a [u8]> {
-        let s = bytes.get(*off..off.checked_add(n)?)?;
-        *off += n;
-        Some(s)
-    }
-    fn take_u32(bytes: &[u8], off: &mut usize) -> Option<usize> {
-        let raw = take(bytes, off, 4)?;
-        Some(u32::from_le_bytes(raw.try_into().unwrap()) as usize)
-    }
-    let mut off = 0;
-    let count = take_u32(bytes, &mut off)?;
-    if count > bytes.len() {
-        return None; // every op costs at least one byte
-    }
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = *take(bytes, &mut off, 1)?.first()?;
-        let tenant = u32::from_le_bytes(take(bytes, &mut off, 4)?.try_into().unwrap());
-        let klen = take_u32(bytes, &mut off)?;
-        let key = take(bytes, &mut off, klen)?.to_vec();
-        match tag {
-            0 => {
-                let vlen = take_u32(bytes, &mut off)?;
-                let value = take(bytes, &mut off, vlen)?.to_vec();
-                let expires_at = u64::from_le_bytes(take(bytes, &mut off, 8)?.try_into().unwrap());
-                ops.push(WalOp::Set { tenant, key, value, expires_at });
-            }
-            1 => ops.push(WalOp::Delete { tenant, key }),
-            _ => return None,
-        }
-    }
-    if off != bytes.len() {
-        return None; // trailing garbage fails closed
-    }
-    Some(ops)
+fn decode_ops(bytes: &[u8]) -> Parsed<Vec<WalOp>> {
+    Reader::whole(bytes, "log ops", |r| {
+        // Every op carries at least its tag, tenant and key length.
+        r.batch(9, |r| {
+            let (tag, tenant, key) = (r.u8()?, r.u32()?, r.slice()?.to_vec());
+            Ok(match tag {
+                0 => WalOp::Set { tenant, key, value: r.slice()?.to_vec(), expires_at: r.u64()? },
+                1 => WalOp::Delete { tenant, key },
+                _ => return Err(r.fail("unknown op in")),
+            })
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
     fn set(k: &str, v: &str) -> WalOp {
         WalOp::Set {
@@ -231,15 +192,47 @@ mod tests {
 
     #[test]
     fn decode_ops_rejects_malformed() {
-        assert_eq!(decode_ops(&[]), None);
-        assert_eq!(decode_ops(&1u32.to_le_bytes()), None); // count without body
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_ops(&huge), None);
+        let decode = |bytes: &[u8]| decode_ops(bytes).ok();
+        assert_eq!(decode(&[]), None);
+        assert_eq!(decode(&1u32.to_le_bytes()), None); // count without body
+        assert_eq!(decode(&u32::MAX.to_le_bytes()), None);
         let empty = encode_ops(&[]);
-        assert_eq!(decode_ops(&empty), Some(Vec::new()));
+        assert_eq!(decode(&empty), Some(Vec::new()));
         let mut trailing = encode_ops(&[]);
         trailing.push(0);
-        assert_eq!(decode_ops(&trailing), None);
+        assert_eq!(decode(&trailing), None);
+    }
+
+    /// Op payloads as `encode_ops` lays them out, except that a tag may
+    /// be unknown (2), the count one too many, or a byte left over.
+    fn ops_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let op = (0u8..3, any::<u32>(), pvec(any::<u8>(), 0..4), pvec(any::<u8>(), 0..4));
+        (pvec((op, any::<u64>()), 0..4), 0u8..3).prop_map(|(ops, skew)| {
+            let w = &mut Writer::default();
+            w.length(ops.len() + (skew == 1) as usize);
+            for ((tag, tenant, key, value), expires_at) in &ops {
+                w.u8(*tag).u32(*tenant).slice(key);
+                if *tag == 0 {
+                    w.slice(value).u64(*expires_at);
+                }
+            }
+            if skew == 2 {
+                w.u8(0);
+            }
+            w.done()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+        /// Whatever `decode_ops` accepts, `encode_ops` rebuilds byte for
+        /// byte.
+        #[test]
+        fn accepted_ops_reencode_exactly(bytes in ops_bytes()) {
+            if let Ok(ops) = decode_ops(&bytes) {
+                prop_assert_eq!(encode_ops(&ops), bytes);
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@
 use super::codec::{WalCodec, MAX_RECORD_LEN, MIN_RECORD_LEN};
 use super::WalOp;
 use crate::error::Result;
+use sgx_sim::bytes::Reader;
 
 /// One length-prefixed record, still sealed.
 #[derive(Debug, Clone, Copy)]
@@ -66,12 +67,11 @@ impl<'a> Iterator for Frames<'a> {
             return None;
         }
         let frame = self.data.get(start..).and_then(|rest| {
-            let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-            if !(MIN_RECORD_LEN..=MAX_RECORD_LEN).contains(&len) {
-                return None;
-            }
-            let whole = rest.get(..4 + len)?;
-            Some(Frame { start, whole, body: &whole[4..] })
+            let mut r = Reader::new(rest, "log frame");
+            let len =
+                r.length().ok().filter(|len| (MIN_RECORD_LEN..=MAX_RECORD_LEN).contains(len))?;
+            let body = r.bytes(len).ok()?;
+            Some(Frame { start, whole: &rest[..4 + len], body })
         });
         match frame {
             Some(frame) => {

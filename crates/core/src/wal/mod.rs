@@ -60,11 +60,8 @@
 //!
 //! Operations buffer in enclave memory and a *commit* turns the whole
 //! buffer into one record — one seal, one fsync, one pin update — under a
-//! [`DurabilityPolicy`]: every op (`Strict`), every N ops, after a time
-//! interval, or only on explicit flush. Policies are evaluated when a
-//! write arrives — there is no background timer — so `Interval` bounds
-//! the window only under continuous traffic; call
-//! [`crate::ShieldStore::flush_wal`] before going idle.
+//! [`DurabilityPolicy`]: every op (`Strict`), every N ops, or only on
+//! explicit flush.
 //!
 //! # Recovery
 //!
@@ -82,7 +79,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use sgx_sim::counter::PersistentCounter;
@@ -284,11 +280,7 @@ impl Wal {
         // logged. Refuse up front so the store degrades writes
         // while reads keep serving.
         inner.writable()?;
-        let before = inner.buffer.len();
         inner.buffer.extend(ops);
-        if before == 0 && !inner.buffer.is_empty() && inner.buffered_since.is_none() {
-            inner.buffered_since = Some(Instant::now());
-        }
         if inner.should_commit() {
             inner.commit()?;
         }
@@ -306,7 +298,7 @@ impl Wal {
 
     /// The durable `(generation, seq)` watermark: everything at or
     /// below it is fsynced and pinned; buffered-but-uncommitted ops are
-    /// *not* covered (the `Interval`/`EveryN` window).
+    /// *not* covered (the `EveryN`/`None` window).
     pub(crate) fn durable_watermark(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.snap, inner.seq)
@@ -409,7 +401,6 @@ impl Wal {
     pub fn simulate_crash(&self) {
         let mut inner = self.inner.lock();
         inner.buffer.clear();
-        inner.buffered_since = None;
         inner.file = None;
         inner.crashed = true;
     }

@@ -9,6 +9,7 @@ use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
+use sgx_sim::bytes::{Parsed, Reader, Writer};
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::seal;
@@ -22,11 +23,6 @@ pub(super) const PIN_FILE: &str = "wal.pin";
 pub(super) const PIN_TMP: &str = "wal.pin.tmp";
 pub(super) const PIN_CTR: &str = "wal.pin.ctr";
 
-/// Sealed pin plaintext header: pin_ctr (u64), enc_key + mac_key
-/// (16 bytes each), segment count (u32).
-const PIN_HEADER_LEN: usize = 8 + 16 * 2 + 4;
-/// One pinned segment: snap + last_seq (u64 each) + last_mac (16 bytes).
-const PIN_SEG_LEN: usize = 8 * 2 + 16;
 /// Most log generations a pin may reference at once. Reached only after
 /// this many *consecutive failed snapshots*; further rotations fail
 /// rather than dropping a segment that still holds the only durable copy
@@ -52,42 +48,24 @@ pub(crate) struct Pin {
     pub(crate) segments: Vec<Segment>,
 }
 
+/// Sealed pin plaintext: `[pin_ctr u64 | enc_key (16) | mac_key (16) |
+/// count u32]`, then per segment `[snap u64 | last_seq u64 | last_mac (16)]`.
 impl Pin {
     pub(super) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(PIN_HEADER_LEN + self.segments.len() * PIN_SEG_LEN);
-        out.extend_from_slice(&self.pin_ctr.to_le_bytes());
-        out.extend_from_slice(&self.enc_key);
-        out.extend_from_slice(&self.mac_key);
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        for seg in &self.segments {
-            out.extend_from_slice(&seg.snap.to_le_bytes());
-            out.extend_from_slice(&seg.last_seq.to_le_bytes());
-            out.extend_from_slice(&seg.last_mac);
-        }
-        out
+        let w = &mut Writer::with_capacity(44 + self.segments.len() * 32);
+        w.u64(self.pin_ctr).bytes(&self.enc_key).bytes(&self.mac_key).length(self.segments.len());
+        self.segments.iter().fold(w, |w, s| w.u64(s.snap).u64(s.last_seq).bytes(&s.last_mac)).done()
     }
 
     fn decode(bytes: &[u8]) -> Option<Pin> {
-        if bytes.len() < PIN_HEADER_LEN {
-            return None;
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        let arr_at = |i: usize| -> [u8; 16] { bytes[i..i + 16].try_into().unwrap() };
-        let nseg = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
-        if !(1..=MAX_SEGMENTS).contains(&nseg) || bytes.len() != PIN_HEADER_LEN + nseg * PIN_SEG_LEN
-        {
-            return None;
-        }
-        let mut segments = Vec::with_capacity(nseg);
-        for i in 0..nseg {
-            let off = PIN_HEADER_LEN + i * PIN_SEG_LEN;
-            segments.push(Segment {
-                snap: u64_at(off),
-                last_seq: u64_at(off + 8),
-                last_mac: arr_at(off + 16),
-            });
-        }
-        Some(Pin { pin_ctr: u64_at(0), enc_key: arr_at(8), mac_key: arr_at(24), segments })
+        let pin = Reader::whole(bytes, "log pin", |r| -> Parsed<_> {
+            let (pin_ctr, enc_key, mac_key) = (r.u64()?, r.array()?, r.array()?);
+            let segments = r.batch(32, |r| {
+                Parsed::Ok(Segment { snap: r.u64()?, last_seq: r.u64()?, last_mac: r.array()? })
+            })?;
+            Ok(Pin { pin_ctr, enc_key, mac_key, segments })
+        });
+        pin.ok().filter(|pin| (1..=MAX_SEGMENTS).contains(&pin.segments.len()))
     }
 }
 
@@ -186,6 +164,41 @@ pub(super) fn gc_unreferenced_logs(fs: &dyn StorageFs, dir: &Path, live: &[Segme
 #[cfg(test)]
 mod tests {
     use super::super::testutil::*;
+    use super::{Pin, Writer};
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    /// Pin plaintexts as `Pin::encode` lays them out, except that the
+    /// count may be one too many or a byte left over; up to 34 segments,
+    /// past the most a pin may hold.
+    fn pin_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let segment = (any::<u64>(), any::<u64>(), any::<[u8; 16]>());
+        let head = (any::<u64>(), any::<[u8; 16]>(), any::<[u8; 16]>());
+        (head, pvec(segment, 0..35), 0u8..3).prop_map(|((ctr, enc, mac), segments, skew)| {
+            let w = &mut Writer::default();
+            w.u64(ctr).bytes(&enc).bytes(&mac).length(segments.len() + (skew == 1) as usize);
+            for (snap, last_seq, last_mac) in &segments {
+                w.u64(*snap).u64(*last_seq).bytes(last_mac);
+            }
+            if skew == 2 {
+                w.u8(0);
+            }
+            w.done()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+        /// Whatever `Pin::decode` accepts, `Pin::encode` rebuilds byte for
+        /// byte.
+        #[test]
+        fn accepted_pins_reencode_exactly(bytes in pin_bytes()) {
+            if let Some(pin) = Pin::decode(&bytes) {
+                prop_assert_eq!(pin.encode(), bytes);
+            }
+        }
+    }
 
     #[test]
     fn stale_log_and_pin_rejected() {

@@ -203,7 +203,7 @@ impl Wal {
         // The shipped range never exceeds the durable watermark: frames
         // are capped at the segment's committed `last_seq`, and the
         // current generation's `last_seq` *is* the watermark. This is
-        // the Interval-durability caveat, enforced by construction.
+        // the group-commit durability caveat, enforced by construction.
         debug_assert!(
             Watermark { generation: gen, seq: after_seq + u64::from(batch.count) } <= durable
         );

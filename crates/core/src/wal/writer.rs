@@ -9,7 +9,6 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::Enclave;
@@ -125,8 +124,6 @@ pub(super) struct WalInner {
     pub(super) retain_floor: u64,
     pub(super) file: Option<Box<dyn StorageFile>>,
     pub(super) buffer: Vec<WalOp>,
-    /// When the oldest buffered op arrived (drives `Interval`).
-    pub(super) buffered_since: Option<Instant>,
     pub(super) pin_counter: PersistentCounter,
     pub(super) bytes: u64,
     pub(super) records: u64,
@@ -177,7 +174,6 @@ impl WalInner {
             retain_floor: u64::MAX,
             file: Some(file),
             buffer: Vec::new(),
-            buffered_since: None,
             pin_counter,
             bytes: 0,
             records: 0,
@@ -316,7 +312,6 @@ impl WalInner {
         self.records += 1;
         self.group_hist.record(self.buffer.len() as u64);
         self.buffer.clear();
-        self.buffered_since = None;
         self.write_pin()
     }
 
@@ -329,7 +324,6 @@ impl WalInner {
             DurabilityPolicy::None => false,
             DurabilityPolicy::Strict => true,
             DurabilityPolicy::EveryN(n) => self.buffer.len() >= n,
-            DurabilityPolicy::Interval(d) => self.buffered_since.is_some_and(|t| t.elapsed() >= d),
         }
     }
 
@@ -427,30 +421,6 @@ mod tests {
         wal.simulate_crash(); // the 7th op was never fsynced
         drop(wal);
         assert_eq!(replay_all(&enc, &dir, 0).unwrap().len(), 6);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn interval_policy_commits_once_window_elapses() {
-        let dir = tmpdir("interval");
-        let enc = enclave(15);
-        let wal = Wal::create(
-            enc.clone(),
-            RealFs::shared(),
-            &dir,
-            DurabilityPolicy::Interval(std::time::Duration::from_secs(3600)),
-            0,
-        )
-        .unwrap();
-        wal.log([set("a", "1")]).unwrap();
-        assert_eq!(wal.gauges().1, 0, "window has not elapsed");
-        // A zero window commits on the very next write.
-        wal.inner.lock().policy = DurabilityPolicy::Interval(std::time::Duration::ZERO);
-        wal.log([set("b", "2")]).unwrap();
-        let (_, records, _, hist) = wal.gauges();
-        assert_eq!(records, 1);
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.max_ns(), 2, "both ops rode one group commit");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -90,6 +90,11 @@ pub(crate) const FIRST_CONN_TOKEN: u64 = 2;
 /// starve its loop; level-triggered epoll redelivers the remainder.
 const READ_BURSTS: usize = 8;
 
+/// Most connections a loop accepts per listener wake-up before returning
+/// to its connections — bounds accept-burst latency impact on
+/// established traffic.
+const ACCEPT_BURST: usize = 64;
+
 /// Cache-line padding for the per-loop inboxes (the `CacheAligned`
 /// sharded-lock idiom): one loop's queue traffic must not false-share
 /// with its neighbours'.
@@ -433,7 +438,7 @@ impl EventLoop {
             return;
         }
         let shared = Arc::clone(&self.shared);
-        for _ in 0..shared.config.accept_backlog {
+        for _ in 0..ACCEPT_BURST {
             let (stream, _) = match self.listener.accept() {
                 Ok(pair) => pair,
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,

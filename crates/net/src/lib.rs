@@ -119,5 +119,13 @@ impl From<std::io::Error> for NetError {
     }
 }
 
+/// A payload the byte cursor refused is a protocol error.
+impl From<sgx_sim::bytes::Malformed> for NetError {
+    #[cold]
+    fn from(m: sgx_sim::bytes::Malformed) -> Self {
+        NetError::Protocol(m.to_string())
+    }
+}
+
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, NetError>;

@@ -33,14 +33,16 @@
 //!
 //! `Response::into_reply` is the one place a reply's status is judged
 //! (through `Response::into_ok`, which the control calls share).
-//! Payload bytes are untrusted and are read one way: through one
-//! bounds-checked cursor, `Reader`, whose `finish` refuses trailing
-//! bytes. The encoders write through its mirror, `Writer`.
+//! Payload bytes are untrusted and are read one way: through the
+//! bounds-checked cursor every format that leaves the enclave shares,
+//! [`sgx_sim::bytes::Reader`], whose `finish` refuses trailing bytes.
+//! The encoders write through its mirror, `Writer`.
 //!
 //! When the secure channel is active, the *body* of each frame is the
 //! sealed form produced by [`crate::session::SessionCrypto`].
 
 use crate::{NetError, Result};
+use sgx_sim::bytes::{Reader, Writer};
 use shield_baseline::{Op, OpError, Reply};
 use std::io::{Read, Write};
 
@@ -192,16 +194,16 @@ impl Request {
     /// Serializes the request body.
     pub fn encode(&self) -> Vec<u8> {
         let (key, value) = (&self.key, &self.value);
-        let w = &mut Writer(Vec::with_capacity(9 + key.len() + value.len()));
-        w.u8(self.op as u8).len(key.len()).len(value.len()).bytes(key).bytes(value).done()
+        let w = &mut Writer::with_capacity(9 + key.len() + value.len());
+        w.u8(self.op as u8).length(key.len()).length(value.len()).bytes(key).bytes(value).done()
     }
 
     /// Parses a request body.
     pub fn decode(bytes: &[u8]) -> Result<Request> {
         // Nothing is copied until the whole body has checked out.
-        let (op, key, value) = Reader::whole(bytes, "request", |r| {
+        let (op, key, value) = whole(bytes, "request", |r| {
             let op = OpCode::from_u8(r.u8()?)?;
-            let (key_len, val_len) = (r.len()?, r.len()?);
+            let (key_len, val_len) = (r.length()?, r.length()?);
             Ok((op, r.bytes(key_len)?, r.bytes(val_len)?))
         })?;
         Ok(Request { op, key: key.to_vec(), value: value.to_vec() })
@@ -321,15 +323,12 @@ impl Response {
 
     /// Serializes the response body.
     pub fn encode(&self) -> Vec<u8> {
-        Writer(Vec::with_capacity(5 + self.value.len()))
-            .u8(self.status as u8)
-            .slice(&self.value)
-            .done()
+        Writer::with_capacity(5 + self.value.len()).u8(self.status as u8).slice(&self.value).done()
     }
 
     /// Parses a response body.
     pub fn decode(bytes: &[u8]) -> Result<Response> {
-        Reader::whole(bytes, "response", |r| {
+        whole(bytes, "response", |r| {
             let status = Status::from_u8(r.u8()?)?;
             Ok(Response { status, value: r.slice()?.to_vec() })
         })
@@ -408,162 +407,24 @@ impl Response {
     }
 }
 
-/// A bounds-checked cursor over an untrusted payload: every read yields
-/// the bytes it names or a protocol error, never a panic, and
-/// [`Reader::finish`] refuses trailing bytes. The only code here that
-/// turns payload bytes into integers, lengths and slices.
-struct Reader<'a> {
+/// Reads all of a payload through the shared cursor; a refusal is a
+/// protocol error naming the payload.
+fn whole<'a, T>(
     bytes: &'a [u8],
-    pos: usize,
-    /// Names the payload in errors.
     what: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    /// Reads all of `bytes` with `read`, refusing what it leaves over.
-    fn whole<T>(
-        bytes: &'a [u8],
-        what: &'static str,
-        read: impl FnOnce(&mut Reader<'a>) -> Result<T>,
-    ) -> Result<T> {
-        let mut r = Reader { bytes, pos: 0, what };
-        let out = read(&mut r)?;
-        r.finish()?;
-        Ok(out)
-    }
-
-    /// The error for a malformed payload. Cold, so the formatting stays
-    /// out of the inlined read path: without it `Request::decode` was
-    /// measurably slower than the hand-indexed decoder it replaced.
-    #[cold]
-    fn fail(&self, why: &str) -> NetError {
-        NetError::Protocol(format!("{why} {}", self.what))
-    }
-
-    /// Refuses trailing bytes.
-    fn finish(self) -> Result<()> {
-        (self.remaining() == 0).then_some(()).ok_or_else(|| self.fail("trailing bytes after"))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// The next `n` bytes.
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let taken = self.pos.checked_add(n).and_then(|end| self.bytes.get(self.pos..end));
-        let taken = taken.ok_or_else(|| self.fail("truncated"))?;
-        self.pos += n;
-        Ok(taken)
-    }
-
-    /// Everything left.
-    fn rest(&mut self) -> Result<&'a [u8]> {
-        self.bytes(self.remaining())
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let mut out = [0; N];
-        out.copy_from_slice(self.bytes(N)?);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    /// A `u32` length.
-    fn len(&mut self) -> Result<usize> {
-        Ok(self.u32()? as usize)
-    }
-
-    /// A `u32`-length-prefixed slice.
-    fn slice(&mut self) -> Result<&'a [u8]> {
-        self.len().and_then(|len| self.bytes(len))
-    }
-
-    /// A `[klen u32 | vlen u32 | key | value]` pair.
-    fn pair(&mut self) -> Result<(&'a [u8], &'a [u8])> {
-        let (key_len, value_len) = (self.len()?, self.len()?);
-        Ok((self.bytes(key_len)?, self.bytes(value_len)?))
-    }
-
-    /// A `u32` count of `entry`s. Each entry carries at least `min_entry`
-    /// bytes, so a count the remaining bytes cannot hold is refused
-    /// before anything is allocated from it.
-    fn batch<T>(
-        &mut self,
-        min_entry: usize,
-        mut entry: impl FnMut(&mut Self) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        let count = self.len()?;
-        if count > self.remaining() / min_entry {
-            return Err(self.fail("count exceeds the bytes of"));
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(entry(self)?);
-        }
-        Ok(out)
-    }
-}
-
-/// What [`Reader`] reads, written in the same vocabulary. Its methods
-/// take `&mut self`: a by-value chain measured slower per encode.
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(bytes);
-        self
-    }
-
-    fn u8(&mut self, v: u8) -> &mut Self {
-        self.bytes(&[v])
-    }
-
-    fn u32(&mut self, v: u32) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    fn len(&mut self, len: usize) -> &mut Self {
-        self.u32(len as u32)
-    }
-
-    fn slice(&mut self, bytes: &[u8]) -> &mut Self {
-        self.len(bytes.len()).bytes(bytes)
-    }
-
-    fn pair(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.len(key.len()).len(value.len()).bytes(key).bytes(value)
-    }
-
-    /// The bytes written.
-    fn done(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.0)
-    }
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+) -> Result<T> {
+    Reader::whole(bytes, what, read)
 }
 
 /// Encodes scan results: repeated `[klen u32 | vlen u32 | key | value]`.
 pub fn encode_scan(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
-    entries.iter().fold(&mut Writer(Vec::new()), |w, (k, v)| w.pair(k, v)).done()
+    entries.iter().fold(&mut Writer::default(), |w, (k, v)| w.pair(k, v)).done()
 }
 
 /// Decodes a scan payload produced by [`encode_scan`].
 pub fn decode_scan(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    Reader::whole(bytes, "scan entry", |r| {
+    whole(bytes, "scan entry", |r| {
         let mut out = Vec::new();
         while r.remaining() > 0 {
             let (k, v) = r.pair()?;
@@ -583,13 +444,13 @@ pub const SCAN_LIMIT_VERSION: u8 = 1;
 /// explicit version byte makes the field self-describing;
 /// [`decode_scan_limit`] rejects the old bare form by length.
 pub fn encode_scan_limit(limit: u32) -> Vec<u8> {
-    Writer(Vec::with_capacity(5)).u8(SCAN_LIMIT_VERSION).u32(limit).done()
+    Writer::with_capacity(5).u8(SCAN_LIMIT_VERSION).u32(limit).done()
 }
 
 /// Decodes a payload produced by [`encode_scan_limit`], rejecting any
 /// other length (including the legacy bare 4-byte limit) or version.
 pub fn decode_scan_limit(bytes: &[u8]) -> Result<u32> {
-    let (version, limit) = Reader::whole(bytes, "scan limit", |r| Ok((r.u8()?, r.u32()?)))?;
+    let (version, limit) = whole(bytes, "scan limit", |r| Ok((r.u8()?, r.u32()?)))?;
     if version != SCAN_LIMIT_VERSION {
         return Err(NetError::Protocol(format!("unknown scan limit version {version}")));
     }
@@ -601,13 +462,13 @@ pub fn decode_scan_limit(bytes: &[u8]) -> Result<u32> {
 /// to an absolute deadline. `ttl_ns` must be nonzero — a zero TTL is a
 /// plain `Set`.
 pub fn encode_set_ttl(ttl_ns: u64, value: &[u8]) -> Vec<u8> {
-    Writer(Vec::with_capacity(8 + value.len())).u64(ttl_ns).bytes(value).done()
+    Writer::with_capacity(8 + value.len()).u64(ttl_ns).bytes(value).done()
 }
 
 /// Decodes a payload produced by [`encode_set_ttl`], rejecting short
 /// payloads and a zero TTL.
 pub fn decode_set_ttl(bytes: &[u8]) -> Result<(u64, &[u8])> {
-    let (ttl, value) = Reader::whole(bytes, "set-ttl payload", |r| Ok((r.u64()?, r.rest()?)))?;
+    let (ttl, value) = whole(bytes, "set-ttl payload", |r| Ok((r.u64()?, r.rest()?)))?;
     if ttl == 0 {
         return Err(NetError::Protocol("set-ttl with zero TTL".into()));
     }
@@ -618,50 +479,50 @@ pub fn decode_set_ttl(bytes: &[u8]) -> Result<(u64, &[u8])> {
 /// Used by the `Flush` response (empty value = the server has no WAL)
 /// and the `Promote` response.
 pub fn encode_watermark(generation: u64, seq: u64) -> Vec<u8> {
-    Writer(Vec::with_capacity(16)).u64(generation).u64(seq).done()
+    Writer::with_capacity(16).u64(generation).u64(seq).done()
 }
 
 /// Decodes a payload produced by [`encode_watermark`]; rejects any
 /// other length.
 pub fn decode_watermark(bytes: &[u8]) -> Result<(u64, u64)> {
-    Reader::whole(bytes, "watermark", |r| Ok((r.u64()?, r.u64()?)))
+    whole(bytes, "watermark", |r| Ok((r.u64()?, r.u64()?)))
 }
 
 /// Encodes a `ReplSegment` request value: the subscriber's stream
 /// position and byte budget, `[generation u64 | after_seq u64 |
 /// max_bytes u32]`.
 pub fn encode_repl_poll(generation: u64, after_seq: u64, max_bytes: u32) -> Vec<u8> {
-    Writer(Vec::with_capacity(20)).u64(generation).u64(after_seq).u32(max_bytes).done()
+    Writer::with_capacity(20).u64(generation).u64(after_seq).u32(max_bytes).done()
 }
 
 /// Decodes a payload produced by [`encode_repl_poll`].
 pub fn decode_repl_poll(bytes: &[u8]) -> Result<(u64, u64, u32)> {
-    Reader::whole(bytes, "repl poll", |r| Ok((r.u64()?, r.u64()?, r.u32()?)))
+    whole(bytes, "repl poll", |r| Ok((r.u64()?, r.u64()?, r.u32()?)))
 }
 
 /// Encodes a `ReplAck` request value: `[subscriber u64 | generation
 /// u64 | seq u64]`.
 pub fn encode_repl_ack(subscriber: u64, generation: u64, seq: u64) -> Vec<u8> {
-    Writer(Vec::with_capacity(24)).u64(subscriber).u64(generation).u64(seq).done()
+    Writer::with_capacity(24).u64(subscriber).u64(generation).u64(seq).done()
 }
 
 /// Decodes a payload produced by [`encode_repl_ack`].
 pub fn decode_repl_ack(bytes: &[u8]) -> Result<(u64, u64, u64)> {
-    Reader::whole(bytes, "repl ack", |r| Ok((r.u64()?, r.u64()?, r.u64()?)))
+    whole(bytes, "repl ack", |r| Ok((r.u64()?, r.u64()?, r.u64()?)))
 }
 
 /// Encodes a `MultiGet` request value: `[count u32] ([klen u32 | key])*`.
 pub fn encode_multi_get(keys: &[impl AsRef<[u8]>]) -> Vec<u8> {
     let size = 4 + keys.iter().map(|k| 4 + k.as_ref().len()).sum::<usize>();
-    let w = &mut Writer(Vec::with_capacity(size));
-    w.len(keys.len());
+    let w = &mut Writer::with_capacity(size);
+    w.length(keys.len());
     keys.iter().fold(w, |w, k| w.slice(k.as_ref())).done()
 }
 
 /// Decodes a payload produced by [`encode_multi_get`]. The keys borrow
 /// from `bytes`, which is how the server hands a batch to the store.
 pub fn multi_get_keys(bytes: &[u8]) -> Result<Vec<&[u8]>> {
-    Reader::whole(bytes, "multi-get batch", |r| r.batch(4, Reader::slice))
+    whole(bytes, "multi-get batch", |r| Ok(r.batch(4, Reader::slice)?))
 }
 
 /// Encodes a `MultiGet` response value:
@@ -670,8 +531,8 @@ pub fn multi_get_keys(bytes: &[u8]) -> Result<Vec<&[u8]>> {
 /// empty value.
 pub fn encode_multi_get_response(results: &[Option<Vec<u8>>]) -> Vec<u8> {
     let size = 4 + results.iter().map(|r| 5 + r.as_ref().map_or(0, Vec::len)).sum::<usize>();
-    let w = &mut Writer(Vec::with_capacity(size));
-    w.len(results.len());
+    let w = &mut Writer::with_capacity(size);
+    w.length(results.len());
     results
         .iter()
         .fold(w, |w, r| match r {
@@ -685,7 +546,7 @@ pub fn encode_multi_get_response(results: &[Option<Vec<u8>>]) -> Vec<u8> {
 /// carries no value, and per-key statuses other than `Ok`/`NotFound` are
 /// refused: those are frame-level outcomes.
 pub fn decode_multi_get_response(bytes: &[u8]) -> Result<Vec<Option<Vec<u8>>>> {
-    Reader::whole(bytes, "multi-get results", |r| {
+    whole(bytes, "multi-get results", |r| {
         r.batch(5, |r| match (Status::from_u8(r.u8()?)?, r.slice()?) {
             (Status::Ok, value) => Ok(Some(value.to_vec())),
             (Status::NotFound, []) => Ok(None),
@@ -704,15 +565,15 @@ pub fn decode_multi_get_response(bytes: &[u8]) -> Result<Vec<Option<Vec<u8>>>> {
 pub fn encode_multi_set(items: &[(impl AsRef<[u8]>, impl AsRef<[u8]>)]) -> Vec<u8> {
     let size =
         4 + items.iter().map(|(k, v)| 8 + k.as_ref().len() + v.as_ref().len()).sum::<usize>();
-    let w = &mut Writer(Vec::with_capacity(size));
-    w.len(items.len());
+    let w = &mut Writer::with_capacity(size);
+    w.length(items.len());
     items.iter().fold(w, |w, (k, v)| w.pair(k.as_ref(), v.as_ref())).done()
 }
 
 /// Decodes a payload produced by [`encode_multi_set`]. The items borrow
 /// from `bytes`.
 pub fn multi_set_items(bytes: &[u8]) -> Result<Vec<(&[u8], &[u8])>> {
-    Reader::whole(bytes, "multi-set batch", |r| r.batch(8, Reader::pair))
+    whole(bytes, "multi-set batch", |r| Ok(r.batch(8, Reader::pair)?))
 }
 
 /// Encodes a `Stats` response value: [`shieldstore::StatsSnapshot::to_words`]
@@ -728,8 +589,8 @@ pub fn encode_stats(snap: &shieldstore::StatsSnapshot) -> Vec<u8> {
 /// layout mismatch, truncation, trailing bytes, or internally
 /// inconsistent histograms.
 pub fn decode_stats(bytes: &[u8]) -> Result<shieldstore::StatsSnapshot> {
-    let words = Reader::whole(bytes, "stats payload", |r| {
-        (0..r.remaining() / 8).map(|_| r.u64()).collect::<Result<Vec<u64>>>()
+    let words = whole(bytes, "stats payload", |r| {
+        Ok((0..r.remaining() / 8).map(|_| r.u64()).collect::<std::result::Result<Vec<u64>, _>>()?)
     })?;
     shieldstore::StatsSnapshot::from_words(words)
         .map_err(|why| NetError::Protocol(format!("stats payload: {why}")))

@@ -40,15 +40,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// How long the puller sleeps when the primary has nothing new (or is
+/// unreachable) before polling again.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
+/// Byte budget per segment poll (the primary may return more for a
+/// single oversized record).
+const MAX_BATCH_BYTES: u32 = 1 << 20;
+
 /// Configuration of a [`ReplicaNode`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// How long the puller sleeps when the primary has nothing new (or
-    /// is unreachable) before polling again.
-    pub poll_interval: Duration,
-    /// Byte budget per segment poll (the primary may return more for a
-    /// single oversized record).
-    pub max_batch_bytes: u32,
     /// The primary's WAL directory. Promotion verifies and copies the
     /// frozen log from here; replica and primary share a failure domain
     /// for storage (shared disk / replicated volume), the classic
@@ -70,8 +72,6 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         Self {
-            poll_interval: Duration::from_millis(5),
-            max_batch_bytes: 1 << 20,
             primary_wal_dir: PathBuf::new(),
             wal_dir: PathBuf::new(),
             journal_dir: None,
@@ -419,12 +419,12 @@ fn pull_loop(
             return;
         }
         let at = shared.watermark();
-        let batch = match primary.repl_segment(at.generation, at.seq, config.max_batch_bytes) {
+        let batch = match primary.repl_segment(at.generation, at.seq, MAX_BATCH_BYTES) {
             Ok(b) => b,
             Err(NetError::Io(_)) | Err(NetError::Security(_)) => {
                 // Transport gone (primary dead or session poisoned):
                 // reconnect and retry until stopped or promoted.
-                std::thread::sleep(config.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
                 reconnect_seed = reconnect_seed.wrapping_add(1);
                 if let Ok(c) = KvClient::connect_secure(primary_addr, &verifier, reconnect_seed) {
                     primary = c;
@@ -433,7 +433,7 @@ fn pull_loop(
             }
             Err(_) => {
                 // Caught up (nothing to ship) or shed: idle and re-poll.
-                std::thread::sleep(config.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
                 continue;
             }
         };
@@ -447,7 +447,7 @@ fn pull_loop(
                     // the chain position did not move, so the next poll
                     // re-requests from the same watermark. A byzantine
                     // primary can stall us, never desync us.
-                    std::thread::sleep(config.poll_interval);
+                    std::thread::sleep(POLL_INTERVAL);
                     continue;
                 }
             }

@@ -85,10 +85,6 @@ pub struct ServerConfig {
     /// How long [`Server::shutdown`] waits for in-flight frames before
     /// hard-closing the remaining sockets.
     pub drain_deadline: Duration,
-    /// Most connections a loop accepts per listener wake-up before
-    /// returning to its connections — bounds accept-burst latency
-    /// impact on established traffic.
-    pub accept_backlog: usize,
     /// Pipelining depth: decoded-but-unanswered requests allowed per
     /// connection before the loop stops reading that socket
     /// (backpressure through TCP flow control).
@@ -106,7 +102,6 @@ impl Default for ServerConfig {
             max_in_flight: 1024,
             request_deadline: Duration::from_secs(5),
             drain_deadline: Duration::from_secs(5),
-            accept_backlog: 64,
             max_pipeline: 32,
         }
     }

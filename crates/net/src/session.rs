@@ -13,6 +13,7 @@
 
 use crate::{NetError, Result};
 use sgx_sim::attest::{self, AttestationVerifier, Quote, REPORT_DATA_LEN};
+use sgx_sim::bytes::{Parsed, Reader, Writer};
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
@@ -100,24 +101,23 @@ impl SessionCrypto {
     }
 }
 
-/// Hello message: the client's ephemeral public key plus the tenant
-/// namespace this connection operates in (v2; a v1 hello without the
-/// tenant field is rejected by length — stale clients fail closed
-/// instead of silently landing in the default namespace).
+/// Hello message `[ "SSHELLO2" | public key (32) | tenant u32 ]`: the
+/// client's ephemeral X25519 key plus the tenant namespace this
+/// connection operates in (v2; a v1 hello without the tenant field is
+/// rejected by length — stale clients fail closed instead of silently
+/// landing in the default namespace).
+const HELLO_MAGIC: &[u8; 8] = b"SSHELLO2";
+
 fn encode_hello(pubkey: &[u8; 32], tenant: u32) -> Vec<u8> {
-    let mut v = b"SSHELLO2".to_vec();
-    v.extend_from_slice(pubkey);
-    v.extend_from_slice(&tenant.to_le_bytes());
-    v
+    Writer::with_capacity(44).bytes(HELLO_MAGIC).bytes(pubkey).u32(tenant).done()
 }
 
 fn decode_hello(bytes: &[u8]) -> Result<([u8; 32], u32)> {
-    if bytes.len() != 44 || &bytes[..8] != b"SSHELLO2" {
-        return Err(NetError::Protocol("bad hello".into()));
-    }
-    let pubkey = bytes[8..40].try_into().expect("32 bytes");
-    let tenant = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes"));
-    Ok((pubkey, tenant))
+    Reader::whole(bytes, "hello", |r| -> Parsed<_> {
+        r.tag(HELLO_MAGIC)?;
+        Ok((r.array()?, r.u32()?))
+    })
+    .map_err(|_| NetError::Protocol("bad hello".into()))
 }
 
 /// The server side of the key exchange as a pure step: consumes the
@@ -324,6 +324,22 @@ mod tests {
         );
         assert_eq!(b.open(&ragged).unwrap(), b"twenty-one byte body!");
         assert_eq!(b.open(&aligned).unwrap(), whole);
+    }
+
+    proptest::proptest! {
+        /// Whatever `decode_hello` accepts, `encode_hello` rebuilds byte
+        /// for byte.
+        #[test]
+        fn accepted_hellos_reencode_exactly(
+            stale in proptest::prelude::any::<bool>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 34..40),
+        ) {
+            let magic: &[u8] = if stale { b"SSHELLO1" } else { HELLO_MAGIC };
+            let bytes = [magic, &tail].concat();
+            if let Ok((pubkey, tenant)) = decode_hello(&bytes) {
+                proptest::prop_assert_eq!(encode_hello(&pubkey, tenant), bytes);
+            }
+        }
     }
 
     #[test]

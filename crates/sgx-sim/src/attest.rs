@@ -9,6 +9,7 @@
 //! machine, including the binding of the server's ephemeral Diffie-Hellman
 //! public key into `report_data`.
 
+use crate::bytes::{Parsed, Reader, Writer};
 use crate::enclave::Enclave;
 use crate::SimError;
 use shield_crypto::cmac::Cmac;
@@ -31,23 +32,15 @@ pub struct Quote {
 impl Quote {
     /// Serializes to bytes (measurement | report_data | mac).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(32 + REPORT_DATA_LEN + 16);
-        v.extend_from_slice(&self.measurement);
-        v.extend_from_slice(&self.report_data);
-        v.extend_from_slice(&self.mac);
-        v
+        Writer::default().bytes(&self.measurement).bytes(&self.report_data).bytes(&self.mac).done()
     }
 
     /// Parses a serialized quote.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
-        if bytes.len() != 32 + REPORT_DATA_LEN + 16 {
-            return Err(SimError::QuoteVerify);
-        }
-        Ok(Self {
-            measurement: bytes[..32].try_into().expect("checked length"),
-            report_data: bytes[32..32 + REPORT_DATA_LEN].try_into().expect("checked length"),
-            mac: bytes[32 + REPORT_DATA_LEN..].try_into().expect("checked length"),
+        Reader::whole(bytes, "quote", |r| -> Parsed<_> {
+            Ok(Self { measurement: r.array()?, report_data: r.array()?, mac: r.array()? })
         })
+        .map_err(|_| SimError::QuoteVerify)
     }
 }
 

@@ -75,9 +75,15 @@ impl PersistentCounter {
     }
 
     /// Reads the value currently persisted on disk, bypassing the cache.
+    /// A missing file is a counter never bumped, 0. A file that does not
+    /// parse is `InvalidData`: read as 0 it would pass every stale
+    /// snapshot's freshness check and let the next increment rewind the
+    /// counter.
     fn persisted(fs: &dyn StorageFs, path: &std::path::Path) -> std::io::Result<u64> {
         match fs.read(path) {
-            Ok(bytes) => Ok(String::from_utf8_lossy(&bytes).trim().parse::<u64>().unwrap_or(0)),
+            Ok(bytes) => String::from_utf8_lossy(&bytes).trim().parse::<u64>().map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("counter file: {e}"))
+            }),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
             Err(e) => Err(e),
         }

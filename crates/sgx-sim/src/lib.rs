@@ -29,6 +29,8 @@
 //!   EIO/ENOSPC/short writes, lying fsyncs, torn renames, and power
 //!   cuts.
 //! * [`attest`] — simulated local attestation quotes.
+//! * [`bytes`] — the one bounds-checked cursor every byte format that
+//!   leaves the enclave is read and written through.
 //!
 //! # Examples
 //!
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod attest;
+pub mod bytes;
 pub mod cost;
 pub mod counter;
 pub mod enclave;

@@ -3,7 +3,8 @@
 //! Each rule keeps one design decision from quietly growing back: one
 //! bench stack, `unsafe` in three audited files, one chain walker, one
 //! reader of sealed-log bytes, listed handles that only ever reach a
-//! hint, one stat list, one wire codec, and one reference model. The rules walk the source
+//! hint, one stat list, one wire codec, one reference model, and one
+//! byte cursor for everything that leaves the enclave. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -294,6 +295,38 @@ fn one_reference_model(tree: &Tree) -> Vec<String> {
     })
 }
 
+/// Bytes that leave the enclave are read through one cursor,
+/// `sgx_sim::bytes::Reader`: outside tests, `from_le_bytes` appears only
+/// in it, in the fixed layouts that live in memory (entry header, MAC
+/// node, heap chunk, enclave memory, the testing hooks), in the wire's
+/// incremental frame header and in `protocol::read_frame`'s length prefix.
+fn one_byte_cursor(tree: &Tree) -> Vec<String> {
+    const EXEMPT: [&str; 7] = [
+        "crates/sgx-sim/src/bytes.rs",
+        "crates/core/src/entry.rs",
+        "crates/core/src/mac_bucket.rs",
+        "crates/core/src/alloc.rs",
+        "crates/core/src/testing.rs",
+        "crates/sgx-sim/src/memory.rs",
+        "crates/net/src/frame.rs",
+    ];
+    let scoped = ["crates/core/src/", "crates/net/src/", "crates/sgx-sim/src/"];
+    let sources = tree.0.iter().filter(|f| scoped.iter().any(|dir| f.path.starts_with(dir)));
+    let mut found = Vec::new();
+    for f in sources.filter(|f| !EXEMPT.contains(&f.path.as_str())) {
+        if f.path.ends_with("tests.rs") {
+            continue;
+        }
+        for (i, line) in before_tests(f).filter(|(_, l)| l.contains("from_le_bytes")) {
+            let read_frame = f.path == "crates/net/src/protocol.rs" && line.contains("(len_buf)");
+            if !read_frame {
+                found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+            }
+        }
+    }
+    found
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -428,4 +461,25 @@ fn one_reference_model_holds() {
             ("tests/end_to_end.rs", "pub struct ShadowModel {"),
         ],
     );
+}
+
+#[test]
+fn one_byte_cursor_holds() {
+    check(
+        one_byte_cursor,
+        "bytes that leave the enclave are parsed by hand; read them through sgx_sim::bytes::Reader (see DESIGN.md, Bytes outside the enclave)",
+        &[
+            ("crates/core/src/persist.rs", "let n = u32::from_le_bytes(b[..4].try_into().unwrap());"),
+            ("crates/net/src/session.rs", "let tenant = u32::from_le_bytes(bytes[40..44].try_into()?);"),
+            ("crates/net/src/protocol.rs", "let seq = u64::from_le_bytes(body[1..9].try_into()?);"),
+        ],
+    );
+    // Test code, and a test file of its own, stay free to.
+    let allowed = Tree::load()
+        .with(
+            "crates/core/src/repl.rs",
+            "#[cfg(test)]\nmod tests { fn f() { u64::from_le_bytes(x); } }",
+        )
+        .with("crates/core/src/shard/tamper_tests.rs", "let cap = u32::from_le_bytes(raw);");
+    assert!(one_byte_cursor(&allowed).is_empty());
 }
