@@ -53,8 +53,9 @@
 //! Exit status is non-zero iff any cell recovered outside its policy
 //! window.
 
+use adversary::rig::{self, ScratchDir};
 use sgx_sim::counter::PersistentCounter;
-use sgx_sim::enclave::{Enclave, EnclaveBuilder};
+use sgx_sim::enclave::Enclave;
 use sgx_sim::storage::{FaultFs, FaultKind, FaultOp, FaultSpec, StorageFs};
 use shieldstore::model::Model;
 use shieldstore::{ttl, Config, DurabilityPolicy, Error, Op, ShieldStore};
@@ -91,11 +92,11 @@ const POLICY_ENV: &str = "SHIELDSTORE_CRASH_POLICY";
 const OPS_ENV: &str = "SHIELDSTORE_CRASH_OPS";
 
 fn enclave(seed: u64) -> Arc<Enclave> {
-    EnclaveBuilder::new("crash-matrix").seed(seed).epc_bytes(8 << 20).build()
+    rig::enclave("crash-matrix", seed).build()
 }
 
 fn config(policy: DurabilityPolicy) -> Config {
-    Config::shield_opt().buckets(64).mac_hashes(16).with_shards(2).with_durability(policy)
+    rig::config().with_durability(policy)
 }
 
 fn policy_from_tag(tag: &str) -> DurabilityPolicy {
@@ -315,13 +316,11 @@ fn run_parent() {
         for kill in 1..=args.kill_points {
             for tag in ["strict", "group4", "snapshot", "expiry", "storage"] {
                 cells += 1;
-                let dir = std::env::temp_dir()
-                    .join(format!("ss-crash-{}-{seed}-{kill}-{tag}", std::process::id()));
-                std::fs::remove_dir_all(&dir).ok();
-                std::fs::create_dir_all(&dir).expect("cell dir");
+                let scratch = ScratchDir::new(&format!("crash-{seed}-{kill}-{tag}"));
+                let dir = scratch.path();
                 let status = std::process::Command::new(&exe)
                     .env(ROLE_ENV, "child")
-                    .env(DIR_ENV, &dir)
+                    .env(DIR_ENV, dir)
                     .env(SEED_ENV, seed.to_string())
                     .env(FUSE_ENV, kill.to_string())
                     .env(POLICY_ENV, tag)
@@ -333,12 +332,11 @@ fn run_parent() {
                 } else {
                     crashes += 1;
                 }
-                if let Err(why) = check_cell(seed, tag, &dir, args.ops, status.success()) {
+                if let Err(why) = check_cell(seed, tag, dir, args.ops, status.success()) {
                     failures.push(format!("seed={seed} kill={kill} policy={tag}: {why}"));
                     println!("FAIL seed={seed} kill={kill} policy={tag}");
                     println!("  {why}");
                 }
-                std::fs::remove_dir_all(&dir).ok();
             }
         }
     }

@@ -2,9 +2,7 @@
 //! with attacks on untrusted memory, differentially checked against the
 //! reference model after every step.
 
-use crate::Violation;
-use sgx_sim::enclave::EnclaveBuilder;
-use shield_workload::rng::SplitMix64;
+use crate::{Rig, Violation};
 use shield_workload::{Generator, Spec};
 use shieldstore::model::Model;
 use shieldstore::testing::{EntryField, StaleEntry, TamperOp};
@@ -98,21 +96,8 @@ impl Attack {
     }
 }
 
-/// Outcome accounting for one store-phase run.
-#[derive(Debug, Default, Clone)]
-pub struct StoreReport {
-    /// Store operations issued (batch = one op).
-    pub ops: u64,
-    /// Attack steps that actually mutated untrusted state.
-    pub attacks: u64,
-    /// Landed attacks per catalog entry (indexed like [`CATALOG`]).
-    pub attacks_by_kind: [u64; CATALOG.len()],
-    /// Operations that failed with `IntegrityViolation` (detections).
-    pub detected: u64,
-    /// Full decrypting scans triggered by hint corruption.
-    pub hint_full_scans: u64,
-}
-
+/// The store phase's seed salt.
+pub const SALT: u64 = 0xadf0_77aa_11cc_5511;
 const NUM_KEYS: u64 = 48;
 const VAL_LEN: usize = 24;
 
@@ -128,11 +113,11 @@ fn store_config() -> Config {
     // Full protection: key hint + two-step + MAC bucketing all on. The
     // KeySize/Hint attacks are only *survivable-or-detectable* with the
     // two-step fallback in place, so the harness always runs with it.
-    Config::shield_opt().buckets(96).mac_hashes(24).with_shards(3)
+    crate::rig::config().buckets(96).mac_hashes(24).with_shards(3)
 }
 
 fn new_store(name: &str, seed: u64) -> ShieldStore {
-    let enclave = EnclaveBuilder::new(name).seed(seed).epc_bytes(8 << 20).build();
+    let enclave = crate::rig::enclave(&format!("adversary-{name}"), seed).build();
     ShieldStore::new(enclave, store_config()).expect("store construction")
 }
 
@@ -146,7 +131,7 @@ fn new_store(name: &str, seed: u64) -> ShieldStore {
 fn hint_fallback_scenario(seed: u64) -> Result<u64, Violation> {
     let violation =
         |detail: &str| Violation { context: "hint scenario".into(), detail: detail.into() };
-    let (store, mut model) = populated("adversary-hint", seed)?;
+    let (store, mut model) = populated("hint", seed)?;
     let before = store.stats().full_scans;
     if !store.tamper(TamperOp::Field(EntryField::Hint), seed) {
         return Err(violation("hint tamper found no entry in a populated store"));
@@ -191,7 +176,7 @@ fn node_directory_scenario(seed: u64) -> Result<(), Violation> {
         context: "node directory scenario".into(),
         detail: detail.into(),
     };
-    let (store, mut model) = populated("adversary-directory", seed)?;
+    let (store, mut model) = populated("directory", seed)?;
     let planted = (0..32).filter(|i| store.tamper(TamperOp::NodeHandle, seed ^ (i << 20))).count();
     if planted == 0 {
         return Err(violation("no MAC node listed a handle to overwrite"));
@@ -224,31 +209,30 @@ fn node_directory_scenario(seed: u64) -> Result<(), Violation> {
 }
 
 /// State for the chaotic interleaved phase.
-struct Chaos {
+struct Chaos<'r> {
+    rig: &'r mut Rig,
     store: ShieldStore,
     model: Model,
-    rng: SplitMix64,
     zipf: Generator,
-    report: StoreReport,
     /// Stale entry copies captured for later replay: `(shard, entry)`.
     stash: Vec<(usize, StaleEntry)>,
     /// Shards hit by at least one attack (for the liveness check).
     attacked_shards: HashSet<usize>,
 }
 
-impl Chaos {
+impl Chaos<'_> {
     /// Applies one store operation and checks the trichotomy. Reads
     /// dominate, as in the paper's workloads; batches take 1–8 keys,
     /// duplicates allowed.
     fn step_op(&mut self, step: u64) -> Result<(), Violation> {
-        self.report.ops += 1;
-        let kind = self.rng.next_below(10);
-        let n = if kind >= 8 { 1 + self.rng.next_below(8) } else { 1 };
+        self.rig.tally.add("ops", 1);
+        let kind = self.rig.rng.next_below(10);
+        let n = if kind >= 8 { 1 + self.rig.rng.next_below(8) } else { 1 };
         let mut items = Vec::new();
         for i in 0..n {
             let key = key_bytes(self.zipf.next_key());
             let value = match kind {
-                4..=6 | 9 => value_bytes(self.rng.next_u64() % NUM_KEYS, step + i),
+                4..=6 | 9 => value_bytes(self.rig.rng.next_u64() % NUM_KEYS, step + i),
                 _ => Vec::new(),
             };
             items.push((key, value));
@@ -264,22 +248,18 @@ impl Chaos {
             // every prefix is possible, and the model widens to all.
             _ => ("multi_set", Op::MultiSet { items: &pairs, expires_at: 0 }),
         };
-        if !crate::checked(&self.store, &mut self.model, context, 0, op)? {
-            self.report.detected += 1;
-        }
+        let answered = crate::checked(&self.store, &mut self.model, context, 0, op)?;
+        self.rig.tally.add("detected", u64::from(!answered));
         Ok(())
     }
     /// Applies one attack step.
     fn step_attack(&mut self) {
-        let kind = self.rng.next_below(CATALOG.len() as u64) as usize;
-        let attack = CATALOG[kind];
-        let atk_seed = self.rng.next_u64();
+        let attack = CATALOG[self.rig.rng.next_below(CATALOG.len() as u64) as usize];
+        let atk_seed = self.rig.rng.next_u64();
         match attack.tamper_op() {
             Some(op) => {
                 if self.store.tamper(op, atk_seed) {
-                    self.report.attacks += 1;
-                    self.report.attacks_by_kind[kind] += 1;
-                    self.attacked_shards.insert(atk_seed as usize % self.store.num_shards());
+                    self.landed(attack, atk_seed as usize % self.store.num_shards());
                 }
             }
             None => {
@@ -289,9 +269,7 @@ impl Chaos {
                     let idx = (atk_seed >> 8) as usize % self.stash.len();
                     let (shard, stale) = self.stash.swap_remove(idx);
                     if self.store.replay_entry(shard, &stale) {
-                        self.report.attacks += 1;
-                        self.report.attacks_by_kind[kind] += 1;
-                        self.attacked_shards.insert(shard);
+                        self.landed(attack, shard);
                     }
                 } else {
                     let shard = (atk_seed >> 8) as usize % self.store.num_shards();
@@ -303,6 +281,13 @@ impl Chaos {
                 }
             }
         }
+    }
+
+    /// Counts an attack that mutated untrusted state in `shard`.
+    fn landed(&mut self, attack: Attack, shard: usize) {
+        self.rig.tally.add("attacks", 1);
+        self.rig.tally.add(&format!("{attack:?}"), 1);
+        self.attacked_shards.insert(shard);
     }
 }
 
@@ -318,20 +303,23 @@ pub(crate) fn check_stats(store: &ShieldStore, context: &str) -> Result<(), Viol
         .map_err(|detail| Violation { context: context.into(), detail })
 }
 
-/// Runs the interleaved op/attack phase for one seed.
-pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> {
-    sgx_sim::vclock::reset();
-    let hint_full_scans = hint_fallback_scenario(seed)?;
+/// Runs the two §5.4 scenarios, then `steps` of interleaved ops and
+/// attacks.
+pub fn run(rig: &mut Rig, steps: u64) -> Result<(), Violation> {
+    let seed = rig.seed;
+    rig.tally.add("hint_full_scans", hint_fallback_scenario(seed)?);
     node_directory_scenario(seed)?;
+    // Every kind is listed, landed or not: a stuck attack shows as 0.
+    for attack in CATALOG {
+        rig.tally.add(&format!("{attack:?}"), 0);
+    }
 
-    let store = new_store("adversary-store", seed);
     let spec = Spec::by_name("RD50_Z").expect("workload spec");
     let mut chaos = Chaos {
-        store,
+        rig,
+        store: new_store("store", seed),
         model: Model::default(),
-        rng: SplitMix64::new(seed ^ 0xadf0_77aa_11cc_5511),
         zipf: Generator::new(spec, NUM_KEYS, seed),
-        report: StoreReport { hint_full_scans, ..Default::default() },
         stash: Vec::new(),
         attacked_shards: HashSet::new(),
     };
@@ -343,7 +331,7 @@ pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> 
     }
 
     for step in 0..steps {
-        if chaos.rng.next_below(100) < 70 {
+        if chaos.rig.rng.next_below(100) < 70 {
             chaos.step_op(step)?;
         } else {
             chaos.step_attack();
@@ -385,32 +373,33 @@ pub fn run_store_phase(seed: u64, steps: u64) -> Result<StoreReport, Violation> 
     }
 
     // Attack accounting must have reached the enclave counters.
-    let recorded = chaos.store.enclave().stats().snapshot().attack_steps;
-    if recorded < chaos.report.attacks {
+    let (recorded, applied) =
+        (chaos.store.enclave().stats().snapshot().attack_steps, chaos.rig.tally.get("attacks"));
+    if recorded < applied {
         return Err(Violation {
             context: "accounting".into(),
-            detail: format!(
-                "applied {} attack steps but the enclave recorded {recorded}",
-                chaos.report.attacks
-            ),
+            detail: format!("applied {applied} attack steps but the enclave recorded {recorded}"),
         });
     }
-    check_stats(&chaos.store, "store phase stats")?;
-    Ok(chaos.report)
+    check_stats(&chaos.store, "store phase stats")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn store_phase(seed: u64, steps: u64) -> Result<crate::Tally, Violation> {
+        crate::run_phase("store", seed, SALT, |rig| run(rig, steps))
+    }
+
     #[test]
     fn store_phase_runs_clean_on_a_few_seeds() {
         for seed in 0..4 {
-            let report = run_store_phase(seed, 300).unwrap_or_else(|v| {
+            let tally = store_phase(seed, 300).unwrap_or_else(|v| {
                 panic!("seed {seed}: trichotomy violation: {v}");
             });
-            assert!(report.ops > 0);
-            assert!(report.hint_full_scans > 0);
+            assert!(tally.get("ops") > 0);
+            assert!(tally.get("hint_full_scans") > 0);
         }
     }
 
@@ -418,15 +407,15 @@ mod tests {
     fn catalog_attacks_all_land_over_seeds() {
         // Every catalog entry must actually mutate state on some seed
         // (a stuck attack would silently weaken the whole harness).
-        let mut by_kind = [0u64; CATALOG.len()];
+        let mut total = crate::Tally::default();
         for seed in 0..12 {
-            let report = run_store_phase(seed, 400).expect("clean run");
-            for (total, landed) in by_kind.iter_mut().zip(report.attacks_by_kind) {
-                *total += landed;
-            }
+            total.merge(&store_phase(seed, 400).expect("clean run"));
         }
-        for (kind, landed) in CATALOG.iter().zip(by_kind) {
-            assert!(landed > 0, "attack {kind:?} never landed in 12 seeds");
+        for kind in CATALOG {
+            assert!(
+                total.get(&format!("{kind:?}")) > 0,
+                "attack {kind:?} never landed in 12 seeds"
+            );
         }
     }
 }

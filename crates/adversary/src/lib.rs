@@ -5,7 +5,8 @@
 //! faults. A failing seed therefore reproduces the failure exactly —
 //! `cargo run -p adversary -- --seed <s>` — with no flakiness to chase.
 //!
-//! Every phase is checked against the one reference model,
+//! Every phase runs in one [`Rig`] ([`run_phase`]), counts into one
+//! [`Tally`], and is checked against the one reference model,
 //! [`shieldstore::model::Model`]:
 //!
 //! * [`engine`] — store-layer attacks on untrusted memory (entry field
@@ -15,8 +16,8 @@
 //!   (truncation, bit flips, zero-length, stale-file replay).
 //! * [`wire`] — network-layer attacks via a byte-level fault proxy
 //!   (garbled, truncated, duplicated, and dropped frames), plus an
-//!   overload-and-tamper phase ([`wire::run_overload_phase`], run on its
-//!   own seed budget) that saturates a small-capacity server past its
+//!   overload-and-tamper phase ([`wire::overload`], run on its own
+//!   seed budget) that saturates a small-capacity server past its
 //!   connection cap while one partition is corrupted, checking graceful
 //!   degradation: correct, `Busy`, or `Quarantined` — never wrong.
 //! * [`walphase`] — write-ahead-log attacks (torn tails, bit flips,
@@ -41,11 +42,13 @@
 //! result matches the model, or the operation failed with an integrity
 //! violation (detection, failing closed), and never anything else.
 
+pub use rig::{run_phase, Rig};
 use shieldstore::model::Model;
 use shieldstore::{Error, Op, ShieldStore, TenantId};
 
 pub mod engine;
 pub mod replphase;
+pub mod rig;
 pub mod snapshot;
 pub mod storagephase;
 pub mod tenantphase;
@@ -109,6 +112,31 @@ pub(crate) fn answered(
     }
 }
 
+/// Counts a stale-but-valid replay as an attack and `outcome`, what the
+/// store made of it, as its detection: it must be `Err(Rollback)`, and
+/// nothing else.
+pub(crate) fn refused_as_rollback(
+    tally: &mut Tally,
+    outcome: Result<ShieldStore, Error>,
+    context: &str,
+    what: &str,
+) -> Result<(), Violation> {
+    tally.add("attacks", 1);
+    match outcome {
+        Err(Error::Rollback) => {
+            tally.add("detected", 1);
+            Ok(())
+        }
+        other => Err(Violation {
+            context: context.into(),
+            detail: format!(
+                "{what} returned {:?} instead of Err(Rollback)",
+                other.map(|_| "a working store")
+            ),
+        }),
+    }
+}
+
 /// Checks that `store` holds exactly `model` and that its counters are
 /// self-consistent.
 pub(crate) fn check_state(
@@ -120,27 +148,91 @@ pub(crate) fn check_state(
     engine::check_stats(store, context)
 }
 
-/// Combined accounting for one seed's full run.
-#[derive(Debug, Default, Clone)]
-pub struct SeedReport {
-    pub store: engine::StoreReport,
-    pub snapshot: snapshot::SnapshotReport,
-    pub wal: walphase::WalReport,
-    pub wire: wire::WireReport,
-    pub tenant: tenantphase::TenantReport,
-    pub repl: replphase::ReplReport,
-    pub storage: storagephase::StorageReport,
+/// Named counters, in the order each was first bumped. A phase names a
+/// counter where it bumps it; the totals, the text summary and the JSON
+/// report are all read off the tallies.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Tally(Vec<(String, u64)>);
+
+impl Tally {
+    /// Adds `n` to counter `name`, listing it (even at 0) if it is new.
+    pub fn add(&mut self, name: &str, n: u64) {
+        match self.0.iter_mut().find(|(listed, _)| listed == name) {
+            Some((_, count)) => *count += n,
+            None => self.0.push((name.into(), n)),
+        }
+    }
+
+    /// Counter `name`, 0 if it was never bumped.
+    pub fn get(&self, name: &str) -> u64 {
+        self.0.iter().find(|(listed, _)| listed == name).map_or(0, |(_, count)| *count)
+    }
+
+    /// Adds every counter of `other` to this one.
+    pub fn merge(&mut self, other: &Tally) {
+        for (name, n) in &other.0 {
+            self.add(name, *n);
+        }
+    }
+
+    /// The counters as a one-line JSON object.
+    pub fn json(&self) -> String {
+        let fields: Vec<String> =
+            self.0.iter().map(|(name, n)| format!("\"{name}\": {n}")).collect();
+        format!("{{{}}}", fields.join(", "))
+    }
 }
 
-/// Runs every phase for one seed. `store_steps` sizes the chaotic
-/// store phase; the other phases have fixed shapes.
-pub fn run_seed(seed: u64, store_steps: u64) -> Result<SeedReport, Violation> {
-    let store = engine::run_store_phase(seed, store_steps)?;
-    let snapshot = snapshot::run_snapshot_phase(seed)?;
-    let wal = walphase::run_wal_phase(seed)?;
-    let wire = wire::run_wire_phase(seed)?;
-    let tenant = tenantphase::run_tenant_phase(seed)?;
-    let repl = replphase::run_repl_phase(seed)?;
-    let storage = storagephase::run_storage_phase(seed)?;
-    Ok(SeedReport { store, snapshot, wal, wire, tenant, repl, storage })
+impl std::fmt::Display for Tally {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fields: Vec<String> = self.0.iter().map(|(name, n)| format!("{name}={n}")).collect();
+        f.write_str(&fields.join(" "))
+    }
+}
+
+/// Each phase's tally for one seed, in the order the phases ran.
+pub type Tallies = Vec<(&'static str, Tally)>;
+
+/// Every counter that more than one phase names (`ops`, `attacks`,
+/// `detected`, …), summed over the phases.
+pub fn totals(phases: &Tallies) -> Tally {
+    let mut all = Tally::default();
+    for (_, tally) in phases {
+        all.merge(tally);
+    }
+    all.0.retain(|(name, _)| {
+        phases.iter().filter(|(_, tally)| tally.0.iter().any(|(n, _)| n == name)).count() > 1
+    });
+    all
+}
+
+/// A phase body, run in the [`Rig`] that [`run_phase`] hands it.
+type Phase<'a> = &'a dyn Fn(&mut Rig) -> Result<(), Violation>;
+
+/// Runs every phase for one seed, or the store phase alone when
+/// `every_phase` is false. `store_steps` sizes the chaotic store phase;
+/// the other phases have fixed shapes.
+pub fn run_seed(seed: u64, store_steps: u64, every_phase: bool) -> Result<Tallies, Violation> {
+    let store = |rig: &mut Rig| engine::run(rig, store_steps);
+    let phases: [(&'static str, u64, Phase); 7] = [
+        ("store", engine::SALT, &store),
+        ("snap", snapshot::SALT, &snapshot::run),
+        ("wal", walphase::SALT, &walphase::run),
+        ("wire", wire::SALT, &wire::run),
+        ("tenant", tenantphase::SALT, &tenantphase::run),
+        ("repl", replphase::SALT, &replphase::run),
+        ("storage", storagephase::SALT, &storagephase::run),
+    ];
+    let count = if every_phase { phases.len() } else { 1 };
+    phases
+        .into_iter()
+        .take(count)
+        .map(|(name, salt, phase)| Ok((name, run_phase(name, seed, salt, phase)?)))
+        .collect()
+}
+
+/// Runs the overload-and-tamper phase for one seed. It has its own seed
+/// budget: each seed starts servers, a client fleet and a fault proxy.
+pub fn run_overload_seed(seed: u64) -> Result<Tallies, Violation> {
+    Ok(vec![("overload", run_phase("overload", seed, 0, wire::overload)?)])
 }

@@ -4,18 +4,21 @@
 //!
 //! ```text
 //! shieldstore_adversary [--seed S | --seeds N] [--start S0] [--steps K] [--no-wire]
-//!                       [--report PATH]
+//!                       [--overload-seeds K] [--report PATH]
 //! ```
 //!
-//! `--report PATH` additionally writes a machine-readable JSON summary —
-//! per-attack-kind landed counts, detection totals, and the failing
-//! seeds — which CI uploads as a build artifact.
+//! Each phase counts into a tally; the summary prints every phase's
+//! tally summed over the seeds, then the totals: every counter more than
+//! one phase names, summed over the phases.
+//! `--report PATH` additionally writes them as JSON — `totals`, `phases`
+//! (one object per phase) and the failing seeds — which CI uploads as a
+//! build artifact.
 //!
 //! Exit status is non-zero iff any seed found a violation; the offending
 //! seed is printed as `FAIL seed=<s>` so it can be replayed alone with
 //! `--seed <s>`.
 
-use adversary::{engine, run_seed};
+use adversary::{run_overload_seed, run_seed, totals, Tallies, Tally};
 
 struct Args {
     start: u64,
@@ -66,66 +69,12 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    // ops, attacks, detections, wire faults, crash/recover cycles
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut by_kind = [0u64; engine::CATALOG.len()];
-    let mut tenant = adversary::tenantphase::TenantReport::default();
-    let mut repl = adversary::replphase::ReplReport::default();
-    let mut storage = adversary::storagephase::StorageReport::default();
+    let mut phases = Tallies::new();
     let mut failed_seeds: Vec<u64> = Vec::new();
 
     for seed in args.start..args.start + args.count {
-        let outcome = if args.wire {
-            run_seed(seed, args.steps)
-        } else {
-            engine::run_store_phase(seed, args.steps)
-                .map(|store| adversary::SeedReport { store, ..Default::default() })
-        };
-        match outcome {
-            Ok(report) => {
-                totals.0 += report.store.ops
-                    + report.wire.ops
-                    + report.tenant.ops
-                    + report.repl.ops
-                    + report.storage.ops;
-                totals.1 += report.store.attacks
-                    + report.snapshot.corruptions
-                    + report.wal.attacks
-                    + report.wire.faults
-                    + report.tenant.attacks
-                    + report.repl.attacks
-                    + report.storage.attacks;
-                totals.2 += report.store.detected
-                    + report.snapshot.detected
-                    + report.wal.detected
-                    + report.tenant.detected
-                    + report.repl.detected
-                    + report.storage.detected;
-                tenant.ops += report.tenant.ops;
-                tenant.attacks += report.tenant.attacks;
-                tenant.detected += report.tenant.detected;
-                tenant.cross_reads += report.tenant.cross_reads;
-                tenant.forgeries += report.tenant.forgeries;
-                tenant.quota_rejections += report.tenant.quota_rejections;
-                tenant.ttl_resurrections += report.tenant.ttl_resurrections;
-                repl.ops += report.repl.ops;
-                repl.attacks += report.repl.attacks;
-                repl.detected += report.repl.detected;
-                repl.split_brains += report.repl.split_brains;
-                repl.stale_promotions += report.repl.stale_promotions;
-                repl.truncations += report.repl.truncations;
-                storage.ops += report.storage.ops;
-                storage.attacks += report.storage.attacks;
-                storage.detected += report.storage.detected;
-                storage.poisoned += report.storage.poisoned;
-                storage.power_cuts += report.storage.power_cuts;
-                storage.repairs += report.storage.repairs;
-                totals.3 += report.wire.faults;
-                totals.4 += report.wal.cycles + report.storage.power_cuts;
-                for (total, landed) in by_kind.iter_mut().zip(report.store.attacks_by_kind) {
-                    *total += landed;
-                }
-            }
+        match run_seed(seed, args.steps, args.wire) {
+            Ok(tallies) => absorb(&mut phases, tallies),
             Err(violation) => {
                 failed_seeds.push(seed);
                 println!("FAIL seed={seed}");
@@ -134,103 +83,30 @@ fn main() {
             }
         }
     }
-
-    // Overload-and-tamper phase: its own (smaller) seed budget, since
-    // each seed spins up servers, client fleets, and a fault proxy.
-    let mut overload = adversary::wire::OverloadReport::default();
     for seed in args.start..args.start + args.overload {
-        match adversary::wire::run_overload_phase(seed) {
-            Ok(r) => {
-                overload.ops += r.ops;
-                overload.busy += r.busy;
-                overload.quarantined += r.quarantined;
-                overload.refused += r.refused;
-                overload.reconnects += r.reconnects;
-                overload.drain_ms = overload.drain_ms.max(r.drain_ms);
-            }
-            Err(v) => {
+        match run_overload_seed(seed) {
+            Ok(tallies) => absorb(&mut phases, tallies),
+            Err(violation) => {
                 failed_seeds.push(seed);
                 println!("FAIL overload seed={seed}");
-                println!("  {v}");
+                println!("  {violation}");
             }
         }
     }
-    totals.0 += overload.ops;
 
-    if args.wire {
-        println!(
-            "tenant phase: {} ops, {} attacks ({} cross-reads, {} forgeries, \
-             {} quota rejections, {} TTL revivals), {} detections",
-            tenant.ops,
-            tenant.attacks,
-            tenant.cross_reads,
-            tenant.forgeries,
-            tenant.quota_rejections,
-            tenant.ttl_resurrections,
-            tenant.detected,
-        );
-        println!(
-            "replication phase: {} ops, {} attacks ({} split-brain, {} stale promotions, \
-             {} in-flight truncations), {} detections",
-            repl.ops,
-            repl.attacks,
-            repl.split_brains,
-            repl.stale_promotions,
-            repl.truncations,
-            repl.detected,
-        );
-        println!(
-            "storage phase: {} ops, {} faults injected, {} detections \
-             ({} writers poisoned, {} power cuts, {} verified repairs)",
-            storage.ops,
-            storage.attacks,
-            storage.detected,
-            storage.poisoned,
-            storage.power_cuts,
-            storage.repairs,
-        );
+    for (name, tally) in &phases {
+        println!("{name} phase: {tally}");
     }
-    println!("attack coverage:");
-    for (kind, landed) in engine::CATALOG.iter().zip(by_kind) {
-        println!("  {kind:?}: {landed}");
-    }
-    if args.overload > 0 {
-        println!(
-            "overload phase: {} seeds, {} ops, {} busy sheds, {} quarantined answers, \
-             {} refused connections, {} reconnects, worst drain {} ms",
-            args.overload,
-            overload.ops,
-            overload.busy,
-            overload.quarantined,
-            overload.refused,
-            overload.reconnects,
-            overload.drain_ms,
-        );
-    }
+    let totals = totals(&phases);
     println!(
-        "adversary: {} seeds, {} ops, {} attacks injected ({} on the wire), {} detections, \
-         {} crash/recover cycles, {}",
+        "adversary: {} seeds ({} overload), {totals}, {}",
         args.count,
-        totals.0,
-        totals.1,
-        totals.3,
-        totals.2,
-        totals.4,
+        args.overload,
         if failed_seeds.is_empty() { "zero trichotomy violations" } else { "FAILURES FOUND" },
     );
 
     if let Some(path) = &args.report {
-        let json = report_json(
-            &args,
-            totals,
-            &by_kind,
-            &overload,
-            &tenant,
-            &repl,
-            &storage,
-            &failed_seeds,
-        );
-        match std::fs::write(path, &json) {
+        match std::fs::write(path, report_json(&args, &totals, &phases, &failed_seeds)) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => {
                 eprintln!("could not write {path}: {e}");
@@ -243,78 +119,34 @@ fn main() {
     }
 }
 
-/// Hand-rolled JSON summary (no serde in the tree): run parameters,
-/// totals, per-attack-kind landed counts, and any failing seeds.
-#[allow(clippy::too_many_arguments)]
-fn report_json(
-    args: &Args,
-    totals: (u64, u64, u64, u64, u64),
-    by_kind: &[u64; engine::CATALOG.len()],
-    overload: &adversary::wire::OverloadReport,
-    tenant: &adversary::tenantphase::TenantReport,
-    repl: &adversary::replphase::ReplReport,
-    storage: &adversary::storagephase::StorageReport,
-    failed_seeds: &[u64],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"harness\": \"shieldstore_adversary\",\n");
-    out.push_str(&format!("  \"start_seed\": {},\n", args.start));
-    out.push_str(&format!("  \"seeds\": {},\n", args.count));
-    out.push_str(&format!("  \"steps_per_seed\": {},\n", args.steps));
-    out.push_str(&format!("  \"wire_phase\": {},\n", args.wire));
-    out.push_str(&format!("  \"ops\": {},\n", totals.0));
-    out.push_str(&format!("  \"attacks_injected\": {},\n", totals.1));
-    out.push_str(&format!("  \"wire_faults\": {},\n", totals.3));
-    out.push_str(&format!("  \"detections\": {},\n", totals.2));
-    out.push_str(&format!("  \"crash_recover_cycles\": {},\n", totals.4));
-    out.push_str("  \"attacks_by_kind\": {\n");
-    for (i, (kind, landed)) in engine::CATALOG.iter().zip(by_kind).enumerate() {
-        out.push_str(&format!(
-            "    \"{kind:?}\": {landed}{}\n",
-            if i + 1 == engine::CATALOG.len() { "" } else { "," }
-        ));
+/// Adds one seed's tallies to the running ones, phase by phase.
+fn absorb(phases: &mut Tallies, seed: Tallies) {
+    for (name, tally) in seed {
+        match phases.iter_mut().find(|(seen, _)| *seen == name) {
+            Some((_, total)) => total.merge(&tally),
+            None => phases.push((name, tally)),
+        }
     }
-    out.push_str("  },\n");
-    out.push_str("  \"overload\": {\n");
-    out.push_str(&format!("    \"seeds\": {},\n", args.overload));
-    out.push_str(&format!("    \"ops\": {},\n", overload.ops));
-    out.push_str(&format!("    \"busy\": {},\n", overload.busy));
-    out.push_str(&format!("    \"quarantined\": {},\n", overload.quarantined));
-    out.push_str(&format!("    \"refused_connections\": {},\n", overload.refused));
-    out.push_str(&format!("    \"reconnects\": {},\n", overload.reconnects));
-    out.push_str(&format!("    \"worst_drain_ms\": {}\n", overload.drain_ms));
-    out.push_str("  },\n");
-    out.push_str("  \"tenant\": {\n");
-    out.push_str(&format!("    \"ops\": {},\n", tenant.ops));
-    out.push_str(&format!("    \"attacks\": {},\n", tenant.attacks));
-    out.push_str(&format!("    \"detections\": {},\n", tenant.detected));
-    out.push_str("    \"by_attack_kind\": {\n");
-    out.push_str(&format!("      \"cross_read\": {},\n", tenant.cross_reads));
-    out.push_str(&format!("      \"forge\": {},\n", tenant.forgeries));
-    out.push_str(&format!("      \"quota_exhaustion\": {},\n", tenant.quota_rejections));
-    out.push_str(&format!("      \"ttl_resurrection\": {}\n", tenant.ttl_resurrections));
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str("  \"replication\": {\n");
-    out.push_str(&format!("    \"ops\": {},\n", repl.ops));
-    out.push_str(&format!("    \"attacks\": {},\n", repl.attacks));
-    out.push_str(&format!("    \"detections\": {},\n", repl.detected));
-    out.push_str("    \"by_attack_kind\": {\n");
-    out.push_str(&format!("      \"split_brain\": {},\n", repl.split_brains));
-    out.push_str(&format!("      \"stale_promotion\": {},\n", repl.stale_promotions));
-    out.push_str(&format!("      \"truncation_in_flight\": {}\n", repl.truncations));
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str("  \"storage\": {\n");
-    out.push_str(&format!("    \"ops\": {},\n", storage.ops));
-    out.push_str(&format!("    \"faults_injected\": {},\n", storage.attacks));
-    out.push_str(&format!("    \"detections\": {},\n", storage.detected));
-    out.push_str(&format!("    \"writers_poisoned\": {},\n", storage.poisoned));
-    out.push_str(&format!("    \"power_cuts\": {},\n", storage.power_cuts));
-    out.push_str(&format!("    \"verified_repairs\": {}\n", storage.repairs));
-    out.push_str("  },\n");
+}
+
+/// The JSON summary (no serde in the tree): run parameters, the totals,
+/// each phase's tally, and any failing seeds.
+fn report_json(args: &Args, totals: &Tally, phases: &Tallies, failed_seeds: &[u64]) -> String {
+    let phases: Vec<String> =
+        phases.iter().map(|(name, tally)| format!("    \"{name}\": {}", tally.json())).collect();
     let seeds: Vec<String> = failed_seeds.iter().map(u64::to_string).collect();
-    out.push_str(&format!("  \"failed_seeds\": [{}]\n", seeds.join(", ")));
-    out.push_str("}\n");
-    out
+    let fields = [
+        ("harness", "\"shieldstore_adversary\"".to_string()),
+        ("start_seed", args.start.to_string()),
+        ("seeds", args.count.to_string()),
+        ("steps_per_seed", args.steps.to_string()),
+        ("wire_phase", args.wire.to_string()),
+        ("overload_seeds", args.overload.to_string()),
+        ("totals", totals.json()),
+        ("phases", format!("{{\n{}\n  }}", phases.join(",\n"))),
+        ("failed_seeds", format!("[{}]", seeds.join(", "))),
+    ];
+    let lines: Vec<String> =
+        fields.iter().map(|(key, value)| format!("  \"{key}\": {value}")).collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }

@@ -14,71 +14,40 @@
 //!   from the replica's held position always completes catch-up to the
 //!   byte-exact acknowledged state.
 
-use crate::Violation;
+use crate::{Rig, Tally, Violation};
 use sgx_sim::counter::PersistentCounter;
-use sgx_sim::enclave::{Enclave, EnclaveBuilder};
-use shield_workload::rng::SplitMix64;
 use shieldstore::model::Model;
-use shieldstore::{Config, DurabilityPolicy, Op, Replica, ShieldStore, Watermark};
-use std::path::{Path, PathBuf};
+use shieldstore::{DurabilityPolicy, Op, Replica, ShieldStore, Watermark};
 use std::sync::Arc;
 
-/// Outcome accounting for one replication-phase run.
-#[derive(Debug, Default, Clone)]
-pub struct ReplReport {
-    /// Acknowledged primary mutations streamed to replicas.
-    pub ops: u64,
-    /// Attacks injected (sum of the per-kind counters).
-    pub attacks: u64,
-    /// Attacks that failed closed.
-    pub detected: u64,
-    /// Split-brain attempts: fenced-primary commits and racing
-    /// promotions refused after a legitimate failover.
-    pub split_brains: u64,
-    /// Stale promotions refused: pruned-generation replicas and
-    /// foreign-log key mismatches, with the live primary unfenced.
-    pub stale_promotions: u64,
-    /// In-flight batch truncations/corruptions rejected without
-    /// desyncing the stream.
-    pub truncations: u64,
+/// The replication phase's seed salt.
+pub const SALT: u64 = 0x5e9a_ca7e_d51d_e0a7;
+
+/// A strict store in the phase's enclave. Primary and replicas share
+/// one enclave identity: promotion reads the primary's sealed pin, which
+/// MRENCLAVE sealing only permits for the same measurement on the same
+/// platform.
+fn store(rig: &Rig, what: &str) -> ShieldStore {
+    let config = crate::rig::config().with_durability(DurabilityPolicy::Strict);
+    ShieldStore::new(rig.enclave(), config).expect(what)
 }
 
-fn config() -> Config {
-    Config::shield_opt()
-        .buckets(64)
-        .mac_hashes(16)
-        .with_shards(2)
-        .with_durability(DurabilityPolicy::Strict)
+/// Runs the replication attack phase. Besides `ops` (acknowledged
+/// primary writes), `attacks` and `detected`, it counts each kind:
+/// `split_brains` (fenced-primary commits and racing promotions),
+/// `stale_promotions` (pruned-generation and foreign-key replicas) and
+/// `truncations` (batches mangled in flight).
+pub fn run(rig: &mut Rig) -> Result<(), Violation> {
+    split_brain(rig)?;
+    stale_promotion(rig)?;
+    truncation_in_flight(rig)
 }
 
-/// Primary and replicas share one enclave identity: promotion reads the
-/// primary's sealed pin, which MRENCLAVE sealing only permits for the
-/// same measurement on the same platform.
-fn enclave(seed: u64) -> Arc<Enclave> {
-    EnclaveBuilder::new("adversary-repl").seed(seed).epc_bytes(8 << 20).build()
-}
-
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("ss-adversary-repl-{}-{seed}", std::process::id()))
-}
-
-/// Runs the replication attack phase for one seed.
-pub fn run_repl_phase(seed: u64) -> Result<ReplReport, Violation> {
-    sgx_sim::vclock::reset();
-    let dir = scratch_dir(seed);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let result = run_in_dir(seed, &dir);
-    std::fs::remove_dir_all(&dir).ok();
-    result
-}
-
-fn run_in_dir(seed: u64, dir: &Path) -> Result<ReplReport, Violation> {
-    let mut report = ReplReport::default();
-    let mut rng = SplitMix64::new(seed ^ 0x5e9a_ca7e_d51d_e0a7);
-    split_brain(seed, dir, &mut rng, &mut report)?;
-    stale_promotion(seed, dir, &mut rng, &mut report)?;
-    truncation_in_flight(seed, dir, &mut rng, &mut report)?;
-    Ok(report)
+/// Counts an attack of `kind` that failed closed.
+fn refused(tally: &mut Tally, kind: &str) {
+    for name in ["attacks", kind, "detected"] {
+        tally.add(name, 1);
+    }
 }
 
 /// Writes `n` keyed values to the primary, checked against `model`.
@@ -87,7 +56,7 @@ fn load(
     model: &mut Model,
     prefix: &str,
     n: u64,
-    report: &mut ReplReport,
+    tally: &mut Tally,
 ) -> Result<(), Violation> {
     for i in 0..n {
         let (key, value) = (format!("{prefix}{i}"), format!("{prefix}-val-{i}"));
@@ -98,7 +67,7 @@ fn load(
             0,
             Op::set(key.as_bytes(), value.as_bytes()),
         )?;
-        report.ops += 1;
+        tally.add("ops", 1);
     }
     Ok(())
 }
@@ -132,24 +101,19 @@ fn catch_up(
 /// primary's next commit and a second replica's racing promotion must
 /// both fail closed, while the new primary keeps serving and accepting
 /// writes — no window in which two nodes commit.
-fn split_brain(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut ReplReport,
-) -> Result<(), Violation> {
-    let p_wal = dir.join("sb-p-wal");
-    let primary = ShieldStore::new(enclave(seed), config()).expect("primary");
+fn split_brain(rig: &mut Rig) -> Result<(), Violation> {
+    let p_wal = rig.path("sb-p-wal");
+    let primary = store(rig, "primary");
     primary.attach_wal(&p_wal).expect("attach wal");
     let mut model = Model::default();
-    load(&primary, &mut model, "sb", 8 + rng.next_below(8), report)?;
+    load(&primary, &mut model, "sb", 8 + rig.rng.next_below(8), &mut rig.tally)?;
     let durable =
         primary.flush_wal().expect("flush").expect("strict primary has a durable watermark");
 
     let fail =
         |what: &str, detail: String| Violation { context: format!("split brain: {what}"), detail };
     let hello = primary.repl_subscribe().map_err(|e| fail("subscribe", format!("{e:?}")))?;
-    let winner_store = Arc::new(ShieldStore::new(enclave(seed), config()).expect("winner store"));
+    let winner_store = Arc::new(store(rig, "winner store"));
     let mut winner = Replica::new(Arc::clone(&winner_store), &hello)
         .map_err(|e| fail("winner replica", format!("{e:?}")))?;
     catch_up(&primary, &mut winner, durable, "split brain: winner catch-up")?;
@@ -157,14 +121,14 @@ fn split_brain(
     // A second replica subscribes but never applies a byte: it will
     // race the promotion from the stream's origin.
     let hello2 = primary.repl_subscribe().map_err(|e| fail("subscribe 2", format!("{e:?}")))?;
-    let loser_store = Arc::new(ShieldStore::new(enclave(seed), config()).expect("loser store"));
+    let loser_store = Arc::new(store(rig, "loser store"));
     let loser = Replica::new(Arc::clone(&loser_store), &hello2)
         .map_err(|e| fail("loser replica", format!("{e:?}")))?;
 
     // Legitimate failover: the winner's promoted watermark covers every
     // durably acked write, byte-exact.
     let promoted = winner
-        .promote(&p_wal, &dir.join("sb-w-wal"))
+        .promote(&p_wal, &rig.path("sb-w-wal"))
         .map_err(|e| fail("promotion", format!("caught-up replica refused: {e:?}")))?;
     if promoted < durable {
         return Err(fail("promotion", format!("promoted to {promoted}, acked was {durable}")));
@@ -172,20 +136,16 @@ fn split_brain(
     crate::check_state(&winner_store, &model, "split brain: promoted state")?;
 
     // The fenced stale primary must not commit another write.
-    report.attacks += 1;
-    report.split_brains += 1;
     match primary.set(b"split-brain", b"stale") {
-        Err(_) => report.detected += 1,
+        Err(_) => refused(&mut rig.tally, "split_brains"),
         Ok(()) => {
             return Err(fail("fencing", "fenced stale primary acknowledged a write".into()));
         }
     }
 
     // The racing promotion must fail closed on the fenced pin.
-    report.attacks += 1;
-    report.split_brains += 1;
-    match loser.promote(&p_wal, &dir.join("sb-l-wal")) {
-        Err(_) => report.detected += 1,
+    match loser.promote(&p_wal, &rig.path("sb-l-wal")) {
+        Err(_) => refused(&mut rig.tally, "split_brains"),
         Ok(wm) => {
             return Err(fail("racing promotion", format!("second promotion won at {wm}")));
         }
@@ -210,18 +170,13 @@ fn split_brain(
 /// a replica holding a *different* primary's log keys. Both must be
 /// refused before the fence — the live primary keeps acknowledging
 /// writes afterwards.
-fn stale_promotion(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut ReplReport,
-) -> Result<(), Violation> {
-    let p_wal = dir.join("sp-p-wal");
-    let counter = PersistentCounter::open(dir.join("sp-ctr")).expect("counter");
-    let primary = Arc::new(ShieldStore::new(enclave(seed), config()).expect("primary"));
+fn stale_promotion(rig: &mut Rig) -> Result<(), Violation> {
+    let p_wal = rig.path("sp-p-wal");
+    let counter = PersistentCounter::open(rig.path("sp-ctr")).expect("counter");
+    let primary = Arc::new(store(rig, "primary"));
     primary.attach_wal(&p_wal).expect("attach wal");
     let mut model = Model::default();
-    load(&primary, &mut model, "sp", 4 + rng.next_below(4), report)?;
+    load(&primary, &mut model, "sp", 4 + rig.rng.next_below(4), &mut rig.tally)?;
 
     let fail = |what: &str, detail: String| Violation {
         context: format!("stale promotion: {what}"),
@@ -230,30 +185,28 @@ fn stale_promotion(
     // A live subscriber follows the stream across the rotation and acks,
     // releasing the retention floor so generation 0 can be pruned.
     let hello = primary.repl_subscribe().map_err(|e| fail("subscribe", format!("{e:?}")))?;
-    let live_store = Arc::new(ShieldStore::new(enclave(seed), config()).expect("live store"));
+    let live_store = Arc::new(store(rig, "live store"));
     let mut live = Replica::new(Arc::clone(&live_store), &hello)
         .map_err(|e| fail("live replica", format!("{e:?}")))?;
     let durable = primary.flush_wal().expect("flush").expect("durable watermark");
     catch_up(&primary, &mut live, durable, "stale promotion: pre-rotation catch-up")?;
 
-    primary.snapshot_blocking(dir.join("sp-1.db"), &counter).expect("first snapshot");
-    load(&primary, &mut model, "sp-g1-", 2, report)?;
+    primary.snapshot_blocking(rig.path("sp-1.db"), &counter).expect("first snapshot");
+    load(&primary, &mut model, "sp-g1-", 2, &mut rig.tally)?;
     let durable = primary.flush_wal().expect("flush").expect("durable watermark");
     catch_up(&primary, &mut live, durable, "stale promotion: post-rotation catch-up")?;
     primary
         .repl_ack(hello.subscriber, live.watermark())
         .map_err(|e| fail("ack", format!("{e:?}")))?;
-    primary.snapshot_blocking(dir.join("sp-2.db"), &counter).expect("second snapshot");
+    primary.snapshot_blocking(rig.path("sp-2.db"), &counter).expect("second snapshot");
 
     // The stranded replica: same subscription, but positioned at the
     // stream's origin — a generation the second snapshot just pruned.
-    let stranded_store = Arc::new(ShieldStore::new(enclave(seed), config()).expect("stranded"));
+    let stranded_store = Arc::new(store(rig, "stranded"));
     let stranded = Replica::new(Arc::clone(&stranded_store), &hello)
         .map_err(|e| fail("stranded replica", format!("{e:?}")))?;
-    report.attacks += 1;
-    report.stale_promotions += 1;
-    match stranded.promote(&p_wal, &dir.join("sp-s-wal")) {
-        Err(_) => report.detected += 1,
+    match stranded.promote(&p_wal, &rig.path("sp-s-wal")) {
+        Err(_) => refused(&mut rig.tally, "stale_promotions"),
         Ok(wm) => {
             return Err(fail("pruned generation", format!("stranded replica promoted at {wm}")));
         }
@@ -261,20 +214,18 @@ fn stale_promotion(
 
     // The foreign replica: subscribed to a *different* primary, aimed at
     // this one's log. Its session keys cannot match the pin's.
-    let f_wal = dir.join("sp-f-wal");
-    let foreign_primary = ShieldStore::new(enclave(seed), config()).expect("foreign primary");
+    let f_wal = rig.path("sp-f-wal");
+    let foreign_primary = store(rig, "foreign primary");
     foreign_primary.attach_wal(&f_wal).expect("attach foreign wal");
     foreign_primary.set(b"foreign", b"log").expect("foreign set");
     let f_hello = foreign_primary
         .repl_subscribe()
         .map_err(|e| fail("foreign subscribe", format!("{e:?}")))?;
-    let foreign_store = Arc::new(ShieldStore::new(enclave(seed), config()).expect("foreign store"));
+    let foreign_store = Arc::new(store(rig, "foreign store"));
     let foreign = Replica::new(Arc::clone(&foreign_store), &f_hello)
         .map_err(|e| fail("foreign replica", format!("{e:?}")))?;
-    report.attacks += 1;
-    report.stale_promotions += 1;
-    match foreign.promote(&p_wal, &dir.join("sp-f2-wal")) {
-        Err(_) => report.detected += 1,
+    match foreign.promote(&p_wal, &rig.path("sp-f2-wal")) {
+        Err(_) => refused(&mut rig.tally, "stale_promotions"),
         Ok(wm) => {
             return Err(fail("foreign keys", format!("foreign replica promoted at {wm}")));
         }
@@ -285,7 +236,7 @@ fn stale_promotion(
     primary.set(b"still-primary", b"yes").map_err(|e| {
         fail("collateral fencing", format!("live primary fenced by a refused promotion: {e:?}"))
     })?;
-    report.ops += 1;
+    rig.tally.add("ops", 1);
     Ok(())
 }
 
@@ -298,17 +249,12 @@ fn stale_promotion(
 /// in them. Every mangled batch must be refused; the replica's position
 /// never desyncs, so re-polling from its held watermark completes
 /// catch-up to the byte-exact acknowledged state.
-fn truncation_in_flight(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut ReplReport,
-) -> Result<(), Violation> {
-    let p_wal = dir.join("tr-p-wal");
-    let primary = ShieldStore::new(enclave(seed), config()).expect("primary");
+fn truncation_in_flight(rig: &mut Rig) -> Result<(), Violation> {
+    let p_wal = rig.path("tr-p-wal");
+    let primary = store(rig, "primary");
     primary.attach_wal(&p_wal).expect("attach wal");
     let mut model = Model::default();
-    load(&primary, &mut model, "tr", 8, report)?;
+    load(&primary, &mut model, "tr", 8, &mut rig.tally)?;
     let durable = primary.flush_wal().expect("flush").expect("durable watermark");
 
     let fail = |what: &str, detail: String| Violation {
@@ -316,7 +262,7 @@ fn truncation_in_flight(
         detail,
     };
     let hello = primary.repl_subscribe().map_err(|e| fail("subscribe", format!("{e:?}")))?;
-    let replica_store = Arc::new(ShieldStore::new(enclave(seed), config()).expect("replica store"));
+    let replica_store = Arc::new(store(rig, "replica store"));
     let mut replica = Replica::new(Arc::clone(&replica_store), &hello)
         .map_err(|e| fail("replica", format!("{e:?}")))?;
 
@@ -330,18 +276,16 @@ fn truncation_in_flight(
             .map_err(|e| fail("poll", format!("at {at}: {e:?}")))?;
         if mangled < 3 && batch.count > 0 {
             mangled += 1;
-            report.attacks += 1;
-            report.truncations += 1;
             let mut bad = batch.clone();
-            if rng.next_below(2) == 0 {
-                let cut = rng.next_below(bad.frames.len() as u64) as usize;
+            if rig.rng.next_below(2) == 0 {
+                let cut = rig.rng.next_below(bad.frames.len() as u64) as usize;
                 bad.frames.truncate(cut);
             } else {
-                let pos = rng.next_below(bad.frames.len() as u64) as usize;
-                bad.frames[pos] ^= 1u8 << rng.next_below(8);
+                let pos = rig.rng.next_below(bad.frames.len() as u64) as usize;
+                bad.frames[pos] ^= 1u8 << rig.rng.next_below(8);
             }
             match replica.apply_batch(&bad) {
-                Err(_) => report.detected += 1,
+                Err(_) => refused(&mut rig.tally, "truncations"),
                 Ok(wm) => {
                     return Err(fail("tampered batch", format!("applied through to {wm}")));
                 }
@@ -371,14 +315,14 @@ mod tests {
     #[test]
     fn repl_phase_runs_clean_on_a_few_seeds() {
         for seed in 0..3 {
-            let report = run_repl_phase(seed).unwrap_or_else(|v| {
+            let tally = crate::run_phase("repl", seed, SALT, run).unwrap_or_else(|v| {
                 panic!("seed {seed}: repl-phase violation: {v}");
             });
-            assert_eq!(report.split_brains, 2, "split-brain count drifted: {report:?}");
-            assert_eq!(report.stale_promotions, 2, "stale-promotion count drifted: {report:?}");
-            assert_eq!(report.truncations, 3, "truncation count drifted: {report:?}");
-            assert_eq!(report.attacks, 7, "attack count drifted: {report:?}");
-            assert_eq!(report.detected, 7, "undetected attack: {report:?}");
+            assert_eq!(tally.get("split_brains"), 2, "split-brain count drifted: {tally}");
+            assert_eq!(tally.get("stale_promotions"), 2, "stale-promotion count drifted: {tally}");
+            assert_eq!(tally.get("truncations"), 3, "truncation count drifted: {tally}");
+            assert_eq!(tally.get("attacks"), 7, "attack count drifted: {tally}");
+            assert_eq!(tally.get("detected"), 7, "undetected attack: {tally}");
         }
     }
 }

@@ -17,33 +17,15 @@
 //!    must detect it and self-repair from in-enclave state, leaving the
 //!    store writable and recoverable.
 
-use crate::Violation;
+use crate::{Rig, Violation};
 use sgx_sim::counter::PersistentCounter;
-use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use sgx_sim::storage::{FaultFs, FaultKind, FaultOp, FaultSpec, StorageFs};
-use shield_workload::rng::SplitMix64;
 use shieldstore::model::Model;
 use shieldstore::{Config, DurabilityPolicy, Error, Op, Replica, ShieldStore};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Accounting for the storage-fault phase.
-#[derive(Debug, Default, Clone)]
-pub struct StorageReport {
-    /// Acknowledged operations across all scenarios.
-    pub ops: u64,
-    /// Storage faults and corruptions injected.
-    pub attacks: u64,
-    /// Faults detected (writer poisoned, scrub finding, forged repair
-    /// refused).
-    pub detected: u64,
-    /// Writers driven into the fail-closed poisoned state.
-    pub poisoned: u64,
-    /// Simulated power cuts survived with the acked prefix intact.
-    pub power_cuts: u64,
-    /// Verified segment/pin repairs that restored service.
-    pub repairs: u64,
-}
+/// The storage phase's seed salt.
+pub const SALT: u64 = 0xd15c_fa11_0bad_d15c;
 
 const COMMIT_SITES: &[(FaultOp, &str, FaultKind)] = &[
     (FaultOp::Write, "wal-", FaultKind::Eio),
@@ -54,38 +36,17 @@ const COMMIT_SITES: &[(FaultOp, &str, FaultKind)] = &[
 ];
 
 fn config() -> Config {
-    Config::shield_opt()
-        .buckets(64)
-        .mac_hashes(16)
-        .with_shards(2)
-        .with_durability(DurabilityPolicy::Strict)
+    crate::rig::config().with_durability(DurabilityPolicy::Strict)
 }
 
-fn enclave(seed: u64) -> Arc<Enclave> {
-    EnclaveBuilder::new("adversary-storage").seed(seed).epc_bytes(8 << 20).build()
-}
-
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("ss-adversary-storage-{}-{seed}", std::process::id()))
-}
-
-/// Runs the storage-fault phase for one seed.
-pub fn run_storage_phase(seed: u64) -> Result<StorageReport, Violation> {
-    sgx_sim::vclock::reset();
-    let dir = scratch_dir(seed);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let result = run_in_dir(seed, &dir);
-    std::fs::remove_dir_all(&dir).ok();
-    result
-}
-
-fn run_in_dir(seed: u64, dir: &Path) -> Result<StorageReport, Violation> {
-    let mut report = StorageReport::default();
-    let mut rng = SplitMix64::new(seed ^ 0xd15c_fa11_0bad_d15c);
-    fault_under_load(seed, dir, &mut rng, &mut report)?;
-    segment_rot_and_repair(seed, dir, &mut report)?;
-    pin_rot_self_repair(seed, dir, &mut report)?;
-    Ok(report)
+/// Runs the storage-fault phase. Besides `ops` (acknowledged), `attacks`
+/// (faults and corruptions injected) and `detected`, it counts writers
+/// `poisoned`, power cuts recovered exactly (`crash_recover_cycles`) and
+/// verified `repairs` that restored service.
+pub fn run(rig: &mut Rig) -> Result<(), Violation> {
+    fault_under_load(rig)?;
+    segment_rot_and_repair(rig)?;
+    pin_rot_self_repair(rig)
 }
 
 fn fail(context: &str, detail: String) -> Violation {
@@ -96,27 +57,18 @@ fn fail(context: &str, detail: String) -> Violation {
 // Scenario 1: commit-path fault, poison, power cut, exact recovery
 // ---------------------------------------------------------------------
 
-fn fault_under_load(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut StorageReport,
-) -> Result<(), Violation> {
-    let wal_dir = dir.join("fault-wal");
+fn fault_under_load(rig: &mut Rig) -> Result<(), Violation> {
+    let (seed, wal_dir) = (rig.seed, rig.path("fault-wal"));
     let ffs = Arc::new(FaultFs::new());
-    let store = ShieldStore::new_with_storage(
-        enclave(seed),
-        config(),
-        Arc::clone(&ffs) as Arc<dyn StorageFs>,
-    )
-    .expect("store");
+    let fs = Arc::clone(&ffs) as Arc<dyn StorageFs>;
+    let store = ShieldStore::new_with_storage(rig.enclave(), config(), fs).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
 
-    let total = 16 + rng.next_below(16);
-    let fault_at = 2 + rng.next_below(total - 2);
-    let (op, path, kind) = COMMIT_SITES[rng.next_below(COMMIT_SITES.len() as u64) as usize];
+    let total = 16 + rig.rng.next_below(16);
+    let fault_at = 2 + rig.rng.next_below(total - 2);
+    let (op, path, kind) = COMMIT_SITES[rig.rng.next_below(COMMIT_SITES.len() as u64) as usize];
     ffs.inject(FaultSpec { op, path_substr: path.into(), nth: fault_at, kind });
-    report.attacks += 1;
+    rig.tally.add("attacks", 1);
 
     let mut model = Model::default();
     let mut poisoned = false;
@@ -132,7 +84,7 @@ fn fault_under_load(
             }
             Ok(reply) => {
                 model.observe(0, write, Some(&reply)).map_err(|e| fail("fault under load", e))?;
-                report.ops += 1;
+                rig.tally.add("ops", 1);
             }
             // The write landed in memory before its commit failed: the
             // key holds either state until the power cut settles it.
@@ -151,17 +103,17 @@ fn fault_under_load(
             format!("armed fault {op:?}/{kind:?} at nth={fault_at} never fired in {total} ops"),
         ));
     }
-    report.detected += 1;
-    report.poisoned += 1;
+    rig.tally.add("detected", 1);
+    rig.tally.add("poisoned", 1);
 
     // Reads keep serving the acked state under poison.
     crate::check_state(&store, &model, "storage phase: reads under poison")?;
 
     ffs.power_cut().expect("power cut");
     drop(store);
-    report.power_cuts += 1;
-    let counter = PersistentCounter::open(dir.join("fault-ctr")).expect("counter");
-    let recovered = ShieldStore::recover(enclave(seed), config(), None, &counter, &wal_dir)
+    rig.tally.add("crash_recover_cycles", 1);
+    let counter = PersistentCounter::open(rig.path("fault-ctr")).expect("counter");
+    let recovered = ShieldStore::recover(rig.enclave(), config(), None, &counter, &wal_dir)
         .map_err(|e| fail("fault under load", format!("recovery failed: {e:?}")))?;
     let acked = model.after(model.writes());
     crate::check_state(&recovered, &acked, "storage phase: power-cut recovery")?;
@@ -173,22 +125,18 @@ fn fault_under_load(
 // genuine repair restores service
 // ---------------------------------------------------------------------
 
-fn segment_rot_and_repair(
-    seed: u64,
-    dir: &Path,
-    report: &mut StorageReport,
-) -> Result<(), Violation> {
-    let wal_dir = dir.join("rot-wal");
-    let store = Arc::new(ShieldStore::new(enclave(seed ^ 1), config()).expect("store"));
+fn segment_rot_and_repair(rig: &mut Rig) -> Result<(), Violation> {
+    let (seed, wal_dir) = (rig.seed, rig.path("rot-wal"));
+    let store = Arc::new(ShieldStore::new(rig.enclave_at(seed ^ 1), config()).expect("store"));
     store.attach_wal(&wal_dir).expect("attach wal");
 
     let hello = store.repl_subscribe().expect("subscribe");
-    let rstore = Arc::new(ShieldStore::new(enclave(seed ^ 2), config()).expect("replica store"));
-    let mut replica = Replica::with_journal(Arc::clone(&rstore), &hello, &dir.join("rot-journal"))
+    let rstore = ShieldStore::new(rig.enclave_at(seed ^ 2), config()).expect("replica store");
+    let mut replica = Replica::with_journal(Arc::new(rstore), &hello, &rig.path("rot-journal"))
         .expect("journaling replica");
     for step in 0..16u64 {
         store.set(format!("rot-{step}").as_bytes(), format!("rv-{step}").as_bytes()).unwrap();
-        report.ops += 1;
+        rig.tally.add("ops", 1);
     }
     loop {
         let wm = replica.watermark();
@@ -205,7 +153,7 @@ fn segment_rot_and_repair(
     let off = 8 + (seed as usize % (bytes.len() - 8));
     bytes[off] ^= 1u8 << (seed % 8);
     std::fs::write(&log, &bytes).expect("write rot");
-    report.attacks += 1;
+    rig.tally.add("attacks", 1);
 
     let mut found = false;
     for _ in 0..10_000 {
@@ -221,7 +169,7 @@ fn segment_rot_and_repair(
     if !found {
         return Err(fail("segment rot", format!("scrub missed a flipped bit at offset {off}")));
     }
-    report.detected += 1;
+    rig.tally.add("detected", 1);
     if !matches!(store.set(b"rot-probe", b"x"), Err(Error::StorageFailed)) {
         return Err(fail("segment rot", "quarantined writer accepted a write".into()));
     }
@@ -245,11 +193,11 @@ fn segment_rot_and_repair(
     let mut forged = genuine.clone();
     let flip = (seed as usize).wrapping_mul(31) % forged.len();
     forged[flip] ^= 0x10;
-    report.attacks += 1;
+    rig.tally.add("attacks", 1);
     if store.repair_wal_segment(0, &forged).is_ok() {
         return Err(fail("segment rot", format!("forged repair accepted (flip at {flip})")));
     }
-    report.detected += 1;
+    rig.tally.add("detected", 1);
     if !matches!(store.set(b"rot-probe-2", b"x"), Err(Error::StorageFailed)) {
         return Err(fail("segment rot", "refused repair lifted the quarantine".into()));
     }
@@ -257,11 +205,11 @@ fn segment_rot_and_repair(
     store
         .repair_wal_segment(0, &genuine)
         .map_err(|e| fail("segment rot", format!("genuine repair refused: {e:?}")))?;
-    report.repairs += 1;
+    rig.tally.add("repairs", 1);
     store
         .set(b"rot-after", b"back")
         .map_err(|e| fail("segment rot", format!("write after repair failed: {e:?}")))?;
-    report.ops += 1;
+    rig.tally.add("ops", 1);
     Ok(())
 }
 
@@ -269,13 +217,13 @@ fn segment_rot_and_repair(
 // Scenario 3: pin rot self-repairs from in-enclave state
 // ---------------------------------------------------------------------
 
-fn pin_rot_self_repair(seed: u64, dir: &Path, report: &mut StorageReport) -> Result<(), Violation> {
-    let wal_dir = dir.join("pin-wal");
-    let store = ShieldStore::new(enclave(seed ^ 3), config()).expect("store");
+fn pin_rot_self_repair(rig: &mut Rig) -> Result<(), Violation> {
+    let (seed, wal_dir) = (rig.seed, rig.path("pin-wal"));
+    let store = ShieldStore::new(rig.enclave_at(seed ^ 3), config()).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
     for step in 0..8u64 {
         store.set(format!("pin-{step}").as_bytes(), b"pinned").unwrap();
-        report.ops += 1;
+        rig.tally.add("ops", 1);
     }
 
     let pin = wal_dir.join("wal.pin");
@@ -283,7 +231,7 @@ fn pin_rot_self_repair(seed: u64, dir: &Path, report: &mut StorageReport) -> Res
     let off = seed as usize % bytes.len();
     bytes[off] ^= 0x04;
     std::fs::write(&pin, &bytes).expect("write pin rot");
-    report.attacks += 1;
+    rig.tally.add("attacks", 1);
 
     let mut flagged = false;
     for _ in 0..10_000 {
@@ -296,20 +244,21 @@ fn pin_rot_self_repair(seed: u64, dir: &Path, report: &mut StorageReport) -> Res
     if !flagged {
         return Err(fail("pin rot", format!("scrub missed a flipped pin byte at {off}")));
     }
-    report.detected += 1;
+    rig.tally.add("detected", 1);
     if store.snapshot().scrub_repaired == 0 {
         return Err(fail("pin rot", "pin was not rewritten in place".into()));
     }
-    report.repairs += 1;
+    rig.tally.add("repairs", 1);
 
     store
         .set(b"pin-after", b"ok")
         .map_err(|e| fail("pin rot", format!("write after pin repair failed: {e:?}")))?;
-    report.ops += 1;
+    rig.tally.add("ops", 1);
     drop(store);
-    let counter = PersistentCounter::open(dir.join("pin-ctr")).expect("counter");
-    let recovered = ShieldStore::recover(enclave(seed ^ 3), config(), None, &counter, &wal_dir)
-        .map_err(|e| fail("pin rot", format!("recovery after pin repair failed: {e:?}")))?;
+    let counter = PersistentCounter::open(rig.path("pin-ctr")).expect("counter");
+    let recovered =
+        ShieldStore::recover(rig.enclave_at(seed ^ 3), config(), None, &counter, &wal_dir)
+            .map_err(|e| fail("pin rot", format!("recovery after pin repair failed: {e:?}")))?;
     if recovered.get(b"pin-after").map_or(true, |v| v != b"ok") {
         return Err(fail("pin rot", "post-repair write lost across recovery".into()));
     }

@@ -19,31 +19,13 @@
 //!
 //! Everything is a pure function of the seed, like the other phases.
 
-use crate::{answered, checked, Violation};
-use shield_workload::rng::SplitMix64;
+use crate::{answered, checked, Rig, Tally, Violation};
 use shieldstore::model::Model;
 use shieldstore::testing::StaleEntry;
-use shieldstore::{entry, ttl, Config, Error, Op, ShieldStore, TenantQuota};
+use shieldstore::{entry, ttl, Error, Op, ShieldStore, TenantQuota};
 
-/// Accounting for one seed's tenant phase.
-#[derive(Debug, Default, Clone)]
-pub struct TenantReport {
-    /// Store operations issued.
-    pub ops: u64,
-    /// Attack mutations landed (all kinds).
-    pub attacks: u64,
-    /// Attacks answered with an integrity failure (detections).
-    pub detected: u64,
-    /// Cross-namespace read attempts (API + leaked-key sweeps).
-    pub cross_reads: u64,
-    /// Forged entries planted.
-    pub forgeries: u64,
-    /// Writes rejected by quota.
-    pub quota_rejections: u64,
-    /// Expired-entry revival attempts.
-    pub ttl_resurrections: u64,
-}
-
+/// The tenant phase's seed salt.
+pub const SALT: u64 = 0x7e4a_917e_4a91_7e4a;
 const ATTACKER: u32 = 1;
 const VICTIM: u32 = 2;
 const BOUNDED: u32 = 3;
@@ -69,16 +51,15 @@ impl Drop for ThawGuard {
     }
 }
 
-/// Runs the tenant phase for one seed.
-pub fn run_tenant_phase(seed: u64) -> Result<TenantReport, Violation> {
-    sgx_sim::vclock::reset();
-    let mut report = TenantReport::default();
-    let mut rng = SplitMix64::new(seed ^ 0x7e4a_917e_4a91_7e4a);
-    let enclave =
-        sgx_sim::enclave::EnclaveBuilder::new("adversary-tenant").epc_bytes(16 << 20).build();
-    let store =
-        ShieldStore::new(enclave, Config::shield_opt().buckets(64).mac_hashes(16).with_shards(1))
-            .map_err(|e| violation("tenant setup", format!("store: {e}")))?;
+/// Runs the tenant phase. Besides `ops`, `attacks` and `detected`, it
+/// counts each kind: `cross_reads` (API and leaked-key sweeps),
+/// `forgeries` planted, `quota_rejections`, and `ttl_resurrections`.
+pub fn run(rig: &mut Rig) -> Result<(), Violation> {
+    let seed = rig.seed;
+    // One enclave identity (seed 0) for every seed, with 16 MiB of EPC.
+    let enclave = crate::rig::enclave("adversary-tenant", 0).epc_bytes(16 << 20).build();
+    let store = ShieldStore::new(enclave, crate::rig::config().with_shards(1))
+        .map_err(|e| violation("tenant setup", format!("store: {e}")))?;
 
     // Freeze the TTL clock so expiry is deterministic per seed.
     let base_ns = 1_700_000_000_000_000_000u64 + (seed & 0xffff) * 1_000_000;
@@ -92,14 +73,13 @@ pub fn run_tenant_phase(seed: u64) -> Result<TenantReport, Violation> {
             let (key, value) = (key_bytes(id), value_bytes(tenant, id, seed));
             answered(&store, &mut model, "tenant warm-up", tenant, Op::set(&key, &value))?;
         }
-        report.ops += 2;
+        rig.tally.add("ops", 2);
     }
 
-    cross_read_attacks(&store, &mut model, &mut report)?;
-    forge_attacks(&store, &mut model, &mut rng, &mut report)?;
-    quota_exhaustion(&store, &mut model, seed, &mut report)?;
-    ttl_resurrection(&store, &mut model, &mut rng, seed, &mut report)?;
-    Ok(report)
+    cross_read_attacks(&store, &mut model, &mut rig.tally)?;
+    forge_attacks(&store, &mut model, rig)?;
+    quota_exhaustion(&store, &mut model, rig)?;
+    ttl_resurrection(&store, &mut model, rig)
 }
 
 /// Attack 1: cross-tenant reads via the API and via leaked keys over
@@ -107,12 +87,12 @@ pub fn run_tenant_phase(seed: u64) -> Result<TenantReport, Violation> {
 fn cross_read_attacks(
     store: &ShieldStore,
     model: &mut Model,
-    report: &mut TenantReport,
+    tally: &mut Tally,
 ) -> Result<(), Violation> {
     // API level: the attacker's namespace resolves to its own values.
     for id in 0..NUM_KEYS {
-        report.ops += 1;
-        report.cross_reads += 1;
+        tally.add("ops", 1);
+        tally.add("cross_reads", 1);
         answered(store, model, "cross-read", ATTACKER, Op::Get(&key_bytes(id)))?;
     }
 
@@ -127,8 +107,8 @@ fn cross_read_attacks(
             continue;
         }
         victim_entries += 1;
-        report.cross_reads += 1;
-        report.attacks += 1;
+        tally.add("cross_reads", 1);
+        tally.add("attacks", 1);
         let ct = &stale.bytes[entry::HEADER_LEN..];
         if entry::verify_mac(&mac, &header, ct) {
             return Err(violation(
@@ -136,7 +116,7 @@ fn cross_read_attacks(
                 "victim entry verified under the attacker's leaked MAC key".into(),
             ));
         }
-        report.detected += 1;
+        tally.add("detected", 1);
         let (k, _v) = entry::decrypt_entry(&enc, &header, ct);
         if (0..NUM_KEYS).any(|id| k == key_bytes(id)) {
             return Err(violation(
@@ -153,19 +133,14 @@ fn cross_read_attacks(
 
 /// Attack 2: plant victim-tagged entries re-MACed under the attacker's
 /// leaked key.
-fn forge_attacks(
-    store: &ShieldStore,
-    model: &mut Model,
-    rng: &mut SplitMix64,
-    report: &mut TenantReport,
-) -> Result<(), Violation> {
+fn forge_attacks(store: &ShieldStore, model: &mut Model, rig: &mut Rig) -> Result<(), Violation> {
     let (_, mac_raw) = store.leak_tenant_keys(ATTACKER);
     let mac = shield_crypto::cmac::Cmac::new(&mac_raw);
     let stales = store.stale_entry_copies(0);
     let victims: Vec<&StaleEntry> =
         stales.iter().filter(|s| entry::parse_header(&s.bytes).tenant == VICTIM).collect();
     // Forge a pseudo-random subset (at least one).
-    let picks = 1 + rng.next_below(victims.len() as u64 / 2 + 1) as usize;
+    let picks = 1 + rig.rng.next_below(victims.len() as u64 / 2 + 1) as usize;
     for stale in victims.iter().take(picks) {
         let header = entry::parse_header(&stale.bytes);
         let ct = &stale.bytes[entry::HEADER_LEN..];
@@ -173,17 +148,17 @@ fn forge_attacks(
         let mut forged = stale.bytes.clone();
         forged[entry::OFF_MAC..entry::OFF_MAC + 16].copy_from_slice(&tag);
         if store.replay_entry(0, &StaleEntry { handle: stale.handle, bytes: forged }) {
-            report.forgeries += 1;
-            report.attacks += 1;
+            rig.tally.add("forgeries", 1);
+            rig.tally.add("attacks", 1);
         }
     }
 
     // The victim's reads now either fail closed or return its own
     // values (for untouched entries) — never anything else.
     for id in 0..NUM_KEYS {
-        report.ops += 1;
+        rig.tally.add("ops", 1);
         if !checked(store, model, "forge", VICTIM, Op::Get(&key_bytes(id)))? {
-            report.detected += 1;
+            rig.tally.add("detected", 1);
         }
     }
     // Undo the attack (restore the captured honest bytes) so later
@@ -193,7 +168,7 @@ fn forge_attacks(
         store.replay_entry(0, stale);
     }
     for id in 0..NUM_KEYS {
-        report.ops += 1;
+        rig.tally.add("ops", 1);
         answered(store, model, "forge repair", VICTIM, Op::Get(&key_bytes(id)))?;
     }
     Ok(())
@@ -203,26 +178,25 @@ fn forge_attacks(
 fn quota_exhaustion(
     store: &ShieldStore,
     model: &mut Model,
-    seed: u64,
-    report: &mut TenantReport,
+    rig: &mut Rig,
 ) -> Result<(), Violation> {
     let max_keys = 8u64;
     store.tenants().configure(BOUNDED, TenantQuota { max_bytes: u64::MAX, max_keys, weight: 1 });
     let mut rejected = 0u64;
     for id in 0..max_keys * 3 {
-        report.ops += 1;
-        match store.execute(BOUNDED, Op::set(&key_bytes(id), &value_bytes(BOUNDED, id, seed))) {
+        rig.tally.add("ops", 1);
+        match store.execute(BOUNDED, Op::set(&key_bytes(id), &value_bytes(BOUNDED, id, rig.seed))) {
             Ok(_) => {}
             Err(Error::QuotaExceeded { tenant }) if tenant == BOUNDED => rejected += 1,
             Err(e) => return Err(violation("quota", format!("unexpected error {e:?}"))),
         }
     }
-    report.attacks += 1;
-    report.quota_rejections += rejected;
+    rig.tally.add("attacks", 1);
+    rig.tally.add("quota_rejections", rejected);
     if rejected == 0 {
         return Err(violation("quota", "flood past max_keys was never rejected".into()));
     }
-    report.detected += 1;
+    rig.tally.add("detected", 1);
     let used =
         store.tenants().state(BOUNDED).usage.used_keys.load(std::sync::atomic::Ordering::Relaxed);
     if used > max_keys {
@@ -232,7 +206,7 @@ fn quota_exhaustion(
         ));
     }
     // The victim is unaffected by the bounded tenant's exhaustion.
-    report.ops += 1;
+    rig.tally.add("ops", 1);
     let probe = Op::set(b"quota-victim-probe", b"still-writable");
     answered(store, model, "quota: victim write", VICTIM, probe)
 }
@@ -242,15 +216,13 @@ fn quota_exhaustion(
 fn ttl_resurrection(
     store: &ShieldStore,
     model: &mut Model,
-    rng: &mut SplitMix64,
-    seed: u64,
-    report: &mut TenantReport,
+    rig: &mut Rig,
 ) -> Result<(), Violation> {
     let ttl_ns = 1_000_000_000u64; // 1s on the frozen clock
     let doomed: Vec<u64> = (0..4).map(|i| NUM_KEYS + 100 + i).collect();
     for &id in &doomed {
-        report.ops += 1;
-        let (key, value) = (key_bytes(id), value_bytes(VICTIM, id, seed));
+        rig.tally.add("ops", 1);
+        let (key, value) = (key_bytes(id), value_bytes(VICTIM, id, rig.seed));
         let expires_at = ttl::deadline_after(ttl_ns);
         answered(
             store,
@@ -277,7 +249,7 @@ fn ttl_resurrection(
 
     // Expired: every read misses (lazy expiry).
     for &id in &doomed {
-        report.ops += 1;
+        rig.tally.add("ops", 1);
         answered(store, model, "ttl: expired read", VICTIM, Op::Get(&key_bytes(id)))?;
     }
 
@@ -286,14 +258,14 @@ fn ttl_resurrection(
         let mut revived = stale.bytes.clone();
         revived[entry::OFF_EXPIRY..entry::OFF_EXPIRY + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         if store.replay_entry(0, &StaleEntry { handle: stale.handle, bytes: revived }) {
-            report.ttl_resurrections += 1;
-            report.attacks += 1;
+            rig.tally.add("ttl_resurrections", 1);
+            rig.tally.add("attacks", 1);
         }
     }
     for &id in &doomed {
-        report.ops += 1;
+        rig.tally.add("ops", 1);
         if !checked(store, model, "ttl: expiry-field rewrite", VICTIM, Op::Get(&key_bytes(id)))? {
-            report.detected += 1;
+            rig.tally.add("detected", 1);
         }
     }
 
@@ -307,23 +279,23 @@ fn ttl_resurrection(
     if swept == 0 {
         return Err(violation("ttl", "sweep reclaimed nothing despite expired entries".into()));
     }
-    report.ops += 1;
+    rig.tally.add("ops", 1);
 
     let survivors = store.stale_entry_copies(0);
-    if let Some(target) = survivors.get(rng.next_below(survivors.len() as u64) as usize) {
+    if let Some(target) = survivors.get(rig.rng.next_below(survivors.len() as u64) as usize) {
         if let Some(stale) = stales.first() {
             if store
                 .replay_entry(0, &StaleEntry { handle: target.handle, bytes: stale.bytes.clone() })
             {
-                report.ttl_resurrections += 1;
-                report.attacks += 1;
+                rig.tally.add("ttl_resurrections", 1);
+                rig.tally.add("attacks", 1);
             }
         }
     }
     for &id in &doomed {
-        report.ops += 1;
+        rig.tally.add("ops", 1);
         if !checked(store, model, "ttl: stale replay", VICTIM, Op::Get(&key_bytes(id)))? {
-            report.detected += 1;
+            rig.tally.add("detected", 1);
         }
     }
     Ok(())
@@ -336,21 +308,18 @@ mod tests {
     #[test]
     fn tenant_phase_runs_clean_over_seeds() {
         for seed in 0..8 {
-            let report = run_tenant_phase(seed).expect("no violations");
-            assert!(report.cross_reads > 0);
-            assert!(report.forgeries > 0);
-            assert!(report.quota_rejections > 0);
-            assert!(report.ttl_resurrections > 0);
-            assert!(report.detected > 0);
+            let tally = crate::run_phase("tenant", seed, SALT, run).expect("no violations");
+            for kind in ["cross_reads", "forgeries", "quota_rejections", "ttl_resurrections"] {
+                assert!(tally.get(kind) > 0, "seed {seed}: no {kind}");
+            }
+            assert!(tally.get("detected") > 0);
         }
     }
 
     #[test]
     fn tenant_phase_is_deterministic() {
-        let a = run_tenant_phase(77).expect("clean");
-        let b = run_tenant_phase(77).expect("clean");
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.attacks, b.attacks);
-        assert_eq!(a.detected, b.detected);
+        let a = crate::run_phase("tenant", 77, SALT, run).expect("clean");
+        let b = crate::run_phase("tenant", 77, SALT, run).expect("clean");
+        assert_eq!(a, b);
     }
 }

@@ -7,65 +7,50 @@
 //! are checked against the reference model, with the loss window bounded
 //! exactly by the configured [`DurabilityPolicy`].
 
-use crate::Violation;
+use crate::{Rig, Violation};
 use sgx_sim::counter::PersistentCounter;
-use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_workload::rng::SplitMix64;
 use shieldstore::model::Model;
 use shieldstore::{Config, DurabilityPolicy, Error, Op, ShieldStore};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 
+/// The WAL phase's seed salt.
+pub const SALT: u64 = 0x0a1c_5ea1_ed10_6f11;
 /// Keys per namespace; small so deletes and overwrites collide often.
 const KEY_SPACE: u64 = 16;
 
-/// Outcome accounting for one WAL-phase run.
-#[derive(Debug, Default, Clone)]
-pub struct WalReport {
-    /// Tampered or stale logs offered to `recover` that must fail.
-    pub attacks: u64,
-    /// Recoveries that failed closed (detections).
-    pub detected: u64,
-    /// Host-side damage the format tolerates by design (torn un-pinned
-    /// tail): recovery must succeed with byte-exact acknowledged state.
-    pub benign: u64,
-    /// Crash/recover cycles whose replayed state matched the model
-    /// within the policy-permitted loss window.
-    pub cycles: u64,
-}
-
 fn config(policy: DurabilityPolicy) -> Config {
-    Config::shield_opt().buckets(64).mac_hashes(16).with_shards(2).with_durability(policy)
+    crate::rig::config().with_durability(policy)
 }
 
-fn enclave(seed: u64) -> Arc<Enclave> {
-    EnclaveBuilder::new("adversary-wal").seed(seed).epc_bytes(8 << 20).build()
+/// A fresh strict store in the phase's enclave, its log in `wal_dir`.
+fn strict_store(rig: &Rig, wal_dir: &Path) -> ShieldStore {
+    let store = ShieldStore::new(rig.enclave(), config(DurabilityPolicy::Strict)).expect("store");
+    store.attach_wal(wal_dir).expect("attach wal");
+    store
 }
 
-/// A scratch directory unique to this process and seed.
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("ss-adversary-wal-{}-{seed}", std::process::id()))
+/// Recovers a strict store from `snapshot` (if any) and `wal_dir`.
+fn recover(
+    rig: &Rig,
+    snapshot: Option<&Path>,
+    counter: &PersistentCounter,
+    wal_dir: &Path,
+) -> Result<ShieldStore, Error> {
+    let config = config(DurabilityPolicy::Strict);
+    ShieldStore::recover(rig.enclave(), config, snapshot, counter, wal_dir)
 }
 
-/// Runs the WAL attack phase for one seed.
-pub fn run_wal_phase(seed: u64) -> Result<WalReport, Violation> {
-    sgx_sim::vclock::reset();
-    let dir = scratch_dir(seed);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let result = run_in_dir(seed, &dir);
-    std::fs::remove_dir_all(&dir).ok();
-    result
-}
-
-fn run_in_dir(seed: u64, dir: &Path) -> Result<WalReport, Violation> {
-    let mut report = WalReport::default();
-    let mut rng = SplitMix64::new(seed ^ 0x0a1c_5ea1_ed10_6f11);
-    crash_cycles_strict(seed, dir, &mut rng, &mut report)?;
-    group_commit_loss_window(seed, dir, &mut rng, &mut report)?;
-    log_tamper_attacks(seed, dir, &mut rng, &mut report)?;
-    stale_log_after_snapshot(seed, dir, &mut report)?;
-    snapshot_crash_window(seed, dir, &mut report)?;
-    Ok(report)
+/// Runs the WAL attack phase. Tampered or stale logs count as `attacks`
+/// and their refusals as `detected`; a torn un-pinned tail, which the
+/// format absorbs by design, as `benign`; every recovery checked exact
+/// within its policy's loss window as a `crash_recover_cycles`.
+pub fn run(rig: &mut Rig) -> Result<(), Violation> {
+    crash_cycles_strict(rig)?;
+    group_commit_loss_window(rig)?;
+    log_tamper_attacks(rig)?;
+    stale_log_after_snapshot(rig)?;
+    snapshot_crash_window(rig)
 }
 
 /// Writes `{key}{id}` = `{value}-{id}` for each id, checked against
@@ -127,37 +112,23 @@ fn apply_random_op(
 /// recovery must reproduce the model exactly — across repeated
 /// crash/recover cycles that chain one log generation's pin into the
 /// next process life.
-fn crash_cycles_strict(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut WalReport,
-) -> Result<(), Violation> {
-    let wal_dir = dir.join("strict-wal");
-    let counter = PersistentCounter::open(dir.join("strict-ctr")).expect("counter");
+fn crash_cycles_strict(rig: &mut Rig) -> Result<(), Violation> {
+    let wal_dir = rig.path("strict-wal");
+    let counter = PersistentCounter::open(rig.path("strict-ctr")).expect("counter");
     let mut model = Model::default();
-    let mut store =
-        ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
-    store.attach_wal(&wal_dir).expect("attach wal");
+    let mut store = strict_store(rig, &wal_dir);
     for cycle in 0..3u64 {
         for step in 0..20 {
-            apply_random_op(&store, &mut model, rng, cycle * 100 + step)?;
+            apply_random_op(&store, &mut model, &mut rig.rng, cycle * 100 + step)?;
         }
         store.wal_handle().expect("wal attached").simulate_crash();
         drop(store);
-        store = ShieldStore::recover(
-            enclave(seed),
-            config(DurabilityPolicy::Strict),
-            None,
-            &counter,
-            &wal_dir,
-        )
-        .map_err(|e| Violation {
+        store = recover(rig, None, &counter, &wal_dir).map_err(|e| Violation {
             context: "strict crash cycle".into(),
             detail: format!("recovery after clean crash failed: {e:?}"),
         })?;
         crate::check_state(&store, &model, "strict crash cycle")?;
-        report.cycles += 1;
+        rig.tally.add("crash_recover_cycles", 1);
     }
     Ok(())
 }
@@ -169,23 +140,18 @@ fn crash_cycles_strict(
 /// With `EveryN(4)` a crash may only lose the buffered suffix — fewer
 /// than 4 acknowledged writes. The recovered store must equal the model
 /// after the last group-commit boundary, exactly.
-fn group_commit_loss_window(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut WalReport,
-) -> Result<(), Violation> {
-    let wal_dir = dir.join("group-wal");
-    let counter = PersistentCounter::open(dir.join("group-ctr")).expect("counter");
+fn group_commit_loss_window(rig: &mut Rig) -> Result<(), Violation> {
+    let wal_dir = rig.path("group-wal");
+    let counter = PersistentCounter::open(rig.path("group-ctr")).expect("counter");
     let policy = DurabilityPolicy::EveryN(4);
-    let store = ShieldStore::new(enclave(seed), config(policy)).expect("store");
+    let store = ShieldStore::new(rig.enclave(), config(policy)).expect("store");
     store.attach_wal(&wal_dir).expect("attach wal");
 
     let mut model = Model::default();
-    let total = 10 + rng.next_below(8) as usize;
+    let total = 10 + rig.rng.next_below(8) as usize;
     let mut step = 0u64;
     while model.writes() < total {
-        apply_random_op(&store, &mut model, rng, 1000 + step)?;
+        apply_random_op(&store, &mut model, &mut rig.rng, 1000 + step)?;
         step += 1;
     }
     store.wal_handle().expect("wal attached").simulate_crash();
@@ -195,13 +161,13 @@ fn group_commit_loss_window(
     // legitimately lost. Anything else — more, fewer, or reordered — is
     // a durability violation.
     let committed = model.after(model.writes() / 4 * 4);
-    let recovered = ShieldStore::recover(enclave(seed), config(policy), None, &counter, &wal_dir)
+    let recovered = ShieldStore::recover(rig.enclave(), config(policy), None, &counter, &wal_dir)
         .map_err(|e| Violation {
         context: "group-commit crash".into(),
         detail: format!("recovery after group-commit crash failed: {e:?}"),
     })?;
     crate::check_state(&recovered, &committed, "group-commit loss window")?;
-    report.cycles += 1;
+    rig.tally.add("crash_recover_cycles", 1);
     Ok(())
 }
 
@@ -229,16 +195,10 @@ fn frame_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
 /// Writes 8 strictly-committed records, crashes, then replays tampered
 /// images of the pin and log. Every mutation of pinned bytes must fail
 /// closed; garbage appended past the pin must be cleanly dropped.
-fn log_tamper_attacks(
-    seed: u64,
-    dir: &Path,
-    rng: &mut SplitMix64,
-    report: &mut WalReport,
-) -> Result<(), Violation> {
-    let wal_dir = dir.join("tamper-wal");
-    let counter = PersistentCounter::open(dir.join("tamper-ctr")).expect("counter");
-    let store = ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
-    store.attach_wal(&wal_dir).expect("attach wal");
+fn log_tamper_attacks(rig: &mut Rig) -> Result<(), Violation> {
+    let wal_dir = rig.path("tamper-wal");
+    let counter = PersistentCounter::open(rig.path("tamper-ctr")).expect("counter");
+    let store = strict_store(rig, &wal_dir);
     let mut model = Model::default();
     load(&store, &mut model, "c", "tamper-val", 0..8)?;
     store.wal_handle().expect("wal attached").simulate_crash();
@@ -252,22 +212,13 @@ fn log_tamper_attacks(
         std::fs::write(&pin_path, &pin_bytes).expect("restore pin");
         std::fs::write(&log_path, &log_bytes).expect("restore log");
     };
-    let recover = || {
-        ShieldStore::recover(
-            enclave(seed),
-            config(DurabilityPolicy::Strict),
-            None,
-            &counter,
-            &wal_dir,
-        )
-    };
-    let mut expect_err = |mutate: &dyn Fn(), what: &str| -> Result<(), Violation> {
+    let expect_err = |rig: &mut Rig, mutate: &dyn Fn(), what: &str| -> Result<(), Violation> {
         restore_files();
         mutate();
-        report.attacks += 1;
-        match recover() {
+        rig.tally.add("attacks", 1);
+        match recover(rig, None, &counter, &wal_dir) {
             Err(_) => {
-                report.detected += 1;
+                rig.tally.add("detected", 1);
                 Ok(())
             }
             Ok(store) => Err(Violation {
@@ -282,15 +233,17 @@ fn log_tamper_attacks(
 
     // Truncation into pinned records: the pin remembers sequence 8, so a
     // log that ends early is a rollback, not a torn tail.
-    let cut = 1 + rng.next_below(log_bytes.len() as u64 - 1) as usize;
-    expect_err(&|| std::fs::write(&log_path, &log_bytes[..cut]).expect("truncate"), "truncation")?;
+    let cut = 1 + rig.rng.next_below(log_bytes.len() as u64 - 1) as usize;
+    let truncate = || std::fs::write(&log_path, &log_bytes[..cut]).expect("truncate");
+    expect_err(rig, &truncate, "truncation")?;
 
     // Bit flips anywhere in the image: length fields, sequence numbers,
     // IVs, ciphertext, and MACs are all covered by the record MACs.
     for _ in 0..3 {
-        let pos = rng.next_below(log_bytes.len() as u64) as usize;
-        let bit = 1u8 << rng.next_below(8);
+        let pos = rig.rng.next_below(log_bytes.len() as u64) as usize;
+        let bit = 1u8 << rig.rng.next_below(8);
         expect_err(
+            rig,
             &|| {
                 let mut m = log_bytes.clone();
                 m[pos] ^= bit;
@@ -305,6 +258,7 @@ fn log_tamper_attacks(
     let spans = frame_spans(&log_bytes);
     assert!(spans.len() >= 2, "strict log should hold one frame per op");
     expect_err(
+        rig,
         &|| {
             let mut m = Vec::with_capacity(log_bytes.len());
             m.extend_from_slice(&log_bytes[spans[1].clone()]);
@@ -316,9 +270,10 @@ fn log_tamper_attacks(
     )?;
 
     // The sealed pin itself: every byte is CMAC-authenticated.
-    let pin_pos = rng.next_below(pin_bytes.len() as u64) as usize;
-    let pin_bit = 1u8 << rng.next_below(8);
+    let pin_pos = rig.rng.next_below(pin_bytes.len() as u64) as usize;
+    let pin_bit = 1u8 << rig.rng.next_below(8);
     expect_err(
+        rig,
         &|| {
             let mut m = pin_bytes.clone();
             m[pin_pos] ^= pin_bit;
@@ -332,18 +287,18 @@ fn log_tamper_attacks(
     // reproduce the acknowledged state byte-exactly. (This recovery
     // succeeds, advancing the monotonic counter past the saved pin.)
     restore_files();
-    let garbage = 1 + rng.next_below(32);
+    let garbage = 1 + rig.rng.next_below(32);
     {
         let mut m = log_bytes.clone();
         for _ in 0..garbage {
-            m.push(rng.next_below(256) as u8);
+            m.push(rig.rng.next_below(256) as u8);
         }
         std::fs::write(&log_path, &m).expect("torn tail");
     }
-    match recover() {
+    match recover(rig, None, &counter, &wal_dir) {
         Ok(recovered) => {
             crate::check_state(&recovered, &model, "torn un-pinned tail")?;
-            report.benign += 1;
+            rig.tally.add("benign", 1);
         }
         Err(e) => {
             return Err(Violation {
@@ -356,38 +311,16 @@ fn log_tamper_attacks(
     // Stale pin+log replay: the files are internally valid but the
     // monotonic counter has moved on. Must be a rollback, specifically.
     restore_files();
-    report.attacks += 1;
-    match recover() {
-        Err(Error::Rollback) => report.detected += 1,
-        other => {
-            return Err(Violation {
-                context: "stale wal replay".into(),
-                detail: format!(
-                    "replaying a superseded pin+log returned {:?} instead of Err(Rollback)",
-                    other.map(|_| "a working store"),
-                ),
-            });
-        }
-    }
+    let replayed = recover(rig, None, &counter, &wal_dir);
+    let what = "replaying a superseded pin+log";
+    crate::refused_as_rollback(&mut rig.tally, replayed, "stale wal replay", what)?;
 
     // Hidden pin: deleting the pin and log while the counter says a
     // generation exists must also be a rollback, not a fresh start.
     std::fs::remove_file(&pin_path).expect("hide pin");
     std::fs::remove_file(wal_dir.join("wal-0.log")).ok();
-    report.attacks += 1;
-    match recover() {
-        Err(Error::Rollback) => report.detected += 1,
-        other => {
-            return Err(Violation {
-                context: "hidden wal pin".into(),
-                detail: format!(
-                    "a hidden pin returned {:?} instead of Err(Rollback)",
-                    other.map(|_| "a working store"),
-                ),
-            });
-        }
-    }
-    Ok(())
+    let hidden = recover(rig, None, &counter, &wal_dir);
+    crate::refused_as_rollback(&mut rig.tally, hidden, "hidden wal pin", "a hidden pin")
 }
 
 // ---------------------------------------------------------------------
@@ -397,15 +330,10 @@ fn log_tamper_attacks(
 /// A snapshot rotates the log to a new generation. Normal recovery
 /// (snapshot + rotated tail) must be exact; offering the pre-snapshot
 /// pin and log afterwards must fail closed.
-fn stale_log_after_snapshot(
-    seed: u64,
-    dir: &Path,
-    report: &mut WalReport,
-) -> Result<(), Violation> {
-    let wal_dir = dir.join("rotate-wal");
-    let counter = PersistentCounter::open(dir.join("rotate-ctr")).expect("counter");
-    let store = ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
-    store.attach_wal(&wal_dir).expect("attach wal");
+fn stale_log_after_snapshot(rig: &mut Rig) -> Result<(), Violation> {
+    let wal_dir = rig.path("rotate-wal");
+    let counter = PersistentCounter::open(rig.path("rotate-ctr")).expect("counter");
+    let store = strict_store(rig, &wal_dir);
     let mut model = Model::default();
     load(&store, &mut model, "r", "rot-val", 0..6)?;
 
@@ -413,21 +341,14 @@ fn stale_log_after_snapshot(
     let stale_pin = std::fs::read(wal_dir.join("wal.pin")).expect("read pin");
     let stale_log = std::fs::read(wal_dir.join("wal-0.log")).expect("read log");
 
-    let snap = dir.join("rotate.db");
+    let snap = rig.path("rotate.db");
     store.snapshot_blocking(&snap, &counter).expect("snapshot");
     load(&store, &mut model, "t", "tail-val", 0..2)?;
     store.wal_handle().expect("wal attached").simulate_crash();
     drop(store);
 
     // Honest recovery: snapshot plus the rotated generation-1 tail.
-    let recovered = ShieldStore::recover(
-        enclave(seed),
-        config(DurabilityPolicy::Strict),
-        Some(&snap),
-        &counter,
-        &wal_dir,
-    )
-    .map_err(|e| Violation {
+    let recovered = recover(rig, Some(&snap), &counter, &wal_dir).map_err(|e| Violation {
         context: "post-snapshot recovery".into(),
         detail: format!("recovery from snapshot + rotated tail failed: {e:?}"),
     })?;
@@ -440,26 +361,10 @@ fn stale_log_after_snapshot(
     // counter has moved past the stale pin's claim.
     std::fs::write(wal_dir.join("wal.pin"), &stale_pin).expect("plant stale pin");
     std::fs::write(wal_dir.join("wal-0.log"), &stale_log).expect("plant stale log");
-    report.attacks += 1;
-    match ShieldStore::recover(
-        enclave(seed),
-        config(DurabilityPolicy::Strict),
-        Some(&snap),
-        &counter,
-        &wal_dir,
-    ) {
-        Err(Error::Rollback) => report.detected += 1,
-        other => {
-            return Err(Violation {
-                context: "pre-snapshot log replay".into(),
-                detail: format!(
-                    "a pre-rotation pin+log returned {:?} instead of Err(Rollback)",
-                    other.map(|_| "a working store"),
-                ),
-            });
-        }
-    }
-    report.cycles += 1;
+    let replayed = recover(rig, Some(&snap), &counter, &wal_dir);
+    let (context, what) = ("pre-snapshot log replay", "a pre-rotation pin+log");
+    crate::refused_as_rollback(&mut rig.tally, replayed, context, what)?;
+    rig.tally.add("crash_recover_cycles", 1);
     Ok(())
 }
 
@@ -472,21 +377,20 @@ fn stale_log_after_snapshot(
 /// log generation must survive until the snapshot is durably renamed, so
 /// a writer failure followed by a crash recovers every acknowledged
 /// write from the last good snapshot plus both retained log generations.
-fn snapshot_crash_window(seed: u64, dir: &Path, report: &mut WalReport) -> Result<(), Violation> {
-    let wal_dir = dir.join("window-wal");
-    let counter = PersistentCounter::open(dir.join("window-ctr")).expect("counter");
-    let store = ShieldStore::new(enclave(seed), config(DurabilityPolicy::Strict)).expect("store");
-    store.attach_wal(&wal_dir).expect("attach wal");
+fn snapshot_crash_window(rig: &mut Rig) -> Result<(), Violation> {
+    let wal_dir = rig.path("window-wal");
+    let counter = PersistentCounter::open(rig.path("window-ctr")).expect("counter");
+    let store = strict_store(rig, &wal_dir);
     let mut model = Model::default();
     load(&store, &mut model, "b", "base-val", 0..6)?;
-    let snap = dir.join("window.db");
+    let snap = rig.path("window.db");
     store.snapshot_blocking(&snap, &counter).expect("good snapshot");
     load(&store, &mut model, "w", "mid-val", 0..4)?;
 
     // A background snapshot whose writer dies (target directory missing):
     // rotation began, the snapshot never lands.
     let job = store
-        .snapshot_background(dir.join("no-such-dir").join("s.db"), &counter)
+        .snapshot_background(rig.path("no-such-dir").join("s.db"), &counter)
         .expect("start background snapshot");
     if job.finish().is_ok() {
         return Err(Violation {
@@ -502,19 +406,12 @@ fn snapshot_crash_window(seed: u64, dir: &Path, report: &mut WalReport) -> Resul
     // Recovery from the last *successful* snapshot must replay both
     // retained generations: Strict means not one acknowledged write may
     // be missing.
-    let recovered = ShieldStore::recover(
-        enclave(seed),
-        config(DurabilityPolicy::Strict),
-        Some(&snap),
-        &counter,
-        &wal_dir,
-    )
-    .map_err(|e| Violation {
+    let recovered = recover(rig, Some(&snap), &counter, &wal_dir).map_err(|e| Violation {
         context: "snapshot crash window".into(),
         detail: format!("recovery after a failed snapshot attempt failed: {e:?}"),
     })?;
     crate::check_state(&recovered, &model, "snapshot crash window")?;
-    report.cycles += 1;
+    rig.tally.add("crash_recover_cycles", 1);
     Ok(())
 }
 
@@ -525,13 +422,13 @@ mod tests {
     #[test]
     fn wal_phase_runs_clean_on_a_few_seeds() {
         for seed in 0..3 {
-            let report = run_wal_phase(seed).unwrap_or_else(|v| {
+            let tally = crate::run_phase("wal", seed, SALT, run).unwrap_or_else(|v| {
                 panic!("seed {seed}: wal-phase violation: {v}");
             });
-            assert_eq!(report.attacks, 9, "attack count drifted: {report:?}");
-            assert_eq!(report.detected, 9, "undetected attack: {report:?}");
-            assert_eq!(report.benign, 1, "torn-tail case missing: {report:?}");
-            assert_eq!(report.cycles, 6, "crash cycle count drifted: {report:?}");
+            assert_eq!(tally.get("attacks"), 9, "attack count drifted: {tally}");
+            assert_eq!(tally.get("detected"), 9, "undetected attack: {tally}");
+            assert_eq!(tally.get("benign"), 1, "torn-tail case missing: {tally}");
+            assert_eq!(tally.get("crash_recover_cycles"), 6, "cycle count drifted: {tally}");
         }
     }
 }

@@ -5,34 +5,21 @@
 //! reconnect — and the reference model checks that no fault ever turns
 //! into silently wrong data.
 
-use crate::Violation;
+use crate::{Rig, Violation};
 use sgx_sim::attest::AttestationVerifier;
-use sgx_sim::enclave::EnclaveBuilder;
 use shield_net::client::KvClient;
 use shield_net::proxy::{FaultPlan, FaultProxy};
 use shield_net::server::{CrossingMode, Server, ServerConfig};
-use shield_workload::rng::SplitMix64;
 use shieldstore::model::Model;
-use shieldstore::{Config, Op, ShieldStore};
+use shieldstore::{Op, ShieldStore};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The wire phase's seed salt.
+pub const SALT: u64 = 0x3131_c0de_fa17_0000;
 const NUM_KEYS: u64 = 24;
 const OPS: u64 = 14;
 const READ_TIMEOUT: Duration = Duration::from_millis(150);
-
-/// Outcome accounting for one wire-phase run.
-#[derive(Debug, Default, Clone)]
-pub struct WireReport {
-    /// Operations attempted over the faulty link.
-    pub ops: u64,
-    /// Frame faults the proxy actually injected.
-    pub faults: u64,
-    /// Operations that failed closed (poisoned session, reconnect).
-    pub failed_closed: u64,
-    /// Reconnects forced by poisoned sessions.
-    pub reconnects: u64,
-}
 
 fn key_bytes(id: u64) -> Vec<u8> {
     shield_workload::make_key(id, 12)
@@ -42,14 +29,13 @@ fn value_bytes(id: u64, step: u64) -> Vec<u8> {
     shield_workload::make_value(id, step, 20)
 }
 
-/// Runs the proxy-mediated wire phase for one seed.
-pub fn run_wire_phase(seed: u64) -> Result<WireReport, Violation> {
-    sgx_sim::vclock::reset();
-    let enclave = EnclaveBuilder::new("adversary-wire").seed(seed).epc_bytes(8 << 20).build();
-    let store = Arc::new(
-        ShieldStore::new(Arc::clone(&enclave), Config::shield_opt().buckets(64).mac_hashes(16))
-            .expect("store construction"),
-    );
+/// Runs the proxy-mediated wire phase. The proxy's injected frame
+/// faults count as `attacks`; an op that fails closed forces a reconnect.
+pub fn run(rig: &mut Rig) -> Result<(), Violation> {
+    let (seed, enclave) = (rig.seed, rig.enclave());
+    let config = crate::rig::config().with_shards(1);
+    let store =
+        Arc::new(ShieldStore::new(Arc::clone(&enclave), config).expect("store construction"));
     // One event loop: the engine then executes an old connection's
     // in-flight request before a new connection's (strict global FIFO),
     // so the model's sequential view stays valid across reconnects.
@@ -75,9 +61,8 @@ pub fn run_wire_phase(seed: u64) -> Result<WireReport, Violation> {
     let proxy = FaultProxy::start(server.addr(), FaultPlan { seed, skip_frames: 1, period: 3 })
         .expect("proxy start");
 
-    let mut report = WireReport::default();
     let mut model = Model::default();
-    let mut rng = SplitMix64::new(seed ^ 0x3131_c0de_fa17_0000);
+    let (rng, tally) = (&mut rig.rng, &mut rig.tally);
     let mut conn_seq = 0u64;
     let mut client = connect(&proxy, &verifier, seed, &mut conn_seq);
 
@@ -85,14 +70,14 @@ pub fn run_wire_phase(seed: u64) -> Result<WireReport, Violation> {
     // session is poisoned, so reconnect — and the op may or may not have
     // reached the store before the fault hit.
     let mut exchange = |client: &mut KvClient, op: Op<'_>| -> Result<(), Violation> {
-        report.ops += 1;
+        tally.add("ops", 1);
         let reply = client.execute(op).ok();
         model
             .observe(0, op, reply.as_ref())
             .map_err(|detail| Violation { context: format!("wire {op:?}"), detail })?;
         if reply.is_none() {
-            report.failed_closed += 1;
-            report.reconnects += 1;
+            tally.add("failed_closed", 1);
+            tally.add("reconnects", 1);
             *client = connect(&proxy, &verifier, seed, &mut conn_seq);
         }
         Ok(())
@@ -130,13 +115,13 @@ pub fn run_wire_phase(seed: u64) -> Result<WireReport, Violation> {
         Ok(())
     })();
 
-    report.faults = proxy.faults_injected();
+    rig.tally.add("attacks", proxy.faults_injected());
     drop(client);
     proxy.shutdown();
     server.shutdown();
     // With every worker joined, the store is quiescent: its counters must
     // be self-consistent no matter where the injected faults cut frames.
-    result.and_then(|()| crate::engine::check_stats(&store, "wire phase stats")).map(|()| report)
+    result.and_then(|()| crate::engine::check_stats(&store, "wire phase stats"))
 }
 
 fn connect(
@@ -170,24 +155,6 @@ fn connect(
 // with a stalled half-frame connection.
 // ---------------------------------------------------------------------
 
-/// Outcome accounting for one overload-phase run.
-#[derive(Debug, Default, Clone)]
-pub struct OverloadReport {
-    /// Operations attempted across all segments.
-    pub ops: u64,
-    /// Requests answered `Busy` (admission control or deadline sheds).
-    pub busy: u64,
-    /// Requests answered `Quarantined` on the poisoned partition.
-    pub quarantined: u64,
-    /// Connections refused at the cap.
-    pub refused: u64,
-    /// Reconnects performed by the self-healing client segment.
-    pub reconnects: u64,
-    /// Wall-clock milliseconds `shutdown()` took with a stalled
-    /// half-frame connection still open.
-    pub drain_ms: u64,
-}
-
 const OVERLOAD_CLIENTS: usize = 3;
 const OVERLOAD_ROUNDS: u64 = 6;
 
@@ -218,17 +185,15 @@ fn connect_direct(
     Err(last.expect("at least one attempt"))
 }
 
-/// Runs the overload-and-tamper phase for one seed.
-pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
-    sgx_sim::vclock::reset();
-    let enclave = EnclaveBuilder::new("adversary-overload").seed(seed).epc_bytes(8 << 20).build();
-    let store = Arc::new(
-        ShieldStore::new(
-            Arc::clone(&enclave),
-            Config::shield_opt().buckets(64).mac_hashes(16).with_shards(2).with_quarantine(),
-        )
-        .expect("store construction"),
-    );
+/// Runs the overload-and-tamper phase. It counts `ops` attempted, `busy`
+/// sheds, `quarantined` answers, connections `refused` at the cap, the
+/// self-healing client's `reconnects`, and `drain_ms`, the wall-clock
+/// milliseconds `shutdown()` took with a stalled half-frame connection.
+pub fn overload(rig: &mut Rig) -> Result<(), Violation> {
+    let (seed, enclave, tally) = (rig.seed, rig.enclave(), &mut rig.tally);
+    let config = crate::rig::config().with_quarantine();
+    let store =
+        Arc::new(ShieldStore::new(Arc::clone(&enclave), config).expect("store construction"));
     let backend: Arc<dyn shield_baseline::KvBackend> = store.clone();
     let server = Server::start(
         Arc::clone(&backend),
@@ -246,21 +211,20 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     )
     .expect("server start");
     let verifier = AttestationVerifier::for_enclave(&enclave);
-    let mut report = OverloadReport::default();
 
     // Populate, then corrupt one entry in untrusted memory.
     let keys: Vec<Vec<u8>> = (0..NUM_KEYS).map(key_bytes).collect();
     let mut client = connect_direct(server.addr(), &verifier, seed).expect("populate connect");
     for (i, key) in keys.iter().enumerate() {
         client.set(key, &value_bytes(i as u64, 0)).expect("populate set");
-        report.ops += 1;
+        tally.add("ops", 1);
     }
     assert!(store.tamper_any_entry_byte(seed), "tamper must land");
 
     // First sweep trips the violation; afterwards the store must name
     // exactly one quarantined bucket set.
     for key in &keys {
-        report.ops += 1;
+        tally.add("ops", 1);
         match client.get(key) {
             Ok(Some(_)) | Err(_) => {}
             Ok(None) => {
@@ -286,10 +250,10 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     // Second sweep: tampered partition answers `Quarantined`, every
     // other key still serves its exact value.
     for (i, key) in keys.iter().enumerate() {
-        report.ops += 1;
+        tally.add("ops", 1);
         match client.get(key) {
             Ok(Some(v)) if !poisoned(key) && v == value_bytes(i as u64, 0) => {}
-            Err(shield_net::NetError::Quarantined) if poisoned(key) => report.quarantined += 1,
+            Err(shield_net::NetError::Quarantined) if poisoned(key) => tally.add("quarantined", 1),
             other => {
                 return Err(violation(
                     "overload partition sweep",
@@ -298,7 +262,7 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
             }
         }
     }
-    if report.quarantined == 0 {
+    if tally.get("quarantined") == 0 {
         return Err(violation(
             "overload partition sweep",
             "no key mapped to the quarantined partition".into(),
@@ -351,8 +315,8 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     }
     for handle in handles {
         let (ops, busy) = handle.join().expect("overload client thread")?;
-        report.ops += ops;
-        report.busy += busy;
+        tally.add("ops", ops);
+        tally.add("busy", busy);
     }
 
     // Connection cap: hold the cap's worth of sessions, then one more
@@ -370,8 +334,8 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
             "a connection past the cap was admitted".into(),
         ));
     }
-    report.refused = server.refused_connections();
-    if report.refused == 0 {
+    tally.add("refused", server.refused_connections());
+    if tally.get("refused") == 0 {
         return Err(violation(
             "overload connection cap",
             "refused connection was not counted".into(),
@@ -379,7 +343,7 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     }
     // The held sessions are unaffected by the refusal.
     for client in &mut held {
-        report.ops += 1;
+        tally.add("ops", 1);
         client.ping().expect("held session ping");
     }
     drop(held);
@@ -401,9 +365,9 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     let mut shed_client =
         connect_direct(shed_door.addr(), &verifier, seed ^ (0x5ed << 44)).expect("shed connect");
     for _ in 0..4 {
-        report.ops += 1;
+        tally.add("ops", 1);
         match shed_client.get(&keys[0]) {
-            Err(shield_net::NetError::Busy) => report.busy += 1,
+            Err(shield_net::NetError::Busy) => tally.add("busy", 1),
             other => {
                 return Err(violation(
                     "overload shed door",
@@ -437,7 +401,7 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     let mut correct_gets = 0u64;
     for attempt in 0..200u64 {
         let (key, want) = &healthy[(attempt % healthy.len() as u64) as usize];
-        report.ops += 1;
+        tally.add("ops", 1);
         match healer.execute(shieldstore::Op::Get(key)).map(shieldstore::Reply::value) {
             Ok(Some(v)) if &v == want => correct_gets += 1,
             Ok(other) => {
@@ -454,14 +418,12 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
             break;
         }
     }
-    report.reconnects = healer.reconnects();
-    if correct_gets < 10 || report.reconnects == 0 {
+    let reconnects = healer.reconnects();
+    tally.add("reconnects", reconnects);
+    if correct_gets < 10 || reconnects == 0 {
         return Err(violation(
             "overload self-healing client",
-            format!(
-                "wanted 10 correct gets and ≥1 reconnect, got {correct_gets} and {}",
-                report.reconnects
-            ),
+            format!("wanted 10 correct gets and ≥1 reconnect, got {correct_gets} and {reconnects}"),
         ));
     }
     drop(healer);
@@ -474,7 +436,7 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
     let started = std::time::Instant::now();
     server.shutdown();
     let elapsed = started.elapsed();
-    report.drain_ms = elapsed.as_millis() as u64;
+    tally.add("drain_ms", elapsed.as_millis() as u64);
     drop(stalled);
     if elapsed > Duration::from_secs(5) {
         return Err(violation(
@@ -495,7 +457,7 @@ pub fn run_overload_phase(seed: u64) -> Result<OverloadReport, Violation> {
             ),
         ));
     }
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -505,13 +467,13 @@ mod tests {
     #[test]
     fn overload_phase_runs_clean_on_a_couple_seeds() {
         for seed in 0..2 {
-            let report = run_overload_phase(seed).unwrap_or_else(|v| {
+            let tally = crate::run_phase("overload", seed, 0, overload).unwrap_or_else(|v| {
                 panic!("seed {seed}: overload-phase violation: {v}");
             });
-            assert!(report.busy >= 4, "seed {seed}: shed door must shed");
-            assert!(report.quarantined >= 1, "seed {seed}: quarantine must land");
-            assert!(report.refused >= 1, "seed {seed}: cap must refuse");
-            assert!(report.reconnects >= 1, "seed {seed}: healer must reconnect");
+            assert!(tally.get("busy") >= 4, "seed {seed}: shed door must shed");
+            assert!(tally.get("quarantined") >= 1, "seed {seed}: quarantine must land");
+            assert!(tally.get("refused") >= 1, "seed {seed}: cap must refuse");
+            assert!(tally.get("reconnects") >= 1, "seed {seed}: healer must reconnect");
         }
     }
 
@@ -519,10 +481,10 @@ mod tests {
     fn wire_phase_runs_clean_on_a_few_seeds() {
         let mut total_faults = 0;
         for seed in 0..4 {
-            let report = run_wire_phase(seed).unwrap_or_else(|v| {
+            let tally = crate::run_phase("wire", seed, SALT, run).unwrap_or_else(|v| {
                 panic!("seed {seed}: wire-phase violation: {v}");
             });
-            total_faults += report.faults;
+            total_faults += tally.get("attacks");
         }
         assert!(total_faults > 0, "the proxy never injected a fault");
     }

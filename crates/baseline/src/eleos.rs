@@ -151,11 +151,6 @@ impl EleosStore {
         (st.spc_hits, st.spc_misses)
     }
 
-    /// Virtual pool bytes allocated so far.
-    pub fn pool_used(&self) -> u64 {
-        self.state.lock().next_vaddr
-    }
-
     fn frame_addr(&self, frame: usize) -> u64 {
         self.spc_base + (frame * self.page_size) as u64
     }

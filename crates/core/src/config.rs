@@ -74,8 +74,6 @@ pub struct Config {
     /// verification does not pointer-chase the chain (paper §5.2,
     /// `+MACBucket`).
     pub mac_bucket: bool,
-    /// MACs per MAC-bucket node before chaining (paper: 30).
-    pub mac_bucket_capacity: usize,
     /// Untrusted-memory allocation strategy (paper §5.1, `+HeapAlloc`).
     pub alloc: AllocMode,
     /// Bytes of spare EPC used as a plaintext entry cache
@@ -110,7 +108,6 @@ impl Config {
             shards: 1,
             key_hint: false,
             mac_bucket: false,
-            mac_bucket_capacity: 30,
             alloc: AllocMode::OcallPerAlloc,
             cache_bytes: 0,
             ordered_index: false,
@@ -187,7 +184,6 @@ impl Config {
         assert!(self.num_buckets > 0, "num_buckets must be positive");
         assert!(self.num_mac_hashes > 0, "num_mac_hashes must be positive");
         assert!(self.shards > 0, "shards must be positive");
-        assert!(self.mac_bucket_capacity > 0, "mac_bucket_capacity must be positive");
         if let DurabilityPolicy::EveryN(n) = self.durability {
             assert!(n > 0, "DurabilityPolicy::EveryN needs a positive group size");
         }

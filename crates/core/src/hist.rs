@@ -102,15 +102,6 @@ impl LatencyHist {
         self.max
     }
 
-    /// Mean sample, or 0.0 when empty.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The raw bucket array (serialization, reporting).
     pub fn buckets(&self) -> &[u64; NUM_BUCKETS] {
         &self.buckets

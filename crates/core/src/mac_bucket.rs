@@ -19,8 +19,8 @@
 //!
 //! A node is `[next u64 | count u32 | cap u32 | cap × MAC | cap × handle]`
 //! and is allocated in the smallest heap class that holds its slots
-//! ([`class_cap`]): 2, 4, 10 or 20 slots in 64 to 512 bytes, then the
-//! configured capacity (30 in the paper) as the largest. An insert that
+//! ([`class_cap`]): 2, 4, 10 or 20 slots in 64 to 512 bytes, then
+//! [`CAPACITY`] (the paper's 30) as the largest. An insert that
 //! finds a node full moves it up one class; a bucket that outgrows the
 //! largest chains a second node. All nodes except the last are kept full,
 //! so insertion at the front cascades the last slot of each node into the
@@ -52,6 +52,10 @@ const MAC_LEN: usize = 16;
 const HANDLE_LEN: usize = 8;
 const SLOT_LEN: usize = MAC_LEN + HANDLE_LEN;
 
+/// Slots in the largest node: the paper's 30 MACs per MAC bucket before
+/// it chains another.
+pub const CAPACITY: usize = 30;
+
 /// Size in bytes of a node with `cap` slots.
 pub fn node_len(cap: usize) -> usize {
     NODE_MACS + cap * SLOT_LEN
@@ -75,7 +79,7 @@ pub fn class_cap(slots: usize, mac_cap: usize) -> usize {
 /// What bounds a walk over a bucket's nodes.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Slots in the largest node ([`crate::Config::mac_bucket_capacity`]).
+    /// Slots in the largest node: [`CAPACITY`] in a store.
     pub mac_cap: usize,
     /// No honest bucket holds more MACs than the whole table counts
     /// entries: a walk that gathers more has met a cycle or an inflated
@@ -212,17 +216,11 @@ pub fn hint_entries(heap: &UntrustedHeap, head: Handle, lim: Limits) {
 /// the rest of the node for [`hint_entries`] — the handles sit behind
 /// `cap` MAC slots, and `cap` is whatever class `filled` slots need.
 #[inline]
-pub fn hint_node(
-    heap: &UntrustedHeap,
-    node: Handle,
-    filled: usize,
-    mac_cap: usize,
-    with_handles: bool,
-) {
+pub fn hint_node(heap: &UntrustedHeap, node: Handle, filled: usize, with_handles: bool) {
     let len = if with_handles {
-        node_len(class_cap(filled, mac_cap))
+        node_len(class_cap(filled, CAPACITY))
     } else {
-        NODE_MACS + filled.min(mac_cap) * MAC_LEN
+        NODE_MACS + filled.min(CAPACITY) * MAC_LEN
     };
     heap.prefetch(node, 0, len.div_ceil(LINE));
 }

@@ -539,7 +539,7 @@ fn restore_entry(
     }
     if cfg.mac_bucket {
         // The MAC chain mirrors the entry chain's order.
-        ctx.directory(bucket, cfg.mac_bucket_capacity)
+        ctx.directory(bucket)
             .insert_back(&header.mac, handle)
             .map_err(|_| Error::IntegrityViolation { bucket })?;
     }

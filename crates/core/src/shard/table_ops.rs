@@ -56,13 +56,7 @@ impl Access {
         if self.cfg.mac_bucket {
             let filled = table.count.div_ceil(table.buckets());
             for (node, of) in table.mac_heads[set_buckets.clone()].iter().zip(set_buckets) {
-                mac_bucket::hint_node(
-                    &table.heap,
-                    *node,
-                    filled,
-                    self.cfg.mac_bucket_capacity,
-                    of == bucket,
-                );
+                mac_bucket::hint_node(&table.heap, *node, filled, of == bucket);
             }
             table.hint_header(table.heads[bucket]);
         } else {
@@ -83,7 +77,7 @@ impl Access {
     /// there is no list, and the walk waits on itself as before.
     pub(super) fn hint_chain(&self, table: &TableCtx, bucket: usize) {
         if self.cfg.mac_bucket {
-            let lim = table.mac_limits(self.cfg.mac_bucket_capacity);
+            let lim = table.mac_limits();
             mac_bucket::hint_entries(&table.heap, table.mac_heads[bucket], lim);
         }
     }
@@ -368,7 +362,7 @@ impl Access {
             // Listed before it is linked: a directory that cannot take it
             // refuses while the chain is still as it was.
             if self.cfg.mac_bucket {
-                let mut dir = table.directory(bucket, self.cfg.mac_bucket_capacity);
+                let mut dir = table.directory(bucket);
                 if dir.insert_front(&mac, fresh).is_err() {
                     table.heap.free(fresh, new_len);
                     if let Some(st) = op.state {
@@ -427,7 +421,7 @@ impl Access {
         let inplace = UntrustedHeap::fits_in_class(old_len, new_len);
         let at = if inplace { found.handle } else { table.heap.alloc(new_len) };
         if self.cfg.mac_bucket {
-            let mut dir = table.directory(bucket, self.cfg.mac_bucket_capacity);
+            let mut dir = table.directory(bucket);
             if dir.set_at(found.pos, &mac, at).is_err() {
                 if !inplace {
                     table.heap.free(at, new_len);
@@ -503,7 +497,7 @@ impl Access {
         // The side array first: it checks its nodes before it writes.
         if self.cfg.mac_bucket {
             table
-                .directory(bucket, self.cfg.mac_bucket_capacity)
+                .directory(bucket)
                 .remove_at(found.pos)
                 .map_err(|_| Error::IntegrityViolation { bucket })?;
         }

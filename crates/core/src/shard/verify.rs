@@ -74,7 +74,7 @@ impl Access {
     /// field no honest node holds)
     /// — callers surface it as an integrity violation.
     fn gather_set(&mut self, table: &TableCtx, set: usize) -> Option<()> {
-        let lim = table.mac_limits(self.cfg.mac_bucket_capacity);
+        let lim = table.mac_limits();
         let macs = &mut self.scratch.set;
         macs.clear();
         for bucket in table.sets.buckets_of(set) {
@@ -179,7 +179,7 @@ impl Access {
     fn gather_side(&mut self, table: &TableCtx, bucket: usize) -> Result<&[u8]> {
         let side = &mut self.scratch.side;
         side.clear();
-        let lim = table.mac_limits(self.cfg.mac_bucket_capacity);
+        let lim = table.mac_limits();
         mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], side, lim)
             .map_err(|_| Error::IntegrityViolation { bucket })?;
         Ok(side)
@@ -233,7 +233,7 @@ impl Access {
         if !self.cfg.mac_bucket {
             return Ok(());
         }
-        let lim = table.mac_limits(self.cfg.mac_bucket_capacity);
+        let lim = table.mac_limits();
         match mac_bucket::try_get_at(&table.heap, table.mac_heads[bucket], found.pos, lim) {
             Some(side) if side == found.header.mac => Ok(()),
             _ => Err(Error::IntegrityViolation { bucket }),

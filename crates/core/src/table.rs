@@ -10,7 +10,7 @@
 use crate::alloc::{Handle, UntrustedHeap, NULL_HANDLE};
 use crate::entry::{self, EntryHeader};
 use crate::integrity::{BucketSets, MacStore};
-use crate::mac_bucket::{Directory, Limits};
+use crate::mac_bucket::{self, Directory, Limits};
 use shield_crypto::hint::LINE;
 
 /// One hash table: structure + storage + integrity metadata.
@@ -151,16 +151,16 @@ impl TableCtx {
     }
 
     /// The bounds on a walk over any bucket's MAC nodes, the largest of
-    /// which holds `mac_cap` slots.
+    /// which holds [`mac_bucket::CAPACITY`] slots.
     #[inline]
-    pub fn mac_limits(&self, mac_cap: usize) -> Limits {
-        Limits { mac_cap, max_macs: self.count.saturating_add(1) }
+    pub fn mac_limits(&self) -> Limits {
+        Limits { mac_cap: mac_bucket::CAPACITY, max_macs: self.count.saturating_add(1) }
     }
 
     /// `bucket`'s MAC directory, borrowed for a mutation.
-    pub fn directory(&mut self, bucket: usize, mac_cap: usize) -> Directory<'_> {
+    pub fn directory(&mut self, bucket: usize) -> Directory<'_> {
         Directory {
-            lim: self.mac_limits(mac_cap),
+            lim: self.mac_limits(),
             heap: &mut self.heap,
             head: &mut self.mac_heads[bucket],
             node_bytes: &mut self.mac_node_bytes,

@@ -14,6 +14,7 @@
 
 use crate::alloc::{Handle, UntrustedHeap};
 use crate::entry;
+use crate::mac_bucket::{class_cap, CAPACITY};
 use crate::shard::Shard;
 use crate::store::ShieldStore;
 use crate::table::{Link, TableCtx};
@@ -404,11 +405,11 @@ fn plant_node_cap(ctx: &mut TableCtx, seed: u64) -> bool {
     let planted = match mix(seed ^ 0xca9) % 6 {
         0 => 0,
         1 => count.saturating_sub(1),
-        2 => 31,
+        2 => CAPACITY + 1,
         // Larger classes: they hold the count, so only what the count
         // makes of them refuses them.
-        3 if cap < 30 => 30,
-        4 if cap < 30 => crate::mac_bucket::class_cap(cap + 1, 30),
+        3 if cap < CAPACITY => CAPACITY,
+        4 if cap < CAPACITY => class_cap(cap + 1, CAPACITY),
         // One more than a class holds is never a class.
         _ => cap + 1,
     };

@@ -8,7 +8,7 @@
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::vclock;
-use shieldstore::{Config, ShieldStore};
+use shieldstore::{mac_bucket, Config, ShieldStore};
 
 fn enclave() -> std::sync::Arc<sgx_sim::enclave::Enclave> {
     EnclaveBuilder::new("mac-directory").seed(11).epc_bytes(8 << 20).build()
@@ -55,39 +55,37 @@ fn listed_handles_are_the_chain_through_every_write_path() {
     vclock::reset();
     let dir = std::env::temp_dir().join(format!("ss-macdir-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // The paper's node, and one small enough that buckets chain several.
-    for capacity in [30, 4] {
-        let config = Config { mac_bucket_capacity: capacity, ..Config::shield_opt() }
-            .buckets(24)
-            .mac_hashes(6)
-            .with_shards(2);
-        let store = ShieldStore::new(enclave(), config.clone()).unwrap();
-        churn(&store, 1 + capacity as u64, 1500, 400);
-        assert!(store.snapshot().mac_node_bytes > 0);
+    // Enough keys that buckets chain several nodes of the paper's 30 slots.
+    const BUCKETS: usize = 24;
+    const KEYS: u64 = 1600;
+    let config = Config::shield_opt().buckets(BUCKETS).mac_hashes(6).with_shards(2);
+    let store = ShieldStore::new(enclave(), config.clone()).unwrap();
+    churn(&store, 31, 1500, KEYS);
+    assert!(
+        store.len() > BUCKETS * mac_bucket::CAPACITY,
+        "{} entries in {BUCKETS} buckets: no bucket needs a second node",
+        store.len()
+    );
 
-        // Snapshot → restore: every entry re-linked and re-listed at the tail.
-        let snap = dir.join(format!("snap-{capacity}.db"));
-        let ctr_path = dir.join(format!("ctr-{capacity}"));
-        let _ = std::fs::remove_file(&ctr_path);
-        let counter = PersistentCounter::open(&ctr_path).unwrap();
-        store.snapshot_blocking(&snap, &counter).unwrap();
-        let restored = ShieldStore::restore(enclave(), config, &snap, &counter).unwrap();
-        assert_eq!(restored.len(), store.len());
-        restored.assert_directories_in_sync();
-        // A restored node was only ever appended to, so it is no larger
-        // than the live one, which grew and never shrinks.
-        assert!(restored.snapshot().mac_node_bytes <= store.snapshot().mac_node_bytes);
-        churn(&restored, 77, 300, 400);
+    // Snapshot → restore: every entry re-linked and re-listed at the tail.
+    let snap = dir.join("snap.db");
+    let counter = PersistentCounter::open(dir.join("ctr")).unwrap();
+    store.snapshot_blocking(&snap, &counter).unwrap();
+    let restored = ShieldStore::restore(enclave(), config, &snap, &counter).unwrap();
+    assert_eq!(restored.len(), store.len());
+    restored.assert_directories_in_sync();
+    // A restored node was only ever appended to, so it is no larger
+    // than the live one, which grew and never shrinks.
+    assert!(restored.snapshot().mac_node_bytes <= store.snapshot().mac_node_bytes);
+    churn(&restored, 77, 300, KEYS);
 
-        // Freeze → writes → unfreeze: the temporary tables while frozen,
-        // the merge into the main ones after.
-        let job =
-            store.snapshot_background(dir.join(format!("bg-{capacity}.db")), &counter).unwrap();
-        churn(&store, 5, 400, 400);
-        job.finish().unwrap();
-        store.assert_directories_in_sync();
-        churn(&store, 6, 200, 400);
-    }
+    // Freeze → writes → unfreeze: the temporary tables while frozen,
+    // the merge into the main ones after.
+    let job = store.snapshot_background(dir.join("bg.db"), &counter).unwrap();
+    churn(&store, 5, 400, KEYS);
+    job.finish().unwrap();
+    store.assert_directories_in_sync();
+    churn(&store, 6, 200, KEYS);
     std::fs::remove_dir_all(&dir).ok();
     vclock::reset();
 }

@@ -620,7 +620,7 @@ impl EventLoop {
                     conn.tenant = tenant;
                     conn.established = true;
                     conn.handshake_deadline = None;
-                    queue_frame(conn, &quote);
+                    queue_frame_bytes(conn, &quote);
                     return true;
                 }
                 Err(_) => return false,
@@ -841,10 +841,6 @@ impl EventLoop {
 }
 
 /// Appends a length-prefixed frame around `body` to the output buffer.
-fn queue_frame(conn: &mut Conn, body: &[u8]) {
-    queue_frame_bytes(conn, body);
-}
-
 fn queue_frame_bytes(conn: &mut Conn, body: &[u8]) {
     conn.out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     conn.out.extend_from_slice(body);

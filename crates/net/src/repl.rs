@@ -275,12 +275,6 @@ impl ReplicaHandle {
     pub fn promoted(&self) -> bool {
         self.shared.promoted.load(Ordering::Acquire)
     }
-
-    /// True when the replica has applied everything the primary reported
-    /// durable.
-    pub fn caught_up(&self) -> bool {
-        self.shared.watermark() >= self.shared.primary_durable()
-    }
 }
 
 /// A running replica node: a read-only server plus the puller thread

@@ -1,45 +1,54 @@
-//! PR 5 semantics, pinned on the readiness-loop engine.
+//! The live server's hardening contract, on the readiness-loop engine.
 //!
-//! The blocking thread-per-connection server established the hardening
-//! contract: slow-loris connections die at the frame timeout, expired
-//! deadlines shed as `Busy` without desyncing the sealed channel,
-//! excess connections are refused at accept, shutdown drains within its
-//! deadline even against stalled peers, and quarantined partitions fail
-//! closed over the wire. `tests/robustness.rs` checks those on the
-//! default configuration; this suite re-proves them where the new
-//! engine is actually different — multiple event loops sharing the
-//! accept socket, cross-loop shard handoffs in the request path, and
-//! per-connection pipelining with read backpressure.
+//! Slow-loris connections die at the frame timeout, expired deadlines
+//! shed as `Busy` without desyncing the sealed channel, excess
+//! connections are refused at accept, shutdown drains within its
+//! deadline even against stalled peers, quarantined partitions fail
+//! closed over the wire, and the retry client neither invents answers
+//! nor burns retries on refusals. A behaviour the engine's shape could
+//! change runs on one event loop and on four sharing the accept socket
+//! ([`LOOPS`]), where requests hand off across loops; the rest pin what
+//! only a multi-loop engine does: per-connection pipelining with read
+//! backpressure, batched cross-loop wakes, and drain across loops.
 
 use sgx_sim::attest::AttestationVerifier;
-use sgx_sim::enclave::EnclaveBuilder;
+use sgx_sim::enclave::{Enclave, EnclaveBuilder};
+use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{OpCode, Request, Status};
 use shield_net::server::{Server, ServerConfig};
 use shield_net::{KvClient, NetError};
+use shieldstore::{Op, Reply, ShieldStore};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn multi_loop_server(
+/// One event loop, and four sharing the accept socket.
+const LOOPS: [usize; 2] = [1, 4];
+
+/// A server over a fresh four-shard store (with partition quarantine when
+/// `quarantine`), its enclave and its store.
+fn start(
     name: &str,
     cfg: ServerConfig,
     quarantine: bool,
-) -> (Arc<sgx_sim::enclave::Enclave>, Arc<shieldstore::ShieldStore>, Server) {
+) -> (Arc<Enclave>, Arc<ShieldStore>, Server) {
     let enclave = EnclaveBuilder::new(name).epc_bytes(16 << 20).build();
     let mut store_cfg =
         shieldstore::Config::shield_opt().buckets(256).mac_hashes(64).with_shards(4);
     if quarantine {
         store_cfg = store_cfg.with_quarantine();
     }
-    let store = Arc::new(shieldstore::ShieldStore::new(Arc::clone(&enclave), store_cfg).unwrap());
+    let store = Arc::new(ShieldStore::new(Arc::clone(&enclave), store_cfg).unwrap());
     let backend: Arc<dyn shield_baseline::KvBackend> = Arc::clone(&store) as _;
     let server = Server::start(backend, Some(Arc::clone(&enclave)), cfg).unwrap();
     (enclave, store, server)
 }
 
-fn secure_client(enclave: &Arc<sgx_sim::enclave::Enclave>, server: &Server, seed: u64) -> KvClient {
-    let verifier =
-        AttestationVerifier::for_enclave(enclave).expect_measurement(*enclave.measurement());
-    KvClient::connect_secure(server.addr(), &verifier, seed).unwrap()
+fn verifier(enclave: &Arc<Enclave>) -> AttestationVerifier {
+    AttestationVerifier::for_enclave(enclave).expect_measurement(*enclave.measurement())
+}
+
+fn secure_client(enclave: &Arc<Enclave>, server: &Server, seed: u64) -> KvClient {
+    KvClient::connect_secure(server.addr(), &verifier(enclave), seed).unwrap()
 }
 
 /// Keys spanning every shard, so a multi-loop server must hand requests
@@ -61,22 +70,27 @@ fn spanning_keys(store: &shieldstore::ShieldStore, per_shard: usize) -> Vec<Stri
     keys
 }
 
-/// Slow loris against a multi-loop engine: the loop that owns the
-/// stalled connection kills it at the frame timeout while every other
-/// loop keeps serving. The victim sees EOF, not a hang.
+/// Slow loris: the loop that owns the stalled connection kills it at the
+/// frame timeout while every loop keeps serving. The victim sees EOF,
+/// not a hang.
 #[test]
-fn slow_loris_dies_at_frame_timeout_on_multi_loop_engine() {
-    let (enclave, _store, server) = multi_loop_server(
+fn slow_loris_dies_at_frame_timeout() {
+    for loops in LOOPS {
+        slow_loris_on(loops);
+    }
+}
+
+fn slow_loris_on(loops: usize) {
+    let (_enclave, _store, server) = start(
         "engine-loris",
         ServerConfig {
-            event_loops: 4,
+            event_loops: loops,
             frame_timeout: Duration::from_millis(200),
             secure: false,
             ..Default::default()
         },
         false,
     );
-    drop(enclave);
 
     let mut healthy = KvClient::connect_insecure(server.addr()).unwrap();
     healthy.set(b"alive", b"yes").unwrap();
@@ -104,41 +118,54 @@ fn slow_loris_dies_at_frame_timeout_on_multi_loop_engine() {
     server.shutdown();
 }
 
-/// A zero request deadline sheds every admitted request as `Busy` on a
-/// multi-loop engine — including requests that crossed loops — and the
-/// sealed channel's sequence numbers stay aligned across the sheds.
+/// A zero request deadline sheds every admitted request as `Busy` —
+/// including requests that crossed loops — and the sealed channel's
+/// sequence numbers stay aligned across the sheds.
 #[test]
-fn zero_deadline_sheds_busy_across_loops_without_desync() {
-    let (enclave, store, server) = multi_loop_server(
+fn zero_deadline_sheds_busy_without_desync() {
+    for loops in LOOPS {
+        zero_deadline_sheds_on(loops);
+    }
+}
+
+fn zero_deadline_sheds_on(loops: usize) {
+    let (enclave, store, server) = start(
         "engine-shed",
-        ServerConfig { event_loops: 2, request_deadline: Duration::ZERO, ..Default::default() },
+        ServerConfig { event_loops: loops, request_deadline: Duration::ZERO, ..Default::default() },
         false,
     );
     let mut client = secure_client(&enclave, &server, 97);
     for key in spanning_keys(&store, 2) {
         match client.get(key.as_bytes()) {
             Err(NetError::Busy) => {}
-            other => panic!("{key}: expected Busy, got {other:?}"),
+            other => panic!("{loops} loops, {key}: expected Busy, got {other:?}"),
         }
     }
     // The channel survived eight sheds: the next frame still opens and
     // seals correctly (and is itself shed, not rejected as garbage).
     match client.ping() {
         Err(NetError::Busy) => {}
-        other => panic!("expected Busy ping, got {other:?}"),
+        other => panic!("{loops} loops: expected Busy ping, got {other:?}"),
     }
     assert!(server.shed_requests() >= 9);
     drop(client);
     server.shutdown();
 }
 
-/// The accept share is EPOLLEXCLUSIVE across loops, but the connection
-/// cap is global: whichever loop wins the accept race must honor it.
+/// Connections past `max_connections` are refused at accept and counted.
+/// Across loops the accept share is EPOLLEXCLUSIVE but the cap is
+/// global: whichever loop wins the accept race must honor it.
 #[test]
-fn connection_cap_is_global_across_accept_sharing_loops() {
-    let (enclave, _store, server) = multi_loop_server(
+fn connection_cap_refuses_excess_clients() {
+    for loops in LOOPS {
+        connection_cap_on(loops);
+    }
+}
+
+fn connection_cap_on(loops: usize) {
+    let (enclave, _store, server) = start(
         "engine-cap",
-        ServerConfig { event_loops: 4, max_connections: 2, ..Default::default() },
+        ServerConfig { event_loops: loops, max_connections: 2, ..Default::default() },
         false,
     );
     let mut a = secure_client(&enclave, &server, 1);
@@ -146,13 +173,18 @@ fn connection_cap_is_global_across_accept_sharing_loops() {
     a.ping().unwrap();
     b.ping().unwrap();
 
-    let verifier =
-        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
+    // The third connection is dropped before any handshake byte, so the
+    // client-side handshake fails.
+    let verifier = verifier(&enclave);
     assert!(
         KvClient::connect_secure(server.addr(), &verifier, 3).is_err(),
-        "third connection must be refused at the global cap"
+        "{loops} loops: third connection must be refused at the cap"
     );
     assert!(server.refused_connections() >= 1);
+
+    // The admitted sessions are unaffected.
+    b.set(b"still", b"serving").unwrap();
+    assert_eq!(b.get(b"still").unwrap().as_deref(), Some(b"serving".as_ref()));
 
     // Freeing a slot re-admits: the cap is a gauge, not a ratchet.
     drop(a);
@@ -174,7 +206,7 @@ fn connection_cap_is_global_across_accept_sharing_loops() {
 /// values are correct, and the engine recorded cross-loop handoffs.
 #[test]
 fn pipelined_cross_shard_burst_preserves_order_and_hands_off() {
-    let (enclave, store, server) = multi_loop_server(
+    let (enclave, store, server) = start(
         "engine-pipeline",
         ServerConfig { event_loops: 2, max_pipeline: 4, ..Default::default() },
         false,
@@ -231,11 +263,8 @@ fn request(op: OpCode, key: &str, value: &str) -> Request {
 /// eventfd wakes. A per-message push spends two wakes per handoff.
 #[test]
 fn one_burst_crosses_loops_in_a_handful_of_wakes() {
-    let (enclave, store, server) = multi_loop_server(
-        "engine-burst",
-        ServerConfig { event_loops: 2, ..Default::default() },
-        false,
-    );
+    let (enclave, store, server) =
+        start("engine-burst", ServerConfig { event_loops: 2, ..Default::default() }, false);
     let mut client = secure_client(&enclave, &server, 31);
     let keys = spanning_keys(&store, 16);
     assert_eq!(keys.len(), 64);
@@ -265,11 +294,8 @@ fn one_burst_crosses_loops_in_a_handful_of_wakes() {
 /// cross.
 #[test]
 fn same_key_pipeline_executes_in_arrival_order_on_the_other_loop() {
-    let (enclave, store, server) = multi_loop_server(
-        "engine-key-fifo",
-        ServerConfig { event_loops: 2, ..Default::default() },
-        false,
-    );
+    let (enclave, store, server) =
+        start("engine-key-fifo", ServerConfig { event_loops: 2, ..Default::default() }, false);
     let mut client = secure_client(&enclave, &server, 32);
     let keys = spanning_keys(&store, 1);
     let on_shard = |shard| keys.iter().find(|k| store.shard_of(k.as_bytes()) == shard).unwrap();
@@ -306,7 +332,7 @@ fn same_key_pipeline_executes_in_arrival_order_on_the_other_loop() {
 /// and a later client is never shed.
 #[test]
 fn hangup_mid_burst_releases_every_admission_slot() {
-    let (_enclave, store, server) = multi_loop_server(
+    let (_enclave, store, server) = start(
         "engine-hangup",
         ServerConfig { event_loops: 2, max_in_flight: 4, secure: false, ..Default::default() },
         false,
@@ -350,16 +376,22 @@ fn hangup_mid_burst_releases_every_admission_slot() {
     server.shutdown();
 }
 
-/// Shutdown with live cross-loop traffic *and* a stalled connection:
-/// in-flight pipelined work completes, the stalled peer is hard-closed,
-/// and the whole drain lands within the deadline (plus scheduling
-/// slack), not at the frame timeout.
+/// Shutdown with live traffic (crossing loops, on several) *and* a
+/// connection that sent part of a frame header and stalled: the stalled
+/// peer is hard-closed and the whole drain lands within the deadline
+/// (plus scheduling slack), not at the frame timeout.
 #[test]
-fn drain_completes_within_deadline_despite_cross_loop_work_and_stall() {
-    let (enclave, store, server) = multi_loop_server(
+fn drain_completes_within_deadline_despite_a_stall() {
+    for loops in LOOPS {
+        drain_under_stall_on(loops);
+    }
+}
+
+fn drain_under_stall_on(loops: usize) {
+    let (enclave, store, server) = start(
         "engine-drain",
         ServerConfig {
-            event_loops: 2,
+            event_loops: loops,
             frame_timeout: Duration::from_secs(60),
             drain_deadline: Duration::from_millis(400),
             ..Default::default()
@@ -367,7 +399,7 @@ fn drain_completes_within_deadline_despite_cross_loop_work_and_stall() {
         false,
     );
 
-    // Cross-loop traffic right up to the drain.
+    // Traffic right up to the drain.
     let mut client = secure_client(&enclave, &server, 21);
     for key in spanning_keys(&store, 4) {
         client.set(key.as_bytes(), b"persisted").unwrap();
@@ -382,7 +414,10 @@ fn drain_completes_within_deadline_despite_cross_loop_work_and_stall() {
     let started = Instant::now();
     server.shutdown();
     let elapsed = started.elapsed();
-    assert!(elapsed < Duration::from_secs(5), "drain took {elapsed:?} against a 400ms deadline");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "{loops} loops: drain took {elapsed:?} against a 400ms deadline"
+    );
     drop((client, stalled));
 }
 
@@ -394,7 +429,7 @@ fn drain_completes_within_deadline_despite_cross_loop_work_and_stall() {
 fn multi_loop_shutdown_with_idle_clients_does_not_wait_for_the_deadline() {
     let cfg = ServerConfig { event_loops: 2, secure: false, ..Default::default() };
     assert_eq!(cfg.drain_deadline, Duration::from_secs(5));
-    let (_enclave, _store, server) = multi_loop_server("engine-idle-drain", cfg, false);
+    let (_enclave, _store, server) = start("engine-idle-drain", cfg, false);
     // Enough idle connections that both loops hold some; a ping each
     // proves a loop has adopted it.
     let mut idle: Vec<KvClient> =
@@ -422,7 +457,7 @@ fn two_loop_shutdown_with_one_idle_connection_returns_at_once() {
     for round in 0..8 {
         let cfg = ServerConfig { event_loops: 2, secure: false, ..Default::default() };
         assert_eq!(cfg.drain_deadline, Duration::from_secs(5));
-        let (_enclave, _store, server) = multi_loop_server("engine-one-idle", cfg, false);
+        let (_enclave, _store, server) = start("engine-one-idle", cfg, false);
         let mut idle = KvClient::connect_insecure(server.addr()).unwrap();
         idle.ping().unwrap();
         assert_eq!(server.active_connections(), 1);
@@ -435,17 +470,20 @@ fn two_loop_shutdown_with_one_idle_connection_returns_at_once() {
     }
 }
 
-/// Quarantine fails closed over the wire on a multi-loop engine: the
-/// poisoned partition answers `Quarantined` from whichever loop owns
-/// it, healthy shards keep serving, and the stats frame carries the
-/// gauges — including the engine's own.
+/// An integrity violation quarantines one partition: its keys answer
+/// `Quarantined` over the wire from whichever loop owns them, every
+/// other key keeps serving correct values, and the stats frame carries
+/// the gauges — including the engine's own.
 #[test]
-fn quarantine_fails_closed_over_the_wire_on_multi_loop_engine() {
-    let (enclave, store, server) = multi_loop_server(
-        "engine-quarantine",
-        ServerConfig { event_loops: 2, ..Default::default() },
-        true,
-    );
+fn quarantined_partition_answers_quarantined_over_the_wire() {
+    for loops in LOOPS {
+        quarantine_on(loops);
+    }
+}
+
+fn quarantine_on(loops: usize) {
+    let (enclave, store, server) =
+        start("engine-quarantine", ServerConfig { event_loops: loops, ..Default::default() }, true);
     let mut client = secure_client(&enclave, &server, 77);
     let keys = spanning_keys(&store, 8);
     for k in &keys {
@@ -453,12 +491,17 @@ fn quarantine_fails_closed_over_the_wire_on_multi_loop_engine() {
     }
     assert!(store.tamper_any_entry_byte(5));
 
-    // First sweep trips the violation; second proves fail-closed.
+    // First sweep trips the violation; afterwards the store names the
+    // poisoned partition.
     for k in &keys {
         let _ = client.get(k.as_bytes());
     }
     let report = store.quarantine_report();
     assert!(!report.is_clean());
+    assert_eq!(report.quarantined_sets(), 1);
+
+    // Second sweep: the quarantined partition fails closed with the
+    // dedicated wire status; every other key still serves correctly.
 
     let mut quarantined = 0;
     for k in &keys {
@@ -479,9 +522,101 @@ fn quarantine_fails_closed_over_the_wire_on_multi_loop_engine() {
     assert!(quarantined >= 1);
 
     let snap = client.stats().unwrap();
-    assert!(snap.quarantined_sets >= 1);
-    assert_eq!(snap.event_loops, 2);
-    assert!(snap.cross_loop_handoffs >= 1);
+    assert_eq!((snap.quarantined_sets, snap.quarantined_shards), (1, 0));
+    assert!(snap.ops.quarantine_rejections >= 1);
+    assert_eq!(snap.event_loops, loops as u64);
+    assert_eq!(snap.cross_loop_handoffs >= 1, loops > 1);
     drop(client);
+    server.shutdown();
+}
+
+/// The retry client backs off on `Busy` and gives up after the policy's
+/// retry budget — it never invents an answer.
+#[test]
+fn retry_client_exhausts_busy_retries() {
+    let (enclave, _store, server) = start(
+        "retry-busy",
+        ServerConfig { request_deadline: Duration::ZERO, ..Default::default() },
+        false,
+    );
+    let policy = RetryPolicy {
+        max_retries: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(4),
+        ..Default::default()
+    };
+    let connector =
+        Connector::Secure { addr: server.addr(), verifier: verifier(&enclave), seed: 21 };
+    let mut client = RetryClient::new(connector, policy);
+    match client.execute(Op::Get(b"k")) {
+        Err(NetError::Busy) => {}
+        other => panic!("expected Busy after exhausted retries, got {other:?}"),
+    }
+    assert_eq!(client.busy_retries(), 3);
+    assert_eq!(client.reconnects(), 0, "Busy must not tear down the session");
+    server.shutdown();
+}
+
+/// A refusal the server answers is not a network failure: the retry
+/// client surfaces it at once — no retry, no backoff, no reconnect — and
+/// the session it arrived on keeps serving.
+#[test]
+fn retry_client_surfaces_refusals_at_once() {
+    let (enclave, store, server) = start("retry-refusal", ServerConfig::default(), false);
+    store.tenants().configure(0, shieldstore::TenantQuota { max_keys: 1, ..Default::default() });
+    store.set(b"first", b"v").unwrap();
+    // The first backoff sleeps at least half the base.
+    let policy = RetryPolicy {
+        max_retries: 4,
+        base_backoff: Duration::from_millis(400),
+        ..Default::default()
+    };
+    let hit = Reply::Value(Some(b"v".to_vec()));
+    let cases = [
+        ("set past the default tenant's key quota", Op::set(b"second", b"v")),
+        ("scan on a store without the ordered index", Op::ScanPrefix { prefix: b"k", limit: 10 }),
+    ];
+    for (seed, (case, refused)) in cases.into_iter().enumerate() {
+        let connector = Connector::Secure {
+            addr: server.addr(),
+            verifier: verifier(&enclave),
+            seed: seed as u64,
+        };
+        let mut client = RetryClient::new(connector, policy.clone());
+        assert_eq!(client.execute(Op::Get(b"first")).unwrap(), hit, "{case}");
+        let started = Instant::now();
+        let outcome = client.execute(refused);
+        let elapsed = started.elapsed();
+        assert!(outcome.is_err(), "{case}: refused");
+        assert_eq!(client.retries(), 0, "{case}: a refusal burns no retry");
+        assert!(elapsed < Duration::from_millis(200), "{case}: returned after {elapsed:?}");
+        assert_eq!(client.execute(Op::Get(b"first")).unwrap(), hit, "{case}");
+        assert_eq!(client.reconnects(), 0, "{case}: the session survives the refusal");
+    }
+    server.shutdown();
+}
+
+/// The retry client re-establishes a torn-down session and replays an
+/// idempotent request against a healthy server.
+#[test]
+fn retry_client_reconnects_after_session_loss() {
+    let (enclave, _store, server) = start("retry-reconnect", ServerConfig::default(), false);
+    let policy = RetryPolicy {
+        max_retries: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(4),
+        read_timeout: Some(Duration::from_millis(500)),
+        ..Default::default()
+    };
+    let connector =
+        Connector::Secure { addr: server.addr(), verifier: verifier(&enclave), seed: 33 };
+    let mut client = RetryClient::new(connector, policy);
+    client.execute(Op::set(b"k", b"v1")).unwrap();
+
+    // Tear down the session out from under the client: the next
+    // operation must transparently reconnect and replay.
+    client.disconnect();
+    assert_eq!(client.execute(Op::Get(b"k")).unwrap(), Reply::Value(Some(b"v1".to_vec())));
+    assert!(client.reconnects() >= 1);
     server.shutdown();
 }

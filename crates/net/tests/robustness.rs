@@ -281,274 +281,3 @@ fn handshake_pair(
     let (server, _tenant) = server_thread.join().expect("join").expect("server side");
     (client, server)
 }
-
-// ---------------------------------------------------------------------
-// Live-server hardening: drain, shedding, connection caps, quarantine.
-// ---------------------------------------------------------------------
-
-use shield_net::client::{Connector, RetryClient, RetryPolicy};
-use shield_net::server::{Server, ServerConfig};
-use shield_net::{KvClient, NetError};
-use shieldstore::{Op, Reply};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn hardened_server(
-    name: &str,
-    cfg: ServerConfig,
-    quarantine: bool,
-) -> (Arc<sgx_sim::enclave::Enclave>, Arc<shieldstore::ShieldStore>, Server) {
-    let enclave = EnclaveBuilder::new(name).epc_bytes(16 << 20).build();
-    let mut store_cfg =
-        shieldstore::Config::shield_opt().buckets(256).mac_hashes(64).with_shards(2);
-    if quarantine {
-        store_cfg = store_cfg.with_quarantine();
-    }
-    let store = Arc::new(shieldstore::ShieldStore::new(Arc::clone(&enclave), store_cfg).unwrap());
-    let backend: Arc<dyn shield_baseline::KvBackend> = Arc::clone(&store) as _;
-    let server = Server::start(backend, Some(Arc::clone(&enclave)), cfg).unwrap();
-    (enclave, store, server)
-}
-
-fn secure_client(enclave: &Arc<sgx_sim::enclave::Enclave>, server: &Server, seed: u64) -> KvClient {
-    let verifier =
-        AttestationVerifier::for_enclave(enclave).expect_measurement(*enclave.measurement());
-    KvClient::connect_secure(server.addr(), &verifier, seed).unwrap()
-}
-
-/// A connection that sends half a frame header and stalls must not block
-/// `shutdown()`: the drain deadline hard-closes it.
-#[test]
-fn half_frame_stall_does_not_block_shutdown() {
-    let (enclave, _store, server) = hardened_server(
-        "drain-stall",
-        ServerConfig {
-            // Long enough that the stalled frame never times out on its
-            // own: only the drain hard-close can unstick the handler.
-            frame_timeout: Duration::from_secs(60),
-            drain_deadline: Duration::from_millis(400),
-            secure: false,
-            ..Default::default()
-        },
-        false,
-    );
-    drop(enclave);
-
-    // A healthy client proves the server is actually serving.
-    let mut healthy = KvClient::connect_insecure(server.addr()).unwrap();
-    healthy.set(b"k", b"v").unwrap();
-
-    // The stalled connection: half a length header, then silence.
-    let mut stalled = std::net::TcpStream::connect(server.addr()).unwrap();
-    std::io::Write::write_all(&mut stalled, &[0x04, 0x00]).unwrap();
-
-    let started = Instant::now();
-    server.shutdown();
-    let elapsed = started.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "shutdown took {elapsed:?}, expected to finish within the drain deadline"
-    );
-    drop(stalled);
-}
-
-/// With a zero request deadline every admitted request is shed: the
-/// client sees `Busy`, never a wrong answer, and the session's crypto
-/// sequence stays aligned across sheds.
-#[test]
-fn zero_deadline_sheds_requests_as_busy() {
-    let (enclave, _store, server) = hardened_server(
-        "shed-deadline",
-        ServerConfig { request_deadline: Duration::ZERO, ..Default::default() },
-        false,
-    );
-    let mut client = secure_client(&enclave, &server, 41);
-    for _ in 0..4 {
-        match client.get(b"k") {
-            Err(NetError::Busy) => {}
-            other => panic!("expected Busy, got {other:?}"),
-        }
-    }
-    // Sheds kept the sealed channel aligned: ping still round-trips the
-    // crypto (and is itself shed, not rejected as a bad frame).
-    match client.ping() {
-        Err(NetError::Busy) => {}
-        other => panic!("expected Busy ping, got {other:?}"),
-    }
-    assert!(server.shed_requests() >= 5);
-    drop(client);
-    server.shutdown();
-}
-
-/// Connections past `max_connections` are refused at accept and counted.
-#[test]
-fn connection_cap_refuses_excess_clients() {
-    let (enclave, _store, server) = hardened_server(
-        "conn-cap",
-        ServerConfig { max_connections: 1, ..Default::default() },
-        false,
-    );
-    let mut first = secure_client(&enclave, &server, 7);
-    first.ping().unwrap();
-
-    // The second connection is dropped before any handshake byte, so the
-    // client-side handshake fails.
-    let verifier =
-        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
-    assert!(KvClient::connect_secure(server.addr(), &verifier, 8).is_err());
-    assert!(server.refused_connections() >= 1);
-
-    // The admitted session is unaffected.
-    first.set(b"still", b"serving").unwrap();
-    assert_eq!(first.get(b"still").unwrap().as_deref(), Some(b"serving".as_ref()));
-    drop(first);
-    server.shutdown();
-}
-
-/// An integrity violation quarantines one partition: its keys answer
-/// `Quarantined` over the wire while the rest of the store keeps
-/// serving correct values, and the stats opcode reports the gauges.
-#[test]
-fn quarantined_partition_answers_quarantined_over_the_wire() {
-    let (enclave, store, server) =
-        hardened_server("quarantine-wire", ServerConfig::default(), true);
-    let mut client = secure_client(&enclave, &server, 11);
-    let keys: Vec<String> = (0..64).map(|i| format!("q{i}")).collect();
-    for k in &keys {
-        client.set(k.as_bytes(), b"value").unwrap();
-    }
-    assert!(store.tamper_any_entry_byte(5));
-
-    // First sweep trips the violation; afterwards the store names the
-    // poisoned partition.
-    for k in &keys {
-        let _ = client.get(k.as_bytes());
-    }
-    let report = store.quarantine_report();
-    assert!(!report.is_clean());
-    assert_eq!(report.quarantined_sets(), 1);
-
-    // Second sweep: quarantined partition fails closed with the
-    // dedicated wire status; every other key still serves correctly.
-    let mut quarantined = 0;
-    for k in &keys {
-        let (shard, set) = store.key_partition(k.as_bytes());
-        let poisoned = report.shards[shard].quarantined_sets.contains(&set);
-        match client.get(k.as_bytes()) {
-            Ok(v) => {
-                assert!(!poisoned, "{k}: quarantined key served");
-                assert_eq!(v.as_deref(), Some(b"value".as_ref()));
-            }
-            Err(NetError::Quarantined) => {
-                assert!(poisoned, "{k}: healthy key reported quarantined");
-                quarantined += 1;
-            }
-            other => panic!("{k}: unexpected outcome {other:?}"),
-        }
-    }
-    assert!(quarantined >= 1);
-
-    // The live stats snapshot carries the quarantine gauges.
-    let snap = client.stats().unwrap();
-    assert_eq!(snap.quarantined_sets, 1);
-    assert_eq!(snap.quarantined_shards, 0);
-    assert!(snap.ops.quarantine_rejections >= 1);
-    drop(client);
-    server.shutdown();
-}
-
-/// The retry client backs off on `Busy` and gives up after the policy's
-/// retry budget — it never invents an answer.
-#[test]
-fn retry_client_exhausts_busy_retries() {
-    let (enclave, _store, server) = hardened_server(
-        "retry-busy",
-        ServerConfig { request_deadline: Duration::ZERO, ..Default::default() },
-        false,
-    );
-    let verifier =
-        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
-    let policy = RetryPolicy {
-        max_retries: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        ..Default::default()
-    };
-    let mut client =
-        RetryClient::new(Connector::Secure { addr: server.addr(), verifier, seed: 21 }, policy);
-    match client.execute(Op::Get(b"k")) {
-        Err(NetError::Busy) => {}
-        other => panic!("expected Busy after exhausted retries, got {other:?}"),
-    }
-    assert_eq!(client.busy_retries(), 3);
-    assert_eq!(client.reconnects(), 0, "Busy must not tear down the session");
-    server.shutdown();
-}
-
-/// A refusal the server answers is not a network failure: the retry
-/// client surfaces it at once — no retry, no backoff, no reconnect — and
-/// the session it arrived on keeps serving.
-#[test]
-fn retry_client_surfaces_refusals_at_once() {
-    let (enclave, store, server) = hardened_server("retry-refusal", ServerConfig::default(), false);
-    store.tenants().configure(0, shieldstore::TenantQuota { max_keys: 1, ..Default::default() });
-    store.set(b"first", b"v").unwrap();
-    let verifier =
-        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
-    // The first backoff sleeps at least half the base.
-    let policy = RetryPolicy {
-        max_retries: 4,
-        base_backoff: Duration::from_millis(400),
-        ..Default::default()
-    };
-    let hit = Reply::Value(Some(b"v".to_vec()));
-    let cases = [
-        ("set past the default tenant's key quota", Op::set(b"second", b"v")),
-        ("scan on a store without the ordered index", Op::ScanPrefix { prefix: b"k", limit: 10 }),
-    ];
-    for (seed, (case, refused)) in cases.into_iter().enumerate() {
-        let connector = Connector::Secure {
-            addr: server.addr(),
-            verifier: verifier.clone(),
-            seed: seed as u64,
-        };
-        let mut client = RetryClient::new(connector, policy.clone());
-        assert_eq!(client.execute(Op::Get(b"first")).unwrap(), hit, "{case}");
-        let started = Instant::now();
-        let outcome = client.execute(refused);
-        let elapsed = started.elapsed();
-        assert!(outcome.is_err(), "{case}: refused");
-        assert_eq!(client.retries(), 0, "{case}: a refusal burns no retry");
-        assert!(elapsed < Duration::from_millis(200), "{case}: returned after {elapsed:?}");
-        assert_eq!(client.execute(Op::Get(b"first")).unwrap(), hit, "{case}");
-        assert_eq!(client.reconnects(), 0, "{case}: the session survives the refusal");
-    }
-    server.shutdown();
-}
-
-/// The retry client re-establishes a torn-down session and replays an
-/// idempotent request against a healthy server.
-#[test]
-fn retry_client_reconnects_after_session_loss() {
-    let (enclave, _store, server) =
-        hardened_server("retry-reconnect", ServerConfig::default(), false);
-    let verifier =
-        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
-    let policy = RetryPolicy {
-        max_retries: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        read_timeout: Some(Duration::from_millis(500)),
-        ..Default::default()
-    };
-    let mut client =
-        RetryClient::new(Connector::Secure { addr: server.addr(), verifier, seed: 33 }, policy);
-    client.execute(Op::set(b"k", b"v1")).unwrap();
-
-    // Tear down the session out from under the client: the next
-    // operation must transparently reconnect and replay.
-    client.disconnect();
-    assert_eq!(client.execute(Op::Get(b"k")).unwrap(), Reply::Value(Some(b"v1".to_vec())));
-    assert!(client.reconnects() >= 1);
-    server.shutdown();
-}

@@ -33,7 +33,6 @@ pub struct EnclaveBuilder {
     epc_bytes: usize,
     cost: CostModel,
     seed: u64,
-    chunk_size: usize,
 }
 
 impl EnclaveBuilder {
@@ -45,7 +44,6 @@ impl EnclaveBuilder {
             epc_bytes: 90 << 20,
             cost: CostModel::I7_7700,
             seed: 0,
-            chunk_size: crate::memory::DEFAULT_CHUNK_SIZE,
         }
     }
 
@@ -67,18 +65,12 @@ impl EnclaveBuilder {
         self
     }
 
-    /// Sets the enclave heap chunk size (power of two).
-    pub fn heap_chunk_size(mut self, bytes: usize) -> Self {
-        self.chunk_size = bytes;
-        self
-    }
-
     /// Builds the enclave.
     pub fn build(self) -> Arc<Enclave> {
         let stats = Arc::new(SimStats::new());
         let epc =
             Arc::new(Epc::new(self.epc_bytes / crate::PAGE_SIZE, self.cost, Arc::clone(&stats)));
-        let memory = EnclaveMemory::with_chunk_size(Arc::clone(&epc), self.chunk_size);
+        let memory = EnclaveMemory::new(Arc::clone(&epc));
         let measurement = {
             let mut h = Sha256::new();
             h.update(b"sgx-sim enclave measurement v1:");

@@ -3,8 +3,9 @@
 //! Each rule keeps one design decision from quietly growing back: one
 //! bench stack, `unsafe` in three audited files, one chain walker, one
 //! reader of sealed-log bytes, listed handles that only ever reach a
-//! hint, one stat list, one wire codec, one reference model, and one
-//! byte cursor for everything that leaves the enclave. The rules walk the source
+//! hint, one stat list, one wire codec, one reference model, one
+//! byte cursor for everything that leaves the enclave, and one adversary
+//! rig. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -327,6 +328,27 @@ fn one_byte_cursor(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// The adversary harness runs every phase in one rig,
+/// `crates/adversary/src/rig.rs`, and counts into one `Tally`: no report
+/// struct anywhere in the harness, and nothing outside the rig builds an
+/// enclave, a table configuration or a scratch directory of its own.
+fn one_adversary_rig(tree: &Tree) -> Vec<String> {
+    const RIG: &str = "crates/adversary/src/rig.rs";
+    let report_struct = |line: &str| {
+        word_starts(line, "struct").any(|end| {
+            let rest = &line[end..];
+            let name: String = rest.trim_start().chars().take_while(|&c| is_word_char(c)).collect();
+            rest.starts_with(char::is_whitespace) && name.ends_with("Report")
+        })
+    };
+    let mut found = hits(tree.under("crates/adversary/src/"), report_struct);
+    let phases = tree.under("crates/adversary/src/").filter(|f| f.path != RIG);
+    found.extend(hits(phases, |l| {
+        ["EnclaveBuilder::new", "temp_dir()", "Config::shield_opt"].iter().any(|n| l.contains(n))
+    }));
+    found
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -482,4 +504,24 @@ fn one_byte_cursor_holds() {
         )
         .with("crates/core/src/shard/tamper_tests.rs", "let cap = u32::from_le_bytes(raw);");
     assert!(one_byte_cursor(&allowed).is_empty());
+}
+
+#[test]
+fn one_adversary_rig_holds() {
+    check(
+        one_adversary_rig,
+        "an adversary phase keeps its own report struct or scaffolding; count into the rig's Tally and build through crates/adversary/src/rig.rs",
+        &[
+            ("crates/adversary/src/engine.rs", "pub struct StoreReport {"),
+            (
+                "crates/adversary/src/walphase.rs",
+                "let enclave = EnclaveBuilder::new(\"adversary-wal\").seed(seed).build();",
+            ),
+            (
+                "crates/adversary/src/bin/shieldstore_crash.rs",
+                "let dir = std::env::temp_dir().join(\"ss-crash\");",
+            ),
+            ("crates/adversary/src/wire.rs", "let config = Config::shield_opt().buckets(64);"),
+        ],
+    );
 }
