@@ -44,7 +44,7 @@
 
 pub use rig::{run_phase, Rig};
 use shieldstore::model::Model;
-use shieldstore::{Error, Op, ShieldStore, TenantId};
+use shieldstore::{Error, Op, Refusal, ShieldStore, TenantId};
 
 pub mod engine;
 pub mod replphase;
@@ -83,16 +83,16 @@ pub(crate) fn checked(
 ) -> Result<bool, Violation> {
     let violation = |detail: String| Violation { context: context.into(), detail };
     let reply = match store.execute(tenant, op) {
-        Ok(reply) => Some(reply),
-        Err(Error::IntegrityViolation { .. }) => None,
+        Ok(reply) => Ok(reply),
+        Err(e @ Error::IntegrityViolation { .. }) => Err(Refusal::from(&e)),
         Err(e) => {
             return Err(violation(format!(
                 "unexpected error {e:?} (neither model-consistent nor a detection)"
             )));
         }
     };
-    model.observe(tenant, op, reply.as_ref()).map_err(violation)?;
-    Ok(reply.is_some())
+    model.observe(tenant, op, reply.as_ref().map_err(|r| *r)).map_err(violation)?;
+    Ok(reply.is_ok())
 }
 
 /// [`checked`] on a store nothing has tampered with: failing closed is a

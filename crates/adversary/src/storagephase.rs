@@ -21,7 +21,7 @@ use crate::{Rig, Violation};
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::storage::{FaultFs, FaultKind, FaultOp, FaultSpec, StorageFs};
 use shieldstore::model::Model;
-use shieldstore::{Config, DurabilityPolicy, Error, Op, Replica, ShieldStore};
+use shieldstore::{Config, DurabilityPolicy, Error, Op, Refusal, Replica, ShieldStore};
 use std::sync::Arc;
 
 /// The storage phase's seed salt.
@@ -83,14 +83,16 @@ fn fault_under_load(rig: &mut Rig) -> Result<(), Violation> {
                 ));
             }
             Ok(reply) => {
-                model.observe(0, write, Some(&reply)).map_err(|e| fail("fault under load", e))?;
+                model.observe(0, write, Ok(&reply)).map_err(|e| fail("fault under load", e))?;
                 rig.tally.add("ops", 1);
             }
-            // The write landed in memory before its commit failed: the
+            // The write whose commit failed landed in memory first: the
             // key holds either state until the power cut settles it.
             Err(Error::StorageFailed) => {
                 poisoned = true;
-                model.observe(0, write, None).map_err(|e| fail("fault under load", e))?;
+                model
+                    .observe(0, write, Err(Refusal::StorageFailed))
+                    .map_err(|e| fail("fault under load", e))?;
             }
             Err(e) => {
                 return Err(fail("fault under load", format!("unexpected error {e:?}")));

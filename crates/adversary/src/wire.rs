@@ -10,8 +10,9 @@ use sgx_sim::attest::AttestationVerifier;
 use shield_net::client::KvClient;
 use shield_net::proxy::{FaultPlan, FaultProxy};
 use shield_net::server::{CrossingMode, Server, ServerConfig};
+use shield_net::NetError;
 use shieldstore::model::Model;
-use shieldstore::{Op, ShieldStore};
+use shieldstore::{Op, Refusal, ShieldStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,15 +68,19 @@ pub fn run(rig: &mut Rig) -> Result<(), Violation> {
     let mut client = connect(&proxy, &verifier, seed, &mut conn_seq);
 
     // Sends `op` and judges the answer. A failure fails closed: the
-    // session is poisoned, so reconnect — and the op may or may not have
-    // reached the store before the fault hit.
+    // session is poisoned, so reconnect — and unless the server refused
+    // it, the op may or may not have reached the store before the fault
+    // hit.
     let mut exchange = |client: &mut KvClient, op: Op<'_>| -> Result<(), Violation> {
         tally.add("ops", 1);
-        let reply = client.execute(op).ok();
+        let reply = client.execute(op).map_err(|e| match e {
+            NetError::Refused(refusal) => refusal,
+            _ => Refusal::Failed,
+        });
         model
-            .observe(0, op, reply.as_ref())
+            .observe(0, op, reply.as_ref().map_err(|r| *r))
             .map_err(|detail| Violation { context: format!("wire {op:?}"), detail })?;
-        if reply.is_none() {
+        if reply.is_err() {
             tally.add("failed_closed", 1);
             tally.add("reconnects", 1);
             *client = connect(&proxy, &verifier, seed, &mut conn_seq);
@@ -253,7 +258,9 @@ pub fn overload(rig: &mut Rig) -> Result<(), Violation> {
         tally.add("ops", 1);
         match client.get(key) {
             Ok(Some(v)) if !poisoned(key) && v == value_bytes(i as u64, 0) => {}
-            Err(shield_net::NetError::Quarantined) if poisoned(key) => tally.add("quarantined", 1),
+            Err(NetError::Refused(Refusal::Quarantined)) if poisoned(key) => {
+                tally.add("quarantined", 1)
+            }
             other => {
                 return Err(violation(
                     "overload partition sweep",
@@ -300,7 +307,7 @@ pub fn overload(rig: &mut Rig) -> Result<(), Violation> {
                     ops += 1;
                     match client.get(key) {
                         Ok(Some(v)) if &v == want => {}
-                        Err(shield_net::NetError::Busy) => busy += 1,
+                        Err(NetError::Refused(Refusal::Busy)) => busy += 1,
                         other => {
                             return Err(violation(
                                 "overload concurrency",
@@ -367,7 +374,7 @@ pub fn overload(rig: &mut Rig) -> Result<(), Violation> {
     for _ in 0..4 {
         tally.add("ops", 1);
         match shed_client.get(&keys[0]) {
-            Err(shield_net::NetError::Busy) => tally.add("busy", 1),
+            Err(NetError::Refused(Refusal::Busy)) => tally.add("busy", 1),
             other => {
                 return Err(violation(
                     "overload shed door",

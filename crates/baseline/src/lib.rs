@@ -29,38 +29,7 @@ pub use eleos::EleosStore;
 pub use memcached::MemcachedLike;
 pub use naive::NaiveEnclaveStore;
 
-pub use shieldstore::{Op, Reply};
-
-/// Why a backend operation failed, at the granularity the wire protocol
-/// can express: a serving layer must distinguish a quarantined partition
-/// (degraded but deliberate, the client should not retry) from any other
-/// failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpError {
-    /// The key's hash partition is quarantined after an integrity
-    /// violation; other partitions keep serving.
-    Quarantined,
-    /// The write would exceed the requesting tenant's byte or key
-    /// quota; the store was left untouched. Distinct from `Failed` so a
-    /// serving layer can tell the tenant to shed load (not retry).
-    QuotaExceeded,
-    /// The store is a replica serving reads only; the mutation was not
-    /// executed. The client should retry against the primary (or wait
-    /// for this node's promotion).
-    ReadOnly,
-    /// Durable storage failed under the store's write-ahead log and the
-    /// writer is poisoned: this mutation — and every further one on this
-    /// node — fails closed, while reads keep serving. Distinct from
-    /// `Failed` so a serving layer can tell clients to fail over rather
-    /// than retry.
-    StorageFailed,
-    /// Any other failure (capacity, integrity violation, malformed
-    /// value, …).
-    Failed,
-}
-
-/// Result alias for [`KvBackend`] methods that can fail.
-pub type OpResult<T> = core::result::Result<T, OpError>;
+pub use shieldstore::{Control, Controlled, Op, Refusal, Reply};
 
 /// A uniform interface over every store under evaluation.
 ///
@@ -68,9 +37,10 @@ pub type OpResult<T> = core::result::Result<T, OpError>;
 /// implements the three primitives — [`get`](KvBackend::get),
 /// [`set`](KvBackend::set), [`delete`](KvBackend::delete) — and gets
 /// every [`Op`] through the default [`execute`](KvBackend::execute);
-/// ShieldStore overrides `execute` alone to add what the primitives
-/// cannot express (namespaces, expiry, batching, scans, and *why* an op
-/// failed).
+/// ShieldStore overrides `execute` to add what the primitives cannot
+/// express (namespaces, expiry, batching, scans, and *why* an op was
+/// refused), and [`control`](KvBackend::control) to serve what a serving
+/// layer asks besides ops (stats, durability, replication).
 pub trait KvBackend: Send + Sync {
     /// Store name for report rows.
     fn name(&self) -> &str;
@@ -91,8 +61,8 @@ pub trait KvBackend: Send + Sync {
     /// served from the one flat table; and what the primitives cannot do
     /// fails closed rather than half-succeed — a nonzero deadline (the
     /// value would be silently immortal) and ordered scans (no index).
-    fn execute(&self, _tenant: u32, op: Op<'_>) -> OpResult<Reply> {
-        let stored = |ok: bool| ok.then_some(Reply::Stored).ok_or(OpError::Failed);
+    fn execute(&self, _tenant: u32, op: Op<'_>) -> Result<Reply, Refusal> {
+        let stored = |ok: bool| ok.then_some(Reply::Stored).ok_or(Refusal::Failed);
         match op {
             Op::Get(key) => Ok(Reply::Value(self.get(key))),
             Op::Exists(key) => Ok(Reply::Exists(self.get(key).is_some())),
@@ -108,10 +78,10 @@ pub trait KvBackend: Send + Sync {
                     Some(v) => core::str::from_utf8(&v)
                         .ok()
                         .and_then(|text| text.trim().parse::<i64>().ok())
-                        .ok_or(OpError::Failed)?,
+                        .ok_or(Refusal::Failed)?,
                     None => 0,
                 };
-                let next = current.checked_add(delta).ok_or(OpError::Failed)?;
+                let next = current.checked_add(delta).ok_or(Refusal::Failed)?;
                 stored(self.set(key, next.to_string().as_bytes())).map(|_| Reply::Counter(next))
             }
             Op::MultiGet(keys) => Ok(Reply::Values(keys.iter().map(|key| self.get(key)).collect())),
@@ -119,7 +89,7 @@ pub trait KvBackend: Send + Sync {
                 stored(items.iter().all(|(key, value)| self.set(key, value)))
             }
             Op::Set { .. } | Op::MultiSet { .. } | Op::ScanRange { .. } | Op::ScanPrefix { .. } => {
-                Err(OpError::Failed)
+                Err(Refusal::Failed)
             }
         }
     }
@@ -148,59 +118,20 @@ pub trait KvBackend: Send + Sync {
     /// memcached's maintainer-thread interference (Fig. 13) is charged as
     /// virtual time scaled by this count. Default: ignored.
     fn set_concurrency(&self, _workers: usize) {}
-    /// A full observability snapshot (counters, latency histograms,
-    /// occupancy, SGX transition counters), where the store keeps one.
-    /// `None` means the backend is not instrumented; the wire server maps
-    /// that to an error status on the `Stats` opcode.
-    fn stats_snapshot(&self) -> Option<shieldstore::StatsSnapshot> {
-        None
-    }
     /// Admission weight for `tenant` (default 1: unweighted fair share).
     fn tenant_weight(&self, _tenant: u32) -> u32 {
         1
     }
-    /// Durability barrier: commit everything buffered in the store's
-    /// write-ahead log and return the durable `(generation, seq)`
-    /// watermark. Every write at or below it survives a crash and is
-    /// what a replication subscriber may acknowledge. `Ok(None)` (the
-    /// default) means the store has no log: there is nothing to make
-    /// durable, so the barrier trivially succeeds.
-    fn flush_durable(&self) -> OpResult<Option<(u64, u64)>> {
-        Ok(None)
-    }
-
-    // --- replication (primary side) ------------------------------------
-    //
-    // Only stores with a sealed WAL can serve as replication primaries;
-    // the defaults fail closed so a baseline store answers `Error` to
-    // replication opcodes instead of pretending to stream a log. The
-    // byte payloads are the core codecs' (`shieldstore::ReplHello` /
-    // `shieldstore::ReplBatch`) encodings — the serving layer relays
-    // them opaquely.
-
-    /// Registers a replication subscriber. Returns the encoded
-    /// [`shieldstore::ReplHello`] (log keys + start position) to relay
-    /// over the attested channel.
-    fn repl_subscribe(&self) -> OpResult<Vec<u8>> {
-        Err(OpError::Failed)
-    }
-    /// Ships the next sealed log batch after `(generation, after_seq)`,
-    /// bounded by `max_bytes`. Returns the encoded
-    /// [`shieldstore::ReplBatch`]; `Err(OpError::Failed)` when the
-    /// subscriber's position is invalid or there is nothing to ship yet.
-    fn repl_batch(&self, _generation: u64, _after_seq: u64, _max_bytes: u32) -> OpResult<Vec<u8>> {
-        Err(OpError::Failed)
-    }
-    /// Records `subscriber`'s verified-and-applied watermark. Fails
-    /// closed when the ack runs ahead of the primary's durable position.
-    fn repl_ack(&self, _subscriber: u64, _generation: u64, _seq: u64) -> OpResult<()> {
-        Err(OpError::Failed)
-    }
-    /// Promotes a read-only replica backend to primary, returning the
-    /// promoted `(generation, seq)` watermark. Non-replica stores fail
-    /// closed.
-    fn promote(&self) -> OpResult<(u64, u64)> {
-        Err(OpError::Failed)
+    /// Answers a control request: the observability snapshot, the
+    /// durability barrier, the replication stream, promotion. The default
+    /// is a store with no counters and no log: its flush barrier
+    /// trivially succeeds (there is nothing to make durable) and the rest
+    /// is refused, so a baseline never pretends to stream a log.
+    fn control(&self, control: Control) -> Result<Controlled, Refusal> {
+        match control {
+            Control::Flush => Ok(Controlled::Watermark(None)),
+            _ => Err(Refusal::Failed),
+        }
     }
 }
 
@@ -225,8 +156,8 @@ impl KvBackend for shieldstore::ShieldStore {
         shieldstore::ShieldStore::delete(self, key).is_ok()
     }
 
-    fn execute(&self, tenant: u32, op: Op<'_>) -> OpResult<Reply> {
-        shieldstore::ShieldStore::execute(self, tenant, op).map_err(op_error)
+    fn execute(&self, tenant: u32, op: Op<'_>) -> Result<Reply, Refusal> {
+        shieldstore::ShieldStore::execute(self, tenant, op).map_err(|e| Refusal::from(&e))
     }
 
     fn len(&self) -> usize {
@@ -241,48 +172,11 @@ impl KvBackend for shieldstore::ShieldStore {
         self.enclave().reset_timing();
     }
 
-    fn stats_snapshot(&self) -> Option<shieldstore::StatsSnapshot> {
-        Some(self.snapshot())
-    }
-
     fn tenant_weight(&self, tenant: u32) -> u32 {
         self.tenants().weight(tenant)
     }
 
-    fn flush_durable(&self) -> OpResult<Option<(u64, u64)>> {
-        match self.flush_wal() {
-            Ok(Some(wm)) => Ok(Some((wm.generation, wm.seq))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(op_error(e)),
-        }
-    }
-
-    fn repl_subscribe(&self) -> OpResult<Vec<u8>> {
-        shieldstore::ShieldStore::repl_subscribe(self).map(|h| h.encode()).map_err(op_error)
-    }
-
-    fn repl_batch(&self, generation: u64, after_seq: u64, max_bytes: u32) -> OpResult<Vec<u8>> {
-        shieldstore::ShieldStore::repl_batch(self, generation, after_seq, max_bytes as usize)
-            .map(|b| b.encode())
-            .map_err(op_error)
-    }
-
-    fn repl_ack(&self, subscriber: u64, generation: u64, seq: u64) -> OpResult<()> {
-        shieldstore::ShieldStore::repl_ack(
-            self,
-            subscriber,
-            shieldstore::Watermark::new(generation, seq),
-        )
-        .map_err(op_error)
-    }
-}
-
-/// Maps a ShieldStore error to the wire-expressible failure class.
-fn op_error(e: shieldstore::Error) -> OpError {
-    match e {
-        shieldstore::Error::Quarantined { .. } => OpError::Quarantined,
-        shieldstore::Error::QuotaExceeded { .. } => OpError::QuotaExceeded,
-        shieldstore::Error::StorageFailed => OpError::StorageFailed,
-        _ => OpError::Failed,
+    fn control(&self, control: Control) -> Result<Controlled, Refusal> {
+        shieldstore::ShieldStore::control(self, control)
     }
 }

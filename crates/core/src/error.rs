@@ -1,5 +1,7 @@
 //! ShieldStore error types.
 
+use crate::op::Op;
+
 /// Errors returned by ShieldStore operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
@@ -52,7 +54,9 @@ pub enum Error {
         bucket: usize,
     },
     /// The write would exceed the tenant's byte or key quota
-    /// ([`crate::TenantQuota`]). The store was left untouched.
+    /// ([`crate::TenantQuota`]). A single-key write left the store
+    /// untouched; a batch keeps the items placed before the one that hit
+    /// the quota.
     QuotaExceeded {
         /// The tenant whose quota was hit.
         tenant: u32,
@@ -62,8 +66,10 @@ pub enum Error {
     /// disk, so the durable watermark is frozen at the last verified
     /// commit and every further commit fails closed (retrying an fsync
     /// after failure can silently lose the unflushed pages — the
-    /// "fsyncgate" semantics). Reads keep serving; recover from the
-    /// on-disk genuine prefix or fail over to a replica.
+    /// "fsyncgate" semantics). The write whose commit failed is already
+    /// in memory; every later write is refused before it changes
+    /// anything. Reads keep serving; recover from the on-disk genuine
+    /// prefix or fail over to a replica.
     StorageFailed,
 }
 
@@ -140,6 +146,57 @@ impl From<sgx_sim::bytes::Malformed> for Error {
 /// Convenience result alias.
 pub type Result<T> = core::result::Result<T, Error>;
 
+/// Why a serving layer refused an op or a control request: the one
+/// failure type the backend trait, the wire status and the client
+/// share, at the granularity a client acts on. [`Error`] says what went
+/// wrong inside the store; a refusal says what the caller may assume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Shed under overload (admission control or a missed deadline).
+    Busy,
+    /// The key's partition is quarantined after an integrity violation.
+    Quarantined,
+    /// The write would exceed the tenant's byte or key quota.
+    QuotaExceeded,
+    /// A replica serving reads only; writes go to the primary.
+    ReadOnly,
+    /// The write-ahead log's writer is poisoned: fail over, do not retry.
+    StorageFailed,
+    /// Anything else: capacity, an integrity violation, a malformed value.
+    Failed,
+}
+
+impl Refusal {
+    /// Whether `op`, refused this way, may have changed the store: what
+    /// a history checker must assume of it. `Busy` and `ReadOnly` are
+    /// decided before the store sees the op. A single-key op is also
+    /// checked for quarantine and quota before anything is touched, but a
+    /// batch is checked, applied and logged one shard (and one item) at a
+    /// time, so one refused part-way has applied what came before.
+    /// `StorageFailed` is ambiguous for the op whose own commit poisoned
+    /// the writer: it is already in memory (every later write is refused
+    /// before it reaches a shard). `Failed` is ambiguous because a batch
+    /// that fails on its second shard has applied its first.
+    pub fn may_have_executed(self, op: &Op<'_>) -> bool {
+        match self {
+            Refusal::Busy | Refusal::ReadOnly => false,
+            Refusal::Quarantined | Refusal::QuotaExceeded => matches!(op, Op::MultiSet { .. }),
+            Refusal::StorageFailed | Refusal::Failed => true,
+        }
+    }
+}
+
+impl From<&Error> for Refusal {
+    fn from(e: &Error) -> Refusal {
+        match e {
+            Error::Quarantined { .. } => Refusal::Quarantined,
+            Error::QuotaExceeded { .. } => Refusal::QuotaExceeded,
+            Error::StorageFailed => Refusal::StorageFailed,
+            _ => Refusal::Failed,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +207,23 @@ mod tests {
         assert!(Error::IntegrityViolation { bucket: 3 }.to_string().contains("bucket 3"));
         assert!(Error::OversizeItem { len: 10, max: 5 }.to_string().contains("10"));
         assert!(Error::Quarantined { bucket: 7 }.to_string().contains("quarantined"));
+    }
+
+    /// A batch refused part-way has applied what came before the refusal,
+    /// which is why a refused batch may have executed.
+    #[test]
+    fn a_batch_refused_part_way_has_applied_its_first_items() {
+        let enclave = sgx_sim::enclave::EnclaveBuilder::new("refusal").epc_bytes(8 << 20).build();
+        let config = crate::Config::shield_opt().buckets(64).mac_hashes(16);
+        let store = crate::ShieldStore::new(enclave, config).unwrap();
+        store.tenants().configure(1, crate::TenantQuota { max_keys: 1, ..Default::default() });
+        let items: [(&[u8], &[u8]); 2] = [(b"a", b"1"), (b"b", b"2")];
+        let batch = Op::MultiSet { items: &items, expires_at: 0 };
+        let refused = Refusal::from(&store.execute(1, batch).unwrap_err());
+        assert_eq!(refused, Refusal::QuotaExceeded);
+        assert_eq!(store.len(), 1, "the item placed first landed");
+        assert!(refused.may_have_executed(&batch));
+        assert!(!refused.may_have_executed(&Op::set(b"a", b"1")));
     }
 
     #[test]

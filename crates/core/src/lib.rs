@@ -49,7 +49,7 @@
 //! | [`alloc`] | 5.1, Fig. 6 | custom untrusted heap allocator |
 //! | [`mac_bucket`] | 5.2, Fig. 7 | per-bucket MAC side arrays |
 //! | [`shard`] | 5.3, Fig. 8 | partition-per-thread operations |
-//! | [`op`] | 3.2 | the one `Op`/`Reply` every layer executes |
+//! | [`op`] | 3.2 | the one `Op`/`Reply` every layer executes, and the one `Control`/`Controlled` beside it |
 //! | [`cache`] | Fig. 17 | spare-EPC plaintext cache |
 //! | [`persist`] | 4.4, Alg. 1 | snapshots, sealing, rollback defense |
 //! | [`wal`] | beyond 4.4 | sealed write-ahead log: codec, the one frame reader and chain cursor, pin, writer (group commit, rotation), readers (replay, ship, scrub, repair) |
@@ -86,9 +86,9 @@ pub mod ttl;
 pub mod wal;
 
 pub use config::{AllocMode, Config, DurabilityPolicy};
-pub use error::{Error, Result};
+pub use error::{Error, Refusal, Result};
 pub use hist::{LatencyHist, OpHists};
-pub use op::{Op, Reply};
+pub use op::{Control, Controlled, Op, Reply};
 pub use persist::SnapshotJob;
 pub use repl::{ReplBatch, ReplHello, Replica, Watermark};
 pub use scrub::ScrubTick;

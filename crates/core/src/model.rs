@@ -12,18 +12,20 @@
 //!   nothing). Deadlines are read against the [`crate::ttl`] clock, so a
 //!   frozen clock makes expiry exact.
 //! * [`Model::observe`] judges what a store under attack answered — the
-//!   *trichotomy*. A reply must be one the model allows; a failure is the
-//!   store failing closed, which it may do at any time. A write that fails
-//!   closed is not rolled back, so each key it wrote may hold its old
-//!   state or its new one: the model keeps a *set* of acceptable states
-//!   per key — one, until a failed write widens it — and a read that
-//!   succeeds collapses the set to what it observed.
+//!   *trichotomy*. A reply must be one the model allows; a refusal is the
+//!   store failing closed, which it may do at any time. A refusal that
+//!   [`may have executed`](Refusal::may_have_executed) is not rolled
+//!   back, so each key it wrote may hold its old state or its new one: the
+//!   model keeps a *set* of acceptable states per key — one, until such a
+//!   refusal widens it — and a read that succeeds collapses the set to
+//!   what it observed. Any other refusal changed nothing.
 //! * [`Model::check_store`] reads every key back and counts the entries:
 //!   the store holds exactly the model.
 //! * [`Model::after`] is the model as it stood after its first `n`
 //!   acknowledged writes, which is what a durability window is checked
 //!   against.
 
+use crate::error::Refusal;
 use crate::op::{Op, Reply};
 use crate::store::ShieldStore;
 use crate::tenant::TenantId;
@@ -225,21 +227,22 @@ impl Model {
     pub fn apply(&mut self, tenant: TenantId, op: Op<'_>) -> Option<Reply> {
         let now = ttl::now_ns();
         let reply = self.answer(tenant, op, now)?;
-        self.judge(tenant, op, Some(&reply), now).expect("the model explains its own answer");
+        self.judge(tenant, op, Ok(&reply), now).expect("the model explains its own answer");
         Some(reply)
     }
 
     /// Judges what a store answered for `op` in `tenant`'s namespace:
-    /// `Some(reply)` must be an answer the model allows, and narrows each
+    /// `Ok(reply)` must be an answer the model allows, and narrows each
     /// key to the states that explain it (a scan is judged over settled
-    /// keys only); `None` means the op failed closed, which is always
-    /// allowed and widens each key it would have written by the state it
-    /// would have left.
+    /// keys only); `Err(refusal)` means the op failed closed, which is
+    /// always allowed. A refusal that may have executed widens each key
+    /// the op would have written by the state it would have left; any
+    /// other leaves every key as it was.
     pub fn observe(
         &mut self,
         tenant: TenantId,
         op: Op<'_>,
-        outcome: Option<&Reply>,
+        outcome: Result<&Reply, Refusal>,
     ) -> Result<(), String> {
         self.judge(tenant, op, outcome, ttl::now_ns())
     }
@@ -249,11 +252,13 @@ impl Model {
         &mut self,
         tenant: TenantId,
         op: Op<'_>,
-        outcome: Option<&Reply>,
+        outcome: Result<&Reply, Refusal>,
         now: u64,
     ) -> Result<(), String> {
-        let Some(reply) = outcome else {
-            if self.allows(op) {
+        let reply = match outcome {
+            Ok(reply) => reply,
+            Err(refusal) if !refusal.may_have_executed(&op) || !self.allows(op) => return Ok(()),
+            Err(_) => {
                 for part in parts(op).into_iter().filter(Op::is_write) {
                     let slot = self.slot(tenant, part.routing_key().expect("a single-key op"));
                     let mut states = self.states(&slot);
@@ -262,8 +267,8 @@ impl Model {
                     states.extend(left);
                     self.slots.insert(slot, states);
                 }
+                return Ok(());
             }
-            return Ok(());
         };
         if matches!(op, Op::ScanRange { .. } | Op::ScanPrefix { .. }) || !self.allows(op) {
             let want = self.answer(tenant, op, now);
@@ -388,7 +393,7 @@ mod tests {
 
     /// `m` observes a get of `key` answering `value`.
     fn sees(m: &mut Model, key: &[u8], value: Option<&[u8]>) -> Result<(), String> {
-        m.observe(0, Op::Get(key), Some(&Reply::Value(value.map(<[u8]>::to_vec))))
+        m.observe(0, Op::Get(key), Ok(&Reply::Value(value.map(<[u8]>::to_vec))))
     }
 
     #[test]
@@ -408,7 +413,7 @@ mod tests {
     fn failed_write_widens_then_collapses() {
         let mut m = Model::default();
         m.apply(0, Op::set(b"k", b"old"));
-        m.observe(0, Op::set(b"k", b"new"), None).unwrap();
+        m.observe(0, Op::set(b"k", b"new"), Err(Refusal::Failed)).unwrap();
         // Both old and new are now acceptable...
         sees(&mut m.clone(), b"k", Some(b"old")).unwrap();
         sees(&mut m, b"k", Some(b"new")).unwrap();
@@ -417,20 +422,50 @@ mod tests {
         assert_eq!(m.writes(), 1, "a failed write is not acknowledged");
     }
 
+    /// A refusal that ran nothing leaves every key as it was; one that
+    /// may have run widens each key it wrote.
+    #[test]
+    fn a_refusal_widens_only_when_the_op_may_have_executed() {
+        let refused = |refusal| {
+            let mut m = Model::default();
+            m.apply(0, Op::set(b"k", b"v1"));
+            m.observe(0, Op::set(b"k", b"v2"), Err(refusal)).unwrap();
+            m
+        };
+        for refusal in
+            [Refusal::Busy, Refusal::Quarantined, Refusal::QuotaExceeded, Refusal::ReadOnly]
+        {
+            let mut m = refused(refusal);
+            assert!(sees(&mut m.clone(), b"k", Some(b"v2")).is_err(), "{refusal:?} landed");
+            sees(&mut m, b"k", Some(b"v1")).unwrap();
+        }
+        for refusal in [Refusal::StorageFailed, Refusal::Failed] {
+            let m = refused(refusal);
+            sees(&mut m.clone(), b"k", Some(b"v1")).unwrap();
+            sees(&mut m.clone(), b"k", Some(b"v2")).unwrap();
+        }
+        // A batch over quota keeps the items placed before the refusal.
+        let mut m = Model::default();
+        let items: [(&[u8], &[u8]); 2] = [(b"a", b"1"), (b"b", b"2")];
+        m.observe(0, Op::MultiSet { items: &items, expires_at: 0 }, Err(Refusal::QuotaExceeded))
+            .unwrap();
+        assert_eq!(m.entries(), 0..=2);
+    }
+
     #[test]
     fn failed_delete_widens() {
         let mut m = Model::default();
         m.apply(0, Op::set(b"k", b"v"));
-        m.observe(0, Op::Delete(b"k"), None).unwrap();
+        m.observe(0, Op::Delete(b"k"), Err(Refusal::Failed)).unwrap();
         assert_eq!(m.entries(), 0..=1, "the key may or may not be there");
         sees(&mut m.clone(), b"k", None).unwrap();
         sees(&mut m, b"k", Some(b"v")).unwrap();
         // A delete that hits needs a present state, one that misses an
         // absent one.
         let mut gone = Model::default();
-        assert!(gone.observe(0, Op::Delete(b"k"), Some(&Reply::Deleted(true))).is_err());
-        m.observe(0, Op::Delete(b"k"), Some(&Reply::Deleted(true))).unwrap();
-        assert!(m.observe(0, Op::Delete(b"k"), Some(&Reply::Deleted(true))).is_err());
+        assert!(gone.observe(0, Op::Delete(b"k"), Ok(&Reply::Deleted(true))).is_err());
+        m.observe(0, Op::Delete(b"k"), Ok(&Reply::Deleted(true))).unwrap();
+        assert!(m.observe(0, Op::Delete(b"k"), Ok(&Reply::Deleted(true))).is_err());
     }
 
     #[test]
@@ -439,8 +474,8 @@ mod tests {
         let leased = Op::Set { key: b"k", value: b"v", expires_at: 7 };
         assert_eq!(m.apply(3, leased), None);
         assert_eq!(m.apply(3, Op::ScanPrefix { prefix: b"", limit: 9 }), None);
-        assert!(m.observe(3, leased, Some(&Reply::Stored)).is_err(), "a lease was accepted");
-        m.observe(3, leased, None).unwrap();
+        assert!(m.observe(3, leased, Ok(&Reply::Stored)).is_err(), "a lease was accepted");
+        m.observe(3, leased, Err(Refusal::Failed)).unwrap();
         assert_eq!(m.entries(), 0..=0, "a refused write widens nothing");
         // One table: every tenant sees every tenant's keys.
         m.apply(7, Op::set(b"k", b"seven"));

@@ -7,7 +7,12 @@
 //! [`Reply`]. The classification the layers route and gate on
 //! ([`Op::routing_key`], [`Op::is_write`]) lives here, next to the
 //! variants it classifies, so a new operation is one new variant and the
-//! compiler names every `match` that must learn about it.
+//! compiler names every `match` that must learn about it. The requests
+//! that are not key-value ops (stats, flush, replication, promotion) are
+//! one [`Control`] type beside it, answered with a [`Controlled`].
+
+use crate::repl::{ReplBatch, ReplHello, Watermark};
+use crate::stats::StatsSnapshot;
 
 /// One key-value operation, borrowing its keys and values from the
 /// caller (building one allocates nothing).
@@ -151,18 +156,83 @@ pub enum Reply {
     Entries(Vec<(Vec<u8>, Vec<u8>)>),
 }
 
-/// Generates the payload accessors: each unwraps the one variant its op
-/// answers with. Asking a reply for another op's payload is a caller
-/// bug, not an input the program can receive, hence the panic.
-macro_rules! reply_payloads {
-    ($($(#[$doc:meta])* $name:ident: $variant:ident -> $ty:ty;)*) => {
-        impl Reply {
+/// One control request: what an operator or a replica asks of a serving
+/// store besides a key-value [`Op`]. Decoded once from the wire, like an
+/// op, and answered with a [`Controlled`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Control {
+    /// The observability snapshot.
+    Stats,
+    /// Durability barrier: commit everything the write-ahead log buffers.
+    Flush,
+    /// Register a replication subscriber.
+    ReplSubscribe,
+    /// The next sealed log batch after `(generation, after_seq)`, bounded
+    /// by `max_bytes`.
+    ReplSegment {
+        /// The subscriber's generation.
+        generation: u64,
+        /// The last sequence number it applied.
+        after_seq: u64,
+        /// Byte budget of the batch.
+        max_bytes: u32,
+    },
+    /// Record a subscriber's verified-and-applied watermark.
+    ReplAck {
+        /// The subscriber.
+        subscriber: u64,
+        /// Its applied generation.
+        generation: u64,
+        /// Its applied sequence number.
+        seq: u64,
+    },
+    /// Promote a read-only replica to primary.
+    Promote,
+}
+
+impl Control {
+    /// True for the controls that carry log keys or fencing authority,
+    /// which only ever ride an attested session.
+    pub fn needs_attested_session(&self) -> bool {
+        !matches!(self, Control::Stats | Control::Flush)
+    }
+}
+
+/// What a [`Control`] answered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Controlled {
+    /// [`Control::Stats`].
+    Stats(Box<StatsSnapshot>),
+    /// [`Control::Flush`] (`None`: the store has no log) and
+    /// [`Control::Promote`]: the durable watermark.
+    Watermark(Option<Watermark>),
+    /// [`Control::ReplSubscribe`].
+    Hello(ReplHello),
+    /// [`Control::ReplSegment`].
+    Batch(ReplBatch),
+    /// [`Control::ReplAck`].
+    Done,
+}
+
+/// Generates the payload accessors: each unwraps the one variant its
+/// request answers with. Asking an answer for another request's payload
+/// is a caller bug, not an input the program can receive, hence the
+/// panic.
+macro_rules! payloads {
+    ($answer:ident { $($(#[$doc:meta])* $name:ident: $variant:ident -> $ty:ty;)* }) => {
+        impl $answer {
             $(
                 $(#[$doc])*
                 pub fn $name(self) -> $ty {
                     match self {
-                        Reply::$variant(payload) => payload,
-                        other => panic!(concat!("expected Reply::", stringify!($variant), ", got {:?}"), other),
+                        $answer::$variant(payload) => payload,
+                        other => panic!(
+                            concat!(
+                                "expected ", stringify!($answer), "::", stringify!($variant),
+                                ", got {:?}"
+                            ),
+                            other
+                        ),
                     }
                 }
             )*
@@ -170,7 +240,7 @@ macro_rules! reply_payloads {
     };
 }
 
-reply_payloads! {
+payloads!(Reply {
     /// The [`Op::Get`] payload.
     value: Value -> Option<Vec<u8>>;
     /// The [`Op::Exists`] payload.
@@ -185,7 +255,18 @@ reply_payloads! {
     values: Values -> Vec<Option<Vec<u8>>>;
     /// The scan payload.
     entries: Entries -> Vec<(Vec<u8>, Vec<u8>)>;
-}
+});
+
+payloads!(Controlled {
+    /// The [`Control::Stats`] payload.
+    stats: Stats -> Box<StatsSnapshot>;
+    /// The [`Control::Flush`] / [`Control::Promote`] payload.
+    watermark: Watermark -> Option<Watermark>;
+    /// The [`Control::ReplSubscribe`] payload.
+    hello: Hello -> ReplHello;
+    /// The [`Control::ReplSegment`] payload.
+    batch: Batch -> ReplBatch;
+});
 
 #[cfg(test)]
 mod tests {

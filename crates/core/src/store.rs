@@ -8,8 +8,8 @@
 //! [`ShieldStore::with_shard`], paying the lock once per batch.
 
 use crate::config::Config;
-use crate::error::{Error, Result};
-use crate::op::{Op, Reply};
+use crate::error::{Error, Refusal, Result};
+use crate::op::{Control, Controlled, Op, Reply};
 use crate::repl::Watermark;
 use crate::shard::{Shard, StoreKeys};
 use crate::stats::{OpStats, StatsSnapshot, TenantStat, MAX_TENANT_STATS};
@@ -331,9 +331,13 @@ impl ShieldStore {
     /// here, `KvBackend`, the wire server) is a caller.
     pub fn execute(&self, tenant: TenantId, op: Op<'_>) -> Result<Reply> {
         // One shard's share of the op: run it, then log it, under that
-        // shard's lock.
+        // shard's lock. A write the log can no longer take is refused
+        // before it touches the shard, so a refusal changed nothing.
         let on_shard = |idx: usize, op: Op<'_>| {
             self.with_shard(idx, |s| {
+                if let (true, Some(wal)) = (op.is_write(), self.wal.get()) {
+                    wal.writable()?;
+                }
                 let reply = s.execute_metered(&self.registry, tenant, op)?;
                 self.log_wal(tenant, &op, &reply)?;
                 Ok(reply)
@@ -394,6 +398,25 @@ impl ShieldStore {
         }
     }
 
+    /// Answers one control request — with [`ShieldStore::execute`], all a
+    /// serving layer asks of the store. Only a replica promotes, so
+    /// [`Control::Promote`] is refused here.
+    pub fn control(&self, control: Control) -> core::result::Result<Controlled, Refusal> {
+        let answer = match control {
+            Control::Stats => Ok(Controlled::Stats(Box::new(self.snapshot()))),
+            Control::Flush => self.flush_wal().map(Controlled::Watermark),
+            Control::ReplSubscribe => self.repl_subscribe().map(Controlled::Hello),
+            Control::ReplSegment { generation, after_seq, max_bytes } => {
+                self.repl_batch(generation, after_seq, max_bytes as usize).map(Controlled::Batch)
+            }
+            Control::ReplAck { subscriber, generation, seq } => self
+                .repl_ack(subscriber, Watermark::new(generation, seq))
+                .map(|()| Controlled::Done),
+            Control::Promote => return Err(Refusal::Failed),
+        };
+        answer.map_err(|e| Refusal::from(&e))
+    }
+
     /// Input positions grouped by owning shard, skipping shards the
     /// batch does not touch.
     fn group_by_shard<'k>(
@@ -414,8 +437,9 @@ impl ShieldStore {
     /// idempotent; reads and clean misses changed nothing and log
     /// nothing. A commit failure surfaces as the operation's error even
     /// though the in-memory write already landed: durability fails
-    /// closed. Records are built only when a WAL is attached, so stores
-    /// without one pay no per-op allocation for them.
+    /// closed, and that one op may have executed. Records are built only
+    /// when a WAL is attached, so stores without one pay no per-op
+    /// allocation for them.
     fn log_wal(&self, tenant: TenantId, op: &Op<'_>, reply: &Reply) -> Result<()> {
         let Some(wal) = self.wal.get() else { return Ok(()) };
         let set = |key: &[u8], value: Vec<u8>, expires_at| WalOp::Set {

@@ -287,6 +287,13 @@ impl Wal {
         Ok(())
     }
 
+    /// Fails when the log can take no more writes (poisoned or lost to a
+    /// crash): checked before a write reaches its shard, so a refused
+    /// write changes nothing in memory either.
+    pub(crate) fn writable(&self) -> Result<()> {
+        self.inner.lock().writable()
+    }
+
     /// Commits everything buffered, whatever the policy, and returns
     /// the durable `(generation, seq)` watermark — the commit point a
     /// client or replica can wait on.

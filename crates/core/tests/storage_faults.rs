@@ -8,9 +8,10 @@
 //!
 //! * **Fail-closed**: the first failed durable operation poisons the
 //!   writer — every later mutation answers
-//!   [`shieldstore::Error::StorageFailed`], no silent retry, no
-//!   re-acknowledgement of data the kernel may have dropped (the
-//!   fsyncgate rule) — while reads keep serving the acked state.
+//!   [`shieldstore::Error::StorageFailed`] without changing anything, no
+//!   silent retry, no re-acknowledgement of data the kernel may have
+//!   dropped (the fsyncgate rule) — while reads keep serving the acked
+//!   state.
 //! * **Verified prefix ⊇ acked**: after a power cut, recovery replays a
 //!   chain-verified prefix that contains every acknowledged write. The
 //!   un-acked suffix may or may not survive (an fsync that lied leaves
@@ -307,6 +308,39 @@ fn enospc_mid_group_commit_recovers_verified_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A write the poisoned writer refuses changes nothing: not a value, not
+/// the key set, not the tenant's usage. Only the write whose own commit
+/// poisoned the writer is in memory (it may have executed).
+#[test]
+fn refused_write_changes_nothing() {
+    let dir = scratch("refused");
+    let (ffs, store) = fault_store(5, &dir.join("wal"));
+    store.set(b"k", b"old").unwrap();
+    ffs.inject(FaultSpec::first(FaultOp::SyncData, "wal-", FaultKind::SyncFail));
+    assert_eq!(store.set(b"poisoning", b"p"), Err(Error::StorageFailed));
+    let usage = || {
+        let usage = &store.tenants().state(0).usage;
+        (usage.used_bytes.load(Ordering::Relaxed), usage.used_keys.load(Ordering::Relaxed))
+    };
+    let (len, used) = (store.len(), usage());
+
+    assert_eq!(store.set(b"k", b"new"), Err(Error::StorageFailed));
+    assert_eq!(store.set(b"later", b"x"), Err(Error::StorageFailed));
+    assert_eq!(store.delete(b"k"), Err(Error::StorageFailed));
+    let items: Vec<(Vec<u8>, Vec<u8>)> =
+        (0..8).map(|i| (format!("m{i}").into_bytes(), b"v".to_vec())).collect();
+    let items: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+    assert_eq!(store.multi_set(&items), Err(Error::StorageFailed));
+
+    assert_eq!(store.get(b"k").unwrap(), b"old", "a refused set or delete landed");
+    assert_eq!(store.get(b"later"), Err(Error::KeyNotFound), "a refused set landed");
+    for (key, _) in &items {
+        assert_eq!(store.get(key), Err(Error::KeyNotFound), "a refused batch landed");
+    }
+    assert_eq!((store.len(), usage()), (len, used), "a refused write moved the accounting");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Recovery re-pins before it deletes. Restoring the newer snapshot
 /// supersedes the older log generation, but until the pruned pin is
 /// durable the pin on disk still names that generation: a storage fault
@@ -496,6 +530,9 @@ fn scrub_detects_segment_rot_and_peer_repair_restores_service() {
     // The genuine frames verify, swap in, and lift the quarantine.
     store.repair_wal_segment(0, &genuine).unwrap();
     assert!(store.snapshot().scrub_repaired >= 1);
+    for refused in [b"while-bad".as_slice(), b"still-bad"] {
+        assert_eq!(store.get(refused), Err(Error::KeyNotFound), "a refused write landed");
+    }
     store.set(b"after-repair", b"back").unwrap();
 
     // The repaired log replays end to end.

@@ -5,11 +5,11 @@
 //! user's connection; [`run_load`] spawns many of them and reports
 //! aggregate throughput.
 
-use crate::protocol::{self, OpCode, Request, Response};
+use crate::protocol::{self, Request, Response};
 use crate::session::{self, SessionCrypto};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
-use shield_baseline::{Op, Reply};
+use shield_baseline::{Control, Controlled, Op, Refusal, Reply};
 use shield_workload::rng::SplitMix64;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -212,18 +212,18 @@ impl KvClient {
         self.execute(Op::MultiSet { items: &items, expires_at: 0 }).map(drop)
     }
 
-    /// Sends a control request and returns its `Ok` payload; any other
-    /// status is judged by `Response::into_ok`, `what` naming the call.
-    fn control(&mut self, op: OpCode, value: Vec<u8>, what: &str) -> Result<Vec<u8>> {
-        self.call(&Request { op, key: Vec::new(), value })?.into_ok(what)
+    /// Runs `control` on the server: its frame is built by
+    /// `Request::from_control` and its answer read by
+    /// `Response::into_controlled`.
+    fn control(&mut self, control: Control) -> Result<Controlled> {
+        self.call(&Request::from_control(control))?.into_controlled(control)
     }
 
     /// Fetches the server's observability snapshot: aggregated counters,
     /// per-op latency histograms, occupancy gauges, and SGX transition
     /// counters. Errors when the server's store is not instrumented.
     pub fn stats(&mut self) -> Result<shieldstore::StatsSnapshot> {
-        let snap = self.control(OpCode::Stats, Vec::new(), "stats (uninstrumented store?)")?;
-        protocol::decode_stats(&snap)
+        self.control(Control::Stats).map(|answer| *answer.stats())
     }
 
     /// Durability barrier: asks the server to commit every operation
@@ -232,17 +232,15 @@ impl KvClient {
     /// survives a crash — or `Ok(None)` on a server without a WAL
     /// (there is nothing to flush).
     pub fn flush(&mut self) -> Result<Option<(u64, u64)>> {
-        let durable = self.control(OpCode::Flush, Vec::new(), "flush of the write-ahead log")?;
-        (!durable.is_empty()).then(|| protocol::decode_watermark(&durable)).transpose()
+        let durable = self.control(Control::Flush)?.watermark();
+        Ok(durable.map(|wm| (wm.generation, wm.seq)))
     }
 
     /// Registers this connection's owner as a replication subscriber on
     /// a primary, returning the decoded hello (log keys + start
     /// position). Secure sessions only — the hello carries key material.
     pub fn repl_subscribe(&mut self) -> Result<shieldstore::ReplHello> {
-        let what = "replication subscribe (no WAL, or truncated log?)";
-        shieldstore::ReplHello::decode(&self.control(OpCode::ReplSubscribe, Vec::new(), what)?)
-            .ok_or_else(|| NetError::Protocol("malformed replication hello".into()))
+        self.control(Control::ReplSubscribe).map(Controlled::hello)
     }
 
     /// Polls the primary for the next sealed log batch after
@@ -253,30 +251,28 @@ impl KvClient {
         after_seq: u64,
         max_bytes: u32,
     ) -> Result<shieldstore::ReplBatch> {
-        let poll = protocol::encode_repl_poll(generation, after_seq, max_bytes);
-        let batch = self.control(OpCode::ReplSegment, poll, "replication segment poll")?;
-        shieldstore::ReplBatch::decode(&batch)
-            .ok_or_else(|| NetError::Protocol("malformed replication batch".into()))
+        let poll = Control::ReplSegment { generation, after_seq, max_bytes };
+        self.control(poll).map(Controlled::batch)
     }
 
     /// Reports `subscriber`'s verified-and-applied watermark to the
     /// primary.
     pub fn repl_ack(&mut self, subscriber: u64, generation: u64, seq: u64) -> Result<()> {
-        let ack = protocol::encode_repl_ack(subscriber, generation, seq);
-        self.control(OpCode::ReplAck, ack, "replication ack (ran ahead of durable?)").map(drop)
+        self.control(Control::ReplAck { subscriber, generation, seq }).map(drop)
     }
 
     /// Asks a replica server to promote itself to primary, returning
     /// the promoted `(generation, seq)` watermark. Non-replica servers
     /// answer an error.
     pub fn promote(&mut self) -> Result<(u64, u64)> {
-        let what = "promotion (not a replica, or fenced?)";
-        protocol::decode_watermark(&self.control(OpCode::Promote, Vec::new(), what)?)
+        let promoted = self.control(Control::Promote)?.watermark();
+        let promoted = promoted.expect("into_controlled answers a promotion with its watermark");
+        Ok((promoted.generation, promoted.seq))
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
-        self.control(OpCode::Ping, Vec::new(), "ping").map(drop)
+        self.call(&Request::ping())?.into_ok("ping").map(drop)
     }
 }
 
@@ -451,7 +447,7 @@ impl RetryClient {
                         }
                         (e, false)
                     }
-                    Err(NetError::Busy) => (NetError::Busy, true),
+                    Err(busy @ NetError::Refused(Refusal::Busy)) => (busy, true),
                     Err(answered) => return Err(answered),
                 },
             };

@@ -63,7 +63,7 @@
 
 use crate::machine::{CloseReason, ConnMachine};
 use crate::poller::{Interest, Poller, WakeHandle, Waker};
-use crate::protocol::{OpCode, Request, Response, Status};
+use crate::protocol::{Call, Request, Response, Status};
 use crate::server::{execute_with, CrossingMode, NetGauges, NetState, ServerConfig};
 use crate::session::{self, SessionCrypto};
 use crate::Result;
@@ -698,7 +698,10 @@ impl EventLoop {
     /// multi-shard / shardless requests (executed on the decoding loop).
     fn route_for(&self, request: &Request) -> Option<usize> {
         let shared = &self.shared;
-        let shard = request.with_op(|op| op.routing_key().and_then(|k| shared.store.shard_hint(k)));
+        let shard = request.with_call(|call| match call {
+            Call::Op(op) => op.routing_key().and_then(|k| shared.store.shard_hint(k)),
+            Call::Control(_) | Call::Ping => None,
+        });
         // A malformed request routes nowhere: the decoding loop answers
         // its `Error`.
         shard.ok().flatten().map(|shard| shared.route[shard & (shared.route.len() - 1)] as usize)
@@ -723,10 +726,9 @@ impl EventLoop {
             shared.state.gauges.shed_requests.fetch_add(1, Ordering::Relaxed);
             Response::empty(Status::Busy)
         } else if !shared.config.secure
-            && matches!(
-                request.op,
-                OpCode::ReplSubscribe | OpCode::ReplSegment | OpCode::ReplAck | OpCode::Promote
-            )
+            && request
+                .with_call(|call| matches!(call, Call::Control(c) if c.needs_attested_session()))
+                .unwrap_or(false)
         {
             // Replication frames carry log keys and fencing authority;
             // they only ever ride the attested channel.

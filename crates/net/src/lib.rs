@@ -67,25 +67,17 @@ pub enum NetError {
     Protocol(String),
     /// Attestation or session-crypto failure.
     Security(String),
-    /// The server shed the request under overload; it was not executed.
-    /// Retry after backoff (see [`client::RetryClient`]).
-    Busy,
-    /// The key's hash partition is quarantined after an integrity
-    /// violation; retrying will not help until the operator restores
-    /// the store from a sealed snapshot.
-    Quarantined,
-    /// The write would exceed the connection's tenant quota; it was not
-    /// executed. Retrying is pointless until data is deleted or the
-    /// quota raised.
-    QuotaExceeded,
-    /// The server is a read-only replica; the mutation was not executed.
-    /// Send writes to the primary (or wait for this node's promotion).
-    ReadOnly,
-    /// The server's durable storage failed and its log writer is
-    /// poisoned: the mutation was not executed, and no mutation on that
-    /// node will succeed until an operator intervenes. Reads still
-    /// serve; fail over to a replica instead of retrying.
-    StorageFailed,
+    /// The server refused the request, and says how: shed under
+    /// overload (`Busy`: retry after backoff, see
+    /// [`client::RetryClient`]), a quarantined partition, an exceeded
+    /// tenant quota, a read-only replica (send writes to the primary), or
+    /// a poisoned log writer (`StorageFailed`: fail over rather than
+    /// retry). [`shieldstore::Refusal::may_have_executed`] says whether the
+    /// request may have run anyway: of these, only the `StorageFailed`
+    /// answer to the write whose own commit poisoned the writer, and a
+    /// batch refused part-way. A bare server `Error` stays a
+    /// [`NetError::Protocol`] naming the request.
+    Refused(shieldstore::Refusal),
 }
 
 impl std::fmt::Display for NetError {
@@ -94,19 +86,7 @@ impl std::fmt::Display for NetError {
             NetError::Io(e) => write!(f, "io error: {e}"),
             NetError::Protocol(m) => write!(f, "protocol error: {m}"),
             NetError::Security(m) => write!(f, "security error: {m}"),
-            NetError::Busy => write!(f, "server busy: request shed, not executed"),
-            NetError::Quarantined => {
-                write!(f, "partition quarantined after an integrity violation")
-            }
-            NetError::QuotaExceeded => {
-                write!(f, "tenant quota exceeded: write rejected")
-            }
-            NetError::ReadOnly => {
-                write!(f, "server is a read-only replica: write not executed")
-            }
-            NetError::StorageFailed => {
-                write!(f, "server storage failed: log writer poisoned, write not executed")
-            }
+            NetError::Refused(refusal) => write!(f, "server refused the request: {refusal:?}"),
         }
     }
 }

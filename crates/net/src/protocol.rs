@@ -27,9 +27,15 @@
 //! by side:
 //!
 //! ```text
-//! client  Op ──Request::from_op──► Request ══ wire ══► Request ──Request::with_op──► Op    server
+//! client  Op ──Request::from_op──► Request ══ wire ══► Request ──Request::with_call──► Op    server
 //! client  Reply ◄──Response::into_reply── Response ◄══ wire ══ Response ◄──Response::from_reply── Reply
 //! ```
+//!
+//! A control request travels the same way, as a [`Control`] in and a
+//! [`Controlled`] out (`Request::from_control`, `Request::with_call`,
+//! `Response::from_controlled`, `Response::into_controlled`), and a
+//! refusal as a [`Refusal`], one status byte each way. The server decodes
+//! a frame once, into a `Call`: an op, a control request, or a ping.
 //!
 //! `Response::into_reply` is the one place a reply's status is judged
 //! (through `Response::into_ok`, which the control calls share).
@@ -43,7 +49,7 @@
 
 use crate::{NetError, Result};
 use sgx_sim::bytes::{Reader, Writer};
-use shield_baseline::{Op, OpError, Reply};
+use shieldstore::{Control, Controlled, Op, Refusal, ReplBatch, ReplHello, Reply, Watermark};
 use std::io::{Read, Write};
 
 /// Maximum accepted frame body (defensive bound).
@@ -159,24 +165,55 @@ wire_table! {
         /// replica is promoted).
         ReadOnly = 6,
         /// Durable storage failed under the server's write-ahead log and
-        /// the writer is poisoned: this mutation — and every further one on
-        /// this node — fails closed. Reads keep serving. Clients should
+        /// the writer is poisoned: every further mutation on this node is
+        /// refused without executing. The mutation whose own commit
+        /// poisoned the writer is the exception: it is already in memory,
+        /// so it **may** have executed. Reads keep serving. Clients should
         /// fail over to a replica rather than retry here.
         StorageFailed = 7,
     }
 }
 
-/// The status a backend failure answers.
-impl From<OpError> for Status {
-    fn from(e: OpError) -> Status {
-        match e {
-            OpError::Quarantined => Status::Quarantined,
-            OpError::QuotaExceeded => Status::QuotaExceeded,
-            OpError::ReadOnly => Status::ReadOnly,
-            OpError::StorageFailed => Status::StorageFailed,
-            OpError::Failed => Status::Error,
+/// The status a refusal answers; `Status::refusal` reads it back.
+impl From<Refusal> for Status {
+    fn from(refusal: Refusal) -> Status {
+        match refusal {
+            Refusal::Busy => Status::Busy,
+            Refusal::Quarantined => Status::Quarantined,
+            Refusal::QuotaExceeded => Status::QuotaExceeded,
+            Refusal::ReadOnly => Status::ReadOnly,
+            Refusal::StorageFailed => Status::StorageFailed,
+            Refusal::Failed => Status::Error,
         }
     }
+}
+
+impl Status {
+    /// The refusal this status answers; `None` for the two answers,
+    /// `Ok` and `NotFound`.
+    pub(crate) fn refusal(self) -> Option<Refusal> {
+        Some(match self {
+            Status::Ok | Status::NotFound => return None,
+            Status::Error => Refusal::Failed,
+            Status::Busy => Refusal::Busy,
+            Status::Quarantined => Refusal::Quarantined,
+            Status::QuotaExceeded => Refusal::QuotaExceeded,
+            Status::ReadOnly => Refusal::ReadOnly,
+            Status::StorageFailed => Refusal::StorageFailed,
+        })
+    }
+}
+
+/// What a request asks of the server, decoded once: a key-value op, a
+/// control request, or a liveness probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Call<'a> {
+    /// A key-value op.
+    Op(Op<'a>),
+    /// A control request.
+    Control(Control),
+    /// `Ping`.
+    Ping,
 }
 
 /// A client request.
@@ -238,51 +275,112 @@ impl Request {
         }
     }
 
+    /// `Control → Request`: the frame a client sends for `control`.
+    pub(crate) fn from_control(control: Control) -> Request {
+        let request = |op, value| Request { op, key: Vec::new(), value };
+        match control {
+            Control::Stats => request(OpCode::Stats, Vec::new()),
+            Control::Flush => request(OpCode::Flush, Vec::new()),
+            Control::ReplSubscribe => request(OpCode::ReplSubscribe, Vec::new()),
+            Control::ReplSegment { generation, after_seq, max_bytes } => {
+                request(OpCode::ReplSegment, encode_repl_poll(generation, after_seq, max_bytes))
+            }
+            Control::ReplAck { subscriber, generation, seq } => {
+                request(OpCode::ReplAck, encode_repl_ack(subscriber, generation, seq))
+            }
+            Control::Promote => request(OpCode::Promote, Vec::new()),
+        }
+    }
+
+    /// The liveness probe.
+    pub(crate) fn ping() -> Request {
+        Request { op: OpCode::Ping, key: Vec::new(), value: Vec::new() }
+    }
+
     /// A write that expires `ttl_ns` nanoseconds after the server applies
     /// it: the wire form of a deadline, which only the server can make
-    /// absolute (see `Request::with_op`).
+    /// absolute (see `Request::with_call`).
     pub fn set_ttl(key: &[u8], value: &[u8], ttl_ns: u64) -> Request {
         Request { op: OpCode::SetTtl, key: key.to_vec(), value: encode_set_ttl(ttl_ns, value) }
     }
 
-    /// `Request → Op`: validates the payload for its opcode and hands the
-    /// borrowed [`Op`] to `run` (a continuation, so a batch's key table
-    /// can live on this frame while the op borrows it). `Err` means the
-    /// request is malformed or is not a key-value operation; either way
-    /// the store never sees it.
-    pub(crate) fn with_op<R>(&self, run: impl FnOnce(Op<'_>) -> R) -> Result<R> {
+    /// `Request → Call`: validates the payload for its opcode and hands
+    /// the decoded [`Call`] to `run` (a continuation, so a batch's key
+    /// table can live on this frame while the op borrows it). `Err` means
+    /// the request is malformed, and the store never sees it. The
+    /// controls with nothing to say must say nothing: a payload on
+    /// `Stats`, `Flush`, `ReplSubscribe` or `Promote` is malformed.
+    pub(crate) fn with_call<R>(&self, run: impl FnOnce(Call<'_>) -> R) -> Result<R> {
         let (key, value) = (self.key.as_slice(), self.value.as_slice());
-        let op = match self.op {
-            OpCode::Get => Op::Get(key),
-            OpCode::Set => Op::set(key, value),
+        // A batch's key table lives here, on this frame, while its op
+        // borrows it; `run` is then called once, which lets it inline.
+        let (keys, items);
+        let call = match self.op {
+            OpCode::Get => Call::Op(Op::Get(key)),
+            OpCode::Set => Call::Op(Op::set(key, value)),
             // The wire carries a relative, nonzero TTL (the decoder rejects
             // zero: that is a plain `Set`); the store wants an absolute
             // deadline, where zero means "no expiry".
             OpCode::SetTtl => {
                 let (ttl_ns, value) = decode_set_ttl(value)?;
-                Op::Set { key, value, expires_at: shieldstore::ttl::deadline_after(ttl_ns) }
+                let expires_at = shieldstore::ttl::deadline_after(ttl_ns);
+                Call::Op(Op::Set { key, value, expires_at })
             }
-            OpCode::Delete => Op::Delete(key),
-            OpCode::Append => Op::Append { key, suffix: value },
-            OpCode::Increment => Op::Increment {
-                key,
-                delta: Reader::whole(value, "increment delta", Reader::u64)? as i64,
-            },
+            OpCode::Delete => Call::Op(Op::Delete(key)),
+            OpCode::Append => Call::Op(Op::Append { key, suffix: value }),
+            OpCode::Increment => {
+                let delta = Reader::whole(value, "increment delta", Reader::u64)? as i64;
+                Call::Op(Op::Increment { key, delta })
+            }
             // A whole batch is one op: one crossing charge and one shard-lock
             // acquisition per touched shard, however many keys ride in the
             // frame.
-            OpCode::MultiGet => return Ok(run(Op::MultiGet(&multi_get_keys(value)?))),
+            OpCode::MultiGet => {
+                keys = multi_get_keys(value)?;
+                Call::Op(Op::MultiGet(&keys))
+            }
             OpCode::MultiSet => {
-                return Ok(run(Op::MultiSet { items: &multi_set_items(value)?, expires_at: 0 }))
+                items = multi_set_items(value)?;
+                Call::Op(Op::MultiSet { items: &items, expires_at: 0 })
             }
             // The limit rides in a versioned payload; the legacy bare 4-byte
             // form is rejected by the decoder.
             OpCode::ScanPrefix => {
-                Op::ScanPrefix { prefix: key, limit: decode_scan_limit(value)? as usize }
+                let limit = decode_scan_limit(value)? as usize;
+                Call::Op(Op::ScanPrefix { prefix: key, limit })
             }
-            other => return Err(NetError::Protocol(format!("{other:?} is not a key-value op"))),
+            OpCode::Ping => Call::Ping,
+            OpCode::Stats | OpCode::Flush | OpCode::ReplSubscribe | OpCode::Promote
+                if !key.is_empty() || !value.is_empty() =>
+            {
+                return Err(NetError::Protocol(format!("{:?} carries a payload", self.op)));
+            }
+            OpCode::Stats => Call::Control(Control::Stats),
+            OpCode::Flush => Call::Control(Control::Flush),
+            OpCode::ReplSubscribe => Call::Control(Control::ReplSubscribe),
+            OpCode::Promote => Call::Control(Control::Promote),
+            OpCode::ReplSegment => {
+                let (generation, after_seq, max_bytes) = decode_repl_poll(value)?;
+                Call::Control(Control::ReplSegment { generation, after_seq, max_bytes })
+            }
+            OpCode::ReplAck => {
+                let (subscriber, generation, seq) = decode_repl_ack(value)?;
+                Call::Control(Control::ReplAck { subscriber, generation, seq })
+            }
         };
-        Ok(run(op))
+        Ok(run(call))
+    }
+}
+
+/// Names `control` in a refusal.
+fn control_name(control: Control) -> &'static str {
+    match control {
+        Control::Stats => "stats (uninstrumented store?)",
+        Control::Flush => "flush of the write-ahead log",
+        Control::ReplSubscribe => "replication subscribe (no WAL, or truncated log?)",
+        Control::ReplSegment { .. } => "replication segment poll",
+        Control::ReplAck { .. } => "replication ack (ran ahead of durable?)",
+        Control::Promote => "promotion (not a replica, or fenced?)",
     }
 }
 
@@ -351,6 +449,43 @@ impl Response {
         }
     }
 
+    /// `Controlled → Response`. A flush of a store without a log, and an
+    /// ack, answer an empty `Ok`.
+    pub(crate) fn from_controlled(answer: Controlled) -> Response {
+        match answer {
+            Controlled::Stats(snap) => Response::ok(encode_stats(&snap)),
+            Controlled::Watermark(Some(wm)) => {
+                Response::ok(encode_watermark(wm.generation, wm.seq))
+            }
+            Controlled::Watermark(None) | Controlled::Done => Response::empty(Status::Ok),
+            Controlled::Hello(hello) => Response::ok(hello.encode()),
+            Controlled::Batch(batch) => Response::ok(batch.encode()),
+        }
+    }
+
+    /// `(Control, Response) → Controlled`: what the server's answer to
+    /// `control` means; any status but `Ok` is judged by
+    /// `Response::into_ok`.
+    pub(crate) fn into_controlled(self, control: Control) -> Result<Controlled> {
+        let value = self.into_ok(control_name(control))?;
+        let malformed = |what: &str| NetError::Protocol(format!("malformed replication {what}"));
+        Ok(match control {
+            Control::Stats => Controlled::Stats(Box::new(decode_stats(&value)?)),
+            Control::Flush if value.is_empty() => Controlled::Watermark(None),
+            Control::Flush | Control::Promote => {
+                let (generation, seq) = decode_watermark(&value)?;
+                Controlled::Watermark(Some(Watermark::new(generation, seq)))
+            }
+            Control::ReplSubscribe => {
+                Controlled::Hello(ReplHello::decode(&value).ok_or_else(|| malformed("hello"))?)
+            }
+            Control::ReplSegment { .. } => {
+                Controlled::Batch(ReplBatch::decode(&value).ok_or_else(|| malformed("batch"))?)
+            }
+            Control::ReplAck { .. } => Controlled::Done,
+        })
+    }
+
     /// `(Op, Response) → Reply`: what the server's answer to `op` means.
     /// `NotFound` is a reply for the ops that can miss; any other status
     /// but `Ok` is judged by `Response::into_ok`.
@@ -387,23 +522,18 @@ impl Response {
     }
 
     /// The `Ok` payload, or the error any other status means — the one
-    /// judgement of a status, shared by [`Response::into_reply`] and the
-    /// control calls. `Busy` and the fail-closed refusals get their own
-    /// [`NetError`] variants, so a caller (and the retry layer) can tell
-    /// "retry later" from "do not bother"; `what` names the refused
-    /// request in the rest.
+    /// judgement of a status, shared by [`Response::into_reply`] and
+    /// [`Response::into_controlled`]. A refusal a caller can act on
+    /// arrives as [`NetError::Refused`], so it (and the retry layer) can
+    /// tell "retry later" from "do not bother"; a bare `Error`, or a
+    /// `NotFound` where nothing can miss, is a protocol error naming the
+    /// refused request, `what`.
     pub(crate) fn into_ok(self, what: &str) -> Result<Vec<u8>> {
-        Err(match self.status {
-            Status::Ok => return Ok(self.value),
-            Status::Busy => NetError::Busy,
-            Status::Quarantined => NetError::Quarantined,
-            Status::QuotaExceeded => NetError::QuotaExceeded,
-            Status::ReadOnly => NetError::ReadOnly,
-            Status::StorageFailed => NetError::StorageFailed,
-            Status::NotFound | Status::Error => {
-                NetError::Protocol(format!("server rejected {what}"))
-            }
-        })
+        match (self.status, self.status.refusal()) {
+            (Status::Ok, _) => Ok(self.value),
+            (_, Some(refusal)) if refusal != Refusal::Failed => Err(NetError::Refused(refusal)),
+            _ => Err(NetError::Protocol(format!("server rejected {what}"))),
+        }
     }
 }
 
@@ -722,7 +852,8 @@ mod tests {
         ];
         for op in ops {
             let request = Request::decode(&Request::from_op(op).unwrap().encode()).unwrap();
-            assert_eq!(request.with_op(|back| assert_eq!(back, op)).ok(), Some(()), "{op:?}");
+            let back = request.with_call(|back| assert_eq!(back, Call::Op(op)));
+            assert_eq!(back.ok(), Some(()), "{op:?}");
         }
         let no_wire_form = [
             Op::Exists(b"k"),
@@ -765,6 +896,62 @@ mod tests {
         // A batch answered with the wrong number of slots is refused.
         let short = Response::from_reply(Reply::Values(vec![None]));
         assert!(short.into_reply(Op::MultiGet(&keys)).is_err());
+    }
+
+    /// The refusal statuses and [`Refusal`] map onto each other exactly;
+    /// the two answers map onto none.
+    #[test]
+    fn refusal_statuses_map_both_ways() {
+        for byte in 0..=7u8 {
+            let status = Status::from_u8(byte).unwrap();
+            match status.refusal() {
+                Some(refusal) => assert_eq!(Status::from(refusal), status),
+                None => assert!(matches!(status, Status::Ok | Status::NotFound)),
+            }
+        }
+        use Refusal::*;
+        for refusal in [Busy, Quarantined, QuotaExceeded, ReadOnly, StorageFailed, Failed] {
+            assert_eq!(Status::from(refusal).refusal(), Some(refusal));
+        }
+    }
+
+    /// The control codec is two inverse pairs too, and a refusal reaches
+    /// the caller as itself.
+    #[test]
+    fn control_codec_functions_invert_each_other() {
+        let controls = [
+            Control::Stats,
+            Control::Flush,
+            Control::ReplSubscribe,
+            Control::ReplSegment { generation: 3, after_seq: 99, max_bytes: 1 << 20 },
+            Control::ReplAck { subscriber: 5, generation: 2, seq: 777 },
+            Control::Promote,
+        ];
+        for control in controls {
+            let request = Request::decode(&Request::from_control(control).encode()).unwrap();
+            let back = request.with_call(|call| assert_eq!(call, Call::Control(control)));
+            assert_eq!(back.ok(), Some(()), "{control:?}");
+        }
+        assert_eq!(Request::ping().with_call(|call| call == Call::Ping).ok(), Some(true));
+        let junk = Request { op: OpCode::Stats, key: b"junk".to_vec(), value: Vec::new() };
+        assert!(junk.with_call(|_| ()).is_err(), "a bare control carried a payload");
+
+        let answers = [
+            (Control::Stats, Controlled::Stats(Box::default())),
+            (Control::Flush, Controlled::Watermark(None)),
+            (Control::Flush, Controlled::Watermark(Some(Watermark::new(7, 1234)))),
+            (Control::Promote, Controlled::Watermark(Some(Watermark::new(2, 9)))),
+            (controls[4], Controlled::Done),
+        ];
+        for (control, answer) in answers {
+            let response = Response::from_controlled(answer.clone());
+            let response = Response::decode(&response.encode()).unwrap();
+            assert_eq!(response.into_controlled(control).unwrap(), answer, "{control:?}");
+        }
+        let busy = Response::empty(Status::Busy).into_controlled(Control::Flush);
+        assert!(matches!(busy, Err(NetError::Refused(Refusal::Busy))));
+        let error = Response::empty(Status::Error).into_controlled(Control::Promote);
+        assert!(matches!(error, Err(NetError::Protocol(_))));
     }
 
     #[test]

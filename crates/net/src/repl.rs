@@ -13,17 +13,17 @@
 //! The pieces here wire that core machinery to the network:
 //!
 //! * [`ReplicaBackend`] — a [`KvBackend`] that serves reads from the
-//!   replica store and answers every mutation [`OpError::ReadOnly`]
+//!   replica store and refuses every mutation [`Refusal::ReadOnly`]
 //!   until promotion flips it to a primary.
 //! * [`ReplicaNode`] — a running replica: a [`Server`] for clients plus
 //!   a puller thread driving subscribe → poll → verify+apply → ack.
 //! * [`ReplicaHandle`] — test/operator visibility into the replica's
 //!   applied watermark and promotion state.
 //!
-//! Failover: a client sends [`OpCode::Promote`](crate::OpCode::Promote)
-//! to the replica server. Promotion verifies the primary's frozen
-//! on-disk log, claims the sealed pin under the replica's **own**
-//! monotonic counter, and fences the old primary: if the stale primary
+//! Failover: a client sends [`Control::Promote`] to the replica server.
+//! Promotion verifies the primary's frozen on-disk log, claims the sealed
+//! pin under the replica's **own** monotonic counter, and fences the old
+//! primary: if the stale primary
 //! resurrects, its next commit sees the counter moved and fails closed
 //! with a rollback error. Only then do writes open here.
 
@@ -32,7 +32,7 @@ use crate::server::{Server, ServerConfig};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, Op, OpError, OpResult, Reply};
+use shield_baseline::{Control, Controlled, KvBackend, Op, Refusal, Reply};
 use shieldstore::{Replica, ShieldStore, Watermark};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -60,9 +60,9 @@ pub struct ReplicaConfig {
     pub wal_dir: PathBuf,
     /// When set, the replica journals every verified frame here (a
     /// repair cache, not a durability root) and serves
-    /// [`OpCode::ReplSegment`](crate::OpCode::ReplSegment) requests out
-    /// of it pre-promotion, so a primary whose scrubber found a rotted
-    /// segment can re-fetch the generation's frames from this node.
+    /// [`Control::ReplSegment`] requests out of it pre-promotion, so a
+    /// primary whose scrubber found a rotted segment can re-fetch the
+    /// generation's frames from this node.
     /// Must differ from `wal_dir`.
     pub journal_dir: Option<PathBuf>,
     /// Handshake seed for the puller's session to the primary.
@@ -121,7 +121,7 @@ impl ReplShared {
 }
 
 /// A [`KvBackend`] over a replica store: reads serve locally, mutations
-/// answer [`OpError::ReadOnly`] until [`promote`](KvBackend::promote)
+/// are refused [`Refusal::ReadOnly`] until [`ReplicaBackend::promote`]
 /// flips the node to primary.
 pub struct ReplicaBackend {
     store: Arc<ShieldStore>,
@@ -131,12 +131,27 @@ pub struct ReplicaBackend {
 }
 
 impl ReplicaBackend {
-    fn writable(&self) -> OpResult<()> {
-        if self.shared.promoted.load(Ordering::Acquire) {
-            Ok(())
-        } else {
-            Err(OpError::ReadOnly)
-        }
+    fn promoted(&self) -> bool {
+        self.shared.promoted.load(Ordering::Acquire)
+    }
+
+    /// Promotes the replica to primary, returning the promoted
+    /// watermark: verifies the primary's frozen log, claims its pin under
+    /// this node's own counter (fencing the old primary), and only then
+    /// opens writes. A second promotion, or one racing the first, finds
+    /// nothing to promote and is refused.
+    pub fn promote(&self) -> std::result::Result<Watermark, Refusal> {
+        let replica = self.shared.replica.lock().expect("replica lock").take();
+        // The replica state is consumed either way: a failed promotion
+        // (pin mismatch, counter moved — someone else owns the log) must
+        // not resume streaming as if nothing happened.
+        let promoted =
+            replica.ok_or(Refusal::Failed)?.promote(&self.primary_wal_dir, &self.wal_dir);
+        let promoted = promoted.map_err(|_| Refusal::Failed)?;
+        // Order matters: open writes only after the WAL is adopted and
+        // the old primary fenced.
+        self.shared.promoted.store(true, Ordering::Release);
+        Ok(promoted)
     }
 }
 
@@ -157,9 +172,9 @@ impl KvBackend for ReplicaBackend {
         self.execute(0, Op::Delete(key)) == Ok(Reply::Deleted(true))
     }
 
-    fn execute(&self, tenant: u32, op: Op<'_>) -> OpResult<Reply> {
-        if op.is_write() {
-            self.writable()?;
+    fn execute(&self, tenant: u32, op: Op<'_>) -> std::result::Result<Reply, Refusal> {
+        if op.is_write() && !self.promoted() {
+            return Err(Refusal::ReadOnly);
         }
         KvBackend::execute(&*self.store, tenant, op)
     }
@@ -176,76 +191,41 @@ impl KvBackend for ReplicaBackend {
         self.store.reset_timing();
     }
 
-    fn stats_snapshot(&self) -> Option<shieldstore::StatsSnapshot> {
-        let mut snap = self.store.stats_snapshot()?;
-        if !self.shared.promoted.load(Ordering::Acquire) {
-            // Overlay the replica role and stream position: the store's
-            // own gauges only know primary-side state.
-            snap.repl_role = 2;
-            let applied = self.shared.watermark();
-            let durable = self.shared.primary_durable();
-            snap.repl_acked_generation = applied.generation;
-            snap.repl_acked_seq = applied.seq;
-            snap.repl_lag_records = if durable.generation == applied.generation {
-                durable.seq.saturating_sub(applied.seq)
-            } else {
-                0
-            };
-        }
-        Some(snap)
-    }
-
-    fn flush_durable(&self) -> OpResult<Option<(u64, u64)>> {
-        self.store.flush_durable()
-    }
-
-    // Replication-primary opcodes delegate to the store: before
-    // promotion it has no WAL and they fail closed; after promotion the
-    // node serves downstream subscribers like any primary.
-    fn repl_subscribe(&self) -> OpResult<Vec<u8>> {
-        KvBackend::repl_subscribe(&*self.store)
-    }
-
-    fn repl_batch(&self, generation: u64, after_seq: u64, max_bytes: u32) -> OpResult<Vec<u8>> {
-        if !self.shared.promoted.load(Ordering::Acquire) {
+    fn control(&self, control: Control) -> std::result::Result<Controlled, Refusal> {
+        match control {
+            Control::Stats if !self.promoted() => {
+                // Overlay the replica role and stream position: the
+                // store's own gauges only know primary-side state.
+                let mut snap = self.store.control(control)?.stats();
+                snap.repl_role = 2;
+                let applied = self.shared.watermark();
+                let durable = self.shared.primary_durable();
+                snap.repl_acked_generation = applied.generation;
+                snap.repl_acked_seq = applied.seq;
+                snap.repl_lag_records = if durable.generation == applied.generation {
+                    durable.seq.saturating_sub(applied.seq)
+                } else {
+                    0
+                };
+                Ok(Controlled::Stats(snap))
+            }
             // Pre-promotion the store has no WAL to ship from, but the
             // verified-frame journal (when enabled) can serve segment
             // repairs back to a primary whose disk rotted — the donor
             // side of scrub-and-repair.
-            let guard = self.shared.replica.lock().expect("replica lock");
-            return match guard.as_ref() {
-                Some(replica) => replica
-                    .serve_frames(generation, after_seq, max_bytes as usize)
-                    .map(|b| b.encode())
-                    .map_err(|_| OpError::Failed),
-                None => Err(OpError::Failed),
-            };
-        }
-        KvBackend::repl_batch(&*self.store, generation, after_seq, max_bytes)
-    }
-
-    fn repl_ack(&self, subscriber: u64, generation: u64, seq: u64) -> OpResult<()> {
-        KvBackend::repl_ack(&*self.store, subscriber, generation, seq)
-    }
-
-    fn promote(&self) -> OpResult<(u64, u64)> {
-        // Take the streaming state; a second Promote (or one racing the
-        // first) finds nothing to promote and fails closed.
-        let replica = {
-            let mut guard = self.shared.replica.lock().expect("replica lock");
-            guard.take().ok_or(OpError::Failed)?
-        };
-        match replica.promote(&self.primary_wal_dir, &self.wal_dir) {
-            Ok(wm) => {
-                // Order matters: open writes only after the WAL is
-                // adopted and the old primary fenced.
-                self.shared.promoted.store(true, Ordering::Release);
-                Ok((wm.generation, wm.seq))
+            Control::ReplSegment { generation, after_seq, max_bytes } if !self.promoted() => {
+                let guard = self.shared.replica.lock().expect("replica lock");
+                let replica = guard.as_ref().ok_or(Refusal::Failed)?;
+                let frames = replica.serve_frames(generation, after_seq, max_bytes as usize);
+                frames.map(Controlled::Batch).map_err(|_| Refusal::Failed)
             }
-            // The replica state is consumed either way: a failed
-            // promotion (pin mismatch, counter moved — someone else owns
-            // the log) must not resume streaming as if nothing happened.
-            Err(_) => Err(OpError::Failed),
+            Control::Promote => {
+                self.promote().map(|promoted| Controlled::Watermark(Some(promoted)))
+            }
+            // The rest is the store's: before promotion it has no WAL and
+            // the replication controls fail closed; after promotion the
+            // node serves downstream subscribers like any primary.
+            control => self.store.control(control),
         }
     }
 
@@ -356,10 +336,10 @@ impl ReplicaNode {
     }
 
     /// The backend the replica server executes against, for in-process
-    /// callers: reads serve, writes answer [`OpError::ReadOnly`] until
-    /// [`promote`](KvBackend::promote).
-    pub fn backend(&self) -> Arc<dyn KvBackend> {
-        Arc::clone(&self.backend) as _
+    /// callers: reads serve, writes are refused [`Refusal::ReadOnly`]
+    /// until [`ReplicaBackend::promote`].
+    pub fn backend(&self) -> Arc<ReplicaBackend> {
+        Arc::clone(&self.backend)
     }
 
     /// The subscriber id the primary knows this replica by.

@@ -36,10 +36,10 @@
 //! quarantined-partition answers.
 
 use crate::admission::FairAdmission;
-use crate::protocol::{self, OpCode, Request, Response, Status};
+use crate::protocol::{Call, Request, Response, Status};
 use crate::{engine, Result};
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, OpError};
+use shield_baseline::{Control, Controlled, KvBackend, Refusal};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -311,74 +311,54 @@ pub fn execute(store: &dyn KvBackend, request: &Request) -> Response {
 
 /// Executes one request against the store under `tenant`'s namespace,
 /// overlaying server-side overload counters onto `Stats` responses when
-/// the serving state is provided.
+/// the serving state is provided: decode, then `execute` or `control`,
+/// then encode. A malformed request answers `Error` before the store
+/// sees it, and a batch-level failure (integrity violation, quarantined
+/// partition) fails the whole frame closed rather than fabricate misses.
 pub(crate) fn execute_with(
     store: &dyn KvBackend,
     request: &Request,
     tenant: u32,
     net: Option<&NetState>,
 ) -> Response {
-    let bare = request.key.is_empty() && request.value.is_empty();
-    let refused = |e: OpError| Response::empty(e.into());
-    match request.op {
-        OpCode::Ping => Response::empty(Status::Ok),
-        OpCode::Stats | OpCode::Flush | OpCode::ReplSubscribe | OpCode::Promote if !bare => {
-            Response::empty(Status::Error)
-        }
-        OpCode::Stats => match store.stats_snapshot() {
-            Some(mut snap) => {
-                if let Some(state) = net {
-                    let net = &state.gauges;
-                    snap.shed_requests = net.shed_requests.load(Ordering::Relaxed);
-                    snap.refused_connections = net.refused_connections.load(Ordering::Relaxed);
-                    snap.cross_loop_handoffs = net.cross_loop_handoffs.load(Ordering::Relaxed);
-                    snap.cross_loop_wakes = net.cross_loop_wakes.load(Ordering::Relaxed);
-                    snap.event_loops = net.event_loops.load(Ordering::Relaxed);
-                    snap.pending_frames = net.pending_frames.load(Ordering::Relaxed);
-                    // Per-tenant sheds live in the admission gate
-                    // (the store cannot see them).
-                    for row in snap.tenants.iter_mut().take(snap.tenant_count as usize) {
-                        // Rows carry ids widened from `TenantId`.
-                        row.shed = state.admission.shed_for(row.tenant as u32);
-                    }
-                }
-                Response::ok(protocol::encode_stats(&snap))
-            }
-            // Uninstrumented backend: no snapshot to report.
-            None => Response::empty(Status::Error),
-        },
-        // A failed commit means the durability guarantee cannot be
-        // given: fail closed. Success carries the durable watermark
-        // (empty when the store has no WAL).
-        OpCode::Flush => store.flush_durable().map_or_else(refused, |durable| match durable {
-            Some((gen, seq)) => Response::ok(protocol::encode_watermark(gen, seq)),
-            None => Response::empty(Status::Ok),
-        }),
-        OpCode::ReplSubscribe => store.repl_subscribe().map_or_else(refused, Response::ok),
-        OpCode::ReplSegment => match protocol::decode_repl_poll(&request.value) {
-            Ok((gen, after_seq, max_bytes)) => {
-                store.repl_batch(gen, after_seq, max_bytes).map_or_else(refused, Response::ok)
-            }
-            Err(_) => Response::empty(Status::Error),
-        },
-        OpCode::ReplAck => match protocol::decode_repl_ack(&request.value) {
-            Ok((subscriber, gen, seq)) => store
-                .repl_ack(subscriber, gen, seq)
-                .map_or_else(refused, |()| Response::empty(Status::Ok)),
-            Err(_) => Response::empty(Status::Error),
-        },
-        OpCode::Promote => store
-            .promote()
-            .map_or_else(refused, |(gen, seq)| Response::ok(protocol::encode_watermark(gen, seq))),
-        // Everything else is a key-value op: decode, execute, encode.
-        // A batch-level failure (integrity violation, quarantined
-        // partition) fails the whole frame closed rather than fabricate
-        // misses.
-        _ => match request.with_op(|op| store.execute(tenant, op)) {
-            Ok(result) => result.map_or_else(refused, Response::from_reply),
-            Err(_) => Response::empty(Status::Error),
-        },
+    let answer = request.with_call(|call| match call {
+        Call::Op(op) => store.execute(tenant, op).map(Response::from_reply),
+        Call::Control(control) => answer_control(store, control, net),
+        Call::Ping => Ok(Response::empty(Status::Ok)),
+    });
+    match answer {
+        Ok(answer) => answer.unwrap_or_else(|refusal| Response::empty(refusal.into())),
+        Err(_) => Response::empty(Status::Error),
     }
+}
+
+/// Answers `control`, overlaying the server's own gauges onto a stats
+/// answer when the serving state is provided (the store cannot see
+/// connection-level decisions). Cold: a control is rare beside an op, and
+/// inlined its body would bloat the op path's decode continuation.
+#[cold]
+fn answer_control(
+    store: &dyn KvBackend,
+    control: Control,
+    net: Option<&NetState>,
+) -> std::result::Result<Response, Refusal> {
+    let mut answer = store.control(control)?;
+    if let (Controlled::Stats(snap), Some(state)) = (&mut answer, net) {
+        let net = &state.gauges;
+        snap.shed_requests = net.shed_requests.load(Ordering::Relaxed);
+        snap.refused_connections = net.refused_connections.load(Ordering::Relaxed);
+        snap.cross_loop_handoffs = net.cross_loop_handoffs.load(Ordering::Relaxed);
+        snap.cross_loop_wakes = net.cross_loop_wakes.load(Ordering::Relaxed);
+        snap.event_loops = net.event_loops.load(Ordering::Relaxed);
+        snap.pending_frames = net.pending_frames.load(Ordering::Relaxed);
+        // Per-tenant sheds live in the admission gate (the store cannot
+        // see them).
+        for row in snap.tenants.iter_mut().take(snap.tenant_count as usize) {
+            // Rows carry ids widened from `TenantId`.
+            row.shed = state.admission.shed_for(row.tenant as u32);
+        }
+    }
+    Ok(Response::from_controlled(answer))
 }
 
 #[cfg(test)]
@@ -387,6 +367,7 @@ mod tests {
     use crate::client::KvClient;
     use sgx_sim::attest::AttestationVerifier;
     use sgx_sim::enclave::EnclaveBuilder;
+    use shield_baseline::{Control, Op};
 
     fn shield_store_on(enclave: &Arc<Enclave>) -> Arc<shieldstore::ShieldStore> {
         Arc::new(
@@ -436,11 +417,7 @@ mod tests {
         assert_eq!(snap.event_loops, 2, "engine reports its loop count");
 
         // A Stats request carrying payload bytes is rejected.
-        let bad = crate::protocol::Request {
-            op: OpCode::Stats,
-            key: b"junk".to_vec(),
-            value: Vec::new(),
-        };
+        let bad = Request { key: b"junk".to_vec(), ..Request::from_control(Control::Stats) };
         let r = client.call(&bad).unwrap();
         assert_eq!(r.status, crate::protocol::Status::Error);
         drop(client);
@@ -487,13 +464,33 @@ mod tests {
         after.check_consistent().expect("wal gauges are self-consistent");
 
         // A Flush request carrying payload bytes is rejected.
-        let bad = crate::protocol::Request {
-            op: OpCode::Flush,
-            key: Vec::new(),
-            value: b"junk".to_vec(),
-        };
+        let bad = Request { value: b"junk".to_vec(), ..Request::from_control(Control::Flush) };
         let r = client.call(&bad).unwrap();
         assert_eq!(r.status, crate::protocol::Status::Error);
+        drop(client);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The replication controls carry log keys and fencing authority:
+    /// an insecure server refuses them, and serves stats and flush.
+    #[test]
+    fn replication_controls_need_an_attested_session() {
+        let dir = std::env::temp_dir().join(format!("ss-net-unattested-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let enclave = EnclaveBuilder::new("unattested-test").epc_bytes(8 << 20).build();
+        let store = shield_store_on(&enclave);
+        store.attach_wal(&dir).unwrap();
+        let config = ServerConfig { secure: false, ..Default::default() };
+        let server = Server::start(store, None, config).unwrap();
+        let mut client = KvClient::connect_insecure(server.addr()).unwrap();
+        client.set(b"k", b"v").unwrap();
+        assert!(client.flush().unwrap().is_some());
+        assert_eq!(client.stats().unwrap().ops.sets, 1);
+        assert!(client.repl_subscribe().is_err(), "log keys left over an unattested session");
+        assert!(client.repl_segment(0, 0, 1 << 10).is_err());
+        assert!(client.repl_ack(0, 0, 0).is_err());
+        assert!(client.promote().is_err());
         drop(client);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -698,13 +695,8 @@ mod tests {
         let verifier = AttestationVerifier::for_enclave(&enclave);
         let mut client = KvClient::connect_secure(server.addr(), &verifier, 10).unwrap();
         // A count claiming more entries than the payload holds.
-        let r = client
-            .call(&Request {
-                op: OpCode::MultiGet,
-                key: Vec::new(),
-                value: 1000u32.to_le_bytes().to_vec(),
-            })
-            .unwrap();
+        let batch = Request::from_op(Op::MultiGet(&[])).unwrap();
+        let r = client.call(&Request { value: 1000u32.to_le_bytes().to_vec(), ..batch }).unwrap();
         assert_eq!(r.status, crate::protocol::Status::Error);
         // The connection stays usable afterwards.
         client.set(b"still", b"alive").unwrap();

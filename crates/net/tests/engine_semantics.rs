@@ -17,7 +17,7 @@ use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{OpCode, Request, Status};
 use shield_net::server::{Server, ServerConfig};
 use shield_net::{KvClient, NetError};
-use shieldstore::{Op, Reply, ShieldStore};
+use shieldstore::{Op, Refusal, Reply, ShieldStore};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,14 +137,14 @@ fn zero_deadline_sheds_on(loops: usize) {
     let mut client = secure_client(&enclave, &server, 97);
     for key in spanning_keys(&store, 2) {
         match client.get(key.as_bytes()) {
-            Err(NetError::Busy) => {}
+            Err(NetError::Refused(Refusal::Busy)) => {}
             other => panic!("{loops} loops, {key}: expected Busy, got {other:?}"),
         }
     }
     // The channel survived eight sheds: the next frame still opens and
     // seals correctly (and is itself shed, not rejected as garbage).
     match client.ping() {
-        Err(NetError::Busy) => {}
+        Err(NetError::Refused(Refusal::Busy)) => {}
         other => panic!("{loops} loops: expected Busy ping, got {other:?}"),
     }
     assert!(server.shed_requests() >= 9);
@@ -512,7 +512,7 @@ fn quarantine_on(loops: usize) {
                 assert!(!poisoned, "{k}: quarantined key served");
                 assert_eq!(v.as_deref(), Some(b"value".as_ref()));
             }
-            Err(NetError::Quarantined) => {
+            Err(NetError::Refused(Refusal::Quarantined)) => {
                 assert!(poisoned, "{k}: healthy key reported quarantined");
                 quarantined += 1;
             }
@@ -549,7 +549,7 @@ fn retry_client_exhausts_busy_retries() {
         Connector::Secure { addr: server.addr(), verifier: verifier(&enclave), seed: 21 };
     let mut client = RetryClient::new(connector, policy);
     match client.execute(Op::Get(b"k")) {
-        Err(NetError::Busy) => {}
+        Err(NetError::Refused(Refusal::Busy)) => {}
         other => panic!("expected Busy after exhausted retries, got {other:?}"),
     }
     assert_eq!(client.busy_retries(), 3);

@@ -25,7 +25,7 @@ use shield_net::{
     FairAdmission, KvClient, NetError, OpCode, Request, Server, ServerConfig, Status,
 };
 use shield_workload::ycsb::{MultiTenantMix, YcsbGenerator, YcsbOp};
-use shieldstore::{Config, ShieldStore, TenantQuota};
+use shieldstore::{Config, Refusal, ShieldStore, TenantQuota};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -264,7 +264,9 @@ fn drive_victim(mut client: KvClient, mut generator: YcsbGenerator) -> Vec<u64> 
             };
             match result {
                 Ok(()) => break,
-                Err(NetError::Busy) => std::thread::sleep(Duration::from_micros(200)),
+                Err(NetError::Refused(Refusal::Busy)) => {
+                    std::thread::sleep(Duration::from_micros(200))
+                }
                 Err(e) => panic!("victim op failed: {e}"),
             }
         }

@@ -29,7 +29,7 @@
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
-use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, OpError, OpResult, Reply};
+use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, Refusal, Reply};
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{Request, Response, Status};
 use shield_net::repl::{ReplicaConfig, ReplicaNode};
@@ -150,10 +150,10 @@ fn store_reply(result: shieldstore::Result<Reply>) -> Option<Reply> {
 }
 
 /// [`store_reply`] for a `KvBackend`.
-fn backend_reply(result: OpResult<Reply>) -> Option<Reply> {
+fn backend_reply(result: Result<Reply, Refusal>) -> Option<Reply> {
     match result {
         Ok(reply) => Some(reply),
-        Err(OpError::Failed) => None,
+        Err(Refusal::Failed) => None,
         Err(other) => panic!("unexpected backend error {other:?}"),
     }
 }
@@ -568,7 +568,7 @@ fn replica_backend_is_read_only_then_conforms() {
         for op in probes {
             let got = exec(tenant, op);
             match op.is_write() {
-                true => assert_eq!(got, Err(OpError::ReadOnly), "read-only replica: {op:?}"),
+                true => assert_eq!(got, Err(Refusal::ReadOnly), "read-only replica: {op:?}"),
                 false => assert_eq!(
                     backend_reply(got),
                     seeded.apply(tenant, op),
@@ -620,7 +620,7 @@ fn quarantined_read_through_dyn_backend_fails_instead_of_unwinding() {
                 match backend.execute(0, Op::Get(name)) {
                     Ok(reply) => assert_eq!(reply.value(), plain),
                     Err(e) => {
-                        assert!(matches!(e, OpError::Failed | OpError::Quarantined), "{e:?}");
+                        assert!(matches!(e, Refusal::Failed | Refusal::Quarantined), "{e:?}");
                         assert_eq!(plain, None, "a refused read serves nothing");
                         refused += 1;
                     }

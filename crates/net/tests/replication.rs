@@ -8,7 +8,7 @@ use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_net::repl::{ReplicaConfig, ReplicaNode};
 use shield_net::{CrossingMode, KvClient, NetError, Server, ServerConfig};
 use shield_workload::rng::SplitMix64;
-use shieldstore::{Config, DurabilityPolicy, ShieldStore, Watermark};
+use shieldstore::{Config, DurabilityPolicy, Refusal, ShieldStore, Watermark};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -109,7 +109,7 @@ fn failover_preserves_every_acked_write_and_fences_the_old_primary() {
     let mut rc = KvClient::connect_secure(node.addr(), &verifier, 101).unwrap();
     assert_eq!(rc.get(b"k000").unwrap().unwrap(), b"v0");
     match rc.set(b"nope", b"x") {
-        Err(NetError::ReadOnly) => {}
+        Err(NetError::Refused(Refusal::ReadOnly)) => {}
         other => panic!("replica write must answer ReadOnly, got {other:?}"),
     }
 

@@ -10,7 +10,7 @@ use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::repl::{repair_segment_from_peer, ReplicaConfig, ReplicaNode};
 use shield_net::{CrossingMode, KvClient, NetError, Server, ServerConfig};
-use shieldstore::{Config, DurabilityPolicy, Op, Reply, ShieldStore, Watermark};
+use shieldstore::{Config, DurabilityPolicy, Op, Refusal, Reply, ShieldStore, Watermark};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -117,7 +117,7 @@ fn segment_rot_detected_quarantined_and_repaired_from_replica() {
 
     // Quarantined: writes answer StorageFailed on the wire, reads serve.
     match client.set(b"while-bad", b"x") {
-        Err(NetError::StorageFailed) => {}
+        Err(NetError::Refused(Refusal::StorageFailed)) => {}
         other => panic!("expected StorageFailed over the wire, got {other:?}"),
     }
     assert_eq!(client.get(b"k000").unwrap().unwrap(), b"v0");
@@ -134,7 +134,7 @@ fn segment_rot_detected_quarantined_and_repaired_from_replica() {
     );
     let started = Instant::now();
     match rc.execute(Op::set(b"retry-me", b"x")) {
-        Err(NetError::StorageFailed) => {}
+        Err(NetError::Refused(Refusal::StorageFailed)) => {}
         other => panic!("retry layer must surface StorageFailed, got {other:?}"),
     }
     assert_eq!(rc.retries(), 0, "StorageFailed must not burn retries");

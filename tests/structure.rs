@@ -4,8 +4,8 @@
 //! bench stack, `unsafe` in three audited files, one chain walker, one
 //! reader of sealed-log bytes, listed handles that only ever reach a
 //! hint, one stat list, one wire codec, one reference model, one
-//! byte cursor for everything that leaves the enclave, and one adversary
-//! rig. The rules walk the source
+//! byte cursor for everything that leaves the enclave, one adversary
+//! rig, and one refusal type. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -246,30 +246,36 @@ fn one_stat_list(tree: &Tree) -> Vec<String> {
     found
 }
 
-/// An op's wire form lives in `protocol.rs`: outside tests, no other
-/// source names a key-value opcode (the benchmark, a workspace of its
-/// own, is not read).
-fn kv_opcodes_only_in_protocol(tree: &Tree) -> Vec<String> {
-    const KV: [&str; 9] = [
-        "Get",
-        "Set",
-        "SetTtl",
-        "Delete",
-        "Append",
-        "Increment",
-        "MultiGet",
-        "MultiSet",
-        "ScanPrefix",
-    ];
+/// A request's wire form lives in `protocol.rs`: outside tests, no other
+/// source names an opcode, key-value or control (the benchmark, a
+/// workspace of its own, is not read).
+fn opcodes_only_in_protocol(tree: &Tree) -> Vec<String> {
     let sources = tree.crate_sources().chain(tree.under("src/")).chain(tree.under("examples/"));
     let mut found = Vec::new();
     for f in sources.filter(|f| f.path != "crates/net/src/protocol.rs" && f.path.ends_with(".rs")) {
-        for (i, line) in before_tests(f) {
-            let named = line.match_indices("OpCode::").any(|(at, _)| {
-                KV.iter().any(|name| has_word_at(&line[at + "OpCode::".len()..], name))
-            });
-            if named {
-                found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+        for (i, line) in before_tests(f).filter(|(_, l)| l.contains("OpCode::")) {
+            found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+        }
+    }
+    found
+}
+
+/// A refusal has one type, `shieldstore::Refusal`: no `OpError` anywhere
+/// in the code, and `NetError` carries refusals as `Refused(Refusal)`
+/// instead of declaring a variant per refusal.
+fn one_refusal_type(tree: &Tree) -> Vec<String> {
+    const REFUSALS: [&str; 6] =
+        ["Busy", "Quarantined", "QuotaExceeded", "ReadOnly", "StorageFailed", "Failed"];
+    let code =
+        ["crates/", "src/", "examples/", "tests/"].into_iter().flat_map(|dir| tree.under(dir));
+    let mut found =
+        hits(code.filter(|f| f.path != "tests/structure.rs"), |l| has_word(l, "OpError"));
+    for f in tree.under("crates/net/src/lib.rs") {
+        let body = f.text.lines().skip_while(|l| !l.contains("pub enum NetError"));
+        for line in body.take_while(|l| !l.starts_with('}')).map(str::trim) {
+            let variant: String = line.chars().take_while(|&c| is_word_char(c)).collect();
+            if REFUSALS.contains(&variant.as_str()) {
+                found.push(format!("{}: NetError declares a refusal variant: {line}", f.path));
             }
         }
     }
@@ -447,23 +453,43 @@ fn one_stat_list_holds() {
 }
 
 #[test]
-fn kv_opcodes_are_named_only_in_protocol() {
+fn opcodes_are_named_only_in_protocol() {
     check(
-        kv_opcodes_only_in_protocol,
-        "a key-value opcode is named outside crates/net/src/protocol.rs; build requests with Request::from_op",
+        opcodes_only_in_protocol,
+        "an opcode is named outside crates/net/src/protocol.rs; build requests with Request::from_op or Request::from_control",
         &[
             ("crates/net/src/client.rs", "let request = Request { op: OpCode::Get, key, value };"),
             ("examples/raw_wire.rs", "let op = OpCode::ScanPrefix;"),
+            ("crates/net/src/server.rs", "OpCode::Stats => match store.stats_snapshot() {"),
+            ("crates/net/src/engine.rs", "matches!(request.op, OpCode::ReplAck | OpCode::Promote)"),
         ],
     );
-    // Test modules and the control opcodes stay free to name theirs.
-    let allowed = Tree::load()
-        .with(
-            "crates/net/src/engine.rs",
-            "#[cfg(test)]\nmod tests { const OP: OpCode = OpCode::Get; }",
-        )
-        .with("crates/net/src/repl.rs", "let op = OpCode::ReplSegment;");
-    assert!(kv_opcodes_only_in_protocol(&allowed).is_empty());
+    // Test modules stay free to name theirs.
+    let allowed = Tree::load().with(
+        "crates/net/src/engine.rs",
+        "#[cfg(test)]\nmod tests { const OP: OpCode = OpCode::Promote; }",
+    );
+    assert!(opcodes_only_in_protocol(&allowed).is_empty());
+}
+
+#[test]
+fn one_refusal_type_holds() {
+    check(
+        one_refusal_type,
+        "a second refusal type is growing back; refuse with shieldstore::Refusal (see DESIGN.md, Refusals)",
+        &[
+            ("crates/baseline/src/lib.rs", "pub enum OpError { Failed }"),
+            ("tests/end_to_end.rs", "use shield_baseline::{KvBackend, OpError};"),
+            (
+                "crates/net/src/lib.rs",
+                "pub enum NetError {\n    Io(std::io::Error),\n    Busy,\n}",
+            ),
+            (
+                "crates/net/src/lib.rs",
+                "pub enum NetError {\n    /// Shed.\n    QuotaExceeded { tenant: u32 },\n}",
+            ),
+        ],
+    );
 }
 
 #[test]
