@@ -29,7 +29,7 @@ use sgx_sim::bytes::{Reader, Writer};
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::seal;
-use sgx_sim::storage::{OpenMode, RealFs, StorageFs};
+use sgx_sim::storage::{replace_durably, RealFs, StorageFs};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -95,21 +95,12 @@ pub(crate) fn write_table(w: &mut impl Write, table: &TableCtx) -> Result<()> {
     Ok(())
 }
 
-/// Best-effort fsync of `path`'s parent directory so the rename that
-/// published a snapshot survives power loss.
-fn sync_parent_dir(fs: &dyn StorageFs, path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-        let _ = fs.sync_dir(dir);
-    }
-}
-
-/// Writes `tables` (one per shard) and their `sealed` metadata to a
-/// temporary file, makes it durable, and only then renames it to `path`:
-/// whatever fails on the way — a table that cannot be walked included —
-/// nothing is published. The WAL deletes the only other durable copy of
-/// these operations once the snapshot is declared written, so it must
-/// actually be on disk, not in the page cache.
+/// Writes `tables` (one per shard) and their `sealed` metadata through
+/// [`replace_durably`]: whatever fails on the way — a table that cannot
+/// be walked or the directory sync included — nothing is reported
+/// published. The WAL deletes the only other durable copy of these
+/// operations once the snapshot is declared written, so it must actually
+/// be on disk, not in the page cache.
 fn publish_snapshot(
     fs: &dyn StorageFs,
     path: &Path,
@@ -117,20 +108,18 @@ fn publish_snapshot(
     sealed: &[u8],
     tables: &[&TableCtx],
 ) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut w = BufWriter::new(fs.open(&tmp, OpenMode::Create)?);
+    let mut walked = Ok(());
+    let written = replace_durably(fs, path, |file| {
+        let mut w = BufWriter::new(file);
         let preamble = &mut Writer::default();
         preamble.bytes(MAGIC).u64(count).length(tables.len()).slice(sealed).drain_into(&mut w)?;
-        for table in tables {
-            write_table(&mut w, table)?;
+        walked = tables.iter().try_for_each(|table| write_table(&mut w, table));
+        match walked {
+            Ok(()) => w.flush(),
+            Err(_) => Err(std::io::ErrorKind::InvalidData.into()),
         }
-        w.flush()?;
-        w.get_mut().sync_all()?;
-    }
-    fs.rename(&tmp, path)?;
-    sync_parent_dir(fs, path);
-    Ok(())
+    });
+    walked.and(written.map_err(Error::from))
 }
 
 /// Reads the calling thread's consumed CPU time from procfs (Linux).
@@ -552,6 +541,7 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use sgx_sim::enclave::EnclaveBuilder;
+    use sgx_sim::storage::OpenMode;
     use sgx_sim::vclock;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {

@@ -1,11 +1,12 @@
 //! The freshness pin: the sealed file that names the live log
 //! generations and binds them to a monotonic counter (see the
 //! [module docs](super) for the argument). This file owns the pin's
-//! layout, the one function that loads a pin from disk, the counter
-//! fence a promoting replica raises, and the one function that replaces
-//! a file durably — the pin on every commit, a log segment on repair.
+//! layout, the one function that loads a pin from disk, and the counter
+//! fence a promoting replica raises. The pin on every commit and a log
+//! segment on repair are replaced through
+//! [`sgx_sim::storage::replace_durably`].
 
-use std::io::{ErrorKind, Write as _};
+use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -13,14 +14,12 @@ use sgx_sim::bytes::{Parsed, Reader, Writer};
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::seal;
-use sgx_sim::storage::{OpenMode, StorageFs};
+use sgx_sim::storage::StorageFs;
 
 use super::log_generation;
-use super::writer::{fail_closed, Poison};
 use crate::error::{Error, Result};
 
 pub(super) const PIN_FILE: &str = "wal.pin";
-pub(super) const PIN_TMP: &str = "wal.pin.tmp";
 pub(super) const PIN_CTR: &str = "wal.pin.ctr";
 
 /// Most log generations a pin may reference at once. Reached only after
@@ -126,27 +125,6 @@ pub(crate) fn fence(fs: &Arc<dyn StorageFs>, dir: &Path) -> Result<()> {
     counter.increment().map_err(|e| Error::Persistence(format!("fencing counter bump: {e}")))?;
     counter.increment().map_err(|e| Error::Persistence(format!("fencing counter bump: {e}")))?;
     Ok(())
-}
-
-/// Replaces `path` with `bytes` so that a crash at any point leaves the
-/// old file or the new one, never a mixture: write `tmp`, `sync_all`,
-/// rename over `path`, `sync_dir`. Every step goes through
-/// [`fail_closed`] — the first failure storage-poisons the writer.
-pub(super) fn replace_durably(
-    fs: &dyn StorageFs,
-    poison: &mut Poison,
-    dir: &Path,
-    tmp: &Path,
-    path: &Path,
-    bytes: &[u8],
-) -> Result<()> {
-    {
-        let mut f = fail_closed(poison, fs.open(tmp, OpenMode::Create))?;
-        fail_closed(poison, f.write_all(bytes))?;
-        fail_closed(poison, f.sync_all())?;
-    }
-    fail_closed(poison, fs.rename(tmp, path))?;
-    fail_closed(poison, fs.sync_dir(dir))
 }
 
 /// Deletes `wal-*.log` files in `dir` that belong to no segment of

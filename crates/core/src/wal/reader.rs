@@ -14,12 +14,12 @@
 use std::io::ErrorKind;
 use std::path::Path;
 
-use sgx_sim::storage::{OpenMode, StorageFs};
+use sgx_sim::storage::{replace_durably, OpenMode, StorageFs};
 use shield_crypto::constant_time::ct_eq;
 
 use super::codec::WalCodec;
 use super::frames::{ChainCursor, Frames};
-use super::pin::{replace_durably, Segment};
+use super::pin::Segment;
 use super::writer::{fail_closed, Poison};
 use super::{log_path, Wal, WalOp};
 use crate::error::{Error, Result};
@@ -266,8 +266,8 @@ impl Wal {
     /// fetched from an attested peer, after verifying that the frames
     /// walk the sealed chain from the generation's genesis tag to
     /// *exactly* the pinned `(last_seq, last_mac)` with no torn tail
-    /// and no trailing bytes. The swap-in is atomic (tmp file + fsync +
-    /// rename + directory fsync). Repairing the current generation
+    /// and no trailing bytes. The swap-in is atomic
+    /// ([`replace_durably`]). Repairing the current generation
     /// reopens the append handle on the repaired file and clears
     /// Corrupt poisoning; Storage poisoning is never cleared.
     pub(crate) fn repair_segment(&self, gen: u64, frames: &[u8]) -> Result<()> {
@@ -282,8 +282,8 @@ impl Wal {
             return Err(Error::LogIntegrity { seq: at.seq });
         }
         let path = log_path(&inner.dir, gen);
-        let tmp = path.with_extension("repair");
-        replace_durably(inner.fs.as_ref(), &mut inner.poison, &inner.dir, &tmp, &path, frames)?;
+        let replaced = replace_durably(inner.fs.as_ref(), &path, |f| f.write_all(frames));
+        fail_closed(&mut inner.poison, replaced)?;
         if inner.snap == gen {
             // The append handle may still reference the damaged inode;
             // future commits must extend the repaired file.

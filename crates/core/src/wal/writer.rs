@@ -13,10 +13,10 @@ use std::sync::Arc;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::seal;
-use sgx_sim::storage::{OpenMode, StorageFile, StorageFs};
+use sgx_sim::storage::{replace_durably, OpenMode, StorageFile, StorageFs};
 
 use super::codec::WalCodec;
-use super::pin::{replace_durably, Pin, Segment, MAX_SEGMENTS, PIN_FILE, PIN_TMP};
+use super::pin::{Pin, Segment, MAX_SEGMENTS, PIN_FILE};
 use super::{log_path, WalOp};
 use crate::config::DurabilityPolicy;
 use crate::error::{Error, Result};
@@ -248,8 +248,9 @@ impl WalInner {
             segments: self.pinned(),
         };
         let sealed = seal::seal(&self.enclave, &pin.encode());
-        let (tmp, path) = (self.dir.join(PIN_TMP), self.dir.join(PIN_FILE));
-        replace_durably(self.fs.as_ref(), &mut self.poison, &self.dir, &tmp, &path, &sealed)?;
+        let path = self.dir.join(PIN_FILE);
+        let replaced = replace_durably(self.fs.as_ref(), &path, |f| f.write_all(&sealed));
+        fail_closed(&mut self.poison, replaced)?;
         if fuse_fires() {
             std::process::abort(); // after pin write, before counter bump
         }

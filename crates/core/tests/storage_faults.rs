@@ -410,6 +410,73 @@ fn failed_recovery_deletes_no_log_the_durable_pin_still_names() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot is written once its rename is durable, and the rename is
+/// durable once its directory is synced. The snapshot sits in a
+/// directory of its own, `snaps/`, so the injected fault hits only that
+/// sync: the snapshot must answer `Err`, rotation must keep the old log
+/// generation, and after a power cut (which takes the undurable rename
+/// back) recovery must return every acked write, from the log alone.
+fn snapshot_dir_sync_fault(background: bool) {
+    let dir = scratch("dirsync");
+    let (wal_dir, snaps) = (dir.join("wal"), dir.join("snaps"));
+    std::fs::create_dir_all(&snaps).unwrap();
+    let (ffs, store) = fault_store(61, &wal_dir);
+    let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
+    let mut acked: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut set = |store: &ShieldStore, tag: &str, i: u32| {
+        let (k, v) = (format!("{tag}-{i}").into_bytes(), format!("{tag}v-{i}").into_bytes());
+        store.set(&k, &v).unwrap();
+        acked.insert(k, v);
+    };
+    for i in 0..6 {
+        set(&store, "old", i);
+    }
+    ffs.inject(FaultSpec::first(FaultOp::SyncDir, "snaps", FaultKind::Eio));
+    let snap = snaps.join("snap.db");
+    let written = if background {
+        store.snapshot_background(&snap, &counter).and_then(|job| job.finish().map(drop))
+    } else {
+        store.snapshot_blocking(&snap, &counter)
+    };
+    assert_eq!(ffs.injected(), 1, "the snapshot directory was never synced");
+    for i in 0..3 {
+        set(&store, "new", i);
+    }
+
+    ffs.power_cut().unwrap();
+    drop(store);
+    assert!(!snap.exists(), "the rename was never made durable");
+    let recovered = ShieldStore::recover_with_storage(
+        enclave(61),
+        Arc::new(FaultFs::new()) as Arc<dyn StorageFs>,
+        config(),
+        None,
+        &counter,
+        &wal_dir,
+    );
+    assert!(
+        written.is_err(),
+        "the snapshot answered {written:?}; recovery then answered {:?}",
+        recovered.as_ref().map(ShieldStore::len)
+    );
+    let recovered = recovered.expect("the old generation was kept and must recover");
+    assert_eq!(recovered.len(), acked.len());
+    for (k, v) in &acked {
+        assert_eq!(&recovered.get(k).unwrap(), v);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn blocking_snapshot_whose_directory_sync_fails_loses_nothing() {
+    snapshot_dir_sync_fault(false);
+}
+
+#[test]
+fn background_snapshot_whose_directory_sync_fails_loses_nothing() {
+    snapshot_dir_sync_fault(true);
+}
+
 // ---------------------------------------------------------------------
 // Scrub and repair
 // ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 //!
 //! A straightforward table-based software implementation. The round
 //! transformation uses the classic four T-tables derived from the S-box at
-//! first use; decryption uses the inverse tables. This mirrors the software
+//! compile time. Only the forward cipher exists: CTR and CMAC, the only
+//! modes the store uses, never decrypt a block. This mirrors the software
 //! fallback path of the Intel SGX SDK crypto library on hardware without
 //! AES-NI.
 //!
@@ -30,17 +31,6 @@ pub const SBOX: [u8; 256] = [
     0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
-
-/// The inverse AES S-box.
-pub const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
 
 /// Round constants for AES-128 key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
@@ -72,21 +62,6 @@ const fn build_te() -> [[u32; 256]; 4] {
 #[inline]
 const fn xtime(a: u8) -> u8 {
     (a << 1) ^ (((a >> 7) & 1) * 0x1b)
-}
-
-/// Multiply two elements of GF(2^8).
-const fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    let mut i = 0;
-    while i < 8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-        i += 1;
-    }
-    p
 }
 
 /// An expanded AES-128 key schedule (11 round keys).
@@ -203,20 +178,6 @@ impl Aes128 {
         add_round_key(block, &self.round_keys[10]);
     }
 
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
-    }
-
     /// Encrypts `input` into a fresh block, leaving the input untouched.
     pub fn encrypt_to(&self, input: &[u8; 16]) -> [u8; 16] {
         let mut out = *input;
@@ -239,13 +200,6 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 // The state is stored column-major: state[4*c + r] is row r, column c.
 
 #[inline]
@@ -259,16 +213,6 @@ fn shift_rows(state: &mut [u8; 16]) {
 }
 
 #[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = s[4 * c + r];
-        }
-    }
-}
-
-#[inline]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
@@ -276,21 +220,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        state[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        state[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        state[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
     }
 }
 
@@ -318,14 +247,6 @@ mod tests {
                 0x0b, 0x32
             ]
         );
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
     }
 
     /// FIPS 197 Appendix C.1 (AES-128 known answer test).
@@ -348,25 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_decrypt_roundtrip_random() {
-        let mut seed = 0x1234_5678_u64;
-        let mut next = || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) as u8
-        };
-        for _ in 0..64 {
-            let key: [u8; 16] = core::array::from_fn(|_| next());
-            let plain: [u8; 16] = core::array::from_fn(|_| next());
-            let aes = Aes128::new(&key);
-            let mut block = plain;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, plain);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, plain);
-        }
-    }
-
-    #[test]
     fn key_schedule_first_round_keys() {
         // FIPS 197 Appendix A.1: first expanded words for the sample key.
         let key = [
@@ -380,13 +282,6 @@ mod tests {
             [0xa0, 0xfa, 0xfe, 0x17],
             "w[4] must match FIPS 197 A.1"
         );
-    }
-
-    #[test]
-    fn inv_sbox_inverts_sbox() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
     }
 
     /// The T-table fast path must agree with the straightforward round

@@ -1,8 +1,8 @@
 //! AES-128 via the x86-64 AES-NI instruction set.
 //!
 //! One `AESENC`/`AESENCLAST` round per instruction, key schedule via
-//! `AESKEYGENASSIST`, decryption round keys via `AESIMC` (the equivalent
-//! inverse cipher of FIPS 197 §5.3.5). Unlike the table-based fallback in
+//! `AESKEYGENASSIST`; like the table-based fallback in [`crate::aes`],
+//! only the forward cipher exists. Unlike that fallback in
 //! [`crate::aes`], this path is constant-time: no data-dependent memory
 //! accesses.
 //!
@@ -18,17 +18,14 @@
 
 use crate::backend::{CtrLane, MacLane, MacPart};
 use core::arch::x86_64::{
-    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_aesimc_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128, _mm_set_epi64x,
-    _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128,
+    _mm_set_epi64x, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
 };
 
-/// An expanded AES-128 key schedule held as `__m128i` round keys, with the
-/// `AESIMC`-transformed decryption schedule precomputed alongside.
+/// An expanded AES-128 key schedule held as `__m128i` round keys.
 #[derive(Clone, Copy)]
 pub struct AesNi {
     enc: [__m128i; 11],
-    dec: [__m128i; 11],
 }
 
 /// One round of the AES-128 key expansion: `AESKEYGENASSIST` on the
@@ -82,15 +79,7 @@ impl AesNi {
         enc[8] = expand_round!(enc[7], 0x80);
         enc[9] = expand_round!(enc[8], 0x1b);
         enc[10] = expand_round!(enc[9], 0x36);
-
-        // Equivalent inverse cipher: decryption uses the encryption keys
-        // in reverse order, with the inner nine passed through AESIMC.
-        let mut dec = [enc[10]; 11];
-        for i in 1..10 {
-            dec[i] = _mm_aesimc_si128(enc[10 - i]);
-        }
-        dec[10] = enc[0];
-        Self { enc, dec }
+        Self { enc }
     }
 
     /// Encrypts one 16-byte block in place.
@@ -98,13 +87,6 @@ impl AesNi {
         // SAFETY: `self` exists, so `AesNi::new` proved CPU support for
         // the `aes` feature `encrypt_one` is compiled with.
         unsafe { self.encrypt_one(block) }
-    }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        // SAFETY: `self` exists, so `AesNi::new` proved CPU support for
-        // the `aes` feature `decrypt_one` is compiled with.
-        unsafe { self.decrypt_one(block) }
     }
 
     /// Single-block encryption body.
@@ -120,27 +102,6 @@ impl AesNi {
         unsafe {
             let mut x = _mm_loadu_si128(block.as_ptr().cast());
             x = self.encrypt_reg(x);
-            _mm_storeu_si128(block.as_mut_ptr().cast(), x);
-        }
-    }
-
-    /// Single-block decryption body.
-    ///
-    /// # Safety
-    ///
-    /// Callers must ensure the CPU supports the `aes` target feature
-    /// (guaranteed by `self` existing — see [`AesNi::new`]).
-    #[target_feature(enable = "aes")]
-    unsafe fn decrypt_one(&self, block: &mut [u8; 16]) {
-        // SAFETY: `block` is a valid 16-byte array; unaligned load/store
-        // touch exactly those 16 bytes.
-        unsafe {
-            let mut x = _mm_loadu_si128(block.as_ptr().cast());
-            x = _mm_xor_si128(x, self.dec[0]);
-            for rk in &self.dec[1..10] {
-                x = _mm_aesdec_si128(x, *rk);
-            }
-            x = _mm_aesdeclast_si128(x, self.dec[10]);
             _mm_storeu_si128(block.as_mut_ptr().cast(), x);
         }
     }
@@ -392,10 +353,6 @@ impl crate::backend::Aes128Backend for AesNi {
         AesNi::encrypt_block(self, block);
     }
 
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        AesNi::decrypt_block(self, block);
-    }
-
     fn ctr_xor(&self, counter: u128, data: &mut [u8]) {
         // SAFETY: `self` exists, so `AesNi::new` proved CPU support for
         // the `aes` feature `ctr_xor_impl` is compiled with.
@@ -550,7 +507,6 @@ mod tests {
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
-        let plain = block;
         aes.encrypt_block(&mut block);
         assert_eq!(
             block,
@@ -559,12 +515,10 @@ mod tests {
                 0x0b, 0x32
             ]
         );
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, plain);
     }
 
     /// Hardware and table paths must agree block-for-block on random
-    /// keys and plaintexts, both directions.
+    /// keys and plaintexts.
     #[test]
     fn matches_table_backend() {
         if !crate::backend::aesni_available() {
@@ -585,8 +539,6 @@ mod tests {
             hw.encrypt_block(&mut a);
             sw.encrypt_block(&mut b);
             assert_eq!(a, b, "encrypt mismatch");
-            hw.decrypt_block(&mut a);
-            assert_eq!(a, plain, "hw decrypt must invert");
         }
     }
 }

@@ -71,9 +71,6 @@ pub trait Aes128Backend {
     /// Encrypts one 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; 16]);
 
-    /// Decrypts one 16-byte block in place.
-    fn decrypt_block(&self, block: &mut [u8; 16]);
-
     /// XORs the keystream `E(counter) ‖ E(counter + 1) ‖ …` into `data`;
     /// the counter is a 128-bit big-endian integer that wraps, and a
     /// final partial block takes the leading bytes of its keystream
@@ -150,10 +147,6 @@ pub fn sequential_lockstep<K: Aes128Backend>(
 impl Aes128Backend for Aes128 {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
         Aes128::encrypt_block(self, block);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Aes128::decrypt_block(self, block);
     }
 }
 
@@ -302,14 +295,6 @@ impl Aes128Backend for AesBackend {
             AesBackend::Soft(a) => a.encrypt_block(block),
             #[cfg(target_arch = "x86_64")]
             AesBackend::Ni(a) => Aes128Backend::encrypt_block(a, block),
-        }
-    }
-
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        match self {
-            AesBackend::Soft(a) => a.decrypt_block(block),
-            #[cfg(target_arch = "x86_64")]
-            AesBackend::Ni(a) => Aes128Backend::decrypt_block(a, block),
         }
     }
 

@@ -83,7 +83,7 @@ fn all_lengths_0_to_257_byte_identical() {
     }
 }
 
-/// Raw block encrypt/decrypt equivalence across many random keys.
+/// Raw block encryption equivalence across many random keys.
 #[test]
 fn block_ops_byte_identical() {
     if !aesni_available() {
@@ -98,12 +98,6 @@ fn block_ops_byte_identical() {
         let ct_soft = soft.encrypt_to(&plain);
         let ct_ni = ni.encrypt_to(&plain);
         assert_eq!(ct_soft, ct_ni);
-        let mut back = ct_ni;
-        soft.decrypt_block(&mut back);
-        assert_eq!(back, plain, "soft decrypt of NI ciphertext");
-        let mut back = ct_soft;
-        ni.decrypt_block(&mut back);
-        assert_eq!(back, plain, "NI decrypt of soft ciphertext");
     }
 }
 

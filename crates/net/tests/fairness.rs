@@ -24,7 +24,7 @@ use sgx_sim::enclave::EnclaveBuilder;
 use shield_net::{
     FairAdmission, KvClient, NetError, OpCode, Request, Server, ServerConfig, Status,
 };
-use shield_workload::ycsb::{MultiTenantMix, YcsbGenerator, YcsbOp};
+use shield_workload::{Generator, Spec};
 use shieldstore::{Config, Refusal, ShieldStore, TenantQuota};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -212,6 +212,13 @@ const WALL_KEYS: u64 = 10_000;
 const WALL_VAL_LEN: usize = 128;
 /// The aggressor drives this many times the victim's two connections.
 const AGGRESSOR_FACTOR: usize = 4;
+/// `(tenant, Table 2 spec, connections)`: tenant 1 is a well-behaved
+/// read-mostly victim (RD95_Z, YCSB-B), tenant 2 an update-flooding
+/// aggressor (RD50_Z, YCSB-A), both zipfian 0.99 over the same key
+/// names. Equal weights: fairness must come from the admission gate,
+/// not from starving the aggressor by configuration.
+const WALL_TENANTS: [(u32, &str, usize); 2] =
+    [(1, "RD95_Z", 2), (2, "RD50_Z", 2 * AGGRESSOR_FACTOR)];
 const VICTIM_OPS_PER_CONN: u64 = 8_000;
 /// Per-connection ops excluded from the victim's latencies in both
 /// phases: the first ops pay for page faults, allocator growth and
@@ -240,7 +247,7 @@ fn wall_value(id: u64) -> Vec<u8> {
 /// real client backs off, and the retries count in the op's latency.
 /// Latency runs from the actual send: from the scheduled time it would
 /// mostly record the client thread's sleep-wakeup jitter.
-fn drive_victim(mut client: KvClient, mut generator: YcsbGenerator) -> Vec<u64> {
+fn drive_victim(mut client: KvClient, mut generator: Generator) -> Vec<u64> {
     let mut samples = Vec::new();
     let mut scheduled = Instant::now();
     for i in 0..VICTIM_OPS_PER_CONN {
@@ -250,17 +257,12 @@ fn drive_victim(mut client: KvClient, mut generator: YcsbGenerator) -> Vec<u64> 
             std::thread::sleep(scheduled - now);
         }
         scheduled += VICTIM_GAP;
-        let started = Instant::now();
+        let (started, id) = (Instant::now(), op.key_id());
         loop {
-            let result = match op {
-                YcsbOp::Read(id) | YcsbOp::Scan(id, _) => client.get(&wall_key(id)).map(|_| ()),
-                YcsbOp::Update(id) | YcsbOp::Insert(id) => {
-                    client.set(&wall_key(id), &wall_value(id))
-                }
-                YcsbOp::ReadModifyWrite(id) => {
-                    let key = wall_key(id);
-                    client.get(&key).and_then(|_| client.set(&key, &wall_value(id)))
-                }
+            let result = if op.is_write() {
+                client.set(&wall_key(id), &wall_value(id))
+            } else {
+                client.get(&wall_key(id)).map(|_| ())
             };
             match result {
                 Ok(()) => break,
@@ -282,7 +284,7 @@ fn drive_victim(mut client: KvClient, mut generator: YcsbGenerator) -> Vec<u64> 
 /// per flood connection would starve the victim's client of CPU on a
 /// small host, and one synchronised volley would hand the victim a queue
 /// spike. Returns the aggressor's completed ops.
-fn drive_flood(mut conns: Vec<(KvClient, YcsbGenerator)>, stop: &AtomicBool) -> u64 {
+fn drive_flood(mut conns: Vec<(KvClient, Generator)>, stop: &AtomicBool) -> u64 {
     let mut ops = 0;
     while !stop.load(Ordering::Relaxed) {
         for group in conns.chunks_mut(4) {
@@ -314,26 +316,33 @@ fn drive_flood(mut conns: Vec<(KvClient, YcsbGenerator)>, stop: &AtomicBool) -> 
     ops
 }
 
+/// A generator per (tenant, connection), seeded from `WALL_SEED`, the
+/// tenant and the connection index, so every run of the scenario replays
+/// the same per-connection op streams.
+fn wall_generators() -> impl Iterator<Item = (u32, Generator)> {
+    WALL_TENANTS.into_iter().flat_map(|(tenant, spec, connections)| {
+        let spec = Spec::by_name(spec).expect("a Table 2 spec");
+        (0..connections).map(move |conn| {
+            let seed = WALL_SEED ^ ((tenant as u64) << 32) ^ ((conn as u64) << 16);
+            (tenant, Generator::new(spec, WALL_KEYS, seed))
+        })
+    })
+}
+
 /// One phase: the victim's paced connections, a thread each, and with
 /// `flood` the aggressor's connections against them until the victim is
 /// done. Returns the victim's samples and the aggressor's ops.
-fn run_phase(
-    addr: SocketAddr,
-    verifier: &AttestationVerifier,
-    mix: &MultiTenantMix,
-    flood: bool,
-) -> (Vec<u64>, u64) {
-    let victim = mix.loads[0].tenant;
+fn run_phase(addr: SocketAddr, verifier: &AttestationVerifier, flood: bool) -> (Vec<u64>, u64) {
+    let victim = WALL_TENANTS[0].0;
     let mut victims = Vec::new();
     let mut flooders = Vec::new();
-    for (i, (load, generator)) in mix.generators(WALL_SEED).into_iter().enumerate() {
-        if load.tenant != victim && !flood {
+    for (i, (tenant, generator)) in wall_generators().enumerate() {
+        if tenant != victim && !flood {
             continue;
         }
-        let client =
-            KvClient::connect_secure_tenant(addr, verifier, WALL_SEED + i as u64, load.tenant)
-                .expect("tenant connect");
-        if load.tenant == victim {
+        let client = KvClient::connect_secure_tenant(addr, verifier, WALL_SEED + i as u64, tenant)
+            .expect("tenant connect");
+        if tenant == victim {
             victims.push(std::thread::spawn(move || drive_victim(client, generator)));
         } else {
             flooders.push((client, generator));
@@ -352,13 +361,12 @@ fn run_phase(
 #[test]
 #[ignore = "wall-clock; CI's tenant-suite runs it in release"]
 fn victim_p99_holds_through_the_attested_stack() {
-    let mix = MultiTenantMix::aggressor_victim(WALL_KEYS, AGGRESSOR_FACTOR);
     let enclave = EnclaveBuilder::new("tenant-fairness").epc_bytes(64 << 20).build();
     let config = Config::shield_opt().buckets(1024).mac_hashes(64).with_shards(4);
     let store = Arc::new(ShieldStore::new(Arc::clone(&enclave), config).unwrap());
-    for load in &mix.loads {
-        let quota = TenantQuota { max_bytes: u64::MAX, max_keys: u64::MAX, weight: load.weight };
-        store.tenants().configure(load.tenant, quota);
+    for (tenant, _, _) in WALL_TENANTS {
+        let quota = TenantQuota { max_bytes: u64::MAX, max_keys: u64::MAX, weight: 1 };
+        store.tenants().configure(tenant, quota);
     }
     // Two loops over four shards, so cross-loop handoffs give the gate
     // real in-flight pressure, and a cap of four against the flood's
@@ -373,9 +381,9 @@ fn victim_p99_holds_through_the_attested_stack() {
         AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
 
     // Preload both namespaces so reads hit.
-    let mut loaders: Vec<KvClient> = (mix.loads.iter().zip([999, 998]))
-        .map(|(load, seed)| {
-            KvClient::connect_secure_tenant(server.addr(), &verifier, seed, load.tenant).unwrap()
+    let mut loaders: Vec<KvClient> = (WALL_TENANTS.iter().zip([999, 998]))
+        .map(|((tenant, _, _), seed)| {
+            KvClient::connect_secure_tenant(server.addr(), &verifier, seed, *tenant).unwrap()
         })
         .collect();
     for id in 0..WALL_KEYS {
@@ -385,8 +393,8 @@ fn victim_p99_holds_through_the_attested_stack() {
     }
     drop(loaders);
 
-    let (solo, _) = run_phase(server.addr(), &verifier, &mix, false);
-    let (contended, aggressor_ops) = run_phase(server.addr(), &verifier, &mix, true);
+    let (solo, _) = run_phase(server.addr(), &verifier, false);
+    let (contended, aggressor_ops) = run_phase(server.addr(), &verifier, true);
     server.shutdown();
     // Exact p99s over raw samples, as in the simulation: the histogram's
     // power-of-two buckets would quantise the ratio to 2x jumps.

@@ -4,55 +4,19 @@
 //! a malicious host cannot roll the store back to an older snapshot (paper
 //! §4.4). Real SGX exposes these through the Platform Services Enclave and
 //! they are slow (which is why the paper snapshots coarsely instead of
-//! logging per operation). This model offers an in-memory counter and an
-//! optional file-backed one whose persistence survives process restarts.
+//! logging per operation). This model is a file-backed counter whose
+//! persistence survives process restarts.
 
-use crate::storage::{OpenMode, RealFs, StorageFs};
+use crate::storage::{replace_durably, RealFs, StorageFs};
 use crate::SimError;
 use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// An in-memory monotonic counter.
-#[derive(Debug, Default)]
-pub struct MonotonicCounter {
-    value: AtomicU64,
-}
-
-impl MonotonicCounter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Atomically increments and returns the new value.
-    pub fn increment(&self) -> u64 {
-        self.value.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Reads the current value.
-    pub fn read(&self) -> u64 {
-        self.value.load(Ordering::SeqCst)
-    }
-
-    /// Validates that `observed` is not older than the current value.
-    ///
-    /// Returns [`SimError::CounterRollback`] when a stale value is
-    /// presented — the rollback-detection path for snapshot recovery.
-    pub fn check_fresh(&self, observed: u64) -> Result<(), SimError> {
-        if observed < self.read() {
-            Err(SimError::CounterRollback)
-        } else {
-            Ok(())
-        }
-    }
-}
 
 /// A file-backed monotonic counter surviving process restarts.
 ///
-/// The value is stored as decimal text; writes go through a temporary file
-/// and rename so a crash cannot leave a torn value.
+/// The value is stored as decimal text and replaced through
+/// [`replace_durably`], so a crash cannot leave a torn value.
 #[derive(Debug)]
 pub struct PersistentCounter {
     fs: Arc<dyn StorageFs>,
@@ -105,7 +69,6 @@ impl PersistentCounter {
     /// tampered with it), and blindly writing `cached + 1` would roll it
     /// back.
     pub fn increment(&self) -> std::io::Result<u64> {
-        use std::io::Write as _;
         let mut guard = self.cached.lock();
         if Self::persisted(self.fs.as_ref(), &self.path)? != *guard {
             return Err(std::io::Error::other(
@@ -113,18 +76,9 @@ impl PersistentCounter {
             ));
         }
         let next = *guard + 1;
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = self.fs.open(&tmp, OpenMode::Create)?;
-            f.write_all(next.to_string().as_bytes())?;
-            f.sync_all()?;
-        }
-        self.fs.rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
-            let dir =
-                if parent.as_os_str().is_empty() { std::path::Path::new(".") } else { parent };
-            self.fs.sync_dir(dir)?;
-        }
+        replace_durably(self.fs.as_ref(), &self.path, |f| {
+            f.write_all(next.to_string().as_bytes())
+        })?;
         *guard = next;
         Ok(next)
     }
@@ -160,25 +114,6 @@ impl PersistentCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn increments_monotonically() {
-        let c = MonotonicCounter::new();
-        assert_eq!(c.read(), 0);
-        assert_eq!(c.increment(), 1);
-        assert_eq!(c.increment(), 2);
-        assert_eq!(c.read(), 2);
-    }
-
-    #[test]
-    fn rollback_detected() {
-        let c = MonotonicCounter::new();
-        c.increment();
-        c.increment();
-        assert_eq!(c.check_fresh(1), Err(SimError::CounterRollback));
-        assert!(c.check_fresh(2).is_ok());
-        assert!(c.check_fresh(3).is_ok());
-    }
 
     #[test]
     fn persistent_counter_survives_reopen() {
@@ -218,22 +153,5 @@ mod tests {
         assert!(a.increment().is_err(), "a fenced instance must not clobber the counter");
         assert_eq!(PersistentCounter::open(&path).unwrap().read(), 2);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn concurrent_increments_unique() {
-        let c = std::sync::Arc::new(MonotonicCounter::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = std::sync::Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                (0..100).map(|_| c.increment()).collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<u64> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 400, "all increments must be unique");
-        assert_eq!(c.read(), 400);
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! [`StorageFs`] is the seam every durability-critical byte crosses
 //! (the WAL, snapshot persistence, and the monotonic counter files all
-//! route through it). [`RealFs`] is the production passthrough to
+//! route through it), and [`replace_durably`] the one way a file on it
+//! is replaced. [`RealFs`] is the production passthrough to
 //! `std::fs`. [`FaultFs`] is a deterministic, seed-free fault
 //! injector: callers arm explicit per-call-site failpoints
 //! ([`FaultSpec`]) and the injector fires them on the exact matching
@@ -73,6 +74,31 @@ pub trait StorageFs: Send + Sync + std::fmt::Debug {
     fn exists(&self, path: &Path) -> bool;
     /// Lists the entries directly inside `dir`.
     fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
+}
+
+/// Replaces `path` so that a crash at any point leaves the old file or
+/// the new one, never a mixture: `write` fills `<file name>.tmp` beside
+/// `path`, which is then synced, renamed over `path`, and made durable
+/// by a sync of the parent directory (`.` for a bare name). Every
+/// failure is returned; only an `Ok` means the new content is on disk.
+/// This is the one place that renames or syncs a directory, so every
+/// sealed or counted artefact is replaced the same way.
+pub fn replace_durably(
+    fs: &dyn StorageFs,
+    path: &Path,
+    write: impl FnOnce(&mut dyn StorageFile) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut file = fs.open(&tmp, OpenMode::Create)?;
+        write(file.as_mut())?;
+        file.sync_all()?;
+    }
+    fs.rename(&tmp, path)?;
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    fs.sync_dir(dir)
 }
 
 // ---------------------------------------------------------------------------
@@ -623,6 +649,57 @@ mod tests {
         fs.sync_dir(&dir).unwrap(); // ...but the dir sync cannot save it
         fs.power_cut().unwrap();
         assert_eq!(fs.read(&pin).unwrap(), b"old");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Whatever step of a replace fails, the failure is returned, and a
+    /// power cut afterwards leaves the old content; a replace that
+    /// answered `Ok` survives one with the new. Never a mixture.
+    #[test]
+    fn replace_durably_returns_every_failure_and_never_mixes() {
+        let steps = [
+            (FaultOp::Write, FaultKind::ShortWrite),
+            (FaultOp::SyncAll, FaultKind::SyncFail),
+            (FaultOp::Rename, FaultKind::Eio),
+            (FaultOp::SyncDir, FaultKind::Eio),
+        ];
+        for (op, kind) in steps {
+            let dir = tmpdir("replace");
+            let (fs, path) = (FaultFs::new(), dir.join("pin"));
+            replace_durably(&fs, &path, |f| f.write_all(b"old")).unwrap();
+            fs.inject(FaultSpec::first(op, "", kind));
+            let replaced = replace_durably(&fs, &path, |f| f.write_all(b"new content"));
+            assert!(replaced.is_err(), "a failed {op:?} was reported as a replace");
+            assert_eq!(fs.injected(), 1);
+            fs.power_cut().unwrap();
+            assert_eq!(fs.read(&path).unwrap(), b"old", "after a failed {op:?}");
+            replace_durably(&fs, &path, |f| f.write_all(b"new content")).unwrap();
+            fs.power_cut().unwrap();
+            assert_eq!(fs.read(&path).unwrap(), b"new content", "after {op:?} was retried");
+            assert_eq!(fs.list_dir(&dir).unwrap(), vec![path], "no temp file is left");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A counter bumped while a pin in the same directory is being
+    /// written (a fence racing a live primary) stages through a temp
+    /// file of its own: both replaces land whole.
+    #[test]
+    fn a_counter_and_a_pin_stage_through_different_temp_files() {
+        let dir = tmpdir("stage");
+        let (pin, ctr) = (dir.join("wal.pin"), dir.join("wal.pin.ctr"));
+        let counter = crate::counter::PersistentCounter::open_with(RealFs::shared(), &ctr).unwrap();
+        replace_durably(&RealFs, &pin, |f| {
+            f.write_all(b"sealed ")?;
+            counter.increment()?;
+            f.write_all(b"pin")
+        })
+        .unwrap();
+        assert_eq!(RealFs.read(&pin).unwrap(), b"sealed pin");
+        assert_eq!(RealFs.read(&ctr).unwrap(), b"1");
+        let mut left = RealFs.list_dir(&dir).unwrap();
+        left.sort();
+        assert_eq!(left, [pin, ctr]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

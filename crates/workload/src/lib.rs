@@ -10,9 +10,9 @@
 //! * [`zipf::Zipfian`] — the YCSB zipfian generator (incl. scrambling).
 //! * [`Spec`] / [`TABLE2`] — the paper's workload configurations.
 //! * [`DataSize`] / [`TABLE3`] — the paper's data-size configurations.
-//! * [`Generator`] — turns a spec into a deterministic [`Op`] stream.
-//! * [`ycsb`] — the YCSB A–F suite, hot-spot skew, and the
-//!   multi-tenant interference mixes behind the tenant test battery.
+//! * [`Generator`] — turns a spec into a deterministic [`Op`] stream, the
+//!   workspace's one op generator (YCSB-A and YCSB-B are `RD50_Z` and
+//!   `RD95_Z`).
 //!
 //! # Examples
 //!
@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod rng;
-pub mod ycsb;
 pub mod zipf;
 
 use rng::SplitMix64;

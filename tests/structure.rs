@@ -5,7 +5,8 @@
 //! reader of sealed-log bytes, listed handles that only ever reach a
 //! hint, one stat list, one wire codec, one reference model, one
 //! byte cursor for everything that leaves the enclave, one adversary
-//! rig, and one refusal type. The rules walk the source
+//! rig, one refusal type, one durable replace and one op generator. The
+//! rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -355,6 +356,40 @@ fn one_adversary_rig(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// A file is replaced durably one way, `sgx_sim::storage::replace_durably`:
+/// outside it and test code, no source renames a file or syncs a
+/// directory by hand.
+fn one_durable_replace(tree: &Tree) -> Vec<String> {
+    const REPLACE: &str = "crates/sgx-sim/src/storage.rs";
+    let sources = tree.crate_sources().chain(tree.under("src/")).chain(tree.under("examples/"));
+    let mut found = Vec::new();
+    for f in sources.filter(|f| f.path != REPLACE && !f.path.ends_with("tests.rs")) {
+        let calls = |l: &&str| l.contains(".rename(") || l.contains(".sync_dir(");
+        for (i, line) in before_tests(f).filter(|(_, l)| calls(l)) {
+            found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+        }
+    }
+    found
+}
+
+/// Operations are generated one way, Table 2's `shield_workload::Generator`:
+/// no `YcsbGenerator` and no `ycsb` module anywhere in the code.
+fn one_op_generator(tree: &Tree) -> Vec<String> {
+    let code: Vec<&File> = ["crates/", "src/", "examples/", "tests/", "benchmark/"]
+        .into_iter()
+        .flat_map(|dir| tree.under(dir))
+        .filter(|f| f.path.ends_with(".rs") && f.path != "tests/structure.rs")
+        .collect();
+    let mut found: Vec<String> =
+        code.iter().filter(|f| f.path.ends_with("/ycsb.rs")).map(|f| f.path.clone()).collect();
+    found.extend(hits(code.into_iter(), |l| {
+        has_word(l, "YcsbGenerator")
+            || l.contains("ycsb::")
+            || word_starts(l, "mod").any(|end| has_word_at(l[end..].trim_start(), "ycsb"))
+    }));
+    found
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -548,6 +583,39 @@ fn one_adversary_rig_holds() {
                 "let dir = std::env::temp_dir().join(\"ss-crash\");",
             ),
             ("crates/adversary/src/wire.rs", "let config = Config::shield_opt().buckets(64);"),
+        ],
+    );
+}
+
+#[test]
+fn one_durable_replace_holds() {
+    check(
+        one_durable_replace,
+        "a file is renamed or a directory synced by hand; replace it through sgx_sim::storage::replace_durably (see DESIGN.md, Durability)",
+        &[
+            ("crates/core/src/persist.rs", "    fs.rename(&tmp, path)?;"),
+            ("crates/core/src/wal/pin.rs", "    fail_closed(poison, fs.sync_dir(dir))"),
+            ("crates/sgx-sim/src/counter.rs", "        self.fs.rename(&tmp, &self.path)?;"),
+        ],
+    );
+    // Test code stays free to.
+    let allowed = Tree::load().with(
+        "crates/core/src/persist.rs",
+        "#[cfg(test)]\nmod tests { fn f() { RealFs.sync_dir(&dir).unwrap(); } }",
+    );
+    assert!(one_durable_replace(&allowed).is_empty());
+}
+
+#[test]
+fn one_op_generator_holds() {
+    check(
+        one_op_generator,
+        "a second op generator is growing back; drive Table 2's shield_workload::Generator (see DESIGN.md, Multi-tenancy)",
+        &[
+            ("crates/workload/src/ycsb.rs", "//! The six core YCSB workloads."),
+            ("crates/workload/src/lib.rs", "pub mod ycsb;"),
+            ("crates/net/tests/fairness.rs", "use shield_workload::ycsb::MultiTenantMix;"),
+            ("tests/end_to_end.rs", "let mut generator = YcsbGenerator::new(w, 100, 7);"),
         ],
     );
 }
