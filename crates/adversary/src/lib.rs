@@ -22,7 +22,7 @@
 //!   degradation: correct, `Busy`, or `Quarantined` — never wrong.
 //! * [`walphase`] — write-ahead-log attacks (torn tails, bit flips,
 //!   record splices, stale pin+log replays, pre-snapshot logs after
-//!   rotation) plus kill-point crash/recover cycles, each recovery
+//!   rotation) plus crash/recover cycles, each recovery
 //!   checked against the model's acknowledged writes within the policy's
 //!   loss window ([`shieldstore::model::Model::after`]).
 //! * [`tenantphase`] — cross-tenant attacks (cross-namespace reads with
@@ -37,6 +37,11 @@
 //!   preserve exactly the acked prefix, sealed-segment and pin rot that
 //!   the scrubber must detect, and forged repair payloads that the
 //!   chain check must refuse while genuine ones restore service).
+//! * [`crashphase`] — the process dies at a storage call: a `FaultFs`
+//!   crash at each seed's kill point, anywhere in a commit, a snapshot or
+//!   a log rotation, under strict, grouped, snapshot, expiry and
+//!   storage-fault modes; recovery must land in the mode's window of
+//!   acknowledged writes.
 //!
 //! The invariant checked after every step is the *trichotomy*: the
 //! result matches the model, or the operation failed with an integrity
@@ -46,6 +51,7 @@ pub use rig::{run_phase, Rig};
 use shieldstore::model::Model;
 use shieldstore::{Error, Op, Refusal, ShieldStore, TenantId};
 
+pub mod crashphase;
 pub mod engine;
 pub mod replphase;
 pub mod rig;
@@ -115,9 +121,9 @@ pub(crate) fn answered(
 /// Counts a stale-but-valid replay as an attack and `outcome`, what the
 /// store made of it, as its detection: it must be `Err(Rollback)`, and
 /// nothing else.
-pub(crate) fn refused_as_rollback(
+pub(crate) fn refused_as_rollback<T>(
     tally: &mut Tally,
-    outcome: Result<ShieldStore, Error>,
+    outcome: Result<T, Error>,
     context: &str,
     what: &str,
 ) -> Result<(), Violation> {
@@ -214,7 +220,7 @@ type Phase<'a> = &'a dyn Fn(&mut Rig) -> Result<(), Violation>;
 /// the other phases have fixed shapes.
 pub fn run_seed(seed: u64, store_steps: u64, every_phase: bool) -> Result<Tallies, Violation> {
     let store = |rig: &mut Rig| engine::run(rig, store_steps);
-    let phases: [(&'static str, u64, Phase); 7] = [
+    let phases: [(&'static str, u64, Phase); 8] = [
         ("store", engine::SALT, &store),
         ("snap", snapshot::SALT, &snapshot::run),
         ("wal", walphase::SALT, &walphase::run),
@@ -222,6 +228,7 @@ pub fn run_seed(seed: u64, store_steps: u64, every_phase: bool) -> Result<Tallie
         ("tenant", tenantphase::SALT, &tenantphase::run),
         ("repl", replphase::SALT, &replphase::run),
         ("storage", storagephase::SALT, &storagephase::run),
+        ("crash", crashphase::SALT, &crashphase::run),
     ];
     let count = if every_phase { phases.len() } else { 1 };
     phases

@@ -1,13 +1,14 @@
 //! The one rig every phase runs in: a reset virtual clock, a scratch
 //! directory, the phase's randomness and enclave identity, the shared
-//! table shape, and the [`Tally`] the phase counts into.
+//! table shape, the [`Tally`] the phase counts into, and the one way a
+//! phase freezes the TTL clock ([`ThawGuard`]).
 
 use crate::{Tally, Violation};
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_workload::rng::SplitMix64;
-use shieldstore::Config;
+use shieldstore::{ttl, Config};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A builder for a harness enclave: `name`, `seed`, 8 MiB of EPC.
 pub fn enclave(name: &str, seed: u64) -> EnclaveBuilder {
@@ -40,6 +41,30 @@ impl ScratchDir {
 impl Drop for ScratchDir {
     fn drop(&mut self) {
         std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// The TTL clock, frozen by one phase at a time: the clock is
+/// process-wide, and `cargo test` runs phases side by side. Dropping the
+/// guard thaws the clock, even when a check fails early.
+pub struct ThawGuard {
+    _turn: MutexGuard<'static, ()>,
+}
+
+impl ThawGuard {
+    /// Waits for any other phase's guard, then freezes the clock at
+    /// `at_ns`; [`ttl::freeze`] moves it while the guard is held.
+    pub fn freeze(at_ns: u64) -> Self {
+        static CLOCK: Mutex<()> = Mutex::new(());
+        let turn = CLOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        ttl::freeze(at_ns);
+        ThawGuard { _turn: turn }
+    }
+}
+
+impl Drop for ThawGuard {
+    fn drop(&mut self) {
+        ttl::thaw();
     }
 }
 

@@ -27,7 +27,9 @@ use std::sync::Arc;
 /// The storage phase's seed salt.
 pub const SALT: u64 = 0xd15c_fa11_0bad_d15c;
 
-const COMMIT_SITES: &[(FaultOp, &str, FaultKind)] = &[
+/// Commit-path fault sites: the log append and its fsync, failing every
+/// way a disk can.
+pub(crate) const COMMIT_SITES: &[(FaultOp, &str, FaultKind)] = &[
     (FaultOp::Write, "wal-", FaultKind::Eio),
     (FaultOp::Write, "wal-", FaultKind::Enospc),
     (FaultOp::Write, "wal-", FaultKind::ShortWrite),

@@ -19,6 +19,7 @@
 //!
 //! Everything is a pure function of the seed, like the other phases.
 
+use crate::rig::ThawGuard;
 use crate::{answered, checked, Rig, Tally, Violation};
 use shieldstore::model::Model;
 use shieldstore::testing::StaleEntry;
@@ -43,14 +44,6 @@ fn violation(context: &str, detail: String) -> Violation {
     Violation { context: context.into(), detail }
 }
 
-/// Unfreezes the TTL clock even when a check fails early.
-struct ThawGuard;
-impl Drop for ThawGuard {
-    fn drop(&mut self) {
-        ttl::thaw();
-    }
-}
-
 /// Runs the tenant phase. Besides `ops`, `attacks` and `detected`, it
 /// counts each kind: `cross_reads` (API and leaked-key sweeps),
 /// `forgeries` planted, `quota_rejections`, and `ttl_resurrections`.
@@ -63,8 +56,7 @@ pub fn run(rig: &mut Rig) -> Result<(), Violation> {
 
     // Freeze the TTL clock so expiry is deterministic per seed.
     let base_ns = 1_700_000_000_000_000_000u64 + (seed & 0xffff) * 1_000_000;
-    ttl::freeze(base_ns);
-    let _thaw = ThawGuard;
+    let _clock = ThawGuard::freeze(base_ns);
 
     // Populate attacker and victim namespaces over the SAME key names.
     let mut model = Model::default();

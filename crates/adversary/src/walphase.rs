@@ -9,10 +9,12 @@
 
 use crate::{Rig, Violation};
 use sgx_sim::counter::PersistentCounter;
+use sgx_sim::storage::FaultFs;
 use shield_workload::rng::SplitMix64;
 use shieldstore::model::Model;
 use shieldstore::{Config, DurabilityPolicy, Error, Op, ShieldStore};
 use std::path::Path;
+use std::sync::Arc;
 
 /// The WAL phase's seed salt.
 pub const SALT: u64 = 0x0a1c_5ea1_ed10_6f11;
@@ -23,22 +25,34 @@ fn config(policy: DurabilityPolicy) -> Config {
     crate::rig::config().with_durability(policy)
 }
 
-/// A fresh strict store in the phase's enclave, its log in `wal_dir`.
-fn strict_store(rig: &Rig, wal_dir: &Path) -> ShieldStore {
-    let store = ShieldStore::new(rig.enclave(), config(DurabilityPolicy::Strict)).expect("store");
+/// A fresh store in the phase's enclave, its log in `wal_dir`, on a
+/// [`FaultFs`] of its own: the handle that crashes it.
+fn crashable(rig: &Rig, policy: DurabilityPolicy, wal_dir: &Path) -> (ShieldStore, Arc<FaultFs>) {
+    let ffs = Arc::new(FaultFs::new());
+    let store = ShieldStore::new_with_storage(rig.enclave(), config(policy), ffs.clone());
+    let store = store.expect("store");
     store.attach_wal(wal_dir).expect("attach wal");
-    store
+    (store, ffs)
 }
 
-/// Recovers a strict store from `snapshot` (if any) and `wal_dir`.
+/// Recovers a strict store from `snapshot` (if any) and `wal_dir` onto
+/// a [`FaultFs`] of its own, returned to crash it with.
 fn recover(
     rig: &Rig,
     snapshot: Option<&Path>,
     counter: &PersistentCounter,
     wal_dir: &Path,
-) -> Result<ShieldStore, Error> {
-    let config = config(DurabilityPolicy::Strict);
-    ShieldStore::recover(rig.enclave(), config, snapshot, counter, wal_dir)
+) -> Result<(ShieldStore, Arc<FaultFs>), Error> {
+    let (ffs, config) = (Arc::new(FaultFs::new()), config(DurabilityPolicy::Strict));
+    let store = ShieldStore::recover_with_storage(
+        rig.enclave(),
+        ffs.clone(),
+        config,
+        snapshot,
+        counter,
+        wal_dir,
+    )?;
+    Ok((store, ffs))
 }
 
 /// Runs the WAL attack phase. Tampered or stale logs count as `attacks`
@@ -116,14 +130,14 @@ fn crash_cycles_strict(rig: &mut Rig) -> Result<(), Violation> {
     let wal_dir = rig.path("strict-wal");
     let counter = PersistentCounter::open(rig.path("strict-ctr")).expect("counter");
     let mut model = Model::default();
-    let mut store = strict_store(rig, &wal_dir);
+    let (mut store, mut fs) = crashable(rig, DurabilityPolicy::Strict, &wal_dir);
     for cycle in 0..3u64 {
         for step in 0..20 {
             apply_random_op(&store, &mut model, &mut rig.rng, cycle * 100 + step)?;
         }
-        store.wal_handle().expect("wal attached").simulate_crash();
+        fs.crash();
         drop(store);
-        store = recover(rig, None, &counter, &wal_dir).map_err(|e| Violation {
+        (store, fs) = recover(rig, None, &counter, &wal_dir).map_err(|e| Violation {
             context: "strict crash cycle".into(),
             detail: format!("recovery after clean crash failed: {e:?}"),
         })?;
@@ -144,8 +158,7 @@ fn group_commit_loss_window(rig: &mut Rig) -> Result<(), Violation> {
     let wal_dir = rig.path("group-wal");
     let counter = PersistentCounter::open(rig.path("group-ctr")).expect("counter");
     let policy = DurabilityPolicy::EveryN(4);
-    let store = ShieldStore::new(rig.enclave(), config(policy)).expect("store");
-    store.attach_wal(&wal_dir).expect("attach wal");
+    let (store, fs) = crashable(rig, policy, &wal_dir);
 
     let mut model = Model::default();
     let total = 10 + rig.rng.next_below(8) as usize;
@@ -154,7 +167,7 @@ fn group_commit_loss_window(rig: &mut Rig) -> Result<(), Violation> {
         apply_random_op(&store, &mut model, &mut rig.rng, 1000 + step)?;
         step += 1;
     }
-    store.wal_handle().expect("wal attached").simulate_crash();
+    fs.crash();
     drop(store);
 
     // Only whole groups of 4 reached the log; the buffered remainder is
@@ -198,10 +211,10 @@ fn frame_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
 fn log_tamper_attacks(rig: &mut Rig) -> Result<(), Violation> {
     let wal_dir = rig.path("tamper-wal");
     let counter = PersistentCounter::open(rig.path("tamper-ctr")).expect("counter");
-    let store = strict_store(rig, &wal_dir);
+    let (store, fs) = crashable(rig, DurabilityPolicy::Strict, &wal_dir);
     let mut model = Model::default();
     load(&store, &mut model, "c", "tamper-val", 0..8)?;
-    store.wal_handle().expect("wal attached").simulate_crash();
+    fs.crash();
     drop(store);
 
     let pin_path = wal_dir.join("wal.pin");
@@ -221,7 +234,7 @@ fn log_tamper_attacks(rig: &mut Rig) -> Result<(), Violation> {
                 rig.tally.add("detected", 1);
                 Ok(())
             }
-            Ok(store) => Err(Violation {
+            Ok((store, _)) => Err(Violation {
                 context: format!("wal tamper: {what}"),
                 detail: format!(
                     "recovery accepted a tampered log and produced a {}-entry store",
@@ -296,7 +309,7 @@ fn log_tamper_attacks(rig: &mut Rig) -> Result<(), Violation> {
         std::fs::write(&log_path, &m).expect("torn tail");
     }
     match recover(rig, None, &counter, &wal_dir) {
-        Ok(recovered) => {
+        Ok((recovered, _)) => {
             crate::check_state(&recovered, &model, "torn un-pinned tail")?;
             rig.tally.add("benign", 1);
         }
@@ -333,7 +346,7 @@ fn log_tamper_attacks(rig: &mut Rig) -> Result<(), Violation> {
 fn stale_log_after_snapshot(rig: &mut Rig) -> Result<(), Violation> {
     let wal_dir = rig.path("rotate-wal");
     let counter = PersistentCounter::open(rig.path("rotate-ctr")).expect("counter");
-    let store = strict_store(rig, &wal_dir);
+    let (store, fs) = crashable(rig, DurabilityPolicy::Strict, &wal_dir);
     let mut model = Model::default();
     load(&store, &mut model, "r", "rot-val", 0..6)?;
 
@@ -344,16 +357,17 @@ fn stale_log_after_snapshot(rig: &mut Rig) -> Result<(), Violation> {
     let snap = rig.path("rotate.db");
     store.snapshot_blocking(&snap, &counter).expect("snapshot");
     load(&store, &mut model, "t", "tail-val", 0..2)?;
-    store.wal_handle().expect("wal attached").simulate_crash();
+    fs.crash();
     drop(store);
 
     // Honest recovery: snapshot plus the rotated generation-1 tail.
-    let recovered = recover(rig, Some(&snap), &counter, &wal_dir).map_err(|e| Violation {
+    let recovered = recover(rig, Some(&snap), &counter, &wal_dir);
+    let (recovered, fs) = recovered.map_err(|e| Violation {
         context: "post-snapshot recovery".into(),
         detail: format!("recovery from snapshot + rotated tail failed: {e:?}"),
     })?;
     crate::check_state(&recovered, &model, "post-snapshot recovery")?;
-    recovered.wal_handle().expect("wal attached").simulate_crash();
+    fs.crash();
     drop(recovered);
 
     // Replay the pre-snapshot generation against the post-snapshot
@@ -380,7 +394,7 @@ fn stale_log_after_snapshot(rig: &mut Rig) -> Result<(), Violation> {
 fn snapshot_crash_window(rig: &mut Rig) -> Result<(), Violation> {
     let wal_dir = rig.path("window-wal");
     let counter = PersistentCounter::open(rig.path("window-ctr")).expect("counter");
-    let store = strict_store(rig, &wal_dir);
+    let (store, fs) = crashable(rig, DurabilityPolicy::Strict, &wal_dir);
     let mut model = Model::default();
     load(&store, &mut model, "b", "base-val", 0..6)?;
     let snap = rig.path("window.db");
@@ -400,13 +414,13 @@ fn snapshot_crash_window(rig: &mut Rig) -> Result<(), Violation> {
     }
     // The store keeps acknowledging writes into the newest generation.
     load(&store, &mut model, "x", "tail-val", 0..4)?;
-    store.wal_handle().expect("wal attached").simulate_crash();
+    fs.crash();
     drop(store);
 
     // Recovery from the last *successful* snapshot must replay both
     // retained generations: Strict means not one acknowledged write may
     // be missing.
-    let recovered = recover(rig, Some(&snap), &counter, &wal_dir).map_err(|e| Violation {
+    let (recovered, _) = recover(rig, Some(&snap), &counter, &wal_dir).map_err(|e| Violation {
         context: "snapshot crash window".into(),
         detail: format!("recovery after a failed snapshot attempt failed: {e:?}"),
     })?;

@@ -541,7 +541,7 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use sgx_sim::enclave::EnclaveBuilder;
-    use sgx_sim::storage::OpenMode;
+    use sgx_sim::storage::{FaultFs, OpenMode};
     use sgx_sim::vclock;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -646,7 +646,8 @@ mod tests {
         };
 
         let enclave = EnclaveBuilder::new("persist-test").seed(12).epc_bytes(8 << 20).build();
-        let store = ShieldStore::new(enclave, cfg()).unwrap();
+        let ffs = Arc::new(FaultFs::new());
+        let store = ShieldStore::new_with_storage(enclave, cfg(), ffs.clone()).unwrap();
         store.attach_wal(dir.join("wal")).unwrap();
         for i in 0..20u32 {
             store.set(format!("k{i}").as_bytes(), b"base").unwrap();
@@ -665,7 +666,7 @@ mod tests {
         for i in 0..10u32 {
             store.set(format!("t{i}").as_bytes(), b"tail").unwrap();
         }
-        store.wal_handle().unwrap().simulate_crash();
+        ffs.crash();
         drop(store);
 
         // Recovery from the last *successful* snapshot replays both
@@ -939,7 +940,8 @@ mod tests {
                 .with_durability(DurabilityPolicy::Strict)
         };
         let enclave = || EnclaveBuilder::new("persist-test").seed(14).epc_bytes(8 << 20).build();
-        let store = ShieldStore::new(enclave(), cfg()).unwrap();
+        let ffs = Arc::new(FaultFs::new());
+        let store = ShieldStore::new_with_storage(enclave(), cfg(), ffs.clone()).unwrap();
         store.attach_wal(dir.join("wal")).unwrap();
         for i in 0..20u32 {
             store.set(format!("k{i}").as_bytes(), b"base").unwrap();
@@ -948,7 +950,7 @@ mod tests {
         for i in 0..10u32 {
             store.set(format!("t{i}").as_bytes(), b"tail").unwrap();
         }
-        store.wal_handle().unwrap().simulate_crash();
+        ffs.crash();
         drop(store);
 
         let fs: Arc<dyn StorageFs> = Arc::new(Rerooted(dir.clone()));

@@ -208,6 +208,19 @@ impl ReplBatch {
         }
     }
 
+    /// Adds one record frame, unless the batch already holds one and
+    /// `frame` would take it past `max_bytes`; answers whether it did.
+    /// The one size rule for a batch, whoever cuts it: the primary's log
+    /// and a journaling replica answer a segment request alike.
+    pub(crate) fn push_frame(&mut self, frame: &[u8], max_bytes: usize) -> bool {
+        if !self.frames.is_empty() && self.frames.len() + frame.len() > max_bytes {
+            return false;
+        }
+        self.frames.extend_from_slice(frame);
+        self.count += 1;
+        true
+    }
+
     /// Serializes the batch (versioned header + raw frames).
     pub fn encode(&self) -> Vec<u8> {
         let w = &mut Writer::with_capacity(66 + self.frames.len());
@@ -571,12 +584,8 @@ impl Replica {
             // the intact prefix.
             let Ok(frame) = frame else { break };
             seq += 1;
-            if seq > after_seq {
-                batch.frames.extend_from_slice(frame.whole);
-                batch.count += 1;
-                if batch.frames.len() >= max_bytes {
-                    break;
-                }
+            if seq > after_seq && !batch.push_frame(frame.whole, max_bytes) {
+                break;
             }
         }
         Ok(batch)
@@ -665,6 +674,7 @@ mod tests {
     use crate::config::{Config, DurabilityPolicy};
     use sgx_sim::counter::PersistentCounter;
     use sgx_sim::enclave::{Enclave, EnclaveBuilder};
+    use sgx_sim::storage::FaultFs;
     use std::fs;
     use std::path::PathBuf;
 
@@ -743,6 +753,31 @@ mod tests {
         bytes = batch.encode();
         bytes[37] = 2; // invalid flag byte
         assert_eq!(ReplBatch::decode(&bytes), None);
+    }
+
+    /// A primary and a journaling replica of it cut a segment request
+    /// at the same frame, even when `max_bytes` falls inside one.
+    #[test]
+    fn primary_and_journal_cut_batches_alike() {
+        let dir = tmpdir("cut");
+        let store = primary(42, &dir, DurabilityPolicy::Strict);
+        let hello = store.repl_subscribe().unwrap();
+        let journal = dir.join("journal");
+        let mut replica = Replica::with_journal(replica_store(43), &hello, &journal).unwrap();
+        for i in 0..6u32 {
+            store.set(format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        catch_up(&store, &mut replica, hello.subscriber);
+        let frame = store.repl_batch(0, 0, 1).unwrap().frames.len();
+        for max_bytes in [1, frame + frame / 2, 3 * frame - 1, 3 * frame, usize::MAX] {
+            for after_seq in [0, 2] {
+                let shipped = store.repl_batch(0, after_seq, max_bytes).unwrap();
+                let served = replica.serve_frames(0, after_seq, max_bytes).unwrap();
+                assert_eq!(shipped.frames, served.frames, "max_bytes {max_bytes}");
+                assert_eq!(shipped.count, served.count, "max_bytes {max_bytes}");
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -825,7 +860,7 @@ mod tests {
         let mut replica = Replica::new(Arc::clone(&rstore), &hello).unwrap();
 
         store.set(b"before", b"1").unwrap();
-        let wal = store.wal_handle().unwrap();
+        let wal = store.wal_ref().unwrap();
         wal.rotate_begin(5).unwrap();
         store.set(b"mid", b"2").unwrap();
         // rotate_commit with a subscriber still in generation 0: the
@@ -895,7 +930,13 @@ mod tests {
         let hello = store.repl_subscribe().unwrap();
         // Same name + seed: the replica runs the same enclave binary on
         // the same platform, so MRENCLAVE sealing lets it read the pin.
-        let rstore = replica_store(39);
+        let ffs = Arc::new(FaultFs::new());
+        let rstore = ShieldStore::new_with_storage(
+            enclave(39),
+            config(DurabilityPolicy::Strict),
+            ffs.clone(),
+        );
+        let rstore = Arc::new(rstore.unwrap());
         let mut replica = Replica::new(Arc::clone(&rstore), &hello).unwrap();
         // Stream only half the records; the rest must come from
         // promotion catch-up off the shared log directory.
@@ -923,7 +964,8 @@ mod tests {
         // The promoted node's own directory recovers cleanly,
         // including the post-promotion write chained onto the shipped
         // MAC chain.
-        rstore.wal_handle().unwrap().simulate_crash();
+        ffs.crash();
+        drop(rstore);
         let ctr = PersistentCounter::open(rdir.join("snapctr")).unwrap();
         let recovered =
             ShieldStore::recover(enclave(39), config(DurabilityPolicy::Strict), None, &ctr, &rdir)
@@ -956,7 +998,7 @@ mod tests {
         assert_eq!(r2.promote(&pdir, &r2dir), Err(Error::Rollback));
         // The failed promotion must not have produced a usable store:
         // its store keeps serving reads but never got a WAL.
-        assert!(s2.wal_handle().is_none());
+        assert!(s2.wal_ref().is_none());
         for d in [&pdir, &r1dir, &r2dir] {
             let _ = fs::remove_dir_all(d);
         }

@@ -281,12 +281,6 @@ impl ShieldStore {
         self.last_snapshot.lock().clone()
     }
 
-    /// Testing-only access to the attached WAL, for crash injection.
-    #[cfg(any(test, feature = "testing"))]
-    pub fn wal_handle(&self) -> Option<&Wal> {
-        self.wal.get()
-    }
-
     /// The shard index serving `key`: the high hash bits pick the shard,
     /// leaving the low bits for bucket selection inside the shard.
     #[inline]
@@ -764,6 +758,7 @@ mod tests {
     use super::*;
     use crate::error::Error;
     use sgx_sim::enclave::EnclaveBuilder;
+    use sgx_sim::storage::FaultFs;
     use sgx_sim::vclock;
 
     fn store(shards: usize) -> ShieldStore {
@@ -967,7 +962,8 @@ mod tests {
             .mac_hashes(32)
             .with_shards(2)
             .with_durability(crate::DurabilityPolicy::Strict);
-        let s = ShieldStore::new(enclave.clone(), cfg.clone()).unwrap();
+        let ffs = Arc::new(FaultFs::new());
+        let s = ShieldStore::new_with_storage(enclave.clone(), cfg.clone(), ffs.clone()).unwrap();
         s.attach_wal(&dir).unwrap();
         s.set(b"a", b"1").unwrap();
         s.append(b"a", b"2").unwrap();
@@ -976,7 +972,7 @@ mod tests {
         s.set(b"gone", b"x").unwrap();
         s.delete(b"gone").unwrap();
         s.multi_set(&[(b"m1".as_slice(), b"v1".as_slice()), (b"m2", b"v2")]).unwrap();
-        s.wal_handle().unwrap().simulate_crash();
+        ffs.crash();
         drop(s);
 
         let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
@@ -1013,7 +1009,8 @@ mod tests {
             .mac_hashes(32)
             .with_shards(2)
             .with_durability(crate::DurabilityPolicy::Strict);
-        let s = ShieldStore::new(enclave.clone(), cfg.clone()).unwrap();
+        let ffs = Arc::new(FaultFs::new());
+        let s = ShieldStore::new_with_storage(enclave.clone(), cfg.clone(), ffs.clone()).unwrap();
         s.attach_wal(dir.join("wal")).unwrap();
         for i in 0..20u32 {
             s.set(format!("pre-{i}").as_bytes(), b"v").unwrap();
@@ -1021,7 +1018,7 @@ mod tests {
         s.snapshot_blocking(&snap_path, &counter).unwrap();
         s.set(b"tail-1", b"t1").unwrap();
         s.delete(b"pre-0").unwrap();
-        s.wal_handle().unwrap().simulate_crash();
+        ffs.crash();
         drop(s);
 
         let r = ShieldStore::recover(enclave, cfg, Some(&snap_path), &counter, dir.join("wal"))

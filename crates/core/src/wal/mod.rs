@@ -98,9 +98,9 @@ mod writer;
 pub use codec::{WalCodec, MAX_RECORD_LEN};
 pub(crate) use frames::{ChainCursor, Frames};
 pub(crate) use pin::{fence, read_pin, Pin, Segment};
-pub(crate) use reader::{verify_segment, ScrubChunk, ScrubPos};
 #[cfg(any(test, feature = "testing"))]
-pub use {reader::probe, writer::crash};
+pub use reader::probe;
+pub(crate) use reader::{verify_segment, ScrubChunk, ScrubPos};
 
 use pin::{gc_unreferenced_logs, load_pin, PIN_CTR, PIN_FILE};
 use reader::replay_segment;
@@ -287,9 +287,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Fails when the log can take no more writes (poisoned or lost to a
-    /// crash): checked before a write reaches its shard, so a refused
-    /// write changes nothing in memory either.
+    /// Fails when the log can take no more writes (poisoned or fenced):
+    /// checked before a write reaches its shard, so a refused write
+    /// changes nothing in memory either.
     pub(crate) fn writable(&self) -> Result<()> {
         self.inner.lock().writable()
     }
@@ -400,17 +400,6 @@ impl Wal {
     pub(crate) fn segments(&self) -> Vec<Segment> {
         self.inner.lock().pinned()
     }
-
-    /// Drops the buffer and file handle and poisons the WAL, leaving the
-    /// on-disk state exactly as a process kill would. Testing only — the
-    /// adversary harness uses this for in-process crash/recover cycles.
-    #[cfg(any(test, feature = "testing"))]
-    pub fn simulate_crash(&self) {
-        let mut inner = self.inner.lock();
-        inner.buffer.clear();
-        inner.file = None;
-        inner.crashed = true;
-    }
 }
 
 impl Drop for Wal {
@@ -448,6 +437,17 @@ mod testutil {
             value: v.as_bytes().to_vec(),
             expires_at: 0,
         }
+    }
+
+    /// A fresh WAL in `dir` on a [`FaultFs`], and that filesystem, to
+    /// fault or crash it with.
+    pub(super) fn faulty_wal(
+        enclave: &Arc<Enclave>,
+        dir: &Path,
+        policy: DurabilityPolicy,
+    ) -> (Wal, Arc<FaultFs>) {
+        let ffs = Arc::new(FaultFs::new());
+        (Wal::create(enclave.clone(), ffs.clone(), dir, policy, 0).unwrap(), ffs)
     }
 
     pub(super) fn replay_all(enclave: &Arc<Enclave>, dir: &Path, snap: u64) -> Result<Vec<WalOp>> {

@@ -182,14 +182,13 @@ mod tests {
     fn stale_log_and_pin_rejected() {
         let dir = tmpdir("stale");
         let enc = enclave(12);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         // Capture a stale pin+log pair...
         let old_pin = fs::read(dir.join(PIN_FILE)).unwrap();
         let old_log = fs::read(log_path(&dir, 0)).unwrap();
         wal.log([set("b", "2")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         // ...and replay them after the counter moved on.
         fs::write(dir.join(PIN_FILE), &old_pin).unwrap();
@@ -202,10 +201,9 @@ mod tests {
     fn hidden_pin_rejected_once_counter_moved() {
         let dir = tmpdir("hidden");
         let enc = enclave(14);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         fs::remove_file(dir.join(PIN_FILE)).unwrap();
         fs::remove_file(log_path(&dir, 0)).unwrap();

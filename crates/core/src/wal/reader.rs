@@ -186,12 +186,8 @@ impl Wal {
             }
             let frame = frame.map_err(|_| Error::Rollback)?; // durable frame torn on disk
             seq += 1;
-            if seq > after_seq {
-                if !batch.frames.is_empty() && batch.frames.len() + frame.whole.len() > max_bytes {
-                    break;
-                }
-                batch.frames.extend_from_slice(frame.whole);
-                batch.count += 1;
+            if seq > after_seq && !batch.push_frame(frame.whole, max_bytes) {
+                break;
             }
         }
         if batch.count == 0 {
@@ -339,11 +335,10 @@ mod tests {
     fn torn_tail_truncated_cleanly() {
         let dir = tmpdir("torn");
         let enc = enclave(10);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         wal.log([set("b", "2")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         // Tear the last record mid-frame, then write a stale pin? No —
         // tear only: the pin still claims seq 2, so losing record 2 must
@@ -374,10 +369,9 @@ mod tests {
     fn bitflip_fails_closed() {
         let dir = tmpdir("bitflip");
         let enc = enclave(11);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "payload-payload")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         let path = log_path(&dir, 0);
         let clean = fs::read(&path).unwrap();

@@ -26,51 +26,10 @@ use crate::hist::LatencyHist;
 /// enclave memory spent on the buffer.
 const BUFFER_CAP: usize = 4096;
 
-// ---------------------------------------------------------------------------
-// Crash fuse (testing only): counts down at each durability-critical I/O
-// boundary and aborts the process when it reaches zero, so the crash-matrix
-// harness can kill a real writing process at every interesting point.
-// ---------------------------------------------------------------------------
-
-/// Test-only crash injection for the WAL commit path.
-#[cfg(any(test, feature = "testing"))]
-pub mod crash {
-    use std::sync::atomic::{AtomicI64, Ordering};
-
-    pub(super) static FUSE: AtomicI64 = AtomicI64::new(i64::MIN);
-
-    /// Arms the crash fuse: the `n`-th crash point reached after this call
-    /// aborts the process (`n >= 1`). The commit path passes five points
-    /// per group commit: torn frame write, after full frame write, after
-    /// fsync, after pin write, after counter increment.
-    pub fn arm(n: i64) {
-        FUSE.store(n, Ordering::SeqCst);
-    }
-
-    /// Disarms the fuse.
-    pub fn disarm() {
-        FUSE.store(i64::MIN, Ordering::SeqCst);
-    }
-}
-
-#[cfg(any(test, feature = "testing"))]
-fn fuse_fires() -> bool {
-    use std::sync::atomic::Ordering;
-    if crash::FUSE.load(Ordering::SeqCst) == i64::MIN {
-        return false;
-    }
-    crash::FUSE.fetch_sub(1, Ordering::SeqCst) == 1
-}
-
-#[cfg(not(any(test, feature = "testing")))]
-fn fuse_fires() -> bool {
-    false
-}
-
-/// Why a WAL writer stopped accepting commits. Distinct from `crashed`
-/// (a fencing signal or simulated kill, which also stops *reads* of the
-/// log): a poisoned writer keeps serving its durable prefix to readers
-/// and replicas — only the durable watermark is frozen.
+/// Why a WAL writer stopped accepting commits. Distinct from `fenced`
+/// (another instance claimed the log, which also stops *reads* of it):
+/// a poisoned writer keeps serving its durable prefix to readers and
+/// replicas — only the durable watermark is frozen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Poison {
     /// Healthy.
@@ -129,10 +88,10 @@ pub(super) struct WalInner {
     pub(super) records: u64,
     pub(super) fsyncs: u64,
     pub(super) group_hist: LatencyHist,
-    /// Set by `simulate_crash`: all further WAL traffic errors out, and
-    /// `Drop` skips its best-effort flush, so the on-disk state is exactly
-    /// what a process kill would leave.
-    pub(super) crashed: bool,
+    /// Set when a fencing check finds another instance moved the pin
+    /// counter: all further WAL traffic errors out, and `Drop` skips its
+    /// best-effort flush.
+    pub(super) fenced: bool,
     /// Fail-closed writer state — see [`Poison`].
     pub(super) poison: Poison,
 }
@@ -179,17 +138,17 @@ impl WalInner {
             records: 0,
             fsyncs: 0,
             group_hist: LatencyHist::default(),
-            crashed: false,
+            fenced: false,
             poison: Poison::None,
         };
         inner.write_pin()?;
         Ok(inner)
     }
 
-    /// Fails once the writer was fenced or killed (`simulate_crash`):
-    /// from then on the log serves nothing, reads included.
+    /// Fails once the writer was fenced: from then on the log serves
+    /// nothing, reads included.
     pub(super) fn alive(&self) -> Result<()> {
-        if self.crashed {
+        if self.fenced {
             return Err(Error::Persistence("write-ahead log lost to a crash".into()));
         }
         Ok(())
@@ -238,7 +197,7 @@ impl WalInner {
         // fenced stale primary: poison the WAL so every later commit
         // fails closed too, and surface the canonical rollback error.
         if self.pin_counter.verify_persisted().is_err() {
-            self.crashed = true;
+            self.fenced = true;
             return Err(Error::Rollback);
         }
         let pin = Pin {
@@ -251,23 +210,17 @@ impl WalInner {
         let path = self.dir.join(PIN_FILE);
         let replaced = replace_durably(self.fs.as_ref(), &path, |f| f.write_all(&sealed));
         fail_closed(&mut self.poison, replaced)?;
-        if fuse_fires() {
-            std::process::abort(); // after pin write, before counter bump
-        }
         if self.pin_counter.increment().is_err() {
             // A failed bump is ambiguous: it may be the fencing signal
             // (another instance moved the shared counter between the
             // check above and now) or a storage fault on the counter
             // file itself. Re-read to tell them apart.
             if self.pin_counter.verify_persisted().is_err() {
-                self.crashed = true;
+                self.fenced = true;
                 return Err(Error::Rollback);
             }
             self.poison = Poison::Storage;
             return Err(Error::StorageFailed);
-        }
-        if fuse_fires() {
-            std::process::abort(); // after the full commit sequence
         }
         Ok(())
     }
@@ -286,27 +239,9 @@ impl WalInner {
             .file
             .as_mut()
             .ok_or_else(|| Error::Persistence("write-ahead log file not open".into()))?;
-        if fuse_fires() {
-            // Torn-write crash: half the frame reaches disk, modeling the
-            // kernel tearing an append across a power cut. The half write
-            // and its fsync pass through the same fail-closed rule as a
-            // real commit — a storage fault here poisons the writer
-            // before the simulated power cut lands, so the crash matrix
-            // can compose torn writes with injected faults.
-            if file.write_all(&frame[..frame.len() / 2]).and_then(|()| file.sync_data()).is_err() {
-                self.poison = Poison::Storage;
-            }
-            std::process::abort();
-        }
         fail_closed(&mut self.poison, file.write_all(&frame))?;
-        if fuse_fires() {
-            std::process::abort(); // written, not yet fsynced
-        }
         fail_closed(&mut self.poison, file.sync_data())?;
         self.fsyncs += 1;
-        if fuse_fires() {
-            std::process::abort(); // durable, pin not yet advanced
-        }
         self.seq = seq;
         self.last_mac = mac;
         self.bytes += frame.len() as u64;
@@ -390,8 +325,7 @@ mod tests {
     fn strict_policy_commits_each_op() {
         let dir = tmpdir("strict");
         let enc = enclave(8);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         wal.log([set("b", "2")]).unwrap();
         let (bytes, records, fsyncs, hist) = wal.gauges();
@@ -399,8 +333,8 @@ mod tests {
         assert_eq!(records, 2);
         assert_eq!(fsyncs, 2);
         assert_eq!(hist.count(), 2);
-        // A simulated crash loses nothing under Strict.
-        wal.simulate_crash();
+        // A crash loses nothing under Strict.
+        ffs.crash();
         drop(wal);
         assert_eq!(replay_all(&enc, &dir, 0).unwrap().len(), 2);
         fs::remove_dir_all(&dir).unwrap();
@@ -410,8 +344,7 @@ mod tests {
     fn every_n_groups_commits() {
         let dir = tmpdir("everyn");
         let enc = enclave(9);
-        let wal = Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::EveryN(3), 0)
-            .unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::EveryN(3));
         for i in 0..7 {
             wal.log([set(&format!("k{i}"), "v")]).unwrap();
         }
@@ -419,7 +352,7 @@ mod tests {
         assert_eq!(records, 2); // two full groups of 3; one op buffered
         assert_eq!(fsyncs, 2);
         assert_eq!(hist.count(), 2);
-        wal.simulate_crash(); // the 7th op was never fsynced
+        ffs.crash(); // the 7th op was never fsynced
         drop(wal);
         assert_eq!(replay_all(&enc, &dir, 0).unwrap().len(), 6);
         fs::remove_dir_all(&dir).unwrap();
@@ -452,13 +385,12 @@ mod tests {
     fn crash_between_rotate_begin_and_commit_loses_nothing() {
         let dir = tmpdir("rotate-window");
         let enc = enclave(16);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         wal.rotate_begin(5).unwrap();
         // Ops after rotate_begin land in the new generation's log.
         wal.log([set("b", "2")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         // The snapshot never materialized: recovery from the *old*
         // generation must replay both segments, in order.
@@ -471,12 +403,11 @@ mod tests {
     fn crash_after_snapshot_durable_before_rotate_commit() {
         let dir = tmpdir("rotate-commit-window");
         let enc = enclave(17);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         wal.rotate_begin(5).unwrap();
         wal.log([set("b", "2")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         // The snapshot (generation 5) made it to disk but rotate_commit
         // never ran: recovery against generation 5 replays only the new
@@ -493,14 +424,13 @@ mod tests {
     fn repeated_failed_snapshots_stack_segments() {
         let dir = tmpdir("rotate-stack");
         let enc = enclave(18);
-        let wal =
-            Wal::create(enc.clone(), RealFs::shared(), &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         wal.rotate_begin(3).unwrap(); // snapshot 3 fails
         wal.log([set("b", "2")]).unwrap();
         wal.rotate_begin(4).unwrap(); // snapshot 4 fails too
         wal.log([set("c", "3")]).unwrap();
-        wal.simulate_crash();
+        ffs.crash();
         drop(wal);
         // All three generations chain into one recovery from the root.
         let ops = replay_all(&enc, &dir, 0).unwrap();
@@ -516,9 +446,7 @@ mod tests {
     fn failed_fsync_poisons_writer_permanently() {
         let dir = tmpdir("fsync-poison");
         let enc = enclave(20);
-        let ffs = std::sync::Arc::new(FaultFs::new());
-        let fs: Arc<dyn StorageFs> = ffs.clone();
-        let wal = Wal::create(enc.clone(), fs, &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         assert_eq!(wal.durable_watermark(), (0, 1));
 
@@ -555,9 +483,7 @@ mod tests {
     fn enospc_mid_commit_leaves_verified_prefix() {
         let dir = tmpdir("enospc");
         let enc = enclave(21);
-        let ffs = std::sync::Arc::new(FaultFs::new());
-        let fs: Arc<dyn StorageFs> = ffs.clone();
-        let wal = Wal::create(enc.clone(), fs, &dir, DurabilityPolicy::EveryN(2), 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::EveryN(2));
         wal.log([set("a", "1"), set("b", "2")]).unwrap(); // group 1 commits
         ffs.inject(FaultSpec::first(FaultOp::Write, "wal-0.log", FaultKind::Enospc));
         // Group 2 hits a full disk mid-append: a half-written frame is
@@ -576,9 +502,7 @@ mod tests {
     fn failed_pin_rename_poisons_writer() {
         let dir = tmpdir("pin-rename");
         let enc = enclave(22);
-        let ffs = std::sync::Arc::new(FaultFs::new());
-        let fs: Arc<dyn StorageFs> = ffs.clone();
-        let wal = Wal::create(enc.clone(), fs, &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         ffs.inject(FaultSpec::first(FaultOp::Rename, "wal.pin", FaultKind::Eio));
         assert_eq!(wal.log([set("b", "2")]), Err(Error::StorageFailed));
@@ -595,9 +519,7 @@ mod tests {
     fn power_cut_after_lost_sync_recovers_acked_prefix() {
         let dir = tmpdir("power-cut");
         let enc = enclave(25);
-        let ffs = std::sync::Arc::new(FaultFs::new());
-        let fs: Arc<dyn StorageFs> = ffs.clone();
-        let wal = Wal::create(enc.clone(), fs, &dir, DurabilityPolicy::Strict, 0).unwrap();
+        let (wal, ffs) = faulty_wal(&enc, &dir, DurabilityPolicy::Strict);
         wal.log([set("a", "1")]).unwrap();
         // The second commit's log fsync silently lies, poisoning the
         // writer; then the machine loses power, dropping every page the

@@ -351,7 +351,8 @@ fn refused_write_changes_nothing() {
 fn failed_recovery_deletes_no_log_the_durable_pin_still_names() {
     let dir = scratch("recover-gc");
     let wal_dir = dir.join("wal");
-    let store = ShieldStore::new(enclave(51), config()).unwrap();
+    let crashing = Arc::new(FaultFs::new());
+    let store = ShieldStore::new_with_storage(enclave(51), config(), crashing.clone()).unwrap();
     store.attach_wal(&wal_dir).unwrap();
     let mut acked: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for i in 0..6u32 {
@@ -372,7 +373,7 @@ fn failed_recovery_deletes_no_log_the_durable_pin_still_names() {
         store.set(&k, &v).unwrap();
         acked.insert(k, v);
     }
-    store.wal_handle().unwrap().simulate_crash();
+    crashing.crash();
     assert!(job.finish().is_err(), "rotate_commit must not be reached");
     drop(store);
     assert!(snap.exists() && wal_dir.join("wal-0.log").exists());

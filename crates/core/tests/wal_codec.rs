@@ -268,7 +268,9 @@ fn a_chain_cut_at_every_byte_walks_to_the_recorded_positions() {
 fn log_and_pin_bytes_are_the_recorded_ones() {
     use sgx_sim::counter::PersistentCounter;
     use sgx_sim::enclave::EnclaveBuilder;
+    use sgx_sim::storage::FaultFs;
     use shieldstore::{Config, DurabilityPolicy, ShieldStore};
+    use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!("ss-wal-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -281,7 +283,8 @@ fn log_and_pin_bytes_are_the_recorded_ones() {
             .with_shards(2)
             .with_durability(DurabilityPolicy::Strict)
     };
-    let store = ShieldStore::new(enclave(), config()).unwrap();
+    let ffs = Arc::new(FaultFs::new());
+    let store = ShieldStore::new_with_storage(enclave(), config(), ffs.clone()).unwrap();
     store.attach_wal(dir.join("wal")).unwrap();
     store.set(b"alpha", b"first value").unwrap();
     store.set(b"beta", &[0xb7; 200]).unwrap();
@@ -295,7 +298,7 @@ fn log_and_pin_bytes_are_the_recorded_ones() {
     assert!(job.finish().is_err());
     store.set(b"gamma", b"after the rotation").unwrap();
     store.increment(b"counter", 1).unwrap();
-    store.wal_handle().unwrap().simulate_crash();
+    ffs.crash();
     drop(store);
 
     let digest = |bytes: &[u8]| hex(&shield_crypto::sha256::Sha256::digest(bytes));

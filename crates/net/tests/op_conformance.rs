@@ -29,6 +29,7 @@
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
+use sgx_sim::storage::FaultFs;
 use shield_baseline::{KvBackend, NaiveEnclaveStore, Op, Refusal, Reply};
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{Request, Response, Status};
@@ -176,6 +177,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// A store with a WAL in a fresh directory, plus what recovery needs.
 struct Durable {
     store: Arc<ShieldStore>,
+    fs: Arc<FaultFs>,
     enclave: Arc<Enclave>,
     config: Config,
     dir: PathBuf,
@@ -187,16 +189,18 @@ impl Durable {
         // recovery and replica promotion both need.
         let enclave = EnclaveBuilder::new("op-conformance").seed(11).epc_bytes(16 << 20).build();
         let (config, dir) = (store_config(shards), scratch(tag));
-        let store = Arc::new(ShieldStore::new(Arc::clone(&enclave), config.clone()).unwrap());
+        let fs = Arc::new(FaultFs::new());
+        let store = ShieldStore::new_with_storage(Arc::clone(&enclave), config.clone(), fs.clone());
+        let store = Arc::new(store.unwrap());
         store.attach_wal(dir.join("wal")).unwrap();
-        Durable { store, enclave, config, dir }
+        Durable { store, fs, enclave, config, dir }
     }
 
     /// Crashes the store, recovers it from its log alone, and checks the
     /// recovered state against the model.
     fn assert_replay(self, layer: &str, model: &Model) {
-        let Durable { store, enclave, config, dir } = self;
-        store.wal_handle().unwrap().simulate_crash();
+        let Durable { store, fs, enclave, config, dir } = self;
+        fs.crash();
         drop(store);
         let counter = PersistentCounter::open(dir.join("snapctr")).unwrap();
         let recovered =

@@ -17,6 +17,11 @@
 //! operation, while independently tracking which bytes a real disk
 //! would have retained across a power cut ([`FaultFs::power_cut`]).
 //!
+//! A crash is a `FaultFs` event too, and nothing else in the tree
+//! crashes anything: the process dies at a chosen mutating call
+//! ([`FaultFs::crash_at`]) or right now ([`FaultFs::crash`]), and
+//! nothing after that call reaches the disk.
+//!
 //! Determinism: `FaultFs` draws no randomness and keeps no clocks —
 //! the same operation sequence with the same armed specs produces the
 //! same faults, so property tests and the adversary harness replay
@@ -204,6 +209,8 @@ pub enum FaultOp {
     RemoveFile,
     /// [`StorageFs::sync_dir`].
     SyncDir,
+    /// [`StorageFs::create_dir_all`].
+    CreateDir,
 }
 
 /// How the targeted operation fails. Kinds are interpreted per
@@ -268,10 +275,26 @@ struct FaultState {
     /// do not advance their durable image.
     torn: HashSet<PathBuf>,
     injected: u64,
+    /// Mutating calls left until the process dies; `Some(0)` once it
+    /// has ([`FaultFs::crash_at`]).
+    crash_in: Option<u64>,
 }
 
 impl FaultState {
     fn check(&mut self, op: FaultOp, paths: &[&Path]) -> Option<FaultKind> {
+        // The dying mutating call tears like a short write (a write lands
+        // half its buffer, any other call nothing); every call after it
+        // fails.
+        match self.crash_in.as_mut() {
+            Some(0) => return Some(FaultKind::Eio),
+            Some(left) if op != FaultOp::Read => {
+                *left -= 1;
+                if *left == 0 {
+                    return Some(FaultKind::ShortWrite);
+                }
+            }
+            _ => {}
+        }
         for armed in &mut self.specs {
             if armed.fired || armed.spec.op != op {
                 continue;
@@ -361,11 +384,35 @@ impl FaultFs {
         self.state.lock().specs.clear();
     }
 
+    /// Kills the process now: every later call through this handle, and
+    /// through files opened from it, fails and lands nothing. That is
+    /// what a killed process leaves — every byte it already wrote stays
+    /// in the page cache; [`FaultFs::power_cut`] is what drops the
+    /// unsynced ones.
+    pub fn crash(&self) {
+        self.crash_at(0);
+    }
+
+    /// The process dies at the `n`-th *mutating* call from now: `open`,
+    /// `write`, `sync_data`, `sync_all`, `set_len`, `rename`,
+    /// `remove_file`, `sync_dir` or `create_dir_all`. A dying write
+    /// lands the first half of its buffer, any other dying call nothing,
+    /// and from then on the handle behaves as after [`FaultFs::crash`]
+    /// (`crash_at(0)`).
+    pub fn crash_at(&self, n: u64) {
+        self.state.lock().crash_in = Some(n);
+    }
+
+    fn dead(&self) -> bool {
+        self.state.lock().crash_in == Some(0)
+    }
+
     /// Simulates a power cut: every tracked path is reset to its last
     /// durable image — unsynced writes vanish, un-dir-synced renames
     /// and removals roll back, torn renames revert. Untracked paths
     /// (never written through this handle) are untouched; they were
-    /// durable before the injector existed.
+    /// durable before the injector existed. A crash ends with it: the
+    /// next life runs on what the disk kept.
     pub fn power_cut(&self) -> io::Result<()> {
         let mut state = self.state.lock();
         for (path, image) in &state.durable {
@@ -380,6 +427,7 @@ impl FaultFs {
         }
         state.torn.clear();
         state.specs.clear();
+        state.crash_in = None;
         Ok(())
     }
 }
@@ -507,14 +555,20 @@ impl StorageFs for FaultFs {
     }
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        if let Some(kind) = self.state.lock().check(FaultOp::CreateDir, &[dir]) {
+            return Err(injected_err(kind));
+        }
         std::fs::create_dir_all(dir)
     }
 
     fn exists(&self, path: &Path) -> bool {
-        path.exists()
+        !self.dead() && path.exists()
     }
 
     fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        if self.dead() {
+            return Err(injected_err(FaultKind::Eio));
+        }
         RealFs.list_dir(dir)
     }
 }
@@ -700,6 +754,105 @@ mod tests {
         let mut left = RealFs.list_dir(&dir).unwrap();
         left.sort();
         assert_eq!(left, [pin, ctr]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file under `dir`, with its bytes, as the kernel holds them.
+    fn image(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn crash_lands_nothing_and_every_later_call_fails() {
+        let dir = tmpdir("crash");
+        let fs = FaultFs::new();
+        let (path, other) = (dir.join("f"), dir.join("g"));
+        write_file(&fs, &path, b"synced", true).unwrap();
+        let mut open = fs.open(&other, OpenMode::Append).unwrap();
+        open.write_all(b"in the page cache").unwrap();
+        let before = image(&dir);
+        fs.crash();
+        assert!(fs.open(&path, OpenMode::Create).is_err());
+        assert!(fs.read(&path).is_err());
+        assert!(open.write_all(b"lost").is_err());
+        assert!(open.sync_data().is_err() && open.sync_all().is_err() && open.set_len(0).is_err());
+        assert!(fs.rename(&path, &dir.join("h")).is_err());
+        assert!(fs.remove_file(&path).is_err());
+        assert!(fs.sync_dir(&dir).is_err());
+        assert!(fs.create_dir_all(&dir.join("sub")).is_err());
+        assert!(fs.list_dir(&dir).is_err());
+        assert!(!fs.exists(&path));
+        assert_eq!(image(&dir), before, "a killed process lands nothing, and loses nothing");
+        assert_eq!(fs.injected(), 0, "a crash is not an armed fault");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The nine mutating calls, in an order each can run in, each
+    /// answering whether it ran; `read`s in between count for nothing.
+    fn mutating_calls(fs: &FaultFs, dir: &Path) -> Vec<bool> {
+        let (path, moved) = (dir.join("f"), dir.join("g"));
+        let Ok(mut f) = fs.open(&path, OpenMode::Create) else { return vec![false; 9] };
+        let mut ran = vec![true, f.write_all(b"abcd").is_ok()];
+        let _ = fs.read(&path);
+        ran.extend([f.sync_data().is_ok(), f.sync_all().is_ok(), f.set_len(2).is_ok()]);
+        let _ = fs.read(&path);
+        ran.push(fs.rename(&path, &moved).is_ok());
+        ran.push(fs.remove_file(&moved).is_ok());
+        ran.push(fs.sync_dir(dir).is_ok());
+        ran.push(fs.create_dir_all(&dir.join("sub")).is_ok());
+        ran
+    }
+
+    #[test]
+    fn crash_at_dies_on_exactly_the_nth_mutating_call() {
+        for n in 1..=10 {
+            let dir = tmpdir("crash-at");
+            let fs = FaultFs::new();
+            fs.crash_at(n);
+            let ran = mutating_calls(&fs, &dir);
+            let expected: Vec<bool> = (1..=9).map(|call| call < n).collect();
+            assert_eq!(ran, expected, "crash_at({n})");
+            std::fs::write(dir.join("probe"), b"p").unwrap();
+            assert_eq!(fs.read(&dir.join("probe")).is_ok(), n > 9, "crash_at({n}): a read after");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_dying_write_lands_exactly_half_its_buffer() {
+        let dir = tmpdir("crash-write");
+        let fs = FaultFs::new();
+        let path = dir.join("f");
+        fs.crash_at(2); // the open lives, the write dies
+        let mut f = fs.open(&path, OpenMode::Create).unwrap();
+        assert!(f.write_all(b"12345678").is_err());
+        assert!(f.write_all(b"more").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"1234");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn power_cut_after_a_crash_restores_the_last_synced_images() {
+        let dir = tmpdir("crash-cut");
+        let fs = FaultFs::new();
+        let (path, ghost) = (dir.join("f"), dir.join("ghost"));
+        write_file(&fs, &path, b"synced", true).unwrap();
+        fs.sync_dir(&dir).unwrap();
+        write_file(&fs, &ghost, b"never synced", false).unwrap();
+        let mut f = fs.open(&path, OpenMode::Append).unwrap();
+        fs.crash_at(1); // the append dies torn; its sync never runs
+        assert!(f.write_all(b"-torn").is_err());
+        assert!(f.sync_data().is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"synced-t");
+        fs.power_cut().unwrap();
+        assert_eq!(fs.list_dir(&dir).unwrap(), vec![path.clone()], "the cut ends the crash");
+        assert_eq!(fs.read(&path).unwrap(), b"synced");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,8 +5,8 @@
 //! reader of sealed-log bytes, listed handles that only ever reach a
 //! hint, one stat list, one wire codec, one reference model, one
 //! byte cursor for everything that leaves the enclave, one adversary
-//! rig, one refusal type, one durable replace and one op generator. The
-//! rules walk the source
+//! rig, one refusal type, one durable replace, one op generator and one
+//! crash model. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -390,6 +390,17 @@ fn one_op_generator(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// A crash is one thing, a `FaultFs` event (`crash`, `crash_at`): no
+/// source under `crates/` or `tests/` aborts the process, simulates a
+/// crash on the log, or reads a crash harness's environment variable.
+fn one_crash_model(tree: &Tree) -> Vec<String> {
+    let code = tree.under("crates/").chain(tree.under("tests/"));
+    let code = code.filter(|f| f.path.ends_with(".rs") && f.path != "tests/structure.rs");
+    hits(code, |l| {
+        ["process::abort", "simulate_crash", "SHIELDSTORE_CRASH_"].iter().any(|n| l.contains(n))
+    })
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -579,7 +590,7 @@ fn one_adversary_rig_holds() {
                 "let enclave = EnclaveBuilder::new(\"adversary-wal\").seed(seed).build();",
             ),
             (
-                "crates/adversary/src/bin/shieldstore_crash.rs",
+                "crates/adversary/src/crashphase.rs",
                 "let dir = std::env::temp_dir().join(\"ss-crash\");",
             ),
             ("crates/adversary/src/wire.rs", "let config = Config::shield_opt().buckets(64);"),
@@ -616,6 +627,19 @@ fn one_op_generator_holds() {
             ("crates/workload/src/lib.rs", "pub mod ycsb;"),
             ("crates/net/tests/fairness.rs", "use shield_workload::ycsb::MultiTenantMix;"),
             ("tests/end_to_end.rs", "let mut generator = YcsbGenerator::new(w, 100, 7);"),
+        ],
+    );
+}
+
+#[test]
+fn one_crash_model_holds() {
+    check(
+        one_crash_model,
+        "a second crash model is growing back; crash through FaultFs::crash or FaultFs::crash_at (see DESIGN.md, Durability)",
+        &[
+            ("crates/core/src/wal/writer.rs", "            std::process::abort(); // after the pin"),
+            ("crates/net/tests/op_conformance.rs", "store.wal_handle().unwrap().simulate_crash();"),
+            ("crates/adversary/src/crashphase.rs", "const FUSE_ENV: &str = \"SHIELDSTORE_CRASH_FUSE\";"),
         ],
     );
 }
