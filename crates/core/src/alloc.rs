@@ -15,11 +15,21 @@
 //! exclusively (`&mut self` for writes), matching the paper's
 //! synchronization-free partitioning.
 //!
+//! Size classes are powers of two up to one cache line, then four per
+//! doubling, a quarter of the lower power of two apart but never less
+//! than half a line: 96, 128 | 160, 192, 224, 256 | 320, 384, 448, 512 |
+//! 640, … So a block pads its length by less than a quarter of it (or
+//! less than 32 B): the paper's 512 B value, with its key and header a
+//! 589 B entry, takes 640 B rather than a KiB.
+//!
 //! Every chunk's usable bytes start on a cache-line boundary, and the
-//! bump pointer keeps each allocation aligned to its size class (up to
-//! one line), so a 61-byte entry header never straddles two lines and
-//! [`UntrustedHeap::prefetch`] can name the lines a lookup is about to
-//! miss on.
+//! bump pointer starts each block at a multiple of the largest power of
+//! two that divides its class, one line at most. A block of a
+//! line-multiple class (128, 192, 256, 320, …) therefore starts on a line
+//! and its 61-byte entry header never straddles two lines; a 96, 160 or
+//! 224 B block starts on a half line, and its header may cross into the
+//! next one. [`UntrustedHeap::prefetch`] counts its window from the handle,
+//! not from a line boundary, so a one-line hint at a header names both.
 
 use crate::config::AllocMode;
 use sgx_sim::enclave::Enclave;
@@ -47,9 +57,40 @@ fn unpack(h: Handle) -> (usize, usize) {
     (((h >> 32) as usize) - 1, (h & 0xffff_ffff) as usize)
 }
 
+/// The bytes a block of `len` occupies: the one class rule, which
+/// [`UntrustedHeap::class_len`], the in-place rule and every other class
+/// computation here derive from.
 #[inline]
 fn size_class(len: usize) -> usize {
-    len.max(MIN_CLASS).next_power_of_two()
+    if len <= LINE {
+        return len.max(MIN_CLASS).next_power_of_two();
+    }
+    len.next_multiple_of(class_step(len))
+}
+
+/// What the classes holding `len` (above a line) are multiples of: a
+/// quarter of the power of two below it, half a line at least.
+#[inline]
+fn class_step(len: usize) -> usize {
+    (len.next_power_of_two() / 8).max(LINE / 2)
+}
+
+/// Where a block of `class` may start: the largest power of two that
+/// divides it, one line at most.
+#[inline]
+fn class_align(class: usize) -> usize {
+    (1 << class.trailing_zeros()).min(LINE)
+}
+
+/// The class's number, counting from 0 for 16 B: its free list.
+#[inline]
+fn class_index(class: usize) -> usize {
+    if class <= LINE {
+        return (class / MIN_CLASS).trailing_zeros() as usize;
+    }
+    // 96 and 128 are 3 and 4, then four per doubling: 160 is 5.
+    let step = class_step(class);
+    class / step + 4 * (step / (LINE / 2)).trailing_zeros() as usize
 }
 
 /// One backing chunk. The host's allocator hands out memory at whatever
@@ -95,7 +136,7 @@ pub struct UntrustedHeap {
     enclave: Arc<Enclave>,
     mode: AllocMode,
     chunks: Vec<Chunk>,
-    /// Free lists indexed by size-class log2.
+    /// Free lists indexed by [`class_index`].
     free_lists: Vec<Vec<Handle>>,
     bump_chunk: Option<usize>,
     bump_offset: usize,
@@ -154,22 +195,14 @@ impl UntrustedHeap {
             return pack(self.chunks.len() - 1, 0);
         }
 
-        let class_log = class.trailing_zeros() as usize;
-        if self.free_lists.len() <= class_log {
-            self.free_lists.resize_with(class_log + 1, Vec::new);
-        }
-        if let Some(h) = self.free_lists[class_log].pop() {
+        if let Some(h) = self.free_list(class).pop() {
             // Zero recycled memory: entries assume fresh buffers.
             let (chunk, offset) = unpack(h);
             self.chunks[chunk].bytes_mut()[offset..offset + class].fill(0);
             return h;
         }
 
-        // Classes are powers of two, so an allocation aligned to its own
-        // class (or to a line, for the larger ones) starts on a line
-        // boundary or fits inside one line.
-        let align = class.min(LINE);
-        self.bump_offset = self.bump_offset.next_multiple_of(align);
+        self.bump_offset = self.bump_offset.next_multiple_of(class_align(class));
         let need_new = match self.bump_chunk {
             None => true,
             Some(c) => self.bump_offset + class > self.chunks[c].bytes().len(),
@@ -206,14 +239,18 @@ impl UntrustedHeap {
             self.enclave.ocall();
         }
         let whole = self.try_tail(handle, 0).is_some_and(|tail| tail.len() >= class);
-        if !whole || !unpack(handle).1.is_multiple_of(class.min(LINE)) {
+        if !whole || !unpack(handle).1.is_multiple_of(class_align(class)) {
             return;
         }
-        let class_log = class.trailing_zeros() as usize;
-        if self.free_lists.len() <= class_log {
-            self.free_lists.resize_with(class_log + 1, Vec::new);
+        self.free_list(class).push(handle);
+    }
+
+    fn free_list(&mut self, class: usize) -> &mut Vec<Handle> {
+        let index = class_index(class);
+        if self.free_lists.len() <= index {
+            self.free_lists.resize_with(index + 1, Vec::new);
         }
-        self.free_lists[class_log].push(handle);
+        &mut self.free_lists[index]
     }
 
     /// Returns the bytes of an allocation.
@@ -344,10 +381,12 @@ impl UntrustedHeap {
         size_class(len)
     }
 
-    /// Whether the new-data capacity `len` fits in the size class of an
-    /// existing allocation of `old_len` (in-place update check).
-    pub fn fits_in_class(old_len: usize, len: usize) -> bool {
-        size_class(len) <= size_class(old_len)
+    /// Whether an allocation of `old_len` may hold `len` bytes in place:
+    /// only when both lengths have the same class. A smaller class would
+    /// not do — the block is later freed by the length it then holds, and
+    /// the rest of it would be lost to both `live_bytes` and the free lists.
+    pub fn same_class(old_len: usize, len: usize) -> bool {
+        size_class(len) == size_class(old_len)
     }
 
     /// Checked variant of [`UntrustedHeap::read_u64_at`]: `None` when the
@@ -405,6 +444,8 @@ impl UntrustedHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
     use sgx_sim::enclave::EnclaveBuilder;
     use sgx_sim::vclock;
 
@@ -525,20 +566,48 @@ mod tests {
     }
 
     #[test]
-    fn fits_in_class_logic() {
-        assert!(UntrustedHeap::fits_in_class(100, 128)); // both class 128
-        assert!(UntrustedHeap::fits_in_class(100, 20));
-        assert!(!UntrustedHeap::fits_in_class(100, 129)); // 128 -> 256
+    fn in_place_only_within_one_class() {
+        assert!(UntrustedHeap::same_class(100, 128)); // both class 128
+        assert!(UntrustedHeap::same_class(100, 97));
+        assert!(!UntrustedHeap::same_class(100, 96)); // a shrink to 96
+        assert!(!UntrustedHeap::same_class(100, 20));
+        assert!(!UntrustedHeap::same_class(100, 129)); // 128 -> 160
     }
 
     #[test]
-    fn chunks_and_line_sized_classes_are_line_aligned() {
+    fn the_ladder_steps_by_quarters_above_a_line() {
+        let classes: Vec<usize> = (1..=1280)
+            .map(size_class)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(
+            classes,
+            [
+                16, 32, 64, 96, 128, 160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024,
+                1280
+            ]
+        );
+        // The paper's 512 B value: a 61 B header, a 16 B key, the value.
+        assert_eq!(size_class(61 + 16 + 512), 640);
+        let indices: Vec<usize> = classes.iter().map(|&c| class_index(c)).collect();
+        assert_eq!(indices, (0..classes.len()).collect::<Vec<_>>(), "free lists are dense");
+        let aligns: Vec<usize> = classes.iter().map(|&c| class_align(c)).collect();
+        assert_eq!(
+            aligns,
+            [16, 32, 64, 32, 64, 32, 64, 32, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64]
+        );
+    }
+
+    #[test]
+    fn every_block_starts_at_its_class_alignment() {
         for mode in [AllocMode::Pooled { granularity: 4096 }, AllocMode::OcallPerAlloc] {
             let mut h = heap(mode);
             vclock::reset();
             // Mixed classes, small ones first, across several chunks and
             // through the free list; a jumbo allocation at the end.
-            let mut sizes: Vec<usize> = vec![1, 16, 17, 40, 61, 64, 65, 100, 128, 492, 600, 1000];
+            let mut sizes: Vec<usize> =
+                vec![1, 16, 17, 40, 61, 64, 65, 93, 100, 128, 160, 224, 492, 589, 600, 1000];
             sizes.extend((0..40).map(|i| 61 + i * 7));
             sizes.push(1 << 17);
             let mut live = Vec::new();
@@ -551,8 +620,11 @@ mod tests {
                 }
             }
             for &(a, len) in &live {
-                if size_class(len) >= LINE {
-                    assert_eq!(h.bytes(a, len).as_ptr() as usize % LINE, 0, "{len} B at {a:#x}");
+                let (class, at) = (size_class(len), h.bytes(a, len).as_ptr() as usize);
+                assert_eq!(at % class_align(class), 0, "{len} B at {a:#x}");
+                // A line-multiple class keeps an entry header in one line.
+                if class.is_multiple_of(LINE) {
+                    assert_eq!(at % LINE, 0, "{len} B at {a:#x}");
                 }
             }
             vclock::reset();
@@ -561,8 +633,8 @@ mod tests {
 
     #[test]
     fn alignment_leaves_handles_and_accounting_alone() {
-        // Line-or-larger classes only (all the store allocates): the n-th
-        // allocation still sits at the sum of the classes before it.
+        // Line-multiple classes only: the n-th allocation still sits at
+        // the sum of the classes before it.
         let mut h = heap(AllocMode::Pooled { granularity: 1 << 16 });
         vclock::reset();
         let mut offset = 0;
@@ -595,6 +667,57 @@ mod tests {
         assert!(h.try_bytes_at(edge, 0, 2).is_none());
         assert_eq!(h.bytes(a, 100), &[0x5a; 100], "a hint writes nothing");
         vclock::reset();
+    }
+
+    proptest! {
+        /// A mixed alloc/free sequence over lengths of a byte to a MiB —
+        /// most within a chunk, some jumbo — and chunks of 64 KiB: every
+        /// live block is whole in its chunk, starts at its class alignment
+        /// and overlaps no other, and `live_bytes` is their classes' sum.
+        #[test]
+        fn live_blocks_are_whole_aligned_and_disjoint(
+            ops in pvec(
+                (prop_oneof![1usize..4097, 1usize..4097, 1usize..(1 << 20) + 1], any::<bool>()),
+                1..64,
+            ),
+        ) {
+            let mut h = heap(AllocMode::Pooled { granularity: 1 << 16 });
+            let mut live: Vec<(Handle, usize)> = Vec::new();
+            for (len, free) in ops {
+                if free && !live.is_empty() {
+                    let (a, len) = live.swap_remove(len % live.len());
+                    h.free(a, len);
+                } else {
+                    live.push((h.alloc(len), len));
+                }
+            }
+            let mut spans = Vec::new();
+            for &(a, len) in &live {
+                let ((chunk, offset), class) = (unpack(a), size_class(len));
+                prop_assert!(offset + class <= h.chunk_len(chunk), "{} B at {:#x}", len, a);
+                prop_assert_eq!(offset % class_align(class), 0, "{} B at {:#x}", len, a);
+                spans.push((chunk, offset, offset + class));
+            }
+            spans.sort_unstable();
+            for pair in spans.windows(2) {
+                prop_assert!(pair[0].0 != pair[1].0 || pair[0].2 <= pair[1].1, "{:?}", pair);
+            }
+            let held: usize = live.iter().map(|&(_, len)| size_class(len)).sum();
+            prop_assert_eq!(h.live_bytes(), held);
+        }
+    }
+
+    /// The class arithmetic over every length from a byte to a MiB.
+    #[test]
+    fn classes_pad_by_less_than_a_quarter_and_are_fixed_points() {
+        for len in 1..=1 << 20 {
+            let class = size_class(len);
+            assert!(class >= len, "{len}");
+            assert!(class - len < (len / 4).max(32), "{len} B takes {class}");
+            assert_eq!(size_class(class), class, "{len}");
+            let align = class_align(class);
+            assert!(align <= LINE && class.is_multiple_of(align), "{len}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Eviction is exact LRU via an intrusive doubly-linked list over a slab.
 
 use sgx_sim::enclave::Enclave;
+use sgx_sim::memory::EnclaveMemory;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -113,10 +114,10 @@ impl EnclaveCache {
             return;
         }
         if let Some(&idx) = self.map.get(key) {
-            // Update in place when the new value fits the old allocation
+            // Update in place when the new value has the old allocation's
             // class; otherwise reallocate.
             let old_len = self.slab[idx].len;
-            if crate::alloc::UntrustedHeap::fits_in_class(old_len, value.len()) {
+            if EnclaveMemory::same_class(old_len, value.len()) {
                 let addr = self.slab[idx].addr;
                 self.enclave.memory().write(addr, value);
                 self.used_bytes = self.used_bytes - old_len + value.len();

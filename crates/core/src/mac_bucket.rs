@@ -19,8 +19,9 @@
 //!
 //! A node is `[next u64 | count u32 | cap u32 | cap × MAC | cap × handle]`
 //! and is allocated in the smallest heap class that holds its slots
-//! ([`class_cap`]): 2, 4, 10 or 20 slots in 64 to 512 bytes, then
-//! [`CAPACITY`] (the paper's 30) as the largest. An insert that
+//! ([`class_cap`]): 2, 3, 4, 6, 7, 8, 10, 12, 15, 18, 20 or 26 slots in
+//! 64 to 640 bytes, then [`CAPACITY`] (the paper's 30) as the largest, in
+//! 768. An insert that
 //! finds a node full moves it up one class; a bucket that outgrows the
 //! largest chains a second node. All nodes except the last are kept full,
 //! so insertion at the front cascades the last slot of each node into the
@@ -566,8 +567,8 @@ mod tests {
             caps.dedup();
             caps
         };
-        assert_eq!(classes(30), [2, 4, 10, 20, 30]);
-        assert_eq!(classes(4), [2, 4]);
+        assert_eq!(classes(30), [2, 3, 4, 6, 7, 8, 10, 12, 15, 18, 20, 26, 30]);
+        assert_eq!(classes(4), [2, 3, 4]);
         assert_eq!(classes(3), [2, 3]);
         assert_eq!(classes(1), [1]);
     }
@@ -589,11 +590,16 @@ mod tests {
                 b.shape().iter().map(|&(_, cap)| UntrustedHeap::class_len(node_len(cap))).sum();
             assert_eq!((b.heap.live_bytes(), b.node_bytes), (held, held), "after {i}");
         }
-        assert_eq!(shapes[0], [(1, 2)]);
-        assert_eq!(shapes[2], [(3, 4)]);
-        assert_eq!(shapes[4], [(5, 10)]);
-        assert_eq!(shapes[10], [(11, 20)]);
-        assert_eq!(shapes[20], [(21, 30)]);
+        // One node, always in the class its count needs, so left only when
+        // full ...
+        for (i, shape) in shapes[..30].iter().enumerate() {
+            assert_eq!(shape, &[(i + 1, class_cap(i + 1, 30))]);
+        }
+        // ... and moved up through every class to the largest ...
+        let mut caps: Vec<usize> = shapes[..30].iter().map(|shape| shape[0].1).collect();
+        caps.dedup();
+        assert_eq!(caps, [2, 3, 4, 6, 7, 8, 10, 12, 15, 18, 20, 26, 30]);
+        // ... and then a second node of the smallest.
         assert_eq!(shapes[30], [(30, 30), (1, 2)]);
         assert_eq!(b.collect(), mirrors(&(1..=31).rev().collect::<Vec<u8>>()));
     }
@@ -703,13 +709,13 @@ mod tests {
             }),
             // Readable, a class, and room for the count: but not the class
             // the count needs, so not a size to free the node by.
-            ("a cap a class above the count's", |b| {
+            ("a cap two classes above the count's", |b| {
                 let second = b.heap.read_u64_at(b.head, NODE_NEXT);
                 b.heap.bytes_at_mut(second, NODE_CAP, 4)[0] = 4;
             }),
             ("a wild second node", |b| b.heap.write_u64_at(b.head, NODE_NEXT, u64::MAX)),
             ("a cycle", |b| b.heap.write_u64_at(b.head, NODE_NEXT, b.head)),
-            ("a non-class cap in the second node", |b| {
+            ("a cap one class above the count's", |b| {
                 let second = b.heap.read_u64_at(b.head, NODE_NEXT);
                 b.heap.bytes_at_mut(second, NODE_CAP, 4)[0] = 3;
             }),

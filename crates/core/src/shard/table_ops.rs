@@ -418,7 +418,7 @@ impl Access {
         // op — and with it the handle the slot lists, which a reallocation
         // changes.
         let sealed = &self.scratch.entry;
-        let inplace = UntrustedHeap::fits_in_class(old_len, new_len);
+        let inplace = UntrustedHeap::same_class(old_len, new_len);
         let at = if inplace { found.handle } else { table.heap.alloc(new_len) };
         if self.cfg.mac_bucket {
             let mut dir = table.directory(bucket);

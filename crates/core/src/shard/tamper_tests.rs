@@ -61,8 +61,8 @@ enum Plant {
     Cap(u32),
 }
 
-/// The `cap`s no honest node of the fixture holds (it has 3 of 4 slots
-/// filled, 448 bytes before the end of its chunk): none, fewer than its
+/// The `cap`s no honest node of the fixture holds (its 3 slots are
+/// filled, 704 bytes before the end of its chunk): none, fewer than its
 /// count, more than the largest node, one between two classes, and two
 /// larger classes — one the chunk has room for, one that would run off it.
 const FORGED_CAPS: [u32; 6] = [0, 2, 31, 5, 10, 30];
@@ -72,9 +72,9 @@ const FORGED_CAPS: [u32; 6] = [0, 2, 31, 5, 10, 30];
 /// where the configuration has no such site.
 fn forged_shard(cfg: Config, site: Site, plant: Plant, expire_head: bool) -> Option<Shard> {
     let mac_bucket = cfg.mac_bucket;
-    // Chunks of 56 lines: the three entries and the node leave less than
-    // the largest node's length behind the node.
-    let cfg = Config { alloc: AllocMode::Pooled { granularity: 3584 }, ..cfg };
+    // Chunks of 48 lines: the three 768-byte entries and the node leave
+    // less than the largest node's length behind the node.
+    let cfg = Config { alloc: AllocMode::Pooled { granularity: 3072 }, ..cfg };
     let mut s = shard_with(cfg.buckets(1).mac_hashes(1));
     for key in [b"a", b"b", b"c"] {
         let expires_at = (expire_head && key == b"c") as u64;
@@ -279,13 +279,13 @@ fn maintenance_fails_closed(cfg: Config, site: Site, plant: Plant, case: &str) {
     assert_eq!(run(&mut s, Op::Get(b"d")), Ok(Reply::Value(Some(b"during".to_vec()))), "{case}");
 }
 
-/// A one-bucket shard over 1,920-byte chunks holding `a` and `b`, each a
-/// KiB-class entry: the first chunk is `a`, the bucket's 64-byte MAC node
-/// 896 bytes before its end — so the largest node's 736 bytes are readable
-/// there and a KiB block's are not — and 832 bytes never handed out; `b`
-/// heads the chain from a second chunk.
+/// A one-bucket shard over 1,504-byte chunks holding `a` and `b`, each an
+/// entry of the 768-byte class: the first chunk is `a`, the bucket's
+/// 64-byte MAC node 736 bytes before its end — so the largest node's 736
+/// bytes are readable there and a 768-byte block's are not — and 672 bytes
+/// never handed out; `b` heads the chain from a second chunk.
 fn shard_with_a_node_near_the_end_of_its_chunk() -> Shard {
-    let cfg = Config { alloc: AllocMode::Pooled { granularity: 1920 }, ..Config::shield_opt() };
+    let cfg = Config { alloc: AllocMode::Pooled { granularity: 1504 }, ..Config::shield_opt() };
     let mut s = shard_with(cfg.buckets(1).mac_hashes(1));
     for key in [b"a", b"b"] {
         run(&mut s, Op::set(key, &[key[0]; 600])).unwrap();
@@ -294,7 +294,7 @@ fn shard_with_a_node_near_the_end_of_its_chunk() -> Shard {
     let node = main.mac_heads[0];
     assert_eq!(main.heap.bytes_at(node, NODE_CAP, 4), [2, 0, 0, 0], "the smallest class");
     assert!(main.heap.try_bytes_at(node, 0, mac_bucket::node_len(30)).is_some());
-    assert!(main.heap.try_bytes_at(node, 0, 1024).is_none());
+    assert!(main.heap.try_bytes_at(node, 0, 768).is_none());
     s
 }
 
@@ -306,7 +306,7 @@ fn shard_with_a_node_near_the_end_of_its_chunk() -> Shard {
 /// hash still matches — never sizes a `free`: the op fails closed at the
 /// set. An entry moved to where its bytes fit and its class does not is
 /// served, and deleted, and the block it leaves is dropped rather than
-/// recycled. Either way the next KiB-class write goes through.
+/// recycled. Either way the next write of its class goes through.
 #[test]
 fn forged_sizes_and_places_never_reach_the_free_lists() {
     vclock::reset();
@@ -324,11 +324,12 @@ fn forged_sizes_and_places_never_reach_the_free_lists() {
     assert_eq!(run(&mut s, Op::Get(b"b")), Ok(Reply::Value(Some(vec![b'b'; 600]))));
     assert_eq!(s.verify_all_sets(), Ok(()));
 
-    // `b`, the chain's head, moved into the first chunk's unused end: its
-    // 662 bytes fit 704 bytes before the end, its KiB class does not.
+    // `b`, the chain's head, moved into the first chunk's unused end, on
+    // a line as its class is: its 662 bytes fit 672 bytes before the end,
+    // its 768-byte class does not.
     let main = s.main_table_mut().unwrap();
     let (a, b) = (main.chain(0).last().unwrap().unwrap().handle, main.heads[0]);
-    let moved = a + (1920 - 704);
+    let moved = a + (1504 - 672);
     let bytes = main.heap.bytes(b, 662).to_vec();
     main.heap.bytes_mut(moved, 662).copy_from_slice(&bytes);
     main.heads[0] = moved;

@@ -147,3 +147,19 @@ proptest! {
         prop_assert!(result.is_err(), "truncated snapshot must never restore (cut {cut})");
     }
 }
+
+/// The enclave cache's side of a shrinking update: the cached copy is
+/// reallocated too, so enclave memory comes back to where it started.
+#[test]
+fn shrinking_updates_give_back_every_cached_byte() {
+    let enclave = EnclaveBuilder::new("cache-shrink").build();
+    let config = Config::shield_opt().with_shards(1).with_cache(1 << 16);
+    let store = ShieldStore::new(std::sync::Arc::clone(&enclave), config).unwrap();
+    let start = enclave.memory().live_bytes();
+    for _ in 0..1000 {
+        store.set(b"key", &[1; 512]).unwrap();
+        store.set(b"key", &[2; 16]).unwrap();
+        store.delete(b"key").unwrap();
+    }
+    assert_eq!(enclave.memory().live_bytes(), start);
+}

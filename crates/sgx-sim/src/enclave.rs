@@ -8,6 +8,7 @@
 use crate::cost::CostModel;
 use crate::epc::Epc;
 use crate::memory::EnclaveMemory;
+use crate::seal::SealKeys;
 use crate::stats::SimStats;
 use crate::vclock;
 use parking_lot::Mutex;
@@ -90,6 +91,7 @@ impl EnclaveBuilder {
         };
         Arc::new(Enclave {
             name: self.name,
+            seal_keys: SealKeys::derive(&measurement, &fuse_key),
             measurement,
             fuse_key,
             cost: self.cost,
@@ -109,6 +111,7 @@ pub struct Enclave {
     memory: EnclaveMemory,
     stats: Arc<SimStats>,
     drbg: Mutex<Drbg>,
+    seal_keys: SealKeys,
 }
 
 impl std::fmt::Debug for Enclave {
@@ -128,10 +131,15 @@ impl Enclave {
         &self.measurement
     }
 
-    /// The platform fuse key (used by sealing; not exposed by real SGX,
-    /// `pub(crate)` in spirit but needed by [`crate::seal`]).
+    /// The platform fuse key (used by attestation; not exposed by real
+    /// SGX, `pub(crate)` in spirit but needed by [`crate::attest`]).
     pub(crate) fn fuse_key(&self) -> &[u8; 32] {
         &self.fuse_key
+    }
+
+    /// The keys [`crate::seal`] seals and unseals under.
+    pub(crate) fn seal_keys(&self) -> &SealKeys {
+        &self.seal_keys
     }
 
     /// The metered enclave heap.

@@ -141,6 +141,13 @@ impl EnclaveMemory {
         Ok(pack(chunk, offset))
     }
 
+    /// Whether an allocation of `old_len` may hold `len` bytes in place:
+    /// only when both lengths have the same class, since the block is
+    /// freed by whatever length it holds last.
+    pub fn same_class(old_len: usize, len: usize) -> bool {
+        size_class(len) == size_class(old_len)
+    }
+
     /// Returns an allocation of `len` bytes to the free pool.
     ///
     /// `len` must be the length passed to [`EnclaveMemory::alloc`].

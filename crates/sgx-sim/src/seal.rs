@@ -16,10 +16,20 @@ use shield_crypto::hmac::derive_key128;
 const IV_LEN: usize = 16;
 const MAC_LEN: usize = 16;
 
-fn keys(enclave: &Enclave) -> (AesCtr, Cmac) {
-    let enc = derive_key128(enclave.measurement(), enclave.fuse_key(), b"seal-enc-v1");
-    let mac = derive_key128(enclave.measurement(), enclave.fuse_key(), b"seal-mac-v1");
-    (AesCtr::new(&enc), Cmac::new(&mac))
+/// The sealing keys of one enclave identity, expanded: derived once, when
+/// the enclave is built ([`crate::enclave::EnclaveBuilder::build`]), since
+/// every group commit of the log seals a pin.
+pub(crate) struct SealKeys {
+    ctr: AesCtr,
+    cmac: Cmac,
+}
+
+impl SealKeys {
+    pub(crate) fn derive(measurement: &[u8; 32], fuse_key: &[u8; 32]) -> Self {
+        let enc = derive_key128(measurement, fuse_key, b"seal-enc-v1");
+        let mac = derive_key128(measurement, fuse_key, b"seal-mac-v1");
+        Self { ctr: AesCtr::new(&enc), cmac: Cmac::new(&mac) }
+    }
 }
 
 /// Seals `plaintext` under the enclave's identity.
@@ -35,7 +45,7 @@ fn keys(enclave: &Enclave) -> (AesCtr, Cmac) {
 /// assert_eq!(unseal(&e, &blob).unwrap(), b"snapshot metadata");
 /// ```
 pub fn seal(enclave: &Enclave, plaintext: &[u8]) -> Vec<u8> {
-    let (ctr, cmac) = keys(enclave);
+    let SealKeys { ctr, cmac } = enclave.seal_keys();
     let iv = enclave.read_rand_block();
     let mut out = Vec::with_capacity(IV_LEN + plaintext.len() + MAC_LEN);
     out.extend_from_slice(&iv);
@@ -54,7 +64,7 @@ pub fn unseal(enclave: &Enclave, blob: &[u8]) -> Result<Vec<u8>, SimError> {
         return Err(SimError::SealVerify);
     }
     let (body, mac) = blob.split_at(blob.len() - MAC_LEN);
-    let (ctr, cmac) = keys(enclave);
+    let SealKeys { ctr, cmac } = enclave.seal_keys();
     let expected = cmac.compute(body);
     if !shield_crypto::constant_time::ct_eq(&expected, mac) {
         return Err(SimError::SealVerify);
