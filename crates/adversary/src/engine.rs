@@ -16,7 +16,8 @@ use std::collections::HashSet;
 pub enum Attack {
     /// Bit-flip in an entry's encrypted key‖value payload.
     CiphertextFlip,
-    /// Bit-flip in an entry's 16-byte MAC field.
+    /// Bit-flip in an entry's 16-byte tag, wherever its table keeps it:
+    /// the MAC-node slot with MAC bucketing, after the ciphertext without.
     MacFlip,
     /// Bit-flip in an entry's IV/counter.
     IvFlip,
@@ -53,10 +54,16 @@ pub enum Attack {
     /// a larger class). The one acceptable state is *fails closed*, for
     /// every op on the node's bucket set.
     NodeCapPlant,
+    /// Rewrite one entry's encrypted key into another key of the same
+    /// bucket — AES-CTR is malleable, and the engine knows every plaintext
+    /// key — and copy that key's hint. A search now meets an entry that
+    /// decrypts to the other key; ops on either key must fail closed or
+    /// agree with the model, writes and deletes included.
+    KeyMalleation,
 }
 
 /// Every attack the store phase draws from.
-pub const CATALOG: [Attack; 15] = [
+pub const CATALOG: [Attack; 16] = [
     Attack::CiphertextFlip,
     Attack::MacFlip,
     Attack::IvFlip,
@@ -72,6 +79,7 @@ pub const CATALOG: [Attack; 15] = [
     Attack::WildPointer,
     Attack::NodeHandlePlant,
     Attack::NodeCapPlant,
+    Attack::KeyMalleation,
 ];
 
 impl Attack {
@@ -91,7 +99,7 @@ impl Attack {
             Attack::WildPointer => TamperOp::WildPointer,
             Attack::NodeHandlePlant => TamperOp::NodeHandle,
             Attack::NodeCapPlant => TamperOp::NodeCap,
-            Attack::StaleReplay => return None,
+            Attack::StaleReplay | Attack::KeyMalleation => return None,
         })
     }
 }
@@ -262,6 +270,11 @@ impl Chaos<'_> {
                     self.landed(attack, atk_seed as usize % self.store.num_shards());
                 }
             }
+            None if attack == Attack::KeyMalleation => {
+                if let Some(shard) = self.malleate(atk_seed) {
+                    self.landed(attack, shard);
+                }
+            }
             None => {
                 // StaleReplay: half the time capture fresh copies, half
                 // the time replay one captured earlier (a rollback).
@@ -281,6 +294,22 @@ impl Chaos<'_> {
                 }
             }
         }
+    }
+
+    /// Rewrites the key of the first stored key, in a seed-chosen order,
+    /// that shares its bucket with another stored key into that key;
+    /// returns the shard it landed in.
+    fn malleate(&mut self, seed: u64) -> Option<usize> {
+        for i in 0..NUM_KEYS {
+            let from = key_bytes((seed.wrapping_add(i)) % NUM_KEYS);
+            for j in 1..NUM_KEYS {
+                let to = key_bytes((seed.wrapping_add(i + j * 7)) % NUM_KEYS);
+                if self.store.malleate_key(&from, &to) {
+                    return Some(self.store.shard_of(&from));
+                }
+            }
+        }
+        None
     }
 
     /// Counts an attack that mutated untrusted state in `shard`.

@@ -102,7 +102,7 @@ fn cross_read_attacks(
         tally.add("cross_reads", 1);
         tally.add("attacks", 1);
         let ct = &stale.bytes[entry::HEADER_LEN..];
-        if entry::verify_mac(&mac, &header, ct) {
+        if entry::verify_mac(&mac, &header, ct, &stale.tag) {
             return Err(violation(
                 "cross-read",
                 "victim entry verified under the attacker's leaked MAC key".into(),
@@ -137,9 +137,7 @@ fn forge_attacks(store: &ShieldStore, model: &mut Model, rig: &mut Rig) -> Resul
         let header = entry::parse_header(&stale.bytes);
         let ct = &stale.bytes[entry::HEADER_LEN..];
         let tag = entry::compute_mac(&mac, &header, ct);
-        let mut forged = stale.bytes.clone();
-        forged[entry::OFF_MAC..entry::OFF_MAC + 16].copy_from_slice(&tag);
-        if store.replay_entry(0, &StaleEntry { handle: stale.handle, bytes: forged }) {
+        if store.replay_entry(0, &StaleEntry { tag, ..(*stale).clone() }) {
             rig.tally.add("forgeries", 1);
             rig.tally.add("attacks", 1);
         }
@@ -249,7 +247,7 @@ fn ttl_resurrection(
     for stale in &stales {
         let mut revived = stale.bytes.clone();
         revived[entry::OFF_EXPIRY..entry::OFF_EXPIRY + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        if store.replay_entry(0, &StaleEntry { handle: stale.handle, bytes: revived }) {
+        if store.replay_entry(0, &StaleEntry { bytes: revived, ..stale.clone() }) {
             rig.tally.add("ttl_resurrections", 1);
             rig.tally.add("attacks", 1);
         }
@@ -276,9 +274,7 @@ fn ttl_resurrection(
     let survivors = store.stale_entry_copies(0);
     if let Some(target) = survivors.get(rig.rng.next_below(survivors.len() as u64) as usize) {
         if let Some(stale) = stales.first() {
-            if store
-                .replay_entry(0, &StaleEntry { handle: target.handle, bytes: stale.bytes.clone() })
-            {
+            if store.replay_entry(0, &StaleEntry { handle: target.handle, ..stale.clone() }) {
                 rig.tally.add("ttl_resurrections", 1);
                 rig.tally.add("attacks", 1);
             }

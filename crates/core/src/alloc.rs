@@ -588,8 +588,11 @@ mod tests {
                 1280
             ]
         );
-        // The paper's 512 B value: a 61 B header, a 16 B key, the value.
-        assert_eq!(size_class(61 + 16 + 512), 640);
+        // The paper's 512 B value: a 45 B header, a 16 B key, the value;
+        // and its 128 B value, where a second copy of the tag would cost a
+        // class.
+        assert_eq!(size_class(45 + 16 + 512), 640);
+        assert_eq!((size_class(45 + 16 + 128), size_class(61 + 16 + 128)), (192, 224));
         let indices: Vec<usize> = classes.iter().map(|&c| class_index(c)).collect();
         assert_eq!(indices, (0..classes.len()).collect::<Vec<_>>(), "free lists are dense");
         let aligns: Vec<usize> = classes.iter().map(|&c| class_align(c)).collect();

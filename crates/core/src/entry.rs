@@ -11,10 +11,17 @@
 //! 17      4     tenant     u32 LE owning-tenant id (0 = default tenant)
 //! 21      8     expires_at u64 LE absolute deadline in ns (0 = no TTL)
 //! 29      16    IV/counter combined field, incremented per re-encryption
-//! 45      16    MAC        CMAC over (enc key/value, sizes, hint, tenant,
-//!                          expiry, IV/ctr) under the TENANT's derived key
-//! 61      k+v   Enc(key ‖ value)  AES-CTR under the TENANT's derived key
+//! 45      k+v   Enc(key ‖ value)  AES-CTR under the TENANT's derived key
+//! 45+k+v  16    MAC        CMAC over (enc key/value, sizes, hint, tenant,
+//!                          expiry, IV/ctr) under the TENANT's derived key —
+//!                          here only without MAC bucketing
 //! ```
+//!
+//! An entry's tag exists once. Without MAC bucketing it follows the
+//! ciphertext, in Fig. 5's order; with it (§5.2) it lives only in the
+//! entry's slot of its bucket's MAC nodes ([`crate::mac_bucket`]), and the
+//! entry ends with its ciphertext. [`TagHome`] says which, and
+//! [`crate::table::TableCtx::tags`] is the one reader of either.
 //!
 //! The `next` pointer is *not* covered by the MAC: the paper deliberately
 //! leaves index structure unprotected (confidentiality and integrity of
@@ -51,10 +58,39 @@ pub const OFF_TENANT: usize = 17;
 pub const OFF_EXPIRY: usize = 21;
 /// Byte offset of the IV/counter.
 pub const OFF_IV: usize = 29;
-/// Byte offset of the MAC.
-pub const OFF_MAC: usize = 45;
 /// Total header length; the encrypted key/value follows.
-pub const HEADER_LEN: usize = 61;
+pub const HEADER_LEN: usize = 45;
+/// Length of an entry's tag.
+pub const TAG_LEN: usize = 16;
+
+/// Where a table keeps its entries' tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TagHome {
+    /// In the entry's MAC-node slot (MAC bucketing, §5.2): the entry ends
+    /// with its ciphertext.
+    Slot,
+    /// After the entry's ciphertext (Fig. 5).
+    Suffix,
+}
+
+impl TagHome {
+    /// Where a store configured with or without MAC bucketing keeps them.
+    pub fn of(mac_bucket: bool) -> Self {
+        if mac_bucket {
+            TagHome::Slot
+        } else {
+            TagHome::Suffix
+        }
+    }
+
+    /// What the tag adds to an entry in memory.
+    pub fn suffix_len(self) -> usize {
+        match self {
+            TagHome::Slot => 0,
+            TagHome::Suffix => TAG_LEN,
+        }
+    }
+}
 
 /// Parsed entry header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,14 +109,18 @@ pub struct EntryHeader {
     pub expires_at: u64,
     /// Combined IV/counter.
     pub iv: [u8; 16],
-    /// Entry MAC.
-    pub mac: Tag128,
 }
 
 impl EntryHeader {
-    /// Total entry size in bytes (header + ciphertext).
-    pub fn entry_len(&self) -> usize {
-        HEADER_LEN + self.key_len as usize + self.val_len as usize
+    /// Header and ciphertext: what the tag covers besides the `next`
+    /// pointer, and where a suffix tag starts.
+    pub fn sealed_len(&self) -> usize {
+        HEADER_LEN + self.ct_len()
+    }
+
+    /// Total entry size in memory when its tags live at `home`.
+    pub fn entry_len(&self, home: TagHome) -> usize {
+        self.sealed_len() + home.suffix_len()
     }
 
     /// Ciphertext length (key + value).
@@ -111,12 +151,11 @@ pub fn parse_header(bytes: &[u8]) -> EntryHeader {
             bytes[OFF_EXPIRY..OFF_EXPIRY + 8].try_into().expect("8 bytes"),
         ),
         iv: bytes[OFF_IV..OFF_IV + 16].try_into().expect("16 bytes"),
-        mac: bytes[OFF_MAC..OFF_MAC + 16].try_into().expect("16 bytes"),
     }
 }
 
 /// Length of [`mac_trailer`]: the six authenticated header fields.
-pub const TRAILER_LEN: usize = OFF_MAC - OFF_HINT;
+pub const TRAILER_LEN: usize = HEADER_LEN - OFF_HINT;
 
 /// The authenticated header fields in MAC order —
 /// `key_len ‖ val_len ‖ hint ‖ tenant ‖ expires_at ‖ iv`, Fig. 5 extended
@@ -135,18 +174,31 @@ pub fn mac_trailer(header: &EntryHeader) -> [u8; TRAILER_LEN] {
 }
 
 /// Computes the MAC `header` and `ciphertext` should carry: CMAC over
-/// `ciphertext ‖ mac_trailer(header)` (the stored `header.mac` plays no
-/// part). The `cmac` must be the owning tenant's derived MAC key.
+/// `ciphertext ‖ mac_trailer(header)`. The `cmac` must be the owning
+/// tenant's derived MAC key.
 pub fn compute_mac(cmac: &Cmac, header: &EntryHeader, ciphertext: &[u8]) -> Tag128 {
     cmac.compute_parts(&[ciphertext, &mac_trailer(header)])
 }
 
-/// Encrypts `key ‖ value` and writes a complete entry into `buf`
-/// (`buf.len()` must equal `HEADER_LEN + key.len() + value.len()`), the
-/// MAC following the keystream through the ciphertext in one pass.
+/// [`compute_mac`] with a second CMAC — the bucket set's — verified in the
+/// same pass (two MAC lanes, no keystream); also returns whether it matched
+/// (`true` without one). A write proves the entry it replaces this way.
+pub fn compute_mac_beside(
+    beside: Option<Beside<'_>>,
+    cmac: &Cmac,
+    header: &EntryHeader,
+    ciphertext: &[u8],
+) -> (Tag128, bool) {
+    shield_crypto::fused::mac_beside(beside, cmac, ciphertext, &[&mac_trailer(header)])
+}
+
+/// Encrypts `key ‖ value` and writes the entry's header and ciphertext
+/// into `buf` (`buf.len()` must equal `HEADER_LEN + key.len() +
+/// value.len()`), the MAC following the keystream through the ciphertext
+/// in one pass. Returns the MAC, for the caller to put where the table
+/// keeps its tags.
 ///
-/// `enc`/`cmac` must be the owning tenant's derived keys. Returns the
-/// entry's MAC.
+/// `enc`/`cmac` must be the owning tenant's derived keys.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_into(
     buf: &mut [u8],
@@ -160,30 +212,9 @@ pub fn encode_into(
     enc: &AesCtr,
     cmac: &Cmac,
 ) -> Tag128 {
-    encode_into_beside(None, buf, next, hint, tenant, expires_at, iv, key, value, enc, cmac).0
-}
-
-/// [`encode_into`] with a second CMAC — the bucket set's, as it stood
-/// before this write — verified in the same pass; also returns whether it
-/// matched (`true` without one).
-#[allow(clippy::too_many_arguments)]
-pub fn encode_into_beside(
-    beside: Option<Beside<'_>>,
-    buf: &mut [u8],
-    next: Handle,
-    hint: u8,
-    tenant: u32,
-    expires_at: u64,
-    iv: &[u8; 16],
-    key: &[u8],
-    value: &[u8],
-    enc: &AesCtr,
-    cmac: &Cmac,
-) -> (Tag128, bool) {
     let (key_len, val_len) = (key.len() as u32, value.len() as u32);
     debug_assert_eq!(buf.len(), HEADER_LEN + key.len() + value.len());
-    let header =
-        EntryHeader { next, hint, key_len, val_len, tenant, expires_at, iv: *iv, mac: [0; 16] };
+    let header = EntryHeader { next, hint, key_len, val_len, tenant, expires_at, iv: *iv };
 
     buf[OFF_NEXT..OFF_NEXT + 8].copy_from_slice(&next.to_le_bytes());
     buf[OFF_HINT] = hint;
@@ -196,11 +227,7 @@ pub fn encode_into_beside(
     let ct = &mut buf[HEADER_LEN..];
     ct[..key.len()].copy_from_slice(key);
     ct[key.len()..].copy_from_slice(value);
-    let trailer = mac_trailer(&header);
-    let (mac, beside_ok) =
-        shield_crypto::fused::seal_beside(beside, enc, cmac, iv, &[], ct, &[&trailer]);
-    buf[OFF_MAC..OFF_MAC + 16].copy_from_slice(&mac);
-    (mac, beside_ok)
+    shield_crypto::fused::seal(enc, cmac, iv, &[], ct, &[&mac_trailer(&header)])
 }
 
 /// Decrypts only the key prefix of an entry's ciphertext.
@@ -237,9 +264,10 @@ pub fn key_matches(
     scratch == key
 }
 
-/// Fused verify + decrypt of one entry: the MAC chain and the keystream
-/// advance through the ciphertext together, then the tag is checked
-/// (constant time) *before* any plaintext is released.
+/// Fused verify + decrypt of one entry against the `tag` it must have:
+/// the MAC chain and the keystream advance through the ciphertext
+/// together, then the tag is checked (constant time) *before* any
+/// plaintext is released.
 ///
 /// On success `out` holds `key ‖ value`; on tamper `out` is wiped and
 /// emptied and `false` is returned — the exact fail-closed behavior of
@@ -249,19 +277,23 @@ pub fn open_entry(
     cmac: &Cmac,
     header: &EntryHeader,
     ciphertext: &[u8],
+    tag: &[u8],
     out: &mut Vec<u8>,
 ) -> bool {
-    open_entry_beside(None, enc, cmac, header, ciphertext, out) == Opened::Verified
+    let accept = |computed: &Tag128| shield_crypto::constant_time::ct_eq(computed, tag);
+    open_entry_beside(None, enc, cmac, header, ciphertext, accept, out) == Opened::Verified
 }
 
 /// [`open_entry`] with a second CMAC — the bucket set's — verified in the
-/// same pass and reported first.
+/// same pass and reported first, and the computed tag judged by `accept`:
+/// a hit looks for it in its slot first and among its bucket's second.
 pub fn open_entry_beside(
     beside: Option<Beside<'_>>,
     enc: &AesCtr,
     cmac: &Cmac,
     header: &EntryHeader,
     ciphertext: &[u8],
+    accept: impl FnOnce(&Tag128) -> bool,
     out: &mut Vec<u8>,
 ) -> Opened {
     shield_crypto::fused::open_verify_beside(
@@ -272,7 +304,7 @@ pub fn open_entry_beside(
         &[],
         ciphertext,
         &[&mac_trailer(header)],
-        &header.mac,
+        accept,
         out,
     )
 }
@@ -285,9 +317,9 @@ pub fn decrypt_entry(enc: &AesCtr, header: &EntryHeader, ciphertext: &[u8]) -> (
     (plain, value)
 }
 
-/// Verifies an entry's stored MAC against its contents.
-pub fn verify_mac(cmac: &Cmac, header: &EntryHeader, ciphertext: &[u8]) -> bool {
-    shield_crypto::constant_time::ct_eq(&compute_mac(cmac, header, ciphertext), &header.mac)
+/// Verifies an entry's contents against the `tag` it must have.
+pub fn verify_mac(cmac: &Cmac, header: &EntryHeader, ciphertext: &[u8], tag: &[u8]) -> bool {
+    shield_crypto::constant_time::ct_eq(&compute_mac(cmac, header, ciphertext), tag)
 }
 
 #[cfg(test)]
@@ -315,8 +347,9 @@ mod tests {
         assert_eq!(header.tenant, 7);
         assert_eq!(header.expires_at, 12345);
         assert_eq!(header.iv, iv);
-        assert_eq!(header.mac, mac);
-        assert_eq!(header.entry_len(), buf.len());
+        assert_eq!(header.sealed_len(), buf.len());
+        assert_eq!(header.entry_len(TagHome::Slot), buf.len());
+        assert_eq!(header.entry_len(TagHome::Suffix), buf.len() + TAG_LEN);
 
         let ct = &buf[HEADER_LEN..];
         assert_ne!(&ct[..key.len()], key, "key must be encrypted");
@@ -324,14 +357,14 @@ mod tests {
         assert_eq!(k, key);
         assert_eq!(v, value);
         assert_eq!(decrypt_key(&enc, &header, ct), key);
-        assert!(verify_mac(&cmac, &header, ct));
+        assert!(verify_mac(&cmac, &header, ct, &mac));
     }
 
     #[test]
     fn mac_binds_every_field() {
         let (enc, cmac) = ciphers();
         let mut buf = vec![0u8; HEADER_LEN + 4 + 4];
-        encode_into(&mut buf, 0, 7, 3, 99, &[3u8; 16], b"abcd", b"wxyz", &enc, &cmac);
+        let mac = encode_into(&mut buf, 0, 7, 3, 99, &[3u8; 16], b"abcd", b"wxyz", &enc, &cmac);
         let pristine = buf.clone();
 
         // Tamper with each MAC-covered region and expect rejection.
@@ -349,7 +382,7 @@ mod tests {
             t[offset] ^= 1;
             let header = parse_header(&t);
             assert!(
-                !verify_mac(&cmac, &header, &t[HEADER_LEN..]),
+                !verify_mac(&cmac, &header, &t[HEADER_LEN..], &mac),
                 "tampering at offset {offset} must be detected"
             );
         }
@@ -358,7 +391,7 @@ mod tests {
         let mut t = pristine;
         t[OFF_NEXT] ^= 1;
         let header = parse_header(&t);
-        assert!(verify_mac(&cmac, &header, &t[HEADER_LEN..]));
+        assert!(verify_mac(&cmac, &header, &t[HEADER_LEN..], &mac));
     }
 
     /// The tag of one fixed entry, recorded before the six authenticated
@@ -389,9 +422,10 @@ mod tests {
             ]
         );
         let header = parse_header(&buf);
-        assert!(verify_mac(&cmac, &header, &buf[HEADER_LEN..]));
+        assert!(verify_mac(&cmac, &header, &buf[HEADER_LEN..], &mac));
         let mut plain = Vec::new();
-        assert!(open_entry(&enc, &cmac, &header, &buf[HEADER_LEN..], &mut plain));
+        assert!(open_entry(&enc, &cmac, &header, &buf[HEADER_LEN..], &mac, &mut plain));
+        assert_eq!(compute_mac_beside(None, &cmac, &header, &buf[HEADER_LEN..]), (mac, true));
         assert_eq!(plain, [key.as_slice(), &value].concat());
     }
 
@@ -405,7 +439,6 @@ mod tests {
             tenant: 0,
             expires_at: 0,
             iv: [0; 16],
-            mac: [0; 16],
         };
         assert!(!h.expired_at(u64::MAX), "no TTL never expires");
         let h = EntryHeader { expires_at: 100, ..h };
@@ -444,7 +477,7 @@ mod tests {
         assert_eq!(OFF_TENANT, 17);
         assert_eq!(OFF_EXPIRY, 21);
         assert_eq!(OFF_IV, 29);
-        assert_eq!(OFF_MAC, 45);
-        assert_eq!(HEADER_LEN, 61);
+        assert_eq!(HEADER_LEN, 45);
+        assert_eq!(TRAILER_LEN, 37);
     }
 }

@@ -3,12 +3,15 @@
 //! Verifying a bucket-set hash needs the MACs of *every* entry in the
 //! bucket, even when the requested key is found early in the chain. Without
 //! help, gathering them pointer-chases the whole entry chain. A *MAC
-//! bucket* is a side array in untrusted memory holding only the MAC fields,
+//! bucket* is a side array in untrusted memory holding the bucket's MACs,
 //! in chain order, so the gather is a couple of contiguous reads.
 //!
 //! The logical structure is a vector of slots mirroring the entry chain:
-//! position 0 corresponds to the chain head. A slot is the entry's MAC and,
-//! beside it, the entry's handle. The handle is there for one purpose: the
+//! position 0 corresponds to the chain head. A slot is the entry's MAC —
+//! its only copy: the entry itself ends with its ciphertext, so every check
+//! of an entry compares what its content computes to with its slot
+//! ([`crate::table::TableCtx::tags`] is the one reader) — and, beside it,
+//! the entry's handle. The handle is there for one purpose: the
 //! node is read at the top of every op, so with it the header of every
 //! entry of the chain can be hinted at once instead of each `next` waiting
 //! for the header before it. **A listed handle is a hint, never a read**:
@@ -168,26 +171,6 @@ pub fn try_gather(
         out.extend_from_slice(&body[NODE_MACS..NODE_MACS + node.count * MAC_LEN]);
     }
     Ok(walk.macs)
-}
-
-/// Reads the MAC at logical position `idx`, bounded like [`try_gather`]:
-/// `None` when the chain is shorter than `idx`, structurally corrupt, or
-/// longer than `max_macs`.
-#[inline]
-pub fn try_get_at(
-    heap: &UntrustedHeap,
-    head: Handle,
-    mut idx: usize,
-    lim: Limits,
-) -> Option<Tag128> {
-    let mut walk = Walk::new(head, lim);
-    while let Some((node, body)) = walk.step(heap).ok()? {
-        if idx < node.count {
-            return body[NODE_MACS + idx * MAC_LEN..][..MAC_LEN].try_into().ok();
-        }
-        idx -= node.count;
-    }
-    None
 }
 
 /// The handles `node` lists, one per filled slot. They are untrusted and
@@ -616,7 +599,7 @@ mod tests {
     fn set_and_get_by_logical_index() {
         let mut b = Bucket::filled(3, 7);
         // Order is 7..1; position 4 holds mac(3).
-        assert_eq!(try_get_at(&b.heap, b.head, 4, b.lim()), Some(mac(3)));
+        assert_eq!(b.collect().0[4], 3);
         b.dir().set_at(4, &mac(0xaa), 0xbb).unwrap();
         assert_eq!(b.collect(), (vec![7, 6, 5, 4, 0xaa, 2, 1], vec![7, 6, 5, 4, 0xbb, 2, 1]));
         assert_eq!(b.dir().set_at(7, &mac(0), 0), Err(Broken));

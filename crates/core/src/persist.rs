@@ -20,7 +20,7 @@
 //! the counter (paper's defense via SGX monotonic counters).
 
 use crate::config::Config;
-use crate::entry::{self, EntryHeader};
+use crate::entry::{self, EntryHeader, TagHome, TAG_LEN};
 use crate::error::{Error, Result};
 use crate::shard::StoreKeys;
 use crate::store::ShieldStore;
@@ -34,17 +34,17 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-// Format v2 ("SSSNAP02"): five sealed raw keys (the fifth is the
-// tenant-KDF master) and tenant/expiry-bearing entry headers. A v1
-// snapshot fails the magic check and must be discarded — its entries
-// predate per-tenant sealing and cannot be re-keyed offline.
-const MAGIC: &[u8; 8] = b"SSSNAP02";
+// Format v3 ("SSSNAP03"): five sealed raw keys (the fifth is the
+// tenant-KDF master), tenant/expiry-bearing entry headers, and each
+// entry's tag recorded after it — an entry holds no tag of its own. An
+// older snapshot fails the magic check and must be discarded.
+const MAGIC: &[u8; 8] = b"SSSNAP03";
 
 // Upper bounds on length fields read from the (untrusted) snapshot file:
 // a claim past them is refused before anything is unsealed or opened.
 /// Sealed metadata blob: keys + per-shard MAC hash arrays.
 const MAX_SEALED_LEN: usize = 1 << 24;
-/// One serialized entry (header + key + value ciphertext).
+/// One serialized entry (header + key + value ciphertext, its tag apart).
 const MAX_ENTRY_LEN: usize = 1 << 26;
 
 /// Sealed per-snapshot metadata (serialized, then sealed as one blob).
@@ -75,22 +75,28 @@ impl Metadata {
     }
 }
 
-/// Serializes one frozen table's entries: `(bucket, entry bytes)` pairs
-/// with the chain pointer zeroed (it is rebuilt on restore). A chain that
-/// cannot be walked, or an entry whose length field leaves its chunk,
-/// fails the snapshot: a file that silently lacks entries must not be
-/// published.
+/// Serializes one frozen table's entries: `(bucket, entry bytes, tag)`
+/// records, the entry as header and ciphertext with the chain pointer
+/// zeroed (it is rebuilt on restore) and its tag read where the table
+/// keeps it ([`TableCtx::tagged_chain`]). A chain or tags that cannot be
+/// read, or an entry whose length field leaves its chunk, fails the
+/// snapshot: a file that silently lacks entries must not be published.
 pub(crate) fn write_table(w: &mut impl Write, table: &TableCtx) -> Result<()> {
     let mut prefix = Writer::default();
     prefix.u64(table.count as u64).drain_into(w)?;
-    for (bucket, link) in table.entries() {
-        let bytes = link
-            .ok()
-            .and_then(|link| table.heap.try_bytes_at(link.handle, 0, link.header.entry_len()))
-            .ok_or(Error::IntegrityViolation { bucket })?;
-        // The entry's first eight bytes, its chain pointer, go out as zero.
-        prefix.u32(bucket as u32).length(bytes.len()).u64(0).drain_into(w)?;
-        w.write_all(&bytes[8..])?;
+    let mut tagged = Vec::new();
+    for bucket in 0..table.buckets() {
+        let violation = || Error::IntegrityViolation { bucket };
+        tagged.clear();
+        table.tagged_chain(bucket, &mut tagged).map_err(|_| violation())?;
+        for (link, tag) in &tagged {
+            let bytes = table.heap.try_bytes_at(link.handle, 0, link.header.sealed_len());
+            let bytes = bytes.ok_or_else(violation)?;
+            // The entry's first eight bytes, its chain pointer, go out as zero.
+            prefix.u32(bucket as u32).length(bytes.len()).u64(0).drain_into(w)?;
+            w.write_all(&bytes[8..])?;
+            w.write_all(tag)?;
+        }
     }
     Ok(())
 }
@@ -368,10 +374,10 @@ impl ShieldStore {
         let store = ShieldStore::with_keys(enclave, config, Arc::clone(&keys), storage)?;
         let fresh = || Error::Persistence("store not fresh".into());
         file.walk(
-            |idx, bucket, bytes| {
+            |idx, bucket, bytes, tag| {
                 store.with_shard(idx, |shard| {
                     let ctx = shard.main_table_mut().ok_or_else(fresh)?;
-                    restore_entry(ctx, &keys, store.config(), bucket, bytes, idx, shards)
+                    restore_entry(ctx, &keys, bucket, bytes, tag, idx, shards)
                 })
             },
             |idx, mac_array| {
@@ -404,7 +410,7 @@ pub(crate) fn verify_snapshot(
     let data = fs.read(path)?;
     let file = SnapshotFile::open(&data, enclave)?;
     let keys = StoreKeys::from_raw(file.metadata.raw_keys);
-    file.walk(|_, _, bytes| open_entry(&keys, 0, bytes).map(drop), |_, _| Ok(()))?;
+    file.walk(|_, _, bytes, tag| open_entry(&keys, 0, bytes, tag).map(drop), |_, _| Ok(()))?;
     Ok(data.len() as u64)
 }
 
@@ -414,7 +420,7 @@ pub(crate) fn verify_snapshot(
 ///
 /// ```text
 /// [ "SSSNAP02" | counter u64 | shards u32 | sealed_len u32 | sealed metadata ]
-/// per shard: [ count u64 ] then count × [ bucket u32 | len u32 | entry (len) ]
+/// per shard: [ count u64 ] then count × [ bucket u32 | len u32 | entry (len) | tag (16) ]
 /// ```
 struct SnapshotFile<'a> {
     metadata: Metadata,
@@ -442,13 +448,13 @@ impl<'a> SnapshotFile<'a> {
         Ok(SnapshotFile { metadata, tables: r })
     }
 
-    /// Walks the tables in file order: `entry(shard, bucket, bytes)` for
-    /// each entry as the file claims it, then `shard_end(shard, macs)`
+    /// Walks the tables in file order: `entry(shard, bucket, bytes, tag)`
+    /// for each entry as the file claims it, then `shard_end(shard, macs)`
     /// with the shard's sealed MAC hash array; then refuses whatever
     /// follows the last table.
     fn walk(
         self,
-        mut entry: impl FnMut(usize, usize, &[u8]) -> Result<()>,
+        mut entry: impl FnMut(usize, usize, &[u8], &[u8; TAG_LEN]) -> Result<()>,
         mut shard_end: impl FnMut(usize, &[u8]) -> Result<()>,
     ) -> Result<()> {
         let SnapshotFile { metadata, mut tables } = self;
@@ -458,7 +464,8 @@ impl<'a> SnapshotFile<'a> {
                 if !(entry::HEADER_LEN..=MAX_ENTRY_LEN).contains(&len) {
                     return Err(Error::Persistence("corrupt snapshot entry".into()));
                 }
-                entry(idx, bucket, tables.bytes(len)?)?;
+                let bytes = tables.bytes(len)?;
+                entry(idx, bucket, bytes, &tables.array()?)?;
             }
             shard_end(idx, mac_array)?;
         }
@@ -466,33 +473,40 @@ impl<'a> SnapshotFile<'a> {
     }
 }
 
-/// Authenticates one serialized entry and returns its header and
-/// plaintext. Each entry is sealed under its owner tenant's derived keys;
-/// the header's tenant claim routes verification, and a forged claim lands
-/// on a key under which the stored tag cannot verify. The fused open
-/// verifies the MAC and decrypts in one ciphertext pass.
-fn open_entry(keys: &StoreKeys, bucket: usize, bytes: &[u8]) -> Result<(EntryHeader, Vec<u8>)> {
+/// Authenticates one serialized entry against the tag recorded with it
+/// and returns its header and plaintext. Each entry is sealed under its
+/// owner tenant's derived keys; the header's tenant claim routes
+/// verification, and a forged claim lands on a key under which the tag
+/// cannot verify. The fused open verifies the MAC and decrypts in one
+/// ciphertext pass.
+fn open_entry(
+    keys: &StoreKeys,
+    bucket: usize,
+    bytes: &[u8],
+    tag: &[u8; TAG_LEN],
+) -> Result<(EntryHeader, Vec<u8>)> {
     let header = entry::parse_header(bytes);
-    if header.entry_len() != bytes.len() {
+    if header.sealed_len() != bytes.len() {
         return Err(Error::Persistence("entry length mismatch".into()));
     }
     let tkeys = keys.tenant_keys(header.tenant);
     let mut plain = Vec::new();
-    if !entry::open_entry(&tkeys.enc, &tkeys.mac, &header, &bytes[entry::HEADER_LEN..], &mut plain)
-    {
+    let ct = &bytes[entry::HEADER_LEN..];
+    if !entry::open_entry(&tkeys.enc, &tkeys.mac, &header, ct, tag, &mut plain) {
         return Err(Error::IntegrityViolation { bucket });
     }
     Ok((header, plain))
 }
 
 /// Re-links one serialized entry into a table during restore, verifying
-/// its MAC before trusting it.
+/// it against its recorded tag before trusting it; the tag goes where the
+/// table keeps tags.
 fn restore_entry(
     ctx: &mut TableCtx,
     keys: &StoreKeys,
-    cfg: &Config,
     bucket: usize,
     bytes: &[u8],
+    tag: &[u8; TAG_LEN],
     shard_idx: usize,
     num_shards: usize,
 ) -> Result<()> {
@@ -506,7 +520,7 @@ fn restore_entry(
     // happens to be preserved (tail of one chain moved to an empty later
     // bucket), every set hash still verifies and the key becomes a silent
     // miss. Derive the true placement from the decrypted key instead.
-    let (header, plain) = open_entry(keys, bucket, bytes)?;
+    let (header, plain) = open_entry(keys, bucket, bytes, tag)?;
     let key = &plain[..header.key_len as usize];
     let hash = keys.index_hash(key);
     let true_shard = (((hash >> 32) * num_shards as u64) >> 32) as usize;
@@ -514,8 +528,8 @@ fn restore_entry(
     if true_shard != shard_idx || true_bucket != bucket {
         return Err(Error::IntegrityViolation { bucket });
     }
-    let handle = ctx.heap.alloc(bytes.len());
-    ctx.heap.bytes_mut(handle, bytes.len()).copy_from_slice(bytes);
+    let handle = ctx.heap.alloc(ctx.entry_len(&header));
+    ctx.place(handle, bytes, tag);
     // Set hashes are verified against the *sealed* arrays, so the chain
     // must come back in its original order: the file lists a bucket's
     // entries head first, so each is appended at the tail.
@@ -526,10 +540,10 @@ fn restore_entry(
         Some(Ok(tail)) => ctx.heap.write_u64_at(tail.handle, entry::OFF_NEXT, handle),
         Some(Err(_)) => return Err(Error::IntegrityViolation { bucket }),
     }
-    if cfg.mac_bucket {
+    if ctx.home == TagHome::Slot {
         // The MAC chain mirrors the entry chain's order.
         ctx.directory(bucket)
-            .insert_back(&header.mac, handle)
+            .insert_back(tag, handle)
             .map_err(|_| Error::IntegrityViolation { bucket })?;
     }
     ctx.count += 1;

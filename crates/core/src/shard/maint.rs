@@ -4,10 +4,10 @@
 //! it does on the op path.
 
 use super::{OpCtx, Shard};
-use crate::entry;
+use crate::entry::{self, TAG_LEN};
 use crate::error::{Error, Result};
 use crate::ordered::OrderedIndex;
-use crate::table::{Link, TableCtx};
+use crate::table::Link;
 use crate::tenant::{nskey, TenantId, TenantRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -17,14 +17,17 @@ impl Shard {
     /// returning the `(tenant, key)` pairs reaped so the store can
     /// WAL-log each removal (recovery must not resurrect them).
     ///
-    /// Only entries whose MAC verifies under their owner's keys are
-    /// reaped — a tampered `expires_at` cannot be laundered into a
-    /// silent delete; it either fails the guarding verification here or
-    /// trips [`Error::IntegrityViolation`] on the next read. A bucket whose
-    /// chain cannot be walked is observed as a violation and nothing in it
-    /// is reaped. Skipped while a snapshot freeze is active (the frozen
-    /// table is immutable; lazy expiry keeps hiding dead entries until the
-    /// next sweep).
+    /// Only entries whose MAC verifies against their tag under their
+    /// owner's keys are reaped — a tampered `expires_at` cannot be
+    /// laundered into a silent delete; it either fails the guarding
+    /// verification here or trips [`Error::IntegrityViolation`] on the next
+    /// read — and the reap itself proves the entry again
+    /// ([`super::Access::prove_found`]). A bucket whose chain cannot be
+    /// walked, or whose tags cannot be read where an expired entry needs
+    /// one, is observed as a violation and nothing in it is reaped.
+    /// Skipped while a snapshot freeze is active (the frozen table is
+    /// immutable; lazy expiry keeps hiding dead entries until the next
+    /// sweep).
     pub fn sweep_expired(
         &mut self,
         now: u64,
@@ -39,7 +42,7 @@ impl Shard {
         }
         // Pass 1 (read-only): collect authenticated expired candidates.
         let mut candidates: Vec<(TenantId, Vec<u8>)> = Vec::new();
-        let mut forged = Vec::new();
+        let (mut forged, mut tags) = (Vec::new(), Vec::new());
         for bucket in 0..main.buckets() {
             // Quarantined sets are out of bounds — membership is checked
             // directly so the sweep does not inflate the
@@ -47,9 +50,11 @@ impl Shard {
             if self.quarantine.sets.contains(&main.sets.set_of(bucket)) {
                 continue;
             }
+            tags.clear();
+            let tagged = main.tags(bucket, &mut tags).is_ok();
             let first = candidates.len();
             for link in main.chain(bucket) {
-                let Ok(Link { handle, header, .. }) = link else {
+                let Ok(Link { pos, handle, header, .. }) = link else {
                     candidates.truncate(first);
                     forged.push(bucket);
                     break;
@@ -57,9 +62,16 @@ impl Shard {
                 if !header.expired_at(now) {
                     continue;
                 }
+                if !tagged {
+                    // Tags that cannot be read prove no candidate.
+                    candidates.truncate(first);
+                    forged.push(bucket);
+                    break;
+                }
                 let Some(ct) = main.try_ciphertext(handle, &header) else { continue };
                 let owner = self.access.keys.tenant_keys(header.tenant);
-                if !entry::verify_mac(&owner.mac, &header, ct) {
+                let Some(tag) = tags.get(pos * TAG_LEN..(pos + 1) * TAG_LEN) else { continue };
+                if !entry::verify_mac(&owner.mac, &header, ct, tag) {
                     continue;
                 }
                 candidates.push((header.tenant, entry::decrypt_key(&owner.enc, &header, ct)));
@@ -98,11 +110,12 @@ impl Shard {
     /// chain is not an error here: its readable prefix counts.
     pub(crate) fn usage_by_tenant(&self) -> HashMap<TenantId, (u64, u64)> {
         let mut out = HashMap::new();
-        let readable =
-            self.tables.reads().flat_map(TableCtx::entries).filter_map(|(_, link)| link.ok());
-        for Link { header, .. } in readable {
+        let readable = self.tables.reads().flat_map(|table| {
+            table.entries().filter_map(move |(_, link)| Some((table, link.ok()?)))
+        });
+        for (table, Link { header, .. }) in readable {
             let slot = out.entry(header.tenant).or_insert((0, 0));
-            slot.0 += header.entry_len() as u64;
+            slot.0 += table.entry_len(&header) as u64;
             slot.1 += 1;
         }
         out
@@ -139,10 +152,12 @@ impl Shard {
             for set in 0..table.sets.num_sets() {
                 self.access.verify_set(table, set)?;
             }
-            // With MAC bucketing, also cross-check every chain length so an
-            // unlinked entry in the restored table cannot hide.
+            // And every entry against its tag, every chain as long as its
+            // bucket's tags, so an unlinked entry cannot hide.
             for bucket in 0..table.buckets() {
-                self.access.verify_absence_consistency(table, bucket)?;
+                if self.access.scan_bucket(table, bucket, None).is_err() {
+                    return Err(Error::IntegrityViolation { bucket });
+                }
             }
         }
         Ok(())

@@ -34,6 +34,7 @@ mod verify;
 use crate::alloc::UntrustedHeap;
 use crate::cache::EnclaveCache;
 use crate::config::{Config, MAX_ITEM_LEN};
+use crate::entry::{TagHome, TAG_LEN};
 use crate::error::{Error, Result};
 use crate::hist::{OpHists, OpTimer};
 use crate::integrity::{BucketSets, MacStore};
@@ -162,11 +163,40 @@ pub(crate) struct Scratch {
     entry: Vec<u8>,
     /// Candidate-key decryption during chain searches.
     key: Vec<u8>,
-    /// MAC side-array gathers for the absence/membership checks.
+    /// One bucket's tags, gathered afresh when the set gather no longer
+    /// holds them (see [`Scratch::tags`]).
     side: Vec<u8>,
     /// A bucket set's MACs, gathered for the set hash: between
     /// [`Access::begin_verify`] and the verdict, the set CMAC's whole input.
     set: Vec<u8>,
+    /// Where each bucket's tags start in `set`, one offset per bucket of
+    /// the gathered set and then its end; emptied when a write moves them.
+    set_starts: Vec<usize>,
+    /// The first bucket of the gathered set.
+    set_first: usize,
+}
+
+impl Scratch {
+    /// `bucket`'s tags in the set gather, while it holds them.
+    fn gathered(&self, bucket: usize) -> Option<&[u8]> {
+        let i = bucket.checked_sub(self.set_first)?;
+        let (start, end) = (*self.set_starts.get(i)?, *self.set_starts.get(i + 1)?);
+        self.set.get(start..end)
+    }
+
+    /// `bucket`'s tags as [`Access::load_tags`] left them: a slice of the
+    /// set gather when it is current, else what was gathered into `side`.
+    fn tags(&self, bucket: usize) -> &[u8] {
+        self.gathered(bucket).unwrap_or(&self.side)
+    }
+
+    /// Whether the tag at chain position `pos` among `bucket`'s loaded tags
+    /// is `computed`: the positional check every write relies on, since
+    /// `set_at`/`remove_at` act on the MAC nodes *by chain position*.
+    fn tag_at_is(&self, bucket: usize, pos: usize, computed: &[u8; 16]) -> bool {
+        let tags = self.tags(bucket).get(pos * TAG_LEN..(pos + 1) * TAG_LEN);
+        tags.is_some_and(|tag| shield_crypto::constant_time::ct_eq(tag, computed))
+    }
 }
 
 /// What a table operation works with besides the table itself, and what
@@ -221,7 +251,7 @@ impl Shard {
         let (buckets, mac_hashes) = (cfg.buckets_per_shard(), cfg.mac_hashes_per_shard());
         let heap = UntrustedHeap::new(Arc::clone(&enclave), cfg.alloc);
         let macs = MacStore::in_enclave(Arc::clone(&enclave), mac_hashes)?;
-        let main = TableCtx::new(heap, buckets, macs);
+        let main = TableCtx::new(heap, buckets, macs, TagHome::of(cfg.mac_bucket));
         let index = cfg.ordered_index.then(OrderedIndex::new);
         let (stats, scratch) = (OpStats::default(), Scratch::default());
         Ok(Self {
@@ -540,6 +570,12 @@ impl Shard {
     #[cfg(any(test, feature = "testing"))]
     pub(crate) fn tables(&self) -> impl Iterator<Item = &TableCtx> {
         self.tables.reads()
+    }
+
+    /// The store's keys (the testing API's invariants).
+    #[cfg(any(test, feature = "testing"))]
+    pub(crate) fn keys(&self) -> &StoreKeys {
+        &self.access.keys
     }
 
     /// Mutable access to the main table (persistence restore).

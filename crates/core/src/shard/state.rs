@@ -13,7 +13,7 @@
 
 use super::{Access, OpCtx, Shard};
 use crate::alloc::UntrustedHeap;
-use crate::entry;
+use crate::entry::{self, TagHome};
 use crate::error::{Error, Result};
 use crate::integrity::MacStore;
 use crate::table::{Link, TableCtx};
@@ -141,28 +141,29 @@ impl Access {
             let op = OpCtx { tenant, tkeys: &tkeys, now, expires_at: 0, state: None };
             self.delete_in(&op, main, key, true)?;
         }
-        let mut plain = Vec::new();
-        for (bucket, link) in temp.entries() {
-            let violation = Error::IntegrityViolation { bucket };
-            let Ok(Link { handle, header, .. }) = link else {
-                return Err(violation);
-            };
-            let tkeys = self.keys.tenant_keys(header.tenant);
-            // Fused verify+decrypt of the temp-table entry before it is
-            // re-sealed into the merged main table.
-            match temp.try_ciphertext(handle, &header) {
-                Some(ct) if entry::open_entry(&tkeys.enc, &tkeys.mac, &header, ct, &mut plain) => {}
-                _ => return Err(violation),
+        let (mut plain, mut tagged) = (Vec::new(), Vec::new());
+        for bucket in 0..temp.buckets() {
+            tagged.clear();
+            let violation = || Error::IntegrityViolation { bucket };
+            temp.tagged_chain(bucket, &mut tagged).map_err(|_| violation())?;
+            for (Link { handle, header, .. }, tag) in &tagged {
+                let tkeys = self.keys.tenant_keys(header.tenant);
+                // Fused verify+decrypt of the temp-table entry before it is
+                // re-sealed into the merged main table.
+                let ct = temp.try_ciphertext(*handle, header).ok_or_else(violation)?;
+                if !entry::open_entry(&tkeys.enc, &tkeys.mac, header, ct, tag, &mut plain) {
+                    return Err(violation());
+                }
+                let (key, value) = plain.split_at(header.key_len as usize);
+                let op = OpCtx {
+                    tenant: header.tenant,
+                    tkeys: &tkeys,
+                    now,
+                    expires_at: header.expires_at,
+                    state: None,
+                };
+                self.set_in(&op, main, key, value)?;
             }
-            let (key, value) = plain.split_at(header.key_len as usize);
-            let op = OpCtx {
-                tenant: header.tenant,
-                tkeys: &tkeys,
-                now,
-                expires_at: header.expires_at,
-                state: None,
-            };
-            self.set_in(&op, main, key, value)?;
         }
         Ok(())
     }
@@ -178,7 +179,8 @@ impl Shard {
         // bounded, and it is merged away afterwards.
         let temp_buckets = (self.access.buckets / 16).max(64);
         let heap = UntrustedHeap::new(Arc::clone(&self.enclave), self.access.cfg.alloc);
-        let temp = TableCtx::new(heap, temp_buckets, MacStore::plain(temp_buckets));
+        let home = TagHome::of(self.access.cfg.mac_bucket);
+        let temp = TableCtx::new(heap, temp_buckets, MacStore::plain(temp_buckets), home);
         let main = Arc::new(std::mem::replace(&mut self.tables.writer, temp));
         self.tables.phase = Phase::Frozen { main: Arc::clone(&main), tombstones: HashSet::new() };
         main

@@ -3,7 +3,7 @@
 //! snapshot-time temporary and frozen tables share them and a call names
 //! only the table, the key and what differs.
 
-use super::verify::{beside_entry, set_violation, PendingSet};
+use super::verify::{beside_entry, endorses, set_violation, PendingSet};
 use super::{Access, OpCtx, Scratch};
 use crate::alloc::{UntrustedHeap, NULL_HANDLE};
 use crate::config::MAX_ITEM_LEN;
@@ -99,13 +99,15 @@ impl Access {
     /// Searches `bucket` for `key` *within `op`'s tenant namespace*,
     /// counting decryptions as the paper's Fig. 9 does, and returns the
     /// entry with its ciphertext. First pass honours the key hint and
-    /// silently steps over foreign tenants' entries; if nothing matched and
-    /// the hint is on, the two-step fallback's full scan follows (§5.4) in
-    /// which **every** entry — whoever owns it — is verified under its
-    /// owner's derived MAC key, so content tampering (including a rewritten
-    /// tenant field) cannot masquerade as a clean miss. `Err` is tampering:
-    /// a chain the walker cannot follow, length fields that leave the
-    /// chunk, or a MAC the full scan refutes.
+    /// silently steps over foreign tenants' entries; if nothing matched,
+    /// [`Access::scan_bucket`] follows, in which **every** entry — whoever
+    /// owns it — is verified against its tag under its owner's derived MAC
+    /// key, so content tampering (including a rewritten tenant field or key
+    /// ciphertext) cannot masquerade as a clean miss. With the hint on it
+    /// is §5.4's two-step fallback and also looks for the key; with it off
+    /// the first pass has already decrypted every candidate, so it only
+    /// verifies. `Err` is tampering: a chain the walker cannot follow,
+    /// length fields that leave the chunk, or a tag the scan refutes.
     fn search<'t>(
         &mut self,
         op: &OpCtx<'_>,
@@ -132,7 +134,7 @@ impl Access {
                 // no more than that hinted.
                 table.hint_body(
                     handle,
-                    header.entry_len().min(entry::HEADER_LEN + key.len() + MAX_ITEM_LEN),
+                    header.sealed_len().min(entry::HEADER_LEN + key.len() + MAX_ITEM_LEN),
                 );
                 self.stats.key_decryptions += 1;
                 let ct = table.try_ciphertext(handle, &header).ok_or(Broken)?;
@@ -143,43 +145,19 @@ impl Access {
         }
 
         // Second step: full scan, defending against hint (and tenant-field)
-        // corruption. Every entry's MAC is verified under its *owner's*
-        // derived key: a corrupted ciphertext or a re-stitched tenant id
-        // would make a key silently unfindable otherwise.
-        if self.cfg.key_hint {
-            self.stats.full_scans += 1;
-            for link in table.chain(bucket) {
-                let link = link?;
-                let Link { handle, header, .. } = link;
-                let ct = table.try_ciphertext(handle, &header).ok_or(Broken)?;
-                let verified = if header.tenant == op.tenant {
-                    entry::verify_mac(&op.tkeys.mac, &header, ct)
-                } else {
-                    // Foreign entry: its owner's derived key decides. A forged
-                    // tenant id routes here and fails closed (the stored tag
-                    // cannot verify under the re-routed key).
-                    let owner = self.keys.tenant_keys(header.tenant);
-                    entry::verify_mac(&owner.mac, &header, ct)
-                };
-                if !verified {
-                    return Err(Broken);
-                }
-                if header.tenant == op.tenant && header.key_len as usize == key.len() {
-                    self.stats.key_decryptions += 1;
-                    if entry::key_matches(&op.tkeys.enc, &header, ct, key, &mut self.scratch.key) {
-                        return Ok(Some((link, ct)));
-                    }
-                }
-            }
+        // corruption, and proving the bucket's tags account for every entry
+        // its chain holds.
+        if !self.cfg.key_hint {
+            return self.scan_bucket(table, bucket, None);
         }
-        Ok(None)
+        self.stats.full_scans += 1;
+        self.scan_bucket(table, bucket, Some((op, key)))
     }
 
     /// [`Access::search`], with a search that comes back without an entry
     /// settled on the spot: the set's verdict first (`pending`, if it is
-    /// still owed), then the search's own, then — for a clean miss — the
-    /// side array's agreement that the key is absent. A found entry leaves
-    /// `pending` for the caller to settle beside opening or sealing it.
+    /// still owed), then the search's own. A found entry leaves `pending`
+    /// for the caller to settle beside opening or proving it.
     fn locate<'t>(
         &mut self,
         op: &OpCtx<'_>,
@@ -199,7 +177,6 @@ impl Access {
         if outcome.is_err() {
             return Err(Error::IntegrityViolation { bucket });
         }
-        self.verify_absence_consistency(table, bucket)?;
         Ok(None)
     }
 
@@ -224,8 +201,10 @@ impl Access {
     /// or gathered by [`Access::begin_verify`] and still to be settled. A
     /// hit settles it in the pass that opens the entry: the set's CMAC, the
     /// entry's CMAC and the keystream are three chains on one AES unit, so
-    /// they cost what the longest does. Anything else settles it alone.
-    /// Either way the set's verdict is reported before any other.
+    /// they cost what the longest does. The entry's computed tag must be
+    /// one its bucket endorses ([`Access::endorses`]), read from the same
+    /// gather. Anything else settles the set alone. Either way the set's
+    /// verdict is reported before any other.
     pub(super) fn get_in_bucket(
         &mut self,
         op: &OpCtx<'_>,
@@ -238,18 +217,21 @@ impl Access {
         let Some((found, ct)) = self.locate(op, table, bucket, hint, key, pending)? else {
             return Ok(None);
         };
+        self.load_tags(table, bucket)?;
         let beside = beside_entry(&self.keys, table, &pending, &self.scratch.set)?;
         // Fused verify+decrypt under the tenant's derived keys. The plaintext
         // is staged in the enclave-resident scratch buffer and only released
-        // after the set hash, the tag and the side-array liveness check have
-        // all passed.
+        // after the set hash has passed and the computed tag is one the
+        // bucket endorses, read from the same gather.
         let mut plain = std::mem::take(&mut self.scratch.entry);
+        let (scratch, stats) = (&self.scratch, &mut self.stats);
         let opened = entry::open_entry_beside(
             beside,
             &op.tkeys.enc,
             &op.tkeys.mac,
             &found.header,
             ct,
+            |computed| endorses(scratch, stats, bucket, found.pos, computed),
             &mut plain,
         );
         let wipe = |mut plain: Vec<u8>, scratch: &mut Scratch| {
@@ -267,10 +249,6 @@ impl Access {
                 self.scratch.entry = plain;
                 return Err(Error::IntegrityViolation { bucket });
             }
-        }
-        if let Err(e) = self.verify_side_mac_read(table, bucket, &found) {
-            wipe(plain, &mut self.scratch);
-            return Err(e);
         }
         // Lazy expiry: the fused open just authenticated the header,
         // `expires_at` included, so the deadline can be honoured. The value
@@ -306,12 +284,12 @@ impl Access {
     /// Insert/update within `bucket`, *without* re-storing the set hash.
     /// The bucket's set is either already verified (`pending` is `None` —
     /// the batched path, after the set's first item) or gathered by
-    /// [`Access::begin_verify`] and settled here: beside the sealing of the
-    /// new version on an update, alone otherwise, and always before any
-    /// other verdict and any mutation. The caller must call
-    /// [`Access::update_set_hash`] after the last write to the set — per-op
-    /// wrappers do so per call, the batched path once per touched set per
-    /// batch.
+    /// [`Access::begin_verify`] and settled here: beside the proof of the
+    /// entry an update replaces ([`Access::prove_found`]), alone otherwise,
+    /// and always before any other verdict and any mutation. The caller
+    /// must call [`Access::update_set_hash`] after the last write to the
+    /// set — per-op wrappers do so per call, the batched path once per
+    /// touched set per batch.
     ///
     /// An update is sealed into the enclave scratch and copied out only once
     /// every check has passed, so a refused write leaves untrusted memory as
@@ -331,10 +309,10 @@ impl Access {
         pending: Option<PendingSet>,
     ) -> Result<bool> {
         let hint = self.keys.hint_byte(key);
-        let new_len = entry::HEADER_LEN + key.len() + value.len();
+        let sealed_len = entry::HEADER_LEN + key.len() + value.len();
+        let new_len = sealed_len + table.home.suffix_len();
 
-        let found = self.locate(op, table, bucket, hint, key, pending)?.map(|(found, _)| found);
-        let Some(found) = found else {
+        let Some((found, ct)) = self.locate(op, table, bucket, hint, key, pending)? else {
             if let Some(st) = op.state {
                 if !st.usage.try_charge(&st.quota, new_len as u64, 1) {
                     return Err(quota_reject(op, &mut self.stats));
@@ -345,7 +323,7 @@ impl Access {
             let fresh = table.heap.alloc(new_len);
             let buf = &mut self.scratch.entry;
             buf.clear();
-            buf.resize(new_len, 0);
+            buf.resize(sealed_len, 0);
             let mac = entry::encode_into(
                 buf,
                 table.heads[bucket],
@@ -358,7 +336,6 @@ impl Access {
                 &op.tkeys.enc,
                 &op.tkeys.mac,
             );
-            table.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
             // Listed before it is linked: a directory that cannot take it
             // refuses while the chain is still as it was.
             if self.cfg.mac_bucket {
@@ -371,26 +348,26 @@ impl Access {
                     return Err(Error::IntegrityViolation { bucket });
                 }
             }
+            self.scratch.set_starts.clear();
+            table.place(fresh, &self.scratch.entry, &mac);
             table.heads[bucket] = fresh;
             table.count += 1;
             self.stats.inserts += 1;
             return Ok(true);
         };
 
-        // Update: bump the combined IV/counter for the re-encryption. The
-        // search only matches same-tenant entries, so the bumped counter
-        // stays within one derived keystream. (Should the entry turn out to
-        // be a stale replay, whose IV+1 is an already-spent counter, the
-        // side-array check below refuses it and what was sealed never leaves
-        // the scratch.)
+        // Update: prove the entry being replaced, then bump the combined
+        // IV/counter for the re-encryption. The search only matches
+        // same-tenant entries, so the bumped counter stays within one
+        // derived keystream, and the proof refuses a stale replay — whose
+        // IV+1 is an already-spent counter — before anything is sealed.
+        self.prove_found(op, table, bucket, &found, ct, pending)?;
         let mut iv = found.header.iv;
         shield_crypto::ctr::increment_be(&mut iv);
-        let beside = beside_entry(&self.keys, table, &pending, &self.scratch.set)?;
         let sealed = &mut self.scratch.entry;
         sealed.clear();
-        sealed.resize(new_len, 0);
-        let (mac, set_ok) = entry::encode_into_beside(
-            beside,
+        sealed.resize(sealed_len, 0);
+        let mac = entry::encode_into(
             sealed,
             found.header.next,
             hint,
@@ -402,22 +379,16 @@ impl Access {
             &op.tkeys.enc,
             &op.tkeys.mac,
         );
-        if let (false, Some(pending)) = (set_ok, pending) {
-            return Err(set_violation(table, pending.set));
-        }
-        self.verify_side_mac_write(table, bucket, &found)?;
-        let old_len = found.header.entry_len();
+        let old_len = table.entry_len(&found.header);
         let growth = new_len.saturating_sub(old_len) as u64;
         if let Some(st) = op.state {
             if growth > 0 && !st.usage.try_charge_bytes(&st.quota, growth) {
                 return Err(quota_reject(op, &mut self.stats));
             }
         }
-        // The side array first — the slot is the one `verify_side_mac_write`
-        // has just read, so this cannot fail unless memory moved under the
-        // op — and with it the handle the slot lists, which a reallocation
-        // changes.
-        let sealed = &self.scratch.entry;
+        // The MAC node first — the slot is the one `prove_found` has just
+        // read, so this cannot fail unless memory moved under the op — and
+        // with it the handle the slot lists, which a reallocation changes.
         let inplace = UntrustedHeap::same_class(old_len, new_len);
         let at = if inplace { found.handle } else { table.heap.alloc(new_len) };
         if self.cfg.mac_bucket {
@@ -436,7 +407,8 @@ impl Access {
         if let Some(st) = op.state {
             st.usage.discharge(old_len.saturating_sub(new_len) as u64, 0);
         }
-        table.heap.bytes_mut(at, new_len).copy_from_slice(sealed);
+        self.scratch.set_starts.clear();
+        table.place(at, &self.scratch.entry, &mac);
         if inplace {
             self.stats.inplace_updates += 1;
         } else {
@@ -453,17 +425,16 @@ impl Access {
     }
 
     /// Removes `key` from `table` within `op`'s namespace. Returns `true`
-    /// if a physical removal happened.
+    /// if a physical removal happened. The entry is proven against its tag
+    /// ([`Access::prove_found`]) before anything else is decided about it.
     ///
     /// With `reap_expired = false` (normal deletes), an entry past its
     /// deadline answers "not present" *without* being removed: the caller's
     /// delete is not WAL-logged as having removed anything, so physical
     /// removal must wait for the sweep (which is logged) — otherwise
-    /// recovery replay and the live table would diverge. Honouring the
-    /// deadline requires authenticating it first: the hint-guided search
-    /// does not verify MACs, and the set hash covers only the stored tag
-    /// bytes, so a flipped `expires_at` would otherwise let tampering
-    /// masquerade as a clean miss.
+    /// recovery replay and the live table would diverge. The deadline it
+    /// honours is the proven one: a flipped `expires_at` fails the proof
+    /// instead of masquerading as a clean miss.
     ///
     /// With `reap_expired = true` (the sweep, snapshot tombstone replay),
     /// expired entries are removed like any other.
@@ -477,39 +448,34 @@ impl Access {
         let bucket = self.bucket_of(table, key);
         let set = table.sets.set_of(bucket);
         let pending = self.open(table, bucket)?;
-        self.finish_verify(table, pending)?;
         let hint = self.keys.hint_byte(key);
-        let Some((found, ct)) = self.locate(op, table, bucket, hint, key, None)? else {
+        let Some((found, ct)) = self.locate(op, table, bucket, hint, key, Some(pending))? else {
             return Ok(false);
         };
-        self.verify_side_mac_write(table, bucket, &found)?;
-
+        self.prove_found(op, table, bucket, &found, ct, Some(pending))?;
         if !reap_expired && found.header.expired_at(op.now) {
-            // Fail-closed deadline trust: verify the entry MAC before
-            // honouring the plaintext expiry field.
-            if !entry::verify_mac(&op.tkeys.mac, &found.header, ct) {
-                return Err(Error::IntegrityViolation { bucket });
-            }
             count_expired_lazy(op, &mut self.stats);
             return Ok(false);
         }
 
-        // The side array first: it checks its nodes before it writes.
+        // The MAC node first: it checks its nodes before it writes.
         if self.cfg.mac_bucket {
             table
                 .directory(bucket)
                 .remove_at(found.pos)
                 .map_err(|_| Error::IntegrityViolation { bucket })?;
         }
+        self.scratch.set_starts.clear();
         if found.prev == NULL_HANDLE {
             table.heads[bucket] = found.header.next;
         } else {
             table.heap.write_u64_at(found.prev, entry::OFF_NEXT, found.header.next);
         }
-        table.heap.free(found.handle, found.header.entry_len());
+        let len = table.entry_len(&found.header);
+        table.heap.free(found.handle, len);
         table.count -= 1;
         if let Some(st) = op.state {
-            st.usage.discharge(found.header.entry_len() as u64, 1);
+            st.usage.discharge(len as u64, 1);
         }
         self.update_set_hash(table, set)?;
         Ok(true)

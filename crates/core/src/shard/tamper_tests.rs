@@ -248,8 +248,10 @@ fn ops_fail_closed(s: &mut Shard, site: Site, mac_bucket: bool, case: &str) {
 fn maintenance_fails_closed(cfg: Config, site: Site, plant: Plant, case: &str) {
     let violation = |r: Result<()>| matches!(r, Err(Error::IntegrityViolation { .. }));
     // The entry chain is what the whole-table walks follow; the MAC side
-    // chain is only met where a set is verified.
+    // chain is only met where a set is verified, or where tags are read —
+    // and a snapshot records every entry's tag.
     let chain_forged = site == Site::EntryNext;
+    let tags_forged = chain_forged || cfg.mac_bucket;
 
     // The sweep: `c` is expired and authentic, yet its bucket cannot be
     // walked (or its set not verified), so it stays and the violation is
@@ -266,13 +268,13 @@ fn maintenance_fails_closed(cfg: Config, site: Site, plant: Plant, case: &str) {
     assert_eq!(violation(s.rebuild_index()), chain_forged, "{case}");
     assert!(violation(s.verify_all_sets()), "{case}");
 
-    // A snapshot: the writer refuses a chain it cannot walk, and the merge
-    // refuses to write into the forged bucket — leaving the shard frozen
-    // and serving, as it was.
+    // A snapshot: the writer refuses a chain or tags it cannot read, and
+    // the merge refuses to write into the forged bucket — leaving the shard
+    // frozen and serving, as it was.
     let mut s = forged_shard(cfg, site, plant, false).unwrap();
     let frozen = s.freeze();
     run(&mut s, Op::set(b"d", b"during")).unwrap();
-    assert_eq!(violation(crate::persist::write_table(&mut Vec::new(), &frozen)), chain_forged);
+    assert_eq!(violation(crate::persist::write_table(&mut Vec::new(), &frozen)), tags_forged);
     drop(frozen);
     assert!(violation(s.unfreeze()), "{case}");
     assert!(s.is_snapshotting(), "{case}");
@@ -426,16 +428,16 @@ const FLIPS: [Flip; 26] = [
     Flip::NodeCap(4),
 ];
 
-/// What get, set and delete of the victim reported at the commit before
-/// the lockstep kernel (a `multi_get` reported what the get did). A set or delete never opens the old value, so
-/// a flipped value byte or length goes unseen by them (the set
-/// overwrites it); a delete authenticates only a deadline it is about
-/// to honour. Without MAC bucketing the set hash is derived from the
-/// chain itself, so a stored tag or a `next` is the set's to catch. The
-/// last two rows came with the fields they forge: a listed handle is only
-/// hinted, so nothing sees it; a `cap` places the node's arrays and sizes
-/// what is freed of it, so the set's gather refuses any but the one its
-/// count makes it.
+/// What get, set and delete of the victim report (a `multi_get` reports
+/// what the get does). A set or delete proves the entry it replaces
+/// before touching it, so a flipped value byte, length or deadline is
+/// refused by all three alike. Without MAC bucketing the set hash is derived
+/// from the chain itself, so a stored tag or a `next` is the set's to
+/// catch, and so are the lengths, which place the tag after the
+/// ciphertext. The last two rows came with the fields they forge: a
+/// listed handle is only hinted, so nothing sees it; a `cap` places the
+/// node's arrays and sizes what is freed of it, so the set's gather
+/// refuses any but the one its count makes it.
 fn recorded_verdicts(mac_bucket: bool, flip: Flip) -> [Seen; 3] {
     use Seen::{AtBucket, AtSetStart, Served};
     match flip {
@@ -446,8 +448,7 @@ fn recorded_verdicts(mac_bucket: bool, flip: Flip) -> [Seen; 3] {
         | Flip::NeighbourMacAndValue
         | Flip::NeighbourMacAndKey => [AtSetStart; 3],
         Flip::StoredTag | Flip::Next | Flip::NextOfPredecessor if !mac_bucket => [AtSetStart; 3],
-        Flip::CiphertextValue | Flip::ValLen => [AtBucket, Served, Served],
-        Flip::ExpiresAt => [AtBucket, Served, AtBucket],
+        Flip::KeyLen | Flip::ValLen if !mac_bucket => [AtSetStart; 3],
         Flip::Next => [Served; 3],
         _ => [AtBucket; 3],
     }
@@ -456,9 +457,9 @@ fn recorded_verdicts(mac_bucket: bool, flip: Flip) -> [Seen; 3] {
 /// One bit flipped in each authenticated or structural field, then a
 /// get, a set, a delete and a batched get of the victim key, each on a
 /// fresh shard.
-/// The verdicts were recorded before the lockstep kernel reordered the
-/// work inside an op; the same `Error`, variant and bucket, must come
-/// back after. No failed op leaves plaintext staged in the scratch.
+/// Each must come back as recorded: the same `Error`, variant and bucket.
+/// With MAC bucketing the stored tag is the node's slot, the `MacNode`
+/// row. No failed op leaves plaintext staged in the scratch.
 #[test]
 fn tamper_matrix_reports_the_recorded_verdicts() {
     for mac_bucket in [true, false] {
@@ -494,6 +495,11 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                 let (tail, header) = (chain[chain.len() - 1].handle, chain[chain.len() - 1].header);
                 let pos = chain.len() - 1;
                 assert_eq!(header.key_len as usize, victim.len());
+                let other = set_buckets
+                    .clone()
+                    .find(|&b| b != bucket && main.heads[b] != NULL_HANDLE)
+                    .expect("a second occupied bucket in the set");
+                let other_tag_at = main.try_header(main.heads[other]).unwrap().sealed_len();
                 let mut flip_at = |handle: Handle, offset: usize| {
                     main.heap.bytes_at_mut(handle, offset, 1)[0] ^= 1;
                 };
@@ -501,20 +507,18 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                     flip,
                     Flip::NeighbourMac | Flip::NeighbourMacAndValue | Flip::NeighbourMacAndKey
                 ) {
-                    let other = set_buckets
-                        .clone()
-                        .find(|&b| b != bucket && main.heads[b] != NULL_HANDLE)
-                        .expect("a second occupied bucket in the set");
                     if mac_bucket {
                         flip_at(main.mac_heads[other], NODE_MACS)
                     } else {
-                        flip_at(main.heads[other], entry::OFF_MAC)
+                        flip_at(main.heads[other], other_tag_at)
                     }
                 }
                 match flip {
                     Flip::MacNode | Flip::NodeHandle(_) | Flip::NodeCap(_) if !mac_bucket => {
                         continue
                     }
+                    // With MAC bucketing the stored tag is the node's slot.
+                    Flip::StoredTag if mac_bucket => continue,
                     Flip::NodeHandle(plant) => {
                         let node = main.mac_heads[bucket];
                         let other = set_buckets.clone().find(|&b| b != bucket).unwrap();
@@ -540,7 +544,7 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                         flip_at(tail, entry::HEADER_LEN)
                     }
                     Flip::CiphertextValue | Flip::NeighbourMacAndValue => {
-                        flip_at(tail, header.entry_len() - 1)
+                        flip_at(tail, header.sealed_len() - 1)
                     }
                     Flip::Hint => flip_at(tail, entry::OFF_HINT),
                     Flip::KeyLen => flip_at(tail, entry::OFF_KEY_LEN),
@@ -548,7 +552,7 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                     Flip::Tenant => flip_at(tail, entry::OFF_TENANT),
                     Flip::ExpiresAt => flip_at(tail, entry::OFF_EXPIRY),
                     Flip::Iv => flip_at(tail, entry::OFF_IV + 15),
-                    Flip::StoredTag => flip_at(tail, entry::OFF_MAC),
+                    Flip::StoredTag => flip_at(tail, header.sealed_len()),
                     Flip::Next => flip_at(tail, entry::OFF_NEXT),
                     Flip::NextOfPredecessor => flip_at(chain[pos - 1].handle, entry::OFF_NEXT),
                 }
@@ -602,5 +606,81 @@ fn tamper_matrix_reports_the_recorded_verdicts() {
                 assert_eq!(row, [get, set, delete, get], "{flip:?}, {mac_bucket}");
             }
         }
+    }
+}
+
+/// A one-bucket shard holding `kx` and then `ky` (chain `ky → kx`), `kx`
+/// long expired when `expire_kx`, with `ky`'s entry rewritten to claim
+/// `kx`: `kx`'s hint byte copied into its header and its encrypted key
+/// XORed with `ky ⊕ kx` — AES-CTR is malleable, so the key now decrypts
+/// to `kx`. Its tag is left as it was.
+fn malleated_shard(cfg: Config, expire_kx: bool) -> Shard {
+    let mut s = shard_with(cfg.buckets(1).mac_hashes(1));
+    let expires_at = expire_kx as u64;
+    s.execute(0, None, Op::Set { key: b"kx", value: b"vx1", expires_at }).unwrap();
+    run(&mut s, Op::set(b"ky", b"vy1")).unwrap();
+    let main = s.main_table_mut().unwrap();
+    let (ky, kx) = (main.heads[0], main.try_header(main.heads[0]).unwrap().next);
+    let hint = main.try_header(kx).unwrap().hint;
+    main.heap.bytes_at_mut(ky, entry::OFF_HINT, 1)[0] = hint;
+    let key = main.heap.bytes_at_mut(ky, entry::HEADER_LEN, 2);
+    for (byte, (x, y)) in key.iter_mut().zip(b"kx".iter().zip(b"ky")) {
+        *byte ^= x ^ y;
+    }
+    s
+}
+
+/// The two store designs the paper compares, with and without MAC
+/// bucketing and the key hint.
+fn both_designs() -> [(&'static str, Config); 2] {
+    [("shield_opt", Config::shield_opt()), ("shield_base", Config::shield_base())]
+}
+
+/// A write lands on the entry its search decrypts to the target key, so
+/// it must prove that entry first: `set(kx)` must not overwrite `ky`'s
+/// entry — an acknowledged write of `ky` silently lost, and the next
+/// `get(ky)` a clean miss.
+#[test]
+fn a_write_refuses_an_entry_whose_key_was_rewritten_into_its_own() {
+    for (name, cfg) in both_designs() {
+        vclock::reset();
+        let mut s = malleated_shard(cfg, false);
+        let r = run(&mut s, Op::set(b"kx", b"vx2"));
+        assert!(matches!(r, Err(Error::IntegrityViolation { bucket: 0 })), "{name}: {r:?}");
+        assert_ne!(run(&mut s, Op::Get(b"ky")), Ok(Reply::Value(None)), "{name}: ky lost");
+        vclock::reset();
+    }
+}
+
+/// Likewise a delete: `delete(kx)` must not remove `ky`'s entry and
+/// report `kx` gone — leaving `kx` to read back and `ky` a clean miss.
+/// Refused, it leaves both as they were: each read fails closed.
+#[test]
+fn a_delete_refuses_an_entry_whose_key_was_rewritten_into_its_own() {
+    for (name, cfg) in both_designs() {
+        vclock::reset();
+        let mut s = malleated_shard(cfg, false);
+        let r = run(&mut s, Op::Delete(b"kx"));
+        assert!(matches!(r, Err(Error::IntegrityViolation { bucket: 0 })), "{name}: {r:?}");
+        for key in [b"kx", b"ky"] {
+            let r = run(&mut s, Op::Get(key));
+            assert!(matches!(r, Err(Error::IntegrityViolation { bucket: 0 })), "{name}: {r:?}");
+        }
+        vclock::reset();
+    }
+}
+
+/// The sweep reaps through the same verified delete: with `kx` expired
+/// and `ky`'s entry claiming `kx`, the reap must not take `ky`'s entry in
+/// its place. Nothing is reaped, and the violation is observed.
+#[test]
+fn the_sweep_refuses_an_entry_whose_key_was_rewritten_into_an_expired_one() {
+    for (name, cfg) in both_designs() {
+        vclock::reset();
+        let mut s = malleated_shard(cfg.with_quarantine(), true);
+        let reaped = s.sweep_expired(ttl::now_ns(), &TenantRegistry::new());
+        assert!(reaped.is_empty(), "{name}: reaped {reaped:?}");
+        assert_eq!((s.len(), s.quarantine_state().2), (2, 1), "{name}");
+        vclock::reset();
     }
 }

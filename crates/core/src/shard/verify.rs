@@ -1,12 +1,22 @@
-//! Set-hash and side-array verification (paper §4.3, §5.2): what proves
-//! that a bucket's untrusted contents are the ones the enclave last
-//! endorsed, before and after a table operation touches them.
+//! Set-hash and tag verification (paper §4.3, §5.2): what proves that a
+//! bucket's untrusted contents are the ones the enclave last endorsed,
+//! before and after a table operation touches them.
+//!
+//! An entry's tag exists once — in its MAC-node slot with MAC bucketing,
+//! after its ciphertext without — and [`TableCtx::tags`] is the one
+//! reader. The set hash covers every bucket's tags, and each check of an
+//! entry compares what its content computes to with its tag: a hit in the
+//! pass that opens it ([`Access::get_in_bucket`]), a write or delete before
+//! it mutates anything ([`Access::prove_found`]), a miss by scanning the
+//! whole bucket ([`Access::scan_bucket`]).
 
-use super::{Access, StoreKeys};
+use super::{Access, OpCtx, Scratch, StoreKeys};
+use crate::entry::{self, TAG_LEN};
 use crate::error::{Error, Result};
 use crate::integrity;
-use crate::mac_bucket;
-use crate::table::{Link, TableCtx};
+use crate::stats::OpStats;
+use crate::table::{Broken, Link, TableCtx};
+use shield_crypto::constant_time::ct_eq;
 use shield_crypto::fused::Beside;
 
 /// The stored hash for an empty bucket set.
@@ -40,7 +50,7 @@ pub(super) struct PendingSet {
 /// entry of its set: the gathered `macs` and the hash they must have. A
 /// gather without MACs has no CMAC to run — its hash is a constant — and
 /// is settled here. (An entry found in such a set is tampering that the
-/// side-array checks report.) A free function over the two fields it
+/// tag check reports.) A free function over the two fields it
 /// reads, so the caller can stage the entry in `Scratch::entry` meanwhile.
 pub(super) fn beside_entry<'a>(
     keys: &'a StoreKeys,
@@ -64,29 +74,52 @@ fn settle(keys: &StoreKeys, table: &TableCtx, pending: PendingSet, macs: &[u8]) 
     }
 }
 
+/// Whether a hit's `computed` tag is one `bucket` endorses (its tags
+/// loaded in `scratch`): at the found entry's chain position `pos`, or —
+/// after a structural attack elsewhere in the chain (an unlink shifting
+/// positions), counted in `side_mac_fallbacks` — at any position of the
+/// bucket. Hits prove themselves: a stale version replayed over the entry,
+/// or a key rewritten into another's, computes to a tag the bucket does
+/// not hold. A free function over the two fields it touches, so the open
+/// can ask it while the set's MACs ride beside.
+pub(super) fn endorses(
+    scratch: &Scratch,
+    stats: &mut OpStats,
+    bucket: usize,
+    pos: usize,
+    computed: &[u8; 16],
+) -> bool {
+    if scratch.tag_at_is(bucket, pos, computed) {
+        return true;
+    }
+    stats.side_mac_fallbacks += 1;
+    scratch.tags(bucket).chunks_exact(TAG_LEN).any(|tag| ct_eq(tag, computed))
+}
+
 impl Access {
-    /// Gathers the entry MACs of every bucket of `set`, in traversal
-    /// order, into `Scratch::set` — the bucket-set hash is the CMAC of
-    /// exactly these bytes. With MAC bucketing they are a few contiguous
-    /// reads of the side arrays; without it they are copied out of the
-    /// chained entries' headers. `None` means the untrusted structure
-    /// itself is corrupt (unreadable pointer, cycle, a count or capacity
-    /// field no honest node holds)
-    /// — callers surface it as an integrity violation.
+    /// Gathers the tags of every bucket of `set`, in traversal order, into
+    /// `Scratch::set` — the bucket-set hash is the CMAC of exactly these
+    /// bytes — and records where each bucket's tags start. With MAC bucketing
+    /// they are a few contiguous reads of the MAC nodes; without it they
+    /// are read after each chained entry's ciphertext. `None` means the
+    /// untrusted structure itself is corrupt (unreadable pointer, cycle, a
+    /// count or capacity field no honest node holds) — callers surface it
+    /// as an integrity violation.
     fn gather_set(&mut self, table: &TableCtx, set: usize) -> Option<()> {
-        let lim = table.mac_limits();
-        let macs = &mut self.scratch.set;
-        macs.clear();
-        for bucket in table.sets.buckets_of(set) {
-            if self.cfg.mac_bucket {
-                mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], macs, lim).ok()?;
-            } else {
-                for link in table.chain(bucket) {
-                    macs.extend_from_slice(&link.ok()?.header.mac);
-                }
+        let buckets = table.sets.buckets_of(set);
+        let scratch = &mut self.scratch;
+        scratch.set.clear();
+        scratch.set_starts.clear();
+        scratch.set_first = buckets.start;
+        for bucket in buckets {
+            scratch.set_starts.push(scratch.set.len());
+            if table.tags(bucket, &mut scratch.set).is_err() {
+                scratch.set_starts.clear();
+                return None;
             }
         }
-        self.stats.macs_gathered += (macs.len() / 16) as u64;
+        scratch.set_starts.push(scratch.set.len());
+        self.stats.macs_gathered += (scratch.set.len() / TAG_LEN) as u64;
         Some(())
     }
 
@@ -138,105 +171,98 @@ impl Access {
         Ok(())
     }
 
-    /// Miss-path consistency check for MAC bucketing. The gather reads the
-    /// MAC side arrays, so an attacker who unlinks a *data entry* (leaving
-    /// the MAC bucket intact) would pass the set-hash check and turn the
-    /// key into a silent miss. A *found* key proves its own membership (its
-    /// MAC is verified against content and covered by the set hash), so
-    /// the chain walk is only paid when a search comes back empty —
-    /// keeping the very pointer-chasing MAC bucketing exists to avoid off
-    /// the hit path.
-    pub(super) fn verify_absence_consistency(
-        &mut self,
-        table: &TableCtx,
-        bucket: usize,
-    ) -> Result<()> {
-        if !self.cfg.mac_bucket {
+    /// Makes `bucket`'s tags readable through `Scratch::tags`: the set
+    /// gather already holds them unless a write has moved them since (a
+    /// batch's second write to a set), in which case they are gathered
+    /// afresh into `Scratch::side`.
+    pub(super) fn load_tags(&mut self, table: &TableCtx, bucket: usize) -> Result<()> {
+        if self.scratch.gathered(bucket).is_some() {
             return Ok(());
         }
-        let violation = || Error::IntegrityViolation { bucket };
-        let side = self.gather_side(table, bucket)?;
-        // Element-wise walk: every chained entry's header MAC must sit at
-        // its chain position in the side array, and the two must have equal
-        // length. This catches unlinking, splicing-in, reordering, and an
-        // entry's bytes being overwritten with another (individually valid)
-        // entry — all of which would otherwise read as a clean miss here.
-        let mut chained = 0usize;
-        for link in table.chain(bucket) {
-            let Link { pos, header, .. } = link.map_err(|_| violation())?;
-            if side.get(pos * 16..(pos + 1) * 16) != Some(header.mac.as_slice()) {
-                return Err(violation());
-            }
-            chained = pos + 1;
-        }
-        if chained * 16 != side.len() {
-            return Err(violation());
-        }
+        let side = &mut self.scratch.side;
+        side.clear();
+        table.tags(bucket, side).map_err(|_| Error::IntegrityViolation { bucket })?;
         Ok(())
     }
 
-    /// `bucket`'s MAC side array, gathered into `Scratch::side`.
-    fn gather_side(&mut self, table: &TableCtx, bucket: usize) -> Result<&[u8]> {
-        let side = &mut self.scratch.side;
-        side.clear();
-        let lim = table.mac_limits();
-        mac_bucket::try_gather(&table.heap, table.mac_heads[bucket], side, lim)
-            .map_err(|_| Error::IntegrityViolation { bucket })?;
-        Ok(side)
-    }
-
-    /// Hit-path replay defense for MAC bucketing. With `mac_bucket` on, the
-    /// set hash covers the *side array*, not the entry bytes — so replaying
-    /// a stale copy of an in-place-updated entry (old ciphertext + its then-
-    /// valid MAC, written back over the same allocation) passes both the
-    /// entry's own MAC check and the set-hash check. The side array only
-    /// ever holds the MACs of the *current* entry versions: requiring the
-    /// found entry's header MAC to appear there pins every hit to a live
-    /// version. The fast path compares positionally; after a structural
-    /// attack elsewhere in the chain (an unlink shifting positions) an
-    /// innocent entry falls back to a membership scan and keeps working —
-    /// hits prove themselves. Without MAC bucketing the set hash is derived
-    /// from the entry chain itself, so a replayed MAC already breaks it and
-    /// no extra check is needed.
-    pub(super) fn verify_side_mac_read(
+    /// Proves the entry a write is about to replace or remove, before
+    /// anything is mutated: its CMAC — beside the set's, while that is
+    /// still owed (`pending`), in one two-lane pass — must equal its tag at
+    /// its chain position. The search matched the entry by a key it
+    /// *decrypted*, and AES-CTR is malleable: without this, a host that
+    /// knows one plaintext key could point a write or delete at another
+    /// key's entry. Strictly positional, for the reason
+    /// [`Scratch::tag_at_is`] gives: a bucket whose chain and tags have
+    /// drifted apart refuses all mutations. The set's verdict comes first.
+    pub(super) fn prove_found(
         &mut self,
+        op: &OpCtx<'_>,
         table: &TableCtx,
         bucket: usize,
         found: &Link,
+        ct: &[u8],
+        pending: Option<PendingSet>,
     ) -> Result<()> {
-        if self.verify_side_mac_write(table, bucket, found).is_ok() {
-            return Ok(());
+        let beside = beside_entry(&self.keys, table, &pending, &self.scratch.set)?;
+        let (computed, set_ok) =
+            entry::compute_mac_beside(beside, &op.tkeys.mac, &found.header, ct);
+        if let (false, Some(pending)) = (set_ok, pending) {
+            return Err(set_violation(table, pending.set));
         }
-        // Positional mismatch: either an attack on this entry (replay) or a
-        // structural attack elsewhere in the chain. Membership decides.
-        self.stats.side_mac_fallbacks += 1;
-        let side = self.gather_side(table, bucket)?;
-        if side.chunks_exact(16).any(|m| m == found.header.mac) {
+        self.load_tags(table, bucket)?;
+        if self.scratch.tag_at_is(bucket, found.pos, &computed) {
             Ok(())
         } else {
             Err(Error::IntegrityViolation { bucket })
         }
     }
 
-    /// Write-path variant of [`Access::verify_side_mac_read`]: strictly
-    /// positional. `set_at`/`remove_at` mutate the side array *by chain
-    /// position*, so a write through a desynchronized position would
-    /// endorse the wrong slot (and could launder a stale MAC back into the
-    /// endorsed set). A bucket whose chain and side array have drifted
-    /// apart refuses all mutations.
-    pub(super) fn verify_side_mac_write(
-        &self,
-        table: &TableCtx,
+    /// The miss path's scan of `bucket` — §5.4's full scan, and what a
+    /// restored table is checked with. Every chained entry's CMAC, under
+    /// its *owner's* derived key, must equal its tag at its chain position,
+    /// and the chain must be exactly as long as the bucket's tags: an entry
+    /// unlinked, spliced in, reordered or overwritten, and a hint, tenant
+    /// field or key ciphertext forged, all fail it (`Err`). With `find`,
+    /// the scan also looks for that key in that op's namespace among the
+    /// entries it has proven, counting decryptions, and returns its entry
+    /// where it meets it.
+    pub(super) fn scan_bucket<'t>(
+        &mut self,
+        table: &'t TableCtx,
         bucket: usize,
-        found: &Link,
-    ) -> Result<()> {
-        if !self.cfg.mac_bucket {
-            return Ok(());
+        find: Option<(&OpCtx<'_>, &[u8])>,
+    ) -> std::result::Result<Option<(Link, &'t [u8])>, Broken> {
+        self.load_tags(table, bucket).map_err(|_| Broken)?;
+        let mut chained = 0;
+        for link in table.chain(bucket) {
+            let link = link?;
+            let Link { pos, handle, header, .. } = link;
+            let ct = table.try_ciphertext(handle, &header).ok_or(Broken)?;
+            let computed = match find {
+                Some((op, _)) if header.tenant == op.tenant => {
+                    entry::compute_mac(&op.tkeys.mac, &header, ct)
+                }
+                // Foreign entry: its owner's derived key decides. A forged
+                // tenant id routes here and fails closed (the tag cannot
+                // verify under the re-routed key).
+                _ => entry::compute_mac(&self.keys.tenant_keys(header.tenant).mac, &header, ct),
+            };
+            if !self.scratch.tag_at_is(bucket, pos, &computed) {
+                return Err(Broken);
+            }
+            chained = pos + 1;
+            if let Some((op, key)) = find {
+                if header.tenant == op.tenant && header.key_len as usize == key.len() {
+                    self.stats.key_decryptions += 1;
+                    if entry::key_matches(&op.tkeys.enc, &header, ct, key, &mut self.scratch.key) {
+                        return Ok(Some((link, ct)));
+                    }
+                }
+            }
         }
-        let lim = table.mac_limits();
-        match mac_bucket::try_get_at(&table.heap, table.mac_heads[bucket], found.pos, lim) {
-            Some(side) if side == found.header.mac => Ok(()),
-            _ => Err(Error::IntegrityViolation { bucket }),
+        if chained * TAG_LEN != self.scratch.tags(bucket).len() {
+            return Err(Broken);
         }
+        Ok(None)
     }
 }

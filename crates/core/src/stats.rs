@@ -73,9 +73,9 @@ sgx_sim::stat_table! {
         /// the same batch touched the same set (the hash is stored once per
         /// batch per set, after the last write).
         batch_hash_updates_saved: Counter, "ops";
-        /// Hit-path side-array MAC checks that missed positionally and fell
-        /// back to a membership scan (only ever non-zero after a structural
-        /// attack on a bucket chain).
+        /// Hits whose tag was not at their chain position among the
+        /// bucket's tags and fell back to a membership scan (only ever
+        /// non-zero after a structural attack on a bucket chain).
         side_mac_fallbacks: Counter, "ops";
         /// Operations rejected because their hash partition was quarantined
         /// after an integrity violation ([`crate::Config::quarantine`]).

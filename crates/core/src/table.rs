@@ -3,15 +3,19 @@
 //! A [`TableCtx`] bundles everything one hash table needs: the untrusted
 //! heap its entries live in, the bucket-head array, the per-bucket MAC
 //! chains (when MAC bucketing is on), and the in-enclave MAC hash array.
+//! It is also the one reader of entry tags ([`TableCtx::tags`]): each tag
+//! exists once, in a MAC-node slot or after its entry's ciphertext, and
+//! whatever checks an entry takes the tag it must have from there.
 //! The main table and the snapshot-time temporary table are both
 //! `TableCtx`s; during a snapshot the main one is frozen behind an `Arc`
 //! and only read.
 
 use crate::alloc::{Handle, UntrustedHeap, NULL_HANDLE};
-use crate::entry::{self, EntryHeader};
+use crate::entry::{self, EntryHeader, TagHome, TAG_LEN};
 use crate::integrity::{BucketSets, MacStore};
 use crate::mac_bucket::{self, Directory, Limits};
 use shield_crypto::hint::LINE;
+use shield_crypto::Tag128;
 
 /// One hash table: structure + storage + integrity metadata.
 pub struct TableCtx {
@@ -31,13 +35,15 @@ pub struct TableCtx {
     pub sets: BucketSets,
     /// Live entry count.
     pub count: usize,
+    /// Where this table's entries keep their tags.
+    pub home: TagHome,
 }
 
 /// One entry met on a chain walk.
 #[derive(Debug, Clone, Copy)]
 pub struct Link {
-    /// Position in the chain, 0 at the head: also the slot of the entry's
-    /// MAC in the bucket's side array.
+    /// Position in the chain, 0 at the head: also where the entry's tag is
+    /// among its bucket's [`TableCtx::tags`].
     pub pos: usize,
     /// The entry before this one, `NULL_HANDLE` at the head — what a
     /// relink or unlink rewrites.
@@ -102,8 +108,9 @@ impl std::fmt::Debug for TableCtx {
 }
 
 impl TableCtx {
-    /// Creates an empty table with `buckets` buckets.
-    pub fn new(heap: UntrustedHeap, buckets: usize, macs: MacStore) -> Self {
+    /// Creates an empty table with `buckets` buckets whose entries keep
+    /// their tags at `home`.
+    pub fn new(heap: UntrustedHeap, buckets: usize, macs: MacStore, home: TagHome) -> Self {
         let sets = BucketSets::new(buckets, macs.len());
         Self {
             heap,
@@ -113,6 +120,7 @@ impl TableCtx {
             macs,
             sets,
             count: 0,
+            home,
         }
     }
 
@@ -134,6 +142,69 @@ impl TableCtx {
     /// chunk. Operation code treats that as an integrity violation.
     pub fn try_ciphertext(&self, handle: Handle, header: &EntryHeader) -> Option<&[u8]> {
         self.heap.try_bytes_at(handle, entry::HEADER_LEN, header.ct_len())
+    }
+
+    /// The bytes an entry with `header` takes in this table's heap.
+    #[inline]
+    pub fn entry_len(&self, header: &EntryHeader) -> usize {
+        header.entry_len(self.home)
+    }
+
+    /// The one reader of entry tags: appends the tag each entry of
+    /// `bucket`'s chain must have to `out`, in chain order, and returns how
+    /// many — the bucket's MAC-node slots with [`TagHome::Slot`], the
+    /// [`TAG_LEN`] bytes after each chained entry's ciphertext with
+    /// [`TagHome::Suffix`]. The set hash, a hit's open, a write's proof of
+    /// the entry it replaces, a miss's scan, the sweep and a snapshot all
+    /// take their tags from here. [`Broken`] when the nodes or the chain
+    /// are not ones an honest table holds.
+    #[inline]
+    pub fn tags(&self, bucket: usize, out: &mut Vec<u8>) -> Result<usize, Broken> {
+        match self.home {
+            TagHome::Slot => {
+                mac_bucket::try_gather(&self.heap, self.mac_heads[bucket], out, self.mac_limits())
+            }
+            TagHome::Suffix => {
+                let mut n = 0;
+                for link in self.chain(bucket) {
+                    let Link { handle, header, .. } = link?;
+                    let tag = self.heap.try_bytes_at(handle, header.sealed_len(), TAG_LEN);
+                    out.extend_from_slice(tag.ok_or(Broken)?);
+                    n += 1;
+                }
+                Ok(n)
+            }
+        }
+    }
+
+    /// `bucket`'s chain with each entry's tag ([`TableCtx::tags`]) beside
+    /// it, in chain order, into `out` — for the walks that check every
+    /// entry of a bucket (a snapshot, the merge after one, the testing
+    /// hooks). [`Broken`] when either cannot be read or they differ in
+    /// number.
+    pub fn tagged_chain(&self, bucket: usize, out: &mut Vec<(Link, Tag128)>) -> Result<(), Broken> {
+        let mut tags = Vec::new();
+        self.tags(bucket, &mut tags)?;
+        let mut tags = tags.chunks_exact(TAG_LEN);
+        for link in self.chain(bucket) {
+            let tag = tags.next().ok_or(Broken)?;
+            out.push((link?, tag.try_into().expect("a whole tag")));
+        }
+        match tags.next() {
+            None => Ok(()),
+            Some(_) => Err(Broken),
+        }
+    }
+
+    /// Writes an entry's `sealed` bytes — header and ciphertext — at `at`
+    /// and, with [`TagHome::Suffix`], its `tag` right after them. With
+    /// [`TagHome::Slot`] the tag is the directory's, which the caller
+    /// updates.
+    pub fn place(&mut self, at: Handle, sealed: &[u8], tag: &Tag128) {
+        let len = sealed.len() + self.home.suffix_len();
+        let bytes = self.heap.bytes_mut(at, len);
+        bytes[..sealed.len()].copy_from_slice(sealed);
+        bytes[sealed.len()..].copy_from_slice(&tag[..self.home.suffix_len()]);
     }
 
     /// Hints the header of the entry at `handle` — one line, since
@@ -191,7 +262,7 @@ mod tests {
     fn ctx(buckets: usize) -> TableCtx {
         let enclave = EnclaveBuilder::new("table-test").build();
         let heap = UntrustedHeap::new(enclave, AllocMode::Pooled { granularity: 1 << 20 });
-        TableCtx::new(heap, buckets, MacStore::plain(buckets))
+        TableCtx::new(heap, buckets, MacStore::plain(buckets), TagHome::Suffix)
     }
 
     #[test]
@@ -210,9 +281,9 @@ mod tests {
         let len = entry::HEADER_LEN + 1 + 1;
         let mut handles = Vec::new();
         for i in 0..n {
-            let h = t.heap.alloc(len);
+            let h = t.heap.alloc(len + TAG_LEN);
             let mut buf = vec![0u8; len];
-            entry::encode_into(
+            let tag = entry::encode_into(
                 &mut buf,
                 t.heads[bucket],
                 0,
@@ -224,7 +295,7 @@ mod tests {
                 &enc,
                 &cmac,
             );
-            t.heap.bytes_mut(h, len).copy_from_slice(&buf);
+            t.place(h, &buf, &tag);
             t.heads[bucket] = h;
             t.count += 1;
             handles.insert(0, h);
@@ -289,5 +360,24 @@ mod tests {
         t.heads[0] = u64::MAX;
         let walk: Vec<_> = t.entries().map(|(bucket, link)| (bucket, link.is_ok())).collect();
         assert_eq!(walk, [(0, false), (1, true), (1, true)]);
+    }
+
+    #[test]
+    fn suffix_tags_are_each_entrys_own_in_chain_order() {
+        let mut t = ctx(2);
+        let handles = build_chain(&mut t, 1, 3);
+        let cmac = shield_crypto::cmac::Cmac::new(&[0u8; 16]);
+        let mut tags = Vec::new();
+        assert_eq!(t.tags(1, &mut tags), Ok(3));
+        for (link, tag) in t.chain(1).zip(tags.chunks_exact(TAG_LEN)) {
+            let Link { handle, header, .. } = link.unwrap();
+            let ct = t.try_ciphertext(handle, &header).unwrap();
+            assert_eq!(entry::compute_mac(&cmac, &header, ct), tag);
+            assert_eq!(t.entry_len(&header), header.sealed_len() + TAG_LEN);
+        }
+        assert_eq!(t.tags(0, &mut tags), Ok(0));
+        let wild = t.heap.wild_handles()[0];
+        t.heap.write_u64_at(handles[1], entry::OFF_NEXT, wild);
+        assert_eq!(t.tags(1, &mut Vec::new()), Err(Broken));
     }
 }

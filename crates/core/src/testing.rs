@@ -13,12 +13,13 @@
 //! itself never calls it.
 
 use crate::alloc::{Handle, UntrustedHeap};
-use crate::entry;
+use crate::entry::{self, TagHome};
 use crate::mac_bucket::{class_cap, CAPACITY};
 use crate::shard::Shard;
 use crate::store::ShieldStore;
 use crate::table::{Link, TableCtx};
 use crate::tenant::{TenantId, TenantKeys};
+use shield_crypto::Tag128;
 
 /// One field of the Fig. 5 entry layout to corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +38,9 @@ pub enum EntryField {
     Iv,
     /// The encrypted key‖value payload.
     Ciphertext,
-    /// The 16-byte entry MAC.
+    /// The entry's 16-byte tag, wherever its table keeps it: the entry's
+    /// MAC-node slot with MAC bucketing, the bytes after its ciphertext
+    /// without.
     Mac,
     /// The 8-byte chain pointer (deliberately not MAC-covered).
     ChainNext,
@@ -87,6 +90,8 @@ pub struct StaleEntry {
     pub handle: Handle,
     /// The raw entry bytes (header + ciphertext) at capture time.
     pub bytes: Vec<u8>,
+    /// The entry's tag at capture time, from wherever its table keeps it.
+    pub tag: Tag128,
 }
 
 /// Cheap deterministic mixer so one seed drives several choices.
@@ -139,6 +144,28 @@ pub fn listed_handles(heap: &UntrustedHeap, head: Handle) -> Vec<Handle> {
         node = heap.try_read_u64_at(node, 0).unwrap_or(0);
     }
     out
+}
+
+/// Where the tag of `link`, an entry of `bucket`, sits in memory:
+/// `(object, offset)` — a MAC node and the slot at the entry's chain
+/// position with MAC bucketing, the entry itself (after its ciphertext)
+/// without.
+/// Read straight from memory by a bounded walk; `None` past what it can
+/// read.
+fn tag_site(ctx: &TableCtx, bucket: usize, link: &Link) -> Option<(Handle, usize)> {
+    if ctx.home == TagHome::Suffix {
+        return Some((link.handle, link.header.sealed_len()));
+    }
+    let (mut node, mut pos) = (ctx.mac_heads[bucket], link.pos);
+    for _ in 0..=ctx.count {
+        let count = node_word(&ctx.heap, node, NODE_COUNT)?;
+        if pos < count {
+            return Some((node, NODE_MACS + pos * 16));
+        }
+        pos -= count;
+        node = ctx.heap.try_read_u64_at(node, 0)?;
+    }
+    None
 }
 
 /// Bounded enumeration of MAC side-array node handles.
@@ -196,34 +223,79 @@ impl Shard {
         mutated
     }
 
-    /// Captures byte-level copies of every entry, for later replay.
+    /// Captures byte-level copies of every entry, each with its tag, for
+    /// later replay. Buckets whose chain or tags cannot be read are left
+    /// out.
     pub fn stale_entry_copies(&self) -> Vec<StaleEntry> {
         let Some(main) = self.main_table() else {
             return Vec::new();
         };
-        main.entries()
-            .filter_map(|(_, link)| {
-                let Link { handle, header, .. } = link.ok()?;
-                let bytes = main.heap.try_bytes_at(handle, 0, header.entry_len())?.to_vec();
-                Some(StaleEntry { handle, bytes })
-            })
-            .collect()
+        let mut copies = Vec::new();
+        for bucket in 0..main.buckets() {
+            let mut tagged = Vec::new();
+            if main.tagged_chain(bucket, &mut tagged).is_err() {
+                continue;
+            }
+            for (Link { handle, header, .. }, tag) in tagged {
+                if let Some(bytes) = main.heap.try_bytes_at(handle, 0, header.sealed_len()) {
+                    copies.push(StaleEntry { handle, bytes: bytes.to_vec(), tag });
+                }
+            }
+        }
+        copies
     }
 
     /// Replays a stale entry copy over its original allocation — the
-    /// rollback attack: the bytes (including IV and then-valid MAC) are a
-    /// genuine previous version. Returns `false` when the allocation no
-    /// longer covers the copy.
+    /// rollback attack: the bytes (including IV) and the tag are a genuine
+    /// previous version. The tag goes where the entry at that allocation
+    /// keeps its tag now: after the bytes without MAC bucketing, its slot
+    /// with it (when the allocation is still chained). Returns `false` when
+    /// the allocation no longer covers the copy.
     pub fn replay_entry(&mut self, stale: &StaleEntry) -> bool {
         let Some(main) = self.main_table_mut() else {
             return false;
         };
-        if main.heap.try_bytes_at(stale.handle, 0, stale.bytes.len()).is_none() {
+        let (at, len) = (stale.handle, stale.bytes.len());
+        if main.heap.try_bytes_at(at, 0, len + main.home.suffix_len()).is_none() {
             return false;
         }
-        main.heap.bytes_at_mut(stale.handle, 0, stale.bytes.len()).copy_from_slice(&stale.bytes);
+        main.heap.bytes_at_mut(at, 0, len).copy_from_slice(&stale.bytes);
+        let site = match main.home {
+            TagHome::Suffix => Some((at, len)),
+            TagHome::Slot => reachable_entries(main)
+                .into_iter()
+                .find(|(_, link)| link.handle == at)
+                .and_then(|(bucket, link)| tag_site(main, bucket, &link)),
+        };
+        if let Some((object, offset)) = site {
+            if main.heap.try_bytes_at(object, offset, 16).is_some() {
+                main.heap.bytes_at_mut(object, offset, 16).copy_from_slice(&stale.tag);
+            }
+        }
         self.record_attack_step();
         true
+    }
+
+    /// Panics unless, in every bucket of every table, each tag is the one
+    /// its entry computes to — the tag at chain position *i* is the CMAC of
+    /// the entry at *i*, under its owner's key — and there are exactly as
+    /// many tags as chained entries: an entry's tag exists once, where its
+    /// table keeps it, and nothing else stands in for it.
+    pub fn assert_tags_single_copy(&self) {
+        for table in self.tables() {
+            for bucket in 0..table.buckets() {
+                let mut tagged = Vec::new();
+                table.tagged_chain(bucket, &mut tagged).unwrap_or_else(|_| {
+                    panic!("bucket {bucket}: as many tags as chained entries, all readable")
+                });
+                for (Link { pos, handle, header, .. }, tag) in tagged {
+                    let ct = table.try_ciphertext(handle, &header).expect("a readable entry");
+                    let owner = self.keys().tenant_keys(header.tenant);
+                    let computed = entry::compute_mac(&owner.mac, &header, ct);
+                    assert_eq!(computed, tag, "bucket {bucket}, position {pos}: a stale tag");
+                }
+            }
+        }
     }
 
     /// Panics unless, in every bucket of every table, the handles the MAC
@@ -256,7 +328,8 @@ fn tamper_field(ctx: &mut TableCtx, field: EntryField, seed: u64) -> bool {
     if entries.is_empty() {
         return false;
     }
-    let (_, Link { handle: h, header, .. }) = entries[(mix(seed) as usize) % entries.len()];
+    let (bucket, link) = entries[(mix(seed) as usize) % entries.len()];
+    let Link { handle: h, header, .. } = link;
     let (start, len) = match field {
         EntryField::Hint => (entry::OFF_HINT, 1),
         EntryField::KeySize => (entry::OFF_KEY_LEN, 4),
@@ -264,7 +337,15 @@ fn tamper_field(ctx: &mut TableCtx, field: EntryField, seed: u64) -> bool {
         EntryField::Tenant => (entry::OFF_TENANT, 4),
         EntryField::Expiry => (entry::OFF_EXPIRY, 8),
         EntryField::Iv => (entry::OFF_IV, 16),
-        EntryField::Mac => (entry::OFF_MAC, 16),
+        EntryField::Mac => {
+            let Some((object, offset)) = tag_site(ctx, bucket, &link) else { return false };
+            let offset = offset + (mix(seed ^ 0x51ce) as usize) % 16;
+            if ctx.heap.try_bytes_at(object, offset, 1).is_none() {
+                return false;
+            }
+            ctx.heap.bytes_at_mut(object, offset, 1)[0] ^= 1 << (seed % 8);
+            return true;
+        }
         EntryField::ChainNext => (entry::OFF_NEXT, 8),
         EntryField::Ciphertext => {
             let ct = header.ct_len();
@@ -274,7 +355,7 @@ fn tamper_field(ctx: &mut TableCtx, field: EntryField, seed: u64) -> bool {
             (entry::HEADER_LEN, ct)
         }
         EntryField::Any => {
-            let total = header.entry_len();
+            let total = ctx.entry_len(&header);
             if total <= 8 {
                 return false;
             }
@@ -439,6 +520,60 @@ impl ShieldStore {
     pub fn assert_directories_in_sync(&self) {
         for shard in 0..self.num_shards() {
             self.with_shard(shard, |s| s.assert_directory_in_sync());
+        }
+    }
+
+    /// Rewrites the entry of tenant 0's key `from` so that its key decrypts
+    /// to `to` — AES-CTR is malleable, and the attacker knows both
+    /// plaintexts — and copies the hint byte of `to`'s own entry into it.
+    /// The entry's tag is left as it was. Returns `false` unless the two
+    /// keys differ, are of one length and both have an entry in one
+    /// bucket. Which entry holds which key is read here by decrypting, a
+    /// stand-in for what such an attacker learns by watching the writes.
+    pub fn malleate_key(&self, from: &[u8], to: &[u8]) -> bool {
+        let shard = self.shard_of(from);
+        if from == to || from.len() != to.len() || shard != self.shard_of(to) {
+            return false;
+        }
+        let keys = self.keys();
+        let tkeys = keys.tenant_keys(0);
+        let (from_hash, to_hash) = (keys.index_hash(from), keys.index_hash(to));
+        self.with_shard(shard, |s| {
+            let Some(main) = s.main_table_mut() else { return false };
+            let buckets = main.buckets() as u64;
+            let bucket = (from_hash % buckets) as usize;
+            if bucket != (to_hash % buckets) as usize {
+                return false;
+            }
+            let (mut victim, mut hint) = (None, None);
+            for link in main.chain(bucket) {
+                let Ok(Link { handle, header, .. }) = link else { return false };
+                let Some(ct) = main.try_ciphertext(handle, &header) else { return false };
+                if header.tenant != 0 || header.key_len as usize != from.len() {
+                    continue;
+                }
+                let key = entry::decrypt_key(&tkeys.enc, &header, ct);
+                if key == from {
+                    victim = Some(handle);
+                } else if key == to {
+                    hint = Some(header.hint);
+                }
+            }
+            let (Some(victim), Some(hint)) = (victim, hint) else { return false };
+            let ct = main.heap.bytes_at_mut(victim, entry::HEADER_LEN, from.len());
+            for (byte, (a, b)) in ct.iter_mut().zip(from.iter().zip(to)) {
+                *byte ^= a ^ b;
+            }
+            main.heap.bytes_at_mut(victim, entry::OFF_HINT, 1)[0] = hint;
+            s.record_attack_step();
+            true
+        })
+    }
+
+    /// [`Shard::assert_tags_single_copy`] over every shard.
+    pub fn assert_tags_single_copy(&self) {
+        for shard in 0..self.num_shards() {
+            self.with_shard(shard, |s| s.assert_tags_single_copy());
         }
     }
 

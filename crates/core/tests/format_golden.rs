@@ -25,9 +25,10 @@ fn digest(bytes: &[u8]) -> String {
 }
 
 /// A seeded store (two shards, three tenants, one entry with a
-/// deadline) snapshotted once: the file, and the metadata sealed in it,
-/// are the bytes recorded before the snapshot codec moved onto the
-/// shared byte cursor, and the file restores.
+/// deadline) snapshotted once: the metadata sealed in it is the bytes
+/// recorded before the snapshot codec moved onto the shared byte cursor,
+/// the file the bytes recorded when each entry's tag left its header for
+/// a field of its own after the entry (format v3), and the file restores.
 #[test]
 fn snapshot_bytes_are_the_recorded_ones() {
     let dir = std::env::temp_dir().join(format!("ss-snap-golden-{}", std::process::id()));
@@ -52,7 +53,7 @@ fn snapshot_bytes_are_the_recorded_ones() {
     // [magic 8 | counter 8 | shards 4 | sealed_len 4 | sealed | tables]
     let sealed_len = u32::from_le_bytes(file[20..24].try_into().unwrap()) as usize;
     let metadata = sgx_sim::seal::unseal(&enclave(), &file[24..24 + sealed_len]).unwrap();
-    assert_eq!(digest(&file), "02ab861450b44badfcd3fd950027a86dfec2a6b956f75eb119935aecd28b2664");
+    assert_eq!(digest(&file), "9e9cd26e690f6659f6d36f5b214ad3cd07368fac493dcf3175a2371fdec46b25");
     assert_eq!(
         digest(&metadata),
         "3a31c54379d184f3a28bedb303efb1feff714c1eeee8feee0793d11426a2d26a"

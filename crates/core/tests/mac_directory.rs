@@ -1,14 +1,17 @@
 //! The MAC-bucket directory from outside: that the entry handles a
 //! bucket's nodes list stay the bucket's chain through every path that
 //! writes either — nothing else would notice them drift apart, a listed
-//! handle being only ever hinted — and that small nodes keep what the
-//! untrusted heap holds per byte of user data where the size classes put
-//! it.
+//! handle being only ever hinted — that each entry's tag lives once, in
+//! its slot, through every path that writes it, and that small nodes keep
+//! what the untrusted heap holds per byte of user data where the size
+//! classes put it.
 
+use proptest::collection::vec as pvec;
+use proptest::prelude::*;
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::vclock;
-use shieldstore::{mac_bucket, Config, ShieldStore};
+use shieldstore::{mac_bucket, ttl, Config, Op, ShieldStore};
 
 fn enclave() -> std::sync::Arc<sgx_sim::enclave::Enclave> {
     EnclaveBuilder::new("mac-directory").seed(11).epc_bytes(8 << 20).build()
@@ -138,14 +141,79 @@ fn space_amp(buckets: usize, mac_hashes: usize, keys: u64, value_len: usize) -> 
 #[test]
 fn small_nodes_keep_the_heap_within_its_space_budget() {
     vclock::reset();
-    // 4.018: a 93 B entry in a 96 B class, and its share of a node.
+    // 4.018: a 77 B entry in a 96 B class, and its share of a node.
     let small = space_amp(1 << 16, 1 << 14, 200_000, 16);
     assert!(small <= 4.10, "200k x 16 B values hold {small:.3} heap bytes per user byte");
-    // 1.782: a 205 B entry in a 224 B class.
+    // 1.560: a 189 B entry in a 192 B class — its tag only in its slot.
     let mid = space_amp(1 << 16, 1 << 14, 200_000, 128);
-    assert!(mid <= 1.82, "200k x 128 B values hold {mid:.3} heap bytes per user byte");
-    // 1.267: a 589 B entry in a 640 B class.
+    assert!(mid <= 1.59, "200k x 128 B values hold {mid:.3} heap bytes per user byte");
+    // 1.267: a 573 B entry in a 640 B class.
     let large = space_amp(1 << 14, 1 << 12, 100_000, 512);
     assert!(large <= 1.29, "100k x 512 B values hold {large:.3} heap bytes per user byte");
     vclock::reset();
+}
+
+/// One step of a two-tenant history.
+#[derive(Debug, Clone)]
+enum Step {
+    Set { tenant: u32, key: u8, len: usize, ttl: bool },
+    Delete { tenant: u32, key: u8 },
+    Sweep,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    ((0..7u8, 1..3u32), (0..24u8, 0..300usize, any::<bool>())).prop_map(
+        |((kind, tenant), (key, len, ttl))| match kind {
+            0..=3 => Step::Set { tenant, key, len, ttl },
+            4 | 5 => Step::Delete { tenant, key },
+            _ => Step::Sweep,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+
+    /// An entry's tag exists once: after any history of inserts, updates
+    /// in place and by reallocation, deletes and TTL sweeps by two
+    /// tenants, and again after a snapshot and a restore, every tag —
+    /// each MAC-node slot with MAC bucketing, each suffix without — is the
+    /// CMAC of the entry at its chain position, and every bucket holds
+    /// exactly as many tags as its chain holds entries.
+    #[test]
+    fn every_tag_is_its_entrys_only_copy(
+        mac_bucket in any::<bool>(),
+        steps in pvec(step(), 1..80),
+    ) {
+        vclock::reset();
+        let dir = std::env::temp_dir().join(format!("ss-onetag-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = || Config { mac_bucket, ..Config::shield_opt() }.buckets(8).mac_hashes(4);
+        let store = ShieldStore::new(enclave(), config().with_shards(1)).unwrap();
+        for step in &steps {
+            match *step {
+                Step::Set { tenant, key, len, ttl: with_ttl } => {
+                    let expires_at = if with_ttl { ttl::deadline_after(1_000) } else { 0 };
+                    let op = Op::Set { key: &[key], value: &vec![key; len], expires_at };
+                    store.execute(tenant, op).unwrap();
+                }
+                Step::Delete { tenant, key } => drop(store.execute(tenant, Op::Delete(&[key]))),
+                Step::Sweep => {
+                    ttl::advance(2_000);
+                    store.sweep_expired().unwrap();
+                }
+            }
+        }
+        store.assert_tags_single_copy();
+        let (snap, counter) = (dir.join("snap.db"), dir.join("ctr"));
+        let _ = std::fs::remove_file(&counter);
+        let counter = PersistentCounter::open(&counter).unwrap();
+        store.snapshot_blocking(&snap, &counter).unwrap();
+        let restored = ShieldStore::restore(enclave(), config().with_shards(1), &snap, &counter)
+            .unwrap();
+        prop_assert_eq!(restored.len(), store.len());
+        restored.assert_tags_single_copy();
+        std::fs::remove_dir_all(&dir).ok();
+        vclock::reset();
+    }
 }

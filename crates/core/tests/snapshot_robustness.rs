@@ -163,7 +163,8 @@ fn entry_relocation_rejected() {
         for _ in 0..count {
             let bucket_off = off;
             let len = u32::from_le_bytes(full[off + 4..off + 8].try_into().unwrap()) as usize;
-            off += 8 + len;
+            // Bucket and length, the entry, then its 16-byte tag.
+            off += 8 + len + 16;
             // Move the entry to the adjacent bucket — always in bounds for
             // a power-of-two bucket count, and within the same bucket set,
             // so only the placement check can catch it.

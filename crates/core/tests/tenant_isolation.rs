@@ -122,7 +122,8 @@ proptest! {
         let mac = Cmac::new(&mac_a);
 
         let mut saw_b = false;
-        for stale in s.stale_entry_copies(0) {
+        let honest = s.stale_entry_copies(0);
+        for stale in honest.clone() {
             let header = entry::parse_header(&stale.bytes);
             if header.tenant != 2 {
                 continue;
@@ -131,7 +132,7 @@ proptest! {
             let ct = &stale.bytes[entry::HEADER_LEN..];
             // B's MAC never verifies under A's key...
             prop_assert!(
-                !entry::verify_mac(&mac, &header, ct),
+                !entry::verify_mac(&mac, &header, ct, &stale.tag),
                 "tenant-B entry authenticated under tenant-A's MAC key"
             );
             // ...and A's cipher cannot recover B's plaintext.
@@ -143,13 +144,9 @@ proptest! {
 
             // Forgery: re-MAC the B-tagged entry under A's key (the
             // strongest thing the attacker can compute) and plant it.
-            let mut forged = stale.bytes.clone();
             let tag = entry::compute_mac(&mac, &header, ct);
-            forged[entry::OFF_MAC..entry::OFF_MAC + 16].copy_from_slice(&tag);
-            let planted = s.replay_entry(
-                0,
-                &shieldstore::testing::StaleEntry { handle: stale.handle, bytes: forged },
-            );
+            let forged = shieldstore::testing::StaleEntry { tag, ..stale.clone() };
+            let planted = s.replay_entry(0, &forged);
             prop_assert!(planted, "replay hook must land");
         }
         prop_assert!(saw_b, "tenant-B entry must exist in raw memory");
@@ -169,11 +166,23 @@ proptest! {
             s.execute(2, Op::Get(&key)).is_err(),
             "tenant-B read of a forged entry must fail closed"
         );
-        // Tenant A's namespace is untouched by the whole exercise.
+        // Tenant A's namespace is never served another's data: its key
+        // shares the forged tag's bucket set, whose hash now fails closed
+        // for every key in it, and with the honest tags put back it reads
+        // its own value again — as does B.
+        match s.execute(1, Op::Get(&key)).map(Reply::value) {
+            Ok(v) => prop_assert_eq!(v, Some(b"tenant-a-value".to_vec())),
+            Err(Error::IntegrityViolation { .. }) => {}
+            Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
+        }
+        for stale in &honest {
+            s.replay_entry(0, stale);
+        }
         prop_assert_eq!(
             s.execute(1, Op::Get(&key)).unwrap().value(),
             Some(b"tenant-a-value".to_vec())
         );
+        prop_assert_eq!(s.execute(2, Op::Get(&key)).unwrap().value(), Some(val_b.clone()));
     }
 
     /// Re-stitching a ciphertext into another namespace by flipping the

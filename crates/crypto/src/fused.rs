@@ -60,20 +60,24 @@ pub enum Opened {
 /// trailer`, where the ciphertext is `ciphertext` when given (an open:
 /// `stream` holds a copy of it) and otherwise what the stream leaves in
 /// `stream` (a seal); with it, whether the `beside` message has its tag.
-#[allow(clippy::too_many_arguments)]
+///
+/// Without a `stream` the pass only MACs: `ciphertext` must be given, and
+/// no lane runs a keystream.
 fn lockstep(
     beside: Option<Beside<'_>>,
-    enc: &AesCtr,
     mac: &Cmac,
-    iv: &[u8; 16],
     prefix: &[[u8; 16]],
     ciphertext: Option<&[u8]>,
     trailer: &[&[u8]],
-    stream: &mut [u8],
+    stream: Option<(&AesCtr, &[u8; 16], &mut [u8])>,
 ) -> (Tag128, bool) {
     let trailer_len: usize = trailer.iter().map(|part| part.len()).sum();
     assert!(trailer_len <= MAX_TRAILER, "trailer longer than a fused pass stages");
-    let len = stream.len();
+    let len = match (ciphertext, &stream) {
+        (Some(ciphertext), _) => ciphertext.len(),
+        (None, Some((_, _, data))) => data.len(),
+        (None, None) => 0,
+    };
     crate::stats::note(16 * prefix.len() + len + trailer_len);
 
     // The MAC lane's body is the ciphertext's whole blocks — all but the
@@ -84,12 +88,17 @@ fn lockstep(
     if body == len && trailer_len == 0 && body > 0 {
         body -= 16;
     }
-    let counter = u128::from_be_bytes(*iv);
-    let (stream, rest) = stream.split_at_mut(body);
-    enc.aes().ctr_xor(counter.wrapping_add(body as u128 / 16), rest);
+    let mut stream_rest: &[u8] = &[];
+    let stream = stream.map(|(enc, iv, data)| {
+        let counter = u128::from_be_bytes(*iv);
+        let (data, rest) = data.split_at_mut(body);
+        enc.aes().ctr_xor(counter.wrapping_add(body as u128 / 16), rest);
+        stream_rest = rest;
+        CtrLane { aes: enc.aes(), counter, data }
+    });
     let (body_part, rest) = match ciphertext {
         Some(ciphertext) => (MacPart::Blocks(&ciphertext[..body]), &ciphertext[body..]),
-        None => (MacPart::CtrOutput, &*rest),
+        None => (MacPart::CtrOutput, stream_rest),
     };
 
     let mut tail = [0u8; 16 + MAX_TRAILER + 16];
@@ -117,9 +126,8 @@ fn lockstep(
             MacPart::Blocks(&tail[..tail_len]),
         ],
     };
-    let stream = CtrLane { aes: enc.aes(), counter, data: stream };
     let Some(beside) = beside else {
-        AesBackend::lockstep(None, Some(stream_mac), Some(stream));
+        AesBackend::lockstep(None, Some(stream_mac), stream);
         return (tag, true);
     };
     crate::stats::note(beside.msg.len());
@@ -130,7 +138,7 @@ fn lockstep(
         state: &mut beside_tag,
         parts: [MacPart::Blocks(interior), MacPart::Blocks(&last), MacPart::Blocks(&[])],
     };
-    AesBackend::lockstep(Some(beside_mac), Some(stream_mac), Some(stream));
+    AesBackend::lockstep(Some(beside_mac), Some(stream_mac), stream);
     (tag, ct_eq(&beside_tag, beside.tag))
 }
 
@@ -162,14 +170,17 @@ pub fn open_verify(
     tag: &Tag128,
     out: &mut Vec<u8>,
 ) -> bool {
-    open_verify_beside(None, enc, mac, iv, prefix, ciphertext, trailer, tag, out)
+    let accept = |computed: &Tag128| ct_eq(computed, tag);
+    open_verify_beside(None, enc, mac, iv, prefix, ciphertext, trailer, accept, out)
         == Opened::Verified
 }
 
 /// [`open_verify`] with the CMAC of a second message computed and checked
-/// in the same pass. The second message's verdict comes first: when it
-/// does not have its tag the answer is [`Opened::BesideMismatch`] whether
-/// or not the stream's own tag matched.
+/// in the same pass, and the stream's computed tag judged by `accept`
+/// rather than compared with one stored tag — a caller whose tag may sit
+/// in one of several places looks there. The second message's verdict
+/// comes first: when it does not have its tag the answer is
+/// [`Opened::BesideMismatch`] and `accept` is not asked.
 #[allow(clippy::too_many_arguments)]
 pub fn open_verify_beside(
     beside: Option<Beside<'_>>,
@@ -179,18 +190,18 @@ pub fn open_verify_beside(
     prefix: &[[u8; 16]],
     ciphertext: &[u8],
     trailer: &[&[u8]],
-    tag: &Tag128,
+    accept: impl FnOnce(&Tag128) -> bool,
     out: &mut Vec<u8>,
 ) -> Opened {
     crate::stats::note(ciphertext.len());
     out.clear();
     out.extend_from_slice(ciphertext);
     let (computed, beside_ok) =
-        lockstep(beside, enc, mac, iv, prefix, Some(ciphertext), trailer, out);
-    let opened = match (beside_ok, ct_eq(&computed, tag)) {
-        (true, true) => return Opened::Verified,
-        (false, _) => Opened::BesideMismatch,
-        (true, false) => Opened::TagMismatch,
+        lockstep(beside, mac, prefix, Some(ciphertext), trailer, Some((enc, iv, out)));
+    let opened = match beside_ok {
+        false => Opened::BesideMismatch,
+        true if accept(&computed) => return Opened::Verified,
+        true => Opened::TagMismatch,
     };
     // Never release unauthenticated plaintext.
     out.iter_mut().for_each(|b| *b = 0);
@@ -228,7 +239,20 @@ pub fn seal_beside(
     trailer: &[&[u8]],
 ) -> (Tag128, bool) {
     crate::stats::note(data.len());
-    lockstep(beside, enc, mac, iv, prefix, None, trailer, data)
+    lockstep(beside, mac, prefix, None, trailer, Some((enc, iv, data)))
+}
+
+/// The CMAC of `ciphertext ‖ trailer` — no keystream, nothing decrypted —
+/// with a second message's CMAC computed in the same pass; also returns
+/// whether that message has its tag (`true` without one). For proving
+/// what is about to be overwritten: two MAC lanes, no stream.
+pub fn mac_beside(
+    beside: Option<Beside<'_>>,
+    mac: &Cmac,
+    ciphertext: &[u8],
+    trailer: &[&[u8]],
+) -> (Tag128, bool) {
+    lockstep(beside, mac, &[], Some(ciphertext), trailer, None)
 }
 
 #[cfg(test)]
@@ -381,7 +405,18 @@ mod tests {
                 let open = |msg_tag: &Tag128, tag: &Tag128, out: &mut Vec<u8>| {
                     let beside = Beside { mac: &side, msg: &msg, tag: msg_tag };
                     let trailer: [&[u8]; 2] = [b"trail", &iv];
-                    open_verify_beside(Some(beside), &enc, &mac, &iv, &[], &ct, &trailer, tag, out)
+                    let accept = |computed: &Tag128| ct_eq(computed, tag);
+                    open_verify_beside(
+                        Some(beside),
+                        &enc,
+                        &mac,
+                        &iv,
+                        &[],
+                        &ct,
+                        &trailer,
+                        accept,
+                        out,
+                    )
                 };
                 assert_eq!(open(&side_tag, &tag, &mut out), Opened::Verified);
                 assert_eq!(out, plain);
@@ -394,6 +429,29 @@ mod tests {
                 assert!(out.is_empty());
                 assert_eq!(open(&side_tag, &bad_tag, &mut out), Opened::TagMismatch);
                 assert!(out.is_empty());
+            }
+        }
+    }
+
+    /// A MAC-only pass is the plain CMAC of its message, with the beside
+    /// message judged as on an open, for every end of the message.
+    #[test]
+    fn mac_beside_is_the_plain_cmac() {
+        for kind in backends() {
+            let mac = Cmac::with_backend(kind, &[2u8; 16]);
+            let side = Cmac::with_backend(kind, &[3u8; 16]);
+            let msg: Vec<u8> = (0..16 * 5).map(|i| (i * 7) as u8).collect();
+            let side_tag = side.compute(&msg);
+            let mut bad_side = side_tag;
+            bad_side[3] ^= 1;
+            for len in [0usize, 1, 15, 16, 17, 144, 145] {
+                let ct: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x3c).collect();
+                let want = mac.compute_parts(&[&ct, b"trail"]);
+                assert_eq!(mac_beside(None, &mac, &ct, &[b"trail"]), (want, true));
+                let beside = Beside { mac: &side, msg: &msg, tag: &side_tag };
+                assert_eq!(mac_beside(Some(beside), &mac, &ct, &[b"trail"]), (want, true));
+                let beside = Beside { mac: &side, msg: &msg, tag: &bad_side };
+                assert_eq!(mac_beside(Some(beside), &mac, &ct, &[b"trail"]), (want, false));
             }
         }
     }

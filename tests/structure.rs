@@ -5,8 +5,8 @@
 //! reader of sealed-log bytes, listed handles that only ever reach a
 //! hint, one stat list, one wire codec, one reference model, one
 //! byte cursor for everything that leaves the enclave, one adversary
-//! rig, one refusal type, one durable replace, one op generator and one
-//! crash model. The rules walk the source
+//! rig, one refusal type, one durable replace, one op generator, one
+//! crash model and one reader of entry tags. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -401,6 +401,40 @@ fn one_crash_model(tree: &Tree) -> Vec<String> {
     })
 }
 
+/// Whether `line` reads untrusted memory at an entry's `sealed_len()` —
+/// where a tag after the ciphertext starts: a `bytes_at(` call whose
+/// second argument names it.
+fn reads_at_sealed_len(line: &str) -> bool {
+    line.match_indices("bytes_at(").any(|(at, call)| {
+        line[at + call.len()..].split(',').nth(1).is_some_and(|arg| arg.contains("sealed_len"))
+    })
+}
+
+/// Rule 16 (rule 15 is ROADMAP's reserved size-class rule). An entry's
+/// tag exists once, and `TableCtx::tags` in table.rs is its one reader:
+/// no source names `OFF_MAC` (the header copy that is gone), and outside
+/// tests no crate source but table.rs, mac_bucket.rs (the node layout)
+/// and the testing hooks (the attacker) calls `try_gather` or reads at an
+/// entry's `sealed_len()`.
+fn one_tag_reader(tree: &Tree) -> Vec<String> {
+    const EXEMPT: [&str; 3] =
+        ["crates/core/src/table.rs", "crates/core/src/mac_bucket.rs", "crates/core/src/testing.rs"];
+    let code =
+        ["crates/", "src/", "tests/", "examples/"].into_iter().flat_map(|dir| tree.under(dir));
+    let code = code.filter(|f| f.path.ends_with(".rs") && f.path != "tests/structure.rs");
+    let mut found = hits(code, |l| has_word(l, "OFF_MAC"));
+    for f in tree.crate_sources().filter(|f| !EXEMPT.contains(&f.path.as_str())) {
+        if f.path.ends_with("tests.rs") {
+            continue;
+        }
+        let reads = |l: &str| l.contains("try_gather(") || reads_at_sealed_len(l);
+        for (i, line) in before_tests(f).filter(|(_, l)| reads(l)) {
+            found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+        }
+    }
+    found
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -642,4 +676,30 @@ fn one_crash_model_holds() {
             ("crates/adversary/src/crashphase.rs", "const FUSE_ENV: &str = \"SHIELDSTORE_CRASH_FUSE\";"),
         ],
     );
+}
+
+#[test]
+fn one_tag_reader_holds() {
+    check(
+        one_tag_reader,
+        "an entry's tag is read, or kept, somewhere other than TableCtx::tags (see DESIGN.md, MAC bucketing)",
+        &[
+            ("crates/core/src/entry.rs", "pub const OFF_MAC: usize = 45;"),
+            ("crates/core/tests/tenant_isolation.rs", "forged[entry::OFF_MAC..][..16].copy_from_slice(&tag);"),
+            ("crates/core/src/shard/verify.rs", "mac_bucket::try_gather(&table.heap, head, side, lim)"),
+            ("crates/core/src/persist.rs", "let tag = heap.try_bytes_at(h, header.sealed_len(), 16)?;"),
+        ],
+    );
+    // Test code stays free to, and so does reading an entry up to where
+    // its tag starts.
+    let allowed = Tree::load()
+        .with(
+            "crates/core/src/shard/verify.rs",
+            "#[cfg(test)]\nmod tests { fn f() { mac_bucket::try_gather(&h, at, &mut out, lim); } }",
+        )
+        .with(
+            "crates/core/src/persist.rs",
+            "let bytes = heap.try_bytes_at(h, 0, header.sealed_len());",
+        );
+    assert!(one_tag_reader(&allowed).is_empty());
 }
