@@ -11,12 +11,15 @@
 //! Matching the paper's observations:
 //!
 //! * page size is configurable (4 KiB default, 1 KiB "sub-pages");
-//! * the memsys5-style pool allocator manages at most **2 GiB**; beyond
-//!   that, allocations fail (Fig. 17 stops Eleos at 2 GB);
+//! * the pool allocator manages at most **2 GiB**; beyond that,
+//!   allocations fail (Fig. 17 stops Eleos at 2 GB). Eleos's memsys5
+//!   rounds to powers of two; the pool here is one chunk of the shared
+//!   size-class core ([`sgx_sim::classes`]), which pads less;
 //! * evicted pages are MAC-protected and verified on reload.
 
 use crate::KvBackend;
 use parking_lot::Mutex;
+use sgx_sim::classes::Classes;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
@@ -51,9 +54,9 @@ struct EleosState {
     clock_hand: usize,
     /// vpage -> encrypted page (untrusted memory).
     backing: HashMap<u64, BackingPage>,
-    /// Bump allocator over the virtual pool.
-    next_vaddr: u64,
-    free_lists: Vec<Vec<u64>>,
+    /// The virtual pool: one chunk, never refilled; a block's offset in
+    /// it is its virtual address.
+    pool: Classes,
     /// Hash bucket heads (virtual addresses).
     heads: Vec<u64>,
     /// Page-cache statistics.
@@ -128,8 +131,7 @@ impl EleosStore {
                 ],
                 clock_hand: 0,
                 backing: HashMap::new(),
-                next_vaddr: 0,
-                free_lists: Vec::new(),
+                pool: Classes::new(pool_limit as usize),
                 heads: vec![NULL; num_buckets],
                 spc_misses: 0,
                 spc_hits: 0,
@@ -250,31 +252,15 @@ impl EleosStore {
         }
     }
 
-    /// memsys5-style allocation: power-of-two classes from a bounded pool.
+    /// A block of the pool, `None` once it is exhausted.
     fn valloc(&self, st: &mut EleosState, len: usize) -> Option<u64> {
-        let class = len.max(16).next_power_of_two();
-        let class_log = class.trailing_zeros() as usize;
-        if st.free_lists.len() <= class_log {
-            st.free_lists.resize_with(class_log + 1, Vec::new);
-        }
-        if let Some(addr) = st.free_lists[class_log].pop() {
-            return Some(addr);
-        }
-        if st.next_vaddr + class as u64 > self.pool_limit {
-            return None;
-        }
-        let addr = st.next_vaddr;
-        st.next_vaddr += class as u64;
-        Some(addr)
+        let limit = self.pool_limit as usize;
+        let ((_, offset), _) = st.pool.alloc(len, |chunk, len| chunk == 0 && len <= limit)?;
+        Some(offset as u64)
     }
 
     fn vfree(&self, st: &mut EleosState, addr: u64, len: usize) {
-        let class = len.max(16).next_power_of_two();
-        let class_log = class.trailing_zeros() as usize;
-        if st.free_lists.len() <= class_log {
-            st.free_lists.resize_with(class_log + 1, Vec::new);
-        }
-        st.free_lists[class_log].push(addr);
+        st.pool.free((0, addr as usize), len);
     }
 
     fn read_header(&self, st: &mut EleosState, vaddr: u64) -> (u64, usize, usize) {

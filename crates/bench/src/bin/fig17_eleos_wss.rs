@@ -4,7 +4,10 @@
 //! curves: Eleos, ShieldOpt, and ShieldOpt with its spare-EPC cache. In
 //! the paper, Eleos wins modestly while the data fits its secure page
 //! cache, the cache variant closes that gap, ShieldStore is flat at every
-//! size, and Eleos cannot run past 2 GB (its memsys5-style pool limit).
+//! size, and Eleos cannot run past 2 GB (its pool limit). The pool takes
+//! the shared quarter-step classes, so a 4,128 B entry holds 5,120 B
+//! rather than memsys5's 8,192 B, and the limit still falls between the
+//! 45.5 MB and 91.0 MB rows at quick scale.
 
 use shield_baseline::{EleosStore, KvBackend};
 use shield_workload::Spec;

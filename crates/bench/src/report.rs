@@ -86,6 +86,48 @@ pub fn ratio(v: f64) -> String {
     format!("{v:.2}x")
 }
 
+/// Fig. 3's knee, as [`verdict`] prints it.
+pub const EPC_KNEE: &str = "Baseline EPC faults/op near zero below the EPC, risen at and above it";
+
+/// The most EPC faults per op a DB below the EPC may take: none at all
+/// were measured there, while the first size at the EPC took 0.232.
+pub const KNEE_FLAT: f64 = 0.01;
+
+/// The fewest EPC faults per op a DB at or above the EPC may take.
+pub const KNEE_RISEN: f64 = 0.1;
+
+/// Fig. 3's knee: over `(DB bytes, EPC faults per op)` rows, faults stay
+/// at most [`KNEE_FLAT`] at every size below `epc_bytes` and are at least
+/// [`KNEE_RISEN`] at every size at or above it. `Err` names the first row
+/// that breaks it.
+pub fn epc_knee(epc_bytes: u64, rows: &[(u64, f64)]) -> Result<(), String> {
+    let mb = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+    for &(db, faults) in rows {
+        if db < epc_bytes && faults > KNEE_FLAT {
+            return Err(format!("{:.1} MB fits the EPC but takes {faults:.3} faults/op", mb(db)));
+        }
+        if db >= epc_bytes && faults < KNEE_RISEN {
+            return Err(format!(
+                "{:.1} MB outgrows the EPC but takes {faults:.3} faults/op",
+                mb(db)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Prints a figure's verdict on its shape `claim`; a failed one exits the
+/// process with status 1.
+pub fn verdict(claim: &str, outcome: Result<(), String>) {
+    match outcome {
+        Ok(()) => println!("verdict: pass: {claim}"),
+        Err(why) => {
+            println!("verdict: FAIL: {claim}: {why}");
+            std::process::exit(1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +151,17 @@ mod tests {
     fn arity_enforced() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
+    }
+
+    #[test]
+    fn the_knee_sits_at_the_epc() {
+        const MB: u64 = 1 << 20;
+        let flat_then_risen = [(MB, 0.0), (3 * MB, 0.0), (4 * MB, 0.4), (8 * MB, 2.1)];
+        assert_eq!(epc_knee(4 * MB, &flat_then_risen), Ok(()));
+        let early = [(MB, 0.0), (3 * MB, 0.9), (4 * MB, 1.4)];
+        assert!(epc_knee(4 * MB, &early).unwrap_err().starts_with("3.0 MB fits the EPC"));
+        let late = [(MB, 0.0), (4 * MB, 0.05), (8 * MB, 1.0)];
+        assert!(epc_knee(4 * MB, &late).unwrap_err().starts_with("4.0 MB outgrows the EPC"));
     }
 
     #[test]

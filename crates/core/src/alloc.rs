@@ -15,23 +15,18 @@
 //! exclusively (`&mut self` for writes), matching the paper's
 //! synchronization-free partitioning.
 //!
-//! Size classes are powers of two up to one cache line, then four per
-//! doubling, a quarter of the lower power of two apart but never less
-//! than half a line: 96, 128 | 160, 192, 224, 256 | 320, 384, 448, 512 |
-//! 640, … So a block pads its length by less than a quarter of it (or
-//! less than 32 B): the paper's 512 B value, with its key and header a
-//! 589 B entry, takes 640 B rather than a KiB.
-//!
-//! Every chunk's usable bytes start on a cache-line boundary, and the
-//! bump pointer starts each block at a multiple of the largest power of
-//! two that divides its class, one line at most. A block of a
-//! line-multiple class (128, 192, 256, 320, …) therefore starts on a line
-//! and its 61-byte entry header never straddles two lines; a 96, 160 or
-//! 224 B block starts on a half line, and its header may cross into the
-//! next one. [`UntrustedHeap::prefetch`] counts its window from the handle,
-//! not from a line boundary, so a one-line hint at a header names both.
+//! Blocks are carved by the shared size-class core,
+//! [`sgx_sim::classes`]: its class rule, free lists and bump cursor are the
+//! enclave heap's and Eleos's too. Every chunk's usable bytes start on a
+//! cache-line boundary, so a block of a line-multiple class (128, 192,
+//! 256, 320, …) starts on a line and its 45-byte entry header never
+//! straddles two lines; a 96, 160 or 224 B block starts on a half line,
+//! and its header may cross into the next one.
+//! [`UntrustedHeap::prefetch`] counts its window from the handle, not from
+//! a line boundary, so a one-line hint at a header names both.
 
 use crate::config::AllocMode;
+use sgx_sim::classes::{class_align, size_class, Classes};
 use sgx_sim::enclave::Enclave;
 use shield_crypto::hint::{self, LINE};
 use std::sync::Arc;
@@ -43,9 +38,6 @@ pub type Handle = u64;
 /// The null handle: terminates entry chains.
 pub const NULL_HANDLE: Handle = 0;
 
-/// Minimum allocation granule (one size class below this is pointless).
-const MIN_CLASS: usize = 16;
-
 #[inline]
 fn pack(chunk: usize, offset: usize) -> Handle {
     (((chunk + 1) as u64) << 32) | offset as u64
@@ -55,42 +47,6 @@ fn pack(chunk: usize, offset: usize) -> Handle {
 fn unpack(h: Handle) -> (usize, usize) {
     debug_assert_ne!(h, NULL_HANDLE, "dereferencing the null handle");
     (((h >> 32) as usize) - 1, (h & 0xffff_ffff) as usize)
-}
-
-/// The bytes a block of `len` occupies: the one class rule, which
-/// [`UntrustedHeap::class_len`], the in-place rule and every other class
-/// computation here derive from.
-#[inline]
-fn size_class(len: usize) -> usize {
-    if len <= LINE {
-        return len.max(MIN_CLASS).next_power_of_two();
-    }
-    len.next_multiple_of(class_step(len))
-}
-
-/// What the classes holding `len` (above a line) are multiples of: a
-/// quarter of the power of two below it, half a line at least.
-#[inline]
-fn class_step(len: usize) -> usize {
-    (len.next_power_of_two() / 8).max(LINE / 2)
-}
-
-/// Where a block of `class` may start: the largest power of two that
-/// divides it, one line at most.
-#[inline]
-fn class_align(class: usize) -> usize {
-    (1 << class.trailing_zeros()).min(LINE)
-}
-
-/// The class's number, counting from 0 for 16 B: its free list.
-#[inline]
-fn class_index(class: usize) -> usize {
-    if class <= LINE {
-        return (class / MIN_CLASS).trailing_zeros() as usize;
-    }
-    // 96 and 128 are 3 and 4, then four per doubling: 160 is 5.
-    let step = class_step(class);
-    class / step + 4 * (step / (LINE / 2)).trailing_zeros() as usize
 }
 
 /// One backing chunk. The host's allocator hands out memory at whatever
@@ -134,21 +90,18 @@ impl Chunk {
 /// An in-enclave allocator for untrusted memory.
 pub struct UntrustedHeap {
     enclave: Arc<Enclave>,
-    mode: AllocMode,
+    /// [`AllocMode::Pooled`]: the chunk size is the core's.
+    pooled: bool,
     chunks: Vec<Chunk>,
-    /// Free lists indexed by [`class_index`].
-    free_lists: Vec<Vec<Handle>>,
-    bump_chunk: Option<usize>,
-    bump_offset: usize,
-    live_bytes: usize,
+    classes: Classes,
 }
 
 impl std::fmt::Debug for UntrustedHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UntrustedHeap")
-            .field("mode", &self.mode)
+            .field("pooled", &self.pooled)
             .field("chunks", &self.chunks.len())
-            .field("live_bytes", &self.live_bytes)
+            .field("live_bytes", &self.classes.live_bytes())
             .finish()
     }
 }
@@ -156,70 +109,37 @@ impl std::fmt::Debug for UntrustedHeap {
 impl UntrustedHeap {
     /// Creates a heap that obtains untrusted chunks from `enclave`.
     pub fn new(enclave: Arc<Enclave>, mode: AllocMode) -> Self {
-        Self {
-            enclave,
-            mode,
-            chunks: Vec::new(),
-            free_lists: Vec::new(),
-            bump_chunk: None,
-            bump_offset: 0,
-            live_bytes: 0,
-        }
+        let (pooled, granularity) = match mode {
+            AllocMode::Pooled { granularity } => (true, granularity),
+            AllocMode::OcallPerAlloc => (false, 16 << 20),
+        };
+        Self { enclave, pooled, chunks: Vec::new(), classes: Classes::new(granularity) }
     }
 
     /// Allocates `len` bytes of untrusted memory, zero-initialized.
     pub fn alloc(&mut self, len: usize) -> Handle {
-        let class = size_class(len);
-        self.live_bytes += class;
-
-        if matches!(self.mode, AllocMode::OcallPerAlloc) {
+        let pooled = self.pooled;
+        if !pooled {
             // The conventional untrusted allocator: one OCALL per call.
             // Memory is still pooled internally (the host heap), but the
             // crossing cost and count are charged faithfully.
             self.enclave.ocall();
         }
-
-        let granularity = match self.mode {
-            AllocMode::Pooled { granularity } => granularity,
-            AllocMode::OcallPerAlloc => 16 << 20,
-        };
-
-        if class >= granularity {
-            // Jumbo allocation: a dedicated chunk straight from an OCALL.
-            let chunk = if matches!(self.mode, AllocMode::Pooled { .. }) {
-                self.enclave.ocall_alloc_untrusted_chunk(class)
-            } else {
-                vec![0u8; class]
-            };
-            self.chunks.push(Chunk::new(chunk));
-            return pack(self.chunks.len() - 1, 0);
-        }
-
-        if let Some(h) = self.free_list(class).pop() {
+        let (enclave, chunks) = (&self.enclave, &mut self.chunks);
+        let ((chunk, offset), recycled) = self
+            .classes
+            .alloc(len, |_, len| {
+                // Pooled, every chunk, jumbo or not, is one OCALL.
+                let block =
+                    if pooled { enclave.ocall_alloc_untrusted_chunk(len) } else { vec![0u8; len] };
+                chunks.push(Chunk::new(block));
+                true
+            })
+            .expect("the host always has another chunk");
+        if recycled {
             // Zero recycled memory: entries assume fresh buffers.
-            let (chunk, offset) = unpack(h);
-            self.chunks[chunk].bytes_mut()[offset..offset + class].fill(0);
-            return h;
+            chunks[chunk].bytes_mut()[offset..offset + size_class(len)].fill(0);
         }
-
-        self.bump_offset = self.bump_offset.next_multiple_of(class_align(class));
-        let need_new = match self.bump_chunk {
-            None => true,
-            Some(c) => self.bump_offset + class > self.chunks[c].bytes().len(),
-        };
-        if need_new {
-            let chunk = if matches!(self.mode, AllocMode::Pooled { .. }) {
-                self.enclave.ocall_alloc_untrusted_chunk(granularity)
-            } else {
-                vec![0u8; granularity]
-            };
-            self.chunks.push(Chunk::new(chunk));
-            self.bump_chunk = Some(self.chunks.len() - 1);
-            self.bump_offset = 0;
-        }
-        let chunk = self.bump_chunk.expect("bump chunk exists");
-        let offset = self.bump_offset;
-        self.bump_offset += class;
         pack(chunk, offset)
     }
 
@@ -233,24 +153,15 @@ impl UntrustedHeap {
     /// would do so past the end of the chunk. It is left unused instead.
     pub fn free(&mut self, handle: Handle, len: usize) {
         debug_assert_ne!(handle, NULL_HANDLE);
-        let class = size_class(len);
-        self.live_bytes = self.live_bytes.saturating_sub(class);
-        if matches!(self.mode, AllocMode::OcallPerAlloc) {
+        if !self.pooled {
             self.enclave.ocall();
         }
+        let class = size_class(len);
         let whole = self.try_tail(handle, 0).is_some_and(|tail| tail.len() >= class);
         if !whole || !unpack(handle).1.is_multiple_of(class_align(class)) {
-            return;
+            return self.classes.forget(len);
         }
-        self.free_list(class).push(handle);
-    }
-
-    fn free_list(&mut self, class: usize) -> &mut Vec<Handle> {
-        let index = class_index(class);
-        if self.free_lists.len() <= index {
-            self.free_lists.resize_with(index + 1, Vec::new);
-        }
-        &mut self.free_lists[index]
+        self.classes.free(unpack(handle), len);
     }
 
     /// Returns the bytes of an allocation.
@@ -372,21 +283,7 @@ impl UntrustedHeap {
 
     /// Bytes handed out and not yet freed (rounded to size classes).
     pub fn live_bytes(&self) -> usize {
-        self.live_bytes
-    }
-
-    /// The bytes an allocation of `len` occupies: its size class.
-    #[inline]
-    pub fn class_len(len: usize) -> usize {
-        size_class(len)
-    }
-
-    /// Whether an allocation of `old_len` may hold `len` bytes in place:
-    /// only when both lengths have the same class. A smaller class would
-    /// not do — the block is later freed by the length it then holds, and
-    /// the rest of it would be lost to both `live_bytes` and the free lists.
-    pub fn same_class(old_len: usize, len: usize) -> bool {
-        size_class(len) == size_class(old_len)
+        self.classes.live_bytes()
     }
 
     /// Checked variant of [`UntrustedHeap::read_u64_at`]: `None` when the
@@ -444,8 +341,6 @@ impl UntrustedHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::collection::vec as pvec;
-    use proptest::prelude::*;
     use sgx_sim::enclave::EnclaveBuilder;
     use sgx_sim::vclock;
 
@@ -554,6 +449,19 @@ mod tests {
     }
 
     #[test]
+    fn a_freed_jumbo_block_is_reused_and_zeroed() {
+        let mut h = heap(AllocMode::Pooled { granularity: 1 << 16 });
+        vclock::reset();
+        let a = h.alloc(1 << 20);
+        h.bytes_mut(a, 1 << 20).fill(0xee);
+        h.free(a, 1 << 20);
+        assert_eq!(h.alloc(1 << 20), a);
+        assert_eq!(h.chunk_count(), 1, "the freed chunk, not a second one");
+        assert!(h.bytes(a, 1 << 20).iter().all(|&b| b == 0));
+        vclock::reset();
+    }
+
+    #[test]
     fn live_bytes_accounting() {
         let mut h = heap(AllocMode::pooled_default());
         vclock::reset();
@@ -563,43 +471,6 @@ mod tests {
         h.free(a, 100);
         assert_eq!(h.live_bytes(), 0);
         vclock::reset();
-    }
-
-    #[test]
-    fn in_place_only_within_one_class() {
-        assert!(UntrustedHeap::same_class(100, 128)); // both class 128
-        assert!(UntrustedHeap::same_class(100, 97));
-        assert!(!UntrustedHeap::same_class(100, 96)); // a shrink to 96
-        assert!(!UntrustedHeap::same_class(100, 20));
-        assert!(!UntrustedHeap::same_class(100, 129)); // 128 -> 160
-    }
-
-    #[test]
-    fn the_ladder_steps_by_quarters_above_a_line() {
-        let classes: Vec<usize> = (1..=1280)
-            .map(size_class)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        assert_eq!(
-            classes,
-            [
-                16, 32, 64, 96, 128, 160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024,
-                1280
-            ]
-        );
-        // The paper's 512 B value: a 45 B header, a 16 B key, the value;
-        // and its 128 B value, where a second copy of the tag would cost a
-        // class.
-        assert_eq!(size_class(45 + 16 + 512), 640);
-        assert_eq!((size_class(45 + 16 + 128), size_class(61 + 16 + 128)), (192, 224));
-        let indices: Vec<usize> = classes.iter().map(|&c| class_index(c)).collect();
-        assert_eq!(indices, (0..classes.len()).collect::<Vec<_>>(), "free lists are dense");
-        let aligns: Vec<usize> = classes.iter().map(|&c| class_align(c)).collect();
-        assert_eq!(
-            aligns,
-            [16, 32, 64, 32, 64, 32, 64, 32, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64]
-        );
     }
 
     #[test]
@@ -670,57 +541,6 @@ mod tests {
         assert!(h.try_bytes_at(edge, 0, 2).is_none());
         assert_eq!(h.bytes(a, 100), &[0x5a; 100], "a hint writes nothing");
         vclock::reset();
-    }
-
-    proptest! {
-        /// A mixed alloc/free sequence over lengths of a byte to a MiB —
-        /// most within a chunk, some jumbo — and chunks of 64 KiB: every
-        /// live block is whole in its chunk, starts at its class alignment
-        /// and overlaps no other, and `live_bytes` is their classes' sum.
-        #[test]
-        fn live_blocks_are_whole_aligned_and_disjoint(
-            ops in pvec(
-                (prop_oneof![1usize..4097, 1usize..4097, 1usize..(1 << 20) + 1], any::<bool>()),
-                1..64,
-            ),
-        ) {
-            let mut h = heap(AllocMode::Pooled { granularity: 1 << 16 });
-            let mut live: Vec<(Handle, usize)> = Vec::new();
-            for (len, free) in ops {
-                if free && !live.is_empty() {
-                    let (a, len) = live.swap_remove(len % live.len());
-                    h.free(a, len);
-                } else {
-                    live.push((h.alloc(len), len));
-                }
-            }
-            let mut spans = Vec::new();
-            for &(a, len) in &live {
-                let ((chunk, offset), class) = (unpack(a), size_class(len));
-                prop_assert!(offset + class <= h.chunk_len(chunk), "{} B at {:#x}", len, a);
-                prop_assert_eq!(offset % class_align(class), 0, "{} B at {:#x}", len, a);
-                spans.push((chunk, offset, offset + class));
-            }
-            spans.sort_unstable();
-            for pair in spans.windows(2) {
-                prop_assert!(pair[0].0 != pair[1].0 || pair[0].2 <= pair[1].1, "{:?}", pair);
-            }
-            let held: usize = live.iter().map(|&(_, len)| size_class(len)).sum();
-            prop_assert_eq!(h.live_bytes(), held);
-        }
-    }
-
-    /// The class arithmetic over every length from a byte to a MiB.
-    #[test]
-    fn classes_pad_by_less_than_a_quarter_and_are_fixed_points() {
-        for len in 1..=1 << 20 {
-            let class = size_class(len);
-            assert!(class >= len, "{len}");
-            assert!(class - len < (len / 4).max(32), "{len} B takes {class}");
-            assert_eq!(size_class(class), class, "{len}");
-            let align = class_align(class);
-            assert!(align <= LINE && class.is_multiple_of(align), "{len}");
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! Eviction is exact LRU via an intrusive doubly-linked list over a slab.
 
+use sgx_sim::classes::same_class;
 use sgx_sim::enclave::Enclave;
-use sgx_sim::memory::EnclaveMemory;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -117,7 +117,7 @@ impl EnclaveCache {
             // Update in place when the new value has the old allocation's
             // class; otherwise reallocate.
             let old_len = self.slab[idx].len;
-            if EnclaveMemory::same_class(old_len, value.len()) {
+            if same_class(old_len, value.len()) {
                 let addr = self.slab[idx].addr;
                 self.enclave.memory().write(addr, value);
                 self.used_bytes = self.used_bytes - old_len + value.len();

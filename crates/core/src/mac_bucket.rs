@@ -42,6 +42,7 @@
 
 use crate::alloc::{Handle, UntrustedHeap, NULL_HANDLE};
 use crate::table::Broken;
+use sgx_sim::classes::size_class;
 use shield_crypto::hint::LINE;
 use shield_crypto::Tag128;
 use std::ops::Range;
@@ -76,7 +77,7 @@ fn handles_at(cap: usize) -> usize {
 /// follow the allocator's classes and nothing configures them.
 #[inline]
 pub fn class_cap(slots: usize, mac_cap: usize) -> usize {
-    let class = UntrustedHeap::class_len(node_len(slots.min(mac_cap)));
+    let class = size_class(node_len(slots.min(mac_cap)));
     ((class - NODE_MACS) / SLOT_LEN).min(mac_cap)
 }
 
@@ -303,7 +304,7 @@ impl Directory<'_> {
 
     /// Allocates an empty node of `cap` slots.
     fn alloc(&mut self, cap: usize) -> Node {
-        *self.node_bytes += UntrustedHeap::class_len(node_len(cap));
+        *self.node_bytes += size_class(node_len(cap));
         let at = self.heap.alloc(node_len(cap));
         self.heap.bytes_at_mut(at, NODE_CAP, 4).copy_from_slice(&(cap as u32).to_le_bytes());
         Node { at, next: NULL_HANDLE, count: 0, cap }
@@ -313,7 +314,7 @@ impl Directory<'_> {
     /// made out of its `count`, not taken from memory.
     fn free(&mut self, node: &Node) {
         let len = node_len(node.cap);
-        *self.node_bytes = self.node_bytes.saturating_sub(UntrustedHeap::class_len(len));
+        *self.node_bytes = self.node_bytes.saturating_sub(size_class(len));
         self.heap.free(node.at, len);
     }
 
@@ -569,8 +570,7 @@ mod tests {
         for i in 1..=31 {
             b.dir().insert_front(&mac(i), i as Handle).unwrap();
             shapes.push(b.shape());
-            let held: usize =
-                b.shape().iter().map(|&(_, cap)| UntrustedHeap::class_len(node_len(cap))).sum();
+            let held: usize = b.shape().iter().map(|&(_, cap)| size_class(node_len(cap))).sum();
             assert_eq!((b.heap.live_bytes(), b.node_bytes), (held, held), "after {i}");
         }
         // One node, always in the class its count needs, so left only when
@@ -645,8 +645,7 @@ mod tests {
                 _ => vec![(30, 30), (left - 30, class_cap(left - 30, 30))],
             };
             assert_eq!(b.shape(), want);
-            let held: usize =
-                want.iter().map(|&(_, c)| UntrustedHeap::class_len(node_len(c))).sum();
+            let held: usize = want.iter().map(|&(_, c)| size_class(node_len(c))).sum();
             assert_eq!((b.heap.live_bytes(), b.node_bytes), (held, held), "with {left} left");
             assert_eq!(b.collect().1.len(), left);
         }

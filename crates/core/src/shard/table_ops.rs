@@ -5,13 +5,14 @@
 
 use super::verify::{beside_entry, endorses, set_violation, PendingSet};
 use super::{Access, OpCtx, Scratch};
-use crate::alloc::{UntrustedHeap, NULL_HANDLE};
+use crate::alloc::NULL_HANDLE;
 use crate::config::MAX_ITEM_LEN;
 use crate::entry;
 use crate::error::{Error, Result};
 use crate::mac_bucket;
 use crate::stats::OpStats;
 use crate::table::{Broken, Link, TableCtx};
+use sgx_sim::classes::same_class;
 use shield_crypto::fused::Opened;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
@@ -50,7 +51,7 @@ impl Access {
     /// lookup.
     ///
     /// The handles come straight from untrusted memory and are only hinted,
-    /// never trusted: see [`UntrustedHeap::prefetch`].
+    /// never trusted: see [`crate::alloc::UntrustedHeap::prefetch`].
     pub(super) fn hint_access(&self, table: &TableCtx, bucket: usize) {
         let set_buckets = table.sets.buckets_of(table.sets.set_of(bucket));
         if self.cfg.mac_bucket {
@@ -389,7 +390,7 @@ impl Access {
         // The MAC node first — the slot is the one `prove_found` has just
         // read, so this cannot fail unless memory moved under the op — and
         // with it the handle the slot lists, which a reallocation changes.
-        let inplace = UntrustedHeap::same_class(old_len, new_len);
+        let inplace = same_class(old_len, new_len);
         let at = if inplace { found.handle } else { table.heap.alloc(new_len) };
         if self.cfg.mac_bucket {
             let mut dir = table.directory(bucket);

@@ -3,6 +3,7 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use sgx_sim::classes::size_class;
 use sgx_sim::enclave::EnclaveBuilder;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
@@ -114,7 +115,7 @@ proptest! {
                 reference.iter().map(|slot| slot.1).collect::<Vec<_>>()
             );
             let node = |slots| {
-                UntrustedHeap::class_len(mac_bucket::node_len(mac_bucket::class_cap(slots, capacity)))
+                size_class(mac_bucket::node_len(mac_bucket::class_cap(slots, capacity)))
             };
             let last = match max_macs % capacity {
                 0 => 0,

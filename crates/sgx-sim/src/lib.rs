@@ -14,6 +14,8 @@
 //!   enclave virtual memory. All reads and writes go through the EPC model;
 //!   data is physically stored and really copied, so simulated stores hold
 //!   real data.
+//! * [`classes`] — the one size-class allocator core every heap carves
+//!   its blocks with: the class rule, free lists and bump cursor.
 //! * [`cost`] — the cycle/nanosecond cost model (EPC fault, MEE cacheline
 //!   overhead, ECALL/OCALL, HotCalls) with paper-calibrated defaults.
 //! * [`vclock`] — per-thread virtual clocks that accumulate modeled
@@ -51,6 +53,7 @@
 
 pub mod attest;
 pub mod bytes;
+pub mod classes;
 pub mod cost;
 pub mod counter;
 pub mod enclave;

@@ -10,8 +10,10 @@
 //! bits and a byte offset in the low 32 bits. An allocation never crosses a
 //! chunk boundary, so it is always contiguous in its backing chunk, and
 //! chunk indices keep the simulated page numbers of distinct chunks
-//! disjoint.
+//! disjoint. Blocks are carved by the shared [`crate::classes`] core, under
+//! the same class rule as ShieldStore's untrusted heap.
 
+use crate::classes::Classes;
 use crate::epc::Epc;
 use crate::SimError;
 use parking_lot::{Mutex, RwLock};
@@ -20,20 +22,11 @@ use std::sync::Arc;
 /// Default chunk size: 4 MiB.
 pub const DEFAULT_CHUNK_SIZE: usize = 4 << 20;
 
-/// Minimum allocation granule.
-const MIN_CLASS: usize = 16;
-
 type Chunk = Mutex<Box<[u8]>>;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct AllocState {
-    /// Free lists indexed by size-class log2.
-    free_lists: Vec<Vec<u64>>,
-    /// Current bump chunk index and offset.
-    bump_chunk: Option<usize>,
-    bump_offset: usize,
-    /// Bytes handed out and not yet freed.
-    live_bytes: usize,
+    classes: Classes,
     /// Bytes reserved from the chunk allocator.
     reserved_bytes: usize,
 }
@@ -53,10 +46,6 @@ impl std::fmt::Debug for EnclaveMemory {
             .field("chunk_size", &self.chunk_size)
             .finish()
     }
-}
-
-fn size_class(len: usize) -> usize {
-    len.max(MIN_CLASS).next_power_of_two()
 }
 
 fn pack(chunk: usize, offset: usize) -> u64 {
@@ -80,7 +69,7 @@ impl EnclaveMemory {
         Self {
             epc,
             chunks: RwLock::new(Vec::new()),
-            alloc: Mutex::new(AllocState::default()),
+            alloc: Mutex::new(AllocState { classes: Classes::new(chunk_size), reserved_bytes: 0 }),
             chunk_size,
         }
     }
@@ -95,74 +84,24 @@ impl EnclaveMemory {
     /// Allocation itself is not metered (real enclaves allocate from an
     /// in-enclave heap without kernel involvement); only data access is.
     pub fn alloc(&self, len: usize) -> Result<u64, SimError> {
-        let class = size_class(len);
         let mut st = self.alloc.lock();
-        st.live_bytes += class;
-
-        if class >= self.chunk_size {
-            // Dedicated chunk for jumbo allocations.
-            drop(st);
-            let chunk = vec![0u8; class].into_boxed_slice();
-            let mut chunks = self.chunks.write();
-            let idx = chunks.len();
-            chunks.push(Mutex::new(chunk));
-            drop(chunks);
-            let mut st = self.alloc.lock();
-            st.reserved_bytes += class;
-            return Ok(pack(idx, 0));
-        }
-
-        let class_log = class.trailing_zeros() as usize;
-        if st.free_lists.len() <= class_log {
-            st.free_lists.resize_with(class_log + 1, Vec::new);
-        }
-        if let Some(addr) = st.free_lists[class_log].pop() {
-            return Ok(addr);
-        }
-
-        // Bump-allocate from the current chunk, opening a new one if needed.
-        let need_new = match st.bump_chunk {
-            None => true,
-            Some(_) => st.bump_offset + class > self.chunk_size,
-        };
-        if need_new {
-            let chunk = vec![0u8; self.chunk_size].into_boxed_slice();
-            let mut chunks = self.chunks.write();
-            let idx = chunks.len();
-            chunks.push(Mutex::new(chunk));
-            drop(chunks);
-            st.bump_chunk = Some(idx);
-            st.bump_offset = 0;
-            st.reserved_bytes += self.chunk_size;
-        }
-        let chunk = st.bump_chunk.expect("bump chunk must exist");
-        let offset = st.bump_offset;
-        st.bump_offset += class;
+        let st = &mut *st;
+        let ((chunk, offset), _) = st
+            .classes
+            .alloc(len, |_, len| {
+                self.chunks.write().push(Mutex::new(vec![0u8; len].into_boxed_slice()));
+                st.reserved_bytes += len;
+                true
+            })
+            .ok_or(SimError::OutOfEnclaveMemory)?;
         Ok(pack(chunk, offset))
-    }
-
-    /// Whether an allocation of `old_len` may hold `len` bytes in place:
-    /// only when both lengths have the same class, since the block is
-    /// freed by whatever length it holds last.
-    pub fn same_class(old_len: usize, len: usize) -> bool {
-        size_class(len) == size_class(old_len)
     }
 
     /// Returns an allocation of `len` bytes to the free pool.
     ///
     /// `len` must be the length passed to [`EnclaveMemory::alloc`].
     pub fn free(&self, addr: u64, len: usize) {
-        let class = size_class(len);
-        let mut st = self.alloc.lock();
-        st.live_bytes = st.live_bytes.saturating_sub(class);
-        if class >= self.chunk_size {
-            // Dedicated chunks are recycled through the free list too.
-        }
-        let class_log = class.trailing_zeros() as usize;
-        if st.free_lists.len() <= class_log {
-            st.free_lists.resize_with(class_log + 1, Vec::new);
-        }
-        st.free_lists[class_log].push(addr);
+        self.alloc.lock().classes.free(unpack(addr), len);
     }
 
     /// Runs `f` on the `len` bytes at `addr`, metering the access first.
@@ -240,7 +179,7 @@ impl EnclaveMemory {
 
     /// Bytes currently handed out to callers (rounded to size classes).
     pub fn live_bytes(&self) -> usize {
-        self.alloc.lock().live_bytes
+        self.alloc.lock().classes.live_bytes()
     }
 
     /// Bytes reserved from the backing allocator.
@@ -252,9 +191,12 @@ impl EnclaveMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classes::tests::{live_blocks_hold, Heap};
+    use crate::classes::{self, Place};
     use crate::cost::CostModel;
     use crate::stats::SimStats;
     use crate::vclock;
+    use proptest::prelude::*;
 
     fn memory(epc_pages: usize) -> EnclaveMemory {
         let stats = Arc::new(SimStats::new());
@@ -307,6 +249,41 @@ mod tests {
         let data = vec![0xabu8; 1 << 20];
         m.write(addr, &data);
         assert_eq!(m.read_vec(addr, 1 << 20), data);
+    }
+
+    #[test]
+    fn a_freed_jumbo_block_is_reused() {
+        let stats = Arc::new(SimStats::new());
+        let epc = Arc::new(Epc::new(1 << 20, CostModel::NO_SGX, stats));
+        let m = EnclaveMemory::with_chunk_size(epc, 1 << 16);
+        let addr = m.alloc(1 << 20).unwrap();
+        m.free(addr, 1 << 20);
+        assert_eq!(m.alloc(1 << 20).unwrap(), addr);
+        assert_eq!(m.reserved_bytes(), 1 << 20, "the freed chunk, not a second one");
+    }
+
+    impl Heap for EnclaveMemory {
+        fn alloc(&mut self, len: usize) -> Place {
+            unpack(EnclaveMemory::alloc(self, len).unwrap())
+        }
+        fn free(&mut self, (chunk, offset): Place, len: usize) {
+            EnclaveMemory::free(self, pack(chunk, offset), len);
+        }
+        fn holds(&self, (chunk, offset): Place, class: usize) -> bool {
+            self.chunks.read()[chunk].lock().get(offset..offset + class).is_some()
+        }
+        fn live_bytes(&self) -> usize {
+            EnclaveMemory::live_bytes(self)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn live_blocks_are_whole_aligned_and_disjoint(ops in classes::tests::ops()) {
+            let stats = Arc::new(SimStats::new());
+            let epc = Arc::new(Epc::new(16, CostModel::NO_SGX, stats));
+            live_blocks_hold(&mut EnclaveMemory::with_chunk_size(epc, 1 << 16), ops)?;
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hint, one stat list, one wire codec, one reference model, one
 //! byte cursor for everything that leaves the enclave, one adversary
 //! rig, one refusal type, one durable replace, one op generator, one
-//! crash model and one reader of entry tags. The rules walk the source
+//! crash model, one size-class rule and one reader of entry tags. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -401,6 +401,40 @@ fn one_crash_model(tree: &Tree) -> Vec<String> {
     })
 }
 
+/// Whether `line` calls `next_power_of_two` on an allocation length: a
+/// receiver (what follows the line's last `=`) naming `len`, `class` or a
+/// `…_len`.
+fn rounds_a_length(line: &str) -> bool {
+    line.match_indices(".next_power_of_two").any(|(at, _)| {
+        let receiver = line[..at].rsplit('=').next().unwrap_or_default();
+        receiver
+            .split(|c| !is_word_char(c))
+            .any(|word| word == "len" || word == "class" || word.ends_with("_len"))
+    })
+}
+
+/// Rule 15. Every heap carves its blocks with `sgx_sim::classes`: outside
+/// it and test code, no crate source keeps free lists, defines a
+/// `size_class` or `class_index`, or rounds an allocation length to a
+/// power of two.
+fn one_size_class_rule(tree: &Tree) -> Vec<String> {
+    const CLASSES: &str = "crates/sgx-sim/src/classes.rs";
+    let defines = |l: &str| {
+        word_starts(l, "fn").any(|end| {
+            let name = l[end..].trim_start();
+            has_word_at(name, "size_class") || has_word_at(name, "class_index")
+        })
+    };
+    let mut found = Vec::new();
+    for f in tree.crate_sources().filter(|f| f.path != CLASSES && !f.path.ends_with("tests.rs")) {
+        let breaks = |l: &&str| has_word(l, "free_lists") || defines(l) || rounds_a_length(l);
+        for (i, line) in before_tests(f).filter(|(_, l)| breaks(l)) {
+            found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+        }
+    }
+    found
+}
+
 /// Whether `line` reads untrusted memory at an entry's `sealed_len()` —
 /// where a tag after the ciphertext starts: a `bytes_at(` call whose
 /// second argument names it.
@@ -410,7 +444,7 @@ fn reads_at_sealed_len(line: &str) -> bool {
     })
 }
 
-/// Rule 16 (rule 15 is ROADMAP's reserved size-class rule). An entry's
+/// Rule 16. An entry's
 /// tag exists once, and `TableCtx::tags` in table.rs is its one reader:
 /// no source names `OFF_MAC` (the header copy that is gone), and outside
 /// tests no crate source but table.rs, mac_bucket.rs (the node layout)
@@ -676,6 +710,30 @@ fn one_crash_model_holds() {
             ("crates/adversary/src/crashphase.rs", "const FUSE_ENV: &str = \"SHIELDSTORE_CRASH_FUSE\";"),
         ],
     );
+}
+
+#[test]
+fn one_size_class_rule_holds() {
+    check(
+        one_size_class_rule,
+        "a second size-class allocator is growing back; carve blocks with sgx_sim::classes (see DESIGN.md, Size classes that fit)",
+        &[
+            ("crates/baseline/src/eleos.rs", "    free_lists: Vec<Vec<u64>>,"),
+            ("crates/sgx-sim/src/memory.rs", "fn size_class(len: usize) -> usize {"),
+            ("crates/core/src/alloc.rs", "pub(crate) fn class_index(class: usize) -> usize {"),
+            ("crates/baseline/src/eleos.rs", "        let class = len.max(16).next_power_of_two();"),
+            ("crates/core/src/cache.rs", "let block = (HEADER + value_len).next_power_of_two();"),
+        ],
+    );
+    // Test code stays free to, and so does rounding a count.
+    let allowed = Tree::load()
+        .with("crates/sgx-sim/src/memory.rs", "#[cfg(test)]\nmod tests { fn size_class() {} }")
+        .with("crates/net/src/engine.rs", "    let route_len = n.next_power_of_two();")
+        .with(
+            "crates/bench/src/bin/fig03.rs",
+            "let buckets = (num_keys as usize).next_power_of_two();",
+        );
+    assert!(one_size_class_rule(&allowed).is_empty());
 }
 
 #[test]
