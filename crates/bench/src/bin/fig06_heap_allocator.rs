@@ -8,6 +8,10 @@
 //! For reference the first row shows the unoptimized configuration
 //! (`per-alloc`): one OCALL per allocation, as with the stock SDK's
 //! untrusted heap.
+//!
+//! The OCALL column is a count, the same on every run: the bin checks
+//! that it collapses with granularity ([`report::ocall_collapse`]) and
+//! exits 1 when it does not.
 
 use shield_workload::Spec;
 use shieldstore::{AllocMode, Config};
@@ -48,14 +52,17 @@ fn main() {
     let mut table =
         report::Table::new(&["granularity", "OCALLs (measure phase)", "throughput(Kop/s)"]);
 
-    let (ocalls, kops) = run(AllocMode::OcallPerAlloc, &args);
-    table.row(&["per-alloc".into(), ocalls.to_string(), report::kops(kops)]);
+    let (per_alloc, kops) = run(AllocMode::OcallPerAlloc, &args);
+    table.row(&["per-alloc".into(), per_alloc.to_string(), report::kops(kops)]);
 
+    let mut chunked = Vec::new();
     for mb in [1usize, 2, 4, 8, 16, 32] {
         let (ocalls, kops) = run(AllocMode::Pooled { granularity: mb << 20 }, &args);
         table.row(&[format!("{mb}MB"), ocalls.to_string(), report::kops(kops)]);
+        chunked.push((mb << 20, ocalls));
     }
     table.print();
     println!();
     println!("expect: OCALLs drop sharply with granularity; throughput recovers accordingly.");
+    report::verdict(report::OCALL_COLLAPSE, report::ocall_collapse(per_alloc, &chunked));
 }

@@ -4,9 +4,11 @@
 //! remote-attest the server, and drive encrypted requests. Six
 //! configurations per data size: Memcached+graphene, Baseline, ShieldOpt,
 //! ShieldOpt+HotCalls, Insecure Memcached, and Insecure Baseline. The
-//! secure configurations charge an enclave crossing per request (ECALL
-//! ~8,000 cycles, or HotCalls ~620); insecure ones skip attestation,
-//! traffic crypto and crossings.
+//! secure configurations charge an enclave crossing (ECALL ~8,000 cycles,
+//! or HotCalls ~620) per burst of requests a server loop executes
+//! together; each user here has one request in flight, so on one worker a
+//! burst is one request, and the `crossings/req` column shows it.
+//! Insecure configurations skip attestation, traffic crypto and crossings.
 //!
 //! Note: on a single-core host the server workers and client threads
 //! share one CPU, so the 1-vs-4-worker scaling of the paper cannot
@@ -190,7 +192,7 @@ fn main() {
     let workloads = ["RD50_Z", "RD95_Z", "RD100_Z"];
 
     for workers in [1usize, 4] {
-        let mut table = report::Table::new(&["store", "size", "Kop/s"]);
+        let mut table = report::Table::new(&["store", "size", "Kop/s", "crossings/req"]);
         for (size_name, val_len) in sizes {
             for case in &CASES {
                 let (store, enclave) = build_store(case, &scale, args.seed);
@@ -214,6 +216,13 @@ fn main() {
                     AttestationVerifier::for_enclave(e).expect_measurement(*e.measurement())
                 });
 
+                let crossings = || {
+                    enclave.as_ref().map_or(0, |e| {
+                        let sim = e.stats().snapshot();
+                        sim.ecalls + sim.hotcalls
+                    })
+                };
+                let (entered, mut served) = (crossings(), 0);
                 let mut total_kops = 0.0;
                 for workload in workloads {
                     server.reset_accounting();
@@ -231,6 +240,7 @@ fn main() {
                         },
                     )
                     .expect("load run");
+                    served += server.requests_served();
                     let penalty = server.worker_penalties_ns().into_iter().max().unwrap_or(0);
                     total_kops += report.kops(Duration::from_nanos(penalty));
                 }
@@ -239,6 +249,10 @@ fn main() {
                     case.name.into(),
                     size_name.into(),
                     report::kops(total_kops / workloads.len() as f64),
+                    match case.secure {
+                        true => format!("{:.2}", (crossings() - entered) as f64 / served as f64),
+                        false => "-".into(),
+                    },
                 ]);
             }
         }

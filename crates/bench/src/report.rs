@@ -116,6 +116,38 @@ pub fn epc_knee(epc_bytes: u64, rows: &[(u64, f64)]) -> Result<(), String> {
     Ok(())
 }
 
+/// Fig. 6's collapse, as [`verdict`] prints it.
+pub const OCALL_COLLAPSE: &str =
+    "OCALLs collapse with granularity: per-alloc takes >= 1000x every chunked row, 1 MB+ chunks <= 2";
+
+/// How many times the OCALLs of every chunked granularity the per-alloc
+/// heap must take: 14,693 against 2 were measured at quick scale.
+pub const COLLAPSE_FACTOR: u64 = 1000;
+
+/// The most OCALLs a granularity of 1 MB or more may take in Fig. 6's
+/// measure phase: one or two chunks were measured at every such size.
+pub const CHUNKED_OCALLS: u64 = 2;
+
+/// Fig. 6's collapse: the per-alloc heap's `per_alloc` OCALLs are at least
+/// [`COLLAPSE_FACTOR`] times those of every `(granularity bytes, OCALLs)`
+/// row of `chunked`, and no granularity of 1 MB or more takes more than
+/// [`CHUNKED_OCALLS`]. `Err` names the first row that breaks it.
+pub fn ocall_collapse(per_alloc: u64, chunked: &[(usize, u64)]) -> Result<(), String> {
+    let mb = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+    for &(granularity, ocalls) in chunked {
+        if per_alloc < COLLAPSE_FACTOR * ocalls.max(1) {
+            return Err(format!(
+                "per-alloc takes {per_alloc} OCALLs, {:.0} MB chunks {ocalls}",
+                mb(granularity)
+            ));
+        }
+        if granularity >= 1 << 20 && ocalls > CHUNKED_OCALLS {
+            return Err(format!("{:.0} MB chunks take {ocalls} OCALLs", mb(granularity)));
+        }
+    }
+    Ok(())
+}
+
 /// Prints a figure's verdict on its shape `claim`; a failed one exits the
 /// process with status 1.
 pub fn verdict(claim: &str, outcome: Result<(), String>) {
@@ -162,6 +194,18 @@ mod tests {
         assert!(epc_knee(4 * MB, &early).unwrap_err().starts_with("3.0 MB fits the EPC"));
         let late = [(MB, 0.0), (4 * MB, 0.05), (8 * MB, 1.0)];
         assert!(epc_knee(4 * MB, &late).unwrap_err().starts_with("4.0 MB outgrows the EPC"));
+    }
+
+    #[test]
+    fn ocalls_collapse_with_granularity() {
+        const MB: usize = 1 << 20;
+        let chunked = [(MB, 2), (2 * MB, 1), (32 * MB, 1)];
+        assert_eq!(ocall_collapse(14_693, &chunked), Ok(()));
+        assert!(ocall_collapse(1_999, &chunked).unwrap_err().starts_with("per-alloc takes 1999"));
+        let per_alloc_too = [(MB, 14_000)];
+        assert!(ocall_collapse(14_693, &per_alloc_too).is_err());
+        let three = [(MB, 2), (4 * MB, 3)];
+        assert_eq!(ocall_collapse(1 << 20, &three), Err("4 MB chunks take 3 OCALLs".into()));
     }
 
     #[test]

@@ -151,12 +151,13 @@ impl Shard {
         for table in self.tables.reads() {
             for set in 0..table.sets.num_sets() {
                 self.access.verify_set(table, set)?;
-            }
-            // And every entry against its tag, every chain as long as its
-            // bucket's tags, so an unlinked entry cannot hide.
-            for bucket in 0..table.buckets() {
-                if self.access.scan_bucket(table, bucket, None).is_err() {
-                    return Err(Error::IntegrityViolation { bucket });
+                // And every entry against its tag in the verified gather,
+                // every chain as long as its bucket's tags, so an unlinked
+                // entry cannot hide.
+                for bucket in table.sets.buckets_of(set) {
+                    if self.access.scan_bucket(table, bucket, None).is_err() {
+                        return Err(Error::IntegrityViolation { bucket });
+                    }
                 }
             }
         }

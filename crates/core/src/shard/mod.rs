@@ -153,7 +153,7 @@ pub(crate) struct QuarantineState {
 /// Reusable scratch buffers threaded through the table operations so the
 /// steady-state seal/unseal path performs no per-op heap allocation: the
 /// buffers grow to the working-set item size once and are reused for
-/// every subsequent operation. All three stage *plaintext or MAC* bytes
+/// every subsequent operation. All of them stage *plaintext or MAC* bytes
 /// and live inside the enclave; nothing here is ever handed to untrusted
 /// memory.
 #[derive(Default)]
@@ -163,39 +163,82 @@ pub(crate) struct Scratch {
     entry: Vec<u8>,
     /// Candidate-key decryption during chain searches.
     key: Vec<u8>,
-    /// One bucket's tags, gathered afresh when the set gather no longer
-    /// holds them (see [`Scratch::tags`]).
-    side: Vec<u8>,
-    /// A bucket set's MACs, gathered for the set hash: between
-    /// [`Access::begin_verify`] and the verdict, the set CMAC's whole input.
+    /// The enclave's copy of a bucket set's tags: gathered for the set hash
+    /// by [`Access::begin_verify`] — the set CMAC's whole input — and, once
+    /// verified, patched by each write where it writes a tag, so the hash a
+    /// write re-stores is of what the enclave verified and wrote.
     set: Vec<u8>,
     /// Where each bucket's tags start in `set`, one offset per bucket of
-    /// the gathered set and then its end; emptied when a write moves them.
+    /// the gathered set and then its end; emptied when a gather fails.
     set_starts: Vec<usize>,
     /// The first bucket of the gathered set.
     set_first: usize,
 }
 
 impl Scratch {
-    /// `bucket`'s tags in the set gather, while it holds them.
-    fn gathered(&self, bucket: usize) -> Option<&[u8]> {
+    /// The index of `bucket` in `set_starts`, while the gather holds it.
+    fn slot(&self, bucket: usize) -> Option<usize> {
         let i = bucket.checked_sub(self.set_first)?;
-        let (start, end) = (*self.set_starts.get(i)?, *self.set_starts.get(i + 1)?);
-        self.set.get(start..end)
+        (i + 1 < self.set_starts.len()).then_some(i)
     }
 
-    /// `bucket`'s tags as [`Access::load_tags`] left them: a slice of the
-    /// set gather when it is current, else what was gathered into `side`.
+    /// `bucket`'s tags, in chain order: a slice of the set gather, and
+    /// none when the gather does not hold `bucket` — every check then
+    /// fails closed.
     fn tags(&self, bucket: usize) -> &[u8] {
-        self.gathered(bucket).unwrap_or(&self.side)
+        match self.slot(bucket) {
+            Some(i) => &self.set[self.set_starts[i]..self.set_starts[i + 1]],
+            None => &[],
+        }
     }
 
-    /// Whether the tag at chain position `pos` among `bucket`'s loaded tags
-    /// is `computed`: the positional check every write relies on, since
+    /// Whether the gather is of exactly the buckets `set_buckets`.
+    fn holds(&self, set_buckets: std::ops::Range<usize>) -> bool {
+        self.set_first == set_buckets.start && self.set_starts.len() == set_buckets.len() + 1
+    }
+
+    /// Whether the tag at chain position `pos` among `bucket`'s tags is
+    /// `computed`: the positional check every write relies on, since
     /// `set_at`/`remove_at` act on the MAC nodes *by chain position*.
     fn tag_at_is(&self, bucket: usize, pos: usize, computed: &[u8; 16]) -> bool {
         let tags = self.tags(bucket).get(pos * TAG_LEN..(pos + 1) * TAG_LEN);
         tags.is_some_and(|tag| shield_crypto::constant_time::ct_eq(tag, computed))
+    }
+
+    /// Patches the copy where a write has just put `tag` at the head of
+    /// `bucket`'s chain.
+    fn insert_tag(&mut self, bucket: usize, tag: &[u8; 16]) {
+        self.splice(bucket, 0, 0, tag);
+    }
+
+    /// Patches the copy where a write has just replaced the tag at chain
+    /// position `pos` of `bucket`.
+    fn replace_tag(&mut self, bucket: usize, pos: usize, tag: &[u8; 16]) {
+        self.splice(bucket, pos, TAG_LEN, tag);
+    }
+
+    /// Patches the copy where a write has just removed the tag at chain
+    /// position `pos` of `bucket`.
+    fn remove_tag(&mut self, bucket: usize, pos: usize) {
+        self.splice(bucket, pos, TAG_LEN, &[]);
+    }
+
+    /// Replaces the `removed` bytes at chain position `pos` of `bucket`
+    /// with `with`. A write only edits a position its checks have just
+    /// read from this copy, so one outside it is a bug: the copy is then
+    /// dropped, which leaves the stored hash unwritten and the set failing
+    /// closed.
+    fn splice(&mut self, bucket: usize, pos: usize, removed: usize, with: &[u8]) {
+        let at = self.slot(bucket).map(|i| (i, self.set_starts[i] + pos * TAG_LEN));
+        let Some((i, at)) = at.filter(|&(i, at)| at + removed <= self.set_starts[i + 1]) else {
+            debug_assert!(false, "bucket {bucket}, position {pos}: not in the gathered set");
+            self.set_starts.clear();
+            return;
+        };
+        self.set.splice(at..at + removed, with.iter().copied());
+        for start in &mut self.set_starts[i + 1..] {
+            *start = *start + with.len() - removed;
+        }
     }
 }
 

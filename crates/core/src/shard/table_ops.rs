@@ -218,7 +218,6 @@ impl Access {
         let Some((found, ct)) = self.locate(op, table, bucket, hint, key, pending)? else {
             return Ok(None);
         };
-        self.load_tags(table, bucket)?;
         let beside = beside_entry(&self.keys, table, &pending, &self.scratch.set)?;
         // Fused verify+decrypt under the tenant's derived keys. The plaintext
         // is staged in the enclave-resident scratch buffer and only released
@@ -349,8 +348,8 @@ impl Access {
                     return Err(Error::IntegrityViolation { bucket });
                 }
             }
-            self.scratch.set_starts.clear();
             table.place(fresh, &self.scratch.entry, &mac);
+            self.scratch.insert_tag(bucket, &mac);
             table.heads[bucket] = fresh;
             table.count += 1;
             self.stats.inserts += 1;
@@ -408,8 +407,8 @@ impl Access {
         if let Some(st) = op.state {
             st.usage.discharge(old_len.saturating_sub(new_len) as u64, 0);
         }
-        self.scratch.set_starts.clear();
         table.place(at, &self.scratch.entry, &mac);
+        self.scratch.replace_tag(bucket, found.pos, &mac);
         if inplace {
             self.stats.inplace_updates += 1;
         } else {
@@ -466,7 +465,7 @@ impl Access {
                 .remove_at(found.pos)
                 .map_err(|_| Error::IntegrityViolation { bucket })?;
         }
-        self.scratch.set_starts.clear();
+        self.scratch.remove_tag(bucket, found.pos);
         if found.prev == NULL_HANDLE {
             table.heads[bucket] = found.header.next;
         } else {

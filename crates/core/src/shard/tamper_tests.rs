@@ -684,3 +684,43 @@ fn the_sweep_refuses_an_entry_whose_key_was_rewritten_into_an_expired_one() {
         vclock::reset();
     }
 }
+
+/// Every write opens a window: after it verified its set and wrote, before
+/// it stores the set's new hash. A host that replays a captured stale
+/// version of another key's entry in that window — another host thread, or
+/// an interrupt that stops the enclave there — must not have it endorsed:
+/// the write re-stores the hash from the copy it verified and patched, so
+/// the next read of the rolled-back key fails closed instead of serving the
+/// old value as verified. One MAC hash over four buckets, so every key
+/// shares the victim's set; each kind of write opens the window once.
+#[test]
+fn a_replay_inside_a_writes_window_is_not_endorsed() {
+    for (name, cfg) in both_designs() {
+        for window in ["insert", "update", "delete", "batch"] {
+            vclock::reset();
+            let mut s = shard_with(cfg.clone().buckets(4).mac_hashes(1));
+            run(&mut s, Op::set(b"victim", b"old")).unwrap();
+            let [stale] = s.stale_entry_copies().try_into().unwrap();
+            run(&mut s, Op::set(b"victim", b"new")).unwrap();
+            if matches!(window, "update" | "delete") {
+                run(&mut s, Op::set(b"other", b"o1")).unwrap();
+            }
+            verify::tests::attack_next_write(move |table| {
+                assert!(crate::testing::replay_into(table, &stale), "the update was in place");
+            });
+            let items: &[(&[u8], &[u8])] = &[(b"other", b"o2"), (b"third", b"t")];
+            let acked = match window {
+                "insert" | "update" => run(&mut s, Op::set(b"other", b"o2")),
+                "delete" => run(&mut s, Op::Delete(b"other")),
+                _ => run(&mut s, Op::MultiSet { items, expires_at: 0 }),
+            };
+            assert!(acked.is_ok(), "{name}, {window}: the write itself is refused: {acked:?}");
+            let r = run(&mut s, Op::Get(b"victim"));
+            assert!(
+                matches!(r, Err(Error::IntegrityViolation { .. })),
+                "{name}, {window}: the replayed entry was endorsed: {r:?}"
+            );
+            vclock::reset();
+        }
+    }
+}

@@ -75,7 +75,7 @@ fn settle(keys: &StoreKeys, table: &TableCtx, pending: PendingSet, macs: &[u8]) 
 }
 
 /// Whether a hit's `computed` tag is one `bucket` endorses (its tags
-/// loaded in `scratch`): at the found entry's chain position `pos`, or —
+/// gathered in `scratch`): at the found entry's chain position `pos`, or —
 /// after a structural attack elsewhere in the chain (an unlink shifting
 /// positions), counted in `side_mac_fallbacks` — at any position of the
 /// bucket. Hits prove themselves: a stale version replayed over the entry,
@@ -162,26 +162,20 @@ impl Access {
         self.finish_verify(table, pending)
     }
 
-    /// Recomputes and stores the bucket-set hash after a mutation. Fails —
-    /// leaving the stored hash untouched, so later verification fails
-    /// closed — when the untrusted structure cannot be walked.
+    /// Stores `set`'s hash after a mutation, computed from the enclave's
+    /// copy of the set: the gather that was verified before the write,
+    /// patched by each write where it wrote a tag. Nothing is read from
+    /// untrusted memory here (`tests/structure.rs` rule 18), so whatever
+    /// the host changed in the set since the verify is never endorsed —
+    /// the next op that verifies the set fails closed on it. Fails,
+    /// leaving the stored hash untouched, when the copy is not `set`'s.
     pub(super) fn update_set_hash(&mut self, table: &mut TableCtx, set: usize) -> Result<()> {
-        self.gather_set(table, set).ok_or_else(|| set_violation(table, set))?;
-        table.macs.set(set, &set_hash(&self.keys, &self.scratch.set));
-        Ok(())
-    }
-
-    /// Makes `bucket`'s tags readable through `Scratch::tags`: the set
-    /// gather already holds them unless a write has moved them since (a
-    /// batch's second write to a set), in which case they are gathered
-    /// afresh into `Scratch::side`.
-    pub(super) fn load_tags(&mut self, table: &TableCtx, bucket: usize) -> Result<()> {
-        if self.scratch.gathered(bucket).is_some() {
-            return Ok(());
+        #[cfg(test)]
+        tests::in_write_window(table);
+        if !self.scratch.holds(table.sets.buckets_of(set)) {
+            return Err(set_violation(table, set));
         }
-        let side = &mut self.scratch.side;
-        side.clear();
-        table.tags(bucket, side).map_err(|_| Error::IntegrityViolation { bucket })?;
+        table.macs.set(set, &set_hash(&self.keys, &self.scratch.set));
         Ok(())
     }
 
@@ -209,7 +203,6 @@ impl Access {
         if let (false, Some(pending)) = (set_ok, pending) {
             return Err(set_violation(table, pending.set));
         }
-        self.load_tags(table, bucket)?;
         if self.scratch.tag_at_is(bucket, found.pos, &computed) {
             Ok(())
         } else {
@@ -232,7 +225,6 @@ impl Access {
         bucket: usize,
         find: Option<(&OpCtx<'_>, &[u8])>,
     ) -> std::result::Result<Option<(Link, &'t [u8])>, Broken> {
-        self.load_tags(table, bucket).map_err(|_| Broken)?;
         let mut chained = 0;
         for link in table.chain(bucket) {
             let link = link?;
@@ -264,5 +256,30 @@ impl Access {
             return Err(Broken);
         }
         Ok(None)
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use crate::table::TableCtx;
+    use std::cell::RefCell;
+
+    /// What the host does to untrusted memory inside a write's window:
+    /// after the write, before its set hash is re-stored.
+    type Attack = Box<dyn FnOnce(&mut TableCtx)>;
+
+    thread_local! {
+        static IN_WRITE_WINDOW: RefCell<Option<Attack>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `attack` inside this thread's next write window, once.
+    pub(in crate::shard) fn attack_next_write(attack: impl FnOnce(&mut TableCtx) + 'static) {
+        IN_WRITE_WINDOW.with(|slot| *slot.borrow_mut() = Some(Box::new(attack)));
+    }
+
+    pub(super) fn in_write_window(table: &mut TableCtx) {
+        if let Some(attack) = IN_WRITE_WINDOW.with(|slot| slot.borrow_mut().take()) {
+            attack(table);
+        }
     }
 }

@@ -187,6 +187,33 @@ fn checked_mac_nodes(ctx: &TableCtx) -> Vec<Handle> {
     out
 }
 
+/// Replays a stale entry copy over its original allocation in `main`: the
+/// bytes (including IV) and the tag are a genuine previous version. The tag
+/// goes where the entry at that allocation keeps its tag now: after the
+/// bytes without MAC bucketing, its slot with it (when the allocation is
+/// still chained). Returns `false` when the allocation no longer covers
+/// the copy.
+pub(crate) fn replay_into(main: &mut TableCtx, stale: &StaleEntry) -> bool {
+    let (at, len) = (stale.handle, stale.bytes.len());
+    if main.heap.try_bytes_at(at, 0, len + main.home.suffix_len()).is_none() {
+        return false;
+    }
+    main.heap.bytes_at_mut(at, 0, len).copy_from_slice(&stale.bytes);
+    let site = match main.home {
+        TagHome::Suffix => Some((at, len)),
+        TagHome::Slot => reachable_entries(main)
+            .into_iter()
+            .find(|(_, link)| link.handle == at)
+            .and_then(|(bucket, link)| tag_site(main, bucket, &link)),
+    };
+    if let Some((object, offset)) = site {
+        if main.heap.try_bytes_at(object, offset, 16).is_some() {
+            main.heap.bytes_at_mut(object, offset, 16).copy_from_slice(&stale.tag);
+        }
+    }
+    true
+}
+
 impl Shard {
     /// Applies `op` to this shard's untrusted state, with every random
     /// choice derived from `seed`. Returns `false` when the attack had no
@@ -246,34 +273,17 @@ impl Shard {
     }
 
     /// Replays a stale entry copy over its original allocation — the
-    /// rollback attack: the bytes (including IV) and the tag are a genuine
-    /// previous version. The tag goes where the entry at that allocation
-    /// keeps its tag now: after the bytes without MAC bucketing, its slot
-    /// with it (when the allocation is still chained). Returns `false` when
-    /// the allocation no longer covers the copy.
+    /// rollback attack: see [`replay_into`]. Returns `false` when the
+    /// allocation no longer covers the copy.
     pub fn replay_entry(&mut self, stale: &StaleEntry) -> bool {
         let Some(main) = self.main_table_mut() else {
             return false;
         };
-        let (at, len) = (stale.handle, stale.bytes.len());
-        if main.heap.try_bytes_at(at, 0, len + main.home.suffix_len()).is_none() {
-            return false;
+        let replayed = replay_into(main, stale);
+        if replayed {
+            self.record_attack_step();
         }
-        main.heap.bytes_at_mut(at, 0, len).copy_from_slice(&stale.bytes);
-        let site = match main.home {
-            TagHome::Suffix => Some((at, len)),
-            TagHome::Slot => reachable_entries(main)
-                .into_iter()
-                .find(|(_, link)| link.handle == at)
-                .and_then(|(bucket, link)| tag_site(main, bucket, &link)),
-        };
-        if let Some((object, offset)) = site {
-            if main.heap.try_bytes_at(object, offset, 16).is_some() {
-                main.heap.bytes_at_mut(object, offset, 16).copy_from_slice(&stale.tag);
-            }
-        }
-        self.record_attack_step();
-        true
+        replayed
     }
 
     /// Panics unless, in every bucket of every table, each tag is the one

@@ -34,8 +34,8 @@
 //! (per-conn slots), and with one event loop the engine is strictly
 //! globally FIFO, which the adversary harness relies on.
 //!
-//! What crosses loops crosses per burst, not per request. A decoding
-//! loop collects the handoffs of one `read()` chunk in a per-destination
+//! What crosses loops crosses per burst, not per request. A decoding loop
+//! collects the handoffs of one `read()` chunk in a per-destination
 //! outbox and hands each over whole — one inbox lock, one eventfd write —
 //! before it reads again; the owner takes its whole inbox per wake, runs
 //! every request, returns the responses as one batch per origin, and the
@@ -49,10 +49,12 @@
 //! (one owner loop per shard, outboxes and inboxes are FIFO, and a
 //! request the decoding loop runs inline without a routing key flushes
 //! the outboxes first); replies leave a connection in request order
-//! (`ConnMachine` slots); and each request is charged its one crossing on
-//! the loop that executes it. No outbox is ever non-empty while its loop
-//! blocks in `epoll_wait` — a parked `Execute` would hold its admission
-//! slot with no wake behind it.
+//! (`ConnMachine` slots); and the enclave is entered once per burst: a
+//! loop charges one crossing per `read_burst` or inbox drain that
+//! executes at least one request (`EventLoop::enter`), and every request
+//! of that burst runs inside it. No outbox is ever non-empty while its
+//! loop blocks in `epoll_wait` — a parked `Execute` would hold its
+//! admission slot with no wake behind it.
 //!
 //! ## Deadlines
 //!
@@ -279,6 +281,7 @@ pub(crate) fn spawn(
                     outbox: (0..n).map(|_| Vec::new()).collect(),
                     inbox_buf: Vec::new(),
                     touched: Vec::new(),
+                    entered: false,
                 }
                 .run()
             })
@@ -312,6 +315,9 @@ struct EventLoop {
     inbox_buf: Vec<Msg>,
     /// Connections that received a `Complete` in the current drain.
     touched: Vec<u64>,
+    /// This burst has already paid its enclave crossing. Cleared when a
+    /// `read_burst` or an inbox drain starts.
+    entered: bool,
 }
 
 impl EventLoop {
@@ -503,6 +509,7 @@ impl EventLoop {
     /// batch per origin, attaches the `Complete`s and then seals and
     /// writes once per connection they touched.
     fn process_inbox(&mut self) {
+        self.entered = false;
         let mut msgs = std::mem::take(&mut self.inbox_buf);
         std::mem::swap(&mut *self.shared.loops[self.idx].inbox.0.lock(), &mut msgs);
         for msg in msgs.drain(..) {
@@ -555,6 +562,7 @@ impl EventLoop {
     /// Reads until the socket drains (or the burst budget is spent),
     /// feeding the machine and executing surfaced frames.
     fn read_burst(&mut self, token: u64) {
+        self.entered = false;
         for _ in 0..READ_BURSTS {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             if conn.paused || conn.machine.is_closed() {
@@ -707,18 +715,29 @@ impl EventLoop {
         shard.ok().flatten().map(|shard| shared.route[shard & (shared.route.len() - 1)] as usize)
     }
 
-    /// Charges the crossing, checks the execution deadline, runs the
-    /// store op under `tenant`'s namespace. Runs on whichever loop owns
-    /// the request's shard.
-    fn execute_request(&self, request: &Request, tenant: u32, enqueued: Instant) -> Vec<u8> {
+    /// Enters the enclave for the current burst: the first request a
+    /// `read_burst` or an inbox drain executes pays the configured
+    /// crossing, the rest of that burst runs inside it. The one place a
+    /// crossing is charged.
+    fn enter(&mut self) {
         let shared = &self.shared;
-        if shared.config.secure {
-            let enclave = shared.enclave.as_ref().expect("secure => enclave");
-            match shared.config.crossing {
-                CrossingMode::Ecall => enclave.ecall(),
-                CrossingMode::HotCalls => enclave.hotcall(),
-            }
+        if self.entered || !shared.config.secure {
+            return;
         }
+        self.entered = true;
+        let enclave = shared.enclave.as_ref().expect("secure => enclave");
+        match shared.config.crossing {
+            CrossingMode::Ecall => enclave.ecall(),
+            CrossingMode::HotCalls => enclave.hotcall(),
+        }
+    }
+
+    /// Checks the execution deadline and runs the store op under
+    /// `tenant`'s namespace, inside the burst's enclave entry. Runs on
+    /// whichever loop owns the request's shard.
+    fn execute_request(&mut self, request: &Request, tenant: u32, enqueued: Instant) -> Vec<u8> {
+        self.enter();
+        let shared = &self.shared;
         let resp = if enqueued.elapsed() > shared.config.request_deadline {
             // Stale request: the queue outran the deadline. Answering
             // Busy (instead of serving ancient work) keeps overload

@@ -18,12 +18,14 @@
 //!   socket, responses released strictly in request order
 //!   ([`crate::machine`]).
 //!
-//! The SGX cost model is unchanged: each executed request charges the
-//! configured crossing to the executing loop's virtual clock —
-//! [`CrossingMode::Ecall`] (~8,000 cycles) or [`CrossingMode::HotCalls`]
-//! (~620 cycles, Weisse et al.) — standing in for the enclave entry of
-//! the in-enclave worker the loop models. Frame I/O and reassembly
-//! stay on the untrusted side of that line, exactly as before.
+//! The SGX cost model: each burst a loop executes — the requests of one
+//! read burst, or one drain of its handoff inbox — charges the configured
+//! crossing once to that loop's virtual clock — [`CrossingMode::Ecall`]
+//! (~8,000 cycles) or [`CrossingMode::HotCalls`] (~620 cycles, Weisse et
+//! al.) — standing in for the enclave entry of the in-enclave worker the
+//! loop models; every request of the burst runs inside it. A connection
+//! with one request in flight still pays one crossing per request. Frame
+//! I/O and reassembly stay on the untrusted side of that line.
 //!
 //! Insecure configurations skip the handshake, traffic crypto, and
 //! crossing charges entirely (the paper's `Insecure` rows in Fig. 18).
@@ -45,12 +47,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How requests cross into the enclave.
+/// How an event loop crosses into the enclave, once per burst of
+/// requests it executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossingMode {
-    /// A hardware ECALL per request.
+    /// A hardware ECALL per burst.
     Ecall,
-    /// A HotCalls shared-memory call per request.
+    /// A HotCalls shared-memory call per burst.
     HotCalls,
 }
 

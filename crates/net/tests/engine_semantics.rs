@@ -15,7 +15,7 @@ use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{OpCode, Request, Status};
-use shield_net::server::{Server, ServerConfig};
+use shield_net::server::{CrossingMode, Server, ServerConfig};
 use shield_net::{KvClient, NetError};
 use shieldstore::{Op, Refusal, Reply, ShieldStore};
 use std::sync::Arc;
@@ -286,6 +286,82 @@ fn one_burst_crosses_loops_in_a_handful_of_wakes() {
     assert_eq!(client.stats().unwrap().cross_loop_wakes, wakes);
     drop(client);
     server.shutdown();
+}
+
+/// Enclave crossings charged so far, whichever mode charged them.
+fn crossings(enclave: &Enclave) -> u64 {
+    let sim = enclave.stats().snapshot();
+    sim.ecalls + sim.hotcalls
+}
+
+/// A pipelined burst enters the enclave once per read burst or inbox
+/// drain, not once per request: 64 sets and 64 gets written in two goes
+/// pay a handful of crossings, on one loop and on two, in either mode.
+/// Measured: 2 entries on one loop and 4 on two, on one CPU and on two;
+/// the bound leaves room for TCP splitting a burst into several reads.
+#[test]
+fn pipelined_burst_enters_the_enclave_once_per_burst() {
+    for loops in [1, 2] {
+        for crossing in [CrossingMode::Ecall, CrossingMode::HotCalls] {
+            let (enclave, store, server) = start(
+                "engine-entry-burst",
+                ServerConfig { event_loops: loops, crossing, ..Default::default() },
+                false,
+            );
+            let mut client = secure_client(&enclave, &server, 33);
+            let keys = spanning_keys(&store, 16);
+            let before = crossings(&enclave);
+            let sets: Vec<Request> = keys.iter().map(|k| request(OpCode::Set, k, k)).collect();
+            for resp in client.pipeline(&sets).unwrap() {
+                assert_eq!(resp.status, Status::Ok);
+            }
+            let gets: Vec<Request> = keys.iter().map(|k| request(OpCode::Get, k, "")).collect();
+            for (key, resp) in keys.iter().zip(client.pipeline(&gets).unwrap()) {
+                assert_eq!(resp.value, key.as_bytes(), "{key}");
+            }
+            let n = (sets.len() + gets.len()) as u64;
+            let entered = crossings(&enclave) - before;
+            let sim = enclave.stats().snapshot();
+            let other = match crossing {
+                CrossingMode::Ecall => sim.hotcalls,
+                CrossingMode::HotCalls => sim.ecalls,
+            };
+            let case = format!("{loops} loop(s), {crossing:?}");
+            assert_eq!(other, 0, "{case}: the other crossing mode was charged");
+            assert!(entered >= 2, "{case}: {entered} entries for two bursts");
+            assert!(
+                entered <= n / 4,
+                "{case}: {entered} enclave entries for {n} pipelined requests"
+            );
+            drop(client);
+            server.shutdown();
+        }
+    }
+}
+
+/// With one request in flight a burst holds one request, so each pays
+/// exactly one crossing, on one loop and on two (where half of them
+/// execute on the other loop's inbox drain).
+#[test]
+fn sequential_requests_pay_one_crossing_each() {
+    for loops in [1, 2] {
+        let (enclave, store, server) = start(
+            "engine-entry-single",
+            ServerConfig { event_loops: loops, ..Default::default() },
+            false,
+        );
+        let mut client = secure_client(&enclave, &server, 34);
+        let keys = spanning_keys(&store, 4);
+        let before = crossings(&enclave);
+        for key in &keys {
+            client.set(key.as_bytes(), b"v").unwrap();
+            assert_eq!(client.get(key.as_bytes()).unwrap().as_deref(), Some(&b"v"[..]));
+        }
+        let n = 2 * keys.len() as u64;
+        assert_eq!(crossings(&enclave) - before, n, "{loops} loop(s)");
+        drop(client);
+        server.shutdown();
+    }
 }
 
 /// Same-key requests keep their arrival order through the outbox, the

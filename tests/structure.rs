@@ -6,7 +6,9 @@
 //! hint, one stat list, one wire codec, one reference model, one
 //! byte cursor for everything that leaves the enclave, one adversary
 //! rig, one refusal type, one durable replace, one op generator, one
-//! crash model, one size-class rule and one reader of entry tags. The rules walk the source
+//! crash model, one size-class rule, one reader of entry tags, one
+//! enclave entry per burst and a set hash stored from the enclave's own
+//! copy. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -469,6 +471,87 @@ fn one_tag_reader(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// The bodies of every `fn name` in `file` before its tests, each as its
+/// numbered lines: from the signature to the closing brace at the
+/// signature's indentation.
+fn fn_bodies<'a>(file: &'a File, name: &str) -> Vec<Vec<(usize, &'a str)>> {
+    let lines: Vec<(usize, &str)> = before_tests(file).collect();
+    let mut bodies = Vec::new();
+    let mut at = 0;
+    while at < lines.len() {
+        let line = lines[at].1;
+        if !word_starts(line, "fn").any(|end| has_word_at(line[end..].trim_start(), name)) {
+            at += 1;
+            continue;
+        }
+        let close = format!("{}}}", &line[..line.len() - line.trim_start().len()]);
+        let end =
+            lines[at..].iter().position(|(_, l)| *l == close).map_or(lines.len(), |n| at + n + 1);
+        bodies.push(lines[at..end].to_vec());
+        at = end;
+    }
+    bodies
+}
+
+/// Rule 17. A loop enters the enclave once per burst, in one place: in
+/// `crates/net/src`, outside test code, a crossing (`.hotcall()`,
+/// `.ecall()`) is charged only in the engine's `EventLoop::enter`.
+fn one_enclave_entry(tree: &Tree) -> Vec<String> {
+    const ENGINE: &str = "crates/net/src/engine.rs";
+    let charges = |l: &str| l.contains(".hotcall()") || l.contains(".ecall()");
+    let mut found = Vec::new();
+    for f in tree.under("crates/net/src/").filter(|f| f.path.ends_with(".rs")) {
+        let entry: Vec<usize> = if f.path == ENGINE {
+            fn_bodies(f, "enter").into_iter().flatten().map(|(i, _)| i).collect()
+        } else {
+            Vec::new()
+        };
+        for (i, line) in before_tests(f).filter(|(i, l)| charges(l) && !entry.contains(i)) {
+            found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+        }
+    }
+    found
+}
+
+/// The names `line` calls: each word directly before a `(` (a macro's
+/// `!` or a bare parenthesis names nothing).
+fn called_names(line: &str) -> impl Iterator<Item = &str> {
+    line.match_indices('(').filter_map(move |(at, _)| {
+        let start = line[..at].rfind(|c| !is_word_char(c)).map_or(0, |p| p + 1);
+        (start < at).then(|| &line[start..at])
+    })
+}
+
+/// Rule 18. A write stores its set hash from the enclave's copy of the set
+/// (the verified gather, patched where the write wrote a tag), never from
+/// a re-read: `update_set_hash` in `crates/core/src/shard` calls only the
+/// enclave-side helpers listed here — the copy, the set's bucket range,
+/// the CMAC, the enclave's hash array — and the attack hook that exists
+/// only in tests. Anything else it called could read untrusted memory.
+fn set_hash_from_the_enclave_copy(tree: &Tree) -> Vec<String> {
+    const CALLS: [&str; 8] =
+        ["in_write_window", "holds", "buckets_of", "set_violation", "set", "set_hash", "Ok", "Err"];
+    let mut found = Vec::new();
+    let mut defined = false;
+    for f in tree.under("crates/core/src/shard/").filter(|f| !f.path.ends_with("tests.rs")) {
+        for body in fn_bodies(f, "update_set_hash") {
+            defined = true;
+            for (i, line) in body.into_iter().skip(1) {
+                if ["//", "#["].iter().any(|skip| line.trim_start().starts_with(skip)) {
+                    continue;
+                }
+                for name in called_names(line).filter(|name| !CALLS.contains(name)) {
+                    found.push(format!("{}:{}: calls {name}: {}", f.path, i + 1, line.trim()));
+                }
+            }
+        }
+    }
+    if !defined {
+        found.push("no `fn update_set_hash` under crates/core/src/shard".into());
+    }
+    found
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -760,4 +843,62 @@ fn one_tag_reader_holds() {
             "let bytes = heap.try_bytes_at(h, 0, header.sealed_len());",
         );
     assert!(one_tag_reader(&allowed).is_empty());
+}
+
+#[test]
+fn one_enclave_entry_holds() {
+    check(
+        one_enclave_entry,
+        "an enclave crossing is charged outside EventLoop::enter; a burst enters once (see DESIGN.md, The network engine)",
+        &[
+            (
+                "crates/net/src/engine.rs",
+                "    fn execute_request(&mut self) -> Vec<u8> {\n        enclave.hotcall();\n    }",
+            ),
+            ("crates/net/src/server.rs", "            enclave.ecall();"),
+            (
+                "crates/net/src/engine.rs",
+                "    fn enter(&mut self) {\n        enclave.hotcall();\n    }\n    fn again(&self) {\n        enclave.ecall();\n    }",
+            ),
+        ],
+    );
+    // Test code stays free to.
+    let allowed = Tree::load().with(
+        "crates/net/src/server.rs",
+        "#[cfg(test)]\nmod tests { fn f() { enclave.ecall(); } }",
+    );
+    assert!(one_enclave_entry(&allowed).is_empty());
+}
+
+#[test]
+fn set_hash_is_stored_from_the_enclave_copy() {
+    check(
+        set_hash_from_the_enclave_copy,
+        "update_set_hash calls something that may read untrusted memory; hash the patched gather (see DESIGN.md, Inside a shard)",
+        &[
+            (
+                "crates/core/src/shard/verify.rs",
+                "    pub(super) fn update_set_hash(&mut self, table: &mut TableCtx, set: usize) -> Result<()> {\n        self.gather_set(table, set).ok_or_else(|| set_violation(table, set))?;\n        table.macs.set(set, &set_hash(&self.keys, &self.scratch.set));\n        Ok(())\n    }",
+            ),
+            (
+                "crates/core/src/shard/verify.rs",
+                "    fn update_set_hash(&mut self, table: &mut TableCtx, set: usize) {\n        for b in table.sets.buckets_of(set) {\n            table.tags(b, &mut self.scratch.set);\n        }\n    }",
+            ),
+            (
+                "crates/core/src/shard/verify.rs",
+                "    fn update_set_hash(&mut self, table: &TableCtx, set: usize) {\n        self.load_tags(table, set)?;\n    }",
+            ),
+        ],
+    );
+    // A test file stays free to, and so do comments and attributes.
+    let allowed = Tree::load()
+        .with(
+            "crates/core/src/shard/tamper_tests.rs",
+            "fn update_set_hash() {\n    table.tags(0, &mut out);\n}",
+        )
+        .with(
+            "crates/core/src/shard/verify.rs",
+            "fn update_set_hash() {\n    // never gather_set(table, set) here\n}",
+        );
+    assert!(set_hash_from_the_enclave_copy(&allowed).is_empty());
 }
