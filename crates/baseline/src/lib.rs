@@ -93,6 +93,14 @@ pub trait KvBackend: Send + Sync {
             }
         }
     }
+    /// Executes a burst: every `(tenant, op)` of `ops`, one answer each, in
+    /// input order — what an event loop hands over for the requests that
+    /// arrived together. The default runs them one by one through
+    /// [`execute`](KvBackend::execute); ShieldStore overrides it to take
+    /// each shard's lock once and verify each bucket set once per burst.
+    fn execute_burst(&self, ops: &[(u32, Op<'_>)]) -> Vec<Result<Reply, Refusal>> {
+        ops.iter().map(|&(tenant, op)| self.execute(tenant, op)).collect()
+    }
     /// Number of live entries.
     fn len(&self) -> usize;
     /// True when empty.
@@ -158,6 +166,11 @@ impl KvBackend for shieldstore::ShieldStore {
 
     fn execute(&self, tenant: u32, op: Op<'_>) -> Result<Reply, Refusal> {
         shieldstore::ShieldStore::execute(self, tenant, op).map_err(|e| Refusal::from(&e))
+    }
+
+    fn execute_burst(&self, ops: &[(u32, Op<'_>)]) -> Vec<Result<Reply, Refusal>> {
+        let answers = shieldstore::ShieldStore::execute_burst(self, ops);
+        answers.into_iter().map(|answer| answer.map_err(|e| Refusal::from(&e))).collect()
     }
 
     fn len(&self) -> usize {

@@ -17,7 +17,9 @@ use shield_workload::Spec;
 use shieldstore::{AllocMode, Config};
 use shieldstore_bench::{harness, report, Args};
 
-fn run(alloc: AllocMode, args: &Args) -> (u64, f64) {
+/// One measure phase under `alloc`: its OCALLs, the bytes it allocated
+/// from the heap's chunks, and its throughput.
+fn run(alloc: AllocMode, args: &Args) -> (u64, u64, f64) {
     let scale = args.scale;
     let config = Config { alloc, ..Config::shield_opt() }
         .buckets(scale.num_buckets)
@@ -26,7 +28,7 @@ fn run(alloc: AllocMode, args: &Args) -> (u64, f64) {
     // Start from an empty table: the 50% set operations of RD50_Z insert
     // fresh keys as the zipfian touches them, exercising the allocator
     // the way the paper's run does.
-    let before = store.enclave().stats().snapshot().ocalls;
+    let (before, carved) = (store.enclave().stats().snapshot().ocalls, store.heap_carved_bytes());
     let spec = Spec::by_name("RD50_Z").expect("workload");
     let result = harness::run_shieldstore_partitioned(
         &store,
@@ -38,7 +40,7 @@ fn run(alloc: AllocMode, args: &Args) -> (u64, f64) {
         args.seed,
     );
     let after = store.enclave().stats().snapshot().ocalls;
-    (after - before, result.kops())
+    (after - before, (store.heap_carved_bytes() - carved) as u64, result.kops())
 }
 
 fn main() {
@@ -52,14 +54,15 @@ fn main() {
     let mut table =
         report::Table::new(&["granularity", "OCALLs (measure phase)", "throughput(Kop/s)"]);
 
-    let (per_alloc, kops) = run(AllocMode::OcallPerAlloc, &args);
+    let (per_alloc, _, kops) = run(AllocMode::OcallPerAlloc, &args);
     table.row(&["per-alloc".into(), per_alloc.to_string(), report::kops(kops)]);
 
     let mut chunked = Vec::new();
     for mb in [1usize, 2, 4, 8, 16, 32] {
-        let (ocalls, kops) = run(AllocMode::Pooled { granularity: mb << 20 }, &args);
+        let granularity = mb << 20;
+        let (ocalls, allocated, kops) = run(AllocMode::Pooled { granularity }, &args);
         table.row(&[format!("{mb}MB"), ocalls.to_string(), report::kops(kops)]);
-        chunked.push((mb << 20, ocalls));
+        chunked.push(report::ChunkedRow { granularity, allocated, ocalls });
     }
     table.print();
     println!();

@@ -10,6 +10,13 @@
 //! burst is one request, and the `crossings/req` column shows it.
 //! Insecure configurations skip attestation, traffic crypto and crossings.
 //!
+//! The crossings/req column is a count, the same on every run, and the
+//! `crossing ns/req` column prices it with the cost model: the bin checks
+//! that every secure row pays one crossing per request at 1 worker and
+//! that HotCalls' modelled cost stays below every ECALL row's
+//! ([`report::crossing_cost`]), and exits 1 when either does not hold. The
+//! Kop/s column is one wall-clock run per cell and judges nothing.
+//!
 //! Note: on a single-core host the server workers and client threads
 //! share one CPU, so the 1-vs-4-worker scaling of the paper cannot
 //! manifest; the comparison *between stores* at fixed concurrency is the
@@ -191,8 +198,11 @@ fn main() {
     let sizes = [("Small", 16usize), ("Medium", 128), ("Large", 512)];
     let workloads = ["RD50_Z", "RD95_Z", "RD100_Z"];
 
+    let mut crossing_rows = Vec::new();
+    let mut costs = None;
     for workers in [1usize, 4] {
-        let mut table = report::Table::new(&["store", "size", "Kop/s", "crossings/req"]);
+        let mut table =
+            report::Table::new(&["store", "size", "Kop/s", "crossings/req", "crossing ns/req"]);
         for (size_name, val_len) in sizes {
             for case in &CASES {
                 let (store, enclave) = build_store(case, &scale, args.seed);
@@ -245,15 +255,29 @@ fn main() {
                     total_kops += report.kops(Duration::from_nanos(penalty));
                 }
                 server.shutdown();
+                let kops = report::kops(total_kops / workloads.len() as f64);
+                let Some(enclave) = enclave.as_ref().filter(|_| case.secure) else {
+                    table.row(&[case.name.into(), size_name.into(), kops, "-".into(), "-".into()]);
+                    continue;
+                };
+                let (ecall_ns, hotcall_ns) =
+                    (enclave.cost().crossing_ns(), enclave.cost().hotcall_ns());
+                costs = Some((ecall_ns, hotcall_ns));
+                let row = report::CrossingRow {
+                    store: case.name.into(),
+                    size: size_name.into(),
+                    workers,
+                    hotcalls: case.crossing == CrossingMode::HotCalls,
+                    per_req: (crossings() - entered) as f64 / served as f64,
+                };
                 table.row(&[
                     case.name.into(),
                     size_name.into(),
-                    report::kops(total_kops / workloads.len() as f64),
-                    match case.secure {
-                        true => format!("{:.2}", (crossings() - entered) as f64 / served as f64),
-                        false => "-".into(),
-                    },
+                    kops,
+                    format!("{:.2}", row.per_req),
+                    format!("{:.0}", row.ns_per_req(ecall_ns, hotcall_ns)),
                 ]);
+                crossing_rows.push(row);
             }
         }
         println!("[{workers} server worker(s), {} users]", scale.users);
@@ -265,4 +289,9 @@ fn main() {
     println!("expect: ShieldOpt+HotCalls ~5-6x Baseline; insecure stores fastest;");
     println!("        HotCalls beats plain ECALLs; Baseline far behind everything;");
     println!("        the scale row holds 10k+ live connections with sub-ms p99.");
+    let (ecall_ns, hotcall_ns) = costs.expect("a secure row");
+    report::verdict(
+        report::CROSSING_COST,
+        report::crossing_cost(&crossing_rows, ecall_ns, hotcall_ns),
+    );
 }

@@ -118,31 +118,114 @@ pub fn epc_knee(epc_bytes: u64, rows: &[(u64, f64)]) -> Result<(), String> {
 
 /// Fig. 6's collapse, as [`verdict`] prints it.
 pub const OCALL_COLLAPSE: &str =
-    "OCALLs collapse with granularity: per-alloc takes >= 1000x every chunked row, 1 MB+ chunks <= 2";
+    "OCALLs collapse with granularity: per-alloc takes >= 1000x every chunked row, \
+     a chunked row <= one per granularity of bytes allocated + 2";
 
 /// How many times the OCALLs of every chunked granularity the per-alloc
 /// heap must take: 14,693 against 2 were measured at quick scale.
 pub const COLLAPSE_FACTOR: u64 = 1000;
 
-/// The most OCALLs a granularity of 1 MB or more may take in Fig. 6's
-/// measure phase: one or two chunks were measured at every such size.
-pub const CHUNKED_OCALLS: u64 = 2;
+/// The OCALLs a chunked row may take beyond one per granularity of the
+/// bytes it allocated: the chunk the measure phase finds partly filled
+/// and the tail of a chunk too short for the next block.
+pub const CHUNK_SLACK: u64 = 2;
+
+/// One row of Fig. 6's chunked heap: its granularity, the bytes the
+/// measure phase left allocated, and the OCALLs it took.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkedRow {
+    /// Chunk size in bytes.
+    pub granularity: usize,
+    /// Bytes the measure phase allocated from the heap's chunks.
+    pub allocated: u64,
+    /// OCALLs the measure phase took.
+    pub ocalls: u64,
+}
 
 /// Fig. 6's collapse: the per-alloc heap's `per_alloc` OCALLs are at least
-/// [`COLLAPSE_FACTOR`] times those of every `(granularity bytes, OCALLs)`
-/// row of `chunked`, and no granularity of 1 MB or more takes more than
-/// [`CHUNKED_OCALLS`]. `Err` names the first row that breaks it.
-pub fn ocall_collapse(per_alloc: u64, chunked: &[(usize, u64)]) -> Result<(), String> {
+/// [`COLLAPSE_FACTOR`] times those of every `chunked` row, and no row
+/// takes more than one OCALL per granularity of the bytes it allocated,
+/// rounded up, plus [`CHUNK_SLACK`]. `Err` names the first row that breaks
+/// it.
+pub fn ocall_collapse(per_alloc: u64, chunked: &[ChunkedRow]) -> Result<(), String> {
     let mb = |bytes: usize| bytes as f64 / (1 << 20) as f64;
-    for &(granularity, ocalls) in chunked {
+    for row in chunked {
+        let ChunkedRow { granularity, allocated, ocalls } = *row;
         if per_alloc < COLLAPSE_FACTOR * ocalls.max(1) {
             return Err(format!(
                 "per-alloc takes {per_alloc} OCALLs, {:.0} MB chunks {ocalls}",
                 mb(granularity)
             ));
         }
-        if granularity >= 1 << 20 && ocalls > CHUNKED_OCALLS {
-            return Err(format!("{:.0} MB chunks take {ocalls} OCALLs", mb(granularity)));
+        let bound = allocated.div_ceil(granularity as u64) + CHUNK_SLACK;
+        if ocalls > bound {
+            return Err(format!(
+                "{:.0} MB chunks take {ocalls} OCALLs for {allocated} bytes, over {bound}",
+                mb(granularity)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Fig. 18's crossings, as [`verdict`] prints it.
+pub const CROSSING_COST: &str = "every secure row at 1 worker pays 1.00 crossings/req, \
+     and HotCalls' modelled crossing ns/req is below every ECALL row's";
+
+/// One secure row of Fig. 18: the enclave crossings a store paid per
+/// request served, in its crossing mode.
+#[derive(Debug, Clone)]
+pub struct CrossingRow {
+    /// The row's store, as the table names it.
+    pub store: String,
+    /// The row's data size, as the table names it.
+    pub size: String,
+    /// Server event loops.
+    pub workers: usize,
+    /// Whether the row crosses by HotCalls (by ECALL otherwise).
+    pub hotcalls: bool,
+    /// Crossings charged over requests served.
+    pub per_req: f64,
+}
+
+impl CrossingRow {
+    /// The modelled crossing cost per request: crossings per request times
+    /// the cost of one crossing in the row's mode.
+    pub fn ns_per_req(&self, ecall_ns: u64, hotcall_ns: u64) -> f64 {
+        self.per_req * if self.hotcalls { hotcall_ns } else { ecall_ns } as f64
+    }
+}
+
+/// Fig. 18's crossings, read from the deterministic crossings/req column
+/// rather than from one wall-clock run per cell: at 1 worker a burst is one
+/// request, so every secure row pays one crossing per request (1.00 as
+/// printed); and at each worker count, every HotCalls row's modelled
+/// crossing cost per request is below that of every ECALL row of its data
+/// size. `Err` names the first row that breaks it.
+pub fn crossing_cost(rows: &[CrossingRow], ecall_ns: u64, hotcall_ns: u64) -> Result<(), String> {
+    let cost = |row: &CrossingRow| row.ns_per_req(ecall_ns, hotcall_ns);
+    for row in rows.iter().filter(|row| row.workers == 1) {
+        if format!("{:.2}", row.per_req) != "1.00" {
+            return Err(format!(
+                "{} {} at 1 worker pays {:.2} crossings/req",
+                row.store, row.size, row.per_req
+            ));
+        }
+    }
+    for hot in rows.iter().filter(|row| row.hotcalls) {
+        let peers = rows
+            .iter()
+            .filter(|row| !row.hotcalls && row.workers == hot.workers && row.size == hot.size);
+        if let Some(ecall) = peers.into_iter().find(|ecall| cost(hot) >= cost(ecall)) {
+            return Err(format!(
+                "{} {} at {} worker(s) costs {:.0} ns/req, {} {:.0}",
+                hot.store,
+                hot.size,
+                hot.workers,
+                cost(hot),
+                ecall.store,
+                cost(ecall)
+            ));
         }
     }
     Ok(())
@@ -199,13 +282,51 @@ mod tests {
     #[test]
     fn ocalls_collapse_with_granularity() {
         const MB: usize = 1 << 20;
-        let chunked = [(MB, 2), (2 * MB, 1), (32 * MB, 1)];
+        let row = |granularity, allocated, ocalls| ChunkedRow { granularity, allocated, ocalls };
+        let chunked =
+            [row(MB, 1_500_000, 2), row(2 * MB, 1_500_000, 1), row(32 * MB, 1_500_000, 1)];
         assert_eq!(ocall_collapse(14_693, &chunked), Ok(()));
         assert!(ocall_collapse(1_999, &chunked).unwrap_err().starts_with("per-alloc takes 1999"));
-        let per_alloc_too = [(MB, 14_000)];
+        let per_alloc_too = [row(MB, 1_500_000, 14_000)];
         assert!(ocall_collapse(14_693, &per_alloc_too).is_err());
-        let three = [(MB, 2), (4 * MB, 3)];
-        assert_eq!(ocall_collapse(1 << 20, &three), Err("4 MB chunks take 3 OCALLs".into()));
+        // At paper scale 1 MB chunks take 34 OCALLs for 33 MB allocated.
+        let paper = [row(MB, 33 * MB as u64 + 1, 34), row(32 * MB, 33 * MB as u64 + 1, 2)];
+        assert_eq!(ocall_collapse(1 << 20, &paper), Ok(()));
+        let over = [row(MB, 1_500_000, 2), row(4 * MB, 1_500_000, 4)];
+        assert_eq!(
+            ocall_collapse(1 << 20, &over),
+            Err("4 MB chunks take 4 OCALLs for 1500000 bytes, over 3".into())
+        );
+    }
+
+    #[test]
+    fn hotcalls_cost_less_per_request_than_ecalls() {
+        let row = |store: &str, workers, hotcalls, per_req| CrossingRow {
+            store: store.into(),
+            size: "Small".into(),
+            workers,
+            hotcalls,
+            per_req,
+        };
+        let (ecall_ns, hotcall_ns) = (2222, 172);
+        let measured = [
+            row("Baseline", 1, false, 1.0),
+            row("ShieldOpt", 1, false, 1.0),
+            row("ShieldOpt+HotCalls", 1, true, 1.0),
+            row("ShieldOpt", 4, false, 0.79),
+            row("ShieldOpt+HotCalls", 4, true, 0.81),
+        ];
+        assert_eq!(crossing_cost(&measured, ecall_ns, hotcall_ns), Ok(()));
+        let batched_alone = [row("ShieldOpt", 1, false, 0.5)];
+        assert_eq!(
+            crossing_cost(&batched_alone, ecall_ns, hotcall_ns),
+            Err("ShieldOpt Small at 1 worker pays 0.50 crossings/req".into())
+        );
+        // HotCalls paying per request where ECALLs pay once per burst.
+        let unbatched = [row("ShieldOpt", 4, false, 0.05), row("ShieldOpt+HotCalls", 4, true, 1.0)];
+        assert!(crossing_cost(&unbatched, ecall_ns, hotcall_ns)
+            .unwrap_err()
+            .starts_with("ShieldOpt+HotCalls Small at 4 worker(s) costs 172 ns/req"));
     }
 
     #[test]

@@ -286,6 +286,12 @@ impl UntrustedHeap {
         self.classes.live_bytes()
     }
 
+    /// Bytes carved from this heap's chunks so far, alignment padding
+    /// included and a recycled block counted once.
+    pub fn carved_bytes(&self) -> usize {
+        self.classes.carved_bytes()
+    }
+
     /// Checked variant of [`UntrustedHeap::read_u64_at`]: `None` when the
     /// handle is corrupt or the read leaves the backing chunk.
     #[inline]

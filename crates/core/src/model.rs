@@ -69,6 +69,10 @@ pub struct Model {
     /// Every acknowledged write in order, as the state it left in each
     /// key it wrote. A delete that missed changed nothing and is not one.
     writes: Vec<Vec<(Slot, State)>>,
+    /// The TTL clock as the model judges it: never going back, as the
+    /// store's never does — a rewound host clock must not make an expired
+    /// value acceptable again.
+    clock: ttl::Floor,
 }
 
 impl Default for Model {
@@ -150,7 +154,7 @@ fn fmt_states(states: &BTreeSet<State>) -> String {
 impl Model {
     /// An empty model of a store that can do `caps`.
     pub fn new(caps: Caps) -> Self {
-        Model { caps, slots: BTreeMap::new(), writes: Vec::new() }
+        Model { caps, slots: BTreeMap::new(), writes: Vec::new(), clock: ttl::Floor::default() }
     }
 
     fn slot(&self, tenant: TenantId, key: &[u8]) -> Slot {
@@ -225,7 +229,7 @@ impl Model {
     /// Applies `op` in `tenant`'s namespace and says what a correct store
     /// answers; `None` when it refuses the op (and changes nothing).
     pub fn apply(&mut self, tenant: TenantId, op: Op<'_>) -> Option<Reply> {
-        let now = ttl::now_ns();
+        let now = self.clock.read();
         let reply = self.answer(tenant, op, now)?;
         self.judge(tenant, op, Ok(&reply), now).expect("the model explains its own answer");
         Some(reply)
@@ -244,7 +248,7 @@ impl Model {
         op: Op<'_>,
         outcome: Result<&Reply, Refusal>,
     ) -> Result<(), String> {
-        self.judge(tenant, op, outcome, ttl::now_ns())
+        self.judge(tenant, op, outcome, self.clock.read())
     }
 
     /// [`Model::observe`] at `now`.
@@ -345,7 +349,7 @@ impl Model {
         len: usize,
         mut exec: impl FnMut(TenantId, Op<'_>) -> Result<Reply, E>,
     ) -> Result<(), String> {
-        let now = ttl::now_ns();
+        let now = self.clock.read();
         let tenants: BTreeSet<TenantId> = self.slots.keys().map(|slot| slot.0).collect();
         let keys: BTreeSet<&[u8]> = self.slots.keys().map(|slot| slot.1.as_slice()).collect();
         for tenant in tenants {
@@ -379,6 +383,7 @@ impl Model {
             caps: self.caps,
             slots: self.slots.keys().map(|slot| (slot.clone(), absent.clone())).collect(),
             writes: self.writes.iter().take(n).cloned().collect(),
+            clock: self.clock.clone(),
         };
         for (slot, state) in model.writes.iter().flatten() {
             model.slots.insert(slot.clone(), BTreeSet::from([state.clone()]));

@@ -3,19 +3,18 @@
 //! to the tables the shard's state names ([`super::state`]), runs the
 //! table operation, and keeps the cache and the ordered index in step.
 
-use super::{Access, OpCtx, Shard};
+use super::burst::Mode;
+use super::{check_item, OpCtx, Shard};
 use crate::cache::EnclaveCache;
 use crate::error::{Error, Result};
 use crate::op::{Op, Reply};
 use crate::ordered::OrderedIndex;
 use crate::stats::OpStats;
-use crate::table::TableCtx;
 use crate::tenant::{nskey, split_nskey, TenantId};
-use crate::ttl;
 
 /// The cached value of `key`, counting the probe. Only deadline-free
 /// entries are ever cached.
-fn probe_cache(
+pub(super) fn probe_cache(
     cache: &mut Option<EnclaveCache>,
     stats: &mut OpStats,
     tenant: TenantId,
@@ -32,7 +31,13 @@ fn probe_cache(
 /// Makes `value` resident after a verified read — unless it carries a
 /// deadline: the cache has no deadline awareness, so a cached TTL'd value
 /// would keep serving after expiry.
-fn warm(cache: &mut Option<EnclaveCache>, op: &OpCtx<'_>, key: &[u8], value: &[u8], expires: u64) {
+pub(super) fn warm(
+    cache: &mut Option<EnclaveCache>,
+    op: &OpCtx<'_>,
+    key: &[u8],
+    value: &[u8],
+    expires: u64,
+) {
     if let (Some(cache), 0) = (cache, expires) {
         cache.put(&nskey(op.tenant, key), value);
     }
@@ -41,7 +46,7 @@ fn warm(cache: &mut Option<EnclaveCache>, op: &OpCtx<'_>, key: &[u8], value: &[u
 /// What a completed write leaves in the enclave-side structures: the new
 /// value resident (or, with a deadline, nothing of the key — see [`warm`])
 /// and the key indexed.
-fn note_write(
+pub(super) fn note_write(
     cache: &mut Option<EnclaveCache>,
     index: &mut Option<OrderedIndex>,
     op: &OpCtx<'_>,
@@ -61,30 +66,6 @@ fn note_write(
     }
 }
 
-impl Access {
-    /// Places a batch's keys in `main`: `(set, bucket, input position)`,
-    /// sorted — grouped by bucket set so each set hash is derived exactly
-    /// once, while duplicate keys (same bucket) keep their submission
-    /// order. Placing a key also hints its set and chain, so the whole
-    /// batch's first misses are in flight before the first key is
-    /// verified.
-    fn place<'k>(
-        &self,
-        main: &TableCtx,
-        keys: impl Iterator<Item = (usize, &'k [u8])>,
-    ) -> Vec<(usize, usize, usize)> {
-        let mut order: Vec<_> = keys
-            .map(|(i, key)| {
-                let bucket = self.bucket_of(main, key);
-                self.hint_access(main, bucket);
-                (main.sets.set_of(bucket), bucket, i)
-            })
-            .collect();
-        order.sort_unstable();
-        order
-    }
-}
-
 impl Shard {
     /// The op bodies: what each variant does once counted and admitted.
     pub(super) fn run(&mut self, ctx: &OpCtx<'_>, op: Op<'_>) -> Result<Reply> {
@@ -94,7 +75,7 @@ impl Shard {
             Op::Set { key, value, .. } => self.apply_write(ctx, key, value).map(|()| Reply::Stored),
             Op::Delete(key) => {
                 let removed = self.remove(ctx, key, false)?;
-                self.tally_hits(ctx.state, removed as u64, !removed as u64);
+                self.access.tally_hits(ctx.state, removed as u64, !removed as u64);
                 Ok(Reply::Deleted(removed))
             }
             Op::Append { key, suffix } => {
@@ -171,7 +152,7 @@ impl Shard {
 
     /// Internal verified write to the table the shard's state names.
     fn apply_write(&mut self, op: &OpCtx<'_>, key: &[u8], value: &[u8]) -> Result<()> {
-        self.check_item(key, value)?;
+        check_item(key, value)?;
         let (table, absorbed) = self.tables.for_write(op.tenant, key);
         self.access.stats.temp_table_ops += absorbed as u64;
         self.access.set_in(op, table, key, value)?;
@@ -183,7 +164,7 @@ impl Shard {
     /// cache.
     fn read(&mut self, ctx: &OpCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let found = self.lookup_traced(ctx, key)?;
-        self.tally_hits(ctx.state, found.is_some() as u64, found.is_none() as u64);
+        self.access.tally_hits(ctx.state, found.is_some() as u64, found.is_none() as u64);
         Ok(found.map(|(v, expires_at, from_cache)| {
             // A cache hit is already resident.
             if !from_cache {
@@ -193,108 +174,41 @@ impl Shard {
         }))
     }
 
-    /// Batched lookup: re-derives each touched bucket-set hash once per
-    /// batch instead of once per key (the flattened-Merkle check of
-    /// paper §4.3/§5.2 is the dominant per-op cost this amortizes).
+    /// Batched lookup: the keys as one grouped run ([`Shard::grouped`]), so
+    /// each touched bucket-set hash is derived once per batch instead of
+    /// once per key (the flattened-Merkle check of paper §4.3/§5.2 is the
+    /// dominant per-op cost this amortizes).
     ///
     /// Results come back in input order; a clean miss is `None`, so one
     /// absent key does not fail the batch. Any integrity violation
     /// aborts the whole batch fail-closed.
-    fn read_batch(&mut self, op: &OpCtx<'_>, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        let Some(main) = self.tables.live() else {
-            // Snapshot in progress: lookups span the temp and frozen
-            // tables, whose bucket sets do not line up — per-op path.
-            return batch.iter().map(|key| self.read(op, key)).collect();
-        };
-        let access = &mut self.access;
-
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; batch.len()];
-        // Cache pass first: resident values need no untrusted access.
-        let mut pending = Vec::with_capacity(batch.len());
-        for (i, key) in batch.iter().enumerate() {
-            match probe_cache(&mut self.cache, &mut access.stats, op.tenant, key) {
-                Some(v) => results[i] = Some(v),
-                None => pending.push(i),
-            }
-        }
-
-        let order = access.place(main, pending.into_iter().map(|i| (i, batch[i])));
-
-        let mut verified: Option<usize> = None;
-        for (set, bucket, i) in order {
-            access.hint_chain(main, bucket);
-            // A set is verified with its first key, beside that key's
-            // entry when it hits.
-            let pending = if verified == Some(set) {
-                access.stats.batch_verifications_saved += 1;
-                None
-            } else {
-                verified = Some(set);
-                Some(access.begin_verify(main, set)?)
-            };
-            if let Some((v, exp)) = access.get_in_bucket(op, main, bucket, batch[i], pending)? {
-                warm(&mut self.cache, op, batch[i], &v, exp);
-                results[i] = Some(v);
-            }
-        }
-        let hits = results.iter().filter(|r| r.is_some()).count() as u64;
-        self.tally_hits(op.state, hits, results.len() as u64 - hits);
-        Ok(results)
+    fn read_batch(&mut self, ctx: &OpCtx<'_>, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
+        let items: Vec<_> = keys.iter().map(|&key| (*ctx, Op::Get(key))).collect();
+        let mut out: Vec<_> = items.iter().map(|_| None).collect();
+        self.grouped(Mode::Batch, &items, &mut out);
+        out.into_iter().flatten().map(|r| r.map(Reply::value)).collect()
     }
 
-    /// Batched write: verifies each touched bucket-set hash once before
-    /// the set's first write and re-stores it once after the set's last
-    /// write, instead of doing both per key.
+    /// Batched write: the items as one grouped run, so each touched
+    /// bucket-set hash is verified once before the set's first write and
+    /// re-stored once after its last, instead of both per key.
     ///
     /// Items are validated up front, so a malformed item rejects the
     /// batch before any mutation. Writes to the same key replay in
     /// submission order (last write wins). An integrity violation
     /// mid-batch aborts fail-closed; a quota rejection aborts with
-    /// earlier items of the batch already applied.
-    fn write_batch(&mut self, op: &OpCtx<'_>, items: &[(&[u8], &[u8])]) -> Result<()> {
+    /// earlier items of the batch already applied (and their sets'
+    /// hashes re-stored).
+    fn write_batch(&mut self, ctx: &OpCtx<'_>, items: &[(&[u8], &[u8])]) -> Result<()> {
         for (key, value) in items {
-            self.check_item(key, value)?;
+            check_item(key, value)?;
         }
-        let Some(main) = self.tables.live_mut() else {
-            // Snapshot in progress: writes land in the small temp table,
-            // where batching the set-hash work is not worth the
-            // bookkeeping — the temp table is merged away shortly.
-            return items.iter().try_for_each(|(key, value)| self.apply_write(op, key, value));
-        };
-        let access = &mut self.access;
-
-        let order = access.place(main, items.iter().enumerate().map(|(i, (key, _))| (i, *key)));
-
-        let mut current: Option<usize> = None;
-        for (set, bucket, i) in order {
-            access.hint_chain(main, bucket);
-            let pending = if current == Some(set) {
-                access.stats.batch_verifications_saved += 1;
-                access.stats.batch_hash_updates_saved += 1;
-                None
-            } else {
-                if let Some(prev) = current {
-                    access.update_set_hash(main, prev)?;
-                }
-                current = Some(set);
-                Some(access.begin_verify(main, set)?)
-            };
-            let (key, value) = items[i];
-            access.set_in_bucket(op, main, bucket, key, value, pending).map_err(|e| {
-                // The set hash for the current group must be re-stored
-                // even on a quota rejection mid-batch: earlier items in
-                // this set already mutated their buckets.
-                if matches!(e, Error::QuotaExceeded { .. }) {
-                    let _ = access.update_set_hash(main, set);
-                }
-                e
-            })?;
-            note_write(&mut self.cache, &mut self.index, op, key, value);
-        }
-        if let Some(prev) = current {
-            access.update_set_hash(main, prev)?;
-        }
-        Ok(())
+        let expires_at = ctx.expires_at;
+        let sets: Vec<_> =
+            items.iter().map(|&(key, value)| (*ctx, Op::Set { key, value, expires_at })).collect();
+        let mut out: Vec<_> = sets.iter().map(|_| None).collect();
+        self.grouped(Mode::Batch, &sets, &mut out);
+        out.into_iter().flatten().try_for_each(|r| r.map(drop))
     }
 
     /// Removes `key`; `false` when absent. With `reap_expired` off (a
@@ -327,7 +241,8 @@ impl Shard {
     pub(crate) fn purge(&mut self, tenant: TenantId, key: &[u8]) -> Result<bool> {
         self.quarantine_guard(&Op::Delete(key))?;
         let tkeys = self.access.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state: None };
+        let now = self.access.clock.read();
+        let op = OpCtx { tenant, tkeys: &tkeys, now, expires_at: 0, state: None };
         self.remove(&op, key, true)
     }
 

@@ -26,6 +26,7 @@
 //! has the map.
 
 mod body;
+mod burst;
 mod maint;
 mod state;
 mod table_ops;
@@ -44,6 +45,8 @@ use crate::stats::{OpStats, StatsSnapshot};
 use crate::table::TableCtx;
 use crate::tenant::{TenantId, TenantKeys, TenantRegistry, TenantState};
 use crate::ttl;
+use crate::wal::Wal;
+use burst::Mode;
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::siphash::SipHash24;
@@ -121,14 +124,32 @@ impl StoreKeys {
 
 /// The per-operation tenant context threaded through the table-level
 /// operations: who is operating, under which derived keys, at what
-/// TTL-clock reading, with what deadline for writes, against which
-/// quota/usage accounting (`None` = unmetered, e.g. internal merges).
+/// TTL-clock reading (the store's [`ttl::Floor`], read once per burst),
+/// with what deadline for writes, against which quota/usage accounting
+/// (`None` = unmetered, e.g. internal merges).
+#[derive(Clone, Copy)]
 pub(crate) struct OpCtx<'a> {
     pub tenant: TenantId,
     pub tkeys: &'a TenantKeys,
     pub now: u64,
     pub expires_at: u64,
     pub state: Option<&'a TenantState>,
+}
+
+/// Refuses an item no entry can hold: an empty or oversize key, or an
+/// oversize value.
+fn check_item(key: &[u8], value: &[u8]) -> Result<()> {
+    let max = MAX_ITEM_LEN;
+    if key.len() > max {
+        return Err(Error::OversizeItem { len: key.len(), max });
+    }
+    if value.len() > max {
+        return Err(Error::OversizeItem { len: value.len(), max });
+    }
+    if key.is_empty() {
+        return Err(Error::OversizeItem { len: 0, max });
+    }
+    Ok(())
 }
 
 /// Which parts of a shard are quarantined after integrity violations.
@@ -256,8 +277,27 @@ pub(crate) struct Access {
     /// This shard's MAC hashes ([`Config::mac_hashes_per_shard`]).
     mac_hashes: usize,
     keys: Arc<StoreKeys>,
+    /// The store's TTL floor: every deadline this shard judges is judged
+    /// against a reading of it.
+    clock: Arc<ttl::Floor>,
     pub(crate) stats: OpStats,
     scratch: Scratch,
+}
+
+impl Access {
+    /// Classifies a search as hit or miss, for the shard and the tenant.
+    fn tally_hits(&mut self, state: Option<&TenantState>, hits: u64, misses: u64) {
+        self.stats.hits += hits;
+        self.stats.misses += misses;
+        if let Some(st) = state {
+            if hits > 0 {
+                st.usage.hits.fetch_add(hits, AtomicOrdering::SeqCst);
+            }
+            if misses > 0 {
+                st.usage.misses.fetch_add(misses, AtomicOrdering::SeqCst);
+            }
+        }
+    }
 }
 
 /// One hash partition of the store.
@@ -275,6 +315,9 @@ pub struct Shard {
     /// Likewise the registry state of the tenant metered last, with the
     /// registry epoch it was resolved under.
     last_state: Option<(TenantId, u64, Arc<TenantState>)>,
+    /// A grouped run's `(set, bucket, input position)` placements, kept
+    /// between runs so a one-op burst allocates nothing.
+    order: Vec<(usize, usize, usize)>,
     pub(crate) hists: OpHists,
 }
 
@@ -289,8 +332,14 @@ impl std::fmt::Debug for Shard {
 }
 
 impl Shard {
-    /// Creates an empty shard: one of `cfg.shards`.
-    pub(crate) fn new(enclave: Arc<Enclave>, keys: Arc<StoreKeys>, cfg: Config) -> Result<Self> {
+    /// Creates an empty shard: one of `cfg.shards`, judging deadlines
+    /// against the store's `clock`.
+    pub(crate) fn new(
+        enclave: Arc<Enclave>,
+        keys: Arc<StoreKeys>,
+        cfg: Config,
+        clock: Arc<ttl::Floor>,
+    ) -> Result<Self> {
         let (buckets, mac_hashes) = (cfg.buckets_per_shard(), cfg.mac_hashes_per_shard());
         let heap = UntrustedHeap::new(Arc::clone(&enclave), cfg.alloc);
         let macs = MacStore::in_enclave(Arc::clone(&enclave), mac_hashes)?;
@@ -298,7 +347,7 @@ impl Shard {
         let index = cfg.ordered_index.then(OrderedIndex::new);
         let (stats, scratch) = (OpStats::default(), Scratch::default());
         Ok(Self {
-            access: Access { cfg, buckets, mac_hashes, keys, stats, scratch },
+            access: Access { cfg, buckets, mac_hashes, keys, clock, stats, scratch },
             enclave,
             tables: Tables::new(main),
             cache: None,
@@ -306,6 +355,7 @@ impl Shard {
             quarantine: QuarantineState::default(),
             last_keys: None,
             last_state: None,
+            order: Vec::new(),
             hists: OpHists::default(),
         })
     }
@@ -315,20 +365,6 @@ impl Shard {
         if bytes > 0 {
             self.cache = Some(EnclaveCache::new(Arc::clone(&self.enclave), bytes));
         }
-    }
-
-    fn check_item(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let max = MAX_ITEM_LEN;
-        if key.len() > max {
-            return Err(Error::OversizeItem { len: key.len(), max });
-        }
-        if value.len() > max {
-            return Err(Error::OversizeItem { len: value.len(), max });
-        }
-        if key.is_empty() {
-            return Err(Error::OversizeItem { len: 0, max });
-        }
-        Ok(())
     }
 
     /// The bucket `key` maps to in the main-table geometry (stable
@@ -418,41 +454,138 @@ impl Shard {
 
     // -- the op path ---------------------------------------------------
 
-    /// Executes one operation in `tenant`'s namespace — the shard's only
-    /// routed entry point. `state` (when given) enforces the tenant's
-    /// quota and receives its share of the accounting; `None` runs
-    /// unmetered (recovery replay, internal merges).
-    ///
-    /// Every op passes the same four stations, in this order: the
-    /// counters of its class bump (`Shard::count`), the quarantine
-    /// guard may refuse it, the body runs and its result is observed for
-    /// integrity violations, and its class histogram (if any) takes one
-    /// sample. So a refused or failed op is still counted and sampled
-    /// exactly once, at shard and tenant level alike — the identities
-    /// [`StatsSnapshot::check_consistent`] checks hold under attack.
+    /// Executes one operation in `tenant`'s namespace at a fresh reading of
+    /// the store's TTL floor: a burst of one ([`Shard::execute_burst`]).
+    /// `state` (when given) enforces the tenant's quota and receives its
+    /// share of the accounting; `None` runs unmetered (recovery replay,
+    /// internal merges).
     pub fn execute(
         &mut self,
         tenant: TenantId,
         state: Option<&TenantState>,
         op: Op<'_>,
     ) -> Result<Reply> {
+        let tkeys = self.tenant_keys(tenant);
+        let now = self.access.clock.read();
+        let ctx = OpCtx { tenant, tkeys: &tkeys, now, expires_at: op.expires_at(), state };
+        let mut out = [None];
+        self.run_ops(&[(ctx, op)], None, &mut out);
+        self.last_keys = Some((tenant, tkeys));
+        out[0].take().expect("a burst answers every op")
+    }
+
+    /// Executes a burst: each of `ops` in its tenant's namespace, metered
+    /// against that tenant's state in `registry`, at the one TTL reading
+    /// `now`, with each write checked against and logged to `wal` under
+    /// this shard's lock, in the order the writes land. One answer per op
+    /// lands in `out`. A burst of one tenant — the common case — resolves
+    /// its keys and state once, from the ones parked by the last op while
+    /// the tenant repeats and no quota has been reconfigured since.
+    pub(crate) fn execute_burst(
+        &mut self,
+        registry: &TenantRegistry,
+        now: u64,
+        wal: Option<&Wal>,
+        ops: &[(TenantId, Op<'_>)],
+        out: &mut [Option<Result<Reply>>],
+    ) {
+        let Some(&(tenant, _)) = ops.first() else { return };
+        if ops.iter().all(|&(t, _)| t == tenant) {
+            // Epoch first: a `configure` racing with the lookup then leaves
+            // a stale epoch beside a fresh state (re-resolved next time),
+            // never the reverse.
+            let epoch = registry.epoch();
+            let state = match self.last_state.take() {
+                Some((last, at, state)) if last == tenant && at == epoch => state,
+                _ => registry.state(tenant),
+            };
+            let tkeys = self.tenant_keys(tenant);
+            let ctx = |op: Op<'_>| OpCtx {
+                tenant,
+                tkeys: &tkeys,
+                now,
+                expires_at: op.expires_at(),
+                state: Some(&state),
+            };
+            match *ops {
+                [(_, op)] => self.run_ops(&[(ctx(op), op)], wal, out),
+                _ => {
+                    let items: Vec<_> = ops.iter().map(|&(_, op)| (ctx(op), op)).collect();
+                    self.run_ops(&items, wal, out);
+                }
+            }
+            self.last_keys = Some((tenant, tkeys));
+            self.last_state = Some((tenant, epoch, state));
+            return;
+        }
+        let resolved: Vec<_> = ops
+            .iter()
+            .map(|&(tenant, _)| (self.access.keys.tenant_keys(tenant), registry.state(tenant)))
+            .collect();
+        let items: Vec<_> = ops
+            .iter()
+            .zip(&resolved)
+            .map(|(&(tenant, op), (tkeys, state))| {
+                let expires_at = op.expires_at();
+                (OpCtx { tenant, tkeys, now, expires_at, state: Some(state) }, op)
+            })
+            .collect();
+        self.run_ops(&items, wal, out);
+    }
+
+    /// `tenant`'s derived keys: the parked ones while the tenant repeats.
+    fn tenant_keys(&mut self, tenant: TenantId) -> Arc<TenantKeys> {
+        match self.last_keys.take() {
+            Some((last, tkeys)) if last == tenant => tkeys,
+            _ => self.access.keys.tenant_keys(tenant),
+        }
+    }
+
+    /// Runs a burst's ops, each answer into its slot of `out`: each stretch
+    /// of reads and writes as one grouped run ([`Shard::grouped`]), any
+    /// other op alone, at its turn, between two stretches.
+    fn run_ops(
+        &mut self,
+        items: &[(OpCtx<'_>, Op<'_>)],
+        wal: Option<&Wal>,
+        out: &mut [Option<Result<Reply>>],
+    ) {
+        let mut start = 0;
+        while start < items.len() {
+            let end = start + items[start..].iter().take_while(|(_, op)| burst::groups(op)).count();
+            self.grouped(Mode::Burst(wal), &items[start..end], &mut out[start..end]);
+            if let Some((ctx, op)) = items.get(end) {
+                out[end] = Some(self.station(ctx, *op, wal, |s| s.run(ctx, *op)));
+            }
+            start = end + 1;
+        }
+    }
+
+    /// The four stations every op of a burst passes, in this order: the
+    /// counters of its class bump (`Shard::count`), the quarantine guard
+    /// may refuse it, `body` runs and its result is observed for integrity
+    /// violations, and its class histogram (if any) takes one sample. So a
+    /// refused or failed op is still counted and sampled exactly once, at
+    /// shard and tenant level alike — the identities
+    /// [`StatsSnapshot::check_consistent`] checks hold under attack. Around
+    /// them, a write the log `wal` can no longer take is refused before it
+    /// is counted (it changed nothing), and what a served op changed is
+    /// logged.
+    fn station(
+        &mut self,
+        ctx: &OpCtx<'_>,
+        op: Op<'_>,
+        wal: Option<&Wal>,
+        body: impl FnOnce(&mut Self) -> Result<Reply>,
+    ) -> Result<Reply> {
+        if let (true, Some(wal)) = (op.is_write(), wal) {
+            wal.writable()?;
+        }
         let timer = OpTimer::start();
-        self.count(&op, state);
+        self.count(&op, ctx.state);
         let result = match self.quarantine_guard(&op) {
             Ok(()) => {
-                let tkeys = match self.last_keys.take() {
-                    Some((last, tkeys)) if last == tenant => tkeys,
-                    _ => self.access.keys.tenant_keys(tenant),
-                };
-                let ctx = OpCtx {
-                    tenant,
-                    tkeys: &tkeys,
-                    now: ttl::now_ns(),
-                    expires_at: op.expires_at(),
-                    state,
-                };
-                let r = self.run(&ctx, op);
-                self.last_keys = Some((tenant, tkeys));
+                let r = body(self);
                 self.observe(r)
             }
             Err(e) => Err(e),
@@ -468,30 +601,11 @@ impl Shard {
             | Op::ScanRange { .. }
             | Op::ScanPrefix { .. } => {}
         }
-        result
-    }
-
-    /// [`Shard::execute`] metered against `tenant`'s state in `registry`.
-    /// The shard is exclusively held, so the state resolved for the last
-    /// op is reused — no registry lock — while the tenant repeats and no
-    /// quota has been reconfigured since.
-    pub(crate) fn execute_metered(
-        &mut self,
-        registry: &TenantRegistry,
-        tenant: TenantId,
-        op: Op<'_>,
-    ) -> Result<Reply> {
-        // Epoch first: a `configure` racing with the lookup then leaves a
-        // stale epoch beside a fresh state (re-resolved next time), never
-        // the reverse.
-        let epoch = registry.epoch();
-        let state = match self.last_state.take() {
-            Some((last, resolved_at, state)) if last == tenant && resolved_at == epoch => state,
-            _ => registry.state(tenant),
-        };
-        let result = self.execute(tenant, Some(&state), op);
-        self.last_state = Some((tenant, epoch, state));
-        result
+        let reply = result?;
+        if let Some(wal) = wal {
+            wal.log_op(ctx.tenant, &op, &reply)?;
+        }
+        Ok(reply)
     }
 
     /// Bumps the counters of `op`'s class, before anything can refuse
@@ -530,20 +644,6 @@ impl Shard {
             }
             if sets > 0 {
                 st.usage.sets.fetch_add(sets, AtomicOrdering::SeqCst);
-            }
-        }
-    }
-
-    /// Classifies a search as hit or miss, for the shard and the tenant.
-    fn tally_hits(&mut self, state: Option<&TenantState>, hits: u64, misses: u64) {
-        self.access.stats.hits += hits;
-        self.access.stats.misses += misses;
-        if let Some(st) = state {
-            if hits > 0 {
-                st.usage.hits.fetch_add(hits, AtomicOrdering::SeqCst);
-            }
-            if misses > 0 {
-                st.usage.misses.fetch_add(misses, AtomicOrdering::SeqCst);
             }
         }
     }
@@ -631,6 +731,12 @@ impl Shard {
     /// index on large key counts.
     pub fn index_bytes(&self) -> usize {
         self.index.as_ref().map(|i| i.approx_bytes()).unwrap_or(0)
+    }
+
+    /// Bytes carved from the untrusted heaps of this shard's tables
+    /// ([`crate::alloc::UntrustedHeap::carved_bytes`]).
+    pub fn heap_carved_bytes(&self) -> usize {
+        self.tables.reads().map(|table| table.heap.carved_bytes()).sum()
     }
 
     /// True when a snapshot is in progress (temp table active).

@@ -18,7 +18,6 @@ use crate::error::{Error, Result};
 use crate::integrity::MacStore;
 use crate::table::{Link, TableCtx};
 use crate::tenant::{nskey, split_nskey, TenantId};
-use crate::ttl;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -134,7 +133,7 @@ impl Access {
         temp: &TableCtx,
         tombstones: &HashSet<Vec<u8>>,
     ) -> Result<()> {
-        let now = ttl::now_ns();
+        let now = self.clock.read();
         for ns in tombstones {
             let (tenant, key) = split_nskey(ns);
             let tkeys = self.keys.tenant_keys(tenant);

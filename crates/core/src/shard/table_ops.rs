@@ -83,18 +83,13 @@ impl Access {
         }
     }
 
-    /// What a single op on `bucket` opens with: the hints, and the first
-    /// half of verifying the bucket's set ([`Access::begin_verify`]) with
-    /// the chain hinted in the middle of it — after the stored hash's
-    /// enclave read, in which `bucket`'s node arrives, and before the
-    /// gather, which then finds that node cached and runs while the chain's
-    /// headers are on their way.
+    /// What an op on `bucket` outside a grouped run opens with — one
+    /// while a snapshot is in progress, a delete, append or increment, a
+    /// snapshot merge: the set's hints, and the first half of verifying the
+    /// bucket's set ([`Access::begin_verify`]).
     fn open(&mut self, table: &TableCtx, bucket: usize) -> Result<PendingSet> {
-        let set = table.sets.set_of(bucket);
         self.hint_access(table, bucket);
-        let stored = self.stored_hash(table, set);
-        self.hint_chain(table, bucket);
-        self.gather_pending(table, set, stored)
+        self.begin_verify(table, bucket)
     }
 
     /// Searches `bucket` for `key` *within `op`'s tenant namespace*,
@@ -198,7 +193,7 @@ impl Access {
     }
 
     /// Lookup within `bucket`, whose set is either already verified
-    /// (`pending` is `None` — the batched path, after the set's first key)
+    /// (`pending` is `None` — a grouped run, after the set's first op)
     /// or gathered by [`Access::begin_verify`] and still to be settled. A
     /// hit settles it in the pass that opens the entry: the set's CMAC, the
     /// entry's CMAC and the keystream are three chains on one AES unit, so
@@ -283,13 +278,13 @@ impl Access {
 
     /// Insert/update within `bucket`, *without* re-storing the set hash.
     /// The bucket's set is either already verified (`pending` is `None` —
-    /// the batched path, after the set's first item) or gathered by
+    /// a grouped run, after the set's first op) or gathered by
     /// [`Access::begin_verify`] and settled here: beside the proof of the
     /// entry an update replaces ([`Access::prove_found`]), alone otherwise,
     /// and always before any other verdict and any mutation. The caller
     /// must call [`Access::update_set_hash`] after the last write to the
-    /// set — per-op wrappers do so per call, the batched path once per
-    /// touched set per batch.
+    /// set — per-op wrappers do so per call, a grouped run once per
+    /// touched set.
     ///
     /// An update is sealed into the enclave scratch and copied out only once
     /// every check has passed, so a refused write leaves untrusted memory as

@@ -11,7 +11,7 @@ use sgx_sim::vclock;
 pub(super) fn shard_with(cfg: Config) -> Shard {
     let enclave = EnclaveBuilder::new("shard-test").epc_bytes(4 << 20).build();
     let keys = Arc::new(StoreKeys::generate(&enclave));
-    Shard::new(enclave, keys, cfg).unwrap()
+    Shard::new(enclave, keys, cfg, Arc::default()).unwrap()
 }
 
 /// Runs `op` under the default tenant, unmetered: how these tests drive a

@@ -126,13 +126,13 @@ impl Access {
     /// Fetches `set`'s stored hash, the first step of verifying it. It is
     /// enclave memory and needs none of the untrusted lines a caller has
     /// just hinted, so they land meanwhile.
-    pub(super) fn stored_hash(&mut self, table: &TableCtx, set: usize) -> [u8; 16] {
+    fn stored_hash(&mut self, table: &TableCtx, set: usize) -> [u8; 16] {
         self.stats.integrity_verifications += 1;
         table.macs.get(set)
     }
 
     /// Gathers `set`'s MACs to go with its `stored` hash.
-    pub(super) fn gather_pending(
+    fn gather_pending(
         &mut self,
         table: &TableCtx,
         set: usize,
@@ -142,12 +142,18 @@ impl Access {
         Ok(PendingSet { set, stored })
     }
 
-    /// The first half of verifying `set` against untrusted state: fetches
-    /// the stored hash and gathers the set's MACs. The second half — one
-    /// CMAC and a compare — is [`Access::finish_verify`], or rides beside
-    /// the opening of an entry ([`Access::get_in_bucket`]).
-    pub(super) fn begin_verify(&mut self, table: &TableCtx, set: usize) -> Result<PendingSet> {
+    /// The first half of verifying the set of `bucket` against untrusted
+    /// state, for an op on `bucket`: fetches the stored hash, hints the
+    /// bucket's chain — after the hash's enclave read, in which the
+    /// bucket's node arrives, and before the gather, which then finds that
+    /// node cached and runs while the chain's headers are on their way —
+    /// and gathers the set's MACs. The second half — one CMAC and a
+    /// compare — is [`Access::finish_verify`], or rides beside the opening
+    /// of an entry ([`Access::get_in_bucket`]).
+    pub(super) fn begin_verify(&mut self, table: &TableCtx, bucket: usize) -> Result<PendingSet> {
+        let set = table.sets.set_of(bucket);
         let stored = self.stored_hash(table, set);
+        self.hint_chain(table, bucket);
         self.gather_pending(table, set, stored)
     }
 
@@ -158,7 +164,8 @@ impl Access {
 
     /// Verifies the bucket-set MAC hash for `set` against untrusted state.
     pub(super) fn verify_set(&mut self, table: &TableCtx, set: usize) -> Result<()> {
-        let pending = self.begin_verify(table, set)?;
+        let stored = self.stored_hash(table, set);
+        let pending = self.gather_pending(table, set, stored)?;
         self.finish_verify(table, pending)
     }
 

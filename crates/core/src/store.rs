@@ -62,6 +62,10 @@ pub struct ShieldStore {
     /// The last snapshot this store wrote or restored — what the
     /// scrubber's snapshot phase re-verifies.
     last_snapshot: Mutex<Option<PathBuf>>,
+    /// The TTL clock as the store acts on it: never below a reading it has
+    /// already acted on, so rewinding the host's clock cannot bring back
+    /// an entry already answered as expired. Shared with every shard.
+    clock: Arc<ttl::Floor>,
 }
 
 impl std::fmt::Debug for ShieldStore {
@@ -100,9 +104,15 @@ impl ShieldStore {
         keys: Arc<StoreKeys>,
         storage: Arc<dyn StorageFs>,
     ) -> Result<Self> {
+        let clock = Arc::new(ttl::Floor::default());
         let mut shards = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
-            let mut shard = Shard::new(Arc::clone(&enclave), Arc::clone(&keys), config.clone())?;
+            let mut shard = Shard::new(
+                Arc::clone(&enclave),
+                Arc::clone(&keys),
+                config.clone(),
+                Arc::clone(&clock),
+            )?;
             if config.cache_bytes > 0 {
                 shard.enable_cache(config.cache_bytes / config.shards);
             }
@@ -119,6 +129,7 @@ impl ShieldStore {
             storage,
             scrub: Mutex::new(crate::scrub::ScrubState::default()),
             last_snapshot: Mutex::new(None),
+            clock,
         })
     }
 
@@ -315,27 +326,17 @@ impl ShieldStore {
         &self.registry
     }
 
-    /// Executes one operation in `tenant`'s namespace — the store's only
-    /// routed entry point, and the only place that names the registry the
-    /// tenant's quota state comes from, picks the serving shard by
-    /// [`ShieldStore::shard_of`],
-    /// splits a batch by shard, merges a scan across shards, and logs the
-    /// outcome (`ShieldStore::log_wal`). Everything below it is
-    /// [`Shard::execute`]; everything above it (the convenience methods
-    /// here, `KvBackend`, the wire server) is a caller.
+    /// Executes one operation in `tenant`'s namespace: a burst of one
+    /// ([`ShieldStore::execute_burst`]), except that a batch is split by
+    /// owning shard and a scan merged across shards here. Everything below
+    /// it is [`Shard::execute_burst`]; everything above it (the convenience
+    /// methods here, `KvBackend`, the wire server) is a caller.
     pub fn execute(&self, tenant: TenantId, op: Op<'_>) -> Result<Reply> {
-        // One shard's share of the op: run it, then log it, under that
-        // shard's lock. A write the log can no longer take is refused
-        // before it touches the shard, so a refusal changed nothing.
+        let now = self.clock.read();
         let on_shard = |idx: usize, op: Op<'_>| {
-            self.with_shard(idx, |s| {
-                if let (true, Some(wal)) = (op.is_write(), self.wal.get()) {
-                    wal.writable()?;
-                }
-                let reply = s.execute_metered(&self.registry, tenant, op)?;
-                self.log_wal(tenant, &op, &reply)?;
-                Ok(reply)
-            })
+            let mut out = [None];
+            self.run_on_shard(idx, now, &[(tenant, op)], &mut out);
+            out[0].take().expect("a burst answers every op")
         };
         match op {
             // Batches group by owning shard and take each shard's lock
@@ -392,6 +393,78 @@ impl ShieldStore {
         }
     }
 
+    /// Executes a burst: every `(tenant, op)` of `ops`, answered in input
+    /// order, at one reading of the store's TTL floor. The single-key ops
+    /// between two others are grouped by owning shard, and each shard's
+    /// group runs under one acquisition of its lock, in one call
+    /// ([`Shard::execute_burst`]) that verifies each bucket set the group
+    /// touches once and re-stores its hash once. One key's ops keep their
+    /// input order, so a read after a write of the same key sees the
+    /// write. A batch or scan runs alone at its turn, as
+    /// [`ShieldStore::execute`] runs it. Each op keeps its own tenant,
+    /// answer and refusal: a write the log can no longer take is refused
+    /// before it touches its shard, and every write is logged under its
+    /// shard's lock as it lands.
+    pub fn execute_burst(&self, ops: &[(TenantId, Op<'_>)]) -> Vec<Result<Reply>> {
+        let now = self.clock.read();
+        let mut out: Vec<Option<Result<Reply>>> = ops.iter().map(|_| None).collect();
+        let (mut shards, mut group, mut grouped, mut answers) =
+            (Vec::with_capacity(ops.len()), Vec::new(), Vec::new(), Vec::new());
+        let mut start = 0;
+        while start < ops.len() {
+            let end = start
+                + ops[start..].iter().take_while(|(_, op)| op.routing_key().is_some()).count();
+            shards.clear();
+            shards.extend(
+                ops[start..end]
+                    .iter()
+                    .map(|(_, op)| self.shard_of(op.routing_key().unwrap_or_default())),
+            );
+            match shards.first() {
+                // One shard serves the whole stretch (as with an event loop
+                // per shard): it runs in place.
+                Some(&idx) if shards.iter().all(|&shard| shard == idx) => {
+                    self.run_on_shard(idx, now, &ops[start..end], &mut out[start..end]);
+                }
+                _ => {
+                    for idx in 0..self.shards.len() {
+                        group.clear();
+                        group.extend((start..end).filter(|&i| shards[i - start] == idx));
+                        if group.is_empty() {
+                            continue;
+                        }
+                        grouped.clear();
+                        grouped.extend(group.iter().map(|&i| ops[i]));
+                        answers.clear();
+                        answers.resize_with(group.len(), || None);
+                        self.run_on_shard(idx, now, &grouped, &mut answers);
+                        for (&i, answer) in group.iter().zip(answers.drain(..)) {
+                            out[i] = answer;
+                        }
+                    }
+                }
+            }
+            if let Some(&(tenant, op)) = ops.get(end) {
+                out[end] = Some(self.execute(tenant, op));
+            }
+            start = end + 1;
+        }
+        out.into_iter().map(|answer| answer.expect("a burst answers every op")).collect()
+    }
+
+    /// Runs `ops`, all routed to shard `idx`, under one acquisition of its
+    /// lock, with the log attached (lock order: shard, then WAL, so
+    /// per-key log order matches apply order).
+    fn run_on_shard(
+        &self,
+        idx: usize,
+        now: u64,
+        ops: &[(TenantId, Op<'_>)],
+        out: &mut [Option<Result<Reply>>],
+    ) {
+        self.with_shard(idx, |s| s.execute_burst(&self.registry, now, self.wal.get(), ops, out));
+    }
+
     /// Answers one control request — with [`ShieldStore::execute`], all a
     /// serving layer asks of the store. Only a replica promotes, so
     /// [`Control::Promote`] is refused here.
@@ -422,44 +495,6 @@ impl ShieldStore {
             groups[self.shard_of(key)].push(i);
         }
         groups.into_iter().enumerate().filter(|(_, group)| !group.is_empty())
-    }
-
-    /// Logs what `op` changed to the attached WAL, if any: the one place
-    /// a client op becomes log records. Called with the serving shard's
-    /// lock held, so the log observes the shard's apply order. Appends
-    /// and increments are logged as the value they produced, so replay is
-    /// idempotent; reads and clean misses changed nothing and log
-    /// nothing. A commit failure surfaces as the operation's error even
-    /// though the in-memory write already landed: durability fails
-    /// closed, and that one op may have executed. Records are built only
-    /// when a WAL is attached, so stores without one pay no per-op
-    /// allocation for them.
-    fn log_wal(&self, tenant: TenantId, op: &Op<'_>, reply: &Reply) -> Result<()> {
-        let Some(wal) = self.wal.get() else { return Ok(()) };
-        let set = |key: &[u8], value: Vec<u8>, expires_at| WalOp::Set {
-            tenant,
-            key: key.to_vec(),
-            value,
-            expires_at,
-        };
-        match (*op, reply) {
-            (Op::Set { key, value, expires_at }, _) => {
-                wal.log([set(key, value.to_vec(), expires_at)])
-            }
-            (Op::MultiSet { items, expires_at }, _) => {
-                wal.log(items.iter().map(|&(key, value)| set(key, value.to_vec(), expires_at)))
-            }
-            (Op::Append { key, .. }, Reply::Appended(value)) => {
-                wal.log([set(key, value.clone(), 0)])
-            }
-            (Op::Increment { key, .. }, Reply::Counter(next)) => {
-                wal.log([set(key, next.to_string().into_bytes(), 0)])
-            }
-            (Op::Delete(key), Reply::Deleted(true)) => {
-                wal.log([WalOp::Delete { tenant, key: key.to_vec() }])
-            }
-            _ => Ok(()),
-        }
     }
 
     // -- default-namespace sugar: one method per op ----------------------
@@ -535,7 +570,7 @@ impl ShieldStore {
     /// (lazy expiry keeps hiding their dead entries until the next
     /// sweep).
     pub fn sweep_expired(&self) -> Result<usize> {
-        let now = ttl::now_ns();
+        let now = self.clock.read();
         let mut total = 0;
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -569,6 +604,13 @@ impl ShieldStore {
     /// Approximate enclave bytes held by the ordered index across shards.
     pub fn index_bytes(&self) -> usize {
         self.shards().iter().map(|s| s.lock().index_bytes()).sum()
+    }
+
+    /// Bytes carved from the untrusted heaps across shards: what the
+    /// store has allocated from its chunks, alignment padding included and
+    /// a recycled block counted once.
+    pub fn heap_carved_bytes(&self) -> usize {
+        self.shards().iter().map(|s| s.lock().heap_carved_bytes()).sum()
     }
 
     /// Total live entries across shards.

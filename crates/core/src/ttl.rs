@@ -16,6 +16,12 @@
 //!   a standing offset over the wall clock otherwise.
 //!
 //! [`thaw`] returns to wall time (plus any accumulated offset).
+//!
+//! The clock is the host's: on SGX the reading comes from the OS, which
+//! paper §3.3's attacker owns. A store therefore acts on readings through
+//! a [`Floor`], which never goes back: once an entry has been answered as
+//! expired, no later reading — however far the host rewinds the clock —
+//! serves it again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -44,6 +50,31 @@ pub fn now_ns() -> u64 {
 /// the store API for untimed entries.
 pub fn deadline_after(ttl_ns: u64) -> u64 {
     now_ns().saturating_add(ttl_ns).max(1)
+}
+
+/// A monotonic floor over [`now_ns`]: each [`Floor::read`] is the highest
+/// reading this floor has taken so far. A store holds one, shared by its
+/// shards, and acts on no other reading — reads, sweeps and a snapshot's
+/// merge all judge deadlines against it.
+#[derive(Debug, Default)]
+pub struct Floor(AtomicU64);
+
+impl Floor {
+    /// The clock, never below an earlier reading of this floor.
+    pub fn read(&self) -> u64 {
+        let now = now_ns();
+        let floor = self.0.load(Ordering::Relaxed);
+        if now <= floor {
+            return floor;
+        }
+        self.0.fetch_max(now, Ordering::Relaxed).max(now)
+    }
+}
+
+impl Clone for Floor {
+    fn clone(&self) -> Self {
+        Floor(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
 }
 
 /// Test hook: pins the clock at `at_ns` (must be nonzero).
@@ -97,6 +128,19 @@ mod tests {
         assert!(w >= before);
         advance(1 << 40);
         assert!(now_ns() >= w + (1 << 40));
+        thaw();
+    }
+
+    #[test]
+    fn a_floor_never_goes_back() {
+        let _clock = TEST_CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let floor = Floor::default();
+        freeze(5_000);
+        assert_eq!(floor.read(), 5_000);
+        freeze(1_000);
+        assert_eq!(floor.read(), 5_000, "a rewind is not acted on");
+        freeze(7_000);
+        assert_eq!(floor.read(), 7_000);
         thaw();
     }
 }

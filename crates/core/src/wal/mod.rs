@@ -88,6 +88,8 @@ use sgx_sim::storage::{OpenMode, StorageFs};
 pub use crate::config::DurabilityPolicy;
 use crate::error::{Error, Result};
 use crate::hist::LatencyHist;
+use crate::op::{Op, Reply};
+use crate::tenant::TenantId;
 
 mod codec;
 mod frames;
@@ -285,6 +287,37 @@ impl Wal {
             inner.commit()?;
         }
         Ok(())
+    }
+
+    /// Logs what `op` changed, given its `reply`: the one place a client op
+    /// becomes log records. Called with the serving shard's lock held.
+    /// Appends and increments log the value they produced, so replay is
+    /// idempotent; reads and clean misses log nothing, and build nothing.
+    pub(crate) fn log_op(&self, tenant: TenantId, op: &Op<'_>, reply: &Reply) -> Result<()> {
+        let set = |key: &[u8], value: Vec<u8>, expires_at| WalOp::Set {
+            tenant,
+            key: key.to_vec(),
+            value,
+            expires_at,
+        };
+        match (*op, reply) {
+            (Op::Set { key, value, expires_at }, _) => {
+                self.log([set(key, value.to_vec(), expires_at)])
+            }
+            (Op::MultiSet { items, expires_at }, _) => {
+                self.log(items.iter().map(|&(key, value)| set(key, value.to_vec(), expires_at)))
+            }
+            (Op::Append { key, .. }, Reply::Appended(value)) => {
+                self.log([set(key, value.clone(), 0)])
+            }
+            (Op::Increment { key, .. }, Reply::Counter(next)) => {
+                self.log([set(key, next.to_string().into_bytes(), 0)])
+            }
+            (Op::Delete(key), Reply::Deleted(true)) => {
+                self.log([WalOp::Delete { tenant, key: key.to_vec() }])
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Fails when the log can take no more writes (poisoned or fenced):

@@ -30,9 +30,10 @@
 //!
 //! The former global crossbeam channel (every request through one
 //! MPMC point, any worker) is gone. Its FIFO role is preserved where
-//! it matters: one connection's requests execute in arrival order
-//! (per-conn slots), and with one event loop the engine is strictly
-//! globally FIFO, which the adversary harness relies on.
+//! it matters: one key's requests execute in arrival order, replies
+//! leave in request order (per-conn slots), and with one event loop a
+//! connection's burst executes before the next connection's, which the
+//! adversary harness relies on.
 //!
 //! What crosses loops crosses per burst, not per request. A decoding loop
 //! collects the handoffs of one `read()` chunk in a per-destination
@@ -41,14 +42,24 @@
 //! every request, returns the responses as one batch per origin, and the
 //! origin attaches them all before it seals and writes once per
 //! connection. There is no batch size and no timer: the batch is what
-//! arrived together. A push writes the eventfd only when it finds the
+//! arrived together.
+//!
+//! What executes together reaches the store together. The requests a
+//! loop owns of one `read()` chunk, and the `Execute`s of one inbox
+//! drain, are collected as a burst and handed to the store in one call
+//! (`KvBackend::execute_burst`, via [`server::execute_burst`]), which
+//! takes each shard's lock once and verifies each bucket set it touches
+//! once. Deadline shedding, `served` accounting, admission release and
+//! `pending_frames` stay per request. A request with no routing key (a
+//! control, a ping, a batch or scan) is a barrier: the burst collected so
+//! far executes, the outboxes go, and it then runs as a burst of one. A push writes the eventfd only when it finds the
 //! inbox empty (decided under the inbox lock): the owner drains the
 //! eventfd *before* it takes the queue, so whoever made the queue
 //! non-empty has a wake the owner has not consumed yet. Three orders
 //! survive the batching: requests on one key execute in arrival order
-//! (one owner loop per shard, outboxes and inboxes are FIFO, and a
-//! request the decoding loop runs inline without a routing key flushes
-//! the outboxes first); replies leave a connection in request order
+//! (one owner loop per shard, outboxes and inboxes are FIFO, a burst
+//! keeps one key's ops in order, and a request without a routing key
+//! flushes the burst and the outboxes first); replies leave a connection in request order
 //! (`ConnMachine` slots); and the enclave is entered once per burst: a
 //! loop charges one crossing per `read_burst` or inbox drain that
 //! executes at least one request (`EventLoop::enter`), and every request
@@ -66,7 +77,7 @@
 use crate::machine::{CloseReason, ConnMachine};
 use crate::poller::{Interest, Poller, WakeHandle, Waker};
 use crate::protocol::{Call, Request, Response, Status};
-use crate::server::{execute_with, CrossingMode, NetGauges, NetState, ServerConfig};
+use crate::server::{self, CrossingMode, NetGauges, NetState, ServerConfig};
 use crate::session::{self, SessionCrypto};
 use crate::Result;
 use parking_lot::Mutex;
@@ -112,6 +123,23 @@ enum Msg {
     /// tenant rides along so the origin can release its admission
     /// slot).
     Complete { conn: u64, req: u64, tenant: u32, resp: Vec<u8> },
+}
+
+/// A request this loop executes in the current burst.
+struct Job {
+    tenant: u32,
+    request: Request,
+    /// When it was decoded: the start of its execution deadline.
+    enqueued: Instant,
+    to: ReplyTo,
+}
+
+/// Where a [`Job`]'s response goes.
+enum ReplyTo {
+    /// A request of one of this loop's connections.
+    Here { conn: u64, req: u64 },
+    /// A request `origin` handed over: the response crosses back.
+    Origin { origin: usize, conn: u64, req: u64 },
 }
 
 /// The shareable face of one event loop: its handoff inbox and waker.
@@ -279,6 +307,7 @@ pub(crate) fn spawn(
                     drain_until: None,
                     scratch: vec![0u8; 64 << 10],
                     outbox: (0..n).map(|_| Vec::new()).collect(),
+                    burst: Vec::new(),
                     inbox_buf: Vec::new(),
                     touched: Vec::new(),
                     entered: false,
@@ -310,6 +339,12 @@ struct EventLoop {
     /// [`flush_outboxes`](Self::flush_outboxes); empty whenever the
     /// loop blocks.
     outbox: Vec<Vec<Msg>>,
+    /// The requests this loop executes in the current burst, in arrival
+    /// order: collected while a `read()` chunk or an inbox drain is
+    /// processed and executed together by
+    /// [`execute_burst`](Self::execute_burst); empty whenever the loop
+    /// blocks.
+    burst: Vec<Job>,
     /// The vector `process_inbox` swaps with the shared inbox (the two
     /// trade places each wake, so neither reallocates in steady state).
     inbox_buf: Vec<Msg>,
@@ -356,8 +391,8 @@ impl EventLoop {
             // request would hold its admission slot until some later
             // burst happened to flush it.
             debug_assert!(
-                self.outbox.iter().all(Vec::is_empty),
-                "blocking with an unflushed outbox"
+                self.outbox.iter().all(Vec::is_empty) && self.burst.is_empty(),
+                "blocking with an unflushed outbox or an unexecuted burst"
             );
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
@@ -505,9 +540,9 @@ impl EventLoop {
     }
 
     /// Takes everything the other loops have handed over since the last
-    /// wake: runs the `Execute`s and sends their responses back as one
-    /// batch per origin, attaches the `Complete`s and then seals and
-    /// writes once per connection they touched.
+    /// wake: runs the `Execute`s as one burst and sends their responses
+    /// back as one batch per origin, attaches the `Complete`s and then
+    /// seals and writes once per connection they touched.
     fn process_inbox(&mut self) {
         self.entered = false;
         let mut msgs = std::mem::take(&mut self.inbox_buf);
@@ -515,8 +550,8 @@ impl EventLoop {
         for msg in msgs.drain(..) {
             match msg {
                 Msg::Execute { origin, conn, req, tenant, request, enqueued } => {
-                    let resp = self.execute_request(&request, tenant, enqueued);
-                    self.outbox[origin].push(Msg::Complete { conn, req, tenant, resp });
+                    let to = ReplyTo::Origin { origin, conn, req };
+                    self.burst.push(Job { tenant, request, enqueued, to });
                 }
                 Msg::Complete { conn, req, tenant, resp } => {
                     // Response attached (or discarded, if the
@@ -533,6 +568,7 @@ impl EventLoop {
             }
         }
         self.inbox_buf = msgs;
+        self.execute_burst();
         self.flush_outboxes();
         let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
@@ -595,10 +631,11 @@ impl EventLoop {
                     }
                 };
             let accepted = frames.into_iter().all(|frame| self.process_frame(token, frame, now));
-            // What arrived together crosses together — including the
-            // requests admitted ahead of a frame that kills the
-            // connection: they hold admission slots only their
-            // `Complete` releases.
+            // What arrived together executes and crosses together —
+            // including the requests admitted ahead of a frame that kills
+            // the connection: they hold admission slots only their
+            // response releases.
+            self.execute_burst();
             self.flush_outboxes();
             if !accepted {
                 self.close_token(token);
@@ -683,20 +720,22 @@ impl EventLoop {
                     enqueued: now,
                 });
             }
-            owner => {
-                // This loop owns the shard (or the request is
-                // multi-shard by nature): execute inline. A request
-                // with no routing key may touch keys whose earlier
-                // requests still sit in an outbox; let those go first.
-                if owner.is_none() {
-                    self.flush_outboxes();
-                }
-                let resp = self.execute_request(&request, tenant, now);
-                gauges.pending_frames.fetch_sub(1, Ordering::Relaxed);
-                shared.state.admission.release(tenant);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.machine.complete(req, resp);
-                }
+            Some(_) => {
+                // This loop owns the shard: the request joins the burst,
+                // which executes when the chunk is done.
+                let to = ReplyTo::Here { conn: token, req };
+                self.burst.push(Job { tenant, request, enqueued: now, to });
+            }
+            None => {
+                // Multi-shard by nature (or no op at all): a barrier. It
+                // may touch keys whose earlier requests still sit in the
+                // burst or an outbox; let those go first, then run it as a
+                // burst of one.
+                self.execute_burst();
+                self.flush_outboxes();
+                let to = ReplyTo::Here { conn: token, req };
+                self.burst.push(Job { tenant, request, enqueued: now, to });
+                self.execute_burst();
             }
         }
         true
@@ -732,33 +771,68 @@ impl EventLoop {
         }
     }
 
-    /// Checks the execution deadline and runs the store op under
-    /// `tenant`'s namespace, inside the burst's enclave entry. Runs on
-    /// whichever loop owns the request's shard.
-    fn execute_request(&mut self, request: &Request, tenant: u32, enqueued: Instant) -> Vec<u8> {
+    /// Executes the collected burst inside the burst's enclave entry, on
+    /// the loop that owns its requests' shards (a lone barrier request is
+    /// a burst of one). Each request is checked on its own first: one past
+    /// its execution deadline is shed as `Busy`, and a control that needs
+    /// the attested channel is refused on an insecure one. The rest go to
+    /// the store in one call ([`server::execute_burst`]). Each response
+    /// then releases its request: counted as served, then attached to its
+    /// connection (releasing its admission slot) or handed back to the
+    /// loop that decoded it.
+    fn execute_burst(&mut self) {
+        if self.burst.is_empty() {
+            return;
+        }
         self.enter();
-        let shared = &self.shared;
-        let resp = if enqueued.elapsed() > shared.config.request_deadline {
-            // Stale request: the queue outran the deadline. Answering
-            // Busy (instead of serving ancient work) keeps overload
-            // latency bounded.
-            shared.state.gauges.shed_requests.fetch_add(1, Ordering::Relaxed);
-            Response::empty(Status::Busy)
-        } else if !shared.config.secure
-            && request
-                .with_call(|call| matches!(call, Call::Control(c) if c.needs_attested_session()))
-                .unwrap_or(false)
-        {
-            // Replication frames carry log keys and fencing authority;
-            // they only ever ride the attested channel.
-            Response::empty(Status::Error)
-        } else {
-            execute_with(&*shared.store, request, tenant, Some(&shared.state))
-        };
-        // Account before replying: a client that saw the response must
-        // also see the request counted.
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        resp.encode()
+        let shared = Arc::clone(&self.shared);
+        let mut jobs = std::mem::take(&mut self.burst);
+        let screened: Vec<Option<Response>> = jobs
+            .iter()
+            .map(|job| {
+                if job.enqueued.elapsed() > shared.config.request_deadline {
+                    // Stale request: the queue outran the deadline.
+                    // Answering Busy (instead of serving ancient work)
+                    // keeps overload latency bounded.
+                    shared.state.gauges.shed_requests.fetch_add(1, Ordering::Relaxed);
+                    Some(Response::empty(Status::Busy))
+                } else if !shared.config.secure && needs_attested_session(&job.request) {
+                    // Replication frames carry log keys and fencing
+                    // authority; they only ever ride the attested channel.
+                    Some(Response::empty(Status::Error))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        let admitted: Vec<(u32, &Request)> = jobs
+            .iter()
+            .zip(&screened)
+            .filter(|(_, screened)| screened.is_none())
+            .map(|(job, _)| (job.tenant, &job.request))
+            .collect();
+        let mut executed =
+            server::execute_burst(&*shared.store, &admitted, Some(&shared.state)).into_iter();
+        for (job, screened) in jobs.drain(..).zip(screened) {
+            let resp = screened.or_else(|| executed.next()).expect("one response per request");
+            // Account before replying: a client that saw the response must
+            // also see the request counted.
+            shared.served.fetch_add(1, Ordering::Relaxed);
+            let resp = resp.encode();
+            match job.to {
+                ReplyTo::Here { conn, req } => {
+                    shared.state.gauges.pending_frames.fetch_sub(1, Ordering::Relaxed);
+                    shared.state.admission.release(job.tenant);
+                    if let Some(c) = self.conns.get_mut(&conn) {
+                        c.machine.complete(req, resp);
+                    }
+                }
+                ReplyTo::Origin { origin, conn, req } => {
+                    self.outbox[origin].push(Msg::Complete { conn, req, tenant: job.tenant, resp });
+                }
+            }
+        }
+        self.burst = jobs;
     }
 
     /// Seals and flushes released responses, updates pause state and
@@ -859,6 +933,13 @@ impl EventLoop {
         }
         self.timed.remove(&token);
     }
+}
+
+/// Whether `request` is a control only an attested session may send.
+fn needs_attested_session(request: &Request) -> bool {
+    request
+        .with_call(|call| matches!(call, Call::Control(c) if c.needs_attested_session()))
+        .unwrap_or(false)
 }
 
 /// Appends a length-prefixed frame around `body` to the output buffer.

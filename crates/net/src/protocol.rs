@@ -316,22 +316,12 @@ impl Request {
         // borrows it; `run` is then called once, which lets it inline.
         let (keys, items);
         let call = match self.op {
-            OpCode::Get => Call::Op(Op::Get(key)),
-            OpCode::Set => Call::Op(Op::set(key, value)),
-            // The wire carries a relative, nonzero TTL (the decoder rejects
-            // zero: that is a plain `Set`); the store wants an absolute
-            // deadline, where zero means "no expiry".
-            OpCode::SetTtl => {
-                let (ttl_ns, value) = decode_set_ttl(value)?;
-                let expires_at = shieldstore::ttl::deadline_after(ttl_ns);
-                Call::Op(Op::Set { key, value, expires_at })
-            }
-            OpCode::Delete => Call::Op(Op::Delete(key)),
-            OpCode::Append => Call::Op(Op::Append { key, suffix: value }),
-            OpCode::Increment => {
-                let delta = Reader::whole(value, "increment delta", Reader::u64)? as i64;
-                Call::Op(Op::Increment { key, delta })
-            }
+            OpCode::Get
+            | OpCode::Set
+            | OpCode::SetTtl
+            | OpCode::Delete
+            | OpCode::Append
+            | OpCode::Increment => Call::Op(self.keyed_op()?.expect("a single-key opcode")),
             // A whole batch is one op: one crossing charge and one shard-lock
             // acquisition per touched shard, however many keys ride in the
             // frame.
@@ -369,6 +359,33 @@ impl Request {
             }
         };
         Ok(run(call))
+    }
+
+    /// The request's op when it names one key — the ops a burst hands the
+    /// store together (`KvBackend::execute_burst`) — borrowing the
+    /// request; `None` for a batch, scan, control or ping. `Err` means the
+    /// request is malformed, and the store never sees it.
+    pub(crate) fn keyed_op(&self) -> Result<Option<Op<'_>>> {
+        let (key, value) = (self.key.as_slice(), self.value.as_slice());
+        Ok(Some(match self.op {
+            OpCode::Get => Op::Get(key),
+            OpCode::Set => Op::set(key, value),
+            // The wire carries a relative, nonzero TTL (the decoder rejects
+            // zero: that is a plain `Set`); the store wants an absolute
+            // deadline, where zero means "no expiry".
+            OpCode::SetTtl => {
+                let (ttl_ns, value) = decode_set_ttl(value)?;
+                let expires_at = shieldstore::ttl::deadline_after(ttl_ns);
+                Op::Set { key, value, expires_at }
+            }
+            OpCode::Delete => Op::Delete(key),
+            OpCode::Append => Op::Append { key, suffix: value },
+            OpCode::Increment => {
+                let delta = Reader::whole(value, "increment delta", Reader::u64)? as i64;
+                Op::Increment { key, delta }
+            }
+            _ => return Ok(None),
+        }))
     }
 }
 

@@ -335,6 +335,44 @@ pub(crate) fn execute_with(
     }
 }
 
+/// Executes a burst of requests — each `(tenant, request)` of `burst`,
+/// one response each, in input order — as [`execute_with`] executes one:
+/// the single-key ops between two other requests go to the store together,
+/// in one [`KvBackend::execute_burst`] call, and any other request (a
+/// batch, scan, control or ping) runs alone at its turn, so it sees every
+/// op that came before it and none that came after. A malformed request
+/// answers `Error` at its turn, and the store never sees it.
+pub(crate) fn execute_burst(
+    store: &dyn KvBackend,
+    burst: &[(u32, &Request)],
+    net: Option<&NetState>,
+) -> Vec<Response> {
+    let mut out = Vec::with_capacity(burst.len());
+    let mut ops = Vec::with_capacity(burst.len());
+    let flush = |ops: &mut Vec<_>, out: &mut Vec<Response>| {
+        let answers = store.execute_burst(ops);
+        out.extend(answers.into_iter().map(|answer| {
+            answer.map_or_else(|refusal| Response::empty(refusal.into()), Response::from_reply)
+        }));
+        ops.clear();
+    };
+    for &(tenant, request) in burst {
+        match request.keyed_op() {
+            Ok(Some(op)) => ops.push((tenant, op)),
+            Ok(None) => {
+                flush(&mut ops, &mut out);
+                out.push(execute_with(store, request, tenant, net));
+            }
+            Err(_) => {
+                flush(&mut ops, &mut out);
+                out.push(Response::empty(Status::Error));
+            }
+        }
+    }
+    flush(&mut ops, &mut out);
+    out
+}
+
 /// Answers `control`, overlaying the server's own gauges onto a stats
 /// answer when the serving state is provided (the store cannot see
 /// connection-level decisions). Cold: a control is rare beside an op, and

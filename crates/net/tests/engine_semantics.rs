@@ -17,6 +17,7 @@ use shield_net::client::{Connector, RetryClient, RetryPolicy};
 use shield_net::protocol::{OpCode, Request, Status};
 use shield_net::server::{CrossingMode, Server, ServerConfig};
 use shield_net::{KvClient, NetError};
+use shieldstore::testing::TamperOp;
 use shieldstore::{Op, Refusal, Reply, ShieldStore};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -695,4 +696,150 @@ fn retry_client_reconnects_after_session_loss() {
     assert_eq!(client.execute(Op::Get(b"k")).unwrap(), Reply::Value(Some(b"v1".to_vec())));
     assert!(client.reconnects() >= 1);
     server.shutdown();
+}
+
+/// Every shape a burst test runs on: one loop and two, in either crossing
+/// mode.
+fn burst_shapes() -> impl Iterator<Item = (usize, CrossingMode)> {
+    [1, 2].into_iter().flat_map(|loops| {
+        [CrossingMode::Ecall, CrossingMode::HotCalls].map(move |crossing| (loops, crossing))
+    })
+}
+
+/// `n` keys of one bucket set: one `(shard, set)` partition.
+fn keys_in_one_set(store: &ShieldStore, tag: &str, n: usize) -> Vec<String> {
+    let target = store.key_partition(format!("{tag}-0").as_bytes());
+    (0u64..)
+        .map(|i| format!("{tag}-{i}"))
+        .filter(|k| store.key_partition(k.as_bytes()) == target)
+        .take(n)
+        .collect()
+}
+
+/// A burst reads its own writes: writes and reads of keys in one bucket
+/// set, pipelined in one go, run as one grouped run in the store, and
+/// each read answers what the write just before it in the pipeline left,
+/// however the run orders the set's other keys around it.
+#[test]
+fn a_pipelined_set_then_get_in_one_burst_reads_the_new_value() {
+    for (loops, crossing) in burst_shapes() {
+        let case = format!("{loops} loop(s), {crossing:?}");
+        let (enclave, store, server) = start(
+            "engine-burst-rw",
+            ServerConfig { event_loops: loops, crossing, ..Default::default() },
+            false,
+        );
+        let mut client = secure_client(&enclave, &server, 36);
+        let keys = keys_in_one_set(&store, "rw", 8);
+        for key in &keys {
+            client.set(key.as_bytes(), b"old").unwrap();
+        }
+        let mut burst = Vec::new();
+        for round in ["a", "b"] {
+            for key in &keys {
+                burst.push(request(OpCode::Set, key, &format!("{key}-{round}")));
+                burst.push(request(OpCode::Get, key, ""));
+            }
+        }
+        let replies = client.pipeline(&burst).unwrap();
+        for (at, (sent, reply)) in burst.iter().zip(&replies).enumerate() {
+            assert_eq!(reply.status, Status::Ok, "{case}: request {at}");
+            if sent.op == OpCode::Get {
+                let wrote = &burst[at - 1].value;
+                assert_eq!(&reply.value, wrote, "{case}: request {at} missed the write before it");
+            }
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
+
+/// A burst verifies each bucket set it touches once, not once per
+/// request: 32 pipelined gets of keys in one set cost a handful of set
+/// verifications (one per burst the pipeline arrives in), read from the
+/// stats control. Per request, they cost 32.
+#[test]
+fn a_pipelined_burst_on_one_set_verifies_it_a_handful_of_times() {
+    for (loops, crossing) in burst_shapes() {
+        let case = format!("{loops} loop(s), {crossing:?}");
+        let (enclave, store, server) = start(
+            "engine-burst-verify",
+            ServerConfig { event_loops: loops, crossing, ..Default::default() },
+            false,
+        );
+        let mut client = secure_client(&enclave, &server, 37);
+        let keys = keys_in_one_set(&store, "verify", 32);
+        for key in &keys {
+            client.set(key.as_bytes(), key.as_bytes()).unwrap();
+        }
+        let before = client.stats().unwrap().ops.integrity_verifications;
+        let gets: Vec<Request> = keys.iter().map(|k| request(OpCode::Get, k, "")).collect();
+        for (key, resp) in keys.iter().zip(client.pipeline(&gets).unwrap()) {
+            assert_eq!(resp.value, key.as_bytes(), "{case}: {key}");
+        }
+        let verified = client.stats().unwrap().ops.integrity_verifications - before;
+        assert!(verified >= 1, "{case}: the gets verified nothing");
+        assert!(verified <= 4, "{case}: {verified} set verifications for 32 gets of one set");
+        drop(client);
+        server.shutdown();
+    }
+}
+
+/// A failed set verification fails closed that set's ops only: in one
+/// burst over eight sets, one of them tampered, the tampered set's first
+/// op fails on the forged MAC node, its later ops answer `Quarantined`,
+/// and every op on the other seven sets serves its value.
+#[test]
+fn a_burst_with_one_tampered_set_quarantines_that_set_and_serves_the_rest() {
+    for (loops, crossing) in burst_shapes() {
+        let case = format!("{loops} loop(s), {crossing:?}");
+        let (enclave, store, server) = start(
+            "engine-burst-tamper",
+            ServerConfig { event_loops: loops, crossing, ..Default::default() },
+            true,
+        );
+        let mut client = secure_client(&enclave, &server, 38);
+        // Four keys in each of eight sets, and nothing else in the store:
+        // whichever MAC node the tamper picks, its set has four ops below.
+        let mut keys: Vec<String> = Vec::new();
+        for tag in (0..).map(|i| format!("tamper{i}")) {
+            if keys.len() == 32 {
+                break;
+            }
+            let set = keys_in_one_set(&store, &tag, 4);
+            let partition = |k: &String| store.key_partition(k.as_bytes());
+            if keys.iter().all(|k| partition(k) != partition(&set[0])) {
+                keys.extend(set);
+            }
+        }
+        for key in &keys {
+            client.set(key.as_bytes(), key.as_bytes()).unwrap();
+        }
+        let seed = (0..64).find(|&seed| store.tamper(TamperOp::MacSideArray, seed));
+        assert!(seed.is_some(), "{case}: no MAC node to tamper");
+
+        // Interleave the sets, so the burst's order is not the run's.
+        let order: Vec<&String> = (0..4).flat_map(|i| keys.iter().skip(i).step_by(4)).collect();
+        let gets: Vec<Request> = order.iter().map(|k| request(OpCode::Get, k, "")).collect();
+        let replies = client.pipeline(&gets).unwrap();
+        let report = store.quarantine_report();
+        assert_eq!(report.quarantined_sets(), 1, "{case}");
+        let (mut failed, mut quarantined) = (0, 0);
+        for (key, reply) in order.iter().zip(&replies) {
+            let (shard, set) = store.key_partition(key.as_bytes());
+            if report.shards[shard].quarantined_sets.contains(&set) {
+                match reply.status {
+                    Status::Quarantined => quarantined += 1,
+                    Status::Error => failed += 1,
+                    other => panic!("{case}: {key} of the tampered set answered {other:?}"),
+                }
+            } else {
+                assert_eq!(reply.status, Status::Ok, "{case}: {key}");
+                assert_eq!(reply.value, key.as_bytes(), "{case}: {key}");
+            }
+        }
+        assert_eq!((failed, quarantined), (1, 3), "{case}: the tampered set's four gets");
+        drop(client);
+        server.shutdown();
+    }
 }

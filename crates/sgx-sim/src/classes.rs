@@ -86,13 +86,17 @@ pub struct Classes {
     /// it starts full, so the first block opens a chunk.
     bump: Place,
     live_bytes: usize,
+    /// Bytes of chunk the cursor has carved: every block ever handed out
+    /// (a recycled one once) and the padding that aligned it.
+    carved_bytes: usize,
 }
 
 impl Classes {
     /// A core whose chunks hold `chunk_len` bytes each (a jumbo chunk its
     /// one block's class).
     pub fn new(chunk_len: usize) -> Self {
-        Self { chunk_len, chunks: 0, free_lists: Vec::new(), bump: (0, chunk_len), live_bytes: 0 }
+        let bump = (0, chunk_len);
+        Self { chunk_len, chunks: 0, free_lists: Vec::new(), bump, live_bytes: 0, carved_bytes: 0 }
     }
 
     /// A block for `len` bytes, and whether it was freed before (a fresh
@@ -117,16 +121,19 @@ impl Classes {
 
     fn carve(&mut self, class: usize, open: impl FnOnce(usize, usize) -> bool) -> Option<Place> {
         if class >= self.chunk_len {
-            return self.open(class, open).map(|chunk| (chunk, 0));
+            let chunk = self.open(class, open)?;
+            self.carved_bytes += class;
+            return Some((chunk, 0));
         }
-        let (chunk, at) = self.bump;
-        let at = at.next_multiple_of(class_align(class));
-        let place = if at + class <= self.chunk_len {
-            (chunk, at)
+        let (chunk, from) = self.bump;
+        let at = from.next_multiple_of(class_align(class));
+        let (place, from) = if at + class <= self.chunk_len {
+            ((chunk, at), from)
         } else {
-            (self.open(self.chunk_len, open)?, 0)
+            ((self.open(self.chunk_len, open)?, 0), 0)
         };
         self.bump = (place.0, place.1 + class);
+        self.carved_bytes += self.bump.1 - from;
         Some(place)
     }
 
@@ -165,6 +172,13 @@ impl Classes {
     /// Bytes handed out and not yet freed (rounded to size classes).
     pub fn live_bytes(&self) -> usize {
         self.live_bytes
+    }
+
+    /// Bytes of chunk carved so far: the live bytes, what waits on the free
+    /// lists or was forgotten, and the padding that aligned each block. The
+    /// chunks opened hold this much, and at most a block's worth more each.
+    pub fn carved_bytes(&self) -> usize {
+        self.carved_bytes
     }
 }
 
@@ -251,6 +265,21 @@ pub(crate) mod tests {
         #[test]
         fn live_blocks_are_whole_aligned_and_disjoint(ops in ops()) {
             live_blocks_hold(&mut Core(Classes::new(1 << 16), Vec::new()), ops)?;
+        }
+
+        /// A chunk fills before the next opens: the chunks opened hold what
+        /// was carved, and beyond it less than a block's class per chunk
+        /// plus the part of the last chunk the cursor has not reached.
+        #[test]
+        fn the_chunks_opened_hold_what_was_carved(lens in pvec(1usize..4097, 1..256)) {
+            let mut core = Core(Classes::new(1 << 16), Vec::new());
+            for len in lens {
+                core.alloc(len);
+            }
+            let (carved, opened) = (core.0.carved_bytes(), core.1.iter().sum::<usize>());
+            prop_assert!(carved <= opened, "{} carved from {} B of chunks", carved, opened);
+            let slack = core.1.len() * size_class(4096) + (1 << 16);
+            prop_assert!(opened < carved + slack, "{} carved from {} B of chunks", carved, opened);
         }
     }
 

@@ -7,7 +7,7 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use sgx_sim::enclave::EnclaveBuilder;
 use shieldstore::model::Model;
-use shieldstore::{Config, Error, Op, ShieldStore};
+use shieldstore::{Config, Error, Op, Refusal, ShieldStore, TenantQuota};
 use std::sync::Arc;
 
 fn tiny_store(seed: u64, key_hint: bool, mac_bucket: bool) -> Arc<ShieldStore> {
@@ -52,6 +52,66 @@ fn batch_strategy() -> impl Strategy<Value = BatchOp> {
     ]
 }
 
+/// One op of the burst-equivalence test, in tenant 0's or tenant 1's
+/// namespace (owned, as proptest needs).
+#[derive(Debug, Clone)]
+struct BurstOp {
+    tenant: u32,
+    op: ModelOp,
+    exists: bool,
+}
+
+impl BurstOp {
+    fn op(&self) -> Op<'_> {
+        match &self.op {
+            ModelOp::Get(k) if self.exists => Op::Exists(k),
+            op => model_op(op),
+        }
+    }
+}
+
+/// Tenant 1's byte budget in the burst-equivalence test: room for both of
+/// its keys with a short value (a 45-byte header, a 1-byte key, at most 8
+/// value bytes), never for a value of 120 bytes or more. So a write is
+/// refused for its own size, whatever ran before it.
+const TENANT1_BYTES: u64 = 160;
+
+fn burst_op_strategy() -> impl Strategy<Value = BurstOp> {
+    let key = pvec(0u8..4, 1..3);
+    let short = pvec(any::<u8>(), 0..8);
+    let tenant0 = prop_oneof![
+        (key.clone(), short.clone()).prop_map(|(k, v)| ModelOp::Set(k, v)),
+        key.clone().prop_map(ModelOp::Get),
+        key.clone().prop_map(ModelOp::Delete),
+        (key, pvec(any::<u8>(), 1..8)).prop_map(|(k, s)| ModelOp::Append(k, s)),
+    ]
+    .prop_map(|op| (0, op));
+    // Tenant 1 has two keys and a byte quota: a long value is refused.
+    let key1 = (0u8..2).prop_map(|k| vec![k]);
+    let tenant1 = prop_oneof![
+        (key1.clone(), short).prop_map(|(k, v)| ModelOp::Set(k, v)),
+        (key1.clone(), pvec(any::<u8>(), 120..160)).prop_map(|(k, v)| ModelOp::Set(k, v)),
+        key1.clone().prop_map(ModelOp::Get),
+        key1.prop_map(ModelOp::Delete),
+    ]
+    .prop_map(|op| (1, op));
+    (prop_oneof![tenant0, tenant1], any::<bool>()).prop_map(|((tenant, op), exists)| BurstOp {
+        tenant,
+        op,
+        exists,
+    })
+}
+
+/// The store op a model-test op stands for.
+fn model_op(op: &ModelOp) -> Op<'_> {
+    match op {
+        ModelOp::Set(k, v) => Op::set(k, v),
+        ModelOp::Get(k) => Op::Get(k),
+        ModelOp::Delete(k) => Op::Delete(k),
+        ModelOp::Append(k, s) => Op::Append { key: k, suffix: s },
+    }
+}
+
 fn op_strategy() -> impl Strategy<Value = ModelOp> {
     // Small key space so operations collide heavily.
     let key = pvec(0u8..4, 1..4);
@@ -74,12 +134,7 @@ proptest! {
         let store = tiny_store(1, key_hint, mac_bucket);
         let mut model = Model::default();
         for op in &ops {
-            let op = match op {
-                ModelOp::Set(k, v) => Op::set(k, v),
-                ModelOp::Get(k) => Op::Get(k),
-                ModelOp::Delete(k) => Op::Delete(k),
-                ModelOp::Append(k, s) => Op::Append { key: k, suffix: s },
-            };
+            let op = model_op(op);
             let got = store.execute(0, op).map_err(|e| TestCaseError::fail(format!("{op:?}: {e}")))?;
             prop_assert_eq!(Some(got), model.apply(0, op));
             prop_assert!(model.entries().contains(&store.len()));
@@ -152,6 +207,42 @@ proptest! {
             }
             prop_assert_eq!(batched.len(), looped.len());
         }
+    }
+
+    /// A burst — what arrives together and runs as one grouped run per
+    /// shard, each bucket set verified once — answers exactly what the
+    /// same ops answer run one by one, and what the reference model
+    /// allows: for duplicate keys (a read after a write of its key in the
+    /// burst sees the write), deletes between the burst's reads and
+    /// writes, two tenants' namespaces, and writes refused by a quota.
+    #[test]
+    fn a_burst_equals_its_ops_run_one_by_one(
+        script in pvec(pvec(burst_op_strategy(), 1..24), 1..8),
+        mac_bucket: bool,
+    ) {
+        let bursts = tiny_store(4, true, mac_bucket);
+        let one_by_one = tiny_store(4, true, mac_bucket);
+        let quota = TenantQuota { max_bytes: TENANT1_BYTES, ..TenantQuota::default() };
+        for store in [&bursts, &one_by_one] {
+            store.tenants().configure(1, quota);
+        }
+        let mut model = Model::default();
+        for burst in &script {
+            let ops: Vec<(u32, Op<'_>)> = burst.iter().map(|b| (b.tenant, b.op())).collect();
+            let together = bursts.execute_burst(&ops);
+            prop_assert_eq!(together.len(), ops.len());
+            for (&(tenant, op), got) in ops.iter().zip(together) {
+                let alone = one_by_one.execute(tenant, op);
+                prop_assert_eq!(&got, &alone, "{:?} in tenant {}", op, tenant);
+                if let Err(e) = &got {
+                    prop_assert_eq!(Refusal::from(e), Refusal::QuotaExceeded, "{:?}", op);
+                }
+                model.observe(tenant, op, got.as_ref().map_err(Refusal::from))
+                    .map_err(TestCaseError::fail)?;
+            }
+        }
+        model.check_store(&bursts).map_err(TestCaseError::fail)?;
+        model.check_store(&one_by_one).map_err(TestCaseError::fail)?;
     }
 
     /// Flipping any single byte of any entry in untrusted memory is

@@ -7,8 +7,8 @@
 //! byte cursor for everything that leaves the enclave, one adversary
 //! rig, one refusal type, one durable replace, one op generator, one
 //! crash model, one size-class rule, one reader of entry tags, one
-//! enclave entry per burst and a set hash stored from the enclave's own
-//! copy. The rules walk the source
+//! enclave entry per burst, a set hash stored from the enclave's own
+//! copy, and one store call per burst. The rules walk the source
 //! tree with `std::fs` (no `git`, no shell), skipping build output
 //! (`target/`) and hidden directories. Each rule is a function that is
 //! also run on planted violations, so a rule that stops firing fails too.
@@ -552,6 +552,47 @@ fn set_hash_from_the_enclave_copy(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// Rule 19. A burst reaches the store once, and a set is verified once
+/// per burst. In `crates/net/src/engine.rs`, outside tests, nothing
+/// executes an op or a control but the burst entry (`execute_burst`): no
+/// `execute`, `execute_with` or `control` call, and the store handle asks
+/// only where a key lives (`shard_hint`) and how much a tenant weighs
+/// (`tenant_weight`). Under `crates/core/src/shard`, outside tests, a set
+/// verification begins (`begin_verify`) only where a grouped run enters a
+/// set (`enter`) and where an op outside one opens its bucket (`open`).
+fn one_store_call_per_burst(tree: &Tree) -> Vec<String> {
+    const EXECUTES: [&str; 3] = ["execute", "execute_with", "control"];
+    const ASKS: [&str; 2] = ["shard_hint", "tenant_weight"];
+    let mut found = Vec::new();
+    for f in tree.under("crates/net/src/engine.rs") {
+        for (i, line) in before_tests(f) {
+            let code = line.split("//").next().unwrap_or_default();
+            let executes = called_names(code).any(|name| EXECUTES.contains(&name));
+            let asks_else = word_starts(code, "store")
+                .filter(|&end| code[end..].starts_with('.'))
+                .any(|end| !ASKS.iter().any(|ask| has_word_at(&code[end + 1..], ask)));
+            if executes || asks_else {
+                found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+            }
+        }
+    }
+    for f in tree.under("crates/core/src/shard/").filter(|f| !f.path.ends_with("tests.rs")) {
+        let entries: Vec<usize> = ["enter", "open", "begin_verify"]
+            .iter()
+            .flat_map(|name| fn_bodies(f, name))
+            .flatten()
+            .map(|(i, _)| i)
+            .collect();
+        for (i, line) in before_tests(f) {
+            let code = line.split("//").next().unwrap_or_default();
+            if called_names(code).any(|name| name == "begin_verify") && !entries.contains(&i) {
+                found.push(format!("{}:{}: {}", f.path, i + 1, line.trim()));
+            }
+        }
+    }
+    found
+}
+
 // ---------------------------------------------------------------------
 // The checks: clean today, and firing on every planted violation.
 // ---------------------------------------------------------------------
@@ -901,4 +942,32 @@ fn set_hash_is_stored_from_the_enclave_copy() {
             "fn update_set_hash() {\n    // never gather_set(table, set) here\n}",
         );
     assert!(set_hash_from_the_enclave_copy(&allowed).is_empty());
+}
+
+#[test]
+fn one_store_call_per_burst_holds() {
+    check(
+        one_store_call_per_burst,
+        "a request reaches the store outside the burst entry, or a set verification begins outside a grouped run; collect the burst (see DESIGN.md, Bursts and batches)",
+        &[
+            (
+                "crates/net/src/engine.rs",
+                "    fn process_frame(&mut self) -> bool {\n        let resp = execute_with(&*shared.store, &request, tenant, Some(&shared.state));\n    }",
+            ),
+            ("crates/net/src/engine.rs", "        let reply = shared.store.execute(tenant, op);"),
+            ("crates/net/src/engine.rs", "        let value = self.shared.store.get(key);"),
+            (
+                "crates/core/src/shard/body.rs",
+                "    fn read_batch(&mut self) {\n        let pending = access.begin_verify(main, bucket)?;\n    }",
+            ),
+        ],
+    );
+    // Test code stays free to, and so do comments.
+    let allowed = Tree::load()
+        .with(
+            "crates/net/src/engine.rs",
+            "// never execute_with(store, request) here\n#[cfg(test)]\nmod tests { fn f() { execute_with(store, r); } }",
+        )
+        .with("crates/core/src/shard/tests.rs", "fn f() { access.begin_verify(main, 0); }");
+    assert!(one_store_call_per_burst(&allowed).is_empty());
 }
